@@ -53,11 +53,9 @@ import (
 	"syscall"
 	"time"
 
-	"druzhba/internal/campaign"
 	"druzhba/internal/cli"
 	"druzhba/internal/fabric"
 	"druzhba/internal/farmd"
-	"druzhba/internal/obs"
 )
 
 func main() {
@@ -86,38 +84,17 @@ func main() {
 		cli.Fatalf("dcoord: unexpected argument %q (all options are flags)", fs.Arg(0))
 	}
 
-	reg := obs.NewRegistry()
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			cli.Fatalf("dcoord: -trace: %v", err)
-		}
-		defer f.Close()
-		tracer = obs.NewTracer(f, nil)
+	rt, err := farmd.NewRuntime("dcoord", farmd.RuntimeFlags{
+		TracePath: *tracePath, PprofAddr: *pprofAddr,
+		NoCache: *noCache, CacheEntries: *cacheEntries, CacheDir: *cacheDir, CacheMaxMB: *cacheMaxMB,
+	})
+	if err != nil {
+		cli.Fatalf("dcoord: %v", err)
 	}
-	if *pprofAddr != "" {
-		bound, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			cli.Fatalf("dcoord: -pprof: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "dcoord: pprof on http://%s/debug/pprof/\n", bound)
-	}
-
-	var cache campaign.ShardCache
-	if !*noCache {
-		cache = farmd.InstrumentCache(farmd.NewMemCache(*cacheEntries), farmd.TierMem, reg)
-		if *cacheDir != "" {
-			disk, err := farmd.NewDirCacheLimit(*cacheDir, *cacheMaxMB<<20)
-			if err != nil {
-				cli.Fatalf("dcoord: %v", err)
-			}
-			cache = farmd.NewTiered(cache, farmd.InstrumentCache(disk, farmd.TierDisk, reg))
-		}
-	}
+	defer rt.Close()
 
 	coord, err := fabric.NewCoordinator(fabric.CoordConfig{
-		Cache:           cache,
+		Cache:           rt.Cache,
 		JournalDir:      *journalDir,
 		Workers:         *workers,
 		MaxConcurrent:   *maxConcurrent,
@@ -125,8 +102,8 @@ func main() {
 		RowWriteTimeout: *rowTimeout,
 		AuthToken:       *authToken,
 		WorkerTTL:       *workerTTL,
-		Metrics:         reg,
-		Trace:           tracer,
+		Metrics:         rt.Metrics,
+		Trace:           rt.Trace,
 		Dispatch: fabric.DispatchConfig{
 			MaxAttempts:  *maxAttempts,
 			PoisonAfter:  *poisonAfter,

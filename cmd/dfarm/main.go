@@ -56,7 +56,6 @@ import (
 	"druzhba/internal/campaign"
 	"druzhba/internal/cli"
 	"druzhba/internal/farmd"
-	"druzhba/internal/obs"
 )
 
 func main() {
@@ -140,24 +139,12 @@ func main() {
 			cli.Fatalf("dfarm: %v", runErr)
 		}
 	} else {
-		var tracer *obs.Tracer
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				cli.Fatalf("dfarm: -trace: %v", err)
-			}
-			defer f.Close()
-			tracer = obs.NewTracer(f, nil)
+		rt, err := farmd.NewRuntime("dfarm", farmd.RuntimeFlags{TracePath: *tracePath, NoCache: true})
+		if err != nil {
+			cli.Fatalf("dfarm: %v", err)
 		}
-		report, runErr = farmd.RunMatrix(ctx, req, campaign.Options{
-			Workers:            *workers,
-			ShardSize:          *shard,
-			BatchSize:          *batch,
-			MaxCounterexamples: *maxCE,
-			FailFast:           *failfast,
-			JobTimeout:         *jobTimeout,
-			Trace:              tracer,
-		})
+		defer rt.Close()
+		report, runErr = farmd.RunMatrix(ctx, req, req.Options(campaign.Options{Workers: *workers, JobTimeout: *jobTimeout, Trace: rt.Trace}))
 		if report == nil {
 			cli.Fatalf("dfarm: %v", runErr)
 		}

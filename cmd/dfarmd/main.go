@@ -49,11 +49,9 @@ import (
 	"syscall"
 	"time"
 
-	"druzhba/internal/campaign"
 	"druzhba/internal/cli"
 	"druzhba/internal/fabric"
 	"druzhba/internal/farmd"
-	"druzhba/internal/obs"
 )
 
 func main() {
@@ -80,43 +78,21 @@ func main() {
 		cli.Fatalf("dfarmd: unexpected argument %q (all options are flags)", fs.Arg(0))
 	}
 
-	reg := obs.NewRegistry()
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			cli.Fatalf("dfarmd: -trace: %v", err)
-		}
-		defer f.Close()
-		tracer = obs.NewTracer(f, nil)
+	rt, err := farmd.NewRuntime("dfarmd", farmd.RuntimeFlags{
+		TracePath: *tracePath, PprofAddr: *pprofAddr,
+		NoCache: *noCache, CacheEntries: *cacheEntries, CacheDir: *cacheDir, CacheMaxMB: *cacheMaxMB,
+	})
+	if err != nil {
+		cli.Fatalf("dfarmd: %v", err)
 	}
-	if *pprofAddr != "" {
-		bound, err := obs.ServePprof(*pprofAddr)
-		if err != nil {
-			cli.Fatalf("dfarmd: -pprof: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "dfarmd: pprof on http://%s/debug/pprof/\n", bound)
-	}
-
-	var cache campaign.ShardCache
-	var remoteCounts func() (hits, misses int64)
-	if !*noCache {
-		cache = farmd.InstrumentCache(farmd.NewMemCache(*cacheEntries), farmd.TierMem, reg)
-		if *cacheDir != "" {
-			disk, err := farmd.NewDirCacheLimit(*cacheDir, *cacheMaxMB<<20)
-			if err != nil {
-				cli.Fatalf("dfarmd: %v", err)
-			}
-			cache = farmd.NewTiered(cache, farmd.InstrumentCache(disk, farmd.TierDisk, reg))
-		}
-		if *coord != "" {
-			// The fleet's shared store is the outermost (slowest) tier:
-			// local misses consult the coordinator, local executions
-			// publish back, so the whole fleet pools its shard work.
-			remote := farmd.InstrumentCache(farmd.NewRemoteCache(*coord, *authToken, nil), farmd.TierRemote, reg)
-			cache = farmd.NewTiered(cache, remote)
-			remoteCounts = remote.Counts
-		}
+	defer rt.Close()
+	cache := rt.Cache
+	if cache != nil && *coord != "" {
+		// The fleet's shared store is the outermost (slowest) tier:
+		// local misses consult the coordinator, local executions
+		// publish back, so the whole fleet pools its shard work.
+		remote := farmd.NewRemoteCache(*coord, *authToken, nil)
+		cache = farmd.NewTiered(cache, farmd.InstrumentCache(remote, farmd.TierRemote, rt.Metrics))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -140,7 +116,7 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "dfarmd: listening on %s (cache-dir=%q, max-concurrent=%d)\n", *addr, *cacheDir, *maxConcurrent)
-	err := farmd.Serve(ctx, *addr, farmd.Config{
+	err = farmd.Serve(ctx, *addr, farmd.Config{
 		Cache:           cache,
 		Workers:         *workers,
 		BatchSize:       *batch,
@@ -148,9 +124,8 @@ func main() {
 		JobTimeout:      *jobTimeout,
 		RowWriteTimeout: *rowTimeout,
 		AuthToken:       *authToken,
-		Metrics:         reg,
-		Trace:           tracer,
-		RemoteCounts:    remoteCounts,
+		Metrics:         rt.Metrics,
+		Trace:           rt.Trace,
 	}, *drainTimeout)
 	if err != nil {
 		cli.Fatalf("dfarmd: %v", err)

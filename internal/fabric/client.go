@@ -1,14 +1,13 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
+
+	"druzhba/internal/farmd"
 )
 
 // Heartbeat announces a worker to a coordinator every interval (0 = 5s)
@@ -22,37 +21,12 @@ func Heartbeat(ctx context.Context, coordURL, selfURL, token string, interval ti
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
-	body, err := json.Marshal(map[string]string{"url": selfURL})
-	if err != nil {
-		return
-	}
-	url := strings.TrimSuffix(coordURL, "/") + "/v1/workers"
-	beat := func() {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		if token != "" {
-			req.Header.Set("Authorization", "Bearer "+token)
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<12)) //nolint:errcheck // drain for reuse
-		resp.Body.Close()
-	}
-	beat()
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
+		RegisterWorker(ctx, coordURL, selfURL, token, client) //nolint:errcheck // retried at the next tick
 		select {
 		case <-ticker.C:
-			beat()
 		case <-ctx.Done():
 			return
 		}
@@ -66,27 +40,10 @@ func RegisterWorker(ctx context.Context, coordURL, selfURL, token string, client
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
-	body, err := json.Marshal(map[string]string{"url": selfURL})
-	if err != nil {
-		return err
-	}
+	wire := farmd.Wire{Client: client, Token: token}
 	url := strings.TrimSuffix(coordURL, "/") + "/v1/workers"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if token != "" {
-		req.Header.Set("Authorization", "Bearer "+token)
-	}
-	resp, err := client.Do(req)
-	if err != nil {
+	if err := wire.Call(ctx, http.MethodPost, url, map[string]string{"url": selfURL}, nil); err != nil {
 		return fmt.Errorf("fabric: register with %s: %w", coordURL, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-		return fmt.Errorf("fabric: register with %s: %s: %s", coordURL, resp.Status, bytes.TrimSpace(msg))
 	}
 	return nil
 }

@@ -5,12 +5,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"regexp"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"druzhba/internal/campaign"
@@ -69,17 +67,6 @@ type CoordConfig struct {
 	Trace *obs.Tracer
 }
 
-func (c *CoordConfig) rowTimeout() time.Duration {
-	switch {
-	case c.RowWriteTimeout == 0:
-		return 30 * time.Second
-	case c.RowWriteTimeout < 0:
-		return 0
-	default:
-		return c.RowWriteTimeout
-	}
-}
-
 // CampaignID derives a campaign's identity from its request content: the
 // same matrix is the same campaign, so a resubmission attaches to the
 // running (or journaled) stream instead of re-executing, and a
@@ -136,9 +123,10 @@ type LeaseLatencySummary struct {
 	P99MS float64 `json:"p99_ms"`
 }
 
-// CoordStats is the coordinator's /v1/stats document. LeaseLatency and
-// Poison are additive extensions — existing consumers of the original
-// counters are unaffected.
+// CoordStats is the coordinator's /v1/stats document: a read-only view of
+// the instruments on CoordConfig.Metrics (plus the poison ledger, which has
+// no series). LeaseLatency and Poison are additive extensions — existing
+// consumers of the original counters are unaffected.
 type CoordStats struct {
 	Campaigns    int64         `json:"campaigns"`      // campaigns completed
 	Rows         int64         `json:"rows"`           // rows journaled/streamed
@@ -158,11 +146,12 @@ type CoordStats struct {
 	Poison []PoisonRecord `json:"poison"`
 }
 
-// Coordinator is the dcoord HTTP service: it accepts campaign matrices,
-// executes them on the campaign engine with shards leased out to the
-// registered dfarmd fleet (falling back to local execution when the fleet
-// drains), journals every row, and serves resumable NDJSON streams plus
-// the fleet's shared shard store.
+// Coordinator is the dcoord HTTP service: the fleet serving core plus a
+// dispatcher executor, a journal, a worker registry and a shard store. It
+// accepts campaign matrices, executes them on the campaign engine with
+// shards leased out to the registered dfarmd fleet (falling back to local
+// execution when the fleet drains), journals every row, and serves
+// resumable NDJSON streams plus the fleet's shared shard store.
 //
 // Endpoints:
 //
@@ -177,11 +166,10 @@ type CoordStats struct {
 //	GET  /healthz         liveness probe
 type Coordinator struct {
 	cfg     CoordConfig
+	core    *farmd.Service
 	reg     *Registry
 	disp    *Dispatcher
 	journal *Journal // nil when JournalDir is ""
-	mux     *http.ServeMux
-	sem     chan struct{}
 
 	root     context.Context // producer lifetime: campaigns outlive clients
 	stopRoot context.CancelFunc
@@ -189,12 +177,9 @@ type Coordinator struct {
 	mu        sync.Mutex
 	campaigns map[string]*campaignState
 
-	campaignsDone, rowCount, shardHits, shardMisses, shardPuts int64 // atomics
-
-	// Observability: fm/cm are the fabric and engine instrument sets on
-	// cfg.Metrics; the rest are the coordinator's own counters.
+	// Observability: fm is the fabric instrument set on the core's
+	// registry; the rest are the coordinator's own counters.
 	fm                       *Metrics
-	cm                       *campaign.Metrics
 	mCampaigns, mRows        *obs.Counter
 	mStoreHits, mStoreMisses *obs.Counter
 	mStorePuts               *obs.Counter
@@ -206,18 +191,8 @@ type Coordinator struct {
 // immediately, which determinism plus the shard cache makes cheap and
 // byte-identical to what the dead process would have produced.
 func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 2
-	}
 	if cfg.Dispatch.Token == "" {
 		cfg.Dispatch.Token = cfg.AuthToken
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
-	fm := NewMetrics(cfg.Metrics)
-	if cfg.Dispatch.Metrics == nil {
-		cfg.Dispatch.Metrics = fm
 	}
 	if cfg.Dispatch.Trace == nil {
 		cfg.Dispatch.Trace = cfg.Trace
@@ -225,32 +200,37 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:       cfg,
 		reg:       NewRegistry(cfg.WorkerTTL),
-		mux:       http.NewServeMux(),
-		sem:       make(chan struct{}, cfg.MaxConcurrent),
 		campaigns: map[string]*campaignState{},
-
-		fm:           fm,
-		cm:           campaign.NewMetrics(cfg.Metrics),
-		mCampaigns:   cfg.Metrics.Counter("druzhba_coord_campaigns_total", "campaigns run to completion"),
-		mRows:        cfg.Metrics.Counter("druzhba_coord_rows_total", "rows journaled and streamed"),
-		mStoreHits:   cfg.Metrics.Counter("druzhba_coord_shard_store_hits_total", "shared shard store GET hits"),
-		mStoreMisses: cfg.Metrics.Counter("druzhba_coord_shard_store_misses_total", "shared shard store GET misses"),
-		mStorePuts:   cfg.Metrics.Counter("druzhba_coord_shard_store_puts_total", "shared shard store PUTs accepted"),
+	}
+	c.core = farmd.NewService(farmd.Config{
+		Cache:           cfg.Cache,
+		Workers:         cfg.Workers,
+		MaxConcurrent:   cfg.MaxConcurrent,
+		JobTimeout:      cfg.JobTimeout,
+		RowWriteTimeout: cfg.RowWriteTimeout,
+		AuthToken:       cfg.AuthToken,
+		Metrics:         cfg.Metrics,
+		Trace:           cfg.Trace,
+	}, func() any { return c.Stats() })
+	reg := c.core.Metrics()
+	c.fm = NewMetrics(reg)
+	c.mCampaigns = reg.Counter("druzhba_coord_campaigns_total", "campaigns run to completion")
+	c.mRows = reg.Counter("druzhba_coord_rows_total", "rows journaled and streamed")
+	c.mStoreHits = reg.Counter("druzhba_coord_shard_store_hits_total", "shared shard store GET hits")
+	c.mStoreMisses = reg.Counter("druzhba_coord_shard_store_misses_total", "shared shard store GET misses")
+	c.mStorePuts = reg.Counter("druzhba_coord_shard_store_puts_total", "shared shard store PUTs accepted")
+	if cfg.Dispatch.Metrics == nil {
+		cfg.Dispatch.Metrics = c.fm
 	}
 	c.disp = NewDispatcher(c.reg, cfg.Dispatch)
 	c.root, c.stopRoot = context.WithCancel(context.Background())
-	cfg.Metrics.OnCollect(c.fm.CollectFleet(c.reg))
+	reg.OnCollect(c.fm.CollectFleet(c.reg))
 
-	c.mux.HandleFunc("POST /v1/campaigns", c.auth(c.handleCampaigns))
-	c.mux.HandleFunc("POST /v1/workers", c.auth(c.handleWorkerRegister))
-	c.mux.HandleFunc("GET /v1/workers", c.handleWorkerList)
-	c.mux.HandleFunc("GET /v1/shards/{key}", c.auth(c.handleShardGet))
-	c.mux.HandleFunc("PUT /v1/shards/{key}", c.auth(c.handleShardPut))
-	c.mux.HandleFunc("GET /v1/stats", c.handleStats)
-	c.mux.Handle("GET /metrics", cfg.Metrics.Handler())
-	c.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
+	c.core.HandleAuth("POST /v1/campaigns", c.handleCampaigns)
+	c.core.HandleAuth("POST /v1/workers", c.handleWorkerRegister)
+	c.core.Handle("GET /v1/workers", c.handleWorkerList)
+	c.core.HandleAuth("GET /v1/shards/{key}", c.handleShardGet)
+	c.core.HandleAuth("PUT /v1/shards/{key}", c.handleShardPut)
 
 	if cfg.JournalDir != "" {
 		j, err := NewJournal(cfg.JournalDir)
@@ -290,23 +270,7 @@ func (c *Coordinator) Dispatcher() *Dispatcher { return c.disp }
 func (c *Coordinator) Close() { c.stopRoot() }
 
 // ServeHTTP implements http.Handler.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
-
-func (c *Coordinator) auth(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !farmd.CheckBearer(r, c.cfg.AuthToken) {
-			httpError(w, http.StatusUnauthorized, "missing or invalid bearer token")
-			return
-		}
-		next(w, r)
-	}
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)}) //nolint:errcheck // terminal write
-}
+func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.core.ServeHTTP(w, r) }
 
 // lookup returns the campaign state for a request, starting the campaign
 // if it is new. Completed journaled campaigns are rehydrated from disk.
@@ -334,8 +298,7 @@ func (c *Coordinator) lookup(id string, req *farmd.MatrixRequest) (*campaignStat
 		}
 	}
 	c.campaigns[id] = st
-	reqCopy := *req
-	go c.runCampaign(st, &reqCopy)
+	go c.runCampaign(st, req)
 	return st, nil
 }
 
@@ -347,12 +310,11 @@ func (c *Coordinator) runCampaign(st *campaignState, req *farmd.MatrixRequest) {
 	defer st.finish()
 
 	// Queue for an execution slot (shutdown drains the queue).
-	select {
-	case c.sem <- struct{}{}:
-		defer func() { <-c.sem }()
-	case <-c.root.Done():
+	release, ok := c.core.Acquire(c.root)
+	if !ok {
 		return
 	}
+	defer release()
 
 	var writer *RowWriter
 	if c.journal != nil {
@@ -367,7 +329,6 @@ func (c *Coordinator) runCampaign(st *campaignState, req *farmd.MatrixRequest) {
 		if err != nil {
 			return
 		}
-		atomic.AddInt64(&c.rowCount, 1)
 		c.mRows.Inc()
 		if writer != nil {
 			writer.Append(data) //nolint:errcheck // stream stays authoritative in memory
@@ -375,10 +336,6 @@ func (c *Coordinator) runCampaign(st *campaignState, req *farmd.MatrixRequest) {
 		st.append(data)
 	}
 
-	timeout := req.JobTimeout()
-	if timeout <= 0 {
-		timeout = c.cfg.JobTimeout
-	}
 	optsFor := func(phase string, vrep *campaign.Report) campaign.Options {
 		exec := &PhaseExecutor{
 			Dispatcher: c.disp,
@@ -395,19 +352,10 @@ func (c *Coordinator) runCampaign(st *campaignState, req *farmd.MatrixRequest) {
 				}
 			}
 		}
-		return campaign.Options{
-			Workers:            c.cfg.Workers,
-			ShardSize:          req.ShardSize,
-			BatchSize:          req.Batch,
-			MaxCounterexamples: req.MaxCounterexamples,
-			FailFast:           req.FailFast,
-			JobTimeout:         timeout,
-			Cache:              c.cfg.Cache,
-			Executor:           exec,
-			Metrics:            c.cm,
-			Trace:              c.cfg.Trace,
-			OnJobReport:        func(jr campaign.JobReport) { emit(farmd.Row{Job: &jr}) },
-		}
+		opts := c.core.Options(req)
+		opts.Executor = exec
+		opts.OnJobReport = func(jr campaign.JobReport) { emit(farmd.Row{Job: &jr}) }
+		return opts
 	}
 
 	rep, runErr := farmd.RunMatrixPhases(c.root, req, optsFor)
@@ -416,19 +364,7 @@ func (c *Coordinator) runCampaign(st *campaignState, req *farmd.MatrixRequest) {
 		// journal unfinished so the next process re-runs the campaign.
 		return
 	}
-	if rep == nil {
-		emit(farmd.Row{Error: runErr.Error()})
-	} else {
-		emit(farmd.Row{Summary: &farmd.Summary{
-			Passed:       rep.Passed,
-			Jobs:         len(rep.Jobs),
-			TotalChecked: rep.TotalChecked,
-			StoppedEarly: rep.StoppedEarly,
-			Cache:        rep.Cache,
-			Timing:       rep.Timing,
-		}})
-	}
-	atomic.AddInt64(&c.campaignsDone, 1)
+	emit(farmd.TerminalRow(rep, runErr))
 	c.mCampaigns.Inc()
 	if writer != nil {
 		if err := writer.Close(); err == nil {
@@ -445,41 +381,32 @@ func (c *Coordinator) runCampaign(st *campaignState, req *farmd.MatrixRequest) {
 // already consumed are never re-executed, only replayed from the journal's
 // in-memory image.
 func (c *Coordinator) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	var req farmd.MatrixRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad matrix request: %v", err)
+	req, ok := farmd.DecodeMatrix(w, r)
+	if !ok {
 		return
 	}
-	if err := req.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	id, err := CampaignID(&req)
+	id, err := CampaignID(req)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		farmd.HTTPError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	lastRow := 0
 	if h := r.Header.Get("Last-Row"); h != "" {
 		n, err := strconv.Atoi(h)
 		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "bad Last-Row header %q", h)
+			farmd.HTTPError(w, http.StatusBadRequest, "bad Last-Row header %q", h)
 			return
 		}
 		lastRow = n
 	}
-	st, err := c.lookup(id, &req)
+	st, err := c.lookup(id, req)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		farmd.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Campaign-Id", id)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	rowTimeout := c.cfg.rowTimeout()
+	rows := c.core.OpenRows(w)
 
 	// Wake the subscriber loop when the client goes away.
 	stop := context.AfterFunc(r.Context(), func() {
@@ -496,15 +423,8 @@ func (c *Coordinator) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 			row := st.rows[idx]
 			idx++
 			st.mu.Unlock()
-			if rowTimeout > 0 {
-				//dvet:walltime-ok I/O write deadline for a stalled subscriber, never report content
-				rc.SetWriteDeadline(time.Now().Add(rowTimeout)) //nolint:errcheck // best effort
-			}
-			if _, err := w.Write(append(append([]byte{}, row...), '\n')); err != nil {
-				return // subscriber gone; the campaign keeps running
-			}
-			if flusher != nil {
-				flusher.Flush()
+			if _, err := rows.Write(append(append([]byte{}, row...), '\n')); err != nil {
+				return // subscriber gone or stalled; the campaign keeps running
 			}
 			st.mu.Lock()
 		}
@@ -521,8 +441,8 @@ func (c *Coordinator) handleWorkerRegister(w http.ResponseWriter, r *http.Reques
 	var body struct {
 		URL string `json:"url"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<12)).Decode(&body); err != nil || body.URL == "" {
-		httpError(w, http.StatusBadRequest, "worker registration needs a url")
+	if err := farmd.DecodeBody(w, r, 1<<12, &body); err != nil || body.URL == "" {
+		farmd.HTTPError(w, http.StatusBadRequest, "worker registration needs a url")
 		return
 	}
 	c.reg.Register(body.URL)
@@ -531,8 +451,7 @@ func (c *Coordinator) handleWorkerRegister(w http.ResponseWriter, r *http.Reques
 
 // handleWorkerList snapshots the fleet.
 func (c *Coordinator) handleWorkerList(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(c.reg.Snapshot()) //nolint:errcheck // terminal write
+	farmd.WriteJSON(w, http.StatusOK, c.reg.Snapshot())
 }
 
 // shardKeyRe guards the shared store's key space: keys are engine-issued
@@ -544,47 +463,43 @@ var shardKeyRe = regexp.MustCompile(`^[0-9a-f]{16,128}$`)
 func (c *Coordinator) handleShardGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if c.cfg.Cache == nil || !shardKeyRe.MatchString(key) {
-		httpError(w, http.StatusNotFound, "no such shard")
+		farmd.HTTPError(w, http.StatusNotFound, "no such shard")
 		return
 	}
 	res, ok := c.cfg.Cache.Get(key)
 	if !ok {
-		atomic.AddInt64(&c.shardMisses, 1)
 		c.mStoreMisses.Inc()
-		httpError(w, http.StatusNotFound, "no such shard")
+		farmd.HTTPError(w, http.StatusNotFound, "no such shard")
 		return
 	}
-	atomic.AddInt64(&c.shardHits, 1)
 	c.mStoreHits.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(farmd.WireResult(res)) //nolint:errcheck // terminal write
+	farmd.WriteJSON(w, http.StatusOK, farmd.WireResult(res))
 }
 
 // handleShardPut accepts a worker's shard result into the shared store.
 func (c *Coordinator) handleShardPut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if c.cfg.Cache == nil || !shardKeyRe.MatchString(key) {
-		httpError(w, http.StatusBadRequest, "bad shard key")
+		farmd.HTTPError(w, http.StatusBadRequest, "bad shard key")
 		return
 	}
 	var wire farmd.WireShardResult
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 256<<20)).Decode(&wire); err != nil {
-		httpError(w, http.StatusBadRequest, "bad shard result: %v", err)
+	if err := farmd.DecodeBody(w, r, farmd.MaxShardResultBytes, &wire); err != nil {
+		farmd.HTTPError(w, http.StatusBadRequest, "bad shard result: %v", err)
 		return
 	}
 	if wire.Error != "" {
-		httpError(w, http.StatusBadRequest, "errored results are not cacheable")
+		farmd.HTTPError(w, http.StatusBadRequest, "errored results are not cacheable")
 		return
 	}
 	c.cfg.Cache.Put(key, wire.Result())
-	atomic.AddInt64(&c.shardPuts, 1)
 	c.mStorePuts.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleStats reports the coordinator's counters plus the per-worker
-// lease-latency summaries and poison forensics.
-func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
+// Stats reads the coordinator's counters and per-worker lease-latency
+// summaries off the metrics registry, plus the poison forensics ledger.
+func (c *Coordinator) Stats() CoordStats {
 	ds := c.disp.Stats()
 	lease := map[string]LeaseLatencySummary{}
 	for _, s := range c.fm.LeaseLatency.Snapshots() {
@@ -602,19 +517,18 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	if poison == nil {
 		poison = []PoisonRecord{}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(CoordStats{ //nolint:errcheck // terminal write
-		Campaigns:    atomic.LoadInt64(&c.campaignsDone),
-		Rows:         atomic.LoadInt64(&c.rowCount),
+	return CoordStats{
+		Campaigns:    int64(c.mCampaigns.Value()),
+		Rows:         int64(c.mRows.Value()),
 		WorkersAlive: c.reg.AliveCount(),
-		ShardHits:    atomic.LoadInt64(&c.shardHits),
-		ShardMisses:  atomic.LoadInt64(&c.shardMisses),
-		ShardPuts:    atomic.LoadInt64(&c.shardPuts),
+		ShardHits:    int64(c.mStoreHits.Value()),
+		ShardMisses:  int64(c.mStoreMisses.Value()),
+		ShardPuts:    int64(c.mStorePuts.Value()),
 		Dispatch:     ds,
 		LocalShards:  ds.Fallback,
 		LeaseLatency: lease,
 		Poison:       poison,
-	})
+	}
 }
 
 // Serve runs the coordinator on addr until ctx is cancelled, then shuts

@@ -1,17 +1,14 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"druzhba/internal/campaign"
@@ -61,7 +58,8 @@ type DispatchConfig struct {
 	// /metrics and /v1/stats, never report rows.
 	Now func() time.Time
 
-	// Metrics instruments the dispatcher (nil = unmetered).
+	// Metrics instruments the dispatcher and is where Stats reads its
+	// counters from (nil = a private registry's set).
 	Metrics *Metrics
 
 	// Trace journals lease lifecycle events (nil = no tracing).
@@ -93,10 +91,14 @@ func (c DispatchConfig) withDefaults() DispatchConfig {
 	if c.Now == nil {
 		c.Now = time.Now //dvet:walltime-ok the one approved default for the dispatcher's clock seam
 	}
+	if c.Metrics == nil {
+		c.Metrics = NewMetrics(obs.NewRegistry())
+	}
 	return c
 }
 
-// DispatchStats counts the dispatcher's lifetime activity (atomics).
+// DispatchStats is the dispatcher's lifetime activity as /v1/stats reports
+// it: a snapshot of the Metrics instruments.
 type DispatchStats struct {
 	Leases   int64 `json:"leases"`   // leases completed with a result
 	Retries  int64 `json:"retries"`  // failed attempts that were retried
@@ -126,9 +128,8 @@ type DispatchStats struct {
 // returns campaign.ErrNoWorkers and the engine runs the shard on the
 // coordinator's own pool — the drain-to-zero degradation path.
 type Dispatcher struct {
-	reg   *Registry
-	cfg   DispatchConfig
-	stats DispatchStats
+	reg *Registry
+	cfg DispatchConfig
 
 	mu  sync.Mutex
 	rng *rand.Rand // jitter only; nil = no jitter
@@ -202,14 +203,19 @@ func NewDispatcher(reg *Registry, cfg DispatchConfig) *Dispatcher {
 	return d
 }
 
-// Stats snapshots the dispatcher's counters.
+// Stats snapshots the dispatcher's counters off its instruments; a lease
+// completed with a result is one lease-latency observation.
 func (d *Dispatcher) Stats() DispatchStats {
-	return DispatchStats{
-		Leases:   atomic.LoadInt64(&d.stats.Leases),
-		Retries:  atomic.LoadInt64(&d.stats.Retries),
-		Poisoned: atomic.LoadInt64(&d.stats.Poisoned),
-		Fallback: atomic.LoadInt64(&d.stats.Fallback),
+	m := d.cfg.Metrics
+	st := DispatchStats{
+		Retries:  int64(m.Retries.Value()),
+		Poisoned: int64(m.Poisoned.Value()),
+		Fallback: int64(m.Fallback.Value()),
 	}
+	for _, s := range m.LeaseLatency.Snapshots() {
+		st.Leases += int64(s.Snap.Count)
+	}
+	return st
 }
 
 // backoff computes the nth retry's jittered delay (attempt counts from 1).
@@ -238,8 +244,7 @@ func (d *Dispatcher) Execute(ctx context.Context, lease *farmd.ShardLease) *camp
 		}
 		url := d.reg.Pick(nil)
 		if url == "" {
-			atomic.AddInt64(&d.stats.Fallback, 1)
-			d.cfg.Metrics.fallback()
+			d.cfg.Metrics.Fallback.Inc()
 			d.cfg.Trace.Event("fabric", "fallback", obs.KV{K: "job", V: lease.Job}, obs.KV{K: "shard", V: lease.Shard})
 			return &campaign.ShardResult{Err: fmt.Errorf("%w (shard %s/%d)", campaign.ErrNoWorkers, lease.Job, lease.Shard)}
 		}
@@ -248,7 +253,6 @@ func (d *Dispatcher) Execute(ctx context.Context, lease *farmd.ShardLease) *camp
 		d.reg.Done(url)
 		elapsed := d.cfg.Now().Sub(start)
 		if err == nil {
-			atomic.AddInt64(&d.stats.Leases, 1)
 			d.cfg.Metrics.lease(url, elapsed.Seconds())
 			d.cfg.Trace.Event("fabric", "lease", obs.KV{K: "job", V: lease.Job}, obs.KV{K: "shard", V: lease.Shard},
 				obs.KV{K: "worker", V: url}, obs.KV{K: "attempt", V: attempt}, obs.KV{K: "dur_us", V: elapsed.Microseconds()})
@@ -266,14 +270,13 @@ func (d *Dispatcher) Execute(ctx context.Context, lease *farmd.ShardLease) *camp
 			class = "transport"
 			d.reg.Fail(url, d.cfg.Cooldown)
 		}
-		d.cfg.Metrics.leaseFailed(url, class)
+		d.cfg.Metrics.LeaseAttempts.With(url, class).Inc()
 		attempts = append(attempts, Attempt{
 			Attempt: attempt, Worker: url, Class: class,
 			Error: err.Error(), ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
 		})
 		if len(failed) >= d.cfg.PoisonAfter || attempt >= d.cfg.MaxAttempts {
-			atomic.AddInt64(&d.stats.Poisoned, 1)
-			d.cfg.Metrics.poisoned()
+			d.cfg.Metrics.Poisoned.Inc()
 			workers := make([]string, 0, len(failed))
 			for w := range failed {
 				workers = append(workers, w)
@@ -296,7 +299,6 @@ func (d *Dispatcher) Execute(ctx context.Context, lease *farmd.ShardLease) *camp
 				"fabric: shard %s/%d poisoned after %d attempts on %d workers [%s]: %w",
 				lease.Job, lease.Shard, attempt, len(failed), rec.timeline(), lastErr)}
 		}
-		atomic.AddInt64(&d.stats.Retries, 1)
 		delay := d.backoff(attempt)
 		d.cfg.Metrics.retry(delay.Seconds())
 		select {
@@ -311,36 +313,22 @@ func (d *Dispatcher) Execute(ctx context.Context, lease *farmd.ShardLease) *camp
 // a returned error was a transport failure (worker possibly dead) as
 // opposed to a protocol failure (worker alive, lease rejected).
 func (d *Dispatcher) tryLease(ctx context.Context, url string, lease *farmd.ShardLease) (res *campaign.ShardResult, err error, transport bool) {
-	body, err := json.Marshal(lease)
-	if err != nil {
-		return nil, err, false
-	}
 	actx, cancel := context.WithTimeout(ctx, d.cfg.LeaseTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, strings.TrimSuffix(url, "/")+"/v1/leases", bytes.NewReader(body))
-	if err != nil {
-		return nil, err, false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if d.cfg.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+d.cfg.Token)
-	}
-	resp, err := d.cfg.Client.Do(req)
-	if err != nil {
+	wire := farmd.Wire{Client: d.cfg.Client, Token: d.cfg.Token}
+	var result farmd.WireShardResult
+	err = wire.Call(actx, http.MethodPost, strings.TrimSuffix(url, "/")+"/v1/leases", lease, &result)
+	var rejected *farmd.StatusError
+	switch {
+	case err == nil:
+		return result.Result(), nil, false
+	case errors.As(err, &rejected):
+		return nil, fmt.Errorf("lease rejected: %w", err), false
+	default:
+		// No answer, or a 200 whose body died mid-flight: the worker may
+		// have run the shard, the result never arrived intact.
 		return nil, err, true
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<14))
-		return nil, fmt.Errorf("lease rejected: %s: %s", resp.Status, bytes.TrimSpace(msg)), false
-	}
-	var wire farmd.WireShardResult
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(&wire); err != nil {
-		// A 200 whose body died mid-flight is a transport failure: the
-		// worker ran the shard, the result never arrived intact.
-		return nil, fmt.Errorf("lease result: %w", err), true
-	}
-	return wire.Result(), nil, false
 }
 
 // PhaseExecutor adapts the dispatcher to one campaign phase's

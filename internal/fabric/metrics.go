@@ -5,8 +5,8 @@ import "druzhba/internal/obs"
 // Metrics is the fabric's instrumentation set: per-worker lease latency
 // histograms, attempt outcomes, retry/backoff pressure, poison
 // quarantines and fleet liveness. Like campaign.Metrics it is
-// observability only — nothing here feeds report content — and a nil
-// *Metrics disables everything.
+// observability only — nothing here feeds report content — and it is the
+// only copy of the dispatcher's counters: /v1/stats reads them back.
 type Metrics struct {
 	// LeaseLatency observes each successful lease's round trip per
 	// worker; its snapshots feed /v1/stats' quantile summaries.
@@ -70,44 +70,13 @@ func (m *Metrics) CollectFleet(reg *Registry) func() {
 
 // lease records one successful lease attempt.
 func (m *Metrics) lease(worker string, durSec float64) {
-	if m == nil {
-		return
-	}
 	m.LeaseLatency.With(worker).Observe(durSec)
 	m.LeaseAttempts.With(worker, "ok").Inc()
 }
 
-// leaseFailed records one failed attempt of the given class
-// ("transport" or "protocol").
-func (m *Metrics) leaseFailed(worker, class string) {
-	if m == nil {
-		return
-	}
-	m.LeaseAttempts.With(worker, class).Inc()
-}
-
 // retry records one retried attempt and its backoff sleep.
 func (m *Metrics) retry(backoffSec float64) {
-	if m == nil {
-		return
-	}
 	m.Retries.Inc()
 	m.BackoffWaits.Inc()
 	m.BackoffSeconds.Add(backoffSec)
-}
-
-// poisoned records one quarantined shard.
-func (m *Metrics) poisoned() {
-	if m == nil {
-		return
-	}
-	m.Poisoned.Inc()
-}
-
-// fallback records one shard handed back for local execution.
-func (m *Metrics) fallback() {
-	if m == nil {
-		return
-	}
-	m.Fallback.Inc()
 }

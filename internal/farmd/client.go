@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -34,13 +35,6 @@ type StreamOptions struct {
 	NoResume bool
 }
 
-func (o *StreamOptions) client() *http.Client {
-	if o.Client != nil {
-		return o.Client
-	}
-	return http.DefaultClient
-}
-
 // Stream is one open NDJSON campaign stream: rows are read with Next until
 // io.EOF. CampaignID is non-empty when the server can replay this stream
 // from an index (the fabric coordinator); plain dfarmd streams are not
@@ -63,36 +57,18 @@ type Stream struct {
 // non-2xx response is decoded into an error; the campaign never started
 // (or, for a resume, the stream did not reattach).
 func OpenStream(ctx context.Context, server string, req *MatrixRequest, opts StreamOptions) (*Stream, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("farmd: encode request: %w", err)
-	}
-	url := strings.TrimSuffix(server, "/") + "/v1/campaigns"
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("farmd: %w", err)
-	}
-	httpReq.Header.Set("Content-Type", "application/json")
-	if opts.Token != "" {
-		httpReq.Header.Set("Authorization", "Bearer "+opts.Token)
-	}
+	var header http.Header
 	if opts.LastRow > 0 {
-		httpReq.Header.Set("Last-Row", strconv.Itoa(opts.LastRow))
+		header = http.Header{"Last-Row": {strconv.Itoa(opts.LastRow)}}
 	}
-	resp, err := opts.client().Do(httpReq)
+	wire := Wire{Client: opts.Client, Token: opts.Token}
+	resp, err := wire.Do(ctx, http.MethodPost, strings.TrimSuffix(server, "/")+"/v1/campaigns", req, header)
 	if err != nil {
+		var rejected *StatusError
+		if errors.As(err, &rejected) {
+			return nil, fmt.Errorf("farmd: server: %w", err)
+		}
 		return nil, fmt.Errorf("farmd: submit: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		var decoded struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(msg, &decoded) == nil && decoded.Error != "" {
-			return nil, fmt.Errorf("farmd: server: %s", decoded.Error)
-		}
-		return nil, fmt.Errorf("farmd: server: %s: %s", resp.Status, bytes.TrimSpace(msg))
 	}
 	return &Stream{
 		CampaignID: resp.Header.Get("Campaign-Id"),

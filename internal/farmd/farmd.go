@@ -118,6 +118,23 @@ func (r *MatrixRequest) JobTimeout() time.Duration {
 	return time.Duration(r.JobTimeoutMS) * time.Millisecond
 }
 
+// Options returns the engine options the request runs under: base carries
+// what the process decides (pool, cache, instruments, and the batch size and
+// job timeout used when the request sets none), the request supplies the
+// rest.
+func (r *MatrixRequest) Options(base campaign.Options) campaign.Options {
+	base.ShardSize = r.ShardSize
+	base.MaxCounterexamples = r.MaxCounterexamples
+	base.FailFast = r.FailFast
+	if r.Batch > 0 {
+		base.BatchSize = r.Batch
+	}
+	if t := r.JobTimeout(); t > 0 {
+		base.JobTimeout = t
+	}
+	return base
+}
+
 // phases decodes the request's mode into the set of campaign phases to run
 // and rejects flag combinations that cannot apply to them.
 func (r *MatrixRequest) phases() (runVerify, runFuzz bool, err error) {

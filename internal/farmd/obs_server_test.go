@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"druzhba/internal/campaign"
 	"druzhba/internal/obs"
 )
 
@@ -18,12 +19,17 @@ import (
 func TestServerMetricsAndStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	cache := InstrumentCache(NewMemCache(0), TierMem, reg)
-	s := NewServer(Config{
-		Cache:        cache,
-		Workers:      2,
-		Metrics:      reg,
-		RemoteCounts: func() (int64, int64) { return 7, 3 },
-	})
+	s := NewServer(Config{Cache: cache, Workers: 2, Metrics: reg})
+	// A remote tier on the same registry, driven to 7 hits and 3 misses:
+	// /v1/stats reads the pair back from its series.
+	remote := InstrumentCache(NewMemCache(0), TierRemote, reg)
+	remote.Put("k", &campaign.ShardResult{Checked: 1})
+	for i := 0; i < 7; i++ {
+		remote.Get("k")
+	}
+	for i := 0; i < 3; i++ {
+		remote.Get("absent")
+	}
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	req := smallMatrix()
@@ -48,9 +54,9 @@ func TestServerMetricsAndStats(t *testing.T) {
 		}
 	}
 
-	hits, misses := cache.Counts()
+	hits, misses := cacheGets(reg).With(TierMem, "hit").Value(), cacheGets(reg).With(TierMem, "miss").Value()
 	if hits == 0 || misses == 0 {
-		t.Fatalf("instrumented mem tier saw hits=%d misses=%d, want both nonzero", hits, misses)
+		t.Fatalf("instrumented mem tier saw hits=%v misses=%v, want both nonzero", hits, misses)
 	}
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -81,7 +87,7 @@ func TestServerMetricsAndStats(t *testing.T) {
 	}
 
 	// /v1/stats: the new fields are additive and the remote pair comes
-	// straight from the RemoteCounts seam.
+	// straight from the remote tier's series.
 	sresp, err := http.Get(srv.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)

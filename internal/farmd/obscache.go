@@ -33,7 +33,7 @@ func InstrumentCache(inner campaign.ShardCache, tier string, reg *obs.Registry) 
 	if inner == nil || reg == nil {
 		return nil
 	}
-	gets := reg.CounterVec("druzhba_cache_gets_total", "shard cache lookups by tier and outcome", "tier", "outcome")
+	gets := cacheGets(reg)
 	puts := reg.CounterVec("druzhba_cache_puts_total", "shard cache writes by tier", "tier")
 	evictions := reg.CounterVec("druzhba_cache_evictions_total", "shard cache entries evicted by tier", "tier")
 	evictedBytes := reg.CounterVec("druzhba_cache_evicted_bytes_total", "shard cache bytes evicted by tier", "tier")
@@ -49,6 +49,12 @@ func InstrumentCache(inner campaign.ShardCache, tier string, reg *obs.Registry) 
 		misses: gets.With(tier, "miss"),
 		puts:   puts.With(tier),
 	}
+}
+
+// cacheGets registers (idempotently) the shared lookup family; the server
+// reads its tier="remote" series back for /v1/stats.
+func cacheGets(reg *obs.Registry) *obs.CounterVec {
+	return reg.CounterVec("druzhba_cache_gets_total", "shard cache lookups by tier and outcome", "tier", "outcome")
 }
 
 // Get implements campaign.ShardCache.
@@ -75,10 +81,4 @@ func (c *InstrumentedCache) Flush() error {
 		return f.Flush()
 	}
 	return nil
-}
-
-// Counts returns the wrapper's cumulative hit and miss counts; dfarmd
-// feeds the remote tier's pair into /v1/stats.
-func (c *InstrumentedCache) Counts() (hits, misses int64) {
-	return int64(c.hits.Value()), int64(c.misses.Value())
 }

@@ -1,9 +1,7 @@
 package farmd
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
+	"context"
 	"net/http"
 	"strings"
 	"time"
@@ -23,9 +21,8 @@ import (
 // dropped write: the remote tier can only save work, never lose or corrupt
 // a result, so chaos on the cache path is invisible in reports.
 type RemoteCache struct {
-	base   string
-	token  string
-	client *http.Client
+	base string
+	wire Wire
 }
 
 // NewRemoteCache returns a remote cache against the coordinator at
@@ -37,37 +34,15 @@ func NewRemoteCache(baseURL, token string, client *http.Client) *RemoteCache {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	return &RemoteCache{base: strings.TrimSuffix(baseURL, "/"), token: token, client: client}
+	return &RemoteCache{base: strings.TrimSuffix(baseURL, "/"), wire: Wire{Client: client, Token: token}}
 }
 
 func (c *RemoteCache) url(key string) string { return c.base + "/v1/shards/" + key }
 
-func (c *RemoteCache) authorize(req *http.Request) {
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-}
-
 // Get implements campaign.ShardCache.
 func (c *RemoteCache) Get(key string) (*campaign.ShardResult, bool) {
-	req, err := http.NewRequest(http.MethodGet, c.url(key), nil)
-	if err != nil {
-		return nil, false
-	}
-	c.authorize(req)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer func() {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //nolint:errcheck // drain for reuse
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
 	var wire WireShardResult
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&wire); err != nil || wire.Error != "" {
+	if err := c.wire.Call(context.TODO(), http.MethodGet, c.url(key), nil, &wire); err != nil || wire.Error != "" {
 		return nil, false
 	}
 	return wire.Result(), true
@@ -79,20 +54,5 @@ func (c *RemoteCache) Put(key string, res *campaign.ShardResult) {
 	if res == nil || res.Err != nil {
 		return
 	}
-	body, err := json.Marshal(WireResult(res))
-	if err != nil {
-		return
-	}
-	req, err := http.NewRequest(http.MethodPut, c.url(key), bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.authorize(req)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //nolint:errcheck // drain for reuse
-	resp.Body.Close()
+	c.wire.Call(context.TODO(), http.MethodPut, c.url(key), WireResult(res), nil) //nolint:errcheck // a dropped write is a later miss
 }

@@ -2,14 +2,9 @@ package farmd
 
 import (
 	"context"
-	"crypto/subtle"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"druzhba/internal/campaign"
@@ -18,80 +13,8 @@ import (
 	"druzhba/internal/spec"
 )
 
-// defaultRowWriteTimeout bounds each NDJSON row write when Config does not
-// set one: a client that stalls its stream longer than this has its
-// campaign cancelled rather than wedging the engine's workers and holding
-// an execution slot.
-const defaultRowWriteTimeout = 30 * time.Second
-
-// Config configures a campaign server.
-type Config struct {
-	// Cache is the shard-result store shared by every campaign the
-	// server runs (nil = no caching).
-	Cache campaign.ShardCache
-
-	// Workers is each campaign's worker pool size (0 = GOMAXPROCS).
-	Workers int
-
-	// BatchSize is the default PHV-batch size applied when a request does
-	// not set one (0 = streaming). An execution knob only: results and
-	// cache keys are byte-identical for every value.
-	BatchSize int
-
-	// MaxConcurrent bounds how many campaigns execute at once (0 = 2);
-	// excess submissions queue until a slot frees or the client leaves.
-	MaxConcurrent int
-
-	// JobTimeout is the default per-job wall-clock budget applied when a
-	// request does not set one (0 = unbounded).
-	JobTimeout time.Duration
-
-	// RowWriteTimeout bounds each NDJSON row write; a client that stalls
-	// its stream longer than this has its campaign cancelled. 0 means 30s;
-	// negative disables the bound.
-	RowWriteTimeout time.Duration
-
-	// AuthToken, when non-empty, is the shared fleet secret: every
-	// mutating endpoint (campaign submission, shard leases) requires
-	// "Authorization: Bearer <AuthToken>". Read-only probes (/healthz,
-	// /v1/benchmarks, /v1/stats) stay open for load balancers and
-	// monitoring.
-	AuthToken string
-
-	// Metrics is the registry GET /metrics serves; the server registers
-	// its lease and campaign instruments on it (nil = a fresh private
-	// registry, so /metrics always works). Observability only: metrics
-	// never feed results.
-	Metrics *obs.Registry
-
-	// Trace journals campaign/lease lifecycle events as NDJSON (nil =
-	// no tracing).
-	Trace *obs.Tracer
-
-	// Now is the server's clock seam for lease-duration observations;
-	// nil means time.Now. Timing read through it only ever feeds
-	// metrics, never results.
-	Now func() time.Time
-
-	// RemoteCounts, when non-nil, reports the remote cache tier's
-	// cumulative hit/miss counts for /v1/stats (dfarmd wires the
-	// instrumented remote tier's Counts here).
-	RemoteCounts func() (hits, misses int64)
-}
-
-// rowTimeout resolves the configured row-write deadline.
-func (c *Config) rowTimeout() time.Duration {
-	switch {
-	case c.RowWriteTimeout == 0:
-		return defaultRowWriteTimeout
-	case c.RowWriteTimeout < 0:
-		return 0
-	default:
-		return c.RowWriteTimeout
-	}
-}
-
-// Stats is the server's cumulative serving state, exposed on /v1/stats.
+// Stats is the server's /v1/stats document: a read-only view of the
+// instruments on Config.Metrics, so every field equals its /metrics series.
 // LeaseErrors and the remote-cache pair are additive extensions — existing
 // consumers of the original counters are unaffected.
 type Stats struct {
@@ -106,114 +29,65 @@ type Stats struct {
 	RemoteMisses int64 `json:"remote_cache_misses"` // remote-tier cache misses
 }
 
-// Server is the dfarmd HTTP service: POST /v1/campaigns streams campaign
-// rows as NDJSON, POST /v1/leases executes one shard lease for a fabric
-// coordinator, GET /v1/benchmarks lists the embedded benchmark registries,
-// GET /v1/stats reports cumulative serving counters and GET /healthz
-// answers liveness probes.
+// Server is the dfarmd HTTP service: the fleet serving core plus a lease
+// executor. POST /v1/campaigns streams campaign rows as NDJSON, POST
+// /v1/leases executes one shard lease for a fabric coordinator, GET
+// /v1/benchmarks lists the embedded benchmark registries; /v1/stats,
+// /metrics and /healthz come with the core.
 type Server struct {
-	cfg       Config
-	sem       chan struct{}
+	core      *Service
 	leaseSem  chan struct{}
-	mux       *http.ServeMux
 	instances *instanceCache
-	stats     Stats // updated atomically
 
-	// Observability: cm instruments engine runs; the rest are the
-	// server's own lease/campaign counters on cfg.Metrics.
-	cm                    *campaign.Metrics
-	mCampaigns, mJobs     *obs.Counter
-	mLeases, mLeaseErrors *obs.Counter
-	mLeaseSeconds         *obs.Histogram
+	// The server's own lease/campaign instruments, and the cache series
+	// other layers own that /v1/stats reports.
+	mCampaigns, mJobs          *obs.Counter
+	mLeases, mLeaseErrors      *obs.Counter
+	mLeaseSeconds              *obs.Histogram
+	mRemoteHits, mRemoteMisses *obs.Counter
 }
 
 // NewServer builds a campaign server over cfg.
 func NewServer(cfg Config) *Server {
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 2
-	}
 	leaseSlots := cfg.Workers
 	if leaseSlots <= 0 {
 		leaseSlots = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = obs.NewRegistry()
-	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now //dvet:walltime-ok the one approved default for the server's clock seam
-	}
 	s := &Server{
-		cfg:       cfg,
-		sem:       make(chan struct{}, cfg.MaxConcurrent),
 		leaseSem:  make(chan struct{}, leaseSlots),
-		mux:       http.NewServeMux(),
 		instances: newInstanceCache(16),
-
-		cm:            campaign.NewMetrics(cfg.Metrics),
-		mCampaigns:    cfg.Metrics.Counter("druzhba_farmd_campaigns_total", "campaigns run to completion"),
-		mJobs:         cfg.Metrics.Counter("druzhba_farmd_jobs_total", "job rows streamed"),
-		mLeases:       cfg.Metrics.Counter("druzhba_farmd_leases_total", "shard leases executed"),
-		mLeaseErrors:  cfg.Metrics.Counter("druzhba_farmd_lease_errors_total", "leases whose shard errored"),
-		mLeaseSeconds: cfg.Metrics.Histogram("druzhba_farmd_lease_seconds", "shard lease service time, cache probe included", nil),
 	}
-	s.mux.HandleFunc("POST /v1/campaigns", s.auth(s.handleCampaigns))
-	s.mux.HandleFunc("POST /v1/leases", s.auth(s.handleLease))
-	s.mux.HandleFunc("GET /v1/benchmarks", s.handleBenchmarks)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.Handle("GET /metrics", cfg.Metrics.Handler())
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
+	s.core = NewService(cfg, func() any { return s.Stats() })
+	reg := s.core.Metrics()
+	s.mCampaigns = reg.Counter("druzhba_farmd_campaigns_total", "campaigns run to completion")
+	s.mJobs = reg.Counter("druzhba_farmd_jobs_total", "job rows streamed")
+	s.mLeases = reg.Counter("druzhba_farmd_leases_total", "shard leases executed")
+	s.mLeaseErrors = reg.Counter("druzhba_farmd_lease_errors_total", "leases whose shard errored")
+	s.mLeaseSeconds = reg.Histogram("druzhba_farmd_lease_seconds", "shard lease service time, cache probe included", nil)
+	gets := cacheGets(reg)
+	s.mRemoteHits, s.mRemoteMisses = gets.With(TierRemote, "hit"), gets.With(TierRemote, "miss")
+	s.core.HandleAuth("POST /v1/campaigns", s.handleCampaigns)
+	s.core.HandleAuth("POST /v1/leases", s.handleLease)
+	s.core.Handle("GET /v1/benchmarks", s.handleBenchmarks)
 	return s
 }
 
 // ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.core.ServeHTTP(w, r) }
 
-// auth gates a mutating handler behind the shared fleet secret; with no
-// token configured it is a no-op.
-func (s *Server) auth(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !CheckBearer(r, s.cfg.AuthToken) {
-			httpError(w, http.StatusUnauthorized, "missing or invalid bearer token")
-			return
-		}
-		next(w, r)
-	}
-}
-
-// CheckBearer reports whether the request carries "Authorization: Bearer
-// <token>". An empty token disables the check. The comparison is constant
-// time, so a fleet secret cannot be recovered byte-by-byte through timing.
-func CheckBearer(r *http.Request, token string) bool {
-	if token == "" {
-		return true
-	}
-	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	return ok && subtle.ConstantTimeCompare([]byte(got), []byte(token)) == 1
-}
-
-// Stats returns a snapshot of the cumulative serving counters.
+// Stats reads the cumulative serving counters off the metrics registry.
 func (s *Server) Stats() Stats {
-	st := Stats{
-		Campaigns:   atomic.LoadInt64(&s.stats.Campaigns),
-		Jobs:        atomic.LoadInt64(&s.stats.Jobs),
-		Leases:      atomic.LoadInt64(&s.stats.Leases),
-		CacheHits:   atomic.LoadInt64(&s.stats.CacheHits),
-		CacheMisses: atomic.LoadInt64(&s.stats.CacheMisses),
-		LeaseErrors: atomic.LoadInt64(&s.stats.LeaseErrors),
+	cm := s.core.base.Metrics
+	return Stats{
+		Campaigns:    int64(s.mCampaigns.Value()),
+		Jobs:         int64(s.mJobs.Value()),
+		Leases:       int64(s.mLeases.Value()),
+		CacheHits:    int64(cm.CacheHits.Value()),
+		CacheMisses:  int64(cm.CacheMisses.Value()),
+		LeaseErrors:  int64(s.mLeaseErrors.Value()),
+		RemoteHits:   int64(s.mRemoteHits.Value()),
+		RemoteMisses: int64(s.mRemoteMisses.Value()),
 	}
-	if s.cfg.RemoteCounts != nil {
-		st.RemoteHits, st.RemoteMisses = s.cfg.RemoteCounts()
-	}
-	return st
-}
-
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)}) //nolint:errcheck // terminal write
 }
 
 // handleCampaigns expands the submitted matrix, runs it on the campaign
@@ -221,101 +95,39 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 // the stream opens; once the first byte is written the stream terminates
 // with either a summary row or an error row.
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	// A matrix request is a few KB of JSON; bound the body so one
-	// oversized submission cannot exhaust the daemon's memory.
-	var req MatrixRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad matrix request: %v", err)
+	req, ok := DecodeMatrix(w, r)
+	if !ok {
 		return
 	}
-	if err := req.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	// A client that disconnects while queued never starts its campaign.
+	release, ok := s.core.Acquire(r.Context())
+	if !ok {
 		return
 	}
-
-	// Queue for an execution slot; a client that disconnects while
-	// queued never starts its campaign.
-	select {
-	case s.sem <- struct{}{}:
-		defer func() { <-s.sem }()
-	case <-r.Context().Done():
-		return
-	}
-
-	timeout := req.JobTimeout()
-	if timeout <= 0 {
-		timeout = s.cfg.JobTimeout
-	}
+	defer release()
 
 	// The stream owns the connection from here on: rows are flushed as
-	// jobs complete, and a client disconnect cancels the campaign via
-	// the request context.
+	// jobs complete, and a client disconnect — or a row it stalls on past
+	// the write deadline — cancels the campaign, freeing the engine's
+	// workers and the execution slot.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	flusher, _ := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	rowTimeout := s.cfg.rowTimeout()
+	enc := json.NewEncoder(s.core.OpenRows(w))
 	writeRow := func(row Row) {
-		// A bounded write deadline per row: a client that stops reading
-		// its stream fails the write instead of blocking the emitter —
-		// and with it every campaign worker — indefinitely. Best effort:
-		// an unsupported controller falls back to unbounded writes.
-		if rowTimeout > 0 {
-			//dvet:walltime-ok I/O write deadline for a stalled client, never report content
-			rc.SetWriteDeadline(time.Now().Add(rowTimeout)) //nolint:errcheck // best effort
-		}
 		if err := enc.Encode(row); err != nil {
 			cancel()
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 	}
-
-	batch := req.Batch
-	if batch <= 0 {
-		batch = s.cfg.BatchSize
+	opts := s.core.Options(req)
+	opts.OnJobReport = func(jr campaign.JobReport) {
+		s.mJobs.Inc()
+		writeRow(Row{Job: &jr})
 	}
-	opts := campaign.Options{
-		Workers:            s.cfg.Workers,
-		ShardSize:          req.ShardSize,
-		BatchSize:          batch,
-		MaxCounterexamples: req.MaxCounterexamples,
-		FailFast:           req.FailFast,
-		JobTimeout:         timeout,
-		Cache:              s.cfg.Cache,
-		Metrics:            s.cm,
-		Trace:              s.cfg.Trace,
-		Now:                s.cfg.Now,
-		OnJobReport: func(jr campaign.JobReport) {
-			atomic.AddInt64(&s.stats.Jobs, 1)
-			s.mJobs.Inc()
-			writeRow(Row{Job: &jr})
-		},
+	rep, runErr := RunMatrix(ctx, req, opts)
+	if rep != nil {
+		s.mCampaigns.Inc()
 	}
-	rep, runErr := RunMatrix(ctx, &req, opts)
-	if rep == nil {
-		writeRow(Row{Error: runErr.Error()})
-		return
-	}
-	atomic.AddInt64(&s.stats.Campaigns, 1)
-	s.mCampaigns.Inc()
-	if rep.Cache != nil {
-		atomic.AddInt64(&s.stats.CacheHits, rep.Cache.Hits)
-		atomic.AddInt64(&s.stats.CacheMisses, rep.Cache.Misses)
-	}
-	writeRow(Row{Summary: &Summary{
-		Passed:       rep.Passed,
-		Jobs:         len(rep.Jobs),
-		TotalChecked: rep.TotalChecked,
-		StoppedEarly: rep.StoppedEarly,
-		Cache:        rep.Cache,
-		Timing:       rep.Timing,
-	}})
+	writeRow(TerminalRow(rep, runErr))
 }
 
 // handleLease executes one shard lease and answers with its wire result.
@@ -330,20 +142,20 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 // coordinator's.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var lease ShardLease
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&lease); err != nil {
-		httpError(w, http.StatusBadRequest, "bad shard lease: %v", err)
+	if err := DecodeBody(w, r, MaxLeaseBytes, &lease); err != nil {
+		HTTPError(w, http.StatusBadRequest, "bad shard lease: %v", err)
 		return
 	}
 	if lease.Proto != LeaseProto {
-		httpError(w, http.StatusConflict, "lease protocol %d, worker speaks %d", lease.Proto, LeaseProto)
+		HTTPError(w, http.StatusConflict, "lease protocol %d, worker speaks %d", lease.Proto, LeaseProto)
 		return
 	}
 	if lease.Request == nil {
-		httpError(w, http.StatusBadRequest, "lease has no matrix request")
+		HTTPError(w, http.StatusBadRequest, "lease has no matrix request")
 		return
 	}
 	if lease.N < 1 {
-		httpError(w, http.StatusBadRequest, "lease asks for %d packets", lease.N)
+		HTTPError(w, http.StatusBadRequest, "lease asks for %d packets", lease.N)
 		return
 	}
 
@@ -356,41 +168,39 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	start := s.cfg.Now()
+	cfg, cm := &s.core.cfg, s.core.base.Metrics
+	start := cfg.Now()
 	writeResult := func(res *campaign.ShardResult) {
-		atomic.AddInt64(&s.stats.Leases, 1)
 		s.mLeases.Inc()
-		durSec := s.cfg.Now().Sub(start).Seconds()
+		durSec := cfg.Now().Sub(start).Seconds()
 		s.mLeaseSeconds.Observe(durSec)
 		errored := res != nil && res.Err != nil
 		if errored {
-			atomic.AddInt64(&s.stats.LeaseErrors, 1)
 			s.mLeaseErrors.Inc()
 		}
-		s.cfg.Trace.Event("lease", "served",
+		cfg.Trace.Event("lease", "served",
 			obs.KV{K: "key", V: lease.Key},
 			obs.KV{K: "n", V: lease.N},
 			obs.KV{K: "errored", V: errored},
 			obs.KV{K: "dur_us", V: int64(durSec * 1e6)})
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(WireResult(res)) //nolint:errcheck // terminal write
+		WriteJSON(w, http.StatusOK, WireResult(res))
 	}
 
 	// The local cache stack (memory, disk, and — when the daemon points
 	// back at a coordinator — the shared remote tier) may already hold
 	// this shard from an earlier lease or a previous campaign.
-	if s.cfg.Cache != nil && lease.Key != "" {
-		if res, ok := s.cfg.Cache.Get(lease.Key); ok {
-			atomic.AddInt64(&s.stats.CacheHits, 1)
+	if cfg.Cache != nil && lease.Key != "" {
+		if res, ok := cfg.Cache.Get(lease.Key); ok {
+			cm.CacheHits.Inc()
 			writeResult(res)
 			return
 		}
-		atomic.AddInt64(&s.stats.CacheMisses, 1)
+		cm.CacheMisses.Inc()
 	}
 
 	ent, err := s.instances.get(&lease)
 	if err != nil {
-		httpError(w, http.StatusUnprocessableEntity, "%v", err)
+		HTTPError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	runner, err := ent.runner()
@@ -402,11 +212,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	// request (Batch included), so pooled runners for one key have all seen
 	// the same batch size; results are byte-identical either way.
 	if bs, ok := runner.(campaign.BatchSizer); ok {
-		batch := lease.Request.Batch
-		if batch <= 0 {
-			batch = s.cfg.BatchSize
-		}
-		if batch > 0 {
+		if batch := s.core.Options(lease.Request).BatchSize; batch > 0 {
 			bs.SetBatchSize(batch)
 		}
 	}
@@ -421,8 +227,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		// just errored (or was cancelled mid-proof) is dropped so its
 		// state cannot leak into the next lease.
 		ent.release(runner)
-		if s.cfg.Cache != nil && lease.Key != "" {
-			s.cfg.Cache.Put(lease.Key, &res)
+		if cfg.Cache != nil && lease.Key != "" {
+			cfg.Cache.Put(lease.Key, &res)
 		}
 	}
 	if r.Context().Err() != nil {
@@ -438,17 +244,10 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 
 // handleBenchmarks lists the embedded benchmark registries by architecture.
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string][]string{ //nolint:errcheck // terminal write
+	WriteJSON(w, http.StatusOK, map[string][]string{
 		"rmt":  spec.Names(),
 		"drmt": drmt.BenchmarkNames(),
 	})
-}
-
-// handleStats reports the cumulative serving counters.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.Stats()) //nolint:errcheck // terminal write
 }
 
 // Serve runs a campaign server on addr until ctx is cancelled, then shuts
@@ -461,39 +260,4 @@ func Serve(ctx context.Context, addr string, cfg Config, drain time.Duration) er
 		flush = f.Flush
 	}
 	return ListenAndServe(ctx, addr, NewServer(cfg), drain, flush)
-}
-
-// ListenAndServe runs h on addr until ctx is cancelled — the caller wires
-// ctx to SIGINT/SIGTERM — then shuts down gracefully: the listener closes
-// immediately (no new campaigns), in-flight streams get drain to finish
-// (then the server hard-closes), and flush, when non-nil, runs before
-// return so buffered state (the disk cache tier) survives the restart.
-// Both dfarmd and dcoord serve through this helper so the fleet shares one
-// shutdown discipline.
-func ListenAndServe(ctx context.Context, addr string, h http.Handler, drain time.Duration, flush func() error) error {
-	if drain <= 0 {
-		drain = 5 * time.Second
-	}
-	srv := &http.Server{Addr: addr, Handler: h}
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe() }()
-	var err error
-	select {
-	case err = <-errCh:
-	case <-ctx.Done():
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), drain)
-		if serr := srv.Shutdown(shutdownCtx); serr != nil {
-			srv.Close()
-		}
-		cancel()
-		if err = <-errCh; errors.Is(err, http.ErrServerClosed) {
-			err = nil
-		}
-	}
-	if flush != nil {
-		if ferr := flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	return err
 }

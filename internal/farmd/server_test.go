@@ -251,3 +251,11 @@ func TestServerJobTimeoutDefault(t *testing.T) {
 		t.Fatalf("job error %q does not mention the budget", rep.Jobs[0].Error)
 	}
 }
+
+// TestHTTPServerBoundsHeaderReads: the http.Server both daemons listen with
+// gives a peer a finite time to finish its request headers.
+func TestHTTPServerBoundsHeaderReads(t *testing.T) {
+	if srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler()); srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want a positive bound", srv.ReadHeaderTimeout)
+	}
+}
