@@ -108,3 +108,46 @@ func BenchmarkEngines(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDominoSpec isolates the specification side of the Fig. 5 loop:
+// ns/PHV of PHVSpec.ProcessStream per Table-1 program, on that program's own
+// generated traffic (a ring of pre-drawn inputs copied into one buffer, as
+// the fuzz loop hands them over). The benchmark harness's
+// domino.spec.ns_per_phv is the geomean of the same measurement.
+func BenchmarkDominoSpec(b *testing.B) {
+	const ring = 1024
+	for _, bm := range spec.All() {
+		bm := bm
+		b.Run(bm.Name, func(b *testing.B) {
+			pipeline, err := bm.Pipeline(core.Compiled)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sp, err := bm.SimSpec()
+			if err != nil {
+				b.Fatal(err)
+			}
+			stream := sp.(sim.StreamSpec)
+			gen := sim.NewTrafficGen(1, pipeline.PHVLen(), pipeline.Bits(), bm.MaxInput)
+			inputs := make([][]phv.Value, ring)
+			for i := range inputs {
+				inputs[i] = make([]phv.Value, pipeline.PHVLen())
+				gen.Fill(inputs[i])
+			}
+			buf := make([]phv.Value, pipeline.PHVLen())
+			n := benchPHVs(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sp.Reset()
+				for k := 0; k < n; k++ {
+					copy(buf, inputs[k&(ring-1)])
+					if err := stream.ProcessStream(buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/PHV")
+		})
+	}
+}

@@ -24,7 +24,9 @@ type PipelineTarget struct {
 	// across that job's shards (the fuzzer resets it between shards);
 	// because workers run concurrently the factory must be safe for
 	// concurrent use, and instances it returns must not share mutable
-	// state.
+	// state. It should do no more than instantiate: spec.Benchmark.SimSpec
+	// parses and binds once per benchmark and allocates only the
+	// instance's state here.
 	NewSpec func() (sim.Spec, error)
 
 	// Containers restricts the output comparison to these PHV container

@@ -232,7 +232,7 @@ func TestPHVSpec(t *testing.T) {
 		}
 	}
 	spec.Reset()
-	if v, _ := spec.Machine().State("count"); v != 0 {
+	if v, _ := spec.State("count"); v != 0 {
 		t.Errorf("count after Reset = %d, want 0", v)
 	}
 }

@@ -109,3 +109,48 @@ func TestWrittenContainersUnboundField(t *testing.T) {
 		t.Fatal("unbound written field should error")
 	}
 }
+
+// TestBindRejectsAliasedAndNegativeContainers: with two fields on one
+// container the expected output used to depend on map iteration order (the
+// write-back ranged over the FieldMap), so the binding is refused up front,
+// whether or not the program uses the aliased fields.
+func TestBindRejectsAliasedAndNegativeContainers(t *testing.T) {
+	prog := MustParse(`transaction { pkt.a = 1; pkt.b = 2; }`)
+	for _, tc := range []struct {
+		fields FieldMap
+		want   string
+	}{
+		{FieldMap{"a": 0, "b": 0}, `fields "a" and "b" are both bound to container 0`},
+		{FieldMap{"a": 0, "b": 1, "unused": 1}, `fields "b" and "unused" are both bound to container 1`},
+		{FieldMap{"a": 0, "b": -1}, `field "b" bound to negative container -1`},
+	} {
+		for i := 0; i < 20; i++ { // the verdict and its text never depend on map order
+			_, err := NewPHVSpec(prog, tc.fields, phv.Default32)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%v: error %v, want %q", tc.fields, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestPHVSpecRangeCheckCoversUnusedFields: the per-packet check is one
+// compare against the highest bound container, which may belong to a field
+// the program never touches.
+func TestPHVSpecRangeCheckCoversUnusedFields(t *testing.T) {
+	prog := MustParse(`transaction { pkt.a = pkt.a + 1; }`)
+	spec, err := NewPHVSpec(prog, FieldMap{"a": 0, "spare": 5}, phv.Default32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]phv.Value, 5)
+	err = spec.ProcessStream(vals)
+	if want := `domino: field "spare" bound to container 5, PHV has 5`; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if vals[0] != 0 {
+		t.Errorf("a rejected packet was processed: %v", vals)
+	}
+	if err := spec.ProcessStream(make([]phv.Value, 6)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -38,34 +38,76 @@ func WrittenContainers(p *Program, f FieldMap) ([]int, error) {
 	return out, nil
 }
 
-// PHVSpec adapts a Domino program to sim.Spec: inputs are PHVs whose
-// containers are mapped to packet fields through a FieldMap.
-type PHVSpec struct {
-	prog    *Program
-	machine *Machine
-	fields  FieldMap
+// Binding is a program resolved against one field layout and width: the
+// validated, immutable part of a specification. Parse and bind once, then
+// instantiate a PHVSpec per runner; instances share the Binding and own only
+// their state.
+type Binding struct {
+	prog *Program
+	code *code
 
-	// scratch is the field frame reused by ProcessStream; with it, the
-	// adapter satisfies sim.StreamSpec with zero steady-state allocations
-	// per packet (map writes over existing keys never allocate).
-	scratch map[string]int64
+	// last is the field bound to the highest container, so that one compare
+	// per packet covers every bound field.
+	last     string
+	lastCont int
 }
 
-// NewPHVSpec validates that every field the program uses is bound and
-// returns the adapter.
-func NewPHVSpec(p *Program, fields FieldMap, w phv.Width) (*PHVSpec, error) {
+// Bind validates the layout — every field the program uses is bound, no
+// container is negative and no two fields share one — and resolves the
+// program's names against it.
+func Bind(p *Program, fields FieldMap, w phv.Width) (*Binding, error) {
 	for _, name := range p.Fields() {
 		if _, ok := fields[name]; !ok {
 			return nil, fmt.Errorf("domino: field %q is not bound to a container", name)
 		}
 	}
-	return &PHVSpec{prog: p, machine: NewMachine(p, w), fields: fields}, nil
+	names := make([]string, 0, len(fields))
+	for name := range fields {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	b := &Binding{prog: p, lastCont: -1}
+	owner := map[int]string{}
+	for _, name := range names {
+		c := fields[name]
+		if c < 0 {
+			return nil, fmt.Errorf("domino: field %q bound to negative container %d", name, c)
+		}
+		if other, ok := owner[c]; ok {
+			return nil, fmt.Errorf("domino: fields %q and %q are both bound to container %d", other, name, c)
+		}
+		owner[c] = name
+		if c > b.lastCont {
+			b.last, b.lastCont = name, c
+		}
+	}
+	b.code = resolve(p, w, fields)
+	return b, nil
+}
+
+// NewSpec returns a specification instance with freshly initialized state.
+func (b *Binding) NewSpec() *PHVSpec { return &PHVSpec{b: b, machine: newMachine(b.code)} }
+
+// PHVSpec adapts a Domino program to sim.Spec: inputs are PHVs whose
+// containers are mapped to packet fields through a FieldMap.
+type PHVSpec struct {
+	b       *Binding
+	machine *Machine
+}
+
+// NewPHVSpec is Bind followed by NewSpec, for callers with one instance.
+func NewPHVSpec(p *Program, fields FieldMap, w phv.Width) (*PHVSpec, error) {
+	b, err := Bind(p, fields, w)
+	if err != nil {
+		return nil, err
+	}
+	return b.NewSpec(), nil
 }
 
 // Name implements sim.Spec.
 func (s *PHVSpec) Name() string {
-	if s.prog.Name != "" {
-		return s.prog.Name
+	if s.b.prog.Name != "" {
+		return s.b.prog.Name
 	}
 	return "domino"
 }
@@ -73,9 +115,12 @@ func (s *PHVSpec) Name() string {
 // Reset implements sim.Spec.
 func (s *PHVSpec) Reset() { s.machine.Reset() }
 
-// Process implements sim.Spec: the input PHV's bound containers become
-// packet fields, the transaction runs, and written fields are copied back
-// to their containers (other containers pass through unchanged).
+// State returns the current value of a state variable.
+func (s *PHVSpec) State(name string) (int64, bool) { return s.machine.State(name) }
+
+// Process implements sim.Spec: the transaction runs on a copy of the input
+// PHV, reading and writing the containers its fields are bound to (other
+// containers pass through unchanged).
 func (s *PHVSpec) Process(in *phv.PHV) (*phv.PHV, error) {
 	out := in.Clone()
 	if err := s.ProcessStream(out.Raw()); err != nil {
@@ -84,27 +129,19 @@ func (s *PHVSpec) Process(in *phv.PHV) (*phv.PHV, error) {
 	return out, nil
 }
 
-// ProcessStream implements sim.StreamSpec: vals' bound containers become
-// packet fields, the transaction runs, and field results are written back
-// into vals in place. Steady state allocates nothing.
+// ProcessStream implements sim.StreamSpec: the transaction runs directly on
+// vals, the containers its fields are bound to; when it fails, vals and the
+// state keep what the statements before the failing one wrote, as with
+// Machine.Step. Steady state allocates nothing.
+//
+//dvet:hotpath allocs=0
 func (s *PHVSpec) ProcessStream(vals []phv.Value) error {
-	if s.scratch == nil {
-		s.scratch = make(map[string]int64, len(s.fields))
+	if s.b.lastCont >= len(vals) {
+		return s.b.rangeError(len(vals))
 	}
-	for name, c := range s.fields {
-		if c < 0 || c >= len(vals) {
-			return fmt.Errorf("domino: field %q bound to container %d, PHV has %d", name, c, len(vals))
-		}
-		s.scratch[name] = vals[c]
-	}
-	if err := s.machine.Step(s.scratch); err != nil {
-		return err
-	}
-	for name, c := range s.fields {
-		vals[c] = s.scratch[name]
-	}
-	return nil
+	return s.machine.step(vals)
 }
 
-// Machine exposes the underlying interpreter (for state inspection).
-func (s *PHVSpec) Machine() *Machine { return s.machine }
+func (b *Binding) rangeError(n int) error {
+	return fmt.Errorf("domino: field %q bound to container %d, PHV has %d", b.last, b.lastCont, n)
+}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"druzhba/internal/atoms"
 	"druzhba/internal/core"
@@ -50,6 +51,8 @@ type Benchmark struct {
 
 	// build populates the machine code fixture.
 	build func(b *builder)
+
+	resolved resolved
 }
 
 // Fingerprint is a stable content hash of everything that defines the
@@ -123,34 +126,61 @@ func (bm *Benchmark) Pipeline(level core.OptLevel) (*core.Pipeline, error) {
 	return core.Build(spec, code, level)
 }
 
-// DominoProgram parses the benchmark's high-level program.
-func (bm *Benchmark) DominoProgram() (*domino.Program, error) {
-	p, err := domino.Parse(bm.DominoSrc)
-	if err != nil {
-		return nil, fmt.Errorf("spec: %s: %w", bm.Name, err)
-	}
-	p.Name = bm.Name
-	return p, nil
+// resolved is everything derived from DominoSrc and Fields: parsed, bound
+// and resolved once per benchmark, immutable afterwards and shared by every
+// runner (a runner's SimSpec allocates only its state and locals).
+type resolved struct {
+	once       sync.Once
+	prog       *domino.Program
+	binding    *domino.Binding
+	containers []int
+	err        error
 }
 
-// SimSpec returns the benchmark's high-level specification bound to its
-// field layout, ready for sim.Fuzz.
+func (bm *Benchmark) resolve() *resolved {
+	r := &bm.resolved
+	r.once.Do(func() {
+		prog, err := domino.Parse(bm.DominoSrc)
+		if err != nil {
+			r.err = fmt.Errorf("spec: %s: %w", bm.Name, err)
+			return
+		}
+		prog.Name = bm.Name
+		if r.containers, r.err = domino.WrittenContainers(prog, bm.Fields); r.err != nil {
+			return
+		}
+		if r.binding, r.err = domino.Bind(prog, bm.Fields, phv.Default32); r.err == nil {
+			r.prog = prog
+		}
+	})
+	return r
+}
+
+// DominoProgram returns the benchmark's parsed high-level program. It is
+// shared: callers must not modify it.
+func (bm *Benchmark) DominoProgram() (*domino.Program, error) {
+	r := bm.resolve()
+	return r.prog, r.err
+}
+
+// SimSpec returns a fresh instance of the benchmark's high-level
+// specification bound to its field layout, ready for sim.Fuzz.
 func (bm *Benchmark) SimSpec() (sim.Spec, error) {
-	p, err := bm.DominoProgram()
-	if err != nil {
-		return nil, err
+	r := bm.resolve()
+	if r.err != nil {
+		return nil, r.err
 	}
-	return domino.NewPHVSpec(p, bm.Fields, phv.Default32)
+	return r.binding.NewSpec(), nil
 }
 
 // CompareContainers returns the containers whose values the specification
 // defines (the fields the Domino program writes).
 func (bm *Benchmark) CompareContainers() ([]int, error) {
-	p, err := bm.DominoProgram()
-	if err != nil {
-		return nil, err
+	r := bm.resolve()
+	if r.err != nil {
+		return nil, r.err
 	}
-	return domino.WrittenContainers(p, bm.Fields)
+	return append([]int(nil), r.containers...), nil
 }
 
 // Verify runs the Fig. 5 fuzzing workflow for the benchmark at one

@@ -348,7 +348,7 @@ func (r *Result) replay(spec core.Spec, code *machinecode.Program, prog *domino.
 		sort.Strings(names)
 		for _, name := range names {
 			loc := bindings[name]
-			dv, ok := dspec.Machine().State(name)
+			dv, ok := dspec.State(name)
 			if !ok {
 				return fmt.Errorf("verify: replay: Domino has no state %q", name)
 			}

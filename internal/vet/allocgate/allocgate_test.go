@@ -92,6 +92,32 @@ var runners = map[string]func(t *testing.T) float64{
 		fuzzRun()
 		return testing.AllocsPerRun(10, fuzzRun)
 	},
+	"internal/domino.PHVSpec.ProcessStream": func(t *testing.T) float64 {
+		// Every Table-1 program on its own traffic: the worst one is the
+		// number held to the budget.
+		worst := 0.0
+		for _, bm := range spec.All() {
+			sp, err := bm.SimSpec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pipe, err := bm.Pipeline(core.Compiled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen := sim.NewTrafficGen(1, pipe.PHVLen(), pipe.Bits(), bm.MaxInput)
+			vals := make([]phv.Value, pipe.PHVLen())
+			stream := sp.(sim.StreamSpec)
+			allocs := testing.AllocsPerRun(100, func() {
+				gen.Fill(vals)
+				if err := stream.ProcessStream(vals); err != nil {
+					panic(err)
+				}
+			})
+			worst = max(worst, allocs)
+		}
+		return worst
+	},
 	"internal/core.Pipeline.ExecuteStageBatch": func(t *testing.T) float64 {
 		pipe := benchPipeline(t)
 		const n = 64
