@@ -13,6 +13,13 @@
 // differential fuzzer on column-major planes), so BENCH_table1.json records
 // the batched engines' trajectory next to the streaming ones.
 //
+// A "compiled+cone" level times the kernel the Fig. 5 fuzzer actually runs:
+// the compiled pipeline's output cone (core.Pipeline.OutputCone — only the
+// ALUs whose results can reach an output container), on the same streaming
+// engine and traffic as the "compiled" row, so the two rows are the
+// full-grid/cone before and after. Every row records how many ALUs of the
+// grid a fuzzer at that level executes (live_alus of total_alus).
+//
 // Usage:
 //
 //	dbench                           # full table, 50000 PHVs per cell
@@ -63,6 +70,12 @@ type Row struct {
 	MS           int64   `json:"ms"`
 	NsPerPHV     float64 `json:"ns_per_phv"`
 	AllocsPerPHV float64 `json:"allocs_per_phv"`
+	// LiveALUs of TotalALUs is what a fuzzer over the row's pipeline
+	// executes per PHV: its output cone at prechecked levels, the whole
+	// grid at the unoptimized level. The timed engine runs the whole grid
+	// on every row but compiled+cone.
+	LiveALUs  int `json:"live_alus"`
+	TotalALUs int `json:"total_alus"`
 }
 
 // DRMTRow is one (dRMT benchmark × engine) cell: the differential fuzzing
@@ -180,10 +193,23 @@ func main() {
 
 	var rows []Row
 	fmt.Printf("Table 1: RMT runtimes with and without optimizations (%d PHVs per run, streaming engine)\n\n", *phvs)
-	fmt.Printf("%-20s %-16s %-12s %14s %14s %18s %14s %14s\n",
-		"Program", "Depth, width", "ALU name", "Unoptimized", "SCC prop.", "+ Func. inlining", "Compiled", "Batch")
+	fmt.Printf("%-20s %-16s %-12s %14s %14s %18s %14s %14s %14s %10s\n",
+		"Program", "Depth, width", "ALU name", "Unoptimized", "SCC prop.", "+ Func. inlining", "Compiled", "Batch", "Cone", "Live ALUs")
 	for _, bm := range benches {
 		times := make(map[core.OptLevel]time.Duration)
+		row := func(level string, pipeline *core.Pipeline, best time.Duration, allocs float64) {
+			live, total := pipeline.OutputCone().ALUCounts()
+			rows = append(rows, Row{
+				Benchmark:    bm.Name,
+				Level:        level,
+				MS:           best.Milliseconds(),
+				NsPerPHV:     round2(float64(best.Nanoseconds()) / float64(*phvs)),
+				AllocsPerPHV: round4(allocs / float64(*phvs)),
+				LiveALUs:     live,
+				TotalALUs:    total,
+			})
+		}
+		var compiled *core.Pipeline
 		for _, level := range core.AllLevels() {
 			pipeline, err := bm.Pipeline(level)
 			if err != nil {
@@ -194,40 +220,36 @@ func main() {
 				cli.Fatalf("dbench: %s/%s: %v", bm.Name, level, err)
 			}
 			times[level] = best
-			rows = append(rows, Row{
-				Benchmark:    bm.Name,
-				Level:        level.String(),
-				MS:           best.Milliseconds(),
-				NsPerPHV:     round2(float64(best.Nanoseconds()) / float64(*phvs)),
-				AllocsPerPHV: round4(allocs / float64(*phvs)),
-			})
+			row(level.String(), pipeline, best, allocs)
+			if level == core.Compiled {
+				compiled = pipeline // the batch and cone rows reuse it; every pass resets state
+			}
 		}
 		batchMS := int64(-1)
 		if *batch > 0 {
 			// The PHV-batch row: the compiled pipeline driven by the
 			// struct-of-arrays engine, batch columns at a time.
-			pipeline, err := bm.Pipeline(core.Compiled)
-			if err != nil {
-				cli.Fatalf("dbench: %s/compiled+batch: %v", bm.Name, err)
-			}
-			best, allocs, err := measureBatch(pipeline, bm, *seed, *phvs, *repeats, *batch)
+			best, allocs, err := measureBatch(compiled, bm, *seed, *phvs, *repeats, *batch)
 			if err != nil {
 				cli.Fatalf("dbench: %s/compiled+batch: %v", bm.Name, err)
 			}
 			batchMS = best.Milliseconds()
-			rows = append(rows, Row{
-				Benchmark:    bm.Name,
-				Level:        "compiled+batch",
-				MS:           batchMS,
-				NsPerPHV:     round2(float64(best.Nanoseconds()) / float64(*phvs)),
-				AllocsPerPHV: round4(allocs / float64(*phvs)),
-			})
+			row("compiled+batch", compiled, best, allocs)
 		}
 		batchCell := "-"
 		if batchMS >= 0 {
 			batchCell = fmt.Sprintf("%d ms", batchMS)
 		}
-		fmt.Printf("%-20s %-16s %-12s %11d ms %11d ms %15d ms %11d ms %14s\n",
+		// The cone row: the compiled row's engine and traffic over the
+		// ALUs the fuzzer executes.
+		cone := compiled.OutputCone()
+		coneBest, coneAllocs, err := measure(cone, bm, *seed, *phvs, *repeats)
+		if err != nil {
+			cli.Fatalf("dbench: %s/compiled+cone: %v", bm.Name, err)
+		}
+		row("compiled+cone", cone, coneBest, coneAllocs)
+		live, total := cone.ALUCounts()
+		fmt.Printf("%-20s %-16s %-12s %11d ms %11d ms %15d ms %11d ms %14s %11d ms %10s\n",
 			bm.Name,
 			fmt.Sprintf("%d,%d", bm.Depth, bm.Width),
 			bm.Atom,
@@ -235,7 +257,9 @@ func main() {
 			times[core.SCCPropagation].Milliseconds(),
 			times[core.SCCInlining].Milliseconds(),
 			times[core.Compiled].Milliseconds(),
-			batchCell)
+			batchCell,
+			coneBest.Milliseconds(),
+			fmt.Sprintf("%d/%d", live, total))
 	}
 	var drmtRows []DRMTRow
 	if *drmtPHVs > 0 {
@@ -278,6 +302,9 @@ func main() {
 		if *program != "" {
 			command += " -program " + *program
 		}
+		if *repeats != 1 {
+			command += fmt.Sprintf(" -repeats %d", *repeats)
+		}
 		if *batch != 64 {
 			command += fmt.Sprintf(" -batch %d", *batch)
 		}
@@ -294,7 +321,7 @@ func main() {
 			CPU:       cpuModel(),
 			PHVs:      *phvs,
 			Batch:     *batch,
-			Engine:    "streaming (sim.Stream, prechecked fast path at optimized levels); compiled+batch rows on the struct-of-arrays sim.Batch engine",
+			Engine:    "streaming (sim.Stream, prechecked fast path at optimized levels); compiled+batch rows on the struct-of-arrays sim.Batch engine; compiled+cone rows on sim.Stream over the compiled pipeline's output cone (the kernel the fuzzer runs)",
 			Rows:      rows,
 		}
 		if len(drmtRows) > 0 {

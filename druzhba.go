@@ -211,7 +211,9 @@ func ParseDominoSpec(src string, fields map[string]int, bits int) (Spec, error) 
 
 // FuzzPipeline runs the Fig. 5 compiler-testing workflow: n random PHVs
 // through the pipeline and the specification, comparing outputs on the
-// given containers (nil = all).
+// given containers (nil = all; an index outside the PHV is an error). The
+// fuzzer executes a private clone holding only the ALUs that can reach an
+// output container (core.Pipeline.OutputCone); p is not mutated.
 func FuzzPipeline(p *Pipeline, spec Spec, seed int64, n int, maxValue int64, containers []int) (*FuzzReport, error) {
 	return sim.FuzzRandom(p, spec, seed, n, maxValue, sim.FuzzOptions{Containers: containers})
 }

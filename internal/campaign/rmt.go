@@ -111,21 +111,30 @@ type pipelineInstance struct {
 	master *core.Pipeline
 }
 
-// NewRunner builds one worker's streaming machinery: a fuzzer over a
-// private pipeline clone (ring buffers reused across every shard the
-// worker runs) and one spec instance, reset by the fuzzer between shards.
+// NewRunner builds one worker's streaming machinery: a fuzzer, which
+// executes on its own output-cone clone of the shared master (ring buffers
+// reused across every shard the worker runs), one spec instance, reset by
+// the fuzzer between shards, and one traffic generator, reseeded per shard.
 func (in *pipelineInstance) NewRunner() (Runner, error) {
 	spec, err := in.t.NewSpec()
 	if err != nil {
 		return nil, err
 	}
-	return &pipelineRunner{t: in.t, fuzzer: sim.NewFuzzer(in.master.Clone()), spec: spec}, nil
+	gen, err := sim.NewTrafficGenMode(0, in.master.PHVLen(), in.master.Bits(), in.t.MaxInput, in.t.Traffic)
+	if err != nil {
+		return nil, err
+	}
+	if len(in.t.Corpus) > 0 {
+		gen.SeedCorpus(in.t.Corpus)
+	}
+	return &pipelineRunner{t: in.t, fuzzer: sim.NewFuzzer(in.master), spec: spec, gen: gen}, nil
 }
 
 type pipelineRunner struct {
 	t      *PipelineTarget
 	fuzzer *sim.Fuzzer
 	spec   sim.Spec
+	gen    *sim.TrafficGen
 }
 
 // SetBatchSize implements BatchSizer: shards execute on the PHV-batch
@@ -136,21 +145,15 @@ func (r *pipelineRunner) SetBatchSize(n int) { r.fuzzer.SetBatch(n) }
 
 // RunShard streams the shard's deterministic traffic straight into the
 // fuzzer's ring buffers (no per-shard trace materialization) and compares
-// in lock step, so a clean shard costs O(1) allocation. Mismatch collection
+// in lock step, so a clean shard costs O(1) allocation — its report, not a
+// random source (the runner's generator is reseeded). Mismatch collection
 // is unbounded here (naturally capped by the shard size): the per-job
 // counterexample cap is applied only after cross-shard deduplication in
 // merge, so duplicates in one shard cannot crowd out distinct failures
 // later in it.
 func (r *pipelineRunner) RunShard(seed int64, n int) ShardResult {
-	pipe := r.fuzzer.Pipeline()
-	gen, err := sim.NewTrafficGenMode(seed, pipe.PHVLen(), pipe.Bits(), r.t.MaxInput, r.t.Traffic)
-	if err != nil {
-		return ShardResult{Err: err}
-	}
-	if len(r.t.Corpus) > 0 {
-		gen.SeedCorpus(r.t.Corpus)
-	}
-	rep, err := r.fuzzer.FuzzGen(r.spec, gen, n, sim.FuzzOptions{Containers: r.t.Containers}, 0)
+	r.gen.Reseed(seed)
+	rep, err := r.fuzzer.FuzzGen(r.spec, r.gen, n, sim.FuzzOptions{Containers: r.t.Containers}, 0)
 	if err != nil {
 		return ShardResult{Err: err}
 	}

@@ -24,13 +24,12 @@ import (
 
 // BatchScratch holds the per-ALU result planes ExecuteStageBatch writes
 // before muxing them into the output planes. Stages execute sequentially,
-// so one scratch — two Width-sized sets of planes — serves every stage of
-// a pipeline; it is reused across batches and owned by a single execution
+// so one scratch — a plane per latch slot — serves every stage of a
+// pipeline; it is reused across batches and owned by a single execution
 // engine (a scratch is not safe for concurrent use).
 type BatchScratch struct {
-	stateless [][]phv.Value // [slot][packet]
-	stateful  [][]phv.Value
-	capacity  int
+	latch    [][]phv.Value // [latch slot][packet]
+	capacity int
 }
 
 // Cap returns the scratch's packet capacity.
@@ -42,15 +41,11 @@ func (p *Pipeline) NewBatchScratch(capacity int) (*BatchScratch, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("core: batch scratch capacity %d < 1", capacity)
 	}
-	w := p.spec.Width
-	sc := &BatchScratch{capacity: capacity}
-	backing := make([]phv.Value, 2*w*capacity)
-	sc.stateless = make([][]phv.Value, w)
-	sc.stateful = make([][]phv.Value, w)
-	for i := 0; i < w; i++ {
-		sc.stateless[i] = backing[i*capacity : (i+1)*capacity : (i+1)*capacity]
-		base := (w + i) * capacity
-		sc.stateful[i] = backing[base : base+capacity : base+capacity]
+	slots := 2 * p.spec.Width
+	sc := &BatchScratch{capacity: capacity, latch: make([][]phv.Value, slots)}
+	backing := make([]phv.Value, slots*capacity)
+	for i := range sc.latch {
+		sc.latch[i] = backing[i*capacity : (i+1)*capacity : (i+1)*capacity]
 	}
 	return sc, nil
 }
@@ -71,25 +66,18 @@ func (p *Pipeline) ExecuteStageBatch(si int, in, out [][]phv.Value, sc *BatchScr
 		panic("core: ExecuteStageBatch on an unoptimized pipeline")
 	}
 	st := p.stages[si]
-	for k, a := range st.stateless {
-		runALUBatch(a, in, sc.stateless[k], n)
+	for _, a := range st.run {
+		runALUBatch(a, in, sc.latch[a.latch], n)
 	}
-	for k, a := range st.stateful {
-		runALUBatch(a, in, sc.stateful[k], n)
-	}
-	w := p.spec.Width
 	for c, sel := range st.outputMux {
-		// Build's validation bounded sel to [0, 2w] (or [0, w] without
-		// stateful ALUs), so three arms cover every value — one switch per
-		// container per batch, where the streaming path pays it per packet.
-		switch {
-		case sel == 0:
-			copy(out[c][:n], in[c][:n])
-		case sel <= w:
-			copy(out[c][:n], sc.stateless[sel-1][:n])
-		default:
-			copy(out[c][:n], sc.stateful[sel-w-1][:n])
+		// Build's validation bounded sel to the latch slots — one mux
+		// decision per container per batch, where the streaming path pays
+		// it per packet.
+		src := in[c]
+		if sel != 0 {
+			src = sc.latch[sel-1]
 		}
+		copy(out[c][:n], src[:n])
 	}
 }
 

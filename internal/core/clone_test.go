@@ -177,14 +177,9 @@ func TestResetClearsStateAndLatches(t *testing.T) {
 		t.Fatalf("Reset left state: %v", p.StateSnapshot())
 	}
 	for _, st := range p.stages {
-		for _, v := range st.statelessOut {
+		for i, v := range st.latch {
 			if v != 0 {
-				t.Fatal("Reset left stateless latch")
-			}
-		}
-		for _, v := range st.statefulOut {
-			if v != 0 {
-				t.Fatal("Reset left stateful latch")
+				t.Fatalf("Reset left latch %d", i)
 			}
 		}
 	}

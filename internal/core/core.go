@@ -16,6 +16,31 @@
 // The package executes one PHV through the dataflow of the pipeline; the
 // tick-accurate simulation loop (read/write PHV halves, one stage per tick)
 // lives in package sim.
+//
+// # Run-lists and the output cone
+//
+// Each stage holds a run-list, the ALUs its executors (ExecuteStage,
+// ExecuteStageFast, ExecuteStageBatch — one kernel each) iterate; an ALU
+// writes its result to its own latch slot and the output muxes read the
+// latches. Build puts every ALU on the run-list, so a built pipeline and
+// its Clones simulate the whole grid: dsim, ddbg, sim.Stream, sim.Batch,
+// sim.Run and verify's counterexample replay all see every stateful ALU's
+// state advance.
+//
+// Once SCC propagation has made the mux selections build-time constants,
+// dead-code elimination is the classic follow-on: Chipmunk-style machine
+// code routes only a handful of a depth x width grid's ALUs to a container
+// (33 of 198 across the Table-1 fixtures; blue-decrease 2/16, blue-increase
+// 1/16, sampling 2/4, marple-new-flow 2/8, marple-tcp-nmo 2/12,
+// snap-heavy-hitter 1/2, stateful-firewall 4/40, flowlets 4/40,
+// learn-filter 9/30, rcp 4/18, conga 1/10, spam-detection 1/2).
+// OutputCone returns a clone whose run-lists hold only the ALUs a backward
+// liveness pass over the baked muxes finds able to reach an output
+// container. Which list a pipeline runs is decided by how it was made —
+// Build or OutputCone — never by a flag. The cone computes the same output
+// PHVs and skips the rest: the state of stateful ALUs that no container can
+// observe is not simulated there. Only the fuzzer (sim.NewFuzzer), which
+// compares output PHVs and never reads state, runs on a cone.
 package core
 
 import (
@@ -193,6 +218,11 @@ type compiledALU struct {
 	stateful bool
 	numOps   int
 
+	// latch is the ALU's index in its stage's alus and latch slices:
+	// stateless ALUs occupy [0, Width), stateful ones [Width, 2*Width), so
+	// an output mux selection sel > 0 reads latch[sel-1].
+	latch int
+
 	// Unoptimized engine: names resolved through the machine code map at
 	// every execution.
 	operandMuxNames []string
@@ -210,14 +240,17 @@ type compiledALU struct {
 }
 
 type stage struct {
-	stateless []*compiledALU
-	stateful  []*compiledALU
+	alus     []*compiledALU // every ALU of the stage, indexed by latch slot
+	stateful []*compiledALU // alus[Width:], the ALUs that carry state
+
+	// run lists the ALUs the stage executors execute, in alus order: every
+	// ALU after Build, only the live ones in an OutputCone.
+	run []*compiledALU
 
 	outputMuxNames []string // unoptimized
 	outputMux      []int    // optimized
 
-	statelessOut []phv.Value
-	statefulOut  []phv.Value
+	latch []phv.Value // latch[i] holds the last result of alus[i]
 }
 
 // Pipeline is an executable pipeline description: the output of dgen, ready
@@ -259,16 +292,13 @@ func BuildUnchecked(s Spec, code *machinecode.Program) (*Pipeline, error) {
 func build(n Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error) {
 	p := &Pipeline{spec: n, level: level, code: code}
 	for si := 0; si < n.Depth; si++ {
-		st := &stage{
-			statelessOut: make([]phv.Value, n.Width),
-			statefulOut:  make([]phv.Value, n.Width),
-		}
+		st := &stage{}
 		for slot := 0; slot < n.Width; slot++ {
 			alu, err := newALU(n, code, level, si, slot, n.StatelessALU, false)
 			if err != nil {
 				return nil, err
 			}
-			st.stateless = append(st.stateless, alu)
+			st.alus = append(st.alus, alu)
 		}
 		if n.StatefulALU != nil {
 			for slot := 0; slot < n.Width; slot++ {
@@ -276,9 +306,12 @@ func build(n Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error)
 				if err != nil {
 					return nil, err
 				}
-				st.stateful = append(st.stateful, alu)
+				st.alus = append(st.alus, alu)
 			}
 		}
+		st.stateful = st.alus[n.Width:]
+		st.run = st.alus
+		st.latch = make([]phv.Value, len(st.alus))
 		if level == Unoptimized {
 			st.outputMuxNames = make([]string, n.PHVLen)
 			for c := 0; c < n.PHVLen; c++ {
@@ -306,8 +339,10 @@ func newALU(n Spec, code *machinecode.Program, level OptLevel, si, slot int, pro
 		slot:     slot,
 		stateful: stateful,
 		numOps:   prog.NumOperands(),
+		latch:    slot,
 	}
 	if stateful {
+		a.latch = n.Width + slot
 		a.state = make([]phv.Value, prog.NumState())
 	}
 	a.env = aludsl.Env{
@@ -400,23 +435,110 @@ func (p *Pipeline) Bits() phv.Width { return p.spec.Bits }
 func (p *Pipeline) Clone() *Pipeline {
 	q := &Pipeline{spec: p.spec, level: p.level, code: p.code}
 	q.stages = make([]*stage, len(p.stages))
+	w := p.spec.Width
 	for i, st := range p.stages {
-		q.stages[i] = &stage{
-			stateless:      cloneALUs(st.stateless),
-			stateful:       cloneALUs(st.stateful),
+		alus := cloneALUs(st.alus)
+		c := &stage{
+			alus:           alus,
+			stateful:       alus[w:],
+			run:            alus,
 			outputMuxNames: st.outputMuxNames,
 			outputMux:      st.outputMux,
-			statelessOut:   make([]phv.Value, len(st.statelessOut)),
-			statefulOut:    make([]phv.Value, len(st.statefulOut)),
+			latch:          make([]phv.Value, len(st.latch)),
 		}
+		if len(st.run) < len(st.alus) {
+			// A clone of an output cone stays a cone.
+			c.run = make([]*compiledALU, len(st.run))
+			for k, a := range st.run {
+				c.run[k] = alus[a.latch]
+			}
+		}
+		q.stages[i] = c
 	}
 	return q
 }
 
-func cloneALUs(alus []*compiledALU) []*compiledALU {
-	if alus == nil {
-		return nil
+// OutputCone returns a Clone that executes only the ALUs whose results can
+// reach a PHV container at the pipeline's output — the dead-code
+// elimination the baked mux selections of a prechecked pipeline enable.
+// Liveness runs backwards from every container of the last stage's output:
+// an output mux selecting 0 keeps its container live one stage upstream, a
+// selected ALU becomes live and makes its operand-mux containers live
+// upstream; ALU bodies are not inspected. Output PHVs equal the full
+// pipeline's on every packet. What a cone does not simulate is the state of
+// stateful ALUs no container can observe: dead ALUs keep their state slots
+// (StateLen, CopyStateTo, SetStateFrom and StateSnapshot have the same
+// shape) but never advance them, so a cone serves consumers of output PHVs
+// — the fuzzer — and not consumers of state. Pipelines that are not
+// Prechecked resolve machine code at run time, where a missing pair is a
+// finding, and get a plain clone that executes everything.
+func (p *Pipeline) OutputCone() *Pipeline {
+	q := p.Clone()
+	if !p.Prechecked() {
+		return q
 	}
+	live := make([]bool, p.spec.PHVLen) // containers read downstream of the current stage
+	for c := range live {
+		live[c] = true
+	}
+	upstream := make([]bool, p.spec.PHVLen)
+	selected := make([]bool, 2*p.spec.Width)
+	for si := len(q.stages) - 1; si >= 0; si-- {
+		st := q.stages[si]
+		clear(selected)
+		clear(upstream)
+		for c, sel := range st.outputMux {
+			switch {
+			case !live[c]:
+			case sel == 0:
+				upstream[c] = true
+			default:
+				selected[sel-1] = true
+			}
+		}
+		run := make([]*compiledALU, 0, len(st.run))
+		for _, a := range st.run {
+			if !selected[a.latch] {
+				continue
+			}
+			run = append(run, a)
+			for _, c := range a.operandMux {
+				upstream[c] = true
+			}
+		}
+		st.run = run
+		live, upstream = upstream, live
+	}
+	return q
+}
+
+// ALUCounts returns how many ALUs the stage executors run per PHV and how
+// many the grid holds: equal for a built pipeline, live vs. total for an
+// OutputCone.
+func (p *Pipeline) ALUCounts() (executed, total int) {
+	for _, st := range p.stages {
+		executed += len(st.run)
+		total += len(st.alus)
+	}
+	return executed, total
+}
+
+// Executes reports whether the stage executors run the ALU at (stage, kind,
+// slot): every ALU of a built pipeline, only the live ones of an
+// OutputCone. Coordinates outside the grid report false.
+func (p *Pipeline) Executes(stageIdx int, stateful bool, slot int) bool {
+	if stageIdx < 0 || stageIdx >= len(p.stages) || slot < 0 || slot >= p.spec.Width {
+		return false
+	}
+	for _, a := range p.stages[stageIdx].run {
+		if a.stateful == stateful && a.slot == slot {
+			return true
+		}
+	}
+	return false
+}
+
+func cloneALUs(alus []*compiledALU) []*compiledALU {
 	out := make([]*compiledALU, len(alus))
 	for i, a := range alus {
 		b := &compiledALU{
@@ -425,6 +547,7 @@ func cloneALUs(alus []*compiledALU) []*compiledALU {
 			slot:            a.slot,
 			stateful:        a.stateful,
 			numOps:          a.numOps,
+			latch:           a.latch,
 			operandMuxNames: a.operandMuxNames,
 			localToGlobal:   a.localToGlobal,
 			operandMux:      a.operandMux,
@@ -455,11 +578,8 @@ func cloneALUs(alus []*compiledALU) []*compiledALU {
 func (p *Pipeline) Reset() {
 	p.ResetState()
 	for _, st := range p.stages {
-		for i := range st.statelessOut {
-			st.statelessOut[i] = 0
-		}
-		for i := range st.statefulOut {
-			st.statefulOut[i] = 0
+		for i := range st.latch {
+			st.latch[i] = 0
 		}
 	}
 }
@@ -531,23 +651,15 @@ func (p *Pipeline) ExecuteStageFast(si int, in, out []phv.Value) {
 		panic("core: ExecuteStageFast on an unoptimized pipeline")
 	}
 	st := p.stages[si]
-	for k, a := range st.stateless {
-		st.statelessOut[k] = runALUFast(a, in)
+	for _, a := range st.run {
+		st.latch[a.latch] = runALUFast(a, in)
 	}
-	for k, a := range st.stateful {
-		st.statefulOut[k] = runALUFast(a, in)
-	}
-	w := p.spec.Width
 	for c, sel := range st.outputMux {
-		// Build's validation bounded sel to [0, 2w] (or [0, w] without
-		// stateful ALUs), so three arms cover every value.
-		switch {
-		case sel == 0:
+		// Build's validation bounded sel to [0, len(latch)].
+		if sel == 0 {
 			out[c] = in[c]
-		case sel <= w:
-			out[c] = st.statelessOut[sel-1]
-		default:
-			out[c] = st.statefulOut[sel-w-1]
+		} else {
+			out[c] = st.latch[sel-1]
 		}
 	}
 }
@@ -581,21 +693,13 @@ func (p *Pipeline) ExecuteStage(si int, in, out []phv.Value) error {
 		return fmt.Errorf("core: stage %d out of range", si)
 	}
 	st := p.stages[si]
-	for k, a := range st.stateless {
+	for _, a := range st.run {
 		v, err := p.runALU(a, in)
 		if err != nil {
 			return err
 		}
-		st.statelessOut[k] = v
+		st.latch[a.latch] = v
 	}
-	for k, a := range st.stateful {
-		v, err := p.runALU(a, in)
-		if err != nil {
-			return err
-		}
-		st.statefulOut[k] = v
-	}
-	w := p.spec.Width
 	for c := 0; c < p.spec.PHVLen; c++ {
 		var sel int
 		if p.level == Unoptimized {
@@ -610,10 +714,8 @@ func (p *Pipeline) ExecuteStage(si int, in, out []phv.Value) error {
 		switch {
 		case sel == 0:
 			out[c] = in[c]
-		case sel >= 1 && sel <= w:
-			out[c] = st.statelessOut[sel-1]
-		case sel >= w+1 && sel <= 2*w && len(st.stateful) > 0:
-			out[c] = st.statefulOut[sel-w-1]
+		case sel >= 1 && sel <= len(st.latch):
+			out[c] = st.latch[sel-1]
 		default:
 			return fmt.Errorf("core: output mux for stage %d container %d selects %d, out of range", si, c, sel)
 		}
@@ -670,7 +772,7 @@ func (p *Pipeline) ALUProgram(stageIdx int, stateful bool, slot int) (*aludsl.Pr
 		return nil, fmt.Errorf("core: stage %d out of range", stageIdx)
 	}
 	st := p.stages[stageIdx]
-	alus := st.stateless
+	alus := st.alus[:p.spec.Width]
 	if stateful {
 		alus = st.stateful
 	}

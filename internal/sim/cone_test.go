@@ -1,0 +1,240 @@
+package sim
+
+import (
+	"math/rand"
+	"testing"
+
+	"druzhba/internal/core"
+	"druzhba/internal/phv"
+)
+
+// TestFuzzRejectsCompareContainerOutOfRange: a compared container outside
+// the PHV is harness misuse and comes back as an error on the streaming and
+// on the batched path — it used to index out of range inside the compare.
+func TestFuzzRejectsCompareContainerOutOfRange(t *testing.T) {
+	p := buildPipeline(t, 2, 2, "", nil, core.Compiled) // identity, PHVLen 2
+	for _, tc := range []struct {
+		containers []int
+		want       string
+	}{
+		{[]int{5}, "sim: compare container 5 out of range [0,2)"},
+		{[]int{2}, "sim: compare container 2 out of range [0,2)"},
+		{[]int{0, -1}, "sim: compare container -1 out of range [0,2)"},
+	} {
+		for _, batch := range []int{0, 7} {
+			f := NewFuzzer(p)
+			f.SetBatch(batch)
+			rep, err := f.FuzzGen(passThroughSpec(), NewTrafficGen(1, 2, phv.Default32, 0), 20, FuzzOptions{Containers: tc.containers}, 0)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("containers %v batch %d: report %v, err %v; want error %q", tc.containers, batch, rep, err, tc.want)
+			}
+		}
+		if _, err := FuzzRandom(p, passThroughSpec(), 1, 20, 0, FuzzOptions{Containers: tc.containers}); err == nil || err.Error() != tc.want {
+			t.Errorf("FuzzRandom containers %v: err %v, want %q", tc.containers, err, tc.want)
+		}
+	}
+	if rep, err := FuzzRandom(p, passThroughSpec(), 1, 20, 0, FuzzOptions{Containers: []int{0, 1}}); err != nil || !rep.Passed {
+		t.Errorf("in-range containers: report %v, err %v", rep, err)
+	}
+}
+
+// pipeSpec is a specification that is itself a pipeline — the naive
+// Unoptimized reference of the pipeline under test — made deliberately
+// wrong on the packets whose container-0 output is even.
+type pipeSpec struct {
+	p     *core.Pipeline
+	wrong bool
+}
+
+func (s *pipeSpec) Name() string { return "reference-pipeline" }
+func (s *pipeSpec) Reset()       { s.p.ResetState() }
+func (s *pipeSpec) Process(in *phv.PHV) (*phv.PHV, error) {
+	out, err := s.p.Process(in)
+	if err == nil && s.wrong && out.Get(0)%2 == 0 {
+		out.Set(0, out.Get(0)+1)
+	}
+	return out, err
+}
+
+// randomizedPair builds the same random machine code at the given level and
+// at Unoptimized.
+func randomizedPair(t *testing.T, seed int64, level core.OptLevel) (p, ref *core.Pipeline) {
+	t.Helper()
+	p = randomizedPipeline(t, 3, 2, "pair", rand.New(rand.NewSource(seed)), level)
+	ref = randomizedPipeline(t, 3, 2, "pair", rand.New(rand.NewSource(seed)), core.Unoptimized)
+	return p, ref
+}
+
+func executed(p *core.Pipeline) int {
+	n, _ := p.ALUCounts()
+	return n
+}
+
+// TestConeFuzzReportsMatchFullGrid is the report-identity pin: against a
+// deliberately wrong specification, with the comparison restricted to one
+// container, the fuzzer (which executes the output cone) produces the
+// BatchReport — indices, Input, whole-PHV Got, Want, Checked, Ticks — that
+// the same loop produces over the full ALU grid, for streaming and every
+// batch size, with and without a mismatch cap.
+func TestConeFuzzReportsMatchFullGrid(t *testing.T) {
+	const n = 200
+	pruned, mismatched, matched := 0, 0, 0
+	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
+		for trial := int64(0); trial < 4; trial++ {
+			p, ref := randomizedPair(t, 900+trial, level)
+			cone := NewFuzzer(p)
+			full := newFuzzer(p.Clone())
+			if got, want := executed(full.Pipeline()), executed(p); got != want {
+				t.Fatalf("full-grid fuzzer executes %d of %d ALUs", got, want)
+			}
+			pruned += executed(p) - executed(cone.Pipeline())
+			spec := &pipeSpec{p: ref, wrong: true}
+			for _, maxMM := range []int{0, 3} {
+				for _, batch := range []int{0, 1, 7, 64} {
+					cone.SetBatch(batch)
+					full.SetBatch(batch)
+					opts := FuzzOptions{Containers: []int{0}}
+					got, err := cone.FuzzGen(spec, NewTrafficGen(trial, 2, phv.Default32, 1<<16), n, opts, maxMM)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := full.FuzzGen(spec, NewTrafficGen(trial, 2, phv.Default32, 1<<16), n, opts, maxMM)
+					if err != nil {
+						t.Fatal(err)
+					}
+					batchReportsEqual(t, level.String(), got, want)
+					mismatched += len(want.Mismatches)
+					matched += want.Checked - len(want.Mismatches)
+				}
+			}
+			if !allZeroState(p) {
+				t.Fatalf("%s trial %d: NewFuzzer's argument was executed", level, trial)
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no trial pruned an ALU; the comparison never exercised a cone")
+	}
+	if mismatched == 0 || matched == 0 {
+		t.Fatalf("%d PHVs mismatched, %d matched; the wrong spec should split the streams", mismatched, matched)
+	}
+}
+
+func allZeroState(p *core.Pipeline) bool {
+	for _, stage := range p.StateSnapshot() {
+		for _, alu := range stage {
+			for _, v := range alu {
+				if v != 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestConeEnginesMatchFullGrid runs the real engines over an output cone:
+// Stream and Batch produce the full grid's and the Unoptimized reference's
+// output PHVs packet for packet, and leave every stateful ALU either in the
+// full grid's final state (live) or untouched (dead).
+func TestConeEnginesMatchFullGrid(t *testing.T) {
+	const n = 50
+	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
+		for trial := int64(0); trial < 5; trial++ {
+			p, ref := randomizedPair(t, 300+trial, level)
+			input := NewTrafficGen(trial, 2, phv.Default32, 1<<16).Trace(n)
+			want, err := Run(ref, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines := []struct {
+				name string
+				run  func(p *core.Pipeline) *phv.Trace
+			}{
+				{"stream", func(p *core.Pipeline) *phv.Trace {
+					st, out := NewStream(p), phv.NewTrace()
+					for fed := 0; fed < n || st.InFlight() > 0; fed++ {
+						var in []phv.Value
+						if fed < n {
+							in = input.At(fed).Raw()
+						}
+						o, err := st.Tick(in)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if o != nil {
+							out.Append(phv.FromValues(o))
+						}
+					}
+					return out
+				}},
+				{"batch", func(p *core.Pipeline) *phv.Trace {
+					b, err := NewBatch(p, 8)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out, row := phv.NewTrace(), make([]phv.Value, p.PHVLen())
+					for at := 0; at < n; at += 8 {
+						m := min(8, n-at)
+						for k := 0; k < m; k++ {
+							b.Load(k, input.At(at+k).Raw())
+						}
+						if err := b.Run(m); err != nil {
+							t.Fatal(err)
+						}
+						for k := 0; k < m; k++ {
+							out.Append(phv.FromValues(gatherCol(b.Out(), k, row)))
+						}
+					}
+					return out
+				}},
+			}
+			for _, e := range engines {
+				name, run := e.name, e.run
+				full, cone := p.Clone(), p.OutputCone()
+				if d := want.Output.Diff(run(full)); d != "" {
+					t.Fatalf("%s %s trial %d: full grid diverges from the reference: %s", level, name, trial, d)
+				}
+				if d := want.Output.Diff(run(cone)); d != "" {
+					t.Fatalf("%s %s trial %d: cone diverges from the reference: %s", level, name, trial, d)
+				}
+				fullState, coneState := full.StateSnapshot(), cone.StateSnapshot()
+				if !fullState.Equal(want.FinalState) {
+					t.Fatalf("%s %s trial %d: full-grid state diverges from the reference", level, name, trial)
+				}
+				for si := range coneState {
+					for slot := range coneState[si] {
+						wantState := fullState[si][slot]
+						if !cone.Executes(si, true, slot) {
+							wantState = make([]phv.Value, len(wantState))
+						}
+						if got := coneState[si][slot]; !phv.FromValues(got).Equal(phv.FromValues(wantState)) {
+							t.Fatalf("%s %s trial %d: stateful ALU %d/%d ends in %v, want %v", level, name, trial, si, slot, got, wantState)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewFuzzerLeavesUnoptimizedWhole: an Unoptimized pipeline resolves
+// machine code at run time, where a missing pair is a finding, so its
+// fuzzer executes every ALU.
+func TestNewFuzzerLeavesUnoptimizedWhole(t *testing.T) {
+	p, _ := randomizedPair(t, 1, core.Unoptimized)
+	f := NewFuzzer(p)
+	if got, want := executed(f.Pipeline()), executed(p); got != want {
+		t.Fatalf("unoptimized fuzzer executes %d of %d ALUs", got, want)
+	}
+	if f.Pipeline() == p {
+		t.Fatal("NewFuzzer must execute on a private clone")
+	}
+	rep, err := f.FuzzGen(&pipeSpec{p: p.Clone()}, NewTrafficGen(1, 2, phv.Default32, 0), 50, FuzzOptions{}, 0)
+	if err != nil || !rep.Passed() {
+		t.Fatalf("report %+v, err %v", rep, err)
+	}
+	if !allZeroState(p) {
+		t.Fatal("NewFuzzer's argument was executed")
+	}
+}

@@ -90,6 +90,16 @@ func NewTrafficGenMode(seed int64, phvLen int, bits phv.Width, max int64, mode T
 	return g, nil
 }
 
+// Reseed restarts the stream as a generator freshly built with seed (same
+// dimensions, range and mode) would produce it: the random source is
+// re-seeded in place and an installed seed corpus is served again from its
+// first entry. It lets one generator serve many shards without allocating a
+// new random source for each.
+func (g *TrafficGen) Reseed(seed int64) {
+	g.rng.Seed(seed)
+	g.next = 0
+}
+
 // boundaryValues is the deduplicated boundary set of the draw range
 // [0, limit): zero, one and limit-1 (the all-ones pattern when the limit is
 // a full power-of-two width).
@@ -465,10 +475,12 @@ func (r *FuzzReport) String() string {
 
 // Fuzz implements the compiler-testing workflow of Fig. 5: the input trace
 // is fed both to the pipeline and to the specification, and the two output
-// traces are compared. The pipeline's state is reset first. A non-nil error
-// is returned only for harness misuse; simulation failures (e.g. machine
-// code incompatible with the pipeline) are reported in FuzzReport.Err, since
-// they are test findings (§5.2's first failure class).
+// traces are compared. The run starts from reset state on a fresh Fuzzer's
+// private clone; p is not mutated. A non-nil error is returned only for
+// harness misuse (an empty trace, a compared container outside the PHV, a
+// failing specification); simulation failures (e.g. machine code
+// incompatible with the pipeline) are reported in FuzzReport.Err, since they
+// are test findings (§5.2's first failure class).
 func Fuzz(p *core.Pipeline, spec Spec, input *phv.Trace, opts FuzzOptions) (*FuzzReport, error) {
 	batch, err := FuzzBatch(p, spec, input, opts, 1)
 	if err != nil {
@@ -536,7 +548,9 @@ func (r *BatchReport) Passed() bool { return r.Err == nil && len(r.Mismatches) =
 // StreamSpec specifications, zero steady-state allocations per PHV.
 //
 // A Fuzzer is bound to one pipeline and reusable across runs (the campaign
-// engine keeps one per worker per job). It is not safe for concurrent use.
+// engine keeps one per worker per job). It executes on a private clone — the
+// pipeline's output cone, see NewFuzzer — so it never mutates the pipeline
+// it was built from. It is not safe for concurrent use.
 type Fuzzer struct {
 	pipe   *core.Pipeline
 	stream *Stream
@@ -555,9 +569,17 @@ type Fuzzer struct {
 	stateBuf  []phv.Value   // pre-batch state checkpoint for panic replay
 }
 
-// NewFuzzer returns a streaming fuzzer over the pipeline. The ring buffers
-// are the only allocations; they are reused by every subsequent Fuzz run.
-func NewFuzzer(p *core.Pipeline) *Fuzzer {
+// NewFuzzer returns a streaming fuzzer over the pipeline. The fuzzer
+// observes output PHVs only, never ALU state, so it executes on a private
+// core.Pipeline.OutputCone clone of p: only the ALUs whose results can reach
+// an output container run, p itself is never executed or mutated, and
+// callers need not clone before handing a shared pipeline to NewFuzzer. The
+// clone and the ring buffers are the only allocations; they are reused by
+// every subsequent Fuzz run.
+func NewFuzzer(p *core.Pipeline) *Fuzzer { return newFuzzer(p.OutputCone()) }
+
+// newFuzzer binds a fuzzer to p itself, which it executes and mutates.
+func newFuzzer(p *core.Pipeline) *Fuzzer {
 	f := &Fuzzer{pipe: p, stream: NewStream(p), win: p.Depth() + 1}
 	phvLen := p.PHVLen()
 	backing := make([]phv.Value, 2*f.win*phvLen)
@@ -574,7 +596,9 @@ func NewFuzzer(p *core.Pipeline) *Fuzzer {
 	return f
 }
 
-// Pipeline returns the pipeline the fuzzer is bound to.
+// Pipeline returns the pipeline the fuzzer executes: its private output-cone
+// clone, not the pipeline NewFuzzer was given. Dimensions and level match
+// the original; state of stateful ALUs outside the cone stays zero.
 func (f *Fuzzer) Pipeline() *core.Pipeline { return f.pipe }
 
 // FuzzGen runs the streaming comparison over n PHVs drawn from gen.
@@ -593,13 +617,17 @@ func (f *Fuzzer) FuzzGen(spec Spec, gen *TrafficGen, n int, opts FuzzOptions, ma
 // is recorded as a simulation finding, like a malformed trace entry).
 // Collection stops after maxMismatches diverging PHVs (0 = unbounded). The
 // pipeline's state, the stream and the specification are reset first. Like
-// Fuzz, simulation failures land in BatchReport.Err; only harness misuse
-// returns a non-nil error.
+// Fuzz, simulation failures land in BatchReport.Err; only harness misuse —
+// n <= 0, a compared container outside [0, PHVLen), a failing specification
+// — returns a non-nil error.
 //
 //dvet:hotpath allocs=3
 func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	if n <= 0 {
 		return nil, errors.New("sim: empty input trace")
+	}
+	if err := checkContainers(opts.Containers, f.pipe.PHVLen()); err != nil {
+		return nil, err
 	}
 	if f.batchSize > 0 && f.pipe.Prechecked() {
 		// Batched mode produces byte-identical reports on the plane engine;
@@ -673,10 +701,11 @@ func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts F
 
 // FuzzBatch runs the Fig. 5 comparison over the full input trace, collecting
 // up to maxMismatches diverging PHVs (0 = unbounded) instead of stopping at
-// the first. The pipeline's state is reset first. Like Fuzz, simulation
-// failures are findings (BatchReport.Err), not harness errors. FuzzBatch
-// streams the trace through a fresh Fuzzer; callers that run many batches
-// over one pipeline should hold a Fuzzer and feed it directly.
+// the first. The run starts from reset state; p is not mutated (see
+// NewFuzzer). Like Fuzz, simulation failures are findings
+// (BatchReport.Err), not harness errors. FuzzBatch streams the trace
+// through a fresh Fuzzer; callers that run many batches over one pipeline
+// should hold a Fuzzer and feed it directly.
 func FuzzBatch(p *core.Pipeline, spec Spec, input *phv.Trace, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	if input.Len() == 0 {
 		return nil, errors.New("sim: empty input trace")
@@ -713,6 +742,17 @@ func FuzzRandom(p *core.Pipeline, spec Spec, seed int64, n int, maxValue int64, 
 		return nil, err
 	}
 	return fuzzReportOf(batch), nil
+}
+
+// checkContainers rejects a comparison set that names a container outside
+// the PHV, which equalVals and equalColRow would otherwise index blindly.
+func checkContainers(containers []int, phvLen int) error {
+	for _, c := range containers {
+		if c < 0 || c >= phvLen {
+			return fmt.Errorf("sim: compare container %d out of range [0,%d)", c, phvLen)
+		}
+	}
+	return nil
 }
 
 // equalVals compares two value vectors on the selected containers (nil =

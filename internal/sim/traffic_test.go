@@ -83,3 +83,49 @@ func TestTrafficGenModeValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestTrafficGenReseed pins Reseed as stream-identical to building a new
+// generator: after any amount of use, Reseed(seed) continues exactly as
+// NewTrafficGenMode(seed, ...) with the same corpus installed starts — for
+// uniform and boundary draws, bounded and full-width ranges, through Fill
+// and Next, with the corpus served again from its first entry.
+func TestTrafficGenReseed(t *testing.T) {
+	corpus := [][]phv.Value{{7, 3, 1}, {0, 0, 5}}
+	for _, mode := range []TrafficMode{TrafficUniform, TrafficBoundary} {
+		for _, max := range []int64{0, 100} {
+			for _, withCorpus := range []bool{false, true} {
+				reused, err := NewTrafficGenMode(1, 3, phv.Default32, max, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if withCorpus {
+					reused.SeedCorpus(corpus)
+				}
+				buf := make([]phv.Value, 3)
+				for _, seed := range []int64{42, -7, 42, 0} {
+					// Leave the generator mid-corpus on one round, far past it
+					// on the next, before reseeding.
+					for i := int64(0); i < 1+(seed&3)*5; i++ {
+						reused.Fill(buf)
+					}
+					reused.Reseed(seed)
+					fresh, _ := NewTrafficGenMode(seed, 3, phv.Default32, max, mode)
+					if withCorpus {
+						fresh.SeedCorpus(corpus)
+					}
+					want := make([]phv.Value, 3)
+					for i := 0; i < 40; i++ {
+						reused.Fill(buf)
+						fresh.Fill(want)
+						if !phv.FromValues(buf).Equal(phv.FromValues(want)) {
+							t.Fatalf("%s max=%d corpus=%v seed %d: Fill %d = %v, fresh generator %v", mode, max, withCorpus, seed, i, buf, want)
+						}
+					}
+					if got, want := reused.Next(), fresh.Next(); !got.Equal(want) {
+						t.Fatalf("%s max=%d corpus=%v seed %d: Next = %v, fresh generator %v", mode, max, withCorpus, seed, got, want)
+					}
+				}
+			}
+		}
+	}
+}
