@@ -4,8 +4,8 @@
 // closure-compiled engine, each over 50,000 traffic-generator PHVs driven
 // through the streaming simulation engine. A dRMT section follows (the
 // paper reports no dRMT numbers, so it is a characterization bench): every
-// embedded dRMT benchmark's differential fuzzing loop is timed on both the
-// slot-compiled streaming engines and the map-based compatibility engines.
+// embedded dRMT benchmark's differential fuzzing loop is timed on the
+// slot-compiled engines.
 //
 // A PHV-batch row rides along with each section: the RMT matrix gains a
 // "compiled+batch" level (the struct-of-arrays sim.Batch engine over the
@@ -79,8 +79,8 @@ type Row struct {
 }
 
 // DRMTRow is one (dRMT benchmark × engine) cell: the differential fuzzing
-// loop timed on the slot-compiled engines ("slots") or the map-based
-// compatibility engines ("map").
+// loop timed on the slot-compiled engines, packet at a time ("slots") or on
+// column-major planes ("slots+batch").
 type DRMTRow struct {
 	Benchmark    string  `json:"benchmark"`
 	Engine       string  `json:"engine"`
@@ -268,8 +268,8 @@ func main() {
 			cli.Fatalf("dbench: no dRMT benchmark matches %q", *drmtBench)
 		}
 		fmt.Printf("\ndRMT differential fuzzing (ISA machine vs table-level spec, %d packets per run)\n\n", *drmtPHVs)
-		fmt.Printf("%-16s %14s %14s %14s %16s %16s\n", "Program", "Map engine", "Slot engine", "Batch engine", "Batch PHVs/sec", "Batch allocs/PHV")
-		engines := []string{"map", "slots"}
+		fmt.Printf("%-16s %14s %14s %16s %16s\n", "Program", "Slot engine", "Batch engine", "Batch PHVs/sec", "Batch allocs/PHV")
+		engines := []string{"slots"}
 		if *batch > 0 {
 			engines = append(engines, "slots+batch")
 		}
@@ -289,8 +289,8 @@ func main() {
 				phvsCell = fmt.Sprintf("%.0f", br.PHVsPerSec)
 				allocsCell = fmt.Sprintf("%.4f", br.AllocsPerPHV)
 			}
-			fmt.Printf("%-16s %11d ms %11d ms %14s %16s %16s\n",
-				bm.Name, perEngine["map"].MS, perEngine["slots"].MS, batchCell, phvsCell, allocsCell)
+			fmt.Printf("%-16s %11d ms %14s %16s %16s\n",
+				bm.Name, perEngine["slots"].MS, batchCell, phvsCell, allocsCell)
 		}
 	}
 
@@ -326,7 +326,7 @@ func main() {
 		}
 		if len(drmtRows) > 0 {
 			rep.DRMTPHVs = *drmtPHVs
-			rep.DRMTEngine = "differential fuzz, slot-compiled streaming engines (drmt.DiffFuzzer.Fuzz) vs map-based compat (FuzzCompat); slots+batch rows on column-major planes"
+			rep.DRMTEngine = "differential fuzz on the slot-compiled engines (drmt.DiffFuzzer.Fuzz); slots+batch rows on column-major planes"
 			rep.DRMT = drmtRows
 		}
 		rep.Geomeans = geomeans(rows, drmtRows)
@@ -478,7 +478,7 @@ func measureBatch(pipeline *core.Pipeline, bm *spec.Benchmark, seed int64, n, re
 }
 
 // measureDRMT times one dRMT benchmark's differential fuzzing loop on one
-// engine ("slots", "slots+batch" or "map"), repeated repeats times after
+// engine ("slots" or "slots+batch"), repeated repeats times after
 // one warmup pass; the best pass's wall time and its heap allocation count
 // are reported.
 func measureDRMT(bm *drmt.Benchmark, engine string, seed int64, n, repeats, batch int) (DRMTRow, error) {
@@ -502,12 +502,7 @@ func measureDRMT(bm *drmt.Benchmark, engine string, seed int64, n, repeats, batc
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		var rep *drmt.DiffReport
-		if engine == "map" {
-			rep, err = f.FuzzSeededCompat(seed, n, bm.MaxInput)
-		} else {
-			rep, err = f.FuzzSeeded(seed, n, bm.MaxInput) // batched when SetBatch is active
-		}
+		rep, err := f.FuzzSeeded(seed, n, bm.MaxInput) // batched when SetBatch is active
 		if err != nil {
 			return 0, 0, err
 		}

@@ -55,7 +55,7 @@ func main() {
 	if !*quiet {
 		fmt.Print(isa.Disassemble())
 	}
-	if *packets == 0 {
+	if *packets <= 0 {
 		return
 	}
 
@@ -79,15 +79,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("drmtasm: %v", err)
 	}
-	batch := gen.Batch(*packets)
-	var mirror []*drmt.Packet
-	if *diff {
-		mirror = make([]*drmt.Packet, len(batch))
-		for i, p := range batch {
-			mirror[i] = p.Clone()
-		}
-	}
-	stats, err := isaM.Run(batch)
+	stats, err := isaM.Run(gen.Batch(*packets))
 	if err != nil {
 		cli.Fatalf("drmtasm: %v", err)
 	}
@@ -98,24 +90,21 @@ func main() {
 	if !*diff {
 		return
 	}
-	tableM, err := drmt.NewMachine(prog, entries, hw, nil)
+	// The cross-check is the one differential loop (the campaign's), over
+	// the same seeded traffic the execution above saw.
+	f, err := drmt.NewDiffFuzzer(prog, isa, entries, hw)
 	if err != nil {
 		cli.Fatalf("drmtasm: %v", err)
 	}
-	if _, err := tableM.Run(mirror); err != nil {
+	rep, err := f.FuzzSeeded(*seed, *packets, *maxVal)
+	if err != nil {
 		cli.Fatalf("drmtasm: %v", err)
 	}
-	for i := range batch {
-		a, b := mirror[i], batch[i]
-		if a.Dropped != b.Dropped {
-			cli.Fatalf("drmtasm: DIVERGENCE at packet %d: dropped %v (table) vs %v (ISA)", i, a.Dropped, b.Dropped)
-		}
-		for f, v := range a.Fields {
-			if b.Fields[f] != v {
-				cli.Fatalf("drmtasm: DIVERGENCE at packet %d field %s: %d (table) vs %d (ISA)", i, f, v, b.Fields[f])
-			}
-		}
+	if rep.Err != nil {
+		cli.Fatalf("drmtasm: %v", rep.Err)
 	}
-	fmt.Printf("differential check: ISA and table-level execution agree on all %d packets\n", len(batch))
-	os.Exit(0)
+	if len(rep.Diffs) > 0 {
+		cli.Fatalf("drmtasm: DIVERGENCE at %v (%d of %d packets diverge)", &rep.Diffs[0], len(rep.Diffs), rep.Checked)
+	}
+	fmt.Printf("differential check: ISA and table-level execution agree on all %d packets\n", rep.Checked)
 }

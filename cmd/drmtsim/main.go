@@ -33,7 +33,6 @@ func main() {
 	matchCap := fs.Int("match-capacity", 8, "match issues per processor per cycle")
 	actionCap := fs.Int("action-capacity", 32, "action issues per processor per cycle")
 	optimal := fs.Bool("optimal", false, "use the branch-and-bound scheduler (small DAGs)")
-	compat := fs.Bool("compat", false, "run on the map-based compatibility engine instead of the slot-compiled streaming engine (identical output, original speed)")
 	showDAG := fs.Bool("dag", false, "print the table dependency DAG")
 	showSchedule := fs.Bool("schedule", true, "print the computed schedule")
 	cycles := fs.Bool("cycles", false, "print cycle-accurate replay statistics")
@@ -97,15 +96,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("drmtsim: %v", err)
 	}
-	// Both engines consume the generator identically and produce identical
-	// statistics and register state; the streaming default fills one reused
-	// slot vector instead of materializing every packet.
-	var stats *drmt.Stats
-	if *compat {
-		stats, err = m.Run(gen.Batch(*packets))
-	} else {
-		stats, err = m.RunStream(gen, *packets)
-	}
+	stats, err := m.RunStream(gen, *packets)
 	if err != nil {
 		cli.Fatalf("drmtsim: %v", err)
 	}

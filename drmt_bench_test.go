@@ -64,53 +64,6 @@ func BenchmarkDRMTSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkDRMTDiffFuzz measures the differential fuzzing loop — the dRMT
-// campaign hot path — on the slot-compiled streaming engine versus the
-// map-based compatibility engine.
-func BenchmarkDRMTDiffFuzz(b *testing.B) {
-	for _, name := range []string{"l2l3", "wide-fanin"} {
-		bm, err := drmt.LookupBenchmark(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog, err := bm.Program()
-		if err != nil {
-			b.Fatal(err)
-		}
-		entries, err := bm.Entries(prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := drmt.NewDiffFuzzer(prog, nil, entries, bm.HW)
-		if err != nil {
-			b.Fatal(err)
-		}
-		const packets = 1000
-		for _, engine := range []string{"slots", "compat"} {
-			engine := engine
-			b.Run(name+"/"+engine, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					var rep *drmt.DiffReport
-					var err error
-					if engine == "slots" {
-						rep, err = f.FuzzSeeded(1, packets, bm.MaxInput)
-					} else {
-						rep, err = f.FuzzSeededCompat(1, packets, bm.MaxInput)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					if !rep.Passed() {
-						b.Fatalf("fuzz failed: %+v", rep)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*packets), "ns/PHV")
-			})
-		}
-	}
-}
-
 func BenchmarkDRMTSimulate(b *testing.B) {
 	prog := loadL2L3Bench(b)
 	for _, procs := range []int{1, 4} {

@@ -35,12 +35,6 @@ type DRMTTarget struct {
 	// so it participates in shard-cache keys.
 	Traffic drmt.TrafficMode
 
-	// Compat runs shards on the map-based compatibility engines instead of
-	// the slot-compiled streaming engines. Reports are byte-identical
-	// either way (the compat-layer guarantee, pinned by tests); the flag
-	// exists so campaigns can differentially check the engines themselves.
-	Compat bool
-
 	// SpecFingerprint is a stable content hash of the program source and
 	// table entries (DRMTMatrix fills it from drmt.Benchmark.Fingerprint).
 	// The parsed Program/Entries structures are opaque to the engine; a
@@ -68,9 +62,9 @@ func (t *DRMTTarget) validate() error {
 }
 
 // Fingerprint implements Fingerprinter: a stable content hash over the
-// program and entries, the normalized hardware configuration, the engine
-// choice and the traffic regime. Targets with an injected ISA program (the
-// bug-injection path) or no SpecFingerprint are not cacheable and return "".
+// program and entries, the normalized hardware configuration and the
+// traffic regime. Targets with an injected ISA program (the bug-injection
+// path) or no SpecFingerprint are not cacheable and return "".
 func (t *DRMTTarget) Fingerprint() string {
 	if t.SpecFingerprint == "" || t.ISA != nil {
 		return ""
@@ -85,7 +79,7 @@ func (t *DRMTTarget) Fingerprint() string {
 		fmt.Sprintf("%+v", t.HW.Defaults()),
 		fmt.Sprint(t.MaxInput),
 		string(traffic),
-		fmt.Sprint(t.Compat),
+		"false", // the retired engine-choice slot; kept so fingerprints keep their bytes
 	)
 }
 
@@ -116,24 +110,15 @@ type drmtRunner struct {
 	fuzzer *drmt.DiffFuzzer
 }
 
-// SetBatchSize implements BatchSizer: slot-engine shards execute on
-// column-major planes n packets at a time, with byte-identical reports for
-// every n. The map-based compat path (Compat) is unaffected by design — it
-// exists to differentially test the slot engines, batched or not.
+// SetBatchSize implements BatchSizer: shards execute on column-major planes
+// n packets at a time, with byte-identical reports for every n.
 func (r *drmtRunner) SetBatchSize(n int) { r.fuzzer.SetBatch(n) }
 
 // RunShard resets both machines and streams the shard's seeded traffic
-// through the differential loop — by default on the slot-compiled zero-
-// allocation engines. Diff indices are already shard offsets (each shard
-// draws from a fresh generator), which is what merge expects.
+// through the differential loop. Diff indices are already shard offsets
+// (each shard draws from a fresh generator), which is what merge expects.
 func (r *drmtRunner) RunShard(seed int64, n int) ShardResult {
-	var rep *drmt.DiffReport
-	var err error
-	if r.t.Compat {
-		rep, err = r.fuzzer.FuzzSeededModeCompat(seed, n, r.t.MaxInput, r.t.Traffic)
-	} else {
-		rep, err = r.fuzzer.FuzzSeededMode(seed, n, r.t.MaxInput, r.t.Traffic)
-	}
+	rep, err := r.fuzzer.FuzzSeededMode(seed, n, r.t.MaxInput, r.t.Traffic)
 	if err != nil {
 		return ShardResult{Err: err}
 	}

@@ -48,35 +48,38 @@ func TestDRMTReportDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestDRMTReportIdenticalSlotVsCompat is the campaign-level compat-layer
-// guarantee: the slot-compiled streaming engines and the map-based
-// compatibility engines must produce byte-identical campaign reports, at
-// every worker count.
-func TestDRMTReportIdenticalSlotVsCompat(t *testing.T) {
-	render := func(compat bool, workers int) string {
-		t.Helper()
-		jobs := drmtJobs(t, 1500, 1, 9)
-		for i := range jobs {
-			jobs[i].Target.(*DRMTTarget).Compat = compat
-		}
-		rep, err := Run(context.Background(), jobs, Options{Workers: workers, ShardSize: 256})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf, false); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String() + "\n---\n" + rep.Text(false)
+// TestDRMTFingerprintGolden pins DRMTTarget.Fingerprint to the bytes it had
+// while the target still carried an engine-selection switch (always off in
+// every matrix): ShardKey derives from it, so retiring the switch must not
+// re-key a single dRMT shard. (ShardKey also salts with the executable's
+// hash, so a new binary re-executes anyway; what this pins is the job
+// identity.) A deliberate change of a dRMT job's identity — benchmark
+// source or entries, hardware defaults, traffic — is the only reason to
+// touch these.
+func TestDRMTFingerprintGolden(t *testing.T) {
+	want := map[string]string{
+		"drmt/counter/seed=1":       "c6535096e34d512b1a227250e40f33523bf971ce3568564f136dae0c7c9fc988",
+		"drmt/l2l3/seed=1":          "04a293c7e7cf82a2c2c9d5fa7a4f2cab0b7b4922ba870494a6941c1c5e7c6191",
+		"drmt/l2l3-targeted/seed=1": "85e01c6d326b40b2ce55883531fe3b943667765afdf7148c27a8580fe7472a90",
+		"drmt/wide-fanin/seed=1":    "94a79d451a92917ba89762960e7ad4621964fbf5080e41fabca019c6038a1377",
+
+		"drmt/counter/seed=3/procs=2/traffic=boundary": "9e71836caff11a2769ad2ad32b7ad405be4377eb10bb42a7c9edc0f1204804a9",
 	}
-	want := render(false, 1)
-	for _, workers := range []int{1, 4, 8} {
-		if got := render(true, workers); got != want {
-			t.Fatalf("compat engine report (workers=%d) differs from slot engine report:\n--- slot ---\n%s--- compat ---\n%s",
-				workers, want, got)
-		}
-		if got := render(false, workers); got != want {
-			t.Fatalf("slot engine report not deterministic across workers=%d", workers)
+	jobs, err := DRMTDefaultMatrix(50000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swept, err := DRMTMatrix(drmt.Benchmarks()[:1], []int{2}, []drmt.TrafficMode{drmt.TrafficBoundary}, []int64{3}, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs = append(jobs, swept...)
+	if len(jobs) != len(want) {
+		t.Fatalf("%d jobs, %d golden fingerprints: a new default dRMT benchmark needs a golden entry", len(jobs), len(want))
+	}
+	for _, j := range jobs {
+		if got := j.Target.(*DRMTTarget).Fingerprint(); got != want[j.Name] {
+			t.Errorf("%s: fingerprint %s, golden %s", j.Name, got, want[j.Name])
 		}
 	}
 }

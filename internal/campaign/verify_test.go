@@ -195,7 +195,7 @@ func TestVerifyBudgetExhaustionIsUnknown(t *testing.T) {
 // test of the verify→fuzz feedback loop: a seeded miscompile's SAT
 // counterexample trace, decoded to concrete PHVs, must reproduce as a
 // fuzzer mismatch at exactly the transaction the prover reported — both
-// replayed directly through sim.FuzzBatch and seeded as corpus traffic
+// replayed directly through sim.Fuzz and seeded as corpus traffic
 // into a fuzz campaign.
 func TestVerifyCounterexampleReproducesAsFuzzMismatch(t *testing.T) {
 	job := corruptedVerifyJob(t)
@@ -239,14 +239,14 @@ func TestVerifyCounterexampleReproducesAsFuzzMismatch(t *testing.T) {
 		}
 		input.Append(phv.FromValues(vals))
 	}
-	batch, err := sim.FuzzBatch(pipe, simSpec, input, sim.FuzzOptions{Containers: target.Containers}, 0)
+	replay, err := sim.Fuzz(pipe, simSpec, input, sim.FuzzOptions{Containers: target.Containers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch.Mismatches) == 0 {
-		t.Fatal("verify counterexample did not reproduce as a fuzz mismatch")
+	if replay.Passed || replay.Err != nil {
+		t.Fatalf("verify counterexample did not reproduce as a fuzz mismatch: %v", replay)
 	}
-	if got := batch.Mismatches[0].Index; got != cell.FailStep {
+	if got := replay.FailIndex; got != cell.FailStep {
 		t.Fatalf("fuzz mismatch at step %d, verifier reported step %d", got, cell.FailStep)
 	}
 

@@ -688,6 +688,13 @@ func AsExecError(r any) (error, bool) { return aludsl.AsEvalError(r) }
 // ExecuteStage runs stage si on the input container values, writing the
 // stage's result into out (len(in) == len(out) == PHVLen). Stateful ALU
 // state is mutated.
+//
+// ExecuteStage is the deliberately naive reference executor: it checks every
+// index, returns every failure as an error, and at the Unoptimized level
+// resolves each mux through the machine-code table on every execution — the
+// paper's version-1 semantics, written to be read, not to be fast. It is the
+// one executor that accepts every pipeline, and the one the tests compare
+// ExecuteStageFast and ExecuteStageBatch against; do not optimize it.
 func (p *Pipeline) ExecuteStage(si int, in, out []phv.Value) error {
 	if si < 0 || si >= len(p.stages) {
 		return fmt.Errorf("core: stage %d out of range", si)

@@ -106,14 +106,12 @@ func TestSlotEnginesZeroAllocsPerPacket(t *testing.T) {
 	}
 }
 
-// TestCompatApplyNoPerPacketParamsChurn: the map-based compatibility path
-// must also stop allocating its per-apply params map — the per-machine
-// scratch slice is reused, so a steady-state packet's cost is bounded by
-// the map writes on the Packet itself, not by fresh parameter maps. The
-// counter benchmark binds an action parameter on every packet (bump's
-// default), so it exercises the scratch directly.
-func TestCompatApplyNoPerPacketParamsChurn(t *testing.T) {
-	bm, err := LookupBenchmark("counter")
+// TestRunAdaptersAllocateO1: the map-packet Run adapters copy each packet
+// through one reused slot vector and write results back into the packet's
+// existing map, so a run's allocation count (Stats, its maps, the vector)
+// must not grow with the packet count on either machine.
+func TestRunAdaptersAllocateO1(t *testing.T) {
+	bm, err := LookupBenchmark("counter") // binds an action parameter on every packet
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +123,11 @@ func TestCompatApplyNoPerPacketParamsChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(prog, entries, bm.HW, nil)
+	tab, err := NewMachine(prog, entries, bm.HW, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isa, err := NewISAMachine(prog, nil, entries, bm.HW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,22 +135,21 @@ func TestCompatApplyNoPerPacketParamsChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := gen.Next()
-	stats := &Stats{MemoryAccesses: map[string]int{}}
-	if err := m.process(pkt, stats); err != nil { // warm the params scratch
-		t.Fatal(err)
+	pkts := gen.Batch(2048)
+	runs := map[string]func(p []*Packet) error{
+		"Machine.Run":    func(p []*Packet) error { _, err := tab.Run(p); return err },
+		"ISAMachine.Run": func(p []*Packet) error { _, err := isa.Run(p); return err },
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		pkt.Dropped = false
-		if err := m.process(pkt, stats); err != nil {
-			panic(err)
+	for name, run := range runs {
+		allocs := func(n int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if err := run(pkts[:n]); err != nil {
+					panic(err)
+				}
+			})
 		}
-	})
-	// Reprocessing an existing packet rebinds action parameters every time;
-	// with the reused scratch the loop allocates only when lookup copies an
-	// entry's ActionCall (one small copy, no map). Anything at or above a
-	// map-per-apply is a regression.
-	if allocs > 2 {
-		t.Fatalf("compat process allocates %v per packet; params scratch regressed", allocs)
+		if small, large := allocs(256), allocs(2048); large > small+1 {
+			t.Errorf("%s: allocations grow with packet count: %v for 256 packets, %v for 2048", name, small, large)
+		}
 	}
 }

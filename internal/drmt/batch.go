@@ -41,8 +41,7 @@ func (g *TrafficGen) FillBatch(planes [][]int64, n int) int {
 // streams packets through both machines a batch at a time on column-major
 // planes, 0 restores the packet-at-a-time loop. Reports are byte-identical
 // in every mode and for every batch size — batching is an execution
-// strategy, not part of a campaign's identity. The map-based compat path
-// (FuzzCompat) is unaffected.
+// strategy, not part of a campaign's identity.
 func (f *DiffFuzzer) SetBatch(size int) {
 	if size < 0 {
 		size = 0

@@ -10,15 +10,11 @@
 // SlotLayout, traffic is generated directly into reused []int64 slot
 // vectors (TrafficGen.Fill), and packets are compared index-to-index in
 // lock step. Canonical string renderings and Diff records are materialized
-// only on mismatch, so a clean shard performs O(1) allocation total. The
-// original map-based loop is kept as FuzzCompat, the compatibility path the
-// slot engines are differentially tested against.
+// only on mismatch, so a clean shard performs O(1) allocation total.
 package drmt
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"druzhba/internal/p4"
 )
@@ -170,50 +166,6 @@ func (f *DiffFuzzer) Fuzz(gen *TrafficGen, n int) (*DiffReport, error) {
 	return rep, nil
 }
 
-// FuzzCompat is Fuzz on the original map-based interpreters: packets are
-// materialized by gen.Next, cloned per machine, and compared map-to-map.
-// It produces byte-identical DiffReports to Fuzz over the same generator
-// state — the compatibility guarantee the slot engines are differentially
-// tested against — at the original allocation cost.
-func (f *DiffFuzzer) FuzzCompat(gen *TrafficGen, n int) (*DiffReport, error) {
-	if gen == nil || n <= 0 {
-		return nil, fmt.Errorf("drmt: empty fuzz stream")
-	}
-	f.Reset()
-	rep := &DiffReport{}
-	isaStats := &ISAStats{Stats: Stats{MemoryAccesses: map[string]int{}}}
-	tabStats := &Stats{MemoryAccesses: map[string]int{}}
-	for i := 0; i < n; i++ {
-		// The input packet stays pristine; renderings are built only for
-		// diverging packets, so the clean common path never pays the
-		// sort-and-format cost.
-		in := gen.Next()
-		got := in.Clone()
-		want := in.Clone()
-		executed, err := f.isa.exec(got, isaStats)
-		rep.Instructions += int64(executed)
-		if err != nil {
-			rep.Err = fmt.Errorf("drmt isa: packet %d: %w", got.ID, err)
-			return rep, nil
-		}
-		if err := f.tab.process(want, tabStats); err != nil {
-			rep.Err = fmt.Errorf("drmt: packet %d: %w", want.ID, err)
-			return rep, nil
-		}
-		rep.Checked++
-		if !samePacket(got, want) {
-			rep.Diffs = append(rep.Diffs, Diff{
-				Index: i,
-				ID:    in.ID,
-				Input: FormatPacket(in),
-				Got:   FormatPacket(got),
-				Want:  FormatPacket(want),
-			})
-		}
-	}
-	return rep, nil
-}
-
 // FuzzSeeded is Fuzz over a fresh generator: n packets seeded by seed, with
 // field values bounded by max (0 = full field widths).
 func (f *DiffFuzzer) FuzzSeeded(seed int64, n int, max int64) (*DiffReport, error) {
@@ -227,21 +179,6 @@ func (f *DiffFuzzer) FuzzSeededMode(seed int64, n int, max int64, mode TrafficMo
 		return nil, err
 	}
 	return f.Fuzz(gen, n)
-}
-
-// FuzzSeededCompat is FuzzCompat over a fresh generator, the map-based twin
-// of FuzzSeeded.
-func (f *DiffFuzzer) FuzzSeededCompat(seed int64, n int, max int64) (*DiffReport, error) {
-	return f.FuzzSeededModeCompat(seed, n, max, TrafficUniform)
-}
-
-// FuzzSeededModeCompat is FuzzSeededMode on the map-based compat engines.
-func (f *DiffFuzzer) FuzzSeededModeCompat(seed int64, n int, max int64, mode TrafficMode) (*DiffReport, error) {
-	gen, err := NewTrafficGenMode(seed, f.prog, max, mode)
-	if err != nil {
-		return nil, err
-	}
-	return f.FuzzCompat(gen, n)
 }
 
 // MiscompileALUAdd returns a copy of the program with its first ALU add
@@ -259,45 +196,4 @@ func MiscompileALUAdd(isa *ISAProgram, bits int) (*ISAProgram, error) {
 		}
 	}
 	return nil, fmt.Errorf("drmt: program has no %d-bit ALU add to miscompile", bits)
-}
-
-// samePacket reports whether two packets agree on the drop flag and every
-// field. Both sides of a differential run start from clones of one packet,
-// so the field sets coincide.
-func samePacket(a, b *Packet) bool {
-	if a.Dropped != b.Dropped {
-		return false
-	}
-	//dvet:nondeterministic-ok pure equality predicate, order-free
-	for f, v := range a.Fields {
-		if b.Fields[f] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// FormatPacket renders a packet canonically — fields sorted by name, the
-// drop flag when set — so renderings are stable across runs and machines.
-// SlotLayout.FormatSlots produces byte-identical output for the slot
-// representation.
-func FormatPacket(p *Packet) string {
-	names := make([]string, 0, len(p.Fields))
-	for f := range p.Fields {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, f := range names {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%d", f, p.Fields[f])
-	}
-	if p.Dropped {
-		b.WriteString(" dropped")
-	}
-	b.WriteByte('}')
-	return b.String()
 }

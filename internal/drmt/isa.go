@@ -358,8 +358,8 @@ func (a *asm) table(t *p4.Table) error {
 	dispatch := dispatchList(t)
 	a.out.Dispatch = append(a.out.Dispatch, dispatch)
 
-	// Dropped packets skip every later table (Machine.process checks the
-	// flag before each lookup).
+	// Dropped packets skip every later table (Machine.ProcessSlots checks
+	// the flag before each lookup).
 	skipTable := a.emit(Instr{Op: OpBNZ, A: RegDrop})
 
 	a.emit(Instr{Op: OpMatch, Dst: RegSel, Sym: tIdx})
@@ -570,9 +570,9 @@ type isaTable struct {
 
 // ISAMachine executes an assembled ISA program over the same centralized
 // state (match table entries, register arrays) as the table-level Machine.
-// The slot-compiled hot path (ExecSlots) runs packets as layout-ordered
-// []int64 vectors over a reused register file; the map-based exec path is
-// kept as the compatibility layer.
+// ExecSlots is the one interpreter: packets are layout-ordered []int64
+// vectors over a reused register file, and Run converts map packets at its
+// boundary.
 type ISAMachine struct {
 	prog    *p4.Program
 	isa     *ISAProgram
@@ -588,6 +588,7 @@ type ISAMachine struct {
 	aluW        []phv.Width // per-instruction OpALU width
 	matchTables []isaTable  // indexed by table symbol
 	scratch     []int64     // ExecSlots register file, zeroed per packet
+	matchCount  []int       // per table symbol, cleared by Run
 }
 
 // NewISAMachine builds an executor. When isa is nil the program is
@@ -621,6 +622,7 @@ func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 		layout:  layout,
 		scratch: make([]int64, isa.NumRegs),
 	}
+	m.matchCount = make([]int, len(isa.Tables))
 	m.fieldW = make([]phv.Width, len(isa.Fields))
 	m.fieldSlot = make([]int, len(isa.Fields))
 	for i, name := range isa.Fields {
@@ -652,7 +654,7 @@ func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 		if in.Op == OpALU {
 			w, err := phv.NewWidth(in.Bits)
 			if err != nil {
-				w = phv.Default32 // aluEval's historical fallback
+				w = phv.Default32 // the ISA's fallback for widths Verify let through
 			}
 			m.aluW[i] = w
 		}
@@ -679,8 +681,8 @@ func (m *ISAMachine) compileMatchTables() []isaTable {
 		mt.name = name
 		t := m.prog.Table(name)
 		if t == nil {
-			// The interpreter reports this the first time the table is
-			// consulted; keep that timing.
+			// Reported the first time the table is consulted, as the
+			// reference does.
 			mt.err = fmt.Errorf("unknown table %q", name)
 			continue
 		}
@@ -731,6 +733,7 @@ func (m *ISAMachine) Clone() *ISAMachine {
 		c.regBanks[i] = append([]int64(nil), cells...)
 	}
 	c.scratch = make([]int64, len(m.scratch))
+	c.matchCount = make([]int, len(m.matchCount))
 	return &c
 }
 
@@ -755,35 +758,29 @@ func (m *ISAMachine) ResetState() {
 
 // Run executes the ISA program for every packet, dispatching packets to
 // processors round-robin like the table-level machine. Per-packet latency
-// is the executed instruction count (one instruction per cycle).
+// is the executed instruction count (one instruction per cycle). Run is an
+// adapter over ExecSlots: each packet is copied into a slot vector,
+// executed, and copied back with its timing annotations; a packet that
+// lacks a program field is rejected.
 func (m *ISAMachine) Run(packets []*Packet) (*ISAStats, error) {
-	stats := &ISAStats{Stats: Stats{
-		Packets:        len(packets),
-		MemoryAccesses: map[string]int{},
-		PerProcessor:   make([]int, m.hw.Processors),
-	}}
+	stats := &ISAStats{Stats: newStats(len(packets), m.hw.Processors)}
+	clear(m.matchCount)
+	buf := make([]int64, m.layout.NumFields())
 	for i, pkt := range packets {
-		pkt.Processor = i % m.hw.Processors
-		pkt.ArriveAt = i
-		stats.PerProcessor[pkt.Processor]++
-		executed, err := m.exec(pkt, stats)
+		if err := m.layout.PacketToSlots(pkt, buf); err != nil {
+			return nil, fmt.Errorf("drmt isa: packet %d: %w", pkt.ID, err)
+		}
+		executed, dropped, err := m.ExecSlots(buf)
 		if err != nil {
 			return nil, fmt.Errorf("drmt isa: packet %d: %w", pkt.ID, err)
 		}
-		pkt.CompleteAt = pkt.ArriveAt + executed
-		if pkt.Dropped {
-			stats.Dropped++
-		}
-		if executed > stats.Makespan {
-			stats.Makespan = executed
-		}
-		if pkt.CompleteAt > stats.TotalCycles {
-			stats.TotalCycles = pkt.CompleteAt
-		}
+		dropped = dropped || pkt.Dropped
+		m.layout.SlotsToPacket(buf, dropped, pkt)
+		stats.Instructions += int64(executed)
+		pkt.ArriveAt = i
+		pkt.Processor, pkt.CompleteAt = stats.record(i, executed, dropped)
 	}
-	if stats.TotalCycles > 0 {
-		stats.Throughput = float64(stats.Packets) / float64(stats.TotalCycles)
-	}
+	stats.MatchOps = stats.finish(m.isa.Tables, m.matchCount)
 	return stats, nil
 }
 
@@ -793,8 +790,8 @@ func (m *ISAMachine) Run(packets []*Packet) (*ISAStats, error) {
 // and ALU widths are resolved per instruction at build time, so a clean
 // execution performs no allocation and no map lookups. It returns the
 // executed instruction count (the per-packet latency, one instruction per
-// cycle) and the drop flag. Register-array state accumulates across calls,
-// exactly like exec.
+// cycle) and the drop flag. Register-array state accumulates across calls;
+// executed MATCH instructions accumulate in matchCount until the next Run.
 //
 //dvet:hotpath allocs=0
 func (m *ISAMachine) ExecSlots(pkt []int64) (executed int, dropped bool, err error) {
@@ -831,6 +828,7 @@ func (m *ISAMachine) ExecSlots(pkt []int64) (executed int, dropped bool, err err
 			cells := m.regBanks[in.Sym]
 			cells[wrapIndex(regs[in.A], len(cells))] = m.regW[in.Sym].Trunc(regs[in.B])
 		case OpMatch:
+			m.matchCount[in.Sym]++
 			mt := &m.matchTables[in.Sym]
 			if mt.err != nil {
 				return executed, dropped, mt.err
@@ -883,116 +881,6 @@ func (m *ISAMachine) ExecSlots(pkt []int64) (executed int, dropped bool, err err
 	return executed, dropped, nil
 }
 
-// exec runs the program on one map packet and returns the executed
-// instruction count: the map-based compatibility path, differentially
-// tested against ExecSlots.
-func (m *ISAMachine) exec(pkt *Packet, stats *ISAStats) (int, error) {
-	regs := make([]int64, m.isa.NumRegs)
-	executed := 0
-	pc := 0
-	for pc < len(m.isa.Instrs) {
-		in := m.isa.Instrs[pc]
-		executed++
-		stats.Instructions++
-		next := pc + 1
-		switch in.Op {
-		case OpLoadImm:
-			regs[in.Dst] = in.Imm
-		case OpLoadField:
-			v, ok := pkt.Fields[m.isa.Fields[in.Sym]]
-			if !ok {
-				return executed, fmt.Errorf("packet lacks field %q", m.isa.Fields[in.Sym])
-			}
-			regs[in.Dst] = v
-		case OpStoreField:
-			name := m.isa.Fields[in.Sym]
-			if _, ok := pkt.Fields[name]; !ok {
-				return executed, fmt.Errorf("packet lacks field %q", name)
-			}
-			pkt.Fields[name] = m.fieldW[in.Sym].Trunc(regs[in.A])
-		case OpALU:
-			regs[in.Dst] = aluEval(in.AOp, in.Bits, regs[in.A], regs[in.B])
-		case OpLoadReg:
-			cells := m.regBanks[in.Sym]
-			regs[in.Dst] = cells[wrapIndex(regs[in.A], len(cells))]
-		case OpStoreReg:
-			cells := m.regBanks[in.Sym]
-			cells[wrapIndex(regs[in.A], len(cells))] = m.regW[in.Sym].Trunc(regs[in.B])
-		case OpMatch:
-			stats.MatchOps++
-			table := m.isa.Tables[in.Sym]
-			stats.MemoryAccesses[table]++
-			sel, args, err := m.match(in.Sym, pkt)
-			if err != nil {
-				return executed, err
-			}
-			regs[in.Dst] = int64(sel)
-			for i := 0; i < m.isa.NumParams; i++ {
-				regs[RegParam0+i] = 0
-			}
-			for i, v := range args {
-				regs[RegParam0+i] = v
-			}
-		case OpBZ:
-			if regs[in.A] == 0 {
-				next = in.Target
-			}
-		case OpBNZ:
-			if regs[in.A] != 0 {
-				next = in.Target
-			}
-		case OpJmp:
-			next = in.Target
-		case OpDrop:
-			pkt.Dropped = true
-			regs[RegDrop] = 1
-		case OpHalt:
-			return executed, nil
-		default:
-			return executed, fmt.Errorf("unknown opcode %d at pc %d", in.Op, pc)
-		}
-		regs[RegZero] = 0 // the zero register is immutable
-		pc = next
-	}
-	return executed, nil
-}
-
-// match performs the table lookup: highest-priority matching entry first,
-// then the table default. It returns the 1-based dispatch index and the
-// bound action arguments (0 = miss with no default).
-func (m *ISAMachine) match(tableSym int, pkt *Packet) (int, []int64, error) {
-	name := m.isa.Tables[tableSym]
-	t := m.prog.Table(name)
-	if t == nil {
-		return 0, nil, fmt.Errorf("unknown table %q", name)
-	}
-	var call *p4.ActionCall
-	for _, e := range m.entries.ForTable(name) {
-		v, ok := pkt.Fields[e.Field]
-		if !ok {
-			continue
-		}
-		if e.Matches(v) {
-			c := e.Action
-			call = &c
-			break
-		}
-	}
-	if call == nil && t.Default != nil {
-		c := *t.Default
-		call = &c
-	}
-	if call == nil {
-		return 0, nil, nil
-	}
-	for i, actName := range m.isa.Dispatch[tableSym] {
-		if actName == call.Name {
-			return i + 1, call.Args, nil
-		}
-	}
-	return 0, nil, fmt.Errorf("table %q selected action %q outside its dispatch list", name, call.Name)
-}
-
 // wrapIndex wraps a register-array index like the table-level machine
 // (hash-indexed register array semantics).
 func wrapIndex(idx int64, n int) int {
@@ -1002,17 +890,8 @@ func wrapIndex(idx int64, n int) int {
 	return int(((idx % int64(n)) + int64(n)) % int64(n))
 }
 
-// aluEval applies an ISA ALU operation at the given width.
-func aluEval(op ALUOp, bits int, a, b int64) int64 {
-	w, err := phv.NewWidth(bits)
-	if err != nil {
-		w = phv.Default32
-	}
-	return aluEvalW(op, w, a, b)
-}
-
-// aluEvalW is aluEval over a prebuilt width — the slot path resolves the
-// width per instruction at machine-construction time.
+// aluEvalW applies an ISA ALU operation at a prebuilt width (resolved per
+// instruction at machine-construction time).
 func aluEvalW(op ALUOp, w phv.Width, a, b int64) int64 {
 	a, b = w.Trunc(a), w.Trunc(b)
 	switch op {

@@ -8,13 +8,12 @@ import (
 
 	"druzhba/internal/dag"
 	"druzhba/internal/p4"
-	"druzhba/internal/phv"
 )
 
 // Packet is one packet flowing through the dRMT machine: a bag of header
-// field values plus bookkeeping. It is the map-based compatibility
-// representation; the hot path runs on layout-ordered []int64 slot vectors
-// (see slots.go) and never materializes a Packet.
+// field values plus bookkeeping. It is the named-field view of the public
+// Run API; the engines run on layout-ordered []int64 slot vectors (see
+// slots.go) and Run converts at its boundary.
 type Packet struct {
 	ID      int
 	Fields  map[string]int64
@@ -193,10 +192,50 @@ type Stats struct {
 	PerProcessor []int
 }
 
+// newStats starts the statistics of an n-packet run: the one Stats assembly
+// behind Machine.Run, Machine.RunStream and ISAMachine.Run.
+func newStats(n, processors int) Stats {
+	return Stats{Packets: n, MemoryAccesses: map[string]int{}, PerProcessor: make([]int, processors)}
+}
+
+// record accounts for packet i of the run — dispatched round-robin, one
+// packet per cycle (§4.2), complete latency cycles after it arrived — and
+// returns its processor and completion cycle.
+func (s *Stats) record(i, latency int, dropped bool) (processor, completeAt int) {
+	processor, completeAt = i%len(s.PerProcessor), i+latency
+	s.PerProcessor[processor]++
+	if dropped {
+		s.Dropped++
+	}
+	if latency > s.Makespan {
+		s.Makespan = latency
+	}
+	if completeAt > s.TotalCycles {
+		s.TotalCycles = completeAt
+	}
+	return
+}
+
+// finish folds a machine's per-table match counters (cleared at the start
+// of the run) into the crossbar accounting and computes the throughput,
+// returning the total number of matches.
+func (s *Stats) finish(tables []string, matchCount []int) (matches int64) {
+	for i, count := range matchCount {
+		if count > 0 {
+			s.MemoryAccesses[tables[i]] += count
+			matches += int64(count)
+		}
+	}
+	if s.TotalCycles > 0 {
+		s.Throughput = float64(s.Packets) / float64(s.TotalCycles)
+	}
+	return
+}
+
 // Machine is an executable dRMT configuration: program, schedule, hardware
 // parameters, table entries and register state. The program is slot-compiled
-// at construction (see slots.go); the map-based Run/process path is kept as
-// a thin compatibility layer over the same register banks.
+// at construction (see slots.go): ProcessSlots is the one interpreter, and
+// Run and RunStream are two ways of feeding it.
 type Machine struct {
 	prog    *p4.Program
 	graph   *dag.Graph
@@ -207,8 +246,7 @@ type Machine struct {
 	layout     *SlotLayout
 	ctables    []compiledTable
 	regBanks   [][]int64 // indexed by layout register slot
-	matchCount []int     // per layout table slot, RunStream scratch
-	params     []int64   // compat-path action-argument scratch
+	matchCount []int     // per layout table slot, cleared by Run/RunStream
 }
 
 // NewMachine assembles a machine. When sched is nil a greedy schedule is
@@ -268,7 +306,6 @@ func (m *Machine) Clone() *Machine {
 		c.regBanks[i] = append([]int64(nil), cells...)
 	}
 	c.matchCount = make([]int, len(m.matchCount))
-	c.params = nil
 	return &c
 }
 
@@ -300,188 +337,27 @@ func (m *Machine) ResetState() {
 // processors round-robin, one packet per cycle (§4.2); each packet runs to
 // completion on its processor per the schedule. Logical effects follow the
 // control order packet by packet (the schedule satisfies all data
-// dependencies, so timing and logical order agree). Run is the map-based
-// compatibility path; the streaming hot path is RunStream/ProcessSlots.
+// dependencies, so timing and logical order agree). Run is an adapter over
+// ProcessSlots: each packet is copied into a slot vector, processed, and
+// copied back with its timing annotations; a packet that lacks a program
+// field is rejected. A packet that arrives already dropped skips every
+// table.
 func (m *Machine) Run(packets []*Packet) (*Stats, error) {
-	stats := &Stats{
-		Packets:        len(packets),
-		Makespan:       m.sched.Makespan,
-		MemoryAccesses: map[string]int{},
-		PerProcessor:   make([]int, m.hw.Processors),
-	}
+	stats := newStats(len(packets), m.hw.Processors)
+	stats.Makespan = m.sched.Makespan
+	clear(m.matchCount)
+	buf := make([]int64, m.layout.NumFields())
 	for i, pkt := range packets {
-		pkt.Processor = i % m.hw.Processors
-		pkt.ArriveAt = i
-		pkt.CompleteAt = i + m.sched.Makespan
-		stats.PerProcessor[pkt.Processor]++
-		if err := m.process(pkt, stats); err != nil {
+		if err := m.layout.PacketToSlots(pkt, buf); err != nil {
 			return nil, fmt.Errorf("drmt: packet %d: %w", pkt.ID, err)
 		}
-		if pkt.Dropped {
-			stats.Dropped++
-		}
-		if pkt.CompleteAt > stats.TotalCycles {
-			stats.TotalCycles = pkt.CompleteAt
-		}
+		dropped := pkt.Dropped || m.ProcessSlots(buf)
+		m.layout.SlotsToPacket(buf, dropped, pkt)
+		pkt.ArriveAt = i
+		pkt.Processor, pkt.CompleteAt = stats.record(i, m.sched.Makespan, dropped)
 	}
-	if stats.TotalCycles > 0 {
-		stats.Throughput = float64(stats.Packets) / float64(stats.TotalCycles)
-	}
-	return stats, nil
-}
-
-func (m *Machine) process(pkt *Packet, stats *Stats) error {
-	for _, name := range m.prog.Control {
-		if pkt.Dropped {
-			return nil
-		}
-		t := m.prog.Table(name)
-		stats.MemoryAccesses[name]++
-		call := m.lookup(t, pkt)
-		if call == nil {
-			continue // miss with no default: no-op
-		}
-		if err := m.apply(*call, pkt); err != nil {
-			return fmt.Errorf("table %q: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// lookup finds the highest-priority matching entry, falling back to the
-// table's default action.
-func (m *Machine) lookup(t *p4.Table, pkt *Packet) *p4.ActionCall {
-	for _, e := range m.entries.ForTable(t.Name) {
-		v, ok := pkt.Fields[e.Field]
-		if !ok {
-			continue
-		}
-		if e.Matches(v) {
-			call := e.Action
-			return &call
-		}
-	}
-	if t.Default != nil {
-		call := *t.Default
-		return &call
-	}
-	return nil
-}
-
-// fieldWidth returns a field's width, or the zero Width (which truncates
-// everything to 0) for unknown fields — the interpreter's historical
-// behavior for names outside the program.
-func (m *Machine) fieldWidth(name string) phv.Width {
-	if i, ok := m.layout.fieldIdx[name]; ok {
-		return m.layout.fieldW[i]
-	}
-	return phv.Width{}
-}
-
-// apply executes an action's primitives on a map packet. Action arguments
-// are staged in a per-machine scratch slice reused across applies, so even
-// this compatibility path allocates nothing per packet.
-func (m *Machine) apply(call p4.ActionCall, pkt *Packet) error {
-	act := m.prog.Action(call.Name)
-	if act == nil {
-		return fmt.Errorf("unknown action %q", call.Name)
-	}
-	if len(call.Args) != len(act.Params) {
-		return fmt.Errorf("action %q takes %d args, got %d", call.Name, len(act.Params), len(call.Args))
-	}
-	m.params = append(m.params[:0], call.Args...)
-	evalOp := func(o p4.Operand) (int64, error) {
-		switch o.Kind {
-		case p4.OpLiteral:
-			return o.Value, nil
-		case p4.OpField:
-			v, ok := pkt.Fields[o.Name]
-			if !ok {
-				return 0, fmt.Errorf("packet lacks field %q", o.Name)
-			}
-			return v, nil
-		case p4.OpParam:
-			for i, p := range act.Params {
-				if p == o.Name {
-					return m.params[i], nil
-				}
-			}
-			return 0, nil // unknown parameters read as 0, like the old map
-		}
-		return 0, fmt.Errorf("bad operand kind %d", o.Kind)
-	}
-	regIndex := func(reg string, idxOp p4.Operand) (int, []int64, error) {
-		ri, ok := m.layout.regIdx[reg]
-		if !ok {
-			return 0, nil, fmt.Errorf("unknown register %q", reg)
-		}
-		cells := m.regBanks[ri]
-		idx, err := evalOp(idxOp)
-		if err != nil {
-			return 0, nil, err
-		}
-		if len(cells) == 0 {
-			return 0, nil, fmt.Errorf("register %q has no cells", reg)
-		}
-		// Index wraps like a hash-indexed register array.
-		return wrapIndex(idx, len(cells)), cells, nil
-	}
-
-	for _, pr := range act.Prims {
-		switch pr.Op {
-		case p4.PrimModifyField:
-			v, err := evalOp(pr.Args[0])
-			if err != nil {
-				return err
-			}
-			pkt.Fields[pr.Field] = m.fieldWidth(pr.Field).Trunc(v)
-		case p4.PrimAddToField:
-			v, err := evalOp(pr.Args[0])
-			if err != nil {
-				return err
-			}
-			w := m.fieldWidth(pr.Field)
-			pkt.Fields[pr.Field] = w.Add(pkt.Fields[pr.Field], w.Trunc(v))
-		case p4.PrimRegWrite:
-			i, cells, err := regIndex(pr.Reg, pr.Args[0])
-			if err != nil {
-				return err
-			}
-			v, err := evalOp(pr.Args[1])
-			if err != nil {
-				return err
-			}
-			cells[i] = m.regWidth(pr.Reg).Trunc(v)
-		case p4.PrimRegAdd:
-			i, cells, err := regIndex(pr.Reg, pr.Args[0])
-			if err != nil {
-				return err
-			}
-			v, err := evalOp(pr.Args[1])
-			if err != nil {
-				return err
-			}
-			w := m.regWidth(pr.Reg)
-			cells[i] = w.Add(cells[i], w.Trunc(v))
-		case p4.PrimRegRead:
-			i, cells, err := regIndex(pr.Reg, pr.Args[0])
-			if err != nil {
-				return err
-			}
-			pkt.Fields[pr.Field] = m.fieldWidth(pr.Field).Trunc(cells[i])
-		case p4.PrimDrop:
-			pkt.Dropped = true
-		case p4.PrimNoOp:
-		}
-	}
-	return nil
-}
-
-func (m *Machine) regWidth(name string) phv.Width {
-	if i, ok := m.layout.regIdx[name]; ok {
-		return m.layout.regW[i]
-	}
-	return phv.Default32
+	stats.finish(m.layout.tables, m.matchCount)
+	return &stats, nil
 }
 
 // FormatStats renders run statistics.

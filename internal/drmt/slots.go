@@ -1,5 +1,5 @@
 // slots.go is the dRMT analogue of package sim's streaming rewrite: the
-// allocation-free hot path both dRMT execution models run on. At build time
+// allocation-free engines both dRMT execution models run on. At build time
 // every field, register-array and table name is interned into a dense
 // integer slot in one SlotLayout shared by the table-level Machine and the
 // ISA-level ISAMachine, so a packet is a reused []int64 slot vector, a
@@ -9,8 +9,9 @@
 // The table-level machine is additionally slot-compiled: entry keys, action
 // bodies and action-data parameters are resolved against the layout once,
 // at NewMachine time — entry and default action arguments are literals, so
-// every parameter operand constant-folds and the per-apply params map of
-// the original interpreter disappears entirely from the hot path.
+// every parameter operand constant-folds and no per-apply parameter binding
+// is left at run time. (The name-resolving interpreters these engines
+// replaced are the test oracle in reference_test.go.)
 package drmt
 
 import (
@@ -105,10 +106,9 @@ func (l *SlotLayout) newRegBanks() [][]int64 {
 	return banks
 }
 
-// FormatSlots renders a slot-vector packet exactly like FormatPacket
-// renders a map packet: fields sorted by name (slot order is sorted order),
-// the drop flag when set. The two renderings are byte-identical, which is
-// what keeps campaign reports stable across the slot and compat engines.
+// FormatSlots renders a slot-vector packet canonically — fields sorted by
+// name (slot order is sorted order), the drop flag when set — for Diff
+// records and campaign counterexamples.
 func (l *SlotLayout) FormatSlots(vals []int64, dropped bool) string {
 	var b strings.Builder
 	b.WriteByte('{')
@@ -128,11 +128,17 @@ func (l *SlotLayout) FormatSlots(vals []int64, dropped bool) string {
 }
 
 // PacketToSlots copies a map packet's fields into a layout-ordered slot
-// vector (missing fields read as 0).
-func (l *SlotLayout) PacketToSlots(p *Packet, dst []int64) {
+// vector. Every program field must be present: a slot vector has no way to
+// say "absent", so a packet lacking one is an error rather than a 0.
+func (l *SlotLayout) PacketToSlots(p *Packet, dst []int64) error {
 	for i, f := range l.fields {
-		dst[i] = p.Fields[f]
+		v, ok := p.Fields[f]
+		if !ok {
+			return fmt.Errorf("packet lacks field %q", f)
+		}
+		dst[i] = v
 	}
+	return nil
 }
 
 // SlotsToPacket copies a slot vector back into a map packet.
@@ -230,8 +236,8 @@ func compileMachine(prog *p4.Program, entries *EntrySet, layout *SlotLayout) ([]
 		for _, e := range entries.ForTable(name) {
 			fs, ok := layout.fieldIdx[e.Field]
 			if !ok {
-				// The interpreter skips entries whose field the packet lacks;
-				// a non-program field can never match, so drop it here.
+				// The reference skips entries whose field the packet lacks; a
+				// non-program field can never match, so drop it here.
 				continue
 			}
 			act, err := compileAction(prog, layout, e.Action)
@@ -288,7 +294,7 @@ func compileAction(prog *p4.Program, layout *SlotLayout, call p4.ActionCall) (co
 					return compiledOperand{slot: -1, lit: call.Args[i]}, nil
 				}
 			}
-			// The interpreter reads unknown parameters as 0 from its map.
+			// Unknown parameters read as 0, as in the reference.
 			return compiledOperand{slot: -1}, nil
 		}
 		return compiledOperand{}, fmt.Errorf("bad operand kind %d", o.Kind)
@@ -307,9 +313,9 @@ func compileAction(prog *p4.Program, layout *SlotLayout, call p4.ActionCall) (co
 		}
 		if layout.regCount[s] == 0 {
 			// The parser rejects instance_count < 1; a hand-built Program can
-			// still carry an empty bank, which the interpreter reports per
-			// packet. The slot path refuses it up front instead of indexing
-			// into a zero-length bank at run time.
+			// still carry an empty bank, which the reference reports per
+			// packet. NewMachine refuses it up front instead of indexing into
+			// a zero-length bank at run time.
 			return 0, phv.Width{}, fmt.Errorf("register %q has no cells", name)
 		}
 		return s, layout.regW[s], nil
@@ -360,12 +366,11 @@ func compileAction(prog *p4.Program, layout *SlotLayout, call p4.ActionCall) (co
 func (m *Machine) Layout() *SlotLayout { return m.layout }
 
 // ProcessSlots executes the program on one layout-ordered slot-vector
-// packet in place and reports whether the packet was dropped. It is the
-// slot-compiled equivalent of the map-based process loop: same control
-// order, same first-match-wins entry priority, same drop semantics (a drop
-// finishes its action, then skips every later table). Register state
-// accumulates across calls; crossbar accesses accumulate in matchCount
-// until the next RunStream. It performs no allocation.
+// packet in place and reports whether the packet was dropped: tables in
+// control order, first-match-wins entry priority, and a drop finishes its
+// action, then skips every later table. Register state accumulates across
+// calls; crossbar accesses accumulate in matchCount until the next Run or
+// RunStream. It performs no allocation.
 //
 //dvet:hotpath allocs=0
 func (m *Machine) ProcessSlots(pkt []int64) (dropped bool) {
@@ -421,42 +426,23 @@ func (m *Machine) applySlots(act *compiledAction, pkt []int64) (dropped bool) {
 	return
 }
 
-// RunStream drives n packets from the generator through the slot-compiled
-// engine, filling a single reused slot vector in place of materializing
-// *Packet values. It consumes the generator's random stream exactly like
+// RunStream drives n packets from the generator through ProcessSlots,
+// filling a single reused slot vector in place of materializing *Packet
+// values. It consumes the generator's random stream exactly like
 // Run(gen.Batch(n)) and produces identical Stats; only the per-*Packet
 // timing annotations of the map API have no streaming counterpart.
 func (m *Machine) RunStream(gen *TrafficGen, n int) (*Stats, error) {
 	if len(gen.fields) != m.layout.NumFields() {
 		return nil, fmt.Errorf("drmt: traffic generator has %d fields, program has %d", len(gen.fields), m.layout.NumFields())
 	}
-	stats := &Stats{
-		Packets:        n,
-		Makespan:       m.sched.Makespan,
-		MemoryAccesses: map[string]int{},
-		PerProcessor:   make([]int, m.hw.Processors),
-	}
-	for i := range m.matchCount {
-		m.matchCount[i] = 0
-	}
+	stats := newStats(n, m.hw.Processors)
+	stats.Makespan = m.sched.Makespan
+	clear(m.matchCount)
 	buf := make([]int64, m.layout.NumFields())
 	for i := 0; i < n; i++ {
 		gen.Fill(buf)
-		stats.PerProcessor[i%m.hw.Processors]++
-		if m.ProcessSlots(buf) {
-			stats.Dropped++
-		}
-		if complete := i + m.sched.Makespan; complete > stats.TotalCycles {
-			stats.TotalCycles = complete
-		}
+		stats.record(i, m.sched.Makespan, m.ProcessSlots(buf))
 	}
-	for slot, count := range m.matchCount {
-		if count > 0 {
-			stats.MemoryAccesses[m.layout.tables[slot]] = count
-		}
-	}
-	if stats.TotalCycles > 0 {
-		stats.Throughput = float64(stats.Packets) / float64(stats.TotalCycles)
-	}
-	return stats, nil
+	stats.finish(m.layout.tables, m.matchCount)
+	return &stats, nil
 }

@@ -1,0 +1,218 @@
+package drmt
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"druzhba/internal/p4"
+)
+
+// pickRead selects the table and the match key a fuzzed entry lands on.
+func pickRead(prog *p4.Program, pick uint8) (*p4.Table, p4.Match, bool) {
+	t := prog.Table(prog.Control[int(pick)%len(prog.Control)])
+	if len(t.Reads) == 0 || len(t.Actions) == 0 {
+		return t, p4.Match{}, false
+	}
+	return t, t.Reads[int(pick/7)%len(t.Reads)], true
+}
+
+// fuzzedEntries returns the benchmark's entry set with one fuzzed entry at
+// the highest priority of one table: the table, its read field and its
+// action are picked by pick, the key and mask are the fuzzer's, and the
+// action-data arguments derive from arg. The entry passes the same
+// validation as a parsed one, so it is a configuration the simulator
+// accepts, not a malformed one.
+func fuzzedEntries(prog *p4.Program, base *EntrySet, pick uint8, key, mask, arg int64) (*EntrySet, error) {
+	set := NewEntrySet()
+	if t, read, ok := pickRead(prog, pick); ok {
+		call := p4.ActionCall{Name: t.Actions[int(pick/3)%len(t.Actions)]}
+		for i := range prog.Action(call.Name).Params {
+			call.Args = append(call.Args, arg+int64(i))
+		}
+		e := Entry{Table: t.Name, Field: read.Field, Kind: read.Kind, Key: key, Mask: mask, Action: call}
+		if err := validateEntry(prog, &e); err != nil {
+			return nil, err
+		}
+		set.Add(e)
+	}
+	for _, name := range prog.Control {
+		for _, e := range base.ForTable(name) {
+			set.Add(e)
+		}
+	}
+	return set, nil
+}
+
+// mutatedISA returns the ISA program under test: the assembled program
+// (mutate 0), its first ALU add miscompiled into a subtract (1, the
+// MiscompileALUAdd bug injection — the engines must report the same
+// counterexamples), or the first table's dispatch list emptied (2 — every
+// selected action is now outside it, so both executors must fail with the
+// same error on the same packet).
+func mutatedISA(prog *p4.Program, mutate uint8) (*ISAProgram, error) {
+	isa, err := Assemble(prog)
+	if err != nil {
+		return nil, err
+	}
+	switch mutate % 3 {
+	case 1:
+		for _, in := range isa.Instrs {
+			if in.Op == OpALU && in.AOp == ALUAdd {
+				return MiscompileALUAdd(isa, in.Bits)
+			}
+		}
+	case 2:
+		bad := *isa
+		bad.Dispatch = slices.Clone(isa.Dispatch)
+		bad.Dispatch[0] = []string{"no_such_action"}
+		return &bad, nil
+	}
+	return isa, nil
+}
+
+// FuzzSlotsVsReference is the differential property of the dRMT engines: on
+// every embedded benchmark, under a fuzzed table entry, fuzzed traffic seeds
+// and modes, fuzzed raw field values (in and out of the fields' declared
+// ranges) and an optionally miscompiled or corrupted ISA program, the
+// slot-compiled engines — streaming and batched — and the reference map
+// interpreters agree on every field, the drop flag, every register bank,
+// the executed instruction count and the error text.
+func FuzzSlotsVsReference(f *testing.F) {
+	for b, bm := range Benchmarks() {
+		bench := uint8(b)
+		for mutate := uint8(0); mutate < 3; mutate++ {
+			f.Add(bench, mutate, bench*5+mutate, int64(3), int64(0xff), int64(7), int64(1+bench), true)
+		}
+		// Every (ternary key, action) of the benchmark under a key with bits
+		// outside its mask: only the masked bits may take part in the match.
+		prog, err := bm.Program()
+		if err != nil {
+			f.Fatal(err)
+		}
+		seen := map[string]bool{}
+		for pick := 0; pick < 256; pick++ {
+			t, read, ok := pickRead(prog, uint8(pick))
+			if !ok || read.Kind != p4.MatchTernary {
+				continue
+			}
+			if id := fmt.Sprint(t.Name, read.Field, (pick/3)%len(t.Actions)); !seen[id] {
+				seen[id] = true
+				f.Add(bench, uint8(0), uint8(pick), int64(0x1234), int64(0xff), int64(2), int64(pick), false)
+			}
+		}
+	}
+	f.Add(uint8(1), uint8(0), uint8(9), int64(0x0a000000), int64(-1<<24), int64(-5), int64(42), false) // an l2l3 ternary prefix, negative args
+	f.Add(uint8(3), uint8(1), uint8(200), int64(-1), int64(-1), int64(1<<40), int64(-9), true)         // wide-fanin, all-ones key
+	f.Add(uint8(0), uint8(0), uint8(0), int64(5), int64(0), int64(1<<62), int64(77), false)            // counter: zero mask matches everything
+	f.Add(uint8(0), uint8(2), uint8(1), int64(3), int64(3), int64(0), int64(1234567), true)            // exec error on the first packet
+	f.Fuzz(func(t *testing.T, bench, mutate, pick uint8, key, mask, arg, seed int64, boundary bool) {
+		bm := Benchmarks()[int(bench)%len(Benchmarks())]
+		prog, err := bm.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := bm.Entries(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := fuzzedEntries(prog, base, pick, key, mask, arg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		isa, err := mutatedISA(prog, mutate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot, err := NewDiffFuzzer(prog, isa, entries, bm.HW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := NewRefFuzzer(prog, isa, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRegisters := func(when string) {
+			t.Helper()
+			for _, r := range prog.Registers {
+				want, _ := ref.isa.Register(r.Name)
+				if got, _ := slot.isa.Register(r.Name); !slices.Equal(got, want) {
+					t.Fatalf("%s: ISA register %s = %v, reference %v", when, r.Name, got, want)
+				}
+				want, _ = ref.tab.Register(r.Name)
+				if got, _ := slot.tab.Register(r.Name); !slices.Equal(got, want) {
+					t.Fatalf("%s: table register %s = %v, reference %v", when, r.Name, got, want)
+				}
+			}
+		}
+
+		// The differential loop, streaming and batched, on seeded traffic.
+		mode, max := TrafficUniform, bm.MaxInput
+		if boundary {
+			mode, max = TrafficBoundary, 0
+		}
+		want, err := ref.FuzzSeededMode(seed, 96, max, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range []int{0, 7} {
+			slot.SetBatch(batch)
+			got, err := slot.FuzzSeededMode(seed, 96, max, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := renderReport(got), renderReport(want); g != w {
+				t.Fatalf("batch=%d: slot and reference reports differ:\n--- slot ---\n%s--- reference ---\n%s", batch, g, w)
+			}
+			sameRegisters(fmt.Sprintf("after fuzz batch=%d", batch))
+		}
+
+		// The four interpreters one packet at a time, on raw field values no
+		// traffic generator draws: full-range int64s mixed with the fuzzed
+		// key, the argument and small values that hit exact entries.
+		rng := rand.New(rand.NewSource(seed ^ arg))
+		layout := slot.Layout()
+		isaBuf, tabBuf := make([]int64, layout.NumFields()), make([]int64, layout.NumFields())
+		isaStats := &ISAStats{Stats: Stats{MemoryAccesses: map[string]int{}}}
+		tabStats := &Stats{MemoryAccesses: map[string]int{}}
+		for n := 0; n < 8; n++ {
+			pkt := &Packet{ID: n, Fields: map[string]int64{}}
+			for _, name := range layout.fields {
+				switch rng.Intn(4) {
+				case 0:
+					pkt.Fields[name] = int64(rng.Uint64())
+				case 1:
+					pkt.Fields[name] = key
+				case 2:
+					pkt.Fields[name] = arg
+				default:
+					pkt.Fields[name] = rng.Int63n(16)
+				}
+			}
+			if err := layout.PacketToSlots(pkt, isaBuf); err != nil {
+				t.Fatal(err)
+			}
+			copy(tabBuf, isaBuf)
+			isaPkt, tabPkt := pkt.Clone(), pkt.Clone()
+
+			executed, dropped, gotErr := slot.isa.ExecSlots(isaBuf)
+			wantExecuted, wantErr := ref.isa.exec(isaPkt, isaStats)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || executed != wantExecuted {
+				t.Fatalf("packet %d: ExecSlots %d instrs, err %v; reference %d instrs, err %v", n, executed, gotErr, wantExecuted, wantErr)
+			}
+			if g, w := layout.FormatSlots(isaBuf, dropped), FormatPacket(isaPkt); g != w {
+				t.Fatalf("packet %d: ExecSlots %s, reference %s", n, g, w)
+			}
+
+			dropped = slot.tab.ProcessSlots(tabBuf)
+			if err := ref.tab.process(tabPkt, tabStats); err != nil {
+				t.Fatalf("packet %d: reference table interpreter failed on a configuration NewMachine accepted: %v", n, err)
+			}
+			if g, w := layout.FormatSlots(tabBuf, dropped), FormatPacket(tabPkt); g != w {
+				t.Fatalf("packet %d: ProcessSlots %s, reference %s", n, g, w)
+			}
+			sameRegisters(fmt.Sprintf("after raw packet %d", n))
+		}
+	})
+}

@@ -57,9 +57,9 @@ func TestFillMatchesNext(t *testing.T) {
 
 // TestDiffFuzzerSlotVsCompatByteIdentical is the differential test for the
 // slot-compiled engines: over every embedded benchmark and several seeds,
-// the streaming Fuzz and the map-based FuzzCompat must produce
-// byte-identical DiffReports — same counts, same instruction totals, same
-// renderings.
+// the streaming Fuzz and the reference loop over the map interpreters
+// (RefFuzzer, reference_test.go) must produce byte-identical DiffReports —
+// same counts, same instruction totals, same renderings.
 func TestDiffFuzzerSlotVsCompatByteIdentical(t *testing.T) {
 	for _, bm := range Benchmarks() {
 		prog, err := bm.Program()
@@ -74,18 +74,22 @@ func TestDiffFuzzerSlotVsCompatByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ref, err := NewRefFuzzer(prog, nil, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, seed := range []int64{1, 7, 42} {
 			for _, max := range []int64{0, bm.MaxInput} {
 				slot, err := f.FuzzSeeded(seed, 800, max)
 				if err != nil {
 					t.Fatal(err)
 				}
-				compat, err := f.FuzzSeededCompat(seed, 800, max)
+				compat, err := ref.FuzzSeeded(seed, 800, max)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got, want := renderReport(slot), renderReport(compat); got != want {
-					t.Fatalf("%s seed=%d max=%d: slot and compat reports differ:\n--- slot ---\n%s--- compat ---\n%s",
+					t.Fatalf("%s seed=%d max=%d: slot and reference reports differ:\n--- slot ---\n%s--- reference ---\n%s",
 						bm.Name, seed, max, got, want)
 				}
 			}
@@ -96,7 +100,7 @@ func TestDiffFuzzerSlotVsCompatByteIdentical(t *testing.T) {
 // TestDiffFuzzerSlotVsCompatOnMiscompile repeats the byte-identity check on
 // a run that actually produces diffs: the injected ttl miscompile on l2l3
 // must yield the same counterexamples, with the same canonical renderings,
-// from both engines.
+// from the slot engines and the reference.
 func TestDiffFuzzerSlotVsCompatOnMiscompile(t *testing.T) {
 	prog, entries := loadL2L3(t)
 	isa, err := Assemble(prog)
@@ -118,18 +122,23 @@ func TestDiffFuzzerSlotVsCompatOnMiscompile(t *testing.T) {
 	if len(slot.Diffs) == 0 {
 		t.Fatal("miscompiled program produced no diffs on the slot path")
 	}
-	compat, err := f.FuzzSeededCompat(7, 3000, 0)
+	ref, err := NewRefFuzzer(prog, bad, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compat, err := ref.FuzzSeeded(7, 3000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := renderReport(slot), renderReport(compat); got != want {
-		t.Fatalf("slot and compat miscompile reports differ:\n--- slot ---\n%s--- compat ---\n%s", got, want)
+		t.Fatalf("slot and reference miscompile reports differ:\n--- slot ---\n%s--- reference ---\n%s", got, want)
 	}
 }
 
 // TestDiffFuzzerSlotVsCompatOnExecError: an ISA program whose match selects
-// an action missing from its dispatch list fails at run time; both engines
-// must report the identical error at the identical packet.
+// an action missing from its dispatch list fails at run time; the slot
+// engines and the reference must report the identical error at the
+// identical packet.
 func TestDiffFuzzerSlotVsCompatOnExecError(t *testing.T) {
 	prog, entries := loadL2L3(t)
 	isa, err := Assemble(prog)
@@ -153,18 +162,35 @@ func TestDiffFuzzerSlotVsCompatOnExecError(t *testing.T) {
 	if slot.Err == nil || !strings.Contains(slot.Err.Error(), "outside its dispatch list") {
 		t.Fatalf("slot path missed the dispatch error: %v", slot.Err)
 	}
-	compat, err := f.FuzzSeededCompat(3, 50, 0)
+	ref, err := NewRefFuzzer(prog, &bad, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compat, err := ref.FuzzSeeded(3, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := renderReport(slot), renderReport(compat); got != want {
-		t.Fatalf("slot and compat error reports differ:\n--- slot ---\n%s--- compat ---\n%s", got, want)
+		t.Fatalf("slot and reference error reports differ:\n--- slot ---\n%s--- reference ---\n%s", got, want)
 	}
 }
 
-// TestRunStreamMatchesRun: the slot-streaming table machine must produce
-// Stats (and register state) identical to the map-based Run over the same
-// seeded traffic, for every embedded benchmark.
+// samePackets reports the first packet on which two runs of one input
+// disagree: fields, drop flag or timing annotations.
+func samePackets(t *testing.T, what string, got, want []*Packet) {
+	t.Helper()
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("%s packet %d: got %+v, reference %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestRunStreamMatchesRun: both ways of feeding the slot-compiled table
+// machine — RunStream and the Run adapter — must produce Stats, register
+// state and (for Run) per-packet results and timing annotations identical
+// to the reference interpreter's run over the same seeded traffic, for
+// every embedded benchmark.
 func TestRunStreamMatchesRun(t *testing.T) {
 	for _, bm := range Benchmarks() {
 		prog, err := bm.Program()
@@ -179,46 +205,172 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mRun, err := NewMachine(prog, entries, bm.HW, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		genS, err := NewTrafficGen(9, prog, bm.MaxInput)
-		if err != nil {
-			t.Fatal(err)
-		}
-		genR, err := NewTrafficGen(9, prog, bm.MaxInput)
+		mRun := mStream.Clone()
+		mRef, err := newRefMachine(prog, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const n = 500
-		streamed, err := mStream.RunStream(genS, n)
+		gens := make([]*TrafficGen, 3)
+		for i := range gens {
+			if gens[i], err = NewTrafficGen(9, prog, bm.MaxInput); err != nil {
+				t.Fatal(err)
+			}
+		}
+		streamed, err := mStream.RunStream(gens[0], n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ran, err := mRun.Run(genR.Batch(n))
+		ranPkts := gens[1].Batch(n)
+		ran, err := mRun.Run(ranPkts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(streamed, ran) {
-			t.Fatalf("%s: RunStream stats %+v, Run stats %+v", bm.Name, streamed, ran)
+		refPkts := gens[2].Batch(n)
+		want, err := mRef.run(refPkts, bm.HW.Defaults().Processors, mRun.Schedule().Makespan)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if FormatStats(streamed) != FormatStats(ran) {
+		if !reflect.DeepEqual(streamed, want) {
+			t.Fatalf("%s: RunStream stats %+v, reference stats %+v", bm.Name, streamed, want)
+		}
+		if !reflect.DeepEqual(ran, want) {
+			t.Fatalf("%s: Run stats %+v, reference stats %+v", bm.Name, ran, want)
+		}
+		if FormatStats(streamed) != FormatStats(want) {
 			t.Fatalf("%s: rendered stats differ", bm.Name)
 		}
+		samePackets(t, bm.Name+": Run", ranPkts, refPkts)
 		for _, r := range prog.Registers {
 			a, _ := mStream.Register(r.Name)
 			b, _ := mRun.Register(r.Name)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: register %s diverged: stream %v, run %v", bm.Name, r.Name, a, b)
+			c, _ := mRef.Register(r.Name)
+			if !reflect.DeepEqual(a, c) || !reflect.DeepEqual(b, c) {
+				t.Fatalf("%s: register %s diverged: stream %v, run %v, reference %v", bm.Name, r.Name, a, b, c)
 			}
 		}
 	}
 }
 
-// TestExecSlotsMatchesExec compares the two ISA executors packet by packet:
-// same resulting fields, same drop flag, same executed instruction count,
-// same accumulated register state.
+// TestISARunMatchesReference: the ISAMachine.Run adapter over ExecSlots must
+// produce the reference run's ISAStats (Instructions, MatchOps and crossbar
+// accesses included), per-packet results and timing annotations, and
+// register state, for every embedded benchmark.
+func TestISARunMatchesReference(t *testing.T) {
+	for _, bm := range Benchmarks() {
+		prog, err := bm.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := bm.Entries(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewISAMachine(prog, nil, entries, bm.HW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mRef, err := newRefISAMachine(prog, nil, entries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 2; round++ { // the second Run must not inherit match counts
+			genA, err := NewTrafficGen(int64(9+round), prog, bm.MaxInput)
+			if err != nil {
+				t.Fatal(err)
+			}
+			genB, err := NewTrafficGen(int64(9+round), prog, bm.MaxInput)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotPkts, refPkts := genA.Batch(300), genB.Batch(300)
+			got, err := m.Run(gotPkts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := mRef.run(refPkts, bm.HW.Defaults().Processors)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s round %d: Run stats %+v, reference stats %+v", bm.Name, round, got, want)
+			}
+			samePackets(t, bm.Name+": ISA Run", gotPkts, refPkts)
+		}
+		for _, r := range prog.Registers {
+			a, _ := m.Register(r.Name)
+			b, _ := mRef.Register(r.Name)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: register %s diverged: run %v, reference %v", bm.Name, r.Name, a, b)
+			}
+		}
+	}
+}
+
+// TestRunAdapterBoundary pins the two places the Run adapters differ from a
+// bare slot vector: a packet lacking a program field is rejected (a slot
+// cannot say "absent"), and a packet that arrives dropped stays dropped —
+// the table machine skips every table for it, as the reference does.
+func TestRunAdapterBoundary(t *testing.T) {
+	prog, entries := loadL2L3(t)
+	tab, err := NewMachine(prog, entries, HWConfig{Processors: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	isa, err := NewISAMachine(prog, nil, entries, HWConfig{Processors: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewTrafficGen(1, prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lacking := gen.Next()
+	missing := tab.Layout().Fields()[0]
+	delete(lacking.Fields, missing)
+	want := fmt.Sprintf("packet %d: packet lacks field %q", lacking.ID, missing)
+	if _, err := tab.Run([]*Packet{lacking.Clone()}); err == nil || err.Error() != "drmt: "+want {
+		t.Fatalf("Machine.Run on a packet lacking %s: %v", missing, err)
+	}
+	if _, err := isa.Run([]*Packet{lacking.Clone()}); err == nil || err.Error() != "drmt isa: "+want {
+		t.Fatalf("ISAMachine.Run on a packet lacking %s: %v", missing, err)
+	}
+
+	dropped := gen.Next()
+	dropped.Dropped = true
+	before := dropped.Clone()
+	ref, err := newRefMachine(prog, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refPkt := dropped.Clone()
+	wantStats, err := ref.run([]*Packet{refPkt}, 2, tab.Schedule().Makespan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := tab.Run([]*Packet{dropped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(stats, wantStats) || !reflect.DeepEqual(dropped, refPkt) {
+		t.Fatalf("pre-dropped packet: stats %+v packet %+v, reference %+v %+v", stats, dropped, wantStats, refPkt)
+	}
+	if !reflect.DeepEqual(dropped.Fields, before.Fields) || len(stats.MemoryAccesses) != 0 {
+		t.Fatalf("pre-dropped packet was processed: %+v, accesses %v", dropped, stats.MemoryAccesses)
+	}
+	isaPkt := before.Clone()
+	isaStats, err := isa.Run([]*Packet{isaPkt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !isaPkt.Dropped || isaStats.Dropped != 1 {
+		t.Fatalf("ISA run cleared a pre-set drop flag: %+v, %+v", isaPkt, isaStats)
+	}
+}
+
+// TestExecSlotsMatchesExec compares the slot ISA executor with the
+// reference packet by packet: same resulting fields, same drop flag, same
+// executed instruction count, same accumulated register state.
 func TestExecSlotsMatchesExec(t *testing.T) {
 	for _, bm := range Benchmarks() {
 		prog, err := bm.Program()
@@ -233,7 +385,7 @@ func TestExecSlotsMatchesExec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mMap, err := NewISAMachine(prog, nil, entries, bm.HW)
+		mMap, err := newRefISAMachine(prog, nil, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +398,9 @@ func TestExecSlotsMatchesExec(t *testing.T) {
 		buf := make([]int64, layout.NumFields())
 		for i := 0; i < 400; i++ {
 			pkt := gen.Next()
-			layout.PacketToSlots(pkt, buf)
+			if err := layout.PacketToSlots(pkt, buf); err != nil {
+				t.Fatal(err)
+			}
 			executedSlot, dropped, err := mSlot.ExecSlots(buf)
 			if err != nil {
 				t.Fatal(err)
@@ -290,7 +444,9 @@ func TestFormatSlotsMatchesFormatPacket(t *testing.T) {
 	buf := make([]int64, layout.NumFields())
 	for i := 0; i < 50; i++ {
 		pkt := gen.Next()
-		layout.PacketToSlots(pkt, buf)
+		if err := layout.PacketToSlots(pkt, buf); err != nil {
+			t.Fatal(err)
+		}
 		for _, dropped := range []bool{false, true} {
 			pkt.Dropped = dropped
 			if got, want := layout.FormatSlots(buf, dropped), FormatPacket(pkt); got != want {
@@ -352,5 +508,53 @@ func TestWideFaninSchedule(t *testing.T) {
 	}
 	if stats.Dropped == 0 {
 		t.Fatal("wide-fanin dropped no packets; the ternary toss entry never fired")
+	}
+}
+
+// BenchmarkDRMTDiffFuzz measures the differential fuzzing loop — the dRMT
+// campaign hot path — on the slot-compiled engines, next to the same loop on
+// the reference map interpreters they replaced (what the oracle costs, and
+// why it is not the production engine).
+func BenchmarkDRMTDiffFuzz(b *testing.B) {
+	for _, name := range []string{"l2l3", "wide-fanin"} {
+		bm, err := LookupBenchmark(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := bm.Program()
+		if err != nil {
+			b.Fatal(err)
+		}
+		entries, err := bm.Entries(prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		slots, err := NewDiffFuzzer(prog, nil, entries, bm.HW)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ref, err := NewRefFuzzer(prog, nil, entries)
+		if err != nil {
+			b.Fatal(err)
+		}
+		const packets = 1000
+		for _, engine := range []struct {
+			name string
+			fuzz func(seed int64, n int, max int64) (*DiffReport, error)
+		}{{"slots", slots.FuzzSeeded}, {"reference", ref.FuzzSeeded}} {
+			b.Run(name+"/"+engine.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rep, err := engine.fuzz(1, packets, bm.MaxInput)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !rep.Passed() {
+						b.Fatalf("fuzz failed: %+v", rep)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*packets), "ns/PHV")
+			})
+		}
 	}
 }

@@ -105,7 +105,12 @@ func TestFullGridOraclesSimulateDeadState(t *testing.T) {
 
 		f := sim.NewFuzzer(p)
 		identity := &sim.SpecFunc{SpecName: "identity", Fn: func(in *phv.PHV) (*phv.PHV, error) { return in.Clone(), nil }}
-		rep, err := sim.FuzzBatch(p, identity, input, sim.FuzzOptions{}, 0)
+		k := 0
+		rep, err := f.Fuzz(identity, input.Len(), func(dst []phv.Value) error {
+			copy(dst, input.At(k).Raw())
+			k++
+			return nil
+		}, sim.FuzzOptions{}, 0)
 		if err != nil || !rep.Passed() || rep.Checked != 3 || rep.Ticks != 4 {
 			t.Fatalf("%v: fuzz report %+v, err %v", level, rep, err)
 		}

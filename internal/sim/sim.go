@@ -481,12 +481,32 @@ func (r *FuzzReport) String() string {
 // failing specification); simulation failures (e.g. machine code
 // incompatible with the pipeline) are reported in FuzzReport.Err, since they
 // are test findings (§5.2's first failure class).
+//
+// Fuzz and FuzzRandom are the two shortcuts over the Fuzzer, for callers
+// that want one first-mismatch verdict on a trace or a seed; everything else
+// (every mismatch, tick counts, many runs over one pipeline) holds a Fuzzer
+// and calls its Fuzz or FuzzGen.
 func Fuzz(p *core.Pipeline, spec Spec, input *phv.Trace, opts FuzzOptions) (*FuzzReport, error) {
-	batch, err := FuzzBatch(p, spec, input, opts, 1)
+	batch, err := NewFuzzer(p).Fuzz(spec, input.Len(), traceFeed(input, p.PHVLen()), opts, 1)
 	if err != nil {
 		return nil, err
 	}
 	return fuzzReportOf(batch), nil
+}
+
+// traceFeed adapts a materialized trace to the Fuzzer's input callback; a
+// PHV of the wrong length is a simulation finding at its index.
+func traceFeed(input *phv.Trace, phvLen int) func(dst []phv.Value) error {
+	i := 0
+	return func(dst []phv.Value) error {
+		in := input.At(i)
+		if in.Len() != phvLen {
+			return fmt.Errorf("sim: input PHV %d has %d containers, pipeline expects %d", i, in.Len(), phvLen)
+		}
+		copy(dst, in.Raw())
+		i++
+		return nil
+	}
 }
 
 // fuzzReportOf condenses a BatchReport into the single-mismatch FuzzReport.
@@ -699,45 +719,11 @@ func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts F
 	return finish(), nil
 }
 
-// FuzzBatch runs the Fig. 5 comparison over the full input trace, collecting
-// up to maxMismatches diverging PHVs (0 = unbounded) instead of stopping at
-// the first. The run starts from reset state; p is not mutated (see
-// NewFuzzer). Like Fuzz, simulation failures are findings
-// (BatchReport.Err), not harness errors. FuzzBatch streams the trace
-// through a fresh Fuzzer; callers that run many batches over one pipeline
-// should hold a Fuzzer and feed it directly.
-func FuzzBatch(p *core.Pipeline, spec Spec, input *phv.Trace, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
-	if input.Len() == 0 {
-		return nil, errors.New("sim: empty input trace")
-	}
-	phvLen := p.PHVLen()
-	i := 0
-	next := func(dst []phv.Value) error {
-		in := input.At(i)
-		if in.Len() != phvLen {
-			return fmt.Errorf("sim: input PHV %d has %d containers, pipeline expects %d", i, in.Len(), phvLen)
-		}
-		copy(dst, in.Raw())
-		i++
-		return nil
-	}
-	return NewFuzzer(p).Fuzz(spec, input.Len(), next, opts, maxMismatches)
-}
-
-// FuzzGen is the streaming form of FuzzBatch: n PHVs are drawn from gen
-// directly into the fuzzer's ring, so no input trace is ever materialized.
-func FuzzGen(p *core.Pipeline, spec Spec, gen *TrafficGen, n int, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
-	if n <= 0 {
-		return nil, errors.New("sim: empty input trace")
-	}
-	return NewFuzzer(p).FuzzGen(spec, gen, n, opts, maxMismatches)
-}
-
 // FuzzRandom drives the streaming fuzzer with n PHVs from a fresh traffic
 // generator and condenses the outcome to a first-mismatch FuzzReport.
 func FuzzRandom(p *core.Pipeline, spec Spec, seed int64, n int, maxValue int64, opts FuzzOptions) (*FuzzReport, error) {
 	gen := NewTrafficGen(seed, p.PHVLen(), p.Bits(), maxValue)
-	batch, err := FuzzGen(p, spec, gen, n, opts, 1)
+	batch, err := NewFuzzer(p).FuzzGen(spec, gen, n, opts, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -105,7 +105,8 @@ func brokenSpec() Spec {
 }
 
 // TestFuzzGenMatchesFuzzBatch differentially tests the generator-driven
-// streaming path against the trace-based FuzzBatch: identical Checked,
+// streaming path against the same fuzzer fed a materialized trace (the
+// feed behind sim.Fuzz): identical Checked,
 // Ticks and mismatch sets, on clean and on diverging runs.
 func TestFuzzGenMatchesFuzzBatch(t *testing.T) {
 	for _, tc := range []struct {
@@ -118,11 +119,11 @@ func TestFuzzGenMatchesFuzzBatch(t *testing.T) {
 		p1 := buildPipeline(t, 3, 2, "pred_raw", nil, core.SCCInlining)
 		p2 := buildPipeline(t, 3, 2, "pred_raw", nil, core.SCCInlining)
 		const n = 300
-		batch, err := FuzzBatch(p1, tc.spec(), NewTrafficGen(9, 2, phv.Default32, 1000).Trace(n), FuzzOptions{}, 0)
+		batch, err := NewFuzzer(p1).Fuzz(tc.spec(), n, traceFeed(NewTrafficGen(9, 2, phv.Default32, 1000).Trace(n), 2), FuzzOptions{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, err := FuzzGen(p2, tc.spec(), NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, 0)
+		streamed, err := NewFuzzer(p2).FuzzGen(tc.spec(), NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +152,7 @@ func TestFuzzGenMatchesFuzzBatch(t *testing.T) {
 // TestFuzzCheckedCountsMismatch pins the count semantics: Checked counts
 // every PHV compared including a mismatching one, and FailIndex addresses
 // the mismatch, so a first-packet divergence reports Checked=1/FailIndex=0
-// (sim.Fuzz used to report Checked=FailIndex, one short of FuzzBatch).
+// (sim.Fuzz used to report Checked=FailIndex, one short of the BatchReport).
 func TestFuzzCheckedCountsMismatch(t *testing.T) {
 	// Identity pipeline vs +1 spec: every packet diverges, starting at 0.
 	p := buildPipeline(t, 1, 1, "", nil, core.SCCInlining)
@@ -171,10 +172,10 @@ func TestFuzzCheckedCountsMismatch(t *testing.T) {
 		t.Errorf("FailIndex=%d Checked=%d, want FailIndex=0 Checked=1", rep.FailIndex, rep.Checked)
 	}
 
-	// The same input through FuzzBatch with a mismatch cap: Checked must
-	// agree with the single-mismatch report (FailIndex+1).
+	// The same input as a trace through the Fuzzer with a mismatch cap:
+	// Checked must agree with the single-mismatch report (FailIndex+1).
 	p2 := buildPipeline(t, 1, 1, "", nil, core.SCCInlining)
-	batch, err := FuzzBatch(p2, spec, NewTrafficGen(2, 1, phv.Default32, 0).Trace(100), FuzzOptions{}, 1)
+	batch, err := NewFuzzer(p2).Fuzz(spec, 100, traceFeed(NewTrafficGen(2, 1, phv.Default32, 0).Trace(100), 1), FuzzOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestStreamRuntimeFailureIsAFinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := FuzzGen(p, passThroughSpec(), NewTrafficGen(4, 1, phv.Default32, 0), 10, FuzzOptions{}, 0)
+	rep, err := NewFuzzer(p).FuzzGen(passThroughSpec(), NewTrafficGen(4, 1, phv.Default32, 0), 10, FuzzOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestFuzzerReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := FuzzGen(buildPipeline(t, 2, 2, "pred_raw", nil, core.Compiled), passThroughSpec(),
+		fresh, err := NewFuzzer(buildPipeline(t, 2, 2, "pred_raw", nil, core.Compiled)).FuzzGen(passThroughSpec(),
 			NewTrafficGen(int64(shard), 2, phv.Default32, 1000), 100, FuzzOptions{}, 0)
 		if err != nil {
 			t.Fatal(err)

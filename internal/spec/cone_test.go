@@ -170,23 +170,22 @@ func TestPerturbedMachineCodeAgainstCone(t *testing.T) {
 									}
 								}
 							}
-							rep, err := sim.FuzzBatch(wrong, dspec, input, sim.FuzzOptions{Containers: containers}, 1)
+							rep, err := sim.Fuzz(wrong, dspec, input, sim.FuzzOptions{Containers: containers})
 							if err != nil {
 								t.Fatalf("%s: %v", h.Name, err)
 							}
 							if first < 0 {
-								if !rep.Passed() {
-									t.Errorf("%s: fuzzer reports %v, the full-grid run sees no difference", h.Name, rep.Mismatches[0].String())
+								if !rep.Passed {
+									t.Errorf("%s: fuzzer reports %v, the full-grid run sees no difference", h.Name, rep)
 								}
 								continue
 							}
-							if rep.Passed() {
+							if rep.Passed {
 								t.Fatalf("%s perturbed: full-grid run diverges at PHV %d, the fuzzer saw nothing in %d PHVs", h.Name, first, rep.Checked)
 							}
-							m := rep.Mismatches[0]
-							if m.Index != first || !m.Got.Equal(res.Output.At(first)) || !m.Want.Equal(want.At(first)) {
-								t.Fatalf("%s perturbed: fuzzer reports %s, full-grid run diverges at PHV %d: pipeline %s, spec %s",
-									h.Name, m.String(), first, res.Output.At(first), want.At(first))
+							if rep.Err != nil || rep.FailIndex != first || !rep.Got.Equal(res.Output.At(first)) || !rep.Want.Equal(want.At(first)) {
+								t.Fatalf("%s perturbed: fuzzer reports %v, full-grid run diverges at PHV %d: pipeline %s, spec %s",
+									h.Name, rep, first, res.Output.At(first), want.At(first))
 							}
 							caught = fmt.Sprintf("%s (PHV %d)", h.Name, first)
 							break
