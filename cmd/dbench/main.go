@@ -7,25 +7,28 @@
 // embedded dRMT benchmark's differential fuzzing loop is timed on the
 // slot-compiled engines.
 //
-// A PHV-batch row rides along with each section: the RMT matrix gains a
-// "compiled+batch" level (the struct-of-arrays sim.Batch engine over the
-// compiled pipeline) and the dRMT section a "slots+batch" engine (the
-// differential fuzzer on column-major planes), so BENCH_table1.json records
-// the batched engines' trajectory next to the streaming ones.
-//
-// A "compiled+cone" level times the kernel the Fig. 5 fuzzer actually runs:
-// the compiled pipeline's output cone (core.Pipeline.OutputCone — only the
-// ALUs whose results can reach an output container), on the same streaming
+// A "compiled+cone" level times the compiled pipeline's output cone
+// (core.Pipeline.OutputCone — only the ALUs whose results can reach an
+// output container, all a Fig. 5 fuzzer executes) on the same streaming
 // engine and traffic as the "compiled" row, so the two rows are the
 // full-grid/cone before and after. Every row records how many ALUs of the
 // grid a fuzzer at that level executes (live_alus of total_alus).
+//
+// A PHV-batch row rides along with each section. The RMT matrix gains a
+// "compiled+batch" level: the struct-of-arrays sim.Batch engine over that
+// same output cone, -batch packets per run — at the default, the kernel
+// sim.NewFuzzer executes at every prechecked level, so "compiled+cone" vs
+// "compiled+batch" is the tick loop's kernel against the planes loop's. The
+// dRMT section gains a "slots+batch" engine (the differential fuzzer on
+// column-major planes, which no campaign selects), so BENCH_table1.json
+// records the batched engines' trajectory next to the streaming ones.
 //
 // Usage:
 //
 //	dbench                           # full table, 50000 PHVs per cell
 //	dbench -phvs 5000                # quicker pass
 //	dbench -program rcp,blue-burst   # restrict the RMT rows
-//	dbench -batch 256                # PHV-batch size for the batch rows
+//	dbench -batch 64                 # PHV-batch size for the batch rows (default: the fuzzer's chunk)
 //	dbench -drmt-phvs 0              # skip the dRMT section
 //	dbench -drmt-bench l2l3          # filter the dRMT section
 //	dbench -json BENCH_table1.json   # machine-readable perf trajectory
@@ -158,13 +161,17 @@ func cpuModel() string {
 	return runtime.GOARCH
 }
 
+// fuzzerChunk mirrors sim's unexported planeChunk: the packets per run of
+// the planes loop sim.NewFuzzer binds to a prechecked pipeline.
+const fuzzerChunk = 8
+
 func main() {
 	fs := flag.NewFlagSet("dbench", flag.ExitOnError)
 	phvs := fs.Int("phvs", 50000, "PHVs per benchmark run (the paper uses 50000)")
 	program := fs.String("program", "", "comma-separated programs to run (default: all twelve)")
 	seed := fs.Int64("seed", 1, "traffic generator seed")
 	repeats := fs.Int("repeats", 1, "repetitions per cell (minimum time reported)")
-	batch := fs.Int("batch", 64, "PHV-batch size for the compiled+batch and slots+batch rows (0 = skip them)")
+	batch := fs.Int("batch", fuzzerChunk, "PHV-batch size for the compiled+batch and slots+batch rows (default: the chunk sim.NewFuzzer runs prechecked pipelines at; 0 = skip the rows)")
 	drmtPHVs := fs.Int("drmt-phvs", 50000, "packets per dRMT differential-fuzz cell (0 = skip the dRMT section)")
 	drmtBench := fs.String("drmt-bench", "", "restrict the dRMT section to benchmarks containing this substring")
 	jsonPath := fs.String("json", "", "also write the report as JSON to this file (- for stdout)")
@@ -222,27 +229,23 @@ func main() {
 			times[level] = best
 			row(level.String(), pipeline, best, allocs)
 			if level == core.Compiled {
-				compiled = pipeline // the batch and cone rows reuse it; every pass resets state
+				compiled = pipeline // the cone and batch rows derive from it
 			}
 		}
-		batchMS := int64(-1)
+		// The cone the fuzzer executes, twice: on the compiled row's engine
+		// and traffic (the cone row), and driven by the struct-of-arrays
+		// engine, batch columns at a time (the PHV-batch row). Every pass
+		// resets state.
+		cone := compiled.OutputCone()
+		batchCell := "-"
 		if *batch > 0 {
-			// The PHV-batch row: the compiled pipeline driven by the
-			// struct-of-arrays engine, batch columns at a time.
-			best, allocs, err := measureBatch(compiled, bm, *seed, *phvs, *repeats, *batch)
+			best, allocs, err := measureBatch(cone, bm, *seed, *phvs, *repeats, *batch)
 			if err != nil {
 				cli.Fatalf("dbench: %s/compiled+batch: %v", bm.Name, err)
 			}
-			batchMS = best.Milliseconds()
-			row("compiled+batch", compiled, best, allocs)
+			batchCell = fmt.Sprintf("%d ms", best.Milliseconds())
+			row("compiled+batch", cone, best, allocs)
 		}
-		batchCell := "-"
-		if batchMS >= 0 {
-			batchCell = fmt.Sprintf("%d ms", batchMS)
-		}
-		// The cone row: the compiled row's engine and traffic over the
-		// ALUs the fuzzer executes.
-		cone := compiled.OutputCone()
 		coneBest, coneAllocs, err := measure(cone, bm, *seed, *phvs, *repeats)
 		if err != nil {
 			cli.Fatalf("dbench: %s/compiled+cone: %v", bm.Name, err)
@@ -305,7 +308,7 @@ func main() {
 		if *repeats != 1 {
 			command += fmt.Sprintf(" -repeats %d", *repeats)
 		}
-		if *batch != 64 {
+		if *batch != fuzzerChunk {
 			command += fmt.Sprintf(" -batch %d", *batch)
 		}
 		if *drmtPHVs != 50000 {
@@ -321,7 +324,7 @@ func main() {
 			CPU:       cpuModel(),
 			PHVs:      *phvs,
 			Batch:     *batch,
-			Engine:    "streaming (sim.Stream, prechecked fast path at optimized levels); compiled+batch rows on the struct-of-arrays sim.Batch engine; compiled+cone rows on sim.Stream over the compiled pipeline's output cone (the kernel the fuzzer runs)",
+			Engine:    "streaming (sim.Stream, prechecked fast path at optimized levels); compiled+cone rows on sim.Stream over the compiled pipeline's output cone; compiled+batch rows on the struct-of-arrays sim.Batch engine over that cone, batch packets per run (at batch 8 the kernel sim.NewFuzzer executes at every prechecked level; unoptimized fuzzers run the tick loop)",
 			Rows:      rows,
 		}
 		if len(drmtRows) > 0 {

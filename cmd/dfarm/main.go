@@ -64,7 +64,6 @@ func main() {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS); offline mode only")
 	packets := fs.Int("packets", 50000, "random PHVs per job (the paper's workload is 50000)")
 	shard := fs.Int("shard", 4096, "packets per shard (part of the campaign's identity; changing it changes the traffic)")
-	batch := fs.Int("batch", 0, "PHV-batch size: execute shards this many packets at a time on struct-of-arrays planes (0 = streaming; reports are byte-identical for every value)")
 	seeds := fs.String("seeds", "1", "comma-separated traffic seeds; each seed adds a full matrix sweep")
 	levels := fs.String("levels", "", "comma-separated optimization levels (empty = unoptimized,scc,scc+inline,compiled)")
 	traffic := fs.String("traffic", "", "comma-separated traffic modes: uniform, boundary (empty = uniform)")
@@ -112,7 +111,6 @@ func main() {
 		Seeds:              seedList,
 		Packets:            *packets,
 		ShardSize:          *shard,
-		Batch:              *batch,
 		MaxCounterexamples: *maxCE,
 		FailFast:           *failfast,
 		JobTimeoutMS:       (*jobTimeout).Milliseconds(),

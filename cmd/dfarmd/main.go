@@ -62,7 +62,6 @@ func main() {
 	cacheMaxMB := fs.Int64("cache-max-mb", 4096, "on-disk cache size cap in MiB; least recently used entries are evicted past it (0 = unbounded)")
 	noCache := fs.Bool("no-cache", false, "disable the shard-result cache entirely")
 	workers := fs.Int("workers", 0, "worker pool size per campaign (0 = GOMAXPROCS)")
-	batch := fs.Int("batch", 0, "default PHV-batch size for shards whose request sets none (0 = streaming; results are byte-identical for every value)")
 	maxConcurrent := fs.Int("max-concurrent", 2, "campaigns executing at once; excess submissions queue")
 	jobTimeout := fs.Duration("job-timeout", 0, "default per-job wall-clock budget (0 = unbounded)")
 	rowTimeout := fs.Duration("row-timeout", 0, "per-row stream write deadline; a client stalled past it has its campaign cancelled (0 = 30s, negative = unbounded)")
@@ -119,7 +118,6 @@ func main() {
 	err = farmd.Serve(ctx, *addr, farmd.Config{
 		Cache:           cache,
 		Workers:         *workers,
-		BatchSize:       *batch,
 		MaxConcurrent:   *maxConcurrent,
 		JobTimeout:      *jobTimeout,
 		RowWriteTimeout: *rowTimeout,

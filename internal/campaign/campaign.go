@@ -84,14 +84,6 @@ type Options struct {
 	// changes the generated traffic, changing Workers does not.
 	ShardSize int
 
-	// BatchSize selects the PHV-batch execution strategy on runners that
-	// support it (BatchSizer): packets execute size at a time on
-	// struct-of-arrays planes instead of one at a time. 0 means streaming.
-	// Batching is purely an execution strategy — unlike ShardSize it is not
-	// part of the campaign's identity: reports, fingerprints and shard-cache
-	// keys are byte-identical for every value of BatchSize.
-	BatchSize int
-
 	// MaxCounterexamples caps the deduplicated counterexamples kept per
 	// job; 0 means 8, negative means unbounded.
 	MaxCounterexamples int

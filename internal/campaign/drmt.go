@@ -110,10 +110,6 @@ type drmtRunner struct {
 	fuzzer *drmt.DiffFuzzer
 }
 
-// SetBatchSize implements BatchSizer: shards execute on column-major planes
-// n packets at a time, with byte-identical reports for every n.
-func (r *drmtRunner) SetBatchSize(n int) { r.fuzzer.SetBatch(n) }
-
 // RunShard resets both machines and streams the shard's seeded traffic
 // through the differential loop. Diff indices are already shard offsets
 // (each shard draws from a fresh generator), which is what merge expects.

@@ -193,7 +193,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Report, error) {
 						}
 						if res == nil {
 							if t.job != wsJob || ws == nil {
-								ws = newWorkerState(masters[t.job], o.BatchSize)
+								ws = newWorkerState(masters[t.job])
 								wsJob = t.job
 							}
 							if o.JobTimeout > 0 {
@@ -304,13 +304,10 @@ type workerState struct {
 	err    error
 }
 
-func newWorkerState(master Instance, batchSize int) *workerState {
+func newWorkerState(master Instance) *workerState {
 	runner, err := master.NewRunner()
 	if err != nil {
 		return &workerState{err: err}
-	}
-	if bs, ok := runner.(BatchSizer); ok && batchSize > 0 {
-		bs.SetBatchSize(batchSize)
 	}
 	return &workerState{runner: runner}
 }

@@ -137,12 +137,6 @@ type pipelineRunner struct {
 	gen    *sim.TrafficGen
 }
 
-// SetBatchSize implements BatchSizer: shards execute on the PHV-batch
-// (struct-of-arrays) engine n packets at a time. Reports are byte-identical
-// to streaming for every n; pipelines that are not prechecked stay on the
-// streaming path regardless (the fuzzer falls back transparently).
-func (r *pipelineRunner) SetBatchSize(n int) { r.fuzzer.SetBatch(n) }
-
 // RunShard streams the shard's deterministic traffic straight into the
 // fuzzer's ring buffers (no per-shard trace materialization) and compares
 // in lock step, so a clean shard costs O(1) allocation — its report, not a

@@ -69,12 +69,10 @@ type ShardSizer interface {
 	ShardSize(dflt int) int
 }
 
-// BatchSizer is an optional Runner interface for targets whose execution
-// machinery supports the PHV-batch (struct-of-arrays) mode. The engine
-// calls SetBatchSize once per runner with Options.BatchSize before any
-// shard executes on it. Implementations must keep shard results
-// byte-identical across every batch size, including 0 (streaming) —
-// batching is an execution strategy, never part of a campaign's identity.
+// BatchSizer is a declaration only: no runner implements it and the engine
+// never asks for it — each target's fuzzer picks its own kernel (see
+// sim.NewFuzzer). It stays because the frozen benchmark/wrap.go forwarder
+// compiles against the name, and goes when that forwarder does.
 type BatchSizer interface {
 	SetBatchSize(n int)
 }

@@ -232,3 +232,37 @@ func TestOneAdmissionPath(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignIDIgnoresLegacyBatch: CampaignID hashes the decoded request,
+// and "batch" — an execution-strategy knob until the fuzzer began picking
+// its own kernel — is no longer part of it, so a legacy body that still
+// carries the field attaches to the same campaign (and journal) as the body
+// without it. farmd's TestLegacyBatchFieldIsIgnored covers the lease key and
+// the streamed rows.
+func TestCampaignIDIgnoresLegacyBatch(t *testing.T) {
+	id := func(body string) string {
+		t.Helper()
+		w := httptest.NewRecorder()
+		req, ok := farmd.DecodeMatrix(w, httptest.NewRequest("POST", "/v1/campaigns", strings.NewReader(body)))
+		if !ok {
+			t.Fatalf("body %s rejected: %s", body, w.Body)
+		}
+		id, err := CampaignID(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	want := id(`{"arch":"rmt","levels":["compiled"],"packets":600}`)
+	for _, body := range []string{
+		`{"arch":"rmt","levels":["compiled"],"packets":600,"batch":64}`,
+		`{"batch":8,"arch":"rmt","levels":["compiled"],"packets":600}`,
+	} {
+		if got := id(body); got != want {
+			t.Errorf("body %s is campaign %s, want %s", body, got, want)
+		}
+	}
+	if other := id(`{"arch":"rmt","levels":["compiled"],"packets":601}`); other == want {
+		t.Error("a different packet budget produced the same campaign ID")
+	}
+}

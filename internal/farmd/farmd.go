@@ -76,13 +76,6 @@ type MatrixRequest struct {
 	// campaign's traffic identity and therefore of every cache key.
 	ShardSize int `json:"shard_size,omitempty"`
 
-	// Batch selects the PHV-batch execution strategy: shards execute
-	// Batch packets at a time on struct-of-arrays planes (0 = the
-	// server's default, typically streaming). Unlike ShardSize it is an
-	// execution knob, not traffic identity: reports and cache keys are
-	// byte-identical for every value.
-	Batch int `json:"batch,omitempty"`
-
 	// MaxCounterexamples caps deduplicated counterexamples per job
 	// (0 = 8, negative = unbounded).
 	MaxCounterexamples int `json:"max_counterexamples,omitempty"`
@@ -119,16 +112,12 @@ func (r *MatrixRequest) JobTimeout() time.Duration {
 }
 
 // Options returns the engine options the request runs under: base carries
-// what the process decides (pool, cache, instruments, and the batch size and
-// job timeout used when the request sets none), the request supplies the
-// rest.
+// what the process decides (pool, cache, instruments, and the job timeout
+// used when the request sets none), the request supplies the rest.
 func (r *MatrixRequest) Options(base campaign.Options) campaign.Options {
 	base.ShardSize = r.ShardSize
 	base.MaxCounterexamples = r.MaxCounterexamples
 	base.FailFast = r.FailFast
-	if r.Batch > 0 {
-		base.BatchSize = r.Batch
-	}
 	if t := r.JobTimeout(); t > 0 {
 		base.JobTimeout = t
 	}

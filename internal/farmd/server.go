@@ -208,14 +208,6 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeResult(&campaign.ShardResult{Err: err})
 		return
 	}
-	// Apply the batch strategy per lease. The lease key hashes the matrix
-	// request (Batch included), so pooled runners for one key have all seen
-	// the same batch size; results are byte-identical either way.
-	if bs, ok := runner.(campaign.BatchSizer); ok {
-		if batch := s.core.Options(lease.Request).BatchSize; batch > 0 {
-			bs.SetBatchSize(batch)
-		}
-	}
 	var res campaign.ShardResult
 	if cr, ok := runner.(campaign.ContextRunner); ok {
 		res = cr.RunShardContext(r.Context(), lease.Seed, lease.N)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,13 @@ func rawRows(t *testing.T, url string, req *MatrixRequest) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rawRowsBody(t, url, body)
+}
+
+// rawRowsBody posts a matrix request body as is and returns the response's
+// NDJSON lines.
+func rawRowsBody(t *testing.T, url string, body []byte) []string {
+	t.Helper()
 	resp, err := http.Post(url+"/v1/campaigns", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -257,5 +265,55 @@ func TestServerJobTimeoutDefault(t *testing.T) {
 func TestHTTPServerBoundsHeaderReads(t *testing.T) {
 	if srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler()); srv.ReadHeaderTimeout <= 0 {
 		t.Fatalf("ReadHeaderTimeout = %v, want a positive bound", srv.ReadHeaderTimeout)
+	}
+}
+
+// TestLegacyBatchFieldIsIgnored: "batch" was a MatrixRequest field while the
+// execution strategy was the operator's to set; the fuzzer now picks its own
+// kernel and the field is gone. A body that still carries it must decode
+// (the decoder is lenient), name the same request — and therefore the same
+// lease instance-cache key — and stream the same job rows as the body
+// without it. fabric.CampaignID has the matching test.
+func TestLegacyBatchFieldIsIgnored(t *testing.T) {
+	const plain = `{"arch":"all","run":"counter","packets":600,"shard_size":128}`
+	decode := func(body string) (*MatrixRequest, string) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		req, ok := DecodeMatrix(w, httptest.NewRequest("POST", "/v1/campaigns", strings.NewReader(body)))
+		if !ok {
+			t.Fatalf("body %s rejected: %s", body, w.Body)
+		}
+		key, err := leaseKey(&ShardLease{Phase: "fuzz", Job: "drmt/counter", Request: req})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req, key
+	}
+	srv := httptest.NewServer(NewServer(Config{Workers: 2})) // no cache: every submission executes
+	defer srv.Close()
+
+	wantReq, wantKey := decode(plain)
+	wantRows := rawRowsBody(t, srv.URL, []byte(plain))
+	for _, body := range []string{
+		`{"arch":"all","run":"counter","packets":600,"shard_size":128,"batch":64}`,
+		`{"batch":1,"arch":"all","run":"counter","packets":600,"shard_size":128}`,
+		`{"arch":"all","run":"counter","batch":0,"packets":600,"shard_size":128}`,
+	} {
+		req, key := decode(body)
+		if !reflect.DeepEqual(req, wantReq) {
+			t.Errorf("body %s decodes to %+v, want %+v", body, req, wantReq)
+		}
+		if key != wantKey {
+			t.Errorf("body %s: lease instance key %s, want %s", body, key, wantKey)
+		}
+		rows := rawRowsBody(t, srv.URL, []byte(body))
+		if len(rows) != len(wantRows) {
+			t.Fatalf("body %s: %d rows, want %d", body, len(rows), len(wantRows))
+		}
+		for i := 0; i < len(rows)-1; i++ { // all but the summary row, which carries timing
+			if rows[i] != wantRows[i] {
+				t.Errorf("body %s: job row %d differs:\n%s\n%s", body, i, rows[i], wantRows[i])
+			}
+		}
 	}
 }

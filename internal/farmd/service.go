@@ -35,11 +35,6 @@ type Config struct {
 	// Workers is each campaign's worker pool size (0 = GOMAXPROCS).
 	Workers int
 
-	// BatchSize is the default PHV-batch size applied when a request does
-	// not set one (0 = streaming). An execution knob only: results and
-	// cache keys are byte-identical for every value.
-	BatchSize int
-
 	// MaxConcurrent bounds how many campaigns execute at once (0 = 2);
 	// excess submissions queue until a slot frees or the client leaves.
 	MaxConcurrent int
@@ -119,7 +114,6 @@ func NewService(cfg Config, stats func() any) *Service {
 		sem: make(chan struct{}, cfg.MaxConcurrent),
 		base: campaign.Options{
 			Workers:    cfg.Workers,
-			BatchSize:  cfg.BatchSize,
 			JobTimeout: cfg.JobTimeout,
 			Cache:      cfg.Cache,
 			Metrics:    campaign.NewMetrics(cfg.Metrics),

@@ -45,7 +45,7 @@ type Batch struct {
 // NewBatch returns a batch engine over the pipeline with room for capacity
 // packets per run. Batch execution uses the prechecked stage kernel, so the
 // pipeline must satisfy core.Pipeline.Prechecked; callers with unoptimized
-// pipelines use the streaming engine (the fuzzer falls back transparently).
+// pipelines use the streaming engine (the fuzzer selects it by this rule).
 func NewBatch(p *core.Pipeline, capacity int) (*Batch, error) {
 	if !p.Prechecked() {
 		return nil, fmt.Errorf("sim: batch execution requires a prechecked pipeline")
@@ -158,123 +158,91 @@ func equalColRow(planes [][]phv.Value, k int, want []phv.Value, containers []int
 	return true
 }
 
-// SetBatch selects the fuzzer's execution strategy: size >= 1 enables the
-// PHV-batch engine with that batch size, 0 restores the streaming tick
-// loop. Reports are byte-identical in every mode and for every batch size —
-// batching is an execution strategy, not part of a campaign's identity — so
-// the campaign engine exposes it as a free knob. On pipelines for which
-// Prechecked is false the fuzzer stays on the streaming path regardless.
-func (f *Fuzzer) SetBatch(size int) {
-	if size < 0 {
-		size = 0
-	}
-	f.batchSize = size
-}
-
-// ensureBatch (re)allocates the batched mode's planes and scratch rows the
-// first time a batched run needs them (or when the batch size grew).
-func (f *Fuzzer) ensureBatch() error {
-	size := f.batchSize
-	if f.batch != nil && f.batch.Cap() >= size {
-		return nil
-	}
-	b, err := NewBatch(f.pipe, size)
+// newPlanesFuzzer binds p to the planes loop at the given chunk: the plane
+// engine, one want row per chunk column and the scratch rows, and nothing of
+// the tick loop.
+func newPlanesFuzzer(p *core.Pipeline, chunk int) (*Fuzzer, error) {
+	b, err := NewBatch(p, chunk)
 	if err != nil {
-		return err
-	}
-	phvLen := f.pipe.PHVLen()
-	backing := make([]phv.Value, size*phvLen)
-	rows := make([][]phv.Value, size)
-	for k := 0; k < size; k++ {
-		// Want rows start empty and are refilled by append, so a spec
-		// returning a wrong-length PHV is caught by the comparison — the
-		// same discipline as the streaming ring.
-		base := k * phvLen
-		rows[k] = backing[base : base : base+phvLen]
-	}
-	f.batch = b
-	f.wantRows = rows
-	f.fillRow = make([]phv.Value, phvLen)
-	f.gatherRow = make([]phv.Value, phvLen)
-	f.stateBuf = make([]phv.Value, f.pipe.StateLen())
-	return nil
-}
-
-// fuzzBatched is Fuzz on the batch engine. Packets are generated and
-// spec-processed in admission order (so generator and spec state advance
-// exactly as in streaming mode), executed a batch at a time, and compared
-// column against want row. Reports are byte-identical to the streaming
-// path: tick counts follow the streaming schedule's arithmetic, mismatch
-// records are materialized from plane columns in index order, and every
-// early-exit path (counterexample cap, generator error, spec error,
-// evaluation panic) reconstructs the exact point the streaming run would
-// have stopped — including dropping comparisons the streaming run would
-// never have reached.
-func (f *Fuzzer) fuzzBatched(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
-	if err := f.ensureBatch(); err != nil {
 		return nil, err
 	}
-	report := &BatchReport{SpecName: spec.Name()}
+	phvLen := p.PHVLen()
+	return &Fuzzer{
+		pipe:      p,
+		specIn:    phv.New(phvLen),
+		want:      valueRows(chunk, phvLen),
+		batch:     b,
+		fillRow:   make([]phv.Value, phvLen),
+		gatherRow: make([]phv.Value, phvLen),
+		stateBuf:  make([]phv.Value, p.StateLen()),
+	}, nil
+}
+
+// fuzzBatched is Fuzz on the plane engine. Packets are generated and
+// spec-processed in admission order (so generator and spec state advance
+// exactly as under the tick loop), executed a chunk at a time, and compared
+// column against want row. Reports are byte-identical to the tick loop's:
+// tick counts follow the streaming schedule's arithmetic, mismatch records
+// are materialized from plane columns in index order, and every early-exit
+// path (counterexample cap, generator error, spec error, evaluation panic)
+// reconstructs the exact point the tick loop would have stopped — including
+// dropping comparisons it would never have reached.
+//
+//dvet:hotpath allocs=3
+func (f *Fuzzer) fuzzBatched(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
+	report := &BatchReport{SpecName: spec.Name()} //dvet:alloc-ok one report per run, not per PHV
 	f.pipe.ResetState()
-	f.stream.Reset() // the evaluation-panic replay path starts from a clean ring
 	spec.Reset()
-	ss, streaming := spec.(StreamSpec)
+	ss, _ := spec.(StreamSpec)
+	chunk := f.batch.Cap()
 	var mms []Mismatch
-	for at := 0; at < n; at += f.batchSize {
-		m := f.batchSize
-		if n-at < m {
-			m = n - at
-		}
+	for at := 0; at < n; at += chunk {
+		m := min(chunk, n-at)
 		for k := 0; k < m; k++ {
 			i := at + k
-			if err := next(f.fillRow); err != nil {
-				// Streaming admits packet i at tick i; the run would have
-				// stopped there with err as its finding. Execute and
+			genErr, specErr := f.admit(spec, ss, i, next, f.fillRow, &f.want[k])
+			if genErr != nil {
+				// The tick loop admits packet i at tick i; the run would have
+				// stopped there with genErr as its finding. Execute and
 				// compare the packets already filled — their completions
 				// precede tick i or are dropped by the endgame.
 				mms, errTick, execErr := f.runCompareBatch(at, k, opts, mms)
 				if execErr != nil && errTick < i {
-					return f.finishBatched(report, mms, maxMismatches, n, errTick, fmt.Errorf("sim: tick %d: %w", errTick, execErr))
+					return f.finishBatched(report, mms, maxMismatches, n, errTick, fmt.Errorf("sim: tick %d: %w", errTick, execErr)) //dvet:alloc-ok finding path, at most once per run
 				}
-				return f.finishBatched(report, mms, maxMismatches, n, i, err)
+				return f.finishBatched(report, mms, maxMismatches, n, i, genErr)
+			}
+			if specErr != nil {
+				return f.specAbortBatched(report, mms, maxMismatches, at, k, opts, specErr)
 			}
 			f.batch.Load(k, f.fillRow)
-			// Lock step: the spec consumes packet i on the tick of its
-			// admission, so spec state advances in packet order.
-			if streaming {
-				f.wantRows[k] = append(f.wantRows[k][:0], f.fillRow...)
-				if serr := ss.ProcessStream(f.wantRows[k]); serr != nil {
-					return f.specAbortBatched(report, spec, mms, maxMismatches, at, k, opts, serr)
-				}
-			} else {
-				copy(f.specIn.Raw(), f.fillRow)
-				out, serr := spec.Process(f.specIn)
-				if serr != nil {
-					return f.specAbortBatched(report, spec, mms, maxMismatches, at, k, opts, serr)
-				}
-				f.wantRows[k] = append(f.wantRows[k][:0], out.Raw()...)
-			}
 		}
 		var errTick int
 		var execErr error
 		mms, errTick, execErr = f.runCompareBatch(at, m, opts, mms)
 		if execErr != nil {
-			return f.finishBatched(report, mms, maxMismatches, n, errTick, fmt.Errorf("sim: tick %d: %w", errTick, execErr))
+			return f.finishBatched(report, mms, maxMismatches, n, errTick, fmt.Errorf("sim: tick %d: %w", errTick, execErr)) //dvet:alloc-ok finding path, at most once per run
 		}
-		if maxMismatches > 0 && len(mms) >= maxMismatches {
-			return f.finishBatched(report, mms, maxMismatches, n, -1, nil)
+		// The tick loop notices the cap only when the capping packet surfaces,
+		// depth-1 ticks after its admission, and admits a packet on each of
+		// those ticks, where a generator or spec failure still beats the cap:
+		// stop only once those packets have been admitted here too.
+		if maxMismatches > 0 && len(mms) >= maxMismatches && at+m > mms[maxMismatches-1].Index+f.pipe.Depth()-1 {
+			break
 		}
 	}
 	return f.finishBatched(report, mms, maxMismatches, n, -1, nil)
 }
 
-// runCompareBatch executes the first m filled packets of the batch starting
+// runCompareBatch executes the first m filled packets of the chunk starting
 // at global packet index 'at' and appends any mismatches, materialized from
 // the plane columns, in index order. On an evaluation panic it restores the
-// pre-batch state checkpoint and replays the batch through the streaming
-// engine, returning the exact global tick and error the streaming run would
-// have reported (with the comparisons completed before that tick already
+// pre-chunk state checkpoint and replays the chunk through a Stream,
+// returning the exact global tick and error the tick loop would have
+// reported (with the comparisons completed before that tick already
 // appended).
+//
+//dvet:hotpath allocs=0
 func (f *Fuzzer) runCompareBatch(at, m int, opts FuzzOptions, mms []Mismatch) ([]Mismatch, int, error) {
 	if m == 0 {
 		return mms, -1, nil
@@ -288,62 +256,54 @@ func (f *Fuzzer) runCompareBatch(at, m int, opts FuzzOptions, mms []Mismatch) ([
 	out := f.batch.Out()
 	in := f.batch.In()
 	for k := 0; k < m; k++ {
-		if !equalColRow(out, k, f.wantRows[k], opts.Containers) {
+		if !equalColRow(out, k, f.want[k], opts.Containers) {
 			//dvet:alloc-ok mismatch collection is the cold path; clean runs never reach it
-			mms = append(mms, Mismatch{
-				Index: at + k,
-				Input: phv.FromValues(gatherCol(in, k, f.gatherRow)),
-				Got:   phv.FromValues(gatherCol(out, k, f.gatherRow)),
-				Want:  phv.FromValues(f.wantRows[k]),
-			})
+			mms = append(mms, mismatchOf(at+k, gatherCol(in, k, f.fillRow), gatherCol(out, k, f.gatherRow), f.want[k]))
 		}
 	}
 	return mms, -1, nil
 }
 
 // replayBatch is the evaluation-panic fallback: state is restored to the
-// pre-batch checkpoint and the batch's packets are replayed through the
-// streaming engine tick by tick, reproducing the exact tick, error and set
-// of completed comparisons of a streaming run. (Build-time impossible on
-// prechecked pipelines; kept so even that path stays byte-identical. Should
-// the replay not reproduce the panic, its results stand in for the batch —
-// both schedules compute identical values — and the run continues.)
+// pre-chunk checkpoint and the chunk's packets are replayed tick by tick
+// through a Stream built here, on the cold path, reproducing the exact tick,
+// error and set of completed comparisons of the tick loop. (Build-time
+// impossible on prechecked pipelines; kept so even that path stays
+// byte-identical. Should the replay not reproduce the panic, its results
+// stand in for the chunk — both schedules compute identical values — and the
+// run continues.)
 func (f *Fuzzer) replayBatch(at, m int, opts FuzzOptions, mms []Mismatch) ([]Mismatch, int, error) {
 	f.pipe.SetStateFrom(f.stateBuf)
-	f.stream.Reset()
+	stream := NewStream(f.pipe)
 	in := f.batch.In()
 	fed, compared := 0, 0
-	for fed < m || f.stream.InFlight() > 0 {
+	for fed < m || stream.InFlight() > 0 {
 		var row []phv.Value
 		if fed < m {
 			row = gatherCol(in, fed, f.fillRow)
 			fed++
 		}
-		out, err := f.stream.Tick(row)
+		out, err := stream.Tick(row)
 		if err != nil {
-			return mms, at + f.stream.Ticks(), err
+			return mms, at + stream.Ticks(), err
 		}
 		if out == nil {
 			continue
 		}
-		if !equalVals(out, f.wantRows[compared], opts.Containers) {
-			mms = append(mms, Mismatch{
-				Index: at + compared,
-				Input: phv.FromValues(gatherCol(in, compared, f.gatherRow)),
-				Got:   phv.FromValues(out),
-				Want:  phv.FromValues(f.wantRows[compared]),
-			})
+		if !equalVals(out, f.want[compared], opts.Containers) {
+			mms = append(mms, mismatchOf(at+compared, gatherCol(in, compared, f.fillRow), out, f.want[compared]))
 		}
 		compared++
 	}
 	return mms, -1, nil
 }
 
-// specAbortBatched reconstructs the streaming outcome of a spec failure at
-// global packet index i = at+k: a harness error — unless the counterexample
-// cap would have been reached strictly before packet i's admission tick, in
-// which case the capped report wins exactly as it would in streaming mode.
-func (f *Fuzzer) specAbortBatched(report *BatchReport, spec Spec, mms []Mismatch, maxMismatches, at, k int, opts FuzzOptions, serr error) (*BatchReport, error) {
+// specAbortBatched reconstructs the tick loop's outcome of a spec failure at
+// global packet index i = at+k: the harness error serr — unless the
+// counterexample cap would have been reached strictly before packet i's
+// admission tick, in which case the capped report wins exactly as it would
+// under the tick loop.
+func (f *Fuzzer) specAbortBatched(report *BatchReport, mms []Mismatch, maxMismatches, at, k int, opts FuzzOptions, serr error) (*BatchReport, error) {
 	i := at + k
 	mms, errTick, execErr := f.runCompareBatch(at, k, opts, mms)
 	if execErr != nil && errTick < i {
@@ -358,7 +318,7 @@ func (f *Fuzzer) specAbortBatched(report *BatchReport, spec Spec, mms []Mismatch
 			return report, nil
 		}
 	}
-	return nil, fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), i, serr)
+	return nil, serr
 }
 
 // finishBatched assembles the final report from the accumulated mismatches,

@@ -4,77 +4,117 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"druzhba/internal/atoms"
 	"druzhba/internal/core"
+	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
 )
 
 // batchReportsEqual fails unless the two BatchReports are byte-identical in
-// every exported field (error compared by rendered message).
-func batchReportsEqual(t *testing.T, label string, batched, streamed *BatchReport) {
+// every exported field (error compared by rendered message, mismatches by
+// value and by rendering).
+func batchReportsEqual(t *testing.T, label string, planes, ticks *BatchReport) {
 	t.Helper()
-	if batched.SpecName != streamed.SpecName {
-		t.Fatalf("%s: spec %q vs %q", label, batched.SpecName, streamed.SpecName)
+	if planes.SpecName != ticks.SpecName {
+		t.Fatalf("%s: spec %q vs %q", label, planes.SpecName, ticks.SpecName)
 	}
-	if batched.Checked != streamed.Checked || batched.Ticks != streamed.Ticks {
-		t.Fatalf("%s: batched (checked=%d ticks=%d) != streamed (checked=%d ticks=%d)",
-			label, batched.Checked, batched.Ticks, streamed.Checked, streamed.Ticks)
+	if planes.Checked != ticks.Checked || planes.Ticks != ticks.Ticks {
+		t.Fatalf("%s: planes (checked=%d ticks=%d) != ticks (checked=%d ticks=%d)",
+			label, planes.Checked, planes.Ticks, ticks.Checked, ticks.Ticks)
 	}
-	if (batched.Err == nil) != (streamed.Err == nil) {
-		t.Fatalf("%s: Err %v vs %v", label, batched.Err, streamed.Err)
+	if (planes.Err == nil) != (ticks.Err == nil) {
+		t.Fatalf("%s: Err %v vs %v", label, planes.Err, ticks.Err)
 	}
-	if batched.Err != nil && batched.Err.Error() != streamed.Err.Error() {
-		t.Fatalf("%s: Err %q vs %q", label, batched.Err, streamed.Err)
+	if planes.Err != nil && planes.Err.Error() != ticks.Err.Error() {
+		t.Fatalf("%s: Err %q vs %q", label, planes.Err, ticks.Err)
 	}
-	if len(batched.Mismatches) != len(streamed.Mismatches) {
-		t.Fatalf("%s: %d vs %d mismatches", label, len(batched.Mismatches), len(streamed.Mismatches))
+	if len(planes.Mismatches) != len(ticks.Mismatches) {
+		t.Fatalf("%s: %d vs %d mismatches", label, len(planes.Mismatches), len(ticks.Mismatches))
 	}
-	for i := range batched.Mismatches {
-		a, b := batched.Mismatches[i], streamed.Mismatches[i]
-		if a.Index != b.Index || !a.Input.Equal(b.Input) || !a.Got.Equal(b.Got) || !a.Want.Equal(b.Want) {
+	for i := range planes.Mismatches {
+		a, b := planes.Mismatches[i], ticks.Mismatches[i]
+		if a.Index != b.Index || !a.Input.Equal(b.Input) || !a.Got.Equal(b.Got) || !a.Want.Equal(b.Want) || a.String() != b.String() {
 			t.Fatalf("%s: mismatch %d differs: %s vs %s", label, i, &a, &b)
 		}
 	}
 }
 
-// TestBatchedFuzzMatchesStreamingSweep is the core byte-identity sweep:
-// batch sizes 1, 7 (partial tails: 300 = 42*7+6), 64 and one exceeding the
-// whole run, over clean and diverging specs, with and without a
-// counterexample cap, at both prechecked levels. Every cell's BatchReport
-// must equal the streaming report field for field, mismatch for mismatch.
+// miscompiled builds one random machine-code program twice: at Unoptimized,
+// wrapped as the specification, and at level with the pair-th required pair
+// moved to the next value of its domain (immediates: +1) — an injected
+// miscompile. ok is false when that pair's domain has a single value.
+func miscompiled(t *testing.T, seed int64, pair int, level core.OptLevel) (p *core.Pipeline, spec Spec, ok bool) {
+	t.Helper()
+	ok = true
+	ref := randomizedPipeline(t, 3, 2, "pair", rand.New(rand.NewSource(seed)), core.Unoptimized)
+	p = buildPipeline(t, 3, 2, "pair", func(s *core.Spec, code *machinecode.Program) {
+		req := randomizeCode(s, code, rand.New(rand.NewSource(seed)))
+		h := req[pair%len(req)]
+		if h.Domain == 1 {
+			ok = false
+			return
+		}
+		v, _ := code.Get(h.Name)
+		v++
+		if h.Domain > 0 {
+			v %= int64(h.Domain)
+		}
+		code.Set(h.Name, v)
+	}, level)
+	return p, &pipeSpec{p: ref}, ok
+}
+
+// TestBatchedFuzzMatchesStreamingSweep is the core byte-identity sweep: the
+// planes loop at every test chunk (300 = 42*7+6, so 7 leaves a partial tail)
+// against the tick loop on the same prechecked pipeline, over a clean spec,
+// a diverging spec and an injected miscompile, with and without a
+// counterexample cap, at every prechecked level. One planes fuzzer per chunk
+// is reused across the cells, as a campaign worker reuses its own. Every
+// cell's BatchReport must equal the tick loop's field for field, mismatch
+// for mismatch.
 func TestBatchedFuzzMatchesStreamingSweep(t *testing.T) {
 	const n = 300
-	for _, level := range []core.OptLevel{core.SCCInlining, core.Compiled} {
+	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
+		identity := buildPipeline(t, 3, 2, "pred_raw", nil, level)
+		if !identity.Prechecked() {
+			t.Fatalf("%s pipeline is not prechecked; the planes loop would never run", level)
+		}
+		wrong, wrongSpec, ok := miscompiled(t, 45, 14, level) // a handful of the 300 PHVs diverge
+		if !ok {
+			t.Fatal("the injected miscompile perturbed nothing")
+		}
 		for _, tc := range []struct {
-			name string
-			spec func() Spec
+			name      string
+			pipe      *core.Pipeline
+			spec      func() Spec
+			diverging bool
 		}{
-			{"clean", passThroughSpec},
-			{"diverging", brokenSpec},
+			{"clean", identity, passThroughSpec, false},
+			{"diverging", identity, brokenSpec, true},
+			{"miscompiled", wrong, func() Spec { return wrongSpec }, true},
 		} {
+			ticks := tickFuzzer(tc.pipe)
+			planes := map[int]*Fuzzer{}
+			for _, chunk := range testChunks(n) {
+				planes[chunk] = planesFuzzer(t, tc.pipe, chunk)
+			}
 			for _, maxMM := range []int{0, 3} {
-				pStream := buildPipeline(t, 3, 2, "pred_raw", nil, level)
-				if !pStream.Prechecked() {
-					t.Fatalf("%s pipeline is not prechecked; the batched path would never engage", level)
-				}
-				streamed, err := NewFuzzer(pStream).FuzzGen(tc.spec(), NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, maxMM)
+				want, err := ticks.FuzzGen(tc.spec(), NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, maxMM)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tc.name == "diverging" && len(streamed.Mismatches) == 0 {
-					t.Fatal("diverging streaming run found no mismatches to cross-check")
+				if tc.diverging && len(want.Mismatches) == 0 {
+					t.Fatalf("%s/%s: the tick loop found no mismatches to cross-check", level, tc.name)
 				}
-				for _, size := range []int{1, 7, 64, n + 100} {
-					label := fmt.Sprintf("%s/%s/max=%d/size=%d", level, tc.name, maxMM, size)
-					pBatch := buildPipeline(t, 3, 2, "pred_raw", nil, level)
-					f := NewFuzzer(pBatch)
-					f.SetBatch(size)
-					batched, err := f.FuzzGen(tc.spec(), NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, maxMM)
+				for _, chunk := range testChunks(n) {
+					got, err := planes[chunk].FuzzGen(tc.spec(), NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, maxMM)
 					if err != nil {
 						t.Fatal(err)
 					}
-					batchReportsEqual(t, label, batched, streamed)
+					batchReportsEqual(t, fmt.Sprintf("%s/%s/max=%d/chunk=%d", level, tc.name, maxMM, chunk), got, want)
 				}
 			}
 		}
@@ -82,10 +122,10 @@ func TestBatchedFuzzMatchesStreamingSweep(t *testing.T) {
 }
 
 // TestBatchedNextErrorMatchesStreaming: a generator failure at packet i
-// aborts a streaming run at tick i with only the packets completed strictly
-// before it counted — mismatches past the abort dropped. The batched path
+// aborts the tick loop at tick i with only the packets completed strictly
+// before it counted — mismatches past the abort dropped. The planes loop
 // must reconstruct that exact report, whether the failure lands at the
-// start, inside a batch, or deep into the run.
+// start, inside a chunk, or deep into the run.
 func TestBatchedNextErrorMatchesStreaming(t *testing.T) {
 	const n = 300
 	boom := errors.New("traffic source failed")
@@ -101,112 +141,158 @@ func TestBatchedNextErrorMatchesStreaming(t *testing.T) {
 			return nil
 		}
 	}
+	p := buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled)
 	for _, errAt := range []int{0, 5, 150} {
-		pStream := buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled)
-		streamed, err := NewFuzzer(pStream).Fuzz(brokenSpec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
+		want, err := tickFuzzer(p).Fuzz(brokenSpec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !errors.Is(streamed.Err, boom) {
-			t.Fatalf("errAt=%d: streaming Err = %v, want the generator failure", errAt, streamed.Err)
+		if !errors.Is(want.Err, boom) {
+			t.Fatalf("errAt=%d: tick loop Err = %v, want the generator failure", errAt, want.Err)
 		}
-		for _, size := range []int{7, 64} {
-			pBatch := buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled)
-			f := NewFuzzer(pBatch)
-			f.SetBatch(size)
-			batched, err := f.Fuzz(brokenSpec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
+		for _, chunk := range testChunks(n) {
+			got, err := planesFuzzer(t, p, chunk).Fuzz(brokenSpec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batchReportsEqual(t, fmt.Sprintf("errAt=%d/size=%d", errAt, size), batched, streamed)
-			if !errors.Is(batched.Err, boom) {
-				t.Fatalf("errAt=%d/size=%d: batched Err = %v, want the generator failure unwrapped", errAt, size, batched.Err)
+			batchReportsEqual(t, fmt.Sprintf("errAt=%d/chunk=%d", errAt, chunk), got, want)
+			if !errors.Is(got.Err, boom) {
+				t.Fatalf("errAt=%d/chunk=%d: planes Err = %v, want the generator failure unwrapped", errAt, chunk, got.Err)
 			}
 		}
 	}
 }
 
-// specErrAt wraps a spec so it fails on packet i, diverging (or not) on the
-// packets before it.
-func specErrAt(inner Spec, i int) Spec {
-	calls := 0
-	return &SpecFunc{SpecName: inner.Name(), Fn: func(in *phv.PHV) (*phv.PHV, error) {
-		if calls == i {
-			return nil, errors.New("spec gave up")
-		}
-		calls++
-		return inner.(*SpecFunc).Fn(in)
-	}}
+// failingSpec is a spec that gives up on packet at, behaving as the wrapped
+// spec (diverging or not) on the packets before it.
+type failingSpec struct {
+	Spec
+	at, calls int
+}
+
+func specErrAt(inner Spec, i int) Spec { return &failingSpec{Spec: inner, at: i} }
+
+func (s *failingSpec) Reset() {
+	s.Spec.Reset()
+	s.calls = 0
+}
+
+func (s *failingSpec) Process(in *phv.PHV) (*phv.PHV, error) {
+	if s.calls == s.at {
+		return nil, errors.New("spec gave up")
+	}
+	s.calls++
+	return s.Spec.Process(in)
 }
 
 // TestBatchedSpecErrorMatchesStreaming: a specification failure is harness
-// misuse — a non-nil error and no report — in both modes, with identical
+// misuse — a non-nil error and no report — on both loops, with identical
 // messages; except when the counterexample cap was reached strictly before
-// the failing packet's admission, in which case the capped report wins in
-// both modes.
+// the failing packet's admission, in which case the capped report wins on
+// both loops.
 func TestBatchedSpecErrorMatchesStreaming(t *testing.T) {
 	const n = 300
-	run := func(pipe *core.Pipeline, batch int, spec Spec, maxMM int) (*BatchReport, error) {
-		f := NewFuzzer(pipe)
-		f.SetBatch(batch)
+	p := buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled)
+	run := func(f *Fuzzer, spec Spec, maxMM int) (*BatchReport, error) {
 		return f.FuzzGen(spec, NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, maxMM)
 	}
 
-	// Clean prefix, spec failure at packet 100: harness error in both modes.
-	streamed, serr := run(buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled), 0, specErrAt(passThroughSpec(), 100), 0)
-	if serr == nil || streamed != nil {
-		t.Fatalf("streaming spec failure: report=%v err=%v, want nil report and an error", streamed, serr)
+	// Clean prefix, spec failure at packet 100: harness error on both loops.
+	want, werr := run(tickFuzzer(p), specErrAt(passThroughSpec(), 100), 0)
+	if werr == nil || want != nil {
+		t.Fatalf("tick loop spec failure: report=%v err=%v, want nil report and an error", want, werr)
 	}
-	for _, size := range []int{7, 64} {
-		batched, berr := run(buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled), size, specErrAt(passThroughSpec(), 100), 0)
-		if berr == nil || batched != nil {
-			t.Fatalf("size=%d: batched spec failure: report=%v err=%v, want nil report and an error", size, batched, berr)
+	for _, chunk := range testChunks(n) {
+		got, gerr := run(planesFuzzer(t, p, chunk), specErrAt(passThroughSpec(), 100), 0)
+		if gerr == nil || got != nil {
+			t.Fatalf("chunk=%d: planes spec failure: report=%v err=%v, want nil report and an error", chunk, got, gerr)
 		}
-		if berr.Error() != serr.Error() {
-			t.Fatalf("size=%d: batched err %q, streaming err %q", size, berr, serr)
+		if gerr.Error() != werr.Error() {
+			t.Fatalf("chunk=%d: planes err %q, tick loop err %q", chunk, gerr, werr)
 		}
 	}
 
 	// Diverging spec capped at 1 mismatch long before the failure at packet
-	// 200: the cap wins and both modes return the identical capped report.
-	streamedCap, serr := run(buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled), 0, specErrAt(brokenSpec(), 200), 1)
-	if serr != nil {
-		t.Fatalf("capped streaming run errored: %v", serr)
+	// 200: the cap wins and both loops return the identical capped report.
+	wantCap, werr := run(tickFuzzer(p), specErrAt(brokenSpec(), 200), 1)
+	if werr != nil {
+		t.Fatalf("capped tick loop run errored: %v", werr)
 	}
-	if len(streamedCap.Mismatches) != 1 || streamedCap.Err != nil {
-		t.Fatalf("capped streaming run: %+v, want exactly the capped mismatch", streamedCap)
+	if len(wantCap.Mismatches) != 1 || wantCap.Err != nil {
+		t.Fatalf("capped tick loop run: %+v, want exactly the capped mismatch", wantCap)
 	}
-	for _, size := range []int{7, 64} {
-		batchedCap, berr := run(buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled), size, specErrAt(brokenSpec(), 200), 1)
-		if berr != nil {
-			t.Fatal(berr)
+	for _, chunk := range testChunks(n) {
+		gotCap, gerr := run(planesFuzzer(t, p, chunk), specErrAt(brokenSpec(), 200), 1)
+		if gerr != nil {
+			t.Fatal(gerr)
 		}
-		batchReportsEqual(t, fmt.Sprintf("cap-wins/size=%d", size), batchedCap, streamedCap)
+		batchReportsEqual(t, fmt.Sprintf("cap-wins/chunk=%d", chunk), gotCap, wantCap)
 	}
 }
 
-// TestBatchedFallsBackUnoptimized: on a pipeline without Prechecked the
-// fuzzer ignores SetBatch and stays on the streaming tick loop, producing
-// the streaming report rather than failing.
-func TestBatchedFallsBackUnoptimized(t *testing.T) {
-	pStream := buildPipeline(t, 2, 2, "pred_raw", nil, core.Unoptimized)
-	if pStream.Prechecked() {
-		t.Fatal("unoptimized pipeline unexpectedly prechecked")
+// TestKernelSelection pins the choice NewFuzzer makes, which no caller can
+// override: the Unoptimized level runs the tick loop — where machine code
+// is resolved at run time and a missing pair (BuildUnchecked) is a finding
+// with the tick loop's text and tick — and every other level runs the planes
+// loop at planeChunk, allocating nothing of the other kernel.
+func TestKernelSelection(t *testing.T) {
+	for _, level := range core.AllLevels() {
+		f := NewFuzzer(buildPipeline(t, 2, 2, "pred_raw", nil, level))
+		if got, want := f.onPlanes(), level != core.Unoptimized; got != want {
+			t.Errorf("%s: planes loop = %v, want %v", level, got, want)
+		}
+		if f.onPlanes() {
+			if f.batch.Cap() != planeChunk || len(f.want) != planeChunk {
+				t.Errorf("%s: chunk %d with %d want rows, want %d", level, f.batch.Cap(), len(f.want), planeChunk)
+			}
+			if f.stream != nil || f.inputs != nil {
+				t.Errorf("%s: a planes fuzzer allocated the tick loop's stream and rings", level)
+			}
+		} else if f.fillRow != nil || f.gatherRow != nil || f.stateBuf != nil {
+			t.Errorf("%s: a tick-loop fuzzer allocated the planes loop's rows", level)
+		}
+		rep, err := f.FuzzGen(brokenSpec(), NewTrafficGen(3, 2, phv.Default32, 1000), 200, FuzzOptions{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Checked != 200 || rep.Ticks != 201 || len(rep.Mismatches) == 0 {
+			t.Errorf("%s: checked=%d ticks=%d mismatches=%d, want 200 PHVs over 201 ticks and a diverging run", level, rep.Checked, rep.Ticks, len(rep.Mismatches))
+		}
 	}
-	streamed, err := NewFuzzer(pStream).FuzzGen(brokenSpec(), NewTrafficGen(3, 2, phv.Default32, 1000), 200, FuzzOptions{}, 0)
+
+	s := core.Spec{Depth: 2, Width: 1, StatelessALU: atoms.MustLoad("stateless_full"), StatefulALU: atoms.MustLoad("raw")}
+	req, err := s.RequiredPairs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pBatch := buildPipeline(t, 2, 2, "pred_raw", nil, core.Unoptimized)
-	f := NewFuzzer(pBatch)
-	f.SetBatch(64)
-	batched, err := f.FuzzGen(brokenSpec(), NewTrafficGen(3, 2, phv.Default32, 1000), 200, FuzzOptions{}, 0)
+	code := machinecode.New()
+	for _, h := range req {
+		code.Set(h.Name, 0)
+	}
+	code.Delete(machinecode.ALUHoleName(1, false, 0, "const_0"))
+	p, err := core.BuildUnchecked(s, code)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchReportsEqual(t, "unoptimized fallback", batched, streamed)
-	if _, err := NewBatch(pStream, 8); err == nil {
+	f := NewFuzzer(p)
+	if f.onPlanes() {
+		t.Fatal("a BuildUnchecked pipeline was bound to the planes loop")
+	}
+	if _, err := NewBatch(p, planeChunk); err == nil {
 		t.Fatal("NewBatch accepted an unoptimized pipeline")
+	}
+	rep, err := f.FuzzGen(passThroughSpec(), NewTrafficGen(4, 1, phv.Default32, 0), 10, FuzzOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Packet 0 reaches the broken stage 1 on the second tick; nothing ever
+	// completes.
+	const wantErr = "sim: tick 1: "
+	if rep.Err == nil || !strings.HasPrefix(rep.Err.Error(), wantErr) || !strings.Contains(rep.Err.Error(), "missing machine code pair") {
+		t.Fatalf("Err = %v, want %q… missing machine code pair", rep.Err, wantErr)
+	}
+	if rep.Checked != 0 || rep.Ticks != 1 {
+		t.Errorf("checked=%d ticks=%d, want 0 PHVs and the abort at tick 1", rep.Checked, rep.Ticks)
 	}
 }
 
@@ -315,27 +401,5 @@ func TestBatchAliasingAudit(t *testing.T) {
 	}
 	if err := b.Run(0); err == nil {
 		t.Fatal("empty Run succeeded")
-	}
-}
-
-// TestFuzzerSetBatchResize: one fuzzer swept through growing, shrinking and
-// streaming batch sizes (exercising plane reallocation and reuse) keeps
-// producing the streaming report.
-func TestFuzzerSetBatchResize(t *testing.T) {
-	const n = 300
-	pStream := buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled)
-	want, err := NewFuzzer(pStream).FuzzGen(brokenSpec(), NewTrafficGen(5, 2, phv.Default32, 1000), n, FuzzOptions{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled)
-	f := NewFuzzer(p)
-	for _, size := range []int{8, 64, 8, 0, 512, 3} {
-		f.SetBatch(size)
-		got, err := f.FuzzGen(brokenSpec(), NewTrafficGen(5, 2, phv.Default32, 1000), n, FuzzOptions{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchReportsEqual(t, fmt.Sprintf("size=%d", size), got, want)
 	}
 }

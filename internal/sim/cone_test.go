@@ -9,8 +9,8 @@ import (
 )
 
 // TestFuzzRejectsCompareContainerOutOfRange: a compared container outside
-// the PHV is harness misuse and comes back as an error on the streaming and
-// on the batched path — it used to index out of range inside the compare.
+// the PHV is harness misuse and comes back as an error on the tick loop and
+// on the planes loop — it used to index out of range inside the compare.
 func TestFuzzRejectsCompareContainerOutOfRange(t *testing.T) {
 	p := buildPipeline(t, 2, 2, "", nil, core.Compiled) // identity, PHVLen 2
 	for _, tc := range []struct {
@@ -21,12 +21,10 @@ func TestFuzzRejectsCompareContainerOutOfRange(t *testing.T) {
 		{[]int{2}, "sim: compare container 2 out of range [0,2)"},
 		{[]int{0, -1}, "sim: compare container -1 out of range [0,2)"},
 	} {
-		for _, batch := range []int{0, 7} {
-			f := NewFuzzer(p)
-			f.SetBatch(batch)
+		for name, f := range map[string]*Fuzzer{"ticks": tickFuzzer(p), "planes": NewFuzzer(p)} {
 			rep, err := f.FuzzGen(passThroughSpec(), NewTrafficGen(1, 2, phv.Default32, 0), 20, FuzzOptions{Containers: tc.containers}, 0)
 			if err == nil || err.Error() != tc.want {
-				t.Errorf("containers %v batch %d: report %v, err %v; want error %q", tc.containers, batch, rep, err, tc.want)
+				t.Errorf("containers %v on %s: report %v, err %v; want error %q", tc.containers, name, rep, err, tc.want)
 			}
 		}
 		if _, err := FuzzRandom(p, passThroughSpec(), 1, 20, 0, FuzzOptions{Containers: tc.containers}); err == nil || err.Error() != tc.want {
@@ -74,25 +72,32 @@ func executed(p *core.Pipeline) int {
 // deliberately wrong specification, with the comparison restricted to one
 // container, the fuzzer (which executes the output cone) produces the
 // BatchReport — indices, Input, whole-PHV Got, Want, Checked, Ticks — that
-// the same loop produces over the full ALU grid, for streaming and every
-// batch size, with and without a mismatch cap.
+// the same loop produces over the full ALU grid, on the tick loop and on the
+// planes loop at every test chunk, with and without a mismatch cap.
 func TestConeFuzzReportsMatchFullGrid(t *testing.T) {
 	const n = 200
 	pruned, mismatched, matched := 0, 0, 0
 	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
 		for trial := int64(0); trial < 4; trial++ {
 			p, ref := randomizedPair(t, 900+trial, level)
-			cone := NewFuzzer(p)
-			full := newFuzzer(p.Clone())
-			if got, want := executed(full.Pipeline()), executed(p); got != want {
+			// Pairs of (cone, full grid) fuzzers on the same loop: the tick
+			// loop, then the planes loop at each chunk.
+			pairs := [][2]*Fuzzer{{tickFuzzer(p), newTickFuzzer(p.Clone())}}
+			for _, chunk := range testChunks(n) {
+				full, err := newPlanesFuzzer(p.Clone(), chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pairs = append(pairs, [2]*Fuzzer{planesFuzzer(t, p, chunk), full})
+			}
+			if got, want := executed(pairs[0][1].Pipeline()), executed(p); got != want {
 				t.Fatalf("full-grid fuzzer executes %d of %d ALUs", got, want)
 			}
-			pruned += executed(p) - executed(cone.Pipeline())
+			pruned += executed(p) - executed(pairs[0][0].Pipeline())
 			spec := &pipeSpec{p: ref, wrong: true}
 			for _, maxMM := range []int{0, 3} {
-				for _, batch := range []int{0, 1, 7, 64} {
-					cone.SetBatch(batch)
-					full.SetBatch(batch)
+				for _, pair := range pairs {
+					cone, full := pair[0], pair[1]
 					opts := FuzzOptions{Containers: []int{0}}
 					got, err := cone.FuzzGen(spec, NewTrafficGen(trial, 2, phv.Default32, 1<<16), n, opts, maxMM)
 					if err != nil {

@@ -559,13 +559,19 @@ type BatchReport struct {
 // Passed reports whether the batch found no divergence and no error.
 func (r *BatchReport) Passed() bool { return r.Err == nil && len(r.Mismatches) == 0 }
 
-// Fuzzer runs the Fig. 5 comparison as a lock-step stream over reusable
-// buffers: packet i is generated into a ring slot and, on the tick of its
-// admission, processed by the specification; the expected output then waits
-// in the ring until the pipeline's output for packet i emerges depth-1
-// ticks later and the two are compared. PHVs are cloned only for
-// mismatches, so a clean run performs O(1) allocation total — for
-// StreamSpec specifications, zero steady-state allocations per PHV.
+// Fuzzer runs the Fig. 5 comparison in lock step over reusable buffers:
+// packet i is generated, the specification consumes it on the spot, and the
+// expected output waits until the pipeline's output for packet i is
+// available and the two are compared. PHVs are cloned only for mismatches,
+// so a clean run performs O(1) allocation total — for StreamSpec
+// specifications, zero steady-state allocations per PHV.
+//
+// The loop runs on one of two kernels, chosen by NewFuzzer from the pipeline
+// and never by the caller: a prechecked pipeline executes planeChunk packets
+// at a time on struct-of-arrays planes (fuzzBatched), any other — the
+// Unoptimized level, the naive reference whose machine code can still fail
+// at run time — one tick at a time on a Stream (fuzzTicks). Reports are
+// byte-identical between the two; only the chosen kernel's buffers exist.
 //
 // A Fuzzer is bound to one pipeline and reusable across runs (the campaign
 // engine keeps one per worker per job). It executes on a private clone — the
@@ -573,47 +579,70 @@ func (r *BatchReport) Passed() bool { return r.Err == nil && len(r.Mismatches) =
 // it was built from. It is not safe for concurrent use.
 type Fuzzer struct {
 	pipe   *core.Pipeline
-	stream *Stream
-	win    int           // ring window: depth+1 in-flight packets
-	inputs [][]phv.Value // input i lives at slot i%win until compared
-	want   [][]phv.Value // expected output i, same slot discipline
 	specIn *phv.PHV      // reusable wrapper for non-streaming specs
+	want   [][]phv.Value // expected outputs: ring slot i%win (tick loop) or chunk column k (planes loop)
 
-	// Batched mode (SetBatch): the plane engine and its scratch rows,
-	// allocated lazily on the first batched run and reused afterwards.
-	batchSize int           // 0 = streaming
-	batch     *Batch        // column-major execution planes
-	wantRows  [][]phv.Value // expected output k of the current batch
-	fillRow   []phv.Value   // row scratch for generation and replay
-	gatherRow []phv.Value   // row scratch for column gathers
-	stateBuf  []phv.Value   // pre-batch state checkpoint for panic replay
+	// Tick loop: packet i's input lives at ring slot i%win, win = depth+1
+	// in-flight packets, until its output surfaces and is compared.
+	stream *Stream
+	inputs [][]phv.Value
+
+	// Planes loop: the planes hold the chunk's inputs and outputs.
+	batch     *Batch
+	fillRow   []phv.Value // row scratch for generation, gathers and replay
+	gatherRow []phv.Value // row scratch for output-column gathers
+	stateBuf  []phv.Value // pre-chunk state checkpoint for panic replay
 }
 
-// NewFuzzer returns a streaming fuzzer over the pipeline. The fuzzer
-// observes output PHVs only, never ALU state, so it executes on a private
+// planeChunk is the packets per sweep of the planes loop. What bounds it is
+// the benchmark's alloc_mb limit (+5 %), not the kernel: plane buffers grow
+// with the chunk and every campaign worker holds a fuzzer per job. Against
+// the tick loop, alloc_mb on rmt-fast reads 1.672 -> 1.702 at chunk 8
+// (+1.8 %; rmt-table1 4.771 -> 4.816, +1.0 %), +3.7 % at 16, +7.7 % at 32
+// and +15 % at 64, while verdict_ms on rmt-fast moves 31 -> 26 at chunk 8
+// and by about one more ms from there to 64.
+const planeChunk = 8
+
+// NewFuzzer returns a fuzzer over the pipeline. The fuzzer observes output
+// PHVs only, never ALU state, so it executes on a private
 // core.Pipeline.OutputCone clone of p: only the ALUs whose results can reach
 // an output container run, p itself is never executed or mutated, and
 // callers need not clone before handing a shared pipeline to NewFuzzer. The
-// clone and the ring buffers are the only allocations; they are reused by
-// every subsequent Fuzz run.
+// clone and the chosen kernel's buffers are the only allocations; they are
+// reused by every subsequent Fuzz run.
 func NewFuzzer(p *core.Pipeline) *Fuzzer { return newFuzzer(p.OutputCone()) }
 
-// newFuzzer binds a fuzzer to p itself, which it executes and mutates.
+// newFuzzer binds a fuzzer to p itself, which it executes and mutates:
+// planes when p is prechecked (NewBatch's requirement), else the tick loop.
 func newFuzzer(p *core.Pipeline) *Fuzzer {
-	f := &Fuzzer{pipe: p, stream: NewStream(p), win: p.Depth() + 1}
-	phvLen := p.PHVLen()
-	backing := make([]phv.Value, 2*f.win*phvLen)
-	f.inputs = make([][]phv.Value, f.win)
-	f.want = make([][]phv.Value, f.win)
-	for i := 0; i < f.win; i++ {
-		f.inputs[i] = backing[i*phvLen : (i+1)*phvLen : (i+1)*phvLen]
-		// want slots start empty; they are refilled by append so a spec
-		// returning a wrong-length PHV is caught by the comparison.
-		base := (f.win + i) * phvLen
-		f.want[i] = backing[base : base : base+phvLen]
+	if !p.Prechecked() {
+		return newTickFuzzer(p)
 	}
-	f.specIn = phv.New(phvLen)
+	f, err := newPlanesFuzzer(p, planeChunk)
+	if err != nil {
+		panic(err) // NewBatch refuses only pipelines that are not prechecked and chunks < 1
+	}
 	return f
+}
+
+// newTickFuzzer binds p to the tick loop: a Stream and the two rings.
+func newTickFuzzer(p *core.Pipeline) *Fuzzer {
+	phvLen, win := p.PHVLen(), p.Depth()+1
+	f := &Fuzzer{pipe: p, specIn: phv.New(phvLen), stream: NewStream(p)}
+	f.inputs, f.want = valueRows(win, phvLen), valueRows(win, phvLen)
+	return f
+}
+
+// valueRows returns n cap-pinned PHVLen rows over one backing array. Want
+// rows are refilled by append from empty, so a spec returning a wrong-length
+// PHV is caught by the comparison.
+func valueRows(n, phvLen int) [][]phv.Value {
+	backing := make([]phv.Value, n*phvLen)
+	rows := make([][]phv.Value, n)
+	for i := range rows {
+		rows[i] = backing[i*phvLen : (i+1)*phvLen : (i+1)*phvLen]
+	}
+	return rows
 }
 
 // Pipeline returns the pipeline the fuzzer executes: its private output-cone
@@ -621,7 +650,7 @@ func newFuzzer(p *core.Pipeline) *Fuzzer {
 // the original; state of stateful ALUs outside the cone stays zero.
 func (f *Fuzzer) Pipeline() *core.Pipeline { return f.pipe }
 
-// FuzzGen runs the streaming comparison over n PHVs drawn from gen.
+// FuzzGen runs the lock-step comparison over n PHVs drawn from gen.
 //
 //dvet:hotpath allocs=3
 func (f *Fuzzer) FuzzGen(spec Spec, gen *TrafficGen, n int, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
@@ -636,10 +665,10 @@ func (f *Fuzzer) FuzzGen(spec Spec, gen *TrafficGen, n int, opts FuzzOptions, ma
 // which must fill the PHVLen-sized buffer it is handed (an error from next
 // is recorded as a simulation finding, like a malformed trace entry).
 // Collection stops after maxMismatches diverging PHVs (0 = unbounded). The
-// pipeline's state, the stream and the specification are reset first. Like
-// Fuzz, simulation failures land in BatchReport.Err; only harness misuse —
-// n <= 0, a compared container outside [0, PHVLen), a failing specification
-// — returns a non-nil error.
+// pipeline's state and the specification are reset first. Like Fuzz,
+// simulation failures land in BatchReport.Err; only harness misuse — n <= 0,
+// a compared container outside [0, PHVLen), a failing specification —
+// returns a non-nil error.
 //
 //dvet:hotpath allocs=3
 func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
@@ -649,16 +678,57 @@ func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts F
 	if err := checkContainers(opts.Containers, f.pipe.PHVLen()); err != nil {
 		return nil, err
 	}
-	if f.batchSize > 0 && f.pipe.Prechecked() {
-		// Batched mode produces byte-identical reports on the plane engine;
-		// unoptimized pipelines fall through to the streaming tick loop.
+	if f.batch != nil {
 		return f.fuzzBatched(spec, n, next, opts, maxMismatches)
 	}
+	return f.fuzzTicks(spec, n, next, opts, maxMismatches)
+}
+
+// admit is the step both loops share: it draws packet i from next into in
+// and leaves the specification's expected output for it in *want, so
+// generator and spec state advance in packet order whatever the kernel's
+// schedule. A generator failure is a finding and comes back bare as genErr;
+// a specification failure is harness misuse and comes back as specErr,
+// carrying the spec's name and i.
+//
+//dvet:hotpath allocs=0
+func (f *Fuzzer) admit(spec Spec, ss StreamSpec, i int, next func(dst []phv.Value) error, in []phv.Value, want *[]phv.Value) (genErr, specErr error) {
+	if err := next(in); err != nil {
+		return err, nil
+	}
+	if ss != nil {
+		*want = append((*want)[:0], in...) //dvet:alloc-ok append into the row's cap-pinned backing, never grows
+		if err := ss.ProcessStream(*want); err != nil {
+			return nil, fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), i, err) //dvet:alloc-ok spec-failure error path
+		}
+		return nil, nil
+	}
+	copy(f.specIn.Raw(), in)
+	out, err := spec.Process(f.specIn)
+	if err != nil {
+		return nil, fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), i, err) //dvet:alloc-ok spec-failure error path
+	}
+	*want = append((*want)[:0], out.Raw()...) //dvet:alloc-ok append into the row's cap-pinned backing, never grows
+	return nil, nil
+}
+
+// mismatchOf records one diverging packet; the three vectors are copied.
+func mismatchOf(index int, input, got, want []phv.Value) Mismatch {
+	return Mismatch{Index: index, Input: phv.FromValues(input), Got: phv.FromValues(got), Want: phv.FromValues(want)}
+}
+
+// fuzzTicks is Fuzz on the tick loop: packet i is admitted into the Stream
+// on tick i and its output, surfacing depth-1 ticks later, is compared with
+// the expectation that waited in the ring.
+//
+//dvet:hotpath allocs=3
+func (f *Fuzzer) fuzzTicks(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	report := &BatchReport{SpecName: spec.Name()} //dvet:alloc-ok one report per run, not per PHV
 	f.pipe.ResetState()
 	f.stream.Reset()
 	spec.Reset()
-	ss, streaming := spec.(StreamSpec)
+	ss, _ := spec.(StreamSpec)
+	win := len(f.inputs)
 	fed, compared := 0, 0
 	//dvet:alloc-ok per-run epilogue closure, not per PHV
 	finish := func() *BatchReport {
@@ -669,26 +739,15 @@ func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts F
 	for fed < n || f.stream.InFlight() > 0 {
 		var in []phv.Value
 		if fed < n {
-			slot := fed % f.win
+			slot := fed % win
 			in = f.inputs[slot]
-			if err := next(in); err != nil {
-				report.Err = err
+			genErr, specErr := f.admit(spec, ss, fed, next, in, &f.want[slot])
+			if genErr != nil {
+				report.Err = genErr
 				return finish(), nil
 			}
-			// Lock step: the spec consumes packet i on the tick of its
-			// admission, so spec state advances in packet order.
-			if streaming {
-				f.want[slot] = append(f.want[slot][:0], in...) //dvet:alloc-ok append into the ring's cap-pinned backing, never grows
-				if err := ss.ProcessStream(f.want[slot]); err != nil {
-					return nil, fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), fed, err) //dvet:alloc-ok spec-failure error path
-				}
-			} else {
-				copy(f.specIn.Raw(), in)
-				out, err := spec.Process(f.specIn)
-				if err != nil {
-					return nil, fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), fed, err) //dvet:alloc-ok spec-failure error path
-				}
-				f.want[slot] = append(f.want[slot][:0], out.Raw()...) //dvet:alloc-ok append into the ring's cap-pinned backing, never grows
+			if specErr != nil {
+				return nil, specErr
 			}
 			fed++
 		}
@@ -700,15 +759,10 @@ func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts F
 		if out == nil {
 			continue
 		}
-		slot := compared % f.win
+		slot := compared % win
 		if !equalVals(out, f.want[slot], opts.Containers) {
 			//dvet:alloc-ok mismatch collection is the cold path; clean runs never reach it
-			report.Mismatches = append(report.Mismatches, Mismatch{
-				Index: compared,
-				Input: phv.FromValues(f.inputs[slot]),
-				Got:   phv.FromValues(out),
-				Want:  phv.FromValues(f.want[slot]),
-			})
+			report.Mismatches = append(report.Mismatches, mismatchOf(compared, f.inputs[slot], out, f.want[slot]))
 			if maxMismatches > 0 && len(report.Mismatches) >= maxMismatches {
 				compared++
 				return finish(), nil
@@ -719,7 +773,7 @@ func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts F
 	return finish(), nil
 }
 
-// FuzzRandom drives the streaming fuzzer with n PHVs from a fresh traffic
+// FuzzRandom drives a fresh fuzzer with n PHVs from a fresh traffic
 // generator and condenses the outcome to a first-mismatch FuzzReport.
 func FuzzRandom(p *core.Pipeline, spec Spec, seed int64, n int, maxValue int64, opts FuzzOptions) (*FuzzReport, error) {
 	gen := NewTrafficGen(seed, p.PHVLen(), p.Bits(), maxValue)

@@ -16,15 +16,22 @@ import (
 func randomizedPipeline(t *testing.T, depth, width int, statefulAtom string, rng *rand.Rand, level core.OptLevel) *core.Pipeline {
 	t.Helper()
 	return buildPipeline(t, depth, width, statefulAtom, func(s *core.Spec, code *machinecode.Program) {
-		req, _ := s.RequiredPairs()
-		for _, h := range req {
-			if h.Domain > 0 {
-				code.Set(h.Name, int64(rng.Intn(h.Domain)))
-			} else {
-				code.Set(h.Name, int64(rng.Intn(8)))
-			}
-		}
+		randomizeCode(s, code, rng)
 	}, level)
+}
+
+// randomizeCode sets every required pair to a random value of its domain
+// (immediates: below 8) and returns the pairs.
+func randomizeCode(s *core.Spec, code *machinecode.Program, rng *rand.Rand) []core.HoleSpec {
+	req, _ := s.RequiredPairs()
+	for _, h := range req {
+		if h.Domain > 0 {
+			code.Set(h.Name, int64(rng.Intn(h.Domain)))
+		} else {
+			code.Set(h.Name, int64(rng.Intn(8)))
+		}
+	}
+	return req
 }
 
 // TestStreamMatchesRun differentially tests the streaming engine against

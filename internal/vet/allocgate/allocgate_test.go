@@ -52,34 +52,32 @@ var runners = map[string]func(t *testing.T) float64{
 		})
 	},
 	"internal/sim.Fuzzer.Fuzz": func(t *testing.T) float64 {
-		f, sp, gen, opts := benchFuzzer(t)
-		next := func(dst []phv.Value) error {
-			gen.Fill(dst)
-			return nil
-		}
-		fuzzRun := func() {
-			rep, err := f.Fuzz(sp, 256, next, opts, 0)
-			if err != nil {
-				panic(err)
+		// Both of the fuzzer's loops hold the one budget: the planes loop
+		// NewFuzzer binds to a compiled pipeline, and the tick loop it binds
+		// to an unoptimized one.
+		worst := 0.0
+		for _, level := range []core.OptLevel{core.Compiled, core.Unoptimized} {
+			f, sp, gen, opts := benchFuzzer(t, level)
+			next := func(dst []phv.Value) error {
+				gen.Fill(dst)
+				return nil
 			}
-			if !rep.Passed() {
-				panic("fuzz mismatch")
+			fuzzRun := func() {
+				rep, err := f.Fuzz(sp, 256, next, opts, 0)
+				if err != nil {
+					panic(err)
+				}
+				if !rep.Passed() {
+					panic("fuzz mismatch")
+				}
 			}
+			fuzzRun() // warm spec scratch
+			worst = max(worst, testing.AllocsPerRun(10, fuzzRun))
 		}
-		fuzzRun() // warm ring, arena, spec scratch
-		streaming := testing.AllocsPerRun(10, fuzzRun)
-		// The batched mode must hold the same budget: same loop on the
-		// struct-of-arrays engine, planes allocated once at warmup.
-		f.SetBatch(64)
-		fuzzRun()
-		batched := testing.AllocsPerRun(10, fuzzRun)
-		if batched > streaming {
-			return batched
-		}
-		return streaming
+		return worst
 	},
 	"internal/sim.Fuzzer.FuzzGen": func(t *testing.T) float64 {
-		f, sp, gen, opts := benchFuzzer(t)
+		f, sp, gen, opts := benchFuzzer(t, core.Compiled)
 		fuzzRun := func() {
 			rep, err := f.FuzzGen(sp, gen, 256, opts, 0)
 			if err != nil {
@@ -267,16 +265,16 @@ func benchPipeline(t *testing.T) *core.Pipeline {
 	return pipe
 }
 
-// benchFuzzer builds a warm streaming fuzzer over the first Table-1
-// benchmark together with its spec, generator and compare options.
-func benchFuzzer(t *testing.T) (*sim.Fuzzer, sim.Spec, *sim.TrafficGen, sim.FuzzOptions) {
+// benchFuzzer builds a fuzzer over the first Table-1 benchmark at the given
+// level together with its spec, generator and compare options.
+func benchFuzzer(t *testing.T, level core.OptLevel) (*sim.Fuzzer, sim.Spec, *sim.TrafficGen, sim.FuzzOptions) {
 	t.Helper()
 	bms := spec.All()
 	if len(bms) == 0 {
 		t.Fatal("no spec benchmarks")
 	}
 	bm := bms[0]
-	pipe, err := bm.Pipeline(core.Compiled)
+	pipe, err := bm.Pipeline(level)
 	if err != nil {
 		t.Fatal(err)
 	}
