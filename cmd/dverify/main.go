@@ -24,6 +24,11 @@
 // wall clock (an expired budget reports unknown); an interrupt (Ctrl-C)
 // abandons the solve the same way instead of wedging.
 //
+// Every solve also writes one "search:" line to standard error (decisions,
+// propagations, conflicts, restarts, learnt and removed clauses, and the
+// propagation rate), so that a slow proof can be told apart as a long
+// search or a slow one without touching what standard output carries.
+//
 // Exit status: 0 when equivalence is proven; 1 on a counterexample or an
 // unknown verdict (budget or timeout exhausted) or on usage errors.
 package main
@@ -87,6 +92,14 @@ func resultJSON(program string, bits, steps int, res *verify.Result, solveMS flo
 		out.Trace = traceRows(res.Counterexample)
 	}
 	return out
+}
+
+// printSearch writes the solver's effort on one proof to standard error.
+func printSearch(program string, res *verify.Result, elapsed time.Duration) {
+	st := res.SolverStats
+	fmt.Fprintf(os.Stderr, "search: %s decisions=%d propagations=%d conflicts=%d restarts=%d learned=%d removed=%d in %s (%.2fM props/s)\n",
+		program, st.Decisions, st.Propagations, st.Conflicts, st.Restarts, st.Learned, st.Removed,
+		elapsed.Round(100*time.Microsecond), float64(st.Propagations)/1e6/max(elapsed.Seconds(), 1e-9))
 }
 
 // traceRows decodes a counterexample trace into rows of container values.
@@ -198,7 +211,8 @@ func main() {
 	if err != nil {
 		cli.Fatalf("dverify: %v", err)
 	}
-	solveMS := float64(time.Since(start).Microseconds()) / 1e3
+	elapsed := time.Since(start)
+	solveMS := float64(elapsed.Microseconds()) / 1e3
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -208,6 +222,7 @@ func main() {
 	} else {
 		fmt.Println(res)
 	}
+	printSearch(prog.Name, res, elapsed)
 	if !res.Equivalent {
 		os.Exit(1)
 	}
@@ -263,13 +278,15 @@ func battery(ctx context.Context, bits, steps int, budget int64, jsonOut bool) {
 		if err != nil {
 			cli.Fatalf("dverify: %s: %v", bm.Name, err)
 		}
+		elapsed := time.Since(start)
 		if !res.Equivalent {
 			failures++
 		}
 		if jsonOut {
-			if err := enc.Encode(resultJSON(bm.Name, bits, steps, res, float64(time.Since(start).Microseconds())/1e3)); err != nil {
+			if err := enc.Encode(resultJSON(bm.Name, bits, steps, res, float64(elapsed.Microseconds())/1e3)); err != nil {
 				cli.Fatalf("dverify: %v", err)
 			}
+			printSearch(bm.Name, res, elapsed)
 			continue
 		}
 		verdict := "PROVED"
@@ -281,7 +298,8 @@ func battery(ctx context.Context, bits, steps int, budget int64, jsonOut bool) {
 		}
 		fmt.Printf("%-20s %-6d %-6d %-10s %8d %10d %10s\n",
 			bm.Name, bits, steps, verdict, res.Vars, res.SolverStats.Conflicts,
-			time.Since(start).Round(time.Millisecond))
+			elapsed.Round(time.Millisecond))
+		printSearch(bm.Name, res, elapsed)
 	}
 	if failures > 0 {
 		os.Exit(1)

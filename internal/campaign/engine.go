@@ -225,6 +225,9 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Report, error) {
 						durSec = o.Now().Sub(shardStart).Seconds()
 					}
 					o.Metrics.shardDone(outcome, durSec)
+					if !cached {
+						o.Metrics.cellsSolved(res.Cells)
+					}
 					o.Metrics.queueDepth(atomic.AddInt64(&remaining, -1))
 					if durSec >= 0 {
 						o.Trace.Event("shard", jobs[t.job].Name,

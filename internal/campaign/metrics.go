@@ -32,6 +32,13 @@ type Metrics struct {
 	CacheHits   *obs.Counter
 	CacheMisses *obs.Counter
 
+	// SatConflicts, SatDecisions, SatPropagations and SatRestarts sum the
+	// solver effort of the verification cells executed here (cache replays
+	// and remotely executed cells carry no search counters): with
+	// ShardSeconds they say whether a slow proof is a long search or a
+	// slow one.
+	SatConflicts, SatDecisions, SatPropagations, SatRestarts *obs.Counter
+
 	// QueueDepth tracks the running campaign's not-yet-completed shard
 	// count.
 	QueueDepth *obs.Gauge
@@ -48,13 +55,17 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		return nil
 	}
 	m := &Metrics{
-		ShardSeconds: r.Histogram("druzhba_campaign_shard_seconds", "executed shard durations in seconds", nil),
-		JobSeconds:   r.Histogram("druzhba_campaign_job_seconds", "job durations from first shard start to merge, in seconds", nil),
-		Shards:       r.CounterVec("druzhba_campaign_shards_total", "shard completions by outcome", "outcome"),
-		Jobs:         r.CounterVec("druzhba_campaign_jobs_total", "merged job rows by report status", "status"),
-		CacheHits:    r.Counter("druzhba_campaign_cache_hits_total", "shards replayed from the shard cache"),
-		CacheMisses:  r.Counter("druzhba_campaign_cache_misses_total", "shards executed with caching on"),
-		QueueDepth:   r.Gauge("druzhba_campaign_queue_depth", "shards not yet completed in the running campaign"),
+		ShardSeconds:    r.Histogram("druzhba_campaign_shard_seconds", "executed shard durations in seconds", nil),
+		JobSeconds:      r.Histogram("druzhba_campaign_job_seconds", "job durations from first shard start to merge, in seconds", nil),
+		Shards:          r.CounterVec("druzhba_campaign_shards_total", "shard completions by outcome", "outcome"),
+		Jobs:            r.CounterVec("druzhba_campaign_jobs_total", "merged job rows by report status", "status"),
+		CacheHits:       r.Counter("druzhba_campaign_cache_hits_total", "shards replayed from the shard cache"),
+		CacheMisses:     r.Counter("druzhba_campaign_cache_misses_total", "shards executed with caching on"),
+		SatConflicts:    r.Counter("druzhba_sat_conflicts_total", "SAT conflicts in verification cells executed here"),
+		SatDecisions:    r.Counter("druzhba_sat_decisions_total", "SAT decisions in verification cells executed here"),
+		SatPropagations: r.Counter("druzhba_sat_propagations_total", "SAT unit propagations in verification cells executed here"),
+		SatRestarts:     r.Counter("druzhba_sat_restarts_total", "SAT restarts in verification cells executed here"),
+		QueueDepth:      r.Gauge("druzhba_campaign_queue_depth", "shards not yet completed in the running campaign"),
 	}
 	m.shardCached = m.Shards.With("cached")
 	m.shardExecuted = m.Shards.With("executed")
@@ -79,6 +90,20 @@ func (m *Metrics) shardDone(outcome string, durSec float64) {
 	}
 	if durSec >= 0 {
 		m.ShardSeconds.Observe(durSec)
+	}
+}
+
+// cellsSolved adds the search effort of the cells a shard just decided.
+func (m *Metrics) cellsSolved(cells []VerifyCell) {
+	if m == nil {
+		return
+	}
+	for i := range cells {
+		st := &cells[i].Search
+		m.SatConflicts.Add(float64(st.Conflicts))
+		m.SatDecisions.Add(float64(st.Decisions))
+		m.SatPropagations.Add(float64(st.Propagations))
+		m.SatRestarts.Add(float64(st.Restarts))
 	}
 }
 

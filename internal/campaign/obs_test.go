@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"druzhba/internal/obs"
+	"druzhba/internal/sat"
 )
 
 // TestInstrumentedReportByteIdentical pins the observability invariant:
@@ -149,4 +151,62 @@ func TestMetricsNilSafe(t *testing.T) {
 	m.cacheProbe(true)
 	m.cacheProbe(false)
 	m.queueDepth(3)
+	m.cellsSolved([]VerifyCell{{}})
+}
+
+// TestVerifySearchCountersAreMetadataOnly: a verification cell's search
+// counters reach the -timing text and the sat_* counters, and nothing that
+// is serialized, so a metered verify report is byte-identical to a plain
+// one and to what it was before the counters existed.
+func TestVerifySearchCountersAreMetadataOnly(t *testing.T) {
+	jobs := func() []Job { return verifyJobsFor(t, []string{"flowlets", "rcp"}, []int{4, 5}, []int{2}, 0) }
+	plain, err := Run(context.Background(), jobs(), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMetrics(obs.NewRegistry())
+	metered, err := Run(context.Background(), jobs(), Options{Workers: 2, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := deterministicJSON(t, metered), deterministicJSON(t, plain); got != want {
+		t.Fatalf("metered verify report differs from plain run:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+	var full bytes.Buffer
+	if err := metered.WriteJSON(&full, true); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(full.Bytes(), []byte("ropagations")) {
+		t.Fatalf("search counters leaked into the JSON report:\n%s", full.String())
+	}
+
+	var want sat.Stats
+	for _, j := range metered.Jobs {
+		for _, c := range j.Cells {
+			if c.Search.Conflicts != c.Conflicts || c.Search.Propagations == 0 {
+				t.Fatalf("%s %d bits: search counters %+v beside conflicts=%d", j.Name, c.Bits, c.Search, c.Conflicts)
+			}
+			want.Conflicts += c.Search.Conflicts
+			want.Decisions += c.Search.Decisions
+			want.Propagations += c.Search.Propagations
+			want.Restarts += c.Search.Restarts
+		}
+	}
+	got := sat.Stats{
+		Conflicts:    int64(m.SatConflicts.Value()),
+		Decisions:    int64(m.SatDecisions.Value()),
+		Propagations: int64(m.SatPropagations.Value()),
+		Restarts:     int64(m.SatRestarts.Value()),
+	}
+	if got != want {
+		t.Fatalf("sat_* counters %+v, cells sum to %+v", got, want)
+	}
+	// flowlets at 5 bits, as pinned in internal/verify's grid table.
+	if text := metered.Text(true); !strings.Contains(text, "conflicts=146) solve=") ||
+		!strings.Contains(text, " decisions=186 propagations=48861 restarts=2 learned=145 removed=0\n") {
+		t.Fatalf("-timing text does not show the search counters:\n%s", text)
+	}
+	if strings.Contains(metered.Text(false), "propagations=") {
+		t.Fatal("search counters shown without -timing")
+	}
 }

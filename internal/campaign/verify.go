@@ -9,6 +9,7 @@ import (
 	"druzhba/internal/domino"
 	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
+	"druzhba/internal/sat"
 	"druzhba/internal/spec"
 	"druzhba/internal/verify"
 )
@@ -25,9 +26,10 @@ const (
 // Everything serialized here is a pure function of (spec, machine code,
 // bits, steps, budget) — the solver is single-threaded and deterministic —
 // so cells flow through the content-addressed shard cache and replay
-// byte-identically. SolveMS is the one nondeterministic field; it is
-// excluded from serialization (and therefore from cached replays) and only
-// surfaces in metadata renderings.
+// byte-identically. SolveMS is the one nondeterministic field; it and the
+// search counters in Search are excluded from serialization (and therefore
+// from cached replays, which show them as zero) and only surface in metadata
+// renderings.
 type VerifyCell struct {
 	Bits      int    `json:"bits"`
 	Steps     int    `json:"steps"`
@@ -46,6 +48,13 @@ type VerifyCell struct {
 	// SolveMS is wall-clock solve time: nondeterministic, never
 	// serialized, shown only in metadata renderings.
 	SolveMS float64 `json:"-"`
+
+	// Search is the solver's effort on this cell beyond Conflicts —
+	// decisions, propagations, restarts, learnt and removed clauses — for
+	// -timing renderings and the engine's sat_* counters. Deterministic,
+	// but kept out of serialized, cached and hashed bytes so that reports
+	// do not move when only the solver's bookkeeping does.
+	Search sat.Stats `json:"-"`
 }
 
 // VerifyTarget is SAT-based equivalence checking as a campaign target: one
@@ -254,6 +263,7 @@ func (r *verifyRunner) RunShardContext(ctx context.Context, seed int64, n int) S
 		Clauses:   res.Clauses,
 		Conflicts: res.SolverStats.Conflicts,
 		SolveMS:   float64(time.Since(start).Microseconds()) / 1e3, //dvet:walltime-ok same: display-only timing
+		Search:    res.SolverStats,
 	}
 	out := ShardResult{}
 	switch {

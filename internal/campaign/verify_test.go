@@ -171,23 +171,29 @@ func TestVerifyWarmCacheReprovesNothing(t *testing.T) {
 
 // TestVerifyBudgetExhaustionIsUnknown pins the deterministic unknown
 // verdict: a solver conflict budget too small for the instance yields
-// StatusUnknown (not pass, not error), and the report fails overall.
+// StatusUnknown (not pass, not error), the report fails overall, and the
+// cell spent exactly its budget (-budget is a per-cell bound on conflicts,
+// not on restarts).
 func TestVerifyBudgetExhaustionIsUnknown(t *testing.T) {
-	// learn-filter at 4 bits needs hundreds of conflicts; budget 1 cannot
-	// decide it.
-	rep, err := Run(context.Background(), verifyJobsFor(t, []string{"learn-filter"}, []int{4}, []int{2}, 1), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Passed {
-		t.Fatal("unknown cells must not pass the campaign")
-	}
-	jr := rep.Jobs[0]
-	if jr.Status != StatusUnknown {
-		t.Fatalf("status %s, want %s", jr.Status, StatusUnknown)
-	}
-	if len(jr.Cells) != 1 || jr.Cells[0].Verdict != VerdictUnknown {
-		t.Fatalf("cells = %+v, want one unknown cell", jr.Cells)
+	// learn-filter at 4 bits needs 730 conflicts.
+	for _, budget := range []int64{1, 150} {
+		rep, err := Run(context.Background(), verifyJobsFor(t, []string{"learn-filter"}, []int{4}, []int{2}, budget), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Passed {
+			t.Fatal("unknown cells must not pass the campaign")
+		}
+		jr := rep.Jobs[0]
+		if jr.Status != StatusUnknown {
+			t.Fatalf("status %s, want %s", jr.Status, StatusUnknown)
+		}
+		if len(jr.Cells) != 1 || jr.Cells[0].Verdict != VerdictUnknown {
+			t.Fatalf("cells = %+v, want one unknown cell", jr.Cells)
+		}
+		if jr.Cells[0].Conflicts != budget {
+			t.Fatalf("budget %d: cell reports %d conflicts", budget, jr.Cells[0].Conflicts)
+		}
 	}
 }
 

@@ -11,14 +11,52 @@
 // and activity-based learned-clause database reduction. Solving under
 // assumptions is supported for incremental use.
 //
-// The implementation favours clarity over squeezing the last constant
-// factor: the verifier's formulas (a few thousand variables at the bit
-// widths the case study uses) decide in milliseconds.
+// # Layout
+//
+// The search state holds no pointers, so the garbage collector has nothing
+// to scan in it and assignments need no write barriers:
+//
+//   - Clauses live in one []Lit arena and are named by a cref, the index of
+//     the clause's two-word header (size, then the learnt clause's slot in
+//     claAct, or noAct for a problem clause) followed by its literals,
+//     watched ones first. reason, clauses and learnts hold crefs.
+//   - Assignments are indexed by literal (vals[l]; both polarities are
+//     written on assign and unassign), so reading a literal's value is one
+//     load.
+//   - A watcher is the value {ref, other}. For a binary clause other is the
+//     literal the clause implies once the watched one is false, so the
+//     satisfied path never touches the arena (Tseitin gates make most of the
+//     verifier's clauses binary or ternary); the arena order [implied, false]
+//     is written only when the clause becomes a reason or a conflict, the
+//     only times it is read.
+//   - propagate compacts watches[p] in place: a literal that gains a watch is
+//     never false, so nothing is appended to the list being walked.
+//
+// # Trajectory identity
+//
+// The layout is an implementation detail of a fixed search. The solver
+// takes the same decisions, propagates in the same order, learns the same
+// clauses (literal order included), restarts and deletes at the same points
+// as the pointer-based solver it replaced, which is kept as the test-only
+// oracle in reference_test.go; Stats, models and therefore every verifier
+// report are byte-identical to it. A change to a heuristic, a constant or
+// the order in which watchers or literals are visited breaks that contract
+// and moves every golden that serializes Stats; it belongs in its own
+// change, not in a layout change.
+//
+// # Arena compaction
+//
+// Deleting a learnt clause only marks its arena words dead. reduceDB
+// compacts the arena (order-preserving, into a spare buffer that is kept
+// for the next compaction, relocating watches, reason, clauses and learnts)
+// once dead words outnumber live ones, so a long solve's footprint is
+// bounded by twice its live clauses.
 package sat
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -61,13 +99,6 @@ const (
 	lFalse
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
-
 // Status is the result of a Solve call.
 type Status int
 
@@ -92,25 +123,47 @@ func (s Status) String() string {
 	}
 }
 
-// clause is a disjunction of literals. Watched literals are lits[0] and
-// lits[1].
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
+// cref names a clause: the arena index of its header. The header is
+// arena[c] = number of literals and arena[c+1] = the clause's slot in
+// claAct (noAct for a problem clause, deadAct once deleted); the literals
+// follow at arena[c+hdr:], the two watched ones first.
+type cref = int32
+
+const (
+	hdr = 2 // header words per clause
+
+	crefUndef cref = -1
+
+	noAct   Lit = -1 // header slot of a problem clause
+	deadAct Lit = -2 // header slot of a deleted clause awaiting compaction
+
+	litUndef Lit = -1
+)
+
+// watcher is one entry of a watch list. other is the second literal of a
+// binary clause, litUndef for a longer clause.
+type watcher struct {
+	ref   cref
+	other Lit
 }
 
-// Solver is a CDCL SAT solver. The zero value is ready to use.
+// Solver is a CDCL SAT solver; create one with New.
 type Solver struct {
-	clauses []*clause // problem clauses
-	learnts []*clause // learned clauses
+	arena  []Lit // every clause, header then literals
+	spare  []Lit // the arena compaction copies into; swapped with arena
+	wasted int   // arena words of deleted clauses
 
-	watches [][]*clause // watches[lit] = clauses watching lit
+	clauses []cref // problem clauses
+	learnts []cref // learned clauses; learnts[i] owns claAct[i]
+	claAct  []float64
+	actBuf  []float64 // reduceDB scratch; swapped with claAct
 
-	assigns  []lbool // current assignment per variable
+	watches [][]watcher // watches[lit] = clauses to visit when lit becomes true
+
+	vals     []lbool // current value per literal
 	level    []int32 // decision level per assigned variable
-	reason   []*clause
-	polarity []bool // saved phase per variable
+	reason   []cref  // implying clause per assigned variable, or crefUndef
+	polarity []bool  // saved phase per variable
 
 	trail    []Lit
 	trailLim []int // trail index at each decision level
@@ -124,10 +177,11 @@ type Solver struct {
 
 	ok bool // false once a top-level conflict proves UNSAT
 
-	// scratch buffers for analyze
+	// scratch buffers for analyze and AddClause
 	seen      []bool
 	toClear   []int
 	learntBuf []Lit
+	addBuf    []Lit
 
 	// Stats counts solver work; useful for benchmarks and tuning.
 	Stats Stats
@@ -144,13 +198,10 @@ type Solver struct {
 	// from the learned clauses accumulated so far.
 	Interrupt func() bool
 
-	// DisableVSIDS switches branching from activity order to lowest
-	// variable index (ablation knob; see BenchmarkAblation*).
-	DisableVSIDS bool
-
-	// DisablePhaseSaving branches on the positive literal instead of the
-	// saved phase (ablation knob).
-	DisablePhaseSaving bool
+	// Ablation switches, set only by the in-package benchmarks: branch on
+	// the lowest unassigned variable instead of VSIDS order, and on the
+	// positive literal instead of the saved phase.
+	noVSIDS, noPhaseSaving bool
 
 	model []bool
 }
@@ -173,7 +224,7 @@ func New() *Solver {
 }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.level) }
 
 // NumClauses returns the number of problem clauses currently stored
 // (tautologies and top-level-satisfied clauses are dropped on AddClause;
@@ -182,10 +233,10 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 
 // NewVar introduces a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
+	v := len(s.level)
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefUndef)
 	s.polarity = append(s.polarity, false)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
@@ -194,18 +245,20 @@ func (s *Solver) NewVar() int {
 	return v
 }
 
-func (s *Solver) value(l Lit) lbool {
-	a := s.assigns[l.Var()]
-	if a == lUndef {
-		return lUndef
+// lits returns clause c's literals, aliasing the arena.
+func (s *Solver) lits(c cref) []Lit {
+	return s.arena[c+hdr : c+hdr+cref(s.arena[c])]
+}
+
+// newClause appends a clause to the arena.
+func (s *Solver) newClause(lits []Lit, act Lit) cref {
+	if len(s.arena)+hdr+len(lits) > math.MaxInt32 {
+		panic("sat: clause arena exceeds 2^31 words")
 	}
-	if l.Sign() {
-		if a == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return a
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, Lit(len(lits)), act)
+	s.arena = append(s.arena, lits...)
+	return c
 }
 
 // AddClause adds a clause. Returns false if the solver is already in an
@@ -219,12 +272,20 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		panic("sat: AddClause called during search")
 	}
 	// Sort and dedupe; detect tautologies and falsified literals.
-	ls := append([]Lit(nil), lits...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
+	for i := 1; i < len(ls); i++ {
+		l := ls[i]
+		j := i
+		for ; j > 0 && ls[j-1] > l; j-- {
+			ls[j] = ls[j-1]
+		}
+		ls[j] = l
+	}
 	out := ls[:0]
 	var prev Lit = -1
 	for _, l := range ls {
-		if int(l.Var()) >= s.NumVars() {
+		if l.Var() >= s.NumVars() {
 			panic(fmt.Sprintf("sat: clause references unknown variable %d", l.Var()))
 		}
 		if l == prev {
@@ -233,7 +294,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		if prev >= 0 && l == prev.Not() {
 			return true // tautology: x ∨ ¬x
 		}
-		switch s.value(l) {
+		switch s.vals[l] {
 		case lTrue:
 			return true // already satisfied at top level
 		case lFalse:
@@ -247,93 +308,124 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], crefUndef) {
 			s.ok = false
 			return false
 		}
-		if s.propagate() != nil {
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]Lit(nil), out...)}
+	c := s.newClause(out, noAct)
 	s.clauses = append(s.clauses, c)
 	s.watch(c)
 	return true
 }
 
-func (s *Solver) watch(c *clause) {
-	// Watch the negations: when a watched literal becomes false we visit
-	// the clause.
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], c)
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
+// watch registers clause c under the negations of its first two literals:
+// when a watched literal becomes false the clause is visited.
+func (s *Solver) watch(c cref) {
+	l0, l1 := s.arena[c+hdr], s.arena[c+hdr+1]
+	w0, w1 := watcher{c, litUndef}, watcher{c, litUndef}
+	if s.arena[c] == 2 {
+		w0.other, w1.other = l1, l0
+	}
+	s.watches[l0^1] = append(s.watches[l0^1], w0)
+	s.watches[l1^1] = append(s.watches[l1^1], w1)
+}
+
+// assign makes the unassigned literal l true at the current decision level.
+func (s *Solver) assign(l Lit, from cref) {
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
+	v := l >> 1
+	s.level[v] = int32(len(s.trailLim))
+	s.reason[v] = from
+	s.trail = append(s.trail, l)
 }
 
 // enqueue assigns literal l with the given reason; returns false on
 // conflict with the existing assignment.
-func (s *Solver) enqueue(l Lit, from *clause) bool {
-	switch s.value(l) {
+func (s *Solver) enqueue(l Lit, from cref) bool {
+	switch s.vals[l] {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
-	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.Sign())
-	s.level[v] = int32(len(s.trailLim))
-	s.reason[v] = from
-	s.trail = append(s.trail, l)
+	s.assign(l, from)
 	return true
 }
 
 // propagate performs unit propagation; returns the conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// crefUndef.
+func (s *Solver) propagate() cref {
+	// Nothing below creates a variable or a clause, so these three slice
+	// headers are stable; the trail grows and is re-read through s.
+	vals, arena, watches := s.vals, s.arena, s.watches
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead] // p is true
 		s.qhead++
 		s.Stats.Propagations++
-		ws := s.watches[p]
-		s.watches[p] = nil
-		kept := ws[:0]
-		for i := 0; i < len(ws); i++ {
-			c := ws[i]
-			// Ensure the false literal is lits[1].
-			if c.lits[0].Not() == p {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
-			}
-			// If lits[0] is true the clause is satisfied.
-			if s.value(c.lits[0]) == lTrue {
-				kept = append(kept, c)
-				continue
-			}
-			// Look for a new literal to watch.
-			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], c)
-					found = true
-					break
+		notP := p ^ 1
+		ws := watches[p]
+		confl := crefUndef
+		i, j := 0, 0
+	visit:
+		for i < len(ws) {
+			w := ws[i]
+			i++
+			ws[j] = w // kept unless the watch moves below
+			j++
+			var first Lit
+			if w.other != litUndef {
+				first = w.other
+				if vals[first] == lTrue {
+					continue
+				}
+				// Unit or conflicting: the clause is about to be read, so
+				// give it the order every reader expects.
+				arena[w.ref+hdr], arena[w.ref+hdr+1] = first, notP
+			} else {
+				lits := arena[w.ref+hdr : w.ref+hdr+cref(arena[w.ref])]
+				// Ensure the false literal is lits[1].
+				if lits[0] == notP {
+					lits[0], lits[1] = lits[1], notP
+				}
+				first = lits[0]
+				// If lits[0] is true the clause is satisfied.
+				if vals[first] == lTrue {
+					continue
+				}
+				// Look for a new literal to watch.
+				for k := 2; k < len(lits); k++ {
+					if l := lits[k]; vals[l] != lFalse {
+						lits[1], lits[k] = l, notP
+						watches[l^1] = append(watches[l^1], w)
+						j--
+						continue visit
+					}
 				}
 			}
-			if found {
-				continue
-			}
 			// Clause is unit or conflicting.
-			kept = append(kept, c)
-			if !s.enqueue(c.lits[0], c) {
-				// Conflict: restore remaining watches and report.
-				kept = append(kept, ws[i+1:]...)
-				s.watches[p] = append(s.watches[p], kept...)
+			if vals[first] == lFalse {
+				confl = w.ref
 				s.qhead = len(s.trail)
-				return c
+				j += copy(ws[j:], ws[i:])
+				break
 			}
+			s.assign(first, w.ref)
 		}
-		s.watches[p] = append(s.watches[p], kept...)
+		if j != len(ws) {
+			watches[p] = ws[:j]
+		}
+		if confl != crefUndef {
+			return confl
+		}
 	}
-	return nil
+	return crefUndef
 }
 
 // decisionLevel returns the current decision level.
@@ -348,10 +440,12 @@ func (s *Solver) cancelUntil(lvl int) {
 		return
 	}
 	for i := len(s.trail) - 1; i >= s.trailLim[lvl]; i-- {
-		v := s.trail[i].Var()
-		s.polarity[v] = s.assigns[v] == lTrue
-		s.assigns[v] = lUndef
-		s.reason[v] = nil
+		l := s.trail[i]
+		v := l.Var()
+		s.polarity[v] = !l.Sign()
+		s.vals[l] = lUndef
+		s.vals[l^1] = lUndef
+		s.reason[v] = crefUndef
 		s.order.pushIfAbsent(v)
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]
@@ -362,7 +456,7 @@ func (s *Solver) cancelUntil(lvl int) {
 // analyze performs first-UIP conflict analysis. It fills s.learntBuf with
 // the learned clause (asserting literal first) and returns the backtrack
 // level.
-func (s *Solver) analyze(confl *clause) int {
+func (s *Solver) analyze(confl cref) int {
 	s.learntBuf = s.learntBuf[:0]
 	s.learntBuf = append(s.learntBuf, 0) // placeholder for the asserting literal
 	pathC := 0
@@ -371,8 +465,7 @@ func (s *Solver) analyze(confl *clause) int {
 
 	for {
 		s.bumpClause(confl)
-		for j := 0; j < len(confl.lits); j++ {
-			q := confl.lits[j]
+		for _, q := range s.lits(confl) {
 			if p >= 0 && q == p {
 				continue
 			}
@@ -412,12 +505,12 @@ func (s *Solver) analyze(confl *clause) int {
 	for i := 1; i < len(s.learntBuf); i++ {
 		l := s.learntBuf[i]
 		r := s.reason[l.Var()]
-		if r == nil {
+		if r == crefUndef {
 			out = append(out, l)
 			continue
 		}
 		redundant := true
-		for _, q := range r.lits {
+		for _, q := range s.lits(r) {
 			if q.Var() == l.Var() {
 				continue
 			}
@@ -462,14 +555,15 @@ func (s *Solver) bumpVar(v int) {
 	s.order.update(v)
 }
 
-func (s *Solver) bumpClause(c *clause) {
-	if !c.learnt {
+func (s *Solver) bumpClause(c cref) {
+	a := s.arena[c+1]
+	if a == noAct {
 		return
 	}
-	c.activity += s.claInc
-	if c.activity > 1e20 {
-		for _, lc := range s.learnts {
-			lc.activity *= 1e-20
+	s.claAct[a] += s.claInc
+	if s.claAct[a] > 1e20 {
+		for i := range s.claAct {
+			s.claAct[i] *= 1e-20
 		}
 		s.claInc *= 1e-20
 	}
@@ -481,40 +575,86 @@ const (
 )
 
 // reduceDB removes the less active half of the learned clauses (keeping
-// binary clauses and clauses that are currently reasons).
+// binary clauses and clauses that are currently reasons), then compacts the
+// arena if more of it is dead than alive.
 func (s *Solver) reduceDB() {
+	// sort.Slice, not a hand-written sort: the permutation it leaves among
+	// equal activities decides which clauses survive.
 	sort.Slice(s.learnts, func(i, j int) bool {
-		return s.learnts[i].activity > s.learnts[j].activity
+		return s.claAct[s.arena[s.learnts[i]+1]] > s.claAct[s.arena[s.learnts[j]+1]]
 	})
 	keep := s.learnts[:0]
+	act := s.actBuf[:0]
 	limit := len(s.learnts) / 2
 	for i, c := range s.learnts {
-		if len(c.lits) <= 2 || s.isReason(c) || i < limit {
+		if s.arena[c] <= 2 || s.isReason(c) || i < limit {
+			act = append(act, s.claAct[s.arena[c+1]])
+			s.arena[c+1] = Lit(len(keep))
 			keep = append(keep, c)
 			continue
 		}
 		s.detach(c)
+		s.arena[c+1] = deadAct
+		s.wasted += hdr + int(s.arena[c])
 		s.Stats.Removed++
 	}
 	s.learnts = keep
+	s.claAct, s.actBuf = act, s.claAct
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
 }
 
-func (s *Solver) isReason(c *clause) bool {
-	v := c.lits[0].Var()
-	return s.assigns[v] != lUndef && s.reason[v] == c
+func (s *Solver) isReason(c cref) bool {
+	l := s.arena[c+hdr]
+	return s.vals[l] != lUndef && s.reason[l.Var()] == c
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, w := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+func (s *Solver) detach(c cref) {
+	for _, w := range [2]Lit{s.arena[c+hdr] ^ 1, s.arena[c+hdr+1] ^ 1} {
 		ws := s.watches[w]
-		for i, cc := range ws {
-			if cc == c {
+		for i := range ws {
+			if ws[i].ref == c {
 				ws[i] = ws[len(ws)-1]
 				s.watches[w] = ws[:len(ws)-1]
 				break
 			}
 		}
 	}
+}
+
+// compact copies the live clauses, in order, into the spare buffer and
+// rewrites every cref. The old arena's activity slots serve as forwarding
+// addresses while references are relocated.
+func (s *Solver) compact() {
+	old, to := s.arena, s.spare[:0]
+	for c := 0; c < len(old); {
+		n := hdr + int(old[c])
+		if old[c+1] != deadAct {
+			moved := Lit(len(to))
+			to = append(to, old[c:c+n]...)
+			old[c+1] = moved
+		}
+		c += n
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].ref = cref(old[ws[i].ref+1])
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r != crefUndef {
+			s.reason[l.Var()] = cref(old[r+1])
+		}
+	}
+	for i, c := range s.clauses {
+		s.clauses[i] = cref(old[c+1])
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = cref(old[c+1])
+	}
+	s.arena, s.spare = to, old[:0]
+	s.wasted = 0
 }
 
 // luby computes the Luby restart sequence (1,1,2,1,1,2,4,...), the
@@ -543,12 +683,14 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	defer s.cancelUntil(0)
 
 	restart := int64(0)
-	conflictBudget := s.MaxConflicts
 	var conflictsTotal int64
 	maxLearnts := len(s.clauses)/3 + 100
 
 	for {
 		limit := 100 * luby(restart)
+		if left := s.MaxConflicts - conflictsTotal; s.MaxConflicts > 0 && left < limit {
+			limit = left // the budget bounds conflicts, not restarts
+		}
 		restart++
 		s.Stats.Restarts++
 		st, conflicts := s.search(assumptions, limit, maxLearnts)
@@ -559,7 +701,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if s.Interrupt != nil && s.Interrupt() {
 			return Unknown
 		}
-		if conflictBudget > 0 && conflictsTotal >= conflictBudget {
+		if s.MaxConflicts > 0 && conflictsTotal >= s.MaxConflicts {
 			return Unknown
 		}
 		maxLearnts += maxLearnts / 10
@@ -579,7 +721,7 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, maxLearnts int) 
 			return Unknown, conflicts
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			conflicts++
 			s.Stats.Conflicts++
 			if s.decisionLevel() == 0 {
@@ -610,7 +752,7 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, maxLearnts int) 
 		// Extend assumptions first.
 		if s.decisionLevel() < len(assumptions) {
 			a := assumptions[s.decisionLevel()]
-			switch s.value(a) {
+			switch s.vals[a] {
 			case lTrue:
 				s.newDecisionLevel() // dummy level to keep indices aligned
 				continue
@@ -619,7 +761,7 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, maxLearnts int) 
 			}
 			s.Stats.Decisions++
 			s.newDecisionLevel()
-			s.enqueue(a, nil)
+			s.assign(a, crefUndef)
 			continue
 		}
 		// Pick a branching variable.
@@ -631,10 +773,10 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, maxLearnts int) 
 		s.Stats.Decisions++
 		s.newDecisionLevel()
 		phase := s.polarity[v]
-		if s.DisablePhaseSaving {
+		if s.noPhaseSaving {
 			phase = true
 		}
-		s.enqueue(MkLit(v, !phase), nil)
+		s.assign(MkLit(v, !phase), crefUndef)
 	}
 }
 
@@ -643,19 +785,20 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, maxLearnts int) 
 func (s *Solver) learnFromBuf() {
 	s.Stats.Learned++
 	if len(s.learntBuf) == 1 {
-		s.enqueue(s.learntBuf[0], nil)
+		s.enqueue(s.learntBuf[0], crefUndef)
 		return
 	}
-	c := &clause{lits: append([]Lit(nil), s.learntBuf...), learnt: true, activity: s.claInc}
+	c := s.newClause(s.learntBuf, Lit(len(s.claAct)))
+	s.claAct = append(s.claAct, s.claInc)
 	s.learnts = append(s.learnts, c)
 	s.watch(c)
-	s.enqueue(c.lits[0], c)
+	s.enqueue(s.learntBuf[0], c)
 }
 
 func (s *Solver) pickBranchVar() int {
-	if s.DisableVSIDS {
+	if s.noVSIDS {
 		for v := 0; v < s.NumVars(); v++ {
-			if s.assigns[v] == lUndef {
+			if s.vals[2*v] == lUndef {
 				return v
 			}
 		}
@@ -666,7 +809,7 @@ func (s *Solver) pickBranchVar() int {
 		if !ok {
 			return -1
 		}
-		if s.assigns[v] == lUndef {
+		if s.vals[2*v] == lUndef {
 			return v
 		}
 	}
@@ -677,8 +820,8 @@ func (s *Solver) saveModel() {
 		s.model = make([]bool, s.NumVars())
 	}
 	s.model = s.model[:s.NumVars()]
-	for v := 0; v < s.NumVars(); v++ {
-		s.model[v] = s.assigns[v] == lTrue // unassigned -> false
+	for v := range s.model {
+		s.model[v] = s.vals[2*v] == lTrue // unassigned -> false
 	}
 }
 

@@ -141,31 +141,35 @@ func TestXorChainUnsat(t *testing.T) {
 // pigeonhole encodes PHP(n+1, n): n+1 pigeons into n holes, classically
 // UNSAT and a canonical hard instance for resolution.
 func pigeonhole(pigeons, holes int) *Solver {
-	s := New()
-	v := make([][]int, pigeons)
-	for p := 0; p < pigeons; p++ {
-		v[p] = make([]int, holes)
-		for h := 0; h < holes; h++ {
-			v[p][h] = s.NewVar()
-		}
+	nVars, clauses := pigeonholeClauses(pigeons, holes)
+	s := newWithVars(nVars)
+	for _, c := range clauses {
+		s.AddClause(c...)
 	}
+	return s
+}
+
+// pigeonholeClauses is the PHP(pigeons, holes) clause list over variables
+// pigeon*holes + hole.
+func pigeonholeClauses(pigeons, holes int) (nVars int, clauses [][]Lit) {
+	v := func(p, h int) int { return p*holes + h }
 	// Every pigeon in some hole.
 	for p := 0; p < pigeons; p++ {
 		var c []Lit
 		for h := 0; h < holes; h++ {
-			c = append(c, MkLit(v[p][h], false))
+			c = append(c, MkLit(v(p, h), false))
 		}
-		s.AddClause(c...)
+		clauses = append(clauses, c)
 	}
 	// No two pigeons share a hole.
 	for h := 0; h < holes; h++ {
 		for p1 := 0; p1 < pigeons; p1++ {
 			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(MkLit(v[p1][h], true), MkLit(v[p2][h], true))
+				clauses = append(clauses, []Lit{MkLit(v(p1, h), true), MkLit(v(p2, h), true)})
 			}
 		}
 	}
-	return s
+	return pigeons * holes, clauses
 }
 
 func TestPigeonholeUnsat(t *testing.T) {
@@ -362,16 +366,22 @@ func TestRepeatedSolveStable(t *testing.T) {
 	}
 }
 
+// TestConflictBudget: MaxConflicts bounds conflicts, not restarts. The
+// budget used to be compared only between restarts, so 1 and 10 stopped at
+// 100 conflicts, 150 at 200 and 250 at 400.
 func TestConflictBudget(t *testing.T) {
-	s := pigeonhole(9, 8)
-	s.MaxConflicts = 1
-	got := s.Solve()
-	if got == Sat {
-		t.Fatal("PHP(9,8) cannot be sat")
+	var s *Solver
+	for _, budget := range []int64{1, 10, 150, 250} {
+		s = pigeonhole(9, 8)
+		s.MaxConflicts = budget
+		if got := s.Solve(); got != Unknown {
+			t.Fatalf("budget %d: got %v, want unknown", budget, got)
+		}
+		if s.Stats.Conflicts != budget {
+			t.Fatalf("budget %d: stopped after %d conflicts", budget, s.Stats.Conflicts)
+		}
 	}
-	// With a tiny budget the solver should usually give up; either Unknown
-	// (budget hit) or Unsat (solved within budget) is acceptable, but the
-	// call must terminate. Now remove the budget and finish the proof.
+	// An exhausted budget leaves the solver usable: remove it and finish.
 	s.MaxConflicts = 0
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("unbudgeted: got %v, want unsat", got)
@@ -443,14 +453,14 @@ func TestAblationKnobsStillCorrect(t *testing.T) {
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			s := pigeonhole(6, 5)
-			s.DisableVSIDS = cfg.noVSIDS
-			s.DisablePhaseSaving = cfg.noSave
+			s.noVSIDS = cfg.noVSIDS
+			s.noPhaseSaving = cfg.noSave
 			if got := s.Solve(); got != Unsat {
 				t.Fatalf("PHP(6,5): got %v, want unsat", got)
 			}
 			s = pigeonhole(5, 5)
-			s.DisableVSIDS = cfg.noVSIDS
-			s.DisablePhaseSaving = cfg.noSave
+			s.noVSIDS = cfg.noVSIDS
+			s.noPhaseSaving = cfg.noSave
 			if got := s.Solve(); got != Sat {
 				t.Fatalf("PHP(5,5): got %v, want sat", got)
 			}
@@ -470,7 +480,7 @@ func BenchmarkAblationVSIDS(b *testing.B) {
 			var conflicts int64
 			for i := 0; i < b.N; i++ {
 				s := pigeonhole(8, 7)
-				s.DisableVSIDS = disable
+				s.noVSIDS = disable
 				if got := s.Solve(); got != Unsat {
 					b.Fatalf("got %v", got)
 				}

@@ -85,3 +85,22 @@ func BenchmarkVerifyWidthScaling(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkVerifySlowestCell proves the cell that sets the verify-grid
+// benchmark workload's wall time (learn-filter, 5 bits, 2 steps: 2 401
+// conflicts, 1 068 544 propagations) and rates the SAT search in
+// conflicts and propagations per second of the whole proof.
+func BenchmarkVerifySlowestCell(b *testing.B) {
+	b.ReportAllocs()
+	var conflicts, props int64
+	for i := 0; i < b.N; i++ {
+		res := proveFixture(b, "learn-filter", verify.Options{Bits: 5, Steps: 2})
+		if !res.Equivalent {
+			b.Fatalf("learn-filter should prove: %v", res)
+		}
+		conflicts += res.SolverStats.Conflicts
+		props += res.SolverStats.Propagations
+	}
+	b.ReportMetric(float64(conflicts)/b.Elapsed().Seconds(), "conflicts/s")
+	b.ReportMetric(float64(props)/b.Elapsed().Seconds(), "props/s")
+}
