@@ -8,15 +8,16 @@
 //
 //	go test -bench BenchmarkTable1 -benchmem
 //
-// One benchmark iteration is one full 50,000-PHV simulation over the
-// streaming engine (the campaign hot path); the reported ms/run metric
-// corresponds to the milliseconds columns of Table 1 and ns/PHV seeds the
-// perf trajectory in BENCH_table1.json. Absolute numbers differ from the
-// paper (Go interpreter vs. compiled Rust); the comparisons that matter are
-// across the engines: SCC propagation gives the large win, inlining helps
-// on every grid, closure compilation removes the remaining interpreter
-// dispatch, and the biggest improvements appear on the largest grids
-// (stateful firewall, flowlets, learn filter).
+// One benchmark iteration is one full 50,000-PHV simulation of the whole
+// grid on sim.Stream, the reference engine, at each level (what a campaign
+// executes — the fuzzer's own loop over the output cone — is timed by
+// cmd/dbench and recorded in BENCH_table1.json); the reported ms/run metric
+// corresponds to the milliseconds columns of Table 1. Absolute numbers
+// differ from the paper (Go interpreter vs. compiled Rust); the comparisons
+// that matter are across the levels: SCC propagation gives the large win,
+// inlining helps on every grid, closure compilation removes the remaining
+// interpreter dispatch, and the biggest improvements appear on the largest
+// grids (stateful firewall, flowlets, learn filter).
 package druzhba_test
 
 import (

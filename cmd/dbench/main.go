@@ -1,34 +1,22 @@
 // dbench regenerates Table 1 of the paper: simulation runtime for the
 // twelve packet-processing programs at the three optimization levels
 // (unoptimized, SCC propagation, SCC + function inlining) plus Druzhba's
-// closure-compiled engine, each over 50,000 traffic-generator PHVs driven
-// through the streaming simulation engine. A dRMT section follows (the
-// paper reports no dRMT numbers, so it is a characterization bench): every
-// embedded dRMT benchmark's differential fuzzing loop is timed on the
-// slot-compiled engines.
-//
-// A "compiled+cone" level times the compiled pipeline's output cone
-// (core.Pipeline.OutputCone — only the ALUs whose results can reach an
-// output container, all a Fig. 5 fuzzer executes) on the same streaming
-// engine and traffic as the "compiled" row, so the two rows are the
-// full-grid/cone before and after. Every row records how many ALUs of the
-// grid a fuzzer at that level executes (live_alus of total_alus).
-//
-// A PHV-batch row rides along with each section. The RMT matrix gains a
-// "compiled+batch" level: the struct-of-arrays sim.Batch engine over that
-// same output cone, -batch packets per run — at the default, the kernel
-// sim.NewFuzzer executes at every prechecked level, so "compiled+cone" vs
-// "compiled+batch" is the tick loop's kernel against the planes loop's. The
-// dRMT section gains a "slots+batch" engine (the differential fuzzer on
-// column-major planes, which no campaign selects), so BENCH_table1.json
-// records the batched engines' trajectory next to the streaming ones.
+// closure-compiled engine, each over 50,000 traffic-generator PHVs. Every
+// cell times what a campaign executes at that level: sim.NewFuzzer(p).FuzzGen
+// against the benchmark's Domino specification — traffic generation, the
+// pipeline, the specification and the comparison — on the tick loop over the
+// whole grid at the unoptimized level and on the planes loop over the
+// pipeline's output cone at the others. Every row records how many ALUs of
+// the grid that fuzzer executes (live_alus of total_alus). A dRMT section
+// follows (the paper reports no dRMT numbers, so it is a characterization
+// bench): every embedded dRMT benchmark's differential fuzzing loop is timed
+// on the slot-compiled engines.
 //
 // Usage:
 //
 //	dbench                           # full table, 50000 PHVs per cell
 //	dbench -phvs 5000                # quicker pass
 //	dbench -program rcp,blue-burst   # restrict the RMT rows
-//	dbench -batch 64                 # PHV-batch size for the batch rows (default: the fuzzer's chunk)
 //	dbench -drmt-phvs 0              # skip the dRMT section
 //	dbench -drmt-bench l2l3          # filter the dRMT section
 //	dbench -json BENCH_table1.json   # machine-readable perf trajectory
@@ -61,7 +49,6 @@ import (
 	"druzhba/internal/cli"
 	"druzhba/internal/core"
 	"druzhba/internal/drmt"
-	"druzhba/internal/phv"
 	"druzhba/internal/sim"
 	"druzhba/internal/spec"
 )
@@ -73,17 +60,16 @@ type Row struct {
 	MS           int64   `json:"ms"`
 	NsPerPHV     float64 `json:"ns_per_phv"`
 	AllocsPerPHV float64 `json:"allocs_per_phv"`
-	// LiveALUs of TotalALUs is what a fuzzer over the row's pipeline
-	// executes per PHV: its output cone at prechecked levels, the whole
-	// grid at the unoptimized level. The timed engine runs the whole grid
-	// on every row but compiled+cone.
+	// LiveALUs of TotalALUs is what the timed fuzzer executes per PHV: the
+	// pipeline's output cone at prechecked levels, the whole grid at the
+	// unoptimized level.
 	LiveALUs  int `json:"live_alus"`
 	TotalALUs int `json:"total_alus"`
 }
 
 // DRMTRow is one (dRMT benchmark × engine) cell: the differential fuzzing
-// loop timed on the slot-compiled engines, packet at a time ("slots") or on
-// column-major planes ("slots+batch").
+// loop timed on the slot-compiled engines ("slots", the only engine a
+// campaign runs).
 type DRMTRow struct {
 	Benchmark    string  `json:"benchmark"`
 	Engine       string  `json:"engine"`
@@ -99,7 +85,6 @@ type Report struct {
 	GoVersion  string    `json:"go_version,omitempty"`
 	CPU        string    `json:"cpu,omitempty"`
 	PHVs       int       `json:"phvs"`
-	Batch      int       `json:"batch,omitempty"`
 	Engine     string    `json:"engine"`
 	Rows       []Row     `json:"rows"`
 	DRMTPHVs   int       `json:"drmt_phvs,omitempty"`
@@ -161,17 +146,12 @@ func cpuModel() string {
 	return runtime.GOARCH
 }
 
-// fuzzerChunk mirrors sim's unexported planeChunk: the packets per run of
-// the planes loop sim.NewFuzzer binds to a prechecked pipeline.
-const fuzzerChunk = 8
-
 func main() {
 	fs := flag.NewFlagSet("dbench", flag.ExitOnError)
 	phvs := fs.Int("phvs", 50000, "PHVs per benchmark run (the paper uses 50000)")
 	program := fs.String("program", "", "comma-separated programs to run (default: all twelve)")
 	seed := fs.Int64("seed", 1, "traffic generator seed")
 	repeats := fs.Int("repeats", 1, "repetitions per cell (minimum time reported)")
-	batch := fs.Int("batch", fuzzerChunk, "PHV-batch size for the compiled+batch and slots+batch rows (default: the chunk sim.NewFuzzer runs prechecked pipelines at; 0 = skip the rows)")
 	drmtPHVs := fs.Int("drmt-phvs", 50000, "packets per dRMT differential-fuzz cell (0 = skip the dRMT section)")
 	drmtBench := fs.String("drmt-bench", "", "restrict the dRMT section to benchmarks containing this substring")
 	jsonPath := fs.String("json", "", "also write the report as JSON to this file (- for stdout)")
@@ -199,24 +179,12 @@ func main() {
 	}
 
 	var rows []Row
-	fmt.Printf("Table 1: RMT runtimes with and without optimizations (%d PHVs per run, streaming engine)\n\n", *phvs)
-	fmt.Printf("%-20s %-16s %-12s %14s %14s %18s %14s %14s %14s %10s\n",
-		"Program", "Depth, width", "ALU name", "Unoptimized", "SCC prop.", "+ Func. inlining", "Compiled", "Batch", "Cone", "Live ALUs")
+	fmt.Printf("Table 1: RMT runtimes with and without optimizations (%d PHVs per run, fuzzed against the Domino specification)\n\n", *phvs)
+	fmt.Printf("%-20s %-16s %-12s %14s %14s %18s %14s %10s\n",
+		"Program", "Depth, width", "ALU name", "Unoptimized", "SCC prop.", "+ Func. inlining", "Compiled", "Live ALUs")
 	for _, bm := range benches {
 		times := make(map[core.OptLevel]time.Duration)
-		row := func(level string, pipeline *core.Pipeline, best time.Duration, allocs float64) {
-			live, total := pipeline.OutputCone().ALUCounts()
-			rows = append(rows, Row{
-				Benchmark:    bm.Name,
-				Level:        level,
-				MS:           best.Milliseconds(),
-				NsPerPHV:     round2(float64(best.Nanoseconds()) / float64(*phvs)),
-				AllocsPerPHV: round4(allocs / float64(*phvs)),
-				LiveALUs:     live,
-				TotalALUs:    total,
-			})
-		}
-		var compiled *core.Pipeline
+		var live, total int
 		for _, level := range core.AllLevels() {
 			pipeline, err := bm.Pipeline(level)
 			if err != nil {
@@ -227,32 +195,20 @@ func main() {
 				cli.Fatalf("dbench: %s/%s: %v", bm.Name, level, err)
 			}
 			times[level] = best
-			row(level.String(), pipeline, best, allocs)
-			if level == core.Compiled {
-				compiled = pipeline // the cone and batch rows derive from it
-			}
+			live, total = pipeline.OutputCone().ALUCounts() // what sim.NewFuzzer executes
+			rows = append(rows, Row{
+				Benchmark:    bm.Name,
+				Level:        level.String(),
+				MS:           best.Milliseconds(),
+				NsPerPHV:     round2(float64(best.Nanoseconds()) / float64(*phvs)),
+				AllocsPerPHV: round4(allocs / float64(*phvs)),
+				LiveALUs:     live,
+				TotalALUs:    total,
+			})
 		}
-		// The cone the fuzzer executes, twice: on the compiled row's engine
-		// and traffic (the cone row), and driven by the struct-of-arrays
-		// engine, batch columns at a time (the PHV-batch row). Every pass
-		// resets state.
-		cone := compiled.OutputCone()
-		batchCell := "-"
-		if *batch > 0 {
-			best, allocs, err := measureBatch(cone, bm, *seed, *phvs, *repeats, *batch)
-			if err != nil {
-				cli.Fatalf("dbench: %s/compiled+batch: %v", bm.Name, err)
-			}
-			batchCell = fmt.Sprintf("%d ms", best.Milliseconds())
-			row("compiled+batch", cone, best, allocs)
-		}
-		coneBest, coneAllocs, err := measure(cone, bm, *seed, *phvs, *repeats)
-		if err != nil {
-			cli.Fatalf("dbench: %s/compiled+cone: %v", bm.Name, err)
-		}
-		row("compiled+cone", cone, coneBest, coneAllocs)
-		live, total := cone.ALUCounts()
-		fmt.Printf("%-20s %-16s %-12s %11d ms %11d ms %15d ms %11d ms %14s %11d ms %10s\n",
+		// live/total are the compiled row's: the cone every prechecked level
+		// shares.
+		fmt.Printf("%-20s %-16s %-12s %11d ms %11d ms %15d ms %11d ms %10s\n",
 			bm.Name,
 			fmt.Sprintf("%d,%d", bm.Depth, bm.Width),
 			bm.Atom,
@@ -260,8 +216,6 @@ func main() {
 			times[core.SCCPropagation].Milliseconds(),
 			times[core.SCCInlining].Milliseconds(),
 			times[core.Compiled].Milliseconds(),
-			batchCell,
-			coneBest.Milliseconds(),
 			fmt.Sprintf("%d/%d", live, total))
 	}
 	var drmtRows []DRMTRow
@@ -271,29 +225,14 @@ func main() {
 			cli.Fatalf("dbench: no dRMT benchmark matches %q", *drmtBench)
 		}
 		fmt.Printf("\ndRMT differential fuzzing (ISA machine vs table-level spec, %d packets per run)\n\n", *drmtPHVs)
-		fmt.Printf("%-16s %14s %14s %16s %16s\n", "Program", "Slot engine", "Batch engine", "Batch PHVs/sec", "Batch allocs/PHV")
-		engines := []string{"slots"}
-		if *batch > 0 {
-			engines = append(engines, "slots+batch")
-		}
+		fmt.Printf("%-16s %14s %16s %16s\n", "Program", "Slot engine", "PHVs/sec", "allocs/PHV")
 		for _, bm := range benches {
-			perEngine := make(map[string]DRMTRow, len(engines))
-			for _, engine := range engines {
-				row, err := measureDRMT(bm, engine, *seed, *drmtPHVs, *repeats, *batch)
-				if err != nil {
-					cli.Fatalf("dbench: drmt %s/%s: %v", bm.Name, engine, err)
-				}
-				perEngine[engine] = row
-				drmtRows = append(drmtRows, row)
+			row, err := measureDRMT(bm, *seed, *drmtPHVs, *repeats)
+			if err != nil {
+				cli.Fatalf("dbench: drmt %s: %v", bm.Name, err)
 			}
-			batchCell, phvsCell, allocsCell := "-", "-", "-"
-			if br, ok := perEngine["slots+batch"]; ok {
-				batchCell = fmt.Sprintf("%d ms", br.MS)
-				phvsCell = fmt.Sprintf("%.0f", br.PHVsPerSec)
-				allocsCell = fmt.Sprintf("%.4f", br.AllocsPerPHV)
-			}
-			fmt.Printf("%-16s %11d ms %14s %16s %16s\n",
-				bm.Name, perEngine["slots"].MS, batchCell, phvsCell, allocsCell)
+			drmtRows = append(drmtRows, row)
+			fmt.Printf("%-16s %11d ms %16.0f %16.4f\n", bm.Name, row.MS, row.PHVsPerSec, row.AllocsPerPHV)
 		}
 	}
 
@@ -308,9 +247,6 @@ func main() {
 		if *repeats != 1 {
 			command += fmt.Sprintf(" -repeats %d", *repeats)
 		}
-		if *batch != fuzzerChunk {
-			command += fmt.Sprintf(" -batch %d", *batch)
-		}
 		if *drmtPHVs != 50000 {
 			command += fmt.Sprintf(" -drmt-phvs %d", *drmtPHVs)
 		}
@@ -323,13 +259,12 @@ func main() {
 			GoVersion: runtime.Version(),
 			CPU:       cpuModel(),
 			PHVs:      *phvs,
-			Batch:     *batch,
-			Engine:    "streaming (sim.Stream, prechecked fast path at optimized levels); compiled+cone rows on sim.Stream over the compiled pipeline's output cone; compiled+batch rows on the struct-of-arrays sim.Batch engine over that cone, batch packets per run (at batch 8 the kernel sim.NewFuzzer executes at every prechecked level; unoptimized fuzzers run the tick loop)",
+			Engine:    "sim.NewFuzzer(p).FuzzGen against the benchmark's Domino specification, what a campaign executes: the tick loop over the whole grid at the unoptimized level, the planes loop over the output cone at the others",
 			Rows:      rows,
 		}
 		if len(drmtRows) > 0 {
 			rep.DRMTPHVs = *drmtPHVs
-			rep.DRMTEngine = "differential fuzz on the slot-compiled engines (drmt.DiffFuzzer.Fuzz); slots+batch rows on column-major planes"
+			rep.DRMTEngine = "differential fuzz on the slot-compiled engines (drmt.DiffFuzzer.FuzzSeeded)"
 			rep.DRMT = drmtRows
 		}
 		rep.Geomeans = geomeans(rows, drmtRows)
@@ -428,48 +363,28 @@ func checkRegression(baselinePath string, rows []Row, drmtRows []DRMTRow, tolera
 	return nil
 }
 
-// measureBatch drives n PHVs through the struct-of-arrays batch engine,
-// batch columns at a time, repeated repeats times after one warmup pass; it
-// reports the best wall time and that pass's heap allocation count. Traffic
-// and pipeline state match measure exactly, so the two rows time the same
-// work on different engines.
-func measureBatch(pipeline *core.Pipeline, bm *spec.Benchmark, seed int64, n, repeats, batch int) (time.Duration, float64, error) {
-	b, err := sim.NewBatch(pipeline, batch)
-	if err != nil {
-		return 0, 0, err
-	}
-	in := make([]phv.Value, pipeline.PHVLen())
-	pass := func() (time.Duration, float64, error) {
-		gen := sim.NewTrafficGen(seed, pipeline.PHVLen(), pipeline.Bits(), bm.MaxInput)
-		pipeline.ResetState()
+// bestOf runs pass once to warm up and then repeats times, and reports the
+// fastest pass's wall time together with that pass's heap allocation count.
+func bestOf(repeats int, pass func() error) (time.Duration, float64, error) {
+	timed := func() (time.Duration, float64, error) {
 		runtime.GC()
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		start := time.Now()
-		for at := 0; at < n; at += batch {
-			m := batch
-			if n-at < m {
-				m = n - at
-			}
-			for k := 0; k < m; k++ {
-				gen.Fill(in)
-				b.Load(k, in)
-			}
-			if err := b.Run(m); err != nil {
-				return 0, 0, err
-			}
+		if err := pass(); err != nil {
+			return 0, 0, err
 		}
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&m1)
 		return elapsed, float64(m1.Mallocs - m0.Mallocs), nil
 	}
-	if _, _, err := pass(); err != nil { // warmup
+	if _, _, err := timed(); err != nil { // warmup
 		return 0, 0, err
 	}
 	var best time.Duration
 	var bestAllocs float64
 	for r := 0; r < repeats; r++ {
-		elapsed, allocs, err := pass()
+		elapsed, allocs, err := timed()
 		if err != nil {
 			return 0, 0, err
 		}
@@ -480,11 +395,9 @@ func measureBatch(pipeline *core.Pipeline, bm *spec.Benchmark, seed int64, n, re
 	return best, bestAllocs, nil
 }
 
-// measureDRMT times one dRMT benchmark's differential fuzzing loop on one
-// engine ("slots" or "slots+batch"), repeated repeats times after
-// one warmup pass; the best pass's wall time and its heap allocation count
-// are reported.
-func measureDRMT(bm *drmt.Benchmark, engine string, seed int64, n, repeats, batch int) (DRMTRow, error) {
+// measureDRMT times one dRMT benchmark's differential fuzzing loop on the
+// slot-compiled engines.
+func measureDRMT(bm *drmt.Benchmark, seed int64, n, repeats int) (DRMTRow, error) {
 	prog, err := bm.Program()
 	if err != nil {
 		return DRMTRow{}, err
@@ -497,93 +410,53 @@ func measureDRMT(bm *drmt.Benchmark, engine string, seed int64, n, repeats, batc
 	if err != nil {
 		return DRMTRow{}, err
 	}
-	if engine == "slots+batch" {
-		f.SetBatch(batch)
-	}
-	pass := func() (time.Duration, float64, error) {
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		rep, err := f.FuzzSeeded(seed, n, bm.MaxInput) // batched when SetBatch is active
+	best, allocs, err := bestOf(repeats, func() error {
+		rep, err := f.FuzzSeeded(seed, n, bm.MaxInput)
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
 		if !rep.Passed() {
-			return 0, 0, fmt.Errorf("differential fuzz failed: %d diffs, err=%v", len(rep.Diffs), rep.Err)
+			return fmt.Errorf("differential fuzz failed: %d diffs, err=%v", len(rep.Diffs), rep.Err)
 		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		return elapsed, float64(m1.Mallocs - m0.Mallocs), nil
-	}
-	if _, _, err := pass(); err != nil { // warmup
+		return nil
+	})
+	if err != nil {
 		return DRMTRow{}, err
-	}
-	var best time.Duration
-	var bestAllocs float64
-	for r := 0; r < repeats; r++ {
-		elapsed, allocs, err := pass()
-		if err != nil {
-			return DRMTRow{}, err
-		}
-		if best == 0 || elapsed < best {
-			best, bestAllocs = elapsed, allocs
-		}
 	}
 	return DRMTRow{
 		Benchmark:    bm.Name,
-		Engine:       engine,
+		Engine:       "slots",
 		MS:           best.Milliseconds(),
 		NsPerPHV:     round2(float64(best.Nanoseconds()) / float64(n)),
-		AllocsPerPHV: round4(bestAllocs / float64(n)),
+		AllocsPerPHV: round4(allocs / float64(n)),
 		PHVsPerSec:   round2(float64(n) / best.Seconds()),
 	}, nil
 }
 
-// measure drives n PHVs from a fresh generator through the streaming engine,
-// repeated repeats times after one warmup pass, and reports the best wall
-// time together with the heap allocation count of that pass.
+// measure times one Fig. 5 fuzz run of n PHVs from a fresh generator:
+// sim.NewFuzzer over the pipeline against the benchmark's Domino
+// specification, on whichever loop NewFuzzer binds at the pipeline's level.
 func measure(pipeline *core.Pipeline, bm *spec.Benchmark, seed int64, n, repeats int) (time.Duration, float64, error) {
-	stream := sim.NewStream(pipeline)
-	in := make([]phv.Value, pipeline.PHVLen())
-	pass := func() (time.Duration, float64, error) {
-		gen := sim.NewTrafficGen(seed, pipeline.PHVLen(), pipeline.Bits(), bm.MaxInput)
-		pipeline.ResetState()
-		stream.Reset()
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		for fed := 0; fed < n || stream.InFlight() > 0; {
-			var admit []phv.Value
-			if fed < n {
-				gen.Fill(in)
-				admit = in
-				fed++
-			}
-			if _, err := stream.Tick(admit); err != nil {
-				return 0, 0, err
-			}
-		}
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
-		return elapsed, float64(m1.Mallocs - m0.Mallocs), nil
-	}
-	if _, _, err := pass(); err != nil { // warmup
+	sp, err := bm.SimSpec()
+	if err != nil {
 		return 0, 0, err
 	}
-	var best time.Duration
-	var bestAllocs float64
-	for r := 0; r < repeats; r++ {
-		elapsed, allocs, err := pass()
-		if err != nil {
-			return 0, 0, err
-		}
-		if best == 0 || elapsed < best {
-			best, bestAllocs = elapsed, allocs
-		}
+	containers, err := bm.CompareContainers()
+	if err != nil {
+		return 0, 0, err
 	}
-	return best, bestAllocs, nil
+	f := sim.NewFuzzer(pipeline)
+	return bestOf(repeats, func() error {
+		gen := sim.NewTrafficGen(seed, pipeline.PHVLen(), pipeline.Bits(), bm.MaxInput)
+		rep, err := f.FuzzGen(sp, gen, n, sim.FuzzOptions{Containers: containers}, 0)
+		if err != nil {
+			return err
+		}
+		if !rep.Passed() {
+			return fmt.Errorf("fuzz failed: %d mismatches, err=%v", len(rep.Mismatches), rep.Err)
+		}
+		return nil
+	})
 }
 
 // writeJSON writes the report, preserving any "baseline" block already

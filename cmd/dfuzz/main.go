@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("dfuzz: %v", err)
 	}
-	lvl, err := cli.ParseLevel(*level)
+	lvl, err := core.ParseLevel(*level)
 	if err != nil {
 		cli.Fatalf("dfuzz: %v", err)
 	}

@@ -15,6 +15,7 @@ import (
 
 	"druzhba/internal/cli"
 	"druzhba/internal/codegen"
+	"druzhba/internal/core"
 )
 
 func main() {
@@ -52,7 +53,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("dgen: %v", err)
 	}
-	lvl, err := cli.ParseLevel(*level)
+	lvl, err := core.ParseLevel(*level)
 	if err != nil {
 		cli.Fatalf("dgen: %v", err)
 	}

@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("dsim: %v", err)
 	}
-	lvl, err := cli.ParseLevel(*level)
+	lvl, err := core.ParseLevel(*level)
 	if err != nil {
 		cli.Fatalf("dsim: %v", err)
 	}

@@ -151,6 +151,10 @@ var binOpNames = [...]string{
 
 func (op BinOp) String() string { return binOpNames[op] }
 
+// Valid reports whether op is one of the language's binary operators; only a
+// hand-built AST can carry one that is not.
+func (op BinOp) Valid() bool { return op >= 0 && int(op) < len(binOpNames) }
+
 // UnOp enumerates unary operators.
 type UnOp int
 

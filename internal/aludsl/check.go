@@ -168,6 +168,110 @@ func builtinDomain(k BuiltinKind) int {
 	return 0
 }
 
-// BuiltinDomain reports the number of valid machine code values for a
-// builtin kind (0 means unbounded, i.e. an immediate constant).
-func BuiltinDomain(k BuiltinKind) int { return builtinDomain(k) }
+// CheckTotal reports the first node of p on which evaluation without machine
+// code (Env.Holes == nil, the optimized levels) could fail, index out of range
+// or not terminate: a HoleCall or hole variable that SCC propagation did not
+// specialise (one hidden in a hand-built helper body), an unresolved
+// identifier, an operand or state index outside the program's declarations, a
+// helper parameter outside its call's arguments, an operator outside the
+// language, a helper that calls itself. A nil result means Run, RunUnsafe and
+// a closure compiled from p return a value on every input. Parsed programs
+// always pass once SCC has run; the check exists for ASTs built by hand.
+func CheckTotal(p *Program) error {
+	var active []*FuncDef // helpers whose body is being walked
+	var expr func(e Expr, arity int) error
+	expr = func(e Expr, arity int) error {
+		switch e := e.(type) {
+		case *Num:
+			return nil
+		case *Ident:
+			limit := 0
+			switch e.Class {
+			case VarState:
+				limit = p.NumState()
+			case VarField:
+				limit = p.NumOperands()
+			case VarParam:
+				limit = arity
+			case VarHole:
+				return checkErrorf("hole variable %q survives optimization", e.Name)
+			default:
+				return checkErrorf("unresolved identifier %q", e.Name)
+			}
+			if e.Index < 0 || e.Index >= limit {
+				return checkErrorf("identifier %q: index %d out of range [0,%d)", e.Name, e.Index, limit)
+			}
+			return nil
+		case *Unary:
+			if e.Op != OpNeg && e.Op != OpNot {
+				return checkErrorf("unknown unary operator %d", int(e.Op))
+			}
+			return expr(e.X, arity)
+		case *Binary:
+			if !e.Op.Valid() {
+				return checkErrorf("unknown binary operator %d", int(e.Op))
+			}
+			if err := expr(e.X, arity); err != nil {
+				return err
+			}
+			return expr(e.Y, arity)
+		case *HoleCall:
+			return checkErrorf("hole call %q survives optimization", e.Hole)
+		case *Call:
+			for _, a := range e.Args {
+				if err := expr(a, arity); err != nil {
+					return err
+				}
+			}
+			if e.Func == nil {
+				return checkErrorf("call of a nil helper")
+			}
+			for _, f := range active {
+				if f == e.Func {
+					return checkErrorf("helper %q calls itself", f.Name)
+				}
+			}
+			active = append(active, e.Func)
+			err := expr(e.Func.Body, len(e.Args))
+			active = active[:len(active)-1]
+			return err
+		default:
+			return checkErrorf("unknown expression node %T", e)
+		}
+	}
+	var stmts func(list []Stmt) error
+	stmts = func(list []Stmt) error {
+		for _, s := range list {
+			switch s := s.(type) {
+			case *Assign:
+				if s.LHS == nil || s.LHS.Class != VarState {
+					return checkErrorf("assignment to something that is not a state variable")
+				}
+				if err := expr(s.LHS, 0); err != nil {
+					return err
+				}
+				if err := expr(s.RHS, 0); err != nil {
+					return err
+				}
+			case *Return:
+				if err := expr(s.Value, 0); err != nil {
+					return err
+				}
+			case *If:
+				if err := expr(s.Cond, 0); err != nil {
+					return err
+				}
+				if err := stmts(s.Then); err != nil {
+					return err
+				}
+				if err := stmts(s.Else); err != nil {
+					return err
+				}
+			default:
+				return checkErrorf("unknown statement node %T", s)
+			}
+		}
+		return nil
+	}
+	return stmts(p.Body)
+}

@@ -79,11 +79,10 @@ func Run(p *Program, env *Env) (out phv.Value, err error) {
 	return RunUnsafe(p, env), nil
 }
 
-// RunUnsafe is Run without the recover boundary: evaluation failures
-// propagate as panics instead of errors. It exists for hot loops that
-// execute many ALUs per tick — the caller installs a single recover for the
-// whole run (see AsEvalError) instead of paying one defer per ALU
-// execution. Use Run unless profiling says otherwise.
+// RunUnsafe is Run without the recover boundary, for the batch kernel's inner
+// loop. It is safe only on a program that passed CheckTotal evaluated with
+// env.Holes == nil — what core.Build guarantees of every prechecked pipeline
+// — where no evaluation can fail; on anything else a failure is a panic.
 func RunUnsafe(p *Program, env *Env) phv.Value {
 	env.aluName = p.Name
 	v, returned := execStmts(p.Body, env)
@@ -95,16 +94,6 @@ func RunUnsafe(p *Program, env *Env) phv.Value {
 		return env.State[0]
 	}
 	return 0
-}
-
-// AsEvalError converts a value recovered from a RunUnsafe panic into the
-// error Run would have returned. The second result is false for foreign
-// panics, which the caller must re-raise.
-func AsEvalError(r any) (error, bool) {
-	if ep, ok := r.(evalPanic); ok {
-		return ep.err, true
-	}
-	return nil, false
 }
 
 // execStmts executes statements; the bool result reports whether a Return

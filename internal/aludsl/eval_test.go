@@ -270,3 +270,48 @@ func TestEvalDeterministic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCheckTotal covers the shapes CheckTotal rejects that no interpreter
+// can be asked to run (the evaluable ones are pinned against the reference in
+// sim's TestBuildRejectsNonTotalALU), and that a parsed, hole-free program
+// passes.
+func TestCheckTotal(t *testing.T) {
+	ok, err := Parse(`
+type: stateful
+state variables: {s}
+hole variables: {}
+packet fields: {a}
+if (a > 3 && !(s == a)) { s = s + a; } else { s = -a; }
+return s;
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckTotal(ok); err != nil {
+		t.Errorf("a parsed hole-free program: %v", err)
+	}
+
+	loop := &FuncDef{Name: "loop"}
+	loop.Body = &Call{Func: &FuncDef{Name: "via", Body: &Call{Func: loop}}}
+	field := &Ident{Name: "a", Class: VarField}
+	cases := []struct {
+		name string
+		stmt Stmt
+		want string
+	}{
+		{"recursive helper", &Return{Value: &Call{Func: loop}}, `helper "loop" calls itself`},
+		{"nil helper", &Return{Value: &Call{}}, "nil helper"},
+		{"nil expression", &Return{}, "unknown expression node <nil>"},
+		{"negative index", &Return{Value: &Ident{Name: "a", Class: VarField, Index: -1}}, "index -1 out of range"},
+		{"assignment to a field", &Assign{LHS: field, RHS: field}, "not a state variable"},
+		{"assignment to nothing", &Assign{RHS: field}, "not a state variable"},
+		{"parameter outside a helper", &Return{Value: &Ident{Name: "op0", Class: VarParam}}, "out of range [0,0)"},
+		{"nested in an else branch", &If{Cond: field, Then: []Stmt{&Return{Value: field}}, Else: []Stmt{&Return{Value: &Ident{Name: "x"}}}}, `unresolved identifier "x"`},
+	}
+	for _, tc := range cases {
+		p := &Program{Kind: Stateful, StateVars: []string{"s"}, PacketFields: []string{"a"}, Body: []Stmt{tc.stmt}}
+		if err := CheckTotal(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckTotal = %v, want an error with %q", tc.name, err, tc.want)
+		}
+	}
+}

@@ -104,23 +104,6 @@ func (c *ConfigFlags) Spec() (core.Spec, error) {
 	return s, nil
 }
 
-// ParseLevel parses an optimization level name: the paper's three levels
-// plus the closure-compiled engine.
-func ParseLevel(name string) (core.OptLevel, error) {
-	switch name {
-	case "unoptimized", "v1", "0":
-		return core.Unoptimized, nil
-	case "scc", "v2", "1":
-		return core.SCCPropagation, nil
-	case "scc+inline", "inline", "v3", "2":
-		return core.SCCInlining, nil
-	case "compiled", "v4", "3":
-		return core.Compiled, nil
-	default:
-		return 0, fmt.Errorf("unknown optimization level %q (want unoptimized, scc, scc+inline or compiled)", name)
-	}
-}
-
 // LoadMachineCode reads a machine code file, or stdin when path is "-".
 func LoadMachineCode(path string) (*machinecode.Program, error) {
 	if path == "-" {

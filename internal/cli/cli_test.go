@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"druzhba/internal/core"
 )
 
 func parseWith(t *testing.T, args ...string) (*ConfigFlags, *flag.FlagSet) {
@@ -69,24 +67,6 @@ func TestConfigFlagsErrors(t *testing.T) {
 	cfg, _ = parseWith(t, "-stateless", "raw")
 	if _, err := cfg.Spec(); err == nil {
 		t.Error("stateful atom accepted as stateless")
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	cases := map[string]core.OptLevel{
-		"unoptimized": core.Unoptimized, "v1": core.Unoptimized, "0": core.Unoptimized,
-		"scc": core.SCCPropagation, "v2": core.SCCPropagation, "1": core.SCCPropagation,
-		"scc+inline": core.SCCInlining, "inline": core.SCCInlining, "v3": core.SCCInlining, "2": core.SCCInlining,
-		"compiled": core.Compiled, "v4": core.Compiled, "3": core.Compiled,
-	}
-	for name, want := range cases {
-		got, err := ParseLevel(name)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	if _, err := ParseLevel("turbo"); err == nil {
-		t.Error("unknown level accepted")
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"druzhba/internal/core"
 	"druzhba/internal/machinecode"
 	"druzhba/internal/opt"
-	"druzhba/internal/phv"
 )
 
 // Options configures code emission.
@@ -46,15 +45,9 @@ func Generate(spec core.Spec, code *machinecode.Program, opts Options) (string, 
 	if opts.Package == "" {
 		opts.Package = "pipeline"
 	}
-	// Normalize the spec by round-tripping through RequiredPairs' checks.
-	if _, err := spec.RequiredPairs(); err != nil {
+	spec, err := spec.Normalize()
+	if err != nil {
 		return "", err
-	}
-	if spec.PHVLen == 0 {
-		spec.PHVLen = spec.Width
-	}
-	if !spec.Bits.Valid() {
-		spec.Bits = phv.Default32
 	}
 	g := &generator{spec: spec, code: code, opts: opts}
 	return g.generate()

@@ -1,6 +1,6 @@
-// batch.go is the PHV-batch (struct-of-arrays) execution layer of the
-// prechecked engines: ExecuteStageBatch runs one stage's ALU grid over a
-// whole vector of packets held in column-major value planes
+// batch.go is the production stage kernel, the PHV-batch (struct-of-arrays)
+// executor of prechecked pipelines: ExecuteStageBatch runs one stage's ALU
+// run-list over a whole vector of packets held in column-major value planes
 // (planes[container][packet]), hoisting the per-packet dispatch — stage
 // lookup, ALU iteration set-up, closure/interpreter selection and the
 // output-mux switch — out of the inner loop. The per-container output mux
@@ -50,15 +50,17 @@ func (p *Pipeline) NewBatchScratch(capacity int) (*BatchScratch, error) {
 	return sc, nil
 }
 
-// ExecuteStageBatch is ExecuteStageFast over a vector of n packets held in
-// column-major planes: in[c][k] is container c of packet k, and the stage's
-// results land in out[c][k]. Every plane (and the scratch) must have
-// capacity >= n. Each ALU processes packets in index order, so stateful
-// ALU state advances exactly as it would under the streaming tick loop.
+// ExecuteStageBatch is ExecuteStage for prechecked pipelines over a vector of
+// n packets held in column-major planes: in[c][k] is container c of packet k,
+// and the stage's results land in out[c][k]. The stage index must be in
+// range and every plane (and the scratch) must have capacity >= n. Each ALU
+// processes packets in index order, so stateful ALU state advances exactly as
+// it would under the streaming tick loop.
 //
-// Like ExecuteStageFast, evaluation failures (impossible after a successful
-// optimized build) propagate as panics convertible with AsExecError, and
-// calling this on a pipeline for which Prechecked is false panics.
+// The kernel carries no map lookups, no bounds re-validation and no error
+// path: Build validated and baked every mux selection and proved every ALU
+// program total (see Prechecked), so there is no failure to report. Calling
+// it on a pipeline for which Prechecked is false panics.
 //
 //dvet:hotpath allocs=0
 func (p *Pipeline) ExecuteStageBatch(si int, in, out [][]phv.Value, sc *BatchScratch, n int) {
@@ -129,43 +131,4 @@ func runALUBatch(a *compiledALU, in [][]phv.Value, out []phv.Value, n int) {
 		}
 		out[k] = aludsl.RunUnsafe(prog, env)
 	}
-}
-
-// StateLen returns the total number of stateful values across every stage,
-// the buffer length CopyStateTo and SetStateFrom operate on.
-func (p *Pipeline) StateLen() int {
-	n := 0
-	for _, st := range p.stages {
-		for _, a := range st.stateful {
-			n += len(a.state)
-		}
-	}
-	return n
-}
-
-// CopyStateTo flattens every stateful ALU's state into dst (stage-major,
-// slot order, StateLen values) without allocating, and returns the number
-// of values written. The batched fuzzer checkpoints state this way before
-// each batch so the (build-time impossible) evaluation-panic path can
-// restore it and replay the batch through the streaming engine.
-func (p *Pipeline) CopyStateTo(dst []phv.Value) int {
-	n := 0
-	for _, st := range p.stages {
-		for _, a := range st.stateful {
-			n += copy(dst[n:], a.state)
-		}
-	}
-	return n
-}
-
-// SetStateFrom is the inverse of CopyStateTo: it overwrites every stateful
-// ALU's state from the flat buffer and returns the number of values read.
-func (p *Pipeline) SetStateFrom(src []phv.Value) int {
-	n := 0
-	for _, st := range p.stages {
-		for _, a := range st.stateful {
-			n += copy(a.state, src[n:])
-		}
-	}
-	return n
 }

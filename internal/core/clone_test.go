@@ -19,7 +19,7 @@ func statefulTestSpec(t *testing.T) (Spec, *machinecode.Program) {
 		StatelessALU: atoms.MustLoad("stateless_full"),
 		StatefulALU:  atoms.MustLoad("raw"),
 	}
-	n, err := s.normalize()
+	n, err := s.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}

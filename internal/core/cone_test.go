@@ -172,10 +172,10 @@ func TestExecutes(t *testing.T) {
 	}
 }
 
-// The three stage executors, each driven the way its engine in package sim
-// drives it: ExecuteStage per packet (Process), ExecuteStageFast per packet
-// (the streaming tick loop), ExecuteStageBatch per packet vector (the plane
-// engine).
+// The two stage executors, each driven the way its engine in package sim
+// drives it: ExecuteStage per packet (Process; the tick loop's sweep visits
+// each packet's stages in the same order), ExecuteStageBatch per packet
+// vector (the plane engine).
 var coneExecutors = []struct {
 	name string
 	run  func(p *Pipeline, packets [][]phv.Value) ([][]phv.Value, error)
@@ -188,19 +188,6 @@ var coneExecutors = []struct {
 				return nil, err
 			}
 			out[i] = o.Values()
-		}
-		return out, nil
-	}},
-	{"ExecuteStageFast", func(p *Pipeline, packets [][]phv.Value) ([][]phv.Value, error) {
-		out := make([][]phv.Value, len(packets))
-		for i, vals := range packets {
-			cur := append([]phv.Value(nil), vals...)
-			next := make([]phv.Value, len(cur))
-			for si := 0; si < p.Depth(); si++ {
-				p.ExecuteStageFast(si, cur, next)
-				cur, next = next, cur
-			}
-			out[i] = cur
 		}
 		return out, nil
 	}},
@@ -239,7 +226,7 @@ var coneExecutors = []struct {
 }
 
 // checkCone asserts the cone property for one grid, machine code and
-// prechecked level over n random packets: under each of the three stage
+// prechecked level over n random packets: under each of the two stage
 // executors the cone's output PHVs equal the full pipeline's and the
 // Unoptimized reference's on every packet, every live stateful ALU ends in
 // the full pipeline's state, and every dead one's state is untouched. State
@@ -256,9 +243,22 @@ func checkCone(t testing.TB, s Spec, code *machinecode.Program, level OptLevel, 
 		t.Fatalf("Build(unoptimized): %v", err)
 	}
 	mask := fullMaster.Bits().Mask()
-	initial := make([]phv.Value, fullMaster.StateLen())
-	for i := range initial {
-		initial[i] = rng.Int63() & mask
+	initial := fullMaster.StateSnapshot()
+	for _, stage := range initial {
+		for _, vals := range stage {
+			for i := range vals {
+				vals[i] = rng.Int63() & mask
+			}
+		}
+	}
+	seed := func(p *Pipeline) {
+		for si, stage := range initial {
+			for slot, vals := range stage {
+				if err := p.SetState(si, slot, vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 	packets := make([][]phv.Value, n)
 	for i := range packets {
@@ -268,19 +268,16 @@ func checkCone(t testing.TB, s Spec, code *machinecode.Program, level OptLevel, 
 		}
 	}
 	ref := refMaster.Clone()
-	ref.SetStateFrom(initial)
+	seed(ref)
 	want, err := coneExecutors[0].run(ref, packets)
 	if err != nil {
 		t.Fatalf("unoptimized reference: %v", err)
 	}
 	coneMaster := fullMaster.OutputCone()
-	if got, want := coneMaster.StateLen(), fullMaster.StateLen(); got != want {
-		t.Fatalf("cone StateLen %d, full %d", got, want)
-	}
 	for _, ex := range coneExecutors {
 		full, cone := fullMaster.Clone(), coneMaster.Clone()
-		full.SetStateFrom(initial)
-		cone.SetStateFrom(initial)
+		seed(full)
+		seed(cone)
 		gotFull, err := ex.run(full, packets)
 		if err != nil {
 			t.Fatalf("%s full: %v", ex.name, err)
@@ -301,17 +298,15 @@ func checkCone(t testing.TB, s Spec, code *machinecode.Program, level OptLevel, 
 		if !fullState.Equal(refState) {
 			t.Fatalf("%v %s: full-grid state diverges from the unoptimized reference", level, ex.name)
 		}
-		at := 0
 		for si := range coneState {
 			for slot, got := range coneState[si] {
 				want, what := fullState[si][slot], "live"
 				if !cone.Executes(si, true, slot) {
-					want, what = initial[at:at+len(got)], "dead"
+					want, what = initial[si][slot], "dead"
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("%v %s: %s stateful ALU %d/%d ends in state %v, want %v", level, ex.name, what, si, slot, got, want)
 				}
-				at += len(got)
 			}
 		}
 	}
@@ -380,7 +375,7 @@ func encodeConeInput(t testing.TB, g coneGrid, level, bits int) []byte {
 			atom = i
 		}
 	}
-	n, err := s.normalize()
+	n, err := s.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@
 //
 // # Run-lists and the output cone
 //
-// Each stage holds a run-list, the ALUs its executors (ExecuteStage,
-// ExecuteStageFast, ExecuteStageBatch — one kernel each) iterate; an ALU
+// Each stage holds a run-list, the ALUs its two executors (ExecuteStage, the
+// reference, and ExecuteStageBatch, the production kernel) iterate; an ALU
 // writes its result to its own latch slot and the output muxes read the
 // latches. Build puts every ALU on the run-list, so a built pipeline and
 // its Clones simulate the whole grid: dsim, ddbg, sim.Stream, sim.Batch,
@@ -80,6 +80,23 @@ func (l OptLevel) String() string {
 	}
 }
 
+// ParseLevel parses an optimization level name: the paper's three levels
+// plus the closure-compiled engine.
+func ParseLevel(name string) (OptLevel, error) {
+	switch name {
+	case "unoptimized", "v1", "0":
+		return Unoptimized, nil
+	case "scc", "v2", "1":
+		return SCCPropagation, nil
+	case "scc+inline", "inline", "v3", "2":
+		return SCCInlining, nil
+	case "compiled", "v4", "3":
+		return Compiled, nil
+	default:
+		return 0, fmt.Errorf("unknown optimization level %q (want unoptimized, scc, scc+inline or compiled)", name)
+	}
+}
+
 // Levels lists all optimization levels in increasing order.
 func Levels() []OptLevel { return []OptLevel{Unoptimized, SCCPropagation, SCCInlining} }
 
@@ -102,7 +119,10 @@ type Spec struct {
 	StatelessALU *aludsl.Program
 }
 
-func (s *Spec) normalize() (Spec, error) {
+// Normalize returns the spec with its defaults applied (PHVLen 0 means
+// Width, an unset Bits means 32) or the reason it describes no pipeline.
+// Every consumer of a Spec defaults it through here, never by hand.
+func (s *Spec) Normalize() (Spec, error) {
 	n := *s
 	if n.Depth < 1 {
 		return n, fmt.Errorf("core: pipeline depth %d < 1", n.Depth)
@@ -141,7 +161,7 @@ type HoleSpec struct {
 // spec consumes, in a deterministic order (stage-major, stateless before
 // stateful, operand muxes before ALU holes, output muxes last per stage).
 func (s *Spec) RequiredPairs() ([]HoleSpec, error) {
-	n, err := s.normalize()
+	n, err := s.Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +286,7 @@ type Pipeline struct {
 // given optimization level. The machine code is validated first; incompatible
 // machine code (missing pairs, out-of-range values) fails the build.
 func Build(s Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error) {
-	n, err := s.normalize()
+	n, err := s.Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +302,7 @@ func Build(s Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error)
 // hit exactly this failure class). Only the Unoptimized level can be built
 // unchecked, since SCC propagation needs every value at generation time.
 func BuildUnchecked(s Spec, code *machinecode.Program) (*Pipeline, error) {
-	n, err := s.normalize()
+	n, err := s.Normalize()
 	if err != nil {
 		return nil, err
 	}
@@ -377,20 +397,10 @@ func newALU(n Spec, code *machinecode.Program, level OptLevel, si, slot int, pro
 		lookup := func(local string) (int64, bool) {
 			return code.Get(scopedName(local))
 		}
-		optimized, err := opt.SCC(prog, lookup, n.Bits)
+		var err error
+		a.prog, a.closure, err = optimizeALU(prog, lookup, n.Bits, level)
 		if err != nil {
 			return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(stateful), slot, err)
-		}
-		if level == SCCInlining || level == Compiled {
-			optimized = opt.Inline(optimized, n.Bits)
-		}
-		a.prog = optimized
-		if level == Compiled {
-			body, err := compileALUBody(optimized, n.Bits)
-			if err != nil {
-				return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(stateful), slot, err)
-			}
-			a.closure = body
 		}
 		a.operandMux = make([]int, a.numOps)
 		for op := 0; op < a.numOps; op++ {
@@ -408,6 +418,30 @@ func newALU(n Spec, code *machinecode.Program, level OptLevel, si, slot int, pro
 		return nil, fmt.Errorf("core: unknown optimization level %v", level)
 	}
 	return a, nil
+}
+
+// optimizeALU specialises prog to its machine code at a prechecked level and
+// proves the result total. This is the trust boundary of those levels: a
+// Spec's ALU programs are caller-supplied ASTs, and nothing downstream of it
+// — the inliner, the closure compiler, ExecuteStageBatch — guards evaluation.
+// Inlining preserves totality, so the SCC output is checked once.
+func optimizeALU(prog *aludsl.Program, holes aludsl.HoleLookup, w phv.Width, level OptLevel) (*aludsl.Program, compiledBody, error) {
+	optimized, err := opt.SCC(prog, holes, w)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := aludsl.CheckTotal(optimized); err != nil {
+		return nil, nil, err
+	}
+	if level == SCCPropagation {
+		return optimized, nil, nil
+	}
+	optimized = opt.Inline(optimized, w)
+	if level != Compiled {
+		return optimized, nil, nil
+	}
+	body, err := compileALUBody(optimized, w)
+	return optimized, body, err
 }
 
 // Spec returns the (normalized) spec the pipeline was built from.
@@ -467,8 +501,8 @@ func (p *Pipeline) Clone() *Pipeline {
 // upstream; ALU bodies are not inspected. Output PHVs equal the full
 // pipeline's on every packet. What a cone does not simulate is the state of
 // stateful ALUs no container can observe: dead ALUs keep their state slots
-// (StateLen, CopyStateTo, SetStateFrom and StateSnapshot have the same
-// shape) but never advance them, so a cone serves consumers of output PHVs
+// (SetState and StateSnapshot have the same shape) but never advance them,
+// so a cone serves consumers of output PHVs
 // — the fuzzer — and not consumers of state. Pipelines that are not
 // Prechecked resolve machine code at run time, where a missing pair is a
 // finding, and get a plain clone that executes everything.
@@ -627,63 +661,14 @@ func (p *Pipeline) StateSnapshot() phv.StateSnapshot {
 	return snap
 }
 
-// Prechecked reports whether every mux selection was validated at build
-// time, making the pipeline eligible for ExecuteStageFast. True for every
-// optimized level (Build validates the machine code and bakes selections
-// into slices); false for Unoptimized, whose version-1 semantics resolve
-// machine code through the hash table at each execution and can therefore
-// fail at runtime (the BuildUnchecked path).
+// Prechecked reports whether Build proved execution total: every mux
+// selection validated and baked into a slice, every ALU program specialised
+// to its machine code and passed through aludsl.CheckTotal, so no execution
+// of the pipeline can fail. True for every optimized level — the pipelines
+// ExecuteStageBatch accepts; false for Unoptimized, whose version-1 semantics
+// resolve machine code through the hash table at each execution and can
+// therefore fail at run time (the BuildUnchecked path).
 func (p *Pipeline) Prechecked() bool { return p.level != Unoptimized }
-
-// ExecuteStageFast is ExecuteStage for prechecked pipelines: the inner loop
-// carries no map lookups, no error returns and no bounds re-validation,
-// because Build already validated every operand and output mux selection.
-// The stage index must be in range and len(in) == len(out) == PHVLen.
-//
-// Evaluation failures (impossible after a successful optimized build, but
-// the interpreter still guards them) propagate as panics; run-loop callers
-// install a single recover and convert with AsExecError. Calling this on a
-// pipeline for which Prechecked is false panics.
-//
-//dvet:hotpath allocs=0
-func (p *Pipeline) ExecuteStageFast(si int, in, out []phv.Value) {
-	if !p.Prechecked() {
-		panic("core: ExecuteStageFast on an unoptimized pipeline")
-	}
-	st := p.stages[si]
-	for _, a := range st.run {
-		st.latch[a.latch] = runALUFast(a, in)
-	}
-	for c, sel := range st.outputMux {
-		// Build's validation bounded sel to [0, len(latch)].
-		if sel == 0 {
-			out[c] = in[c]
-		} else {
-			out[c] = st.latch[sel-1]
-		}
-	}
-}
-
-// runALUFast executes one prechecked ALU: operand muxes are baked indices
-// and the body is either a compiled closure or the interpreter without its
-// per-execution recover boundary.
-//
-//dvet:hotpath allocs=0
-func runALUFast(a *compiledALU, in []phv.Value) phv.Value {
-	ops := a.env.Operands
-	for op, idx := range a.operandMux {
-		ops[op] = in[idx]
-	}
-	if a.closure != nil {
-		return a.closure(ops, a.state)
-	}
-	return aludsl.RunUnsafe(a.prog, &a.env)
-}
-
-// AsExecError converts a value recovered from an ExecuteStageFast panic
-// into the error ExecuteStage would have returned; foreign panics report
-// false and must be re-raised.
-func AsExecError(r any) (error, bool) { return aludsl.AsEvalError(r) }
 
 // ExecuteStage runs stage si on the input container values, writing the
 // stage's result into out (len(in) == len(out) == PHVLen). Stateful ALU
@@ -694,7 +679,7 @@ func AsExecError(r any) (error, bool) { return aludsl.AsEvalError(r) }
 // resolves each mux through the machine-code table on every execution — the
 // paper's version-1 semantics, written to be read, not to be fast. It is the
 // one executor that accepts every pipeline, and the one the tests compare
-// ExecuteStageFast and ExecuteStageBatch against; do not optimize it.
+// ExecuteStageBatch against; do not optimize it.
 func (p *Pipeline) ExecuteStage(si int, in, out []phv.Value) error {
 	if si < 0 || si >= len(p.stages) {
 		return fmt.Errorf("core: stage %d out of range", si)

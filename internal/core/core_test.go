@@ -356,3 +356,21 @@ func TestOptLevelStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestParseLevel(t *testing.T) {
+	cases := map[string]OptLevel{
+		"unoptimized": Unoptimized, "v1": Unoptimized, "0": Unoptimized,
+		"scc": SCCPropagation, "v2": SCCPropagation, "1": SCCPropagation,
+		"scc+inline": SCCInlining, "inline": SCCInlining, "v3": SCCInlining, "2": SCCInlining,
+		"compiled": Compiled, "v4": Compiled, "3": Compiled,
+	}
+	for name, want := range cases {
+		got, err := ParseLevel(name)
+		if err != nil || got != want {
+			t.Errorf("ParseLevel(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseLevel("turbo"); err == nil {
+		t.Error("unknown level accepted")
+	}
+}

@@ -42,8 +42,8 @@ func (g *TrafficGen) FillBatch(planes [][]int64, n int) int {
 // planes, 0 restores the packet-at-a-time loop. Reports are byte-identical
 // in every mode and for every batch size. No product path calls this — dRMT
 // batching is slower than the slot loop, so campaigns always run the latter;
-// it is reachable only from the frozen benchmark/probes.go, dbench's
-// slots+batch rows and the differential tests, and goes with the first.
+// it is reachable only from the frozen benchmark/probes.go and the
+// differential tests, and goes with the first.
 func (f *DiffFuzzer) SetBatch(size int) {
 	if size < 0 {
 		size = 0

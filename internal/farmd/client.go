@@ -123,20 +123,15 @@ func Submit(ctx context.Context, server string, req *MatrixRequest) (*campaign.R
 	return SubmitOpts(ctx, server, req, StreamOptions{}, nil)
 }
 
-// SubmitStream is Submit with a per-row callback invoked as rows arrive
-// (nil onRow is allowed); returning an error from the callback abandons
-// the stream. This is the delta-consuming form: a monitoring client can
-// render each job the moment the server finishes it.
-func SubmitStream(ctx context.Context, server string, req *MatrixRequest, onRow func(Row) error) (*campaign.Report, error) {
-	return SubmitOpts(ctx, server, req, StreamOptions{}, onRow)
-}
-
 // resumeAttempts bounds consecutive reconnections of a resumable stream;
 // any successfully received row resets the count.
 const resumeAttempts = 5
 
-// SubmitOpts is SubmitStream with explicit stream options. Against a
-// server that advertises resumability (the fabric coordinator's
+// SubmitOpts is Submit with explicit stream options and a per-row callback
+// invoked as rows arrive (nil onRow is allowed); returning an error from the
+// callback abandons the stream. This is the delta-consuming form: a
+// monitoring client can render each job the moment the server finishes it.
+// Against a server that advertises resumability (the fabric coordinator's
 // Campaign-Id header), a stream severed mid-campaign is transparently
 // reattached with the Last-Row index, so the reassembled report — and any
 // NDJSON a caller renders from onRow — is byte-identical to an unsevered

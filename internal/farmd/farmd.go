@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"druzhba/internal/campaign"
-	"druzhba/internal/cli"
 	"druzhba/internal/core"
 	"druzhba/internal/drmt"
 	"druzhba/internal/phv"
@@ -210,7 +209,7 @@ func (r *MatrixRequest) FuzzJobs(corpus map[string][][]phv.Value) ([]campaign.Jo
 			return nil, fmt.Errorf("farmd: levels apply to the rmt architecture only")
 		}
 		for _, name := range r.Levels {
-			lvl, err := cli.ParseLevel(strings.TrimSpace(name))
+			lvl, err := core.ParseLevel(strings.TrimSpace(name))
 			if err != nil {
 				return nil, fmt.Errorf("farmd: %w", err)
 			}

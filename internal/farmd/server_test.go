@@ -133,7 +133,7 @@ func TestServerStreamsJobRowsInMatrixOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var names []string
-	rep, err := SubmitStream(context.Background(), srv.URL, req, func(row Row) error {
+	rep, err := SubmitOpts(context.Background(), srv.URL, req, StreamOptions{}, func(row Row) error {
 		if row.Job != nil {
 			names = append(names, row.Job.Name)
 		}

@@ -304,7 +304,7 @@ func foldUnary(u *aludsl.Unary, w phv.Width) aludsl.Expr {
 func foldBinary(b *aludsl.Binary, w phv.Width) aludsl.Expr {
 	x, xok := constValue(b.X)
 	y, yok := constValue(b.Y)
-	if xok && yok {
+	if xok && yok && b.Op.Valid() { // a hand-built invalid operator is left for aludsl.CheckTotal to reject
 		return &aludsl.Num{Value: aludsl.ApplyBinOp(w, b.Op, x, y)}
 	}
 	// Short-circuit folding when only one side is constant.

@@ -3,7 +3,6 @@ package p4
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // ParseError reports a syntax or semantic error with its position.
@@ -716,6 +715,3 @@ func Check(prog *Program) error {
 	}
 	return nil
 }
-
-// FormatFieldList renders field names for error messages.
-func FormatFieldList(fields []string) string { return strings.Join(fields, ", ") }

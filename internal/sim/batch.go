@@ -1,16 +1,18 @@
-// batch.go is the struct-of-arrays execution mode of the streaming engine:
-// packets live in column-major value planes (planes[container][packet]) and
-// whole stage vectors execute per core.ExecuteStageBatch call, amortizing
-// the tick loop's per-packet dispatch — ring bookkeeping, the per-tick
-// recover boundary, the per-stage call and the output-mux switch — across a
-// batch.
+// batch.go is the production engine: packets live in column-major value
+// planes (planes[container][packet]) and whole stage vectors execute per
+// core.ExecuteStageBatch call, amortizing the tick loop's per-packet
+// dispatch — ring bookkeeping, the per-ALU error returns, the per-stage call
+// and the output-mux switch — across a batch. It runs prechecked pipelines
+// only, on which core.Build proved execution total, so the kernel and its
+// drivers have no failure path: the one error left is a Run outside the
+// engine's capacity.
 //
 // Batch execution is observationally identical to the tick loop. The
 // pipeline is feedforward and all mutable state is private to one (stage,
 // slot) ALU; both schedules visit each ALU's state in packet-admission
 // order, so outputs and final state are byte-identical. The fuzzer's
-// batched mode exploits this to produce BatchReports byte-identical to
-// streaming ones — including tick counts, which it reconstructs from the
+// planes loop exploits this to produce BatchReports byte-identical to
+// the tick loop's — including tick counts, which it reconstructs from the
 // streaming schedule's arithmetic (a packet admitted at tick i completes at
 // tick i+depth-1), and counterexample records, which it materializes from
 // the plane columns of a mismatching batch.
@@ -45,7 +47,7 @@ type Batch struct {
 // NewBatch returns a batch engine over the pipeline with room for capacity
 // packets per run. Batch execution uses the prechecked stage kernel, so the
 // pipeline must satisfy core.Pipeline.Prechecked; callers with unoptimized
-// pipelines use the streaming engine (the fuzzer selects it by this rule).
+// pipelines use a Stream (the fuzzer selects it by this rule).
 func NewBatch(p *core.Pipeline, capacity int) (*Batch, error) {
 	if !p.Prechecked() {
 		return nil, fmt.Errorf("sim: batch execution requires a prechecked pipeline")
@@ -96,26 +98,23 @@ func (b *Batch) Load(k int, vals []phv.Value) {
 // Run executes all pipeline stages over the first n packet columns of the
 // input planes, leaving results readable via Out. Stateful ALU state
 // advances exactly as a streaming run over the same packets would advance
-// it. Evaluation panics (build-time impossible on prechecked pipelines, but
-// guarded like the streaming tick loop) are converted to the error the
-// unoptimized engine would have returned.
+// it. The only error is an n outside [1, Cap]: execution of a prechecked
+// pipeline cannot fail.
 //
 //dvet:hotpath allocs=0
-func (b *Batch) Run(n int) (err error) {
+func (b *Batch) Run(n int) error {
 	if n < 1 || n > b.capacity {
 		//dvet:alloc-ok harness-misuse error path, never taken in a clean run
 		return fmt.Errorf("sim: batch run of %d packets, capacity %d", n, b.capacity)
 	}
-	//dvet:alloc-ok non-escaping recover closure; the zero-alloc tests pin it to the stack
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := core.AsExecError(r); ok {
-				err = e
-				return
-			}
-			panic(r)
-		}
-	}()
+	b.run(n)
+	return nil
+}
+
+// run is Run for callers that hold 1 <= n <= Cap by construction.
+//
+//dvet:hotpath allocs=0
+func (b *Batch) run(n int) {
 	cur := b.in
 	for si := 0; si < b.depth; si++ {
 		nxt := b.work[si&1]
@@ -123,7 +122,6 @@ func (b *Batch) Run(n int) (err error) {
 		cur = nxt
 	}
 	b.out = cur
-	return nil
 }
 
 // gatherCol copies packet column k of the planes into dst and returns it.
@@ -174,7 +172,6 @@ func newPlanesFuzzer(p *core.Pipeline, chunk int) (*Fuzzer, error) {
 		batch:     b,
 		fillRow:   make([]phv.Value, phvLen),
 		gatherRow: make([]phv.Value, phvLen),
-		stateBuf:  make([]phv.Value, p.StateLen()),
 	}, nil
 }
 
@@ -184,9 +181,10 @@ func newPlanesFuzzer(p *core.Pipeline, chunk int) (*Fuzzer, error) {
 // column against want row. Reports are byte-identical to the tick loop's:
 // tick counts follow the streaming schedule's arithmetic, mismatch records
 // are materialized from plane columns in index order, and every early-exit
-// path (counterexample cap, generator error, spec error, evaluation panic)
-// reconstructs the exact point the tick loop would have stopped — including
-// dropping comparisons it would never have reached.
+// path (counterexample cap, generator error, spec error) reconstructs the
+// exact point the tick loop would have stopped — including dropping
+// comparisons it would never have reached. Execution itself cannot stop the
+// run: the pipeline is prechecked.
 //
 //dvet:hotpath allocs=3
 func (f *Fuzzer) fuzzBatched(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
@@ -206,10 +204,7 @@ func (f *Fuzzer) fuzzBatched(spec Spec, n int, next func(dst []phv.Value) error,
 				// stopped there with genErr as its finding. Execute and
 				// compare the packets already filled — their completions
 				// precede tick i or are dropped by the endgame.
-				mms, errTick, execErr := f.runCompareBatch(at, k, opts, mms)
-				if execErr != nil && errTick < i {
-					return f.finishBatched(report, mms, maxMismatches, n, errTick, fmt.Errorf("sim: tick %d: %w", errTick, execErr)) //dvet:alloc-ok finding path, at most once per run
-				}
+				mms = f.runCompareBatch(at, k, opts, mms)
 				return f.finishBatched(report, mms, maxMismatches, n, i, genErr)
 			}
 			if specErr != nil {
@@ -217,12 +212,7 @@ func (f *Fuzzer) fuzzBatched(spec Spec, n int, next func(dst []phv.Value) error,
 			}
 			f.batch.Load(k, f.fillRow)
 		}
-		var errTick int
-		var execErr error
-		mms, errTick, execErr = f.runCompareBatch(at, m, opts, mms)
-		if execErr != nil {
-			return f.finishBatched(report, mms, maxMismatches, n, errTick, fmt.Errorf("sim: tick %d: %w", errTick, execErr)) //dvet:alloc-ok finding path, at most once per run
-		}
+		mms = f.runCompareBatch(at, m, opts, mms)
 		// The tick loop notices the cap only when the capping packet surfaces,
 		// depth-1 ticks after its admission, and admits a packet on each of
 		// those ticks, where a generator or spec failure still beats the cap:
@@ -236,23 +226,14 @@ func (f *Fuzzer) fuzzBatched(spec Spec, n int, next func(dst []phv.Value) error,
 
 // runCompareBatch executes the first m filled packets of the chunk starting
 // at global packet index 'at' and appends any mismatches, materialized from
-// the plane columns, in index order. On an evaluation panic it restores the
-// pre-chunk state checkpoint and replays the chunk through a Stream,
-// returning the exact global tick and error the tick loop would have
-// reported (with the comparisons completed before that tick already
-// appended).
+// the plane columns, in index order.
 //
 //dvet:hotpath allocs=0
-func (f *Fuzzer) runCompareBatch(at, m int, opts FuzzOptions, mms []Mismatch) ([]Mismatch, int, error) {
+func (f *Fuzzer) runCompareBatch(at, m int, opts FuzzOptions, mms []Mismatch) []Mismatch {
 	if m == 0 {
-		return mms, -1, nil
+		return mms
 	}
-	if len(f.stateBuf) > 0 {
-		f.pipe.CopyStateTo(f.stateBuf)
-	}
-	if err := f.batch.Run(m); err != nil {
-		return f.replayBatch(at, m, opts, mms)
-	}
+	f.batch.run(m)
 	out := f.batch.Out()
 	in := f.batch.In()
 	for k := 0; k < m; k++ {
@@ -261,41 +242,7 @@ func (f *Fuzzer) runCompareBatch(at, m int, opts FuzzOptions, mms []Mismatch) ([
 			mms = append(mms, mismatchOf(at+k, gatherCol(in, k, f.fillRow), gatherCol(out, k, f.gatherRow), f.want[k]))
 		}
 	}
-	return mms, -1, nil
-}
-
-// replayBatch is the evaluation-panic fallback: state is restored to the
-// pre-chunk checkpoint and the chunk's packets are replayed tick by tick
-// through a Stream built here, on the cold path, reproducing the exact tick,
-// error and set of completed comparisons of the tick loop. (Build-time
-// impossible on prechecked pipelines; kept so even that path stays
-// byte-identical. Should the replay not reproduce the panic, its results
-// stand in for the chunk — both schedules compute identical values — and the
-// run continues.)
-func (f *Fuzzer) replayBatch(at, m int, opts FuzzOptions, mms []Mismatch) ([]Mismatch, int, error) {
-	f.pipe.SetStateFrom(f.stateBuf)
-	stream := NewStream(f.pipe)
-	in := f.batch.In()
-	fed, compared := 0, 0
-	for fed < m || stream.InFlight() > 0 {
-		var row []phv.Value
-		if fed < m {
-			row = gatherCol(in, fed, f.fillRow)
-			fed++
-		}
-		out, err := stream.Tick(row)
-		if err != nil {
-			return mms, at + stream.Ticks(), err
-		}
-		if out == nil {
-			continue
-		}
-		if !equalVals(out, f.want[compared], opts.Containers) {
-			mms = append(mms, mismatchOf(at+compared, gatherCol(in, compared, f.fillRow), out, f.want[compared]))
-		}
-		compared++
-	}
-	return mms, -1, nil
+	return mms
 }
 
 // specAbortBatched reconstructs the tick loop's outcome of a spec failure at
@@ -304,14 +251,10 @@ func (f *Fuzzer) replayBatch(at, m int, opts FuzzOptions, mms []Mismatch) ([]Mis
 // admission tick, in which case the capped report wins exactly as it would
 // under the tick loop.
 func (f *Fuzzer) specAbortBatched(report *BatchReport, mms []Mismatch, maxMismatches, at, k int, opts FuzzOptions, serr error) (*BatchReport, error) {
-	i := at + k
-	mms, errTick, execErr := f.runCompareBatch(at, k, opts, mms)
-	if execErr != nil && errTick < i {
-		return f.finishBatched(report, mms, maxMismatches, 0, errTick, fmt.Errorf("sim: tick %d: %w", errTick, execErr))
-	}
+	mms = f.runCompareBatch(at, k, opts, mms)
 	depth := f.pipe.Depth()
 	if maxMismatches > 0 && len(mms) >= maxMismatches {
-		if capM := mms[maxMismatches-1]; capM.Index+depth-1 < i {
+		if capM := mms[maxMismatches-1]; capM.Index+depth-1 < at+k {
 			report.Mismatches = mms[:maxMismatches]
 			report.Checked = capM.Index + 1
 			report.Ticks = capM.Index + depth

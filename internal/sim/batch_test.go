@@ -248,7 +248,7 @@ func TestKernelSelection(t *testing.T) {
 			if f.stream != nil || f.inputs != nil {
 				t.Errorf("%s: a planes fuzzer allocated the tick loop's stream and rings", level)
 			}
-		} else if f.fillRow != nil || f.gatherRow != nil || f.stateBuf != nil {
+		} else if f.fillRow != nil || f.gatherRow != nil {
 			t.Errorf("%s: a tick-loop fuzzer allocated the planes loop's rows", level)
 		}
 		rep, err := f.FuzzGen(brokenSpec(), NewTrafficGen(3, 2, phv.Default32, 1000), 200, FuzzOptions{}, 0)

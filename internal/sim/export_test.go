@@ -27,8 +27,8 @@ func planesFuzzer(t testing.TB, p *core.Pipeline, chunk int) *Fuzzer {
 	return f
 }
 
-// tickFuzzer is NewFuzzer forced onto the tick loop, which runs prechecked
-// pipelines too (on the Stream's fast path).
+// tickFuzzer is NewFuzzer forced onto the tick loop, the reference engine,
+// which runs prechecked pipelines too.
 func tickFuzzer(p *core.Pipeline) *Fuzzer { return newTickFuzzer(p.OutputCone()) }
 
 // onPlanes reports which loop the fuzzer was bound to.

@@ -9,16 +9,25 @@
 // write halves become read halves. A PHV therefore traverses exactly one
 // stage per tick.
 //
-// The package offers two execution modes over the same tick loop:
+// The package has two engines, each one core stage executor under one driver:
 //
-//   - streaming (Stream, Fuzzer, FuzzGen): a preallocated ring of depth+1
-//     slot buffers is reused across ticks, traffic is generated directly
-//     into caller-owned buffers (TrafficGen.Fill) and outputs are compared
-//     in lock step, so a clean fuzzing shard performs O(1) allocation total
-//     regardless of packet count. This is the campaign engine's hot path.
-//   - recording (Run, RunOpts): input and output traces, and optionally
-//     per-tick state and slot snapshots, are materialized for callers that
-//     need them — the time-travel debugger and the trace-diffing tools.
+//   - the reference: core.Pipeline.ExecuteStage under Stream, the tick loop
+//     above over a preallocated ring of depth+1 slot buffers. It accepts
+//     every pipeline and returns every failure as an error. dsim, ddbg and
+//     the recording Run/RunOpts (traces and optionally per-tick state and
+//     slot snapshots, for the time-travel debugger and the trace-diffing
+//     tools) run on it, and so does a Fuzzer over an Unoptimized pipeline,
+//     where machine code incompatible with the pipeline is a run-time
+//     finding;
+//   - the production kernel: core.Pipeline.ExecuteStageBatch under Batch
+//     (batch.go), packets a chunk at a time on struct-of-arrays planes. It
+//     accepts prechecked pipelines only — core.Build proved their execution
+//     total, so it has no failure path — and is what a Fuzzer runs at every
+//     optimized level: the campaign engine's hot path.
+//
+// Either way the Fuzzer generates traffic directly into its own buffers
+// (TrafficGen.Fill) and compares outputs in lock step, so a clean fuzzing
+// shard performs O(1) allocation total regardless of packet count.
 package sim
 
 import (
@@ -165,22 +174,18 @@ func (g *TrafficGen) Trace(n int) *phv.Trace {
 	return t
 }
 
-// Stream is the allocation-free tick-level simulation engine: a ring of
-// depth+1 slot buffers, preallocated once and reused across ticks. Slot i
+// Stream is the allocation-free tick-level simulation engine, the driver of
+// the reference executor (core.Pipeline.ExecuteStage) at every level: a ring
+// of depth+1 slot buffers, preallocated once and reused across ticks. Slot i
 // holds the read half of the PHV about to execute stage i; slot Depth is
 // the completion slot. Admission copies into slot 0, stages execute back to
 // front so every PHV advances exactly one stage per tick, and a completed
-// PHV surfaces as a buffer owned by the Stream.
-//
-// For pipelines whose mux selections were validated at build time
-// (core.Pipeline.Prechecked) the stage loop uses the prechecked fast path,
-// which carries no map lookups, no per-ALU error returns and no bounds
-// re-validation. A Stream is not safe for concurrent use.
+// PHV surfaces as a buffer owned by the Stream. A Stream is not safe for
+// concurrent use.
 type Stream struct {
 	p        *core.Pipeline
 	depth    int
 	phvLen   int
-	fast     bool
 	slots    [][]phv.Value // slots[i]: PHV waiting to execute stage i
 	occ      []bool
 	inFlight int
@@ -191,7 +196,7 @@ type Stream struct {
 // only allocation; every subsequent Tick is allocation-free.
 func NewStream(p *core.Pipeline) *Stream {
 	depth, phvLen := p.Depth(), p.PHVLen()
-	s := &Stream{p: p, depth: depth, phvLen: phvLen, fast: p.Prechecked()}
+	s := &Stream{p: p, depth: depth, phvLen: phvLen}
 	backing := make([]phv.Value, (depth+1)*phvLen)
 	s.slots = make([][]phv.Value, depth+1)
 	for i := range s.slots {
@@ -256,21 +261,15 @@ func (s *Stream) Tick(in []phv.Value) ([]phv.Value, error) {
 		s.occ[0] = true
 		s.inFlight++
 	}
-	if s.fast {
-		if err := s.tickFast(); err != nil {
+	for si := s.depth - 1; si >= 0; si-- {
+		if !s.occ[si] {
+			continue
+		}
+		if err := s.p.ExecuteStage(si, s.slots[si], s.slots[si+1]); err != nil {
 			return nil, err
 		}
-	} else {
-		for si := s.depth - 1; si >= 0; si-- {
-			if !s.occ[si] {
-				continue
-			}
-			if err := s.p.ExecuteStage(si, s.slots[si], s.slots[si+1]); err != nil {
-				return nil, err
-			}
-			s.occ[si] = false
-			s.occ[si+1] = true
-		}
+		s.occ[si] = false
+		s.occ[si+1] = true
 	}
 	s.ticks++
 	if s.occ[s.depth] {
@@ -278,34 +277,6 @@ func (s *Stream) Tick(in []phv.Value) ([]phv.Value, error) {
 		return s.slots[s.depth], nil
 	}
 	return nil, nil
-}
-
-// tickFast runs the back-to-front stage sweep on the prechecked path. One
-// recover guards the whole sweep, converting the (build-time impossible,
-// interpreter-guarded) evaluation panics back into the error ExecuteStage
-// would have returned.
-//
-//dvet:hotpath allocs=0
-func (s *Stream) tickFast() (err error) {
-	//dvet:alloc-ok non-escaping recover closure; the zero-alloc tests pin it to the stack
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := core.AsExecError(r); ok {
-				err = e
-				return
-			}
-			panic(r)
-		}
-	}()
-	for si := s.depth - 1; si >= 0; si-- {
-		if !s.occ[si] {
-			continue
-		}
-		s.p.ExecuteStageFast(si, s.slots[si], s.slots[si+1])
-		s.occ[si] = false
-		s.occ[si+1] = true
-	}
-	return nil
 }
 
 // RunOptions configures a recording simulation run.
@@ -589,9 +560,8 @@ type Fuzzer struct {
 
 	// Planes loop: the planes hold the chunk's inputs and outputs.
 	batch     *Batch
-	fillRow   []phv.Value // row scratch for generation, gathers and replay
+	fillRow   []phv.Value // row scratch for generation and input-column gathers
 	gatherRow []phv.Value // row scratch for output-column gathers
-	stateBuf  []phv.Value // pre-chunk state checkpoint for panic replay
 }
 
 // planeChunk is the packets per sweep of the planes loop. What bounds it is

@@ -105,6 +105,10 @@ func Synthesize(spec core.Spec, target sim.Spec, opts Options) (*Result, error) 
 	o := opts.withDefaults()
 	rng := rand.New(rand.NewSource(o.Seed))
 
+	spec, err := spec.Normalize()
+	if err != nil {
+		return nil, err
+	}
 	holes, err := spec.RequiredPairs()
 	if err != nil {
 		return nil, err
@@ -116,13 +120,6 @@ func Synthesize(spec core.Spec, target sim.Spec, opts Options) (*Result, error) 
 		} else {
 			domains[i] = o.MaxConst
 		}
-	}
-	if spec.PHVLen == 0 {
-		spec.PHVLen = spec.Width
-	}
-	bits := spec.Bits
-	if !bits.Valid() {
-		bits = phv.Default32
 	}
 	maxVal := int64(1) << uint(o.VerifyBits)
 
@@ -148,7 +145,7 @@ func Synthesize(spec core.Spec, target sim.Spec, opts Options) (*Result, error) 
 	if err := addExample(boundaryTrace(spec.PHVLen, o.TracePackets, maxVal, 0)); err != nil {
 		return nil, err
 	}
-	gen := sim.NewTrafficGen(rng.Int63(), spec.PHVLen, bits, maxVal)
+	gen := sim.NewTrafficGen(rng.Int63(), spec.PHVLen, spec.Bits, maxVal)
 	for i := 0; i < o.InitialTraces; i++ {
 		if err := addExample(gen.Trace(o.TracePackets)); err != nil {
 			return nil, err
@@ -205,7 +202,7 @@ func Synthesize(spec core.Spec, target sim.Spec, opts Options) (*Result, error) 
 	}
 
 	res := &Result{}
-	verifyGen := sim.NewTrafficGen(rng.Int63(), spec.PHVLen, bits, maxVal)
+	verifyGen := sim.NewTrafficGen(rng.Int63(), spec.PHVLen, spec.Bits, maxVal)
 
 	for res.Iterations < o.MaxIters {
 		// --- guess: hill climb with restarts over the training set -------

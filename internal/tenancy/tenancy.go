@@ -73,21 +73,13 @@ type Partition struct {
 	Tenants []Tenant
 }
 
-// phvLen returns the physical PHV length (Width when unset, matching
-// core.Spec normalization).
-func (p *Partition) phvLen() int {
-	if p.Physical.PHVLen != 0 {
-		return p.Physical.PHVLen
-	}
-	return p.Physical.Width
-}
-
 // Validate checks slice bounds and pairwise disjointness.
 func (p *Partition) Validate() error {
-	if p.Physical.StatelessALU == nil {
-		return fmt.Errorf("tenancy: physical spec has no stateless ALU")
+	phys, err := p.Physical.Normalize()
+	if err != nil {
+		return fmt.Errorf("tenancy: physical spec: %w", err)
 	}
-	phvLen := p.phvLen()
+	phvLen := phys.PHVLen
 	seenName := map[string]bool{}
 	slotOwner := map[int]string{}
 	contOwner := map[int]string{}
@@ -235,11 +227,11 @@ func (p *Partition) Merge(codes map[string]*machinecode.Program) (*machinecode.P
 			return nil, err
 		}
 	}
-	phys := p.Physical
-	if phys.PHVLen == 0 {
-		phys.PHVLen = phys.Width
+	phys, err := p.Physical.Normalize()
+	if err != nil {
+		return nil, err
 	}
-	req, err := (&phys).RequiredPairs()
+	req, err := phys.RequiredPairs()
 	if err != nil {
 		return nil, err
 	}
@@ -305,9 +297,12 @@ func (v Violation) String() string {
 // unallocated container that does not pass through. Machine code that
 // passes CheckIsolation cannot move information between tenants.
 func (p *Partition) CheckIsolation(code *machinecode.Program) []Violation {
+	phys, err := p.Physical.Normalize()
+	if err != nil {
+		return []Violation{{Msg: err.Error()}}
+	}
 	var out []Violation
-	phys := p.Physical
-	phvLen := p.phvLen()
+	phvLen := phys.PHVLen
 
 	slotOwner := map[int]*Tenant{}
 	contOwner := map[int]*Tenant{}

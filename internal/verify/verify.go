@@ -173,8 +173,9 @@ func EquivalenceContext(ctx context.Context, spec core.Spec, code *machinecode.P
 		return nil, fmt.Errorf("verify: %w", err)
 	}
 	spec.Bits = w
-	if spec.PHVLen == 0 {
-		spec.PHVLen = spec.Width
+	spec, err = spec.Normalize()
+	if err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
 	}
 	if errs := spec.Validate(code); len(errs) > 0 {
 		return nil, fmt.Errorf("verify: machine code incompatible with pipeline: %w", errors.Join(errs...))

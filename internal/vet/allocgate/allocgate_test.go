@@ -29,13 +29,6 @@ func repoRoot(t *testing.T) string {
 // enforces both directions); each runner warms its fixture and returns
 // the steady-state allocations per call as measured by AllocsPerRun.
 var runners = map[string]func(t *testing.T) float64{
-	"internal/core.Pipeline.ExecuteStageFast": func(t *testing.T) float64 {
-		pipe := benchPipeline(t)
-		in := make([]phv.Value, pipe.PHVLen())
-		out := make([]phv.Value, pipe.PHVLen())
-		pipe.ExecuteStageFast(0, in, out)
-		return testing.AllocsPerRun(100, func() { pipe.ExecuteStageFast(0, in, out) })
-	},
 	"internal/sim.Stream.Tick": func(t *testing.T) float64 {
 		pipe := benchPipeline(t)
 		s := sim.NewStream(pipe)
@@ -251,7 +244,7 @@ func benchSlotPlanes(width, n int) [][]int64 {
 }
 
 // benchPipeline builds the first Table-1 benchmark's pipeline at the
-// compiled level — a prechecked pipeline, eligible for the fast path.
+// compiled level — a prechecked pipeline, which both engines accept.
 func benchPipeline(t *testing.T) *core.Pipeline {
 	t.Helper()
 	bms := spec.All()
