@@ -437,18 +437,15 @@ func measureDRMT(bm *drmt.Benchmark, seed int64, n, repeats int) (DRMTRow, error
 // sim.NewFuzzer over the pipeline against the benchmark's Domino
 // specification, on whichever loop NewFuzzer binds at the pipeline's level.
 func measure(pipeline *core.Pipeline, bm *spec.Benchmark, seed int64, n, repeats int) (time.Duration, float64, error) {
-	sp, err := bm.SimSpec()
+	r, err := bm.Resolve()
 	if err != nil {
 		return 0, 0, err
 	}
-	containers, err := bm.CompareContainers()
-	if err != nil {
-		return 0, 0, err
-	}
+	sp := r.NewSpec()
 	f := sim.NewFuzzer(pipeline)
 	return bestOf(repeats, func() error {
 		gen := sim.NewTrafficGen(seed, pipeline.PHVLen(), pipeline.Bits(), bm.MaxInput)
-		rep, err := f.FuzzGen(sp, gen, n, sim.FuzzOptions{Containers: containers}, 0)
+		rep, err := f.FuzzGen(sp, gen, n, sim.FuzzOptions{Containers: r.Containers}, 0)
 		if err != nil {
 			return err
 		}

@@ -160,15 +160,11 @@ func main() {
 		if lerr != nil {
 			cli.Fatalf("dverify: %v (available: %v)", lerr, spec.Names())
 		}
-		if hw, err = bm.Spec(); err != nil {
-			cli.Fatalf("dverify: %v", err)
+		r, rerr := bm.Resolve()
+		if rerr != nil {
+			cli.Fatalf("dverify: %v", rerr)
 		}
-		if code, err = bm.MachineCode(); err != nil {
-			cli.Fatalf("dverify: %v", err)
-		}
-		if prog, err = bm.DominoProgram(); err != nil {
-			cli.Fatalf("dverify: %v", err)
-		}
+		hw, code, prog = r.Spec, r.Code, r.Program
 		fields = bm.Fields
 		if *maxVal == 0 {
 			*maxVal = bm.MaxInput
@@ -259,20 +255,12 @@ func battery(ctx context.Context, bits, steps int, budget int64, jsonOut bool) {
 	enc := json.NewEncoder(os.Stdout)
 	failures := 0
 	for _, bm := range spec.All() {
-		hw, err := bm.Spec()
-		if err != nil {
-			cli.Fatalf("dverify: %s: %v", bm.Name, err)
-		}
-		code, err := bm.MachineCode()
-		if err != nil {
-			cli.Fatalf("dverify: %s: %v", bm.Name, err)
-		}
-		prog, err := bm.DominoProgram()
+		r, err := bm.Resolve()
 		if err != nil {
 			cli.Fatalf("dverify: %s: %v", bm.Name, err)
 		}
 		start := time.Now()
-		res, err := verify.EquivalenceContext(ctx, hw, code, prog, bm.Fields, verify.Options{
+		res, err := verify.EquivalenceContext(ctx, r.Spec, r.Code, r.Program, bm.Fields, verify.Options{
 			Bits: bits, Steps: steps, MaxInput: bm.MaxInput, MaxConflicts: budget,
 		})
 		if err != nil {

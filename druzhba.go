@@ -13,6 +13,7 @@
 //
 // The package is a thin facade over the internal packages:
 //
+//	internal/lex          the one scanner, token cursor and expression ladder under the three front ends
 //	internal/aludsl       the ALU DSL (Fig. 3/4)
 //	internal/atoms        the Banzai atom library (6 stateful + 5 stateless)
 //	internal/machinecode  machine code pairs and the naming convention

@@ -1,7 +1,10 @@
 package aludsl
 
 import (
+	"errors"
 	"fmt"
+
+	"druzhba/internal/lex"
 )
 
 // Parse parses an ALU DSL program, resolves identifiers, assigns hole names
@@ -20,19 +23,12 @@ import (
 // Header lines may appear in any order; "hole variables" and
 // "state variables" may be omitted (stateless ALUs usually omit both).
 func Parse(src string) (*Program, error) {
-	toks, err := lexAll(src)
-	if err != nil {
-		return nil, err
+	prog, err := parse(src)
+	var le *lex.Error
+	if errors.As(err, &le) {
+		return nil, &SyntaxError{Line: le.Line, Col: le.Col, Msg: le.Msg}
 	}
-	p := &parser{toks: toks}
-	prog, err := p.parseProgram()
-	if err != nil {
-		return nil, err
-	}
-	if err := Resolve(prog); err != nil {
-		return nil, err
-	}
-	return prog, nil
+	return prog, err
 }
 
 // MustParse is Parse for known-good sources; it panics on error.
@@ -44,44 +40,67 @@ func MustParse(src string) *Program {
 	return p
 }
 
+// A SyntaxError reports a lexical or parse failure with its position.
+type SyntaxError struct {
+	Line, Col int
+	Msg       string
+}
+
+func (e *SyntaxError) Error() string {
+	return fmt.Sprintf("aludsl: %d:%d: %s", e.Line, e.Col, e.Msg)
+}
+
+// lang is what the shared scanner needs to know about the ALU DSL.
+var lang = lex.Language{
+	Keywords: lex.Set("if", "else", "return"),
+	Punct: lex.Set(":", ",", ";", "{", "}", "(", ")", "=", "+", "-", "*", "/", "%",
+		"==", "!=", "<", ">", "<=", ">=", "&&", "||", "!"),
+}
+
 type parser struct {
-	toks []Token
-	pos  int
+	*lex.Cursor
+	exprs lex.Ladder[Expr]
 	// per-builtin counters for hole naming
 	holeCounts map[string]int
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) peek() Token { return p.toks[p.pos] }
-
-func (p *parser) advance() Token {
-	t := p.toks[p.pos]
-	if t.Kind != TokEOF {
-		p.pos++
+func parse(src string) (*Program, error) {
+	toks, err := lang.Scan(src)
+	if err != nil {
+		return nil, err
 	}
-	return t
-}
-
-func (p *parser) errorf(t Token, format string, args ...any) error {
-	return &SyntaxError{Line: t.Line, Col: t.Col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *parser) expect(k TokenKind) (Token, error) {
-	t := p.cur()
-	if t.Kind != k {
-		return t, p.errorf(t, "expected %s, found %s", k, t)
+	p := &parser{Cursor: lex.NewCursor(toks), holeCounts: map[string]int{}}
+	p.exprs = lex.Ladder[Expr]{
+		Cursor:  p.Cursor,
+		Binary:  func(op lex.Kind, x, y Expr) Expr { return &Binary{Op: binOps[op], X: x, Y: y} },
+		Unary:   func(op lex.Kind, x Expr) Expr { return &Unary{Op: unOps[op], X: x} },
+		Primary: p.parsePrimary,
 	}
-	return p.advance(), nil
+	prog, err := p.parseProgram()
+	if err != nil {
+		return nil, err
+	}
+	if err := Resolve(prog); err != nil {
+		return nil, err
+	}
+	return prog, nil
 }
+
+var binOps = map[lex.Kind]BinOp{
+	"||": OpOr, "&&": OpAnd,
+	"==": OpEq, "!=": OpNeq, "<": OpLt, ">": OpGt, "<=": OpLe, ">=": OpGe,
+	"+": OpAdd, "-": OpSub, "*": OpMul, "/": OpDiv, "%": OpMod,
+}
+
+var unOps = map[lex.Kind]UnOp{"-": OpNeg, "!": OpNot}
 
 func (p *parser) parseProgram() (*Program, error) {
 	prog := &Program{Kind: Stateless}
-	p.holeCounts = map[string]int{}
 
 	sawType := false
 	for {
-		t := p.cur()
-		if t.Kind != TokIdent {
+		t := p.Cur()
+		if t.Kind != lex.Ident {
 			break
 		}
 		// Header lines: "type:", "state variables:", "hole variables:",
@@ -89,11 +108,11 @@ func (p *parser) parseProgram() (*Program, error) {
 		// starts the body.
 		switch t.Text {
 		case "type":
-			p.advance()
-			if _, err := p.expect(TokColon); err != nil {
+			p.Advance()
+			if _, err := p.Expect(":"); err != nil {
 				return nil, err
 			}
-			kt, err := p.expect(TokIdent)
+			kt, err := p.Expect(lex.Ident)
 			if err != nil {
 				return nil, err
 			}
@@ -103,17 +122,17 @@ func (p *parser) parseProgram() (*Program, error) {
 			case "stateless":
 				prog.Kind = Stateless
 			default:
-				return nil, p.errorf(kt, "unknown ALU type %q (want stateful or stateless)", kt.Text)
+				return nil, p.Errorf(kt, "unknown ALU type %q (want stateful or stateless)", kt.Text)
 			}
 			sawType = true
 			continue
 		case "state", "hole", "packet":
 			second := map[string]string{"state": "variables", "hole": "variables", "packet": "fields"}[t.Text]
 			// Look ahead: ident ident ':' confirms a header line.
-			if p.toks[p.pos+1].Kind == TokIdent && p.toks[p.pos+1].Text == second {
-				p.advance()
-				p.advance()
-				if _, err := p.expect(TokColon); err != nil {
+			if next := p.Peek(); next.Kind == lex.Ident && next.Text == second {
+				p.Advance()
+				p.Advance()
+				if _, err := p.Expect(":"); err != nil {
 					return nil, err
 				}
 				names, err := p.parseNameSet()
@@ -134,15 +153,15 @@ func (p *parser) parseProgram() (*Program, error) {
 		break
 	}
 	if !sawType {
-		return nil, p.errorf(p.cur(), "missing 'type:' header")
+		return nil, p.Errorf(p.Cur(), "missing 'type:' header")
 	}
 
-	body, err := p.parseStmts(TokEOF)
+	body, err := p.parseStmts(lex.EOF)
 	if err != nil {
 		return nil, err
 	}
 	prog.Body = body
-	if _, err := p.expect(TokEOF); err != nil {
+	if _, err := p.Expect(lex.EOF); err != nil {
 		return nil, err
 	}
 	return prog, nil
@@ -150,36 +169,33 @@ func (p *parser) parseProgram() (*Program, error) {
 
 // parseNameSet parses "{a, b, c}" (possibly empty).
 func (p *parser) parseNameSet() ([]string, error) {
-	if _, err := p.expect(TokLBrace); err != nil {
+	if _, err := p.Expect("{"); err != nil {
 		return nil, err
 	}
 	var names []string
-	if p.cur().Kind == TokRBrace {
-		p.advance()
+	if p.Accept("}") {
 		return names, nil
 	}
 	for {
-		t, err := p.expect(TokIdent)
+		t, err := p.Expect(lex.Ident)
 		if err != nil {
 			return nil, err
 		}
 		names = append(names, t.Text)
-		if p.cur().Kind == TokComma {
-			p.advance()
-			continue
+		if !p.Accept(",") {
+			break
 		}
-		break
 	}
-	if _, err := p.expect(TokRBrace); err != nil {
+	if _, err := p.Expect("}"); err != nil {
 		return nil, err
 	}
 	return names, nil
 }
 
 // parseStmts parses statements until the terminator kind (not consumed).
-func (p *parser) parseStmts(end TokenKind) ([]Stmt, error) {
+func (p *parser) parseStmts(end lex.Kind) ([]Stmt, error) {
 	var stmts []Stmt
-	for p.cur().Kind != end && p.cur().Kind != TokEOF {
+	for p.Cur().Kind != end && p.Cur().Kind != lex.EOF {
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
@@ -189,65 +205,77 @@ func (p *parser) parseStmts(end TokenKind) ([]Stmt, error) {
 	return stmts, nil
 }
 
+// parseBlock parses "{ stmts }".
+func (p *parser) parseBlock() ([]Stmt, error) {
+	if _, err := p.Expect("{"); err != nil {
+		return nil, err
+	}
+	stmts, err := p.parseStmts("}")
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.Expect("}"); err != nil {
+		return nil, err
+	}
+	return stmts, nil
+}
+
 func (p *parser) parseStmt() (Stmt, error) {
-	t := p.cur()
+	t := p.Cur()
 	switch t.Kind {
-	case TokIf:
+	case "if":
 		return p.parseIf()
-	case TokReturn:
-		p.advance()
-		e, err := p.parseExpr()
+	case "return":
+		p.Advance()
+		e, err := p.exprs.Expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokSemicolon); err != nil {
+		if _, err := p.Expect(";"); err != nil {
 			return nil, err
 		}
 		return &Return{Value: e}, nil
-	case TokIdent:
-		name := p.advance()
-		if _, err := p.expect(TokAssign); err != nil {
+	case lex.Ident:
+		p.Advance()
+		if _, err := p.Expect("="); err != nil {
 			return nil, err
 		}
-		rhs, err := p.parseExpr()
+		rhs, err := p.exprs.Expr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect(TokSemicolon); err != nil {
+		if _, err := p.Expect(";"); err != nil {
 			return nil, err
 		}
-		return &Assign{LHS: &Ident{Name: name.Text}, RHS: rhs}, nil
+		return &Assign{LHS: &Ident{Name: t.Text}, RHS: rhs}, nil
 	default:
-		return nil, p.errorf(t, "expected statement, found %s", t)
+		return nil, p.Errorf(t, "expected statement, found %s", t)
 	}
 }
 
 func (p *parser) parseIf() (Stmt, error) {
-	p.advance() // 'if'
-	if _, err := p.expect(TokLParen); err != nil {
+	if err := p.Enter(); err != nil {
 		return nil, err
 	}
-	cond, err := p.parseExpr()
+	defer p.Leave()
+	p.Advance() // 'if'
+	if _, err := p.Expect("("); err != nil {
+		return nil, err
+	}
+	cond, err := p.exprs.Expr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokRParen); err != nil {
+	if _, err := p.Expect(")"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(TokLBrace); err != nil {
-		return nil, err
-	}
-	thenStmts, err := p.parseStmts(TokRBrace)
+	thenStmts, err := p.parseBlock()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokRBrace); err != nil {
 		return nil, err
 	}
 	node := &If{Cond: cond, Then: thenStmts}
-	if p.cur().Kind == TokElse {
-		p.advance()
-		if p.cur().Kind == TokIf {
+	if p.Accept("else") {
+		if p.Cur().Kind == "if" {
 			elseIf, err := p.parseIf()
 			if err != nil {
 				return nil, err
@@ -255,204 +283,50 @@ func (p *parser) parseIf() (Stmt, error) {
 			node.Else = []Stmt{elseIf}
 			return node, nil
 		}
-		if _, err := p.expect(TokLBrace); err != nil {
+		if node.Else, err = p.parseBlock(); err != nil {
 			return nil, err
 		}
-		elseStmts, err := p.parseStmts(TokRBrace)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRBrace); err != nil {
-			return nil, err
-		}
-		node.Else = elseStmts
 	}
 	return node, nil
 }
 
-// Expression grammar (lowest to highest precedence):
+// parsePrimary parses what the shared ladder leaves to the language:
 //
-//	expr     = orExpr
-//	orExpr   = andExpr { '||' andExpr }
-//	andExpr  = relExpr { '&&' relExpr }
-//	relExpr  = addExpr [ relop addExpr ]
-//	addExpr  = mulExpr { ('+'|'-') mulExpr }
-//	mulExpr  = unary   { ('*'|'/'|'%') unary }
-//	unary    = ('-'|'!') unary | primary
-//	primary  = number | ident | ident '(' args ')' | '(' expr ')'
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	x, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == TokOrOr {
-		p.advance()
-		y, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: OpOr, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	x, err := p.parseRel()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().Kind == TokAndAnd {
-		p.advance()
-		y, err := p.parseRel()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: OpAnd, X: x, Y: y}
-	}
-	return x, nil
-}
-
-var relOps = map[TokenKind]BinOp{
-	TokEq: OpEq, TokNeq: OpNeq, TokLt: OpLt, TokGt: OpGt, TokLe: OpLe, TokGe: OpGe,
-}
-
-func (p *parser) parseRel() (Expr, error) {
-	x, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	if op, ok := relOps[p.cur().Kind]; ok {
-		p.advance()
-		y, err := p.parseAdd()
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: op, X: x, Y: y}, nil
-	}
-	return x, nil
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	x, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.cur().Kind {
-		case TokPlus:
-			p.advance()
-			y, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			x = &Binary{Op: OpAdd, X: x, Y: y}
-		case TokMinus:
-			p.advance()
-			y, err := p.parseMul()
-			if err != nil {
-				return nil, err
-			}
-			x = &Binary{Op: OpSub, X: x, Y: y}
-		default:
-			return x, nil
-		}
-	}
-}
-
-func (p *parser) parseMul() (Expr, error) {
-	x, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op BinOp
-		switch p.cur().Kind {
-		case TokStar:
-			op = OpMul
-		case TokSlash:
-			op = OpDiv
-		case TokPercent:
-			op = OpMod
-		default:
-			return x, nil
-		}
-		p.advance()
-		y, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: op, X: x, Y: y}
-	}
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	switch p.cur().Kind {
-	case TokMinus:
-		p.advance()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: OpNeg, X: x}, nil
-	case TokBang:
-		p.advance()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: OpNot, X: x}, nil
-	}
-	return p.parsePrimary()
-}
-
+//	primary = number | ident | ident '(' args ')'
 func (p *parser) parsePrimary() (Expr, error) {
-	t := p.cur()
+	t := p.Cur()
 	switch t.Kind {
-	case TokNumber:
-		p.advance()
+	case lex.Number:
+		p.Advance()
 		return &Num{Value: t.Num}, nil
-	case TokLParen:
-		p.advance()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokRParen); err != nil {
-			return nil, err
-		}
-		return e, nil
-	case TokIdent:
-		p.advance()
-		if p.cur().Kind != TokLParen {
+	case lex.Ident:
+		p.Advance()
+		if p.Cur().Kind != "(" {
 			return &Ident{Name: t.Text}, nil
 		}
 		info, ok := builtins[t.Text]
 		if !ok {
-			return nil, p.errorf(t, "unknown builtin %q", t.Text)
+			return nil, p.Errorf(t, "unknown builtin %q", t.Text)
 		}
-		p.advance() // '('
+		p.Advance() // '('
 		var args []Expr
-		if p.cur().Kind != TokRParen {
+		if p.Cur().Kind != ")" {
 			for {
-				a, err := p.parseExpr()
+				a, err := p.exprs.Expr()
 				if err != nil {
 					return nil, err
 				}
 				args = append(args, a)
-				if p.cur().Kind == TokComma {
-					p.advance()
-					continue
+				if !p.Accept(",") {
+					break
 				}
-				break
 			}
 		}
-		if _, err := p.expect(TokRParen); err != nil {
+		if _, err := p.Expect(")"); err != nil {
 			return nil, err
 		}
 		if len(args) != info.arity {
-			return nil, p.errorf(t, "%s takes %d argument(s), got %d", info.name, info.arity, len(args))
+			return nil, p.Errorf(t, "%s takes %d argument(s), got %d", info.name, info.arity, len(args))
 		}
 		n := p.holeCounts[info.prefix]
 		p.holeCounts[info.prefix] = n + 1
@@ -462,6 +336,6 @@ func (p *parser) parsePrimary() (Expr, error) {
 			Args:    args,
 		}, nil
 	default:
-		return nil, p.errorf(t, "expected expression, found %s", t)
+		return nil, p.Errorf(t, "expected expression, found %s", t)
 	}
 }

@@ -1,6 +1,7 @@
 package aludsl
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -218,31 +219,27 @@ func TestFormatRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLexerPositions(t *testing.T) {
-	toks, err := lexAll("a\n  b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if toks[0].Line != 1 || toks[0].Col != 1 {
-		t.Errorf("token a at %d:%d, want 1:1", toks[0].Line, toks[0].Col)
-	}
-	if toks[1].Line != 2 || toks[1].Col != 3 {
-		t.Errorf("token b at %d:%d, want 2:3", toks[1].Line, toks[1].Col)
-	}
-}
-
-func TestLexerTwoCharOperators(t *testing.T) {
-	toks, err := lexAll("== != <= >= && || = ! < >")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []TokenKind{TokEq, TokNeq, TokLe, TokGe, TokAndAnd, TokOrOr, TokAssign, TokBang, TokLt, TokGt, TokEOF}
-	if len(toks) != len(want) {
-		t.Fatalf("got %d tokens, want %d", len(toks), len(want))
-	}
-	for i, k := range want {
-		if toks[i].Kind != k {
-			t.Errorf("token %d = %v, want %v", i, toks[i].Kind, k)
+// TestParseNestingBound: input nested deeper than any real ALU is an
+// ordinary positioned syntax error. Each of these overflowed the stack —
+// fatal, not recoverable — when the parser recursed without a bound.
+func TestParseNestingBound(t *testing.T) {
+	const header = "type: stateless\npacket fields: {a}\n"
+	for name, src := range map[string]string{
+		"parens":   header + "return " + strings.Repeat("(", 1<<20),
+		"unaries":  header + "return " + strings.Repeat("-!", 1<<19) + "a;",
+		"calls":    header + "return " + strings.Repeat("Opt(", 1<<12),
+		"chain":    header + "return a" + strings.Repeat("+a", 1<<12) + ";",
+		"ifs":      header + strings.Repeat("if (a) {", 1<<16),
+		"else ifs": header + "if (a) {}" + strings.Repeat(" else if (a) {}", 1<<12),
+	} {
+		_, err := Parse(src)
+		var se *SyntaxError
+		if !errors.As(err, &se) || !strings.Contains(se.Msg, "nesting deeper than") || se.Line != 3 {
+			t.Errorf("%s: error %v, want the nesting bound on line 3", name, err)
 		}
+	}
+	deep := header + "return " + strings.Repeat("(", 200) + "a" + strings.Repeat(")", 200) + ";"
+	if _, err := Parse(deep); err != nil {
+		t.Errorf("200 nested parentheses rejected: %v", err)
 	}
 }

@@ -425,3 +425,54 @@ func TestTable1MatrixShape(t *testing.T) {
 		names[j.Name] = true
 	}
 }
+
+// TestConcurrentExpansionsShareOneResolution: spec.Benchmark.Resolve hands
+// every expansion the same spec, fixture, program and containers, so
+// matrices expanded and run from several goroutines at once (a daemon
+// serving concurrent submissions) read them concurrently. Run under -race:
+// nothing on the path from expansion to report may write to them.
+func TestConcurrentExpansionsShareOneResolution(t *testing.T) {
+	bm, err := spec.Lookup("stateful-firewall")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 4
+	reports := make([]string, goroutines)
+	specs := make([]core.Spec, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			jobs, err := Matrix([]*spec.Benchmark{bm}, nil, nil, nil, 700) // every level
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			vjobs, err := VerifyMatrix([]*spec.Benchmark{bm}, []int{3}, []int{2}, nil, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			specs[g] = jobs[0].Target.(*PipelineTarget).Spec
+			rep, err := Run(context.Background(), append(jobs, vjobs...), Options{Workers: 2, ShardSize: 256})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !rep.Passed {
+				t.Errorf("goroutine %d failed:\n%s", g, rep.Text(false))
+			}
+			reports[g] = rep.Text(false)
+		}(g)
+	}
+	wg.Wait()
+	for g := 1; g < goroutines; g++ {
+		if reports[g] != reports[0] {
+			t.Errorf("goroutine %d rendered a different report:\n%s\nvs\n%s", g, reports[g], reports[0])
+		}
+		if specs[g].StatefulALU != specs[0].StatefulALU {
+			t.Errorf("goroutine %d expanded onto its own parse of the atom", g)
+		}
+	}
+}

@@ -47,19 +47,10 @@ func MatrixWithCorpus(benchmarks []*spec.Benchmark, levels []core.OptLevel, traf
 	}
 	var jobs []Job
 	for _, bm := range benchmarks {
-		cspec, err := bm.Spec()
+		r, err := bm.Resolve()
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %s: %w", bm.Name, err)
 		}
-		code, err := bm.MachineCode()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", bm.Name, err)
-		}
-		containers, err := bm.CompareContainers()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", bm.Name, err)
-		}
-		fp := bm.Fingerprint()
 		for _, level := range levels {
 			for _, mode := range traffic {
 				for _, seed := range seeds {
@@ -70,15 +61,15 @@ func MatrixWithCorpus(benchmarks []*spec.Benchmark, levels []core.OptLevel, traf
 					jobs = append(jobs, Job{
 						Name: name,
 						Target: &PipelineTarget{
-							Spec:            cspec,
-							Code:            code,
+							Spec:            r.Spec,
+							Code:            r.Code,
 							Level:           level,
 							NewSpec:         bm.SimSpec,
-							Containers:      containers,
+							Containers:      r.Containers,
 							MaxInput:        bm.MaxInput,
 							Traffic:         mode,
 							Corpus:          corpus[bm.Name],
-							SpecFingerprint: fp,
+							SpecFingerprint: r.Fingerprint,
 						},
 						Seed:    seed,
 						Packets: packets,

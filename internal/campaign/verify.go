@@ -337,38 +337,25 @@ func VerifyMatrix(benchmarks []*spec.Benchmark, bits, steps []int, seeds []int64
 	}
 	var jobs []Job
 	for _, bm := range benchmarks {
-		cspec, err := bm.Spec()
+		r, err := bm.Resolve()
 		if err != nil {
 			return nil, fmt.Errorf("campaign: %s: %w", bm.Name, err)
 		}
-		code, err := bm.MachineCode()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", bm.Name, err)
-		}
-		prog, err := bm.DominoProgram()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", bm.Name, err)
-		}
-		containers, err := bm.CompareContainers()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: %s: %w", bm.Name, err)
-		}
-		fp := bm.Fingerprint()
 		for _, seed := range seeds {
 			jobs = append(jobs, Job{
 				Name: fmt.Sprintf("verify/%s/seed=%d", bm.Name, seed),
 				Target: &VerifyTarget{
 					Benchmark:       bm.Name,
-					Spec:            cspec,
-					Code:            code,
-					Prog:            prog,
+					Spec:            r.Spec,
+					Code:            r.Code,
+					Prog:            r.Program,
 					Fields:          bm.Fields,
-					Containers:      containers,
+					Containers:      r.Containers,
 					MaxInput:        bm.MaxInput,
 					Bits:            bits,
 					Steps:           steps,
 					MaxConflicts:    maxConflicts,
-					SpecFingerprint: fp,
+					SpecFingerprint: r.Fingerprint,
 					Seed:            seed,
 				},
 				Seed:    seed,

@@ -756,20 +756,3 @@ func (p *Pipeline) Process(in *phv.PHV) (*phv.PHV, error) {
 	}
 	return phv.FromValues(cur), nil
 }
-
-// ALUProgram returns the (possibly optimized) program of the ALU at
-// (stage, slot); used by the code generator and by tests.
-func (p *Pipeline) ALUProgram(stageIdx int, stateful bool, slot int) (*aludsl.Program, error) {
-	if stageIdx < 0 || stageIdx >= len(p.stages) {
-		return nil, fmt.Errorf("core: stage %d out of range", stageIdx)
-	}
-	st := p.stages[stageIdx]
-	alus := st.alus[:p.spec.Width]
-	if stateful {
-		alus = st.stateful
-	}
-	if slot < 0 || slot >= len(alus) {
-		return nil, fmt.Errorf("core: ALU %d out of range", slot)
-	}
-	return alus[slot].prog, nil
-}

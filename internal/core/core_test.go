@@ -326,24 +326,6 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-func TestALUProgramAccessor(t *testing.T) {
-	s := testSpec(t, 1, 1, "raw")
-	p, err := Build(s, counterCode(t, &s), SCCInlining)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := p.ALUProgram(0, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.Name != "raw" {
-		t.Errorf("ALUProgram name = %q, want raw", prog.Name)
-	}
-	if _, err := p.ALUProgram(5, true, 0); err == nil {
-		t.Error("ALUProgram accepted bad stage")
-	}
-}
-
 func TestOptLevelStrings(t *testing.T) {
 	want := map[OptLevel]string{
 		Unoptimized:    "unoptimized",

@@ -177,11 +177,11 @@ func TestParseErrors(t *testing.T) {
 	cases := []struct{ name, src, wantSub string }{
 		{"undeclared state", "transaction { x = 1; }", "undeclared variable"},
 		{"undeclared read", "transaction { pkt.a = y; }", "undeclared identifier"},
-		{"missing transaction", "state x = 0;", `expected "transaction"`},
+		{"missing transaction", "state x = 0;", `expected 'transaction'`},
 		{"dup state", "state x = 0;\nstate x = 1;\ntransaction { }", "duplicate state"},
 		{"local before decl", "transaction { pkt.a = t; int t = 1; }", "undeclared identifier"},
 		{"bad char", "transaction { pkt.a = 1 @ 2; }", "unexpected character"},
-		{"missing semi", "transaction { pkt.a = 1 }", `expected ";"`},
+		{"missing semi", "transaction { pkt.a = 1 }", `expected ';'`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,6 +1,7 @@
 package domino
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -152,5 +153,28 @@ func TestPHVSpecRangeCheckCoversUnusedFields(t *testing.T) {
 	}
 	if err := spec.ProcessStream(make([]phv.Value, 6)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParseNestingBound: input nested deeper than any real program is an
+// ordinary positioned syntax error. Each of these overflowed the stack —
+// fatal, not recoverable — when the parser recursed without a bound.
+func TestParseNestingBound(t *testing.T) {
+	for name, src := range map[string]string{
+		"parens":   "transaction { pkt.a = " + strings.Repeat("(", 1<<20),
+		"unaries":  "transaction { pkt.a = " + strings.Repeat("-!", 1<<19) + "1; }",
+		"chain":    "transaction { pkt.a = 1" + strings.Repeat("+1", 1<<12) + "; }",
+		"ifs":      "transaction { " + strings.Repeat("if (1) {", 1<<16),
+		"else ifs": "transaction { if (1) {}" + strings.Repeat(" else if (1) {}", 1<<12) + " }",
+	} {
+		_, err := Parse(src)
+		var pe *ParseError
+		if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "nesting deeper than") || pe.Line != 1 {
+			t.Errorf("%s: error %v, want the nesting bound on line 1", name, err)
+		}
+	}
+	deep := "transaction { pkt.a = " + strings.Repeat("(", 200) + "1" + strings.Repeat(")", 200) + "; }"
+	if _, err := Parse(deep); err != nil {
+		t.Errorf("200 nested parentheses rejected: %v", err)
 	}
 }

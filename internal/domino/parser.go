@@ -1,9 +1,11 @@
 package domino
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
 	"strings"
+
+	"druzhba/internal/lex"
 )
 
 // ParseError reports a syntax error with its position.
@@ -16,99 +18,35 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("domino: %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-type dtoken struct {
-	kind string // "ident", "num", or the literal punctuation/keyword
-	text string
-	num  int64
-	line int
-	col  int
-}
-
-func dlex(src string) ([]dtoken, error) {
-	var toks []dtoken
-	line, col := 1, 1
-	i := 0
-	adv := func(n int) {
-		for k := 0; k < n; k++ {
-			if src[i] == '\n' {
-				line++
-				col = 1
-			} else {
-				col++
-			}
-			i++
-		}
-	}
-	fail := func(format string, args ...any) error {
-		return &ParseError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
-	}
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			adv(1)
-		case c == '#':
-			for i < len(src) && src[i] != '\n' {
-				adv(1)
-			}
-		case c == '/' && i+1 < len(src) && src[i+1] == '/':
-			for i < len(src) && src[i] != '\n' {
-				adv(1)
-			}
-		case c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
-			start, l0, c0 := i, line, col
-			for i < len(src) && (src[i] == '_' || (src[i] >= 'a' && src[i] <= 'z') || (src[i] >= 'A' && src[i] <= 'Z') || (src[i] >= '0' && src[i] <= '9')) {
-				adv(1)
-			}
-			text := src[start:i]
-			kind := "ident"
-			switch text {
-			case "state", "transaction", "if", "else", "int", "pkt":
-				kind = text
-			}
-			toks = append(toks, dtoken{kind: kind, text: text, line: l0, col: c0})
-		case c >= '0' && c <= '9':
-			start, l0, c0 := i, line, col
-			for i < len(src) && src[i] >= '0' && src[i] <= '9' {
-				adv(1)
-			}
-			n, err := strconv.ParseInt(src[start:i], 10, 64)
-			if err != nil {
-				return nil, fail("bad number %q", src[start:i])
-			}
-			toks = append(toks, dtoken{kind: "num", text: src[start:i], num: n, line: l0, col: c0})
-		default:
-			two := ""
-			if i+1 < len(src) {
-				two = src[i : i+2]
-			}
-			l0, c0 := line, col
-			switch two {
-			case "==", "!=", "<=", ">=", "&&", "||":
-				toks = append(toks, dtoken{kind: two, line: l0, col: c0})
-				adv(2)
-				continue
-			}
-			switch c {
-			case '{', '}', '(', ')', ';', '=', '+', '-', '*', '/', '%', '<', '>', '!', '.', ',':
-				toks = append(toks, dtoken{kind: string(c), line: l0, col: c0})
-				adv(1)
-			default:
-				return nil, fail("unexpected character %q", string(c))
-			}
-		}
-	}
-	toks = append(toks, dtoken{kind: "eof", line: line, col: col})
-	return toks, nil
+// lang is what the shared scanner needs to know about Domino.
+var lang = lex.Language{
+	Keywords: lex.Set("state", "transaction", "if", "else", "int", "pkt"),
+	Punct: lex.Set("{", "}", "(", ")", ";", "=", "+", "-", "*", "/", "%", "<", ">", "!", ".", ",",
+		"==", "!=", "<=", ">=", "&&", "||"),
 }
 
 // Parse parses a Domino program.
 func Parse(src string) (*Program, error) {
-	toks, err := dlex(src)
+	prog, err := parse(src)
+	var le *lex.Error
+	if errors.As(err, &le) {
+		return nil, &ParseError{Line: le.Line, Col: le.Col, Msg: le.Msg}
+	}
+	return prog, err
+}
+
+func parse(src string) (*Program, error) {
+	toks, err := lang.Scan(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &dparser{toks: toks, prog: &Program{}, fieldsSeen: map[string]bool{}, states: map[string]bool{}, locals: map[string]bool{}}
+	p := &dparser{Cursor: lex.NewCursor(toks), prog: &Program{}, fieldsSeen: map[string]bool{}, states: map[string]bool{}, locals: map[string]bool{}}
+	p.exprs = lex.Ladder[Expr]{
+		Cursor:  p.Cursor,
+		Binary:  func(op lex.Kind, x, y Expr) Expr { return &Bin{Op: binKinds[op], X: x, Y: y} },
+		Unary:   func(op lex.Kind, x Expr) Expr { return &Un{Neg: op == "-", X: x} },
+		Primary: p.primary,
+	}
 	if err := p.parse(); err != nil {
 		return nil, err
 	}
@@ -125,213 +63,167 @@ func MustParse(src string) *Program {
 }
 
 type dparser struct {
-	toks       []dtoken
-	pos        int
+	*lex.Cursor
+	exprs      lex.Ladder[Expr]
 	prog       *Program
 	fieldsSeen map[string]bool
 	states     map[string]bool
 	locals     map[string]bool
 }
 
-func (p *dparser) cur() dtoken { return p.toks[p.pos] }
-
-func (p *dparser) advance() dtoken {
-	t := p.toks[p.pos]
-	if t.kind != "eof" {
-		p.pos++
-	}
-	return t
-}
-
-func (p *dparser) errf(t dtoken, format string, args ...any) error {
-	return &ParseError{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *dparser) expect(kind string) (dtoken, error) {
-	t := p.cur()
-	if t.kind != kind {
-		return t, p.errf(t, "expected %q, found %q", kind, describe(t))
-	}
-	return p.advance(), nil
-}
-
-func describe(t dtoken) string {
-	if t.kind == "ident" || t.kind == "num" {
-		return t.text
-	}
-	return t.kind
-}
-
-func (p *dparser) noteField(name string) {
-	if !p.fieldsSeen[name] {
-		p.fieldsSeen[name] = true
-		p.prog.fields = append(p.prog.fields, name)
-	}
-}
-
 func (p *dparser) parse() error {
 	// state declarations
-	for p.cur().kind == "state" {
-		p.advance()
-		name, err := p.expect("ident")
+	for p.Accept("state") {
+		name, err := p.Expect(lex.Ident)
 		if err != nil {
 			return err
 		}
-		if p.states[name.text] {
-			return p.errf(name, "duplicate state variable %q", name.text)
+		if p.states[name.Text] {
+			return p.Errorf(name, "duplicate state variable %q", name.Text)
 		}
-		if _, err := p.expect("="); err != nil {
+		if _, err := p.Expect("="); err != nil {
 			return err
 		}
-		neg := false
-		if p.cur().kind == "-" {
-			neg = true
-			p.advance()
-		}
-		val, err := p.expect("num")
+		neg := p.Accept("-")
+		val, err := p.Expect(lex.Number)
 		if err != nil {
 			return err
 		}
-		if _, err := p.expect(";"); err != nil {
+		if _, err := p.Expect(";"); err != nil {
 			return err
 		}
-		init := val.num
+		init := val.Num
 		if neg {
 			init = -init
 		}
-		p.states[name.text] = true
-		p.prog.States = append(p.prog.States, StateDecl{Name: name.text, Init: init})
+		p.states[name.Text] = true
+		p.prog.States = append(p.prog.States, StateDecl{Name: name.Text, Init: init})
 	}
-	if _, err := p.expect("transaction"); err != nil {
+	if _, err := p.Expect("transaction"); err != nil {
 		return err
 	}
-	if _, err := p.expect("{"); err != nil {
-		return err
-	}
-	body, err := p.stmts()
+	body, err := p.block()
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect("}"); err != nil {
-		return err
-	}
-	if _, err := p.expect("eof"); err != nil {
+	if _, err := p.Expect(lex.EOF); err != nil {
 		return err
 	}
 	p.prog.Body = body
 	return nil
 }
 
-func (p *dparser) stmts() ([]Stmt, error) {
+// block parses "{ stmts }".
+func (p *dparser) block() ([]Stmt, error) {
+	if _, err := p.Expect("{"); err != nil {
+		return nil, err
+	}
 	var out []Stmt
-	for p.cur().kind != "}" && p.cur().kind != "eof" {
+	for p.Cur().Kind != "}" && p.Cur().Kind != lex.EOF {
 		s, err := p.stmt()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, s)
 	}
+	if _, err := p.Expect("}"); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
 func (p *dparser) stmt() (Stmt, error) {
-	t := p.cur()
-	switch t.kind {
+	t := p.Cur()
+	switch t.Kind {
 	case "if":
 		return p.ifStmt()
 	case "int":
-		// local declaration: int x = expr;
-		p.advance()
-		name, err := p.expect("ident")
+		// local declaration: int x = expr; — in scope after its initializer
+		p.Advance()
+		name, err := p.Expect(lex.Ident)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expect("="); err != nil {
-			return nil, err
-		}
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		p.locals[name.text] = true
-		return &Assign{Target: Target{Kind: TargetLocal, Name: name.text}, Expr: e}, nil
+		s, err := p.assign(Target{Kind: TargetLocal, Name: name.Text})
+		p.locals[name.Text] = true
+		return s, err
 	case "pkt":
-		p.advance()
-		if _, err := p.expect("."); err != nil {
-			return nil, err
-		}
-		name, err := p.expect("ident")
+		name, err := p.field()
 		if err != nil {
 			return nil, err
 		}
-		p.noteField(name.text)
-		if _, err := p.expect("="); err != nil {
-			return nil, err
-		}
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		return &Assign{Target: Target{Kind: TargetField, Name: name.text}, Expr: e}, nil
-	case "ident":
-		p.advance()
+		return p.assign(Target{Kind: TargetField, Name: name})
+	case lex.Ident:
+		p.Advance()
 		kind := TargetLocal
 		switch {
-		case p.states[t.text]:
+		case p.states[t.Text]:
 			kind = TargetState
-		case p.locals[t.text]:
-			kind = TargetLocal
+		case p.locals[t.Text]:
 		default:
-			return nil, p.errf(t, "assignment to undeclared variable %q (declare with 'int %s = ...' or 'state %s = ...')", t.text, t.text, t.text)
+			return nil, p.Errorf(t, "assignment to undeclared variable %q (declare with 'int %s = ...' or 'state %s = ...')", t.Text, t.Text, t.Text)
 		}
-		if _, err := p.expect("="); err != nil {
-			return nil, err
-		}
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		return &Assign{Target: Target{Kind: kind, Name: t.text}, Expr: e}, nil
+		return p.assign(Target{Kind: kind, Name: t.Text})
 	default:
-		return nil, p.errf(t, "expected statement, found %q", describe(t))
+		return nil, p.Errorf(t, "expected statement, found %s", t)
 	}
 }
 
+// assign parses the "= expr ;" that follows an assignment's target.
+func (p *dparser) assign(target Target) (Stmt, error) {
+	if _, err := p.Expect("="); err != nil {
+		return nil, err
+	}
+	e, err := p.exprs.Expr()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.Expect(";"); err != nil {
+		return nil, err
+	}
+	return &Assign{Target: target, Expr: e}, nil
+}
+
+// field parses "pkt.name" and records the field.
+func (p *dparser) field() (string, error) {
+	p.Advance() // pkt
+	if _, err := p.Expect("."); err != nil {
+		return "", err
+	}
+	name, err := p.Expect(lex.Ident)
+	if err != nil {
+		return "", err
+	}
+	if !p.fieldsSeen[name.Text] {
+		p.fieldsSeen[name.Text] = true
+		p.prog.fields = append(p.prog.fields, name.Text)
+	}
+	return name.Text, nil
+}
+
 func (p *dparser) ifStmt() (Stmt, error) {
-	p.advance() // if
-	if _, err := p.expect("("); err != nil {
+	if err := p.Enter(); err != nil {
 		return nil, err
 	}
-	cond, err := p.expr()
+	defer p.Leave()
+	p.Advance() // if
+	if _, err := p.Expect("("); err != nil {
+		return nil, err
+	}
+	cond, err := p.exprs.Expr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expect(")"); err != nil {
+	if _, err := p.Expect(")"); err != nil {
 		return nil, err
 	}
-	if _, err := p.expect("{"); err != nil {
-		return nil, err
-	}
-	thenStmts, err := p.stmts()
+	thenStmts, err := p.block()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect("}"); err != nil {
 		return nil, err
 	}
 	node := &If{Cond: cond, Then: thenStmts}
-	if p.cur().kind == "else" {
-		p.advance()
-		if p.cur().kind == "if" {
+	if p.Accept("else") {
+		if p.Cur().Kind == "if" {
 			nested, err := p.ifStmt()
 			if err != nil {
 				return nil, err
@@ -339,187 +231,45 @@ func (p *dparser) ifStmt() (Stmt, error) {
 			node.Else = []Stmt{nested}
 			return node, nil
 		}
-		if _, err := p.expect("{"); err != nil {
+		if node.Else, err = p.block(); err != nil {
 			return nil, err
 		}
-		elseStmts, err := p.stmts()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect("}"); err != nil {
-			return nil, err
-		}
-		node.Else = elseStmts
 	}
 	return node, nil
 }
 
-var dbinops = map[string]BinKind{
+var binKinds = map[lex.Kind]BinKind{
+	"||": BOr, "&&": BAnd,
 	"==": BEq, "!=": BNeq, "<": BLt, ">": BGt, "<=": BLe, ">=": BGe,
+	"+": BAdd, "-": BSub, "*": BMul, "/": BDiv, "%": BMod,
 }
 
-func (p *dparser) expr() (Expr, error) { return p.orExpr() }
-
-func (p *dparser) orExpr() (Expr, error) {
-	x, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == "||" {
-		p.advance()
-		y, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		x = &Bin{Op: BOr, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *dparser) andExpr() (Expr, error) {
-	x, err := p.relExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur().kind == "&&" {
-		p.advance()
-		y, err := p.relExpr()
-		if err != nil {
-			return nil, err
-		}
-		x = &Bin{Op: BAnd, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *dparser) relExpr() (Expr, error) {
-	x, err := p.addExpr()
-	if err != nil {
-		return nil, err
-	}
-	if op, ok := dbinops[p.cur().kind]; ok {
-		p.advance()
-		y, err := p.addExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Op: op, X: x, Y: y}, nil
-	}
-	return x, nil
-}
-
-func (p *dparser) addExpr() (Expr, error) {
-	x, err := p.mulExpr()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.cur().kind {
-		case "+":
-			p.advance()
-			y, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			x = &Bin{Op: BAdd, X: x, Y: y}
-		case "-":
-			p.advance()
-			y, err := p.mulExpr()
-			if err != nil {
-				return nil, err
-			}
-			x = &Bin{Op: BSub, X: x, Y: y}
-		default:
-			return x, nil
-		}
-	}
-}
-
-func (p *dparser) mulExpr() (Expr, error) {
-	x, err := p.unary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op BinKind
-		switch p.cur().kind {
-		case "*":
-			op = BMul
-		case "/":
-			op = BDiv
-		case "%":
-			op = BMod
-		default:
-			return x, nil
-		}
-		p.advance()
-		y, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		x = &Bin{Op: op, X: x, Y: y}
-	}
-}
-
-func (p *dparser) unary() (Expr, error) {
-	switch p.cur().kind {
-	case "-":
-		p.advance()
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Un{Neg: true, X: x}, nil
-	case "!":
-		p.advance()
-		x, err := p.unary()
-		if err != nil {
-			return nil, err
-		}
-		return &Un{Neg: false, X: x}, nil
-	}
-	return p.primary()
-}
-
+// primary parses what the shared ladder leaves to the language: a literal,
+// a packet field, or a declared state variable or local.
 func (p *dparser) primary() (Expr, error) {
-	t := p.cur()
-	switch t.kind {
-	case "num":
-		p.advance()
-		return &Lit{Value: t.num}, nil
-	case "(":
-		p.advance()
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+	t := p.Cur()
+	switch t.Kind {
+	case lex.Number:
+		p.Advance()
+		return &Lit{Value: t.Num}, nil
 	case "pkt":
-		p.advance()
-		if _, err := p.expect("."); err != nil {
-			return nil, err
-		}
-		name, err := p.expect("ident")
+		name, err := p.field()
 		if err != nil {
 			return nil, err
 		}
-		p.noteField(name.text)
-		return &Ref{Kind: RefField, Name: name.text}, nil
-	case "ident":
-		p.advance()
+		return &Ref{Kind: RefField, Name: name}, nil
+	case lex.Ident:
+		p.Advance()
 		switch {
-		case p.states[t.text]:
-			return &Ref{Kind: RefState, Name: t.text}, nil
-		case p.locals[t.text]:
-			return &Ref{Kind: RefLocal, Name: t.text}, nil
+		case p.states[t.Text]:
+			return &Ref{Kind: RefState, Name: t.Text}, nil
+		case p.locals[t.Text]:
+			return &Ref{Kind: RefLocal, Name: t.Text}, nil
 		default:
-			return nil, p.errf(t, "undeclared identifier %q", t.text)
+			return nil, p.Errorf(t, "undeclared identifier %q", t.Text)
 		}
 	default:
-		return nil, p.errf(t, "expected expression, found %q", describe(t))
+		return nil, p.Errorf(t, "expected expression, found %s", t)
 	}
 }
 

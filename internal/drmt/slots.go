@@ -91,12 +91,6 @@ func (l *SlotLayout) NumFields() int { return len(l.fields) }
 // Fields returns the interned field names in slot order (sorted).
 func (l *SlotLayout) Fields() []string { return append([]string(nil), l.fields...) }
 
-// FieldSlot returns the slot of a "header.field" name.
-func (l *SlotLayout) FieldSlot(name string) (int, bool) {
-	s, ok := l.fieldIdx[name]
-	return s, ok
-}
-
 // newRegBanks allocates zeroed register banks matching the layout.
 func (l *SlotLayout) newRegBanks() [][]int64 {
 	banks := make([][]int64, len(l.regs))

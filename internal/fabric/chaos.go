@@ -66,17 +66,10 @@ func NewChaosTransport(seed int64) *ChaosTransport {
 }
 
 // Partition blocks all requests to host (a "host:port" as it appears in
-// request URLs) until Heal.
+// request URLs) from here on.
 func (t *ChaosTransport) Partition(host string) {
 	t.mu.Lock()
 	t.partitioned[host] = true
-	t.mu.Unlock()
-}
-
-// Heal unblocks a partitioned host.
-func (t *ChaosTransport) Heal(host string) {
-	t.mu.Lock()
-	delete(t.partitioned, host)
 	t.mu.Unlock()
 }
 

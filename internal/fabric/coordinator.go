@@ -252,7 +252,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) {
 			}
 			st := newCampaignState(id)
 			c.campaigns[id] = st
-			go c.runCampaign(st, req)
+			go c.runCampaign(st, req, nil)
 		}
 	}
 	return c, nil
@@ -273,8 +273,9 @@ func (c *Coordinator) Close() { c.stopRoot() }
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.core.ServeHTTP(w, r) }
 
 // lookup returns the campaign state for a request, starting the campaign
-// if it is new. Completed journaled campaigns are rehydrated from disk.
-func (c *Coordinator) lookup(id string, req *farmd.MatrixRequest) (*campaignState, error) {
+// (on exp, the expansion admission built) if it is new. Completed journaled
+// campaigns are rehydrated from disk.
+func (c *Coordinator) lookup(id string, req *farmd.MatrixRequest, exp *farmd.Expansion) (*campaignState, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if st, ok := c.campaigns[id]; ok {
@@ -298,15 +299,16 @@ func (c *Coordinator) lookup(id string, req *farmd.MatrixRequest) (*campaignStat
 		}
 	}
 	c.campaigns[id] = st
-	go c.runCampaign(st, req)
+	go c.runCampaign(st, req, exp)
 	return st, nil
 }
 
 // runCampaign is the producer: it executes the matrix under the
 // coordinator's root context — a subscriber disconnect never cancels the
 // campaign; the journal, not the connection, owns the work — appending
-// each row to the in-memory stream and the journal as it is produced.
-func (c *Coordinator) runCampaign(st *campaignState, req *farmd.MatrixRequest) {
+// each row to the in-memory stream and the journal as it is produced. exp is
+// req's expansion; a campaign recovered from the journal has none yet.
+func (c *Coordinator) runCampaign(st *campaignState, req *farmd.MatrixRequest, exp *farmd.Expansion) {
 	defer st.finish()
 
 	// Queue for an execution slot (shutdown drains the queue).
@@ -358,7 +360,7 @@ func (c *Coordinator) runCampaign(st *campaignState, req *farmd.MatrixRequest) {
 		return opts
 	}
 
-	rep, runErr := farmd.RunMatrixPhases(c.root, req, optsFor)
+	rep, runErr := farmd.RunMatrixPhases(c.root, req, exp, optsFor)
 	if c.root.Err() != nil {
 		// Shutdown, not failure: emit no terminal row and leave the
 		// journal unfinished so the next process re-runs the campaign.
@@ -385,6 +387,10 @@ func (c *Coordinator) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	exp, ok := farmd.ExpandMatrix(w, req)
+	if !ok {
+		return
+	}
 	id, err := CampaignID(req)
 	if err != nil {
 		farmd.HTTPError(w, http.StatusBadRequest, "%v", err)
@@ -399,7 +405,7 @@ func (c *Coordinator) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		}
 		lastRow = n
 	}
-	st, err := c.lookup(id, req)
+	st, err := c.lookup(id, req, exp)
 	if err != nil {
 		farmd.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -141,24 +141,38 @@ func (r *MatrixRequest) phases() (runVerify, runFuzz bool, err error) {
 	}
 }
 
-// Validate expands every phase of the request without running anything, so
+// Expansion is a request's job matrix, phase by phase. Expanding is how a
+// request is validated, and what admission expanded is what the run
+// executes, so a submission expands once.
+// Requests are compared and hashed as plain data (CampaignID, lease keys),
+// so the expansion travels beside the request, never inside it.
+type Expansion struct {
+	// Verify is the verify phase's matrix; nil when the mode has none.
+	Verify []campaign.Job
+	// Fuzz is the fuzz phase's matrix with no seed corpus; nil when the
+	// mode has none.
+	Fuzz []campaign.Job
+}
+
+// Expand expands every phase of the request without running anything, so
 // servers can reject a bad matrix before committing a stream to it.
-func (r *MatrixRequest) Validate() error {
+func (r *MatrixRequest) Expand() (*Expansion, error) {
 	runVerify, runFuzz, err := r.phases()
 	if err != nil {
-		return err
+		return nil, err
 	}
+	exp := &Expansion{}
 	if runVerify {
-		if _, err := r.VerifyJobs(); err != nil {
-			return err
+		if exp.Verify, err = r.VerifyJobs(); err != nil {
+			return nil, err
 		}
 	}
 	if runFuzz {
-		if _, err := r.FuzzJobs(nil); err != nil {
-			return err
+		if exp.Fuzz, err = r.FuzzJobs(nil); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return exp, nil
 }
 
 // VerifyJobs expands the request into the verification job matrix: one job
@@ -364,41 +378,44 @@ type Summary struct {
 // cache and the OnJobReport stream are shared, and verify shard results
 // flow through the same content-addressed cache as fuzz shards.
 func RunMatrix(ctx context.Context, req *MatrixRequest, opts campaign.Options) (*campaign.Report, error) {
-	return RunMatrixPhases(ctx, req, func(string, *campaign.Report) campaign.Options { return opts })
+	return RunMatrixPhases(ctx, req, nil, func(string, *campaign.Report) campaign.Options { return opts })
 }
 
-// RunMatrixPhases is RunMatrix with per-phase options: optsFor is called
-// once per phase that actually runs, with the phase name (PhaseVerify,
+// RunMatrixPhases is RunMatrix over an expansion the caller already holds,
+// with per-phase options. exp is req's expansion — what a server built to
+// admit the submission; nil expands here (offline runs, a request recovered
+// from a journal). In both mode the fuzz phase re-expands only when the
+// verify phase yielded a corpus to thread into it. optsFor is called once
+// per phase that actually runs, with the phase name (PhaseVerify,
 // PhaseFuzz) and — for the fuzz phase of a both-mode run — the completed
 // verify report. The distributed coordinator uses it to hand each phase an
 // executor whose leases carry exactly the context a remote worker needs to
 // rebuild that phase's jobs (the fuzz phase of a both-mode matrix depends
 // on the verify phase's counterexample rows).
-func RunMatrixPhases(ctx context.Context, req *MatrixRequest, optsFor func(phase string, verifyReport *campaign.Report) campaign.Options) (*campaign.Report, error) {
-	runVerify, runFuzz, err := req.phases()
-	if err != nil {
-		return nil, err
-	}
-	var vrep *campaign.Report
-	var corpus map[string][][]phv.Value
-	if runVerify {
-		vjobs, err := req.VerifyJobs()
-		if err != nil {
+func RunMatrixPhases(ctx context.Context, req *MatrixRequest, exp *Expansion, optsFor func(phase string, verifyReport *campaign.Report) campaign.Options) (*campaign.Report, error) {
+	if exp == nil {
+		var err error
+		if exp, err = req.Expand(); err != nil {
 			return nil, err
 		}
+	}
+	var vrep *campaign.Report
+	fjobs := exp.Fuzz
+	if exp.Verify != nil {
 		var verr error
-		vrep, verr = campaign.Run(ctx, vjobs, optsFor(PhaseVerify, nil))
+		vrep, verr = campaign.Run(ctx, exp.Verify, optsFor(PhaseVerify, nil))
 		if vrep == nil {
 			return nil, verr
 		}
-		if !runFuzz || verr != nil || vrep.StoppedEarly {
+		if fjobs == nil || verr != nil || vrep.StoppedEarly {
 			return vrep, verr
 		}
-		corpus = campaign.HarvestVerifyCorpus(vrep)
-	}
-	fjobs, err := req.FuzzJobs(corpus)
-	if err != nil {
-		return vrep, err
+		if corpus := campaign.HarvestVerifyCorpus(vrep); len(corpus) > 0 {
+			var err error
+			if fjobs, err = req.FuzzJobs(corpus); err != nil {
+				return vrep, err
+			}
+		}
 	}
 	frep, ferr := campaign.Run(ctx, fjobs, optsFor(PhaseFuzz, vrep))
 	if frep == nil {

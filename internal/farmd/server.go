@@ -99,6 +99,10 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	exp, ok := ExpandMatrix(w, req)
+	if !ok {
+		return
+	}
 	// A client that disconnects while queued never starts its campaign.
 	release, ok := s.core.Acquire(r.Context())
 	if !ok {
@@ -123,7 +127,7 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 		s.mJobs.Inc()
 		writeRow(Row{Job: &jr})
 	}
-	rep, runErr := RunMatrix(ctx, req, opts)
+	rep, runErr := RunMatrixPhases(ctx, req, exp, func(string, *campaign.Report) campaign.Options { return opts })
 	if rep != nil {
 		s.mCampaigns.Inc()
 	}

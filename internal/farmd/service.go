@@ -177,20 +177,27 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) erro
 	return json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
 }
 
-// DecodeMatrix admits a campaign submission: the body is decoded under
-// MaxMatrixBytes and every phase expanded without running anything. A bad
-// matrix is answered 400 before any stream byte and ok is false.
+// DecodeMatrix reads a campaign submission's body under MaxMatrixBytes and
+// ExpandMatrix expands every phase of it without running anything; the
+// expansion is what RunMatrixPhases then executes. A malformed body or a
+// bad matrix is answered 400 before any stream byte and ok is false.
 func DecodeMatrix(w http.ResponseWriter, r *http.Request) (req *MatrixRequest, ok bool) {
 	req = &MatrixRequest{}
 	if err := DecodeBody(w, r, MaxMatrixBytes, req); err != nil {
 		HTTPError(w, http.StatusBadRequest, "bad matrix request: %v", err)
 		return nil, false
 	}
-	if err := req.Validate(); err != nil {
+	return req, true
+}
+
+// ExpandMatrix is the second half of admission; see DecodeMatrix.
+func ExpandMatrix(w http.ResponseWriter, req *MatrixRequest) (exp *Expansion, ok bool) {
+	exp, err := req.Expand()
+	if err != nil {
 		HTTPError(w, http.StatusBadRequest, "%v", err)
 		return nil, false
 	}
-	return req, true
+	return exp, true
 }
 
 // Acquire queues for one of the MaxConcurrent execution slots. ok is false

@@ -57,6 +57,40 @@ func TestRunMatrixBothMode(t *testing.T) {
 	}
 }
 
+// TestRunMatrixPhasesRunsTheGivenExpansion: a served submission expands
+// once — the jobs admission expanded are the jobs that run. The expansion
+// handed in here deliberately belongs to another request, so the rows show
+// which matrix executed: the given one for the verify phase and, when the
+// proofs yield no corpus to thread into the fuzzer, for the fuzz phase too.
+func TestRunMatrixPhasesRunsTheGivenExpansion(t *testing.T) {
+	req := &MatrixRequest{Run: "sampling", Mode: ModeBoth, Packets: 128, ShardSize: 64, VerifyBits: []int{3}, Levels: []string{"compiled"}}
+	other := &MatrixRequest{Run: "blue-decrease", Mode: ModeBoth, Packets: 128, ShardSize: 64, VerifyBits: []int{3}, Levels: []string{"compiled"}}
+	exp, err := other.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := func(string, *campaign.Report) campaign.Options { return campaign.Options{Workers: 2, ShardSize: 64} }
+	rep, err := RunMatrixPhases(context.Background(), req, exp, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, j := range rep.Jobs {
+		names = append(names, j.Name)
+	}
+	if got, want := strings.Join(names, " "), "verify/blue-decrease/seed=1 rmt/blue-decrease/compiled/seed=1"; got != want {
+		t.Errorf("ran %q, want the given expansion %q", got, want)
+	}
+	// Without an expansion the request's own matrix runs.
+	rep, err = RunMatrixPhases(context.Background(), req, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Jobs) != 2 || rep.Jobs[1].Name != "rmt/sampling/compiled/seed=1" {
+		t.Errorf("nil expansion ran %+v, want the request's own jobs", rep.Jobs)
+	}
+}
+
 // TestMatrixRequestModeValidation pins the mode axis's error surface:
 // requests that mix verify mode with fuzz-only knobs, unknown modes, and
 // verify on an architecture without a prover are rejected before any job
@@ -80,7 +114,7 @@ func TestMatrixRequestModeValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := tc.req.Validate()
+			_, err := tc.req.Expand()
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)

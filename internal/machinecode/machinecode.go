@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -31,20 +30,6 @@ type Program struct {
 // New returns an empty machine code program.
 func New() *Program {
 	return &Program{index: map[string]int{}}
-}
-
-// FromMap builds a program from a map (pairs sorted by name for determinism).
-func FromMap(m map[string]int64) *Program {
-	p := New()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		p.Set(n, m[n])
-	}
-	return p
 }
 
 // Set adds or replaces the pair for name.
@@ -90,11 +75,6 @@ func (p *Program) Has(name string) bool {
 
 // Len reports the number of pairs.
 func (p *Program) Len() int { return len(p.pairs) }
-
-// Pairs returns a copy of the pairs in insertion order.
-func (p *Program) Pairs() []Pair {
-	return append([]Pair(nil), p.pairs...)
-}
 
 // Names returns the pair names in insertion order.
 func (p *Program) Names() []string {

@@ -113,21 +113,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFromMapDeterministic(t *testing.T) {
-	m := map[string]int64{"c": 3, "a": 1, "b": 2}
-	p1 := FromMap(m)
-	p2 := FromMap(m)
-	if p1.String() != p2.String() {
-		t.Error("FromMap is not deterministic")
-	}
-	names := p1.Names()
-	if names[0] != "a" || names[1] != "b" || names[2] != "c" {
-		t.Errorf("FromMap order = %v, want sorted", names)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
-	p := FromMap(map[string]int64{"x": 1})
+	p := New()
+	p.Set("x", 1)
 	q := p.Clone()
 	q.Set("x", 99)
 	if v, _ := p.Get("x"); v != 1 {
@@ -136,8 +124,11 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestMerge(t *testing.T) {
-	p := FromMap(map[string]int64{"x": 1, "y": 2})
-	q := FromMap(map[string]int64{"y": 20, "z": 30})
+	p, q := New(), New()
+	p.Set("x", 1)
+	p.Set("y", 2)
+	q.Set("y", 20)
+	q.Set("z", 30)
 	p.Merge(q)
 	for name, want := range map[string]int64{"x": 1, "y": 20, "z": 30} {
 		if v, _ := p.Get(name); v != want {

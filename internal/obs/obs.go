@@ -10,9 +10,9 @@
 //     hot entry points (Counter.Inc/Add, Gauge.Set, Histogram.Observe)
 //     are enforced by the allocgate suite like every other hot path.
 //   - Exposition is deterministic: families and series render in sorted
-//     order and every timestamp flows through the registry's injected
-//     clock, so /metrics output is byte-stable under test and the
-//     walltime analyzer holds for this package too.
+//     order and no line carries a timestamp, so /metrics output is
+//     byte-stable under test and the walltime analyzer holds for this
+//     package too.
 //   - Metrics never feed back into results: nothing in this package is
 //     consulted by fingerprints, shard keys or report serialization, so
 //     instrumenting a component cannot move a report byte.
@@ -31,7 +31,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // DurationBuckets is the default histogram layout for operation
@@ -291,42 +290,13 @@ func (f *family) sortedSeries() []*child {
 // mismatch panics — a programmer error caught at wiring time.
 type Registry struct {
 	mu       sync.Mutex
-	now      func() time.Time
-	stamp    bool
 	families map[string]*family
 	collects []func()
 }
 
-// NewRegistry returns an empty registry on the wall clock.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		//dvet:walltime-ok the approved default for the registry's injected clock seam
-		now:      time.Now,
-		families: map[string]*family{},
-	}
-}
-
-// SetNow replaces the registry's clock; exposition timestamps and
-// nothing else read it. Tests freeze it to pin /metrics output.
-func (r *Registry) SetNow(now func() time.Time) {
-	if r == nil || now == nil {
-		return
-	}
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
-}
-
-// EmitTimestamps toggles per-sample millisecond timestamps (from the
-// injected clock) on exposition lines. Off by default: most scrapers
-// prefer ingestion time.
-func (r *Registry) EmitTimestamps(on bool) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.stamp = on
-	r.mu.Unlock()
+	return &Registry{families: map[string]*family{}}
 }
 
 // OnCollect registers a hook run at the start of every WriteProm, for
@@ -522,10 +492,9 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// promWriter renders exposition lines with an optional fixed timestamp.
+// promWriter renders exposition lines.
 type promWriter struct {
-	b     strings.Builder
-	stamp string // " <unix-ms>" or ""
+	b strings.Builder
 }
 
 // labelString renders {k="v",...} for the series, with extra appended
@@ -563,14 +532,13 @@ func (p *promWriter) sample(name, labels, value string) {
 	p.b.WriteString(labels)
 	p.b.WriteByte(' ')
 	p.b.WriteString(value)
-	p.b.WriteString(p.stamp)
 	p.b.WriteByte('\n')
 }
 
 // WriteProm renders every family in the Prometheus text exposition
 // format. Output is deterministic: families sort by name, series by
-// label values, and timestamps (when enabled) come from the injected
-// clock — two scrapes under a frozen clock are byte-identical.
+// label values, and samples carry no timestamp (scrapers stamp at
+// ingestion) — two scrapes of unchanged instruments are byte-identical.
 func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -593,9 +561,6 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		fams = append(fams, r.families[name])
 	}
 	pw := &promWriter{}
-	if r.stamp {
-		pw.stamp = " " + strconv.FormatInt(r.now().UnixMilli(), 10)
-	}
 	r.mu.Unlock()
 
 	for _, f := range fams {

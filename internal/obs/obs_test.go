@@ -118,14 +118,10 @@ func TestConcurrentIncrements(t *testing.T) {
 }
 
 // TestWritePromDeterministic pins the tentpole's exposition invariant:
-// under a frozen injected clock, with timestamps enabled, two scrapes
-// are byte-identical regardless of registration or label-creation
-// order, and all series render sorted.
+// two scrapes are byte-identical regardless of registration or
+// label-creation order, and all series render sorted.
 func TestWritePromDeterministic(t *testing.T) {
 	r := NewRegistry()
-	frozen := time.UnixMilli(1_754_640_000_123)
-	r.SetNow(func() time.Time { return frozen })
-	r.EmitTimestamps(true)
 
 	// Register deliberately out of alphabetical order, create labeled
 	// series out of sorted order.
@@ -146,20 +142,20 @@ func TestWritePromDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("two scrapes under a frozen clock differ:\n--- first ---\n%s--- second ---\n%s", a.String(), b.String())
+		t.Errorf("two scrapes differ:\n--- first ---\n%s--- second ---\n%s", a.String(), b.String())
 	}
 
 	out := a.String()
 	for _, want := range []string{
 		"# TYPE alpha_depth gauge\n",
-		"alpha_depth 7 1754640000123\n",
-		`mid_seconds_bucket{le="0.1"} 1 1754640000123` + "\n",
-		`mid_seconds_bucket{le="1"} 2 1754640000123` + "\n",
-		`mid_seconds_bucket{le="+Inf"} 3 1754640000123` + "\n",
-		"mid_seconds_sum 5.55 1754640000123\n",
-		"mid_seconds_count 3 1754640000123\n",
-		`zeta_total{worker="w1",outcome="hit"} 1 1754640000123` + "\n",
-		`zeta_total{worker="w2",outcome="miss"} 3 1754640000123` + "\n",
+		"alpha_depth 7\n",
+		`mid_seconds_bucket{le="0.1"} 1` + "\n",
+		`mid_seconds_bucket{le="1"} 2` + "\n",
+		`mid_seconds_bucket{le="+Inf"} 3` + "\n",
+		"mid_seconds_sum 5.55\n",
+		"mid_seconds_count 3\n",
+		`zeta_total{worker="w1",outcome="hit"} 1` + "\n",
+		`zeta_total{worker="w2",outcome="miss"} 3` + "\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -224,8 +220,6 @@ func TestNilSafety(t *testing.T) {
 	_ = g.Value()
 	h.Observe(1)
 	_ = h.Snapshot()
-	r.SetNow(time.Now)
-	r.EmitTimestamps(true)
 	r.OnCollect(func() {})
 	if r.Counter("x", "x") != nil || r.Gauge("x", "x") != nil || r.Histogram("x", "x", nil) != nil {
 		t.Error("nil registry returned a live instrument")

@@ -1,6 +1,7 @@
 package p4
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -112,5 +113,23 @@ func TestLookupsReturnNil(t *testing.T) {
 	if prog.Table("nosuch") != nil || prog.Action("nosuch") != nil ||
 		prog.Register("nosuch") != nil || prog.HeaderType("nosuch") != nil {
 		t.Fatal("unknown lookups should return nil")
+	}
+}
+
+// TestParseDeepInput: mini-P4 has no recursive construct — its deepest is a
+// section inside a table — so megabytes of openers are rejected at the
+// first one that does not belong, by a parser that never recursed.
+func TestParseDeepInput(t *testing.T) {
+	for name, src := range map[string]string{
+		"parens":   strings.Repeat("(", 1<<20),
+		"braces":   "table t " + strings.Repeat("{", 1<<16),
+		"sections": "table t { reads " + strings.Repeat("{ reads ", 1<<16),
+		"calls":    "action a() { " + strings.Repeat("drop(", 1<<16),
+	} {
+		_, err := Parse(src)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Line != 1 {
+			t.Errorf("%s: error %v, want a syntax error on line 1", name, err)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package p4
 
 import (
+	"errors"
 	"fmt"
-	"strconv"
+
+	"druzhba/internal/lex"
 )
 
 // ParseError reports a syntax or semantic error with its position.
@@ -15,77 +17,30 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("p4: %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
-type ptoken struct {
-	kind string // "ident", "num", "eof", or literal punctuation
-	text string
-	num  int64
-	line int
-	col  int
-}
-
-func plex(src string) ([]ptoken, error) {
-	var toks []ptoken
-	line, col := 1, 1
-	i := 0
-	adv := func() {
-		if src[i] == '\n' {
-			line++
-			col = 1
-		} else {
-			col++
-		}
-		i++
-	}
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			adv()
-		case c == '#':
-			for i < len(src) && src[i] != '\n' {
-				adv()
-			}
-		case c == '/' && i+1 < len(src) && src[i+1] == '/':
-			for i < len(src) && src[i] != '\n' {
-				adv()
-			}
-		case c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
-			start, l0, c0 := i, line, col
-			for i < len(src) && (src[i] == '_' || (src[i] >= 'a' && src[i] <= 'z') || (src[i] >= 'A' && src[i] <= 'Z') || (src[i] >= '0' && src[i] <= '9')) {
-				adv()
-			}
-			toks = append(toks, ptoken{kind: "ident", text: src[start:i], line: l0, col: c0})
-		case c >= '0' && c <= '9':
-			start, l0, c0 := i, line, col
-			for i < len(src) && ((src[i] >= '0' && src[i] <= '9') || src[i] == 'x' || (src[i] >= 'a' && src[i] <= 'f') || (src[i] >= 'A' && src[i] <= 'F')) {
-				adv()
-			}
-			n, err := strconv.ParseInt(src[start:i], 0, 64)
-			if err != nil {
-				return nil, &ParseError{Line: l0, Col: c0, Msg: fmt.Sprintf("bad number %q", src[start:i])}
-			}
-			toks = append(toks, ptoken{kind: "num", text: src[start:i], num: n, line: l0, col: c0})
-		default:
-			switch c {
-			case '{', '}', '(', ')', ';', ':', ',', '.', '-':
-				toks = append(toks, ptoken{kind: string(c), line: line, col: col})
-				adv()
-			default:
-				return nil, &ParseError{Line: line, Col: col, Msg: fmt.Sprintf("unexpected character %q", string(c))}
-			}
-		}
-	}
-	toks = append(toks, ptoken{kind: "eof", line: line, col: col})
-	return toks, nil
+// lang is what the shared scanner needs to know about mini-P4: no reserved
+// words (declaration and section names are contextual), a small punctuation
+// set and hexadecimal literals.
+var lang = lex.Language{
+	Punct: lex.Set("{", "}", "(", ")", ";", ":", ",", ".", "-"),
+	Hex:   true,
 }
 
 // Parse parses a mini-P4 program and validates all cross-references.
 func Parse(src string) (*Program, error) {
-	toks, err := plex(src)
+	prog, err := parse(src)
+	var le *lex.Error
+	if errors.As(err, &le) {
+		return nil, &ParseError{Line: le.Line, Col: le.Col, Msg: le.Msg}
+	}
+	return prog, err
+}
+
+func parse(src string) (*Program, error) {
+	toks, err := lang.Scan(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &pparser{toks: toks, prog: &Program{}}
+	p := &pparser{Cursor: lex.NewCursor(toks), prog: &Program{}}
 	if err := p.parse(); err != nil {
 		return nil, err
 	}
@@ -105,60 +60,31 @@ func MustParse(src string) *Program {
 }
 
 type pparser struct {
-	toks []ptoken
-	pos  int
+	*lex.Cursor
 	prog *Program
 }
 
-func (p *pparser) cur() ptoken { return p.toks[p.pos] }
-
-func (p *pparser) advance() ptoken {
-	t := p.toks[p.pos]
-	if t.kind != "eof" {
-		p.pos++
-	}
-	return t
-}
-
-func (p *pparser) errf(t ptoken, format string, args ...any) error {
-	return &ParseError{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *pparser) expect(kind string) (ptoken, error) {
-	t := p.cur()
-	if t.kind != kind {
-		return t, p.errf(t, "expected %q, found %q", kind, tokenText(t))
-	}
-	return p.advance(), nil
-}
-
+// keyword moves past the contextual keyword word.
 func (p *pparser) keyword(word string) error {
-	t := p.cur()
-	if t.kind != "ident" || t.text != word {
-		return p.errf(t, "expected %q, found %q", word, tokenText(t))
+	t := p.Cur()
+	if t.Kind != lex.Ident || t.Text != word {
+		return p.Errorf(t, "expected '%s', found %s", word, t)
 	}
-	p.advance()
+	p.Advance()
 	return nil
-}
-
-func tokenText(t ptoken) string {
-	if t.kind == "ident" || t.kind == "num" {
-		return t.text
-	}
-	return t.kind
 }
 
 func (p *pparser) parse() error {
 	for {
-		t := p.cur()
-		if t.kind == "eof" {
+		t := p.Cur()
+		if t.Kind == lex.EOF {
 			return nil
 		}
-		if t.kind != "ident" {
-			return p.errf(t, "expected declaration, found %q", tokenText(t))
+		if t.Kind != lex.Ident {
+			return p.Errorf(t, "expected declaration, found %s", t)
 		}
 		var err error
-		switch t.text {
+		switch t.Text {
 		case "header_type":
 			err = p.headerType()
 		case "header":
@@ -172,7 +98,7 @@ func (p *pparser) parse() error {
 		case "control":
 			err = p.control()
 		default:
-			return p.errf(t, "unknown declaration %q", t.text)
+			return p.Errorf(t, "unknown declaration %q", t.Text)
 		}
 		if err != nil {
 			return err
@@ -181,42 +107,42 @@ func (p *pparser) parse() error {
 }
 
 func (p *pparser) headerType() error {
-	p.advance()
-	name, err := p.expect("ident")
+	p.Advance()
+	name, err := p.Expect(lex.Ident)
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect("{"); err != nil {
+	if _, err := p.Expect("{"); err != nil {
 		return err
 	}
 	if err := p.keyword("fields"); err != nil {
 		return err
 	}
-	if _, err := p.expect("{"); err != nil {
+	if _, err := p.Expect("{"); err != nil {
 		return err
 	}
-	ht := &HeaderType{Name: name.text}
-	for p.cur().kind == "ident" {
-		fname := p.advance()
-		if _, err := p.expect(":"); err != nil {
+	ht := &HeaderType{Name: name.Text}
+	for p.Cur().Kind == lex.Ident {
+		fname := p.Advance()
+		if _, err := p.Expect(":"); err != nil {
 			return err
 		}
-		bits, err := p.expect("num")
+		bits, err := p.Expect(lex.Number)
 		if err != nil {
 			return err
 		}
-		if bits.num < 1 || bits.num > 62 {
-			return p.errf(bits, "field width %d out of range [1,62]", bits.num)
+		if bits.Num < 1 || bits.Num > 62 {
+			return p.Errorf(bits, "field width %d out of range [1,62]", bits.Num)
 		}
-		if _, err := p.expect(";"); err != nil {
+		if _, err := p.Expect(";"); err != nil {
 			return err
 		}
-		ht.Fields = append(ht.Fields, FieldDecl{Name: fname.text, Bits: int(bits.num)})
+		ht.Fields = append(ht.Fields, FieldDecl{Name: fname.Text, Bits: int(bits.Num)})
 	}
-	if _, err := p.expect("}"); err != nil {
+	if _, err := p.Expect("}"); err != nil {
 		return err
 	}
-	if _, err := p.expect("}"); err != nil {
+	if _, err := p.Expect("}"); err != nil {
 		return err
 	}
 	p.prog.HeaderTypes = append(p.prog.HeaderTypes, ht)
@@ -224,54 +150,54 @@ func (p *pparser) headerType() error {
 }
 
 func (p *pparser) header() error {
-	p.advance()
-	typeName, err := p.expect("ident")
+	p.Advance()
+	typeName, err := p.Expect(lex.Ident)
 	if err != nil {
 		return err
 	}
-	name, err := p.expect("ident")
+	name, err := p.Expect(lex.Ident)
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect(";"); err != nil {
+	if _, err := p.Expect(";"); err != nil {
 		return err
 	}
-	p.prog.Headers = append(p.prog.Headers, &Header{Name: name.text, TypeName: typeName.text})
+	p.prog.Headers = append(p.prog.Headers, &Header{Name: name.Text, TypeName: typeName.Text})
 	return nil
 }
 
 func (p *pparser) register() error {
-	p.advance()
-	name, err := p.expect("ident")
+	p.Advance()
+	name, err := p.Expect(lex.Ident)
 	if err != nil {
 		return err
 	}
-	if _, err := p.expect("{"); err != nil {
+	if _, err := p.Expect("{"); err != nil {
 		return err
 	}
-	reg := &Register{Name: name.text, Bits: 32, Count: 1}
-	for p.cur().kind == "ident" {
-		prop := p.advance()
-		if _, err := p.expect(":"); err != nil {
+	reg := &Register{Name: name.Text, Bits: 32, Count: 1}
+	for p.Cur().Kind == lex.Ident {
+		prop := p.Advance()
+		if _, err := p.Expect(":"); err != nil {
 			return err
 		}
-		val, err := p.expect("num")
+		val, err := p.Expect(lex.Number)
 		if err != nil {
 			return err
 		}
-		if _, err := p.expect(";"); err != nil {
+		if _, err := p.Expect(";"); err != nil {
 			return err
 		}
-		switch prop.text {
+		switch prop.Text {
 		case "width":
-			reg.Bits = int(val.num)
+			reg.Bits = int(val.Num)
 		case "instance_count":
-			reg.Count = int(val.num)
+			reg.Count = int(val.Num)
 		default:
-			return p.errf(prop, "unknown register property %q", prop.text)
+			return p.Errorf(prop, "unknown register property %q", prop.Text)
 		}
 	}
-	if _, err := p.expect("}"); err != nil {
+	if _, err := p.Expect("}"); err != nil {
 		return err
 	}
 	p.prog.Registers = append(p.prog.Registers, reg)
@@ -279,77 +205,75 @@ func (p *pparser) register() error {
 }
 
 // fieldRef parses "hdr.field" and returns the dotted name.
-func (p *pparser) fieldRef(first ptoken) (string, error) {
-	if _, err := p.expect("."); err != nil {
+func (p *pparser) fieldRef(first lex.Token) (string, error) {
+	if _, err := p.Expect("."); err != nil {
 		return "", err
 	}
-	f, err := p.expect("ident")
+	f, err := p.Expect(lex.Ident)
 	if err != nil {
 		return "", err
 	}
-	return first.text + "." + f.text, nil
+	return first.Text + "." + f.Text, nil
 }
 
 // operand parses a primitive argument: literal, -literal, param or field.
 func (p *pparser) operand() (Operand, error) {
-	t := p.cur()
-	switch t.kind {
-	case "num":
-		p.advance()
-		return Operand{Kind: OpLiteral, Value: t.num}, nil
+	t := p.Cur()
+	switch t.Kind {
+	case lex.Number:
+		p.Advance()
+		return Operand{Kind: OpLiteral, Value: t.Num}, nil
 	case "-":
-		p.advance()
-		n, err := p.expect("num")
+		p.Advance()
+		n, err := p.Expect(lex.Number)
 		if err != nil {
 			return Operand{}, err
 		}
-		return Operand{Kind: OpLiteral, Value: -n.num}, nil
-	case "ident":
-		p.advance()
-		if p.cur().kind == "." {
+		return Operand{Kind: OpLiteral, Value: -n.Num}, nil
+	case lex.Ident:
+		p.Advance()
+		if p.Cur().Kind == "." {
 			name, err := p.fieldRef(t)
 			if err != nil {
 				return Operand{}, err
 			}
 			return Operand{Kind: OpField, Name: name}, nil
 		}
-		return Operand{Kind: OpParam, Name: t.text}, nil
+		return Operand{Kind: OpParam, Name: t.Text}, nil
 	default:
-		return Operand{}, p.errf(t, "expected operand, found %q", tokenText(t))
+		return Operand{}, p.Errorf(t, "expected operand, found %s", t)
 	}
 }
 
 func (p *pparser) action() error {
-	p.advance()
-	name, err := p.expect("ident")
+	p.Advance()
+	name, err := p.Expect(lex.Ident)
 	if err != nil {
 		return err
 	}
-	act := &Action{Name: name.text}
-	if _, err := p.expect("("); err != nil {
+	act := &Action{Name: name.Text}
+	if _, err := p.Expect("("); err != nil {
 		return err
 	}
-	for p.cur().kind == "ident" {
-		param := p.advance()
-		act.Params = append(act.Params, param.text)
-		if p.cur().kind == "," {
-			p.advance()
-		}
+	for p.Cur().Kind == lex.Ident {
+		param := p.Advance()
+		act.Params = append(act.Params, param.Text)
+		p.Accept(",")
 	}
-	if _, err := p.expect(")"); err != nil {
+	if _, err := p.Expect(")"); err != nil {
 		return err
 	}
-	if _, err := p.expect("{"); err != nil {
+	if _, err := p.Expect("{"); err != nil {
 		return err
 	}
-	for p.cur().kind == "ident" {
+	for p.Cur().Kind == lex.Ident {
 		prim, err := p.primitive()
 		if err != nil {
 			return err
 		}
 		act.Prims = append(act.Prims, prim)
 	}
-	if _, err := p.expect("}"); err != nil {
+	if _, err := p.Expect("}"); err != nil {
 		return err
 	}
 	p.prog.Actions = append(p.prog.Actions, act)
@@ -357,47 +281,45 @@ func (p *pparser) action() error {
 }
 
 func (p *pparser) primitive() (Primitive, error) {
-	name := p.advance()
+	name := p.Advance()
 	var prim Primitive
-	if _, err := p.expect("("); err != nil {
+	if _, err := p.Expect("("); err != nil {
 		return prim, err
 	}
 	var args []Operand
-	for p.cur().kind != ")" {
+	for p.Cur().Kind != ")" {
 		op, err := p.operand()
 		if err != nil {
 			return prim, err
 		}
 		args = append(args, op)
-		if p.cur().kind == "," {
-			p.advance()
-		}
+		p.Accept(",")
 	}
-	p.advance() // ')'
-	if _, err := p.expect(";"); err != nil {
+	p.Advance() // ')'
+	if _, err := p.Expect(";"); err != nil {
 		return prim, err
 	}
 
 	need := func(n int) error {
 		if len(args) != n {
-			return p.errf(name, "%s takes %d argument(s), got %d", name.text, n, len(args))
+			return p.Errorf(name, "%s takes %d argument(s), got %d", name.Text, n, len(args))
 		}
 		return nil
 	}
 	fieldArg := func(i int) (string, error) {
 		if args[i].Kind != OpField {
-			return "", p.errf(name, "%s argument %d must be a header field", name.text, i+1)
+			return "", p.Errorf(name, "%s argument %d must be a header field", name.Text, i+1)
 		}
 		return args[i].Name, nil
 	}
 	regArg := func(i int) (string, error) {
 		if args[i].Kind != OpParam {
-			return "", p.errf(name, "%s argument %d must be a register name", name.text, i+1)
+			return "", p.Errorf(name, "%s argument %d must be a register name", name.Text, i+1)
 		}
 		return args[i].Name, nil
 	}
 
-	switch name.text {
+	switch name.Text {
 	case "modify_field", "add_to_field":
 		if err := need(2); err != nil {
 			return prim, err
@@ -407,7 +329,7 @@ func (p *pparser) primitive() (Primitive, error) {
 			return prim, err
 		}
 		prim = Primitive{Field: f, Args: args[1:]}
-		if name.text == "modify_field" {
+		if name.Text == "modify_field" {
 			prim.Op = PrimModifyField
 		} else {
 			prim.Op = PrimAddToField
@@ -421,7 +343,7 @@ func (p *pparser) primitive() (Primitive, error) {
 			return prim, err
 		}
 		prim = Primitive{Reg: r, Args: args[1:]}
-		if name.text == "register_write" {
+		if name.Text == "register_write" {
 			prim.Op = PrimRegWrite
 		} else {
 			prim.Op = PrimRegAdd
@@ -450,113 +372,106 @@ func (p *pparser) primitive() (Primitive, error) {
 		}
 		prim = Primitive{Op: PrimNoOp}
 	default:
-		return prim, p.errf(name, "unknown primitive %q", name.text)
+		return prim, p.Errorf(name, "unknown primitive %q", name.Text)
 	}
 	return prim, nil
 }
 
 func (p *pparser) table() error {
-	p.advance()
-	name, err := p.expect("ident")
+	p.Advance()
+	name, err := p.Expect(lex.Ident)
 	if err != nil {
 		return err
 	}
-	tbl := &Table{Name: name.text}
-	if _, err := p.expect("{"); err != nil {
+	tbl := &Table{Name: name.Text}
+	if _, err := p.Expect("{"); err != nil {
 		return err
 	}
-	for p.cur().kind == "ident" {
-		section := p.advance()
-		switch section.text {
+	for p.Cur().Kind == lex.Ident {
+		section := p.Advance()
+		switch section.Text {
 		case "reads":
-			if _, err := p.expect("{"); err != nil {
+			if _, err := p.Expect("{"); err != nil {
 				return err
 			}
-			for p.cur().kind == "ident" {
-				first := p.advance()
+			for p.Cur().Kind == lex.Ident {
+				first := p.Advance()
 				fname, err := p.fieldRef(first)
 				if err != nil {
 					return err
 				}
-				if _, err := p.expect(":"); err != nil {
+				if _, err := p.Expect(":"); err != nil {
 					return err
 				}
-				kindTok, err := p.expect("ident")
+				kindTok, err := p.Expect(lex.Ident)
 				if err != nil {
 					return err
 				}
 				var kind MatchKind
-				switch kindTok.text {
+				switch kindTok.Text {
 				case "exact":
 					kind = MatchExact
 				case "ternary":
 					kind = MatchTernary
 				default:
-					return p.errf(kindTok, "unknown match kind %q", kindTok.text)
+					return p.Errorf(kindTok, "unknown match kind %q", kindTok.Text)
 				}
-				if _, err := p.expect(";"); err != nil {
+				if _, err := p.Expect(";"); err != nil {
 					return err
 				}
 				tbl.Reads = append(tbl.Reads, Match{Field: fname, Kind: kind})
 			}
-			if _, err := p.expect("}"); err != nil {
+			if _, err := p.Expect("}"); err != nil {
 				return err
 			}
 		case "actions":
-			if _, err := p.expect("{"); err != nil {
+			if _, err := p.Expect("{"); err != nil {
 				return err
 			}
-			for p.cur().kind == "ident" {
-				a := p.advance()
-				tbl.Actions = append(tbl.Actions, a.text)
-				if _, err := p.expect(";"); err != nil {
+			for p.Cur().Kind == lex.Ident {
+				a := p.Advance()
+				tbl.Actions = append(tbl.Actions, a.Text)
+				if _, err := p.Expect(";"); err != nil {
 					return err
 				}
 			}
-			if _, err := p.expect("}"); err != nil {
+			if _, err := p.Expect("}"); err != nil {
 				return err
 			}
 		case "default_action":
-			if _, err := p.expect(":"); err != nil {
+			if _, err := p.Expect(":"); err != nil {
 				return err
 			}
-			a, err := p.expect("ident")
+			a, err := p.Expect(lex.Ident)
 			if err != nil {
 				return err
 			}
-			call := &ActionCall{Name: a.text}
-			if p.cur().kind == "(" {
-				p.advance()
-				for p.cur().kind != ")" {
-					neg := false
-					if p.cur().kind == "-" {
-						neg = true
-						p.advance()
-					}
-					n, err := p.expect("num")
+			call := &ActionCall{Name: a.Text}
+			if p.Accept("(") {
+				for p.Cur().Kind != ")" {
+					neg := p.Accept("-")
+					n, err := p.Expect(lex.Number)
 					if err != nil {
 						return err
 					}
-					v := n.num
+					v := n.Num
 					if neg {
 						v = -v
 					}
 					call.Args = append(call.Args, v)
-					if p.cur().kind == "," {
-						p.advance()
-					}
+					p.Accept(",")
 				}
-				p.advance() // ')'
+				p.Advance() // ')'
 			}
-			if _, err := p.expect(";"); err != nil {
+			if _, err := p.Expect(";"); err != nil {
 				return err
 			}
 			tbl.Default = call
 		default:
-			return p.errf(section, "unknown table section %q", section.text)
+			return p.Errorf(section, "unknown table section %q", section.Text)
 		}
 	}
-	if _, err := p.expect("}"); err != nil {
+	if _, err := p.Expect("}"); err != nil {
 		return err
 	}
 	p.prog.Tables = append(p.prog.Tables, tbl)
@@ -564,33 +479,33 @@ func (p *pparser) table() error {
 }
 
 func (p *pparser) control() error {
-	p.advance()
+	p.Advance()
 	if err := p.keyword("ingress"); err != nil {
 		return err
 	}
-	if _, err := p.expect("{"); err != nil {
+	if _, err := p.Expect("{"); err != nil {
 		return err
 	}
-	for p.cur().kind == "ident" {
+	for p.Cur().Kind == lex.Ident {
 		if err := p.keyword("apply"); err != nil {
 			return err
 		}
-		if _, err := p.expect("("); err != nil {
+		if _, err := p.Expect("("); err != nil {
 			return err
 		}
-		name, err := p.expect("ident")
+		name, err := p.Expect(lex.Ident)
 		if err != nil {
 			return err
 		}
-		if _, err := p.expect(")"); err != nil {
+		if _, err := p.Expect(")"); err != nil {
 			return err
 		}
-		if _, err := p.expect(";"); err != nil {
+		if _, err := p.Expect(";"); err != nil {
 			return err
 		}
-		p.prog.Control = append(p.prog.Control, name.text)
+		p.prog.Control = append(p.prog.Control, name.Text)
 	}
-	if _, err := p.expect("}"); err != nil {
+	if _, err := p.Expect("}"); err != nil {
 		return err
 	}
 	return nil

@@ -134,12 +134,6 @@ func (p *PHV) Raw() []Value { return p.containers }
 // Clone returns a deep copy of the PHV.
 func (p *PHV) Clone() *PHV { return FromValues(p.containers) }
 
-// CopyFrom overwrites this PHV's containers with src's. The two PHVs must
-// have the same length.
-func (p *PHV) CopyFrom(src *PHV) {
-	copy(p.containers, src.containers)
-}
-
 // Equal reports whether two PHVs hold identical container vectors.
 func (p *PHV) Equal(q *PHV) bool {
 	if p.Len() != q.Len() {

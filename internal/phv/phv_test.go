@@ -112,11 +112,6 @@ func TestPHVBasics(t *testing.T) {
 	if q.Equal(FromValues([]Value{1, 2})) || q.Equal(FromValues([]Value{1, 2, 4})) {
 		t.Error("Equal false positives")
 	}
-	r := New(3)
-	r.CopyFrom(q)
-	if !r.Equal(q) {
-		t.Error("CopyFrom broken")
-	}
 }
 
 func TestTraceDiff(t *testing.T) {

@@ -52,7 +52,9 @@ type Benchmark struct {
 	// build populates the machine code fixture.
 	build func(b *builder)
 
-	resolved resolved
+	once     sync.Once
+	resolved *Resolved
+	err      error
 }
 
 // Fingerprint is a stable content hash of everything that defines the
@@ -76,7 +78,9 @@ func (bm *Benchmark) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Spec builds the benchmark's pipeline spec (not yet bound to machine code).
+// Spec builds the benchmark's pipeline spec (not yet bound to machine
+// code). Each call parses the atoms afresh: the result is the caller's to
+// modify.
 func (bm *Benchmark) Spec() (core.Spec, error) {
 	stateful, err := atoms.Load(bm.Atom)
 	if err != nil {
@@ -90,13 +94,18 @@ func (bm *Benchmark) Spec() (core.Spec, error) {
 	}, nil
 }
 
-// MachineCode returns the benchmark's machine code fixture: every required
-// pair, with the identity configuration for unused primitives.
+// MachineCode returns a private copy of the benchmark's machine code
+// fixture: every required pair, with the identity configuration for unused
+// primitives.
 func (bm *Benchmark) MachineCode() (*machinecode.Program, error) {
 	spec, err := bm.Spec()
 	if err != nil {
 		return nil, err
 	}
+	return bm.machineCode(spec)
+}
+
+func (bm *Benchmark) machineCode(spec core.Spec) (*machinecode.Program, error) {
 	req, err := spec.RequiredPairs()
 	if err != nil {
 		return nil, err
@@ -119,68 +128,91 @@ func (bm *Benchmark) Pipeline(level core.OptLevel) (*core.Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	code, err := bm.MachineCode()
+	code, err := bm.machineCode(spec)
 	if err != nil {
 		return nil, err
 	}
 	return core.Build(spec, code, level)
 }
 
-// resolved is everything derived from DominoSrc and Fields: parsed, bound
-// and resolved once per benchmark, immutable afterwards and shared by every
-// runner (a runner's SimSpec allocates only its state and locals).
-type resolved struct {
-	once       sync.Once
-	prog       *domino.Program
-	binding    *domino.Binding
-	containers []int
-	err        error
+// Resolved is everything derived from a Benchmark's declaration — atoms
+// parsed, fixture built, Domino program parsed and bound, content hashed —
+// once per benchmark. It is shared by every job, runner and goroutine that
+// uses the benchmark: read-only, every field and everything reachable from
+// one. Code that needs to modify a spec or a fixture takes a private copy
+// from Spec, MachineCode or CompareContainers instead.
+type Resolved struct {
+	Spec        core.Spec            // pipeline spec, not yet bound to machine code
+	Code        *machinecode.Program // machine code fixture
+	Program     *domino.Program      // the high-level program
+	Containers  []int                // containers the program writes: what pipeline and spec are compared on
+	Fingerprint string               // Benchmark.Fingerprint
+
+	binding *domino.Binding
 }
 
-func (bm *Benchmark) resolve() *resolved {
-	r := &bm.resolved
-	r.once.Do(func() {
-		prog, err := domino.Parse(bm.DominoSrc)
-		if err != nil {
-			r.err = fmt.Errorf("spec: %s: %w", bm.Name, err)
-			return
-		}
-		prog.Name = bm.Name
-		if r.containers, r.err = domino.WrittenContainers(prog, bm.Fields); r.err != nil {
-			return
-		}
-		if r.binding, r.err = domino.Bind(prog, bm.Fields, phv.Default32); r.err == nil {
-			r.prog = prog
-		}
-	})
-	return r
+// NewSpec returns a fresh instance of the high-level specification bound to
+// the benchmark's field layout, ready for sim.Fuzz; it allocates only the
+// instance's state and locals.
+func (r *Resolved) NewSpec() sim.Spec { return r.binding.NewSpec() }
+
+// Resolve returns the benchmark's derived values, computing them on first
+// use. Safe for concurrent use.
+func (bm *Benchmark) Resolve() (*Resolved, error) {
+	bm.once.Do(func() { bm.resolved, bm.err = bm.resolve() })
+	return bm.resolved, bm.err
+}
+
+func (bm *Benchmark) resolve() (*Resolved, error) {
+	r := &Resolved{Fingerprint: bm.Fingerprint()}
+	var err error
+	if r.Spec, err = bm.Spec(); err != nil {
+		return nil, err
+	}
+	if r.Code, err = bm.machineCode(r.Spec); err != nil {
+		return nil, err
+	}
+	if r.Program, err = domino.Parse(bm.DominoSrc); err != nil {
+		return nil, fmt.Errorf("spec: %s: %w", bm.Name, err)
+	}
+	r.Program.Name = bm.Name
+	if r.Containers, err = domino.WrittenContainers(r.Program, bm.Fields); err != nil {
+		return nil, err
+	}
+	if r.binding, err = domino.Bind(r.Program, bm.Fields, phv.Default32); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // DominoProgram returns the benchmark's parsed high-level program. It is
 // shared: callers must not modify it.
 func (bm *Benchmark) DominoProgram() (*domino.Program, error) {
-	r := bm.resolve()
-	return r.prog, r.err
+	r, err := bm.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	return r.Program, nil
 }
 
 // SimSpec returns a fresh instance of the benchmark's high-level
 // specification bound to its field layout, ready for sim.Fuzz.
 func (bm *Benchmark) SimSpec() (sim.Spec, error) {
-	r := bm.resolve()
-	if r.err != nil {
-		return nil, r.err
+	r, err := bm.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	return r.binding.NewSpec(), nil
+	return r.NewSpec(), nil
 }
 
-// CompareContainers returns the containers whose values the specification
-// defines (the fields the Domino program writes).
+// CompareContainers returns a private copy of the containers whose values
+// the specification defines (the fields the Domino program writes).
 func (bm *Benchmark) CompareContainers() ([]int, error) {
-	r := bm.resolve()
-	if r.err != nil {
-		return nil, r.err
+	r, err := bm.Resolve()
+	if err != nil {
+		return nil, err
 	}
-	return append([]int(nil), r.containers...), nil
+	return append([]int(nil), r.Containers...), nil
 }
 
 // Verify runs the Fig. 5 fuzzing workflow for the benchmark at one
@@ -191,15 +223,11 @@ func (bm *Benchmark) Verify(level core.OptLevel, seed int64, n int) (*sim.FuzzRe
 	if err != nil {
 		return nil, err
 	}
-	s, err := bm.SimSpec()
+	r, err := bm.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	containers, err := bm.CompareContainers()
-	if err != nil {
-		return nil, err
-	}
-	return sim.FuzzRandom(p, s, seed, n, bm.MaxInput, sim.FuzzOptions{Containers: containers})
+	return sim.FuzzRandom(p, r.NewSpec(), seed, n, bm.MaxInput, sim.FuzzOptions{Containers: r.Containers})
 }
 
 // All returns every benchmark in Table 1 order.
