@@ -1,9 +1,10 @@
 // dfarm runs parallel fuzzing campaigns: the Fig. 5 compiler-testing
 // workflow fanned out over a job matrix on a bounded worker pool. Each
-// job's target is built once, its packet budget is sharded into
-// deterministically sub-seeded chunks, and shard results merge into a
-// report that is byte-identical for every -workers value — so campaign
-// output can be diffed across machines and runs.
+// job's packet budget is sharded into deterministically sub-seeded chunks,
+// its target is built on its first cache miss (never for a fully cached
+// job), and shard results merge into a report that is byte-identical for
+// every -workers value — so campaign output can be diffed across machines
+// and runs.
 //
 // Two architectures are available as job targets. -arch rmt (the default)
 // sweeps the Table-1 benchmark matrix over all four pipeline engines

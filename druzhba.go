@@ -234,9 +234,9 @@ type CampaignOptions = campaign.Options
 type CampaignReport = campaign.Report
 
 // RunCampaign executes a parallel fuzzing campaign (dfarm): each job's
-// pipeline is built once, its packets are sharded into deterministic
-// sub-seeded chunks, shards run on a bounded worker pool over cloned
-// pipelines, and results merge into a worker-count-independent report. The
+// packets are sharded into deterministic sub-seeded chunks, its pipeline
+// is built once by the first shard a cache cannot replay, shards run on a
+// bounded worker pool over cloned pipelines, and results merge into a worker-count-independent report. The
 // context cancels the whole campaign.
 func RunCampaign(ctx context.Context, jobs []CampaignJob, opts CampaignOptions) (*CampaignReport, error) {
 	return campaign.Run(ctx, jobs, opts)

@@ -43,6 +43,33 @@ type ShardCache interface {
 	Put(key string, res *ShardResult)
 }
 
+// CacheGet and CachePut are the one rule by which a shard meets a cache,
+// for the engine and for a lease worker alike: a shard is probed under its
+// key once, the probe is counted once on m (nil = unmetered), and only an
+// error-free result is stored. A nil cache or an empty key — an
+// unfingerprintable target — probes, counts and stores nothing.
+func CacheGet(c ShardCache, m *Metrics, key string) (*ShardResult, bool) {
+	if c == nil || key == "" {
+		return nil, false
+	}
+	res, ok := c.Get(key)
+	switch {
+	case m == nil:
+	case ok:
+		m.CacheHits.Inc()
+	default:
+		m.CacheMisses.Inc()
+	}
+	return res, ok
+}
+
+// CachePut stores res under key if it is error-free; see CacheGet.
+func CachePut(c ShardCache, key string, res *ShardResult) {
+	if c != nil && key != "" && res.Err == nil {
+		c.Put(key, res)
+	}
+}
+
 // Fingerprinter is implemented by Targets whose configuration can be hashed
 // stably. An empty fingerprint means the target is not cacheable this run
 // (e.g. an opaque spec factory or an injected ISA program the engine cannot

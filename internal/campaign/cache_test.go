@@ -37,20 +37,33 @@ func (c *mapCache) Put(key string, res *ShardResult) {
 	c.entries[key] = res
 }
 
-// countingTarget is a fingerprinted stub that counts shard executions.
+// countingTarget is a fingerprinted stub that counts builds, runner clones
+// and shard executions.
 type countingTarget struct {
-	fp   string
-	runs int64
+	fp                    string
+	builds, runners, runs int64
 }
 
-func (t *countingTarget) Arch() string               { return "stub" }
-func (t *countingTarget) Engine() string             { return "none" }
-func (t *countingTarget) Fingerprint() string        { return t.fp }
-func (t *countingTarget) Build() (Instance, error)   { return t, nil }
-func (t *countingTarget) NewRunner() (Runner, error) { return t, nil }
+func (t *countingTarget) Arch() string        { return "stub" }
+func (t *countingTarget) Engine() string      { return "none" }
+func (t *countingTarget) Fingerprint() string { return t.fp }
+func (t *countingTarget) Build() (Instance, error) {
+	atomic.AddInt64(&t.builds, 1)
+	return t, nil
+}
+func (t *countingTarget) NewRunner() (Runner, error) {
+	atomic.AddInt64(&t.runners, 1)
+	return t, nil
+}
+
 func (t *countingTarget) RunShard(seed int64, n int) ShardResult {
 	atomic.AddInt64(&t.runs, 1)
 	return ShardResult{Checked: n, Ticks: seed % 1000}
+}
+
+// calls snapshots the three counters.
+func (t *countingTarget) calls() [3]int64 {
+	return [3]int64{atomic.LoadInt64(&t.builds), atomic.LoadInt64(&t.runners), atomic.LoadInt64(&t.runs)}
 }
 
 // mixedMatrix builds a small two-architecture matrix for cache tests.
@@ -124,26 +137,60 @@ func TestCacheWarmRunReplaysByteIdentically(t *testing.T) {
 	}
 }
 
-// TestCacheWarmRunExecutesZeroShards pins the "zero shards executed"
-// guarantee directly with an execution counter.
+// TestCacheWarmRunExecutesZeroShards pins "fully cached means untouched"
+// with call counters: a warm run builds no target, clones no runner and
+// executes no shard, and on a half-warm cache only the job whose shards were
+// evicted is built.
 func TestCacheWarmRunExecutesZeroShards(t *testing.T) {
-	target := &countingTarget{fp: "stable-fingerprint"}
-	jobs := []Job{{Name: "counted", Target: target, Seed: 7, Packets: 100}}
+	kept, evicted := &countingTarget{fp: "kept"}, &countingTarget{fp: "evicted"}
+	jobs := []Job{
+		{Name: "kept", Target: kept, Seed: 7, Packets: 100},
+		{Name: "evicted", Target: evicted, Seed: 7, Packets: 100},
+	}
 	cache := newMapCache()
 	opts := Options{Workers: 2, ShardSize: 16, Cache: cache}
 
 	if _, err := Run(context.Background(), jobs, opts); err != nil {
 		t.Fatal(err)
 	}
-	coldRuns := atomic.LoadInt64(&target.runs)
-	if coldRuns != 7 { // ceil(100/16)
-		t.Fatalf("cold run executed %d shards, want 7", coldRuns)
+	for _, target := range []*countingTarget{kept, evicted} {
+		cold := target.calls()
+		if cold[0] != 1 || cold[1] < 1 || cold[1] > 2 || cold[2] != 7 { // ceil(100/16) shards on <= 2 workers
+			t.Fatalf("cold run of %s: builds/runners/shards = %v, want 1, 1..2, 7", target.fp, cold)
+		}
+	}
+	coldKept, coldEvicted := kept.calls(), evicted.calls()
+
+	warm, err := Run(context.Background(), jobs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kept.calls() != coldKept || evicted.calls() != coldEvicted {
+		t.Fatalf("warm run touched its targets: builds/runners/shards %v -> %v, %v -> %v",
+			coldKept, kept.calls(), coldEvicted, evicted.calls())
+	}
+	if warm.Cache.Hits != 14 || warm.Cache.Misses != 0 {
+		t.Fatalf("warm run cache stats = %+v, want 14 hits", warm.Cache)
+	}
+
+	for s := 0; s < 7; s++ {
+		n := 16
+		if s == 6 {
+			n = 100 - 6*16
+		}
+		delete(cache.entries, ShardKey("evicted", deriveSeed(7, s), n))
+	}
+	if len(cache.entries) != 7 {
+		t.Fatalf("evicted %d of 14 entries, want 7", 14-len(cache.entries))
 	}
 	if _, err := Run(context.Background(), jobs, opts); err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt64(&target.runs); got != coldRuns {
-		t.Fatalf("warm run executed %d shards, want 0", got-coldRuns)
+	if kept.calls() != coldKept {
+		t.Fatalf("half-warm run touched the cached job: %v -> %v", coldKept, kept.calls())
+	}
+	if got := evicted.calls(); got[0] != coldEvicted[0]+1 || got[2] != coldEvicted[2]+7 {
+		t.Fatalf("half-warm run of the evicted job: builds/runners/shards %v -> %v, want one build, seven shards", coldEvicted, got)
 	}
 }
 

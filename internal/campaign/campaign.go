@@ -7,13 +7,14 @@
 // or a dRMT ISA machine fuzzed against the interpreted mini-P4 semantics —
 // with a traffic seed and a packet budget. The engine
 //
-//   - builds every job's target exactly once,
 //   - shards each job's N packets into fixed-size chunks whose traffic
 //     seeds are derived deterministically from the job seed and the shard
 //     index,
-//   - executes shards on a bounded worker pool, each worker holding a
-//     private runner (cloned machines, reusable ring buffers) so no
-//     mutable state is ever shared,
+//   - builds a job's target once, on the first of its shards a cache does
+//     not already hold — never for a job whose every shard replays,
+//   - executes shards on a bounded worker pool, each shard on a private
+//     runner (cloned machines, reusable ring buffers) so no mutable state
+//     is ever shared,
 //   - merges shard results in (job, shard) order into a report that is
 //     bit-identical regardless of the worker count.
 //
@@ -37,7 +38,8 @@ type Job struct {
 	// Name identifies the job in reports; it must be unique and non-empty.
 	Name string
 
-	// Target is the system under test; the engine builds it once per job.
+	// Target is the system under test; the engine builds it at most once,
+	// on the job's first shard that has to execute.
 	Target Target
 
 	// Seed is the job's base traffic seed; shard s draws its packets from
@@ -151,12 +153,15 @@ type Options struct {
 	OnJobReport func(JobReport)
 }
 
+// DefaultShardSize is the packets per shard when Options.ShardSize is 0.
+const DefaultShardSize = 4096
+
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	if o.ShardSize <= 0 {
-		o.ShardSize = 4096
+		o.ShardSize = DefaultShardSize
 	}
 	if o.MaxCounterexamples == 0 {
 		o.MaxCounterexamples = 8

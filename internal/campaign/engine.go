@@ -3,21 +3,61 @@ package campaign
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"druzhba/internal/obs"
 )
 
-// task addresses one shard of one job. The shard's global packet range is
-// implied by (shard, Options.ShardSize); merge derives counterexample
-// packet indices from the same arithmetic.
-type task struct {
-	job   int
-	shard int
-	n     int // packets in this shard
+// task addresses one shard of one job; its packet range and seed follow
+// from (shard, the job's shard size), the arithmetic merge uses too.
+type task struct{ job, shard int }
+
+// jobState is everything the engine knows about one job of a running
+// campaign. The plan half is fixed before the pool starts; the rest is
+// written under emitter.mu, which also publishes it to the merging
+// goroutine.
+type jobState struct {
+	job  *Job
+	fp   string   // target fingerprint; "" = its shards are neither cached nor keyed
+	size int      // packets per shard (the target may override Options.ShardSize)
+	exec *JobExec // builds on the first miss; dropped at merge with its instance and runners
+
+	start        time.Time      // first shard that had to execute; zero while every shard replayed
+	results      []*ShardResult // results[s] is written by exactly one worker; nil = skipped
+	pending      int            // shards not yet landed
+	hits, misses int64          // keyed shards the cache replayed / did not hold
+	buildErr     *BuildError    // the target failed to build: the job's finding
+
+	// row starts as the job's plan (labels, seed, packets, shard count) and
+	// becomes its report row at merge.
+	row JobReport
+}
+
+// plan resolves once what a job's shards share: its labels from the
+// optional Target interfaces, its shard size and its fingerprint.
+func plan(job *Job, o *Options) jobState {
+	js := jobState{job: job, size: o.ShardSize, exec: NewJobExec(job.Target, o.Metrics)}
+	if ss, ok := job.Target.(ShardSizer); ok {
+		js.size = ss.ShardSize(o.ShardSize)
+	}
+	// Fingerprints gate the shard cache and address remote execution:
+	// executors forward the fingerprint-derived key so remote workers share
+	// the engine's cache key space. Hashed only when something reads them.
+	if f, ok := job.Target.(Fingerprinter); ok && (o.Cache != nil || o.Executor != nil) {
+		js.fp = f.Fingerprint()
+	}
+	js.pending = (job.Packets + js.size - 1) / js.size
+	js.results = make([]*ShardResult, js.pending)
+	js.row = JobReport{Name: job.Name, Mode: ModeFuzz, Arch: job.Target.Arch(), Engine: job.Target.Engine(),
+		Seed: job.Seed, Packets: job.Packets, Shards: js.pending}
+	if m, ok := job.Target.(Moder); ok {
+		js.row.Mode = m.Mode()
+	}
+	if b, ok := job.Target.(BenchmarkNamer); ok {
+		js.row.Benchmark = b.BenchmarkName()
+	}
+	return js
 }
 
 // Run executes the campaign described by jobs under opts. The context
@@ -25,6 +65,12 @@ type task struct {
 // shards are skipped, and the partial report is returned together with the
 // context's error. A nil error means the campaign ran to completion (or
 // stopped early under Options.FailFast, which Report.StoppedEarly records).
+//
+// A job's target is built by the first of its shards the cache does not
+// hold: a job whose every shard replays is never built and never clones a
+// runner. A build failure is a test finding (configuration incompatible
+// with the architecture model, the paper's §5.2 first failure class), not a
+// harness error: it is that job's row and does not trip FailFast.
 func Run(ctx context.Context, jobs []Job, opts Options) (*Report, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("campaign: no jobs")
@@ -41,229 +87,58 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Report, error) {
 		seen[jobs[i].Name] = true
 	}
 	start := o.Now()
-
-	// Observability is opt-in per run: with neither metrics nor tracing
-	// the engine makes no extra clock reads at all. clocks records each
-	// job's first shard start; all reads flow through the o.Now seam.
-	obsOn := o.Metrics != nil || o.Trace != nil
-	var clocks *jobClocks
-	if obsOn {
-		clocks = &jobClocks{start: make([]time.Time, len(jobs))}
-	}
 	span := o.Trace.Begin("campaign", "run")
-
-	// Build every target once, up front. A failed build is a test finding
-	// (configuration incompatible with the architecture model — the
-	// paper's §5.2 first failure class), not a harness error. Cancellation
-	// mid-way leaves the remaining jobs unbuilt; merge reports them as
-	// aborted.
-	masters := make([]Instance, len(jobs))
-	buildErrs := make([]error, len(jobs))
-	for i := range jobs {
-		if ctx.Err() != nil {
-			break
-		}
-		masters[i], buildErrs[i] = jobs[i].Target.Build()
-	}
-
-	// Job fingerprints gate the shard cache and address remote execution:
-	// only targets that hash their configuration stably can have shards
-	// replayed, and executors forward the fingerprint-derived key so
-	// remote workers share the engine's cache key space.
-	fps := make([]string, len(jobs))
-	if o.Cache != nil || o.Executor != nil {
-		for j := range jobs {
-			if f, ok := jobs[j].Target.(Fingerprinter); ok {
-				fps[j] = f.Fingerprint()
-			}
-		}
-	}
-
-	// Shard plan. results[j][s] is written by exactly one worker. Targets
-	// may override the campaign shard size for their own jobs (ShardSizer):
-	// verification targets shard at one proof cell per shard, so the size
-	// is part of the same per-job arithmetic merge uses for packet indices.
-	sizes := make([]int, len(jobs))
-	for j := range jobs {
-		sizes[j] = o.ShardSize
-		if ss, ok := jobs[j].Target.(ShardSizer); ok {
-			sizes[j] = ss.ShardSize(o.ShardSize)
-		}
-	}
-	results := make([][]*ShardResult, len(jobs))
-	pending := make([]int, len(jobs))
-	var tasks []task
-	for j := range jobs {
-		if masters[j] == nil {
-			continue // build failed or skipped by cancellation
-		}
-		n := jobs[j].Packets
-		shards := (n + sizes[j] - 1) / sizes[j]
-		results[j] = make([]*ShardResult, shards)
-		pending[j] = shards
-		for s := 0; s < shards; s++ {
-			size := sizes[j]
-			if rem := n - s*sizes[j]; rem < size {
-				size = rem
-			}
-			tasks = append(tasks, task{job: j, shard: s, n: size})
-		}
-	}
-
-	// The emitter merges each job the moment its last shard lands and
-	// hands rows to OnJobReport in matrix order; jobs with no shards
-	// (build errors, cancelled builds) are complete already.
-	em := &emitter{jobs: jobs, buildErrs: buildErrs, results: results, pending: pending, o: o, sizes: sizes, reports: make([]*JobReport, len(jobs)), clocks: clocks}
-	em.flush()
-
-	remaining := int64(len(tasks))
-	o.Metrics.queueDepth(remaining)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var stopped sync.Once
-	stoppedEarly := false
-	timers := jobTimers{deadlines: make([]time.Time, len(jobs)), now: o.Now}
-	var hits, misses int64
+	// Observability is opt-in per run: with neither metrics nor tracing
+	// the engine makes no extra clock reads at all.
+	em := &emitter{o: &o, obsOn: o.Metrics != nil || o.Trace != nil, cancel: cancel,
+		states: make([]jobState, len(jobs)), report: Report{Passed: true}}
+	if o.Cache != nil {
+		em.report.Cache = &CacheStats{}
+	}
+	for j := range jobs {
+		em.states[j] = plan(&jobs[j], &o)
+		em.remaining += int64(em.states[j].pending)
+	}
+	o.Metrics.queueDepth(em.remaining)
 
+	// Tasks leave one channel job-major, so the pool works on few adjacent
+	// jobs at a time and peak memory stays about one clone per worker, not
+	// one per (worker, job). Shard results are pure functions of (job,
+	// shard), so which runner a shard borrows cannot change a report.
 	taskCh := make(chan task)
 	var wg sync.WaitGroup
 	for w := 0; w < o.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Worker-local runner, built lazily per job: a private clone of
-			// the job's machinery (ring buffers, spec instances) reused
-			// across every shard of the job this worker runs. Tasks arrive
-			// job-major off one channel, so each worker sees nondecreasing
-			// job indices and a single cached runner suffices — peak memory
-			// stays one clone per worker, not one per (worker, job). Shard
-			// results stay pure functions of (job, shard), so reuse cannot
-			// break report determinism. Fully cached jobs never build a
-			// runner at all.
-			var ws *workerState
-			wsJob := -1
 			for t := range taskCh {
-				if runCtx.Err() != nil {
-					continue // drain without running; emitter.finish reports the jobs
+				if runCtx.Err() == nil { // else drain; the jobs merge as aborted
+					em.runShard(runCtx, t)
 				}
-				if clocks != nil {
-					clocks.begin(t.job, o.Now)
-				}
-				seed := deriveSeed(jobs[t.job].Seed, t.shard)
-				key := ""
-				if fps[t.job] != "" {
-					key = ShardKey(fps[t.job], seed, t.n)
-				}
-				var res *ShardResult
-				cached := false
-				if o.Cache != nil && key != "" {
-					if c, ok := o.Cache.Get(key); ok {
-						atomic.AddInt64(&hits, 1)
-						o.Metrics.cacheProbe(true)
-						res = c
-						cached = true
-					}
-				}
-				var shardStart time.Time
-				if obsOn && res == nil {
-					shardStart = o.Now()
-				}
-				if res == nil {
-					var deadline time.Time
-					if o.JobTimeout > 0 {
-						deadline = timers.deadline(t.job, o.JobTimeout)
-					}
-					if o.JobTimeout > 0 && !deadline.After(o.Now()) {
-						// The job's budget is spent: fail the shard without
-						// cloning a runner that would never execute. The
-						// shard never ran, so it counts as neither hit nor
-						// miss.
-						res = &ShardResult{Err: timeoutErr(o.JobTimeout)}
-					} else {
-						if o.Cache != nil && key != "" {
-							atomic.AddInt64(&misses, 1)
-							o.Metrics.cacheProbe(false)
-						}
-						if o.Executor != nil {
-							res = runShardRemote(runCtx, o.Executor, ShardTask{Job: &jobs[t.job], Shard: t.shard, Seed: seed, N: t.n, Fingerprint: fps[t.job], Key: key}, deadline, o.JobTimeout)
-							if errors.Is(res.Err, ErrNoWorkers) {
-								res = nil // degrade gracefully to local execution
-							}
-						}
-						if res == nil {
-							if t.job != wsJob || ws == nil {
-								ws = newWorkerState(masters[t.job])
-								wsJob = t.job
-							}
-							if o.JobTimeout > 0 {
-								var alive bool
-								res, alive = runShardTimed(runCtx, &jobs[t.job], ws, t, deadline, o.JobTimeout, o.Now)
-								if !alive {
-									ws = nil // runner abandoned mid-shard; never reuse it
-								}
-							} else {
-								res = runShard(runCtx, &jobs[t.job], ws, t)
-							}
-						}
-					}
-					if o.Cache != nil && key != "" && res.Err == nil {
-						o.Cache.Put(key, res)
-					}
-				}
-				results[t.job][t.shard] = res
-				if obsOn {
-					outcome := "executed"
-					switch {
-					case cached:
-						outcome = "cached"
-					case res.Err != nil:
-						outcome = "error"
-					}
-					durSec := -1.0
-					if !shardStart.IsZero() {
-						durSec = o.Now().Sub(shardStart).Seconds()
-					}
-					o.Metrics.shardDone(outcome, durSec)
-					if !cached {
-						o.Metrics.cellsSolved(res.Cells)
-					}
-					o.Metrics.queueDepth(atomic.AddInt64(&remaining, -1))
-					if durSec >= 0 {
-						o.Trace.Event("shard", jobs[t.job].Name,
-							obs.KV{K: "shard", V: t.shard}, obs.KV{K: "outcome", V: outcome},
-							obs.KV{K: "checked", V: res.Checked}, obs.KV{K: "dur_us", V: int64(durSec * 1e6)})
-					} else {
-						o.Trace.Event("shard", jobs[t.job].Name,
-							obs.KV{K: "shard", V: t.shard}, obs.KV{K: "outcome", V: outcome},
-							obs.KV{K: "checked", V: res.Checked})
-					}
-				}
-				if o.FailFast && res.failed() {
-					stopped.Do(func() { stoppedEarly = true })
-					cancel()
-				}
-				em.shardDone(t.job)
 			}
 		}()
 	}
 feed:
-	for _, t := range tasks {
-		select {
-		case taskCh <- t:
-		case <-runCtx.Done():
-			break feed
+	for j := range jobs {
+		for s := 0; s*em.states[j].size < jobs[j].Packets; s++ {
+			select {
+			case taskCh <- task{j, s}:
+			case <-runCtx.Done():
+				break feed
+			}
 		}
 	}
 	close(taskCh)
 	wg.Wait()
-	em.finish()
+	em.mu.Lock()
+	em.advance(true)
+	em.mu.Unlock()
 
-	report := em.assemble()
-	report.StoppedEarly = stoppedEarly || ctx.Err() != nil
-	if o.Cache != nil {
-		report.Cache = &CacheStats{Hits: hits, Misses: misses}
-	}
+	report := &em.report
+	report.StoppedEarly = report.StoppedEarly || ctx.Err() != nil
 	// One elapsed measurement derives both timing figures, so the reported
 	// throughput corresponds exactly to the reported elapsed time.
 	elapsed := o.Now().Sub(start)
@@ -276,190 +151,176 @@ feed:
 	return report, ctx.Err()
 }
 
-// jobClocks records each job's first shard start under the engine's
-// clock seam, feeding the job-duration histogram and trace spans. It
-// exists only when observability is on, so an unmetered run reads no
-// extra clocks.
-type jobClocks struct {
-	mu    sync.Mutex
-	start []time.Time
-}
-
-func (jc *jobClocks) begin(j int, now func() time.Time) {
-	jc.mu.Lock()
-	if jc.start[j].IsZero() {
-		jc.start[j] = now()
+// runShard takes one shard from plan to landed result: replay it from the
+// cache, or execute it — remotely when an executor has workers, else on the
+// job's own JobExec — under the job's deadline, and store a clean result.
+func (e *emitter) runShard(ctx context.Context, t task) {
+	o, js := e.o, &e.states[t.job]
+	n := min(js.size, js.job.Packets-t.shard*js.size)
+	seed := deriveSeed(js.job.Seed, t.shard)
+	key := ""
+	if js.fp != "" {
+		key = ShardKey(js.fp, seed, n)
 	}
-	jc.mu.Unlock()
-}
-
-func (jc *jobClocks) get(j int) time.Time {
-	jc.mu.Lock()
-	defer jc.mu.Unlock()
-	return jc.start[j]
-}
-
-// workerState is one worker's reusable runner for one job. Building it can
-// fail (spec factories may error); the failure is replayed as the result
-// of every shard the worker picks up for that job.
-type workerState struct {
-	runner Runner
-	err    error
-}
-
-func newWorkerState(master Instance) *workerState {
-	runner, err := master.NewRunner()
-	if err != nil {
-		return &workerState{err: err}
+	res, cached := CacheGet(o.Cache, o.Metrics, key)
+	var shardStart time.Time
+	if !cached {
+		if e.obsOn {
+			shardStart = o.Now()
+		}
+		// exec is read here, on the worker: a shard abandoned at the
+		// deadline may outlive the job's merge, which drops js.exec.
+		exec := js.exec
+		res = e.underDeadline(ctx, js, func(ctx context.Context) *ShardResult {
+			if o.Executor != nil {
+				res := o.Executor.ExecuteShard(ctx, ShardTask{Job: js.job, Shard: t.shard, Seed: seed, N: n, Fingerprint: js.fp, Key: key})
+				if res == nil {
+					return &ShardResult{Err: errors.New("campaign: executor returned no result")}
+				}
+				if !errors.Is(res.Err, ErrNoWorkers) {
+					return res
+				}
+				// No worker to lease to: degrade gracefully to local execution.
+			}
+			return exec.Run(ctx, seed, n)
+		})
+		CachePut(o.Cache, key, res)
 	}
-	return &workerState{runner: runner}
-}
-
-// runShard executes one shard on the worker's reusable runner with the
-// shard's deterministic traffic seed. Context-aware runners receive ctx so
-// cancellation (campaign abort, job deadline) interrupts them mid-shard;
-// plain runners just run to completion.
-func runShard(ctx context.Context, job *Job, ws *workerState, t task) *ShardResult {
-	if ws.err != nil {
-		return &ShardResult{Err: ws.err}
+	if e.obsOn {
+		outcome := "executed"
+		switch {
+		case cached:
+			outcome = "cached"
+		case res.Err != nil:
+			outcome = "error"
+		}
+		kvs := []obs.KV{{K: "shard", V: t.shard}, {K: "outcome", V: outcome}, {K: "checked", V: res.Checked}}
+		durSec := -1.0
+		if !cached {
+			durSec = o.Now().Sub(shardStart).Seconds()
+			kvs = append(kvs, obs.KV{K: "dur_us", V: int64(durSec * 1e6)})
+			o.Metrics.cellsSolved(res.Cells)
+		}
+		o.Metrics.shardDone(outcome, durSec)
+		o.Trace.Event("shard", js.job.Name, kvs...)
 	}
-	seed := deriveSeed(job.Seed, t.shard)
-	if cr, ok := ws.runner.(ContextRunner); ok {
-		res := cr.RunShardContext(ctx, seed, t.n)
-		return &res
+	e.shardDone(js, t.shard, res, cached, o.Cache != nil && key != "")
+}
+
+// underDeadline runs one shard's execution — local runner or remote lease —
+// against its job's wall-clock budget, which starts at the job's first
+// executing shard (cache replays do not start the clock; the clock is read
+// only when a budget or an instrument consumes it). A shard whose budget is
+// already spent fails without running; one still running at the deadline is
+// abandoned, and one that came back failed because the deadline cancelled
+// it is rewritten, all to the same deterministic error, so merged reports
+// differ across runs only in which shards were in flight at the deadline.
+// run executes under a context bounded by the deadline, so context-aware
+// runners and lease dispatchers stop shortly after abandonment; a plain
+// runner's goroutine leaks until it returns.
+func (e *emitter) underDeadline(ctx context.Context, js *jobState, run func(context.Context) *ShardResult) *ShardResult {
+	budget := e.o.JobTimeout
+	var deadline time.Time
+	if budget > 0 || e.obsOn {
+		e.mu.Lock()
+		if js.start.IsZero() {
+			js.start = e.o.Now()
+		}
+		deadline = js.start.Add(budget)
+		e.mu.Unlock()
 	}
-	res := ws.runner.RunShard(seed, t.n)
-	return &res
-}
-
-// jobTimers fixes each job's wall-clock deadline at the moment its first
-// shard begins executing (cache replays don't start the clock). Reads go
-// through the engine's clock seam.
-type jobTimers struct {
-	mu        sync.Mutex
-	deadlines []time.Time
-	now       func() time.Time
-}
-
-func (jt *jobTimers) deadline(j int, budget time.Duration) time.Time {
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	if jt.deadlines[j].IsZero() {
-		jt.deadlines[j] = jt.now().Add(budget)
+	if budget <= 0 {
+		return run(ctx)
 	}
-	return jt.deadlines[j]
-}
-
-// timeoutErr is the deterministic error a job's shards fail with once its
-// wall-clock budget is spent, so merged reports differ across runs only in
-// which shards happened to be in flight at the deadline.
-func timeoutErr(budget time.Duration) error {
-	return fmt.Errorf("job wall-clock budget %v exceeded", budget)
-}
-
-// runShardTimed is runShard raced against the job's deadline. The second
-// return value reports whether the runner is still usable: a shard that
-// outlives the deadline is abandoned and its runner must not be reused.
-// The runner executes under a context bounded by the deadline, so
-// context-aware runners (SAT proofs) stop shortly after abandonment
-// instead of leaking their goroutine indefinitely; plain runners leak
-// until they return, as before.
-func runShardTimed(ctx context.Context, job *Job, ws *workerState, t task, deadline time.Time, budget time.Duration, now func() time.Time) (*ShardResult, bool) {
-	remaining := deadline.Sub(now())
+	timeout := &ShardResult{Err: errors.New("job wall-clock budget " + budget.String() + " exceeded")}
+	remaining := deadline.Sub(e.o.Now())
 	if remaining <= 0 {
-		return &ShardResult{Err: timeoutErr(budget)}, true
+		return timeout
 	}
 	shardCtx, cancel := context.WithDeadline(ctx, deadline)
 	done := make(chan *ShardResult, 1)
 	go func() {
 		defer cancel()
-		done <- runShard(shardCtx, job, ws, t)
+		done <- run(shardCtx)
 	}()
-	timer := time.NewTimer(remaining)
-	defer timer.Stop()
 	select {
 	case res := <-done:
-		return res, true
-	case <-timer.C:
-		return &ShardResult{Err: timeoutErr(budget)}, false
+		if res.Err != nil && errors.Is(shardCtx.Err(), context.DeadlineExceeded) && ctx.Err() == nil {
+			return timeout
+		}
+		return res
+	case <-time.After(remaining):
+		return timeout
 	}
 }
 
-// emitter tracks per-job shard completion and merges each job exactly once,
-// in matrix order. The mutex both serializes bookkeeping and publishes
-// workers' result writes to whichever goroutine performs the merge.
+// emitter owns the running campaign's per-job state: it lands shard
+// results, merges each job exactly once the moment its last shard lands,
+// and hands rows to OnJobReport in matrix order. The mutex both serializes
+// the bookkeeping and publishes workers' result writes to whichever
+// goroutine performs the merge.
 type emitter struct {
+	o      *Options
+	obsOn  bool
+	cancel context.CancelFunc // stops the campaign when FailFast trips
+
 	mu        sync.Mutex
-	jobs      []Job
-	buildErrs []error
-	results   [][]*ShardResult
-	pending   []int
-	o         Options
-	sizes     []int // per-job shard size (merge's packet-index arithmetic)
-	reports   []*JobReport
-	clocks    *jobClocks // nil when observability is off
-	cursor    int
+	states    []jobState
+	cursor    int    // jobs before it are merged into report and emitted
+	remaining int64  // shards not yet landed, for the queue-depth gauge
+	report    Report // rows are the values OnJobReport streamed
 }
 
-// shardDone records one completed shard and emits every newly complete job
-// at the cursor.
-func (e *emitter) shardDone(j int) {
+// shardDone lands one shard and emits every newly complete job at the
+// cursor. A failing shard stops a FailFast campaign; a target that could not
+// be built is its job's finding, not a failed shard, and does not.
+func (e *emitter) shardDone(js *jobState, shard int, res *ShardResult, cached, keyed bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.pending[j]--
-	e.advance()
-}
-
-// flush emits jobs that are complete before any shard runs (build errors,
-// zero-shard plans).
-func (e *emitter) flush() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.advance()
-}
-
-// finish force-completes every remaining job — shards skipped by
-// cancellation merge as aborted. Called after the worker pool drains, so
-// every job is emitted exactly once.
-func (e *emitter) finish() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for j := range e.pending {
-		e.pending[j] = 0
+	js.results[shard] = res
+	js.pending--
+	if cached {
+		js.hits++
+	} else if keyed {
+		js.misses++
 	}
-	e.advance()
+	e.remaining--
+	if e.obsOn {
+		e.o.Metrics.queueDepth(e.remaining)
+	}
+	if !errors.As(res.Err, &js.buildErr) && e.o.FailFast && (res.Err != nil || len(res.Findings) > 0) {
+		e.report.StoppedEarly = true
+		e.cancel()
+	}
+	e.advance(false)
 }
 
-func (e *emitter) advance() {
-	for e.cursor < len(e.jobs) && e.pending[e.cursor] == 0 {
-		j := e.cursor
-		jr := mergeJob(&e.jobs[j], e.buildErrs[j], e.results[j], e.o, e.sizes[j])
-		e.reports[j] = &jr
+// advance merges and emits every complete job at the cursor — once the pool
+// has drained, every remaining job: shards skipped by cancellation merge as
+// aborted, so each job is emitted exactly once.
+func (e *emitter) advance(drained bool) {
+	for e.cursor < len(e.states) && (drained || e.states[e.cursor].pending == 0) {
+		js := &e.states[e.cursor]
 		e.cursor++
-		if e.clocks != nil {
+		js.merge(e.o.MaxCounterexamples)
+		js.exec, js.results = nil, nil
+		e.report.Jobs = append(e.report.Jobs, js.row)
+		e.report.Passed = e.report.Passed && js.row.Passed()
+		e.report.TotalChecked += int64(js.row.Checked)
+		if e.report.Cache != nil {
+			e.report.Cache.Hits += js.hits
+			e.report.Cache.Misses += js.misses
+		}
+		if e.obsOn {
 			durSec := -1.0
-			if st := e.clocks.get(j); !st.IsZero() {
-				durSec = e.o.Now().Sub(st).Seconds()
+			if !js.start.IsZero() {
+				durSec = e.o.Now().Sub(js.start).Seconds()
 			}
-			e.o.Metrics.jobDone(jr.Status, durSec)
-			e.o.Trace.Event("job", jr.Name, obs.KV{K: "status", V: jr.Status}, obs.KV{K: "checked", V: jr.Checked})
+			e.o.Metrics.jobDone(js.row.Status, durSec)
+			e.o.Trace.Event("job", js.row.Name, obs.KV{K: "status", V: js.row.Status}, obs.KV{K: "checked", V: js.row.Checked})
 		}
 		if e.o.OnJobReport != nil {
-			e.o.OnJobReport(jr)
+			e.o.OnJobReport(js.row)
 		}
 	}
-}
-
-// assemble folds the per-job reports into the campaign report; the rows are
-// the same values OnJobReport streamed.
-func (e *emitter) assemble() *Report {
-	rep := &Report{Passed: true}
-	for _, jr := range e.reports {
-		rep.Jobs = append(rep.Jobs, *jr)
-		if !jr.Passed() {
-			rep.Passed = false
-		}
-		rep.TotalChecked += int64(jr.Checked)
-	}
-	return rep
 }

@@ -14,7 +14,6 @@ package campaign
 import (
 	"context"
 	"errors"
-	"time"
 )
 
 // ErrNoWorkers is the sentinel a ShardExecutor returns (wrapped, as a
@@ -65,28 +64,4 @@ type ShardTask struct {
 // or when it ran.
 type ShardExecutor interface {
 	ExecuteShard(ctx context.Context, t ShardTask) *ShardResult
-}
-
-// runShardRemote executes one shard through the executor under the job's
-// deadline. A result that failed because the deadline expired is rewritten
-// to the engine's deterministic timeout error, matching the local path;
-// ErrNoWorkers passes through untouched so the caller can fall back to
-// local execution.
-func runShardRemote(ctx context.Context, ex ShardExecutor, st ShardTask, deadline time.Time, budget time.Duration) *ShardResult {
-	sctx := ctx
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		sctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	res := ex.ExecuteShard(sctx, st)
-	if res == nil {
-		return &ShardResult{Err: errors.New("campaign: executor returned no result")}
-	}
-	if res.Err != nil && !errors.Is(res.Err, ErrNoWorkers) && sctx.Err() != nil && ctx.Err() == nil {
-		// The job's wall clock expired while the lease was in flight:
-		// report the same deterministic timeout the local path does.
-		return &ShardResult{Err: timeoutErr(budget)}
-	}
-	return res
 }

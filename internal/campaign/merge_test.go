@@ -161,8 +161,9 @@ func TestMergeUncappedCounterexamples(t *testing.T) {
 }
 
 // TestMergeCancellationSkippedJobs: a pre-cancelled context aborts every
-// job deterministically — builds are skipped, no shards are planned, and
-// the report renders byte-identically for every worker count.
+// job deterministically — nothing is built, every planned shard is skipped
+// (the row says how many there were), and the report renders
+// byte-identically for every worker count.
 func TestMergeCancellationSkippedJobs(t *testing.T) {
 	jobs := []Job{
 		{Name: "a", Target: &stubTarget{run: func(int64, int) ShardResult { return ShardResult{} }}, Packets: 10},
@@ -177,7 +178,7 @@ func TestMergeCancellationSkippedJobs(t *testing.T) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
 		for i := range rep.Jobs {
-			if rep.Jobs[i].Status != StatusAborted || rep.Jobs[i].ShardsRun != 0 {
+			if rep.Jobs[i].Status != StatusAborted || rep.Jobs[i].ShardsRun != 0 || rep.Jobs[i].Shards != 1 {
 				t.Fatalf("job %s: %+v", rep.Jobs[i].Name, rep.Jobs[i])
 			}
 		}

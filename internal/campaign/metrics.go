@@ -14,9 +14,9 @@ type Metrics struct {
 	// replays are counted, not timed).
 	ShardSeconds *obs.Histogram
 
-	// JobSeconds observes each job's duration from its first shard
-	// starting to its merge (fully cached and build-error jobs are
-	// counted under Jobs but not timed).
+	// JobSeconds observes each job's duration from its first executing
+	// shard starting to its merge (fully cached jobs are counted under
+	// Jobs but not timed).
 	JobSeconds *obs.Histogram
 
 	// Shards counts shard completions by outcome: cached | executed |
@@ -31,6 +31,13 @@ type Metrics struct {
 	// cumulatively across campaigns.
 	CacheHits   *obs.Counter
 	CacheMisses *obs.Counter
+
+	// TargetBuilds and RunnersBuilt count Target.Build and
+	// Instance.NewRunner calls made by JobExec.Run, the only caller of
+	// either: both stay flat across a campaign or lease the cache fully
+	// serves.
+	TargetBuilds *obs.Counter
+	RunnersBuilt *obs.Counter
 
 	// SatConflicts, SatDecisions, SatPropagations and SatRestarts sum the
 	// solver effort of the verification cells executed here (cache replays
@@ -61,6 +68,8 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		Jobs:            r.CounterVec("druzhba_campaign_jobs_total", "merged job rows by report status", "status"),
 		CacheHits:       r.Counter("druzhba_campaign_cache_hits_total", "shards replayed from the shard cache"),
 		CacheMisses:     r.Counter("druzhba_campaign_cache_misses_total", "shards executed with caching on"),
+		TargetBuilds:    r.Counter("druzhba_campaign_target_builds_total", "targets built, each on its job's first cache miss"),
+		RunnersBuilt:    r.Counter("druzhba_campaign_runners_built_total", "runners cloned from built targets"),
 		SatConflicts:    r.Counter("druzhba_sat_conflicts_total", "SAT conflicts in verification cells executed here"),
 		SatDecisions:    r.Counter("druzhba_sat_decisions_total", "SAT decisions in verification cells executed here"),
 		SatPropagations: r.Counter("druzhba_sat_propagations_total", "SAT unit propagations in verification cells executed here"),
@@ -119,16 +128,14 @@ func (m *Metrics) jobDone(status string, durSec float64) {
 	}
 }
 
-// cacheProbe records one shard-cache consultation.
-func (m *Metrics) cacheProbe(hit bool) {
+// CacheStats reads the cumulative probe counters back: every shard this
+// process replayed from, or missed in, a shard cache — campaigns and leases
+// alike.
+func (m *Metrics) CacheStats() CacheStats {
 	if m == nil {
-		return
+		return CacheStats{}
 	}
-	if hit {
-		m.CacheHits.Inc()
-	} else {
-		m.CacheMisses.Inc()
-	}
+	return CacheStats{Hits: int64(m.CacheHits.Value()), Misses: int64(m.CacheMisses.Value())}
 }
 
 // queueDepth publishes the number of shards still pending.

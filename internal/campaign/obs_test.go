@@ -68,6 +68,11 @@ func TestInstrumentedReportByteIdentical(t *testing.T) {
 	if snap := m.ShardSeconds.Snapshot(); snap.Count != uint64(executed+errored) {
 		t.Fatalf("shard_seconds count = %d, want %d", snap.Count, executed+errored)
 	}
+	// No cache: every job's first shard built its target, and each of the
+	// 4 workers cloned at most one runner per job.
+	if builds, runners := int(m.TargetBuilds.Value()), int(m.RunnersBuilt.Value()); builds != len(jobs) || runners < len(jobs) || runners > 4*len(jobs) {
+		t.Fatalf("target builds = %d, runners built = %d for %d jobs on 4 workers", builds, runners, len(jobs))
+	}
 
 	// The trace journal is valid NDJSON with the expected lifecycle
 	// events: one campaign span, one event per job and per shard.
@@ -148,8 +153,10 @@ func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
 	m.shardDone("executed", 0.5)
 	m.jobDone(StatusPass, 1)
-	m.cacheProbe(true)
-	m.cacheProbe(false)
+	CacheGet(newMapCache(), m, "absent")
+	if m.CacheStats() != (CacheStats{}) {
+		t.Fatal("nil metrics counted a probe")
+	}
 	m.queueDepth(3)
 	m.cellsSolved([]VerifyCell{{}})
 }

@@ -89,41 +89,25 @@ type Report struct {
 	Cache *CacheStats `json:"-"`
 }
 
-// mergeJob folds one job's shard results into its report row, visiting
+// merge folds the job's landed shard results into its report row, visiting
 // shards in index order so the outcome is independent of scheduling. It is
 // called exactly once per job — either the moment the job's last shard
 // lands (streaming consumers) or when the pool drains — and the same value
 // serves both the streamed row and the final report, so the two are
 // byte-identical by construction.
-func mergeJob(job *Job, buildErr error, results []*ShardResult, o Options, shardSize int) JobReport {
-	jr := JobReport{
-		Name:    job.Name,
-		Mode:    ModeFuzz,
-		Arch:    job.Target.Arch(),
-		Engine:  job.Target.Engine(),
-		Seed:    job.Seed,
-		Packets: job.Packets,
-		Shards:  len(results),
-	}
-	if m, ok := job.Target.(Moder); ok {
-		jr.Mode = m.Mode()
-	}
-	if b, ok := job.Target.(BenchmarkNamer); ok {
-		jr.Benchmark = b.BenchmarkName()
-	}
-	if buildErr != nil {
+func (js *jobState) merge(maxCounterexamples int) {
+	jr := &js.row
+	if js.buildErr != nil {
+		// The target never built, so no shard of the job was runnable: the
+		// finding is the job's, reported bare on a row with no shards.
+		jr.Shards = 0
 		jr.Status = StatusError
-		jr.Error = buildErr.Error()
-		return jr
-	}
-	if len(results) == 0 {
-		// Build skipped by cancellation: no shards were ever planned.
-		jr.Status = StatusAborted
-		return jr
+		jr.Error = js.buildErr.Error()
+		return
 	}
 	seen := map[string]bool{}
 	unknown := false
-	for s, res := range results {
+	for s, res := range js.results {
 		if res == nil {
 			continue // shard skipped by cancellation
 		}
@@ -141,7 +125,7 @@ func mergeJob(job *Job, buildErr error, results []*ShardResult, o Options, shard
 		}
 		for _, f := range res.Findings {
 			ce := Counterexample{
-				Packet: s*shardSize + f.Index,
+				Packet: s*js.size + f.Index,
 				Input:  f.Input,
 				Got:    f.Got,
 				Want:   f.Want,
@@ -151,7 +135,7 @@ func mergeJob(job *Job, buildErr error, results []*ShardResult, o Options, shard
 				continue
 			}
 			seen[key] = true
-			if o.MaxCounterexamples < 0 || len(jr.Counterexamples) < o.MaxCounterexamples {
+			if maxCounterexamples < 0 || len(jr.Counterexamples) < maxCounterexamples {
 				jr.Counterexamples = append(jr.Counterexamples, ce)
 			}
 		}
@@ -168,7 +152,6 @@ func mergeJob(job *Job, buildErr error, results []*ShardResult, o Options, shard
 	default:
 		jr.Status = StatusPass
 	}
-	return jr
 }
 
 // Text renders the report for humans. includeMeta adds the

@@ -14,7 +14,7 @@ import (
 // in the Fig. 5 workflow — the original dfarm job shape.
 type PipelineTarget struct {
 	// Spec, Code and Level describe the pipeline under test; the engine
-	// builds it once per job.
+	// builds it at most once per job.
 	Spec  core.Spec
 	Code  *machinecode.Program
 	Level core.OptLevel

@@ -3,10 +3,11 @@ package campaign
 import "context"
 
 // Target is the architecture-generic system under test of one campaign
-// job. The engine builds each job's target exactly once, hands every
-// worker a private runner over it, and executes shards on those runners;
-// nothing in the engine knows whether the machinery underneath is an RMT
-// pipeline or a dRMT machine. Implementations must keep Build and the
+// job. A JobExec builds the target at most once — on the job's first shard
+// that has to execute, never for a job the cache fully serves — clones
+// private runners over the instance, and executes shards on those runners;
+// nothing above knows whether the machinery underneath is an RMT pipeline
+// or a dRMT machine. Implementations must keep Build and the
 // runners it yields free of shared mutable state, because runners execute
 // concurrently on the worker pool.
 type Target interface {
@@ -18,24 +19,28 @@ type Target interface {
 	// machines.
 	Engine() string
 
-	// Build constructs the job's master instance, once per campaign. A
-	// build failure is a test finding (the paper's §5.2 first failure
-	// class: configuration incompatible with the hardware model), not a
-	// harness error — the engine reports it as StatusError.
+	// Build constructs the job's master instance, at most once per
+	// campaign and only when a shard has to execute. A build failure is a
+	// test finding (the paper's §5.2 first failure class: configuration
+	// incompatible with the hardware model), not a harness error — every
+	// shard returns it as a *BuildError and the engine reports the job as
+	// StatusError.
 	Build() (Instance, error)
 }
 
 // Instance is one job's built target, shared read-only across workers.
 type Instance interface {
-	// NewRunner returns a worker-private runner over a clone of the
-	// instance; runners share no mutable state with each other or with
-	// the instance. An error is replayed as the result of every shard
-	// the worker picks up for the job.
+	// NewRunner returns a private runner over a clone of the instance;
+	// runners share no mutable state with each other or with the
+	// instance. An error is the result of the shard that needed the
+	// runner; the next shard asks again.
 	NewRunner() (Runner, error)
 }
 
-// Runner executes a job's shards sequentially on one worker, reusing its
-// internal machinery (clones, ring buffers, spec instances) across shards.
+// Runner executes a job's shards one at a time, reusing its internal
+// machinery (clones, ring buffers, spec instances) across shards. A JobExec
+// lends it to one shard at a time and keeps it only while its shards
+// complete without error.
 type Runner interface {
 	// RunShard resets the runner's mutable state and streams n
 	// deterministically seeded packets through the target, comparing
@@ -109,5 +114,3 @@ type ShardResult struct {
 	Cells    []VerifyCell // verification cells decided by this shard
 	Err      error        // harness or simulation failure
 }
-
-func (r *ShardResult) failed() bool { return r.Err != nil || len(r.Findings) > 0 }

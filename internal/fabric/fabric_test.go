@@ -374,6 +374,14 @@ func TestNoWorkersLocalFallback(t *testing.T) {
 	if got := c.Dispatcher().Stats().Leases; got != 0 {
 		t.Fatalf("%d leases executed with no workers registered", got)
 	}
+	// The fallback is where a coordinator builds: once per job.
+	jobs, err := smallMatrix().Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := scrape(t, ts.URL)["druzhba_campaign_target_builds_total"]; got != float64(len(jobs)) {
+		t.Fatalf("fallback built %v targets, want one per job (%d)", got, len(jobs))
+	}
 }
 
 // TestResumeAfterDisconnect: a client that consumed part of a stream and

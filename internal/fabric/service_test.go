@@ -111,10 +111,15 @@ var (
 	dispatchKeys = []string{"fallback", "leases", "poisoned", "retries"}
 )
 
+// builtSeries are the two counters JobExec.Run moves: targets built and
+// runners cloned, by campaigns and leases alike.
+var builtSeries = []string{"druzhba_campaign_target_builds_total", "druzhba_campaign_runners_built_total"}
+
 // TestOneLedgerWorker: after one campaign, one executed lease and one lease
 // served from cache, every dfarmd /v1/stats counter equals its /metrics
 // series — the lease path's cache probes included, which had no series
-// while stats kept its own counters.
+// while stats kept its own counters. Resubmitting the now-cached campaign
+// and lease builds no target and clones no runner.
 func TestOneLedgerWorker(t *testing.T) {
 	ts := httptest.NewServer(farmd.NewServer(farmd.Config{Cache: farmd.NewMemCache(0), Workers: 2}))
 	defer ts.Close()
@@ -136,6 +141,19 @@ func TestOneLedgerWorker(t *testing.T) {
 	checkLedger(t, "dfarmd", doc, scrape(t, ts.URL), workerLedger, workerKeys)
 	if doc["campaigns"] != 1.0 || doc["leases"] != 2.0 || doc["cache_hits"] != 1.0 {
 		t.Fatalf("scenario did not run one campaign, two leases and one lease cache hit: %v", doc)
+	}
+
+	cold := scrape(t, ts.URL)
+	submitRender(t, ts.URL, req, farmd.StreamOptions{})
+	if err := (farmd.Wire{}).Call(t.Context(), http.MethodPost, ts.URL+"/v1/leases", lease, new(farmd.WireShardResult)); err != nil {
+		t.Fatal(err)
+	}
+	warm := scrape(t, ts.URL)
+	for _, series := range builtSeries {
+		// One campaign job and one leased job, each built once.
+		if cold[series] < 2 || warm[series] != cold[series] {
+			t.Errorf("%s: %v after the cold run, %v after a fully cached resubmission", series, cold[series], warm[series])
+		}
 	}
 }
 
@@ -169,8 +187,17 @@ func TestOneLedgerCoordinator(t *testing.T) {
 	if doc["shard_puts"] == 0.0 || doc["shard_misses"] == 0.0 {
 		t.Errorf("workers never reached the shard store: %v", doc)
 	}
+	var workerBuilds float64
 	for _, url := range workers {
-		checkLedger(t, url, statsDoc(t, url), scrape(t, url), workerLedger, workerKeys)
+		wm := scrape(t, url)
+		checkLedger(t, url, statsDoc(t, url), wm, workerLedger, workerKeys)
+		workerBuilds += wm[builtSeries[0]]
+	}
+	// Every lease succeeded, so the coordinator planned, merged and cached
+	// without ever building a target; the workers did that.
+	if metrics[builtSeries[0]] != 0 || metrics[builtSeries[1]] != 0 || workerBuilds == 0 {
+		t.Errorf("coordinator built %v targets and cloned %v runners (want 0, 0); workers built %v",
+			metrics[builtSeries[0]], metrics[builtSeries[1]], workerBuilds)
 	}
 }
 

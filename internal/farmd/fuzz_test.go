@@ -1,0 +1,113 @@
+package farmd
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"druzhba/internal/campaign"
+)
+
+// affordable reports whether serving lease costs little enough to do on
+// every fuzz iteration: the handler trusts an authenticated coordinator's
+// matrix, so a body can legitimately ask for hours of packets or a 16-bit
+// proof. A packet count beyond any job of the matrix is affordable — it must
+// be rejected before anything runs.
+func affordable(lease *ShardLease) bool {
+	r := lease.Request
+	if r == nil {
+		return true
+	}
+	small := func(xs []int, most int) bool {
+		for _, x := range xs {
+			if x > most {
+				return false
+			}
+		}
+		return len(xs) <= 3
+	}
+	return (lease.N <= 1024 || lease.N > max(r.Packets, 50000)) && len(r.Seeds) <= 3 && len(r.Traffic) <= 2 && len(r.Levels) <= 4 &&
+		small(r.Procs, 8) && small(r.VerifyBits, 5) && small(r.VerifySteps, 2) && len(lease.VerifyRows) <= 2
+}
+
+// FuzzLeaseBody drives raw bytes through the lease handler, the body a
+// worker accepts from the network: it never panics, it answers only with
+// the dispatch protocol's statuses, and a 200 carries exactly the result
+// JobExec.Run gives in-process for the job the lease names.
+func FuzzLeaseBody(f *testing.F) {
+	fuzzReq := smallMatrix()
+	jobs, err := fuzzReq.Jobs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	verifyReq := &MatrixRequest{Run: "sampling", Mode: campaign.ModeVerify, VerifyBits: []int{3}}
+	vjobs, err := verifyReq.VerifyJobs()
+	if err != nil {
+		f.Fatal(err)
+	}
+	bothReq := &MatrixRequest{Run: "sampling", Mode: ModeBoth, Levels: []string{"compiled"}, VerifyBits: []int{3}, Packets: 300}
+	bjobs, err := bothReq.FuzzJobs(nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	refuted := []campaign.JobReport{{
+		Name: vjobs[0].Name, Mode: campaign.ModeVerify, Benchmark: "sampling",
+		Cells: []campaign.VerifyCell{{Bits: 3, Steps: 2, Verdict: campaign.VerdictCounterexample, Trace: [][]int64{{1, 2}, {3, 4}}}},
+	}}
+	valid := &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, Seed: 42, N: 64, Request: fuzzReq}
+	for _, lease := range []*ShardLease{
+		valid,
+		{Proto: LeaseProto, Phase: PhaseVerify, Job: vjobs[0].Name, Seed: vjobs[0].Seed, N: 1, Request: verifyReq},
+		{Proto: LeaseProto, Phase: PhaseFuzz, Job: bjobs[0].Name, Seed: 7, N: 100, Request: bothReq, VerifyRows: refuted},
+		{Proto: LeaseProto + 1, Job: jobs[0].Name, N: 1, Request: fuzzReq},
+		{Proto: LeaseProto, Job: "no/such/job", N: 1, Request: fuzzReq},
+		{Proto: LeaseProto, Job: jobs[0].Name, N: 2_000_000_000, Request: fuzzReq},
+	} {
+		body, err := json.Marshal(lease)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	body, _ := json.Marshal(valid)
+	f.Add(body[:len(body)/2])
+
+	s := NewServer(Config{Workers: 2})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var lease ShardLease
+		decoded := json.Unmarshal(body, &lease) == nil
+		if decoded && !affordable(&lease) {
+			t.Skip()
+		}
+		rec := httptest.NewRecorder()
+		s.handleLease(rec, httptest.NewRequest(http.MethodPost, "/v1/leases", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusConflict, http.StatusUnprocessableEntity:
+			return
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if !decoded {
+			t.Fatalf("200 for a body that does not decode: %q", body)
+		}
+		jobs, err := lease.Request.LeaseJobs(lease.Phase, lease.VerifyRows)
+		if err != nil {
+			t.Fatalf("200 for a lease whose matrix does not expand: %v", err)
+		}
+		for i := range jobs {
+			if jobs[i].Name != lease.Job {
+				continue
+			}
+			want, _ := json.Marshal(WireResult(campaign.NewJobExec(jobs[i].Target, nil).Run(context.Background(), lease.Seed, lease.N)))
+			if got := bytes.TrimSpace(rec.Body.Bytes()); !bytes.Equal(got, want) {
+				t.Fatalf("leased shard differs from JobExec.Run:\nlease: %s\nlocal: %s", got, want)
+			}
+			return
+		}
+		t.Fatalf("200 for job %q, which the lease's matrix does not have", lease.Job)
+	})
+}

@@ -17,6 +17,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -108,6 +109,11 @@ type WireShardResult struct {
 	Findings []campaign.Finding    `json:"findings,omitempty"`
 	Cells    []campaign.VerifyCell `json:"cells,omitempty"`
 	Error    string                `json:"error,omitempty"`
+
+	// BuildError marks Error as the job's target failing to build
+	// (campaign.BuildError), so the engine that leased the shard reports
+	// the same build-error row a local run does.
+	BuildError bool `json:"build_error,omitempty"`
 }
 
 // WireResult converts an engine shard result to its wire form.
@@ -115,6 +121,7 @@ func WireResult(res *campaign.ShardResult) WireShardResult {
 	w := WireShardResult{Checked: res.Checked, Ticks: res.Ticks, Findings: res.Findings, Cells: res.Cells}
 	if res.Err != nil {
 		w.Error = res.Err.Error()
+		w.BuildError = errors.As(res.Err, new(*campaign.BuildError))
 	}
 	return w
 }
@@ -123,34 +130,36 @@ func WireResult(res *campaign.ShardResult) WireShardResult {
 func (w *WireShardResult) Result() *campaign.ShardResult {
 	res := &campaign.ShardResult{Checked: w.Checked, Ticks: w.Ticks, Findings: w.Findings, Cells: w.Cells}
 	if w.Error != "" {
-		res.Err = fmt.Errorf("%s", w.Error)
+		res.Err = errors.New(w.Error)
+		if w.BuildError {
+			res.Err = &campaign.BuildError{Err: res.Err}
+		}
 	}
 	return res
 }
 
-// instanceCache is the worker's bounded LRU of built campaign targets,
-// keyed by (request, phase, job). Leases of one campaign arrive as a
-// stream of shards over the same few jobs, so caching the built instance
-// (compiled pipeline, interned dRMT layout, proof tables) amortizes the
-// build across every shard the worker is leased; runners are additionally
-// pooled per instance because the engine's own workers reuse runners
-// across shards by design.
+// instanceCache is the worker's bounded LRU of leased jobs, keyed by
+// (request, phase, job). Leases of one campaign arrive as a stream of
+// shards over the same few jobs, so keeping the resolved job and its
+// campaign.JobExec (compiled pipeline, interned dRMT layout, proof tables,
+// idle runners) amortizes expansion, build and clones across every shard
+// the worker is leased.
 type instanceCache struct {
 	mu    sync.Mutex
 	cap   int
-	order *list.List // front = most recently used; values are *instEntry
+	order *list.List // front = most recently used; values are *leasedJob
 	items map[string]*list.Element
 }
 
-type instEntry struct {
-	key  string
-	once sync.Once
-	job  campaign.Job
-	inst campaign.Instance
-	err  error
-
-	mu      sync.Mutex
-	runners []campaign.Runner // free list of idle runners
+// leasedJob is one cache residency of a leased job: the job a lease names,
+// resolved once, as its packet budget (no lease may ask for more) and the
+// executor every lease of it runs through.
+type leasedJob struct {
+	key     string
+	once    sync.Once
+	packets int
+	exec    *campaign.JobExec
+	err     error // the lease names no job of its request's matrix
 }
 
 func newInstanceCache(capacity int) *instanceCache {
@@ -179,11 +188,13 @@ func leaseKey(lease *ShardLease) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
-// get returns the built (job, instance) for a lease, building it at most
-// once per cache residency. Build errors are cached too: a coordinator
-// retrying a lease the worker cannot build gets the same answer without
-// paying the build again.
-func (c *instanceCache) get(lease *ShardLease) (*instEntry, error) {
+// get resolves the job a lease names, expanding the lease's matrix at most
+// once per cache residency; m meters the job's executor. Nothing is built
+// here — the executor builds on the first lease the cache does not serve.
+// Resolution errors are cached too: a coordinator retrying a lease this
+// worker cannot place gets the same answer without paying the expansion
+// again.
+func (c *instanceCache) get(lease *ShardLease, m *campaign.Metrics) (*leasedJob, error) {
 	key, err := leaseKey(lease)
 	if err != nil {
 		return nil, err
@@ -191,17 +202,17 @@ func (c *instanceCache) get(lease *ShardLease) (*instEntry, error) {
 	c.mu.Lock()
 	el, ok := c.items[key]
 	if !ok {
-		el = c.order.PushFront(&instEntry{key: key})
+		el = c.order.PushFront(&leasedJob{key: key})
 		c.items[key] = el
 		for len(c.items) > c.cap {
 			oldest := c.order.Back()
 			c.order.Remove(oldest)
-			delete(c.items, oldest.Value.(*instEntry).key)
+			delete(c.items, oldest.Value.(*leasedJob).key)
 		}
 	} else {
 		c.order.MoveToFront(el)
 	}
-	ent := el.Value.(*instEntry)
+	ent := el.Value.(*leasedJob)
 	c.mu.Unlock()
 
 	ent.once.Do(func() {
@@ -212,8 +223,8 @@ func (c *instanceCache) get(lease *ShardLease) (*instEntry, error) {
 		}
 		for i := range jobs {
 			if jobs[i].Name == lease.Job {
-				ent.job = jobs[i]
-				ent.inst, ent.err = jobs[i].Target.Build()
+				ent.packets = jobs[i].Packets
+				ent.exec = campaign.NewJobExec(jobs[i].Target, m)
 				return
 			}
 		}
@@ -223,29 +234,4 @@ func (c *instanceCache) get(lease *ShardLease) (*instEntry, error) {
 		return nil, ent.err
 	}
 	return ent, nil
-}
-
-// runner pops an idle runner or builds a fresh one.
-func (e *instEntry) runner() (campaign.Runner, error) {
-	e.mu.Lock()
-	if n := len(e.runners); n > 0 {
-		r := e.runners[n-1]
-		e.runners = e.runners[:n-1]
-		e.mu.Unlock()
-		return r, nil
-	}
-	e.mu.Unlock()
-	return e.inst.NewRunner()
-}
-
-// release returns a runner to the free list. Only runners whose last shard
-// completed cleanly are reused; a runner abandoned mid-shard (cancelled
-// proof, failed stream) is dropped so its half-mutated state can never
-// leak into another lease.
-func (e *instEntry) release(r campaign.Runner) {
-	e.mu.Lock()
-	if len(e.runners) < 8 {
-		e.runners = append(e.runners, r)
-	}
-	e.mu.Unlock()
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,13 +38,61 @@ func postLease(t *testing.T, url string, lease *ShardLease, token string) *http.
 	return resp
 }
 
+// leaseStub scripts a target's failure points for the lease tests.
+type leaseStub struct {
+	buildErr, runnerErr error
+	shardErr            error // returned by every shard, as a cancelled proof returns ctx.Err()
+	runners             atomic.Int64
+}
+
+func (t *leaseStub) Arch() string   { return "stub" }
+func (t *leaseStub) Engine() string { return "none" }
+func (t *leaseStub) Build() (campaign.Instance, error) {
+	if t.buildErr != nil {
+		return nil, t.buildErr
+	}
+	return t, nil
+}
+func (t *leaseStub) NewRunner() (campaign.Runner, error) {
+	t.runners.Add(1)
+	if t.runnerErr != nil {
+		return nil, t.runnerErr
+	}
+	return t, nil
+}
+func (t *leaseStub) RunShard(seed int64, n int) campaign.ShardResult {
+	return t.RunShardContext(context.Background(), seed, n)
+}
+func (t *leaseStub) RunShardContext(_ context.Context, seed int64, n int) campaign.ShardResult {
+	return campaign.ShardResult{Checked: n, Ticks: seed, Err: t.shardErr}
+}
+
+// seedLeasedJob makes lease resolve to target on s, as if the lease's
+// request had expanded to a job of that name with that target.
+func seedLeasedJob(t *testing.T, s *Server, lease *ShardLease, target campaign.Target, packets int) {
+	t.Helper()
+	key, err := leaseKey(lease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ent := &leasedJob{key: key, packets: packets, exec: campaign.NewJobExec(target, nil)}
+	ent.once.Do(func() {})
+	s.instances.items[key] = s.instances.order.PushFront(ent)
+}
+
 // TestLeaseMatchesLocalExecution pins the fabric's relocation invariant at
 // the worker boundary: a shard executed through POST /v1/leases returns
 // exactly the result a local runner produces for the same (job, seed, n) —
 // the property that makes retries, re-issues and worker death invisible in
-// reports.
+// reports. That includes the shards that fail: a target that cannot build,
+// one that cannot clone a runner and one whose shard ends cancelled answer
+// 200 with exactly the ShardResult JobExec.Run gives in-process — the build
+// failure still typed after the wire — are not cached, and do not get their
+// runner reused.
 func TestLeaseMatchesLocalExecution(t *testing.T) {
-	srv := httptest.NewServer(NewServer(Config{Workers: 2}))
+	cache := NewMemCache(0)
+	s := NewServer(Config{Cache: cache, Workers: 2})
+	srv := httptest.NewServer(s)
 	defer srv.Close()
 	req := smallMatrix()
 	jobs, err := req.LeaseJobs(PhaseFuzz, nil)
@@ -87,6 +137,46 @@ func TestLeaseMatchesLocalExecution(t *testing.T) {
 			t.Fatalf("leased shard of %s differs from local execution:\nlease: %s\nlocal: %s", job.Name, gotJSON, wantJSON)
 		}
 	}
+
+	stubs := map[string]func() *leaseStub{
+		"build-error":  func() *leaseStub { return &leaseStub{buildErr: errors.New("machine code incompatible")} },
+		"runner-error": func() *leaseStub { return &leaseStub{runnerErr: errors.New("spec factory refused")} },
+		"cancelled":    func() *leaseStub { return &leaseStub{shardErr: context.Canceled} },
+		"clean":        func() *leaseStub { return &leaseStub{} },
+	}
+	for name, mk := range stubs {
+		served, local := mk(), mk()
+		exec := campaign.NewJobExec(local, nil)
+		lease := &ShardLease{Proto: LeaseProto, Job: "stub/" + name, Seed: 99, N: 32, Key: strings.Repeat("ef", 31) + name[:2], Request: smallMatrix()}
+		seedLeasedJob(t, s, lease, served, 64)
+		for round := 0; round < 2; round++ {
+			want := exec.Run(context.Background(), lease.Seed, lease.N)
+			var wire WireShardResult
+			if err := (Wire{}).Call(context.Background(), http.MethodPost, srv.URL+"/v1/leases", lease, &wire); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			gotJSON, _ := json.Marshal(wire)
+			wantJSON, _ := json.Marshal(WireResult(want))
+			if !bytes.Equal(gotJSON, wantJSON) {
+				t.Fatalf("%s: leased shard differs from JobExec.Run:\nlease: %s\nlocal: %s", name, gotJSON, wantJSON)
+			}
+			if isBuild := errors.As(wire.Result().Err, new(*campaign.BuildError)); isBuild != (name == "build-error") {
+				t.Fatalf("%s: result decodes as build error = %v", name, isBuild)
+			}
+			if _, ok := cache.Get(lease.Key); ok != (name == "clean") {
+				t.Fatalf("%s: cached = %v", name, ok)
+			}
+			if served.runners.Load() != local.runners.Load() {
+				t.Fatalf("%s round %d: worker cloned %d runners, in-process %d", name, round, served.runners.Load(), local.runners.Load())
+			}
+			if name == "clean" {
+				break // the second lease would be a cache replay
+			}
+		}
+		if name == "cancelled" && served.runners.Load() != 2 {
+			t.Fatalf("a runner whose shard ended cancelled was reused: %d clones over 2 leases", served.runners.Load())
+		}
+	}
 }
 
 // TestLeaseCachesUnderCoordinatorKey: the worker stores the result under
@@ -125,12 +215,17 @@ func TestLeaseCachesUnderCoordinatorKey(t *testing.T) {
 }
 
 // TestLeaseRejections pins the dispatch protocol's 4xx surface: protocol
-// skew, unknown jobs and malformed bodies are explicit rejections, never
-// silent wrong rows.
+// skew, unknown jobs, malformed bodies and a packet count beyond both the
+// job's budget and a default shard (one such lease would pin a lease slot
+// for hours) are explicit rejections, never silent wrong rows.
 func TestLeaseRejections(t *testing.T) {
 	srv := httptest.NewServer(NewServer(Config{}))
 	defer srv.Close()
 	req := smallMatrix()
+	jobs, err := req.LeaseJobs(PhaseFuzz, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name  string
 		lease *ShardLease
@@ -141,6 +236,10 @@ func TestLeaseRejections(t *testing.T) {
 		{"no packets", &ShardLease{Proto: LeaseProto, Job: "x", Request: req}, http.StatusBadRequest},
 		{"unknown job", &ShardLease{Proto: LeaseProto, Job: "no/such/job", N: 1, Request: req}, http.StatusUnprocessableEntity},
 		{"bad phase", &ShardLease{Proto: LeaseProto, Phase: "anneal", Job: "x", N: 1, Request: req}, http.StatusUnprocessableEntity},
+		{"whole job", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: jobs[0].Packets, Request: req}, http.StatusOK},
+		{"a default shard of a smaller job", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: campaign.DefaultShardSize, Request: req}, http.StatusOK},
+		{"more packets than the job has", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: campaign.DefaultShardSize + 1, Request: req}, http.StatusUnprocessableEntity},
+		{"oversized", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: 2_000_000_000, Request: req}, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		resp := postLease(t, srv.URL, tc.lease, "")

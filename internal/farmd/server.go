@@ -77,13 +77,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.core.Serv
 
 // Stats reads the cumulative serving counters off the metrics registry.
 func (s *Server) Stats() Stats {
-	cm := s.core.base.Metrics
+	probes := s.core.base.Metrics.CacheStats()
 	return Stats{
 		Campaigns:    int64(s.mCampaigns.Value()),
 		Jobs:         int64(s.mJobs.Value()),
 		Leases:       int64(s.mLeases.Value()),
-		CacheHits:    int64(cm.CacheHits.Value()),
-		CacheMisses:  int64(cm.CacheMisses.Value()),
+		CacheHits:    probes.Hits,
+		CacheMisses:  probes.Misses,
 		LeaseErrors:  int64(s.mLeaseErrors.Value()),
 		RemoteHits:   int64(s.mRemoteHits.Value()),
 		RemoteMisses: int64(s.mRemoteMisses.Value()),
@@ -136,9 +136,10 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 
 // handleLease executes one shard lease and answers with its wire result.
 // The status code is the dispatch protocol: 200 carries a result (possibly
-// an application failure in its Error field — the shard ran and failed
-// deterministically), 4xx means the lease itself is unusable on this
-// worker (bad body, protocol skew, job not in the matrix), and a transport
+// an application failure in its Error field — the shard ran, or its target
+// failed to build, and failed deterministically), 4xx means the lease
+// itself is unusable on this worker (bad body, protocol skew, job not in
+// the matrix, more packets than the job has), and a transport
 // failure with no status at all is what the coordinator reads as worker
 // death. Results are cached under the coordinator-issued key — the worker
 // never recomputes keys, because cache keys are salted per binary and a
@@ -178,7 +179,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		s.mLeases.Inc()
 		durSec := cfg.Now().Sub(start).Seconds()
 		s.mLeaseSeconds.Observe(durSec)
-		errored := res != nil && res.Err != nil
+		errored := res.Err != nil
 		if errored {
 			s.mLeaseErrors.Inc()
 		}
@@ -193,40 +194,30 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	// The local cache stack (memory, disk, and — when the daemon points
 	// back at a coordinator — the shared remote tier) may already hold
 	// this shard from an earlier lease or a previous campaign.
-	if cfg.Cache != nil && lease.Key != "" {
-		if res, ok := cfg.Cache.Get(lease.Key); ok {
-			cm.CacheHits.Inc()
-			writeResult(res)
-			return
-		}
-		cm.CacheMisses.Inc()
+	if res, ok := campaign.CacheGet(cfg.Cache, cm, lease.Key); ok {
+		writeResult(res)
+		return
 	}
 
-	ent, err := s.instances.get(&lease)
+	ent, err := s.instances.get(&lease, cm)
 	if err != nil {
 		HTTPError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	runner, err := ent.runner()
-	if err != nil {
-		writeResult(&campaign.ShardResult{Err: err})
+	// A lease is one shard of its job, so it cannot hold more packets than
+	// the job has; a single default-size shard is served regardless (a
+	// probe may lease one from a smaller job), which still bounds how long
+	// one lease can hold its slot.
+	if lease.N > max(ent.packets, campaign.DefaultShardSize) {
+		HTTPError(w, http.StatusUnprocessableEntity, "lease asks for %d packets of job %q, which has %d", lease.N, lease.Job, ent.packets)
 		return
 	}
-	var res campaign.ShardResult
-	if cr, ok := runner.(campaign.ContextRunner); ok {
-		res = cr.RunShardContext(r.Context(), lease.Seed, lease.N)
-	} else {
-		res = runner.RunShard(lease.Seed, lease.N)
-	}
-	if res.Err == nil {
-		// Reuse only runners whose shard completed cleanly; a runner that
-		// just errored (or was cancelled mid-proof) is dropped so its
-		// state cannot leak into the next lease.
-		ent.release(runner)
-		if cfg.Cache != nil && lease.Key != "" {
-			cfg.Cache.Put(lease.Key, &res)
-		}
-	}
+	// The shard runs exactly as the coordinator's own engine would run it:
+	// built on this job's first miss, on a reused runner, a failure —
+	// build failures included — returned as the shard's deterministic
+	// result.
+	res := ent.exec.Run(r.Context(), lease.Seed, lease.N)
+	campaign.CachePut(cfg.Cache, lease.Key, res)
 	if r.Context().Err() != nil {
 		// The coordinator gave up on this lease (deadline, campaign
 		// abort); the connection is dead, so skip the write the
@@ -235,7 +226,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		// above either.
 		return
 	}
-	writeResult(&res)
+	writeResult(res)
 }
 
 // handleBenchmarks lists the embedded benchmark registries by architecture.

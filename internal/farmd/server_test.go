@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,6 +119,115 @@ func TestServerCachedResubmissionStreamsIdenticalRows(t *testing.T) {
 		}
 		if offline.Text(false) != clientRep.Text(false) {
 			t.Fatalf("text rendering differs at workers=%d", workers)
+		}
+	}
+}
+
+// countedTarget wraps a matrix target and counts, per job, what a campaign
+// makes of it: Build, NewRunner and RunShard calls.
+type countedTarget struct {
+	campaign.Target
+	calls *[3]atomic.Int64
+}
+
+func (c countedTarget) Fingerprint() string {
+	return c.Target.(campaign.Fingerprinter).Fingerprint()
+}
+func (c countedTarget) Build() (campaign.Instance, error) {
+	c.calls[0].Add(1)
+	inst, err := c.Target.Build()
+	return countedInstance{inst, c.calls}, err
+}
+
+type countedInstance struct {
+	campaign.Instance
+	calls *[3]atomic.Int64
+}
+
+func (c countedInstance) NewRunner() (campaign.Runner, error) {
+	c.calls[1].Add(1)
+	r, err := c.Instance.NewRunner()
+	return countedRunner{r, c.calls}, err
+}
+
+type countedRunner struct {
+	campaign.Runner
+	calls *[3]atomic.Int64
+}
+
+func (c countedRunner) RunShard(seed int64, n int) campaign.ShardResult {
+	c.calls[2].Add(1)
+	return c.Runner.RunShard(seed, n)
+}
+
+// TestServerWarmResubmissionBuildsNothing is the served form of "fully
+// cached means untouched": what handleCampaigns does with a submission, run
+// twice on one Server with every target counted, builds each job once on the
+// cold submission and touches nothing on the warm one; on a server whose
+// cache holds only part of the matrix, only the jobs it lacks are built.
+func TestServerWarmResubmissionBuildsNothing(t *testing.T) {
+	full := &MatrixRequest{Run: "s", Levels: []string{"compiled"}, Packets: 600, ShardSize: 128}
+	part := &MatrixRequest{Run: "sampling", Levels: []string{"compiled"}, Packets: 600, ShardSize: 128}
+	calls := map[string]*[3]atomic.Int64{}
+	snapshot := func() map[string][3]int64 {
+		out := map[string][3]int64{}
+		for name, c := range calls {
+			out[name] = [3]int64{c[0].Load(), c[1].Load(), c[2].Load()}
+		}
+		return out
+	}
+	submit := func(s *Server, req *MatrixRequest) *campaign.Report {
+		t.Helper()
+		exp, err := req.Expand()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range exp.Fuzz {
+			job := &exp.Fuzz[i]
+			if calls[job.Name] == nil {
+				calls[job.Name] = new([3]atomic.Int64)
+			}
+			job.Target = countedTarget{job.Target, calls[job.Name]}
+		}
+		opts := s.core.Options(req)
+		rep, err := RunMatrixPhases(context.Background(), req, exp, func(string, *campaign.Report) campaign.Options { return opts })
+		if err != nil || !rep.Passed {
+			t.Fatalf("submission failed: %v\n%s", err, rep.Text(false))
+		}
+		return rep
+	}
+
+	s := NewServer(Config{Cache: NewMemCache(0), Workers: 2})
+	cold := submit(s, full)
+	if len(cold.Jobs) < 3 {
+		t.Fatalf("matrix has %d jobs, want several", len(cold.Jobs))
+	}
+	afterCold := snapshot()
+	for name, c := range afterCold {
+		if c[0] != 1 || c[1] < 1 || c[2] != 5 { // ceil(600/128) shards
+			t.Fatalf("cold submission of %s: builds/runners/shards = %v", name, c)
+		}
+	}
+	warm := submit(s, full)
+	if got := snapshot(); !reflect.DeepEqual(got, afterCold) {
+		t.Fatalf("warm resubmission touched its targets:\ncold %v\nwarm %v", afterCold, got)
+	}
+	if warm.Cache.Misses != 0 || warm.Text(false) != cold.Text(false) {
+		t.Fatalf("warm resubmission: cache %+v, report moved = %v", warm.Cache, warm.Text(false) != cold.Text(false))
+	}
+
+	half := NewServer(Config{Cache: NewMemCache(0), Workers: 2})
+	submit(half, part)
+	before := snapshot()
+	submit(half, full)
+	for name, c := range snapshot() {
+		was := before[name]
+		if strings.Contains(name, "sampling") {
+			if c != was {
+				t.Fatalf("half-warm submission touched the cached %s: builds/runners/shards %v -> %v", name, was, c)
+			}
+		} else if c[0] != was[0]+1 || c[2] != was[2]+5 {
+			t.Fatalf("half-warm submission of %s: builds/runners/shards %v -> %v, want one build, five shards", name, was, c)
 		}
 	}
 }
