@@ -22,7 +22,7 @@ func main() {
 	fs := flag.NewFlagSet("dgen", flag.ExitOnError)
 	cfg := cli.AddConfigFlags(fs)
 	codePath := fs.String("code", "", "machine code file (name = value per line; - for stdin)")
-	level := fs.String("level", "scc+inline", "optimization level: unoptimized, scc, scc+inline")
+	level := fs.String("level", "scc+inline", "optimization level: unoptimized, scc, scc+inline, compiled (emits scc+inline source)")
 	pkg := fs.String("pkg", "pipeline", "package name for the generated source")
 	out := fs.String("o", "", "output file (default stdout)")
 	listPairs := fs.Bool("list-pairs", false, "list the machine code pairs the pipeline requires and exit")

@@ -20,6 +20,7 @@
 package codegen
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -38,16 +39,32 @@ type Options struct {
 }
 
 // Generate renders the pipeline description for spec and machine code as Go
-// source. For the optimized levels the machine code must be complete and
-// in-range (as with core.Build); the unoptimized level defers lookups to
-// runtime and only requires the code at execution time.
+// source. At the optimized levels it refuses exactly what core.Build
+// refuses, with the same error: the machine code must be complete and
+// in-range, and every specialized ALU program total — dgen never emits what
+// dsim would not run. The unoptimized level defers lookups to runtime and
+// only requires the code at execution time. The Compiled level has no
+// source shape of its own (its closure engine executes the scc+inline AST),
+// so it emits that level's source.
 func Generate(spec core.Spec, code *machinecode.Program, opts Options) (string, error) {
 	if opts.Package == "" {
 		opts.Package = "pipeline"
 	}
+	switch opts.Level {
+	case core.Unoptimized, core.SCCPropagation, core.SCCInlining:
+	case core.Compiled:
+		opts.Level = core.SCCInlining
+	default:
+		return "", fmt.Errorf("codegen: unknown level %v", opts.Level)
+	}
 	spec, err := spec.Normalize()
 	if err != nil {
 		return "", err
+	}
+	if opts.Level != core.Unoptimized {
+		if errs := (&spec).Validate(code); len(errs) > 0 {
+			return "", errors.Join(errs...)
+		}
 	}
 	g := &generator{spec: spec, code: code, opts: opts}
 	return g.generate()
@@ -179,10 +196,7 @@ func (g *generator) emitStage(s int) error {
 				if unopt {
 					ops = append(ops, fmt.Sprintf("phv[values[%q]]", muxName))
 				} else {
-					v, ok := g.code.Get(muxName)
-					if !ok {
-						return fmt.Errorf("codegen: missing machine code pair %q", muxName)
-					}
+					v, _ := g.code.Get(muxName) // validated by Generate
 					ops = append(ops, fmt.Sprintf("phv[%d]", v))
 				}
 			}
@@ -225,20 +239,14 @@ func (g *generator) emitStage(s int) error {
 			}
 			body.WriteString("\t}\n")
 		} else {
-			v, ok := g.code.Get(muxName)
-			if !ok {
-				return fmt.Errorf("codegen: missing machine code pair %q", muxName)
-			}
-			sel := int(v)
-			switch {
+			v, _ := g.code.Get(muxName) // validated by Generate: present and in the mux's domain
+			switch sel := int(v); {
 			case sel == 0:
 				fmt.Fprintf(&body, "\tout[%d] = phv[%d]\n", c, c)
-			case sel >= 1 && sel <= width:
+			case sel <= width:
 				fmt.Fprintf(&body, "\tout[%d] = statelessOut[%d]\n", c, sel-1)
-			case hasStateful && sel >= width+1 && sel <= 2*width:
-				fmt.Fprintf(&body, "\tout[%d] = statefulOut[%d]\n", c, sel-width-1)
 			default:
-				return fmt.Errorf("codegen: %q = %d out of range", muxName, sel)
+				fmt.Fprintf(&body, "\tout[%d] = statefulOut[%d]\n", c, sel-width-1)
 			}
 		}
 	}
@@ -257,21 +265,21 @@ func (g *generator) emitALU(prog *aludsl.Program, s int, stateful bool, k int, a
 	scoped := func(hole string) string {
 		return machinecode.ALUHoleName(s, stateful, k, hole)
 	}
-	switch g.opts.Level {
-	case core.Unoptimized:
+	if g.opts.Level == core.Unoptimized {
 		return g.emitALUv1(prog, scoped, aluName)
-	case core.SCCPropagation, core.SCCInlining:
-		lookup := func(local string) (int64, bool) { return g.code.Get(scoped(local)) }
-		optimized, err := opt.SCC(prog, lookup, g.spec.Bits)
-		if err != nil {
-			return fmt.Errorf("codegen: %s: %w", aluName, err)
-		}
-		if g.opts.Level == core.SCCInlining {
-			optimized = opt.Inline(optimized, g.spec.Bits)
-		}
-		return g.emitALUOptimized(optimized, aluName)
 	}
-	return fmt.Errorf("codegen: unknown level %v", g.opts.Level)
+	lookup := func(local string) (int64, bool) { return g.code.Get(scoped(local)) }
+	optimized, err := opt.SCC(prog, lookup, g.spec.Bits)
+	if err == nil {
+		err = aludsl.CheckTotal(optimized)
+	}
+	if err != nil {
+		return fmt.Errorf("codegen: %s: %w", aluName, err)
+	}
+	if g.opts.Level == core.SCCInlining {
+		optimized = opt.Inline(optimized, g.spec.Bits)
+	}
+	return g.emitALUOptimized(optimized, aluName)
 }
 
 // --- v1 emission -------------------------------------------------------------

@@ -175,6 +175,62 @@ func TestGenerateMissingPairOptimized(t *testing.T) {
 	}
 }
 
+// TestGenerateRefusesWhatBuildRefuses: at the optimized levels dgen must not
+// emit source for machine code dsim would not run. Each defect gets
+// core.Build's own error, at every level that bakes the code in; the
+// unoptimized level still defers the lookups to run time.
+func TestGenerateRefusesWhatBuildRefuses(t *testing.T) {
+	for name, damage := range map[string]func(*machinecode.Program){
+		"operand mux out of range": func(c *machinecode.Program) { c.Set(machinecode.OperandMuxName(0, false, 0, 0), 99) },
+		"negative output mux":      func(c *machinecode.Program) { c.Set(machinecode.OutputMuxName(0, 1), -1) },
+		"missing pair":             func(c *machinecode.Program) { c.Delete(machinecode.OutputMuxName(0, 0)) },
+	} {
+		spec, code := figure6Spec(t)
+		damage(code)
+		for _, lvl := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
+			_, want := core.Build(spec, code, lvl)
+			if want == nil {
+				t.Fatalf("%s: core.Build accepted the machine code at %s", name, lvl)
+			}
+			src, err := Generate(spec, code, Options{Level: lvl})
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s at %s: Generate error %v, core.Build's is %v", name, lvl, err, want)
+			}
+			if src != "" {
+				t.Errorf("%s at %s: Generate emitted source beside its error", name, lvl)
+			}
+		}
+		if _, err := Generate(spec, code, Options{Level: core.Unoptimized}); err != nil {
+			t.Errorf("%s: the unoptimized level reads machine code at run time, yet Generate failed: %v", name, err)
+		}
+	}
+}
+
+// TestGenerateCompiledIsInlinedSource: every level core.ParseLevel accepts
+// generates, and the closure-compiled level — which executes the scc+inline
+// AST — emits that level's source byte for byte.
+func TestGenerateCompiledIsInlinedSource(t *testing.T) {
+	spec, code := figure6Spec(t)
+	lvl, err := core.ParseLevel("compiled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := Generate(spec, code, Options{Level: lvl})
+	if err != nil {
+		t.Fatalf("dsim runs -level compiled, dgen refuses it: %v", err)
+	}
+	inlined, err := Generate(spec, code, Options{Level: core.SCCInlining})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compiled != inlined {
+		t.Errorf("compiled source differs from scc+inline source:\n%s\n--- vs ---\n%s", compiled, inlined)
+	}
+	if _, err := Generate(spec, code, Options{Level: core.OptLevel(99)}); err == nil {
+		t.Error("Generate accepted a level that does not exist")
+	}
+}
+
 func TestGenerateCustomPackage(t *testing.T) {
 	spec, code := figure6Spec(t)
 	src, err := Generate(spec, code, Options{Level: core.SCCInlining, Package: "mypipe"})

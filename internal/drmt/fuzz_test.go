@@ -169,6 +169,61 @@ func TestDiffFuzzerDetectsInjectedBug(t *testing.T) {
 	}
 }
 
+// TestSetBatchSelectsNothing: SetBatch is an inert name (the frozen
+// benchmark harness compiles against it). On l2l3, clean and under the
+// injected ttl miscompile, a fuzzer that had SetBatch(64) called renders the
+// same DiffReport and allocates exactly as much per run as one that did not.
+func TestSetBatchSelectsNothing(t *testing.T) {
+	prog, entries := loadL2L3(t)
+	isa, err := Assemble(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := MiscompileALUAdd(isa, 8) // the ttl decrement
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1500
+	for _, tc := range []struct {
+		name string
+		isa  *ISAProgram
+	}{
+		{"clean", nil},
+		{"miscompiled", bad},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(set bool) (string, float64) {
+				f, err := NewDiffFuzzer(prog, tc.isa, entries, HWConfig{Processors: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if set {
+					f.SetBatch(64)
+				}
+				var rep *DiffReport
+				allocs := testing.AllocsPerRun(3, func() {
+					var err error
+					if rep, err = f.FuzzSeeded(7, n, 0); err != nil {
+						panic(err)
+					}
+				})
+				return renderReport(rep), allocs
+			}
+			want, wantAllocs := run(false)
+			got, gotAllocs := run(true)
+			if tc.isa != nil && !strings.Contains(want, "id=") {
+				t.Fatal("miscompiled run found no diffs to compare")
+			}
+			if got != want {
+				t.Fatalf("report changed after SetBatch(64):\n--- set ---\n%s--- unset ---\n%s", got, want)
+			}
+			if gotAllocs != wantAllocs {
+				t.Fatalf("allocations changed after SetBatch(64): %v, want %v", gotAllocs, wantAllocs)
+			}
+		})
+	}
+}
+
 // TestDiffFuzzerCloneIsolation: a clone's runs must not leak register state
 // into the original, and resetting between runs must make runs repeatable.
 func TestDiffFuzzerCloneIsolation(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 
 	"druzhba/internal/dag"
 	"druzhba/internal/p4"
+	"druzhba/internal/phv"
 )
 
 // Packet is one packet flowing through the dRMT machine: a bag of header
@@ -37,23 +38,16 @@ func (p *Packet) Clone() *Packet {
 }
 
 // TrafficMode selects the distribution a traffic generator draws field
-// values from: TrafficUniform is the paper's §4.2 regime, TrafficBoundary
-// draws every value from each field's boundary set (zero, one, and the
-// field's maximal drawable value — the all-ones pattern at full declared
-// width), the adversarial regime that sits on ALU carry and comparison
-// edges.
-type TrafficMode string
+// values from; the type, its two modes and the boundary set are defined
+// once in package phv. TrafficBoundary here draws from each field's own
+// boundary set — zero, one, and the field's maximal drawable value (the
+// all-ones pattern at full declared width).
+type TrafficMode = phv.TrafficMode
 
 const (
-	TrafficUniform  TrafficMode = "uniform"
-	TrafficBoundary TrafficMode = "boundary"
+	TrafficUniform  = phv.TrafficUniform
+	TrafficBoundary = phv.TrafficBoundary
 )
-
-// Valid reports whether m names a known traffic mode; the empty string
-// counts as TrafficUniform.
-func (m TrafficMode) Valid() bool {
-	return m == "" || m == TrafficUniform || m == TrafficBoundary
-}
 
 // TrafficGen generates packets "with randomly initialized packet field
 // values based on the fields specified in the P4 file" (§4.2). Packet IDs
@@ -117,13 +111,7 @@ func (g *TrafficGen) ensureLimits() {
 	if g.mode == TrafficBoundary {
 		g.bounds = make([][]int64, len(g.limits))
 		for i, limit := range g.limits {
-			set := []int64{0}
-			for _, v := range []int64{1, limit - 1} {
-				if v > 0 && v < limit && v != set[len(set)-1] {
-					set = append(set, v)
-				}
-			}
-			g.bounds[i] = set
+			g.bounds[i] = phv.BoundaryValues(limit)
 		}
 	}
 }

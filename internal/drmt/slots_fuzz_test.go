@@ -76,9 +76,9 @@ func mutatedISA(prog *p4.Program, mutate uint8) (*ISAProgram, error) {
 // every embedded benchmark, under a fuzzed table entry, fuzzed traffic seeds
 // and modes, fuzzed raw field values (in and out of the fields' declared
 // ranges) and an optionally miscompiled or corrupted ISA program, the
-// slot-compiled engines — streaming and batched — and the reference map
-// interpreters agree on every field, the drop flag, every register bank,
-// the executed instruction count and the error text.
+// slot-compiled engines and the reference map interpreters agree on every
+// field, the drop flag, every register bank, the executed instruction count
+// and the error text.
 func FuzzSlotsVsReference(f *testing.F) {
 	for b, bm := range Benchmarks() {
 		bench := uint8(b)
@@ -147,7 +147,7 @@ func FuzzSlotsVsReference(f *testing.F) {
 			}
 		}
 
-		// The differential loop, streaming and batched, on seeded traffic.
+		// The differential loop on seeded traffic.
 		mode, max := TrafficUniform, bm.MaxInput
 		if boundary {
 			mode, max = TrafficBoundary, 0
@@ -156,17 +156,14 @@ func FuzzSlotsVsReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, batch := range []int{0, 7} {
-			slot.SetBatch(batch)
-			got, err := slot.FuzzSeededMode(seed, 96, max, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g, w := renderReport(got), renderReport(want); g != w {
-				t.Fatalf("batch=%d: slot and reference reports differ:\n--- slot ---\n%s--- reference ---\n%s", batch, g, w)
-			}
-			sameRegisters(fmt.Sprintf("after fuzz batch=%d", batch))
+		got, err := slot.FuzzSeededMode(seed, 96, max, mode)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if g, w := renderReport(got), renderReport(want); g != w {
+			t.Fatalf("slot and reference reports differ:\n--- slot ---\n%s--- reference ---\n%s", g, w)
+		}
+		sameRegisters("after fuzz")
 
 		// The four interpreters one packet at a time, on raw field values no
 		// traffic generator draws: full-range int64s mixed with the fuzzed

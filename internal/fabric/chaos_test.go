@@ -1,16 +1,3 @@
-// Package fabric is the distributed campaign fabric: a coordinator that
-// splits campaign matrices into shard leases, dispatches them to a fleet
-// of dfarmd workers with retry, backoff and poison quarantine, journals
-// every row for resumable streams and restart recovery, and serves the
-// fleet's shared content-addressed shard store.
-//
-// The fabric's load-bearing invariant is inherited from the engine: a
-// shard result is a pure function of (target fingerprint, derived seed,
-// shard size), so leases can be retried, re-issued after worker death and
-// executed anywhere — including falling all the way back to the
-// coordinator's local worker pool — without ever changing a report row. A
-// distributed campaign's report is byte-identical to a single-process run
-// of the same matrix, regardless of which faults fired in between.
 package fabric
 
 import (

@@ -1,3 +1,16 @@
+// Package fabric is the distributed campaign fabric: a coordinator that
+// splits campaign matrices into shard leases, dispatches them to a fleet
+// of dfarmd workers with retry, backoff and poison quarantine, journals
+// every row for resumable streams and restart recovery, and serves the
+// fleet's shared content-addressed shard store.
+//
+// The fabric's load-bearing invariant is inherited from the engine: a
+// shard result is a pure function of (target fingerprint, derived seed,
+// shard size), so leases can be retried, re-issued after worker death and
+// executed anywhere — including falling all the way back to the
+// coordinator's local worker pool — without ever changing a report row. A
+// distributed campaign's report is byte-identical to a single-process run
+// of the same matrix, regardless of which faults fired in between.
 package fabric
 
 import (
@@ -6,7 +19,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
-	"regexp"
 	"strconv"
 	"sync"
 	"time"
@@ -460,15 +472,10 @@ func (c *Coordinator) handleWorkerList(w http.ResponseWriter, r *http.Request) {
 	farmd.WriteJSON(w, http.StatusOK, c.reg.Snapshot())
 }
 
-// shardKeyRe guards the shared store's key space: keys are engine-issued
-// hex digests, and because the disk tier maps keys to file paths, anything
-// else is rejected before it can traverse.
-var shardKeyRe = regexp.MustCompile(`^[0-9a-f]{16,128}$`)
-
 // handleShardGet serves the shared shard store to workers.
 func (c *Coordinator) handleShardGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if c.cfg.Cache == nil || !shardKeyRe.MatchString(key) {
+	if c.cfg.Cache == nil || !farmd.ValidShardKey(key) {
 		farmd.HTTPError(w, http.StatusNotFound, "no such shard")
 		return
 	}
@@ -485,7 +492,7 @@ func (c *Coordinator) handleShardGet(w http.ResponseWriter, r *http.Request) {
 // handleShardPut accepts a worker's shard result into the shared store.
 func (c *Coordinator) handleShardPut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	if c.cfg.Cache == nil || !shardKeyRe.MatchString(key) {
+	if c.cfg.Cache == nil || !farmd.ValidShardKey(key) {
 		farmd.HTTPError(w, http.StatusBadRequest, "bad shard key")
 		return
 	}

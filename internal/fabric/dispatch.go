@@ -44,8 +44,9 @@ type DispatchConfig struct {
 	// Token authenticates leases to workers (the shared fleet secret).
 	Token string
 
-	// Client performs lease round trips (nil = http.DefaultClient).
-	// Fault-injection tests thread a ChaosTransport through here.
+	// Client performs lease round trips (nil = http.DefaultClient). It is
+	// also the fault-injection seam: the package's tests put a faulting
+	// http.RoundTripper (chaos_test.go) under it.
 	Client *http.Client
 
 	// JitterSeed seeds the backoff jitter RNG (0 = unjittered backoff);

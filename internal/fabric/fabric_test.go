@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -127,43 +128,60 @@ func TestDistributedByteIdentity(t *testing.T) {
 
 // TestChaosByteIdentity drives a campaign through a fault-injecting
 // transport — drops, post-response losses (the lease ran, the result
-// vanished: the retry-idempotency case), delays — and requires the report
-// to stay byte-identical to a clean local run, with the fault counters
-// proving the faults actually fired.
+// vanished: the retry-idempotency case), delays — under a sweep of fault
+// schedules (eight seeds; one under -short) and requires every report to
+// stay byte-identical to a clean local run, with the fault counters proving
+// each schedule actually fired.
 func TestChaosByteIdentity(t *testing.T) {
-	wantText, wantJSON := localRender(t, smallMatrix())
-	chaos := NewChaosTransport(42)
-	chaos.DropRate = 0.25
-	chaos.LossRate = 0.25
-	chaos.DelayRate = 0.3
-	chaos.MaxDelay = 5 * time.Millisecond
-	c, ts := startCoordinator(t, CoordConfig{
-		Cache:   farmd.NewMemCache(0),
-		Workers: 3,
-		Dispatch: DispatchConfig{
-			// Faults must never exhaust the retry budget: every shard
-			// eventually lands, so byte-identity is the whole report.
-			MaxAttempts: 100,
-			PoisonAfter: 100,
-			BaseBackoff: time.Millisecond,
-			MaxBackoff:  10 * time.Millisecond,
-			Cooldown:    5 * time.Millisecond,
-			Client:      &http.Client{Transport: chaos},
-		},
-	})
-	startWorker(t, c, farmd.Config{Workers: 2})
-	startWorker(t, c, farmd.Config{Workers: 2})
+	// Many small shards, so every schedule draws enough faults of each kind.
+	matrix := func() *farmd.MatrixRequest {
+		return &farmd.MatrixRequest{Arch: "all", Run: "counter", Packets: 600, ShardSize: 16}
+	}
+	wantText, wantJSON := localRender(t, matrix())
+	seeds := []int64{42, 1, 2, 3, 4, 5, 6, 7}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			chaos := NewChaosTransport(seed)
+			chaos.DropRate = 0.25
+			chaos.LossRate = 0.25
+			chaos.DelayRate = 0.3
+			chaos.MaxDelay = 5 * time.Millisecond
+			c, ts := startCoordinator(t, CoordConfig{
+				Cache:   farmd.NewMemCache(0),
+				Workers: 3,
+				Dispatch: DispatchConfig{
+					// Faults must never exhaust the retry budget: every shard
+					// eventually lands, so byte-identity is the whole report.
+					MaxAttempts: 100,
+					PoisonAfter: 100,
+					BaseBackoff: time.Millisecond,
+					MaxBackoff:  10 * time.Millisecond,
+					// Shorter than a backoff, so a benched worker is back
+					// before its shard retries: faulted leases stay on the
+					// fabric (two benched workers would otherwise send the rest
+					// of the campaign to the local fallback, past the faults).
+					Cooldown: 50 * time.Microsecond,
+					Client:   &http.Client{Transport: chaos},
+				},
+			})
+			startWorker(t, c, farmd.Config{Workers: 2})
+			startWorker(t, c, farmd.Config{Workers: 2})
 
-	gotText, gotJSON := submitRender(t, ts.URL, smallMatrix(), farmd.StreamOptions{})
-	if gotText != wantText || gotJSON != wantJSON {
-		t.Fatalf("report under chaos differs from clean local run:\n--- chaos\n%s--- local\n%s", gotText, wantText)
-	}
-	drops, losses, _, _ := chaos.Counters()
-	if drops == 0 || losses == 0 {
-		t.Fatalf("chaos fired no faults (drops=%d losses=%d): the test proved nothing", drops, losses)
-	}
-	if c.Dispatcher().Stats().Retries == 0 {
-		t.Fatal("no retries under chaos")
+			gotText, gotJSON := submitRender(t, ts.URL, matrix(), farmd.StreamOptions{})
+			if gotText != wantText || gotJSON != wantJSON {
+				t.Fatalf("report under chaos differs from clean local run:\n--- chaos\n%s--- local\n%s", gotText, wantText)
+			}
+			drops, losses, _, _ := chaos.Counters()
+			if drops == 0 || losses == 0 {
+				t.Fatalf("chaos fired no faults (drops=%d losses=%d): the schedule proved nothing", drops, losses)
+			}
+			if c.Dispatcher().Stats().Retries == 0 {
+				t.Fatal("no retries under chaos")
+			}
+		})
 	}
 }
 

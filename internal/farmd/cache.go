@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -269,6 +270,23 @@ func (c *DirCache) Size() int64 {
 	return c.size
 }
 
+// shardKeyRe is the shard-store key space: engine-issued hex digests.
+var shardKeyRe = regexp.MustCompile(`^[0-9a-f]{16,128}$`)
+
+// ValidShardKey is the one guard on a cache key that arrives from outside
+// (a lease body, a shard-store URL): the disk tier maps keys to file paths,
+// so anything but an engine-issued hex digest is refused before it reaches
+// a cache. The empty key is not valid; where it is allowed it means
+// "uncacheable" and the caller checks for it first.
+func ValidShardKey(key string) bool { return shardKeyRe.MatchString(key) }
+
+// pathSafe reports whether key can name an entry file under the cache
+// root: no path separator and no leading dot, so Path(key) stays inside
+// its bucket whatever a caller passes.
+func pathSafe(key string) bool {
+	return !strings.ContainsAny(key, `/\`) && !strings.HasPrefix(key, ".")
+}
+
 // Dir returns the cache's root directory.
 func (c *DirCache) Dir() string { return c.dir }
 
@@ -287,6 +305,9 @@ func (c *DirCache) Path(key string) string {
 // entry — is a miss; the damaged file is removed best-effort so the next
 // Put heals it.
 func (c *DirCache) Get(key string) (*campaign.ShardResult, bool) {
+	if !pathSafe(key) {
+		return nil, false
+	}
 	path := c.Path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -314,7 +335,7 @@ func (c *DirCache) Get(key string) (*campaign.ShardResult, bool) {
 // writers race benignly (last rename wins, every version is a valid
 // entry), and readers never observe a partial file.
 func (c *DirCache) Put(key string, res *campaign.ShardResult) {
-	if res == nil || res.Err != nil {
+	if res == nil || res.Err != nil || !pathSafe(key) {
 		return
 	}
 	data, err := json.Marshal(diskEntry{Key: key, Checked: res.Checked, Ticks: res.Ticks, Findings: res.Findings, Cells: res.Cells})

@@ -114,6 +114,48 @@ func TestDirCacheDamagedEntriesAreMisses(t *testing.T) {
 	}
 }
 
+// TestDirCacheNeverLeavesItsRoot: a key with a path separator or a leading
+// dot maps to no entry file — Get misses without reading (or deleting) what
+// the traversed path names, Put drops the write — for the bounded and the
+// unbounded cache alike.
+func TestDirCacheNeverLeavesItsRoot(t *testing.T) {
+	for _, limit := range []int64{0, 1 << 20} {
+		root := t.TempDir()
+		c, err := NewDirCacheLimit(filepath.Join(root, "a", "cache"), limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{"../victim", "..", "../../a/victim", `..\victim`, "ab/../../../victim", ".hidden", "/etc/victim"} {
+			// Where the traversed path stays under the test's own directory,
+			// plant a file there; it must survive.
+			victim := c.Path(key)
+			if !strings.HasPrefix(victim, root+string(filepath.Separator)) {
+				victim = ""
+			} else if err := os.MkdirAll(filepath.Dir(victim), 0o755); err != nil {
+				t.Fatal(err)
+			} else if err := os.WriteFile(victim, []byte("precious"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.Get(key); ok {
+				t.Fatalf("limit %d: Get(%q) hit", limit, key)
+			}
+			c.Put(key, res(7))
+			if _, ok := c.Get(key); ok {
+				t.Fatalf("limit %d: Put(%q) stored an entry", limit, key)
+			}
+			if victim == "" {
+				continue
+			}
+			if got, err := os.ReadFile(victim); err != nil || string(got) != "precious" {
+				t.Fatalf("limit %d: key %q touched %s: %q, %v", limit, key, victim, got, err)
+			}
+		}
+		if c.Len() != 0 {
+			t.Fatalf("limit %d: %d entries tracked for keys that map to no file", limit, c.Len())
+		}
+	}
+}
+
 func TestTieredPromotesDiskHits(t *testing.T) {
 	mem := NewMemCache(4)
 	disk, err := NewDirCache(t.TempDir())

@@ -32,7 +32,6 @@ import (
 	"druzhba/internal/core"
 	"druzhba/internal/drmt"
 	"druzhba/internal/phv"
-	"druzhba/internal/sim"
 	"druzhba/internal/spec"
 )
 
@@ -233,15 +232,13 @@ func (r *MatrixRequest) FuzzJobs(corpus map[string][][]phv.Value) ([]campaign.Jo
 	if len(r.Procs) > 0 && arch == "rmt" {
 		return nil, fmt.Errorf("farmd: procs apply to the drmt architecture only")
 	}
-	var simModes []sim.TrafficMode
-	var drmtModes []drmt.TrafficMode
+	var modes []phv.TrafficMode
 	for _, m := range r.Traffic {
-		m = strings.TrimSpace(m)
-		if !sim.TrafficMode(m).Valid() || m == "" {
-			return nil, fmt.Errorf("farmd: unknown traffic mode %q (want %s or %s)", m, sim.TrafficUniform, sim.TrafficBoundary)
+		mode := phv.TrafficMode(strings.TrimSpace(m))
+		if !mode.Valid() || mode == "" {
+			return nil, fmt.Errorf("farmd: unknown traffic mode %q (want %s or %s)", mode, phv.TrafficUniform, phv.TrafficBoundary)
 		}
-		simModes = append(simModes, sim.TrafficMode(m))
-		drmtModes = append(drmtModes, drmt.TrafficMode(m))
+		modes = append(modes, mode)
 	}
 
 	var jobs []campaign.Job
@@ -251,7 +248,7 @@ func (r *MatrixRequest) FuzzJobs(corpus map[string][][]phv.Value) ([]campaign.Jo
 			return nil, fmt.Errorf("farmd: run %q matches no rmt benchmark (have %v)", r.Run, spec.Names())
 		}
 		if len(benchmarks) > 0 {
-			rmtJobs, err := campaign.MatrixWithCorpus(benchmarks, levels, simModes, r.Seeds, packets, corpus)
+			rmtJobs, err := campaign.MatrixWithCorpus(benchmarks, levels, modes, r.Seeds, packets, corpus)
 			if err != nil {
 				return nil, err
 			}
@@ -264,7 +261,7 @@ func (r *MatrixRequest) FuzzJobs(corpus map[string][][]phv.Value) ([]campaign.Jo
 			return nil, fmt.Errorf("farmd: run %q matches no dRMT benchmark (have %v)", r.Run, drmt.BenchmarkNames())
 		}
 		if len(benchmarks) > 0 {
-			drmtJobs, err := campaign.DRMTMatrix(benchmarks, r.Procs, drmtModes, r.Seeds, packets)
+			drmtJobs, err := campaign.DRMTMatrix(benchmarks, r.Procs, modes, r.Seeds, packets)
 			if err != nil {
 				return nil, err
 			}

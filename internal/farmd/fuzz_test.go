@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"testing"
 
 	"druzhba/internal/campaign"
@@ -33,10 +34,30 @@ func affordable(lease *ShardLease) bool {
 		small(r.Procs, 8) && small(r.VerifyBits, 5) && small(r.VerifySteps, 2) && len(lease.VerifyRows) <= 2
 }
 
+// keyWatch is a shard cache that holds nothing and remembers every key it
+// was handed from outside the shard-store key space: the disk tier turns keys
+// into file paths, so the handler must refuse such a key before any cache
+// sees it.
+type keyWatch struct{ bad []string } // handleLease meets its cache on its own goroutine
+
+// engineKey is the key space, spelled out apart from ValidShardKey so that
+// loosening the guard fails here.
+var engineKey = regexp.MustCompile(`^[0-9a-f]{16,128}$`)
+
+func (c *keyWatch) see(key string) {
+	if !engineKey.MatchString(key) {
+		c.bad = append(c.bad, key)
+	}
+}
+
+func (c *keyWatch) Get(key string) (*campaign.ShardResult, bool) { c.see(key); return nil, false }
+func (c *keyWatch) Put(key string, _ *campaign.ShardResult)      { c.see(key) }
+
 // FuzzLeaseBody drives raw bytes through the lease handler, the body a
 // worker accepts from the network: it never panics, it answers only with
-// the dispatch protocol's statuses, and a 200 carries exactly the result
-// JobExec.Run gives in-process for the job the lease names.
+// the dispatch protocol's statuses, it hands its cache no key but an
+// engine-issued digest, and a 200 carries exactly the result JobExec.Run
+// gives in-process for the job the lease names.
 func FuzzLeaseBody(f *testing.F) {
 	fuzzReq := smallMatrix()
 	jobs, err := fuzzReq.Jobs()
@@ -65,6 +86,8 @@ func FuzzLeaseBody(f *testing.F) {
 		{Proto: LeaseProto + 1, Job: jobs[0].Name, N: 1, Request: fuzzReq},
 		{Proto: LeaseProto, Job: "no/such/job", N: 1, Request: fuzzReq},
 		{Proto: LeaseProto, Job: jobs[0].Name, N: 2_000_000_000, Request: fuzzReq},
+		{Proto: LeaseProto, Job: jobs[0].Name, Seed: 42, N: 64, Key: "../victim", Request: fuzzReq},
+		{Proto: LeaseProto, Job: jobs[0].Name, Seed: 42, N: 64, Key: campaign.ShardKey("fp", 42, 64), Request: fuzzReq},
 	} {
 		body, err := json.Marshal(lease)
 		if err != nil {
@@ -75,15 +98,20 @@ func FuzzLeaseBody(f *testing.F) {
 	body, _ := json.Marshal(valid)
 	f.Add(body[:len(body)/2])
 
-	s := NewServer(Config{Workers: 2})
+	watch := &keyWatch{}
+	s := NewServer(Config{Workers: 2, Cache: watch})
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var lease ShardLease
 		decoded := json.Unmarshal(body, &lease) == nil
 		if decoded && !affordable(&lease) {
 			t.Skip()
 		}
+		watch.bad = nil
 		rec := httptest.NewRecorder()
 		s.handleLease(rec, httptest.NewRequest(http.MethodPost, "/v1/leases", bytes.NewReader(body)))
+		if len(watch.bad) > 0 {
+			t.Fatalf("status %d, and the cache was handed keys from outside the key space: %q", rec.Code, watch.bad)
+		}
 		switch rec.Code {
 		case http.StatusOK:
 		case http.StatusBadRequest, http.StatusConflict, http.StatusUnprocessableEntity:

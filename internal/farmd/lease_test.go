@@ -3,11 +3,14 @@ package farmd
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -147,7 +150,7 @@ func TestLeaseMatchesLocalExecution(t *testing.T) {
 	for name, mk := range stubs {
 		served, local := mk(), mk()
 		exec := campaign.NewJobExec(local, nil)
-		lease := &ShardLease{Proto: LeaseProto, Job: "stub/" + name, Seed: 99, N: 32, Key: strings.Repeat("ef", 31) + name[:2], Request: smallMatrix()}
+		lease := &ShardLease{Proto: LeaseProto, Job: "stub/" + name, Seed: 99, N: 32, Key: strings.Repeat("ef", 30) + hex.EncodeToString([]byte(name[:2])), Request: smallMatrix()}
 		seedLeasedJob(t, s, lease, served, 64)
 		for round := 0; round < 2; round++ {
 			want := exec.Run(context.Background(), lease.Seed, lease.N)
@@ -219,7 +222,24 @@ func TestLeaseCachesUnderCoordinatorKey(t *testing.T) {
 // job's budget and a default shard (one such lease would pin a lease slot
 // for hours) are explicit rejections, never silent wrong rows.
 func TestLeaseRejections(t *testing.T) {
-	srv := httptest.NewServer(NewServer(Config{}))
+	// The worker has a disk tier, and a file sits where a traversing key
+	// would land: a lease key is outside input, so it must be refused before
+	// any cache sees it, and the file must survive.
+	root := t.TempDir()
+	disk, err := NewDirCache(filepath.Join(root, "a", "cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const traversal = "../victim"
+	victim := disk.Path(traversal)
+	if filepath.Dir(victim) != root {
+		t.Fatalf("victim path %s is not directly under %s", victim, root)
+	}
+	const victimBody = `{"precious": true}`
+	if err := os.WriteFile(victim, []byte(victimBody), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(Config{Cache: disk}))
 	defer srv.Close()
 	req := smallMatrix()
 	jobs, err := req.LeaseJobs(PhaseFuzz, nil)
@@ -240,6 +260,10 @@ func TestLeaseRejections(t *testing.T) {
 		{"a default shard of a smaller job", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: campaign.DefaultShardSize, Request: req}, http.StatusOK},
 		{"more packets than the job has", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: campaign.DefaultShardSize + 1, Request: req}, http.StatusUnprocessableEntity},
 		{"oversized", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: 2_000_000_000, Request: req}, http.StatusUnprocessableEntity},
+		{"traversing key", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: jobs[0].Packets, Key: traversal, Request: req}, http.StatusBadRequest},
+		{"non-hex key", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: jobs[0].Packets, Key: strings.Repeat("xy", 32), Request: req}, http.StatusBadRequest},
+		{"short key", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: jobs[0].Packets, Key: "abc", Request: req}, http.StatusBadRequest},
+		{"engine-issued key", &ShardLease{Proto: LeaseProto, Job: jobs[0].Name, N: jobs[0].Packets, Key: campaign.ShardKey("fp", 1, jobs[0].Packets), Request: req}, http.StatusOK},
 	}
 	for _, tc := range cases {
 		resp := postLease(t, srv.URL, tc.lease, "")
@@ -248,6 +272,9 @@ func TestLeaseRejections(t *testing.T) {
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
 		}
+	}
+	if got, err := os.ReadFile(victim); err != nil || string(got) != victimBody {
+		t.Errorf("file outside the cache dir did not survive a traversing lease key: %q, %v", got, err)
 	}
 }
 

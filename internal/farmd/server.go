@@ -139,7 +139,8 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 // an application failure in its Error field — the shard ran, or its target
 // failed to build, and failed deterministically), 4xx means the lease
 // itself is unusable on this worker (bad body, protocol skew, job not in
-// the matrix, more packets than the job has), and a transport
+// the matrix, more packets than the job has, a key that is not an
+// engine-issued digest — it names files in the disk tier), and a transport
 // failure with no status at all is what the coordinator reads as worker
 // death. Results are cached under the coordinator-issued key — the worker
 // never recomputes keys, because cache keys are salted per binary and a
@@ -161,6 +162,10 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	if lease.N < 1 {
 		HTTPError(w, http.StatusBadRequest, "lease asks for %d packets", lease.N)
+		return
+	}
+	if lease.Key != "" && !ValidShardKey(lease.Key) {
+		HTTPError(w, http.StatusBadRequest, "bad shard key")
 		return
 	}
 

@@ -175,7 +175,7 @@ func newPlanesFuzzer(p *core.Pipeline, chunk int) (*Fuzzer, error) {
 	}, nil
 }
 
-// fuzzBatched is Fuzz on the plane engine. Packets are generated and
+// fuzzPlanes is Fuzz on the plane engine. Packets are generated and
 // spec-processed in admission order (so generator and spec state advance
 // exactly as under the tick loop), executed a chunk at a time, and compared
 // column against want row. Reports are byte-identical to the tick loop's:
@@ -187,7 +187,7 @@ func newPlanesFuzzer(p *core.Pipeline, chunk int) (*Fuzzer, error) {
 // run: the pipeline is prechecked.
 //
 //dvet:hotpath allocs=3
-func (f *Fuzzer) fuzzBatched(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
+func (f *Fuzzer) fuzzPlanes(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	report := &BatchReport{SpecName: spec.Name()} //dvet:alloc-ok one report per run, not per PHV
 	f.pipe.ResetState()
 	spec.Reset()

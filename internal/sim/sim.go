@@ -40,28 +40,14 @@ import (
 )
 
 // TrafficMode selects the distribution a traffic generator draws container
-// values from.
-type TrafficMode string
+// values from; the type, its two modes and the boundary set are defined
+// once in package phv.
+type TrafficMode = phv.TrafficMode
 
 const (
-	// TrafficUniform draws every value uniformly from [0, max) — the
-	// paper's §3.3 regime and the zero value of the type.
-	TrafficUniform TrafficMode = "uniform"
-
-	// TrafficBoundary draws every value from the boundary set of the draw
-	// range: zero, the minimal nonzero value, and the maximal drawable
-	// value (which is the all-ones pattern at full datapath width). ALU
-	// carry, wrap-around and comparison edges live at exactly these
-	// values, so boundary traffic is the adversarial counterpart of the
-	// uniform regime.
-	TrafficBoundary TrafficMode = "boundary"
+	TrafficUniform  = phv.TrafficUniform
+	TrafficBoundary = phv.TrafficBoundary
 )
-
-// Valid reports whether m names a known traffic mode; the empty string
-// counts as TrafficUniform.
-func (m TrafficMode) Valid() bool {
-	return m == "" || m == TrafficUniform || m == TrafficBoundary
-}
 
 // TrafficGen creates sequences of PHVs whose containers hold random unsigned
 // integers (§3.3). It is deterministic for a given seed.
@@ -94,7 +80,7 @@ func NewTrafficGenMode(seed int64, phvLen int, bits phv.Width, max int64, mode T
 	}
 	g := &TrafficGen{rng: rand.New(rand.NewSource(seed)), phvLen: phvLen, max: max}
 	if mode == TrafficBoundary {
-		g.bounds = boundaryValues(max)
+		g.bounds = phv.BoundaryValues(max)
 	}
 	return g, nil
 }
@@ -107,19 +93,6 @@ func NewTrafficGenMode(seed int64, phvLen int, bits phv.Width, max int64, mode T
 func (g *TrafficGen) Reseed(seed int64) {
 	g.rng.Seed(seed)
 	g.next = 0
-}
-
-// boundaryValues is the deduplicated boundary set of the draw range
-// [0, limit): zero, one and limit-1 (the all-ones pattern when the limit is
-// a full power-of-two width).
-func boundaryValues(limit int64) []phv.Value {
-	set := []phv.Value{0}
-	for _, v := range []int64{1, limit - 1} {
-		if v > 0 && v < limit && v != set[len(set)-1] {
-			set = append(set, v)
-		}
-	}
-	return set
 }
 
 // SeedCorpus installs concrete seed packets that Fill serves, in order,
@@ -539,7 +512,7 @@ func (r *BatchReport) Passed() bool { return r.Err == nil && len(r.Mismatches) =
 //
 // The loop runs on one of two kernels, chosen by NewFuzzer from the pipeline
 // and never by the caller: a prechecked pipeline executes planeChunk packets
-// at a time on struct-of-arrays planes (fuzzBatched), any other — the
+// at a time on struct-of-arrays planes (fuzzPlanes), any other — the
 // Unoptimized level, the naive reference whose machine code can still fail
 // at run time — one tick at a time on a Stream (fuzzTicks). Reports are
 // byte-identical between the two; only the chosen kernel's buffers exist.
@@ -649,7 +622,7 @@ func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts F
 		return nil, err
 	}
 	if f.batch != nil {
-		return f.fuzzBatched(spec, n, next, opts, maxMismatches)
+		return f.fuzzPlanes(spec, n, next, opts, maxMismatches)
 	}
 	return f.fuzzTicks(spec, n, next, opts, maxMismatches)
 }

@@ -166,29 +166,6 @@ var runners = map[string]func(t *testing.T) float64{
 			tabM.ProcessSlots(buf)
 		})
 	},
-	"internal/drmt.TrafficGen.FillBatch": func(t *testing.T) float64 {
-		_, _, gen, buf := benchMachines(t)
-		const n = 64
-		planes := benchSlotPlanes(len(buf), n)
-		gen.FillBatch(planes, n) // warm: builds the draw-limit table
-		return testing.AllocsPerRun(100, func() { gen.FillBatch(planes, n) })
-	},
-	"internal/drmt.ISAMachine.ExecBatch": func(t *testing.T) float64 {
-		isaM, _, gen, buf := benchMachines(t)
-		const n = 64
-		planes := benchSlotPlanes(len(buf), n)
-		drops := make([]bool, n)
-		gen.FillBatch(planes, n)
-		if _, _, err := isaM.ExecBatch(planes, drops, n); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(100, func() {
-			gen.FillBatch(planes, n)
-			if _, _, err := isaM.ExecBatch(planes, drops, n); err != nil {
-				panic(err)
-			}
-		})
-	},
 	"internal/obs.Counter.Inc": func(t *testing.T) float64 {
 		c := obs.NewRegistry().Counter("gate_counter_inc_total", "gate")
 		c.Inc()
@@ -209,18 +186,6 @@ var runners = map[string]func(t *testing.T) float64{
 		h.Observe(0.01)
 		return testing.AllocsPerRun(100, func() { h.Observe(0.01) })
 	},
-	"internal/drmt.Machine.ProcessBatch": func(t *testing.T) float64 {
-		_, tabM, gen, buf := benchMachines(t)
-		const n = 64
-		planes := benchSlotPlanes(len(buf), n)
-		drops := make([]bool, n)
-		gen.FillBatch(planes, n)
-		tabM.ProcessBatch(planes, drops, n)
-		return testing.AllocsPerRun(100, func() {
-			gen.FillBatch(planes, n)
-			tabM.ProcessBatch(planes, drops, n)
-		})
-	},
 }
 
 // benchValuePlanes allocates column-major phv.Value planes for the batch
@@ -229,16 +194,6 @@ func benchValuePlanes(width, n int) [][]phv.Value {
 	planes := make([][]phv.Value, width)
 	for i := range planes {
 		planes[i] = make([]phv.Value, n)
-	}
-	return planes
-}
-
-// benchSlotPlanes allocates column-major int64 slot planes for the dRMT
-// batch fixtures.
-func benchSlotPlanes(width, n int) [][]int64 {
-	planes := make([][]int64, width)
-	for i := range planes {
-		planes[i] = make([]int64, n)
 	}
 	return planes
 }
