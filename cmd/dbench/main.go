@@ -68,8 +68,8 @@ type Row struct {
 }
 
 // DRMTRow is one (dRMT benchmark × engine) cell: the differential fuzzing
-// loop timed on the slot-compiled engines ("slots", the only engine a
-// campaign runs).
+// loop timed on the engines a campaign runs ("slots": the ISA program
+// lowered on its table entries against the slot-compiled table machine).
 type DRMTRow struct {
 	Benchmark    string  `json:"benchmark"`
 	Engine       string  `json:"engine"`
@@ -264,7 +264,7 @@ func main() {
 		}
 		if len(drmtRows) > 0 {
 			rep.DRMTPHVs = *drmtPHVs
-			rep.DRMTEngine = "differential fuzz on the slot-compiled engines (drmt.DiffFuzzer.FuzzSeeded)"
+			rep.DRMTEngine = "differential fuzz, ISA program lowered on its table entries vs the slot-compiled table machine (drmt.DiffFuzzer.FuzzSeeded)"
 			rep.DRMT = drmtRows
 		}
 		rep.Geomeans = geomeans(rows, drmtRows)
@@ -396,7 +396,7 @@ func bestOf(repeats int, pass func() error) (time.Duration, float64, error) {
 }
 
 // measureDRMT times one dRMT benchmark's differential fuzzing loop on the
-// slot-compiled engines.
+// engines a campaign runs.
 func measureDRMT(bm *drmt.Benchmark, seed int64, n, repeats int) (DRMTRow, error) {
 	prog, err := bm.Program()
 	if err != nil {

@@ -1,8 +1,9 @@
 // drmtasm lowers a mini-P4 program to the dRMT processor instruction set
 // (§7 of the paper: "modeling dRMT to the same low level granularity as
 // our RMT model by designing a new instruction set with similar properties
-// to our RMT instruction set"), prints the disassembly, and optionally
-// executes the program on random traffic — differentially against the
+// to our RMT instruction set"), prints the disassembly and the blocks the
+// ISA machine lowers it to on the table entries, and optionally executes
+// the program on random traffic — differentially against the
 // table-level dRMT machine, reporting the first divergence if any.
 //
 // Usage:
@@ -32,7 +33,7 @@ func main() {
 	maxVal := fs.Int64("max", 0, "bound on generated field values (0 = field width)")
 	processors := fs.Int("processors", 4, "match+action processors")
 	diff := fs.Bool("diff", true, "cross-check against the table-level machine")
-	quiet := fs.Bool("quiet", false, "suppress the disassembly listing")
+	quiet := fs.Bool("quiet", false, "suppress the disassembly and lowering listings")
 	fs.Parse(os.Args[1:]) //nolint:errcheck // ExitOnError
 
 	if *p4Path == "" {
@@ -53,10 +54,9 @@ func main() {
 	fmt.Printf("assembled %d instructions, %d registers (%d action-data params), %d tables\n",
 		len(isa.Instrs), isa.NumRegs, isa.NumParams, len(isa.Tables))
 	if !*quiet {
+		// Before the entries are read: the listing is what explains an
+		// entries or build error.
 		fmt.Print(isa.Disassemble())
-	}
-	if *packets <= 0 {
-		return
 	}
 
 	entriesText := ""
@@ -75,6 +75,13 @@ func main() {
 	if err != nil {
 		cli.Fatalf("drmtasm: %v", err)
 	}
+	if !*quiet {
+		fmt.Print("\n", isaM.Lowered())
+	}
+	if *packets <= 0 {
+		return
+	}
+
 	gen, err := drmt.NewTrafficGen(*seed, prog, *maxVal)
 	if err != nil {
 		cli.Fatalf("drmtasm: %v", err)

@@ -112,7 +112,8 @@ type drmtRunner struct {
 
 // RunShard resets both machines and streams the shard's seeded traffic
 // through the differential loop. Diff indices are already shard offsets
-// (each shard draws from a fresh generator), which is what merge expects.
+// (the fuzzer reseeds its one generator per shard, which restarts the
+// stream and the packet IDs), which is what merge expects.
 func (r *drmtRunner) RunShard(seed int64, n int) ShardResult {
 	rep, err := r.fuzzer.FuzzSeededMode(seed, n, r.t.MaxInput, r.t.Traffic)
 	if err != nil {

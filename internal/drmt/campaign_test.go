@@ -16,7 +16,14 @@ import (
 // because the reference exists only in package drmt's test files.
 type refTarget struct{ *campaign.DRMTTarget }
 
-func (t refTarget) Build() (campaign.Instance, error) { return t, nil }
+// Build refuses what the reference constructor refuses, so a build failure
+// is the same finding from either side.
+func (t refTarget) Build() (campaign.Instance, error) {
+	if _, err := drmt.NewRefFuzzer(t.Program, t.ISA, t.Entries); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
 func (t refTarget) NewRunner() (campaign.Runner, error) {
 	f, err := drmt.NewRefFuzzer(t.Program, t.ISA, t.Entries)
@@ -45,9 +52,9 @@ func (r refRunner) RunShard(seed int64, n int) campaign.ShardResult {
 
 // TestDRMTReportIdenticalSlotVsCompat is the campaign-level oracle check:
 // the slot-compiled engines and the reference map interpreters must produce
-// byte-identical campaign reports — JSON and text, clean benchmarks and an
-// injected miscompile whose counterexamples reach the report — at every
-// worker count.
+// byte-identical campaign reports — JSON and text, clean benchmarks, an
+// injected miscompile whose counterexamples reach the report and an injected
+// program that is refused at build — at every worker count.
 func TestDRMTReportIdenticalSlotVsCompat(t *testing.T) {
 	jobs, err := campaign.DRMTMatrix(drmt.Benchmarks(), nil, nil, []int64{1, 9}, 1500)
 	if err != nil {
@@ -63,6 +70,15 @@ func TestDRMTReportIdenticalSlotVsCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	jobs = append(jobs, campaign.Job{Name: "drmt/l2l3-miscompiled/seed=7", Target: &bugged, Seed: 7, Packets: 3000})
+	// One row that fails to build: counter's entries bind an action-data
+	// argument, and this ISA program declares no parameter register for it.
+	narrow := *jobs[0].Target.(*campaign.DRMTTarget)
+	if isa, err = drmt.Assemble(narrow.Program); err != nil {
+		t.Fatal(err)
+	}
+	isa.NumParams = 0
+	narrow.ISA = isa
+	jobs = append(jobs, campaign.Job{Name: "drmt/counter-no-param-registers/seed=3", Target: &narrow, Seed: 3, Packets: 500})
 
 	render := func(reference bool, workers int) string {
 		t.Helper()
@@ -86,6 +102,9 @@ func TestDRMTReportIdenticalSlotVsCompat(t *testing.T) {
 	want := render(false, 1)
 	if !bytes.Contains([]byte(want), []byte("FAIL")) {
 		t.Fatalf("the miscompiled job did not fail:\n%s", want)
+	}
+	if !bytes.Contains([]byte(want), []byte("binds 1-argument action")) {
+		t.Fatalf("the job without parameter registers was not refused at build:\n%s", want)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		if got := render(true, workers); got != want {

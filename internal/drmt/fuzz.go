@@ -10,7 +10,8 @@
 // SlotLayout, traffic is generated directly into reused []int64 slot
 // vectors (TrafficGen.Fill), and packets are compared index-to-index in
 // lock step. Canonical string renderings and Diff records are materialized
-// only on mismatch, so a clean shard performs O(1) allocation total.
+// only on mismatch and the seeded entry points reseed one kept generator, so
+// a clean shard allocates its report and nothing else.
 package drmt
 
 import (
@@ -59,6 +60,8 @@ type DiffFuzzer struct {
 	// Reused slot vectors: the generated packet and the two machines'
 	// working copies. One backing array, three windows.
 	in, got, want []int64
+
+	gen *TrafficGen // FuzzSeededMode's generator, reseeded per run
 }
 
 // NewDiffFuzzer builds a differential fuzzer for the program over the given
@@ -162,19 +165,26 @@ func (f *DiffFuzzer) Fuzz(gen *TrafficGen, n int) (*DiffReport, error) {
 // loop does.
 func (f *DiffFuzzer) SetBatch(int) {}
 
-// FuzzSeeded is Fuzz over a fresh generator: n packets seeded by seed, with
-// field values bounded by max (0 = full field widths).
+// FuzzSeeded is Fuzz over the stream a fresh generator would draw: n packets
+// seeded by seed, with field values bounded by max (0 = full field widths).
 func (f *DiffFuzzer) FuzzSeeded(seed int64, n int, max int64) (*DiffReport, error) {
 	return f.FuzzSeededMode(seed, n, max, TrafficUniform)
 }
 
-// FuzzSeededMode is FuzzSeeded with an explicit traffic mode.
+// FuzzSeededMode is FuzzSeeded with an explicit traffic mode. The fuzzer
+// keeps its generator and reseeds it, so a shard allocates no random source
+// while the bound and mode stay what the previous run used.
 func (f *DiffFuzzer) FuzzSeededMode(seed int64, n int, max int64, mode TrafficMode) (*DiffReport, error) {
-	gen, err := NewTrafficGenMode(seed, f.prog, max, mode)
-	if err != nil {
-		return nil, err
+	if g := f.gen; g != nil && g.max == max && g.mode == mode {
+		g.Reseed(seed)
+	} else {
+		gen, err := NewTrafficGenMode(seed, f.prog, max, mode)
+		if err != nil {
+			return nil, err
+		}
+		f.gen = gen
 	}
-	return f.Fuzz(gen, n)
+	return f.Fuzz(f.gen, n)
 }
 
 // MiscompileALUAdd returns a copy of the program with its first ALU add

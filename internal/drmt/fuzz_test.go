@@ -251,6 +251,62 @@ func TestDiffFuzzerCloneIsolation(t *testing.T) {
 	}
 }
 
+// TestFuzzSeededKeepsOneGenerator: the generator a fuzzer keeps between
+// seeded runs is invisible — whatever seed, bound and mode the previous run
+// used, a run reports what a new fuzzer's first run reports (under an
+// injected miscompile, so packet IDs and counterexamples are compared too),
+// and a clone starts without its parent's generator.
+func TestFuzzSeededKeepsOneGenerator(t *testing.T) {
+	prog, entries := loadL2L3(t)
+	isa, err := Assemble(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := MiscompileALUAdd(isa, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := NewDiffFuzzer(prog, bad, entries, HWConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffs := 0
+	for i, run := range []struct {
+		seed, max int64
+		mode      TrafficMode
+	}{
+		{3, 0, TrafficUniform}, {4, 0, TrafficUniform}, {3, 0, TrafficUniform},
+		{3, 0, TrafficBoundary}, {3, 1 << 20, TrafficBoundary}, {3, 1 << 20, TrafficUniform}, {3, 0, TrafficUniform},
+	} {
+		fresh, err := NewDiffFuzzer(prog, bad, entries, HWConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.FuzzSeededMode(run.seed, 2000, run.max, run.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := kept
+		if i == 5 {
+			f = kept.Clone()
+		}
+		got, err := f.FuzzSeededMode(run.seed, 2000, run.max, run.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := renderReport(got), renderReport(want); g != w {
+			t.Fatalf("run %d (%+v): kept generator reports\n%s\na new fuzzer\n%s", i, run, g, w)
+		}
+		diffs += len(want.Diffs)
+	}
+	if diffs == 0 {
+		t.Fatal("the miscompile was never hit: no packet IDs were compared")
+	}
+	if _, err := kept.FuzzSeededMode(1, 10, 0, "chaotic"); err == nil {
+		t.Fatal("unknown traffic mode accepted")
+	}
+}
+
 func TestFormatPacketCanonical(t *testing.T) {
 	p := &Packet{Fields: map[string]int64{"b.y": 2, "a.x": 1}, Dropped: true}
 	if got := FormatPacket(p); got != "{a.x=1 b.y=2 dropped}" {

@@ -141,10 +141,14 @@ type ISAProgram struct {
 	regBits   map[int]int // array symbol -> declared width
 }
 
-// Verify checks the ISA's hardware invariants: every register index is in
-// range and every control transfer is strictly forward (the feedforward
-// property the RMT pipeline has by construction).
+// Verify checks the ISA's hardware invariants: the register file holds the
+// reserved and action-data parameter registers a MATCH writes, every
+// register index is in range and every control transfer is strictly forward
+// (the feedforward property the RMT pipeline has by construction).
 func (p *ISAProgram) Verify() error {
+	if p.NumParams < 0 || p.NumRegs < RegParam0+p.NumParams {
+		return fmt.Errorf("drmt isa: %d registers cannot hold the %d reserved and %d action-data parameter registers", p.NumRegs, RegParam0, p.NumParams)
+	}
 	for pc, in := range p.Instrs {
 		bad := func(format string, args ...any) error {
 			return fmt.Errorf("drmt isa: instr %d (%s): %s", pc, in.Op, fmt.Sprintf(format, args...))
@@ -218,37 +222,47 @@ func (p *ISAProgram) Verify() error {
 // Disassemble renders the program as readable assembly.
 func (p *ISAProgram) Disassemble() string {
 	var b strings.Builder
-	for pc, in := range p.Instrs {
-		fmt.Fprintf(&b, "%4d: ", pc)
+	for pc := range p.Instrs {
+		in := &p.Instrs[pc]
+		sym := ""
 		switch in.Op {
-		case OpLoadImm:
-			fmt.Fprintf(&b, "loadi  r%d, %d", in.Dst, in.Imm)
-		case OpLoadField:
-			fmt.Fprintf(&b, "loadf  r%d, %s", in.Dst, p.Fields[in.Sym])
-		case OpStoreField:
-			fmt.Fprintf(&b, "storef %s, r%d", p.Fields[in.Sym], in.A)
-		case OpALU:
-			fmt.Fprintf(&b, "alu.%s/%d r%d, r%d, r%d", in.AOp, in.Bits, in.Dst, in.A, in.B)
-		case OpLoadReg:
-			fmt.Fprintf(&b, "loadr  r%d, %s[r%d]", in.Dst, p.RegArrays[in.Sym], in.A)
-		case OpStoreReg:
-			fmt.Fprintf(&b, "storer %s[r%d], r%d", p.RegArrays[in.Sym], in.A, in.B)
+		case OpLoadField, OpStoreField:
+			sym = p.Fields[in.Sym]
+		case OpLoadReg, OpStoreReg:
+			sym = p.RegArrays[in.Sym]
 		case OpMatch:
-			fmt.Fprintf(&b, "match  r%d, %s", in.Dst, p.Tables[in.Sym])
-		case OpBZ:
-			fmt.Fprintf(&b, "bz     r%d, %d", in.A, in.Target)
-		case OpBNZ:
-			fmt.Fprintf(&b, "bnz    r%d, %d", in.A, in.Target)
-		case OpJmp:
-			fmt.Fprintf(&b, "jmp    %d", in.Target)
-		case OpDrop:
-			fmt.Fprintf(&b, "drop")
-		case OpHalt:
-			fmt.Fprintf(&b, "halt")
+			sym = p.Tables[in.Sym]
 		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "%4d: %s\n", pc, in.format(sym))
 	}
 	return b.String()
+}
+
+// format renders the instruction; sym is the name its Sym operand stands
+// for. It is the one listing syntax: Disassemble prints source instructions
+// through it and ISAMachine.Lowered the ops they were lowered to.
+func (in *Instr) format(sym string) string {
+	switch in.Op {
+	case OpLoadImm:
+		return fmt.Sprintf("loadi  r%d, %d", in.Dst, in.Imm)
+	case OpLoadField:
+		return fmt.Sprintf("loadf  r%d, %s", in.Dst, sym)
+	case OpStoreField:
+		return fmt.Sprintf("storef %s, r%d", sym, in.A)
+	case OpALU:
+		return fmt.Sprintf("alu.%s/%d r%d, r%d, r%d", in.AOp, in.Bits, in.Dst, in.A, in.B)
+	case OpLoadReg:
+		return fmt.Sprintf("loadr  r%d, %s[r%d]", in.Dst, sym, in.A)
+	case OpStoreReg:
+		return fmt.Sprintf("storer %s[r%d], r%d", sym, in.A, in.B)
+	case OpMatch:
+		return fmt.Sprintf("match  r%d, %s", in.Dst, sym)
+	case OpBZ, OpBNZ:
+		return fmt.Sprintf("%-6s r%d, %d", in.Op, in.A, in.Target)
+	case OpJmp:
+		return fmt.Sprintf("jmp    %d", in.Target)
+	}
+	return in.Op.String() // drop, halt
 }
 
 // --- Assembler ----------------------------------------------------------------
@@ -537,9 +551,9 @@ type ISAStats struct {
 }
 
 // isaEntry is one table entry resolved against the ISA program's dispatch
-// list and the shared slot layout: matching is a slot read, selection is a
-// precomputed 1-based dispatch index, and the bound action-data arguments
-// are shared read-only.
+// list and the shared slot layout: matching is a slot read; the 1-based
+// dispatch index and the bound action-data arguments are what the lowering
+// specialises the entry's outcome block on.
 type isaEntry struct {
 	field   int // layout field slot
 	ternary bool
@@ -547,7 +561,7 @@ type isaEntry struct {
 	mask    int64
 	sel     int64 // 1-based dispatch index; 0 = action outside dispatch list
 	args    []int64
-	actName string // for the outside-dispatch-list error
+	actName string
 }
 
 func (e *isaEntry) matches(v int64) bool {
@@ -570,25 +584,23 @@ type isaTable struct {
 
 // ISAMachine executes an assembled ISA program over the same centralized
 // state (match table entries, register arrays) as the table-level Machine.
-// ExecSlots is the one interpreter: packets are layout-ordered []int64
-// vectors over a reused register file, and Run converts map packets at its
-// boundary.
+// The program is lowered once, at construction, onto its table entries (see
+// lower.go); ExecSlots runs the lowered code and is the one interpreter:
+// packets are layout-ordered []int64 vectors over a reused register file,
+// and Run converts map packets at its boundary.
 type ISAMachine struct {
 	prog    *p4.Program
 	isa     *ISAProgram
 	entries *EntrySet
 	hw      HWConfig
 
-	fieldW   []phv.Width
-	regW     []phv.Width
 	regBanks [][]int64 // indexed by register-array symbol
 
 	layout      *SlotLayout
-	fieldSlot   []int       // field symbol -> layout slot (-1 = unknown field)
-	aluW        []phv.Width // per-instruction OpALU width
-	matchTables []isaTable  // indexed by table symbol
-	scratch     []int64     // ExecSlots register file, zeroed per packet
-	matchCount  []int       // per table symbol, cleared by Run
+	matchTables []isaTable // indexed by table symbol
+	low         *lowered   // what ExecSlots runs; immutable, shared by clones
+	scratch     []int64    // ExecSlots register file
+	matchCount  []int      // per table symbol, cleared by Run
 }
 
 // NewISAMachine builds an executor. When isa is nil the program is
@@ -615,58 +627,58 @@ func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 		return nil, err
 	}
 	m := &ISAMachine{
-		prog:    prog,
-		isa:     isa,
-		entries: entries,
-		hw:      hw.Defaults(),
-		layout:  layout,
-		scratch: make([]int64, isa.NumRegs),
+		prog:       prog,
+		isa:        isa,
+		entries:    entries,
+		hw:         hw.Defaults(),
+		layout:     layout,
+		scratch:    make([]int64, isa.NumRegs),
+		matchCount: make([]int, len(isa.Tables)),
+		regBanks:   make([][]int64, len(isa.RegArrays)),
 	}
-	m.matchCount = make([]int, len(isa.Tables))
-	m.fieldW = make([]phv.Width, len(isa.Fields))
-	m.fieldSlot = make([]int, len(isa.Fields))
+	lw := lowerer{
+		m:         m,
+		fieldSlot: make([]int32, len(isa.Fields)),
+		fieldMask: make([]int64, len(isa.Fields)),
+		regMask:   make([]int64, len(isa.RegArrays)),
+	}
 	for i, name := range isa.Fields {
-		m.fieldW[i], err = phv.NewWidth(isa.fieldBits[i])
+		w, err := phv.NewWidth(isa.fieldBits[i])
 		if err != nil {
 			return nil, err
 		}
+		lw.fieldMask[i] = w.Mask()
 		if s, ok := layout.fieldIdx[name]; ok {
-			m.fieldSlot[i] = s
+			lw.fieldSlot[i] = int32(s)
 		} else {
-			m.fieldSlot[i] = -1 // a slot packet "lacks" this field
+			lw.fieldSlot[i] = -1 // a slot packet "lacks" this field
 		}
 	}
-	m.regW = make([]phv.Width, len(isa.RegArrays))
-	m.regBanks = make([][]int64, len(isa.RegArrays))
 	for i, name := range isa.RegArrays {
 		r := prog.Register(name)
 		if r == nil {
 			return nil, fmt.Errorf("drmt isa: program has no register %q", name)
 		}
-		m.regW[i], err = phv.NewWidth(r.Bits)
+		w, err := phv.NewWidth(r.Bits)
 		if err != nil {
 			return nil, err
 		}
+		lw.regMask[i] = w.Mask()
 		m.regBanks[i] = make([]int64, r.Count)
 	}
-	m.aluW = make([]phv.Width, len(isa.Instrs))
-	for i, in := range isa.Instrs {
-		if in.Op == OpALU {
-			w, err := phv.NewWidth(in.Bits)
-			if err != nil {
-				w = phv.Default32 // the ISA's fallback for widths Verify let through
-			}
-			m.aluW[i] = w
-		}
+	if m.matchTables, err = m.compileMatchTables(); err != nil {
+		return nil, err
 	}
-	m.matchTables = m.compileMatchTables()
+	m.low = lw.lower()
 	return m, nil
 }
 
 // compileMatchTables resolves every OpMatch target's entries and default
 // against the dispatch lists once, so the hot path's match is a slot scan
-// with no map lookups and no allocation.
-func (m *ISAMachine) compileMatchTables() []isaTable {
+// with no map lookups and no allocation. A MATCH writes its bound arguments
+// into the NumParams parameter registers, so a binding with more arguments
+// than that (possible only under an injected ISA program) is refused here.
+func (m *ISAMachine) compileMatchTables() ([]isaTable, error) {
 	dispatchIdx := func(tableSym int, action string) int64 {
 		for i, name := range m.isa.Dispatch[tableSym] {
 			if name == action {
@@ -674,6 +686,12 @@ func (m *ISAMachine) compileMatchTables() []isaTable {
 			}
 		}
 		return 0
+	}
+	checkArgs := func(table string, call p4.ActionCall) error {
+		if len(call.Args) > m.isa.NumParams {
+			return fmt.Errorf("drmt isa: table %q binds %d-argument action %q, the ISA program has %d parameter registers", table, len(call.Args), call.Name, m.isa.NumParams)
+		}
+		return nil
 	}
 	out := make([]isaTable, len(m.isa.Tables))
 	for ti, name := range m.isa.Tables {
@@ -687,6 +705,9 @@ func (m *ISAMachine) compileMatchTables() []isaTable {
 			continue
 		}
 		for _, e := range m.entries.ForTable(name) {
+			if err := checkArgs(name, e.Action); err != nil {
+				return nil, err
+			}
 			fs, ok := m.layout.fieldIdx[e.Field]
 			if !ok {
 				continue // a non-program field never matches a slot packet
@@ -706,13 +727,16 @@ func (m *ISAMachine) compileMatchTables() []isaTable {
 			mt.entries = append(mt.entries, ie)
 		}
 		if t.Default != nil {
+			if err := checkArgs(name, *t.Default); err != nil {
+				return nil, err
+			}
 			mt.hasDef = true
 			mt.defSel = dispatchIdx(ti, t.Default.Name)
 			mt.defArgs = t.Default.Args
 			mt.defName = t.Default.Name
 		}
 	}
-	return out
+	return out, nil
 }
 
 // Program returns the ISA program under execution.
@@ -723,7 +747,7 @@ func (m *ISAMachine) Layout() *SlotLayout { return m.layout }
 
 // Clone returns a machine with private register-array state and scratch.
 // The P4 program, ISA program, table entries, hardware configuration,
-// width tables and precompiled match tables are immutable after
+// precompiled match tables and lowered code are immutable after
 // construction and stay shared; campaign workers run shards on clones so
 // no mutable state crosses goroutines.
 func (m *ISAMachine) Clone() *ISAMachine {
@@ -785,100 +809,73 @@ func (m *ISAMachine) Run(packets []*Packet) (*ISAStats, error) {
 }
 
 // ExecSlots runs the program on one layout-ordered slot-vector packet in
-// place — the slot-compiled hot path. The register file is a per-machine
-// scratch zeroed at entry, table matches use the precompiled entry lists,
-// and ALU widths are resolved per instruction at build time, so a clean
-// execution performs no allocation and no map lookups. It returns the
-// executed instruction count (the per-packet latency, one instruction per
-// cycle) and the drop flag. Register-array state accumulates across calls;
-// executed MATCH instructions accumulate in matchCount until the next Run.
+// place — the hot path. It executes the lowered code (lower.go): field
+// slots, width masks and register banks are resolved per op, a MATCH scans
+// its precompiled entries and continues in the block specialised on the
+// outcome, and every op adds the number of source instructions it stands
+// for, so a clean execution performs no allocation and no map lookups. It
+// returns the executed source-instruction count (the per-packet latency,
+// one instruction per cycle) and the drop flag; an error reports the count
+// up to and including the failing instruction. Register-array state
+// accumulates across calls; executed MATCH instructions accumulate in
+// matchCount until the next Run.
 //
 //dvet:hotpath allocs=0
 func (m *ISAMachine) ExecSlots(pkt []int64) (executed int, dropped bool, err error) {
 	regs := m.scratch
-	for i := range regs {
-		regs[i] = 0
-	}
-	pc := 0
-	for pc < len(m.isa.Instrs) {
-		in := &m.isa.Instrs[pc]
-		executed++
-		next := pc + 1
-		switch in.Op {
+	clear(regs)
+	code := m.low.code
+	pc := int32(0)
+	for {
+		o := &code[pc]
+		executed += int(o.retire)
+		pc++
+		switch o.op {
 		case OpLoadImm:
-			regs[in.Dst] = in.Imm
+			regs[o.dst] = o.x
 		case OpLoadField:
-			s := m.fieldSlot[in.Sym]
-			if s < 0 {
-				return executed, dropped, fmt.Errorf("packet lacks field %q", m.isa.Fields[in.Sym]) //dvet:alloc-ok malformed-packet error path
-			}
-			regs[in.Dst] = pkt[s]
+			regs[o.dst] = pkt[o.a]
 		case OpStoreField:
-			s := m.fieldSlot[in.Sym]
-			if s < 0 {
-				return executed, dropped, fmt.Errorf("packet lacks field %q", m.isa.Fields[in.Sym]) //dvet:alloc-ok malformed-packet error path
-			}
-			pkt[s] = m.fieldW[in.Sym].Trunc(regs[in.A])
+			pkt[o.dst] = regs[o.a] & o.x
 		case OpALU:
-			regs[in.Dst] = aluEvalW(in.AOp, m.aluW[pc], regs[in.A], regs[in.B])
+			regs[o.dst] = aluEvalW(o.aop, aluWidths[o.bits], regs[o.a], regs[o.b])
 		case OpLoadReg:
-			cells := m.regBanks[in.Sym]
-			regs[in.Dst] = cells[wrapIndex(regs[in.A], len(cells))]
+			cells := m.regBanks[o.b]
+			regs[o.dst] = cells[wrapIndex(regs[o.a], len(cells))]
 		case OpStoreReg:
-			cells := m.regBanks[in.Sym]
-			cells[wrapIndex(regs[in.A], len(cells))] = m.regW[in.Sym].Trunc(regs[in.B])
+			cells := m.regBanks[o.dst]
+			cells[wrapIndex(regs[o.a], len(cells))] = regs[o.b] & o.x
 		case OpMatch:
-			m.matchCount[in.Sym]++
-			mt := &m.matchTables[in.Sym]
-			if mt.err != nil {
-				return executed, dropped, mt.err
-			}
-			var sel int64
-			var args []int64
-			matched := false
-			actName := ""
-			for ei := range mt.entries {
-				e := &mt.entries[ei]
+			m.matchCount[o.a]++
+			entries := m.matchTables[o.a].entries
+			outcome := len(entries) // no entry matches: the default, or the miss
+			for ei := range entries {
+				e := &entries[ei]
 				if e.matches(pkt[e.field]) {
-					matched, sel, args, actName = true, e.sel, e.args, e.actName
+					outcome = ei
 					break
 				}
 			}
-			if !matched && mt.hasDef {
-				matched, sel, args, actName = true, mt.defSel, mt.defArgs, mt.defName
-			}
-			if matched && sel == 0 {
-				return executed, dropped, fmt.Errorf("table %q selected action %q outside its dispatch list", mt.name, actName) //dvet:alloc-ok config-error path
-			}
-			regs[in.Dst] = sel
-			for i := 0; i < m.isa.NumParams; i++ {
-				regs[RegParam0+i] = 0
-			}
-			for i, v := range args {
-				regs[RegParam0+i] = v
-			}
+			pc = m.low.blocks[int(o.x)+outcome]
 		case OpBZ:
-			if regs[in.A] == 0 {
-				next = in.Target
+			if regs[o.a] == 0 {
+				pc = int32(o.x)
 			}
 		case OpBNZ:
-			if regs[in.A] != 0 {
-				next = in.Target
+			if regs[o.a] != 0 {
+				pc = int32(o.x)
 			}
 		case OpJmp:
-			next = in.Target
+			pc = int32(o.x)
 		case OpDrop:
 			dropped = true
 			regs[RegDrop] = 1
 		case OpHalt:
 			return executed, dropped, nil
-		default:
-			return executed, dropped, fmt.Errorf("unknown opcode %d at pc %d", in.Op, pc) //dvet:alloc-ok corrupt-program error path
+		case opFail:
+			return executed, dropped, m.low.errs[o.x]
 		}
-		regs[RegZero] = 0 // the zero register is immutable
-		pc = next
 	}
-	return executed, dropped, nil
 }
 
 // wrapIndex wraps a register-array index like the table-level machine
@@ -887,11 +884,22 @@ func wrapIndex(idx int64, n int) int {
 	if n == 0 {
 		return 0
 	}
-	return int(((idx % int64(n)) + int64(n)) % int64(n))
+	r := idx % int64(n)
+	if r < 0 {
+		r += int64(n)
+	}
+	return int(r)
 }
 
-// aluEvalW applies an ISA ALU operation at a prebuilt width (resolved per
-// instruction at machine-construction time).
+// aluWidths holds the prebuilt width of every ALU bit count Verify accepts.
+var aluWidths = func() (w [63]phv.Width) {
+	for bits := 1; bits < len(w); bits++ {
+		w[bits] = phv.MustWidth(bits)
+	}
+	return w
+}()
+
+// aluEvalW applies an ISA ALU operation at a prebuilt width.
 func aluEvalW(op ALUOp, w phv.Width, a, b int64) int64 {
 	a, b = w.Trunc(a), w.Trunc(b)
 	switch op {

@@ -1,6 +1,7 @@
 package drmt
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -385,6 +386,9 @@ func TestWrapIndex(t *testing.T) {
 		want int
 	}{
 		{0, 4, 0}, {3, 4, 3}, {4, 4, 0}, {7, 4, 3}, {-1, 4, 3}, {-5, 4, 3}, {5, 0, 0},
+		{-4, 4, 0}, {-8, 4, 0}, {-1, 1, 0}, {-7, 3, 2},
+		{math.MaxInt64, 4, 3}, {math.MinInt64, 4, 0}, {math.MinInt64 + 1, 4, 1},
+		{math.MinInt64, 3, 1}, {math.MinInt64, 1, 0}, {math.MinInt64, 0, 0},
 	}
 	for _, c := range cases {
 		if got := wrapIndex(c.idx, c.n); got != c.want {

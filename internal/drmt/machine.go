@@ -89,6 +89,15 @@ func NewTrafficGenMode(seed int64, prog *p4.Program, max int64, mode TrafficMode
 	return g, nil
 }
 
+// Reseed restarts the stream as a generator freshly built with seed (same
+// program, bound and mode) would produce it: the random source is re-seeded
+// in place and packet IDs restart at 0. It lets one generator serve many
+// shards without allocating a new random source for each.
+func (g *TrafficGen) Reseed(seed int64) {
+	g.rng.Seed(seed)
+	g.next = 0
+}
+
 // ensureLimits computes each field's draw bound once. int64(1)<<63 is
 // negative and int64(1)<<64 is 0, either of which would panic rand.Int63n;
 // fields 63 bits and wider draw from the full non-negative int64 range

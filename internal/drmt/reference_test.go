@@ -282,6 +282,26 @@ func newRefISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet) (*re
 		}
 		m.regBanks[i] = make([]int64, r.Count)
 	}
+	// A MATCH writes its bound arguments into the NumParams parameter
+	// registers; a binding that does not fit them is refused.
+	for _, name := range isa.Tables {
+		t := prog.Table(name)
+		if t == nil {
+			continue
+		}
+		calls := []p4.ActionCall{}
+		for _, e := range entries.ForTable(name) {
+			calls = append(calls, e.Action)
+		}
+		if t.Default != nil {
+			calls = append(calls, *t.Default)
+		}
+		for _, call := range calls {
+			if len(call.Args) > isa.NumParams {
+				return nil, fmt.Errorf("drmt isa: table %q binds %d-argument action %q, the ISA program has %d parameter registers", name, len(call.Args), call.Name, isa.NumParams)
+			}
+		}
+	}
 	return m, nil
 }
 

@@ -45,31 +45,157 @@ func fuzzedEntries(prog *p4.Program, base *EntrySet, pick uint8, key, mask, arg 
 	return set, nil
 }
 
+// splice inserts ins before instruction at. Branches that jumped past the
+// insertion point still reach their instruction; ins carries its targets in
+// the new numbering.
+func splice(p *ISAProgram, at int, ins ...Instr) {
+	for i := range p.Instrs {
+		if in := &p.Instrs[i]; (in.Op == OpBZ || in.Op == OpBNZ || in.Op == OpJmp) && in.Target > at {
+			in.Target += len(ins)
+		}
+	}
+	p.Instrs = slices.Insert(p.Instrs, at, ins...)
+}
+
+// matchPCs returns the pcs of the program's MATCH instructions.
+func matchPCs(p *ISAProgram) []int {
+	var pcs []int
+	for pc, in := range p.Instrs {
+		if in.Op == OpMatch {
+			pcs = append(pcs, pc)
+		}
+	}
+	return pcs
+}
+
+// isaMutants is the number of programs mutatedISA tells apart.
+const isaMutants = 13
+
 // mutatedISA returns the ISA program under test: the assembled program
 // (mutate 0), its first ALU add miscompiled into a subtract (1, the
 // MiscompileALUAdd bug injection — the engines must report the same
-// counterexamples), or the first table's dispatch list emptied (2 — every
+// counterexamples), the first table's dispatch list emptied (2 — every
 // selected action is now outside it, so both executors must fail with the
-// same error on the same packet).
+// same error on the same packet), or a structural mutant aimed at what the
+// lowering folds, follows and deletes (3 and up, described per case). Every
+// mutant passes Verify; none has to agree with the table-level machine.
 func mutatedISA(prog *p4.Program, mutate uint8) (*ISAProgram, error) {
-	isa, err := Assemble(prog)
+	asm, err := Assemble(prog)
 	if err != nil {
 		return nil, err
 	}
-	switch mutate % 3 {
+	isa := *asm
+	isa.Instrs = slices.Clone(asm.Instrs)
+	matches := matchPCs(&isa)
+	first, last := matches[0], matches[len(matches)-1]
+	lastField := len(isa.Fields) - 1
+	// Fresh temporaries no assembled instruction touches.
+	t0, t1, t2 := isa.NumRegs, isa.NumRegs+1, isa.NumRegs+2
+	isa.NumRegs += 3
+
+	switch mutate % isaMutants {
 	case 1:
 		for _, in := range isa.Instrs {
 			if in.Op == OpALU && in.AOp == ALUAdd {
-				return MiscompileALUAdd(isa, in.Bits)
+				return MiscompileALUAdd(&isa, in.Bits)
 			}
 		}
 	case 2:
-		bad := *isa
-		bad.Dispatch = slices.Clone(isa.Dispatch)
-		bad.Dispatch[0] = []string{"no_such_action"}
-		return &bad, nil
+		isa.Dispatch = slices.Clone(isa.Dispatch)
+		isa.Dispatch[0] = []string{"no_such_action"}
+	case 3:
+		// A data-dependent branch inside an outcome block: taken, it leaves
+		// for the source copy, where t1 must hold the 5 a folded path would
+		// never have stored; not taken, t1 is the constant 9.
+		at := first + 1
+		splice(&isa, at,
+			Instr{Op: OpLoadField, Dst: t0, Sym: 0},
+			Instr{Op: OpLoadImm, Dst: t1, Imm: 5},
+			Instr{Op: OpBNZ, A: t0, Target: at + 4},
+			Instr{Op: OpLoadImm, Dst: t1, Imm: 9},
+			Instr{Op: OpALU, AOp: ALUAdd, Bits: 8, Dst: t2, A: t1, B: t0},
+			Instr{Op: OpStoreField, Sym: lastField, A: t2},
+		)
+	case 4:
+		// Writes to the zero register by every instruction that writes one,
+		// then reads of it: r0 stays 0 and the packet fields show it.
+		splice(&isa, first+1,
+			Instr{Op: OpLoadImm, Dst: RegZero, Imm: 7},
+			Instr{Op: OpLoadField, Dst: RegZero, Sym: 0},
+			Instr{Op: OpALU, AOp: ALUAdd, Bits: 8, Dst: t0, A: RegZero, B: RegZero},
+			Instr{Op: OpLoadImm, Dst: t1, Imm: 3},
+			Instr{Op: OpALU, AOp: ALUAdd, Bits: 8, Dst: RegZero, A: t1, B: t1},
+			Instr{Op: OpALU, AOp: ALUSub, Bits: 8, Dst: t2, A: t0, B: RegZero},
+			Instr{Op: OpStoreField, Sym: lastField, A: t2},
+			Instr{Op: OpBNZ, A: RegZero, Target: first + 1 + 9},
+			Instr{Op: OpStoreField, Sym: 0, A: RegZero},
+		)
+	case 5:
+		// Temporaries defined after the first MATCH — one from the packet,
+		// one a constant — and read after the last: live across every block
+		// boundary in between.
+		splice(&isa, last+1,
+			Instr{Op: OpALU, AOp: ALUAdd, Bits: 16, Dst: t2, A: t0, B: t1},
+			Instr{Op: OpStoreField, Sym: lastField, A: t2},
+		)
+		splice(&isa, first+1,
+			Instr{Op: OpLoadField, Dst: t0, Sym: 0},
+			Instr{Op: OpLoadImm, Dst: t1, Imm: 77},
+		)
+	case 6:
+		// The last MATCH selects into a temporary: the ladder after it reads
+		// whatever the MATCH before left in RegSel.
+		isa.Instrs[last].Dst = t0
+	case 7:
+		// A MATCH that selects into the zero register: the write is void.
+		isa.Instrs[first].Dst = RegZero
+	case 8:
+		// A MATCH that selects into a register it then overwrites with
+		// action data, or (no parameters) into the drop register.
+		// Either way a field then shows what the register holds.
+		isa.Instrs[first].Dst = RegDrop
+		if isa.NumParams > 0 {
+			isa.Instrs[first].Dst = RegParam0
+		}
+		splice(&isa, first+1, Instr{Op: OpStoreField, Sym: lastField, A: isa.Instrs[first].Dst})
+	case 9:
+		// Jumps to len(Instrs): the program's last jump, followed statically
+		// inside a block, and a data-dependent one to the same place.
+		for pc := len(isa.Instrs) - 1; pc >= 0; pc-- {
+			if isa.Instrs[pc].Op == OpJmp {
+				isa.Instrs[pc].Target = len(isa.Instrs)
+				break
+			}
+		}
+		splice(&isa, last+1,
+			Instr{Op: OpLoadField, Dst: t0, Sym: 0},
+			Instr{Op: OpBZ, A: t0, Target: len(isa.Instrs) + 2},
+		)
+	case 10:
+		// A load of a field no packet has, into a register nothing reads:
+		// deleting the load would delete the failure.
+		isa.Fields = append(slices.Clone(isa.Fields), "no.such_field")
+		isa.fieldBits = map[int]int{len(isa.Fields) - 1: 8}
+		for sym, bits := range asm.fieldBits {
+			isa.fieldBits[sym] = bits
+		}
+		splice(&isa, first+1, Instr{Op: OpLoadField, Dst: t0, Sym: len(isa.Fields) - 1})
+	case 11:
+		// The last MATCH consults a table the program does not have: every
+		// packet that gets there fails on it, after running what came before.
+		isa.Tables = slices.Clone(isa.Tables)
+		isa.Tables[isa.Instrs[last].Sym] = "ghost"
+	case 12:
+		// The select a MATCH wrote is overwritten with packet data before
+		// the ladder reads it — by an ALU after the first MATCH, by a load
+		// after the last — so the ladder must run, not fold.
+		splice(&isa, last+1, Instr{Op: OpLoadField, Dst: RegSel, Sym: 0})
+		splice(&isa, first+1,
+			Instr{Op: OpLoadField, Dst: t0, Sym: 0},
+			Instr{Op: OpALU, AOp: ALUAdd, Bits: 62, Dst: RegSel, A: RegSel, B: t0},
+		)
 	}
-	return isa, nil
+	return &isa, isa.Verify()
 }
 
 // FuzzSlotsVsReference is the differential property of the dRMT engines: on
@@ -82,7 +208,7 @@ func mutatedISA(prog *p4.Program, mutate uint8) (*ISAProgram, error) {
 func FuzzSlotsVsReference(f *testing.F) {
 	for b, bm := range Benchmarks() {
 		bench := uint8(b)
-		for mutate := uint8(0); mutate < 3; mutate++ {
+		for mutate := uint8(0); mutate < isaMutants; mutate++ {
 			f.Add(bench, mutate, bench*5+mutate, int64(3), int64(0xff), int64(7), int64(1+bench), true)
 		}
 		// Every (ternary key, action) of the benchmark under a key with bits

@@ -114,3 +114,39 @@ func TestDRMTTrafficGenBoundaryMaxInput(t *testing.T) {
 		t.Fatal("unknown mode accepted")
 	}
 }
+
+// TestDRMTTrafficGenReseed: a reseeded generator continues exactly as one
+// freshly built with that seed — same values through Fill and Next, packet
+// IDs restarting at 0 — in both modes, bounded and unbounded, wherever the
+// previous stream was left.
+func TestDRMTTrafficGenReseed(t *testing.T) {
+	prog, err := p4.Parse(boundaryProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []TrafficMode{TrafficUniform, TrafficBoundary} {
+		for _, max := range []int64{0, 100} {
+			reused, err := NewTrafficGenMode(1, prog, max, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf, want := make([]int64, reused.NumFields()), make([]int64, reused.NumFields())
+			for _, seed := range []int64{42, -7, 42, 0} {
+				for i := int64(0); i < 1+(seed&3)*5; i++ {
+					reused.Fill(buf)
+				}
+				reused.Reseed(seed)
+				fresh, _ := NewTrafficGenMode(seed, prog, max, mode)
+				for i := 0; i < 40; i++ {
+					id, wantID := reused.Fill(buf), fresh.Fill(want)
+					if id != wantID || !slotsEqual(buf, want) {
+						t.Fatalf("%s max=%d seed %d: Fill %d = id %d %v, fresh generator id %d %v", mode, max, seed, i, id, buf, wantID, want)
+					}
+				}
+				if got, want := FormatPacket(reused.Next()), FormatPacket(fresh.Next()); got != want {
+					t.Fatalf("%s max=%d seed %d: Next = %s, fresh generator %s", mode, max, seed, got, want)
+				}
+			}
+		}
+	}
+}

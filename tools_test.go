@@ -292,7 +292,8 @@ control ingress { apply(route); }
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
-		for _, want := range []string{"assembled", "match  r2, route", "differential check: ISA and table-level execution agree"} {
+		for _, want := range []string{"assembled", "match  r2, route", "lowered on the table entries", "route/0 deny(): 2 ops retire", "route/default dec():",
+			"differential check: ISA and table-level execution agree"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("drmtasm output missing %q:\n%s", want, out)
 			}
