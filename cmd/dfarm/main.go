@@ -91,9 +91,9 @@ func main() {
 	if err != nil {
 		cli.Fatalf("dfarm: %v", err)
 	}
-	procList, err := farmd.ParseProcs(*procs)
+	procList, err := farmd.ParseInts(*procs)
 	if err != nil {
-		cli.Fatalf("dfarm: %v", err)
+		cli.Fatalf("dfarm: -procs: %v", err)
 	}
 	vbitsList, err := farmd.ParseInts(*vbits)
 	if err != nil {

@@ -55,10 +55,7 @@ func (t *DRMTTarget) validate() error {
 	if t.Entries == nil {
 		return fmt.Errorf("no entry set")
 	}
-	if !t.Traffic.Valid() {
-		return fmt.Errorf("unknown traffic mode %q", t.Traffic)
-	}
-	return nil
+	return t.Traffic.Check()
 }
 
 // Fingerprint implements Fingerprinter: a stable content hash over the

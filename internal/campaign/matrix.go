@@ -34,13 +34,9 @@ func MatrixWithCorpus(benchmarks []*spec.Benchmark, levels []core.OptLevel, traf
 	if len(levels) == 0 {
 		levels = core.AllLevels()
 	}
-	if len(traffic) == 0 {
-		traffic = []sim.TrafficMode{sim.TrafficUniform}
-	}
-	for _, mode := range traffic {
-		if !mode.Valid() {
-			return nil, fmt.Errorf("campaign: unknown traffic mode %q", mode)
-		}
+	traffic, err := trafficAxis(traffic)
+	if err != nil {
+		return nil, err
 	}
 	if len(seeds) == 0 {
 		seeds = []int64{1}
@@ -81,6 +77,20 @@ func MatrixWithCorpus(benchmarks []*spec.Benchmark, levels []core.OptLevel, traf
 	return jobs, nil
 }
 
+// trafficAxis is the traffic axis of either matrix: the modes asked for,
+// each a known one, or uniform alone when none is.
+func trafficAxis(traffic []phv.TrafficMode) ([]phv.TrafficMode, error) {
+	if len(traffic) == 0 {
+		return []phv.TrafficMode{phv.TrafficUniform}, nil
+	}
+	for _, mode := range traffic {
+		if err := mode.Check(); err != nil {
+			return nil, fmt.Errorf("campaign: %w", err)
+		}
+	}
+	return traffic, nil
+}
+
 // Table1Matrix is Matrix over every Table-1 benchmark at every
 // optimization level — the paper's three plus the closure-compiled engine —
 // with uniform traffic and seed 1: the paper's full benchmark sweep, run
@@ -109,13 +119,9 @@ func DRMTMatrix(benchmarks []*drmt.Benchmark, procs []int, traffic []drmt.Traffi
 			return nil, fmt.Errorf("campaign: negative processor count %d", p)
 		}
 	}
-	if len(traffic) == 0 {
-		traffic = []drmt.TrafficMode{drmt.TrafficUniform}
-	}
-	for _, mode := range traffic {
-		if !mode.Valid() {
-			return nil, fmt.Errorf("campaign: unknown traffic mode %q", mode)
-		}
+	traffic, err := trafficAxis(traffic)
+	if err != nil {
+		return nil, err
 	}
 	if len(seeds) == 0 {
 		seeds = []int64{1}

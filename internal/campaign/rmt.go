@@ -65,10 +65,7 @@ func (t *PipelineTarget) validate() error {
 	if t.NewSpec == nil {
 		return fmt.Errorf("no specification factory")
 	}
-	if !t.Traffic.Valid() {
-		return fmt.Errorf("unknown traffic mode %q", t.Traffic)
-	}
-	return nil
+	return t.Traffic.Check()
 }
 
 // Fingerprint implements Fingerprinter: a stable content hash over the

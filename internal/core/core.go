@@ -97,9 +97,6 @@ func ParseLevel(name string) (OptLevel, error) {
 	}
 }
 
-// Levels lists all optimization levels in increasing order.
-func Levels() []OptLevel { return []OptLevel{Unoptimized, SCCPropagation, SCCInlining} }
-
 // Spec describes the hardware configuration handed to dgen: the pipeline
 // dimensions and the ALU descriptions (§3.1, "the depth and width of the
 // pipeline, a high-level representation of the ALU structure").

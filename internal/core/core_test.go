@@ -10,6 +10,10 @@ import (
 	"druzhba/internal/phv"
 )
 
+// paperLevels are the paper's three optimization levels (Fig. 6), without
+// the closure-compiled extension AllLevels adds.
+var paperLevels = []OptLevel{Unoptimized, SCCPropagation, SCCInlining}
+
 // testSpec builds a Spec with the given dims using the full stateless ALU
 // and a chosen stateful atom.
 func testSpec(t *testing.T, depth, width int, statefulAtom string) Spec {
@@ -84,7 +88,7 @@ func TestBuildRejectsBadCode(t *testing.T) {
 	s := testSpec(t, 1, 1, "raw")
 	code := identityCode(t, &s)
 	code.Delete(machinecode.OutputMuxName(0, 0))
-	for _, level := range Levels() {
+	for _, level := range paperLevels {
 		if _, err := Build(s, code, level); err == nil {
 			t.Errorf("Build(%v) succeeded with missing pair", level)
 		}
@@ -109,7 +113,7 @@ func TestBuildUncheckedFailsAtRuntime(t *testing.T) {
 func TestIdentityPipeline(t *testing.T) {
 	s := testSpec(t, 3, 2, "if_else_raw")
 	code := identityCode(t, &s)
-	for _, level := range Levels() {
+	for _, level := range paperLevels {
 		p, err := Build(s, code, level)
 		if err != nil {
 			t.Fatalf("Build(%v): %v", level, err)
@@ -141,7 +145,7 @@ func TestStatelessAdd(t *testing.T) {
 	set("mux3_1", 1)                                        // b = pkt_1
 	code.Set(machinecode.OutputMuxName(0, 0), 1)            // container 0 <- stateless ALU 0
 
-	for _, level := range Levels() {
+	for _, level := range paperLevels {
 		p, err := Build(s, code, level)
 		if err != nil {
 			t.Fatalf("Build(%v): %v", level, err)
@@ -173,7 +177,7 @@ func counterCode(t *testing.T, s *Spec) *machinecode.Program {
 func TestStatefulAccumulatorAcrossPHVs(t *testing.T) {
 	s := testSpec(t, 1, 1, "raw")
 	code := counterCode(t, &s)
-	for _, level := range Levels() {
+	for _, level := range paperLevels {
 		p, err := Build(s, code, level)
 		if err != nil {
 			t.Fatalf("Build(%v): %v", level, err)

@@ -61,7 +61,11 @@ type DiffFuzzer struct {
 	// working copies. One backing array, three windows.
 	in, got, want []int64
 
-	gen *TrafficGen // FuzzSeededMode's generator, reseeded per run
+	// FuzzSeededMode's generator, reseeded per run while the bound and mode
+	// it was built for stay the same.
+	gen     *TrafficGen
+	genMax  int64
+	genMode TrafficMode
 }
 
 // NewDiffFuzzer builds a differential fuzzer for the program over the given
@@ -175,14 +179,14 @@ func (f *DiffFuzzer) FuzzSeeded(seed int64, n int, max int64) (*DiffReport, erro
 // keeps its generator and reseeds it, so a shard allocates no random source
 // while the bound and mode stay what the previous run used.
 func (f *DiffFuzzer) FuzzSeededMode(seed int64, n int, max int64, mode TrafficMode) (*DiffReport, error) {
-	if g := f.gen; g != nil && g.max == max && g.mode == mode {
-		g.Reseed(seed)
+	if f.gen != nil && f.genMax == max && f.genMode == mode {
+		f.gen.Reseed(seed)
 	} else {
 		gen, err := NewTrafficGenMode(seed, f.prog, max, mode)
 		if err != nil {
 			return nil, err
 		}
-		f.gen = gen
+		f.gen, f.genMax, f.genMode = gen, max, mode
 	}
 	return f.Fuzz(f.gen, n)
 }

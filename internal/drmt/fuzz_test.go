@@ -1,9 +1,10 @@
 package drmt
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
+
+	"druzhba/internal/phv"
 )
 
 // TestTrafficGenWideFieldsNoPanic is the regression test for the shift
@@ -12,11 +13,11 @@ import (
 // full non-negative range instead. The p4 parser caps declared widths at
 // 62, so the generator is built directly.
 func TestTrafficGenWideFieldsNoPanic(t *testing.T) {
-	g := &TrafficGen{
-		rng:    rand.New(rand.NewSource(1)),
-		fields: []string{"h.w62", "h.w63", "h.w64"},
-		bits:   map[string]int{"h.w62": 62, "h.w63": 63, "h.w64": 64},
+	wide, err := phv.NewTrafficGen(1, []int{62, 63, 64}, 0, TrafficUniform)
+	if err != nil {
+		t.Fatal(err)
 	}
+	g := &TrafficGen{TrafficGen: wide, fields: []string{"h.w62", "h.w63", "h.w64"}}
 	for i := 0; i < 100; i++ {
 		p := g.Next()
 		for f, v := range p.Fields {
@@ -26,12 +27,11 @@ func TestTrafficGenWideFieldsNoPanic(t *testing.T) {
 		}
 	}
 	// The clamp must not disturb the max bound.
-	g = &TrafficGen{
-		rng:    rand.New(rand.NewSource(1)),
-		fields: []string{"h.w64"},
-		bits:   map[string]int{"h.w64": 64},
-		max:    10,
+	bounded, err := phv.NewTrafficGen(1, []int{64}, 10, TrafficUniform)
+	if err != nil {
+		t.Fatal(err)
 	}
+	g = &TrafficGen{TrafficGen: bounded, fields: []string{"h.w64"}}
 	for i := 0; i < 100; i++ {
 		if v := g.Next().Fields["h.w64"]; v < 0 || v >= 10 {
 			t.Fatalf("bounded wide field = %d, want [0,10)", v)

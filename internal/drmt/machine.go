@@ -2,8 +2,6 @@ package drmt
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 
 	"druzhba/internal/dag"
@@ -50,22 +48,22 @@ const (
 )
 
 // TrafficGen generates packets "with randomly initialized packet field
-// values based on the fields specified in the P4 file" (§4.2). Packet IDs
-// are assigned from a running counter, so consecutive Next/Fill/Batch calls
-// on one generator yield distinct, globally ordered IDs.
+// values based on the fields specified in the P4 file" (§4.2). It is
+// phv.TrafficGen, the one generator both machine models draw from, with one
+// column per program field in slot order (sorted field names, matching
+// SlotLayout), each at the field's declared width. Fill and Reseed are the
+// embedded generator's: Fill writes a packet's field values into the first
+// NumFields entries of a caller-owned buffer and returns the packet's ID, its
+// index in the stream, so consecutive Next/Fill/Batch calls on one generator
+// yield distinct, globally ordered IDs that Reseed restarts at 0.
 type TrafficGen struct {
-	rng    *rand.Rand
+	*phv.TrafficGen
 	fields []string
-	bits   map[string]int
-	limits []int64   // per-field draw bound, built lazily from bits and max
-	bounds [][]int64 // per-field boundary sets, built lazily in boundary mode
-	max    int64
-	mode   TrafficMode
-	next   int // next packet ID
 }
 
 // NewTrafficGen builds a generator for the program's fields. max bounds the
-// generated values (0 = each field's full declared width).
+// generated values (0 = each field's full declared width; a max beyond a
+// field's width is clamped to it).
 func NewTrafficGen(seed int64, prog *p4.Program, max int64) (*TrafficGen, error) {
 	return NewTrafficGenMode(seed, prog, max, TrafficUniform)
 }
@@ -74,94 +72,31 @@ func NewTrafficGen(seed int64, prog *p4.Program, max int64) (*TrafficGen, error)
 // modes draw exactly one random number per field, so a given mode is
 // deterministic for a given seed across Fill, Next and Batch.
 func NewTrafficGenMode(seed int64, prog *p4.Program, max int64, mode TrafficMode) (*TrafficGen, error) {
-	if !mode.Valid() {
-		return nil, fmt.Errorf("drmt: unknown traffic mode %q (want %s or %s)", mode, TrafficUniform, TrafficBoundary)
-	}
-	g := &TrafficGen{rng: rand.New(rand.NewSource(seed)), max: max, mode: mode, bits: map[string]int{}}
-	g.fields = prog.FieldNames()
-	for _, f := range g.fields {
+	fields := prog.FieldNames()
+	bits := make([]int, len(fields))
+	for i, f := range fields {
 		b, err := prog.FieldBits(f)
 		if err != nil {
 			return nil, err
 		}
-		g.bits[f] = b
+		bits[i] = b
 	}
-	return g, nil
-}
-
-// Reseed restarts the stream as a generator freshly built with seed (same
-// program, bound and mode) would produce it: the random source is re-seeded
-// in place and packet IDs restart at 0. It lets one generator serve many
-// shards without allocating a new random source for each.
-func (g *TrafficGen) Reseed(seed int64) {
-	g.rng.Seed(seed)
-	g.next = 0
-}
-
-// ensureLimits computes each field's draw bound once. int64(1)<<63 is
-// negative and int64(1)<<64 is 0, either of which would panic rand.Int63n;
-// fields 63 bits and wider draw from the full non-negative int64 range
-// instead.
-func (g *TrafficGen) ensureLimits() {
-	if g.limits != nil {
-		return
+	gen, err := phv.NewTrafficGen(seed, bits, max, mode)
+	if err != nil {
+		return nil, err
 	}
-	g.limits = make([]int64, len(g.fields))
-	for i, f := range g.fields {
-		limit := int64(math.MaxInt64)
-		if g.bits[f] < 63 {
-			limit = int64(1) << uint(g.bits[f])
-		}
-		if g.max > 0 && g.max < limit {
-			limit = g.max
-		}
-		g.limits[i] = limit
-	}
-	if g.mode == TrafficBoundary {
-		g.bounds = make([][]int64, len(g.limits))
-		for i, limit := range g.limits {
-			g.bounds[i] = phv.BoundaryValues(limit)
-		}
-	}
-}
-
-// draw produces field i's next value under the generator's mode.
-func (g *TrafficGen) draw(i int) int64 {
-	if g.bounds != nil {
-		return g.bounds[i][g.rng.Intn(len(g.bounds[i]))]
-	}
-	return g.rng.Int63n(g.limits[i])
-}
-
-// Fill writes the next packet's field values into the caller-owned dst
-// buffer — slot order, i.e. sorted field order, matching SlotLayout — and
-// returns the packet's ID. It draws exactly one value per field, so Fill
-// and Next consume the random stream identically: streaming and
-// materializing consumers of the same seed see the same traffic. dst must
-// have at least NumFields entries. Fill performs no allocation after the
-// first call.
-//
-//dvet:hotpath allocs=0
-func (g *TrafficGen) Fill(dst []int64) int {
-	g.ensureLimits()
-	id := g.next
-	g.next++
-	for i := range g.limits {
-		dst[i] = g.draw(i)
-	}
-	return id
+	return &TrafficGen{TrafficGen: gen, fields: fields}, nil
 }
 
 // NumFields returns the number of values Fill draws per packet.
 func (g *TrafficGen) NumFields() int { return len(g.fields) }
 
-// Next generates one packet.
+// Next generates one packet, consuming the stream exactly as Fill does.
 func (g *TrafficGen) Next() *Packet {
-	g.ensureLimits()
-	p := &Packet{ID: g.next, Fields: make(map[string]int64, len(g.fields))}
-	g.next++
+	vals := make([]int64, len(g.fields))
+	p := &Packet{ID: g.Fill(vals), Fields: make(map[string]int64, len(g.fields))}
 	for i, f := range g.fields {
-		p.Fields[f] = g.draw(i)
+		p.Fields[f] = vals[i]
 	}
 	return p
 }

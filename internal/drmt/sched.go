@@ -2,7 +2,9 @@
 // the paper: a set of match+action processors running the packet program to
 // completion, with centralized table memory reached through a crossbar, a
 // scheduler that assigns each table's match and action operations to cycles,
-// and a round-robin traffic generator.
+// and a round-robin traffic generator. (TrafficGen is phv.TrafficGen, the
+// generator both machine models share, with one column per program field at
+// the field's declared width; a max beyond a field's width is clamped to it.)
 //
 // The paper formulates scheduling as an ILP (NP-hard) and ships the DAG to
 // the dRMT scheduler of Chole et al.; offline, this package substitutes a

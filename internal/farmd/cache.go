@@ -1,7 +1,6 @@
 package farmd
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,7 +8,6 @@ import (
 	"regexp"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"druzhba/internal/campaign"
@@ -19,17 +17,8 @@ import (
 // MemCache is a bounded in-memory LRU campaign.ShardCache: the hot tier of
 // a long-running daemon. It is safe for concurrent use.
 type MemCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are *memEntry
-	items map[string]*list.Element
-
-	evictions *obs.Counter // nil = uncounted
-}
-
-type memEntry struct {
-	key string
-	res *campaign.ShardResult
+	lru       *lru[*campaign.ShardResult] // every entry weighs 1
+	evictions *obs.Counter                // nil = uncounted; guarded by lru.mu
 }
 
 // NewMemCache returns an LRU cache holding at most capacity shard results
@@ -38,20 +27,13 @@ func NewMemCache(capacity int) *MemCache {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &MemCache{cap: capacity, order: list.New(), items: map[string]*list.Element{}}
+	c := &MemCache{}
+	c.lru = newLRU[*campaign.ShardResult](int64(capacity), func(string, int64) { c.evictions.Inc() })
+	return c
 }
 
 // Get implements campaign.ShardCache.
-func (c *MemCache) Get(key string) (*campaign.ShardResult, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*memEntry).res, true
-}
+func (c *MemCache) Get(key string) (*campaign.ShardResult, bool) { return c.lru.get(key) }
 
 // Put implements campaign.ShardCache, evicting the least recently used
 // entry when the cache is full.
@@ -59,49 +41,33 @@ func (c *MemCache) Put(key string, res *campaign.ShardResult) {
 	if res == nil || res.Err != nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*memEntry).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&memEntry{key: key, res: res})
-	for len(c.items) > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*memEntry).key)
-		c.evictions.Inc()
-	}
+	c.lru.put(key, res, 1)
 }
 
 // SetEvictionCounter wires the tier's eviction counter (observability
 // only; nil disables counting).
 func (c *MemCache) SetEvictionCounter(evictions *obs.Counter) {
-	c.mu.Lock()
+	c.lru.mu.Lock()
 	c.evictions = evictions
-	c.mu.Unlock()
+	c.lru.mu.Unlock()
 }
 
 // Len returns the number of cached entries.
 func (c *MemCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
+	n, _ := c.lru.size()
+	return n
 }
 
-// diskEntry is DirCache's on-disk form of one shard result. The embedded
-// key lets Get detect renamed or cross-copied files; results with harness
-// errors are never persisted, so the form carries no error field. Verify
-// cells serialize all their deterministic fields; solve wall time is
+// diskEntry is DirCache's on-disk form of one shard result: the wire form
+// under the key it was stored at. The embedded key lets Get detect renamed
+// or cross-copied files; results with harness errors are never persisted,
+// so a written entry carries no error field and one that does is damage.
+// Verify cells serialize all their deterministic fields; solve wall time is
 // excluded at the type level (VerifyCell.SolveMS is json:"-"), so cached
 // replays never leak one run's timing into another's report.
 type diskEntry struct {
-	Key      string                `json:"key"`
-	Checked  int                   `json:"checked"`
-	Ticks    int64                 `json:"ticks"`
-	Findings []campaign.Finding    `json:"findings,omitempty"`
-	Cells    []campaign.VerifyCell `json:"cells,omitempty"`
+	Key string `json:"key"`
+	WireShardResult
 }
 
 // DirCache is an on-disk campaign.ShardCache: one JSON file per shard
@@ -117,22 +83,14 @@ type diskEntry struct {
 // footprint stays bounded. Without a cap the directory only grows; it is
 // the persistent tier a daemon restart warms from.
 type DirCache struct {
-	dir      string
-	maxBytes int64
+	dir string
 
-	// LRU accounting, used only when maxBytes > 0. File mutations stay
-	// under mu so eviction never races a concurrent Put's accounting.
-	mu    sync.Mutex
-	size  int64
-	order *list.List // front = most recently used; values are *dirEntry
-	items map[string]*list.Element
+	// LRU accounting by entry-file bytes, nil without a cap. Eviction
+	// removes the file under the list's lock, so it never races a
+	// concurrent Put's accounting.
+	lru *lru[struct{}]
 
-	evictions, evictedBytes *obs.Counter // nil = uncounted
-}
-
-type dirEntry struct {
-	key  string
-	size int64
+	evictions, evictedBytes *obs.Counter // nil = uncounted; guarded by lru.mu
 }
 
 // NewDirCache opens (creating if needed) an unbounded on-disk cache rooted
@@ -149,16 +107,16 @@ func NewDirCacheLimit(dir string, maxBytes int64) (*DirCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("farmd: cache dir: %w", err)
 	}
-	c := &DirCache{dir: dir, maxBytes: maxBytes}
+	c := &DirCache{dir: dir}
 	if maxBytes > 0 {
-		c.order = list.New()
-		c.items = map[string]*list.Element{}
+		c.lru = newLRU[struct{}](maxBytes, func(key string, size int64) {
+			os.Remove(c.Path(key))
+			c.evictions.Inc()
+			c.evictedBytes.Add(float64(size))
+		})
 		if err := c.scan(); err != nil {
 			return nil, err
 		}
-		c.mu.Lock()
-		c.evict()
-		c.mu.Unlock()
 	}
 	return c, nil
 }
@@ -199,75 +157,39 @@ func (c *DirCache) scan() error {
 	}
 	sort.Slice(stats, func(i, j int) bool { return stats[i].mtime.Before(stats[j].mtime) })
 	for _, s := range stats {
-		c.items[s.key] = c.order.PushFront(&dirEntry{key: s.key, size: s.size})
-		c.size += s.size
+		c.lru.put(s.key, struct{}{}, s.size)
 	}
 	return nil
-}
-
-// track records (or refreshes) one entry's accounting. Caller holds mu.
-func (c *DirCache) track(key string, size int64) {
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*dirEntry)
-		c.size += size - ent.size
-		ent.size = size
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.order.PushFront(&dirEntry{key: key, size: size})
-	c.size += size
-}
-
-// forget drops one entry's accounting. Caller holds mu.
-func (c *DirCache) forget(key string) {
-	if el, ok := c.items[key]; ok {
-		c.size -= el.Value.(*dirEntry).size
-		c.order.Remove(el)
-		delete(c.items, key)
-	}
-}
-
-// evict removes least-recently-used entry files until the cache fits its
-// cap again. The most recent entry always survives, even when it alone
-// exceeds the cap — eviction bounds the tail, it never corrupts or empties
-// the cache. Caller holds mu.
-func (c *DirCache) evict() {
-	for c.size > c.maxBytes && c.order.Len() > 1 {
-		oldest := c.order.Back()
-		ent := oldest.Value.(*dirEntry)
-		os.Remove(c.Path(ent.key))
-		c.size -= ent.size
-		c.order.Remove(oldest)
-		delete(c.items, ent.key)
-		c.evictions.Inc()
-		c.evictedBytes.Add(float64(ent.size))
-	}
 }
 
 // SetEvictionCounters wires the tier's eviction count and byte counters
 // (observability only; nil disables counting).
 func (c *DirCache) SetEvictionCounters(evictions, evictedBytes *obs.Counter) {
-	c.mu.Lock()
+	if c.lru == nil {
+		return // an unbounded cache never evicts
+	}
+	c.lru.mu.Lock()
 	c.evictions = evictions
 	c.evictedBytes = evictedBytes
-	c.mu.Unlock()
+	c.lru.mu.Unlock()
 }
 
 // Len returns the number of tracked entries (bounded caches only).
 func (c *DirCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.items == nil {
+	if c.lru == nil {
 		return 0
 	}
-	return len(c.items)
+	n, _ := c.lru.size()
+	return n
 }
 
 // Size returns the tracked entry bytes (bounded caches only).
 func (c *DirCache) Size() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
+	if c.lru == nil {
+		return 0
+	}
+	_, bytes := c.lru.size()
+	return bytes
 }
 
 // shardKeyRe is the shard-store key space: engine-issued hex digests.
@@ -314,21 +236,17 @@ func (c *DirCache) Get(key string) (*campaign.ShardResult, bool) {
 		return nil, false
 	}
 	var ent diskEntry
-	if err := json.Unmarshal(data, &ent); err != nil || ent.Key != key {
+	if err := json.Unmarshal(data, &ent); err != nil || ent.Key != key || ent.Error != "" {
 		os.Remove(path)
-		if c.maxBytes > 0 {
-			c.mu.Lock()
-			c.forget(key)
-			c.mu.Unlock()
+		if c.lru != nil {
+			c.lru.remove(key)
 		}
 		return nil, false
 	}
-	if c.maxBytes > 0 {
-		c.mu.Lock()
-		c.track(key, int64(len(data)))
-		c.mu.Unlock()
+	if c.lru != nil {
+		c.lru.put(key, struct{}{}, int64(len(data)))
 	}
-	return &campaign.ShardResult{Checked: ent.Checked, Ticks: ent.Ticks, Findings: ent.Findings, Cells: ent.Cells}, true
+	return ent.Result(), true
 }
 
 // Put implements campaign.ShardCache with an atomic write: concurrent
@@ -338,7 +256,7 @@ func (c *DirCache) Put(key string, res *campaign.ShardResult) {
 	if res == nil || res.Err != nil || !pathSafe(key) {
 		return
 	}
-	data, err := json.Marshal(diskEntry{Key: key, Checked: res.Checked, Ticks: res.Ticks, Findings: res.Findings, Cells: res.Cells})
+	data, err := json.Marshal(diskEntry{Key: key, WireShardResult: WireResult(res)})
 	if err != nil {
 		return
 	}
@@ -360,11 +278,8 @@ func (c *DirCache) Put(key string, res *campaign.ShardResult) {
 		os.Remove(tmp.Name())
 		return
 	}
-	if c.maxBytes > 0 {
-		c.mu.Lock()
-		c.track(key, int64(len(data)))
-		c.evict()
-		c.mu.Unlock()
+	if c.lru != nil {
+		c.lru.put(key, struct{}{}, int64(len(data)))
 	}
 }
 

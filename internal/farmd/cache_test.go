@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -231,5 +232,76 @@ func TestDirCacheCorruptionFallsBackToExecution(t *testing.T) {
 	// The re-execution healed the damaged entry.
 	if _, ok := cache.Get(victimKey); !ok {
 		t.Fatal("corrupted entry not rewritten by the warm run")
+	}
+}
+
+// TestDirCacheEntryBytesGolden pins the disk tier's file format across the
+// move of diskEntry onto WireShardResult: Put writes byte for byte what the
+// commit before the move wrote (the strings below were captured there), and
+// those files — what a long-lived -cache-dir already holds — read back to
+// the results they were written from. An entry carrying an error field was
+// not written by Put (errored results are never persisted) and is damage.
+func TestDirCacheEntryBytesGolden(t *testing.T) {
+	golden := []struct {
+		key, file string
+		res       *campaign.ShardResult
+	}{
+		{"aa01", `{"key":"aa01","checked":128,"ticks":640}`,
+			&campaign.ShardResult{Checked: 128, Ticks: 640}},
+		{"bb02", `{"key":"bb02","checked":64,"ticks":320,"findings":[{"index":3,"input":"[1 2]","got":"[1 3]","want":"[1 2]"}]}`,
+			&campaign.ShardResult{Checked: 64, Ticks: 320, Findings: []campaign.Finding{{Index: 3, Input: "[1 2]", Got: "[1 3]", Want: "[1 2]"}}}},
+		{"cc03", `{"key":"cc03","checked":1,"ticks":0,"cells":[{"bits":4,"steps":2,"verdict":"equivalent","vars":10,"clauses":20,"conflicts":3},{"bits":6,"steps":1,"verdict":"counterexample","vars":7,"clauses":9,"conflicts":0,"trace":[[1,2]],"fail_step":1}]}`,
+			&campaign.ShardResult{Checked: 1, Cells: []campaign.VerifyCell{
+				{Bits: 4, Steps: 2, Verdict: "equivalent", Vars: 10, Clauses: 20, Conflicts: 3, SolveMS: 1.5},
+				{Bits: 6, Steps: 1, Verdict: "counterexample", Vars: 7, Clauses: 9, Trace: [][]int64{{1, 2}}, FailStep: 1},
+			}}},
+	}
+	written, err := NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inherited, err := NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range golden {
+		written.Put(g.key, g.res)
+		data, err := os.ReadFile(written.Path(g.key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != g.file {
+			t.Errorf("Put(%s) wrote\n %s\nwant the parent's bytes\n %s", g.key, data, g.file)
+		}
+
+		path := inherited.Path(g.key)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(g.file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := inherited.Get(g.key)
+		if !ok {
+			t.Fatalf("parent-written entry %s reads as a miss", g.key)
+		}
+		want := *g.res
+		want.Cells = append([]campaign.VerifyCell(nil), want.Cells...)
+		for i := range want.Cells {
+			want.Cells[i].SolveMS = 0 // never serialized
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Errorf("parent-written entry %s reads back %+v, want %+v", g.key, got, &want)
+		}
+	}
+
+	path := inherited.Path("dd04")
+	os.MkdirAll(filepath.Dir(path), 0o755)
+	os.WriteFile(path, []byte(`{"key":"dd04","checked":9,"ticks":9,"error":"boom"}`), 0o644)
+	if res, ok := inherited.Get("dd04"); ok {
+		t.Fatalf("entry with an error field served as a hit: %+v", res)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("entry with an error field not removed")
 	}
 }

@@ -235,8 +235,11 @@ func (r *MatrixRequest) FuzzJobs(corpus map[string][][]phv.Value) ([]campaign.Jo
 	var modes []phv.TrafficMode
 	for _, m := range r.Traffic {
 		mode := phv.TrafficMode(strings.TrimSpace(m))
-		if !mode.Valid() || mode == "" {
-			return nil, fmt.Errorf("farmd: unknown traffic mode %q (want %s or %s)", mode, phv.TrafficUniform, phv.TrafficBoundary)
+		if mode == "" {
+			return nil, fmt.Errorf("farmd: empty traffic mode")
+		}
+		if err := mode.Check(); err != nil {
+			return nil, fmt.Errorf("farmd: %w", err)
 		}
 		modes = append(modes, mode)
 	}
@@ -291,25 +294,8 @@ func ParseSeeds(s string) ([]int64, error) {
 	return out, nil
 }
 
-// ParseProcs parses a comma-separated processor-count list (dfarm's -procs
-// syntax) into the request form.
-func ParseProcs(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad processor count %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // ParseInts parses a comma-separated list of positive integers (dfarm's
-// -vbits / -vsteps syntax) into the request form.
+// -procs / -vbits / -vsteps syntax) into the request form.
 func ParseInts(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil

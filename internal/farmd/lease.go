@@ -13,7 +13,6 @@
 package farmd
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -145,17 +144,13 @@ func (w *WireShardResult) Result() *campaign.ShardResult {
 // idle runners) amortizes expansion, build and clones across every shard
 // the worker is leased.
 type instanceCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are *leasedJob
-	items map[string]*list.Element
+	jobs *lru[*leasedJob] // every job weighs 1
 }
 
 // leasedJob is one cache residency of a leased job: the job a lease names,
 // resolved once, as its packet budget (no lease may ask for more) and the
 // executor every lease of it runs through.
 type leasedJob struct {
-	key     string
 	once    sync.Once
 	packets int
 	exec    *campaign.JobExec
@@ -166,7 +161,7 @@ func newInstanceCache(capacity int) *instanceCache {
 	if capacity <= 0 {
 		capacity = 16
 	}
-	return &instanceCache{cap: capacity, order: list.New(), items: map[string]*list.Element{}}
+	return &instanceCache{jobs: newLRU[*leasedJob](int64(capacity), nil)}
 }
 
 // leaseKey derives the instance-cache key from everything the job
@@ -199,22 +194,7 @@ func (c *instanceCache) get(lease *ShardLease, m *campaign.Metrics) (*leasedJob,
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	el, ok := c.items[key]
-	if !ok {
-		el = c.order.PushFront(&leasedJob{key: key})
-		c.items[key] = el
-		for len(c.items) > c.cap {
-			oldest := c.order.Back()
-			c.order.Remove(oldest)
-			delete(c.items, oldest.Value.(*leasedJob).key)
-		}
-	} else {
-		c.order.MoveToFront(el)
-	}
-	ent := el.Value.(*leasedJob)
-	c.mu.Unlock()
-
+	ent := c.jobs.getOrPut(key, &leasedJob{}, 1)
 	ent.once.Do(func() {
 		jobs, err := lease.Request.LeaseJobs(lease.Phase, lease.VerifyRows)
 		if err != nil {

@@ -78,9 +78,9 @@ func seedLeasedJob(t *testing.T, s *Server, lease *ShardLease, target campaign.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	ent := &leasedJob{key: key, packets: packets, exec: campaign.NewJobExec(target, nil)}
+	ent := &leasedJob{packets: packets, exec: campaign.NewJobExec(target, nil)}
 	ent.once.Do(func() {})
-	s.instances.items[key] = s.instances.order.PushFront(ent)
+	s.instances.jobs.put(key, ent, 1)
 }
 
 // TestLeaseMatchesLocalExecution pins the fabric's relocation invariant at
@@ -401,5 +401,47 @@ func TestTieredFlushReachesDiskTier(t *testing.T) {
 	tiered.Put("aa"+strings.Repeat("0", 62), &campaign.ShardResult{Checked: 1})
 	if err := tiered.Flush(); err != nil {
 		t.Fatalf("tiered flush: %v", err)
+	}
+}
+
+// TestInstanceCacheEvictsLeastRecentlyLeased: at capacity the job leased
+// longest ago loses its residency — a lease of a resident job is served the
+// same resolved job and executor, and the next lease of the evicted one
+// resolves it again, onto a new executor, to the same packet budget.
+func TestInstanceCacheEvictsLeastRecentlyLeased(t *testing.T) {
+	req := &MatrixRequest{Arch: "drmt", Packets: 600, ShardSize: 128}
+	jobs, err := req.LeaseJobs(PhaseFuzz, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) < 3 {
+		t.Fatalf("matrix expanded to %d jobs, the test leases three", len(jobs))
+	}
+	c := newInstanceCache(2)
+	lease := func(i int) *leasedJob {
+		t.Helper()
+		ent, err := c.get(&ShardLease{Proto: LeaseProto, Job: jobs[i].Name, Request: req}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ent
+	}
+	a, b := lease(0), lease(1)
+	if again := lease(0); again != a { // touch a: b becomes least recent
+		t.Fatal("a resident job was resolved twice")
+	}
+	lease(2) // at capacity: evicts b
+	if n, _ := c.jobs.size(); n != 2 {
+		t.Fatalf("%d resident jobs, want 2", n)
+	}
+	if again := lease(0); again != a {
+		t.Fatal("the recently leased job was evicted")
+	}
+	b2 := lease(1)
+	if b2 == b || b2.exec == b.exec {
+		t.Fatal("the least recently leased job survived eviction")
+	}
+	if b2.packets != b.packets || b2.exec == nil {
+		t.Fatalf("re-resolved job: packets %d exec %v, want packets %d and an executor", b2.packets, b2.exec, b.packets)
 	}
 }

@@ -1,0 +1,199 @@
+package phv_test
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"druzhba/internal/drmt"
+	"druzhba/internal/phv"
+	"druzhba/internal/sim"
+)
+
+var updateStreams = flag.Bool("update", false, "rewrite testdata/streams.golden from the generators (on purpose only: the file pins every campaign's traffic)")
+
+// streamDraws is how many values of each stream the golden file pins.
+const streamDraws = 64
+
+// stream is one generator under test behind the surface both machine
+// models' generators share: fill the next packet, restart under a seed.
+type stream struct {
+	width  int // values per packet
+	fill   func(dst []phv.Value)
+	reseed func(seed int64)
+	corpus func(entries [][]phv.Value) // nil: the view installs no corpus
+}
+
+// streamCase names one pinned stream and builds it for a seed.
+type streamCase struct {
+	name string
+	seed int64
+	open func(seed int64) (stream, error)
+}
+
+// streamCases is the pinned table: RMT shapes phvLen {1,3} x max {0,100} at
+// 32 bits and dRMT's l2l3 and wide-fanin field sets at max {0,16}, each in
+// both modes for seeds 1 and 42.
+func streamCases() []streamCase {
+	var cases []streamCase
+	for _, mode := range []phv.TrafficMode{phv.TrafficUniform, phv.TrafficBoundary} {
+		for _, seed := range []int64{1, 42} {
+			for _, phvLen := range []int{1, 3} {
+				for _, max := range []int64{0, 100} {
+					phvLen, max, mode := phvLen, max, mode
+					cases = append(cases, streamCase{
+						name: fmt.Sprintf("rmt/phvLen=%d/max=%d/%s/seed=%d", phvLen, max, mode, seed),
+						seed: seed,
+						open: func(seed int64) (stream, error) {
+							g, err := sim.NewTrafficGenMode(seed, phvLen, phv.Default32, max, mode)
+							if err != nil {
+								return stream{}, err
+							}
+							return stream{width: phvLen, fill: func(dst []phv.Value) { g.Fill(dst) }, reseed: g.Reseed, corpus: g.SeedCorpus}, nil
+						},
+					})
+				}
+			}
+			for _, bench := range []string{"l2l3", "wide-fanin"} {
+				for _, max := range []int64{0, 16} {
+					bench, max, mode := bench, max, mode
+					cases = append(cases, streamCase{
+						name: fmt.Sprintf("drmt/%s/max=%d/%s/seed=%d", bench, max, mode, seed),
+						seed: seed,
+						open: func(seed int64) (stream, error) {
+							bm, err := drmt.LookupBenchmark(bench)
+							if err != nil {
+								return stream{}, err
+							}
+							prog, err := bm.Program()
+							if err != nil {
+								return stream{}, err
+							}
+							g, err := drmt.NewTrafficGenMode(seed, prog, max, mode)
+							if err != nil {
+								return stream{}, err
+							}
+							return stream{width: g.NumFields(), fill: func(dst []phv.Value) { g.Fill(dst) }, reseed: g.Reseed}, nil
+						},
+					})
+				}
+			}
+		}
+	}
+	return cases
+}
+
+// take returns the next n values of the stream, packet after packet.
+func (s stream) take(n int) []phv.Value {
+	buf := make([]phv.Value, s.width)
+	out := make([]phv.Value, 0, n+s.width)
+	for len(out) < n {
+		s.fill(buf)
+		out = append(out, buf...)
+	}
+	return out[:n]
+}
+
+func renderDraws(vals []phv.Value) string {
+	parts := make([]string, len(vals))
+	for i, v := range vals {
+		parts[i] = fmt.Sprint(v)
+	}
+	return strings.Join(parts, " ")
+}
+
+// TestTrafficStreamIdentity pins the traffic both architectures' campaigns
+// draw: the first values of every stream in the table must equal the golden
+// file, which was captured from the two separate generators (sim's and
+// drmt's) that preceded phv.TrafficGen. A reseeded generator and one that
+// served a seed corpus first must continue on the same pinned stream. Shard
+// results and report hashes are functions of these streams, so a diff here
+// is a diff in every report.
+func TestTrafficStreamIdentity(t *testing.T) {
+	const path = "testdata/streams.golden"
+	cases := streamCases()
+	golden := map[string]string{}
+	if !*updateStreams {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			name, vals, ok := strings.Cut(line, ": ")
+			if !ok {
+				t.Fatalf("%s: malformed line %q", path, line)
+			}
+			golden[name] = vals
+		}
+		if len(golden) != len(cases) {
+			t.Fatalf("%s pins %d streams, the table has %d", path, len(golden), len(cases))
+		}
+	}
+	var file strings.Builder
+	for _, c := range cases {
+		s, err := c.open(c.seed)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := renderDraws(s.take(streamDraws))
+		fmt.Fprintf(&file, "%s: %s\n", c.name, got)
+		if *updateStreams {
+			continue
+		}
+		want, ok := golden[c.name]
+		if !ok {
+			t.Fatalf("%s: not in %s", c.name, path)
+		}
+		if got != want {
+			t.Errorf("%s: stream moved\n got %s\nwant %s", c.name, got, want)
+			continue
+		}
+
+		// Reseed: a generator left mid-stream under another seed restarts on
+		// the pinned stream.
+		used, err := c.open(c.seed + 1000)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		used.take(5 * used.width)
+		used.reseed(c.seed)
+		if got := renderDraws(used.take(streamDraws)); got != want {
+			t.Errorf("%s: reseeded stream differs\n got %s\nwant %s", c.name, got, want)
+		}
+
+		// Corpus replay: entries come first, verbatim (zero-padded or
+		// truncated to the packet), consume no randomness, and are served
+		// again after a reseed.
+		if s.corpus == nil {
+			continue
+		}
+		entries := [][]phv.Value{{7, 3, 1}, {5}}
+		var prefix []phv.Value
+		for _, e := range entries {
+			row := make([]phv.Value, s.width)
+			copy(row, e)
+			prefix = append(prefix, row...)
+		}
+		wantReplay := renderDraws(prefix) + " " + want
+		seeded, err := c.open(c.seed + 1000)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		seeded.corpus(entries)
+		seeded.take(3 * seeded.width)
+		seeded.reseed(c.seed)
+		if got := renderDraws(seeded.take(len(prefix) + streamDraws)); got != wantReplay {
+			t.Errorf("%s: corpus replay differs\n got %s\nwant %s", c.name, got, wantReplay)
+		}
+	}
+	if *updateStreams {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(file.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -1,5 +1,11 @@
 package phv
 
+import (
+	"fmt"
+	"math"
+	"math/rand"
+)
+
 // TrafficMode selects the distribution a traffic generator draws values
 // from. It is defined once here and aliased by both machine models (package
 // sim for RMT containers, package drmt for packet fields), so one parsed
@@ -18,10 +24,14 @@ const (
 	TrafficBoundary TrafficMode = "boundary"
 )
 
-// Valid reports whether m names a known traffic mode; the empty string
-// counts as TrafficUniform.
-func (m TrafficMode) Valid() bool {
-	return m == "" || m == TrafficUniform || m == TrafficBoundary
+// Check is the one traffic-mode validation: nil for a known mode — the empty
+// string counts as TrafficUniform — and otherwise the error every layer
+// reports, under its own prefix.
+func (m TrafficMode) Check() error {
+	if m == "" || m == TrafficUniform || m == TrafficBoundary {
+		return nil
+	}
+	return fmt.Errorf("unknown traffic mode %q (want %s or %s)", m, TrafficUniform, TrafficBoundary)
 }
 
 // BoundaryValues is the deduplicated boundary set of the draw range
@@ -35,4 +45,120 @@ func BoundaryValues(limit int64) []Value {
 		}
 	}
 	return set
+}
+
+// TrafficGen is the traffic generator of both machine models: a packet is a
+// row of columns — PHV containers on RMT, "random unsigned integers" (§3.3),
+// header fields on dRMT, "randomly initialized packet field values" (§4.2) —
+// and every column has its own draw range. A packet costs exactly one random
+// number per column in either mode, so a stream is a function of (seed,
+// column widths, max, mode) alone and identical through Fill, Next and
+// Trace. It is deterministic for a given seed and not safe for concurrent
+// use.
+type TrafficGen struct {
+	rng    *rand.Rand
+	limits []int64   // per-column draw bound
+	bounds [][]Value // per-column boundary sets; non-nil in boundary mode
+
+	corpus [][]Value // seed packets served before random draws
+	next   int       // index of the next packet since the last restart
+}
+
+// NewTrafficGen returns a generator of packets with one column per entry of
+// bits, column i drawing from [0, 2^bits[i]). A positive max lowers every
+// column's bound to max where that is smaller; it never raises one, so a
+// drawn value always fits its column. (Columns of 63 bits and more draw from
+// the full non-negative int64 range: 1<<63 is negative and would panic
+// rand.Int63n.)
+func NewTrafficGen(seed int64, bits []int, max int64, mode TrafficMode) (*TrafficGen, error) {
+	if err := mode.Check(); err != nil {
+		return nil, fmt.Errorf("phv: %w", err)
+	}
+	g := &TrafficGen{rng: rand.New(rand.NewSource(seed)), limits: make([]int64, len(bits))}
+	for i, b := range bits {
+		limit := int64(math.MaxInt64)
+		if b < 63 {
+			limit = int64(1) << uint(b)
+		}
+		if max > 0 && max < limit {
+			limit = max
+		}
+		g.limits[i] = limit
+	}
+	if mode == TrafficBoundary {
+		g.bounds = make([][]Value, len(g.limits))
+		for i, limit := range g.limits {
+			g.bounds[i] = BoundaryValues(limit)
+		}
+	}
+	return g, nil
+}
+
+// Reseed restarts the stream as a generator freshly built with seed (same
+// columns, bound and mode) would produce it: the random source is re-seeded
+// in place, packet indices restart at 0 and an installed seed corpus is
+// served again from its first entry. It lets one generator serve many shards
+// without allocating a new random source for each.
+func (g *TrafficGen) Reseed(seed int64) {
+	g.rng.Seed(seed)
+	g.next = 0
+}
+
+// SeedCorpus installs concrete seed packets that Fill serves, in order,
+// before any random draw — the feedback path that turns verification
+// counterexample traces into deterministic fuzzer regression traffic. The
+// entries are not copied; callers must not mutate them afterwards. A
+// corpus-served packet consumes no random numbers, so generators with the
+// same seed and the same corpus produce identical streams.
+func (g *TrafficGen) SeedCorpus(entries [][]Value) {
+	g.corpus = entries
+	g.next = 0
+}
+
+// Fill writes the next packet's values, one per column, into the front of
+// the caller-owned dst buffer and returns the packet's index in the stream (0
+// for the first packet after construction, Reseed or SeedCorpus). While
+// seed-corpus entries remain it copies the next entry (zero-padding or
+// truncating on length mismatch); afterwards it draws exactly one value per
+// column, so streaming and trace-materializing consumers of the same seed
+// see the same traffic. Fill performs no allocation.
+//
+//dvet:hotpath allocs=0
+func (g *TrafficGen) Fill(dst []Value) int {
+	limits, rng := g.limits, g.rng // locals: the draw loops reload neither and drop their bounds checks
+	dst = dst[:len(limits)]
+	index := g.next
+	g.next++
+	switch {
+	case index < len(g.corpus):
+		n := copy(dst, g.corpus[index])
+		for i := n; i < len(dst); i++ {
+			dst[i] = 0
+		}
+	case g.bounds != nil:
+		for i, set := range g.bounds[:len(dst)] {
+			dst[i] = set[rng.Intn(len(set))]
+		}
+	default:
+		for i, limit := range limits {
+			dst[i] = rng.Int63n(limit)
+		}
+	}
+	return index
+}
+
+// Next generates one PHV.
+func (g *TrafficGen) Next() *PHV {
+	p := New(len(g.limits))
+	g.Fill(p.containers)
+	return p
+}
+
+// Trace generates a trace of n PHVs.
+func (g *TrafficGen) Trace(n int) *Trace {
+	t := NewTrace()
+	for i := 0; i < n; i++ {
+		t.Append(g.Next())
+	}
+	return t
 }

@@ -28,12 +28,15 @@
 // Either way the Fuzzer generates traffic directly into its own buffers
 // (TrafficGen.Fill) and compares outputs in lock step, so a clean fuzzing
 // shard performs O(1) allocation total regardless of packet count.
+//
+// Traffic comes from phv.TrafficGen, the generator both machine models
+// share: NewTrafficGen builds it with one column per container, every column
+// at the pipeline's bit width, and a max beyond that width is clamped to it.
 package sim
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"druzhba/internal/core"
 	"druzhba/internal/phv"
@@ -50,19 +53,14 @@ const (
 )
 
 // TrafficGen creates sequences of PHVs whose containers hold random unsigned
-// integers (§3.3). It is deterministic for a given seed.
-type TrafficGen struct {
-	rng    *rand.Rand
-	phvLen int
-	max    int64
-	bounds []phv.Value // non-nil in boundary mode: the candidate values
-
-	corpus [][]phv.Value // seed packets served before random draws
-	next   int           // corpus cursor
-}
+// integers (§3.3). It is phv.TrafficGen, the one generator both machine
+// models draw from, with every column at the pipeline's bit width.
+type TrafficGen = phv.TrafficGen
 
 // NewTrafficGen returns a generator producing PHVs with phvLen containers of
-// values uniform in [0, max). max <= 0 means the full value range of bits.
+// values uniform in [0, max). max <= 0 means the full value range of bits; a
+// max beyond that range is clamped to it, so a generated value always fits
+// its container.
 func NewTrafficGen(seed int64, phvLen int, bits phv.Width, max int64) *TrafficGen {
 	g, _ := NewTrafficGenMode(seed, phvLen, bits, max, TrafficUniform)
 	return g
@@ -72,79 +70,11 @@ func NewTrafficGen(seed int64, phvLen int, bits phv.Width, max int64) *TrafficGe
 // modes draw exactly one random number per container, so a given mode is
 // deterministic for a given seed across Fill, Next and Trace.
 func NewTrafficGenMode(seed int64, phvLen int, bits phv.Width, max int64, mode TrafficMode) (*TrafficGen, error) {
-	if !mode.Valid() {
-		return nil, fmt.Errorf("sim: unknown traffic mode %q (want %s or %s)", mode, TrafficUniform, TrafficBoundary)
+	cols := make([]int, phvLen)
+	for i := range cols {
+		cols[i] = bits.Bits()
 	}
-	if max <= 0 {
-		max = bits.Mask() + 1
-	}
-	g := &TrafficGen{rng: rand.New(rand.NewSource(seed)), phvLen: phvLen, max: max}
-	if mode == TrafficBoundary {
-		g.bounds = phv.BoundaryValues(max)
-	}
-	return g, nil
-}
-
-// Reseed restarts the stream as a generator freshly built with seed (same
-// dimensions, range and mode) would produce it: the random source is
-// re-seeded in place and an installed seed corpus is served again from its
-// first entry. It lets one generator serve many shards without allocating a
-// new random source for each.
-func (g *TrafficGen) Reseed(seed int64) {
-	g.rng.Seed(seed)
-	g.next = 0
-}
-
-// SeedCorpus installs concrete seed packets that Fill serves, in order,
-// before any random draw — the feedback path that turns verification
-// counterexample traces into deterministic fuzzer regression traffic. The
-// entries are not copied; callers must not mutate them afterwards. A
-// corpus-served packet consumes no random numbers, so generators with the
-// same seed and the same corpus produce identical streams.
-func (g *TrafficGen) SeedCorpus(entries [][]phv.Value) {
-	g.corpus = entries
-	g.next = 0
-}
-
-// Fill writes one PHV's container values into the caller-owned dst buffer.
-// While seed-corpus entries remain it copies the next entry (zero-padding
-// or truncating on length mismatch); afterwards it draws exactly len(dst)
-// values from the generator's stream, so streaming and trace-materializing
-// consumers of the same seed see the same traffic.
-func (g *TrafficGen) Fill(dst []phv.Value) {
-	if g.next < len(g.corpus) {
-		n := copy(dst, g.corpus[g.next])
-		for i := n; i < len(dst); i++ {
-			dst[i] = 0
-		}
-		g.next++
-		return
-	}
-	if g.bounds != nil {
-		for i := range dst {
-			dst[i] = g.bounds[g.rng.Intn(len(g.bounds))]
-		}
-		return
-	}
-	for i := range dst {
-		dst[i] = g.rng.Int63n(g.max)
-	}
-}
-
-// Next generates one PHV.
-func (g *TrafficGen) Next() *phv.PHV {
-	p := phv.New(g.phvLen)
-	g.Fill(p.Raw())
-	return p
-}
-
-// Trace generates a trace of n PHVs.
-func (g *TrafficGen) Trace(n int) *phv.Trace {
-	t := phv.NewTrace()
-	for i := 0; i < n; i++ {
-		t.Append(g.Next())
-	}
-	return t
+	return phv.NewTrafficGen(seed, cols, max, mode)
 }
 
 // Stream is the allocation-free tick-level simulation engine, the driver of

@@ -129,3 +129,32 @@ func TestTrafficGenReseed(t *testing.T) {
 		}
 	}
 }
+
+// TestTrafficGenClampsMaxToWidth: a max beyond the container width is
+// clamped to it, so phv.Value's "always masked to the pipeline's bit width"
+// invariant holds at the source — at 4 bits, -max 1000 draws only values
+// below 16 (and boundary mode's top value is the all-ones 15), in both modes
+// and through Fill and Next.
+func TestTrafficGenClampsMaxToWidth(t *testing.T) {
+	w := phv.MustWidth(4)
+	for _, mode := range []TrafficMode{TrafficUniform, TrafficBoundary} {
+		g, err := NewTrafficGenMode(1, 2, w, 1000, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]phv.Value, 2)
+		top := phv.Value(0)
+		for i := 0; i < 500; i++ {
+			g.Fill(buf)
+			for _, v := range append(g.Next().Raw(), buf...) {
+				if v < 0 || v > w.Mask() {
+					t.Fatalf("%s: drew %d into a 4-bit container", mode, v)
+				}
+				top = max(top, v)
+			}
+		}
+		if top != w.Mask() {
+			t.Fatalf("%s: largest value drawn is %d, want the all-ones %d", mode, top, w.Mask())
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"druzhba/internal/aludsl"
 	"druzhba/internal/atoms"
 	"druzhba/internal/bv"
+	"druzhba/internal/domino"
 	"druzhba/internal/phv"
 	"druzhba/internal/sat"
 )
@@ -167,5 +168,39 @@ func TestSymbolicALUWithSymbolicInputs(t *testing.T) {
 	}
 	if conc != 11 {
 		t.Fatalf("concrete replay: output %d, want 11", conc)
+	}
+}
+
+// TestBinaryOperatorEnumerations pins what lets symBinOp serve both front
+// ends through one conversion: the ALU DSL's BinOp and Domino's BinKind name
+// the same thirteen operators under the same numbers, and neither language
+// has a fourteenth the table would miss.
+func TestBinaryOperatorEnumerations(t *testing.T) {
+	pairs := []struct {
+		alu aludsl.BinOp
+		dom domino.BinKind
+	}{
+		{aludsl.OpAdd, domino.BAdd}, {aludsl.OpSub, domino.BSub}, {aludsl.OpMul, domino.BMul},
+		{aludsl.OpDiv, domino.BDiv}, {aludsl.OpMod, domino.BMod},
+		{aludsl.OpEq, domino.BEq}, {aludsl.OpNeq, domino.BNeq},
+		{aludsl.OpLt, domino.BLt}, {aludsl.OpGt, domino.BGt}, {aludsl.OpLe, domino.BLe}, {aludsl.OpGe, domino.BGe},
+		{aludsl.OpAnd, domino.BAnd}, {aludsl.OpOr, domino.BOr},
+	}
+	b := bv.NewBuilder(sat.New())
+	l, r := b.Const(4, 9), b.Const(4, 3)
+	for i, p := range pairs {
+		if int(p.alu) != i || int(p.dom) != i {
+			t.Errorf("pair %d: aludsl %v = %d, domino operator = %d; want both %d", i, p.alu, int(p.alu), int(p.dom), i)
+		}
+		if _, ok := symBinOp(b, 4, aludsl.BinOp(p.dom), l, r); !ok {
+			t.Errorf("symBinOp has no entry for operator %d (%v)", i, p.alu)
+		}
+	}
+	next := aludsl.BinOp(len(pairs))
+	if next.Valid() {
+		t.Errorf("aludsl has a binary operator %d beyond the table", int(next))
+	}
+	if _, ok := symBinOp(b, 4, next, l, r); ok {
+		t.Errorf("symBinOp accepts operator %d, which neither language has", int(next))
 	}
 }

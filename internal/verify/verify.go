@@ -665,19 +665,30 @@ func (e *symALU) eval(x aludsl.Expr) bv.Vec {
 }
 
 func (e *symALU) binOp(op aludsl.BinOp, l, r bv.Vec) bv.Vec {
-	b := e.b
-	boolVec := func(lit sat.Lit) bv.Vec { return b.FromBool(lit, e.bits) }
+	if v, ok := symBinOp(e.b, e.bits, op, l, r); ok {
+		return v
+	}
+	return e.failf("unknown binary op %v", op)
+}
+
+// symBinOp is the one symbolic operator table: the gates of l op r at the
+// given width, comparisons and logical operators as a 0/1 vector. The ALU
+// DSL and Domino share it — domino.BinKind enumerates the same thirteen
+// operators in aludsl.BinOp's order, which TestBinaryOperatorEnumerations
+// pins. ok is false for a value outside the enumeration.
+func symBinOp(b *bv.Builder, bits int, op aludsl.BinOp, l, r bv.Vec) (v bv.Vec, ok bool) {
+	boolVec := func(lit sat.Lit) (bv.Vec, bool) { return b.FromBool(lit, bits), true }
 	switch op {
 	case aludsl.OpAdd:
-		return b.Add(l, r)
+		return b.Add(l, r), true
 	case aludsl.OpSub:
-		return b.Sub(l, r)
+		return b.Sub(l, r), true
 	case aludsl.OpMul:
-		return b.Mul(l, r)
+		return b.Mul(l, r), true
 	case aludsl.OpDiv:
-		return b.Div(l, r)
+		return b.Div(l, r), true
 	case aludsl.OpMod:
-		return b.Mod(l, r)
+		return b.Mod(l, r), true
 	case aludsl.OpEq:
 		return boolVec(b.Eq(l, r))
 	case aludsl.OpNeq:
@@ -695,7 +706,7 @@ func (e *symALU) binOp(op aludsl.BinOp, l, r bv.Vec) bv.Vec {
 	case aludsl.OpOr:
 		return boolVec(b.Or(b.Truthy(l), b.Truthy(r)))
 	}
-	return e.failf("unknown binary op %v", op)
+	return nil, false
 }
 
 func (e *symALU) evalHoleCall(x *aludsl.HoleCall) bv.Vec {
@@ -924,7 +935,6 @@ func mergeMaps(b *bv.Builder, bits int, c sat.Lit, then, els map[string]bv.Vec) 
 
 func (env *domEnv) eval(e domino.Expr) (bv.Vec, error) {
 	b := env.b
-	boolVec := func(l sat.Lit) bv.Vec { return b.FromBool(l, env.bits) }
 	switch e := e.(type) {
 	case *domino.Lit:
 		return b.Const(env.bits, env.w.Trunc(e.Value)), nil
@@ -953,7 +963,7 @@ func (env *domEnv) eval(e domino.Expr) (bv.Vec, error) {
 		if e.Neg {
 			return b.Neg(x), nil
 		}
-		return boolVec(b.IsZero(x)), nil
+		return b.FromBool(b.IsZero(x), env.bits), nil
 	case *domino.Bin:
 		x, err := env.eval(e.X)
 		if err != nil {
@@ -963,33 +973,8 @@ func (env *domEnv) eval(e domino.Expr) (bv.Vec, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch e.Op {
-		case domino.BAdd:
-			return b.Add(x, y), nil
-		case domino.BSub:
-			return b.Sub(x, y), nil
-		case domino.BMul:
-			return b.Mul(x, y), nil
-		case domino.BDiv:
-			return b.Div(x, y), nil
-		case domino.BMod:
-			return b.Mod(x, y), nil
-		case domino.BEq:
-			return boolVec(b.Eq(x, y)), nil
-		case domino.BNeq:
-			return boolVec(b.Ne(x, y)), nil
-		case domino.BLt:
-			return boolVec(b.Ult(x, y)), nil
-		case domino.BGt:
-			return boolVec(b.Ult(y, x)), nil
-		case domino.BLe:
-			return boolVec(b.Ule(x, y)), nil
-		case domino.BGe:
-			return boolVec(b.Ule(y, x)), nil
-		case domino.BAnd:
-			return boolVec(b.And(b.Truthy(x), b.Truthy(y))), nil
-		case domino.BOr:
-			return boolVec(b.Or(b.Truthy(x), b.Truthy(y))), nil
+		if v, ok := symBinOp(b, env.bits, aludsl.BinOp(e.Op), x, y); ok {
+			return v, nil
 		}
 		return nil, fmt.Errorf("verify: unknown Domino operator %d", e.Op)
 	default:

@@ -143,10 +143,15 @@ var runners = map[string]func(t *testing.T) float64{
 			}
 		})
 	},
-	"internal/drmt.TrafficGen.Fill": func(t *testing.T) float64 {
+	"internal/phv.TrafficGen.Fill": func(t *testing.T) float64 {
+		// The one generator, as each architecture builds it: dRMT's
+		// per-field columns and RMT's uniform-width containers.
 		_, _, gen, buf := benchMachines(t)
-		gen.Fill(buf) // warm: builds the draw-limit table
-		return testing.AllocsPerRun(100, func() { gen.Fill(buf) })
+		worst := testing.AllocsPerRun(100, func() { gen.Fill(buf) })
+		pipe := benchPipeline(t)
+		rmtGen := sim.NewTrafficGen(1, pipe.PHVLen(), pipe.Bits(), 0)
+		row := make([]phv.Value, pipe.PHVLen())
+		return max(worst, testing.AllocsPerRun(100, func() { rmtGen.Fill(row) }))
 	},
 	"internal/drmt.ISAMachine.ExecSlots": func(t *testing.T) float64 {
 		isaM, _, gen, buf := benchMachines(t)

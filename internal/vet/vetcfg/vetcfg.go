@@ -23,6 +23,7 @@ var determinism = []string{
 	"druzhba/internal/sim",
 	"druzhba/internal/drmt",
 	"druzhba/internal/core",
+	"druzhba/internal/phv",
 }
 
 // wallclock lists the shard-execution and report-serialization
@@ -41,6 +42,7 @@ var wallclock = []string{
 	"druzhba/internal/sim",
 	"druzhba/internal/drmt",
 	"druzhba/internal/core",
+	"druzhba/internal/phv",
 }
 
 // ctx lists the dispatcher/coordinator/server packages where every
