@@ -10,7 +10,12 @@
 // the grid that fuzzer executes (live_alus of total_alus). A dRMT section
 // follows (the paper reports no dRMT numbers, so it is a characterization
 // bench): every embedded dRMT benchmark's differential fuzzing loop is timed
-// on the slot-compiled engines.
+// on the slot-compiled engines. A verify section closes the report: every
+// selected program's bounded-equivalence proof at 4, 5, 8 and 10 bits × 2
+// steps, with the gates symbolic execution built, the gates, variables and
+// clauses the solver was handed, the conflicts it needed and the wall time —
+// exact counts beside a timing, so a proof that stops being decided while
+// its miter is built shows as numbers, not as a slower run.
 //
 // Usage:
 //
@@ -31,11 +36,13 @@
 // -check is the CI regression gate: it reruns the selected cells, matches
 // them against the checked-in report (-baseline, default BENCH_table1.json)
 // and fails when any engine's geomean fresh/baseline ns/PHV ratio exceeds
-// 1 + -tolerance. -selftest inflates the fresh numbers past the tolerance
-// and requires the gate to trip, proving the gate detects regressions.
+// 1 + -tolerance; the verify section has no ns/PHV and is not gated.
+// -selftest inflates the fresh numbers past the tolerance and requires the
+// gate to trip, proving the gate detects regressions.
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -46,11 +53,13 @@ import (
 	"strings"
 	"time"
 
+	"druzhba/internal/campaign"
 	"druzhba/internal/cli"
 	"druzhba/internal/core"
 	"druzhba/internal/drmt"
 	"druzhba/internal/sim"
 	"druzhba/internal/spec"
+	"druzhba/internal/verify"
 )
 
 // Row is one (benchmark × level) cell of the perf report.
@@ -79,6 +88,27 @@ type DRMTRow struct {
 	PHVsPerSec   float64 `json:"phvs_per_sec"`
 }
 
+// VerifyRow is one proof cell of the verify section: a Table-1 program's
+// machine code against its Domino specification at one width.
+type VerifyRow struct {
+	Program      string  `json:"program"`
+	Bits         int     `json:"bits"`
+	Steps        int     `json:"steps"`
+	Verdict      string  `json:"verdict"`
+	GatesBuilt   int     `json:"gates_built"`
+	GatesEmitted int     `json:"gates_emitted"`
+	Vars         int     `json:"vars"`
+	Clauses      int     `json:"clauses"`
+	Conflicts    int64   `json:"conflicts"`
+	MS           float64 `json:"ms"`
+}
+
+// verifyBits × verifySteps is the verify section's grid: the benchmark
+// harness's verify-grid widths and the campaign default grid's.
+var verifyBits = []int{4, 5, 8, 10}
+
+const verifySteps = 2
+
 // Report is the BENCH_table1.json document.
 type Report struct {
 	Command    string    `json:"command"`
@@ -94,7 +124,9 @@ type Report struct {
 	// across the engine's benchmarks, keyed "rmt/<level>" and
 	// "drmt/<engine>". The regression gate (-check) compares these shapes.
 	Geomeans map[string]float64 `json:"geomeans,omitempty"`
-	Baseline json.RawMessage    `json:"baseline,omitempty"`
+	// Verify is the proof ledger; -check does not read it.
+	Verify   []VerifyRow     `json:"verify,omitempty"`
+	Baseline json.RawMessage `json:"baseline,omitempty"`
 }
 
 // engineKey groups report cells by execution engine for the geomean summary
@@ -236,6 +268,21 @@ func main() {
 		}
 	}
 
+	fmt.Printf("\nVerify: machine code ≡ Domino specification, %d transactions unrolled\n\n", verifySteps)
+	fmt.Printf("%-20s %5s %-10s %14s %8s %8s %10s %10s\n", "Program", "bits", "verdict", "gates built", "emitted", "SATvars", "conflicts", "time")
+	var verifyRows []VerifyRow
+	for _, bm := range benches {
+		for _, bits := range verifyBits {
+			row, err := measureVerify(bm, bits, *repeats)
+			if err != nil {
+				cli.Fatalf("dbench: verify %s: %v", bm.Name, err)
+			}
+			verifyRows = append(verifyRows, row)
+			fmt.Printf("%-20s %5d %-10s %14d %8d %8d %10d %7.2f ms\n",
+				row.Program, row.Bits, row.Verdict, row.GatesBuilt, row.GatesEmitted, row.Vars, row.Conflicts, row.MS)
+		}
+	}
+
 	if *jsonPath != "" {
 		// Record the actual invocation so a partial run (-program, a
 		// non-default -phvs) cannot masquerade as the canonical full-matrix
@@ -261,6 +308,7 @@ func main() {
 			PHVs:      *phvs,
 			Engine:    "sim.NewFuzzer(p).FuzzGen against the benchmark's Domino specification, what a campaign executes: the tick loop over the whole grid at the unoptimized level, the planes loop over the output cone at the others",
 			Rows:      rows,
+			Verify:    verifyRows,
 		}
 		if len(drmtRows) > 0 {
 			rep.DRMTPHVs = *drmtPHVs
@@ -431,6 +479,42 @@ func measureDRMT(bm *drmt.Benchmark, seed int64, n, repeats int) (DRMTRow, error
 		AllocsPerPHV: round4(allocs / float64(n)),
 		PHVsPerSec:   round2(float64(n) / best.Seconds()),
 	}, nil
+}
+
+// measureVerify proves one program at one width, what one cell of a
+// verify campaign job does: the problem is prepared once, the cell is the
+// timed part.
+func measureVerify(bm *spec.Benchmark, bits, repeats int) (VerifyRow, error) {
+	r, err := bm.Resolve()
+	if err != nil {
+		return VerifyRow{}, err
+	}
+	problem, err := verify.NewProblem(r.Spec, r.Code, r.Program, bm.Fields, verify.Options{Containers: r.Containers, MaxInput: bm.MaxInput})
+	if err != nil {
+		return VerifyRow{}, err
+	}
+	var res *verify.Result
+	best, _, err := bestOf(repeats, func() error {
+		var err error
+		res, err = problem.Prove(context.Background(), bits, verifySteps)
+		return err
+	})
+	if err != nil {
+		return VerifyRow{}, err
+	}
+	row := VerifyRow{
+		Program: bm.Name, Bits: bits, Steps: verifySteps, Verdict: campaign.VerdictProven,
+		GatesBuilt: res.GatesBuilt, GatesEmitted: res.GatesEmitted,
+		Vars: res.Vars, Clauses: res.Clauses, Conflicts: res.SolverStats.Conflicts,
+		MS: round4(float64(best.Microseconds()) / 1e3),
+	}
+	switch {
+	case res.Unknown:
+		row.Verdict = campaign.VerdictUnknown
+	case !res.Equivalent:
+		row.Verdict = campaign.VerdictCounterexample
+	}
+	return row, nil
 }
 
 // measure times one Fig. 5 fuzz run of n PHVs from a fresh generator:

@@ -71,7 +71,7 @@ func main() {
 	procs := fs.String("procs", "", "comma-separated dRMT processor-count variants (empty = benchmark defaults)")
 	run := fs.String("run", "", "only benchmarks whose name contains this substring")
 	mode := fs.String("mode", "fuzz", "campaign phases: fuzz, verify, or both (verify first, feeding counterexample traces into the fuzzer)")
-	vbits := fs.String("vbits", "", "comma-separated verification bit widths (verify/both modes; empty = 4,6)")
+	vbits := fs.String("vbits", "", "comma-separated verification bit widths (verify/both modes; empty = 8,10)")
 	vsteps := fs.String("vsteps", "", "comma-separated transaction-unrolling depths (verify/both modes; empty = 2)")
 	budget := fs.Int64("budget", 0, "solver conflict budget per proof cell (0 = unlimited; exhaustion yields an unknown verdict)")
 	maxCE := fs.Int("max-counterexamples", 8, "deduplicated counterexamples kept per job (-1 = unbounded)")

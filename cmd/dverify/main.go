@@ -24,10 +24,12 @@
 // wall clock (an expired budget reports unknown); an interrupt (Ctrl-C)
 // abandons the solve the same way instead of wedging.
 //
-// Every solve also writes one "search:" line to standard error (decisions,
-// propagations, conflicts, restarts, learnt and removed clauses, and the
-// propagation rate), so that a slow proof can be told apart as a long
-// search or a slow one without touching what standard output carries.
+// Every solve also writes one "search:" line to standard error (gates
+// built / gates handed to the solver, decisions, propagations, conflicts,
+// restarts, learnt and removed clauses, and the propagation rate), so that
+// a proof decided while its miter was built (0 gates emitted, 1 variable)
+// can be told apart from a search, and a long search from a slow one,
+// without touching what standard output carries.
 //
 // Exit status: 0 when equivalence is proven; 1 on a counterexample or an
 // unknown verdict (budget or timeout exhausted) or on usage errors.
@@ -97,8 +99,8 @@ func resultJSON(program string, bits, steps int, res *verify.Result, solveMS flo
 // printSearch writes the solver's effort on one proof to standard error.
 func printSearch(program string, res *verify.Result, elapsed time.Duration) {
 	st := res.SolverStats
-	fmt.Fprintf(os.Stderr, "search: %s decisions=%d propagations=%d conflicts=%d restarts=%d learned=%d removed=%d in %s (%.2fM props/s)\n",
-		program, st.Decisions, st.Propagations, st.Conflicts, st.Restarts, st.Learned, st.Removed,
+	fmt.Fprintf(os.Stderr, "search: %s gates=%d/%d decisions=%d propagations=%d conflicts=%d restarts=%d learned=%d removed=%d in %s (%.2fM props/s)\n",
+		program, res.GatesBuilt, res.GatesEmitted, st.Decisions, st.Propagations, st.Conflicts, st.Restarts, st.Learned, st.Removed,
 		elapsed.Round(100*time.Microsecond), float64(st.Propagations)/1e6/max(elapsed.Seconds(), 1e-9))
 }
 

@@ -12,7 +12,7 @@ import (
 // solveValue forces the solver to find a model and reads vec's value.
 func solveValue(t *testing.T, b *Builder, vec Vec) int64 {
 	t.Helper()
-	if got := b.S.Solve(); got != sat.Sat {
+	if got := b.Solve(); got != sat.Sat {
 		t.Fatalf("solve: got %v, want sat", got)
 	}
 	return b.Value(vec)
@@ -42,8 +42,7 @@ func TestConstTruncatesToWidth(t *testing.T) {
 }
 
 func TestVarIsFree(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
+	b := NewBuilder(sat.New())
 	x := b.Var(4)
 	// Constrain x == 9 and check the model.
 	b.AssertEq(x, b.Const(4, 9))
@@ -82,8 +81,7 @@ func evalBinary(t *testing.T, name string,
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 24; i++ {
 		x, y := rng.Int63n(1<<bits), rng.Int63n(1<<bits)
-		s := sat.New()
-		b := NewBuilder(s)
+		b := NewBuilder(sat.New())
 		xv, yv := b.Var(bits), b.Var(bits)
 		out := circuit(b, xv, yv)
 		b.AssertEq(xv, b.Const(bits, x))
@@ -170,9 +168,8 @@ func TestIteSelects(t *testing.T) {
 		t.Fatalf("ite(false) = %d", got)
 	}
 	// Symbolic condition.
-	s := sat.New()
-	b = NewBuilder(s)
-	c := sat.MkLit(s.NewVar(), false)
+	b = NewBuilder(sat.New())
+	c := b.Var(1)[0]
 	out := b.Ite(c, b.Const(8, 7), b.Const(8, 9))
 	b.Assert(c)
 	if got := solveValue(t, b, out); got != 7 {
@@ -194,9 +191,8 @@ func TestTruthyAndIsZero(t *testing.T) {
 }
 
 func TestGateConstantFolding(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
-	x := sat.MkLit(s.NewVar(), false)
+	b := NewBuilder(sat.New())
+	x := b.Var(1)[0]
 	if got := b.And(b.True(), x); got != x {
 		t.Fatal("And(true,x) != x")
 	}
@@ -218,10 +214,9 @@ func TestGateConstantFolding(t *testing.T) {
 	if got := b.Or(b.False(), x); got != x {
 		t.Fatal("Or(false,x) != x")
 	}
-	before := s.NumVars()
 	_ = b.Add(b.Const(8, 3), b.Const(8, 4))
-	if s.NumVars() != before {
-		t.Fatal("constant add should not allocate solver variables")
+	if built, _ := b.Gates(); built != 0 {
+		t.Fatalf("constant add built %d gates", built)
 	}
 }
 
@@ -267,11 +262,10 @@ func TestQuickDivModIdentity(t *testing.T) {
 // TestSolverFindsPreimage uses the CNF path end to end: find x with
 // x*x == 49 (mod 256); the solver must produce a valid square root.
 func TestSolverFindsPreimage(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
+	b := NewBuilder(sat.New())
 	x := b.Var(8)
 	b.AssertEq(b.Mul(x, x), b.Const(8, 49))
-	if got := s.Solve(); got != sat.Sat {
+	if got := b.Solve(); got != sat.Sat {
 		t.Fatalf("solve: %v", got)
 	}
 	xv := b.Value(x)
@@ -282,11 +276,10 @@ func TestSolverFindsPreimage(t *testing.T) {
 
 // TestUnsatisfiableEquation: x + 1 == x has no solution.
 func TestUnsatisfiableEquation(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
+	b := NewBuilder(sat.New())
 	x := b.Var(8)
 	b.AssertEq(b.Add(x, b.Const(8, 1)), x)
-	if got := s.Solve(); got != sat.Unsat {
+	if got := b.Solve(); got != sat.Unsat {
 		t.Fatalf("x+1==x: got %v, want unsat", got)
 	}
 }
@@ -294,24 +287,22 @@ func TestUnsatisfiableEquation(t *testing.T) {
 // TestCommutativityUnsat proves add commutes at 6 bits: asserting
 // x+y != y+x must be UNSAT.
 func TestCommutativityUnsat(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
+	b := NewBuilder(sat.New())
 	x, y := b.Var(6), b.Var(6)
 	b.Assert(b.Ne(b.Add(x, y), b.Add(y, x)))
-	if got := s.Solve(); got != sat.Unsat {
+	if got := b.Solve(); got != sat.Unsat {
 		t.Fatalf("commutativity: got %v, want unsat", got)
 	}
 }
 
 // TestDistributivityUnsat proves x*(y+z) == x*y + x*z at 4 bits.
 func TestDistributivityUnsat(t *testing.T) {
-	s := sat.New()
-	b := NewBuilder(s)
+	b := NewBuilder(sat.New())
 	x, y, z := b.Var(4), b.Var(4), b.Var(4)
 	lhs := b.Mul(x, b.Add(y, z))
 	rhs := b.Add(b.Mul(x, y), b.Mul(x, z))
 	b.Assert(b.Ne(lhs, rhs))
-	if got := s.Solve(); got != sat.Unsat {
+	if got := b.Solve(); got != sat.Unsat {
 		t.Fatalf("distributivity: got %v, want unsat", got)
 	}
 }
@@ -328,12 +319,101 @@ func TestWidthMismatchPanics(t *testing.T) {
 
 func BenchmarkMulEquivalence8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := sat.New()
-		bb := NewBuilder(s)
+		bb := NewBuilder(sat.New())
 		x, y := bb.Var(8), bb.Var(8)
 		bb.Assert(bb.Ne(bb.Mul(x, y), bb.Mul(y, x)))
-		if got := s.Solve(); got != sat.Unsat {
+		if got := bb.Solve(); got != sat.Unsat {
 			b.Fatalf("got %v", got)
 		}
+	}
+}
+
+// TestCanonicalForms: every spelling of one gate is one literal, and the
+// degenerate ITEs are the two-input gates they compute.
+func TestCanonicalForms(t *testing.T) {
+	b := NewBuilder(sat.New())
+	v := b.Var(3)
+	c, x, y := v[0], v[1], v[2]
+	same := func(name string, got, want sat.Lit) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s: %v, want %v", name, got, want)
+		}
+	}
+	same("And(y,x)", b.And(y, x), b.And(x, y))
+	same("Or(y,x)", b.Or(y, x), b.Or(x, y))
+	same("Xor(y,x)", b.Xor(y, x), b.Xor(x, y))
+	same("Xor(¬x,y)", b.Xor(x.Not(), y), b.Xor(x, y).Not())
+	same("Xor(x,¬y)", b.Xor(x, y.Not()), b.Xor(x, y).Not())
+	same("Xor(¬x,¬y)", b.Xor(x.Not(), y.Not()), b.Xor(x, y))
+	same("Ite(¬c,x,y)", b.IteLit(c.Not(), x, y), b.IteLit(c, y, x))
+	same("Ite(c,¬x,y)", b.IteLit(c, x.Not(), y), b.IteLit(c, x, y.Not()).Not())
+	same("Ite(c,x,¬x)", b.IteLit(c, x, x.Not()), b.Xor(c, x).Not())
+	same("Ite(c,true,y)", b.IteLit(c, b.True(), y), b.Or(c, y))
+	same("Ite(c,false,y)", b.IteLit(c, b.False(), y), b.And(c.Not(), y))
+	same("Ite(c,x,true)", b.IteLit(c, x, b.True()), b.Or(c.Not(), x))
+	same("Ite(c,x,false)", b.IteLit(c, x, b.False()), b.And(c, x))
+	same("Ite(c,c,y)", b.IteLit(c, c, y), b.Or(c, y))
+	same("Ite(c,¬c,y)", b.IteLit(c, c.Not(), y), b.And(c.Not(), y))
+	same("Ite(c,x,c)", b.IteLit(c, x, c), b.And(c, x))
+	same("Ite(c,x,¬c)", b.IteLit(c, x, c.Not()), b.Or(c.Not(), x))
+
+	// Word level: the adder is symmetric in its operands, so x+y and y+x
+	// are the same vector and their disequality is the constant false.
+	p, q := b.Var(8), b.Var(8)
+	if l := b.Ne(b.Add(p, q), b.Add(q, p)); !b.isFalse(l) {
+		t.Errorf("x+y != y+x is %v, want the constant false", l)
+	}
+	if b.S.NumVars() != 0 || b.S.NumClauses() != 0 {
+		t.Errorf("gate constructors reached the solver: %d vars, %d clauses", b.S.NumVars(), b.S.NumClauses())
+	}
+}
+
+// TestEmitsOnlyTheCone: the solver sees the asserted root's cone and the
+// constant, numbered in node order; a gate nothing asserts costs it
+// nothing, and Value still evaluates that gate from the graph, reading an
+// input outside every cone as 0.
+func TestEmitsOnlyTheCone(t *testing.T) {
+	b := NewBuilder(sat.New())
+	x, y, z := b.Var(4), b.Var(4), b.Var(4)
+	dead := b.Mul(y, z)              // never asserted
+	sum := b.Add(z, b.Const(4, 3))   // outside the cone too: z reads 0
+	b.Assert(b.Eq(x, b.Const(4, 9))) // cone: x's four bits and three ANDs
+	if got := b.Solve(); got != sat.Sat {
+		t.Fatalf("solve: %v", got)
+	}
+	if built, emitted := b.Gates(); emitted != 3 || built <= emitted {
+		t.Fatalf("gates built/emitted = %d/%d, want 3 emitted of many", built, emitted)
+	}
+	if got := b.S.NumVars(); got != 1+4+3 {
+		t.Fatalf("solver has %d variables, want the constant, x's 4 bits and 3 gates", got)
+	}
+	if got := b.Value(x); got != 9 {
+		t.Fatalf("x = %d, want 9", got)
+	}
+	if got := b.Value(dead); got != 0 {
+		t.Fatalf("y*z outside every cone = %d, want 0", got)
+	}
+	if got := b.Value(sum); got != 3 {
+		t.Fatalf("z+3 outside every cone = %d, want 3", got)
+	}
+	// A second round of assertions emits what it newly reaches.
+	b.AssertEq(z, b.Const(4, 5))
+	if got := b.Solve(); got != sat.Sat {
+		t.Fatalf("second solve: %v", got)
+	}
+	if got := b.Value(sum); got != 8 {
+		t.Fatalf("z+3 with z = 5 is %d, want 8", got)
+	}
+	// An assertion that folded to false needs no cone at all.
+	u := NewBuilder(sat.New())
+	w := u.Var(8)
+	u.Assert(u.Ult(w, u.Const(8, 100)))
+	u.Assert(u.Ne(u.Add(w, w), u.Add(w, w)))
+	if got := u.Solve(); got != sat.Unsat {
+		t.Fatalf("false root: %v, want unsat", got)
+	}
+	if got := u.S.NumVars(); got != 1 {
+		t.Fatalf("false root emitted %d variables, want only the constant", got)
 	}
 }

@@ -166,7 +166,10 @@ func TestMetricsNilSafe(t *testing.T) {
 // is serialized, so a metered verify report is byte-identical to a plain
 // one and to what it was before the counters existed.
 func TestVerifySearchCountersAreMetadataOnly(t *testing.T) {
-	jobs := func() []Job { return verifyJobsFor(t, []string{"flowlets", "rcp"}, []int{4, 5}, []int{2}, 0) }
+	// One job that searches and one that is decided while it is built.
+	jobs := func() []Job {
+		return append(verifyJobsFor(t, []string{"rcp"}, []int{4, 5}, []int{2}, 0), commutedMulJob([]int{4, 5}, 0))
+	}
 	plain, err := Run(context.Background(), jobs(), Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +186,7 @@ func TestVerifySearchCountersAreMetadataOnly(t *testing.T) {
 	if err := metered.WriteJSON(&full, true); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(full.Bytes(), []byte("ropagations")) {
+	if bytes.Contains(full.Bytes(), []byte("ropagations")) || bytes.Contains(full.Bytes(), []byte("gates")) {
 		t.Fatalf("search counters leaked into the JSON report:\n%s", full.String())
 	}
 
@@ -208,12 +211,16 @@ func TestVerifySearchCountersAreMetadataOnly(t *testing.T) {
 	if got != want {
 		t.Fatalf("sat_* counters %+v, cells sum to %+v", got, want)
 	}
-	// flowlets at 5 bits, as pinned in internal/verify's grid table.
-	if text := metered.Text(true); !strings.Contains(text, "conflicts=146) solve=") ||
-		!strings.Contains(text, " decisions=186 propagations=48861 restarts=2 learned=145 removed=0\n") {
+	if want.Conflicts == 0 {
+		t.Fatal("no cell searched: the fixture no longer exercises the counters")
+	}
+	// a*b ≡ b*a at 5 bits, as pinned in internal/verify's
+	// TestCommutedMulNeedsSearch.
+	if text := metered.Text(true); !strings.Contains(text, "conflicts=454) solve=") ||
+		!strings.Contains(text, " gates=94/72 decisions=563 propagations=12952 restarts=4 learned=453 removed=224\n") {
 		t.Fatalf("-timing text does not show the search counters:\n%s", text)
 	}
-	if strings.Contains(metered.Text(false), "propagations=") {
+	if text := metered.Text(false); strings.Contains(text, "propagations=") || strings.Contains(text, "gates=") {
 		t.Fatal("search counters shown without -timing")
 	}
 }

@@ -182,8 +182,8 @@ func (r *Report) Text(includeMeta bool) string {
 				fmt.Fprintf(&b, "        bits=%d steps=%d: %s (vars=%d clauses=%d conflicts=%d)",
 					c.Bits, c.Steps, c.Verdict, c.Vars, c.Clauses, c.Conflicts)
 				if includeMeta {
-					fmt.Fprintf(&b, " solve=%.1fms decisions=%d propagations=%d restarts=%d learned=%d removed=%d",
-						c.SolveMS, c.Search.Decisions, c.Search.Propagations, c.Search.Restarts, c.Search.Learned, c.Search.Removed)
+					fmt.Fprintf(&b, " solve=%.1fms gates=%d/%d decisions=%d propagations=%d restarts=%d learned=%d removed=%d",
+						c.SolveMS, c.GatesBuilt, c.GatesEmitted, c.Search.Decisions, c.Search.Propagations, c.Search.Restarts, c.Search.Learned, c.Search.Removed)
 				}
 				b.WriteByte('\n')
 			}

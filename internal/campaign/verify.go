@@ -26,16 +26,16 @@ const (
 // Everything serialized here is a pure function of (spec, machine code,
 // bits, steps, budget) — the solver is single-threaded and deterministic —
 // so cells flow through the content-addressed shard cache and replay
-// byte-identically. SolveMS is the one nondeterministic field; it and the
-// search counters in Search are excluded from serialization (and therefore
-// from cached replays, which show them as zero) and only surface in metadata
-// renderings.
+// byte-identically. SolveMS is the one nondeterministic field; it, the
+// search counters in Search and the gate counts are excluded from
+// serialization (and therefore from cached replays, which show them as zero)
+// and only surface in metadata renderings.
 type VerifyCell struct {
 	Bits      int    `json:"bits"`
 	Steps     int    `json:"steps"`
 	Verdict   string `json:"verdict"`
-	Vars      int    `json:"vars"`    // SAT variables in the instance
-	Clauses   int    `json:"clauses"` // SAT problem clauses
+	Vars      int    `json:"vars"`    // SAT variables in the emitted instance (1: the miter folded while it was built)
+	Clauses   int    `json:"clauses"` // SAT problem clauses in the emitted instance
 	Conflicts int64  `json:"conflicts"`
 
 	// On VerdictCounterexample: the diverging input trace (Steps rows of
@@ -55,6 +55,12 @@ type VerifyCell struct {
 	// but kept out of serialized, cached and hashed bytes so that reports
 	// do not move when only the solver's bookkeeping does.
 	Search sat.Stats `json:"-"`
+
+	// GatesBuilt and GatesEmitted are the AND/XOR/ITE gates symbolic
+	// execution constructed for the cell and the ones the solver was
+	// handed; metadata like Search.
+	GatesBuilt   int `json:"-"`
+	GatesEmitted int `json:"-"`
 }
 
 // VerifyTarget is SAT-based equivalence checking as a campaign target: one
@@ -145,12 +151,17 @@ func (t *VerifyTarget) validate() error {
 	if len(t.Bits) == 0 || len(t.Steps) == 0 {
 		return fmt.Errorf("verify target has an empty proof grid (%d bit widths × %d step counts)", len(t.Bits), len(t.Steps))
 	}
-	for _, b := range t.Bits {
-		if b < 1 || b > 16 {
-			return fmt.Errorf("verification width %d outside [1,16]", b)
+	return checkGrid(t.Bits, t.Steps)
+}
+
+// checkGrid checks a proof grid's coordinates against the verifier's bounds.
+func checkGrid(bits, steps []int) error {
+	for _, b := range bits {
+		if err := verify.CheckBits(b); err != nil {
+			return err
 		}
 	}
-	for _, s := range t.Steps {
+	for _, s := range steps {
 		if s < 1 {
 			return fmt.Errorf("unrolling depth %d < 1", s)
 		}
@@ -192,11 +203,23 @@ func (t *VerifyTarget) Fingerprint() string {
 	)
 }
 
-// Build implements Target. The instance precomputes the derived-seed →
-// cell-index table the runners use to invert the engine's shard
-// addressing (deriveSeed is injective for a fixed job seed, so the table
-// is total; the collision check is a cheap invariant guard).
+// Build implements Target. The instance holds what every cell of the job
+// shares: the prepared verify.Problem (spec and machine code checked, muxes
+// and holes resolved, the compared cone found — once, not per cell) and the
+// derived-seed → cell-index table the runners use to invert the engine's
+// shard addressing (deriveSeed is injective for a fixed job seed, so the
+// table is total; the collision check is a cheap invariant guard). A
+// question the verifier rejects — machine code that does not fit the
+// pipeline, nothing to compare — is the job's build error.
 func (t *VerifyTarget) Build() (Instance, error) {
+	problem, err := verify.NewProblem(t.Spec, t.Code, t.Prog, t.Fields, verify.Options{
+		MaxInput:     t.MaxInput,
+		Containers:   t.Containers,
+		MaxConflicts: t.MaxConflicts,
+	})
+	if err != nil {
+		return nil, err
+	}
 	cellOf := make(map[int64]int, t.cellCount())
 	for i := 0; i < t.cellCount(); i++ {
 		s := deriveSeed(t.Seed, i)
@@ -205,28 +228,23 @@ func (t *VerifyTarget) Build() (Instance, error) {
 		}
 		cellOf[s] = i
 	}
-	return &verifyInstance{t: t, cellOf: cellOf}, nil
+	return &verifyInstance{t: t, problem: problem, cellOf: cellOf}, nil
 }
 
+// verifyInstance is also its own Runner: it is a stateless view over the
+// shared immutable target and problem — each cell builds its own gate graph
+// and solver — so one value serves every worker.
 type verifyInstance struct {
-	t      *VerifyTarget
-	cellOf map[int64]int
+	t       *VerifyTarget
+	problem *verify.Problem
+	cellOf  map[int64]int
 }
 
-// NewRunner implements Instance. Runners are stateless views over the
-// shared immutable target — each cell builds its own solver — so one
-// struct serves every worker.
-func (in *verifyInstance) NewRunner() (Runner, error) {
-	return &verifyRunner{t: in.t, cellOf: in.cellOf}, nil
-}
-
-type verifyRunner struct {
-	t      *VerifyTarget
-	cellOf map[int64]int
-}
+// NewRunner implements Instance.
+func (r *verifyInstance) NewRunner() (Runner, error) { return r, nil }
 
 // RunShard implements Runner.
-func (r *verifyRunner) RunShard(seed int64, n int) ShardResult {
+func (r *verifyInstance) RunShard(seed int64, n int) ShardResult {
 	return r.RunShardContext(context.Background(), seed, n)
 }
 
@@ -236,20 +254,14 @@ func (r *verifyRunner) RunShard(seed int64, n int) ShardResult {
 // abandons a wedged proof without poisoning the cache, while a
 // deterministic budget exhaustion (MaxConflicts) is a real, cacheable
 // VerdictUnknown.
-func (r *verifyRunner) RunShardContext(ctx context.Context, seed int64, n int) ShardResult {
+func (r *verifyInstance) RunShardContext(ctx context.Context, seed int64, n int) ShardResult {
 	i, ok := r.cellOf[seed]
 	if !ok || n != 1 {
 		return ShardResult{Err: fmt.Errorf("verify: shard (seed=%d, n=%d) does not address a proof cell", seed, n)}
 	}
 	bits, steps := r.t.cell(i)
 	start := time.Now() //dvet:walltime-ok SolveMS is -timing display only, excluded from serialized/cached bytes
-	res, err := verify.EquivalenceContext(ctx, r.t.Spec, r.t.Code, r.t.Prog, r.t.Fields, verify.Options{
-		Bits:         bits,
-		Steps:        steps,
-		MaxInput:     r.t.MaxInput,
-		Containers:   r.t.Containers,
-		MaxConflicts: r.t.MaxConflicts,
-	})
+	res, err := r.problem.Prove(ctx, bits, steps)
 	if err != nil {
 		return ShardResult{Err: err}
 	}
@@ -264,6 +276,9 @@ func (r *verifyRunner) RunShardContext(ctx context.Context, seed int64, n int) S
 		Conflicts: res.SolverStats.Conflicts,
 		SolveMS:   float64(time.Since(start).Microseconds()) / 1e3, //dvet:walltime-ok same: display-only timing
 		Search:    res.SolverStats,
+
+		GatesBuilt:   res.GatesBuilt,
+		GatesEmitted: res.GatesEmitted,
 	}
 	out := ShardResult{}
 	switch {
@@ -297,11 +312,13 @@ func (r *verifyRunner) RunShardContext(ctx context.Context, seed int64, n int) S
 	return out
 }
 
-// Default proof grid for verification campaigns: widths that keep every
-// Table-1 fixture's instance in sub-second solver territory, with the
-// 2-step unrolling that exposes single-update state corruption.
+// Default proof grid for verification campaigns: the 8–10 bits where the
+// paper's §5.2 limited-range miscompiles live (machine code right below
+// 100, wrong at 10-bit inputs), with the 2-step unrolling that exposes
+// single-update state corruption. Every Table-1 fixture is decided at both
+// widths while its miter is built, in well under a millisecond.
 var (
-	DefaultVerifyBits  = []int{4, 6}
+	DefaultVerifyBits  = []int{8, 10}
 	DefaultVerifySteps = []int{2}
 )
 
@@ -322,15 +339,8 @@ func VerifyMatrix(benchmarks []*spec.Benchmark, bits, steps []int, seeds []int64
 	}
 	// Check the grid here as well as in target validation, so servers can
 	// reject a bad matrix before committing a stream to it.
-	for _, b := range bits {
-		if b < 1 || b > 16 {
-			return nil, fmt.Errorf("campaign: verification width %d outside [1,16]", b)
-		}
-	}
-	for _, s := range steps {
-		if s < 1 {
-			return nil, fmt.Errorf("campaign: unrolling depth %d < 1", s)
-		}
+	if err := checkGrid(bits, steps); err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 	if len(seeds) == 0 {
 		seeds = []int64{1}

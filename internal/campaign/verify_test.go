@@ -13,6 +13,7 @@ import (
 	"druzhba/internal/sim"
 	"druzhba/internal/spec"
 	"druzhba/internal/verify"
+	"druzhba/internal/verify/verifytest"
 )
 
 // verifyJobsFor builds the verification matrix for the named benchmarks at
@@ -87,6 +88,26 @@ func corruptedVerifyJob(t *testing.T) Job {
 		Seed:            1,
 	}
 	return Job{Name: "verify/sampling-corrupt/seed=1", Target: target, Seed: 1, Packets: 1}
+}
+
+// commutedMulJob is a verification job over verifytest.CommutedMul, the
+// fixture whose proof is a SAT search (454 conflicts at 5 bits, 83 at 4):
+// the Table-1 cells are decided while their miter is built and cost the
+// solver nothing.
+func commutedMulJob(bits []int, maxConflicts int64) Job {
+	hw, code, prog, fields := verifytest.CommutedMul()
+	target := &VerifyTarget{
+		Benchmark:    prog.Name,
+		Spec:         hw,
+		Code:         code,
+		Prog:         prog,
+		Fields:       fields,
+		Bits:         bits,
+		Steps:        []int{1},
+		MaxConflicts: maxConflicts,
+		Seed:         1,
+	}
+	return Job{Name: "verify/" + prog.Name + "/seed=1", Target: target, Seed: 1, Packets: len(bits)}
 }
 
 // TestVerifyReportByteIdenticalAcrossWorkers pins the tentpole determinism
@@ -175,9 +196,8 @@ func TestVerifyWarmCacheReprovesNothing(t *testing.T) {
 // cell spent exactly its budget (-budget is a per-cell bound on conflicts,
 // not on restarts).
 func TestVerifyBudgetExhaustionIsUnknown(t *testing.T) {
-	// learn-filter at 4 bits needs 730 conflicts.
 	for _, budget := range []int64{1, 150} {
-		rep, err := Run(context.Background(), verifyJobsFor(t, []string{"learn-filter"}, []int{4}, []int{2}, budget), Options{})
+		rep, err := Run(context.Background(), []Job{commutedMulJob([]int{5}, budget)}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,6 +214,28 @@ func TestVerifyBudgetExhaustionIsUnknown(t *testing.T) {
 		if jr.Cells[0].Conflicts != budget {
 			t.Fatalf("budget %d: cell reports %d conflicts", budget, jr.Cells[0].Conflicts)
 		}
+	}
+}
+
+// TestVerifyEmptyComparisonIsJobError: a Domino program that writes only
+// state compares no container, and a proof of nothing used to come back
+// PROVEN for any machine code. The verifier refuses the question when the
+// target is built, which the campaign reports as the job's error row with
+// no cell decided.
+func TestVerifyEmptyComparisonIsJobError(t *testing.T) {
+	hw, code, prog, fields := verifytest.StateOnly()
+	target := &VerifyTarget{
+		Benchmark: prog.Name, Spec: hw, Code: code, Prog: prog, Fields: fields,
+		Bits: []int{4}, Steps: []int{2}, Seed: 1,
+	}
+	rep, err := Run(context.Background(), []Job{{Name: "verify/state-only/seed=1", Target: target, Seed: 1, Packets: 1}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := rep.Jobs[0]
+	const want = "verify: nothing to compare: the Domino program writes no packet field and no state is bound (Options.StateBindings, dverify -state), so any machine code would be proved"
+	if rep.Passed || jr.Status != StatusError || !strings.Contains(jr.Error, want) || len(jr.Cells) != 0 {
+		t.Fatalf("status %s, error %q, %d cells; want an error row carrying %q", jr.Status, jr.Error, len(jr.Cells), want)
 	}
 }
 

@@ -276,6 +276,7 @@ type Pipeline struct {
 	spec   Spec
 	level  OptLevel
 	code   *machinecode.Program
+	muxes  *MuxTable // the baked selections of a prechecked pipeline; nil when unoptimized
 	stages []*stage
 }
 
@@ -308,6 +309,12 @@ func BuildUnchecked(s Spec, code *machinecode.Program) (*Pipeline, error) {
 
 func build(n Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error) {
 	p := &Pipeline{spec: n, level: level, code: code}
+	if level != Unoptimized {
+		var err error
+		if p.muxes, err = n.Muxes(code); err != nil {
+			return nil, err
+		}
+	}
 	for si := 0; si < n.Depth; si++ {
 		st := &stage{}
 		for slot := 0; slot < n.Width; slot++ {
@@ -335,14 +342,9 @@ func build(n Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error)
 				st.outputMuxNames[c] = machinecode.OutputMuxName(si, c)
 			}
 		} else {
-			st.outputMux = make([]int, n.PHVLen)
-			for c := 0; c < n.PHVLen; c++ {
-				name := machinecode.OutputMuxName(si, c)
-				v, ok := code.Get(name)
-				if !ok {
-					return nil, fmt.Errorf("core: missing machine code pair %q", name)
-				}
-				st.outputMux[c] = int(v)
+			st.outputMux = p.muxes.Output[si]
+			for _, a := range st.alus {
+				a.operandMux = p.muxes.Operand[si][a.latch]
 			}
 		}
 		p.stages = append(p.stages, st)
@@ -399,18 +401,6 @@ func newALU(n Spec, code *machinecode.Program, level OptLevel, si, slot int, pro
 		if err != nil {
 			return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(stateful), slot, err)
 		}
-		a.operandMux = make([]int, a.numOps)
-		for op := 0; op < a.numOps; op++ {
-			name := machinecode.OperandMuxName(si, stateful, slot, op)
-			v, ok := code.Get(name)
-			if !ok {
-				return nil, fmt.Errorf("core: missing machine code pair %q", name)
-			}
-			if v < 0 || int(v) >= n.PHVLen {
-				return nil, fmt.Errorf("core: %q = %d out of range [0,%d)", name, v, n.PHVLen)
-			}
-			a.operandMux[op] = int(v)
-		}
 	default:
 		return nil, fmt.Errorf("core: unknown optimization level %v", level)
 	}
@@ -464,7 +454,7 @@ func (p *Pipeline) Bits() phv.Width { return p.spec.Bits }
 // concurrently with the original and with other clones; this is what lets
 // the campaign engine run one pipeline build on many workers at once.
 func (p *Pipeline) Clone() *Pipeline {
-	q := &Pipeline{spec: p.spec, level: p.level, code: p.code}
+	q := &Pipeline{spec: p.spec, level: p.level, code: p.code, muxes: p.muxes}
 	q.stages = make([]*stage, len(p.stages))
 	w := p.spec.Width
 	for i, st := range p.stages {
@@ -492,55 +482,126 @@ func (p *Pipeline) Clone() *Pipeline {
 // OutputCone returns a Clone that executes only the ALUs whose results can
 // reach a PHV container at the pipeline's output — the dead-code
 // elimination the baked mux selections of a prechecked pipeline enable.
-// Liveness runs backwards from every container of the last stage's output:
-// an output mux selecting 0 keeps its container live one stage upstream, a
-// selected ALU becomes live and makes its operand-mux containers live
-// upstream; ALU bodies are not inspected. Output PHVs equal the full
-// pipeline's on every packet. What a cone does not simulate is the state of
-// stateful ALUs no container can observe: dead ALUs keep their state slots
-// (SetState and StateSnapshot have the same shape) but never advance them,
-// so a cone serves consumers of output PHVs
-// — the fuzzer — and not consumers of state. Pipelines that are not
-// Prechecked resolve machine code at run time, where a missing pair is a
-// finding, and get a plain clone that executes everything.
+// Liveness (MuxTable.Live, the pass the verifier runs from the containers
+// it compares) runs backwards from every container of the last stage's
+// output. Output PHVs equal the full pipeline's on every packet. What a
+// cone does not simulate is the state of stateful ALUs no container can
+// observe: dead ALUs keep their state slots (SetState and StateSnapshot have
+// the same shape) but never advance them, so a cone serves consumers of
+// output PHVs — the fuzzer — and not consumers of state. Pipelines that are
+// not Prechecked resolve machine code at run time, where a missing pair is
+// a finding, and get a plain clone that executes everything.
 func (p *Pipeline) OutputCone() *Pipeline {
 	q := p.Clone()
 	if !p.Prechecked() {
 		return q
 	}
-	live := make([]bool, p.spec.PHVLen) // containers read downstream of the current stage
-	for c := range live {
-		live[c] = true
+	out := make([]bool, p.spec.PHVLen)
+	for c := range out {
+		out[c] = true
 	}
-	upstream := make([]bool, p.spec.PHVLen)
-	selected := make([]bool, 2*p.spec.Width)
-	for si := len(q.stages) - 1; si >= 0; si-- {
-		st := q.stages[si]
-		clear(selected)
+	live := p.muxes.Live(out, nil)
+	for si, st := range q.stages {
+		run := make([]*compiledALU, 0, len(st.run))
+		for _, a := range st.run {
+			if live[si][a.latch] {
+				run = append(run, a)
+			}
+		}
+		st.run = run
+	}
+	return q
+}
+
+// MuxTable is a pipeline's mux selections as build-time constants, the form
+// SCC propagation leaves them in. ALUs are named by latch slot: stateless
+// ALU k of a stage is latch k, stateful ALU k is latch Width+k.
+type MuxTable struct {
+	// Output[stage][container] is the container's output mux selection: 0
+	// passes the stage's input container through, sel > 0 reads latch sel-1.
+	Output [][]int
+	// Operand[stage][latch][op] is the input container the ALU's operand
+	// mux op selects.
+	Operand [][][]int
+}
+
+// Muxes reads the spec's mux selections out of machine code. The spec must
+// be normalized and the code valid for it (Validate).
+func (s *Spec) Muxes(code *machinecode.Program) (*MuxTable, error) {
+	get := func(name string) (int, error) {
+		v, ok := code.Get(name)
+		if !ok {
+			return 0, fmt.Errorf("core: missing machine code pair %q", name)
+		}
+		return int(v), nil
+	}
+	m := &MuxTable{Output: make([][]int, s.Depth), Operand: make([][][]int, s.Depth)}
+	for si := 0; si < s.Depth; si++ {
+		m.Operand[si] = make([][]int, 0, 2*s.Width)
+		for _, prog := range []*aludsl.Program{s.StatelessALU, s.StatefulALU} {
+			for slot := 0; prog != nil && slot < s.Width; slot++ {
+				ops := make([]int, prog.NumOperands())
+				for op := range ops {
+					v, err := get(machinecode.OperandMuxName(si, prog.Kind == aludsl.Stateful, slot, op))
+					if err != nil {
+						return nil, err
+					}
+					ops[op] = v
+				}
+				m.Operand[si] = append(m.Operand[si], ops)
+			}
+		}
+		m.Output[si] = make([]int, s.PHVLen)
+		for c := range m.Output[si] {
+			v, err := get(machinecode.OutputMuxName(si, c))
+			if err != nil {
+				return nil, err
+			}
+			m.Output[si][c] = v
+		}
+	}
+	return m, nil
+}
+
+// Live is the backward liveness pass over baked muxes: live[stage][latch]
+// reports whether the ALU's result can reach a container of out at the
+// pipeline's output, or the ALU is pinned (pinned may be nil; the verifier
+// pins the ALUs whose state it compares). An output mux selecting 0 keeps
+// its container live one stage upstream, a selected ALU becomes live, and a
+// live ALU makes its operand-mux containers live upstream; ALU bodies are
+// not inspected. A stateful ALU's state depends on nothing but its own
+// operands, so the live set is closed under state as well.
+func (m *MuxTable) Live(out []bool, pinned [][]bool) [][]bool {
+	live := make([][]bool, len(m.Output))
+	cur := append([]bool(nil), out...) // containers read downstream of the current stage
+	upstream := make([]bool, len(out))
+	for si := len(m.Output) - 1; si >= 0; si-- {
+		selected := make([]bool, len(m.Operand[si]))
+		if pinned != nil {
+			copy(selected, pinned[si])
+		}
 		clear(upstream)
-		for c, sel := range st.outputMux {
+		for c, sel := range m.Output[si] {
 			switch {
-			case !live[c]:
+			case !cur[c]:
 			case sel == 0:
 				upstream[c] = true
 			default:
 				selected[sel-1] = true
 			}
 		}
-		run := make([]*compiledALU, 0, len(st.run))
-		for _, a := range st.run {
-			if !selected[a.latch] {
+		for latch, ops := range m.Operand[si] {
+			if !selected[latch] {
 				continue
 			}
-			run = append(run, a)
-			for _, c := range a.operandMux {
+			for _, c := range ops {
 				upstream[c] = true
 			}
 		}
-		st.run = run
-		live, upstream = upstream, live
+		live[si] = selected
+		cur, upstream = upstream, cur
 	}
-	return q
+	return live
 }
 
 // ALUCounts returns how many ALUs the stage executors run per PHV and how

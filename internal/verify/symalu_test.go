@@ -139,8 +139,7 @@ func TestSymbolicALUWithSymbolicInputs(t *testing.T) {
 	prog := atoms.MustLoad("raw")
 	holes := map[string]int64{"mux2_0": 0, "const_0": 0}
 	w := phv.MustWidth(5)
-	s := sat.New()
-	b := bv.NewBuilder(s)
+	b := bv.NewBuilder(sat.New())
 	in := b.Var(5)
 	e := &symALU{
 		b: b, bits: 5, w: w,
@@ -154,7 +153,7 @@ func TestSymbolicALUWithSymbolicInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.AssertEq(out, b.Const(5, 11))
-	if got := s.Solve(); got != sat.Sat {
+	if got := b.Solve(); got != sat.Sat {
 		t.Fatalf("solve: %v", got)
 	}
 	v := b.Value(in)

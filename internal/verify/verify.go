@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -36,11 +37,24 @@ import (
 	"druzhba/internal/sat"
 )
 
+// MaxBits is the widest verification width: the 32-bit datapath Table 1 is
+// fuzzed at. It is the one bound on Options.Bits; campaign grids are checked
+// against it through CheckBits.
+const MaxBits = 32
+
+// CheckBits reports whether bits is a verification width.
+func CheckBits(bits int) error {
+	if bits < 1 || bits > MaxBits {
+		return fmt.Errorf("verification width %d outside [1,%d]", bits, MaxBits)
+	}
+	return nil
+}
+
 // Options configures an equivalence proof.
 type Options struct {
-	// Bits is the verification bit width (1..16; default 8). The proof is
-	// exhaustive over inputs of this width. Larger widths grow the SAT
-	// instance; the §5.2 case study found its failures at 10 bits.
+	// Bits is the verification bit width (1..MaxBits; default 8). The proof
+	// is exhaustive over inputs of this width. Larger widths grow the gate
+	// graph; the §5.2 case study found its failures at 10 bits.
 	Bits int
 
 	// Steps is the number of consecutive transactions to unroll (default
@@ -122,10 +136,15 @@ type Result struct {
 
 	// SolverStats reports proof effort.
 	SolverStats sat.Stats
-	// Vars is the number of SAT variables in the instance.
+	// Vars is the number of SAT variables in the emitted instance: the cone
+	// of the miter and of the input constraints, 1 when the miter folded
+	// to a constant while it was built.
 	Vars int
-	// Clauses is the number of problem clauses in the instance.
+	// Clauses is the number of problem clauses in the emitted instance.
 	Clauses int
+	// GatesBuilt and GatesEmitted count the AND/XOR/ITE gates symbolic
+	// execution constructed and the ones the solver was handed.
+	GatesBuilt, GatesEmitted int
 }
 
 // solveCount counts SAT solver invocations process-wide. Campaign tests pin
@@ -168,12 +187,39 @@ func Equivalence(spec core.Spec, code *machinecode.Program, prog *domino.Program
 // abandon a wedged proof instead of leaking the solving goroutine.
 func EquivalenceContext(ctx context.Context, spec core.Spec, code *machinecode.Program, prog *domino.Program, fields domino.FieldMap, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	w, err := phv.NewWidth(opts.Bits)
+	p, err := NewProblem(spec, code, prog, fields, opts)
 	if err != nil {
-		return nil, fmt.Errorf("verify: %w", err)
+		return nil, err
 	}
-	spec.Bits = w
-	spec, err = spec.Normalize()
+	return p.Prove(ctx, opts.Bits, opts.Steps)
+}
+
+// Problem is an equivalence question with everything that does not depend
+// on the proof cell — the (bits, steps) point — worked out once: the
+// normalized spec and validated machine code, the compared containers, the
+// mux selections and ALU hole values looked up by name, and the ALUs in the
+// cone of what is compared. It is read-only after NewProblem, so the cells
+// of a campaign job share one.
+type Problem struct {
+	spec   core.Spec // normalized; Prove sets Bits per cell
+	code   *machinecode.Program
+	prog   *domino.Program
+	fields domino.FieldMap
+	opts   Options // MaxInput, InputBounds, MaxConflicts, StateBindings
+
+	fieldNames   []string // fields' keys, sorted
+	bindingNames []string // opts.StateBindings' keys, sorted
+	containers   []int    // compared containers
+
+	muxes *core.MuxTable
+	live  [][]bool             // live[stage][latch]: the ALU is in the compared cone
+	holes [][]map[string]int64 // holes[stage][latch]: ALU-local hole name → machine code value
+}
+
+// NewProblem checks the question and prepares it. opts.Bits and opts.Steps
+// are ignored: they are Prove's arguments.
+func NewProblem(spec core.Spec, code *machinecode.Program, prog *domino.Program, fields domino.FieldMap, opts Options) (*Problem, error) {
+	spec, err := spec.Normalize()
 	if err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
 	}
@@ -185,47 +231,120 @@ func EquivalenceContext(ctx context.Context, spec core.Spec, code *machinecode.P
 			return nil, fmt.Errorf("verify: field %q is not bound to a container", name)
 		}
 	}
-	containers := opts.Containers
-	if containers == nil {
-		containers, err = domino.WrittenContainers(prog, fields)
+	p := &Problem{spec: spec, code: code, prog: prog, fields: fields, opts: opts, containers: opts.Containers}
+	if p.containers == nil {
+		p.containers, err = domino.WrittenContainers(prog, fields)
 		if err != nil {
 			return nil, fmt.Errorf("verify: %w", err)
 		}
 	}
-	for _, c := range containers {
+	// Sorted field order: the first out-of-range binding reported must not
+	// depend on map order, and two fields bound to one container must write
+	// back deterministically.
+	p.fieldNames = sortedKeys(fields)
+	for _, name := range p.fieldNames {
+		if c := fields[name]; c < 0 || c >= spec.PHVLen {
+			return nil, fmt.Errorf("verify: field %q bound to container %d, PHV has %d", name, c, spec.PHVLen)
+		}
+	}
+	out := make([]bool, spec.PHVLen)
+	for _, c := range p.containers {
 		if c < 0 || c >= spec.PHVLen {
 			return nil, fmt.Errorf("verify: compared container %d out of range [0,%d)", c, spec.PHVLen)
 		}
+		out[c] = true
+	}
+	// Names sorted so the formula, and which broken binding is reported
+	// first, is deterministic.
+	p.bindingNames = sortedKeys(opts.StateBindings)
+	pinned := make([][]bool, spec.Depth)
+	for si := range pinned {
+		pinned[si] = make([]bool, 2*spec.Width)
+	}
+	for _, name := range p.bindingNames {
+		if !slices.ContainsFunc(prog.States, func(s domino.StateDecl) bool { return s.Name == name }) {
+			return nil, fmt.Errorf("verify: state binding %q is not a Domino state variable", name)
+		}
+		loc := opts.StateBindings[name]
+		if spec.StatefulALU == nil {
+			return nil, fmt.Errorf("verify: pipeline has no stateful ALUs to bind state %+v", loc)
+		}
+		if loc.Stage < 0 || loc.Stage >= spec.Depth || loc.Slot < 0 || loc.Slot >= spec.Width ||
+			loc.Index < 0 || loc.Index >= spec.StatefulALU.NumState() {
+			return nil, fmt.Errorf("verify: state location %+v out of range", loc)
+		}
+		pinned[loc.Stage][spec.Width+loc.Slot] = true
+	}
+	if len(p.containers) == 0 && len(p.bindingNames) == 0 {
+		return nil, errors.New("verify: nothing to compare: the Domino program writes no packet field and no state is bound (Options.StateBindings, dverify -state), so any machine code would be proved")
 	}
 
+	if p.muxes, err = spec.Muxes(code); err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	p.live = p.muxes.Live(out, pinned)
+	p.holes = make([][]map[string]int64, spec.Depth)
+	for si := range p.holes {
+		for _, alu := range []*aludsl.Program{spec.StatelessALU, spec.StatefulALU} {
+			for slot := 0; alu != nil && slot < spec.Width; slot++ {
+				vals := make(map[string]int64, len(alu.Holes))
+				for _, h := range alu.Holes {
+					vals[h.Name], _ = code.Get(machinecode.ALUHoleName(si, alu.Kind == aludsl.Stateful, slot, h.Name)) // present: Validate passed
+				}
+				p.holes[si] = append(p.holes[si], vals)
+			}
+		}
+	}
+	return p, nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Prove decides one cell of the problem: equivalence over every input of
+// the given width for the given number of unrolled transactions.
+func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
+	if err := CheckBits(bits); err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	if steps < 1 {
+		return nil, fmt.Errorf("verify: unrolling depth %d < 1", steps)
+	}
+	w := phv.MustWidth(bits)
+	spec := p.spec
+	spec.Bits = w
+
 	solver := sat.New()
-	solver.MaxConflicts = opts.MaxConflicts
+	solver.MaxConflicts = p.opts.MaxConflicts
 	solver.Interrupt = func() bool { return ctx.Err() != nil }
 	b := bv.NewBuilder(solver)
 
-	pipe, err := newSymPipeline(b, spec, code)
-	if err != nil {
-		return nil, err
-	}
-	dom := newSymDomino(b, w, prog)
+	pipe := newSymPipeline(b, p, w)
+	dom := newSymDomino(b, w, p)
 
 	bound := func(c int) int64 {
-		if v, ok := opts.InputBounds[c]; ok {
+		if v, ok := p.opts.InputBounds[c]; ok {
 			return v
 		}
-		return opts.MaxInput
+		return p.opts.MaxInput
 	}
 
 	var (
 		inputs   [][]bv.Vec
 		mismatch = b.False()
 	)
-	for step := 0; step < opts.Steps; step++ {
+	for step := 0; step < steps; step++ {
 		in := make([]bv.Vec, spec.PHVLen)
 		for c := range in {
-			in[c] = b.Var(opts.Bits)
+			in[c] = b.Var(bits)
 			if m := bound(c); m > 0 && m <= w.Mask() {
-				b.Assert(b.Ult(in[c], b.Const(opts.Bits, m)))
+				b.Assert(b.Ult(in[c], b.Const(bits, m)))
 			}
 		}
 		inputs = append(inputs, in)
@@ -234,43 +353,32 @@ func EquivalenceContext(ctx context.Context, spec core.Spec, code *machinecode.P
 		if err != nil {
 			return nil, err
 		}
-		specOut, err := dom.step(in, fields)
+		specOut, err := dom.step(in)
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range containers {
+		for _, c := range p.containers {
 			mismatch = b.Or(mismatch, b.Ne(pipeOut[c], specOut[c]))
 		}
 	}
 	// §3.3/§7: optionally assert the bound state values match after the
-	// final transaction (names sorted so the formula is deterministic).
-	bindingNames := make([]string, 0, len(opts.StateBindings))
-	for name := range opts.StateBindings {
-		bindingNames = append(bindingNames, name)
-	}
-	sort.Strings(bindingNames)
-	for _, name := range bindingNames {
-		domVec, ok := dom.state[name]
-		if !ok {
-			return nil, fmt.Errorf("verify: state binding %q is not a Domino state variable", name)
-		}
-		pipeVec, err := pipe.stateAt(opts.StateBindings[name])
-		if err != nil {
-			return nil, err
-		}
-		mismatch = b.Or(mismatch, b.Ne(pipeVec, domVec))
+	// final transaction.
+	for _, name := range p.bindingNames {
+		loc := p.opts.StateBindings[name]
+		pipeVec := pipe.state[loc.Stage][spec.Width+loc.Slot][loc.Index]
+		mismatch = b.Or(mismatch, b.Ne(pipeVec, dom.state[name]))
 	}
 	b.Assert(mismatch)
+	b.Emit()
 
-	res := &Result{Bits: opts.Bits, Steps: opts.Steps}
+	res := &Result{Bits: bits, Steps: steps, Vars: solver.NumVars(), Clauses: solver.NumClauses()}
+	res.GatesBuilt, res.GatesEmitted = b.Gates()
 	if ctx.Err() != nil {
 		res.Unknown = true
-		res.Vars = solver.NumVars()
-		res.Clauses = solver.NumClauses()
 		return res, nil
 	}
 	solveCount.Add(1)
-	switch solver.Solve() {
+	switch b.Solve() {
 	case sat.Unsat:
 		res.Equivalent = true
 	case sat.Unknown:
@@ -289,13 +397,11 @@ func EquivalenceContext(ctx context.Context, spec core.Spec, code *machinecode.P
 		// the reported outputs come from the production execution paths,
 		// and a model that does not reproduce concretely is an internal
 		// error (symbolic/concrete semantic drift), not a finding.
-		if err := res.replay(spec, code, prog, fields, trace, containers, opts.StateBindings); err != nil {
+		if err := res.replay(spec, p.code, p.prog, p.fields, trace, p.containers, p.opts.StateBindings); err != nil {
 			return nil, err
 		}
 	}
 	res.SolverStats = solver.Stats
-	res.Vars = solver.NumVars()
-	res.Clauses = solver.NumClauses()
 	return res, nil
 }
 
@@ -381,54 +487,44 @@ func (r *Result) replay(spec core.Spec, code *machinecode.Program, prog *domino.
 // Processing a PHV through the dataflow stage by stage is equivalent to the
 // tick-accurate simulation (PHVs traverse stages in order and never
 // overtake), which is the same argument core.Pipeline.Process relies on.
+// Only the ALUs in the problem's cone execute: a dead ALU has no gates, its
+// latch and the containers that select it are nil vectors nothing reads.
 type symPipeline struct {
 	b    *bv.Builder
-	spec core.Spec
-	code *machinecode.Program
+	p    *Problem
+	w    phv.Width
 	bits int
 
-	// state[stage][slot] is the state vector of the stateful ALU there.
+	// state[stage][latch] is the state vector of the stateful ALU there
+	// (nil for stateless latches).
 	state [][][]bv.Vec
 }
 
-func newSymPipeline(b *bv.Builder, spec core.Spec, code *machinecode.Program) (*symPipeline, error) {
-	p := &symPipeline{b: b, spec: spec, code: code, bits: spec.Bits.Bits()}
-	p.state = make([][][]bv.Vec, spec.Depth)
-	for si := range p.state {
-		if spec.StatefulALU == nil {
+func newSymPipeline(b *bv.Builder, p *Problem, w phv.Width) *symPipeline {
+	sp := &symPipeline{b: b, p: p, w: w, bits: w.Bits()}
+	sp.state = make([][][]bv.Vec, p.spec.Depth)
+	for si := range sp.state {
+		sp.state[si] = make([][]bv.Vec, len(p.live[si]))
+		if p.spec.StatefulALU == nil {
 			continue
 		}
-		p.state[si] = make([][]bv.Vec, spec.Width)
-		for slot := range p.state[si] {
-			vars := make([]bv.Vec, spec.StatefulALU.NumState())
+		for latch := p.spec.Width; latch < 2*p.spec.Width; latch++ {
+			vars := make([]bv.Vec, p.spec.StatefulALU.NumState())
 			for i := range vars {
-				vars[i] = b.Const(p.bits, 0) // ResetState semantics
+				vars[i] = b.Const(sp.bits, 0) // ResetState semantics
 			}
-			p.state[si][slot] = vars
+			sp.state[si][latch] = vars
 		}
 	}
-	return p, nil
-}
-
-// stateAt returns the symbolic value of one pipeline state slot.
-func (p *symPipeline) stateAt(loc StateLoc) (bv.Vec, error) {
-	if p.spec.StatefulALU == nil {
-		return nil, fmt.Errorf("verify: pipeline has no stateful ALUs to bind state %+v", loc)
-	}
-	if loc.Stage < 0 || loc.Stage >= len(p.state) ||
-		loc.Slot < 0 || loc.Slot >= len(p.state[loc.Stage]) ||
-		loc.Index < 0 || loc.Index >= len(p.state[loc.Stage][loc.Slot]) {
-		return nil, fmt.Errorf("verify: state location %+v out of range", loc)
-	}
-	return p.state[loc.Stage][loc.Slot][loc.Index], nil
+	return sp
 }
 
 // step processes one PHV through every stage, returning the output
 // containers and updating internal state.
-func (p *symPipeline) step(in []bv.Vec) ([]bv.Vec, error) {
+func (sp *symPipeline) step(in []bv.Vec) ([]bv.Vec, error) {
 	cur := in
-	for si := 0; si < p.spec.Depth; si++ {
-		next, err := p.execStage(si, cur)
+	for si := 0; si < sp.p.spec.Depth; si++ {
+		next, err := sp.execStage(si, cur)
 		if err != nil {
 			return nil, err
 		}
@@ -437,74 +533,45 @@ func (p *symPipeline) step(in []bv.Vec) ([]bv.Vec, error) {
 	return cur, nil
 }
 
-func (p *symPipeline) execStage(si int, in []bv.Vec) ([]bv.Vec, error) {
-	w := p.spec.Width
-	statelessOut := make([]bv.Vec, w)
-	statefulOut := make([]bv.Vec, w)
-	for slot := 0; slot < w; slot++ {
-		out, err := p.execALU(si, false, slot, in, nil)
+func (sp *symPipeline) execStage(si int, in []bv.Vec) ([]bv.Vec, error) {
+	latch := make([]bv.Vec, len(sp.p.live[si]))
+	for l, live := range sp.p.live[si] {
+		if !live {
+			continue
+		}
+		out, err := sp.execALU(si, l, in)
 		if err != nil {
 			return nil, err
 		}
-		statelessOut[slot] = out
+		latch[l] = out
 	}
-	if p.spec.StatefulALU != nil {
-		for slot := 0; slot < w; slot++ {
-			out, err := p.execALU(si, true, slot, in, p.state[si][slot])
-			if err != nil {
-				return nil, err
-			}
-			statefulOut[slot] = out
-		}
-	}
-	out := make([]bv.Vec, p.spec.PHVLen)
-	for c := 0; c < p.spec.PHVLen; c++ {
-		name := machinecode.OutputMuxName(si, c)
-		sel, ok := p.code.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("verify: missing machine code pair %q", name)
-		}
-		switch {
-		case sel == 0:
+	out := make([]bv.Vec, len(in))
+	for c, sel := range sp.p.muxes.Output[si] {
+		if sel == 0 {
 			out[c] = in[c]
-		case sel >= 1 && int(sel) <= w:
-			out[c] = statelessOut[sel-1]
-		case int(sel) >= w+1 && int(sel) <= 2*w && p.spec.StatefulALU != nil:
-			out[c] = statefulOut[int(sel)-w-1]
-		default:
-			return nil, fmt.Errorf("verify: output mux %q selects %d, out of range", name, sel)
+		} else {
+			out[c] = latch[sel-1]
 		}
 	}
 	return out, nil
 }
 
-func (p *symPipeline) execALU(si int, stateful bool, slot int, in []bv.Vec, state []bv.Vec) (bv.Vec, error) {
-	prog := p.spec.StatelessALU
-	if stateful {
-		prog = p.spec.StatefulALU
+func (sp *symPipeline) execALU(si, latch int, in []bv.Vec) (bv.Vec, error) {
+	prog := sp.p.spec.StatelessALU
+	if latch >= sp.p.spec.Width {
+		prog = sp.p.spec.StatefulALU
 	}
 	operands := make([]bv.Vec, prog.NumOperands())
-	for op := range operands {
-		name := machinecode.OperandMuxName(si, stateful, slot, op)
-		v, ok := p.code.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("verify: missing machine code pair %q", name)
-		}
-		if v < 0 || int(v) >= len(in) {
-			return nil, fmt.Errorf("verify: %q = %d out of range [0,%d)", name, v, len(in))
-		}
-		operands[op] = in[v]
-	}
-	lookup := func(local string) (int64, bool) {
-		return p.code.Get(machinecode.ALUHoleName(si, stateful, slot, local))
+	for op, c := range sp.p.muxes.Operand[si][latch] {
+		operands[op] = in[c]
 	}
 	e := &symALU{
-		b:        p.b,
-		bits:     p.bits,
-		w:        p.spec.Bits,
-		lookup:   lookup,
+		b:        sp.b,
+		bits:     sp.bits,
+		w:        sp.w,
+		lookup:   aludsl.MapLookup(sp.p.holes[si][latch]),
 		operands: operands,
-		state:    cloneVecs(state),
+		state:    cloneVecs(sp.state[si][latch]),
 		kind:     prog.Kind,
 	}
 	out, err := e.run(prog)
@@ -513,9 +580,7 @@ func (p *symPipeline) execALU(si int, stateful bool, slot int, in []bv.Vec, stat
 	}
 	// Branch merging rebinds the executor's state slice; commit the final
 	// (merged) state back to the pipeline.
-	if stateful {
-		p.state[si][slot] = e.state
-	}
+	sp.state[si][latch] = e.state
 	return out, nil
 }
 
@@ -773,13 +838,13 @@ type symDomino struct {
 	b     *bv.Builder
 	bits  int
 	w     phv.Width
-	prog  *domino.Program
+	p     *Problem
 	state map[string]bv.Vec
 }
 
-func newSymDomino(b *bv.Builder, w phv.Width, prog *domino.Program) *symDomino {
-	d := &symDomino{b: b, bits: w.Bits(), w: w, prog: prog, state: map[string]bv.Vec{}}
-	for _, s := range prog.States {
+func newSymDomino(b *bv.Builder, w phv.Width, p *Problem) *symDomino {
+	d := &symDomino{b: b, bits: w.Bits(), w: w, p: p, state: map[string]bv.Vec{}}
+	for _, s := range p.prog.States {
 		d.state[s.Name] = b.Const(d.bits, w.Trunc(s.Init))
 	}
 	return d
@@ -789,7 +854,7 @@ func newSymDomino(b *bv.Builder, w phv.Width, prog *domino.Program) *symDomino {
 // fields, the body executes, and field values are written back to their
 // containers; unbound containers pass through (mirroring
 // domino.PHVSpec.Process).
-func (d *symDomino) step(in []bv.Vec, fm domino.FieldMap) ([]bv.Vec, error) {
+func (d *symDomino) step(in []bv.Vec) ([]bv.Vec, error) {
 	env := &domEnv{
 		b:      d.b,
 		bits:   d.bits,
@@ -798,27 +863,15 @@ func (d *symDomino) step(in []bv.Vec, fm domino.FieldMap) ([]bv.Vec, error) {
 		fields: map[string]bv.Vec{},
 		locals: map[string]bv.Vec{},
 	}
-	// Sorted field order: the first out-of-range binding reported must
-	// not depend on map order, and two fields bound to one container
-	// must write back deterministically.
-	names := make([]string, 0, len(fm))
-	for name := range fm {
-		names = append(names, name)
+	for _, name := range d.p.fieldNames {
+		env.fields[name] = in[d.p.fields[name]]
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := fm[name]
-		if c < 0 || c >= len(in) {
-			return nil, fmt.Errorf("verify: field %q bound to container %d, PHV has %d", name, c, len(in))
-		}
-		env.fields[name] = in[c]
-	}
-	if err := env.exec(d.prog.Body); err != nil {
+	if err := env.exec(d.p.prog.Body); err != nil {
 		return nil, err
 	}
 	out := cloneVecs(in)
-	for _, name := range names {
-		out[fm[name]] = env.fields[name]
+	for _, name := range d.p.fieldNames {
+		out[d.p.fields[name]] = env.fields[name]
 	}
 	d.state = env.state
 	return out, nil
@@ -902,10 +955,10 @@ func (env *domEnv) exec(stmts []domino.Stmt) error {
 // programs that read it on the undefined path are rejected by the concrete
 // interpreter, which the fuzz harness runs first).
 func mergeMaps(b *bv.Builder, bits int, c sat.Lit, then, els map[string]bv.Vec) map[string]bv.Vec {
-	// Keys are visited in sorted order: Ite allocates solver variables, so
-	// iteration order is variable-numbering order, and map order here would
-	// make the formula — and with it the solver's search trajectory and
-	// conflict counts — differ from run to run.
+	// Keys are visited in sorted order: Ite builds gate nodes, node order is
+	// solver-variable order, and map order here would make the formula — and
+	// with it the solver's search trajectory and conflict counts — differ
+	// from run to run.
 	keys := make([]string, 0, len(then)+len(els))
 	for k := range then {
 		keys = append(keys, k)

@@ -12,6 +12,7 @@ import (
 	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
 	"druzhba/internal/spec"
+	"druzhba/internal/verify/verifytest"
 )
 
 // zeroCode returns machine code with every required pair set to 0 (output
@@ -576,5 +577,46 @@ transaction {
 	if _, err := Equivalence(s, code, prog, fm, Options{Bits: 4, Steps: 1,
 		StateBindings: map[string]StateLoc{"c": {Stage: 9}}}); err == nil {
 		t.Fatal("out-of-range state location should error")
+	}
+}
+
+// emptyComparison is the error text of a question that compares nothing.
+const emptyComparison = "verify: nothing to compare: the Domino program writes no packet field and no state is bound (Options.StateBindings, dverify -state), so any machine code would be proved"
+
+// TestEmptyComparisonIsAnError: a program that writes only state used to be
+// PROVED against any machine code — the miter was the constant false. With
+// nothing to compare the verifier now refuses the question, and binding the
+// state makes it a real one: machine code that adds pkt.a is proved, machine
+// code that adds its immediate instead is refuted on the state.
+func TestEmptyComparisonIsAnError(t *testing.T) {
+	s, code, prog, fm := verifytest.StateOnly()
+	_, err := Equivalence(s, code, prog, fm, Options{Bits: 4, Steps: 2})
+	if err == nil || err.Error() != emptyComparison {
+		t.Fatalf("state-only program without bindings: err = %v, want %q", err, emptyComparison)
+	}
+	// An explicitly empty container list is the same question.
+	if _, err := Equivalence(s, code, prog, fm, Options{Bits: 4, Steps: 2, Containers: []int{}}); err == nil || err.Error() != emptyComparison {
+		t.Fatalf("empty container list: err = %v, want %q", err, emptyComparison)
+	}
+
+	bindings := map[string]StateLoc{"count": {Stage: 0, Slot: 0, Index: 0}}
+	res, err := Equivalence(s, code, prog, fm, Options{Bits: 4, Steps: 2, StateBindings: bindings})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Equivalent {
+		t.Fatalf("state_0 += pkt_0 implements count += pkt.a: %v", res)
+	}
+	wrong := code.Clone()
+	setALUHole(t, wrong, 0, true, 0, "mux2_0", 1) // state_0 += C(), the immediate 0
+	if _, err := Equivalence(s, wrong, prog, fm, Options{Bits: 4, Steps: 2}); err == nil || err.Error() != emptyComparison {
+		t.Fatalf("wrong machine code without bindings: err = %v, want %q", err, emptyComparison)
+	}
+	res, err = Equivalence(s, wrong, prog, fm, Options{Bits: 4, Steps: 2, StateBindings: bindings})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Equivalent || !res.StateDiverged {
+		t.Fatalf("state_0 += 0 does not implement count += pkt.a: %v", res)
 	}
 }
