@@ -2,7 +2,7 @@
 // programs, at each optimization level, with 50,000 PHVs from the traffic
 // generator per run ("Every RMT benchmark was executed by using 50000 PHVs
 // generated from the traffic generator", §5) — plus a fourth column for the
-// closure-compiled engine, Druzhba's extension beyond the paper.
+// compiled level, Druzhba's extension beyond the paper.
 //
 // Run with:
 //
@@ -10,14 +10,15 @@
 //
 // One benchmark iteration is one full 50,000-PHV simulation of the whole
 // grid on sim.Stream, the reference engine, at each level (what a campaign
-// executes — the fuzzer's own loop over the output cone — is timed by
+// executes — the fuzzer's own loop over the fused output cone — is timed by
 // cmd/dbench and recorded in BENCH_table1.json); the reported ms/run metric
 // corresponds to the milliseconds columns of Table 1. Absolute numbers
 // differ from the paper (Go interpreter vs. compiled Rust); the comparisons
 // that matter are across the levels: SCC propagation gives the large win,
-// inlining helps on every grid, closure compilation removes the remaining
-// interpreter dispatch, and the biggest improvements appear on the largest
-// grids (stateful firewall, flowlets, learn filter).
+// inlining helps on every grid, and the biggest improvements appear on the
+// largest grids (stateful firewall, flowlets, learn filter). The reference
+// engine interprets the inlined AST at the compiled level too, so here that
+// column repeats scc+inline; dbench shows what lowering the bodies buys.
 package druzhba_test
 
 import (
@@ -78,11 +79,12 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines isolates the per-PHV cost of all four engines — the
-// paper's three plus the closure-compiled extension — on one representative
-// grid (4x5 pred_raw, the stateful-firewall configuration). The compiled
-// engine quantifies how much of the SCC-vs-inlining gap in BenchmarkTable1
-// is interpreter dispatch (see EXPERIMENTS.md).
+// BenchmarkEngines isolates the per-PHV cost of the whole grid at all four
+// levels on one representative configuration (4x5 pred_raw, the
+// stateful-firewall grid): the three interpreted levels under
+// core.Pipeline.Process, the reference executor, and the compiled level as
+// its fused grid (core.Pipeline.FuseGrid), which quantifies how much of what
+// is left after inlining is interpreter dispatch.
 func BenchmarkEngines(b *testing.B) {
 	bm, err := spec.Lookup("stateful-firewall")
 	if err != nil {
@@ -99,6 +101,16 @@ func BenchmarkEngines(b *testing.B) {
 			in := make([]*phv.PHV, 256)
 			for i := range in {
 				in[i] = gen.Next()
+			}
+			if level == core.Compiled {
+				grid := pipeline.FuseGrid()
+				frame := grid.NewFrame()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(grid.Inputs(frame), in[i%len(in)].Raw())
+					grid.Run(frame)
+				}
+				return
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,13 +1,14 @@
 // dbench regenerates Table 1 of the paper: simulation runtime for the
 // twelve packet-processing programs at the three optimization levels
 // (unoptimized, SCC propagation, SCC + function inlining) plus Druzhba's
-// closure-compiled engine, each over 50,000 traffic-generator PHVs. Every
-// cell times what a campaign executes at that level: sim.NewFuzzer(p).FuzzGen
-// against the benchmark's Domino specification — traffic generation, the
-// pipeline, the specification and the comparison — on the tick loop over the
-// whole grid at the unoptimized level and on the planes loop over the
-// pipeline's output cone at the others. Every row records how many ALUs of
-// the grid that fuzzer executes (live_alus of total_alus). A dRMT section
+// compiled level, each over 50,000 traffic-generator PHVs. Every cell times
+// what a campaign executes at that level: sim.NewFuzzer(p).FuzzGen against
+// the benchmark's Domino specification — traffic generation, the pipeline,
+// the specification and the comparison — on the tick loop over the whole
+// grid at the unoptimized level and on the pipeline's fused output cone at
+// the others. Every row records how many ALUs of the grid that fuzzer
+// executes (live_alus of total_alus) and, where it runs a fused program, the
+// program's instruction count. A dRMT section
 // follows (the paper reports no dRMT numbers, so it is a characterization
 // bench): every embedded dRMT benchmark's differential fuzzing loop is timed
 // on the slot-compiled engines. A verify section closes the report: every
@@ -74,6 +75,11 @@ type Row struct {
 	// unoptimized level.
 	LiveALUs  int `json:"live_alus"`
 	TotalALUs int `json:"total_alus"`
+	// Instrs is the length of the fused program the fuzzer runs per PHV: the
+	// lowered ALU bodies at the compiled level, operand copies and one
+	// interpreter call per live ALU at scc and scc+inline; absent at the
+	// unoptimized level, which has no program.
+	Instrs int `json:"instrs,omitempty"`
 }
 
 // DRMTRow is one (dRMT benchmark × engine) cell: the differential fuzzing
@@ -212,11 +218,11 @@ func main() {
 
 	var rows []Row
 	fmt.Printf("Table 1: RMT runtimes with and without optimizations (%d PHVs per run, fuzzed against the Domino specification)\n\n", *phvs)
-	fmt.Printf("%-20s %-16s %-12s %14s %14s %18s %14s %10s\n",
-		"Program", "Depth, width", "ALU name", "Unoptimized", "SCC prop.", "+ Func. inlining", "Compiled", "Live ALUs")
+	fmt.Printf("%-20s %-16s %-12s %14s %14s %18s %14s %10s %7s\n",
+		"Program", "Depth, width", "ALU name", "Unoptimized", "SCC prop.", "+ Func. inlining", "Compiled", "Live ALUs", "Instrs")
 	for _, bm := range benches {
 		times := make(map[core.OptLevel]time.Duration)
-		var live, total int
+		var live, total, instrs int
 		for _, level := range core.AllLevels() {
 			pipeline, err := bm.Pipeline(level)
 			if err != nil {
@@ -227,7 +233,18 @@ func main() {
 				cli.Fatalf("dbench: %s/%s: %v", bm.Name, level, err)
 			}
 			times[level] = best
-			live, total = pipeline.OutputCone().ALUCounts() // what sim.NewFuzzer executes
+			// What sim.NewFuzzer executes: the fused cone, or the whole grid.
+			if cone := pipeline.Cone(); cone != nil {
+				live, total = cone.ALUCounts()
+				instrs = cone.Len()
+			} else {
+				s := pipeline.Spec()
+				total = s.Depth * s.Width
+				if s.StatefulALU != nil {
+					total *= 2
+				}
+				live, instrs = total, 0
+			}
 			rows = append(rows, Row{
 				Benchmark:    bm.Name,
 				Level:        level.String(),
@@ -236,11 +253,12 @@ func main() {
 				AllocsPerPHV: round4(allocs / float64(*phvs)),
 				LiveALUs:     live,
 				TotalALUs:    total,
+				Instrs:       instrs,
 			})
 		}
-		// live/total are the compiled row's: the cone every prechecked level
-		// shares.
-		fmt.Printf("%-20s %-16s %-12s %11d ms %11d ms %15d ms %11d ms %10s\n",
+		// live/total are the compiled row's — the cone every prechecked level
+		// shares — and so is the instruction count.
+		fmt.Printf("%-20s %-16s %-12s %11d ms %11d ms %15d ms %11d ms %10s %7d\n",
 			bm.Name,
 			fmt.Sprintf("%d,%d", bm.Depth, bm.Width),
 			bm.Atom,
@@ -248,7 +266,7 @@ func main() {
 			times[core.SCCPropagation].Milliseconds(),
 			times[core.SCCInlining].Milliseconds(),
 			times[core.Compiled].Milliseconds(),
-			fmt.Sprintf("%d/%d", live, total))
+			fmt.Sprintf("%d/%d", live, total), instrs)
 	}
 	var drmtRows []DRMTRow
 	if *drmtPHVs > 0 {
@@ -306,7 +324,7 @@ func main() {
 			GoVersion: runtime.Version(),
 			CPU:       cpuModel(),
 			PHVs:      *phvs,
-			Engine:    "sim.NewFuzzer(p).FuzzGen against the benchmark's Domino specification, what a campaign executes: the tick loop over the whole grid at the unoptimized level, the planes loop over the output cone at the others",
+			Engine:    "sim.NewFuzzer(p).FuzzGen against the benchmark's Domino specification, what a campaign executes: the tick loop over the whole grid at the unoptimized level, the fused output cone (one flat register program per pipeline) at the others",
 			Rows:      rows,
 			Verify:    verifyRows,
 		}

@@ -60,9 +60,10 @@ import (
 // OptLevel re-exports the pipeline-generation optimization levels.
 type OptLevel = core.OptLevel
 
-// Optimization levels: the paper's three (Fig. 6) plus the closure-compiled
-// engine, which plays the role the Rust compiler plays for the paper's
-// generated pipeline descriptions without leaving the process.
+// Optimization levels: the paper's three (Fig. 6) plus Compiled, whose ALU
+// bodies are lowered to straight-line register code — the role the Rust
+// compiler plays for the paper's generated pipeline descriptions, without
+// leaving the process.
 const (
 	Unoptimized    = core.Unoptimized
 	SCCPropagation = core.SCCPropagation
@@ -213,8 +214,8 @@ func ParseDominoSpec(src string, fields map[string]int, bits int) (Spec, error) 
 // FuzzPipeline runs the Fig. 5 compiler-testing workflow: n random PHVs
 // through the pipeline and the specification, comparing outputs on the
 // given containers (nil = all; an index outside the PHV is an error). The
-// fuzzer executes a private clone holding only the ALUs that can reach an
-// output container (core.Pipeline.OutputCone); p is not mutated.
+// fuzzer executes only the ALUs that can reach an output container, fused
+// into one flat program (core.Pipeline.Cone); p is not mutated.
 func FuzzPipeline(p *Pipeline, spec Spec, seed int64, n int, maxValue int64, containers []int) (*FuzzReport, error) {
 	return sim.FuzzRandom(p, spec, seed, n, maxValue, sim.FuzzOptions{Containers: containers})
 }

@@ -175,7 +175,7 @@ func builtinDomain(k BuiltinKind) int {
 // identifier, an operand or state index outside the program's declarations, a
 // helper parameter outside its call's arguments, an operator outside the
 // language, a helper that calls itself. A nil result means Run, RunUnsafe and
-// a closure compiled from p return a value on every input. Parsed programs
+// flat code lowered from p return a value on every input. Parsed programs
 // always pass once SCC has run; the check exists for ASTs built by hand.
 func CheckTotal(p *Program) error {
 	var active []*FuncDef // helpers whose body is being walked

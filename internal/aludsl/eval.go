@@ -40,10 +40,11 @@ type Env struct {
 	Holes    HoleLookup  // nil once optimization removed all hole references
 	aluName  string      // for error messages
 
-	// Helper-call frames live in a reusable arena so a call costs argument
-	// evaluation plus bookkeeping, not an allocation; the arena's capacity
-	// is retained across executions.
-	arena     []phv.Value
+	// Arena holds helper-call frames, so a call costs argument evaluation
+	// plus bookkeeping, not an allocation; its capacity is retained across
+	// executions. A caller whose Env lives for one execution may preset it
+	// to an empty slice over memory it owns.
+	Arena     []phv.Value
 	frameBase int
 }
 
@@ -79,8 +80,8 @@ func Run(p *Program, env *Env) (out phv.Value, err error) {
 	return RunUnsafe(p, env), nil
 }
 
-// RunUnsafe is Run without the recover boundary, for the batch kernel's inner
-// loop. It is safe only on a program that passed CheckTotal evaluated with
+// RunUnsafe is Run without the recover boundary, for the fused pipeline's
+// interpreter calls. It is safe only on a program that passed CheckTotal evaluated with
 // env.Holes == nil — what core.Build guarantees of every prechecked pipeline
 // — where no evaluation can fail; on anything else a failure is a panic.
 func RunUnsafe(p *Program, env *Env) phv.Value {
@@ -136,7 +137,7 @@ func evalExpr(e Expr, env *Env) phv.Value {
 		case VarHole:
 			return env.Width.Trunc(env.holeValue(e.Name))
 		case VarParam:
-			return env.arena[env.frameBase+e.Index]
+			return env.Arena[env.frameBase+e.Index]
 		default:
 			return env.failf("unresolved identifier %q", e.Name)
 		}
@@ -169,15 +170,15 @@ func evalExpr(e Expr, env *Env) phv.Value {
 	case *HoleCall:
 		return evalHoleCall(e, env)
 	case *Call:
-		base := len(env.arena)
+		base := len(env.Arena)
 		for _, a := range e.Args {
-			env.arena = append(env.arena, evalExpr(a, env))
+			env.Arena = append(env.Arena, evalExpr(a, env))
 		}
 		savedBase := env.frameBase
 		env.frameBase = base
 		v := evalExpr(e.Func.Body, env)
 		env.frameBase = savedBase
-		env.arena = env.arena[:base]
+		env.Arena = env.Arena[:base]
 		return v
 	default:
 		return env.failf("unknown expression node %T", e)
@@ -234,16 +235,16 @@ func evalHoleCall(e *HoleCall, env *Env) phv.Value {
 	case BuiltinMux2, BuiltinMux3, BuiltinMux4, BuiltinMux5:
 		// Like a generated helper function, a mux evaluates all of its
 		// operands and forwards the selected one.
-		base := len(env.arena)
+		base := len(env.Arena)
 		for _, a := range e.Args {
-			env.arena = append(env.arena, evalExpr(a, env))
+			env.Arena = append(env.Arena, evalExpr(a, env))
 		}
 		if mc < 0 || int(mc) >= len(e.Args) {
-			env.arena = env.arena[:base]
+			env.Arena = env.Arena[:base]
 			return env.failf("mux selector %d out of range for %q (%d inputs)", mc, e.Hole, len(e.Args))
 		}
-		v := env.arena[base+int(mc)]
-		env.arena = env.arena[:base]
+		v := env.Arena[base+int(mc)]
+		env.Arena = env.Arena[:base]
 		return v
 	case BuiltinRelOp:
 		x := evalExpr(e.Args[0], env)

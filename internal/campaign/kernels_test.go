@@ -9,11 +9,11 @@ import (
 	"druzhba/internal/spec"
 )
 
-// TestReportIdenticalAcrossKernels is the planes ≡ ticks contract at
+// TestReportIdenticalAcrossKernels is the fused ≡ ticks contract at
 // campaign level. Nothing here can choose a kernel — sim.NewFuzzer does,
 // from the pipeline: the unoptimized level runs the tick loop, every other
-// level the planes loop (chunk sweeps live in internal/sim, next to the
-// fork). So the same benchmarks, a failing job among them, are run at every
+// level the fused output cone (the loop-level sweeps live in internal/sim,
+// next to the fork). So the same benchmarks, a failing job among them, are run at every
 // level and every worker count, and each level's job rows — checked, ticks,
 // status, every counterexample's packet index and rendering — must equal the
 // unoptimized level's apart from the level's own name.

@@ -14,7 +14,7 @@ import (
 // benchmarks: one job per benchmark × optimization level × traffic mode ×
 // seed, each pushing packets random PHVs. It is the programmatic form of
 // dfarm's default workload. An empty levels slice means every engine, the
-// paper's three plus the closure-compiled extension; an empty traffic slice
+// paper's three plus the compiled extension; an empty traffic slice
 // means uniform. Default axis values keep the job names they had before
 // the axis existed (only non-default values append a name suffix), so
 // reports from pre-axis campaigns stay comparable.
@@ -92,7 +92,7 @@ func trafficAxis(traffic []phv.TrafficMode) ([]phv.TrafficMode, error) {
 }
 
 // Table1Matrix is Matrix over every Table-1 benchmark at every
-// optimization level — the paper's three plus the closure-compiled engine —
+// optimization level — the paper's three plus the compiled level —
 // with uniform traffic and seed 1: the paper's full benchmark sweep, run
 // concurrently by dfarm.
 func Table1Matrix(packets int) ([]Job, error) {

@@ -93,8 +93,8 @@ func (t *PipelineTarget) Fingerprint() string {
 	)
 }
 
-// Build implements Target: the pipeline is built once and shared read-only;
-// workers clone it.
+// Build implements Target: the pipeline is built — and its output cone fused
+// into one flat program — once, and shared read-only; a runner adds a frame.
 func (t *PipelineTarget) Build() (Instance, error) {
 	master, err := core.Build(t.Spec, t.Code, t.Level)
 	if err != nil {
@@ -108,10 +108,11 @@ type pipelineInstance struct {
 	master *core.Pipeline
 }
 
-// NewRunner builds one worker's streaming machinery: a fuzzer, which
-// executes on its own output-cone clone of the shared master (ring buffers
-// reused across every shard the worker runs), one spec instance, reset by
-// the fuzzer between shards, and one traffic generator, reseeded per shard.
+// NewRunner builds one worker's streaming machinery: a fuzzer, which runs
+// the shared master's fused cone on a frame of its own (a private clone on
+// the tick loop, at the unoptimized level), reused across every shard the
+// worker runs, one spec instance, reset by the fuzzer between shards, and one
+// traffic generator, reseeded per shard.
 func (in *pipelineInstance) NewRunner() (Runner, error) {
 	spec, err := in.t.NewSpec()
 	if err != nil {
@@ -135,7 +136,7 @@ type pipelineRunner struct {
 }
 
 // RunShard streams the shard's deterministic traffic straight into the
-// fuzzer's ring buffers (no per-shard trace materialization) and compares
+// fuzzer's buffers (no per-shard trace materialization) and compares
 // in lock step, so a clean shard costs O(1) allocation — its report, not a
 // random source (the runner's generator is reseeded). Mismatch collection
 // is unbounded here (naturally capped by the shard size): the per-job

@@ -14,7 +14,7 @@ import (
 
 // TestVerifyConeByMutation checks the verifier's cone against the machine
 // code itself, for all twelve Table-1 programs at 5 bits × 2 steps. The
-// liveness routine the verifier shares with core.Pipeline.OutputCone
+// liveness routine the verifier shares with core.Pipeline.Cone
 // (core.MuxTable.Live, seeded with the compared containers) splits each
 // grid into live and dead ALUs. Changing any pair of a dead ALU — an
 // operand mux or a hole — must leave the cell's serialized bytes exactly

@@ -44,8 +44,8 @@ type Options struct {
 // in-range, and every specialized ALU program total — dgen never emits what
 // dsim would not run. The unoptimized level defers lookups to runtime and
 // only requires the code at execution time. The Compiled level has no
-// source shape of its own (its closure engine executes the scc+inline AST),
-// so it emits that level's source.
+// source shape of its own (it lowers the scc+inline AST to flat register
+// code in process), so it emits that level's source.
 func Generate(spec core.Spec, code *machinecode.Program, opts Options) (string, error) {
 	if opts.Package == "" {
 		opts.Package = "pipeline"

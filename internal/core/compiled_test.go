@@ -16,9 +16,9 @@ func TestCompiledLevelString(t *testing.T) {
 	}
 }
 
-// TestCompiledEngineEquivalence: the closure engine must agree with the
-// inlined interpreter on random machine code, inputs and state, across
-// every atom.
+// TestCompiledEngineEquivalence: the lowered ALU bodies of the Compiled
+// level's fused grid must agree with the inlined interpreter on random
+// machine code, inputs and state, across every atom.
 func TestCompiledEngineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	grids := []struct {
@@ -44,20 +44,22 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Build(Compiled): %v", g.atom, err)
 			}
-			for step := 0; step < 16; step++ {
-				vals := make([]phv.Value, interp.PHVLen())
-				for i := range vals {
-					vals[i] = int64(rng.Intn(1 << 14))
+			packets := make([][]phv.Value, 16)
+			for step := range packets {
+				packets[step] = make([]phv.Value, interp.PHVLen())
+				for i := range packets[step] {
+					packets[step][i] = int64(rng.Intn(1 << 14))
 				}
-				in := phv.FromValues(vals)
-				a, err1 := interp.Process(in.Clone())
-				b, err2 := compiled.Process(in.Clone())
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s: %v / %v", g.atom, err1, err2)
+			}
+			got := runFused(compiled.FuseGrid(), compiled, packets)
+			for step, vals := range packets {
+				a, err := interp.Process(phv.FromValues(vals))
+				if err != nil {
+					t.Fatalf("%s: %v", g.atom, err)
 				}
-				if !a.Equal(b) {
-					t.Fatalf("%s trial %d step %d: interp %s vs compiled %s (in %s)",
-						g.atom, trial, step, a, b, in)
+				if b := phv.FromValues(got[step]); !a.Equal(b) {
+					t.Fatalf("%s trial %d step %d: interp %s vs compiled %s (in %v)",
+						g.atom, trial, step, a, b, vals)
 				}
 			}
 			if !interp.StateSnapshot().Equal(compiled.StateSnapshot()) {
@@ -68,7 +70,7 @@ func TestCompiledEngineEquivalence(t *testing.T) {
 }
 
 func TestCompiledShortCircuit(t *testing.T) {
-	// The closure engine must preserve &&/|| short-circuit semantics.
+	// The lowering must preserve &&/|| short-circuit semantics.
 	s := testSpec(t, 1, 2, "")
 	code := identityCode(t, &s)
 	// allow = (c0 && c1) via the full stateless ALU.
@@ -88,12 +90,9 @@ func TestCompiledShortCircuit(t *testing.T) {
 	for _, tc := range []struct{ a, b, want phv.Value }{
 		{0, 5, 0}, {5, 0, 0}, {5, 7, 1}, {0, 0, 0},
 	} {
-		out, err := p.Process(phv.FromValues([]phv.Value{tc.a, tc.b}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Get(0) != tc.want {
-			t.Errorf("%d && %d = %d, want %d", tc.a, tc.b, out.Get(0), tc.want)
+		out := runFused(p.Cone(), p, [][]phv.Value{{tc.a, tc.b}})[0]
+		if out[0] != tc.want {
+			t.Errorf("%d && %d = %d, want %d", tc.a, tc.b, out[0], tc.want)
 		}
 	}
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"druzhba/internal/aludsl"
 	"druzhba/internal/atoms"
 	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
@@ -43,8 +45,8 @@ func (g coneGrid) build(t testing.TB) (Spec, *machinecode.Program) {
 	return s, code
 }
 
-// coneCases are the hand-built liveness cases; live lists the ALUs an
-// OutputCone must keep, as stage/kind/slot in run order.
+// coneCases are the hand-built liveness cases; live lists the ALUs the fused
+// cone must keep, as stage/kind/slot in execution order.
 var coneCases = []struct {
 	name string
 	grid coneGrid
@@ -95,11 +97,14 @@ var coneCases = []struct {
 	},
 }
 
-func runList(p *Pipeline) []string {
+// liveList names the ALUs a fused program contains, in execution order.
+func liveList(p *Pipeline, f *Fused) []string {
 	var out []string
 	for si, st := range p.stages {
-		for _, a := range st.run {
-			out = append(out, fmt.Sprintf("%d/%s/%d", si, machinecode.KindName(a.stateful), a.slot))
+		for _, a := range st.alus {
+			if f.live[si][a.latch] {
+				out = append(out, fmt.Sprintf("%d/%s/%d", si, machinecode.KindName(a.stateful), a.slot))
+			}
 		}
 	}
 	return out
@@ -114,19 +119,18 @@ func TestOutputConeLiveness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				total := len(runList(p))
-				cone := p.OutputCone()
-				if got := runList(cone); !reflect.DeepEqual(got, tc.live) {
+				if got := liveList(p, p.Cone()); !reflect.DeepEqual(got, tc.live) {
 					t.Errorf("%v: cone runs %v, want %v", level, got, tc.live)
 				}
-				if got := runList(cone.Clone()); !reflect.DeepEqual(got, tc.live) {
-					t.Errorf("%v: a clone of the cone runs %v, want %v", level, got, tc.live)
+				if p.Clone().Cone() != p.Cone() {
+					t.Errorf("%v: a clone does not share the fused cone", level)
 				}
-				if got := runList(cone.OutputCone()); !reflect.DeepEqual(got, tc.live) {
-					t.Errorf("%v: the cone of the cone runs %v, want %v", level, got, tc.live)
+				if listing := p.Cone().String(); (level != Compiled) != strings.Contains(listing, "call t") {
+					t.Errorf("%v: the cone's listing does not show its ALU bodies as the level has them:\n%s", level, listing)
 				}
-				if got := len(runList(p)); got != total {
-					t.Errorf("%v: OutputCone pruned its receiver: %d of %d ALUs left", level, got, total)
+				grid := p.FuseGrid()
+				if live, total := grid.ALUCounts(); live != total || total != len(liveList(p, grid)) {
+					t.Errorf("%v: the fused grid runs %d of %d ALUs", level, live, total)
 				}
 				checkCone(t, s, code, level, rand.New(rand.NewSource(1)), 32)
 			}
@@ -134,8 +138,8 @@ func TestOutputConeLiveness(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := len(runList(ref.OutputCone())), len(runList(ref)); got != want {
-				t.Errorf("unoptimized: cone runs %d of %d ALUs, want all (machine code resolves at run time)", got, want)
+			if ref.Cone() != nil || ref.FuseGrid() != nil {
+				t.Error("unoptimized: fused, though machine code resolves at run time")
 			}
 		})
 	}
@@ -147,12 +151,12 @@ func TestExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cone := p.OutputCone()
+	cone, grid := p.Cone(), p.FuseGrid()
 	for si := 0; si < 2; si++ {
 		for slot := 0; slot < 2; slot++ {
 			for _, stateful := range []bool{false, true} {
-				if !p.Executes(si, stateful, slot) {
-					t.Errorf("built pipeline does not execute %d/%v/%d", si, stateful, slot)
+				if !grid.Executes(si, stateful, slot) {
+					t.Errorf("fused grid does not execute %d/%v/%d", si, stateful, slot)
 				}
 				want := si == 1 && !stateful && slot == 0
 				if got := cone.Executes(si, stateful, slot); got != want {
@@ -164,86 +168,54 @@ func TestExecutes(t *testing.T) {
 	if executed, total := cone.ALUCounts(); executed != 1 || total != 8 {
 		t.Errorf("cone.ALUCounts() = %d, %d; want 1, 8", executed, total)
 	}
-	if executed, total := p.ALUCounts(); executed != 8 || total != 8 {
-		t.Errorf("ALUCounts() = %d, %d; want 8, 8", executed, total)
+	if executed, total := grid.ALUCounts(); executed != 8 || total != 8 {
+		t.Errorf("grid.ALUCounts() = %d, %d; want 8, 8", executed, total)
 	}
-	if p.Executes(2, false, 0) || p.Executes(0, false, 2) || p.Executes(-1, false, 0) || p.Executes(0, true, -1) {
+	if grid.Executes(2, false, 0) || grid.Executes(0, false, 2) || grid.Executes(-1, false, 0) || grid.Executes(0, true, -1) {
 		t.Error("Executes accepted coordinates outside the grid")
 	}
 }
 
-// The two stage executors, each driven the way its engine in package sim
-// drives it: ExecuteStage per packet (Process; the tick loop's sweep visits
-// each packet's stages in the same order), ExecuteStageBatch per packet
-// vector (the plane engine).
-var coneExecutors = []struct {
-	name string
-	run  func(p *Pipeline, packets [][]phv.Value) ([][]phv.Value, error)
-}{
-	{"ExecuteStage", func(p *Pipeline, packets [][]phv.Value) ([][]phv.Value, error) {
-		out := make([][]phv.Value, len(packets))
-		for i, vals := range packets {
-			o, err := p.Process(phv.FromValues(vals))
-			if err != nil {
-				return nil, err
-			}
-			out[i] = o.Values()
+// runFused drives a fused program the way package sim does — state loaded
+// from p, one Run per packet on a private frame, state stored back — and
+// returns the output PHVs.
+func runFused(f *Fused, p *Pipeline, packets [][]phv.Value) [][]phv.Value {
+	frame := f.NewFrame()
+	f.LoadState(frame, p)
+	out := make([][]phv.Value, len(packets))
+	for i, vals := range packets {
+		copy(f.Inputs(frame), vals)
+		f.Run(frame)
+		out[i] = make([]phv.Value, len(vals))
+		for c, r := range f.Out() {
+			out[i][c] = frame[r]
 		}
-		return out, nil
-	}},
-	{"ExecuteStageBatch", func(p *Pipeline, packets [][]phv.Value) ([][]phv.Value, error) {
-		n := len(packets)
-		sc, err := p.NewBatchScratch(n)
-		if err != nil {
-			return nil, err
-		}
-		planes := func() [][]phv.Value {
-			pl := make([][]phv.Value, p.PHVLen())
-			for c := range pl {
-				pl[c] = make([]phv.Value, n)
-			}
-			return pl
-		}
-		cur, next := planes(), planes()
-		for k, vals := range packets {
-			for c, v := range vals {
-				cur[c][k] = v
-			}
-		}
-		for si := 0; si < p.Depth(); si++ {
-			p.ExecuteStageBatch(si, cur, next, sc, n)
-			cur, next = next, cur
-		}
-		out := make([][]phv.Value, n)
-		for k := range out {
-			out[k] = make([]phv.Value, p.PHVLen())
-			for c := range cur {
-				out[k][c] = cur[c][k]
-			}
-		}
-		return out, nil
-	}},
+	}
+	f.StoreState(frame, p)
+	return out
 }
 
-// checkCone asserts the cone property for one grid, machine code and
-// prechecked level over n random packets: under each of the two stage
-// executors the cone's output PHVs equal the full pipeline's and the
-// Unoptimized reference's on every packet, every live stateful ALU ends in
-// the full pipeline's state, and every dead one's state is untouched. State
-// starts from random nonzero values so "untouched" is distinguishable from
-// "ran on zeros".
+// checkCone asserts the fused programs against the naive reference for one
+// grid, machine code and prechecked level over n random packets. The
+// reference is ExecuteStage at Unoptimized (Process per packet). Under both
+// livenesses the fused program's output PHVs equal the reference's on every
+// packet; with everything pinned (FuseGrid) every stateful ALU ends in the
+// reference's state; on the output cone every live stateful ALU does and
+// every dead one's state is untouched. ExecuteStage at the level itself must
+// agree too. State starts from random nonzero values so "untouched" is
+// distinguishable from "ran on zeros".
 func checkCone(t testing.TB, s Spec, code *machinecode.Program, level OptLevel, rng *rand.Rand, n int) {
 	t.Helper()
-	fullMaster, err := Build(s, code, level)
+	master, err := Build(s, code, level)
 	if err != nil {
 		t.Fatalf("Build(%v): %v", level, err)
 	}
-	refMaster, err := Build(s, code, Unoptimized)
+	ref, err := Build(s, code, Unoptimized)
 	if err != nil {
 		t.Fatalf("Build(unoptimized): %v", err)
 	}
-	mask := fullMaster.Bits().Mask()
-	initial := fullMaster.StateSnapshot()
+	mask := master.Bits().Mask()
+	initial := master.StateSnapshot()
 	for _, stage := range initial {
 		for _, vals := range stage {
 			for i := range vals {
@@ -251,7 +223,7 @@ func checkCone(t testing.TB, s Spec, code *machinecode.Program, level OptLevel, 
 			}
 		}
 	}
-	seed := func(p *Pipeline) {
+	seed := func(p *Pipeline) *Pipeline {
 		for si, stage := range initial {
 			for slot, vals := range stage {
 				if err := p.SetState(si, slot, vals); err != nil {
@@ -259,53 +231,53 @@ func checkCone(t testing.TB, s Spec, code *machinecode.Program, level OptLevel, 
 				}
 			}
 		}
+		return p
 	}
 	packets := make([][]phv.Value, n)
 	for i := range packets {
-		packets[i] = make([]phv.Value, fullMaster.PHVLen())
+		packets[i] = make([]phv.Value, master.PHVLen())
 		for c := range packets[i] {
 			packets[i][c] = rng.Int63() & mask
 		}
 	}
-	ref := refMaster.Clone()
-	seed(ref)
-	want, err := coneExecutors[0].run(ref, packets)
-	if err != nil {
-		t.Fatalf("unoptimized reference: %v", err)
+	interpret := func(p *Pipeline) [][]phv.Value {
+		out := make([][]phv.Value, n)
+		for i, vals := range packets {
+			o, err := p.Process(phv.FromValues(vals))
+			if err != nil {
+				t.Fatalf("%v: ExecuteStage: %v", p.Level(), err)
+			}
+			out[i] = o.Values()
+		}
+		return out
 	}
-	coneMaster := fullMaster.OutputCone()
-	for _, ex := range coneExecutors {
-		full, cone := fullMaster.Clone(), coneMaster.Clone()
-		seed(full)
-		seed(cone)
-		gotFull, err := ex.run(full, packets)
-		if err != nil {
-			t.Fatalf("%s full: %v", ex.name, err)
-		}
-		gotCone, err := ex.run(cone, packets)
-		if err != nil {
-			t.Fatalf("%s cone: %v", ex.name, err)
-		}
+	want := interpret(seed(ref))
+	wantState := ref.StateSnapshot()
+
+	same := seed(master.Clone())
+	if got := interpret(same); !reflect.DeepEqual(got, want) || !same.StateSnapshot().Equal(wantState) {
+		t.Fatalf("%v: ExecuteStage diverges from the unoptimized reference\ncode:\n%s", level, code)
+	}
+	for _, fused := range []struct {
+		name string
+		f    *Fused
+	}{{"cone", master.Cone()}, {"grid", master.FuseGrid()}} {
+		p := seed(master.Clone())
+		got := runFused(fused.f, p, packets)
 		for i := range packets {
-			if !reflect.DeepEqual(gotFull[i], want[i]) {
-				t.Fatalf("%v %s: packet %d in %v: full %v, unoptimized %v", level, ex.name, i, packets[i], gotFull[i], want[i])
-			}
-			if !reflect.DeepEqual(gotCone[i], want[i]) {
-				t.Fatalf("%v %s: packet %d in %v: cone %v, full %v\ncode:\n%s", level, ex.name, i, packets[i], gotCone[i], want[i], code)
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%v %s: packet %d in %v: fused %v, reference %v\ncode:\n%s\nprogram:\n%s",
+					level, fused.name, i, packets[i], got[i], want[i], code, fused.f)
 			}
 		}
-		fullState, coneState, refState := full.StateSnapshot(), cone.StateSnapshot(), ref.StateSnapshot()
-		if !fullState.Equal(refState) {
-			t.Fatalf("%v %s: full-grid state diverges from the unoptimized reference", level, ex.name)
-		}
-		for si := range coneState {
-			for slot, got := range coneState[si] {
-				want, what := fullState[si][slot], "live"
-				if !cone.Executes(si, true, slot) {
+		for si, stage := range p.StateSnapshot() {
+			for slot, got := range stage {
+				want, what := wantState[si][slot], "live"
+				if !fused.f.Executes(si, true, slot) {
 					want, what = initial[si][slot], "dead"
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%v %s: %s stateful ALU %d/%d ends in state %v, want %v", level, ex.name, what, si, slot, got, want)
+					t.Fatalf("%v %s: %s stateful ALU %d/%d ends in state %v, want %v", level, fused.name, what, si, slot, got, want)
 				}
 			}
 		}
@@ -355,7 +327,7 @@ func TestOutputConeProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live, total := len(runList(p.OutputCone())), len(runList(p))
+		live, total := p.Cone().ALUCounts()
 		pruned += total - live
 		kept += live
 	}
@@ -428,8 +400,9 @@ func decodeConeInput(data []byte) (Spec, *machinecode.Program, OptLevel, bool) {
 	return s, code, level, true
 }
 
-// FuzzOutputCone asserts the cone property (checkCone) over 64 packets for
-// grids and machine code derived from the fuzz input; whatever Spec.Validate
+// FuzzOutputCone asserts the fused programs against the reference executor
+// (checkCone: both livenesses, outputs and state) over 64 packets for grids,
+// levels and machine code derived from the fuzz input; whatever Spec.Validate
 // rejects is not a pipeline and is skipped.
 func FuzzOutputCone(f *testing.F) {
 	for _, tc := range coneCases {
@@ -462,5 +435,87 @@ func TestConeInputRoundTrip(t *testing.T) {
 		if !ok || level != Compiled || s.Depth != wantSpec.Depth || s.Width != wantSpec.Width || code.String() != wantCode.String() {
 			t.Errorf("%s: seed does not round-trip (ok=%v level=%v %dx%d)", tc.name, ok, level, s.Depth, s.Width)
 		}
+	}
+}
+
+// The atoms all end in a single return and use no unary or logical operator,
+// so these two ALUs carry the rest of the language through the lowering:
+// early returns from nested branches (every return path writes one result
+// register), a body that falls off its end (the implicit output: state_0, or
+// 0 for a stateless ALU), unary minus and not, short-circuit && and || whose
+// right operand would change the result if evaluated eagerly, and state that
+// is read after it was written.
+const (
+	earlyReturnStatefulSrc = `
+type: stateful
+state variables: {state_0, state_1}
+hole variables: {}
+packet fields: {pkt_0, pkt_1}
+if (pkt_0 < C() && !(pkt_1 == 3)) {
+    state_0 = state_0 + 1;
+    return -pkt_1;
+}
+if (pkt_0 > pkt_1 || state_1 / (pkt_0 - pkt_1) != 0) {
+    state_1 = state_1 * 3 - pkt_0 / Opt(pkt_1) % 7;
+    if (state_1 >= 100) {
+        return state_1;
+    } else {
+        return Mux2(state_0, pkt_0) <= 5;
+    }
+}
+state_0 = state_1 + state_0;
+`
+	earlyReturnStatelessSrc = `
+type: stateless
+state variables: {}
+hole variables: {}
+packet fields: {pkt_0, pkt_1}
+if (pkt_0 == C() || pkt_1 != Mux2(pkt_0, C())) {
+    return !pkt_0 + -pkt_1;
+}
+`
+)
+
+func TestFusedCoversTheALULanguage(t *testing.T) {
+	stateful, err := aludsl.Parse(earlyReturnStatefulSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateless, err := aludsl.Parse(earlyReturnStatelessSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateful.Name, stateless.Name = "early_stateful", "early_stateless"
+	rng := rand.New(rand.NewSource(7))
+	s := Spec{Depth: 3, Width: 2, StatefulALU: stateful, StatelessALU: stateless, Bits: phv.MustWidth(6)}
+	req, err := s.RequiredPairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := 0
+	for trial := 0; trial < 40; trial++ {
+		code := machinecode.New()
+		for _, h := range req {
+			v := int64(rng.Intn(8))
+			if h.Domain > 0 {
+				v = int64(rng.Intn(h.Domain))
+			}
+			code.Set(h.Name, v)
+		}
+		for _, level := range coneLevels {
+			checkCone(t, s, code, level, rng, 64)
+		}
+		p, err := Build(s, code, Compiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _ := p.Cone().ALUCounts()
+		live += n
+		if listing := p.Cone().String(); n > 0 && (listing == "" || strings.Contains(listing, "call")) {
+			t.Fatalf("the compiled cone of %d live ALUs disassembles to %q", n, listing)
+		}
+	}
+	if live == 0 {
+		t.Fatal("no trial kept one of the hand-written ALUs live")
 	}
 }

@@ -5,42 +5,45 @@
 //
 // A Pipeline is built from a hardware Spec (pipeline depth and width plus
 // ALU descriptions in the ALU DSL) and a machine code program, at one of
-// three optimization levels mirroring Fig. 6 of the paper:
+// four optimization levels — Fig. 6 of the paper and one step past it:
 //
 //   - Unoptimized: machine code values are looked up in a hash table and
 //     dispatched on at every execution (version 1);
 //   - SCCPropagation: sparse conditional constant propagation specializes
 //     every helper to its machine code value (version 2);
-//   - SCCInlining: helper calls are additionally inlined (version 3).
+//   - SCCInlining: helper calls are additionally inlined (version 3);
+//   - Compiled: the inlined ALU bodies are lowered to straight-line
+//     three-address code, the role the Rust compiler plays for the paper's
+//     generated pipeline descriptions, without leaving the process.
 //
 // The package executes one PHV through the dataflow of the pipeline; the
 // tick-accurate simulation loop (read/write PHV halves, one stage per tick)
 // lives in package sim.
 //
-// # Run-lists and the output cone
+// # Two executors
 //
-// Each stage holds a run-list, the ALUs its two executors (ExecuteStage, the
-// reference, and ExecuteStageBatch, the production kernel) iterate; an ALU
-// writes its result to its own latch slot and the output muxes read the
-// latches. Build puts every ALU on the run-list, so a built pipeline and
-// its Clones simulate the whole grid: dsim, ddbg, sim.Stream, sim.Batch,
-// sim.Run and verify's counterexample replay all see every stateful ALU's
+// ExecuteStage is the reference: it runs every ALU of a stage through the AST
+// interpreter — at Compiled the inlined AST, as at SCCInlining — writes each
+// result to the ALU's latch slot and lets the output muxes read the latches.
+// It accepts every pipeline, and dsim, ddbg, sim.Stream, sim.Run and verify's
+// counterexample replay all run on it, so they see every stateful ALU's
 // state advance.
 //
-// Once SCC propagation has made the mux selections build-time constants,
-// dead-code elimination is the classic follow-on: Chipmunk-style machine
-// code routes only a handful of a depth x width grid's ALUs to a container
-// (33 of 198 across the Table-1 fixtures; blue-decrease 2/16, blue-increase
-// 1/16, sampling 2/4, marple-new-flow 2/8, marple-tcp-nmo 2/12,
-// snap-heavy-hitter 1/2, stateful-firewall 4/40, flowlets 4/40,
-// learn-filter 9/30, rcp 4/18, conga 1/10, spam-detection 1/2).
-// OutputCone returns a clone whose run-lists hold only the ALUs a backward
-// liveness pass over the baked muxes finds able to reach an output
-// container. Which list a pipeline runs is decided by how it was made —
-// Build or OutputCone — never by a flag. The cone computes the same output
-// PHVs and skips the rest: the state of stateful ALUs that no container can
-// observe is not simulated there. Only the fuzzer (sim.NewFuzzer), which
-// compares output PHVs and never reads state, runs on a cone.
+// The levels above Unoptimized are Prechecked: every mux selection is a
+// build-time constant and every ALU program is proved total, so dead-code
+// elimination is the classic follow-on and Build fuses the pipeline into one
+// flat register program (fuse.go, package flat). Chipmunk-style machine code
+// routes only a handful of a depth x width grid's ALUs to a container (33 of
+// 198 across the Table-1 fixtures; blue-decrease 2/16, blue-increase 1/16,
+// sampling 2/4, marple-new-flow 2/8, marple-tcp-nmo 2/12, snap-heavy-hitter
+// 1/2, stateful-firewall 4/40, flowlets 4/40, learn-filter 9/30, rcp 4/18,
+// conga 1/10, spam-detection 1/2): Cone is the program of the ALUs a
+// backward liveness pass over the baked muxes (MuxTable.Live) finds able to
+// reach an output container, with the muxes themselves reduced to register
+// renaming. It computes the same output PHVs and skips the rest — the state
+// of stateful ALUs that no container can observe is not simulated there — so
+// only the fuzzer (sim.NewFuzzer), which compares output PHVs and never
+// reads state, runs on it. FuseGrid is the same lowering with every ALU kept.
 package core
 
 import (
@@ -63,7 +66,17 @@ const (
 	SCCPropagation
 	// SCCInlining applies SCC propagation then function inlining (v3).
 	SCCInlining
+	// Compiled is an extension beyond the paper's three levels: after SCC
+	// propagation and inlining, the fused program (Cone, FuseGrid) carries
+	// every ALU body as straight-line code instead of a call of the AST
+	// interpreter; BenchmarkEngines quantifies the dispatch cost.
+	Compiled
 )
+
+// AllLevels lists the paper's three levels plus the Compiled extension.
+func AllLevels() []OptLevel {
+	return []OptLevel{Unoptimized, SCCPropagation, SCCInlining, Compiled}
+}
 
 func (l OptLevel) String() string {
 	switch l {
@@ -81,7 +94,7 @@ func (l OptLevel) String() string {
 }
 
 // ParseLevel parses an optimization level name: the paper's three levels
-// plus the closure-compiled engine.
+// plus Compiled.
 func ParseLevel(name string) (OptLevel, error) {
 	switch name {
 	case "unoptimized", "v1", "0":
@@ -248,10 +261,6 @@ type compiledALU struct {
 	// Optimized engines: selections baked at build time.
 	operandMux []int
 
-	// closure is non-nil for the Compiled engine: the ALU body as a tree
-	// of Go closures instead of an interpreted AST.
-	closure compiledBody
-
 	state []phv.Value
 	env   aludsl.Env
 }
@@ -259,10 +268,6 @@ type compiledALU struct {
 type stage struct {
 	alus     []*compiledALU // every ALU of the stage, indexed by latch slot
 	stateful []*compiledALU // alus[Width:], the ALUs that carry state
-
-	// run lists the ALUs the stage executors execute, in alus order: every
-	// ALU after Build, only the live ones in an OutputCone.
-	run []*compiledALU
 
 	outputMuxNames []string // unoptimized
 	outputMux      []int    // optimized
@@ -277,6 +282,7 @@ type Pipeline struct {
 	level  OptLevel
 	code   *machinecode.Program
 	muxes  *MuxTable // the baked selections of a prechecked pipeline; nil when unoptimized
+	cone   *Fused    // the output cone as one flat program; nil when unoptimized
 	stages []*stage
 }
 
@@ -334,7 +340,6 @@ func build(n Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error)
 			}
 		}
 		st.stateful = st.alus[n.Width:]
-		st.run = st.alus
 		st.latch = make([]phv.Value, len(st.alus))
 		if level == Unoptimized {
 			st.outputMuxNames = make([]string, n.PHVLen)
@@ -348,6 +353,12 @@ func build(n Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error)
 			}
 		}
 		p.stages = append(p.stages, st)
+	}
+	if level != Unoptimized {
+		var err error
+		if p.cone, err = p.fuse(nil); err != nil {
+			return nil, err
+		}
 	}
 	return p, nil
 }
@@ -397,7 +408,7 @@ func newALU(n Spec, code *machinecode.Program, level OptLevel, si, slot int, pro
 			return code.Get(scopedName(local))
 		}
 		var err error
-		a.prog, a.closure, err = optimizeALU(prog, lookup, n.Bits, level)
+		a.prog, err = optimizeALU(prog, lookup, n.Bits, level)
 		if err != nil {
 			return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(stateful), slot, err)
 		}
@@ -410,25 +421,21 @@ func newALU(n Spec, code *machinecode.Program, level OptLevel, si, slot int, pro
 // optimizeALU specialises prog to its machine code at a prechecked level and
 // proves the result total. This is the trust boundary of those levels: a
 // Spec's ALU programs are caller-supplied ASTs, and nothing downstream of it
-// — the inliner, the closure compiler, ExecuteStageBatch — guards evaluation.
-// Inlining preserves totality, so the SCC output is checked once.
-func optimizeALU(prog *aludsl.Program, holes aludsl.HoleLookup, w phv.Width, level OptLevel) (*aludsl.Program, compiledBody, error) {
+// — the inliner, the lowering to flat code, the fused program's interpreter
+// calls — guards evaluation. Inlining preserves totality, so the SCC output
+// is checked once.
+func optimizeALU(prog *aludsl.Program, holes aludsl.HoleLookup, w phv.Width, level OptLevel) (*aludsl.Program, error) {
 	optimized, err := opt.SCC(prog, holes, w)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := aludsl.CheckTotal(optimized); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if level == SCCPropagation {
-		return optimized, nil, nil
+		return optimized, nil
 	}
-	optimized = opt.Inline(optimized, w)
-	if level != Compiled {
-		return optimized, nil, nil
-	}
-	body, err := compileALUBody(optimized, w)
-	return optimized, body, err
+	return opt.Inline(optimized, w), nil
 }
 
 // Spec returns the (normalized) spec the pipeline was built from.
@@ -447,68 +454,23 @@ func (p *Pipeline) PHVLen() int { return p.spec.PHVLen }
 func (p *Pipeline) Bits() phv.Width { return p.spec.Bits }
 
 // Clone returns a deep copy of the pipeline that shares every immutable
-// build product — optimized ALU programs, baked mux selections, compiled
-// closure bodies and the machine code program — but owns fresh mutable
-// execution state: stateful ALU state vectors (copied from the receiver),
-// operand scratch buffers and per-stage output latches. A clone may execute
-// concurrently with the original and with other clones; this is what lets
-// the campaign engine run one pipeline build on many workers at once.
+// build product — optimized ALU programs, baked mux selections, the fused
+// cone and the machine code program — but owns fresh mutable execution
+// state: stateful ALU state vectors (copied from the receiver), operand
+// scratch buffers and per-stage output latches. A clone may execute
+// concurrently with the original and with other clones.
 func (p *Pipeline) Clone() *Pipeline {
-	q := &Pipeline{spec: p.spec, level: p.level, code: p.code, muxes: p.muxes}
+	q := &Pipeline{spec: p.spec, level: p.level, code: p.code, muxes: p.muxes, cone: p.cone}
 	q.stages = make([]*stage, len(p.stages))
-	w := p.spec.Width
 	for i, st := range p.stages {
 		alus := cloneALUs(st.alus)
-		c := &stage{
+		q.stages[i] = &stage{
 			alus:           alus,
-			stateful:       alus[w:],
-			run:            alus,
+			stateful:       alus[p.spec.Width:],
 			outputMuxNames: st.outputMuxNames,
 			outputMux:      st.outputMux,
 			latch:          make([]phv.Value, len(st.latch)),
 		}
-		if len(st.run) < len(st.alus) {
-			// A clone of an output cone stays a cone.
-			c.run = make([]*compiledALU, len(st.run))
-			for k, a := range st.run {
-				c.run[k] = alus[a.latch]
-			}
-		}
-		q.stages[i] = c
-	}
-	return q
-}
-
-// OutputCone returns a Clone that executes only the ALUs whose results can
-// reach a PHV container at the pipeline's output — the dead-code
-// elimination the baked mux selections of a prechecked pipeline enable.
-// Liveness (MuxTable.Live, the pass the verifier runs from the containers
-// it compares) runs backwards from every container of the last stage's
-// output. Output PHVs equal the full pipeline's on every packet. What a
-// cone does not simulate is the state of stateful ALUs no container can
-// observe: dead ALUs keep their state slots (SetState and StateSnapshot have
-// the same shape) but never advance them, so a cone serves consumers of
-// output PHVs — the fuzzer — and not consumers of state. Pipelines that are
-// not Prechecked resolve machine code at run time, where a missing pair is
-// a finding, and get a plain clone that executes everything.
-func (p *Pipeline) OutputCone() *Pipeline {
-	q := p.Clone()
-	if !p.Prechecked() {
-		return q
-	}
-	out := make([]bool, p.spec.PHVLen)
-	for c := range out {
-		out[c] = true
-	}
-	live := p.muxes.Live(out, nil)
-	for si, st := range q.stages {
-		run := make([]*compiledALU, 0, len(st.run))
-		for _, a := range st.run {
-			if live[si][a.latch] {
-				run = append(run, a)
-			}
-		}
-		st.run = run
 	}
 	return q
 }
@@ -604,32 +566,6 @@ func (m *MuxTable) Live(out []bool, pinned [][]bool) [][]bool {
 	return live
 }
 
-// ALUCounts returns how many ALUs the stage executors run per PHV and how
-// many the grid holds: equal for a built pipeline, live vs. total for an
-// OutputCone.
-func (p *Pipeline) ALUCounts() (executed, total int) {
-	for _, st := range p.stages {
-		executed += len(st.run)
-		total += len(st.alus)
-	}
-	return executed, total
-}
-
-// Executes reports whether the stage executors run the ALU at (stage, kind,
-// slot): every ALU of a built pipeline, only the live ones of an
-// OutputCone. Coordinates outside the grid report false.
-func (p *Pipeline) Executes(stageIdx int, stateful bool, slot int) bool {
-	if stageIdx < 0 || stageIdx >= len(p.stages) || slot < 0 || slot >= p.spec.Width {
-		return false
-	}
-	for _, a := range p.stages[stageIdx].run {
-		if a.stateful == stateful && a.slot == slot {
-			return true
-		}
-	}
-	return false
-}
-
 func cloneALUs(alus []*compiledALU) []*compiledALU {
 	out := make([]*compiledALU, len(alus))
 	for i, a := range alus {
@@ -643,7 +579,6 @@ func cloneALUs(alus []*compiledALU) []*compiledALU {
 			operandMuxNames: a.operandMuxNames,
 			localToGlobal:   a.localToGlobal,
 			operandMux:      a.operandMux,
-			closure:         a.closure,
 		}
 		if a.state != nil {
 			b.state = append([]phv.Value(nil), a.state...)
@@ -723,7 +658,7 @@ func (p *Pipeline) StateSnapshot() phv.StateSnapshot {
 // selection validated and baked into a slice, every ALU program specialised
 // to its machine code and passed through aludsl.CheckTotal, so no execution
 // of the pipeline can fail. True for every optimized level — the pipelines
-// ExecuteStageBatch accepts; false for Unoptimized, whose version-1 semantics
+// Build fuses; false for Unoptimized, whose version-1 semantics
 // resolve machine code through the hash table at each execution and can
 // therefore fail at run time (the BuildUnchecked path).
 func (p *Pipeline) Prechecked() bool { return p.level != Unoptimized }
@@ -737,13 +672,13 @@ func (p *Pipeline) Prechecked() bool { return p.level != Unoptimized }
 // resolves each mux through the machine-code table on every execution — the
 // paper's version-1 semantics, written to be read, not to be fast. It is the
 // one executor that accepts every pipeline, and the one the tests compare
-// ExecuteStageBatch against; do not optimize it.
+// the fused programs against; do not optimize it.
 func (p *Pipeline) ExecuteStage(si int, in, out []phv.Value) error {
 	if si < 0 || si >= len(p.stages) {
 		return fmt.Errorf("core: stage %d out of range", si)
 	}
 	st := p.stages[si]
-	for _, a := range st.run {
+	for _, a := range st.alus {
 		v, err := p.runALU(a, in)
 		if err != nil {
 			return err
@@ -789,9 +724,6 @@ func (p *Pipeline) runALU(a *compiledALU, in []phv.Value) (phv.Value, error) {
 			}
 			a.env.Operands[op] = in[v]
 		}
-	}
-	if a.closure != nil {
-		return a.closure(a.env.Operands, a.state), nil
 	}
 	return aludsl.Run(a.prog, &a.env)
 }

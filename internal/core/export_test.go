@@ -1,0 +1,31 @@
+package core
+
+import "druzhba/internal/flat"
+
+// Hooks for the structural-mutant test (mutants_test.go, an external test
+// package because it needs package spec's Table-1 programs, which import
+// this package).
+
+// Mutated returns f around its program as rewritten by edit, or the error
+// flat's checker has for the result.
+func (f *Fused) Mutated(edit func(code []flat.Instr) []flat.Instr) (*Fused, error) {
+	g := *f
+	var err error
+	g.Program, err = f.Program.Mutate(edit)
+	return &g, err
+}
+
+// StateRegs returns the registers that hold stateful ALU state.
+func (f *Fused) StateRegs(p *Pipeline) map[uint32]bool {
+	regs := map[uint32]bool{}
+	for si, st := range p.stages {
+		for slot, a := range st.stateful {
+			for i := range a.state {
+				if r := f.state[si][slot]; r >= 0 {
+					regs[uint32(r+i)] = true
+				}
+			}
+		}
+	}
+	return regs
+}

@@ -1,0 +1,325 @@
+// fuse.go turns a prechecked pipeline into one flat register program (see
+// the package comment): muxes become register renaming, and only the ALUs
+// MuxTable.Live finds able to matter are emitted — lowered inline at Compiled,
+// one call of the AST interpreter on the level's program below it, so the
+// levels keep measuring what they name.
+package core
+
+import (
+	"fmt"
+	"slices"
+
+	"druzhba/internal/aludsl"
+	"druzhba/internal/flat"
+	"druzhba/internal/machinecode"
+	"druzhba/internal/phv"
+)
+
+// Fused is a prechecked pipeline as one flat program, plus where the
+// pipeline's containers and state live in its frame. It is immutable and
+// shared; all mutable state — stateful ALU state included — is in the frame
+// each runner owns (NewFrame; Reset zeroes the state again), and Run cannot
+// fail: Build proved every ALU program total and flat checked the program.
+// Build fuses the output cone (Pipeline.Cone, what a fuzzer executes);
+// FuseGrid fuses the whole grid.
+type Fused struct {
+	*flat.Program
+	width, phvLen int
+	in            int      // register of input container 0; the rest follow
+	out           []int    // out[c]: the register holding output container c after Run
+	state         [][]int  // state[stage][slot]: first state register of the stateful ALU, -1 when it is not in the program
+	live          [][]bool // live[stage][latch]: the ALU is in the program
+}
+
+// Cone returns the pipeline's output cone as a fused program — only the ALUs
+// whose results can reach a container of the output PHV, so the state of a
+// stateful ALU no container can observe is not simulated — or nil when the
+// pipeline is not Prechecked. Clones share it.
+func (p *Pipeline) Cone() *Fused { return p.cone }
+
+// FuseGrid fuses every ALU of the grid, so a frame carries the state of every
+// stateful ALU; nil when the pipeline is not Prechecked.
+func (p *Pipeline) FuseGrid() *Fused {
+	if !p.Prechecked() {
+		return nil
+	}
+	pinned := make([][]bool, len(p.stages))
+	for si, st := range p.stages {
+		pinned[si] = slices.Repeat([]bool{true}, len(st.alus))
+	}
+	f, err := p.fuse(pinned)
+	if err != nil {
+		panic(err) // Build fused the cone: the same lowering of the same programs
+	}
+	return f
+}
+
+// fuse lowers the ALUs Live selects from every output container plus pinned.
+func (p *Pipeline) fuse(pinned [][]bool) (*Fused, error) {
+	n := p.spec
+	b := flat.NewBuilder(n.Bits)
+	f := &Fused{width: n.Width, phvLen: n.PHVLen, in: b.Regs("in", n.PHVLen), state: make([][]int, n.Depth),
+		live: p.muxes.Live(slices.Repeat([]bool{true}, n.PHVLen), pinned)}
+	arena := 0
+	if p.level != Compiled {
+		arena = b.Regs("arena", arenaRegs)
+	}
+	cur := make([]int, n.PHVLen) // container -> register, -1 for a column nothing downstream reads
+	for c := range cur {
+		cur[c] = f.in + c
+	}
+	for si, st := range p.stages {
+		latch := make([]int, len(st.alus))
+		f.state[si] = make([]int, len(st.stateful))
+		for _, a := range st.alus {
+			latch[a.latch] = -1
+			if a.stateful {
+				f.state[si][a.slot] = -1
+			}
+			if !f.live[si][a.latch] {
+				continue
+			}
+			l := aluLowering{b: b, w: n.Bits, a: a, ops: make([]int, a.numOps), state: -1, arena: arena}
+			for op, c := range a.operandMux {
+				l.ops[op] = cur[c]
+			}
+			if a.stateful {
+				l.state = b.Regs(fmt.Sprintf("s%d.%d.", si, a.slot), len(a.state))
+				f.state[si][a.slot] = l.state
+			}
+			if p.level == Compiled {
+				latch[a.latch] = l.inline()
+			} else {
+				latch[a.latch] = l.call()
+			}
+		}
+		next := make([]int, n.PHVLen)
+		for c, sel := range st.outputMux {
+			if next[c] = cur[c]; sel != 0 {
+				next[c] = latch[sel-1]
+			}
+		}
+		cur = next
+	}
+	f.out = cur
+	var err error
+	f.Program, err = b.Build()
+	return f, err
+}
+
+// Inputs returns the frame's input registers, one per container: write a
+// packet there, then Run.
+func (f *Fused) Inputs(frame []int64) []phv.Value {
+	return frame[f.in : f.in+f.phvLen : f.in+f.phvLen]
+}
+
+// Out returns, per output container, the register that holds it after Run —
+// an input register where the container passed through every stage. The
+// slice is shared; do not modify it.
+func (f *Fused) Out() []int { return f.out }
+
+// LoadState copies p's stateful ALU state into the frame, for the ALUs the
+// program contains; StoreState copies it back. p must be the pipeline f was
+// fused from, or a clone of it.
+func (f *Fused) LoadState(frame []int64, p *Pipeline) {
+	for si, st := range p.stages {
+		for slot, a := range st.stateful {
+			if r := f.state[si][slot]; r >= 0 {
+				copy(frame[r:], a.state)
+			}
+		}
+	}
+}
+
+// StoreState is the inverse of LoadState.
+func (f *Fused) StoreState(frame []int64, p *Pipeline) {
+	for si, st := range p.stages {
+		for slot, a := range st.stateful {
+			if r := f.state[si][slot]; r >= 0 {
+				copy(a.state, frame[r:])
+			}
+		}
+	}
+}
+
+// ALUCounts returns how many ALUs the program executes per PHV and how many
+// the grid holds.
+func (f *Fused) ALUCounts() (live, total int) {
+	for _, stage := range f.live {
+		for _, l := range stage {
+			if total++; l {
+				live++
+			}
+		}
+	}
+	return live, total
+}
+
+// Executes reports whether the program contains the ALU at (stage, kind,
+// slot). Coordinates outside the grid report false.
+func (f *Fused) Executes(stage int, stateful bool, slot int) bool {
+	if stage < 0 || stage >= len(f.live) || slot < 0 || slot >= f.width {
+		return false
+	}
+	if stateful {
+		slot += f.width
+	}
+	return slot < len(f.live[stage]) && f.live[stage][slot]
+}
+
+// aluLowering lowers one live ALU: ops are the registers its operand muxes
+// renamed, state its first state register.
+type aluLowering struct {
+	b     *flat.Builder
+	w     phv.Width
+	a     *compiledALU
+	ops   []int
+	state int
+	arena int // the interpreter's helper-frame registers, shared by every call
+}
+
+// aluCall is the interpreted body of one ALU at the levels that measure the
+// interpreter: aludsl.RunUnsafe over operands and state that are contiguous
+// blocks of the frame.
+type aluCall struct {
+	prog              *aludsl.Program
+	w                 phv.Width
+	ops, state, arena int // first operand, state and helper-frame register
+	label             string
+}
+
+// arenaRegs is the frame's room for the interpreter's helper-call frames;
+// nesting deeper than any atom's spills to the heap.
+const arenaRegs = 16
+
+func (c *aluCall) Call(r []int64) int64 {
+	env := aludsl.Env{
+		Width:    c.w,
+		Operands: r[c.ops : c.ops+c.prog.NumOperands()],
+		State:    r[c.state : c.state+c.prog.NumState()],
+		Arena:    r[c.arena : c.arena : c.arena+arenaRegs],
+	}
+	return aludsl.RunUnsafe(c.prog, &env)
+}
+
+func (c *aluCall) String() string { return c.label }
+
+// call emits the operand copies the interpreter's contiguous Operands needs
+// and one Call.
+func (l *aluLowering) call() int {
+	block := l.b.Regs(fmt.Sprintf("op%d.%d.", l.a.stage, l.a.latch), len(l.ops))
+	for i, r := range l.ops {
+		l.b.Move(block+i, r)
+	}
+	label := fmt.Sprintf("%s %d/%s/%d", l.a.prog.Name, l.a.stage, machinecode.KindName(l.a.stateful), l.a.slot)
+	callee := l.b.Callee(&aluCall{prog: l.a.prog, w: l.w, ops: block, state: max(l.state, 0), arena: l.arena, label: label})
+	return l.b.Op(flat.Call, -1, callee, 0)
+}
+
+// inline lowers the body and returns the register holding the ALU's result:
+// with a single return, at the end, whatever register the value already lives
+// in; otherwise a register every return path writes, the implicit output —
+// post-update state_0, or 0 for a stateless ALU — where the body falls off
+// its end.
+func (l *aluLowering) inline() int {
+	body := l.a.prog.Body
+	if n := len(body) - 1; n >= 0 {
+		if last, ok := body[n].(*aludsl.Return); ok && !returns(body[:n]) {
+			l.stmts(body[:n], -1, nil)
+			return l.expr(last.Value, -1)
+		}
+	}
+	res := l.b.Reg(fmt.Sprintf("r%d.%d", l.a.stage, l.a.latch), 0)
+	var exits []int
+	if !l.stmts(body, res, &exits) {
+		if l.state >= 0 {
+			l.b.Move(res, l.state)
+		} else {
+			l.b.Move(res, l.b.Const(0))
+		}
+	}
+	l.b.Land(exits...)
+	return res
+}
+
+// returns reports whether a Return occurs anywhere in the statements.
+func returns(list []aludsl.Stmt) bool {
+	for _, s := range list {
+		switch s := s.(type) {
+		case *aludsl.Return:
+			return true
+		case *aludsl.If:
+			if returns(s.Then) || returns(s.Else) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// stmts lowers a statement list; a Return writes res and jumps to the exit
+// (collected in exits). The result reports that control cannot fall off the
+// end of the list.
+func (l *aluLowering) stmts(list []aludsl.Stmt, res int, exits *[]int) (terminated bool) {
+	for _, s := range list {
+		switch s := s.(type) {
+		case *aludsl.Assign:
+			l.expr(s.RHS, l.state+s.LHS.Index)
+		case *aludsl.Return:
+			l.expr(s.Value, res)
+			*exits = append(*exits, l.b.Jump(flat.Jmp, 0))
+			return true
+		case *aludsl.If:
+			toElse := l.b.Jump(flat.Jz, l.expr(s.Cond, -1))
+			thenDone := l.stmts(s.Then, res, exits)
+			if len(s.Else) == 0 {
+				l.b.Land(toElse)
+				continue
+			}
+			var toEnd []int
+			if !thenDone {
+				toEnd = append(toEnd, l.b.Jump(flat.Jmp, 0))
+			}
+			l.b.Land(toElse)
+			elseDone := l.stmts(s.Else, res, exits)
+			l.b.Land(toEnd...)
+			if thenDone && elseDone {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// expr lowers an expression and returns the register holding its value: dst
+// when dst >= 0, else wherever the value already lives (a leaf is a rename)
+// or a fresh temporary. Only the last instruction writes dst, after every
+// operand has been read, so dst may be a register the expression reads.
+func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
+	switch e := e.(type) {
+	case *aludsl.Num:
+		return l.b.Move(dst, l.b.Const(l.w.Trunc(e.Value)))
+	case *aludsl.Ident:
+		switch e.Class {
+		case aludsl.VarState:
+			return l.b.Move(dst, l.state+e.Index)
+		case aludsl.VarField:
+			return l.b.Move(dst, l.ops[e.Index])
+		}
+	case *aludsl.Unary:
+		op := flat.Not
+		if e.Op == aludsl.OpNeg {
+			op = flat.Neg
+		}
+		return l.b.Op(op, dst, l.expr(e.X, -1), 0)
+	case *aludsl.Binary:
+		x := l.expr(e.X, -1)
+		if e.Op == aludsl.OpAnd || e.Op == aludsl.OpOr {
+			return l.b.Logic(e.Op == aludsl.OpOr, dst, x, func() int { return l.expr(e.Y, -1) })
+		}
+		return l.b.Op(flat.Op(e.Op), dst, x, l.expr(e.Y, -1))
+	}
+	// optimizeALU ran CheckTotal on this program and inlined its helpers:
+	// nothing else is left in it.
+	panic(fmt.Sprintf("core: fuse: %s: cannot lower %T %v", l.a.prog.Name, e, e))
+}

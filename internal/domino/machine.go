@@ -2,172 +2,239 @@ package domino
 
 import (
 	"fmt"
+	"maps"
 
+	"druzhba/internal/flat"
 	"druzhba/internal/phv"
 )
 
-// Evaluation resolves every name once, at construction, and then runs on
-// slices: a state variable is an index into Machine.state, a local is an
-// index into Machine.frame guarded by a per-packet "assigned" mark, and a
-// packet field is either a PHV container index, read and written directly in
-// the []phv.Value a PHVSpec is handed, or (Machine.Step's map view) one more
-// guarded frame slot. The resolved form is immutable, so any number of
-// machines share it.
+// Evaluation lowers the transaction once, at construction, to a flat register
+// program (package flat, the evaluator the fused pipeline runs on too): a
+// state variable, a local and a packet field are registers of one frame, a
+// literal is a constant register, an if is a forward jump. The lowered form
+// is immutable, so any number of machines share it; a machine owns a frame.
+//
+// The language's only run-time failures are reads of something that was
+// never written this packet: a local assigned on some other path, a field
+// the map handed to Machine.Step does not hold. Lowering runs a
+// definite-assignment analysis and only a read it cannot prove assigned
+// keeps a check: a Trap on the slot's "assigned" flag, which stops the
+// program with an index into code.errs in the error register, leaving the
+// writes of the statements before it in place — what the tree walk this
+// replaced did. An AST node the language does not have becomes an
+// unconditional Trap, reported if and when execution reaches it.
 
-type opcode uint8
-
-const (
-	opLit   opcode = iota // val
-	opState               // state[idx]
-	opField               // vals[idx]: a PHV container
-	opFrame               // frame[idx] if set[idx], else err: a local, or a field not bound to a container
-	opFail                // err: an AST node the evaluator does not know
-	opNeg
-	opNot
-	opBin // opBin + BinKind
-)
-
-type expr struct {
-	op   opcode
-	idx  int
-	val  int64
-	x, y *expr
-	err  error
-}
-
-// stmt is a conditional (cond != nil) or the assignment dst[idx] = val.
-type stmt struct {
-	dst       opcode // opState, opField or opFrame
-	idx       int
-	val       *expr
-	cond      *expr
-	then, alt []stmt
-}
-
-// code is a Program with every name resolved, for one width and one binding
-// of packet fields to containers.
+// code is a Program lowered for one width and one binding of packet fields to
+// containers.
 type code struct {
-	w      phv.Width
-	body   []stmt
-	states []StateDecl // in slot order; Init already truncated to w
-	slot   map[string]int
-	frame  int // locals plus unbound fields
-	// fields are the packet fields no container is bound to, each with
-	// its frame slot. Machine.Step loads and stores these.
+	prog  *flat.Program
+	state map[string]int // state variable -> register
+
+	// bound are the fields a container is bound to, each with its register:
+	// a PHVSpec copies them in before a run and back after it.
+	bound []boundField
+	// fields are the packet fields no container is bound to, each with its
+	// value and flag registers. Machine.Step loads and stores these.
 	fields []frameField
+
+	errReg int     // holds 1+index into errs after a failed run, else 0
+	flags  []int   // "assigned" flag registers, zero between packets
+	errs   []error // what a Trap can report
 }
+
+type boundField struct{ reg, container int }
 
 type frameField struct {
-	name string
-	slot int
+	name      string
+	reg, flag int
 }
 
-type resolver struct {
-	c     *code
-	bind  FieldMap
-	frame map[string]int
+// lowering is one pass over the program. Only the slots in tracked get a flag
+// register and flag writes, and which slots need tracking — those some read
+// could find unassigned, and every unbound field — is known only once every
+// read has been seen: a pass records them in needs, and resolve lowers again
+// with that set when the first pass found any.
+type lowering struct {
+	c              *code
+	b              *flat.Builder
+	w              phv.Width
+	bind           FieldMap
+	regs           map[string]int // locals and fields by key (a field's carries its "pkt.")
+	flag           map[string]int // flag registers of the tracked slots
+	tracked, needs map[string]bool
 }
 
-// resolve never fails: a node it cannot make sense of becomes opFail and
+// resolve never fails: a node it cannot make sense of becomes a Trap that
 // reports its error if and when execution reaches it.
 func resolve(p *Program, w phv.Width, bind FieldMap) *code {
-	r := &resolver{c: &code{w: w, slot: map[string]int{}}, bind: bind, frame: map[string]int{}}
+	c, needs := lower(p, w, bind, nil)
+	if len(needs) > 0 {
+		c, _ = lower(p, w, bind, needs)
+	}
+	return c
+}
+
+func lower(p *Program, w phv.Width, bind FieldMap, tracked map[string]bool) (*code, map[string]bool) {
+	l := &lowering{
+		c: &code{state: map[string]int{}}, b: flat.NewBuilder(w), w: w, bind: bind,
+		regs: map[string]int{}, flag: map[string]int{}, tracked: tracked, needs: map[string]bool{},
+	}
 	for _, s := range p.States {
-		i := r.state(s.Name)
-		r.c.states[i].Init = w.Trunc(s.Init)
+		l.c.state[s.Name] = l.b.Reg(s.Name, w.Trunc(s.Init))
 	}
-	r.c.body = r.stmts(p.Body)
-	r.c.frame = len(r.frame)
-	return r.c
+	l.c.errReg = l.b.Reg("err", 0)
+	assigned := map[string]bool{} // a field bound to a container always is: the PHV holds it
+	for field := range bind {
+		assigned["pkt."+field] = true
+	}
+	l.stmts(p.Body, assigned)
+	prog, err := l.b.Build()
+	if err != nil {
+		panic(err) // the lowering emitted an instruction flat refuses: a bug here
+	}
+	l.c.prog = prog
+	return l.c, l.needs
 }
 
-// state returns name's slot. Only a hand-built AST can name an undeclared
-// state; it reads as 0 until assigned.
-func (r *resolver) state(name string) int {
-	i, ok := r.c.slot[name]
+// stateReg returns name's register. Only a hand-built AST can name an
+// undeclared state; it reads as 0 until assigned.
+func (l *lowering) stateReg(name string) int {
+	r, ok := l.c.state[name]
 	if !ok {
-		i = len(r.c.states)
-		r.c.slot[name] = i
-		r.c.states = append(r.c.states, StateDecl{Name: name})
+		r = l.b.Reg(name, 0)
+		l.c.state[name] = r
 	}
-	return i
+	return r
 }
 
-// frameSlot numbers locals and unbound fields on first use; a field's key
-// carries the "pkt." it is written with, which no local's name can contain.
-func (r *resolver) frameSlot(key string) (slot int, fresh bool) {
-	i, ok := r.frame[key]
-	if !ok {
-		i = len(r.frame)
-		r.frame[key] = i
+// slotReg returns the register of a local (field == "") or of the packet
+// field its key names, allocated on first use together with its flag register
+// when the slot is tracked.
+func (l *lowering) slotReg(key, field string) int {
+	if r, ok := l.regs[key]; ok {
+		return r
 	}
-	return i, !ok
+	r := l.b.Reg(key, 0)
+	l.regs[key] = r
+	if container, ok := l.bind[field]; field != "" && ok {
+		l.c.bound = append(l.c.bound, boundField{r, container})
+		return r
+	}
+	if field != "" {
+		l.needs[key] = true
+	}
+	if l.tracked[key] {
+		l.flag[key] = l.b.Reg(key+"?", 0)
+		l.c.flags = append(l.c.flags, l.flag[key])
+		if field != "" {
+			l.c.fields = append(l.c.fields, frameField{field, r, l.flag[key]})
+		}
+	}
+	return r
 }
 
-func (r *resolver) field(name string) (opcode, int) {
-	if c, ok := r.bind[name]; ok {
-		return opField, c
+// fail emits a Trap reporting err unless the flag register is nonzero; a
+// negative flag fails unconditionally, and what is lowered after it is never
+// reached.
+func (l *lowering) fail(flag int, err error) {
+	if flag < 0 {
+		flag = l.b.Const(0)
 	}
-	i, fresh := r.frameSlot("pkt." + name)
-	if fresh {
-		r.c.fields = append(r.c.fields, frameField{name, i})
-	}
-	return opFrame, i
+	l.c.errs = append(l.c.errs, err)
+	l.b.Op(flat.Trap, l.c.errReg, flag, len(l.c.errs))
 }
 
-func (r *resolver) stmts(in []Stmt) []stmt {
-	out := make([]stmt, len(in))
-	for i, s := range in {
+// stmts lowers a statement list. assigned holds the locals and unbound fields
+// every path to this point has written this packet; it is updated in place.
+func (l *lowering) stmts(list []Stmt, assigned map[string]bool) {
+	for _, s := range list {
 		switch s := s.(type) {
 		case *Assign:
-			o := stmt{val: r.expr(s.Expr)}
 			switch s.Target.Kind {
 			case TargetState:
-				o.dst, o.idx = opState, r.state(s.Target.Name)
-			case TargetField:
-				o.dst, o.idx = r.field(s.Target.Name)
-			case TargetLocal:
-				o.dst = opFrame
-				o.idx, _ = r.frameSlot(s.Target.Name)
-			} // a target of any other kind stores nowhere
-			out[i] = o
+				l.expr(s.Expr, l.stateReg(s.Target.Name), assigned)
+			case TargetField, TargetLocal:
+				key, field := s.Target.Name, ""
+				if s.Target.Kind == TargetField {
+					key, field = "pkt."+key, key
+				}
+				l.expr(s.Expr, l.slotReg(key, field), assigned)
+				if f, ok := l.flag[key]; ok {
+					l.b.Move(f, l.b.Const(1))
+				}
+				assigned[key] = true
+			default: // a target of any other kind stores nowhere
+				l.expr(s.Expr, -1, assigned)
+			}
 		case *If:
-			out[i] = stmt{cond: r.expr(s.Cond), then: r.stmts(s.Then), alt: r.stmts(s.Else)}
+			toElse := l.b.Jump(flat.Jz, l.expr(s.Cond, -1, assigned))
+			then, alt := maps.Clone(assigned), maps.Clone(assigned)
+			l.stmts(s.Then, then)
+			if len(s.Else) > 0 {
+				toEnd := l.b.Jump(flat.Jmp, 0)
+				l.b.Land(toElse)
+				l.stmts(s.Else, alt)
+				toElse = toEnd
+			}
+			l.b.Land(toElse)
+			for key := range then {
+				if alt[key] {
+					assigned[key] = true
+				}
+			}
 		default:
-			out[i] = stmt{cond: &expr{op: opFail, err: fmt.Errorf("domino: unknown statement %T", s)}}
+			l.fail(-1, fmt.Errorf("domino: unknown statement %T", s))
 		}
 	}
-	return out
 }
 
-func (r *resolver) expr(e Expr) *expr {
+// expr lowers an expression and returns the register holding its value: dst
+// when dst >= 0, else wherever the value already lives or a fresh temporary.
+// Only the last instruction writes dst, after every operand has been read,
+// so dst may be a register the expression reads.
+func (l *lowering) expr(e Expr, dst int, assigned map[string]bool) int {
 	switch e := e.(type) {
 	case *Lit:
-		return &expr{op: opLit, val: r.c.w.Trunc(e.Value)}
+		return l.b.Move(dst, l.b.Const(l.w.Trunc(e.Value)))
 	case *Ref:
+		key, field, err := e.Name, "", fmt.Errorf("domino: local %q read before assignment", e.Name)
 		switch e.Kind {
 		case RefState:
-			return &expr{op: opState, idx: r.state(e.Name)}
+			return l.b.Move(dst, l.stateReg(e.Name))
 		case RefField:
-			op, idx := r.field(e.Name)
-			return &expr{op: op, idx: idx, err: fmt.Errorf("domino: packet has no field %q", e.Name)}
+			key, field, err = "pkt."+e.Name, e.Name, fmt.Errorf("domino: packet has no field %q", e.Name)
 		case RefLocal:
-			i, _ := r.frameSlot(e.Name)
-			return &expr{op: opFrame, idx: i, err: fmt.Errorf("domino: local %q read before assignment", e.Name)}
+		default:
+			l.fail(-1, fmt.Errorf("domino: bad reference kind %d", e.Kind))
+			return l.b.Const(0)
 		}
-		return &expr{op: opFail, err: fmt.Errorf("domino: bad reference kind %d", e.Kind)}
+		r := l.slotReg(key, field)
+		if !assigned[key] {
+			l.needs[key] = true
+			if f, ok := l.flag[key]; ok {
+				l.fail(f, err)
+			}
+		}
+		return l.b.Move(dst, r)
 	case *Un:
+		op := flat.Not
 		if e.Neg {
-			return &expr{op: opNeg, x: r.expr(e.X)}
+			op = flat.Neg
 		}
-		return &expr{op: opNot, x: r.expr(e.X)}
+		return l.b.Op(op, dst, l.expr(e.X, -1, assigned), 0)
 	case *Bin:
 		if e.Op < BAdd || e.Op > BOr {
-			return &expr{op: opFail, err: fmt.Errorf("domino: unknown operator %d", e.Op)}
+			l.fail(-1, fmt.Errorf("domino: unknown operator %d", e.Op))
+			return l.b.Const(0)
 		}
-		return &expr{op: opBin + opcode(e.Op), x: r.expr(e.X), y: r.expr(e.Y)}
+		x := l.expr(e.X, -1, assigned)
+		if e.Op == BAnd || e.Op == BOr {
+			return l.b.Logic(e.Op == BOr, dst, x, func() int { return l.expr(e.Y, -1, assigned) })
+		}
+		return l.b.Op(flat.Op(e.Op), dst, x, l.expr(e.Y, -1, assigned))
 	}
-	return &expr{op: opFail, err: fmt.Errorf("domino: unknown expression %T", e)}
+	l.fail(-1, fmt.Errorf("domino: unknown expression %T", e))
+	return l.b.Const(0)
 }
 
 // Machine executes a program packet by packet, maintaining state across
@@ -175,58 +242,43 @@ func (r *resolver) expr(e Expr) *expr {
 // map-based AST walk it is tested against lives in reference_test.go.
 type Machine struct {
 	code  *code
-	state []int64
-
-	// frame holds this packet's locals (and unbound fields); set marks the
-	// slots assigned so far and is all false between packets.
 	frame []int64
-	set   []bool
-	err   error // first error of the packet in flight
 }
 
 // NewMachine returns a machine with freshly initialized state, for use
 // through Step's map view of the packet.
 func NewMachine(p *Program, w phv.Width) *Machine { return newMachine(resolve(p, w, nil)) }
 
-func newMachine(c *code) *Machine {
-	m := &Machine{code: c, state: make([]int64, len(c.states)), frame: make([]int64, c.frame), set: make([]bool, c.frame)}
-	m.Reset()
-	return m
-}
+func newMachine(c *code) *Machine { return &Machine{code: c, frame: c.prog.NewFrame()} }
 
 // Reset restores every state variable to its declared initial value.
-func (m *Machine) Reset() {
-	for i, s := range m.code.states {
-		m.state[i] = s.Init
-	}
-}
+func (m *Machine) Reset() { m.code.prog.Reset(m.frame) }
 
 // State returns the current value of a state variable.
 func (m *Machine) State(name string) (int64, bool) {
-	i, ok := m.code.slot[name]
+	r, ok := m.code.state[name]
 	if !ok {
 		return 0, false
 	}
-	return m.state[i], true
+	return m.frame[r], true
 }
 
 // Step executes the transaction on one packet. fields maps packet field
 // names to values; the map is mutated in place with the transaction's
 // writes. It is an adapter for debuggers and tests: the map is copied into
-// the frame and back around the same step a PHVSpec runs on a PHV.
+// the frame and back around the same run a PHVSpec makes on a PHV.
 func (m *Machine) Step(fields map[string]int64) error {
 	for _, f := range m.code.fields {
-		m.frame[f.slot], m.set[f.slot] = fields[f.name]
+		v, ok := fields[f.name]
+		m.frame[f.reg], m.frame[f.flag] = v, phv.Bool(ok)
 	}
-	m.err = nil
-	m.exec(m.code.body, nil)
+	m.code.prog.Run(m.frame)
 	for _, f := range m.code.fields {
-		if m.set[f.slot] {
-			fields[f.name] = m.frame[f.slot]
+		if m.frame[f.flag] != 0 {
+			fields[f.name] = m.frame[f.reg]
 		}
 	}
-	clear(m.set)
-	return m.err
+	return m.finish()
 }
 
 // step executes the transaction on one packet whose bound fields are read
@@ -235,114 +287,28 @@ func (m *Machine) Step(fields map[string]int64) error {
 //
 //dvet:hotpath allocs=0
 func (m *Machine) step(vals []phv.Value) error {
-	m.err = nil
-	m.exec(m.code.body, vals)
-	clear(m.set)
-	return m.err
+	frame, bound := m.frame, m.code.bound
+	for _, f := range bound {
+		frame[f.reg] = vals[f.container]
+	}
+	m.code.prog.Run(frame)
+	for _, f := range bound {
+		vals[f.container] = frame[f.reg]
+	}
+	if len(m.code.errs) == 0 {
+		return nil // no Trap: nothing reads a flag on this path, nothing to report
+	}
+	return m.finish()
 }
 
-// exec stops at the first statement that fails, leaving the error in m.err
-// and the effects of the statements before it in place.
-func (m *Machine) exec(stmts []stmt, vals []phv.Value) {
-	for i := range stmts {
-		s := &stmts[i]
-		if s.cond != nil {
-			c := m.eval(s.cond, vals)
-			if m.err != nil {
-				return
-			}
-			if phv.Truthy(c) {
-				m.exec(s.then, vals)
-			} else {
-				m.exec(s.alt, vals)
-			}
-			if m.err != nil {
-				return
-			}
-			continue
-		}
-		v := m.eval(s.val, vals)
-		if m.err != nil {
-			return
-		}
-		switch s.dst {
-		case opState:
-			m.state[s.idx] = v
-		case opField:
-			vals[s.idx] = v
-		case opFrame:
-			m.frame[s.idx], m.set[s.idx] = v, true
-		}
+// finish clears the packet's flags and returns the error a Trap left.
+func (m *Machine) finish() error {
+	for _, r := range m.code.flags {
+		m.frame[r] = 0
 	}
-}
-
-// operand is eval with the leaves, which most operands are, inlined at the
-// call site.
-func (m *Machine) operand(e *expr, vals []phv.Value) int64 {
-	switch e.op {
-	case opLit:
-		return e.val
-	case opState:
-		return m.state[e.idx]
-	case opField:
-		return vals[e.idx]
+	if e := m.frame[m.code.errReg]; e != 0 {
+		m.frame[m.code.errReg] = 0
+		return m.code.errs[e-1]
 	}
-	return m.eval(e, vals)
-}
-
-// eval returns e's value. A failing node records the packet's first error in
-// m.err and yields 0; expressions have no side effects, so evaluating on to
-// the end of the statement changes nothing the caller can see.
-func (m *Machine) eval(e *expr, vals []phv.Value) int64 {
-	switch e.op {
-	case opLit:
-		return e.val
-	case opState:
-		return m.state[e.idx]
-	case opField:
-		return vals[e.idx]
-	case opFrame:
-		if m.set[e.idx] {
-			return m.frame[e.idx]
-		}
-		fallthrough
-	case opFail:
-		if m.err == nil {
-			m.err = e.err
-		}
-		return 0
-	case opNeg:
-		return m.code.w.Trunc(-m.eval(e.x, vals))
-	case opNot:
-		return phv.Bool(m.eval(e.x, vals) == 0)
-	case opBin + opcode(BAnd):
-		return phv.Bool(phv.Truthy(m.eval(e.x, vals)) && phv.Truthy(m.eval(e.y, vals)))
-	case opBin + opcode(BOr):
-		return phv.Bool(phv.Truthy(m.eval(e.x, vals)) || phv.Truthy(m.eval(e.y, vals)))
-	}
-	x, y, w := m.operand(e.x, vals), m.operand(e.y, vals), m.code.w
-	switch e.op - opBin {
-	case opcode(BAdd):
-		return w.Add(x, y)
-	case opcode(BSub):
-		return w.Sub(x, y)
-	case opcode(BMul):
-		return w.Mul(x, y)
-	case opcode(BDiv):
-		return w.Div(x, y)
-	case opcode(BMod):
-		return w.Mod(x, y)
-	case opcode(BEq):
-		return phv.Bool(x == y)
-	case opcode(BNeq):
-		return phv.Bool(x != y)
-	case opcode(BLt):
-		return phv.Bool(x < y)
-	case opcode(BGt):
-		return phv.Bool(x > y)
-	case opcode(BLe):
-		return phv.Bool(x <= y)
-	default: // BGe: resolve admits no other operator
-		return phv.Bool(x >= y)
-	}
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"druzhba/internal/flat"
 	"druzhba/internal/phv"
 )
 
@@ -84,6 +85,10 @@ func Bind(p *Program, fields FieldMap, w phv.Width) (*Binding, error) {
 	b.code = resolve(p, w, fields)
 	return b, nil
 }
+
+// Lowered returns the transaction as the flat program every instance runs,
+// for its length and disassembly.
+func (b *Binding) Lowered() *flat.Program { return b.code.prog }
 
 // NewSpec returns a specification instance with freshly initialized state.
 func (b *Binding) NewSpec() *PHVSpec { return &PHVSpec{b: b, machine: newMachine(b.code)} }

@@ -16,26 +16,26 @@ import (
 // batchReportsEqual fails unless the two BatchReports are byte-identical in
 // every exported field (error compared by rendered message, mismatches by
 // value and by rendering).
-func batchReportsEqual(t *testing.T, label string, planes, ticks *BatchReport) {
+func batchReportsEqual(t *testing.T, label string, fused, ticks *BatchReport) {
 	t.Helper()
-	if planes.SpecName != ticks.SpecName {
-		t.Fatalf("%s: spec %q vs %q", label, planes.SpecName, ticks.SpecName)
+	if fused.SpecName != ticks.SpecName {
+		t.Fatalf("%s: spec %q vs %q", label, fused.SpecName, ticks.SpecName)
 	}
-	if planes.Checked != ticks.Checked || planes.Ticks != ticks.Ticks {
-		t.Fatalf("%s: planes (checked=%d ticks=%d) != ticks (checked=%d ticks=%d)",
-			label, planes.Checked, planes.Ticks, ticks.Checked, ticks.Ticks)
+	if fused.Checked != ticks.Checked || fused.Ticks != ticks.Ticks {
+		t.Fatalf("%s: fused (checked=%d ticks=%d) != ticks (checked=%d ticks=%d)",
+			label, fused.Checked, fused.Ticks, ticks.Checked, ticks.Ticks)
 	}
-	if (planes.Err == nil) != (ticks.Err == nil) {
-		t.Fatalf("%s: Err %v vs %v", label, planes.Err, ticks.Err)
+	if (fused.Err == nil) != (ticks.Err == nil) {
+		t.Fatalf("%s: Err %v vs %v", label, fused.Err, ticks.Err)
 	}
-	if planes.Err != nil && planes.Err.Error() != ticks.Err.Error() {
-		t.Fatalf("%s: Err %q vs %q", label, planes.Err, ticks.Err)
+	if fused.Err != nil && fused.Err.Error() != ticks.Err.Error() {
+		t.Fatalf("%s: Err %q vs %q", label, fused.Err, ticks.Err)
 	}
-	if len(planes.Mismatches) != len(ticks.Mismatches) {
-		t.Fatalf("%s: %d vs %d mismatches", label, len(planes.Mismatches), len(ticks.Mismatches))
+	if len(fused.Mismatches) != len(ticks.Mismatches) {
+		t.Fatalf("%s: %d vs %d mismatches", label, len(fused.Mismatches), len(ticks.Mismatches))
 	}
-	for i := range planes.Mismatches {
-		a, b := planes.Mismatches[i], ticks.Mismatches[i]
+	for i := range fused.Mismatches {
+		a, b := fused.Mismatches[i], ticks.Mismatches[i]
 		if a.Index != b.Index || !a.Input.Equal(b.Input) || !a.Got.Equal(b.Got) || !a.Want.Equal(b.Want) || a.String() != b.String() {
 			t.Fatalf("%s: mismatch %d differs: %s vs %s", label, i, &a, &b)
 		}
@@ -68,19 +68,18 @@ func miscompiled(t *testing.T, seed int64, pair int, level core.OptLevel) (p *co
 }
 
 // TestBatchedFuzzMatchesStreamingSweep is the core byte-identity sweep: the
-// planes loop at every test chunk (300 = 42*7+6, so 7 leaves a partial tail)
-// against the tick loop on the same prechecked pipeline, over a clean spec,
-// a diverging spec and an injected miscompile, with and without a
-// counterexample cap, at every prechecked level. One planes fuzzer per chunk
-// is reused across the cells, as a campaign worker reuses its own. Every
-// cell's BatchReport must equal the tick loop's field for field, mismatch
-// for mismatch.
+// fused loop against the tick loop on the same prechecked pipeline, over a
+// clean spec, a diverging spec and an injected miscompile, with and without
+// a counterexample cap, at every prechecked level. The fused fuzzer is reused
+// across the cells, as a campaign worker reuses its own. Every cell's
+// BatchReport must equal the tick loop's field for field, mismatch for
+// mismatch.
 func TestBatchedFuzzMatchesStreamingSweep(t *testing.T) {
 	const n = 300
 	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
 		identity := buildPipeline(t, 3, 2, "pred_raw", nil, level)
 		if !identity.Prechecked() {
-			t.Fatalf("%s pipeline is not prechecked; the planes loop would never run", level)
+			t.Fatalf("%s pipeline is not prechecked; the fused loop would never run", level)
 		}
 		wrong, wrongSpec, ok := miscompiled(t, 45, 14, level) // a handful of the 300 PHVs diverge
 		if !ok {
@@ -96,11 +95,7 @@ func TestBatchedFuzzMatchesStreamingSweep(t *testing.T) {
 			{"diverging", identity, brokenSpec, true},
 			{"miscompiled", wrong, func() Spec { return wrongSpec }, true},
 		} {
-			ticks := tickFuzzer(tc.pipe)
-			planes := map[int]*Fuzzer{}
-			for _, chunk := range testChunks(n) {
-				planes[chunk] = planesFuzzer(t, tc.pipe, chunk)
-			}
+			ticks, fused := tickFuzzer(tc.pipe), NewFuzzer(tc.pipe)
 			for _, maxMM := range []int{0, 3} {
 				want, err := ticks.FuzzGen(tc.spec(), NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, maxMM)
 				if err != nil {
@@ -109,13 +104,11 @@ func TestBatchedFuzzMatchesStreamingSweep(t *testing.T) {
 				if tc.diverging && len(want.Mismatches) == 0 {
 					t.Fatalf("%s/%s: the tick loop found no mismatches to cross-check", level, tc.name)
 				}
-				for _, chunk := range testChunks(n) {
-					got, err := planes[chunk].FuzzGen(tc.spec(), NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, maxMM)
-					if err != nil {
-						t.Fatal(err)
-					}
-					batchReportsEqual(t, fmt.Sprintf("%s/%s/max=%d/chunk=%d", level, tc.name, maxMM, chunk), got, want)
+				got, err := fused.FuzzGen(tc.spec(), NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, maxMM)
+				if err != nil {
+					t.Fatal(err)
 				}
+				batchReportsEqual(t, fmt.Sprintf("%s/%s/max=%d", level, tc.name, maxMM), got, want)
 			}
 		}
 	}
@@ -123,9 +116,9 @@ func TestBatchedFuzzMatchesStreamingSweep(t *testing.T) {
 
 // TestBatchedNextErrorMatchesStreaming: a generator failure at packet i
 // aborts the tick loop at tick i with only the packets completed strictly
-// before it counted — mismatches past the abort dropped. The planes loop
+// before it counted — mismatches past the abort dropped. The fused loop
 // must reconstruct that exact report, whether the failure lands at the
-// start, inside a chunk, or deep into the run.
+// start, inside the first window, or deep into the run.
 func TestBatchedNextErrorMatchesStreaming(t *testing.T) {
 	const n = 300
 	boom := errors.New("traffic source failed")
@@ -150,15 +143,13 @@ func TestBatchedNextErrorMatchesStreaming(t *testing.T) {
 		if !errors.Is(want.Err, boom) {
 			t.Fatalf("errAt=%d: tick loop Err = %v, want the generator failure", errAt, want.Err)
 		}
-		for _, chunk := range testChunks(n) {
-			got, err := planesFuzzer(t, p, chunk).Fuzz(brokenSpec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batchReportsEqual(t, fmt.Sprintf("errAt=%d/chunk=%d", errAt, chunk), got, want)
-			if !errors.Is(got.Err, boom) {
-				t.Fatalf("errAt=%d/chunk=%d: planes Err = %v, want the generator failure unwrapped", errAt, chunk, got.Err)
-			}
+		got, err := NewFuzzer(p).Fuzz(brokenSpec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchReportsEqual(t, fmt.Sprintf("errAt=%d", errAt), got, want)
+		if !errors.Is(got.Err, boom) {
+			t.Fatalf("errAt=%d: fused Err = %v, want the generator failure unwrapped", errAt, got.Err)
 		}
 	}
 }
@@ -202,14 +193,12 @@ func TestBatchedSpecErrorMatchesStreaming(t *testing.T) {
 	if werr == nil || want != nil {
 		t.Fatalf("tick loop spec failure: report=%v err=%v, want nil report and an error", want, werr)
 	}
-	for _, chunk := range testChunks(n) {
-		got, gerr := run(planesFuzzer(t, p, chunk), specErrAt(passThroughSpec(), 100), 0)
-		if gerr == nil || got != nil {
-			t.Fatalf("chunk=%d: planes spec failure: report=%v err=%v, want nil report and an error", chunk, got, gerr)
-		}
-		if gerr.Error() != werr.Error() {
-			t.Fatalf("chunk=%d: planes err %q, tick loop err %q", chunk, gerr, werr)
-		}
+	got, gerr := run(NewFuzzer(p), specErrAt(passThroughSpec(), 100), 0)
+	if gerr == nil || got != nil {
+		t.Fatalf("fused spec failure: report=%v err=%v, want nil report and an error", got, gerr)
+	}
+	if gerr.Error() != werr.Error() {
+		t.Fatalf("fused err %q, tick loop err %q", gerr, werr)
 	}
 
 	// Diverging spec capped at 1 mismatch long before the failure at packet
@@ -221,35 +210,34 @@ func TestBatchedSpecErrorMatchesStreaming(t *testing.T) {
 	if len(wantCap.Mismatches) != 1 || wantCap.Err != nil {
 		t.Fatalf("capped tick loop run: %+v, want exactly the capped mismatch", wantCap)
 	}
-	for _, chunk := range testChunks(n) {
-		gotCap, gerr := run(planesFuzzer(t, p, chunk), specErrAt(brokenSpec(), 200), 1)
-		if gerr != nil {
-			t.Fatal(gerr)
-		}
-		batchReportsEqual(t, fmt.Sprintf("cap-wins/chunk=%d", chunk), gotCap, wantCap)
+	gotCap, gerr := run(NewFuzzer(p), specErrAt(brokenSpec(), 200), 1)
+	if gerr != nil {
+		t.Fatal(gerr)
 	}
+	batchReportsEqual(t, "cap-wins", gotCap, wantCap)
 }
 
 // TestKernelSelection pins the choice NewFuzzer makes, which no caller can
 // override: the Unoptimized level runs the tick loop — where machine code
 // is resolved at run time and a missing pair (BuildUnchecked) is a finding
-// with the tick loop's text and tick — and every other level runs the planes
-// loop at planeChunk, allocating nothing of the other kernel.
+// with the tick loop's text and tick — and every other level runs the fused
+// loop on the cone core.Build made, allocating nothing of the other kernel.
 func TestKernelSelection(t *testing.T) {
 	for _, level := range core.AllLevels() {
-		f := NewFuzzer(buildPipeline(t, 2, 2, "pred_raw", nil, level))
-		if got, want := f.onPlanes(), level != core.Unoptimized; got != want {
-			t.Errorf("%s: planes loop = %v, want %v", level, got, want)
+		p := buildPipeline(t, 2, 2, "pred_raw", nil, level)
+		f := NewFuzzer(p)
+		if got, want := f.onFused(), level != core.Unoptimized; got != want {
+			t.Errorf("%s: fused loop = %v, want %v", level, got, want)
 		}
-		if f.onPlanes() {
-			if f.batch.Cap() != planeChunk || len(f.want) != planeChunk {
-				t.Errorf("%s: chunk %d with %d want rows, want %d", level, f.batch.Cap(), len(f.want), planeChunk)
+		if f.onFused() {
+			if f.fused != p.Cone() || f.Pipeline() != p || len(f.want) != 1 {
+				t.Errorf("%s: the fused fuzzer does not run the pipeline's own cone on one want row", level)
 			}
 			if f.stream != nil || f.inputs != nil {
-				t.Errorf("%s: a planes fuzzer allocated the tick loop's stream and rings", level)
+				t.Errorf("%s: a fused fuzzer allocated the tick loop's stream and rings", level)
 			}
-		} else if f.fillRow != nil || f.gatherRow != nil {
-			t.Errorf("%s: a tick-loop fuzzer allocated the planes loop's rows", level)
+		} else if f.frame != nil || f.got != nil || f.Pipeline() == p {
+			t.Errorf("%s: a tick-loop fuzzer allocated the fused loop's frame, or executes its argument", level)
 		}
 		rep, err := f.FuzzGen(brokenSpec(), NewTrafficGen(3, 2, phv.Default32, 1000), 200, FuzzOptions{}, 0)
 		if err != nil {
@@ -275,10 +263,10 @@ func TestKernelSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := NewFuzzer(p)
-	if f.onPlanes() {
-		t.Fatal("a BuildUnchecked pipeline was bound to the planes loop")
+	if f.onFused() {
+		t.Fatal("a BuildUnchecked pipeline was bound to the fused loop")
 	}
-	if _, err := NewBatch(p, planeChunk); err == nil {
+	if _, err := NewBatch(p, 8); err == nil {
 		t.Fatal("NewBatch accepted an unoptimized pipeline")
 	}
 	rep, err := f.FuzzGen(passThroughSpec(), NewTrafficGen(4, 1, phv.Default32, 0), 10, FuzzOptions{}, 0)
@@ -296,10 +284,10 @@ func TestKernelSelection(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesStream differentially tests the plane engine itself
+// TestBatchMatchesStream differentially tests the fused full-grid engine
 // against the tick loop over randomized stateful pipelines: same packets in
-// chunks of varying size (with partial tails), same outputs column for
-// column, same final stateful-ALU state.
+// vectors of varying size (with partial tails), same outputs packet for
+// packet, same final stateful-ALU state.
 func TestBatchMatchesStream(t *testing.T) {
 	for trial := 0; trial < 3; trial++ {
 		rng := rand.New(rand.NewSource(int64(70*trial + 7)))
@@ -343,9 +331,8 @@ func TestBatchMatchesStream(t *testing.T) {
 			if err := b.Run(m); err != nil {
 				t.Fatal(err)
 			}
-			row := make([]phv.Value, b.PHVLen())
 			for k := 0; k < m; k++ {
-				got.Append(phv.FromValues(gatherCol(b.Out(), k, row)))
+				got.Append(phv.FromValues(b.Out(k)))
 			}
 		}
 		if d := want.Diff(got); d != "" {
@@ -357,16 +344,16 @@ func TestBatchMatchesStream(t *testing.T) {
 	}
 }
 
-// TestBatchAliasingAudit pins the plane-ownership contract: Load copies its
+// TestBatchAliasingAudit pins the row-ownership contract: Load copies its
 // argument, so a caller mutating (or reusing) its row after Load cannot
-// corrupt the batch; and In/Out planes are overwritten in place across
-// runs — never reallocated — so a slice held from run 1 observes run 2's
-// packets instead of silently retaining stale ones.
+// corrupt the batch; and output rows are overwritten in place across runs —
+// never reallocated — so a slice held from run 1 observes run 2's packets
+// instead of silently retaining stale ones.
 func TestBatchAliasingAudit(t *testing.T) {
 	p := buildPipeline(t, 2, 2, "", nil, core.Compiled) // identity pipeline
 	b, err := NewBatch(p, 4)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || b.Cap() != 4 {
+		t.Fatalf("NewBatch(p, 4): capacity %d, err %v", b.Cap(), err)
 	}
 	row := []phv.Value{10, 20}
 	b.Load(0, row)
@@ -375,24 +362,21 @@ func TestBatchAliasingAudit(t *testing.T) {
 	if err := b.Run(2); err != nil {
 		t.Fatal(err)
 	}
-	if b.In()[0][0] != 10 || b.In()[1][0] != 20 {
-		t.Fatalf("Load aliased the caller's row: in[*][0] = %d,%d, want 10,20", b.In()[0][0], b.In()[1][0])
+	if out := b.Out(0); out[0] != 10 || out[1] != 20 {
+		t.Fatalf("Load aliased the caller's row: packet 0 came out %v, want [10 20]", out)
 	}
-	if b.Out()[0][0] != 10 || b.Out()[0][1] != 30 {
-		t.Fatalf("identity outputs wrong: %d,%d", b.Out()[0][0], b.Out()[0][1])
+	if out := b.Out(1); out[0] != 30 || out[1] != 40 {
+		t.Fatalf("identity outputs wrong: packet 1 came out %v", out)
 	}
 
-	// Planes are reused in place across Run: the held slice sees run 2.
-	heldIn, heldOut := b.In()[0], b.Out()[0]
+	// Rows are reused in place across Run: the held slice sees run 2.
+	held := b.Out(0)
 	b.Load(0, []phv.Value{77, 78})
 	if err := b.Run(1); err != nil {
 		t.Fatal(err)
 	}
-	if &heldIn[0] != &b.In()[0][0] || heldIn[0] != 77 {
-		t.Fatal("input planes were reallocated between runs; Reset-style reuse would leak stale packets to holders")
-	}
-	if &heldOut[0] != &b.Out()[0][0] || heldOut[0] != 77 {
-		t.Fatal("output planes were reallocated between runs")
+	if &held[0] != &b.Out(0)[0] || held[0] != 77 {
+		t.Fatal("output rows were reallocated between runs")
 	}
 
 	// Capacity misuse is an error, not a partial run.
@@ -401,5 +385,8 @@ func TestBatchAliasingAudit(t *testing.T) {
 	}
 	if err := b.Run(0); err == nil {
 		t.Fatal("empty Run succeeded")
+	}
+	if _, err := NewBatch(p, 0); err == nil {
+		t.Fatal("NewBatch accepted capacity 0")
 	}
 }

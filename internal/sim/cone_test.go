@@ -10,7 +10,7 @@ import (
 
 // TestFuzzRejectsCompareContainerOutOfRange: a compared container outside
 // the PHV is harness misuse and comes back as an error on the tick loop and
-// on the planes loop — it used to index out of range inside the compare.
+// on the fused loop — it used to index out of range inside the compare.
 func TestFuzzRejectsCompareContainerOutOfRange(t *testing.T) {
 	p := buildPipeline(t, 2, 2, "", nil, core.Compiled) // identity, PHVLen 2
 	for _, tc := range []struct {
@@ -21,7 +21,7 @@ func TestFuzzRejectsCompareContainerOutOfRange(t *testing.T) {
 		{[]int{2}, "sim: compare container 2 out of range [0,2)"},
 		{[]int{0, -1}, "sim: compare container -1 out of range [0,2)"},
 	} {
-		for name, f := range map[string]*Fuzzer{"ticks": tickFuzzer(p), "planes": NewFuzzer(p)} {
+		for name, f := range map[string]*Fuzzer{"ticks": tickFuzzer(p), "fused": NewFuzzer(p)} {
 			rep, err := f.FuzzGen(passThroughSpec(), NewTrafficGen(1, 2, phv.Default32, 0), 20, FuzzOptions{Containers: tc.containers}, 0)
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("containers %v on %s: report %v, err %v; want error %q", tc.containers, name, rep, err, tc.want)
@@ -63,54 +63,35 @@ func randomizedPair(t *testing.T, seed int64, level core.OptLevel) (p, ref *core
 	return p, ref
 }
 
-func executed(p *core.Pipeline) int {
-	n, _ := p.ALUCounts()
-	return n
-}
-
 // TestConeFuzzReportsMatchFullGrid is the report-identity pin: against a
 // deliberately wrong specification, with the comparison restricted to one
-// container, the fuzzer (which executes the output cone) produces the
+// container, the fuzzer (which executes the fused output cone) produces the
 // BatchReport — indices, Input, whole-PHV Got, Want, Checked, Ticks — that
-// the same loop produces over the full ALU grid, on the tick loop and on the
-// planes loop at every test chunk, with and without a mismatch cap.
+// the tick loop produces over the full ALU grid, with and without a mismatch
+// cap.
 func TestConeFuzzReportsMatchFullGrid(t *testing.T) {
 	const n = 200
 	pruned, mismatched, matched := 0, 0, 0
 	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
 		for trial := int64(0); trial < 4; trial++ {
 			p, ref := randomizedPair(t, 900+trial, level)
-			// Pairs of (cone, full grid) fuzzers on the same loop: the tick
-			// loop, then the planes loop at each chunk.
-			pairs := [][2]*Fuzzer{{tickFuzzer(p), newTickFuzzer(p.Clone())}}
-			for _, chunk := range testChunks(n) {
-				full, err := newPlanesFuzzer(p.Clone(), chunk)
+			cone, full := NewFuzzer(p), tickFuzzer(p)
+			live, total := p.Cone().ALUCounts()
+			pruned += total - live
+			spec := &pipeSpec{p: ref, wrong: true}
+			for _, maxMM := range []int{0, 3} {
+				opts := FuzzOptions{Containers: []int{0}}
+				got, err := cone.FuzzGen(spec, NewTrafficGen(trial, 2, phv.Default32, 1<<16), n, opts, maxMM)
 				if err != nil {
 					t.Fatal(err)
 				}
-				pairs = append(pairs, [2]*Fuzzer{planesFuzzer(t, p, chunk), full})
-			}
-			if got, want := executed(pairs[0][1].Pipeline()), executed(p); got != want {
-				t.Fatalf("full-grid fuzzer executes %d of %d ALUs", got, want)
-			}
-			pruned += executed(p) - executed(pairs[0][0].Pipeline())
-			spec := &pipeSpec{p: ref, wrong: true}
-			for _, maxMM := range []int{0, 3} {
-				for _, pair := range pairs {
-					cone, full := pair[0], pair[1]
-					opts := FuzzOptions{Containers: []int{0}}
-					got, err := cone.FuzzGen(spec, NewTrafficGen(trial, 2, phv.Default32, 1<<16), n, opts, maxMM)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := full.FuzzGen(spec, NewTrafficGen(trial, 2, phv.Default32, 1<<16), n, opts, maxMM)
-					if err != nil {
-						t.Fatal(err)
-					}
-					batchReportsEqual(t, level.String(), got, want)
-					mismatched += len(want.Mismatches)
-					matched += want.Checked - len(want.Mismatches)
+				want, err := full.FuzzGen(spec, NewTrafficGen(trial, 2, phv.Default32, 1<<16), n, opts, maxMM)
+				if err != nil {
+					t.Fatal(err)
 				}
+				batchReportsEqual(t, level.String(), got, want)
+				mismatched += len(want.Mismatches)
+				matched += want.Checked - len(want.Mismatches)
 			}
 			if !allZeroState(p) {
 				t.Fatalf("%s trial %d: NewFuzzer's argument was executed", level, trial)
@@ -138,10 +119,11 @@ func allZeroState(p *core.Pipeline) bool {
 	return true
 }
 
-// TestConeEnginesMatchFullGrid runs the real engines over an output cone:
-// Stream and Batch produce the full grid's and the Unoptimized reference's
-// output PHVs packet for packet, and leave every stateful ALU either in the
-// full grid's final state (live) or untouched (dead).
+// TestConeEnginesMatchFullGrid runs the engines against the Unoptimized
+// reference: Stream and Batch, which simulate the full grid, produce its
+// output PHVs packet for packet and its final state; the fused output cone,
+// driven by hand, produces the same PHVs and leaves every stateful ALU either
+// in the reference's final state (live) or untouched (dead).
 func TestConeEnginesMatchFullGrid(t *testing.T) {
 	const n = 50
 	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
@@ -154,9 +136,10 @@ func TestConeEnginesMatchFullGrid(t *testing.T) {
 			}
 			engines := []struct {
 				name string
+				cone bool
 				run  func(p *core.Pipeline) *phv.Trace
 			}{
-				{"stream", func(p *core.Pipeline) *phv.Trace {
+				{"stream", false, func(p *core.Pipeline) *phv.Trace {
 					st, out := NewStream(p), phv.NewTrace()
 					for fed := 0; fed < n || st.InFlight() > 0; fed++ {
 						var in []phv.Value
@@ -173,12 +156,12 @@ func TestConeEnginesMatchFullGrid(t *testing.T) {
 					}
 					return out
 				}},
-				{"batch", func(p *core.Pipeline) *phv.Trace {
+				{"batch", false, func(p *core.Pipeline) *phv.Trace {
 					b, err := NewBatch(p, 8)
 					if err != nil {
 						t.Fatal(err)
 					}
-					out, row := phv.NewTrace(), make([]phv.Value, p.PHVLen())
+					out := phv.NewTrace()
 					for at := 0; at < n; at += 8 {
 						m := min(8, n-at)
 						for k := 0; k < m; k++ {
@@ -188,33 +171,37 @@ func TestConeEnginesMatchFullGrid(t *testing.T) {
 							t.Fatal(err)
 						}
 						for k := 0; k < m; k++ {
-							out.Append(phv.FromValues(gatherCol(b.Out(), k, row)))
+							out.Append(phv.FromValues(b.Out(k)))
 						}
 					}
 					return out
 				}},
+				{"cone", true, func(p *core.Pipeline) *phv.Trace {
+					cone := p.Cone()
+					frame, out, row := cone.NewFrame(), phv.NewTrace(), make([]phv.Value, p.PHVLen())
+					cone.LoadState(frame, p)
+					for k := 0; k < n; k++ {
+						copy(cone.Inputs(frame), input.At(k).Raw())
+						cone.Run(frame)
+						out.Append(phv.FromValues(gatherRegs(frame, cone.Out(), row)))
+					}
+					cone.StoreState(frame, p)
+					return out
+				}},
 			}
 			for _, e := range engines {
-				name, run := e.name, e.run
-				full, cone := p.Clone(), p.OutputCone()
-				if d := want.Output.Diff(run(full)); d != "" {
-					t.Fatalf("%s %s trial %d: full grid diverges from the reference: %s", level, name, trial, d)
+				q := p.Clone()
+				if d := want.Output.Diff(e.run(q)); d != "" {
+					t.Fatalf("%s %s trial %d: diverges from the reference: %s", level, e.name, trial, d)
 				}
-				if d := want.Output.Diff(run(cone)); d != "" {
-					t.Fatalf("%s %s trial %d: cone diverges from the reference: %s", level, name, trial, d)
-				}
-				fullState, coneState := full.StateSnapshot(), cone.StateSnapshot()
-				if !fullState.Equal(want.FinalState) {
-					t.Fatalf("%s %s trial %d: full-grid state diverges from the reference", level, name, trial)
-				}
-				for si := range coneState {
-					for slot := range coneState[si] {
-						wantState := fullState[si][slot]
-						if !cone.Executes(si, true, slot) {
+				for si, stage := range q.StateSnapshot() {
+					for slot, got := range stage {
+						wantState := want.FinalState[si][slot]
+						if e.cone && !p.Cone().Executes(si, true, slot) {
 							wantState = make([]phv.Value, len(wantState))
 						}
-						if got := coneState[si][slot]; !phv.FromValues(got).Equal(phv.FromValues(wantState)) {
-							t.Fatalf("%s %s trial %d: stateful ALU %d/%d ends in %v, want %v", level, name, trial, si, slot, got, wantState)
+						if !phv.FromValues(got).Equal(phv.FromValues(wantState)) {
+							t.Fatalf("%s %s trial %d: stateful ALU %d/%d ends in %v, want %v", level, e.name, trial, si, slot, got, wantState)
 						}
 					}
 				}
@@ -229,8 +216,8 @@ func TestConeEnginesMatchFullGrid(t *testing.T) {
 func TestNewFuzzerLeavesUnoptimizedWhole(t *testing.T) {
 	p, _ := randomizedPair(t, 1, core.Unoptimized)
 	f := NewFuzzer(p)
-	if got, want := executed(f.Pipeline()), executed(p); got != want {
-		t.Fatalf("unoptimized fuzzer executes %d of %d ALUs", got, want)
+	if p.Cone() != nil || f.onFused() {
+		t.Fatal("an unoptimized pipeline was fused")
 	}
 	if f.Pipeline() == p {
 		t.Fatal("NewFuzzer must execute on a private clone")

@@ -9,7 +9,7 @@
 // write halves become read halves. A PHV therefore traverses exactly one
 // stage per tick.
 //
-// The package has two engines, each one core stage executor under one driver:
+// The package has two engines:
 //
 //   - the reference: core.Pipeline.ExecuteStage under Stream, the tick loop
 //     above over a preallocated ring of depth+1 slot buffers. It accepts
@@ -19,11 +19,11 @@
 //     tools) run on it, and so does a Fuzzer over an Unoptimized pipeline,
 //     where machine code incompatible with the pipeline is a run-time
 //     finding;
-//   - the production kernel: core.Pipeline.ExecuteStageBatch under Batch
-//     (batch.go), packets a chunk at a time on struct-of-arrays planes. It
-//     accepts prechecked pipelines only — core.Build proved their execution
-//     total, so it has no failure path — and is what a Fuzzer runs at every
-//     optimized level: the campaign engine's hot path.
+//   - the production kernel: the pipeline fused into one flat register
+//     program (core.Fused, package flat), one Run per packet on a frame
+//     (batch.go). Only prechecked pipelines fuse — core.Build proved their
+//     execution total, so the kernel has no failure path — and it is what a
+//     Fuzzer runs at every optimized level: the campaign engine's hot path.
 //
 // Either way the Fuzzer generates traffic directly into its own buffers
 // (TrafficGen.Fill) and compares outputs in lock step, so a clean fuzzing
@@ -441,64 +441,50 @@ func (r *BatchReport) Passed() bool { return r.Err == nil && len(r.Mismatches) =
 // specifications, zero steady-state allocations per PHV.
 //
 // The loop runs on one of two kernels, chosen by NewFuzzer from the pipeline
-// and never by the caller: a prechecked pipeline executes planeChunk packets
-// at a time on struct-of-arrays planes (fuzzPlanes), any other — the
+// and never by the caller: a prechecked pipeline runs as its fused output
+// cone, one flat-program Run per packet (fuzzFused), any other — the
 // Unoptimized level, the naive reference whose machine code can still fail
 // at run time — one tick at a time on a Stream (fuzzTicks). Reports are
 // byte-identical between the two; only the chosen kernel's buffers exist.
 //
 // A Fuzzer is bound to one pipeline and reusable across runs (the campaign
-// engine keeps one per worker per job). It executes on a private clone — the
-// pipeline's output cone, see NewFuzzer — so it never mutates the pipeline
-// it was built from. It is not safe for concurrent use.
+// engine keeps one per worker per job). It never mutates the pipeline it was
+// built from: the fused program is immutable and shared, the frame is the
+// fuzzer's own, and the tick loop executes a private clone. It is not safe
+// for concurrent use.
 type Fuzzer struct {
 	pipe   *core.Pipeline
 	specIn *phv.PHV      // reusable wrapper for non-streaming specs
-	want   [][]phv.Value // expected outputs: ring slot i%win (tick loop) or chunk column k (planes loop)
+	want   [][]phv.Value // expected outputs: ring slot i%win (tick loop) or the one row in flight (fused loop)
 
 	// Tick loop: packet i's input lives at ring slot i%win, win = depth+1
 	// in-flight packets, until its output surfaces and is compared.
 	stream *Stream
 	inputs [][]phv.Value
 
-	// Planes loop: the planes hold the chunk's inputs and outputs.
-	batch     *Batch
-	fillRow   []phv.Value // row scratch for generation and input-column gathers
-	gatherRow []phv.Value // row scratch for output-column gathers
+	// Fused loop: the program, this fuzzer's frame (the generator fills its
+	// input registers in place) and a row to gather a mismatch's output into.
+	fused *core.Fused
+	frame []int64
+	got   []phv.Value
 }
-
-// planeChunk is the packets per sweep of the planes loop. What bounds it is
-// the benchmark's alloc_mb limit (+5 %), not the kernel: plane buffers grow
-// with the chunk and every campaign worker holds a fuzzer per job. Against
-// the tick loop, alloc_mb on rmt-fast reads 1.672 -> 1.702 at chunk 8
-// (+1.8 %; rmt-table1 4.771 -> 4.816, +1.0 %), +3.7 % at 16, +7.7 % at 32
-// and +15 % at 64, while verdict_ms on rmt-fast moves 31 -> 26 at chunk 8
-// and by about one more ms from there to 64.
-const planeChunk = 8
 
 // NewFuzzer returns a fuzzer over the pipeline. The fuzzer observes output
-// PHVs only, never ALU state, so it executes on a private
-// core.Pipeline.OutputCone clone of p: only the ALUs whose results can reach
-// an output container run, p itself is never executed or mutated, and
-// callers need not clone before handing a shared pipeline to NewFuzzer. The
-// clone and the chosen kernel's buffers are the only allocations; they are
+// PHVs only, never ALU state, so on a prechecked pipeline it executes the
+// output cone core.Build fused (core.Pipeline.Cone): only the ALUs whose
+// results can reach an output container run, on a frame that is the one
+// allocation. An Unoptimized pipeline is cloned and runs whole on the tick
+// loop. Either way p itself is never executed or mutated, and the buffers are
 // reused by every subsequent Fuzz run.
-func NewFuzzer(p *core.Pipeline) *Fuzzer { return newFuzzer(p.OutputCone()) }
-
-// newFuzzer binds a fuzzer to p itself, which it executes and mutates:
-// planes when p is prechecked (NewBatch's requirement), else the tick loop.
-func newFuzzer(p *core.Pipeline) *Fuzzer {
-	if !p.Prechecked() {
-		return newTickFuzzer(p)
+func NewFuzzer(p *core.Pipeline) *Fuzzer {
+	if cone := p.Cone(); cone != nil {
+		return newFusedFuzzer(p, cone)
 	}
-	f, err := newPlanesFuzzer(p, planeChunk)
-	if err != nil {
-		panic(err) // NewBatch refuses only pipelines that are not prechecked and chunks < 1
-	}
-	return f
+	return newTickFuzzer(p.Clone())
 }
 
-// newTickFuzzer binds p to the tick loop: a Stream and the two rings.
+// newTickFuzzer binds p, which it executes and mutates, to the tick loop: a
+// Stream and the two rings.
 func newTickFuzzer(p *core.Pipeline) *Fuzzer {
 	phvLen, win := p.PHVLen(), p.Depth()+1
 	f := &Fuzzer{pipe: p, specIn: phv.New(phvLen), stream: NewStream(p)}
@@ -518,9 +504,8 @@ func valueRows(n, phvLen int) [][]phv.Value {
 	return rows
 }
 
-// Pipeline returns the pipeline the fuzzer executes: its private output-cone
-// clone, not the pipeline NewFuzzer was given. Dimensions and level match
-// the original; state of stateful ALUs outside the cone stays zero.
+// Pipeline returns the pipeline the fuzzer was built over (a private clone of
+// it on the tick loop), for its dimensions and level.
 func (f *Fuzzer) Pipeline() *core.Pipeline { return f.pipe }
 
 // FuzzGen runs the lock-step comparison over n PHVs drawn from gen.
@@ -551,8 +536,8 @@ func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts F
 	if err := checkContainers(opts.Containers, f.pipe.PHVLen()); err != nil {
 		return nil, err
 	}
-	if f.batch != nil {
-		return f.fuzzPlanes(spec, n, next, opts, maxMismatches)
+	if f.fused != nil {
+		return f.fuzzFused(spec, n, next, opts, maxMismatches)
 	}
 	return f.fuzzTicks(spec, n, next, opts, maxMismatches)
 }
@@ -658,8 +643,13 @@ func FuzzRandom(p *core.Pipeline, spec Spec, seed int64, n int, maxValue int64, 
 }
 
 // checkContainers rejects a comparison set that names a container outside
-// the PHV, which equalVals and equalColRow would otherwise index blindly.
+// the PHV, which the comparisons would otherwise index blindly, and one that
+// is empty but not nil: comparing nothing would pass any miscompile (nil
+// means every container).
 func checkContainers(containers []int, phvLen int) error {
+	if containers != nil && len(containers) == 0 {
+		return errors.New("sim: empty set of compare containers: nothing would be compared (nil compares every container)")
+	}
 	for _, c := range containers {
 		if c < 0 || c >= phvLen {
 			return fmt.Errorf("sim: compare container %d out of range [0,%d)", c, phvLen)

@@ -37,7 +37,7 @@ func TestTable1OutputCones(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			live, total := p.OutputCone().ALUCounts()
+			live, total := p.Cone().ALUCounts()
 			if want := liveALUs[bm.Name]; live != want[0] || total != want[1] {
 				t.Errorf("%s %v: cone runs %d of %d ALUs, want %d of %d", bm.Name, level, live, total, want[0], want[1])
 			}
@@ -112,7 +112,7 @@ func TestPerturbedMachineCodeAgainstCone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cone := good.OutputCone()
+			cone := good.Cone()
 			input := sim.NewTrafficGen(1, good.PHVLen(), good.Bits(), bm.MaxInput).Trace(n)
 			clean, err := sim.Run(good, input)
 			if err != nil {
@@ -201,5 +201,45 @@ func TestPerturbedMachineCodeAgainstCone(t *testing.T) {
 				t.Errorf("perturbed %d dead ALUs, want %d", dead, wantDead)
 			}
 		})
+	}
+}
+
+// TestEmptyCompareSetIsNotAPass: comparing no container would bless any
+// miscompile — the benchmark's canary (sampling with the stage-0 threshold 8
+// where the specification says 9) used to report 4096 matching PHVs under
+// Containers: []int{} on both fuzz loops. A non-nil empty set is harness
+// misuse and comes back as an error; nil still means every container, and
+// finds the canary.
+func TestEmptyCompareSetIsNotAPass(t *testing.T) {
+	bm, err := Lookup("sampling")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := bm.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := bm.MachineCode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	code.Set(machinecode.ALUHoleName(0, true, 0, "const_0"), 8)
+	for _, level := range core.AllLevels() {
+		canary, err := core.Build(s, code, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dspec, err := bm.SimSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sim.FuzzRandom(canary, dspec, 1, 4096, bm.MaxInput, sim.FuzzOptions{Containers: []int{}})
+		if err == nil {
+			t.Errorf("%v: an empty compare set was fuzzed: %v", level, rep)
+		}
+		rep, err = sim.FuzzRandom(canary, dspec, 1, 4096, bm.MaxInput, sim.FuzzOptions{})
+		if err != nil || rep.Passed {
+			t.Errorf("%v: the canary under a nil compare set: report %v, err %v; want a mismatch", level, rep, err)
+		}
 	}
 }

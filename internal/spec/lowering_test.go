@@ -1,0 +1,123 @@
+package spec
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"druzhba/internal/core"
+	"druzhba/internal/domino"
+	"druzhba/internal/phv"
+)
+
+// lowered renders both sides of a benchmark's Fig. 5 comparison as the flat
+// programs the fuzzer runs: the Domino specification, then the pipeline's
+// fused output cone at each prechecked level, each with its output registers.
+func lowered(t *testing.T, bm *Benchmark) string {
+	t.Helper()
+	r, err := bm.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := domino.Bind(r.Program, bm.Fields, phv.Default32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s: specification, %d instructions\n%s", bm.Name, bound.Lowered().Len(), bound.Lowered())
+	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
+		p, err := bm.Pipeline(level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cone := p.Cone()
+		live, total := cone.ALUCounts()
+		out := make([]string, p.PHVLen())
+		for c, r := range cone.Out() {
+			out[c] = cone.RegName(r)
+		}
+		fmt.Fprintf(&b, "\n== %s: pipeline at %s, %d of %d ALUs, %d instructions, output PHV in %v\n%s",
+			bm.Name, level, live, total, cone.Len(), out, cone)
+	}
+	return b.String()
+}
+
+// TestLoweringGoldens pins the disassembly of a single-stage-pair program
+// (sampling, the paper's Fig. 1) and a multi-stage one, so a reviewer can
+// read what the fuzzer executes: a container that passes through a stage
+// emits no instruction, an output mux is a register name in the header line,
+// and each level's ALU body is what the level names. Regenerate with:
+// go test ./internal/spec -run TestLoweringGoldens -update
+func TestLoweringGoldens(t *testing.T) {
+	for _, name := range []string{"sampling", "stateful-firewall"} {
+		bm, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := lowered(t, bm)
+		path := filepath.Join("testdata", "lowering", name+".golden")
+		if *updateGolden {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: missing golden file (run with -update): %v", name, err)
+		}
+		if got != string(want) {
+			t.Errorf("%s: lowering changed; if intentional, rerun with -update.\n--- got ---\n%s--- want ---\n%s", name, got, want)
+		}
+	}
+}
+
+// TestConeInstructionCounts pins, per Table-1 program, the instructions the
+// fuzzer runs per PHV: the fused cone with its live ALUs' bodies lowered
+// inline (compiled), the same cone with one interpreter call per live ALU
+// plus its operand copies (scc and scc+inline share the shape), and the
+// lowered Domino specification. A lowering that starts copying where it
+// could rename, or keeps a dead ALU, moves a count.
+func TestConeInstructionCounts(t *testing.T) {
+	want := map[string][3]int{ // compiled, scc / scc+inline, specification
+		"blue-decrease":     {2, 6, 3},
+		"blue-increase":     {7, 3, 5},
+		"sampling":          {6, 6, 7},
+		"marple-new-flow":   {2, 6, 6},
+		"marple-tcp-nmo":    {4, 6, 8},
+		"snap-heavy-hitter": {7, 3, 8},
+		"stateful-firewall": {8, 12, 13},
+		"flowlets":          {8, 12, 12},
+		"learn-filter":      {9, 24, 12},
+		"rcp":               {8, 12, 8},
+		"conga":             {7, 3, 5},
+		"spam-detection":    {7, 3, 7},
+	}
+	for _, bm := range All() {
+		r, err := bm.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got [3]int
+		for i, level := range []core.OptLevel{core.Compiled, core.SCCPropagation, core.SCCInlining} {
+			p, err := bm.Pipeline(level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := p.Cone().Len()
+			if i == 2 && n != got[1] {
+				t.Errorf("%s: %d instructions at scc+inline, %d at scc; both are one call per live ALU", bm.Name, n, got[1])
+			}
+			got[min(i, 1)] = n
+		}
+		got[2] = r.binding.Lowered().Len()
+		if got != want[bm.Name] {
+			t.Errorf("%q: %v, // got; want %v", bm.Name, got, want[bm.Name])
+		}
+	}
+}

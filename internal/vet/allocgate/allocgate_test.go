@@ -45,7 +45,7 @@ var runners = map[string]func(t *testing.T) float64{
 		})
 	},
 	"internal/sim.Fuzzer.Fuzz": func(t *testing.T) float64 {
-		// Both of the fuzzer's loops hold the one budget: the planes loop
+		// Both of the fuzzer's loops hold the one budget: the fused loop
 		// NewFuzzer binds to a compiled pipeline, and the tick loop it binds
 		// to an unoptimized one.
 		worst := 0.0
@@ -109,17 +109,18 @@ var runners = map[string]func(t *testing.T) float64{
 		}
 		return worst
 	},
-	"internal/core.Pipeline.ExecuteStageBatch": func(t *testing.T) float64 {
-		pipe := benchPipeline(t)
-		const n = 64
-		sc, err := pipe.NewBatchScratch(n)
+	"internal/flat.Program.Run": func(t *testing.T) float64 {
+		// The evaluator under both sides of the comparison, on the programs
+		// that call out of it: the first Table-1 pipeline fused at the level
+		// whose ALU bodies are interpreter calls with helper frames.
+		pipe, err := spec.All()[0].Pipeline(core.SCCPropagation)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in := benchValuePlanes(pipe.PHVLen(), n)
-		out := benchValuePlanes(pipe.PHVLen(), n)
-		pipe.ExecuteStageBatch(0, in, out, sc, n)
-		return testing.AllocsPerRun(100, func() { pipe.ExecuteStageBatch(0, in, out, sc, n) })
+		cone := pipe.FuseGrid()
+		frame := cone.NewFrame()
+		cone.Run(frame)
+		return testing.AllocsPerRun(100, func() { cone.Run(frame) })
 	},
 	"internal/sim.Batch.Run": func(t *testing.T) float64 {
 		pipe := benchPipeline(t)
@@ -191,16 +192,6 @@ var runners = map[string]func(t *testing.T) float64{
 		h.Observe(0.01)
 		return testing.AllocsPerRun(100, func() { h.Observe(0.01) })
 	},
-}
-
-// benchValuePlanes allocates column-major phv.Value planes for the batch
-// kernels' fixtures.
-func benchValuePlanes(width, n int) [][]phv.Value {
-	planes := make([][]phv.Value, width)
-	for i := range planes {
-		planes[i] = make([]phv.Value, n)
-	}
-	return planes
 }
 
 // benchPipeline builds the first Table-1 benchmark's pipeline at the

@@ -1,7 +1,7 @@
 // Package hotalloc flags allocation-introducing constructs inside
 // functions marked //dvet:hotpath allocs=N. The marked functions are
-// the zero-allocation engines (core.ExecuteStageBatch, the sim.Stream,
-// sim.Batch and sim.Fuzzer loops, the drmt slot paths); their 0 allocs/PHV
+// the zero-allocation engines (flat.Program.Run, the sim.Stream, sim.Batch
+// and sim.Fuzzer loops, the drmt slot paths); their 0 allocs/PHV
 // property is a measured invariant, and this analyzer catches the
 // regression at vet time instead of at benchmark time.
 //

@@ -23,6 +23,7 @@ var determinism = []string{
 	"druzhba/internal/sim",
 	"druzhba/internal/drmt",
 	"druzhba/internal/core",
+	"druzhba/internal/flat",
 	"druzhba/internal/phv",
 }
 
@@ -42,6 +43,7 @@ var wallclock = []string{
 	"druzhba/internal/sim",
 	"druzhba/internal/drmt",
 	"druzhba/internal/core",
+	"druzhba/internal/flat",
 	"druzhba/internal/phv",
 }
 
