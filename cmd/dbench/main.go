@@ -92,6 +92,9 @@ type DRMTRow struct {
 	NsPerPHV     float64 `json:"ns_per_phv"`
 	AllocsPerPHV float64 `json:"allocs_per_phv"`
 	PHVsPerSec   float64 `json:"phvs_per_sec"`
+	// OpsPerPHV is the lowered ops the ISA machine dispatches per packet
+	// of the timed stream: exact, the same on every host.
+	OpsPerPHV float64 `json:"ops_per_phv"`
 }
 
 // VerifyRow is one proof cell of the verify section: a Table-1 program's
@@ -275,14 +278,14 @@ func main() {
 			cli.Fatalf("dbench: no dRMT benchmark matches %q", *drmtBench)
 		}
 		fmt.Printf("\ndRMT differential fuzzing (ISA machine vs table-level spec, %d packets per run)\n\n", *drmtPHVs)
-		fmt.Printf("%-16s %14s %16s %16s\n", "Program", "Slot engine", "PHVs/sec", "allocs/PHV")
+		fmt.Printf("%-16s %14s %16s %16s %12s\n", "Program", "Slot engine", "PHVs/sec", "allocs/PHV", "ISA ops/PHV")
 		for _, bm := range benches {
 			row, err := measureDRMT(bm, *seed, *drmtPHVs, *repeats)
 			if err != nil {
 				cli.Fatalf("dbench: drmt %s: %v", bm.Name, err)
 			}
 			drmtRows = append(drmtRows, row)
-			fmt.Printf("%-16s %11d ms %16.0f %16.4f\n", bm.Name, row.MS, row.PHVsPerSec, row.AllocsPerPHV)
+			fmt.Printf("%-16s %11d ms %16.0f %16.4f %12.2f\n", bm.Name, row.MS, row.PHVsPerSec, row.AllocsPerPHV, row.OpsPerPHV)
 		}
 	}
 
@@ -489,6 +492,26 @@ func measureDRMT(bm *drmt.Benchmark, seed int64, n, repeats int) (DRMTRow, error
 	if err != nil {
 		return DRMTRow{}, err
 	}
+
+	// The same stream once more through a clone of the ISA machine that
+	// counts the ops it dispatches.
+	isa, err := drmt.NewISAMachine(prog, nil, entries, bm.HW)
+	if err != nil {
+		return DRMTRow{}, err
+	}
+	gen, err := drmt.NewTrafficGen(seed, prog, bm.MaxInput)
+	if err != nil {
+		return DRMTRow{}, err
+	}
+	counter, pkt, ops := isa.DispatchCounter(), make([]int64, gen.NumFields()), 0
+	for i := 0; i < n; i++ {
+		gen.Fill(pkt)
+		dispatched, _, err := counter.ExecSlots(pkt)
+		if err != nil {
+			return DRMTRow{}, err
+		}
+		ops += dispatched
+	}
 	return DRMTRow{
 		Benchmark:    bm.Name,
 		Engine:       "slots",
@@ -496,6 +519,7 @@ func measureDRMT(bm *drmt.Benchmark, seed int64, n, repeats int) (DRMTRow, error
 		NsPerPHV:     round2(float64(best.Nanoseconds()) / float64(n)),
 		AllocsPerPHV: round4(allocs / float64(n)),
 		PHVsPerSec:   round2(float64(n) / best.Seconds()),
+		OpsPerPHV:    round2(float64(ops) / float64(n)),
 	}, nil
 }
 

@@ -23,6 +23,7 @@ package drmt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"druzhba/internal/p4"
@@ -239,30 +240,43 @@ func (p *ISAProgram) Disassemble() string {
 }
 
 // format renders the instruction; sym is the name its Sym operand stands
-// for. It is the one listing syntax: Disassemble prints source instructions
-// through it and ISAMachine.Lowered the ops they were lowered to.
+// for.
 func (in *Instr) format(sym string) string {
+	reg := func(r int) string { return fmt.Sprintf("r%d", r) }
+	dst, a, b := reg(in.Dst), reg(in.A), reg(in.B)
 	switch in.Op {
 	case OpLoadImm:
-		return fmt.Sprintf("loadi  r%d, %d", in.Dst, in.Imm)
-	case OpLoadField:
-		return fmt.Sprintf("loadf  r%d, %s", in.Dst, sym)
-	case OpStoreField:
-		return fmt.Sprintf("storef %s, r%d", sym, in.A)
-	case OpALU:
-		return fmt.Sprintf("alu.%s/%d r%d, r%d, r%d", in.AOp, in.Bits, in.Dst, in.A, in.B)
+		a = fmt.Sprint(in.Imm)
+	case OpLoadField, OpMatch:
+		a = sym
+	case OpStoreField, OpStoreReg:
+		dst = sym
 	case OpLoadReg:
-		return fmt.Sprintf("loadr  r%d, %s[r%d]", in.Dst, sym, in.A)
-	case OpStoreReg:
-		return fmt.Sprintf("storer %s[r%d], r%d", sym, in.A, in.B)
-	case OpMatch:
-		return fmt.Sprintf("match  r%d, %s", in.Dst, sym)
-	case OpBZ, OpBNZ:
-		return fmt.Sprintf("%-6s r%d, %d", in.Op, in.A, in.Target)
-	case OpJmp:
-		return fmt.Sprintf("jmp    %d", in.Target)
+		b = sym
 	}
-	return in.Op.String() // drop, halt
+	return formatOp(in.Op, in.AOp, in.Bits, dst, a, b, in.Target)
+}
+
+// formatOp is the one listing syntax, over operands already named:
+// Disassemble prints source instructions through it and ISAMachine.Lowered
+// the ops they were lowered to. A bank is storer's dst and loadr's b, a
+// table is match's a.
+func formatOp(op Op, aop ALUOp, bits int, dst, a, b string, target int) string {
+	switch op {
+	case OpLoadImm, OpLoadField, OpStoreField, OpMatch:
+		return fmt.Sprintf("%-6s %s, %s", op, dst, a)
+	case OpALU:
+		return fmt.Sprintf("alu.%s/%d %s, %s, %s", aop, bits, dst, a, b)
+	case OpLoadReg:
+		return fmt.Sprintf("loadr  %s, %s[%s]", dst, b, a)
+	case OpStoreReg:
+		return fmt.Sprintf("storer %s[%s], %s", dst, a, b)
+	case OpBZ, OpBNZ:
+		return fmt.Sprintf("%-6s %s, %d", op, a, target)
+	case OpJmp:
+		return fmt.Sprintf("jmp    %d", target)
+	}
+	return op.String() // drop, halt
 }
 
 // --- Assembler ----------------------------------------------------------------
@@ -551,24 +565,16 @@ type ISAStats struct {
 }
 
 // isaEntry is one table entry resolved against the ISA program's dispatch
-// list and the shared slot layout: matching is a slot read; the 1-based
-// dispatch index and the bound action-data arguments are what the lowering
-// specialises the entry's outcome block on.
+// list and the shared slot layout: what the lowering turns into one outcome
+// of the table's MATCH, with the block specialised on the 1-based dispatch
+// index and the bound action-data arguments.
 type isaEntry struct {
-	field   int // layout field slot
-	ternary bool
-	key     int64 // pre-masked for ternary entries
-	mask    int64
+	field   int   // layout field slot
+	key     int64 // the entry matches a field value v when v&mask == key:
+	mask    int64 // an exact entry's mask is all ones, a ternary key is pre-masked
 	sel     int64 // 1-based dispatch index; 0 = action outside dispatch list
 	args    []int64
 	actName string
-}
-
-func (e *isaEntry) matches(v int64) bool {
-	if e.ternary {
-		return v&e.mask == e.key
-	}
-	return v == e.key
 }
 
 // isaTable is one OpMatch target with its entries and default precompiled.
@@ -586,8 +592,8 @@ type isaTable struct {
 // state (match table entries, register arrays) as the table-level Machine.
 // The program is lowered once, at construction, onto its table entries (see
 // lower.go); ExecSlots runs the lowered code and is the one interpreter:
-// packets are layout-ordered []int64 vectors over a reused register file,
-// and Run converts map packets at its boundary.
+// packets are layout-ordered []int64 vectors copied into and out of a reused
+// frame, and Run converts map packets at its boundary.
 type ISAMachine struct {
 	prog    *p4.Program
 	isa     *ISAProgram
@@ -599,7 +605,7 @@ type ISAMachine struct {
 	layout      *SlotLayout
 	matchTables []isaTable // indexed by table symbol
 	low         *lowered   // what ExecSlots runs; immutable, shared by clones
-	scratch     []int64    // ExecSlots register file
+	frame       []int64    // what ExecSlots runs on: field slots, registers, constants
 	matchCount  []int      // per table symbol, cleared by Run
 }
 
@@ -632,7 +638,6 @@ func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 		entries:    entries,
 		hw:         hw.Defaults(),
 		layout:     layout,
-		scratch:    make([]int64, isa.NumRegs),
 		matchCount: make([]int, len(isa.Tables)),
 		regBanks:   make([][]int64, len(isa.RegArrays)),
 	}
@@ -663,6 +668,11 @@ func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 		if err != nil {
 			return nil, err
 		}
+		if r.Count < 1 {
+			// The parser rejects it; a hand-built Program can still carry an
+			// empty bank, which has no cell for an index to wrap to.
+			return nil, fmt.Errorf("drmt isa: register %q has no cells", name)
+		}
 		lw.regMask[i] = w.Mask()
 		m.regBanks[i] = make([]int64, r.Count)
 	}
@@ -670,12 +680,13 @@ func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 		return nil, err
 	}
 	m.low = lw.lower()
+	m.frame = m.low.newFrame()
 	return m, nil
 }
 
 // compileMatchTables resolves every OpMatch target's entries and default
-// against the dispatch lists once, so the hot path's match is a slot scan
-// with no map lookups and no allocation. A MATCH writes its bound arguments
+// against the dispatch lists once, for the lowering. A MATCH writes its bound
+// arguments
 // into the NumParams parameter registers, so a binding with more arguments
 // than that (possible only under an injected ISA program) is refused here.
 func (m *ISAMachine) compileMatchTables() ([]isaTable, error) {
@@ -714,15 +725,14 @@ func (m *ISAMachine) compileMatchTables() ([]isaTable, error) {
 			}
 			ie := isaEntry{
 				field:   fs,
-				ternary: e.Kind == p4.MatchTernary,
 				key:     e.Key,
-				mask:    e.Mask,
+				mask:    -1,
 				sel:     dispatchIdx(ti, e.Action.Name),
 				args:    e.Action.Args,
 				actName: e.Action.Name,
 			}
-			if ie.ternary {
-				ie.key = e.Key & e.Mask
+			if e.Kind == p4.MatchTernary {
+				ie.key, ie.mask = e.Key&e.Mask, e.Mask
 			}
 			mt.entries = append(mt.entries, ie)
 		}
@@ -745,7 +755,7 @@ func (m *ISAMachine) Program() *ISAProgram { return m.isa }
 // Layout returns the machine's slot layout.
 func (m *ISAMachine) Layout() *SlotLayout { return m.layout }
 
-// Clone returns a machine with private register-array state and scratch.
+// Clone returns a machine with private register-array state and frame.
 // The P4 program, ISA program, table entries, hardware configuration,
 // precompiled match tables and lowered code are immutable after
 // construction and stay shared; campaign workers run shards on clones so
@@ -756,9 +766,23 @@ func (m *ISAMachine) Clone() *ISAMachine {
 	for i, cells := range m.regBanks {
 		c.regBanks[i] = append([]int64(nil), cells...)
 	}
-	c.scratch = make([]int64, len(m.scratch))
+	c.frame = m.low.newFrame()
 	c.matchCount = make([]int, len(m.matchCount))
 	return &c
+}
+
+// DispatchCounter returns a clone whose ExecSlots counts the lowered ops it
+// dispatches, not the source instructions they retire: the same code with
+// every op retiring 1.
+func (m *ISAMachine) DispatchCounter() *ISAMachine {
+	c := m.Clone()
+	low := *m.low
+	low.code = slices.Clone(low.code)
+	for i := range low.code {
+		low.code[i].retire = 1
+	}
+	c.low = &low
+	return c
 }
 
 // Register returns a copy of a register array's cells.
@@ -809,73 +833,98 @@ func (m *ISAMachine) Run(packets []*Packet) (*ISAStats, error) {
 }
 
 // ExecSlots runs the program on one layout-ordered slot-vector packet in
-// place — the hot path. It executes the lowered code (lower.go): field
-// slots, width masks and register banks are resolved per op, a MATCH scans
-// its precompiled entries and continues in the block specialised on the
-// outcome, and every op adds the number of source instructions it stands
-// for, so a clean execution performs no allocation and no map lookups. It
-// returns the executed source-instruction count (the per-packet latency,
-// one instruction per cycle) and the drop flag; an error reports the count
-// up to and including the failing instruction. Register-array state
-// accumulates across calls; executed MATCH instructions accumulate in
-// matchCount until the next Run.
+// place — the hot path. The packet is copied into the frame, the lowered
+// code (lower.go) runs on it, and the field slots are copied back: every
+// operand is a frame index whether it names a field, a register or a
+// constant, a MATCH scans its precompiled outcomes and continues in the block
+// specialised on the first that matches, and every op adds the number of source
+// instructions it stands for, so a clean execution performs no allocation
+// and no map lookups. It returns the executed source-instruction count (the
+// per-packet latency, one instruction per cycle) and the drop flag; an error
+// reports the count up to and including the failing instruction.
+// Register-array state accumulates across calls; executed MATCH instructions
+// accumulate in matchCount until the next Run.
 //
 //dvet:hotpath allocs=0
 func (m *ISAMachine) ExecSlots(pkt []int64) (executed int, dropped bool, err error) {
-	regs := m.scratch
-	clear(regs)
-	code := m.low.code
-	pc := int32(0)
+	low := m.low
+	f := m.frame
+	// A packet is a handful of words: a loop beats the call into memmove.
+	fields := f[:low.regBase]
+	pkt = pkt[:len(fields)]
+	for i, v := range pkt {
+		fields[i] = v
+	}
+	for _, r := range low.zero {
+		f[r] = 0
+	}
+	code := low.code
+	pc := low.entry
 	for {
 		o := &code[pc]
 		executed += int(o.retire)
 		pc++
 		switch o.op {
-		case OpLoadImm:
-			regs[o.dst] = o.x
-		case OpLoadField:
-			regs[o.dst] = pkt[o.a]
-		case OpStoreField:
-			pkt[o.dst] = regs[o.a] & o.x
+		case OpLoadImm, OpLoadField, OpStoreField:
+			f[o.dst] = f[o.a] & o.x
 		case OpALU:
-			regs[o.dst] = aluEvalW(o.aop, aluWidths[o.bits], regs[o.a], regs[o.b])
+			f[o.dst] = aluEvalW(o.aop, aluWidths[o.bits], f[o.a], f[o.b])
+		case opAdd:
+			f[o.dst] = (f[o.a] + f[o.b]) & o.x
 		case OpLoadReg:
 			cells := m.regBanks[o.b]
-			regs[o.dst] = cells[wrapIndex(regs[o.a], len(cells))]
+			f[o.dst] = cells[wrap(f[o.a], len(cells))]
+		case opLoadRegMask:
+			cells := m.regBanks[o.b]
+			f[o.dst] = cells[f[o.a]&int64(len(cells)-1)]
 		case OpStoreReg:
 			cells := m.regBanks[o.dst]
-			cells[wrapIndex(regs[o.a], len(cells))] = regs[o.b] & o.x
+			cells[wrap(f[o.a], len(cells))] = f[o.b] & o.x
+		case opStoreRegMask:
+			cells := m.regBanks[o.dst]
+			cells[f[o.a]&int64(len(cells)-1)] = f[o.b] & o.x
 		case OpMatch:
 			m.matchCount[o.a]++
-			entries := m.matchTables[o.a].entries
-			outcome := len(entries) // no entry matches: the default, or the miss
-			for ei := range entries {
-				e := &entries[ei]
-				if e.matches(pkt[e.field]) {
-					outcome = ei
+			// The table's last outcome — the default, or the miss — matches
+			// every packet.
+			for k := int(o.x); ; k++ {
+				if e := &low.outcomes[k]; f[e.field]&e.mask == e.key {
+					pc = e.block
 					break
 				}
 			}
-			pc = m.low.blocks[int(o.x)+outcome]
 		case OpBZ:
-			if regs[o.a] == 0 {
+			if f[o.a] == 0 {
 				pc = int32(o.x)
 			}
 		case OpBNZ:
-			if regs[o.a] != 0 {
+			if f[o.a] != 0 {
 				pc = int32(o.x)
 			}
 		case OpJmp:
 			pc = int32(o.x)
 		case OpDrop:
 			dropped = true
-			regs[RegDrop] = 1
+			f[o.dst] = 1
 		case OpHalt:
+			for i, v := range fields {
+				pkt[i] = v
+			}
 			return executed, dropped, nil
 		case opFail:
-			return executed, dropped, m.low.errs[o.x]
+			copy(pkt, fields)
+			return executed, dropped, low.errs[o.x]
 		}
 	}
+}
+
+// wrap wraps a register-array index into a bank of n >= 1 cells.
+func wrap(idx int64, n int) int64 {
+	r := idx % int64(n)
+	if r < 0 {
+		r += int64(n)
+	}
+	return r
 }
 
 // wrapIndex wraps a register-array index like the table-level machine
@@ -884,11 +933,7 @@ func wrapIndex(idx int64, n int) int {
 	if n == 0 {
 		return 0
 	}
-	r := idx % int64(n)
-	if r < 0 {
-		r += int64(n)
-	}
-	return int(r)
+	return int(wrap(idx, n))
 }
 
 // aluWidths holds the prebuilt width of every ALU bit count Verify accepts.

@@ -69,7 +69,7 @@ func matchPCs(p *ISAProgram) []int {
 }
 
 // isaMutants is the number of programs mutatedISA tells apart.
-const isaMutants = 13
+const isaMutants = 16
 
 // mutatedISA returns the ISA program under test: the assembled program
 // (mutate 0), its first ALU add miscompiled into a subtract (1, the
@@ -77,7 +77,8 @@ const isaMutants = 13
 // counterexamples), the first table's dispatch list emptied (2 — every
 // selected action is now outside it, so both executors must fail with the
 // same error on the same packet), or a structural mutant aimed at what the
-// lowering folds, follows and deletes (3 and up, described per case). Every
+// lowering folds, follows, renames and deletes (3 and up, described per case;
+// 13 and up aim at the renaming of fields and constants). Every
 // mutant passes Verify; none has to agree with the table-level machine.
 func mutatedISA(prog *p4.Program, mutate uint8) (*ISAProgram, error) {
 	asm, err := Assemble(prog)
@@ -193,6 +194,33 @@ func mutatedISA(prog *p4.Program, mutate uint8) (*ISAProgram, error) {
 		splice(&isa, first+1,
 			Instr{Op: OpLoadField, Dst: t0, Sym: 0},
 			Instr{Op: OpALU, AOp: ALUAdd, Bits: 62, Dst: RegSel, A: RegSel, B: t0},
+		)
+	case 13:
+		// The drop register loaded from the packet after the first MATCH:
+		// no path had written it until then, every drop test after may see
+		// it set and must run, not fold.
+		splice(&isa, first+1, Instr{Op: OpLoadField, Dst: RegDrop, Sym: 0})
+	case 14:
+		// A field loaded, overwritten by an ALU op wider than it, and the
+		// loaded value stored elsewhere: the load may rename the field only
+		// up to the store, and the store stays a masked move.
+		splice(&isa, first+1,
+			Instr{Op: OpLoadField, Dst: t0, Sym: lastField},
+			Instr{Op: OpLoadField, Dst: t1, Sym: 0},
+			Instr{Op: OpALU, AOp: ALUAdd, Bits: 62, Dst: t2, A: t0, B: t1},
+			Instr{Op: OpStoreField, Sym: lastField, A: t2},
+			Instr{Op: OpStoreField, Sym: 0, A: t0},
+		)
+	case 15:
+		// One register holding two constants in turn: each reader sees the
+		// one loaded last.
+		splice(&isa, first+1,
+			Instr{Op: OpLoadImm, Dst: t0, Imm: 5},
+			Instr{Op: OpStoreField, Sym: lastField, A: t0},
+			Instr{Op: OpLoadImm, Dst: t0, Imm: 9},
+			Instr{Op: OpLoadField, Dst: t1, Sym: 0},
+			Instr{Op: OpALU, AOp: ALUAdd, Bits: 8, Dst: t2, A: t0, B: t1},
+			Instr{Op: OpStoreField, Sym: 0, A: t2},
 		)
 	}
 	return &isa, isa.Verify()
