@@ -17,6 +17,11 @@ var updateStreams = flag.Bool("update", false, "rewrite testdata/streams.golden 
 // streamDraws is how many values of each stream the golden file pins.
 const streamDraws = 64
 
+// deepSkip is where the golden file's last two streams start pinning: past
+// six rounds of the lag-607 recurrence, which the first 64 draws of a
+// stream never reach.
+const deepSkip = 4096
+
 // stream is one generator under test behind the surface both machine
 // models' generators share: fill the next packet, restart under a seed.
 type stream struct {
@@ -30,12 +35,14 @@ type stream struct {
 type streamCase struct {
 	name string
 	seed int64
+	skip int // values drawn before the pinned ones
 	open func(seed int64) (stream, error)
 }
 
 // streamCases is the pinned table: RMT shapes phvLen {1,3} x max {0,100} at
 // 32 bits and dRMT's l2l3 and wide-fanin field sets at max {0,16}, each in
-// both modes for seeds 1 and 42.
+// both modes for seeds 1 and 42; then one RMT and one dRMT stream pinned at
+// draws deepSkip to deepSkip+64.
 func streamCases() []streamCase {
 	var cases []streamCase
 	for _, mode := range []phv.TrafficMode{phv.TrafficUniform, phv.TrafficBoundary} {
@@ -82,8 +89,17 @@ func streamCases() []streamCase {
 			}
 		}
 	}
+	for _, c := range cases {
+		if c.name == "rmt/phvLen=3/max=100/uniform/seed=1" || c.name == "drmt/wide-fanin/max=0/uniform/seed=42" {
+			c.name, c.skip = fmt.Sprintf("%s/draws=%d..%d", c.name, deepSkip, deepSkip+streamDraws), deepSkip
+			cases = append(cases, c)
+		}
+	}
 	return cases
 }
+
+// window returns values skip to skip+n of what the stream has left.
+func (s stream) window(skip, n int) []phv.Value { return s.take(skip + n)[skip:] }
 
 // take returns the next n values of the stream, packet after packet.
 func (s stream) take(n int) []phv.Value {
@@ -137,7 +153,7 @@ func TestTrafficStreamIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		got := renderDraws(s.take(streamDraws))
+		got := renderDraws(s.window(c.skip, streamDraws))
 		fmt.Fprintf(&file, "%s: %s\n", c.name, got)
 		if *updateStreams {
 			continue
@@ -159,7 +175,7 @@ func TestTrafficStreamIdentity(t *testing.T) {
 		}
 		used.take(5 * used.width)
 		used.reseed(c.seed)
-		if got := renderDraws(used.take(streamDraws)); got != want {
+		if got := renderDraws(used.window(c.skip, streamDraws)); got != want {
 			t.Errorf("%s: reseeded stream differs\n got %s\nwant %s", c.name, got, want)
 		}
 
@@ -176,7 +192,6 @@ func TestTrafficStreamIdentity(t *testing.T) {
 			copy(row, e)
 			prefix = append(prefix, row...)
 		}
-		wantReplay := renderDraws(prefix) + " " + want
 		seeded, err := c.open(c.seed + 1000)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -184,8 +199,12 @@ func TestTrafficStreamIdentity(t *testing.T) {
 		seeded.corpus(entries)
 		seeded.take(3 * seeded.width)
 		seeded.reseed(c.seed)
-		if got := renderDraws(seeded.take(len(prefix) + streamDraws)); got != wantReplay {
-			t.Errorf("%s: corpus replay differs\n got %s\nwant %s", c.name, got, wantReplay)
+		replay := seeded.take(len(prefix) + c.skip + streamDraws)
+		if got, wantPrefix := renderDraws(replay[:len(prefix)]), renderDraws(prefix); got != wantPrefix {
+			t.Errorf("%s: corpus replay differs\n got %s\nwant %s", c.name, got, wantPrefix)
+		}
+		if got := renderDraws(replay[len(prefix)+c.skip:]); got != want {
+			t.Errorf("%s: stream after the corpus differs\n got %s\nwant %s", c.name, got, want)
 		}
 	}
 	if *updateStreams {

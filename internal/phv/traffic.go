@@ -3,7 +3,6 @@ package phv
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // TrafficMode selects the distribution a traffic generator draws values
@@ -53,11 +52,17 @@ func BoundaryValues(limit int64) []Value {
 // and every column has its own draw range. A packet costs exactly one random
 // number per column in either mode, so a stream is a function of (seed,
 // column widths, max, mode) alone and identical through Fill, Next and
-// Trace. It is deterministic for a given seed and not safe for concurrent
-// use.
+// Trace. The stream is math/rand's: column i of a packet is the value
+// rand.New(rand.NewSource(seed)).Int63n(limit) (uniform) or .Intn(len(set))
+// (boundary) returns at that point of the stream, rejection redraws
+// included. That holds by construction — the generator is math/rand's own
+// algorithm run in this package (rng.go) with each column's Int63n/Intn
+// decided once — and by test against math/rand itself. It is deterministic
+// for a given seed and not safe for concurrent use.
 type TrafficGen struct {
-	rng    *rand.Rand
-	limits []int64   // per-column draw bound
+	src    source
+	draws  []draw    // per-column rejection threshold and mask
+	mods   []int64   // per-column Int63n modulus, 0 for a power-of-two limit; nil if every limit is one
 	bounds [][]Value // per-column boundary sets; non-nil in boundary mode
 
 	corpus [][]Value // seed packets served before random draws
@@ -67,15 +72,21 @@ type TrafficGen struct {
 // NewTrafficGen returns a generator of packets with one column per entry of
 // bits, column i drawing from [0, 2^bits[i]). A positive max lowers every
 // column's bound to max where that is smaller; it never raises one, so a
-// drawn value always fits its column. (Columns of 63 bits and more draw from
-// the full non-negative int64 range: 1<<63 is negative and would panic
-// rand.Int63n.)
+// drawn value always fits its column. Columns of 63 bits and more draw from
+// the full non-negative int64 range; a column narrower than 1 bit is an
+// error.
 func NewTrafficGen(seed int64, bits []int, max int64, mode TrafficMode) (*TrafficGen, error) {
 	if err := mode.Check(); err != nil {
 		return nil, fmt.Errorf("phv: %w", err)
 	}
-	g := &TrafficGen{rng: rand.New(rand.NewSource(seed)), limits: make([]int64, len(bits))}
+	g := &TrafficGen{draws: make([]draw, len(bits))}
+	if mode == TrafficBoundary {
+		g.bounds = make([][]Value, len(bits))
+	}
 	for i, b := range bits {
+		if b < 1 {
+			return nil, fmt.Errorf("phv: traffic column %d has bit width %d, want at least 1", i, b)
+		}
 		limit := int64(math.MaxInt64)
 		if b < 63 {
 			limit = int64(1) << uint(b)
@@ -83,24 +94,30 @@ func NewTrafficGen(seed int64, bits []int, max int64, mode TrafficMode) (*Traffi
 		if max > 0 && max < limit {
 			limit = max
 		}
-		g.limits[i] = limit
-	}
-	if mode == TrafficBoundary {
-		g.bounds = make([][]Value, len(g.limits))
-		for i, limit := range g.limits {
+		if g.bounds != nil {
 			g.bounds[i] = BoundaryValues(limit)
+			g.draws[i] = int31nDraw(int32(len(g.bounds[i])))
+			continue
+		}
+		var mod int64
+		if g.draws[i], mod = int63nPlan(limit); mod != 0 {
+			if g.mods == nil {
+				g.mods = make([]int64, len(bits))
+			}
+			g.mods[i] = mod
 		}
 	}
+	g.src.seed(seed)
 	return g, nil
 }
 
 // Reseed restarts the stream as a generator freshly built with seed (same
 // columns, bound and mode) would produce it: the random source is re-seeded
-// in place, packet indices restart at 0 and an installed seed corpus is
-// served again from its first entry. It lets one generator serve many shards
-// without allocating a new random source for each.
+// in place — math/rand's Seed, without its divisions — packet indices
+// restart at 0 and an installed seed corpus is served again from its first
+// entry. It lets one generator serve many shards without allocating.
 func (g *TrafficGen) Reseed(seed int64) {
-	g.rng.Seed(seed)
+	g.src.seed(seed)
 	g.next = 0
 }
 
@@ -125,31 +142,52 @@ func (g *TrafficGen) SeedCorpus(entries [][]Value) {
 //
 //dvet:hotpath allocs=0
 func (g *TrafficGen) Fill(dst []Value) int {
-	limits, rng := g.limits, g.rng // locals: the draw loops reload neither and drop their bounds checks
-	dst = dst[:len(limits)]
+	draws := g.draws
+	dst = dst[:len(draws)]
 	index := g.next
 	g.next++
-	switch {
-	case index < len(g.corpus):
+	if index < len(g.corpus) {
 		n := copy(dst, g.corpus[index])
 		for i := n; i < len(dst); i++ {
 			dst[i] = 0
 		}
-	case g.bounds != nil:
-		for i, set := range g.bounds[:len(dst)] {
-			dst[i] = set[rng.Intn(len(set))]
+		return index
+	}
+	// A value above its column's rejection threshold is skipped (the column
+	// takes the next), a kept one masked. Refilling the round is the outer
+	// loop's, so the inner one makes no call and spills nothing per value;
+	// unless a value is rejected, the packet takes the next len(draws)-i.
+	src := &g.src
+	vec, pos := &src.vec, src.pos
+	for i := 0; i < len(draws); {
+		if pos >= rngLen {
+			src.refill()
+			pos = 0
 		}
-	default:
-		for i, limit := range limits {
-			dst[i] = rng.Int63n(limit)
+		for stop := min(pos+uint(len(draws)-i), rngLen); pos < stop; pos++ {
+			v, d := vec[pos]&rngMask, draws[i]
+			if v > d.max {
+				continue
+			}
+			dst[i] = v & d.mask
+			i++
 		}
+	}
+	src.pos = pos
+	for i, m := range g.mods { // Int63n for a limit that is not a power of two
+		if m != 0 {
+			dst[i] = int64(uint64(dst[i]) % uint64(m))
+		}
+	}
+	for i, set := range g.bounds { // Intn: Int31 (Int63>>32) reduced modulo the set's size
+		dst[i] = set[uint32(dst[i]>>32)%uint32(len(set))]
 	}
 	return index
 }
 
 // Next generates one PHV.
 func (g *TrafficGen) Next() *PHV {
-	p := New(len(g.limits))
+	p := New(len(g.draws))
 	g.Fill(p.containers)
 	return p
 }
