@@ -5,8 +5,8 @@
 // what a campaign executes at that level: sim.NewFuzzer(p).FuzzGen against
 // the benchmark's Domino specification — traffic generation, the pipeline,
 // the specification and the comparison — on the tick loop over the whole
-// grid at the unoptimized level and on the pipeline's fused output cone at
-// the others. Every row records how many ALUs of the grid that fuzzer
+// grid at the unoptimized level and on the pipeline's fused output cone,
+// the specification linked after it, at the others. Every row records how many ALUs of the grid that fuzzer
 // executes (live_alus of total_alus) and, where it runs a fused program, the
 // program's instruction count. A dRMT section
 // follows (the paper reports no dRMT numbers, so it is a characterization
@@ -327,7 +327,7 @@ func main() {
 			GoVersion: runtime.Version(),
 			CPU:       cpuModel(),
 			PHVs:      *phvs,
-			Engine:    "sim.NewFuzzer(p).FuzzGen against the benchmark's Domino specification, what a campaign executes: the tick loop over the whole grid at the unoptimized level, the fused output cone (one flat register program per pipeline) at the others",
+			Engine:    "sim.NewFuzzer(p).FuzzGen against the benchmark's Domino specification, what a campaign executes: the tick loop over the whole grid at the unoptimized level, the fused output cone (one flat register program per pipeline) with the specification linked after it at the others",
 			Rows:      rows,
 			Verify:    verifyRows,
 		}

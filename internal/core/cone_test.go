@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"druzhba/internal/aludsl"
@@ -173,6 +175,49 @@ func TestExecutes(t *testing.T) {
 	}
 	if grid.Executes(2, false, 0) || grid.Executes(0, false, 2) || grid.Executes(-1, false, 0) || grid.Executes(0, true, -1) {
 		t.Error("Executes accepted coordinates outside the grid")
+	}
+}
+
+// TestLinkedIsMemoisedPerCone: Linked builds once per key and cone, for the
+// cone and every clone of its pipeline, and InputReg names the registers
+// Inputs hands out.
+func TestLinkedIsMemoisedPerCone(t *testing.T) {
+	s, code := coneCases[2].grid.build(t)
+	p, err := Build(s, code, Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	link := func() any { builds++; return builds }
+	for _, key := range []any{"a", "b", "a", nil} {
+		p.Clone().Cone().Linked(key, link)
+	}
+	if got := p.Cone().Linked("b", link); got != 2 || builds != 3 {
+		t.Errorf("Linked(b) = %v after %d builds, want the second of 3", got, builds)
+	}
+	// Runners of one job ask at once: one build, every caller gets it.
+	var calls atomic.Int32
+	var wg sync.WaitGroup
+	got := make([]any, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = p.Clone().Cone().Linked("c", func() any { return calls.Add(1) })
+		}()
+	}
+	wg.Wait()
+	for _, v := range got {
+		if v != int32(1) || calls.Load() != 1 {
+			t.Fatalf("concurrent Linked: %v after %d builds, want 1 from one", got, calls.Load())
+		}
+	}
+	cone := p.Cone()
+	frame := cone.NewFrame()
+	for c, v := range cone.Inputs(frame) {
+		if &frame[cone.InputReg(c)] != &cone.Inputs(frame)[c] || v != 0 {
+			t.Errorf("InputReg(%d) = %d is not the register Inputs hands out", c, cone.InputReg(c))
+		}
 	}
 }
 

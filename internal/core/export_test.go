@@ -9,10 +9,10 @@ import "druzhba/internal/flat"
 // Mutated returns f around its program as rewritten by edit, or the error
 // flat's checker has for the result.
 func (f *Fused) Mutated(edit func(code []flat.Instr) []flat.Instr) (*Fused, error) {
-	g := *f
+	g := &Fused{width: f.width, phvLen: f.phvLen, in: f.in, out: f.out, state: f.state, live: f.live}
 	var err error
 	g.Program, err = f.Program.Mutate(edit)
-	return &g, err
+	return g, err
 }
 
 // StateRegs returns the registers that hold stateful ALU state.

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"druzhba/internal/aludsl"
 	"druzhba/internal/flat"
@@ -16,10 +17,11 @@ import (
 )
 
 // Fused is a prechecked pipeline as one flat program, plus where the
-// pipeline's containers and state live in its frame. It is immutable and
-// shared; all mutable state — stateful ALU state included — is in the frame
-// each runner owns (NewFrame; Reset zeroes the state again), and Run cannot
-// fail: Build proved every ALU program total and flat checked the program.
+// pipeline's containers and state live in its frame. It is shared, and
+// immutable but for Linked's memo; all mutable state — stateful ALU state
+// included — is in the frame each runner owns (NewFrame; Reset zeroes the
+// state again), and Run cannot fail: Build proved every ALU program total
+// and flat checked the program.
 // Build fuses the output cone (Pipeline.Cone, what a fuzzer executes);
 // FuseGrid fuses the whole grid.
 type Fused struct {
@@ -29,6 +31,31 @@ type Fused struct {
 	out           []int    // out[c]: the register holding output container c after Run
 	state         [][]int  // state[stage][slot]: first state register of the stateful ALU, -1 when it is not in the program
 	live          [][]bool // live[stage][latch]: the ALU is in the program
+
+	mu     sync.Mutex
+	linked []*linkedEntry // Linked's memo: a specification or two per build
+}
+
+type linkedEntry struct {
+	key, val any
+	once     sync.Once
+}
+
+// Linked returns what link returns for key, calling link only the first time
+// key is asked for (a concurrent caller waits for it): package sim links each
+// specification after the cone once per build, and every fuzzer of the
+// pipeline and its clones shares it.
+func (f *Fused) Linked(key any, link func() any) any {
+	f.mu.Lock()
+	i := slices.IndexFunc(f.linked, func(e *linkedEntry) bool { return e.key == key })
+	if i < 0 {
+		i = len(f.linked)
+		f.linked = append(f.linked, &linkedEntry{key: key})
+	}
+	e := f.linked[i]
+	f.mu.Unlock()
+	e.once.Do(func() { e.val = link() })
+	return e.val
 }
 
 // Cone returns the pipeline's output cone as a fused program — only the ALUs
@@ -112,6 +139,9 @@ func (p *Pipeline) fuse(pinned [][]bool) (*Fused, error) {
 func (f *Fused) Inputs(frame []int64) []phv.Value {
 	return frame[f.in : f.in+f.phvLen : f.in+f.phvLen]
 }
+
+// InputReg returns the register of input container c.
+func (f *Fused) InputReg(c int) int { return f.in + c }
 
 // Out returns, per output container, the register that holds it after Run —
 // an input register where the container passed through every stage. The

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"druzhba/internal/flat"
 	"druzhba/internal/phv"
 )
 
@@ -56,5 +57,48 @@ func TestOnlyUnprovenReadsKeepACheck(t *testing.T) {
 	}
 	if b.Lowered() != b.code.prog || b.Lowered().Len() != 7 {
 		t.Errorf("Binding.Lowered is not the %d-instruction program its instances run", b.code.prog.Len())
+	}
+}
+
+// TestLinkListingAndRefusals: a linked transaction reads the containers it
+// only reads in their registers, copies in the ones it writes, and names the
+// registers Want reports; a field bound past the containers it is given is
+// the error ProcessStream returns for a PHV that short, and a program of
+// another width does not link.
+func TestLinkListingAndRefusals(t *testing.T) {
+	p, err := Parse("state s = 0;\ntransaction { s = s + pkt.a; pkt.b = s; pkt.a = pkt.a + 1; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Bind(p, FieldMap{"a": 0, "b": 1, "c": 2}, phv.Default32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := func(w phv.Width) *flat.Program {
+		fb := flat.NewBuilder(w)
+		fb.Regs("in", 3)
+		prog, err := fb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	l, err := b.Link(pipe(phv.Default32), []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const listing = `  0  mov  pkt.a, in0
+  1  add  s, s, pkt.a
+  2  mov  pkt.b, s
+  3  add  pkt.a, pkt.a, #1
+`
+	if got := l.String(); got != listing || l.RegName(l.Want[0]) != "pkt.a" || l.RegName(l.Want[1]) != "pkt.b" || l.Want[2] != 2 || l.CanTrap() {
+		t.Errorf("linked:\n%s\nwant:\n%s\nWant %v, CanTrap %v", got, listing, l.Want, l.CanTrap())
+	}
+	if _, err := b.Link(pipe(phv.Default32), []int{0, 1}); err == nil || err.Error() != b.NewSpec().ProcessStream(make([]phv.Value, 2)).Error() {
+		t.Errorf("two containers for a field bound to container 2: %v", err)
+	}
+	if _, err := b.Link(pipe(phv.MustWidth(8)), []int{0, 1, 2}); err == nil || !strings.Contains(err.Error(), "32-bit program after a 8-bit one") {
+		t.Errorf("a 32-bit transaction after an 8-bit program: %v", err)
 	}
 }

@@ -31,7 +31,8 @@ type code struct {
 	state map[string]int // state variable -> register
 
 	// bound are the fields a container is bound to, each with its register:
-	// a PHVSpec copies them in before a run and back after it.
+	// a PHVSpec copies them in before a run and back after it, and
+	// Binding.Link binds them to the registers of the containers instead.
 	bound []boundField
 	// fields are the packet fields no container is bound to, each with its
 	// value and flag registers. Machine.Step loads and stores these.
@@ -278,7 +279,7 @@ func (m *Machine) Step(fields map[string]int64) error {
 			fields[f.name] = m.frame[f.reg]
 		}
 	}
-	return m.finish()
+	return m.code.finish(m.frame, m.code.flags, m.code.errReg)
 }
 
 // step executes the transaction on one packet whose bound fields are read
@@ -298,17 +299,18 @@ func (m *Machine) step(vals []phv.Value) error {
 	if len(m.code.errs) == 0 {
 		return nil // no Trap: nothing reads a flag on this path, nothing to report
 	}
-	return m.finish()
+	return m.code.finish(frame, m.code.flags, m.code.errReg)
 }
 
-// finish clears the packet's flags and returns the error a Trap left.
-func (m *Machine) finish() error {
-	for _, r := range m.code.flags {
-		m.frame[r] = 0
+// finish clears the packet's flags and returns the error a Trap left, on a
+// frame that holds the flags and the error register at the given indices.
+func (c *code) finish(frame []int64, flags []int, errReg int) error {
+	for _, r := range flags {
+		frame[r] = 0
 	}
-	if e := m.frame[m.code.errReg]; e != 0 {
-		m.frame[m.code.errReg] = 0
-		return m.code.errs[e-1]
+	if e := frame[errReg]; e != 0 {
+		frame[errReg] = 0
+		return c.errs[e-1]
 	}
 	return nil
 }

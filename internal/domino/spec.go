@@ -2,6 +2,7 @@ package domino
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"druzhba/internal/flat"
@@ -93,6 +94,69 @@ func (b *Binding) Lowered() *flat.Program { return b.code.prog }
 // NewSpec returns a specification instance with freshly initialized state.
 func (b *Binding) NewSpec() *PHVSpec { return &PHVSpec{b: b, machine: newMachine(b.code)} }
 
+// Linked is the transaction linked after another program (flat.Link), the
+// two run as one on one frame: the Fig. 5 oracle package sim runs, the
+// pipeline's fused output cone with the specification after it. The
+// transaction reads the cone's input registers in place, and its bound fields
+// are compared with the cone's output registers where they lie. Like the
+// Binding it is immutable and shared; a frame holds one instance's state
+// while it runs, and StoreState hands it back.
+type Linked struct {
+	*flat.Program
+	// Want[c] is the register holding container c's expected value after
+	// Run: the field's register where the transaction writes the field, the
+	// input register where it only reads it or names no field there.
+	Want []int
+
+	b      *Binding
+	regs   []int // regs[r]: where the transaction's register r lives in the frame
+	flags  []int // the "assigned" flag registers, in the frame
+	errReg int
+}
+
+// Link links the transaction after prog, given the register of prog holding
+// each input container (in[c]). A field bound to a container past in is the
+// error ProcessStream returns for a PHV that short.
+func (b *Binding) Link(prog *flat.Program, in []int) (*Linked, error) {
+	if b.lastCont >= len(in) {
+		return nil, b.rangeError(len(in))
+	}
+	c := b.code
+	bind := make(map[int]int, len(c.bound))
+	for _, f := range c.bound {
+		bind[f.reg] = in[f.container]
+	}
+	p, regs, err := flat.Link(prog, c.prog, bind)
+	if err != nil {
+		return nil, err
+	}
+	l := &Linked{Program: p, Want: slices.Clone(in), b: b, regs: regs, errReg: regs[c.errReg]}
+	for _, f := range c.bound {
+		l.Want[f.container] = regs[f.reg]
+	}
+	for _, r := range c.flags {
+		l.flags = append(l.flags, regs[r])
+	}
+	return l, nil
+}
+
+// CanTrap reports whether a run can stop at a Trap: whether Err must be
+// asked after each one.
+func (l *Linked) CanTrap() bool { return len(l.b.code.errs) > 0 }
+
+// Err returns the error a Trap left in the frame after Run, nil when the
+// transaction ran to its end, and clears the packet's flags for the next.
+func (l *Linked) Err(frame []int64) error { return l.b.code.finish(frame, l.flags, l.errReg) }
+
+// StoreState copies the transaction's registers, its state among them, from
+// the frame into s, an instance of the Binding l was linked from: s then
+// reads as if it had processed the frame's packets itself.
+func (l *Linked) StoreState(frame []int64, s *PHVSpec) {
+	for r, at := range l.regs {
+		s.machine.frame[r] = frame[at]
+	}
+}
+
 // PHVSpec adapts a Domino program to sim.Spec: inputs are PHVs whose
 // containers are mapped to packet fields through a FieldMap.
 type PHVSpec struct {
@@ -116,6 +180,9 @@ func (s *PHVSpec) Name() string {
 	}
 	return "domino"
 }
+
+// Binding returns the binding the instance was made from.
+func (s *PHVSpec) Binding() *Binding { return s.b }
 
 // Reset implements sim.Spec.
 func (s *PHVSpec) Reset() { s.machine.Reset() }

@@ -118,7 +118,8 @@ func (s *Stream) Close() error { return s.body.Close() }
 // partial report reassembled so far is returned together with the error —
 // marked stopped-early and failed — matching the offline engine's
 // partial-report-on-cancel behavior, so already-streamed rows are never
-// thrown away.
+// thrown away. A report with its summary row is returned only after the
+// server has finished the request.
 func Submit(ctx context.Context, server string, req *MatrixRequest) (*campaign.Report, error) {
 	return SubmitOpts(ctx, server, req, StreamOptions{}, nil)
 }
@@ -206,6 +207,10 @@ func SubmitOpts(ctx context.Context, server string, req *MatrixRequest, opts Str
 			rep.StoppedEarly = row.Summary.StoppedEarly
 			rep.Cache = row.Summary.Cache
 			rep.Timing = row.Summary.Timing
+			// The summary is the server's last row. Reading on to the end
+			// of the body returns only once the server's handler has
+			// returned, and hands the connection back for reuse.
+			io.Copy(io.Discard, stream.br) //nolint:errcheck // the report is complete
 			return rep, nil
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -342,6 +343,41 @@ func TestSubmitKeepsPartialRowsOnDeadStream(t *testing.T) {
 	}
 	if rep.Passed || !rep.StoppedEarly || rep.TotalChecked != 100 {
 		t.Fatalf("partial report not finalized as cancelled: %+v", rep)
+	}
+}
+
+// TestSubmitReturnsAfterTheHandler: Submit reads the stream to its end, so
+// it returns only once the server's handler has — a caller that inspects
+// the server next (metrics, spans, counters) sees the request finished —
+// and successive submissions reuse one connection.
+func TestSubmitReturnsAfterTheHandler(t *testing.T) {
+	inner := NewServer(Config{Cache: NewMemCache(0), Workers: 2})
+	var finished atomic.Bool
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		finished.Store(false)
+		inner.ServeHTTP(w, r)
+		time.Sleep(20 * time.Millisecond) // the summary row is already on the wire
+		finished.Store(true)
+	}))
+	var conns atomic.Int32
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	for i := 0; i < 3; i++ {
+		rep, err := Submit(context.Background(), srv.URL, smallMatrix())
+		if err != nil || !rep.Passed {
+			t.Fatalf("submission %d: passed=%v err=%v", i, rep != nil && rep.Passed, err)
+		}
+		if !finished.Load() {
+			t.Fatalf("submission %d: Submit returned before the server's handler did", i)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("three submissions opened %d connections, want 1", n)
 	}
 }
 

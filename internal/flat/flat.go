@@ -3,19 +3,21 @@
 // []int64 frame in which constants, state slots, inputs and temporaries are
 // all just registers. Package core fuses a prechecked pipeline's live ALUs
 // into one such program (muxes become register renaming) and package domino
-// lowers a bound transaction to another, so both sides of the Fig. 5
-// comparison run on the same few dozen lines.
+// lowers a bound transaction to another; Link appends the second to the first,
+// the transaction reading the pipeline's input registers in place, so both
+// sides of the Fig. 5 comparison are one program on one frame.
 //
-// A Builder hands out registers and appends instructions; Build checks every
-// register index, jump target and callee index once, so Run has no error
-// path, cannot loop and allocates nothing. Jumps only go forward. A Trap
-// instruction is how a lowered program that can fail (a Domino local read
-// before assignment) stops early: it stores a code in a register the caller
-// inspects after Run.
+// A Builder hands out registers and appends instructions; Build and Link
+// check every register index, jump target and callee index once, so Run has
+// no error path, cannot loop and allocates nothing. Jumps only go forward. A
+// Trap instruction is how a lowered program that can fail (a Domino local
+// read before assignment) stops early: it stores a code in a register the
+// caller inspects after Run.
 package flat
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"druzhba/internal/phv"
@@ -64,6 +66,12 @@ func (in Instr) field(letter byte) uint32 {
 	return [...]uint32{in.A, in.B, in.C}[letter-'A']
 }
 
+// setField returns in with the field that letter names set to v.
+func (in Instr) setField(letter byte, v uint32) Instr {
+	*[...]*uint32{&in.A, &in.B, &in.C}[letter-'A'] = v
+	return in
+}
+
 // Instr is one instruction; which of A, B, C are registers, an instruction
 // index, a callee index or an immediate is the opcode's business (see Op).
 type Instr struct {
@@ -89,17 +97,29 @@ type Program struct {
 	names   []string // register names, for String; "" for temporaries and constants
 	fixed   []bool   // constant registers, which no instruction may write
 	callees []Callee
+	parts   [2]*Program // a linked program's a and b, whose names its registers keep (names is nil)
 }
 
 // Len returns the number of instructions.
 func (p *Program) Len() int { return len(p.code) }
 
+// name returns the name the builder gave register r, "" for none.
+func (p *Program) name(r int) string {
+	if a := p.parts[0]; a != nil {
+		if r < len(a.init) {
+			return a.name(r)
+		}
+		return p.parts[1].name(r - len(a.init))
+	}
+	return p.names[r]
+}
+
 // RegName returns the name the builder gave register r; a constant is named
 // after its value and a temporary after its index.
 func (p *Program) RegName(r int) string {
 	switch {
-	case p.names[r] != "":
-		return p.names[r]
+	case p.name(r) != "":
+		return p.name(r)
 	case p.fixed[r]:
 		return fmt.Sprintf("#%d", p.init[r])
 	}
@@ -179,6 +199,119 @@ func (p *Program) Mutate(edit func(code []Instr) []Instr) (*Program, error) {
 	q.code = edit(append([]Instr(nil), p.code...))
 	return &q, q.check()
 }
+
+// Link returns one program that runs a and then b on one frame. a keeps its
+// registers, instructions and callees; b's registers follow a's, so b never
+// writes one of a's. bind maps registers of b to registers of a holding their
+// values: one b only reads is renamed to a's register, and one b writes gets
+// its own, set from a's by a mov at b's start unless b cannot see the value
+// (setsFirst). When b has callees, which may read and write any register of b,
+// every bound one gets the mov. regs[r] is where b's register r lives in the
+// linked frame. A Trap in a stops the program before b. a and b must be
+// programs Build, Mutate or Link returned without error.
+func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err error) {
+	if a.w != b.w {
+		return nil, nil, fmt.Errorf("flat: link of a %d-bit program after a %d-bit one", b.w.Bits(), a.w.Bits())
+	}
+	base := len(a.init)
+	writes := make([]bool, len(b.init))
+	for _, in := range b.code {
+		for f := ops[in.Op].fields; f != ""; f = f[2:] {
+			if f[1] == 'w' {
+				writes[in.field(f[0])] = true
+			}
+		}
+	}
+	p := &Program{
+		w:       a.w,
+		code:    append(make([]Instr, 0, len(a.code)+len(bind)+len(b.code)), a.code...),
+		init:    slices.Concat(a.init, b.init),
+		fixed:   slices.Concat(a.fixed, b.fixed),
+		callees: append(make([]Callee, 0, len(a.callees)+len(b.callees)), a.callees...),
+		parts:   [2]*Program{a, b},
+	}
+	regs = make([]int, len(b.init))
+	bound := 0
+	for r := range regs {
+		regs[r] = base + r
+		src, ok := bind[r]
+		if !ok {
+			continue
+		}
+		bound++
+		switch {
+		case b.fixed[r] || src < 0 || src >= base:
+			return nil, nil, fmt.Errorf("flat: link: cannot bind %s to register %d", b.RegName(r), src)
+		case len(b.callees) > 0 || writes[r] && !b.setsFirst(r):
+			p.code = append(p.code, Instr{Op: Mov, A: uint32(base + r), B: uint32(src)})
+		case !writes[r]:
+			regs[r] = src
+		}
+	}
+	if bound != len(bind) {
+		return nil, nil, fmt.Errorf("flat: link: %d bound registers are not registers of the second program", len(bind)-bound)
+	}
+	for _, c := range b.callees {
+		p.callees = append(p.callees, shifted{c, base})
+	}
+	start := uint32(len(p.code))
+	for _, in := range b.code {
+		for f := ops[in.Op].fields; f != ""; f = f[2:] {
+			switch v := in.field(f[0]); f[1] {
+			case 'w', 'r':
+				in = in.setField(f[0], uint32(regs[v]))
+			case 'j':
+				in = in.setField(f[0], v+start)
+			case 'c':
+				in = in.setField(f[0], v+uint32(len(a.callees)))
+			}
+		}
+		p.code = append(p.code, in)
+	}
+	return p, regs, p.check()
+}
+
+// setsFirst reports whether every path through p writes register r before
+// reading it and before it can leave p, at its end or at a Trap, so the value
+// r held before p ran is never seen. p must have no callees. Jumps only go
+// forward, so one pass in program order meets every path into an instruction
+// before the instruction.
+func (p *Program) setsFirst(r int) bool {
+	set := make([]bool, len(p.code)+1) // set[pc]: r is written on every path into pc, true where none arrives
+	for pc := range set {
+		set[pc] = pc > 0
+	}
+	for pc, in := range p.code {
+		var reads, writes bool
+		for f := ops[in.Op].fields; f != ""; f = f[2:] {
+			if int(in.field(f[0])) == r {
+				reads, writes = reads || f[1] == 'r', writes || f[1] == 'w'
+			}
+		}
+		written := set[pc]
+		if !written && (reads || in.Op == Trap) {
+			return false
+		}
+		written = written || writes && in.Op != Trap // a Trap writes only as it leaves
+		if in.Op != Jmp {
+			set[pc+1] = set[pc+1] && written
+		}
+		if in.Op == Jz || in.Op == Jnz || in.Op == Jmp {
+			set[in.A] = set[in.A] && written
+		}
+	}
+	return set[len(p.code)]
+}
+
+// shifted is a callee of a linked program's second part, run on that part's
+// registers.
+type shifted struct {
+	Callee
+	base int
+}
+
+func (c shifted) Call(r []int64) int64 { return c.Callee.Call(r[c.base:]) }
+func (c shifted) String() string       { return fmt.Sprint(c.Callee) }
 
 // check is the one validation behind Run's missing error path.
 func (p *Program) check() error {

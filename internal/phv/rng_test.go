@@ -225,6 +225,9 @@ func TestNextAndTraceAreFill(t *testing.T) {
 	if d := got.Diff(want); d != "" {
 		t.Fatal(d)
 	}
+	if a.Columns() != len(bits) || got.At(0).Len() != a.Columns() {
+		t.Errorf("Columns() = %d for %d columns, packets of %d", a.Columns(), len(bits), got.At(0).Len())
+	}
 }
 
 // TestTrafficGenRefusesNarrowColumns: a column width below 1 has no draw

@@ -111,6 +111,9 @@ func NewTrafficGen(seed int64, bits []int, max int64, mode TrafficMode) (*Traffi
 	return g, nil
 }
 
+// Columns returns the number of values Fill writes per packet.
+func (g *TrafficGen) Columns() int { return len(g.draws) }
+
 // Reseed restarts the stream as a generator freshly built with seed (same
 // columns, bound and mode) would produce it: the random source is re-seeded
 // in place — math/rand's Seed, without its divisions — packet indices

@@ -1,7 +1,10 @@
 // batch.go drives the production kernel: a prechecked pipeline fused into one
-// flat register program (core.Fused), run once per packet on a frame. The
-// program has no failure path, so neither do its drivers: the one error left
-// is a Batch.Run outside the engine's capacity.
+// flat register program (core.Fused), run once per packet on a frame — the
+// whole grid by Batch, and by the fuzzer the output cone with the
+// specification linked after it, so the expected outputs are registers of the
+// same frame. The pipeline's program has no failure path, so neither do its
+// drivers: the errors left are a Batch.Run outside the engine's capacity and
+// the specification's own.
 //
 // Fused execution is observationally identical to the tick loop. The
 // pipeline is feedforward and all mutable state is private to one (stage,
@@ -13,8 +16,11 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"druzhba/internal/core"
+	"druzhba/internal/domino"
+	"druzhba/internal/flat"
 	"druzhba/internal/phv"
 )
 
@@ -90,79 +96,164 @@ func gatherRegs(frame []int64, regs []int, dst []phv.Value) []phv.Value {
 	return dst
 }
 
-// equalRegs compares the output PHV in the frame against a row vector on the
-// selected containers (nil = every container), with the same wrong-length
-// rule as equalVals.
-func equalRegs(frame []int64, regs []int, want []phv.Value, containers []int) bool {
-	if len(regs) != len(want) {
-		return false
-	}
-	if containers == nil {
-		for c, r := range regs {
-			if frame[r] != want[c] {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range containers {
-		if frame[regs[c]] != want[c] {
-			return false
-		}
-	}
-	return true
-}
-
-// newFusedFuzzer binds p's fused cone to the fused loop: the frame, one want
-// row and the gather row, and nothing of the tick loop.
+// newFusedFuzzer binds p's fused cone to the fused loop and allocates nothing
+// of the tick loop; the first run lays out the frame for its specification.
 func newFusedFuzzer(p *core.Pipeline, cone *core.Fused) *Fuzzer {
-	phvLen := p.PHVLen()
-	return &Fuzzer{
-		pipe:   p,
-		specIn: phv.New(phvLen),
-		want:   valueRows(1, phvLen),
-		fused:  cone,
-		frame:  cone.NewFrame(),
-		got:    make([]phv.Value, phvLen),
-	}
+	return &Fuzzer{pipe: p, fused: cone}
 }
 
-// fuzzFused is Fuzz on the fused program: packet by packet the generator
-// fills the frame's input registers, the specification rewrites the want
-// row, the program runs and the renamed output registers are compared.
+// oracle is the program the fused loop runs for one specification: the
+// pipeline's cone with, after it, a Domino binding's transaction
+// (domino.Linked) or, for any other specification, a block of registers that
+// admit fills with the specification's output before each Run. Either way
+// container c's expected value is register want[c] of the one frame. An
+// oracle is immutable and built once per cone and key (core.Fused.Linked).
+type oracle struct {
+	key  *domino.Binding // nil for specifications that are not bindings
+	prog *flat.Program
+	want []int
+	link *domino.Linked // nil: admit fills the want registers
+}
+
+// newOracle links the binding b (nil: none) after the cone. A binding that
+// does not fit the pipeline — a field past its containers, another width —
+// runs like any other specification, so its error, if it has one, is admit's.
+func newOracle(cone *core.Fused, w phv.Width, phvLen int, b *domino.Binding) *oracle {
+	in := make([]int, phvLen)
+	for c := range in {
+		in[c] = cone.InputReg(c)
+	}
+	if b != nil {
+		if l, err := b.Link(cone.Program, in); err == nil {
+			return &oracle{key: b, prog: l.Program, want: l.Want, link: l}
+		}
+	}
+	block := flat.NewBuilder(w)
+	block.Regs("want", phvLen)
+	wantProg, _ := block.Build() // registers and no code: nothing to refuse
+	prog, want, err := flat.Link(cone.Program, wantProg, nil)
+	if err != nil {
+		panic(err) // one width, nothing bound: nothing for Link to refuse
+	}
+	return &oracle{key: b, prog: prog, want: want}
+}
+
+// useOracle points the fuzzer at the oracle for b, and lays out a frame for
+// it when it is not the one the last run used.
+func (f *Fuzzer) useOracle(b *domino.Binding) *oracle {
+	if f.oracle == nil || f.oracle.key != b {
+		//dvet:alloc-ok once per fuzzer and specification binding, not per run
+		f.oracle = f.fused.Linked(b, func() any { return newOracle(f.fused, f.pipe.Bits(), f.pipe.PHVLen(), b) }).(*oracle)
+		f.frame = f.oracle.prog.NewFrame()
+	}
+	return f.oracle
+}
+
+// regPair is one comparison of the fused loop: frame[got] == frame[want].
+type regPair struct{ got, want int }
+
+// comparePairs returns the register pairs of the compared containers (nil =
+// every container), without those whose two registers are one: a container
+// both the pipeline and the specification pass through.
+func (f *Fuzzer) comparePairs(o *oracle, containers []int) []regPair {
+	out, pairs := f.fused.Out(), f.pairs[:0]
+	for c := range out {
+		if (containers == nil || slices.Contains(containers, c)) && out[c] != o.want[c] {
+			pairs = append(pairs, regPair{out[c], o.want[c]})
+		}
+	}
+	f.pairs = pairs
+	return pairs
+}
+
+// regsPHV copies out of the frame the PHV whose container c is register
+// regs[c].
+func regsPHV(frame []int64, regs []int) *phv.PHV {
+	p := phv.New(len(regs))
+	gatherRegs(frame, regs, p.Raw())
+	return p
+}
+
+// fuzzFused is Fuzz on the fused program: packet by packet the source fills
+// the frame's input registers, one Run executes the pipeline and, after it,
+// the specification — linked into the program, or admitted into the want
+// registers just before — and the pairs of output registers are compared.
 // Reports are byte-identical to the tick loop's: every early-exit path
 // (counterexample cap, generator error, spec error) reconstructs the exact
 // point the tick loop would have stopped — including dropping comparisons it
-// would never have reached. Execution itself cannot stop the run.
+// would never have reached — and a linked specification's state is handed
+// back to the instance as the tick loop leaves it. Execution itself cannot
+// stop the run.
 //
-//dvet:hotpath allocs=3
-func (f *Fuzzer) fuzzFused(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
+//dvet:hotpath allocs=1
+func (f *Fuzzer) fuzzFused(spec Spec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	report := &BatchReport{SpecName: spec.Name()} //dvet:alloc-ok one report per run, not per PHV
-	f.fused.Reset(f.frame)
+	ps, _ := spec.(*domino.PHVSpec)
+	var b *domino.Binding
+	if ps != nil {
+		b = ps.Binding()
+	}
+	o := f.useOracle(b)
+	frame, link := f.frame, o.link
+	o.prog.Reset(frame)
 	spec.Reset()
 	ss, _ := spec.(StreamSpec)
-	in, regs, depth := f.fused.Inputs(f.frame), f.fused.Out(), f.pipe.Depth()
+	traps := link != nil && link.CanTrap()
+	in, pairs, depth := f.fused.Inputs(frame), f.comparePairs(o, opts.Containers), f.pipe.Depth()
+	var wantRegs []phv.Value // the row admit fills: the want registers, when no specification is linked
+	if link == nil {
+		wantRegs = frame[o.want[0] : o.want[0]+len(in) : o.want[0]+len(in)]
+	}
 	var mms []Mismatch
+	abortAt, misuse := -1, false
+	var abortErr error
 	for i := 0; i < n; i++ {
-		genErr, specErr := f.admit(spec, ss, i, next, in, &f.want[0])
-		if genErr != nil {
-			// The tick loop admits packet i at tick i; the run would have
-			// stopped there with genErr as its finding.
-			return f.finishFused(report, mms, maxMismatches, n, i, genErr)
+		var want []phv.Value // the admitted specification's output
+		var specErr error
+		if link == nil {
+			want = wantRegs
+			var genErr error
+			if genErr, specErr = f.admit(spec, ss, i, src, in, &want); genErr != nil {
+				// The tick loop admits packet i at tick i; the run would have
+				// stopped there with genErr as its finding.
+				abortAt, abortErr = i, genErr
+				break
+			}
+		} else if err := src.fill(in); err != nil {
+			abortAt, abortErr = i, err
+			break
+		}
+		if specErr == nil {
+			o.prog.Run(frame)
+			if traps {
+				if err := link.Err(frame); err != nil {
+					specErr = fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), i, err) //dvet:alloc-ok spec-failure error path
+				}
+			}
 		}
 		if specErr != nil {
 			// Harness misuse — unless the counterexample cap was reached
 			// strictly before packet i's admission tick, where the capped
 			// report wins exactly as it does on the tick loop.
-			if rep, _ := f.finishFused(report, mms, maxMismatches, n, i, specErr); rep.Err == nil {
-				return rep, nil
-			}
-			return nil, specErr
+			abortAt, abortErr, misuse = i, specErr, true
+			break
 		}
-		f.fused.Run(f.frame)
-		if !equalRegs(f.frame, regs, f.want[0], opts.Containers) {
+		same := link != nil || len(want) == len(in) // an output of the wrong length never compares equal
+		for _, p := range pairs {
+			if frame[p.got] != frame[p.want] {
+				same = false
+				break
+			}
+		}
+		if !same {
 			//dvet:alloc-ok mismatch collection is the cold path; clean runs never reach it
-			mms = append(mms, mismatchOf(i, in, gatherRegs(f.frame, regs, f.got), f.want[0]))
+			m := Mismatch{Index: i, Input: phv.FromValues(in), Got: regsPHV(frame, f.fused.Out())}
+			if link != nil {
+				m.Want = regsPHV(frame, o.want)
+			} else {
+				m.Want = phv.FromValues(want) //dvet:alloc-ok mismatch path; admit's row, whatever its length
+			}
+			mms = append(mms, m) //dvet:alloc-ok mismatch path
 		}
 		// The tick loop notices the cap only when the capping packet surfaces,
 		// depth-1 ticks after its admission, and admits a packet on each of
@@ -172,7 +263,14 @@ func (f *Fuzzer) fuzzFused(spec Spec, n int, next func(dst []phv.Value) error, o
 			break
 		}
 	}
-	return f.finishFused(report, mms, maxMismatches, n, -1, nil)
+	if link != nil {
+		link.StoreState(frame, ps)
+	}
+	report = f.finishFused(report, mms, maxMismatches, n, abortAt, abortErr)
+	if misuse && report.Err != nil {
+		return nil, abortErr
+	}
+	return report, nil
 }
 
 // finishFused assembles the final report from the accumulated mismatches,
@@ -182,7 +280,7 @@ func (f *Fuzzer) fuzzFused(spec Spec, n int, next func(dst []phv.Value) error, o
 // as its finding, and only packets completed strictly before that tick
 // count as checked — comparisons past it, which the streaming run would
 // never have reached, are dropped.
-func (f *Fuzzer) finishFused(report *BatchReport, mms []Mismatch, maxMismatches, n, abortTick int, abortErr error) (*BatchReport, error) {
+func (f *Fuzzer) finishFused(report *BatchReport, mms []Mismatch, maxMismatches, n, abortTick int, abortErr error) *BatchReport {
 	depth := f.pipe.Depth()
 	if maxMismatches > 0 && len(mms) >= maxMismatches {
 		// The cap triggers the moment the maxMismatches-th diverging packet
@@ -191,14 +289,14 @@ func (f *Fuzzer) finishFused(report *BatchReport, mms []Mismatch, maxMismatches,
 			report.Mismatches = mms[:maxMismatches]
 			report.Checked = capM.Index + 1
 			report.Ticks = capM.Index + depth
-			return report, nil
+			return report
 		}
 	}
 	if abortTick < 0 {
 		report.Mismatches = mms
 		report.Checked = n
 		report.Ticks = n + depth - 1
-		return report, nil
+		return report
 	}
 	checked := abortTick - depth + 1
 	if checked < 0 {
@@ -214,5 +312,5 @@ func (f *Fuzzer) finishFused(report *BatchReport, mms []Mismatch, maxMismatches,
 	report.Checked = checked
 	report.Ticks = abortTick
 	report.Err = abortErr
-	return report, nil
+	return report
 }

@@ -230,13 +230,13 @@ func TestKernelSelection(t *testing.T) {
 			t.Errorf("%s: fused loop = %v, want %v", level, got, want)
 		}
 		if f.onFused() {
-			if f.fused != p.Cone() || f.Pipeline() != p || len(f.want) != 1 {
-				t.Errorf("%s: the fused fuzzer does not run the pipeline's own cone on one want row", level)
+			if f.fused != p.Cone() || f.Pipeline() != p {
+				t.Errorf("%s: the fused fuzzer does not run the pipeline's own cone", level)
 			}
-			if f.stream != nil || f.inputs != nil {
+			if f.stream != nil || f.inputs != nil || f.want != nil {
 				t.Errorf("%s: a fused fuzzer allocated the tick loop's stream and rings", level)
 			}
-		} else if f.frame != nil || f.got != nil || f.Pipeline() == p {
+		} else if f.frame != nil || f.oracle != nil || f.Pipeline() == p {
 			t.Errorf("%s: a tick-loop fuzzer allocated the fused loop's frame, or executes its argument", level)
 		}
 		rep, err := f.FuzzGen(brokenSpec(), NewTrafficGen(3, 2, phv.Default32, 1000), 200, FuzzOptions{}, 0)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -33,6 +34,32 @@ func TestFuzzRejectsCompareContainerOutOfRange(t *testing.T) {
 	}
 	if rep, err := FuzzRandom(p, passThroughSpec(), 1, 20, 0, FuzzOptions{Containers: []int{0, 1}}); err != nil || !rep.Passed {
 		t.Errorf("in-range containers: report %v, err %v", rep, err)
+	}
+}
+
+// TestFuzzGenRejectsGeneratorOfAnotherShape: a generator drawing fewer
+// columns than the pipeline has containers left the rest undrawn (a 1-column
+// generator fuzzed only container 0 of 2 and passed), one drawing more wrote
+// past the input buffer; both are harness misuse on both loops.
+func TestFuzzGenRejectsGeneratorOfAnotherShape(t *testing.T) {
+	p := buildPipeline(t, 2, 2, "", nil, core.Compiled) // identity, PHVLen 2
+	for _, cols := range []int{1, 3} {
+		want := fmt.Sprintf("sim: traffic generator draws %d columns, pipeline has 2 containers", cols)
+		for name, f := range map[string]*Fuzzer{"ticks": tickFuzzer(p), "fused": NewFuzzer(p)} {
+			var rep *BatchReport
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				rep, err = f.FuzzGen(passThroughSpec(), NewTrafficGen(1, cols, phv.Default32, 0), 5, FuzzOptions{}, 0)
+			}()
+			if err == nil || err.Error() != want {
+				t.Errorf("%d-column generator on %s: report %+v, err %v; want error %q", cols, name, rep, err, want)
+			}
+		}
 	}
 }
 

@@ -13,3 +13,7 @@ func tickFuzzer(p *core.Pipeline) *Fuzzer { return newTickFuzzer(p.Clone()) }
 
 // onFused reports which loop the fuzzer was bound to.
 func (f *Fuzzer) onFused() bool { return f.fused != nil }
+
+// Linked reports whether the fuzzer's last run linked its specification after
+// the cone, rather than admitting it into want registers.
+func (f *Fuzzer) Linked() bool { return f.oracle != nil && f.oracle.link != nil }

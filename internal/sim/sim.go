@@ -23,7 +23,8 @@
 //     program (core.Fused, package flat), one Run per packet on a frame
 //     (batch.go). Only prechecked pipelines fuse — core.Build proved their
 //     execution total, so the kernel has no failure path — and it is what a
-//     Fuzzer runs at every optimized level: the campaign engine's hot path.
+//     Fuzzer runs at every optimized level, with a Domino specification
+//     linked after the output cone: the campaign engine's hot path.
 //
 // Either way the Fuzzer generates traffic directly into its own buffers
 // (TrafficGen.Fill) and compares outputs in lock step, so a clean fuzzing
@@ -444,38 +445,47 @@ func (r *BatchReport) Passed() bool { return r.Err == nil && len(r.Mismatches) =
 // and never by the caller: a prechecked pipeline runs as its fused output
 // cone, one flat-program Run per packet (fuzzFused), any other — the
 // Unoptimized level, the naive reference whose machine code can still fail
-// at run time — one tick at a time on a Stream (fuzzTicks). Reports are
-// byte-identical between the two; only the chosen kernel's buffers exist.
+// at run time — one tick at a time on a Stream (fuzzTicks). On the fused
+// kernel a Domino specification (domino.PHVSpec) is not called at all: its
+// transaction is linked after the cone (domino.Binding.Link), once per
+// pipeline build and specification, so a packet is one Run of one program on
+// one frame and a compare of output registers with the transaction's field
+// registers; its state lives in the frame during a run and is handed back to
+// the instance at the end. Any other specification fills the program's want
+// registers before each Run. Reports are byte-identical between the two
+// kernels; only the chosen kernel's buffers exist.
 //
 // A Fuzzer is bound to one pipeline and reusable across runs (the campaign
 // engine keeps one per worker per job). It never mutates the pipeline it was
-// built from: the fused program is immutable and shared, the frame is the
-// fuzzer's own, and the tick loop executes a private clone. It is not safe
-// for concurrent use.
+// built from: the fused and linked programs are immutable and shared, the
+// frame is the fuzzer's own, and the tick loop executes a private clone. It
+// is not safe for concurrent use.
 type Fuzzer struct {
 	pipe   *core.Pipeline
-	specIn *phv.PHV      // reusable wrapper for non-streaming specs
-	want   [][]phv.Value // expected outputs: ring slot i%win (tick loop) or the one row in flight (fused loop)
+	specIn *phv.PHV // reusable wrapper for non-streaming specs, made on first use
 
-	// Tick loop: packet i's input lives at ring slot i%win, win = depth+1
-	// in-flight packets, until its output surfaces and is compared.
-	stream *Stream
-	inputs [][]phv.Value
+	// Tick loop: packet i's input and expected output live at ring slot
+	// i%win, win = depth+1 in-flight packets, until its output surfaces and
+	// is compared.
+	stream       *Stream
+	inputs, want [][]phv.Value
 
-	// Fused loop: the program, this fuzzer's frame (the generator fills its
-	// input registers in place) and a row to gather a mismatch's output into.
-	fused *core.Fused
-	frame []int64
-	got   []phv.Value
+	// Fused loop: the cone, the oracle the last run linked after it, this
+	// fuzzer's frame for that oracle (the source fills its input registers in
+	// place) and the register pairs the run compares.
+	fused  *core.Fused
+	oracle *oracle
+	frame  []int64
+	pairs  []regPair
 }
 
 // NewFuzzer returns a fuzzer over the pipeline. The fuzzer observes output
 // PHVs only, never ALU state, so on a prechecked pipeline it executes the
 // output cone core.Build fused (core.Pipeline.Cone): only the ALUs whose
-// results can reach an output container run, on a frame that is the one
-// allocation. An Unoptimized pipeline is cloned and runs whole on the tick
-// loop. Either way p itself is never executed or mutated, and the buffers are
-// reused by every subsequent Fuzz run.
+// results can reach an output container run, on a frame the first run lays
+// out for its specification. An Unoptimized pipeline is cloned and runs whole
+// on the tick loop. Either way p itself is never executed or mutated, and the
+// buffers are reused by every subsequent Fuzz run.
 func NewFuzzer(p *core.Pipeline) *Fuzzer {
 	if cone := p.Cone(); cone != nil {
 		return newFusedFuzzer(p, cone)
@@ -487,7 +497,7 @@ func NewFuzzer(p *core.Pipeline) *Fuzzer {
 // Stream and the two rings.
 func newTickFuzzer(p *core.Pipeline) *Fuzzer {
 	phvLen, win := p.PHVLen(), p.Depth()+1
-	f := &Fuzzer{pipe: p, specIn: phv.New(phvLen), stream: NewStream(p)}
+	f := &Fuzzer{pipe: p, stream: NewStream(p)}
 	f.inputs, f.want = valueRows(win, phvLen), valueRows(win, phvLen)
 	return f
 }
@@ -508,15 +518,16 @@ func valueRows(n, phvLen int) [][]phv.Value {
 // it on the tick loop), for its dimensions and level.
 func (f *Fuzzer) Pipeline() *core.Pipeline { return f.pipe }
 
-// FuzzGen runs the lock-step comparison over n PHVs drawn from gen.
+// FuzzGen runs the lock-step comparison over n PHVs drawn from gen, which
+// must draw one column per container: a generator of another shape is
+// harness misuse, like a compared container outside the PHV.
 //
-//dvet:hotpath allocs=3
+//dvet:hotpath allocs=1
 func (f *Fuzzer) FuzzGen(spec Spec, gen *TrafficGen, n int, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
-	//dvet:alloc-ok generator adapter closure, allocated once per run, not per PHV
-	return f.Fuzz(spec, n, func(dst []phv.Value) error {
-		gen.Fill(dst)
-		return nil
-	}, opts, maxMismatches)
+	if cols, phvLen := gen.Columns(), f.pipe.PHVLen(); cols != phvLen {
+		return nil, fmt.Errorf("sim: traffic generator draws %d columns, pipeline has %d containers", cols, phvLen) //dvet:alloc-ok harness-misuse error path
+	}
+	return f.fuzz(spec, n, source{gen: gen}, opts, maxMismatches)
 }
 
 // Fuzz runs the lock-step comparison over n input PHVs produced by next,
@@ -528,8 +539,15 @@ func (f *Fuzzer) FuzzGen(spec Spec, gen *TrafficGen, n int, opts FuzzOptions, ma
 // a compared container outside [0, PHVLen), a failing specification —
 // returns a non-nil error.
 //
-//dvet:hotpath allocs=3
+//dvet:hotpath allocs=1
 func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
+	return f.fuzz(spec, n, source{next: next}, opts, maxMismatches)
+}
+
+// fuzz checks the run's arguments and hands it to the fuzzer's loop.
+//
+//dvet:hotpath allocs=1
+func (f *Fuzzer) fuzz(spec Spec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	if n <= 0 {
 		return nil, errors.New("sim: empty input trace")
 	}
@@ -537,21 +555,37 @@ func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts F
 		return nil, err
 	}
 	if f.fused != nil {
-		return f.fuzzFused(spec, n, next, opts, maxMismatches)
+		return f.fuzzFused(spec, n, src, opts, maxMismatches)
 	}
-	return f.fuzzTicks(spec, n, next, opts, maxMismatches)
+	return f.fuzzTicks(spec, n, src, opts, maxMismatches)
 }
 
-// admit is the step both loops share: it draws packet i from next into in
-// and leaves the specification's expected output for it in *want, so
-// generator and spec state advance in packet order whatever the kernel's
-// schedule. A generator failure is a finding and comes back bare as genErr;
-// a specification failure is harness misuse and comes back as specErr,
-// carrying the spec's name and i.
+// source is where a run's packets come from: a generator, drawn from
+// directly, or the caller's callback.
+type source struct {
+	gen  *TrafficGen
+	next func(dst []phv.Value) error
+}
+
+// fill draws the next packet into dst.
+func (s source) fill(dst []phv.Value) error {
+	if s.gen != nil {
+		s.gen.Fill(dst)
+		return nil
+	}
+	return s.next(dst)
+}
+
+// admit draws packet i from src into in and leaves the specification's
+// expected output for it in *want, so generator and spec state advance in
+// packet order whatever the kernel's schedule: the tick loop's step, and the
+// fused loop's for a specification it does not link. A generator failure is a
+// finding and comes back bare as genErr; a specification failure is harness
+// misuse and comes back as specErr, carrying the spec's name and i.
 //
 //dvet:hotpath allocs=0
-func (f *Fuzzer) admit(spec Spec, ss StreamSpec, i int, next func(dst []phv.Value) error, in []phv.Value, want *[]phv.Value) (genErr, specErr error) {
-	if err := next(in); err != nil {
+func (f *Fuzzer) admit(spec Spec, ss StreamSpec, i int, src source, in []phv.Value, want *[]phv.Value) (genErr, specErr error) {
+	if err := src.fill(in); err != nil {
 		return err, nil
 	}
 	if ss != nil {
@@ -560,6 +594,9 @@ func (f *Fuzzer) admit(spec Spec, ss StreamSpec, i int, next func(dst []phv.Valu
 			return nil, fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), i, err) //dvet:alloc-ok spec-failure error path
 		}
 		return nil, nil
+	}
+	if f.specIn == nil {
+		f.specIn = phv.New(len(in)) //dvet:alloc-ok once per fuzzer
 	}
 	copy(f.specIn.Raw(), in)
 	out, err := spec.Process(f.specIn)
@@ -579,8 +616,8 @@ func mismatchOf(index int, input, got, want []phv.Value) Mismatch {
 // on tick i and its output, surfacing depth-1 ticks later, is compared with
 // the expectation that waited in the ring.
 //
-//dvet:hotpath allocs=3
-func (f *Fuzzer) fuzzTicks(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
+//dvet:hotpath allocs=1
+func (f *Fuzzer) fuzzTicks(spec Spec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	report := &BatchReport{SpecName: spec.Name()} //dvet:alloc-ok one report per run, not per PHV
 	f.pipe.ResetState()
 	f.stream.Reset()
@@ -599,7 +636,7 @@ func (f *Fuzzer) fuzzTicks(spec Spec, n int, next func(dst []phv.Value) error, o
 		if fed < n {
 			slot := fed % win
 			in = f.inputs[slot]
-			genErr, specErr := f.admit(spec, ss, fed, next, in, &f.want[slot])
+			genErr, specErr := f.admit(spec, ss, fed, src, in, &f.want[slot])
 			if genErr != nil {
 				report.Err = genErr
 				return finish(), nil
