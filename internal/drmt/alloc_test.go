@@ -1,8 +1,7 @@
-// Allocation-regression tests for the dRMT slot-compiled hot path, the
-// mirror of package sim's streaming-engine suite: a clean differential
-// fuzzing run allocates its report and nothing else — the fuzzer reseeds
-// one traffic generator, and generation (TrafficGen.Fill), both engines and
-// the lock-step comparison reuse their buffers.
+// Allocation-regression tests for the dRMT hot path, the mirror of package
+// sim's suite: a clean differential fuzzing run allocates its report and
+// nothing else — the fuzzer reseeds one traffic generator, and generation
+// (TrafficGen.Fill), the linked program and the comparison reuse one frame.
 package drmt
 
 import (
@@ -71,8 +70,8 @@ func TestTrafficGenFillZeroAllocs(t *testing.T) {
 }
 
 // TestSlotEnginesZeroAllocsPerPacket asserts the per-packet zero-allocation
-// property directly on both engines' packet primitives: ExecSlots over the
-// lowered code, entry path and outcome blocks, and ProcessSlots.
+// property directly on both machines' packet primitives, each on its own
+// flat program: ExecSlots, entry path and outcome blocks, and ProcessSlots.
 func TestSlotEnginesZeroAllocsPerPacket(t *testing.T) {
 	prog, entries := loadL2L3(t)
 	isaM, err := NewISAMachine(prog, nil, entries, HWConfig{Processors: 4})

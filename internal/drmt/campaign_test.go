@@ -10,8 +10,8 @@ import (
 )
 
 // refTarget is a campaign target that runs a DRMTTarget's shards on the
-// reference map interpreters (drmt.RefFuzzer) instead of the slot-compiled
-// engines: same labels, same shard seeds, same traffic, a different
+// reference map interpreters (drmt.RefFuzzer) instead of the linked flat
+// program: same labels, same shard seeds, same traffic, a different
 // interpreter underneath. It lives here rather than in package campaign
 // because the reference exists only in package drmt's test files.
 type refTarget struct{ *campaign.DRMTTarget }
@@ -51,7 +51,7 @@ func (r refRunner) RunShard(seed int64, n int) campaign.ShardResult {
 }
 
 // TestDRMTReportIdenticalSlotVsCompat is the campaign-level oracle check:
-// the slot-compiled engines and the reference map interpreters must produce
+// the linked flat program and the reference map interpreters must produce
 // byte-identical campaign reports — JSON and text, clean benchmarks, an
 // injected miscompile whose counterexamples reach the report and an injected
 // program that is refused at build — at every worker count.

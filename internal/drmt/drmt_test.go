@@ -248,6 +248,93 @@ func TestParseEntriesValidation(t *testing.T) {
 	}
 }
 
+// TestParseEntriesRefusesKeysOutsideTheField: an exact key, a ternary key or
+// a ternary mask that no value of the matched field can equal is refused
+// with its line — such an entry never matches, so a typo would fuzz clean
+// while doing nothing. Keys at the field's edges parse.
+func TestParseEntriesRefusesKeysOutsideTheField(t *testing.T) {
+	bm, err := LookupBenchmark("counter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := bm.Program()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ text, want string }{
+		{"classify h.key exact 300 bump(10)", `line 1: key 300 lies outside the 8-bit field "h.key"`},
+		{"\nclassify h.key exact -1 bump(10)", `line 2: key -1 lies outside the 8-bit field "h.key"`},
+		{"classify h.key exact 0x100 toss()", `key 256 lies outside`},
+	} {
+		if _, err := ParseEntriesString(tc.text, prog); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err %v, want %q", tc.text, err, tc.want)
+		}
+	}
+	if set, err := ParseEntriesString("classify h.key exact 0 toss()\nclassify h.key exact 255 bump(1)", prog); err != nil || set.Len() != 2 {
+		t.Errorf("keys 0 and 255 of an 8-bit field: %v", err)
+	}
+
+	l2l3, err := p4.Parse(l2l3Src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ text, want string }{
+		{"acl ipv4.srcAddr ternary 0x100000000/0xFFFF0000 act_drop()", `key 4294967296 lies outside the 32-bit field "ipv4.srcAddr"`},
+		{"acl ipv4.srcAddr ternary 0x0A420000/0x1FFFF0000 act_drop()", `mask 8589869056 lies outside`},
+		{"acl ipv4.srcAddr ternary 1/-1 act_drop()", `mask -1 lies outside`},
+	} {
+		if _, err := ParseEntriesString(tc.text, l2l3); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%q: err %v, want %q", tc.text, err, tc.want)
+		}
+	}
+}
+
+// FuzzParseEntries holds the entries text drmtasm and drmtsim read, a trust
+// boundary, to: an error, or an entry set both machines are built on — the
+// differential fuzzer accepts it — and over which the assembled ISA program
+// agrees with the table-level machine for 64 packets, on the l2l3 and the
+// counter program.
+func FuzzParseEntries(f *testing.F) {
+	for _, bm := range Benchmarks() {
+		f.Add(bm.entries)
+	}
+	f.Add(l2l3Entries)
+	f.Add("classify h.key exact 300 bump(10)\n")
+	f.Add("acl ipv4.srcAddr ternary 0x0A420000/0xFFFF0000 act_drop() # c\n\ndmac eth.dstMac exact 0xaabbcc l2_forward(-3)\n")
+	f.Add("classify h.key exact 5 bump(1,2)\nroute x y z w\n")
+	var programs []*Benchmark
+	for _, name := range []string{"l2l3", "counter"} {
+		bm, err := LookupBenchmark(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		programs = append(programs, bm)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, bm := range programs {
+			prog, err := bm.Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := ParseEntriesString(text, prog)
+			if err != nil {
+				continue
+			}
+			fz, err := NewDiffFuzzer(prog, nil, entries, bm.HW)
+			if err != nil {
+				t.Fatalf("%s: ParseEntries accepted entries the machines refuse: %v", bm.Name, err)
+			}
+			rep, err := fz.FuzzSeeded(1, 64, bm.MaxInput)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Passed() {
+				t.Fatalf("%s: the ISA program and the table-level machine disagree on parsed entries: %v, %v", bm.Name, rep.Err, rep.Diffs)
+			}
+		}
+	})
+}
+
 // --- machine tests -----------------------------------------------------------
 
 func newRouterMachine(t *testing.T) *Machine {

@@ -76,8 +76,9 @@ func (e *Entry) Matches(value int64) bool {
 //
 // '#' starts a comment; blank lines are ignored. Entries are validated
 // against the program: the table must exist, the field must be one of the
-// table's reads with the same match kind, and the action must be listed by
-// the table with the right argument count.
+// table's reads with the same match kind, the key (and a ternary mask) must
+// be a value of the field's width, and the action must be listed by the
+// table with the right argument count.
 func ParseEntries(r io.Reader, prog *p4.Program) (*EntrySet, error) {
 	set := NewEntrySet()
 	sc := bufio.NewScanner(r)
@@ -128,6 +129,9 @@ func ParseEntries(r io.Reader, prog *p4.Program) (*EntrySet, error) {
 		}
 		e.Action = call
 		if err := validateEntry(prog, &e); err != nil {
+			return nil, fmt.Errorf("drmt: entries line %d: %v", lineNo, err)
+		}
+		if err := checkKey(prog, &e); err != nil {
 			return nil, fmt.Errorf("drmt: entries line %d: %v", lineNo, err)
 		}
 		set.Add(e)
@@ -202,6 +206,26 @@ func validateEntry(prog *p4.Program, e *Entry) error {
 	}
 	if len(e.Action.Args) != len(act.Params) {
 		return fmt.Errorf("action %q takes %d argument(s), entry provides %d", e.Action.Name, len(act.Params), len(e.Action.Args))
+	}
+	return nil
+}
+
+// checkKey refuses a key or mask outside [0, 2^width) of the matched field:
+// no packet field ever holds such a key, so the entry could never match.
+func checkKey(prog *p4.Program, e *Entry) error {
+	bits, err := prog.FieldBits(e.Field)
+	if err != nil {
+		return err
+	}
+	limit := int64(1) << bits
+	what, vals := []string{"key"}, []int64{e.Key}
+	if e.Kind == p4.MatchTernary {
+		what, vals = append(what, "mask"), append(vals, e.Mask)
+	}
+	for i, v := range vals {
+		if v < 0 || v >= limit {
+			return fmt.Errorf("%s %d lies outside the %d-bit field %q", what[i], v, bits, e.Field)
+		}
 	}
 	return nil
 }

@@ -3,20 +3,25 @@
 // test and the table-level Machine — a direct interpreter of the mini-P4
 // program — is its behavioral specification. Random packets stream through
 // both and every field plus the drop flag is compared packet by packet, so
-// a bug in the assembler or the ISA executor surfaces as a concrete
+// a bug in the assembler or the ISA lowering surfaces as a concrete
 // counterexample packet.
 //
-// The comparison runs on the slot-compiled engines: both machines share one
-// SlotLayout, traffic is generated directly into reused []int64 slot
-// vectors (TrafficGen.Fill), and packets are compared index-to-index in
-// lock step. Canonical string renderings and Diff records are materialized
-// only on mismatch and the seeded entry points reseed one kept generator, so
-// a clean shard allocates its report and nothing else.
+// Both machines are lowered to flat programs over one SlotLayout, and the
+// table machine's is linked after the ISA machine's (flat.Link): one program
+// on one frame, the table side reading the packet from the ISA side's input
+// registers, which neither writes. A packet is one Fill into those
+// registers, one Run and a compare over the pairs of registers that hold a
+// field, or the drop flag, at the end of each side. Canonical string
+// renderings and Diff records are materialized only on mismatch and the
+// seeded entry points reseed one kept generator, so a clean shard allocates
+// its report and nothing else.
 package drmt
 
 import (
 	"fmt"
+	"slices"
 
+	"druzhba/internal/flat"
 	"druzhba/internal/p4"
 )
 
@@ -46,20 +51,21 @@ type DiffReport struct {
 // Passed reports whether the run found no divergence and no error.
 func (r *DiffReport) Passed() bool { return r.Err == nil && len(r.Diffs) == 0 }
 
-// DiffFuzzer streams seeded traffic through an ISA machine and the
-// table-level machine in lock step. It is reusable across runs — Fuzz
-// resets both machines' register state first — and Clone yields a
-// worker-private fuzzer, which is how campaign workers run dRMT shards
-// concurrently. A DiffFuzzer is not safe for concurrent use.
+// DiffFuzzer streams seeded traffic through the linked program of an ISA
+// machine and the table-level machine. It is reusable across runs — Fuzz
+// resets the register state first — and Clone yields a worker-private
+// fuzzer, which is how campaign workers run dRMT shards concurrently. A
+// DiffFuzzer is not safe for concurrent use.
 type DiffFuzzer struct {
 	prog   *p4.Program
 	layout *SlotLayout
 	isa    *ISAMachine
 	tab    *Machine
 
-	// Reused slot vectors: the generated packet and the two machines'
-	// working copies. One backing array, three windows.
-	in, got, want []int64
+	code  *flat.Program // the table machine's program linked after the ISA machine's
+	frame []int64
+	regs  []int    // where the table program's registers are in the linked frame
+	pairs [][2]int // (ISA, table) registers of a field or the drop flag at the end, which can differ
 
 	// FuzzSeededMode's generator, reseeded per run while the bound and mode
 	// it was built for stay the same.
@@ -69,10 +75,10 @@ type DiffFuzzer struct {
 }
 
 // NewDiffFuzzer builds a differential fuzzer for the program over the given
-// table entries. Both machines are built over one shared SlotLayout, so the
-// lock-step comparison is index-to-index. When isa is nil the ISA program
-// is assembled from the P4 source; passing an explicit (possibly
-// miscompiled) ISA program is how compiler bugs are injected under test.
+// table entries. Both machines are built over one shared SlotLayout and
+// their programs linked into one. When isa is nil the ISA program is
+// assembled from the P4 source; passing an explicit (possibly miscompiled)
+// ISA program is how compiler bugs are injected under test.
 func NewDiffFuzzer(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWConfig) (*DiffFuzzer, error) {
 	layout, err := NewSlotLayout(prog)
 	if err != nil {
@@ -86,18 +92,24 @@ func NewDiffFuzzer(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 	if err != nil {
 		return nil, err
 	}
-	f := &DiffFuzzer{prog: prog, layout: layout, isa: isaM, tab: tabM}
-	f.newBuffers()
+	bind := map[int]int{}
+	for slot := range layout.fields {
+		bind[tabM.in+slot] = isaM.in + slot
+	}
+	code, regs, err := flat.Link(isaM.code, tabM.code, bind)
+	if err != nil {
+		return nil, err
+	}
+	f := &DiffFuzzer{prog: prog, layout: layout, isa: isaM, tab: tabM, code: code, frame: code.NewFrame(), regs: regs}
+	for slot, r := range isaM.out {
+		if w := regs[tabM.out[slot]]; w != r {
+			f.pairs = append(f.pairs, [2]int{r, w})
+		}
+	}
+	if isaM.canDrop || tabM.canDrop {
+		f.pairs = append(f.pairs, [2]int{isaM.dropped, regs[tabM.dropped]})
+	}
 	return f, nil
-}
-
-// newBuffers allocates the fuzzer's private slot vectors.
-func (f *DiffFuzzer) newBuffers() {
-	n := f.layout.NumFields()
-	backing := make([]int64, 3*n)
-	f.in = backing[0*n : 1*n : 1*n]
-	f.got = backing[1*n : 2*n : 2*n]
-	f.want = backing[2*n : 3*n : 3*n]
 }
 
 // Program returns the program under differential test.
@@ -106,68 +118,81 @@ func (f *DiffFuzzer) Program() *p4.Program { return f.prog }
 // Layout returns the slot layout shared by both machines.
 func (f *DiffFuzzer) Layout() *SlotLayout { return f.layout }
 
-// Clone returns a fuzzer over private clones of both machines and private
-// slot buffers, sharing no mutable state with the original.
+// Clone returns a fuzzer with a private frame, sharing no mutable state
+// with the original.
 func (f *DiffFuzzer) Clone() *DiffFuzzer {
-	c := &DiffFuzzer{prog: f.prog, layout: f.layout, isa: f.isa.Clone(), tab: f.tab.Clone()}
-	c.newBuffers()
-	return c
+	c := *f
+	c.frame = slices.Clone(f.frame)
+	c.gen = nil
+	return &c
 }
 
 // Reset zeroes the register state of both machines.
-func (f *DiffFuzzer) Reset() {
-	f.isa.ResetState()
-	f.tab.ResetState()
-}
+func (f *DiffFuzzer) Reset() { f.code.Reset(f.frame) }
 
 // Fuzz is the one dRMT packet loop: it resets both machines and streams n
-// packets from gen through ExecSlots and ProcessSlots, comparing the drop
-// flag and every field slot packet by packet. Register state accumulates
-// across the stream on both sides (and is compared indirectly, through
-// register_read results).
-// Renderings and Diff records are built only for diverging packets, so a
-// clean run's total allocation count is O(1) in n. Execution failures are
-// findings recorded in DiffReport.Err; a non-nil error is returned only for
-// harness misuse.
+// packets from gen through the linked program, comparing the drop flag and
+// every field packet by packet. Register state accumulates across the
+// stream on both sides (and is compared indirectly, through register_read
+// results). Renderings and Diff records are built only for diverging
+// packets, so a clean run's total allocation count is O(1) in n. Execution
+// failures are findings recorded in DiffReport.Err; a non-nil error is
+// returned only for harness misuse.
+//
+//dvet:hotpath allocs=1
 func (f *DiffFuzzer) Fuzz(gen *TrafficGen, n int) (*DiffReport, error) {
 	if gen == nil || n <= 0 {
-		return nil, fmt.Errorf("drmt: empty fuzz stream")
+		return nil, fmt.Errorf("drmt: empty fuzz stream") //dvet:alloc-ok harness-misuse error path
 	}
 	if gen.NumFields() != f.layout.NumFields() {
-		return nil, fmt.Errorf("drmt: traffic generator has %d fields, program has %d", gen.NumFields(), f.layout.NumFields())
+		return nil, fmt.Errorf("drmt: traffic generator has %d fields, program has %d", gen.NumFields(), f.layout.NumFields()) //dvet:alloc-ok harness-misuse error path
 	}
 	f.Reset()
-	rep := &DiffReport{}
-	in := f.in
-	got, want := f.got[:len(in)], f.want[:len(in)]
+	rep := &DiffReport{} //dvet:alloc-ok one report per run, not per packet
+	r := f.frame
+	in := r[f.isa.in : f.isa.in+f.layout.NumFields()]
 	for i := 0; i < n; i++ {
 		id := gen.Fill(in)
-		for j, v := range in { // a loop: memmove's call costs more than 2–11 words
-			got[j], want[j] = v, v
-		}
-		executed, gotDrop, err := f.isa.ExecSlots(got)
-		rep.Instructions += int64(executed)
-		if err != nil {
-			rep.Err = fmt.Errorf("drmt isa: packet %d: %w", id, err)
+		f.code.Run(r)
+		if code := r[f.isa.err]; code != 0 {
+			rep.Instructions = r[f.isa.count]
+			rep.Err = fmt.Errorf("drmt isa: packet %d: %w", id, f.isa.errs[code-1]) //dvet:alloc-ok finding path, at most once per run
 			return rep, nil
 		}
-		wantDrop := f.tab.ProcessSlots(want)
 		rep.Checked++
-		if gotDrop != wantDrop || !slotsEqual(got, want) {
-			rep.Diffs = append(rep.Diffs, Diff{
-				Index: i,
-				ID:    id,
-				Input: f.layout.FormatSlots(in, false),
-				Got:   f.layout.FormatSlots(got, gotDrop),
-				Want:  f.layout.FormatSlots(want, wantDrop),
-			})
+		for _, p := range f.pairs {
+			if r[p[0]] != r[p[1]] {
+				rep.Diffs = append(rep.Diffs, f.diff(i, id)) //dvet:alloc-ok finding path, diverging packets only
+				break
+			}
 		}
 	}
+	rep.Instructions = r[f.isa.count]
 	return rep, nil
 }
 
+// diff renders the packet the two sides have just disagreed on.
+func (f *DiffFuzzer) diff(i, id int) Diff {
+	r := f.frame
+	render := func(e *engine, regs func(int) int) string {
+		vals := make([]int64, len(e.out))
+		for slot, reg := range e.out {
+			vals[slot] = r[regs(reg)]
+		}
+		return f.layout.FormatSlots(vals, r[regs(e.dropped)] != 0)
+	}
+	same := func(reg int) int { return reg }
+	return Diff{
+		Index: i,
+		ID:    id,
+		Input: f.layout.FormatSlots(r[f.isa.in:f.isa.in+f.layout.NumFields()], false),
+		Got:   render(&f.isa.engine, same),
+		Want:  render(&f.tab.engine, func(reg int) int { return f.regs[reg] }),
+	}
+}
+
 // SetBatch is a declaration only: it selects nothing — Fuzz is the only
-// loop and the slot engines the only engines. It stays because the frozen
+// loop and the linked program the only engine. It stays because the frozen
 // benchmark/probes.go compiles against the name, and goes when that probe
 // loop does.
 func (f *DiffFuzzer) SetBatch(int) {}

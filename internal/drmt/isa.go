@@ -26,6 +26,7 @@ import (
 	"slices"
 	"strings"
 
+	"druzhba/internal/flat"
 	"druzhba/internal/p4"
 	"druzhba/internal/phv"
 )
@@ -243,40 +244,25 @@ func (p *ISAProgram) Disassemble() string {
 // for.
 func (in *Instr) format(sym string) string {
 	reg := func(r int) string { return fmt.Sprintf("r%d", r) }
-	dst, a, b := reg(in.Dst), reg(in.A), reg(in.B)
 	switch in.Op {
 	case OpLoadImm:
-		a = fmt.Sprint(in.Imm)
+		return fmt.Sprintf("loadi  %s, %d", reg(in.Dst), in.Imm)
 	case OpLoadField, OpMatch:
-		a = sym
-	case OpStoreField, OpStoreReg:
-		dst = sym
-	case OpLoadReg:
-		b = sym
-	}
-	return formatOp(in.Op, in.AOp, in.Bits, dst, a, b, in.Target)
-}
-
-// formatOp is the one listing syntax, over operands already named:
-// Disassemble prints source instructions through it and ISAMachine.Lowered
-// the ops they were lowered to. A bank is storer's dst and loadr's b, a
-// table is match's a.
-func formatOp(op Op, aop ALUOp, bits int, dst, a, b string, target int) string {
-	switch op {
-	case OpLoadImm, OpLoadField, OpStoreField, OpMatch:
-		return fmt.Sprintf("%-6s %s, %s", op, dst, a)
+		return fmt.Sprintf("%-6s %s, %s", in.Op, reg(in.Dst), sym)
+	case OpStoreField:
+		return fmt.Sprintf("storef %s, %s", sym, reg(in.A))
 	case OpALU:
-		return fmt.Sprintf("alu.%s/%d %s, %s, %s", aop, bits, dst, a, b)
+		return fmt.Sprintf("alu.%s/%d %s, %s, %s", in.AOp, in.Bits, reg(in.Dst), reg(in.A), reg(in.B))
 	case OpLoadReg:
-		return fmt.Sprintf("loadr  %s, %s[%s]", dst, b, a)
+		return fmt.Sprintf("loadr  %s, %s[%s]", reg(in.Dst), sym, reg(in.A))
 	case OpStoreReg:
-		return fmt.Sprintf("storer %s[%s], %s", dst, a, b)
+		return fmt.Sprintf("storer %s[%s], %s", sym, reg(in.A), reg(in.B))
 	case OpBZ, OpBNZ:
-		return fmt.Sprintf("%-6s %s, %d", op, a, target)
+		return fmt.Sprintf("%-6s %s, %d", in.Op, reg(in.A), in.Target)
 	case OpJmp:
-		return fmt.Sprintf("jmp    %d", target)
+		return fmt.Sprintf("jmp    %d", in.Target)
 	}
-	return op.String() // drop, halt
+	return in.Op.String() // drop, halt
 }
 
 // --- Assembler ----------------------------------------------------------------
@@ -327,6 +313,25 @@ func Assemble(prog *p4.Program) (*ISAProgram, error) {
 	}
 	a.out.NumParams = maxParams
 	a.nextReg = RegParam0 + maxParams
+
+	// Room for the program: a drop test and a MATCH per table, four dispatch
+	// instructions per action, what its primitives take (see prim), and the
+	// halt.
+	size := 1
+	for _, name := range prog.Control {
+		if t := prog.Table(name); t != nil {
+			size += 2
+			for _, act := range dispatchList(t) {
+				if act := prog.Action(act); act != nil {
+					size += 4
+					for _, pr := range act.Prims {
+						size += primSize(pr)
+					}
+				}
+			}
+		}
+	}
+	a.out.Instrs = make([]Instr, 0, size)
 
 	for _, name := range prog.Control {
 		t := prog.Table(name)
@@ -443,6 +448,26 @@ func (a *asm) materialize(act *p4.Action, o p4.Operand) (int, error) {
 		return 0, fmt.Errorf("drmt isa: action %q has no parameter %q", act.Name, o.Name)
 	}
 	return 0, fmt.Errorf("drmt isa: bad operand kind %d", o.Kind)
+}
+
+// primSize is the number of instructions prim assembles a primitive to: its
+// own, and one to materialize each operand that is not a parameter.
+func primSize(pr p4.Primitive) int {
+	n := 0
+	switch pr.Op {
+	case p4.PrimModifyField, p4.PrimRegWrite, p4.PrimDrop:
+		n = 1
+	case p4.PrimRegRead:
+		n = 2
+	case p4.PrimAddToField, p4.PrimRegAdd:
+		n = 3
+	}
+	for _, o := range pr.Args {
+		if o.Kind != p4.OpParam {
+			n++
+		}
+	}
+	return n
 }
 
 // action lowers one action body.
@@ -564,49 +589,60 @@ type ISAStats struct {
 	MatchOps int64
 }
 
-// isaEntry is one table entry resolved against the ISA program's dispatch
-// list and the shared slot layout: what the lowering turns into one outcome
-// of the table's MATCH, with the block specialised on the 1-based dispatch
-// index and the bound action-data arguments.
-type isaEntry struct {
-	field   int   // layout field slot
-	key     int64 // the entry matches a field value v when v&mask == key:
-	mask    int64 // an exact entry's mask is all ones, a ternary key is pre-masked
-	sel     int64 // 1-based dispatch index; 0 = action outside dispatch list
-	args    []int64
-	actName string
+// isaTable is one OpMatch target: its Match's outcomes (tableOutcomes), the
+// action call each selects (nil: the miss) and that call's 1-based index in
+// the table's dispatch list (0: outside it).
+type isaTable struct {
+	name     string
+	outcomes []flat.Outcome
+	calls    []*p4.ActionCall
+	sels     []int64
+	err      error // the table is unknown to the program (injected ISA)
 }
 
-// isaTable is one OpMatch target with its entries and default precompiled.
-type isaTable struct {
-	name    string
-	entries []isaEntry
-	hasDef  bool
-	defSel  int64
-	defArgs []int64
-	defName string
-	err     error // the table is unknown to the program (injected ISA)
+// outcome returns what a MATCH on the table selects as outcome oi; a miss
+// (matched false) leaves select and parameters zero.
+func (mt *isaTable) outcome(oi int) (matched bool, sel int64, args []int64, action string) {
+	if c := mt.calls[oi]; c != nil {
+		return true, mt.sels[oi], c.Args, c.Name
+	}
+	return false, 0, nil, ""
+}
+
+// outcomeName labels outcome oi of a MATCH on the table.
+func (mt *isaTable) outcomeName(oi int) string {
+	matched, _, args, action := mt.outcome(oi)
+	parts := make([]string, len(args))
+	for i, v := range args {
+		parts[i] = fmt.Sprint(v)
+	}
+	call := action + "(" + strings.Join(parts, ", ") + ")"
+	switch {
+	case !matched:
+		return "miss"
+	case oi < len(mt.calls)-1:
+		return fmt.Sprintf("%d %s", oi, call)
+	}
+	return "default " + call
 }
 
 // ISAMachine executes an assembled ISA program over the same centralized
 // state (match table entries, register arrays) as the table-level Machine.
-// The program is lowered once, at construction, onto its table entries (see
-// lower.go); ExecSlots runs the lowered code and is the one interpreter:
-// packets are layout-ordered []int64 vectors copied into and out of a reused
-// frame, and Run converts map packets at its boundary.
+// The program is lowered once, at construction, onto its table entries to
+// a flat program (lower.go); ExecSlots runs it on a slot-vector packet, and
+// Run converts map packets at its boundary.
 type ISAMachine struct {
 	prog    *p4.Program
 	isa     *ISAProgram
 	entries *EntrySet
 	hw      HWConfig
 
-	regBanks [][]int64 // indexed by register-array symbol
-
 	layout      *SlotLayout
 	matchTables []isaTable // indexed by table symbol
-	low         *lowered   // what ExecSlots runs; immutable, shared by clones
-	frame       []int64    // what ExecSlots runs on: field slots, registers, constants
-	matchCount  []int      // per table symbol, cleared by Run
+	engine                 // the lowered program and its frame
+	count, err  int        // registers: source instructions retired; the error that stopped the packet, errs[err-1]
+	errs        []error
+	blocks      []lowBlock // the lowered program's blocks, in order
 }
 
 // NewISAMachine builds an executor. When isa is nil the program is
@@ -616,11 +652,17 @@ func NewISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 	if err != nil {
 		return nil, err
 	}
-	return newISAMachine(prog, isa, entries, hw, layout)
+	m, err := newISAMachine(prog, isa, entries, hw, layout)
+	if err != nil {
+		return nil, err
+	}
+	m.frame = m.code.NewFrame()
+	return m, nil
 }
 
-// newISAMachine is NewISAMachine over a shared layout (the differential
-// fuzzer builds both machines over one).
+// newISAMachine is NewISAMachine over a shared layout, without a frame (the
+// differential fuzzer builds both machines over one and runs their linked
+// program).
 func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWConfig, layout *SlotLayout) (*ISAMachine, error) {
 	var err error
 	if isa == nil {
@@ -632,20 +674,14 @@ func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 	if err := isa.Verify(); err != nil {
 		return nil, err
 	}
-	m := &ISAMachine{
-		prog:       prog,
-		isa:        isa,
-		entries:    entries,
-		hw:         hw.Defaults(),
-		layout:     layout,
-		matchCount: make([]int, len(isa.Tables)),
-		regBanks:   make([][]int64, len(isa.RegArrays)),
-	}
+	m := &ISAMachine{prog: prog, isa: isa, entries: entries, hw: hw.Defaults(), layout: layout}
 	lw := lowerer{
 		m:         m,
-		fieldSlot: make([]int32, len(isa.Fields)),
+		b:         flat.NewBuilder(width),
+		fieldSlot: make([]int, len(isa.Fields)),
 		fieldMask: make([]int64, len(isa.Fields)),
-		regMask:   make([]int64, len(isa.RegArrays)),
+		cells:     make([]int, len(isa.RegArrays)),
+		bankMask:  make([]int64, len(isa.RegArrays)),
 	}
 	for i, name := range isa.Fields {
 		w, err := phv.NewWidth(isa.fieldBits[i])
@@ -654,7 +690,7 @@ func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 		}
 		lw.fieldMask[i] = w.Mask()
 		if s, ok := layout.fieldIdx[name]; ok {
-			lw.fieldSlot[i] = int32(s)
+			lw.fieldSlot[i] = s
 		} else {
 			lw.fieldSlot[i] = -1 // a slot packet "lacks" this field
 		}
@@ -673,37 +709,22 @@ func newISAMachine(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 			// empty bank, which has no cell for an index to wrap to.
 			return nil, fmt.Errorf("drmt isa: register %q has no cells", name)
 		}
-		lw.regMask[i] = w.Mask()
-		m.regBanks[i] = make([]int64, r.Count)
+		lw.bankMask[i], lw.cells[i] = w.Mask(), r.Count
 	}
 	if m.matchTables, err = m.compileMatchTables(); err != nil {
 		return nil, err
 	}
-	m.low = lw.lower()
-	m.frame = m.low.newFrame()
+	if err := lw.lower(); err != nil {
+		return nil, err
+	}
 	return m, nil
 }
 
-// compileMatchTables resolves every OpMatch target's entries and default
-// against the dispatch lists once, for the lowering. A MATCH writes its bound
-// arguments
+// compileMatchTables resolves every OpMatch target's outcomes against the
+// dispatch lists once, for the lowering. A MATCH writes its bound arguments
 // into the NumParams parameter registers, so a binding with more arguments
 // than that (possible only under an injected ISA program) is refused here.
 func (m *ISAMachine) compileMatchTables() ([]isaTable, error) {
-	dispatchIdx := func(tableSym int, action string) int64 {
-		for i, name := range m.isa.Dispatch[tableSym] {
-			if name == action {
-				return int64(i + 1)
-			}
-		}
-		return 0
-	}
-	checkArgs := func(table string, call p4.ActionCall) error {
-		if len(call.Args) > m.isa.NumParams {
-			return fmt.Errorf("drmt isa: table %q binds %d-argument action %q, the ISA program has %d parameter registers", table, len(call.Args), call.Name, m.isa.NumParams)
-		}
-		return nil
-	}
 	out := make([]isaTable, len(m.isa.Tables))
 	for ti, name := range m.isa.Tables {
 		mt := &out[ti]
@@ -715,35 +736,22 @@ func (m *ISAMachine) compileMatchTables() ([]isaTable, error) {
 			mt.err = fmt.Errorf("unknown table %q", name)
 			continue
 		}
+		var calls []*p4.ActionCall
 		for _, e := range m.entries.ForTable(name) {
-			if err := checkArgs(name, e.Action); err != nil {
-				return nil, err
-			}
-			fs, ok := m.layout.fieldIdx[e.Field]
-			if !ok {
-				continue // a non-program field never matches a slot packet
-			}
-			ie := isaEntry{
-				field:   fs,
-				key:     e.Key,
-				mask:    -1,
-				sel:     dispatchIdx(ti, e.Action.Name),
-				args:    e.Action.Args,
-				actName: e.Action.Name,
-			}
-			if e.Kind == p4.MatchTernary {
-				ie.key, ie.mask = e.Key&e.Mask, e.Mask
-			}
-			mt.entries = append(mt.entries, ie)
+			calls = append(calls, &e.Action)
 		}
-		if t.Default != nil {
-			if err := checkArgs(name, *t.Default); err != nil {
-				return nil, err
+		for _, c := range append(calls, t.Default) {
+			if c != nil && len(c.Args) > m.isa.NumParams {
+				return nil, fmt.Errorf("drmt isa: table %q binds %d-argument action %q, the ISA program has %d parameter registers", name, len(c.Args), c.Name, m.isa.NumParams)
 			}
-			mt.hasDef = true
-			mt.defSel = dispatchIdx(ti, t.Default.Name)
-			mt.defArgs = t.Default.Args
-			mt.defName = t.Default.Name
+		}
+		mt.outcomes, mt.calls = tableOutcomes(t, m.entries, m.layout)
+		for _, c := range mt.calls {
+			sel := 0
+			if c != nil {
+				sel = slices.Index(m.isa.Dispatch[ti], c.Name) + 1
+			}
+			mt.sels = append(mt.sels, int64(sel))
 		}
 	}
 	return out, nil
@@ -755,70 +763,44 @@ func (m *ISAMachine) Program() *ISAProgram { return m.isa }
 // Layout returns the machine's slot layout.
 func (m *ISAMachine) Layout() *SlotLayout { return m.layout }
 
-// Clone returns a machine with private register-array state and frame.
-// The P4 program, ISA program, table entries, hardware configuration,
-// precompiled match tables and lowered code are immutable after
-// construction and stay shared; campaign workers run shards on clones so
-// no mutable state crosses goroutines.
+// Clone returns a machine with private register-array state. The P4
+// program, ISA program, table entries, hardware configuration, precompiled
+// match tables and lowered program are immutable after construction and
+// stay shared; campaign workers run shards on clones so no mutable state
+// crosses goroutines.
 func (m *ISAMachine) Clone() *ISAMachine {
 	c := *m
-	c.regBanks = make([][]int64, len(m.regBanks))
-	for i, cells := range m.regBanks {
-		c.regBanks[i] = append([]int64(nil), cells...)
-	}
-	c.frame = m.low.newFrame()
-	c.matchCount = make([]int, len(m.matchCount))
+	c.engine = m.engine.clone()
 	return &c
-}
-
-// DispatchCounter returns a clone whose ExecSlots counts the lowered ops it
-// dispatches, not the source instructions they retire: the same code with
-// every op retiring 1.
-func (m *ISAMachine) DispatchCounter() *ISAMachine {
-	c := m.Clone()
-	low := *m.low
-	low.code = slices.Clone(low.code)
-	for i := range low.code {
-		low.code[i].retire = 1
-	}
-	c.low = &low
-	return c
 }
 
 // Register returns a copy of a register array's cells.
 func (m *ISAMachine) Register(name string) ([]int64, bool) {
-	for i, n := range m.isa.RegArrays {
-		if n == name {
-			return append([]int64(nil), m.regBanks[i]...), true
-		}
+	if i := slices.Index(m.isa.RegArrays, name); i >= 0 {
+		return slices.Clone(m.bank(i)), true
 	}
 	return nil, false
 }
 
 // ResetState zeroes all register arrays.
-func (m *ISAMachine) ResetState() {
-	for _, r := range m.regBanks {
-		for i := range r {
-			r[i] = 0
-		}
-	}
-}
+func (m *ISAMachine) ResetState() { m.resetState() }
 
 // Run executes the ISA program for every packet, dispatching packets to
 // processors round-robin like the table-level machine. Per-packet latency
-// is the executed instruction count (one instruction per cycle). Run is an
-// adapter over ExecSlots: each packet is copied into a slot vector,
-// executed, and copied back with its timing annotations; a packet that
-// lacks a program field is rejected.
+// is the executed instruction count (one instruction per cycle). Each
+// packet is copied into a slot vector, executed, and copied back with its
+// timing annotations; a packet that lacks a program field is rejected. The
+// matches are counted by the lowered program's counting clone, which
+// Dispatched reads too.
 func (m *ISAMachine) Run(packets []*Packet) (*ISAStats, error) {
 	stats := &ISAStats{Stats: newStats(len(packets), m.hw.Processors)}
-	clear(m.matchCount)
+	p := m.counted()
 	buf := make([]int64, m.layout.NumFields())
 	for i, pkt := range packets {
 		if err := m.layout.PacketToSlots(pkt, buf); err != nil {
 			return nil, fmt.Errorf("drmt isa: packet %d: %w", pkt.ID, err)
 		}
-		executed, dropped, err := m.ExecSlots(buf)
+		executed, dropped, err := m.run(p, buf)
 		if err != nil {
 			return nil, fmt.Errorf("drmt isa: packet %d: %w", pkt.ID, err)
 		}
@@ -828,112 +810,46 @@ func (m *ISAMachine) Run(packets []*Packet) (*ISAStats, error) {
 		pkt.ArriveAt = i
 		pkt.Processor, pkt.CompleteAt = stats.record(i, executed, dropped)
 	}
-	stats.MatchOps = stats.finish(m.isa.Tables, m.matchCount)
+	stats.MatchOps = stats.finish(m.isa.Tables, m.matchCounts(len(m.isa.Tables)))
 	return stats, nil
 }
 
+// Dispatched returns how many instructions of the lowered program the last
+// Run dispatched, its count additions included: what the packets cost on
+// the frame, where ISAStats.Instructions counts the source program's.
+func (m *ISAMachine) Dispatched() int64 {
+	if m.counting == nil {
+		return 0
+	}
+	n := int64(0)
+	for _, c := range m.frame[m.counters : m.counters+m.code.Len()] {
+		n += c
+	}
+	return n
+}
+
 // ExecSlots runs the program on one layout-ordered slot-vector packet in
-// place — the hot path. The packet is copied into the frame, the lowered
-// code (lower.go) runs on it, and the field slots are copied back: every
-// operand is a frame index whether it names a field, a register or a
-// constant, a MATCH scans its precompiled outcomes and continues in the block
-// specialised on the first that matches, and every op adds the number of source
-// instructions it stands for, so a clean execution performs no allocation
+// place — the lowered program on the machine's frame, with no allocation
 // and no map lookups. It returns the executed source-instruction count (the
-// per-packet latency, one instruction per cycle) and the drop flag; an error
-// reports the count up to and including the failing instruction.
-// Register-array state accumulates across calls; executed MATCH instructions
-// accumulate in matchCount until the next Run.
+// per-packet latency, one instruction per cycle) and the drop flag; an
+// error reports the count up to and including the failing instruction.
+// Register-array state accumulates across calls.
 //
 //dvet:hotpath allocs=0
 func (m *ISAMachine) ExecSlots(pkt []int64) (executed int, dropped bool, err error) {
-	low := m.low
+	return m.run(m.code, pkt)
+}
+
+// run runs p, the lowered program or its counting clone, on one packet.
+func (m *ISAMachine) run(p *flat.Program, pkt []int64) (executed int, dropped bool, err error) {
+	m.frame[m.count] = 0
+	dropped = m.exec(p, pkt)
 	f := m.frame
-	// A packet is a handful of words: a loop beats the call into memmove.
-	fields := f[:low.regBase]
-	pkt = pkt[:len(fields)]
-	for i, v := range pkt {
-		fields[i] = v
+	if code := f[m.err]; code != 0 {
+		f[m.err] = 0
+		err = m.errs[code-1]
 	}
-	for _, r := range low.zero {
-		f[r] = 0
-	}
-	code := low.code
-	pc := low.entry
-	for {
-		o := &code[pc]
-		executed += int(o.retire)
-		pc++
-		switch o.op {
-		case OpLoadImm, OpLoadField, OpStoreField:
-			f[o.dst] = f[o.a] & o.x
-		case OpALU:
-			f[o.dst] = aluEvalW(o.aop, aluWidths[o.bits], f[o.a], f[o.b])
-		case opAdd:
-			f[o.dst] = (f[o.a] + f[o.b]) & o.x
-		case OpLoadReg:
-			cells := m.regBanks[o.b]
-			f[o.dst] = cells[wrap(f[o.a], len(cells))]
-		case opLoadRegMask:
-			cells := m.regBanks[o.b]
-			f[o.dst] = cells[f[o.a]&int64(len(cells)-1)]
-		case OpStoreReg:
-			cells := m.regBanks[o.dst]
-			cells[wrap(f[o.a], len(cells))] = f[o.b] & o.x
-		case opStoreRegMask:
-			cells := m.regBanks[o.dst]
-			cells[f[o.a]&int64(len(cells)-1)] = f[o.b] & o.x
-		case OpMatch:
-			m.matchCount[o.a]++
-			// The table's last outcome — the default, or the miss — matches
-			// every packet.
-			for k := int(o.x); ; k++ {
-				if e := &low.outcomes[k]; f[e.field]&e.mask == e.key {
-					pc = e.block
-					break
-				}
-			}
-		case OpBZ:
-			if f[o.a] == 0 {
-				pc = int32(o.x)
-			}
-		case OpBNZ:
-			if f[o.a] != 0 {
-				pc = int32(o.x)
-			}
-		case OpJmp:
-			pc = int32(o.x)
-		case OpDrop:
-			dropped = true
-			f[o.dst] = 1
-		case OpHalt:
-			for i, v := range fields {
-				pkt[i] = v
-			}
-			return executed, dropped, nil
-		case opFail:
-			copy(pkt, fields)
-			return executed, dropped, low.errs[o.x]
-		}
-	}
-}
-
-// wrap wraps a register-array index into a bank of n >= 1 cells.
-func wrap(idx int64, n int) int64 {
-	r := idx % int64(n)
-	if r < 0 {
-		r += int64(n)
-	}
-	return r
-}
-
-// wrapIndex wraps a register-array index like the table-level machine
-// (hash-indexed register array semantics).
-func wrapIndex(idx int64, n int) int {
-	if n == 0 {
-		return 0
-	}
-	return int(wrap(idx, n))
+	return int(f[m.count]), dropped, err
 }
 
 // aluWidths holds the prebuilt width of every ALU bit count Verify accepts.

@@ -2,184 +2,138 @@
 // constant propagation (§3.4, Fig. 6): a machine's table entries are as
 // fixed when newISAMachine runs as RMT's machine code is at core.Build, so
 // the verified, strictly feed-forward ISA program is specialised on them
-// once and ExecSlots runs the result.
+// once, into a flat register program (package flat) that ExecSlots and the
+// differential fuzzer run.
 //
-// The lowered code runs over one []int64 frame: the packet's field slots,
-// then the ISA registers, then one constant register per value the code
-// reads. Every operand is a frame index, so an op does not care which of
-// the three it reads or writes.
+// The program's frame holds the packet's input fields, which it never
+// writes, then the ISA registers, two scratch registers, an output register
+// for every field some instruction stores to and the drop flag — the
+// variables of the walk below, each at its home register — then the
+// register banks and one constant register per value the code reads.
 //
-// The code is one flat slice. It starts with a 1:1 copy of the source
-// program — op i stands for source instruction i, so a source branch target
-// is its own lowered index, and every register operand is the register's
-// home in the frame — which executes after a data-dependent branch that is
-// taken. After it come the blocks: one for the program's entry (the source
-// walked from pc 0) and one per OpMatch outcome (each compiled entry, then
-// the default or the miss; outcomes that select one action with the same
-// arguments share a block), the source walked from the MATCH with the
-// action-select register and the parameter registers known. The walk keeps,
-// per register, the frame index its value lives at:
+// The code is a sequence of blocks laid out in source order, so every jump
+// goes forward: the entry block (the source walked from pc 0), one block per
+// MATCH × distinct outcome (each entry of its table, then the default or the
+// miss; outcomes that select one action with the same arguments share a
+// block), the source walked from the MATCH with the action-select register
+// and the parameter registers known, and one block per target of a
+// data-dependent branch, the source walked from there. A MATCH is a flat
+// Match over its outcomes. The walk keeps, per variable, the register its
+// value is at and the bits of that register that are the value:
 //
-//   - a loadi, and what the MATCH bound, is a constant register; a register
-//     no path from the program's entry has written still holds its initial 0
-//     (the forward fact "written", one bit per register and pc), which is
-//     what folds the drop test between tables;
-//   - a loadf is a rename of the field's slot, until the slot is stored to
-//     (registers renamed to it are given its value first);
+//   - a loadi, and what the MATCH bound, is a constant register; a variable
+//     no path from the program's entry has written still holds its initial
+//     value (a register 0, a field its input; the forward fact "written",
+//     one bit per variable and pc), which is what folds the drop test
+//     between tables;
+//   - a loadf and a storef are renames — a store keeps the field's width as
+//     the bits that count — and an add, subtract or multiply leaves its
+//     width's mask to whoever reads the result, so a chain of additions is
+//     masked once; a register whose value another variable's rename still
+//     points at hands it over before it is overwritten;
 //   - ALU instructions over constants fold, branches on constants are
-//     followed, a branch on anything else is kept with its source target,
-//     and the walk ends at the next MATCH or HALT. Where control can leave
-//     the block, every register live there is moved to its home first.
+//     followed, a branch on anything else is kept and jumps to the block of
+//     its target, and the walk ends at the next MATCH or HALT. Where control
+//     leaves the block, every variable live there that some path has written
+//     is put at its home, masked, first, and where the program ends every
+//     output is.
 //
-// A backward pass then deletes every register write that the source
-// program's exact liveness shows nothing can read, and lets an ALU op whose
-// only reader is the storef right after it, and whose result fits the
-// field, write the field's slot itself.
+// A backward pass then deletes every variable write that the source
+// program's exact liveness shows nothing can read, and lets a bank load
+// whose only reader masks it into a variable write that variable itself.
 //
-// Every lowered op carries the number of source instructions it retires;
-// an instruction that was renamed, folded, followed or deleted rolls its
-// count forward onto the next kept op of its block, which always executes
-// after it. Instruction counts, per-packet latency and the count reported
-// with an execution error are therefore those of the source program,
-// instruction by instruction — the semantics spelled out by the reference
-// interpreter in reference_test.go, which FuzzSlotsVsReference and
-// TestBlocksEqualTheirSourcePath hold this file to.
+// Every block adds the number of source instructions it retires to one
+// count register before it leaves — before each kept branch, its MATCH, its
+// trap or its end — so instruction counts, per-packet latency and the count
+// reported with an execution error are those of the source program: the
+// semantics spelled out by the reference interpreter in reference_test.go,
+// which FuzzSlotsVsReference and TestBlocksEqualTheirSourcePath hold this
+// file to.
 package drmt
 
 import (
-	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
+
+	"druzhba/internal/flat"
 )
 
-// Lowered-only opcodes, continuing the Op enumeration.
-const (
-	// opFail ends the packet with errs[x]: an instruction the source
-	// interpreter fails on whenever it reaches it.
-	opFail Op = OpHalt + 1 + iota
-	// opDead marks a deleted op between the dead-store pass and compaction.
-	opDead
-	// opLoadRegMask and opStoreRegMask are loadr and storer on a bank whose
-	// cell count is a power of two: the index wraps by a mask.
-	opLoadRegMask
-	opStoreRegMask
-	// opAdd is alu.add — the ALU op action bodies assemble to — with the
-	// width as the mask x: a masked sum needs no masked operands. The code
-	// is rewritten to it last; the passes before see OpALU.
-	opAdd
-)
+// width is the datapath of both lowered programs: the widest field, register
+// and ALU operation there is. Narrower ones are masked with flat.And.
+var width = aluWidths[62]
 
-// lop is one lowered instruction. f is the frame; dst, a and b index it
-// unless noted:
-//
-//	loadi   f[dst] = f[a] & x                      a: constant register, x: -1
-//	loadf   f[dst] = f[a] & x                      a: field slot, x: -1
-//	storef  f[dst] = f[a] & x                      dst: field slot, x: width mask
-//	alu     f[dst] = aop(f[a], f[b]) at width bits
-//	add     f[dst] = (f[a] + f[b]) & x             x: width mask
-//	loadr   f[dst] = bank[b][wrap(f[a])]           b: bank
-//	storer  bank[dst][wrap(f[a])] = f[b] & x       dst: bank, x: width mask
-//	match   a: table symbol, x: its first outcome in lowered.outcomes
-//	        (dst: the source's select register, kept for liveness and listings)
-//	bz/bnz  test f[a], x: lowered target
-//	jmp     x: lowered target
-//	drop    f[dst] = 1                             dst: the drop register
-//	fail    x: index into lowered.errs
-type lop struct {
-	op        Op
-	aop       ALUOp
-	bits      uint8
-	retire    uint32 // source instructions this op stands for
-	dst, a, b int32
-	x         int64
+// step is an instruction of the block under construction: to is where a
+// kept branch continues (a source pc), and a Match's A is its MATCH's source
+// pc until the block is emitted.
+type step struct {
+	in     flat.Instr
+	retire uint32 // source instructions it stands for
+	to     int32
+	dead   bool
 }
 
-// lowered is the code ExecSlots runs, and the frame it runs on.
-type lowered struct {
-	code     []lop     // source copy, end-of-program halt, entry block, outcome blocks
-	outcomes []outcome // every MATCH's outcomes, a MATCH's consecutive and in priority order
-	errs     []error   // opFail operands, built once
-	entry    int32     // start of the entry block, where a packet begins
-
-	// The frame: [0, regBase) the packet's field slots, then the ISA
-	// registers, then from constBase the constant registers, which hold consts.
-	regBase, constBase int32
-	consts             []int64
-	zero               []int32 // homes of the registers a packet can read before it writes them
+// blockReq is a block to lower: the source pc it starts at, and for the
+// block of a MATCH's outcome the MATCH, the first outcome it is the block of
+// and the flat outcomes that go to it.
+type blockReq struct {
+	pc, match, oi int
+	outcomes      []int
 }
 
-// outcome is one way a MATCH can go: an entry of its table — selected by the
-// first one with f[field]&mask == key — or, after the entries, the default
-// or the miss, which every packet matches (mask and key 0). block is where
-// the code specialised on it starts.
-type outcome struct {
-	field, block int32
-	mask, key    int64
-}
-
-// newFrame returns a frame with the constant registers set.
-func (l *lowered) newFrame() []int64 {
-	f := make([]int64, int(l.constBase)+len(l.consts))
-	copy(f[l.constBase:], l.consts)
-	return f
-}
-
-// blockAt returns the block that starts at start: straight-line code up to
-// and including the MATCH, HALT or fail that ends it.
-func (l *lowered) blockAt(start int32) []lop {
-	for end := start; ; end++ {
-		switch l.code[end].op {
-		case OpMatch, OpHalt, opFail:
-			return l.code[start : end+1]
-		}
-	}
-}
-
-// outcome returns what a MATCH on the table selects as outcome oi: entry oi,
-// or past the entries the default — without one a miss (matched false),
-// which leaves select and parameters zero.
-func (mt *isaTable) outcome(oi int) (matched bool, sel int64, args []int64, action string) {
-	if oi < len(mt.entries) {
-		e := &mt.entries[oi]
-		return true, e.sel, e.args, e.actName
-	}
-	return mt.hasDef, mt.defSel, mt.defArgs, mt.defName
-}
+// site is a MATCH's outcomes, which every block that reaches it shares.
+type site struct{ first, n int }
 
 // lowerer is the state of one lowering.
 type lowerer struct {
-	m         *ISAMachine
-	fieldSlot []int32 // field symbol -> layout slot (-1 = unknown field)
+	m *ISAMachine
+	b *flat.Builder
+	n int // source instructions
+
+	// Variables: the ISA registers, two scratch registers, the fields some
+	// instruction stores to, and the drop flag, at consecutive homes.
+	varBase   int
+	initial   []int   // variable -> the register it starts a packet at
+	slotVar   []int   // layout slot -> its variable, -1 if nothing stores it
+	fieldSlot []int   // field symbol -> layout slot, -1 for a field the packet lacks
 	fieldMask []int64 // field symbol -> width mask
-	regMask   []int64 // register-array symbol -> width mask
+	cells     []int   // register-array symbol -> cell count
+	bankMask  []int64 // ... and width mask; the symbol is the array's bank
+	dropVar   int     // -1 when the program cannot drop
+	zero      int     // the constant 0
 
-	out     *lowered
-	words   int      // uint64 words per register set
-	live    []uint64 // live-in register set of every source pc, and of the program end
-	written []uint64 // per source pc: the registers some path from pc 0 to it writes
-	set     []uint64 // the dead-store pass's working set
+	words   int
+	live    []uint64      // live-in variable set of every source pc, and of the end
+	written []uint64      // per source pc: the variables some path from pc 0 to it writes
+	outputs []uint64      // the fields stored to and the drop flag
+	set     []uint64      // the dead-store pass's working set
+	fails   map[int]error // source pc -> what the instruction there always fails with
 
-	// The walker's state: where each register's value lives (its home, a
-	// field slot it renames, or a constant register), whether its home holds
-	// that value too, and the block under construction.
-	loc    []int32
-	inHome []uint64
-	buf    []lop
+	loc    []int    // the walker's state: the register each variable's value is at,
+	mask   []int64  // ... the bits of it that are the value,
+	inHome []uint64 // ... and the constants whose home holds them too
+	buf    []step
 
-	key  []byte           // the outcome being lowered, as a key of ...
-	same map[string]int32 // ... the blocks its MATCH already has
+	todo  []blockReq    // the blocks to lower
+	conts map[int][]int // source pc -> kept branches to its block
+	sites map[int]site
+	same  map[string]int // an outcome -> the block of its MATCH it shares
+	ends  []int          // jumps to the program's end
 }
 
-// liveIn returns the registers live on entry to source pc.
-func (lw *lowerer) liveIn(pc int) []uint64 { return lw.live[pc*lw.words : (pc+1)*lw.words] }
+// lowBlock is one lowered block: the source pc it starts at, the MATCH and
+// first outcome it is the block of (match -1: the entry or a branch target)
+// and its instructions.
+type lowBlock struct {
+	pc, match, oi int
+	outcomes      int // of the MATCH, that go to it
+	after         int // the source pc whose live-in set holds where it ends: its MATCH, its HALT, its failing instruction or the end
+	start, end    int
+}
 
-// writtenIn returns the registers that may have been written when control
-// reaches source pc; every other register still holds its initial 0 there.
-func (lw *lowerer) writtenIn(pc int) []uint64 { return lw.written[pc*lw.words : (pc+1)*lw.words] }
-
-func has(set []uint64, r int32) bool { return set[r>>6]&(1<<(r&63)) != 0 }
-func add(set []uint64, r int32)      { set[r>>6] |= 1 << (r & 63) }
-func del(set []uint64, r int32)      { set[r>>6] &^= 1 << (r & 63) }
+func has(set []uint64, v int) bool { return set[v>>6]&(1<<(v&63)) != 0 }
+func add(set []uint64, v int)      { set[v>>6] |= 1 << (v & 63) }
+func del(set []uint64, v int)      { set[v>>6] &^= 1 << (v & 63) }
 
 func union(set, other []uint64) {
 	for w, bits := range other {
@@ -187,562 +141,726 @@ func union(set, other []uint64) {
 	}
 }
 
-// home returns the frame index of ISA register r.
-func (lw *lowerer) home(r int) int32 { return lw.out.regBase + int32(r) }
+// liveIn returns the variables live on entry to source pc.
+func (lw *lowerer) liveIn(pc int) []uint64 { return lw.live[pc*lw.words : (pc+1)*lw.words] }
 
-// reg returns the ISA register whose home frame index idx is, if it is one.
-func (lw *lowerer) reg(idx int32) (int32, bool) {
-	return idx - lw.out.regBase, idx >= lw.out.regBase && idx < lw.out.constBase
+// writtenIn returns the variables that may have been written when control
+// reaches source pc; every other one still holds its initial value there.
+func (lw *lowerer) writtenIn(pc int) []uint64 {
+	return lw.written[pc*lw.words : (pc+1)*lw.words]
+}
+
+// home returns the register of variable v.
+func (lw *lowerer) home(v int) int { return lw.varBase + v }
+
+// varOf returns the variable whose home register r is, -1 for none.
+func (lw *lowerer) varOf(r uint32) int {
+	if v := int(r) - lw.varBase; v >= 0 && v < len(lw.initial) {
+		return v
+	}
+	return -1
 }
 
 // konst returns the constant register holding v.
-func (lw *lowerer) konst(v int64) int32 {
-	for i, c := range lw.out.consts {
-		if c == v {
-			return lw.out.constBase + int32(i)
-		}
-	}
-	lw.out.consts = append(lw.out.consts, v)
-	return lw.out.constBase + int32(len(lw.out.consts)-1)
-}
+func (lw *lowerer) konst(v int64) int { return lw.b.Const(v) }
 
-// fail returns the op for an instruction that always fails with err.
-func (lw *lowerer) fail(retire uint32, err error) lop {
-	lw.out.errs = append(lw.out.errs, err)
-	return lop{op: opFail, retire: retire, x: int64(len(lw.out.errs) - 1)}
-}
-
-// op lowers source instruction pc on its own: names resolved, registers at
-// their homes, and a write to the immutable zero register voided into a jump
-// to the next instruction. base is the MATCH's first outcome.
-func (lw *lowerer) op(pc int, base int32) lop {
-	isa := lw.m.isa
-	in := &isa.Instrs[pc]
-	o := lop{op: in.Op, retire: 1}
-	switch in.Op {
-	case OpLoadImm:
-		o.dst, o.a, o.x = lw.home(in.Dst), lw.konst(in.Imm), -1
-	case OpLoadField, OpStoreField:
-		slot := lw.fieldSlot[in.Sym]
-		if slot < 0 {
-			return lw.fail(1, fmt.Errorf("packet lacks field %q", isa.Fields[in.Sym]))
-		}
-		if in.Op == OpLoadField {
-			o.dst, o.a, o.x = lw.home(in.Dst), slot, -1
-		} else {
-			o.dst, o.a, o.x = slot, lw.home(in.A), lw.fieldMask[in.Sym]
-		}
-	case OpALU:
-		o.aop, o.bits = in.AOp, uint8(in.Bits)
-		o.dst, o.a, o.b = lw.home(in.Dst), lw.home(in.A), lw.home(in.B)
-	case OpLoadReg:
-		o.dst, o.a, o.b = lw.home(in.Dst), lw.home(in.A), int32(in.Sym)
-		if lw.wrapsByMask(in.Sym) {
-			o.op = opLoadRegMask
-		}
-	case OpStoreReg:
-		o.dst, o.a, o.b, o.x = int32(in.Sym), lw.home(in.A), lw.home(in.B), lw.regMask[in.Sym]
-		if lw.wrapsByMask(in.Sym) {
-			o.op = opStoreRegMask
-		}
-	case OpMatch:
-		if err := lw.m.matchTables[in.Sym].err; err != nil {
-			return lw.fail(1, err)
-		}
-		o.dst, o.a, o.x = lw.home(in.Dst), int32(in.Sym), int64(base)
-	case OpBZ, OpBNZ:
-		o.a, o.x = lw.home(in.A), int64(in.Target)
-	case OpJmp:
-		o.x = int64(in.Target)
-	case OpDrop:
-		o.dst = lw.home(RegDrop)
+// lower builds the machine's flat program.
+func (lw *lowerer) lower() error {
+	m, b := lw.m, lw.b
+	isa := m.isa
+	lw.n = len(isa.Instrs)
+	e := &m.engine
+	outcomes := 0
+	for _, mt := range m.matchTables {
+		outcomes += len(mt.outcomes)
 	}
-	if o.writesFrame() && o.dst == lw.home(RegZero) {
-		return lop{op: OpJmp, retire: 1, x: int64(pc + 1)}
+	b.Reserve(2*m.layout.NumFields()+isa.NumRegs+48+sum(lw.cells), lw.n, outcomes)
+	lw.buf = make([]step, 0, 32)
+	m.blocks = make([]lowBlock, 0, 2*len(m.matchTables)+2)
+	lw.initial = make([]int, 0, isa.NumRegs+m.layout.NumFields()+3)
+	e.out = make([]int, m.layout.NumFields())
+	for slot, name := range m.layout.fields {
+		e.out[slot] = b.Reg(name, 0)
 	}
-	return o
-}
+	m.count, m.err = b.Reg("count", 0), b.Reg("err", 0)
 
-// wrapsByMask reports whether the bank's cell count is a power of two, so
-// that an index wraps into it by idx & (cells-1).
-func (lw *lowerer) wrapsByMask(bank int) bool {
-	cells := len(lw.m.regBanks[bank])
-	return cells&(cells-1) == 0
-}
-
-// writesFrame reports whether the op's only effect is to set f[dst].
-func (o *lop) writesFrame() bool {
-	switch o.op {
-	case OpLoadImm, OpLoadField, OpStoreField, OpALU, OpLoadReg, opLoadRegMask:
-		return true
+	// The variables and their homes.
+	lw.slotVar = make([]int, len(e.out))
+	for i := range lw.slotVar {
+		lw.slotVar[i] = -1
 	}
-	return false
-}
-
-// matchWrites calls each with every register the MATCH o sets.
-func (lw *lowerer) matchWrites(o *lop, each func(r int32)) {
-	each(o.dst - lw.out.regBase)
-	for i := 0; i < lw.m.isa.NumParams; i++ {
-		each(int32(RegParam0 + i))
+	lw.dropVar = -1
+	lw.zero = lw.konst(0)
+	lw.varBase = b.Regs("r", isa.NumRegs)
+	b.Reg("s0", 0)
+	b.Reg("s1", 0)
+	for v := 0; v < isa.NumRegs+2; v++ {
+		lw.initial = append(lw.initial, lw.zero)
 	}
-}
-
-// step moves the live set backwards across o — on entry the registers live
-// after o falls through, on return those live before it — and reports
-// whether o is a register write that nothing reads.
-func (lw *lowerer) step(o *lop, live []uint64) (dead bool) {
-	use := func(idx int32) {
-		if r, ok := lw.reg(idx); ok {
-			add(live, r)
+	fail := func(pc int, err error) {
+		if lw.fails == nil {
+			lw.fails = map[int]error{}
 		}
+		lw.fails[pc] = err
 	}
-	if o.writesFrame() {
-		if r, ok := lw.reg(o.dst); ok {
-			if !has(live, r) {
-				return true
+	for pc, in := range isa.Instrs {
+		switch in.Op {
+		case OpLoadField, OpStoreField:
+			slot := lw.fieldSlot[in.Sym]
+			if slot < 0 {
+				fail(pc, fmt.Errorf("packet lacks field %q", isa.Fields[in.Sym]))
+			} else if in.Op == OpStoreField && lw.slotVar[slot] < 0 {
+				lw.slotVar[slot] = len(lw.initial)
+				lw.initial = append(lw.initial, e.out[slot])
+				b.Reg(m.layout.fields[slot]+"'", 0)
 			}
-			del(live, r)
-		}
-	}
-	switch o.op {
-	case OpLoadImm, OpLoadField, OpStoreField, OpLoadReg, opLoadRegMask:
-		use(o.a)
-	case OpALU, OpStoreReg, opStoreRegMask:
-		use(o.a)
-		use(o.b)
-	case OpMatch:
-		lw.matchWrites(o, func(r int32) { del(live, r) })
-	case OpBZ, OpBNZ:
-		union(live, lw.liveIn(int(o.x)))
-		use(o.a)
-	case OpJmp:
-		copy(live, lw.liveIn(int(o.x)))
-	case OpDrop:
-		del(live, RegDrop)
-	case OpHalt, opFail:
-		clear(live)
-	}
-	return false
-}
-
-// lower builds the machine's lowered code.
-func (lw *lowerer) lower() *lowered {
-	isa := lw.m.isa
-	n := len(isa.Instrs)
-	// With a handful of distinct outcomes per MATCH, as the embedded
-	// benchmarks have, the blocks come to less than the source; more grow
-	// the slice.
-	lw.out = &lowered{code: make([]lop, n+1, 2*n+1)}
-	lw.out.regBase = int32(lw.m.layout.NumFields())
-	lw.out.constBase = lw.out.regBase + int32(isa.NumRegs)
-	lw.konst(0) // the first constant register: what an unwritten register reads as
-	code := lw.out.code
-
-	// The source copy. Outcomes are numbered as MATCHes are met.
-	for pc := range isa.Instrs {
-		code[pc] = lw.op(pc, int32(len(lw.out.outcomes)))
-		if code[pc].op == OpMatch {
-			for _, e := range lw.m.matchTables[code[pc].a].entries {
-				lw.out.outcomes = append(lw.out.outcomes, outcome{field: int32(e.field), mask: e.mask, key: e.key})
+		case OpMatch:
+			if err := m.matchTables[in.Sym].err; err != nil {
+				fail(pc, err)
 			}
-			lw.out.outcomes = append(lw.out.outcomes, outcome{})
+		case OpDrop:
+			lw.dropVar = 0
 		}
 	}
-	code[n] = lop{op: OpHalt} // running off the end retires nothing more
+	for slot, v := range lw.slotVar {
+		if v >= 0 {
+			e.out[slot] = lw.home(v)
+		}
+	}
+	e.dropped = lw.zero
+	if lw.dropVar == 0 {
+		lw.dropVar, e.canDrop = len(lw.initial), true
+		lw.initial = append(lw.initial, lw.zero)
+		e.dropped = b.Reg("dropped", 0)
+	}
+	for i, name := range isa.RegArrays {
+		_, first := b.Bank(name, lw.cells[i], lw.bankMask[i])
+		e.banks = append(e.banks, [2]int{first, lw.cells[i]})
+	}
 
 	lw.dataflow()
-	lw.loc = make([]int32, isa.NumRegs)
-	lw.out.entry = int32(len(lw.out.code))
-	lw.begin(0)
-	lw.finish(lw.walk(0))
-
-	lw.same = map[string]int32{}
-	for pc := 0; pc < n; pc++ {
-		if code[pc].op != OpMatch {
-			continue
-		}
-		// A block is a function of what its MATCH wrote, so the entries
-		// that select one action with the same arguments — most of a large
-		// table — share one block.
-		mt := &lw.m.matchTables[code[pc].a]
-		clear(lw.same)
-		for oi := 0; oi <= len(mt.entries); oi++ {
-			start, ok := lw.same[string(lw.outcomeKey(mt, oi))]
-			if !ok {
-				start = int32(len(lw.out.code))
-				lw.same[string(lw.key)] = start
-				lw.outcome(pc, mt, oi)
+	lw.loc, lw.mask = make([]int, len(lw.initial)), make([]int64, len(lw.initial))
+	lw.todo = []blockReq{{match: -1}}
+	lw.conts, lw.sites, lw.same = map[int][]int{}, map[int]site{}, map[string]int{}
+	// Blocks are lowered in the order of the source pc they start at: every
+	// jump goes to a block that starts later, so every jump goes forward.
+	for len(lw.todo) > 0 {
+		next := 0
+		for i, req := range lw.todo {
+			if req.pc < lw.todo[next].pc {
+				next = i
 			}
-			lw.out.outcomes[int(code[pc].x)+oi].block = start
 		}
+		req := lw.todo[next]
+		lw.todo = slices.Delete(lw.todo, next, next+1)
+		lw.block(req)
 	}
-	for i := range lw.out.code {
-		if o := &lw.out.code[i]; o.op == OpALU && o.aop == ALUAdd {
-			o.op, o.x = opAdd, aluWidths[o.bits].Mask()
-		}
+	b.Land(lw.ends...)
+	code, err := b.Build()
+	if err != nil {
+		return fmt.Errorf("drmt isa: lowering: %w", err)
 	}
-	return lw.out
+	e.code = code
+	return nil
 }
 
-// dataflow computes, over the source copy, the exact liveness of the source
-// and which registers may have been written by each pc: edges only go
-// forward, so one backward sweep sees every successor's live set before it is
-// needed, and one forward sweep has every predecessor's written set in place.
+// effects calls each with every variable source instruction in writes
+// (def), then with every one it reads.
+func (lw *lowerer) effects(in *Instr, each func(v int, def bool)) {
+	reg := func(r int) {
+		if r != RegZero {
+			each(r, true)
+		}
+	}
+	use := func(vs ...int) {
+		for _, v := range vs {
+			if v >= 0 {
+				each(v, false)
+			}
+		}
+	}
+	switch in.Op {
+	case OpLoadImm:
+		reg(in.Dst)
+	case OpLoadField:
+		if in.Dst != RegZero {
+			reg(in.Dst)
+			use(lw.slotVar[lw.fieldSlot[in.Sym]])
+		}
+	case OpStoreField:
+		each(lw.slotVar[lw.fieldSlot[in.Sym]], true)
+		use(in.A)
+	case OpALU:
+		if in.Dst != RegZero {
+			reg(in.Dst)
+			use(in.A, in.B)
+		}
+	case OpLoadReg:
+		if in.Dst != RegZero {
+			reg(in.Dst)
+			use(in.A)
+		}
+	case OpStoreReg:
+		use(in.A, in.B)
+	case OpMatch:
+		reg(in.Dst)
+		for i := 0; i < lw.m.isa.NumParams; i++ {
+			reg(RegParam0 + i)
+		}
+		outcomes := lw.m.matchTables[in.Sym].outcomes
+		for _, o := range outcomes[:len(outcomes)-1] {
+			use(lw.slotVar[o.Reg])
+		}
+	case OpBZ, OpBNZ:
+		use(in.A)
+	case OpDrop:
+		each(RegDrop, true)
+		each(lw.dropVar, true)
+	}
+}
+
+// dataflow computes the exact liveness of the source — where the program
+// ends, at a HALT or a failing instruction, every output is live — and which
+// variables may have been written by each pc: edges only go forward, so one
+// backward sweep sees every successor's live set before it is needed, and
+// one forward sweep has every predecessor's written set in place.
 func (lw *lowerer) dataflow() {
-	isa, code := lw.m.isa, lw.out.code
-	n := len(isa.Instrs)
-	lw.words = (isa.NumRegs + 63) / 64
-	sets := make([]uint64, (2*n+4)*lw.words)
-	lw.live, sets = sets[:(n+2)*lw.words], sets[(n+2)*lw.words:]
-	lw.written, lw.inHome = sets[:(n+1)*lw.words], sets[(n+1)*lw.words:]
-	lw.set = lw.liveIn(n + 1)
+	isa, n := lw.m.isa, lw.n
+	lw.words = (len(lw.initial) + 63) / 64
+	sets := make([]uint64, (2*n+5)*lw.words)
+	lw.live, sets = sets[:(n+1)*lw.words], sets[(n+1)*lw.words:]
+	lw.written, sets = sets[:(n+1)*lw.words], sets[(n+1)*lw.words:]
+	lw.outputs, lw.set, lw.inHome = sets[:lw.words], sets[lw.words:2*lw.words], sets[2*lw.words:]
+	for v := isa.NumRegs + 2; v < len(lw.initial); v++ {
+		add(lw.outputs, v)
+	}
+	copy(lw.liveIn(n), lw.outputs)
+	ends := func(pc int) bool { return lw.fails[pc] != nil || isa.Instrs[pc].Op == OpHalt }
 	for pc := n - 1; pc >= 0; pc-- {
-		copy(lw.liveIn(pc), lw.liveIn(pc+1))
-		lw.step(&code[pc], lw.liveIn(pc))
+		in, live := &isa.Instrs[pc], lw.liveIn(pc)
+		switch {
+		case ends(pc):
+			copy(live, lw.outputs)
+			continue
+		case in.Op == OpJmp:
+			copy(live, lw.liveIn(in.Target))
+		case in.Op == OpBZ || in.Op == OpBNZ:
+			copy(live, lw.liveIn(pc+1))
+			union(live, lw.liveIn(in.Target))
+		default:
+			copy(live, lw.liveIn(pc+1))
+		}
+		lw.effects(in, func(v int, def bool) {
+			if def {
+				del(live, v)
+			} else {
+				add(live, v)
+			}
+		})
 	}
 	for pc := 0; pc < n; pc++ {
-		o, in := &code[pc], lw.writtenIn(pc)
-		switch o.op {
-		case OpBZ, OpBNZ, OpJmp:
-			union(lw.writtenIn(int(o.x)), in)
-			if o.op == OpJmp {
-				continue
-			}
-		case OpHalt, opFail:
+		if ends(pc) {
 			continue
 		}
-		next := lw.writtenIn(pc + 1)
-		union(next, in)
-		switch {
-		case o.op == OpMatch:
-			lw.matchWrites(o, func(r int32) { add(next, r) })
-		case o.writesFrame() || o.op == OpDrop:
-			if r, ok := lw.reg(o.dst); ok {
-				add(next, r)
+		in := &isa.Instrs[pc]
+		out := lw.set
+		copy(out, lw.writtenIn(pc))
+		lw.effects(in, func(v int, def bool) {
+			if def {
+				add(out, v)
 			}
-		}
-	}
-	// A packet starts with its registers zero; only those the program can
-	// read before it writes them have to be made so.
-	for r := 1; r < isa.NumRegs; r++ {
-		if has(lw.liveIn(0), int32(r)) {
-			lw.out.zero = append(lw.out.zero, lw.home(r))
-		}
-	}
-}
-
-// outcomeKey sets lw.key to everything outcome oi's block depends on beyond
-// its MATCH: hit or miss, the select and the arguments — and for a select of
-// 0, which fails by name, the action.
-func (lw *lowerer) outcomeKey(mt *isaTable, oi int) []byte {
-	matched, sel, args, action := mt.outcome(oi)
-	lw.key = append(lw.key[:0], 0)
-	if matched {
-		lw.key[0] = 1
-	}
-	lw.key = binary.AppendVarint(lw.key, sel)
-	for i := 0; i < lw.m.isa.NumParams; i++ {
-		v := int64(0)
-		if i < len(args) {
-			v = args[i]
-		}
-		lw.key = binary.AppendVarint(lw.key, v)
-	}
-	if matched && sel == 0 {
-		lw.key = append(lw.key, action...)
-	}
-	return lw.key
-}
-
-// outcome appends the block that follows the MATCH at source pc when it
-// selects entry oi of mt (oi == len(mt.entries): no entry matched).
-func (lw *lowerer) outcome(pc int, mt *isaTable, oi int) {
-	matched, sel, args, actName := mt.outcome(oi)
-	if matched && sel == 0 {
-		err := fmt.Errorf("table %q selected action %q outside its dispatch list", mt.name, actName)
-		lw.out.code = append(lw.out.code, lw.fail(0, err))
-		return
-	}
-
-	// What the MATCH wrote, in its order, as constants the walk starts from.
-	lw.begin(pc)
-	lw.define(lw.m.isa.Instrs[pc].Dst, sel)
-	for i := 0; i < lw.m.isa.NumParams; i++ {
-		v := int64(0)
-		if i < len(args) {
-			v = args[i]
-		}
-		lw.define(RegParam0+i, v)
-	}
-	lw.finish(lw.walk(pc + 1))
-}
-
-// begin starts a block at source pc: a register written on some path to pc
-// is at its home, every other one is the constant 0 there and everywhere.
-func (lw *lowerer) begin(pc int) {
-	lw.buf = lw.buf[:0]
-	written := lw.writtenIn(pc)
-	for r := range lw.loc {
-		lw.loc[r] = lw.out.constBase
-		if r != RegZero && has(written, int32(r)) {
-			lw.loc[r] = lw.home(r)
-		}
-		add(lw.inHome, int32(r))
-	}
-}
-
-// define records that the MATCH set register r to v. Nothing is emitted: v
-// is a constant register wherever the block reads r.
-func (lw *lowerer) define(r int, v int64) {
-	if r != RegZero {
-		lw.rename(int32(r), lw.konst(v))
-	}
-}
-
-// rename records that register r's value now lives at frame index idx.
-func (lw *lowerer) rename(r, idx int32) {
-	lw.loc[r] = idx
-	if idx == lw.home(int(r)) {
-		add(lw.inHome, r)
-	} else {
-		del(lw.inHome, r)
-	}
-}
-
-// settle emits the move that brings register r to its home, unless it is
-// there. The move retires nothing: the instruction it stands for has been
-// counted.
-func (lw *lowerer) settle(r int32) {
-	if has(lw.inHome, r) {
-		return
-	}
-	op := OpLoadField
-	if lw.loc[r] >= lw.out.constBase {
-		op = OpLoadImm
-	}
-	lw.buf = append(lw.buf, lop{op: op, dst: lw.home(int(r)), a: lw.loc[r], x: -1})
-	add(lw.inHome, r)
-}
-
-// settleLive settles every register of the set: control may leave the block
-// for code that reads them at their homes.
-func (lw *lowerer) settleLive(live []uint64) {
-	for r := range lw.loc {
-		if has(live, int32(r)) {
-			lw.settle(int32(r))
-		}
-	}
-}
-
-// walk specialises the source from pc on the walker's state into buf, up to
-// and including the next MATCH, HALT or failing instruction, and returns the
-// source pc whose live-in set holds after the block's last op.
-func (lw *lowerer) walk(pc int) (after int) {
-	n := len(lw.m.isa.Instrs)
-	base := lw.out.regBase
-	pending := uint32(0) // retired by instructions that left no op
-	for ; pc < n; pc++ {
-		o := lw.out.code[pc]
-		switch o.op {
+		})
+		switch in.Op {
 		case OpJmp:
-			pending++
-			pc = int(o.x) - 1
+			union(lw.writtenIn(in.Target), out)
 			continue
 		case OpBZ, OpBNZ:
-			o.a = lw.loc[o.a-base]
-			if o.a >= lw.out.constBase {
-				pending++
-				if (lw.out.consts[o.a-lw.out.constBase] == 0) == (o.op == OpBZ) {
-					pc = int(o.x) - 1
+			union(lw.writtenIn(in.Target), out)
+		}
+		union(lw.writtenIn(pc+1), out)
+	}
+}
+
+// block lowers and emits one block.
+func (lw *lowerer) block(req blockReq) {
+	start := lw.b.Len()
+	after := lw.n
+	if req.match < 0 {
+		lw.b.Land(lw.conts[req.pc]...)
+		lw.begin(req.pc)
+		after = lw.walk(req.pc)
+	} else {
+		lw.b.LandOutcome(req.outcomes...)
+		after = lw.outcome(req)
+	}
+	lw.finish(after)
+	lw.emit()
+	lw.m.blocks = append(lw.m.blocks, lowBlock{pc: req.pc, match: req.match, oi: req.oi, outcomes: len(req.outcomes), after: after, start: start, end: lw.b.Len()})
+}
+
+// outcome walks the block that follows the MATCH at req.match when it
+// selects outcome req.oi, and returns the source pc whose live-in set holds
+// at its end.
+func (lw *lowerer) outcome(req blockReq) (after int) {
+	mt := &lw.m.matchTables[lw.m.isa.Instrs[req.match].Sym]
+	matched, sel, args, action := mt.outcome(req.oi)
+	lw.begin(req.match)
+	if matched && sel == 0 {
+		lw.settleOutputs()
+		lw.push(lw.trap(fmt.Errorf("table %q selected action %q outside its dispatch list", mt.name, action)), 0)
+		return lw.n
+	}
+	// What the MATCH wrote, in its order, as constants the walk starts from.
+	lw.rename(lw.m.isa.Instrs[req.match].Dst, lw.konst(sel), -1)
+	for i := 0; i < lw.m.isa.NumParams; i++ {
+		v := int64(0)
+		if i < len(args) {
+			v = args[i]
+		}
+		lw.rename(RegParam0+i, lw.konst(v), -1)
+	}
+	return lw.walk(req.pc)
+}
+
+// begin starts a block at source pc: a variable written on some path to pc
+// is at its home, every other one where it starts.
+func (lw *lowerer) begin(pc int) {
+	lw.buf = lw.buf[:0]
+	clear(lw.inHome)
+	written := lw.writtenIn(pc)
+	for v := range lw.loc {
+		lw.loc[v], lw.mask[v] = lw.initial[v], -1
+		if has(written, v) {
+			lw.loc[v] = lw.home(v)
+		}
+	}
+}
+
+// rename records that variable v's value is now the bits of register reg
+// under mask; a write to the zero register is void. A constant is kept
+// exact.
+func (lw *lowerer) rename(v, reg int, mask int64) {
+	if v == RegZero {
+		return
+	}
+	if c, ok := lw.b.Constant(reg); ok {
+		reg, mask = lw.konst(c&mask), -1
+	}
+	lw.loc[v], lw.mask[v] = reg, mask
+	del(lw.inHome, v)
+}
+
+// push appends an instruction to the block.
+func (lw *lowerer) push(in flat.Instr, retire uint32) {
+	lw.buf = append(lw.buf, step{in: in, retire: retire})
+}
+
+// op appends "dst = op x, y".
+func (lw *lowerer) op(op flat.Op, dst, x, y int) {
+	lw.push(flat.Instr{Op: op, A: uint32(dst), B: uint32(x), C: uint32(y)}, 0)
+}
+
+// trap returns the instruction that stops the packet with err.
+func (lw *lowerer) trap(err error) flat.Instr {
+	code := slices.Index(lw.m.errs, err) + 1
+	if code == 0 {
+		lw.m.errs = append(lw.m.errs, err)
+		code = len(lw.m.errs)
+	}
+	return flat.Instr{Op: flat.Trap, A: uint32(lw.m.err), B: uint32(lw.zero), C: uint32(code)}
+}
+
+// read returns a register that holds variable v's value in the bits of
+// need: where the value is, unless the bits the mask still has to clear
+// matter, and then its home after the mask.
+func (lw *lowerer) read(v int, need int64) int {
+	if need&^lw.mask[v] != 0 {
+		lw.settle(v)
+	}
+	return lw.loc[v]
+}
+
+// settle puts variable v's value, masked, at its home, unless it is there;
+// a constant the walk goes on reading where it is, so it may still fold. The
+// instruction retires nothing: the one it stands for has been counted.
+func (lw *lowerer) settle(v int) {
+	home, at, mask := lw.home(v), lw.loc[v], lw.mask[v]
+	if at == home && mask == -1 || has(lw.inHome, v) {
+		return
+	}
+	lw.clobber(v)
+	if mask == -1 {
+		lw.op(flat.Mov, home, at, 0)
+	} else {
+		lw.op(flat.And, home, at, lw.konst(mask))
+	}
+	if _, ok := lw.b.Constant(at); ok {
+		add(lw.inHome, v)
+	} else {
+		lw.loc[v], lw.mask[v] = home, -1
+	}
+}
+
+// clobber readies variable v's home to be written: every other variable
+// whose value is there takes it along to its own.
+func (lw *lowerer) clobber(v int) {
+	for u, at := range lw.loc {
+		if at == lw.home(v) && u != v {
+			lw.settle(u)
+		}
+	}
+}
+
+// settleAt settles what the block of source pc reads at home: the variables
+// live there that some path to it has written.
+func (lw *lowerer) settleAt(pc int) {
+	live, written := lw.liveIn(pc), lw.writtenIn(pc)
+	for v := range lw.loc {
+		if has(live, v) && has(written, v) {
+			lw.settle(v)
+		}
+	}
+}
+
+// settleOutputs settles every output: the program ends.
+func (lw *lowerer) settleOutputs() {
+	for v := range lw.loc {
+		if has(lw.outputs, v) {
+			lw.settle(v)
+		}
+	}
+}
+
+// masked returns a register holding x's low bits under mask: a constant, or
+// scratch register s after an And.
+func (lw *lowerer) masked(x int, mask int64, s int) int {
+	if c, ok := lw.b.Constant(x); ok {
+		return lw.konst(c & mask)
+	}
+	lw.op(flat.And, s, x, lw.konst(mask))
+	return s
+}
+
+// alu appends ALU instruction in, whose operands are not both constants.
+// Addition, subtraction and multiplication wrap at the datapath width and
+// leave the result's mask to whoever reads it; the other operations see
+// their operands masked.
+func (lw *lowerer) alu(in *Instr) {
+	mask := aluWidths[in.Bits].Mask()
+	lw.read(in.A, mask)
+	lw.read(in.B, mask)
+	x, y := lw.loc[in.A], lw.loc[in.B]
+	d := lw.home(in.Dst)
+	s0, s1 := lw.home(lw.m.isa.NumRegs), lw.home(lw.m.isa.NumRegs+1)
+	switch in.AOp {
+	case ALUAdd, ALUSub, ALUMul:
+		lw.clobber(in.Dst)
+		lw.op([...]flat.Op{ALUAdd: flat.Add, ALUSub: flat.Sub, ALUMul: flat.Mul}[in.AOp], d, x, y)
+		if in.Bits == width.Bits() {
+			mask = -1 // what the datapath keeps
+		}
+		lw.rename(in.Dst, d, mask)
+		return
+	case ALUAnd, ALUOr:
+		lw.op(flat.Bool, s0, lw.masked(x, mask, s0), 0)
+		lw.op(flat.Bool, s1, lw.masked(y, mask, s1), 0)
+		lw.clobber(in.Dst)
+		if in.AOp == ALUAnd {
+			lw.op(flat.And, d, s0, s1)
+		} else {
+			lw.op(flat.Add, d, s0, s1)
+			lw.op(flat.Bool, d, d, 0)
+		}
+	default:
+		op := [...]flat.Op{ALUDiv: flat.Div, ALUMod: flat.Mod, ALUEq: flat.Eq, ALUNeq: flat.Ne, ALULt: flat.Lt, ALULe: flat.Le}[in.AOp]
+		x, y = lw.masked(x, mask, s0), lw.masked(y, mask, s1)
+		lw.clobber(in.Dst)
+		lw.op(op, d, x, y)
+	}
+	lw.rename(in.Dst, d, -1)
+}
+
+// index reads the index register of a bank access: a bank of 2^k cells
+// needs its low k bits.
+func (lw *lowerer) index(r, bank int) int {
+	need := int64(-1)
+	if n := lw.cells[bank]; n&(n-1) == 0 {
+		need = int64(n - 1)
+	}
+	return lw.read(r, need)
+}
+
+// walk specialises the source from pc on the walker's state into the block,
+// up to and including the next MATCH, HALT or failing instruction, and
+// returns the source pc whose live-in set holds after the block's last
+// instruction.
+func (lw *lowerer) walk(pc int) (after int) {
+	isa := lw.m.isa
+	pending := uint32(0) // retired by instructions that left nothing
+	for ; pc < lw.n; pc++ {
+		in := &isa.Instrs[pc]
+		if err := lw.fails[pc]; err != nil {
+			lw.settleOutputs()
+			lw.push(lw.trap(err), pending+1)
+			return pc
+		}
+		emitted := len(lw.buf)
+		switch in.Op {
+		case OpJmp:
+			pc = in.Target - 1
+		case OpBZ, OpBNZ:
+			if v, ok := lw.b.Constant(lw.loc[in.A]); ok {
+				if (v == 0) == (in.Op == OpBZ) {
+					pc = in.Target - 1
 				}
-				continue
+				break
 			}
-			lw.settleLive(lw.liveIn(int(o.x)))
-		case OpLoadImm, OpLoadField:
-			lw.rename(o.dst-base, o.a)
+			lw.settleAt(in.Target)
+			op := flat.Jz
+			if in.Op == OpBNZ {
+				op = flat.Jnz
+			}
+			cond := lw.read(in.A, -1)
+			lw.buf = append(lw.buf, step{in: flat.Instr{Op: op, B: uint32(cond)}, to: int32(in.Target)})
+			if _, ok := lw.conts[in.Target]; !ok {
+				lw.conts[in.Target] = nil
+				lw.todo = append(lw.todo, blockReq{pc: in.Target, match: -1})
+			}
+		case OpLoadImm:
+			lw.rename(in.Dst, lw.konst(in.Imm), -1)
+		case OpLoadField:
+			slot := lw.fieldSlot[in.Sym]
+			if v := lw.slotVar[slot]; v >= 0 {
+				lw.rename(in.Dst, lw.loc[v], lw.mask[v])
+			} else {
+				lw.rename(in.Dst, lw.m.engine.out[slot], -1)
+			}
+		case OpStoreField:
+			lw.rename(lw.slotVar[lw.fieldSlot[in.Sym]], lw.loc[in.A], lw.mask[in.A]&lw.fieldMask[in.Sym])
+		case OpALU:
+			if in.Dst == RegZero {
+				break
+			}
+			cx, okx := lw.b.Constant(lw.loc[in.A])
+			cy, oky := lw.b.Constant(lw.loc[in.B])
+			if okx && oky {
+				lw.rename(in.Dst, lw.konst(aluEvalW(in.AOp, aluWidths[in.Bits], cx, cy)), -1)
+				break
+			}
+			lw.alu(in)
+		case OpLoadReg:
+			if in.Dst == RegZero {
+				break
+			}
+			idx := lw.index(in.A, in.Sym)
+			lw.clobber(in.Dst)
+			lw.op(flat.Load, lw.home(in.Dst), in.Sym, idx)
+			lw.rename(in.Dst, lw.home(in.Dst), -1)
+		case OpStoreReg:
+			lw.index(in.A, in.Sym)
+			lw.read(in.B, lw.bankMask[in.Sym])
+			lw.op(flat.Store, in.Sym, lw.loc[in.A], lw.loc[in.B])
+		case OpDrop:
+			lw.rename(RegDrop, lw.konst(1), -1)
+			lw.rename(lw.dropVar, lw.konst(1), -1)
+		case OpMatch:
+			lw.settleAt(pc)
+			lw.site(pc)
+			lw.push(flat.Instr{Op: flat.Match, A: uint32(pc)}, 0)
+		case OpHalt:
+			lw.settleOutputs()
+			lw.push(flat.Instr{Op: flat.Jmp}, 0)
+		}
+		if len(lw.buf) == emitted {
 			pending++
 			continue
-		case OpStoreField:
-			// The slot is about to change: a register that renames it takes
-			// its value along.
-			for r, idx := range lw.loc {
-				if idx == o.dst {
-					lw.settle(int32(r))
-					lw.loc[r] = lw.home(r)
-				}
-			}
-			o.a = lw.loc[o.a-base]
-		case OpALU:
-			o.a, o.b = lw.loc[o.a-base], lw.loc[o.b-base]
-			if c := lw.out.constBase; o.a >= c && o.b >= c {
-				v := aluEvalW(o.aop, aluWidths[o.bits], lw.out.consts[o.a-c], lw.out.consts[o.b-c])
-				lw.rename(o.dst-base, lw.konst(v))
-				pending++
-				continue
-			}
-			lw.rename(o.dst-base, o.dst)
-		case OpLoadReg, opLoadRegMask:
-			o.a = lw.loc[o.a-base]
-			lw.rename(o.dst-base, o.dst)
-		case OpStoreReg, opStoreRegMask:
-			o.a, o.b = lw.loc[o.a-base], lw.loc[o.b-base]
-		case OpDrop:
-			lw.loc[RegDrop] = lw.konst(1)
-			add(lw.inHome, RegDrop)
-		case OpMatch:
-			lw.settleLive(lw.liveIn(pc))
 		}
-		o.retire += pending
+		lw.buf[len(lw.buf)-1].retire += pending + 1
 		pending = 0
-		lw.buf = append(lw.buf, o)
-		switch o.op {
-		case OpMatch:
-			return pc + 1
-		case OpHalt, opFail:
-			return n
+		if in.Op == OpMatch || in.Op == OpHalt {
+			return pc
 		}
 	}
-	lw.buf = append(lw.buf, lop{op: OpHalt, retire: pending})
-	return n
+	lw.settleOutputs()
+	lw.push(flat.Instr{Op: flat.Jmp}, pending)
+	return lw.n
 }
 
-// finish appends the walked block to the code: dead register writes go, an
-// ALU op takes over the storef that only forwards its result, and the
-// retired counts of what went roll forward. after is the source pc whose
-// live-in set holds at the block's end.
+// site makes the outcomes of the MATCH at source pc m, on first use, and
+// queues a block for each distinct one.
+func (lw *lowerer) site(m int) {
+	if _, ok := lw.sites[m]; ok {
+		return
+	}
+	mt := &lw.m.matchTables[lw.m.isa.Instrs[m].Sym]
+	n := len(mt.outcomes)
+	for _, o := range mt.outcomes[:n-1] {
+		slot := int(o.Reg)
+		o.Reg = uint32(lw.m.engine.out[slot])
+		if v := lw.slotVar[slot]; v >= 0 && !has(lw.writtenIn(m), v) {
+			o.Reg = uint32(lw.initial[v])
+		}
+		lw.b.Outcomes(o)
+	}
+	first := lw.b.Outcomes(flat.Outcome{Reg: uint32(lw.zero)}) - (n - 1)
+	lw.sites[m] = site{first, n}
+	// A block is a function of what its MATCH wrote, so the entries that
+	// select one action with the same arguments — most of a large table —
+	// share one block.
+	clear(lw.same)
+	for oi := 0; oi < n; oi++ {
+		key := outcomeKey(mt, oi)
+		i, ok := lw.same[key]
+		if !ok {
+			i = len(lw.todo)
+			lw.same[key] = i
+			lw.todo = append(lw.todo, blockReq{pc: m + 1, match: m, oi: oi})
+		}
+		lw.todo[i].outcomes = append(lw.todo[i].outcomes, first+oi)
+	}
+}
+
+// outcomeKey returns everything outcome oi's block depends on beyond its
+// MATCH: hit or miss, the select, the arguments and the action.
+func outcomeKey(mt *isaTable, oi int) string {
+	matched, sel, args, action := mt.outcome(oi)
+	return fmt.Sprint(matched, sel, args, action)
+}
+
+// finish runs the backward pass over the block: dead variable writes go,
+// and a load whose only reader is the And after it that masks the cell into
+// a variable no narrower than the bank writes that variable itself. after
+// is the source pc whose live-in set holds at the block's end.
 func (lw *lowerer) finish(after int) {
-	copy(lw.set, lw.liveIn(after))
-	var store *lop // the kept op after o, when it is a storef and the last reader of its register
+	live := lw.set
+	copy(live, lw.liveIn(after))
+	var and *step // the kept step after s, when it is an And that reads a variable last
 	for i := len(lw.buf) - 1; i >= 0; i-- {
-		o := &lw.buf[i]
-		if o.op == OpALU && store != nil && store.a == o.dst && aluWidths[o.bits].Mask()&^store.x == 0 {
-			del(lw.set, o.dst-lw.out.regBase)
-			o.dst, store.op = store.dst, opDead
+		s := &lw.buf[i]
+		if and != nil && s.in.Op == flat.Load && s.in.A == and.in.B {
+			if mask, _ := lw.b.Constant(int(and.in.C)); lw.bankMask[s.in.B]&^mask == 0 {
+				s.in.A, and.dead = and.in.A, true
+				del(live, lw.varOf(and.in.B))
+				add(live, lw.varOf(s.in.A))
+			}
 		}
-		r, isReg := lw.reg(o.a)
-		lastReader := o.op == OpStoreField && isReg && !has(lw.set, r)
-		if lw.step(o, lw.set) {
-			o.op = opDead
+		_, mask := lw.b.Constant(int(s.in.C))
+		v := lw.varOf(s.in.B)
+		last := s.in.Op == flat.And && mask && v >= 0 && !has(live, v) && lw.varOf(s.in.A) >= 0
+		if lw.step(s, live) {
+			s.dead = true
 			continue
 		}
-		if store = nil; lastReader {
-			store = o
+		if and = nil; last {
+			and = s
 		}
-	}
-	pending := uint32(0)
-	for _, o := range lw.buf {
-		if o.op == opDead {
-			pending += o.retire
-			continue
-		}
-		o.retire += pending
-		pending = 0
-		lw.out.code = append(lw.out.code, o)
 	}
 }
 
-// Lowered renders what ExecSlots runs: the entry block, then per
-// table/outcome the specialised block, every op with its frame operands by
-// name (a field, a register, #constant) and the number of source
-// instructions it retires. (After a taken data-dependent branch it runs the
-// source program as Disassemble prints it.)
+// step moves the live set backwards across s — on entry the variables live
+// after s, on return those live before it — and reports whether s is a
+// variable write that nothing reads.
+func (lw *lowerer) step(s *step, live []uint64) (dead bool) {
+	use := func(r uint32) {
+		if v := lw.varOf(r); v >= 0 {
+			add(live, v)
+		}
+	}
+	switch in := s.in; in.Op {
+	case flat.Jz, flat.Jnz:
+		union(live, lw.liveIn(int(s.to)))
+		use(in.B)
+	case flat.Store:
+		use(in.B)
+		use(in.C)
+	case flat.Match, flat.Trap, flat.Jmp:
+	default:
+		if v := lw.varOf(in.A); v >= 0 {
+			if !has(live, v) {
+				return true
+			}
+			del(live, v)
+		}
+		switch in.Op {
+		case flat.Load:
+			use(in.C)
+		case flat.Mov, flat.Bool:
+			use(in.B)
+		default:
+			use(in.B)
+			use(in.C)
+		}
+	}
+	return false
+}
+
+// emit appends the block to the program. Before each instruction that can
+// leave it, the count register gains the source instructions retired since
+// the last such add.
+func (lw *lowerer) emit() {
+	b, e := lw.b, &lw.m.engine
+	pending := uint32(0)
+	for i := range lw.buf {
+		s := &lw.buf[i]
+		pending += s.retire
+		if s.dead {
+			continue
+		}
+		in := s.in
+		switch in.Op {
+		case flat.Jz, flat.Jnz, flat.Match, flat.Trap, flat.Jmp:
+			if pending > 0 {
+				b.Op(flat.Add, lw.m.count, lw.m.count, lw.konst(int64(pending)))
+				pending = 0
+			}
+		}
+		switch in.Op {
+		case flat.Jz, flat.Jnz:
+			lw.conts[int(s.to)] = append(lw.conts[int(s.to)], b.Jump(in.Op, int(in.B)))
+		case flat.Jmp:
+			lw.ends = append(lw.ends, b.Jump(flat.Jmp, 0))
+		case flat.Match:
+			st := lw.sites[int(in.A)]
+			e.matches = append(e.matches, match{instr: b.Match(st.first, st.n), table: lw.m.isa.Instrs[in.A].Sym})
+		case flat.Load:
+			b.Load(int(in.A), int(in.B), int(in.C))
+		case flat.Store:
+			b.Store(int(in.A), int(in.B), int(in.C))
+		default:
+			b.Op(in.Op, int(in.A), int(in.B), int(in.C))
+		}
+	}
+}
+
+// Lowered renders what ExecSlots runs: a line per block — the source pc it
+// starts at, what it is the block of, its instructions — then the flat
+// program, frame registers by name: the input fields (eth.dstMac), the
+// output fields (eth.dstMac'), the ISA registers (r7), the banks and the
+// constants (#-1).
 func (m *ISAMachine) Lowered() string {
 	var b strings.Builder
-	code, outcomes := m.low.code, m.low.outcomes
-	n := len(m.isa.Instrs)
-	list := func(pc int, name string, start int32) {
-		block := m.low.blockAt(start)
-		retired := uint32(0)
-		for i := range block {
-			retired += block[i].retire
-		}
-		fmt.Fprintf(&b, "%4d: %s: %d ops retire %d\n", pc, name, len(block), retired)
-		for i := range block {
-			fmt.Fprintf(&b, "        %-40s ; %d\n", m.disasm(&block[i]), block[i].retire)
-		}
-	}
-	list(0, "entry", m.low.entry)
-	first := map[int32]string{} // block start -> the first outcome listed with it
-	for pc := 0; pc < n; pc++ {
-		if code[pc].op != OpMatch {
-			continue
-		}
-		mt := &m.matchTables[code[pc].a]
-		for oi := 0; oi <= len(mt.entries); oi++ {
-			start := outcomes[int(code[pc].x)+oi].block
-			name := mt.name + "/" + mt.outcomeName(oi)
-			if shared, ok := first[start]; ok {
-				fmt.Fprintf(&b, "%4d: %s: the block of %s\n", pc, name, shared)
-				continue
+	fmt.Fprintf(&b, "lowered on the table entries: %d source instructions, %d blocks, %d instructions\n", len(m.isa.Instrs), len(m.blocks), m.code.Len())
+	for _, bl := range m.blocks {
+		name := "branch target"
+		switch {
+		case bl.match >= 0:
+			mt := &m.matchTables[m.isa.Instrs[bl.match].Sym]
+			name = mt.name + "/" + mt.outcomeName(bl.oi)
+			if bl.outcomes > 1 {
+				name += fmt.Sprintf(" and %d more outcomes", bl.outcomes-1)
 			}
-			first[start] = name
-			list(pc, name, start)
+		case bl.pc == 0:
+			name = "entry"
 		}
+		fmt.Fprintf(&b, "%4d: %s: %d-%d\n", bl.pc, name, bl.start, bl.end-1)
 	}
-	return fmt.Sprintf("lowered on the table entries: %d source instructions, entry and %d outcomes in %d blocks: %d ops, %d constants\n%s",
-		n, len(outcomes), len(first), len(code)-int(m.low.entry), len(m.low.consts), b.String())
+	return b.String() + m.code.String()
 }
 
-// outcomeName labels outcome oi of a MATCH on the table.
-func (mt *isaTable) outcomeName(oi int) string {
-	matched, _, args, action := mt.outcome(oi)
-	switch {
-	case !matched:
-		return "miss"
-	case oi < len(mt.entries):
-		return fmt.Sprintf("%d %s%s", oi, action, formatArgs(args))
+// sum adds up the counts.
+func sum(counts []int) (n int) {
+	for _, c := range counts {
+		n += c
 	}
-	return fmt.Sprintf("default %s%s", action, formatArgs(args))
-}
-
-func formatArgs(args []int64) string {
-	parts := make([]string, len(args))
-	for i, v := range args {
-		parts[i] = fmt.Sprint(v)
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// operand names frame index idx: a field, a register or #constant.
-func (m *ISAMachine) operand(idx int32) string {
-	switch {
-	case idx < m.low.regBase:
-		return m.layout.fields[idx]
-	case idx < m.low.constBase:
-		return fmt.Sprintf("r%d", idx-m.low.regBase)
-	}
-	return fmt.Sprintf("#%d", m.low.consts[idx-m.low.constBase])
-}
-
-// disasm renders one lowered op in Disassemble's syntax, frame operands by
-// name. A bank index that wraps by a mask shows the mask.
-func (m *ISAMachine) disasm(o *lop) string {
-	dst, a, b := "", "", ""
-	op := o.op
-	index := func(bank int32) string { // of a bank op
-		if o.op == OpLoadReg || o.op == OpStoreReg {
-			return m.operand(o.a)
-		}
-		return fmt.Sprintf("%s&%d", m.operand(o.a), len(m.regBanks[bank])-1)
-	}
-	switch o.op {
-	case OpLoadImm, OpLoadField, OpStoreField:
-		dst, a = m.operand(o.dst), m.operand(o.a)
-	case OpALU, opAdd:
-		op = OpALU
-		dst, a, b = m.operand(o.dst), m.operand(o.a), m.operand(o.b)
-	case OpLoadReg, opLoadRegMask:
-		op = OpLoadReg
-		dst, a, b = m.operand(o.dst), index(o.b), m.isa.RegArrays[o.b]
-	case OpStoreReg, opStoreRegMask:
-		op = OpStoreReg
-		dst, a, b = m.isa.RegArrays[o.dst], index(o.dst), m.operand(o.b)
-	case OpMatch:
-		dst, a = m.operand(o.dst), m.isa.Tables[o.a]
-	case OpBZ, OpBNZ:
-		a = m.operand(o.a)
-	case opFail:
-		return fmt.Sprintf("fail   %v", m.low.errs[o.x])
-	}
-	return formatOp(op, o.aop, int(o.bits), dst, a, b, int(o.x))
+	return n
 }

@@ -2,10 +2,11 @@ package drmt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
+	"druzhba/internal/flat"
 	"druzhba/internal/p4"
 )
 
@@ -27,8 +28,29 @@ func benchISAMachine(t *testing.T, bm *Benchmark) *ISAMachine {
 	return m
 }
 
+// code returns the instructions of a lowered program.
+func code(p *flat.Program) []flat.Instr {
+	var out []flat.Instr
+	if _, err := p.Mutate(func(c []flat.Instr) []flat.Instr { out = slices.Clone(c); return c }); err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// retired returns what the count additions among a block's instructions add
+// up to.
+func (m *ISAMachine) retired(block []flat.Instr) int {
+	init, n := m.code.NewFrame(), 0
+	for _, in := range block {
+		if in.Op == flat.Add && int(in.A) == m.count {
+			n += int(init[in.C])
+		}
+	}
+	return n
+}
+
 // TestLoweredBlocksRetireTheSourcePath: on every benchmark, for every MATCH
-// and outcome, the retired counts of the outcome's block sum to the number
+// and outcome, the count additions of the outcome's block sum to the number
 // of source instructions on the path the block replaces, so instruction
 // counts and latencies are the source program's however much was folded.
 func TestLoweredBlocksRetireTheSourcePath(t *testing.T) {
@@ -39,46 +61,45 @@ func TestLoweredBlocksRetireTheSourcePath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			code, outcomes := m.low.code, m.low.outcomes
+			all := code(m.code)
 			seen := 0
-			for pc, in := range m.isa.Instrs {
-				if in.Op != OpMatch {
+			for _, bl := range m.blocks {
+				if bl.match < 0 {
 					continue
 				}
+				in := m.isa.Instrs[bl.match]
 				mt := &m.matchTables[in.Sym]
-				for oi := 0; oi <= len(mt.entries); oi++ {
-					_, sel, args, _ := mt.outcome(oi)
-					regs := make([]int64, m.isa.NumRegs)
-					regs[in.Dst] = sel
-					copy(regs[RegParam0:], args)
-					// The reference from the MATCH on, over zero fields and banks.
-					pkt := &Packet{Fields: map[string]int64{}}
-					m.layout.SlotsToPacket(make([]int64, m.layout.NumFields()), false, pkt)
-					ref.ResetState()
-					want, _, err := ref.stepFrom(pc+1, regs, pkt)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					got, ops := 0, m.low.blockAt(outcomes[int(code[pc].x)+oi].block)
-					for _, o := range ops {
-						got += int(o.retire)
-					}
-					if got != want {
-						t.Errorf("%s/%s: block retires %d source instructions, the source path has %d\n%s",
-							mt.name, mt.outcomeName(oi), got, want, m.Lowered())
-					}
-					if last := ops[len(ops)-1].op; last != OpMatch && last != OpHalt {
-						t.Errorf("%s/%s: block ends in %v, not in a MATCH or HALT", mt.name, mt.outcomeName(oi), last)
-					}
-					if len(ops) > want {
-						t.Errorf("%s/%s: %d ops for %d source instructions", mt.name, mt.outcomeName(oi), len(ops), want)
-					}
-					seen++
+				_, sel, args, _ := mt.outcome(bl.oi)
+				regs := make([]int64, m.isa.NumRegs)
+				regs[in.Dst] = sel
+				copy(regs[RegParam0:], args)
+				// The reference from the MATCH on, over zero fields and banks.
+				pkt := &Packet{Fields: map[string]int64{}}
+				m.layout.SlotsToPacket(make([]int64, m.layout.NumFields()), false, pkt)
+				ref.ResetState()
+				want, _, err := ref.stepFrom(bl.pc, regs, pkt)
+				if err != nil {
+					t.Fatal(err)
 				}
+				block := all[bl.start:bl.end]
+				name := mt.name + "/" + mt.outcomeName(bl.oi)
+				if got := m.retired(block); got != want {
+					t.Errorf("%s: block retires %d source instructions, the source path has %d\n%s", name, got, want, m.Lowered())
+				}
+				if last := block[len(block)-1].Op; last != flat.Match && last != flat.Jmp {
+					t.Errorf("%s: block ends in %v, not in a Match or the jump to the end", name, last)
+				}
+				if len(block) > want {
+					t.Errorf("%s: %d instructions for %d source instructions", name, len(block), want)
+				}
+				seen += bl.outcomes
 			}
-			if seen != len(outcomes) || seen == 0 {
-				t.Fatalf("walked %d outcomes, the lowering has %d", seen, len(outcomes))
+			outcomes := 0
+			for _, mt := range m.matchTables {
+				outcomes += len(mt.outcomes)
+			}
+			if seen != outcomes || seen == 0 {
+				t.Fatalf("walked %d outcomes, the lowering has %d", seen, outcomes)
 			}
 		})
 	}
@@ -86,16 +107,16 @@ func TestLoweredBlocksRetireTheSourcePath(t *testing.T) {
 
 // TestLoweringFoldsTheDispatchLadder pins what the pass is for: no block of
 // an assembled benchmark still compares the action select (the loadi /
-// alu.eq / bz ladder folds away entirely), and l2l3's common path — every
-// table missing or taking its default — is 10 ops for 51 source
-// instructions (16 before fields and constants were registers of one frame:
-// re-pinned on purpose).
+// alu.eq / bz ladder folds away entirely, and the only jumps left are to the
+// end), and l2l3's common path — every table missing or taking its default —
+// is 22 instructions for 51 source instructions (10 before the count
+// additions and the width masks were instructions: re-pinned on purpose).
 func TestLoweringFoldsTheDispatchLadder(t *testing.T) {
 	for _, bm := range Benchmarks() {
 		m := benchISAMachine(t, bm)
-		for _, o := range m.low.code[len(m.isa.Instrs)+1:] {
-			if o.op == OpALU && o.aop == ALUEq || o.op == OpBZ || o.op == OpJmp {
-				t.Errorf("%s: a block keeps ladder op %s\n%s", bm.Name, m.disasm(&o), m.Lowered())
+		for _, in := range code(m.code) {
+			if in.Op == flat.Eq || in.Op == flat.Jz || in.Op == flat.Jmp && int(in.A) != m.code.Len() {
+				t.Errorf("%s: the program keeps ladder instruction %v\n%s", bm.Name, in, m.Lowered())
 			}
 		}
 	}
@@ -104,14 +125,14 @@ func TestLoweringFoldsTheDispatchLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := make([]int64, m.layout.NumFields()) // all-zero fields hit no entry
-	executed, _, err := m.ExecSlots(pkt)
-	if err != nil || executed != 51 {
-		t.Fatalf("ExecSlots = %d instructions, err %v; want 51", executed, err)
+	pkt := &Packet{Fields: map[string]int64{}} // all-zero fields hit no entry
+	m.layout.SlotsToPacket(make([]int64, m.layout.NumFields()), false, pkt)
+	stats, err := m.Run([]*Packet{pkt})
+	if err != nil || stats.Instructions != 51 {
+		t.Fatalf("Run = %+v, err %v; want 51 instructions", stats, err)
 	}
-	ops, _, err := m.DispatchCounter().ExecSlots(pkt)
-	if err != nil || ops != 10 {
-		t.Fatalf("l2l3's all-default path dispatches %d ops, err %v; want 10\n%s", ops, err, m.Lowered())
+	if ops := m.Dispatched(); ops != 22 {
+		t.Fatalf("l2l3's all-default path dispatches %d instructions; want 22\n%s", ops, m.Lowered())
 	}
 }
 
@@ -135,8 +156,9 @@ func failingFixture(t *testing.T) (*p4.Program, *ISAProgram, *EntrySet) {
 	return &noDefault, isa, entries
 }
 
-// TestLoweredListing: the listing names every table/outcome with its ops and
-// retired counts, in Disassemble's syntax.
+// TestLoweredListing: the listing names every block — what it is the block
+// of and its instructions — then lists the flat program with frame registers
+// by name.
 func TestLoweredListing(t *testing.T) {
 	prog, entries := buildCounter(t)
 	m, err := NewISAMachine(prog, nil, entries, HWConfig{})
@@ -145,14 +167,15 @@ func TestLoweredListing(t *testing.T) {
 	}
 	out := m.Lowered()
 	for _, want := range []string{
-		"3 outcomes in 3 blocks",
-		"entry: 1 ops retire 2",
-		"classify/0 toss(): 2 ops retire",
+		"4 blocks",
+		"0: entry: 0-1",
+		"classify/0 toss():",
 		"classify/1 bump(10):",
 		"classify/default bump(1):",
-		// Frame operands by name: the field a loadf renamed, the constant the
-		// MATCH bound, a register; the four-cell bank's index wraps by a mask.
-		"loadr  r7, tally[h.key&3]", "alu.add/16 r8, r7, #10", "storer tally[h.key&3], r8", "storef h.count, r10", "drop", "halt",
+		// Frame operands by name: the input field a loadf renamed, the
+		// constant the MATCH bound, a register, the output field; the
+		// four-cell bank's index wraps by a mask.
+		"match h.key==3 -> ", "load r7, tally[h.key&3]", "add  r8, r7, #10", "store tally[h.key&3], r8", "load h.count', tally[h.key&3]", "mov  dropped, #1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("listing lacks %q:\n%s", want, out)
@@ -160,39 +183,36 @@ func TestLoweredListing(t *testing.T) {
 	}
 
 	// A table without a default lists its miss; an outcome outside the
-	// dispatch list and an unknown field list their failure.
+	// dispatch list and an unknown field trap.
 	noDefault, isa, entries := failingFixture(t)
 	m, err = NewISAMachine(noDefault, isa, entries, HWConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	out = m.Lowered()
-	for _, want := range []string{
-		"classify/miss:",
-		`fail   table "classify" selected action "bump" outside its dispatch list`,
-		`fail   packet lacks field "no.such_field"`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("listing lacks %q:\n%s", want, out)
-		}
+	if !strings.Contains(out, "classify/miss:") || !strings.Contains(out, "trap err, #0, 1") || !strings.Contains(out, "trap err, #0, 2") {
+		t.Errorf("listing lacks the miss or the two traps:\n%s", out)
+	}
+	if got := fmt.Sprint(m.errs); got != `[packet lacks field "no.such_field" table "classify" selected action "bump" outside its dispatch list]` {
+		t.Errorf("trap codes stand for %s", got)
 	}
 
 	// Between two tables a block inlines the MATCH, and keeps the drop test
-	// only where a path to it has dropped: before dmac ("bnz r1, 24", pinned
-	// here until the frame — re-pinned on purpose) nothing has written r1,
-	// after ipv4_route's act_drop something may have.
+	// only where a path to it has dropped: before dmac nothing has written
+	// r1, after ipv4_route's act_drop something may have, and a packet that
+	// passes it leaves for the block of the source after egress_count.
 	l2l3, err := LookupBenchmark("l2l3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	out = benchISAMachine(t, l2l3).Lowered()
-	for _, want := range []string{"bnz    r1, 70", "match  r2, dmac", "ipv4_route/1 act_drop(): 2 ops retire 11", "alu.add/8 ipv4.ttl, ipv4.ttl, #-1"} {
+	for _, want := range []string{"70: branch target:", "jnz  r1 -> ", "ipv4_route/1 act_drop():", "add  r17, ipv4.ttl, #-1", "and  ipv4.ttl', r17, #255"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("l2l3 listing lacks %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "bnz    r1, 24") {
-		t.Errorf("l2l3 tests the drop flag before anything can have set it:\n%s", out)
+	if strings.Count(out, "jnz") != 1 {
+		t.Errorf("l2l3 tests the drop flag where nothing can have set it:\n%s", out)
 	}
 }
 
@@ -238,19 +258,21 @@ func TestLoweringSharesEqualOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	starts := map[int32]bool{}
-	for _, o := range m.low.outcomes {
-		starts[o.block] = true
+	blocks, outcomes := 0, 0
+	for _, bl := range m.blocks {
+		if bl.match >= 0 {
+			blocks, outcomes = blocks+1, outcomes+bl.outcomes
+		}
 	}
 	// set(1), set(2), keep() and the default's set(0).
-	if len(m.low.outcomes) != routes+1 || len(starts) != 4 {
-		t.Fatalf("%d outcomes lowered to %d blocks, want %d to 4", len(m.low.outcomes), len(starts), routes+1)
+	if outcomes != routes+1 || blocks != 4 {
+		t.Fatalf("%d outcomes lowered to %d blocks, want %d to 4", outcomes, blocks, routes+1)
 	}
-	if n := len(m.isa.Instrs); len(m.low.code) > 3*n {
-		t.Fatalf("%d lowered ops for %d source instructions", len(m.low.code), n)
+	if n := len(m.isa.Instrs); m.code.Len() > 2*n {
+		t.Fatalf("%d lowered instructions for %d source instructions", m.code.Len(), n)
 	}
 	out := m.Lowered()
-	for _, want := range []string{"3001 outcomes in 4 blocks", "t/3 set(1): the block of t/0 set(1)", "t/default set(0): 2 ops retire 6"} {
+	for _, want := range []string{"5 blocks", "t/0 set(1) and 999 more outcomes:", "t/2 keep() and 999 more outcomes:", "t/default set(0):"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("listing lacks %q", want)
 		}
@@ -275,14 +297,6 @@ func TestLoweringSharesEqualOutcomes(t *testing.T) {
 		if got, want := m.layout.FormatSlots(buf, dropped), FormatPacket(pkt); got != want {
 			t.Fatalf("k=%d: ExecSlots %s, reference %s", k, got, want)
 		}
-	}
-}
-
-// TestLoweredOpIsCompact: the op is what every build allocates per lowered
-// instruction; it stays within four words.
-func TestLoweredOpIsCompact(t *testing.T) {
-	if size := unsafe.Sizeof(lop{}); size > 32 {
-		t.Fatalf("lowered op is %d bytes, want <= 32", size)
 	}
 }
 
@@ -418,60 +432,60 @@ func TestLoweringBindsEveryParameter(t *testing.T) {
 	}
 }
 
-// TestDispatchCounts pins the count the frame is for: the lowered ops
-// ExecSlots dispatches over each benchmark's seed-1 stream of 4096 packets
-// (exact and repeatable; per packet counter 6.8, l2l3 10.0, l2l3-targeted
-// 10.8, wide-fanin 27.2 — 10.6, 16.1, 17.3 and 80.5 before fields and
-// constants were registers), next to the source instructions the same stream
-// retires, which are the source program's and do not move. The bounds are
-// those of each benchmark's longest path: 7, 10 (a hit adds two stores) and
-// 35 ops.
+// TestDispatchCounts pins what the flat program dispatches over each
+// benchmark's seed-1 stream of 4096 packets, as its counting clone reads it
+// (exact and repeatable), next to the source instructions the same stream
+// retires, which are the source program's and do not move; and the counting
+// clone computes what the program does. Per packet that is counter 8.8,
+// l2l3 22.0, l2l3-targeted 22.8 and wide-fanin 46.2 instructions — against
+// 6.8, 10.0, 10.8 and 27.2 ops of the lowering's own interpreter, before
+// the count additions and the width masks were instructions (re-pinned on
+// purpose).
 func TestDispatchCounts(t *testing.T) {
 	const packets = 4096
 	for _, tc := range []struct {
 		bench             string
 		ops, instructions int64
-		perPacket         float64
 	}{
-		{"counter", 27700, 56615, 7},
-		{"l2l3", 41070, 208932, 10.1},
-		{"l2l3-targeted", 44083, 210978, 11},
-		{"wide-fanin", 111605, 447453, 35},
+		{"counter", 36135, 56615},
+		{"l2l3", 90222, 208932},
+		{"l2l3-targeted", 93235, 210978},
+		{"wide-fanin", 189429, 447453},
 	} {
 		bm, err := LookupBenchmark(tc.bench)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := benchISAMachine(t, bm)
-		counter := m.DispatchCounter()
+		plain := m.Clone()
 		gen, err := NewTrafficGen(1, m.prog, bm.MaxInput)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkt, twin := make([]int64, m.layout.NumFields()), make([]int64, m.layout.NumFields())
-		var ops, instructions int64
-		for i := 0; i < packets; i++ {
-			gen.Fill(pkt)
-			copy(twin, pkt)
-			n, _, err := m.ExecSlots(pkt)
+		pkts := gen.Batch(packets)
+		buf := make([]int64, m.layout.NumFields())
+		want := make([]string, packets)
+		for i, pkt := range pkts {
+			if err := m.layout.PacketToSlots(pkt, buf); err != nil {
+				t.Fatal(err)
+			}
+			_, dropped, err := plain.ExecSlots(buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			instructions += int64(n)
-			n, _, err = counter.ExecSlots(twin)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ops += int64(n)
-			if !slotsEqual(pkt, twin) {
-				t.Fatalf("%s: packet %d: the counting clone computed %v, the machine %v", tc.bench, i, twin, pkt)
+			want[i] = m.layout.FormatSlots(buf, dropped)
+		}
+		stats, err := m.Run(pkts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pkt := range pkts {
+			if got := FormatPacket(pkt); got != want[i] {
+				t.Fatalf("%s: packet %d: the counting clone computed %s, the program %s", tc.bench, i, got, want[i])
 			}
 		}
-		if ops != tc.ops || instructions != tc.instructions {
-			t.Errorf("%s: %d ops dispatched for %d instructions, want %d for %d", tc.bench, ops, instructions, tc.ops, tc.instructions)
-		}
-		if per := float64(ops) / packets; per > tc.perPacket {
-			t.Errorf("%s: %.1f ops per packet, want at most %.1f", tc.bench, per, tc.perPacket)
+		if ops := m.Dispatched(); ops != tc.ops || stats.Instructions != tc.instructions {
+			t.Errorf("%s: %d instructions dispatched for %d source instructions, want %d for %d", tc.bench, ops, stats.Instructions, tc.ops, tc.instructions)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package drmt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"druzhba/internal/dag"
@@ -11,8 +12,8 @@ import (
 
 // Packet is one packet flowing through the dRMT machine: a bag of header
 // field values plus bookkeeping. It is the named-field view of the public
-// Run API; the engines run on layout-ordered []int64 slot vectors (see
-// slots.go) and Run converts at its boundary.
+// Run API; the lowered programs run on layout-ordered []int64 slot vectors
+// (see slots.go) and Run converts at its boundary.
 type Packet struct {
 	ID      int
 	Fields  map[string]int64
@@ -165,20 +166,18 @@ func (s *Stats) finish(tables []string, matchCount []int) (matches int64) {
 }
 
 // Machine is an executable dRMT configuration: program, schedule, hardware
-// parameters, table entries and register state. The program is slot-compiled
-// at construction (see slots.go): ProcessSlots is the one interpreter, and
-// Run and RunStream are two ways of feeding it.
+// parameters, table entries and register state. The program is lowered onto
+// its table entries at construction (lowerTables, slots.go) to one flat
+// program: ProcessSlots runs it on a packet, and Run and RunStream are two
+// ways of feeding it.
 type Machine struct {
 	prog    *p4.Program
 	graph   *dag.Graph
 	sched   *Schedule
 	hw      HWConfig
 	entries *EntrySet
-
-	layout     *SlotLayout
-	ctables    []compiledTable
-	regBanks   [][]int64 // indexed by layout register slot
-	matchCount []int     // per layout table slot, cleared by Run/RunStream
+	layout  *SlotLayout
+	engine
 }
 
 // NewMachine assembles a machine. When sched is nil a greedy schedule is
@@ -188,11 +187,17 @@ func NewMachine(prog *p4.Program, entries *EntrySet, hw HWConfig, sched *Schedul
 	if err != nil {
 		return nil, err
 	}
-	return newMachine(prog, entries, hw, sched, layout)
+	m, err := newMachine(prog, entries, hw, sched, layout)
+	if err != nil {
+		return nil, err
+	}
+	m.frame = m.code.NewFrame()
+	return m, nil
 }
 
-// newMachine is NewMachine over a shared layout (the differential fuzzer
-// builds both machines over one).
+// newMachine is NewMachine over a shared layout, without a frame (the
+// differential fuzzer builds both machines over one and runs their linked
+// program).
 func newMachine(prog *p4.Program, entries *EntrySet, hw HWConfig, sched *Schedule, layout *SlotLayout) (*Machine, error) {
 	hw = hw.Defaults()
 	g, err := p4.BuildDAG(prog)
@@ -208,38 +213,25 @@ func newMachine(prog *p4.Program, entries *EntrySet, hw HWConfig, sched *Schedul
 	if err := sched.Validate(g, DefaultCosts(g), hw); err != nil {
 		return nil, err
 	}
-	ctables, err := compileMachine(prog, entries, layout)
+	e, err := lowerTables(prog, entries, layout)
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		prog:       prog,
-		graph:      g,
-		sched:      sched,
-		hw:         hw,
-		entries:    entries,
-		layout:     layout,
-		ctables:    ctables,
-		regBanks:   layout.newRegBanks(),
-		matchCount: make([]int, len(layout.tables)),
-	}
-	return m, nil
+	return &Machine{prog: prog, graph: g, sched: sched, hw: hw, entries: entries, layout: layout, engine: e}, nil
 }
 
-// Clone returns a machine with private register state and scratch buffers.
-// The program, DAG, schedule, hardware configuration, table entries, layout
-// and compiled tables are immutable after construction and stay shared;
-// campaign workers run shards on clones so no mutable state crosses
-// goroutines.
+// Clone returns a machine with private register state. The program, DAG,
+// schedule, hardware configuration, table entries, layout and lowered
+// program are immutable after construction and stay shared; campaign
+// workers run shards on clones so no mutable state crosses goroutines.
 func (m *Machine) Clone() *Machine {
 	c := *m
-	c.regBanks = make([][]int64, len(m.regBanks))
-	for i, cells := range m.regBanks {
-		c.regBanks[i] = append([]int64(nil), cells...)
-	}
-	c.matchCount = make([]int, len(m.matchCount))
+	c.engine = m.engine.clone()
 	return &c
 }
+
+// Layout returns the machine's slot layout.
+func (m *Machine) Layout() *SlotLayout { return m.layout }
 
 // Schedule returns the machine's schedule.
 func (m *Machine) Schedule() *Schedule { return m.sched }
@@ -253,42 +245,68 @@ func (m *Machine) Register(name string) ([]int64, bool) {
 	if !ok {
 		return nil, false
 	}
-	return append([]int64(nil), m.regBanks[i]...), true
+	return slices.Clone(m.bank(i)), true
 }
 
 // ResetState zeroes all registers.
-func (m *Machine) ResetState() {
-	for _, r := range m.regBanks {
-		for i := range r {
-			r[i] = 0
-		}
-	}
+func (m *Machine) ResetState() { m.resetState() }
+
+// ProcessSlots executes the program on one layout-ordered slot-vector
+// packet in place and reports whether the packet was dropped: tables in
+// control order, first-match-wins entry priority, and a drop finishes its
+// action, then skips every later table. Register state accumulates across
+// calls. It performs no allocation.
+//
+//dvet:hotpath allocs=0
+func (m *Machine) ProcessSlots(pkt []int64) (dropped bool) {
+	return m.exec(m.code, pkt)
 }
 
 // Run executes the program on every packet. Packets are dispatched to
 // processors round-robin, one packet per cycle (§4.2); each packet runs to
 // completion on its processor per the schedule. Logical effects follow the
 // control order packet by packet (the schedule satisfies all data
-// dependencies, so timing and logical order agree). Run is an adapter over
-// ProcessSlots: each packet is copied into a slot vector, processed, and
-// copied back with its timing annotations; a packet that lacks a program
-// field is rejected. A packet that arrives already dropped skips every
-// table.
+// dependencies, so timing and logical order agree). Each packet is copied
+// into a slot vector, processed, and copied back with its timing
+// annotations; a packet that lacks a program field is rejected. A packet
+// that arrives already dropped skips every table. The crossbar accesses are
+// counted by the lowered program's counting clone.
 func (m *Machine) Run(packets []*Packet) (*Stats, error) {
 	stats := newStats(len(packets), m.hw.Processors)
 	stats.Makespan = m.sched.Makespan
-	clear(m.matchCount)
+	p := m.counted()
 	buf := make([]int64, m.layout.NumFields())
 	for i, pkt := range packets {
 		if err := m.layout.PacketToSlots(pkt, buf); err != nil {
 			return nil, fmt.Errorf("drmt: packet %d: %w", pkt.ID, err)
 		}
-		dropped := pkt.Dropped || m.ProcessSlots(buf)
+		dropped := pkt.Dropped || m.exec(p, buf)
 		m.layout.SlotsToPacket(buf, dropped, pkt)
 		pkt.ArriveAt = i
 		pkt.Processor, pkt.CompleteAt = stats.record(i, m.sched.Makespan, dropped)
 	}
-	stats.finish(m.layout.tables, m.matchCount)
+	stats.finish(m.layout.tables, m.matchCounts(len(m.layout.tables)))
+	return &stats, nil
+}
+
+// RunStream drives n packets from the generator through the machine,
+// filling a single reused slot vector in place of materializing *Packet
+// values. It consumes the generator's random stream exactly like
+// Run(gen.Batch(n)) and produces identical Stats; only the per-*Packet
+// timing annotations of the map API have no streaming counterpart.
+func (m *Machine) RunStream(gen *TrafficGen, n int) (*Stats, error) {
+	if len(gen.fields) != m.layout.NumFields() {
+		return nil, fmt.Errorf("drmt: traffic generator has %d fields, program has %d", len(gen.fields), m.layout.NumFields())
+	}
+	stats := newStats(n, m.hw.Processors)
+	stats.Makespan = m.sched.Makespan
+	p := m.counted()
+	buf := make([]int64, m.layout.NumFields())
+	for i := 0; i < n; i++ {
+		gen.Fill(buf)
+		stats.record(i, m.sched.Makespan, m.exec(p, buf))
+	}
+	stats.finish(m.layout.tables, m.matchCounts(len(m.layout.tables)))
 	return &stats, nil
 }
 

@@ -11,12 +11,13 @@ import (
 
 // This file holds the deliberately naive reference semantics of both dRMT
 // execution models: the original map-based interpreters, moved here verbatim
-// when the slot-compiled engines (Machine.ProcessSlots, ISAMachine.ExecSlots)
-// became the only production interpreters. They walk the parsed program and
-// the entry set by name on every packet and keep packets as string-keyed
-// maps, exactly as the models are described. They are the differential
-// oracle the slot engines are pinned to (slots_test.go, fuzz_test.go,
-// FuzzSlotsVsReference, and the campaign-level check in campaign_test.go),
+// when compiled engines became the only production interpreters — today
+// both machines lowered to flat programs (lower.go, slots.go). They walk the
+// parsed program and the entry set by name on every packet and keep packets
+// as string-keyed maps, exactly as the models are described. They are the
+// differential oracle the flat programs are pinned to (slots_test.go,
+// fuzz_test.go, blocks_test.go, FuzzSlotsVsReference, and the
+// campaign-level check in campaign_test.go),
 // and they live in a _test.go file so nothing outside the tests can run
 // them. Keep them obvious; never optimize them.
 
@@ -34,7 +35,11 @@ func newRefMachine(prog *p4.Program, entries *EntrySet) (*refMachine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &refMachine{prog: prog, entries: entries, layout: layout, regBanks: layout.newRegBanks()}, nil
+	m := &refMachine{prog: prog, entries: entries, layout: layout}
+	for _, n := range layout.regCount {
+		m.regBanks = append(m.regBanks, make([]int64, n))
+	}
+	return m, nil
 }
 
 // Register returns a copy of a register's cells.
@@ -430,6 +435,65 @@ func (m *refISAMachine) exec(pkt *Packet, stats *ISAStats) (int, error) {
 	return executed, nil
 }
 
+// stepFrom is the reference for one block: refISAMachine.exec's loop started
+// at pc on the register file regs, up to and including the next MATCH —
+// counted, not looked up — or HALT. It returns the instructions executed
+// and the pc of that MATCH, -1 when the program ended.
+func (m *refISAMachine) stepFrom(pc int, regs []int64, pkt *Packet) (executed, match int, err error) {
+	for pc < len(m.isa.Instrs) {
+		in := m.isa.Instrs[pc]
+		executed++
+		next := pc + 1
+		switch in.Op {
+		case OpLoadImm:
+			regs[in.Dst] = in.Imm
+		case OpLoadField:
+			v, ok := pkt.Fields[m.isa.Fields[in.Sym]]
+			if !ok {
+				return executed, -1, fmt.Errorf("packet lacks field %q", m.isa.Fields[in.Sym])
+			}
+			regs[in.Dst] = v
+		case OpStoreField:
+			name := m.isa.Fields[in.Sym]
+			if _, ok := pkt.Fields[name]; !ok {
+				return executed, -1, fmt.Errorf("packet lacks field %q", name)
+			}
+			pkt.Fields[name] = m.fieldW[in.Sym].Trunc(regs[in.A])
+		case OpALU:
+			regs[in.Dst] = aluEval(in.AOp, in.Bits, regs[in.A], regs[in.B])
+		case OpLoadReg:
+			cells := m.regBanks[in.Sym]
+			regs[in.Dst] = cells[wrapIndex(regs[in.A], len(cells))]
+		case OpStoreReg:
+			cells := m.regBanks[in.Sym]
+			cells[wrapIndex(regs[in.A], len(cells))] = m.regW[in.Sym].Trunc(regs[in.B])
+		case OpMatch:
+			if name := m.isa.Tables[in.Sym]; m.prog.Table(name) == nil {
+				return executed, -1, fmt.Errorf("unknown table %q", name)
+			}
+			return executed, pc, nil
+		case OpBZ:
+			if regs[in.A] == 0 {
+				next = in.Target
+			}
+		case OpBNZ:
+			if regs[in.A] != 0 {
+				next = in.Target
+			}
+		case OpJmp:
+			next = in.Target
+		case OpDrop:
+			pkt.Dropped = true
+			regs[RegDrop] = 1
+		case OpHalt:
+			return executed, -1, nil
+		}
+		regs[RegZero] = 0
+		pc = next
+	}
+	return executed, -1, nil
+}
+
 // match performs the table lookup: highest-priority matching entry first,
 // then the table default. It returns the 1-based dispatch index and the
 // bound action arguments (0 = miss with no default).
@@ -464,6 +528,19 @@ func (m *refISAMachine) match(tableSym int, pkt *Packet) (int, []int64, error) {
 		}
 	}
 	return 0, nil, fmt.Errorf("table %q selected action %q outside its dispatch list", name, call.Name)
+}
+
+// wrapIndex wraps a register-array index into a bank of n cells like a
+// hash-indexed register array (0 for an empty bank).
+func wrapIndex(idx int64, n int) int {
+	if n == 0 {
+		return 0
+	}
+	r := idx % int64(n)
+	if r < 0 {
+		r += int64(n)
+	}
+	return int(r)
 }
 
 // aluEval applies an ISA ALU operation at the given width, resolving the

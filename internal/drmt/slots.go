@@ -1,24 +1,28 @@
-// slots.go is the dRMT analogue of package sim's streaming rewrite: the
-// allocation-free engines both dRMT execution models run on. At build time
-// every field, register-array and table name is interned into a dense
-// integer slot in one SlotLayout shared by the table-level Machine and the
-// ISA-level ISAMachine, so a packet is a reused []int64 slot vector, a
-// register bank is a [][]int64 indexed by symbol, and the differential
-// fuzzer compares the two models index-to-index instead of map-to-map.
+// slots.go holds what both dRMT execution models share once they are flat
+// programs. At build time every field, register-array and table name is
+// interned into a dense integer slot in one SlotLayout shared by the
+// table-level Machine and the ISA-level ISAMachine, so a packet is a []int64
+// slot vector, and each machine is lowered to one flat register program
+// (package flat) over a frame that holds the packet's fields, the register
+// banks and everything else the program computes with: the ISA program by
+// lower.go, the table-level machine here. flat.Program.Run is the one
+// interpreter, and the differential fuzzer links the two programs into one.
 //
-// The table-level machine is additionally slot-compiled: entry keys, action
-// bodies and action-data parameters are resolved against the layout once,
-// at NewMachine time — entry and default action arguments are literals, so
-// every parameter operand constant-folds and no per-apply parameter binding
-// is left at run time. (The name-resolving interpreters these engines
-// replaced are the test oracle in reference_test.go.)
+// The table-level machine lowers to one Match per table in control order,
+// over the table's entries and then its default or miss, and one block per
+// distinct bound action: entry and default action arguments are literals, so
+// every parameter operand is a constant register and nothing is bound at run
+// time. (The name-resolving interpreters these programs replaced are the
+// test oracle in reference_test.go.)
 package drmt
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
+	"druzhba/internal/flat"
 	"druzhba/internal/p4"
 	"druzhba/internal/phv"
 )
@@ -91,15 +95,6 @@ func (l *SlotLayout) NumFields() int { return len(l.fields) }
 // Fields returns the interned field names in slot order (sorted).
 func (l *SlotLayout) Fields() []string { return append([]string(nil), l.fields...) }
 
-// newRegBanks allocates zeroed register banks matching the layout.
-func (l *SlotLayout) newRegBanks() [][]int64 {
-	banks := make([][]int64, len(l.regs))
-	for i, n := range l.regCount {
-		banks[i] = make([]int64, n)
-	}
-	return banks
-}
-
 // FormatSlots renders a slot-vector packet canonically — fields sorted by
 // name (slot order is sorted order), the drop flag when set — for Diff
 // records and campaign counterexamples.
@@ -146,297 +141,352 @@ func (l *SlotLayout) SlotsToPacket(vals []int64, dropped bool, p *Packet) {
 	p.Dropped = dropped
 }
 
-// slotsEqual compares two slot vectors of equal length.
-func slotsEqual(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+// engine is one machine lowered to a flat program, and the frame it runs
+// on (none when the machine is one side of a DiffFuzzer, which runs the
+// linked program on a frame of its own): the packet's fields in layout
+// order from register in, where each field's value is at the end (out; the
+// ISA program keeps a field it stores to in an output register of its own),
+// the drop flag, the register banks, and the Match instructions with the
+// table each consults.
+type engine struct {
+	code    *flat.Program
+	frame   []int64
+	in      int
+	out     []int
+	dropped int
+	canDrop bool     // false: dropped is a constant 0
+	banks   [][2]int // bank -> first register, cells
+	matches []match
+
+	// The counting clone of code and its first counter register, made by the
+	// first run that needs statistics (counted); the frame grows to hold it.
+	counting *flat.Program
+	counters int
+}
+
+// match is a Match instruction of a lowered program and the table it
+// consults (a layout table slot, or an ISA table symbol).
+type match struct{ instr, table int }
+
+// exec runs p — the code or its counting clone — on one slot-vector packet
+// in place and reports whether it was dropped.
+func (e *engine) exec(p *flat.Program, pkt []int64) (dropped bool) {
+	f := e.frame
+	in := f[e.in : e.in+len(pkt)]
+	for i, v := range pkt { // a loop: memmove's call costs more than a handful of words
+		in[i] = v
 	}
-	return true
-}
-
-// --- Slot-compiled table-level machine ---------------------------------------
-
-// compiledOperand is an action operand after slot compilation: a field slot
-// to read, or a constant (literals, and action parameters folded against
-// the entry's bound arguments).
-type compiledOperand struct {
-	slot int // field slot when >= 0
-	lit  int64
-}
-
-func (o compiledOperand) eval(pkt []int64) int64 {
-	if o.slot >= 0 {
-		return pkt[o.slot]
+	p.Run(f)
+	for i, r := range e.out {
+		pkt[i] = f[r]
 	}
-	return o.lit
+	return f[e.dropped] != 0
 }
 
-// compiledPrim is one action primitive with every name resolved to a slot
-// and every width resolved to a phv.Width.
-type compiledPrim struct {
-	op    p4.PrimOp
-	field int             // destination field slot
-	fw    phv.Width       // destination field width
-	reg   int             // register bank slot
-	rw    phv.Width       // register cell width
-	idx   compiledOperand // register index operand
-	val   compiledOperand // value operand
+// clone returns the engine with a private frame.
+func (e *engine) clone() engine {
+	c := *e
+	c.frame = slices.Clone(e.frame)
+	return c
 }
 
-// compiledAction is an action body with one entry's (or default's)
-// arguments bound.
-type compiledAction struct {
-	prims []compiledPrim
+// bank returns the cells of bank i in the frame.
+func (e *engine) bank(i int) []int64 {
+	return e.frame[e.banks[i][0] : e.banks[i][0]+e.banks[i][1]]
 }
 
-// compiledEntry is one table entry with its key pre-masked and its action
-// body compiled.
-type compiledEntry struct {
-	field   int
-	ternary bool
-	key     int64 // pre-masked for ternary entries
-	mask    int64
-	act     compiledAction
-}
-
-func (e *compiledEntry) matches(v int64) bool {
-	if e.ternary {
-		return v&e.mask == e.key
+// resetState zeroes every register bank.
+func (e *engine) resetState() {
+	for i := range e.banks {
+		clear(e.bank(i))
 	}
-	return v == e.key
 }
 
-// compiledTable is one control-order table application.
-type compiledTable struct {
-	slot    int // layout table symbol, indexes Machine.matchCount
-	entries []compiledEntry
-	def     *compiledAction // nil = miss with no default is a no-op
+// counted returns the counting clone of the code with its counters zeroed.
+func (e *engine) counted() *flat.Program {
+	if e.counting == nil {
+		e.counting, e.counters = e.code.Counting()
+		f := e.counting.NewFrame()
+		copy(f, e.frame)
+		e.frame = f
+	}
+	clear(e.frame[e.counters : e.counters+e.code.Len()])
+	return e.counting
 }
 
-// compileMachine lowers the program's control sequence plus its table
-// entries onto the layout. The parser and entry validation have already
-// checked every cross-reference, so failures here mean a hand-built
-// Program that bypassed them.
-func compileMachine(prog *p4.Program, entries *EntrySet, layout *SlotLayout) ([]compiledTable, error) {
-	var out []compiledTable
+// matchCounts returns, per table, how often the counting clone's runs since
+// counted consulted it.
+func (e *engine) matchCounts(tables int) []int {
+	counts := make([]int, tables)
+	for _, mt := range e.matches {
+		counts[mt.table] += int(e.frame[e.counters+mt.instr])
+	}
+	return counts
+}
+
+// lowerTables lowers the table-level machine — the program's control
+// sequence applied to its table entries — to a flat program over the
+// packet's field registers, in layout order, which it reads and writes in
+// place: per table a Match over its outcomes (tableOutcomes), then one block
+// per distinct action call, its arguments constant registers. The first
+// matching entry wins, and a drop finishes its action, then skips every
+// later table. The parser and entry validation have already checked every
+// cross-reference, so a failure here means a hand-built Program that
+// bypassed them.
+func lowerTables(prog *p4.Program, entries *EntrySet, layout *SlotLayout) (engine, error) {
+	b := flat.NewBuilder(width)
+	n := layout.NumFields()
+	b.Reserve(n+8+sum(layout.regCount), 8*len(prog.Control), len(prog.Control)+entries.Len())
+	e := engine{out: make([]int, n)}
+	for slot, name := range layout.fields {
+		e.out[slot] = b.Reg(name, 0)
+	}
+	tl := &tableLowerer{prog: prog, entries: entries, layout: layout, b: b, e: &e, t: b.Reg("t", 0), dropped: b.Reg("dropped", 0)}
+	for i, name := range layout.regs {
+		_, first := b.Bank(name, max(layout.regCount[i], 1), layout.regW[i].Mask())
+		e.banks = append(e.banks, [2]int{first, layout.regCount[i]})
+	}
 	for _, name := range prog.Control {
 		t := prog.Table(name)
 		if t == nil {
-			return nil, fmt.Errorf("drmt: control applies unknown table %q", name)
+			return e, fmt.Errorf("drmt: control applies unknown table %q", name)
 		}
-		ct := compiledTable{slot: layout.tableIdx[name]}
-		for _, e := range entries.ForTable(name) {
-			fs, ok := layout.fieldIdx[e.Field]
-			if !ok {
-				// The reference skips entries whose field the packet lacks; a
-				// non-program field can never match, so drop it here.
-				continue
-			}
-			act, err := compileAction(prog, layout, e.Action)
-			if err != nil {
-				return nil, fmt.Errorf("drmt: table %q: %w", name, err)
-			}
-			ce := compiledEntry{
-				field:   fs,
-				ternary: e.Kind == p4.MatchTernary,
-				key:     e.Key,
-				mask:    e.Mask,
-				act:     act,
-			}
-			if ce.ternary {
-				ce.key = e.Key & e.Mask
-			}
-			ct.entries = append(ct.entries, ce)
+		if err := tl.table(t); err != nil {
+			return e, err
 		}
-		if t.Default != nil {
-			act, err := compileAction(prog, layout, *t.Default)
-			if err != nil {
-				return nil, fmt.Errorf("drmt: table %q default: %w", name, err)
-			}
-			ct.def = &act
-		}
-		out = append(out, ct)
 	}
-	return out, nil
+	e.dropped = b.Const(0)
+	if e.canDrop {
+		e.dropped = tl.dropped
+		b.Op(flat.Mov, tl.dropped, b.Const(0), 0) // a packet that gets here is not dropped
+	}
+	b.Land(tl.ends...)
+	code, err := b.Build()
+	if err != nil {
+		return e, fmt.Errorf("drmt: lowering: %w", err)
+	}
+	e.code = code
+	return e, nil
 }
 
-// compileAction binds one action call's literal arguments into its body and
-// resolves every name to a slot. Parameter operands fold to constants.
-func compileAction(prog *p4.Program, layout *SlotLayout, call p4.ActionCall) (compiledAction, error) {
-	act := prog.Action(call.Name)
-	if act == nil {
-		return compiledAction{}, fmt.Errorf("unknown action %q", call.Name)
+// tableLowerer is the state of the table-level machine's lowering.
+type tableLowerer struct {
+	prog       *p4.Program
+	entries    *EntrySet
+	layout     *SlotLayout
+	b          *flat.Builder
+	e          *engine
+	t, dropped int   // the scratch register and the drop flag
+	ends       []int // jumps to the end: the drops
+}
+
+// table emits one table application: its Match, then a block per distinct
+// action call its outcomes select. A call without effect needs no block;
+// nor does the miss.
+func (tl *tableLowerer) table(t *p4.Table) error {
+	b := tl.b
+	outcomes, calls := tableOutcomes(t, tl.entries, tl.layout)
+	for k := range outcomes[:len(outcomes)-1] {
+		outcomes[k].Reg = uint32(tl.e.out[outcomes[k].Reg])
 	}
-	if len(call.Args) != len(act.Params) {
-		return compiledAction{}, fmt.Errorf("action %q takes %d args, got %d", call.Name, len(act.Params), len(call.Args))
+	first := b.Outcomes(outcomes...)
+	tl.e.matches = append(tl.e.matches, match{b.Match(first, len(outcomes)), tl.layout.tableIdx[t.Name]})
+	fail := func(k int, err error) error {
+		if k == len(calls)-1 && t.Default != nil {
+			return fmt.Errorf("drmt: table %q default: %w", t.Name, err)
+		}
+		return fmt.Errorf("drmt: table %q: %w", t.Name, err)
 	}
-	operand := func(o p4.Operand) (compiledOperand, error) {
+	var blocks [][]int               // the outcomes of each distinct call with an effect
+	var next []int                   // the outcomes, and jumps, that go on to the next table
+	block := make([]int, len(calls)) // outcome -> its block, -1 for none
+	for k, call := range calls {
+		block[k] = -1
+		if i := slices.IndexFunc(calls[:k], func(c *p4.ActionCall) bool {
+			return c != nil && call != nil && c.Name == call.Name && slices.Equal(c.Args, call.Args)
+		}); i >= 0 {
+			if block[k] = block[i]; block[k] >= 0 {
+				blocks[block[k]] = append(blocks[block[k]], k)
+			} else {
+				next = append(next, first+k)
+			}
+			continue
+		}
+		if call == nil {
+			next = append(next, first+k)
+			continue
+		}
+		act := tl.prog.Action(call.Name)
+		switch {
+		case act == nil:
+			return fail(k, fmt.Errorf("unknown action %q", call.Name))
+		case len(call.Args) != len(act.Params):
+			return fail(k, fmt.Errorf("action %q takes %d args, got %d", call.Name, len(act.Params), len(call.Args)))
+		case slices.ContainsFunc(act.Prims, func(pr p4.Primitive) bool { return pr.Op != p4.PrimNoOp }):
+			block[k] = len(blocks)
+			blocks = append(blocks, []int{k})
+		default:
+			next = append(next, first+k)
+		}
+	}
+	for i, ks := range blocks {
+		for _, k := range ks {
+			b.LandOutcome(first + k)
+		}
+		drops, err := tl.action(calls[ks[0]])
+		switch {
+		case err != nil:
+			return fail(ks[0], err)
+		case drops:
+			tl.e.canDrop = true
+			tl.ends = append(tl.ends, b.Jump(flat.Jmp, 0))
+		case i < len(blocks)-1: // the last block falls through
+			next = append(next, -1-b.Jump(flat.Jmp, 0))
+		}
+	}
+	for _, k := range next {
+		if k < 0 {
+			b.Land(-1 - k)
+		} else {
+			b.LandOutcome(k)
+		}
+	}
+	return nil
+}
+
+// action emits the primitives of an action call and reports whether it
+// drops. A run of add_to_field on one field is masked to its width once,
+// where the run ends: the additions wrap at the datapath width, which the
+// field's width divides.
+func (tl *tableLowerer) action(call *p4.ActionCall) (drops bool, err error) {
+	b, l, out := tl.b, tl.layout, tl.e.out
+	act := tl.prog.Action(call.Name)
+	unmasked := -1 // the field whose run of additions awaits its mask
+	mask := func() {
+		if unmasked >= 0 {
+			b.Op(flat.And, out[unmasked], out[unmasked], b.Const(l.fieldW[unmasked].Mask()))
+			unmasked = -1
+		}
+	}
+	val := func(o p4.Operand) (int, error) {
 		switch o.Kind {
 		case p4.OpLiteral:
-			return compiledOperand{slot: -1, lit: o.Value}, nil
+			return b.Const(o.Value), nil
 		case p4.OpField:
-			s, ok := layout.fieldIdx[o.Name]
+			slot, ok := l.fieldIdx[o.Name]
 			if !ok {
-				return compiledOperand{}, fmt.Errorf("packet lacks field %q", o.Name)
+				return 0, fmt.Errorf("packet lacks field %q", o.Name)
 			}
-			return compiledOperand{slot: s}, nil
+			if slot == unmasked {
+				mask()
+			}
+			return out[slot], nil
 		case p4.OpParam:
-			for i, p := range act.Params {
-				if p == o.Name {
-					return compiledOperand{slot: -1, lit: call.Args[i]}, nil
-				}
+			if i := slices.Index(act.Params, o.Name); i >= 0 {
+				return b.Const(call.Args[i]), nil
 			}
-			// Unknown parameters read as 0, as in the reference.
-			return compiledOperand{slot: -1}, nil
+			return b.Const(0), nil // unknown parameters read as 0, as in the reference
 		}
-		return compiledOperand{}, fmt.Errorf("bad operand kind %d", o.Kind)
+		return 0, fmt.Errorf("bad operand kind %d", o.Kind)
 	}
-	fieldOf := func(name string) (int, phv.Width, error) {
-		s, ok := layout.fieldIdx[name]
+	field := func(name string) (int, error) {
+		slot, ok := l.fieldIdx[name]
 		if !ok {
-			return 0, phv.Width{}, fmt.Errorf("action %q targets unknown field %q", call.Name, name)
+			return 0, fmt.Errorf("action %q targets unknown field %q", call.Name, name)
 		}
-		return s, layout.fieldW[s], nil
+		return slot, nil
 	}
-	regOf := func(name string) (int, phv.Width, error) {
-		s, ok := layout.regIdx[name]
-		if !ok {
-			return 0, phv.Width{}, fmt.Errorf("unknown register %q", name)
-		}
-		if layout.regCount[s] == 0 {
+	bank := func(name string) (int, error) {
+		r, ok := l.regIdx[name]
+		switch {
+		case !ok:
+			return 0, fmt.Errorf("unknown register %q", name)
+		case l.regCount[r] == 0:
 			// The parser rejects instance_count < 1; a hand-built Program can
 			// still carry an empty bank, which the reference reports per
-			// packet. NewMachine refuses it up front instead of indexing into
-			// a zero-length bank at run time.
-			return 0, phv.Width{}, fmt.Errorf("register %q has no cells", name)
+			// packet. It is refused here, up front.
+			return 0, fmt.Errorf("register %q has no cells", name)
 		}
-		return s, layout.regW[s], nil
+		return r, nil
 	}
-
-	var c compiledAction
 	for _, pr := range act.Prims {
-		cp := compiledPrim{op: pr.Op}
-		var err error
+		var f, r, x, y int
 		switch pr.Op {
 		case p4.PrimModifyField, p4.PrimAddToField:
-			if cp.field, cp.fw, err = fieldOf(pr.Field); err != nil {
-				return compiledAction{}, err
-			}
-			if cp.val, err = operand(pr.Args[0]); err != nil {
-				return compiledAction{}, err
+			if f, err = field(pr.Field); err == nil {
+				x, err = val(pr.Args[0])
 			}
 		case p4.PrimRegWrite, p4.PrimRegAdd:
-			if cp.reg, cp.rw, err = regOf(pr.Reg); err != nil {
-				return compiledAction{}, err
-			}
-			if cp.idx, err = operand(pr.Args[0]); err != nil {
-				return compiledAction{}, err
-			}
-			if cp.val, err = operand(pr.Args[1]); err != nil {
-				return compiledAction{}, err
+			if r, err = bank(pr.Reg); err == nil {
+				if x, err = val(pr.Args[0]); err == nil {
+					y, err = val(pr.Args[1])
+				}
 			}
 		case p4.PrimRegRead:
-			if cp.reg, cp.rw, err = regOf(pr.Reg); err != nil {
-				return compiledAction{}, err
-			}
-			if cp.field, cp.fw, err = fieldOf(pr.Field); err != nil {
-				return compiledAction{}, err
-			}
-			if cp.idx, err = operand(pr.Args[0]); err != nil {
-				return compiledAction{}, err
+			if r, err = bank(pr.Reg); err == nil {
+				if f, err = field(pr.Field); err == nil {
+					x, err = val(pr.Args[0])
+				}
 			}
 		case p4.PrimDrop, p4.PrimNoOp:
 		default:
-			return compiledAction{}, fmt.Errorf("unknown primitive %v", pr.Op)
+			err = fmt.Errorf("unknown primitive %v", pr.Op)
 		}
-		c.prims = append(c.prims, cp)
-	}
-	return c, nil
-}
-
-// Layout returns the machine's slot layout.
-func (m *Machine) Layout() *SlotLayout { return m.layout }
-
-// ProcessSlots executes the program on one layout-ordered slot-vector
-// packet in place and reports whether the packet was dropped: tables in
-// control order, first-match-wins entry priority, and a drop finishes its
-// action, then skips every later table. Register state accumulates across
-// calls; crossbar accesses accumulate in matchCount until the next Run or
-// RunStream. It performs no allocation.
-//
-//dvet:hotpath allocs=0
-func (m *Machine) ProcessSlots(pkt []int64) (dropped bool) {
-	for ti := range m.ctables {
-		if dropped {
-			return
+		if err != nil {
+			return false, err
 		}
-		ct := &m.ctables[ti]
-		m.matchCount[ct.slot]++
-		act := ct.def
-		for ei := range ct.entries {
-			e := &ct.entries[ei]
-			if e.matches(pkt[e.field]) {
-				act = &e.act
-				break
-			}
+		if f == unmasked && (pr.Op == p4.PrimModifyField || pr.Op == p4.PrimRegRead) {
+			unmasked = -1 // written over: the sum needs no mask
 		}
-		if act == nil {
-			continue
-		}
-		if m.applySlots(act, pkt) {
-			dropped = true
-		}
-	}
-	return
-}
-
-// applySlots executes a compiled action body on a slot-vector packet.
-//
-//dvet:hotpath allocs=0
-func (m *Machine) applySlots(act *compiledAction, pkt []int64) (dropped bool) {
-	for i := range act.prims {
-		p := &act.prims[i]
-		switch p.op {
+		switch pr.Op {
 		case p4.PrimModifyField:
-			pkt[p.field] = p.fw.Trunc(p.val.eval(pkt))
+			b.Op(flat.And, out[f], x, b.Const(l.fieldW[f].Mask()))
 		case p4.PrimAddToField:
-			pkt[p.field] = p.fw.Add(pkt[p.field], p.fw.Trunc(p.val.eval(pkt)))
+			if f != unmasked {
+				mask()
+			}
+			b.Op(flat.Add, out[f], out[f], x)
+			unmasked = f
 		case p4.PrimRegWrite:
-			cells := m.regBanks[p.reg]
-			cells[wrapIndex(p.idx.eval(pkt), len(cells))] = p.rw.Trunc(p.val.eval(pkt))
+			b.Store(r, x, y)
 		case p4.PrimRegAdd:
-			cells := m.regBanks[p.reg]
-			ci := wrapIndex(p.idx.eval(pkt), len(cells))
-			cells[ci] = p.rw.Add(cells[ci], p.rw.Trunc(p.val.eval(pkt)))
+			b.Load(tl.t, r, x)
+			b.Op(flat.Add, tl.t, tl.t, y)
+			b.Store(r, x, tl.t)
 		case p4.PrimRegRead:
-			cells := m.regBanks[p.reg]
-			pkt[p.field] = p.fw.Trunc(cells[wrapIndex(p.idx.eval(pkt), len(cells))])
+			if l.regW[r].Mask()&^l.fieldW[f].Mask() == 0 {
+				b.Load(out[f], r, x)
+			} else {
+				b.Load(tl.t, r, x)
+				b.Op(flat.And, out[f], tl.t, b.Const(l.fieldW[f].Mask()))
+			}
 		case p4.PrimDrop:
-			dropped = true
+			b.Op(flat.Mov, tl.dropped, b.Const(1), 0)
+			drops = true
 		}
 	}
-	return
+	mask()
+	return drops, nil
 }
 
-// RunStream drives n packets from the generator through ProcessSlots,
-// filling a single reused slot vector in place of materializing *Packet
-// values. It consumes the generator's random stream exactly like
-// Run(gen.Batch(n)) and produces identical Stats; only the per-*Packet
-// timing annotations of the map API have no streaming counterpart.
-func (m *Machine) RunStream(gen *TrafficGen, n int) (*Stats, error) {
-	if len(gen.fields) != m.layout.NumFields() {
-		return nil, fmt.Errorf("drmt: traffic generator has %d fields, program has %d", len(gen.fields), m.layout.NumFields())
+// tableOutcomes resolves a table's entries on program fields, then its
+// default or the miss, into the outcomes of its Match — an entry's key
+// pre-masked, Reg its field's layout slot until a lowering puts a register
+// there, the last outcome matching every packet — and the action call each
+// selects (nil: the miss).
+func tableOutcomes(t *p4.Table, entries *EntrySet, layout *SlotLayout) ([]flat.Outcome, []*p4.ActionCall) {
+	var outcomes []flat.Outcome
+	var calls []*p4.ActionCall
+	for _, e := range entries.ForTable(t.Name) {
+		slot, ok := layout.fieldIdx[e.Field]
+		if !ok {
+			continue // a non-program field never matches a slot packet
+		}
+		o := flat.Outcome{Reg: uint32(slot), Mask: -1, Key: e.Key}
+		if e.Kind == p4.MatchTernary {
+			o.Mask, o.Key = e.Mask, e.Key&e.Mask
+		}
+		outcomes, calls = append(outcomes, o), append(calls, &e.Action)
 	}
-	stats := newStats(n, m.hw.Processors)
-	stats.Makespan = m.sched.Makespan
-	clear(m.matchCount)
-	buf := make([]int64, m.layout.NumFields())
-	for i := 0; i < n; i++ {
-		gen.Fill(buf)
-		stats.record(i, m.sched.Makespan, m.ProcessSlots(buf))
-	}
-	stats.finish(m.layout.tables, m.matchCount)
-	return &stats, nil
+	return append(outcomes, flat.Outcome{}), append(calls, t.Default)
 }

@@ -226,13 +226,14 @@ func mutatedISA(prog *p4.Program, mutate uint8) (*ISAProgram, error) {
 	return &isa, isa.Verify()
 }
 
-// FuzzSlotsVsReference is the differential property of the dRMT engines: on
-// every embedded benchmark, under a fuzzed table entry, fuzzed traffic seeds
-// and modes, fuzzed raw field values (in and out of the fields' declared
-// ranges) and an optionally miscompiled or corrupted ISA program, the
-// slot-compiled engines and the reference map interpreters agree on every
+// FuzzSlotsVsReference is the differential property of the dRMT flat
+// programs: on every embedded benchmark, under a fuzzed table entry, fuzzed
+// traffic seeds and modes, fuzzed raw field values (in and out of the
+// fields' declared ranges) and an optionally miscompiled or corrupted ISA
+// program, the two machines' programs — linked in the differential fuzzer,
+// and each on its own — and the reference map interpreters agree on every
 // field, the drop flag, every register bank, the executed instruction count
-// and the error text.
+// and the error text. (The name predates the flat programs.)
 func FuzzSlotsVsReference(f *testing.F) {
 	for b, bm := range Benchmarks() {
 		bench := uint8(b)
@@ -287,15 +288,15 @@ func FuzzSlotsVsReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRegisters := func(when string) {
+		sameRegisters := func(when string, isaCells, tabCells func(name string) []int64) {
 			t.Helper()
 			for _, r := range prog.Registers {
 				want, _ := ref.isa.Register(r.Name)
-				if got, _ := slot.isa.Register(r.Name); !slices.Equal(got, want) {
+				if got := isaCells(r.Name); !slices.Equal(got, want) {
 					t.Fatalf("%s: ISA register %s = %v, reference %v", when, r.Name, got, want)
 				}
 				want, _ = ref.tab.Register(r.Name)
-				if got, _ := slot.tab.Register(r.Name); !slices.Equal(got, want) {
+				if got := tabCells(r.Name); !slices.Equal(got, want) {
 					t.Fatalf("%s: table register %s = %v, reference %v", when, r.Name, got, want)
 				}
 			}
@@ -317,7 +318,34 @@ func FuzzSlotsVsReference(f *testing.F) {
 		if g, w := renderReport(got), renderReport(want); g != w {
 			t.Fatalf("slot and reference reports differ:\n--- slot ---\n%s--- reference ---\n%s", g, w)
 		}
-		sameRegisters("after fuzz")
+		fuzzed := func(isa bool) func(string) []int64 {
+			return func(name string) []int64 {
+				cells := slot.registers(name)
+				if isa {
+					return cells[0]
+				}
+				return cells[1]
+			}
+		}
+		sameRegisters("after fuzz", fuzzed(true), fuzzed(false))
+
+		// The two machines on their own, from the state the fuzz left.
+		slot.isa.frame, slot.tab.frame = slot.isa.code.NewFrame(), slot.tab.code.NewFrame()
+		for _, r := range prog.Registers {
+			cells := slot.registers(r.Name)
+			copy(slot.isa.bank(slices.Index(slot.isa.isa.RegArrays, r.Name)), cells[0])
+			copy(slot.tab.bank(slot.layout.regIdx[r.Name]), cells[1])
+		}
+		machine := func(isa bool) func(string) []int64 {
+			return func(name string) []int64 {
+				if isa {
+					cells, _ := slot.isa.Register(name)
+					return cells
+				}
+				cells, _ := slot.tab.Register(name)
+				return cells
+			}
+		}
 
 		// The four interpreters one packet at a time, on raw field values no
 		// traffic generator draws: full-range int64s mixed with the fuzzed
@@ -363,7 +391,16 @@ func FuzzSlotsVsReference(f *testing.F) {
 			if g, w := layout.FormatSlots(tabBuf, dropped), FormatPacket(tabPkt); g != w {
 				t.Fatalf("packet %d: ProcessSlots %s, reference %s", n, g, w)
 			}
-			sameRegisters(fmt.Sprintf("after raw packet %d", n))
+			sameRegisters(fmt.Sprintf("after raw packet %d", n), machine(true), machine(false))
 		}
 	})
+}
+
+// registers returns the cells of a register array on the fuzzer's frame: the
+// ISA side's, then the table side's.
+func (f *DiffFuzzer) registers(name string) [2][]int64 {
+	isa := f.isa.banks[slices.Index(f.isa.isa.RegArrays, name)]
+	tab := f.tab.banks[f.layout.regIdx[name]]
+	first := f.regs[tab[0]]
+	return [2][]int64{f.frame[isa[0] : isa[0]+isa[1]], f.frame[first : first+tab[1]]}
 }

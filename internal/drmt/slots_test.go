@@ -56,7 +56,7 @@ func TestFillMatchesNext(t *testing.T) {
 }
 
 // TestDiffFuzzerSlotVsCompatByteIdentical is the differential test for the
-// slot-compiled engines: over every embedded benchmark and several seeds,
+// linked flat program: over every embedded benchmark and several seeds,
 // the streaming Fuzz and the reference loop over the map interpreters
 // (RefFuzzer, reference_test.go) must produce byte-identical DiffReports —
 // same counts, same instruction totals, same renderings.
@@ -100,7 +100,7 @@ func TestDiffFuzzerSlotVsCompatByteIdentical(t *testing.T) {
 // TestDiffFuzzerSlotVsCompatOnMiscompile repeats the byte-identity check on
 // a run that actually produces diffs: the injected ttl miscompile on l2l3
 // must yield the same counterexamples, with the same canonical renderings,
-// from the slot engines and the reference.
+// from the linked program and the reference.
 func TestDiffFuzzerSlotVsCompatOnMiscompile(t *testing.T) {
 	prog, entries := loadL2L3(t)
 	isa, err := Assemble(prog)
@@ -136,8 +136,8 @@ func TestDiffFuzzerSlotVsCompatOnMiscompile(t *testing.T) {
 }
 
 // TestDiffFuzzerSlotVsCompatOnExecError: an ISA program whose match selects
-// an action missing from its dispatch list fails at run time; the slot
-// engines and the reference must report the identical error at the
+// an action missing from its dispatch list fails at run time; the linked
+// program and the reference must report the identical error at the
 // identical packet.
 func TestDiffFuzzerSlotVsCompatOnExecError(t *testing.T) {
 	prog, entries := loadL2L3(t)
@@ -186,8 +186,8 @@ func samePackets(t *testing.T, what string, got, want []*Packet) {
 	}
 }
 
-// TestRunStreamMatchesRun: both ways of feeding the slot-compiled table
-// machine — RunStream and the Run adapter — must produce Stats, register
+// TestRunStreamMatchesRun: both ways of feeding the table machine's flat
+// program — RunStream and the Run adapter — must produce Stats, register
 // state and (for Run) per-packet results and timing annotations identical
 // to the reference interpreter's run over the same seeded traffic, for
 // every embedded benchmark.
@@ -368,7 +368,7 @@ func TestRunAdapterBoundary(t *testing.T) {
 	}
 }
 
-// TestExecSlotsMatchesExec compares the slot ISA executor with the
+// TestExecSlotsMatchesExec compares the ISA machine's flat program with the
 // reference packet by packet: same resulting fields, same drop flag, same
 // executed instruction count, same accumulated register state.
 func TestExecSlotsMatchesExec(t *testing.T) {
@@ -512,9 +512,9 @@ func TestWideFaninSchedule(t *testing.T) {
 }
 
 // BenchmarkDRMTDiffFuzz measures the differential fuzzing loop — the dRMT
-// campaign hot path — on the slot-compiled engines, next to the same loop on
-// the reference map interpreters they replaced (what the oracle costs, and
-// why it is not the production engine).
+// campaign hot path — on the linked flat program (the "slots" row keeps its
+// name), next to the same loop on the reference map interpreters (what the
+// oracle costs, and why it is not the production engine).
 func BenchmarkDRMTDiffFuzz(b *testing.B) {
 	for _, name := range []string{"l2l3", "wide-fanin"} {
 		bm, err := LookupBenchmark(name)

@@ -1,6 +1,7 @@
 package drmt
 
 import (
+	"slices"
 	"testing"
 
 	"druzhba/internal/p4"
@@ -139,7 +140,7 @@ func TestDRMTTrafficGenReseed(t *testing.T) {
 				fresh, _ := NewTrafficGenMode(seed, prog, max, mode)
 				for i := 0; i < 40; i++ {
 					id, wantID := reused.Fill(buf), fresh.Fill(want)
-					if id != wantID || !slotsEqual(buf, want) {
+					if id != wantID || !slices.Equal(buf, want) {
 						t.Fatalf("%s max=%d seed %d: Fill %d = id %d %v, fresh generator id %d %v", mode, max, seed, i, id, buf, wantID, want)
 					}
 				}

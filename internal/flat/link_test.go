@@ -24,14 +24,18 @@ func (c regCallee) Call(r []int64) int64 {
 func (c regCallee) String() string { return fmt.Sprintf("f%d%d%d", c.x, c.y, c.dst) }
 
 // decodeProgram builds a program from data, three bytes per instruction: an
-// opcode (value ops, jumps, Call, Trap) and two operand bytes. Register 0 is
-// the trap register; values are written to registers 1..linkRegs and read from
-// any register or a constant; a jump lands a byte-chosen distance ahead.
+// opcode (value ops, jumps, Call, Trap, bank loads and stores, Match) and two
+// operand bytes. Register 0 is the trap register; values are written to
+// registers 1..linkRegs and read from any of those or a constant; a bank of
+// three cells wraps by modulo, one of four by mask; a jump, and each of a
+// Match's two outcomes, lands a byte-chosen distance ahead.
 func decodeProgram(t *testing.T, data []byte) *Program {
 	t.Helper()
 	b := NewBuilder(phv.MustWidth(8))
 	first := b.Reg("trap", 0)
 	b.Regs("g", linkRegs)
+	odd, _ := b.Bank("odd", 3, 0x3f)
+	four, _ := b.Bank("four", 4, 0xff)
 	reg := func(v byte) int {
 		if v&8 != 0 {
 			return b.Const(int64(v >> 4))
@@ -39,11 +43,15 @@ func decodeProgram(t *testing.T, data []byte) *Program {
 		return first + int(v)%(linkRegs+1)
 	}
 	dst := func(v byte) int { return first + 1 + int(v)%linkRegs }
+	bank := func(v byte) int { return []int{odd, four}[v>>7] }
 	landAt := map[int][]int{} // instruction index -> jumps that land there
+	outAt := map[int][]int{}  // ... and outcomes
 	for pc := 0; len(data) >= 3 && pc < 40; data, pc = data[3:], pc+1 {
 		b.Land(landAt[pc]...)
+		b.LandOutcome(outAt[pc]...)
 		delete(landAt, pc)
-		op, x, y := data[0]%(byte(Trap)+1), data[1], data[2]
+		delete(outAt, pc)
+		op, x, y := data[0]%(byte(Match)+1), data[1], data[2]
 		switch Op(op) {
 		case Jz, Jnz, Jmp:
 			j := b.Jump(Op(op), reg(x))
@@ -53,12 +61,25 @@ func decodeProgram(t *testing.T, data []byte) *Program {
 			b.Op(Call, dst(x), b.Callee(regCallee{reg(x), reg(y), dst(y)}), 0)
 		case Trap:
 			b.Op(Trap, first, reg(x), 1+int(y)%5)
+		case Load, LoadMask:
+			b.Load(dst(x), bank(y), reg(y))
+		case Store, StoreMask:
+			b.Store(bank(x), reg(x), reg(y))
+		case Match:
+			k := b.Outcomes(Outcome{Reg: uint32(reg(x)), Mask: int64(y & 7), Key: int64(y >> 3 & 3)}, Outcome{})
+			b.Match(k, 2)
+			hit, miss := pc+1+int(y>>5)%4, pc+1+int(x>>4)%3
+			outAt[hit] = append(outAt[hit], k)
+			outAt[miss] = append(outAt[miss], k+1)
 		default:
 			b.Op(Op(op), dst(x^y), reg(x), reg(y))
 		}
 	}
 	for _, js := range landAt {
 		b.Land(js...)
+	}
+	for _, ks := range outAt {
+		b.LandOutcome(ks...)
 	}
 	p, err := b.Build()
 	if err != nil {
@@ -88,12 +109,18 @@ func FuzzLink(f *testing.F) {
 	f.Add([]byte{}, []byte{15, 1, 1, 14, 2, 0}, uint16(0x08), int64(0x0007000009000003))
 	// Jumps in b to its end, and a constant read; nothing bound.
 	f.Add([]byte{4, 9, 25}, []byte{15, 1, 3, 16, 2, 2, 17, 0, 1, 5, 2, 40}, uint16(0), int64(0x7f7f7f7f7f))
+	// Banks and Matches on both sides: a stores into its four-cell bank and
+	// loads back, b matches a bound register, stores into its three-cell bank
+	// and loads by mask; Link rebases b's banks, outcomes and their targets.
+	f.Add([]byte{23, 0x81, 2, 21, 1, 0x81, 25, 2, 0x29, 20, 1, 2}, []byte{25, 1, 0x2a, 23, 2, 3, 22, 3, 0x83, 25, 0x14, 0x6b, 0, 3, 4}, uint16(0x0e), int64(0x0302010405))
+	// b's Match reads a register it writes after, bound: the mov comes first.
+	f.Add([]byte{2, 3, 4}, []byte{25, 3, 0x10, 14, 3, 1, 21, 2, 0x84}, uint16(0x08), int64(0x0105000309))
 	f.Fuzz(func(t *testing.T, codeA, codeB []byte, bindBits uint16, vals int64) {
 		a, b := decodeProgram(t, codeA), decodeProgram(t, codeB)
 		na := len(a.init)
 		bind := map[int]int{}
 		for r := range b.init {
-			if bindBits>>(r%16)&1 != 0 && !b.fixed[r] {
+			if bindBits>>(r%16)&1 != 0 && !b.fixed[r] && !b.cell(r) {
 				bind[r] = (r*5 + int(vals&0xff)) % na
 			}
 		}
@@ -177,6 +204,16 @@ func TestLinkRefuses(t *testing.T) {
 		if _, _, err := Link(a, tc.b, tc.bind); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("want %q: err %v", want, err)
 		}
+	}
+	// A bank's cells stay consecutive: none can be renamed to a's register.
+	bb := NewBuilder(phv.Default32)
+	_, cell := bb.Bank("bk", 2, -1)
+	banked, err := bb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Link(a, banked, map[int]int{cell + 1: 0}); err == nil || !strings.Contains(err.Error(), "cannot bind bk[1]") {
+		t.Errorf("bound a bank cell: err %v", err)
 	}
 }
 

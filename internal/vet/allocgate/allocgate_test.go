@@ -172,6 +172,42 @@ var runners = map[string]func(t *testing.T) float64{
 			tabM.ProcessSlots(buf)
 		})
 	},
+	"internal/drmt.DiffFuzzer.Fuzz": func(t *testing.T) float64 {
+		// The one dRMT packet loop — both machines linked into one flat
+		// program — on every embedded benchmark: the worst one is held to the
+		// budget (the report).
+		worst := 0.0
+		for _, bm := range drmt.Benchmarks() {
+			prog, err := bm.Program()
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, err := bm.Entries(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := drmt.NewDiffFuzzer(prog, nil, entries, bm.HW)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := drmt.NewTrafficGen(1, prog, bm.MaxInput)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fuzzRun := func() {
+				rep, err := f.Fuzz(gen, 256)
+				if err != nil {
+					panic(err)
+				}
+				if !rep.Passed() {
+					panic("drmt fuzz mismatch")
+				}
+			}
+			fuzzRun()
+			worst = max(worst, testing.AllocsPerRun(10, fuzzRun))
+		}
+		return worst
+	},
 	"internal/obs.Counter.Inc": func(t *testing.T) float64 {
 		c := obs.NewRegistry().Counter("gate_counter_inc_total", "gate")
 		c.Inc()
@@ -234,7 +270,7 @@ func benchFuzzer(t *testing.T, level core.OptLevel) (*sim.Fuzzer, sim.Spec, *sim
 	return sim.NewFuzzer(pipe), sp, gen, sim.FuzzOptions{Containers: containers}
 }
 
-// benchMachines builds both dRMT slot engines and a generator over the
+// benchMachines builds both dRMT machines and a generator over the
 // first embedded dRMT benchmark.
 func benchMachines(t *testing.T) (*drmt.ISAMachine, *drmt.Machine, *drmt.TrafficGen, []int64) {
 	t.Helper()
