@@ -15,6 +15,10 @@
 //	arith_op(a,b) arithmetic op chosen from +, -
 //	alu_op(a,b)   full stateless-ALU op (arithmetic, relational, logical, pass)
 //
+// The builtin table (builtins, read through HoleCall.Choose) is the one
+// definition of what each machine code value selects; the interpreter, SCC
+// propagation, the SAT verifier and dgen's v1 emitter only apply its choice.
+//
 // Every builtin call site is a distinct hardware primitive and receives a
 // unique hole name (e.g. "mux3_1"); the pipeline generator prefixes hole
 // names with the ALU's position to form the global machine code names.
@@ -57,36 +61,86 @@ const (
 	BuiltinALUOp
 )
 
-// builtinInfo describes a builtin's surface name, arity and hole domain.
-type builtinInfo struct {
+// A Choice is what a builtin call computes for one machine code value.
+type Choice struct {
+	Kind ChoiceKind
+	Arg  int   // ChooseArg: the index of the argument returned
+	Op   BinOp // ChooseOp: the operator applied to arguments 0 and 1
+	// Strict marks the operator builtins' choices (rel_op, arith_op,
+	// alu_op): both arguments are operands, built before the choice applies
+	// even where it passes one of them through.
+	Strict bool
+}
+
+// ChoiceKind says what a Choice computes.
+type ChoiceKind uint8
+
+const (
+	ChooseArg   ChoiceKind = iota // argument Arg
+	ChooseOp                      // Op over arguments 0 and 1
+	ChooseZero                    // the constant 0
+	ChooseValue                   // the machine code value itself, truncated to the width
+)
+
+// builtin is one row of the builtin table.
+type builtin struct {
 	name   string
 	arity  int
-	domain int // number of valid machine code values; 0 means "any value"
-	prefix string
+	prefix string // hole-name prefix
+	// choices[v] is what machine code value v computes; the builtin's domain
+	// is their number. C has none: its value is the machine code value.
+	choices []Choice
 }
 
-var builtins = map[string]builtinInfo{
-	"C":        {name: "C", arity: 0, domain: 0, prefix: "const"},
-	"Opt":      {name: "Opt", arity: 1, domain: 2, prefix: "opt"},
-	"Mux2":     {name: "Mux2", arity: 2, domain: 2, prefix: "mux2"},
-	"Mux3":     {name: "Mux3", arity: 3, domain: 3, prefix: "mux3"},
-	"Mux4":     {name: "Mux4", arity: 4, domain: 4, prefix: "mux4"},
-	"Mux5":     {name: "Mux5", arity: 5, domain: 5, prefix: "mux5"},
-	"rel_op":   {name: "rel_op", arity: 2, domain: 4, prefix: "rel_op"},
-	"arith_op": {name: "arith_op", arity: 2, domain: 2, prefix: "arith_op"},
-	"alu_op":   {name: "alu_op", arity: 2, domain: NumALUOps, prefix: "alu_op"},
+// builtins is the one definition of the builtins, indexed by BuiltinKind.
+var builtins = [...]builtin{
+	BuiltinC:    {"C", 0, "const", nil},
+	BuiltinOpt:  {"Opt", 1, "opt", []Choice{{Kind: ChooseArg, Arg: 0}, {Kind: ChooseZero}}},
+	BuiltinMux2: {"Mux2", 2, "mux2", pick(2)},
+	BuiltinMux3: {"Mux3", 3, "mux3", pick(3)},
+	BuiltinMux4: {"Mux4", 4, "mux4", pick(4)},
+	BuiltinMux5: {"Mux5", 5, "mux5", pick(5)},
+	BuiltinRelOp: {"rel_op", 2, "rel_op", []Choice{
+		RelEq: op(OpEq), RelNe: op(OpNeq), RelGe: op(OpGe), RelLe: op(OpLe),
+	}},
+	BuiltinArithOp: {"arith_op", 2, "arith_op", []Choice{ArithAdd: op(OpAdd), ArithSub: op(OpSub)}},
+	BuiltinALUOp: {"alu_op", 2, "alu_op", []Choice{
+		ALUOpAdd: op(OpAdd), ALUOpSub: op(OpSub), ALUOpMul: op(OpMul), ALUOpDiv: op(OpDiv), ALUOpMod: op(OpMod),
+		ALUOpEq: op(OpEq), ALUOpNeq: op(OpNeq), ALUOpGe: op(OpGe), ALUOpLe: op(OpLe), ALUOpLt: op(OpLt), ALUOpGt: op(OpGt),
+		ALUOpAnd: op(OpAnd), ALUOpOr: op(OpOr),
+		ALUOpPassA: {Kind: ChooseArg, Arg: 0, Strict: true}, ALUOpPassB: {Kind: ChooseArg, Arg: 1, Strict: true},
+	}},
 }
 
-var builtinKinds = map[string]BuiltinKind{
-	"C":        BuiltinC,
-	"Opt":      BuiltinOpt,
-	"Mux2":     BuiltinMux2,
-	"Mux3":     BuiltinMux3,
-	"Mux4":     BuiltinMux4,
-	"Mux5":     BuiltinMux5,
-	"rel_op":   BuiltinRelOp,
-	"arith_op": BuiltinArithOp,
-	"alu_op":   BuiltinALUOp,
+// pick is an n-input mux's entries: value i selects argument i.
+func pick(n int) []Choice {
+	c := make([]Choice, n)
+	for i := range c {
+		c[i] = Choice{Kind: ChooseArg, Arg: i}
+	}
+	return c
+}
+
+func op(o BinOp) Choice { return Choice{Kind: ChooseOp, Op: o, Strict: true} }
+
+// Choose returns what c computes when its hole holds mc. It is the one
+// lookup in the builtin table: a call whose builtin is not in the table,
+// whose argument count is not the builtin's arity, or whose value is outside
+// the builtin's domain gets an error instead, so no reader indexes past Args.
+func (c *HoleCall) Choose(mc int64) (Choice, error) {
+	if c.Builtin < 0 || int(c.Builtin) >= len(builtins) {
+		return Choice{}, fmt.Errorf("unknown builtin %d", c.Builtin)
+	}
+	b := &builtins[c.Builtin]
+	switch {
+	case len(c.Args) != b.arity:
+		return Choice{}, fmt.Errorf("%s takes %d argument(s), got %d", b.name, b.arity, len(c.Args))
+	case b.choices == nil:
+		return Choice{Kind: ChooseValue}, nil
+	case mc < 0 || mc >= int64(len(b.choices)):
+		return Choice{}, fmt.Errorf("%s value %d out of range [0,%d)", b.name, mc, len(b.choices))
+	}
+	return b.choices[mc], nil
 }
 
 // Relational operator machine code values for rel_op (paper: >=, <=, ==, !=).
@@ -120,7 +174,6 @@ const (
 	ALUOpOr
 	ALUOpPassA
 	ALUOpPassB
-	NumALUOps // number of valid alu_op values
 )
 
 // BinOp enumerates binary operators that can appear literally in DSL source
@@ -275,7 +328,7 @@ func (*Return) stmtNode() {}
 type Hole struct {
 	Name    string      // call-site-unique name within the ALU
 	Builtin BuiltinKind // which builtin (BuiltinC for declared hole variables)
-	Domain  int         // number of valid values; 0 means unbounded
+	Domain  int         // number of valid values (the builtin's table entries); 0 means unbounded
 	IsVar   bool        // true for declared hole variables
 }
 
@@ -342,11 +395,8 @@ func (n *HoleCall) String() string {
 		args = append(args, a.String())
 	}
 	name := ""
-	for s, k := range builtinKinds {
-		if k == n.Builtin {
-			name = s
-			break
-		}
+	if n.Builtin >= 0 && int(n.Builtin) < len(builtins) {
+		name = builtins[n.Builtin].name
 	}
 	return fmt.Sprintf("%s(%s)", name, strings.Join(args, ", "))
 }

@@ -20,6 +20,7 @@ func checkErrorf(format string, args ...any) error {
 //
 //   - identifiers must be declared state variables, packet fields or hole
 //     variables;
+//   - a builtin call must name a builtin and pass it its arity of arguments;
 //   - stateless ALUs must not declare or reference state variables;
 //   - assignments may target only state variables;
 //   - hole variables are read-only.
@@ -83,6 +84,11 @@ func Resolve(p *Program) error {
 			}
 			return resolveExpr(e.Y)
 		case *HoleCall:
+			// Value 0 is in every builtin's domain, so this refuses only an
+			// unknown builtin or a wrong argument count.
+			if _, err := e.Choose(0); err != nil {
+				return checkErrorf("hole %q: %v", e.Hole, err)
+			}
 			if seenHoles[e.Hole] {
 				return checkErrorf("duplicate hole name %q", e.Hole)
 			}
@@ -90,7 +96,7 @@ func Resolve(p *Program) error {
 			p.Holes = append(p.Holes, Hole{
 				Name:    e.Hole,
 				Builtin: e.Builtin,
-				Domain:  builtinDomain(e.Builtin),
+				Domain:  len(builtins[e.Builtin].choices),
 			})
 			for _, a := range e.Args {
 				if err := resolveExpr(a); err != nil {
@@ -157,15 +163,6 @@ func indexOf(names []string) map[string]int {
 		m[n] = i
 	}
 	return m
-}
-
-func builtinDomain(k BuiltinKind) int {
-	for _, info := range builtins {
-		if builtinKinds[info.name] == k {
-			return info.domain
-		}
-	}
-	return 0
 }
 
 // CheckTotal reports the first node of p on which evaluation without machine

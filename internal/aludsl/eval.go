@@ -217,117 +217,31 @@ func applyBinOp(w phv.Width, op BinOp, x, y phv.Value) phv.Value {
 	panic(fmt.Sprintf("aludsl: applyBinOp: unknown op %v", op))
 }
 
-// evalHoleCall implements the unoptimized (version 1, Fig. 6) semantics: the
-// machine code value is looked up in the hole table and the behaviour is
-// selected by branching on it at every execution.
+// evalHoleCall implements the unoptimized (version 1, Fig. 6) semantics: at
+// every execution the machine code value is looked up, every argument is
+// evaluated (like a generated helper's operands), and the builtin table's
+// choice for the value is applied.
 func evalHoleCall(e *HoleCall, env *Env) phv.Value {
 	mc := env.holeValue(e.Hole)
-	switch e.Builtin {
-	case BuiltinC:
-		return env.Width.Trunc(mc)
-	case BuiltinOpt:
-		// Opt is a 2-to-1 mux that returns its argument or 0 (Fig. 4).
-		x := evalExpr(e.Args[0], env)
-		if mc == 0 {
-			return x
-		}
+	base := len(env.Arena)
+	for _, a := range e.Args {
+		env.Arena = append(env.Arena, evalExpr(a, env))
+	}
+	args := env.Arena[base:]
+	env.Arena = env.Arena[:base]
+	ch, err := e.Choose(mc)
+	switch {
+	case err != nil:
+		return env.failf("hole %q: %v", e.Hole, err)
+	case ch.Kind == ChooseArg:
+		return args[ch.Arg]
+	case ch.Kind == ChooseOp:
+		return applyBinOp(env.Width, ch.Op, args[0], args[1])
+	case ch.Kind == ChooseZero:
 		return 0
-	case BuiltinMux2, BuiltinMux3, BuiltinMux4, BuiltinMux5:
-		// Like a generated helper function, a mux evaluates all of its
-		// operands and forwards the selected one.
-		base := len(env.Arena)
-		for _, a := range e.Args {
-			env.Arena = append(env.Arena, evalExpr(a, env))
-		}
-		if mc < 0 || int(mc) >= len(e.Args) {
-			env.Arena = env.Arena[:base]
-			return env.failf("mux selector %d out of range for %q (%d inputs)", mc, e.Hole, len(e.Args))
-		}
-		v := env.Arena[base+int(mc)]
-		env.Arena = env.Arena[:base]
-		return v
-	case BuiltinRelOp:
-		x := evalExpr(e.Args[0], env)
-		y := evalExpr(e.Args[1], env)
-		switch mc {
-		case RelEq:
-			return phv.Bool(x == y)
-		case RelNe:
-			return phv.Bool(x != y)
-		case RelGe:
-			return phv.Bool(x >= y)
-		case RelLe:
-			return phv.Bool(x <= y)
-		default:
-			return env.failf("rel_op opcode %d out of range for %q", mc, e.Hole)
-		}
-	case BuiltinArithOp:
-		x := evalExpr(e.Args[0], env)
-		y := evalExpr(e.Args[1], env)
-		switch mc {
-		case ArithAdd:
-			return env.Width.Add(x, y)
-		case ArithSub:
-			return env.Width.Sub(x, y)
-		default:
-			return env.failf("arith_op opcode %d out of range for %q", mc, e.Hole)
-		}
-	case BuiltinALUOp:
-		x := evalExpr(e.Args[0], env)
-		y := evalExpr(e.Args[1], env)
-		op, ok := aluOpBinOp(mc)
-		if !ok {
-			switch mc {
-			case ALUOpPassA:
-				return x
-			case ALUOpPassB:
-				return y
-			}
-			return env.failf("alu_op opcode %d out of range for %q", mc, e.Hole)
-		}
-		return applyBinOp(env.Width, op, x, y)
-	default:
-		return env.failf("unknown builtin %d", e.Builtin)
 	}
+	return env.Width.Trunc(mc)
 }
-
-// aluOpBinOp maps an alu_op opcode to a BinOp; pass-through opcodes return
-// ok=false.
-func aluOpBinOp(mc int64) (BinOp, bool) {
-	switch mc {
-	case ALUOpAdd:
-		return OpAdd, true
-	case ALUOpSub:
-		return OpSub, true
-	case ALUOpMul:
-		return OpMul, true
-	case ALUOpDiv:
-		return OpDiv, true
-	case ALUOpMod:
-		return OpMod, true
-	case ALUOpEq:
-		return OpEq, true
-	case ALUOpNeq:
-		return OpNeq, true
-	case ALUOpGe:
-		return OpGe, true
-	case ALUOpLe:
-		return OpLe, true
-	case ALUOpLt:
-		return OpLt, true
-	case ALUOpGt:
-		return OpGt, true
-	case ALUOpAnd:
-		return OpAnd, true
-	case ALUOpOr:
-		return OpOr, true
-	}
-	return 0, false
-}
-
-// ALUOpBinOp is the exported form of aluOpBinOp, used by the optimizer and
-// code generator.
-func ALUOpBinOp(mc int64) (BinOp, bool) { return aluOpBinOp(mc) }
 
 // ApplyBinOp applies a binary operator under a width; exported for the
 // optimizer's constant folding and for specs.

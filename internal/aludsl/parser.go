@@ -59,9 +59,8 @@ var lang = lex.Language{
 
 type parser struct {
 	*lex.Cursor
-	exprs lex.Ladder[Expr]
-	// per-builtin counters for hole naming
-	holeCounts map[string]int
+	exprs      lex.Ladder[Expr]
+	holeCounts [len(builtins)]int // per-builtin counters for hole naming
 }
 
 func parse(src string) (*Program, error) {
@@ -69,7 +68,7 @@ func parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{Cursor: lex.NewCursor(toks), holeCounts: map[string]int{}}
+	p := &parser{Cursor: lex.NewCursor(toks)}
 	p.exprs = lex.Ladder[Expr]{
 		Cursor:  p.Cursor,
 		Binary:  func(op lex.Kind, x, y Expr) Expr { return &Binary{Op: binOps[op], X: x, Y: y} },
@@ -304,8 +303,13 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if p.Cur().Kind != "(" {
 			return &Ident{Name: t.Text}, nil
 		}
-		info, ok := builtins[t.Text]
-		if !ok {
+		kind := -1
+		for k, b := range builtins {
+			if b.name == t.Text {
+				kind = k
+			}
+		}
+		if kind < 0 {
 			return nil, p.Errorf(t, "unknown builtin %q", t.Text)
 		}
 		p.Advance() // '('
@@ -325,14 +329,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if _, err := p.Expect(")"); err != nil {
 			return nil, err
 		}
-		if len(args) != info.arity {
-			return nil, p.Errorf(t, "%s takes %d argument(s), got %d", info.name, info.arity, len(args))
-		}
-		n := p.holeCounts[info.prefix]
-		p.holeCounts[info.prefix] = n + 1
+		// Resolve checks the argument count against the builtin's arity.
+		n := p.holeCounts[kind]
+		p.holeCounts[kind]++
 		return &HoleCall{
-			Builtin: builtinKinds[t.Text],
-			Hole:    fmt.Sprintf("%s_%d", info.prefix, n),
+			Builtin: BuiltinKind(kind),
+			Hole:    fmt.Sprintf("%s_%d", builtins[kind].prefix, n),
 			Args:    args,
 		}, nil
 	default:

@@ -260,67 +260,42 @@ func (g *generator) emitStage(s int) error {
 	return nil
 }
 
-// emitALU emits the ALU function (and its helpers) for one placement.
+// emitALU emits the ALU function (and its helpers) for one placement: at v1
+// the program as written, taking the machine code table; at v2/v3 the
+// program specialised to its machine code.
 func (g *generator) emitALU(prog *aludsl.Program, s int, stateful bool, k int, aluName string) error {
 	scoped := func(hole string) string {
 		return machinecode.ALUHoleName(s, stateful, k, hole)
 	}
+	params := "phv []int64, state []int64"
+	var body strings.Builder
 	if g.opts.Level == core.Unoptimized {
-		return g.emitALUv1(prog, scoped, aluName)
+		params = "values map[string]int64, " + params
+		// Load every machine code value the body references, like Fig. 6
+		// v1's "arith_opcode = values[...]" lines.
+		for _, h := range prog.Holes {
+			fmt.Fprintf(&body, "\tv_%s := values[%q]\n", h.Name, scoped(h.Name))
+		}
+	} else {
+		lookup := func(local string) (int64, bool) { return g.code.Get(scoped(local)) }
+		optimized, err := opt.SCC(prog, lookup, g.spec.Bits)
+		if err == nil {
+			err = aludsl.CheckTotal(optimized)
+		}
+		if err != nil {
+			return fmt.Errorf("codegen: %s: %w", aluName, err)
+		}
+		prog = optimized
+		if g.opts.Level == core.SCCInlining {
+			prog = opt.Inline(prog, g.spec.Bits)
+		}
 	}
-	lookup := func(local string) (int64, bool) { return g.code.Get(scoped(local)) }
-	optimized, err := opt.SCC(prog, lookup, g.spec.Bits)
-	if err == nil {
-		err = aludsl.CheckTotal(optimized)
-	}
-	if err != nil {
-		return fmt.Errorf("codegen: %s: %w", aluName, err)
-	}
-	if g.opts.Level == core.SCCInlining {
-		optimized = opt.Inline(optimized, g.spec.Bits)
-	}
-	return g.emitALUOptimized(optimized, aluName)
-}
-
-// --- v1 emission -------------------------------------------------------------
-
-func (g *generator) emitALUv1(prog *aludsl.Program, scoped func(string) string, aluName string) error {
-	e := &exprEmitter{
-		level:   core.Unoptimized,
-		scoped:  scoped,
-		prefix:  aluName,
-		helpers: &g.helpers,
-	}
-	var body strings.Builder
-	// Load every machine code value the body references, like Fig. 6 v1's
-	// "arith_opcode = values[...]" lines.
-	for _, h := range prog.Holes {
-		fmt.Fprintf(&body, "\tv_%s := values[%q]\n", h.Name, scoped(h.Name))
-	}
+	e := &exprEmitter{prefix: aluName, helpers: &g.helpers, emitted: map[string]bool{}}
 	if err := emitStmts(&body, prog.Body, 1, e); err != nil {
 		return err
 	}
 	emitImplicitReturn(&body, prog)
-	fmt.Fprintf(&g.alus, "func %s(values map[string]int64, phv []int64, state []int64) int64 {\n%s}\n\n", aluName, body.String())
-	_ = e
-	return nil
-}
-
-// --- v2/v3 emission ----------------------------------------------------------
-
-func (g *generator) emitALUOptimized(prog *aludsl.Program, aluName string) error {
-	e := &exprEmitter{
-		level:   core.SCCPropagation,
-		prefix:  aluName,
-		helpers: &g.helpers,
-		emitted: map[string]bool{},
-	}
-	var body strings.Builder
-	if err := emitStmts(&body, prog.Body, 1, e); err != nil {
-		return err
-	}
-	emitImplicitReturn(&body, prog)
-	fmt.Fprintf(&g.alus, "func %s(phv []int64, state []int64) int64 {\n%s}\n\n", aluName, body.String())
+	fmt.Fprintf(&g.alus, "func %s(%s) int64 {\n%s}\n\n", aluName, params, body.String())
 	return nil
 }
 
@@ -338,8 +313,6 @@ func emitImplicitReturn(b *strings.Builder, prog *aludsl.Program) {
 }
 
 type exprEmitter struct {
-	level   core.OptLevel
-	scoped  func(string) string // v1 only
 	prefix  string
 	helpers *strings.Builder
 	emitted map[string]bool
@@ -438,13 +411,9 @@ func (e *exprEmitter) expr(x aludsl.Expr) (string, error) {
 			if err != nil {
 				return "", err
 			}
-			var params []string
-			for _, p := range x.Func.Params {
-				params = append(params, p)
-			}
 			paramList := ""
-			if len(params) > 0 {
-				paramList = strings.Join(params, ", ") + " int64"
+			if len(x.Func.Params) > 0 {
+				paramList = strings.Join(x.Func.Params, ", ") + " int64"
 			}
 			fmt.Fprintf(e.helpers, "func %s(%s) int64 {\n\treturn %s\n}\n\n", name, paramList, body)
 		}
@@ -489,9 +458,6 @@ func emitBinOp(op aludsl.BinOp, l, r string) string {
 // holeCall emits a v1 call: the helper takes an opcode parameter and
 // branches on it at every execution.
 func (e *exprEmitter) holeCall(x *aludsl.HoleCall) (string, error) {
-	if e.emitted == nil {
-		e.emitted = map[string]bool{}
-	}
 	var args []string
 	for _, a := range x.Args {
 		s, err := e.expr(a)
@@ -502,62 +468,52 @@ func (e *exprEmitter) holeCall(x *aludsl.HoleCall) (string, error) {
 	}
 	name := e.prefix + "_" + x.Hole
 	if !e.emitted[name] {
+		helper, err := v1Helper(name, x)
+		if err != nil {
+			return "", fmt.Errorf("codegen: %s: %w", name, err)
+		}
 		e.emitted[name] = true
-		e.helpers.WriteString(v1Helper(name, x.Builtin, len(x.Args)))
+		e.helpers.WriteString(helper)
 	}
 	args = append(args, "v_"+x.Hole)
 	return fmt.Sprintf("%s(%s)", name, strings.Join(args, ", ")), nil
 }
 
-// v1Helper renders the unoptimized helper for a builtin: every behaviour in
-// the builtin's domain is a branch on the opcode parameter.
-func v1Helper(name string, kind aludsl.BuiltinKind, arity int) string {
+// v1Helper renders the unoptimized helper for a builtin call: it applies the
+// builtin table's choice for each value in the domain as a branch on the
+// opcode parameter, the last taking every other value (C's one line is the
+// value itself).
+func v1Helper(name string, x *aludsl.HoleCall) (string, error) {
+	var returns []string
+values:
+	for v := int64(0); ; v++ {
+		ch, err := x.Choose(v)
+		switch {
+		case err != nil && v == 0:
+			return "", err
+		case err != nil:
+			break values // past the domain
+		case ch.Kind == aludsl.ChooseArg:
+			returns = append(returns, fmt.Sprintf("op%d", ch.Arg))
+		case ch.Kind == aludsl.ChooseOp:
+			returns = append(returns, emitBinOp(ch.Op, "op0", "op1"))
+		case ch.Kind == aludsl.ChooseZero:
+			returns = append(returns, "0")
+		default: // ChooseValue: C's one line holds for every value
+			returns = append(returns, "opcode & mask")
+			break values
+		}
+	}
 	var b strings.Builder
-	var params []string
-	for i := 0; i < arity; i++ {
+	params := make([]string, 0, len(x.Args)+1)
+	for i := range x.Args {
 		params = append(params, fmt.Sprintf("op%d", i))
 	}
-	params = append(params, "opcode")
-	fmt.Fprintf(&b, "func %s(%s int64) int64 {\n", name, strings.Join(params, ", "))
-	switch kind {
-	case aludsl.BuiltinC:
-		b.WriteString("\treturn opcode & mask\n")
-	case aludsl.BuiltinOpt:
-		b.WriteString("\tif opcode == 0 {\n\t\treturn op0\n\t}\n\treturn 0\n")
-	case aludsl.BuiltinMux2, aludsl.BuiltinMux3, aludsl.BuiltinMux4, aludsl.BuiltinMux5:
-		for i := 0; i < arity-1; i++ {
-			fmt.Fprintf(&b, "\tif opcode == %d {\n\t\treturn op%d\n\t}\n", i, i)
-		}
-		fmt.Fprintf(&b, "\treturn op%d\n", arity-1)
-	case aludsl.BuiltinRelOp:
-		b.WriteString("\tif opcode == 0 {\n\t\treturn b2i(op0 == op1)\n\t}\n")
-		b.WriteString("\tif opcode == 1 {\n\t\treturn b2i(op0 != op1)\n\t}\n")
-		b.WriteString("\tif opcode == 2 {\n\t\treturn b2i(op0 >= op1)\n\t}\n")
-		b.WriteString("\treturn b2i(op0 <= op1)\n")
-	case aludsl.BuiltinArithOp:
-		b.WriteString("\tif opcode == 0 {\n\t\treturn (op0 + op1) & mask\n\t}\n\treturn (op0 - op1) & mask\n")
-	case aludsl.BuiltinALUOp:
-		lines := []string{
-			"(op0 + op1) & mask",
-			"(op0 - op1) & mask",
-			"(op0 * op1) & mask",
-			"wdiv(op0, op1)",
-			"wmod(op0, op1)",
-			"b2i(op0 == op1)",
-			"b2i(op0 != op1)",
-			"b2i(op0 >= op1)",
-			"b2i(op0 <= op1)",
-			"b2i(op0 < op1)",
-			"b2i(op0 > op1)",
-			"b2i(truthy(op0) && truthy(op1))",
-			"b2i(truthy(op0) || truthy(op1))",
-			"op0",
-		}
-		for i, expr := range lines {
-			fmt.Fprintf(&b, "\tif opcode == %d {\n\t\treturn %s\n\t}\n", i, expr)
-		}
-		b.WriteString("\treturn op1\n")
+	fmt.Fprintf(&b, "func %s(%s int64) int64 {\n", name, strings.Join(append(params, "opcode"), ", "))
+	last := len(returns) - 1
+	for v, r := range returns[:last] {
+		fmt.Fprintf(&b, "\tif opcode == %d {\n\t\treturn %s\n\t}\n", v, r)
 	}
-	b.WriteString("}\n\n")
-	return b.String()
+	fmt.Fprintf(&b, "\treturn %s\n}\n\n", returns[last])
+	return b.String(), nil
 }

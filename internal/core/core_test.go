@@ -110,6 +110,31 @@ func TestBuildUncheckedFailsAtRuntime(t *testing.T) {
 	}
 }
 
+// TestOutOfDomainOptFailsAtRuntime: an Opt value outside [0,2) is
+// incompatible machine code (§5.2's second failure class) like any other
+// builtin's. Build refuses it at every level, and on the BuildUnchecked path
+// ExecuteStage fails with the builtin table's out-of-domain error naming the
+// hole, where it used to select 0.
+func TestOutOfDomainOptFailsAtRuntime(t *testing.T) {
+	s := testSpec(t, 1, 1, "pred_raw")
+	code := identityCode(t, &s)
+	code.Set(machinecode.ALUHoleName(0, true, 0, "opt_0"), 2)
+	for _, level := range paperLevels {
+		if _, err := Build(s, code, level); err == nil {
+			t.Errorf("Build(%v) accepted opt_0 = 2", level)
+		}
+	}
+	p, err := BuildUnchecked(s, code)
+	if err != nil {
+		t.Fatalf("BuildUnchecked: %v", err)
+	}
+	out := make([]phv.Value, 1)
+	err = p.ExecuteStage(0, []phv.Value{5}, out)
+	if err == nil || !strings.Contains(err.Error(), `hole "opt_0": Opt value 2 out of range [0,2)`) {
+		t.Fatalf("ExecuteStage = %v, want the out-of-domain error for opt_0", err)
+	}
+}
+
 func TestIdentityPipeline(t *testing.T) {
 	s := testSpec(t, 3, 2, "if_else_raw")
 	code := identityCode(t, &s)

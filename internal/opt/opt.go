@@ -204,73 +204,29 @@ func (t *transformer) expr(e aludsl.Expr) (aludsl.Expr, error) {
 }
 
 // specialize builds the helper FuncDef for a builtin call site whose machine
-// code value is known: the opcode dispatch is resolved and the body becomes
-// one expression over the helper's parameters.
+// code value is known: it applies the builtin table's choice for mc as one
+// expression over the helper's parameters.
 func specialize(hc *aludsl.HoleCall, mc int64, w phv.Width) (*aludsl.FuncDef, error) {
+	ch, err := hc.Choose(mc)
+	if err != nil {
+		return nil, err
+	}
+	def := &aludsl.FuncDef{Name: hc.Hole, Params: make([]string, len(hc.Args))}
+	for i := range def.Params {
+		def.Params[i] = fmt.Sprintf("op%d", i)
+	}
 	param := func(i int) aludsl.Expr {
-		return &aludsl.Ident{Name: fmt.Sprintf("op%d", i), Class: aludsl.VarParam, Index: i}
+		return &aludsl.Ident{Name: def.Params[i], Class: aludsl.VarParam, Index: i}
 	}
-	params := make([]string, len(hc.Args))
-	for i := range params {
-		params[i] = fmt.Sprintf("op%d", i)
-	}
-	def := &aludsl.FuncDef{Name: hc.Hole, Params: params}
-	switch hc.Builtin {
-	case aludsl.BuiltinC:
-		def.Body = &aludsl.Num{Value: w.Trunc(mc)}
-	case aludsl.BuiltinOpt:
-		switch mc {
-		case 0:
-			def.Body = param(0)
-		case 1:
-			def.Body = &aludsl.Num{Value: 0}
-		default:
-			return nil, fmt.Errorf("Opt selector %d out of range [0,1]", mc)
-		}
-	case aludsl.BuiltinMux2, aludsl.BuiltinMux3, aludsl.BuiltinMux4, aludsl.BuiltinMux5:
-		if mc < 0 || int(mc) >= len(hc.Args) {
-			return nil, fmt.Errorf("mux selector %d out of range [0,%d]", mc, len(hc.Args)-1)
-		}
-		def.Body = param(int(mc))
-	case aludsl.BuiltinRelOp:
-		var op aludsl.BinOp
-		switch mc {
-		case aludsl.RelEq:
-			op = aludsl.OpEq
-		case aludsl.RelNe:
-			op = aludsl.OpNeq
-		case aludsl.RelGe:
-			op = aludsl.OpGe
-		case aludsl.RelLe:
-			op = aludsl.OpLe
-		default:
-			return nil, fmt.Errorf("rel_op opcode %d out of range [0,3]", mc)
-		}
-		def.Body = &aludsl.Binary{Op: op, X: param(0), Y: param(1)}
-	case aludsl.BuiltinArithOp:
-		switch mc {
-		case aludsl.ArithAdd:
-			def.Body = &aludsl.Binary{Op: aludsl.OpAdd, X: param(0), Y: param(1)}
-		case aludsl.ArithSub:
-			def.Body = &aludsl.Binary{Op: aludsl.OpSub, X: param(0), Y: param(1)}
-		default:
-			return nil, fmt.Errorf("arith_op opcode %d out of range [0,1]", mc)
-		}
-	case aludsl.BuiltinALUOp:
-		if op, ok := aludsl.ALUOpBinOp(mc); ok {
-			def.Body = &aludsl.Binary{Op: op, X: param(0), Y: param(1)}
-		} else {
-			switch mc {
-			case aludsl.ALUOpPassA:
-				def.Body = param(0)
-			case aludsl.ALUOpPassB:
-				def.Body = param(1)
-			default:
-				return nil, fmt.Errorf("alu_op opcode %d out of range [0,%d]", mc, aludsl.NumALUOps-1)
-			}
-		}
+	switch ch.Kind {
+	case aludsl.ChooseArg:
+		def.Body = param(ch.Arg)
+	case aludsl.ChooseOp:
+		def.Body = &aludsl.Binary{Op: ch.Op, X: param(0), Y: param(1)}
+	case aludsl.ChooseZero:
+		def.Body = &aludsl.Num{Value: 0}
 	default:
-		return nil, fmt.Errorf("unknown builtin %d", hc.Builtin)
+		def.Body = &aludsl.Num{Value: w.Trunc(mc)}
 	}
 	return def, nil
 }

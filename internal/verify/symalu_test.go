@@ -2,6 +2,7 @@ package verify
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"druzhba/internal/aludsl"
@@ -127,6 +128,34 @@ func TestSymbolicALUMissingHole(t *testing.T) {
 	}
 	if _, err := e.run(prog); err == nil {
 		t.Fatal("missing machine code pair should fail symbolic execution")
+	}
+}
+
+// TestSymbolicALURefusesWhatTheTableRefuses: the verifier applies the
+// builtin table's choice, so an out-of-domain Opt value and a call with the
+// wrong number of arguments are verification-time errors naming the hole,
+// like the interpreter's, not a 0 and not an index past the arguments.
+func TestSymbolicALURefusesWhatTheTableRefuses(t *testing.T) {
+	run := func(prog *aludsl.Program, holes map[string]int64) error {
+		b := bv.NewBuilder(sat.New())
+		e := &symALU{
+			b: b, bits: 4, w: phv.MustWidth(4),
+			lookup:   aludsl.MapLookup(holes),
+			kind:     prog.Kind,
+			operands: []bv.Vec{b.Const(4, 1), b.Const(4, 2)},
+		}
+		_, err := e.run(prog)
+		return err
+	}
+	opt := aludsl.MustParse("type: stateless\npacket fields: {a, b}\nreturn Opt(a);")
+	if err := run(opt, map[string]int64{"opt_0": 2}); err == nil || !strings.Contains(err.Error(), `hole "opt_0": Opt value 2 out of range [0,2)`) {
+		t.Errorf("Opt with value 2: %v, want the out-of-domain error", err)
+	}
+	short := aludsl.MustParse("type: stateless\npacket fields: {a, b}\nreturn rel_op(a, b);")
+	call := short.Body[0].(*aludsl.Return).Value.(*aludsl.HoleCall)
+	call.Args = call.Args[:1]
+	if err := run(short, map[string]int64{"rel_op_0": aludsl.RelLe}); err == nil || !strings.Contains(err.Error(), "takes 2 argument(s), got 1") {
+		t.Errorf("rel_op with one argument: %v, want the arity error", err)
 	}
 }
 

@@ -774,60 +774,28 @@ func symBinOp(b *bv.Builder, bits int, op aludsl.BinOp, l, r bv.Vec) (v bv.Vec, 
 	return nil, false
 }
 
+// evalHoleCall applies the builtin table's choice for the call's machine code
+// value. A selector (Opt, MuxN) builds only the argument it picks; an
+// operator (a Strict choice) builds both operands left to right, even to
+// pass one through.
 func (e *symALU) evalHoleCall(x *aludsl.HoleCall) bv.Vec {
 	mc := e.hole(x.Hole)
-	switch x.Builtin {
-	case aludsl.BuiltinC:
-		return e.b.Const(e.bits, e.w.Trunc(mc))
-	case aludsl.BuiltinOpt:
-		if mc == 0 {
-			return e.eval(x.Args[0])
-		}
+	ch, err := x.Choose(mc)
+	switch {
+	case err != nil:
+		return e.failf("hole %q: %v", x.Hole, err)
+	case ch.Kind == aludsl.ChooseZero:
 		return e.b.Const(e.bits, 0)
-	case aludsl.BuiltinMux2, aludsl.BuiltinMux3, aludsl.BuiltinMux4, aludsl.BuiltinMux5:
-		if mc < 0 || int(mc) >= len(x.Args) {
-			return e.failf("mux selector %d out of range for %q (%d inputs)", mc, x.Hole, len(x.Args))
-		}
-		return e.eval(x.Args[int(mc)])
-	case aludsl.BuiltinRelOp:
-		l, r := e.eval(x.Args[0]), e.eval(x.Args[1])
-		switch mc {
-		case aludsl.RelEq:
-			return e.binOp(aludsl.OpEq, l, r)
-		case aludsl.RelNe:
-			return e.binOp(aludsl.OpNeq, l, r)
-		case aludsl.RelGe:
-			return e.binOp(aludsl.OpGe, l, r)
-		case aludsl.RelLe:
-			return e.binOp(aludsl.OpLe, l, r)
-		default:
-			return e.failf("rel_op opcode %d out of range for %q", mc, x.Hole)
-		}
-	case aludsl.BuiltinArithOp:
-		l, r := e.eval(x.Args[0]), e.eval(x.Args[1])
-		switch mc {
-		case aludsl.ArithAdd:
-			return e.b.Add(l, r)
-		case aludsl.ArithSub:
-			return e.b.Sub(l, r)
-		default:
-			return e.failf("arith_op opcode %d out of range for %q", mc, x.Hole)
-		}
-	case aludsl.BuiltinALUOp:
-		l, r := e.eval(x.Args[0]), e.eval(x.Args[1])
-		if op, ok := aludsl.ALUOpBinOp(mc); ok {
-			return e.binOp(op, l, r)
-		}
-		switch mc {
-		case aludsl.ALUOpPassA:
-			return l
-		case aludsl.ALUOpPassB:
-			return r
-		}
-		return e.failf("alu_op opcode %d out of range for %q", mc, x.Hole)
-	default:
-		return e.failf("unknown builtin %d", x.Builtin)
+	case ch.Kind == aludsl.ChooseValue:
+		return e.b.Const(e.bits, e.w.Trunc(mc))
+	case !ch.Strict:
+		return e.eval(x.Args[ch.Arg])
 	}
+	ops := [2]bv.Vec{e.eval(x.Args[0]), e.eval(x.Args[1])}
+	if ch.Kind == aludsl.ChooseOp {
+		return e.binOp(ch.Op, ops[0], ops[1])
+	}
+	return ops[ch.Arg]
 }
 
 // --- Symbolic Domino ------------------------------------------------------------
