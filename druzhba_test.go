@@ -79,17 +79,11 @@ func TestFacadeValidate(t *testing.T) {
 func TestFacadeDominoFuzz(t *testing.T) {
 	// Hand the facade the sampling benchmark: 2x1 if_else_raw.
 	cfg := druzhba.Config{Depth: 2, Width: 1, StatefulAtom: "if_else_raw"}
-	req, err := druzhba.RequiredPairs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	for _, h := range req {
-		b.WriteString(h.Name + " = 0\n")
-	}
+	code := identityCode(t, cfg)
 	// Configure the counter and the equality check (same machine code as
-	// the spec package's sampling fixture).
-	b.WriteString(`
+	// the spec package's sampling fixture) over the identity configuration:
+	// a parsed file names each pair once, so the overrides are merged.
+	overrides, err := druzhba.ParseMachineCode(strings.NewReader(`
 pipeline_stage_0_stateful_alu_0_rel_op_0 = 0
 pipeline_stage_0_stateful_alu_0_mux3_0 = 2
 pipeline_stage_0_stateful_alu_0_const_0 = 9
@@ -105,11 +99,11 @@ pipeline_stage_1_stateless_alu_0_mux3_0 = 0
 pipeline_stage_1_stateless_alu_0_mux3_1 = 2
 pipeline_stage_1_stateless_alu_0_const_1 = 0
 pipeline_stage_1_output_mux_phv_0 = 1
-`)
-	code, err := druzhba.ParseMachineCode(strings.NewReader(b.String()))
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
+	code.Merge(overrides)
 	p, err := druzhba.BuildPipeline(cfg, code, druzhba.SCCInlining)
 	if err != nil {
 		t.Fatal(err)

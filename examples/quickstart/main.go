@@ -25,9 +25,15 @@ func main() {
 	for _, h := range req {
 		fmt.Fprintf(&b, "%s = 0\n", h.Name)
 	}
+	code, err := druzhba.ParseMachineCode(strings.NewReader(b.String()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	// A machine code file names each pair once, so the configuration is a
+	// second file merged over the identity.
 	// Stage 0: stateful ALU 0 (raw atom) accumulates container 0 into its
 	// state and writes the sum back to container 0.
-	b.WriteString(`
+	config, err := druzhba.ParseMachineCode(strings.NewReader(`
 pipeline_stage_0_stateful_alu_0_operand_mux_0 = 0  # operand <- container 0
 pipeline_stage_0_stateful_alu_0_mux2_0 = 0         # state += packet operand
 pipeline_stage_0_output_mux_phv_0 = 3              # container 0 <- stateful ALU 0
@@ -36,11 +42,11 @@ pipeline_stage_1_stateless_alu_0_operand_mux_0 = 0
 pipeline_stage_1_stateless_alu_0_alu_op_0 = 13     # pass first operand
 pipeline_stage_1_stateless_alu_0_mux3_0 = 0
 pipeline_stage_1_output_mux_phv_1 = 1              # container 1 <- stateless ALU 0
-`)
-	code, err := druzhba.ParseMachineCode(strings.NewReader(b.String()))
+`))
 	if err != nil {
 		log.Fatal(err)
 	}
+	code.Merge(config)
 
 	for _, level := range []druzhba.OptLevel{druzhba.Unoptimized, druzhba.SCCPropagation, druzhba.SCCInlining} {
 		pipe, err := druzhba.BuildPipeline(cfg, code, level)

@@ -322,6 +322,34 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 }
 
+// TestRMTFingerprintGolden pins RMT job fingerprints, which hash the machine
+// code's text (machinecode.Program.String) and key every cached shard: a
+// change to how that text is rendered must not move them. A deliberate
+// change of an RMT job's identity is the only reason to touch these.
+func TestRMTFingerprintGolden(t *testing.T) {
+	want := map[string]string{
+		"rmt/sampling/compiled/seed=1":     "92d9f7f7054b3057a187af99b1bf620d1b3bc43c4b5dddcfad48feb6d5403f49",
+		"rmt/sampling/unoptimized/seed=1":  "88b0cc6a377c58d5ebf58ca9029eac5e2c45154842f2f447c070a8ba5b38d2c9",
+		"rmt/learn-filter/compiled/seed=1": "24b88e11be29c1326f34392fc6ba467efad6909f2d72a1eba6c8756553cbb2c3",
+	}
+	jobs, err := Matrix(append(spec.Match("sampling"), spec.Match("learn-filter")...), []core.OptLevel{core.Compiled, core.Unoptimized}, nil, nil, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, j := range jobs {
+		if w, ok := want[j.Name]; ok {
+			found++
+			if got := j.Target.(*PipelineTarget).Fingerprint(); got != w {
+				t.Errorf("%s: fingerprint %s, golden %s", j.Name, got, w)
+			}
+		}
+	}
+	if found != len(want) {
+		t.Fatalf("matched %d of %d golden jobs", found, len(want))
+	}
+}
+
 // TestJobTimeoutDoesNotWedgeCampaign: a job whose shards hang is cut off
 // at its wall-clock budget with a timeout error, and later jobs still run
 // to completion.

@@ -54,10 +54,11 @@ func TestVerifyConeByMutation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		muxes, err := hw.Muxes(r.Code)
+		read, err := hw.Read(r.Code)
 		if err != nil {
 			t.Fatal(err)
 		}
+		muxes := read.Muxes
 		out := make([]bool, hw.PHVLen)
 		for _, c := range r.Containers {
 			out[c] = true

@@ -16,6 +16,15 @@
 //     three-address code, the role the Rust compiler plays for the paper's
 //     generated pipeline descriptions, without leaving the process.
 //
+// Build does each piece of work once. The machine code is read in one pass
+// over RequiredPairs order (Spec.Read: each name formatted, looked up and
+// range-checked once), and validation, the mux table and every ALU's holes
+// come from that pass. At the optimized levels every ALU is still specialised
+// and proved total, but the work is done once per distinct (ALU program, hole
+// values) configuration within a build: ALUs configured alike share the one
+// immutable program (the 198 ALUs of the Table-1 fixtures are 52
+// configurations).
+//
 // The package executes one PHV through the dataflow of the pipeline; the
 // tick-accurate simulation loop (read/write PHV halves, one stage per tick)
 // lives in package sim.
@@ -49,6 +58,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"druzhba/internal/aludsl"
 	"druzhba/internal/machinecode"
@@ -175,69 +185,155 @@ func (s *Spec) RequiredPairs() ([]HoleSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []HoleSpec
-	addALU := func(stage, slot int, p *aludsl.Program, stateful bool) {
-		for op := 0; op < p.NumOperands(); op++ {
-			out = append(out, HoleSpec{
-				Name:   machinecode.OperandMuxName(stage, stateful, slot, op),
-				Domain: n.PHVLen,
-			})
-		}
-		for _, h := range p.Holes {
-			out = append(out, HoleSpec{
-				Name:   machinecode.ALUHoleName(stage, stateful, slot, h.Name),
-				Domain: h.Domain,
-			})
-		}
-	}
-	for stage := 0; stage < n.Depth; stage++ {
-		for slot := 0; slot < n.Width; slot++ {
-			addALU(stage, slot, n.StatelessALU, false)
-		}
-		if n.StatefulALU != nil {
-			for slot := 0; slot < n.Width; slot++ {
-				addALU(stage, slot, n.StatefulALU, true)
-			}
-		}
-		for c := 0; c < n.PHVLen; c++ {
-			out = append(out, HoleSpec{
-				Name:   machinecode.OutputMuxName(stage, c),
-				Domain: s.outputMuxDomain(n),
-			})
-		}
-	}
-	return out, nil
+	return n.requiredPairs(), nil
 }
 
-func (s *Spec) outputMuxDomain(n Spec) int {
-	// 0 = pass-through, 1..Width = stateless outputs,
-	// Width+1..2*Width = stateful outputs (when present).
-	if n.StatefulALU != nil {
-		return 2*n.Width + 1
+// requiredPairs is RequiredPairs on a normalized spec: the one place the
+// pairs' names are made.
+func (s *Spec) requiredPairs() []HoleSpec {
+	perALU := func(p *aludsl.Program) int {
+		if p == nil {
+			return 0
+		}
+		return p.NumOperands() + len(p.Holes)
 	}
-	return n.Width + 1
+	out := make([]HoleSpec, 0, s.Depth*(s.Width*(perALU(s.StatelessALU)+perALU(s.StatefulALU))+s.PHVLen))
+	outputDomain := s.Width + 1 // 0 = pass-through, 1..Width = stateless outputs
+	if s.StatefulALU != nil {
+		outputDomain += s.Width // Width+1..2*Width = stateful outputs
+	}
+	s.walk(func(si, slot int, p *aludsl.Program) {
+		stateful := p.Kind == aludsl.Stateful
+		for op := 0; op < p.NumOperands(); op++ {
+			out = append(out, HoleSpec{Name: machinecode.OperandMuxName(si, stateful, slot, op), Domain: s.PHVLen})
+		}
+		for _, h := range p.Holes {
+			out = append(out, HoleSpec{Name: machinecode.ALUHoleName(si, stateful, slot, h.Name), Domain: h.Domain})
+		}
+	}, func(si int) {
+		for c := 0; c < s.PHVLen; c++ {
+			out = append(out, HoleSpec{Name: machinecode.OutputMuxName(si, c), Domain: outputDomain})
+		}
+	})
+	return out
+}
+
+// walk visits a normalized spec's primitives in RequiredPairs order: per
+// stage, every ALU in latch order (stateless slots, then stateful ones), then
+// the stage's output muxes.
+func (s *Spec) walk(alu func(si, slot int, p *aludsl.Program), outputs func(si int)) {
+	for si := 0; si < s.Depth; si++ {
+		for _, p := range []*aludsl.Program{s.StatelessALU, s.StatefulALU} {
+			for slot := 0; p != nil && slot < s.Width; slot++ {
+				alu(si, slot, p)
+			}
+		}
+		outputs(si)
+	}
+}
+
+// Code is machine code read against a spec by Spec.Read: every pair
+// RequiredPairs names, formatted, looked up and range-checked once, with its
+// value kept by position. A missing pair reads 0.
+type Code struct {
+	Muxes       *MuxTable   // every mux selection
+	ALUs        [][]ALUCode // ALUs[stage][latch]
+	OutputNames [][]string  // OutputNames[stage][container]: the output mux pairs' names
+	// Errs is what Validate reports: one error per missing pair or
+	// out-of-range value, in RequiredPairs order.
+	Errs []error
+}
+
+// ALUCode is one ALU's share of the machine code.
+type ALUCode struct {
+	Prog         *aludsl.Program
+	OperandNames []string // the operand mux pairs' names; their selections are in Code.Muxes
+	HoleNames    []string // the pairs of Prog's holes, in Holes order
+	Holes        []int64  // their values
+}
+
+// Hole returns the value of the ALU-local hole name, an aludsl.HoleLookup.
+func (a *ALUCode) Hole(local string) (int64, bool) {
+	for i, h := range a.Prog.Holes {
+		if h.Name == local {
+			return a.Holes[i], true
+		}
+	}
+	return 0, false
+}
+
+// Read reads machine code against the spec in one pass: each pair is named,
+// looked up and range-checked once. A spec error is returned as the error;
+// the code's errors are in Code.Errs.
+func (s *Spec) Read(code *machinecode.Program) (*Code, error) {
+	n, err := s.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	return n.read(code), nil
+}
+
+// read is Read on a normalized spec.
+func (s *Spec) read(code *machinecode.Program) *Code {
+	req := s.requiredPairs()
+	names := make([]string, len(req))
+	vals := make([]int64, len(req))
+	sels := make([]int, len(req))
+	c := &Code{
+		Muxes:       &MuxTable{Output: make([][]int, s.Depth), Operand: make([][][]int, s.Depth)},
+		ALUs:        make([][]ALUCode, s.Depth),
+		OutputNames: make([][]string, s.Depth),
+	}
+	for i, h := range req {
+		v, ok := code.Get(h.Name)
+		switch {
+		case !ok:
+			c.Errs = append(c.Errs, fmt.Errorf("core: missing machine code pair %q", h.Name))
+		case h.Domain > 0 && (v < 0 || v >= int64(h.Domain)):
+			c.Errs = append(c.Errs, fmt.Errorf("core: machine code pair %q = %d out of range [0,%d)", h.Name, v, h.Domain))
+		}
+		names[i], vals[i], sels[i] = h.Name, v, int(v)
+	}
+	latches := s.Width
+	if s.StatefulALU != nil {
+		latches *= 2
+	}
+	for si := range c.ALUs {
+		c.ALUs[si] = make([]ALUCode, 0, latches)
+		c.Muxes.Operand[si] = make([][]int, 0, latches)
+	}
+	at := 0
+	next := func(k int) (lo, hi int) {
+		lo, at = at, at+k
+		return lo, at
+	}
+	s.walk(func(si, slot int, p *aludsl.Program) {
+		ops, opsEnd := next(p.NumOperands())
+		holes, holesEnd := next(len(p.Holes))
+		c.Muxes.Operand[si] = append(c.Muxes.Operand[si], sels[ops:opsEnd:opsEnd])
+		c.ALUs[si] = append(c.ALUs[si], ALUCode{
+			Prog:         p,
+			OperandNames: names[ops:opsEnd:opsEnd],
+			HoleNames:    names[holes:holesEnd:holesEnd],
+			Holes:        vals[holes:holesEnd:holesEnd],
+		})
+	}, func(si int) {
+		lo, hi := next(s.PHVLen)
+		c.Muxes.Output[si] = sels[lo:hi:hi]
+		c.OutputNames[si] = names[lo:hi:hi]
+	})
+	return c
 }
 
 // Validate checks a machine code program against the spec, returning one
-// error per missing pair or out-of-range value. A nil slice means the code
-// is compatible with the pipeline.
+// error per missing pair or out-of-range value (Code.Errs). A nil slice
+// means the code is compatible with the pipeline.
 func (s *Spec) Validate(code *machinecode.Program) []error {
-	req, err := s.RequiredPairs()
+	c, err := s.Read(code)
 	if err != nil {
 		return []error{err}
 	}
-	var errs []error
-	for _, h := range req {
-		v, ok := code.Get(h.Name)
-		if !ok {
-			errs = append(errs, fmt.Errorf("core: missing machine code pair %q", h.Name))
-			continue
-		}
-		if h.Domain > 0 && (v < 0 || v >= int64(h.Domain)) {
-			errs = append(errs, fmt.Errorf("core: machine code pair %q = %d out of range [0,%d)", h.Name, v, h.Domain))
-		}
-	}
-	return errs
+	return c.Errs
 }
 
 // compiledALU is one ALU instance placed at (stage, slot).
@@ -287,17 +383,21 @@ type Pipeline struct {
 }
 
 // Build compiles a spec and machine code into an executable pipeline at the
-// given optimization level. The machine code is validated first; incompatible
-// machine code (missing pairs, out-of-range values) fails the build.
+// given optimization level. The machine code is read in one pass (Spec.Read)
+// and validated first; incompatible machine code (missing pairs, out-of-range
+// values) fails the build. Every ALU is then specialised to its machine code
+// and proved total at the optimized levels, once per distinct (ALU program,
+// hole values) configuration: ALUs configured alike share one program.
 func Build(s Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error) {
 	n, err := s.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	if errs := (&n).Validate(code); len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	c := n.read(code)
+	if len(c.Errs) > 0 {
+		return nil, errors.Join(c.Errs...)
 	}
-	return build(n, code, level)
+	return build(n, code, c, level)
 }
 
 // BuildUnchecked is Build without machine code validation: missing pairs
@@ -310,47 +410,66 @@ func BuildUnchecked(s Spec, code *machinecode.Program) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return build(n, code, Unoptimized)
+	return build(n, code, n.read(code), Unoptimized)
 }
 
-func build(n Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error) {
+func build(n Spec, code *machinecode.Program, c *Code, level OptLevel) (*Pipeline, error) {
+	if level < Unoptimized || level > Compiled {
+		return nil, fmt.Errorf("core: unknown optimization level %v", level)
+	}
 	p := &Pipeline{spec: n, level: level, code: code}
 	if level != Unoptimized {
-		var err error
-		if p.muxes, err = n.Muxes(code); err != nil {
-			return nil, err
-		}
+		p.muxes = c.Muxes
 	}
-	for si := 0; si < n.Depth; si++ {
-		st := &stage{}
-		for slot := 0; slot < n.Width; slot++ {
-			alu, err := newALU(n, code, level, si, slot, n.StatelessALU, false)
-			if err != nil {
-				return nil, err
-			}
-			st.alus = append(st.alus, alu)
-		}
-		if n.StatefulALU != nil {
-			for slot := 0; slot < n.Width; slot++ {
-				alu, err := newALU(n, code, level, si, slot, n.StatefulALU, true)
-				if err != nil {
-					return nil, err
+	// specialised holds one optimizeALU result per configuration, keyed on
+	// the ALU kind (one program per kind) and the hole values in Holes order.
+	specialised := map[string]*aludsl.Program{}
+	var key []byte
+	for si, alus := range c.ALUs {
+		st := &stage{alus: make([]*compiledALU, len(alus))}
+		for latch := range alus {
+			ac := &alus[latch]
+			a := newALU(n, si, latch, ac.Prog)
+			if level == Unoptimized {
+				a.prog = ac.Prog
+				a.operandMuxNames = ac.OperandNames
+				a.localToGlobal = make(map[string]string, len(ac.HoleNames))
+				for i, h := range ac.Prog.Holes {
+					a.localToGlobal[h.Name] = ac.HoleNames[i]
 				}
-				st.alus = append(st.alus, alu)
+				// Version-1 semantics: every hole reference performs hash
+				// lookups at execution time.
+				a.env.Holes = func(local string) (int64, bool) {
+					global, ok := a.localToGlobal[local]
+					if !ok {
+						return 0, false
+					}
+					return code.Get(global)
+				}
+			} else {
+				key = append(key[:0], byte(ac.Prog.Kind))
+				for _, v := range ac.Holes {
+					key = append(strconv.AppendInt(key, v, 10), ',')
+				}
+				prog, ok := specialised[string(key)]
+				if !ok {
+					var err error
+					if prog, err = optimizeALU(ac.Prog, ac.Hole, n.Bits, level); err != nil {
+						return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(a.stateful), a.slot, err)
+					}
+					specialised[string(key)] = prog
+				}
+				a.prog = prog
+				a.operandMux = c.Muxes.Operand[si][latch]
 			}
+			st.alus[latch] = a
 		}
 		st.stateful = st.alus[n.Width:]
 		st.latch = make([]phv.Value, len(st.alus))
 		if level == Unoptimized {
-			st.outputMuxNames = make([]string, n.PHVLen)
-			for c := 0; c < n.PHVLen; c++ {
-				st.outputMuxNames[c] = machinecode.OutputMuxName(si, c)
-			}
+			st.outputMuxNames = c.OutputNames[si]
 		} else {
-			st.outputMux = p.muxes.Output[si]
-			for _, a := range st.alus {
-				a.operandMux = p.muxes.Operand[si][a.latch]
-			}
+			st.outputMux = c.Muxes.Output[si]
 		}
 		p.stages = append(p.stages, st)
 	}
@@ -363,16 +482,13 @@ func build(n Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error)
 	return p, nil
 }
 
-func newALU(n Spec, code *machinecode.Program, level OptLevel, si, slot int, prog *aludsl.Program, stateful bool) (*compiledALU, error) {
-	a := &compiledALU{
-		stage:    si,
-		slot:     slot,
-		stateful: stateful,
-		numOps:   prog.NumOperands(),
-		latch:    slot,
-	}
-	if stateful {
-		a.latch = n.Width + slot
+// newALU places an ALU running prog at (stage si, latch slot latch), with
+// fresh state and scratch; build sets what the level runs.
+func newALU(n Spec, si, latch int, prog *aludsl.Program) *compiledALU {
+	a := &compiledALU{stage: si, slot: latch, latch: latch, numOps: prog.NumOperands()}
+	if latch >= n.Width {
+		a.stateful = true
+		a.slot -= n.Width
 		a.state = make([]phv.Value, prog.NumState())
 	}
 	a.env = aludsl.Env{
@@ -380,42 +496,7 @@ func newALU(n Spec, code *machinecode.Program, level OptLevel, si, slot int, pro
 		Operands: make([]phv.Value, a.numOps),
 		State:    a.state,
 	}
-	scopedName := func(hole string) string {
-		return machinecode.ALUHoleName(si, stateful, slot, hole)
-	}
-	switch level {
-	case Unoptimized:
-		a.prog = prog
-		a.operandMuxNames = make([]string, a.numOps)
-		for op := 0; op < a.numOps; op++ {
-			a.operandMuxNames[op] = machinecode.OperandMuxName(si, stateful, slot, op)
-		}
-		a.localToGlobal = make(map[string]string, len(prog.Holes))
-		for _, h := range prog.Holes {
-			a.localToGlobal[h.Name] = scopedName(h.Name)
-		}
-		// Version-1 semantics: every hole reference performs hash lookups
-		// at execution time.
-		a.env.Holes = func(local string) (int64, bool) {
-			global, ok := a.localToGlobal[local]
-			if !ok {
-				return 0, false
-			}
-			return code.Get(global)
-		}
-	case SCCPropagation, SCCInlining, Compiled:
-		lookup := func(local string) (int64, bool) {
-			return code.Get(scopedName(local))
-		}
-		var err error
-		a.prog, err = optimizeALU(prog, lookup, n.Bits, level)
-		if err != nil {
-			return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(stateful), slot, err)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown optimization level %v", level)
-	}
-	return a, nil
+	return a
 }
 
 // optimizeALU specialises prog to its machine code at a prechecked level and
@@ -476,8 +557,9 @@ func (p *Pipeline) Clone() *Pipeline {
 }
 
 // MuxTable is a pipeline's mux selections as build-time constants, the form
-// SCC propagation leaves them in. ALUs are named by latch slot: stateless
-// ALU k of a stage is latch k, stateful ALU k is latch Width+k.
+// SCC propagation leaves them in (Spec.Read fills it). ALUs are named by
+// latch slot: stateless ALU k of a stage is latch k, stateful ALU k is latch
+// Width+k.
 type MuxTable struct {
 	// Output[stage][container] is the container's output mux selection: 0
 	// passes the stage's input container through, sel > 0 reads latch sel-1.
@@ -485,44 +567,6 @@ type MuxTable struct {
 	// Operand[stage][latch][op] is the input container the ALU's operand
 	// mux op selects.
 	Operand [][][]int
-}
-
-// Muxes reads the spec's mux selections out of machine code. The spec must
-// be normalized and the code valid for it (Validate).
-func (s *Spec) Muxes(code *machinecode.Program) (*MuxTable, error) {
-	get := func(name string) (int, error) {
-		v, ok := code.Get(name)
-		if !ok {
-			return 0, fmt.Errorf("core: missing machine code pair %q", name)
-		}
-		return int(v), nil
-	}
-	m := &MuxTable{Output: make([][]int, s.Depth), Operand: make([][][]int, s.Depth)}
-	for si := 0; si < s.Depth; si++ {
-		m.Operand[si] = make([][]int, 0, 2*s.Width)
-		for _, prog := range []*aludsl.Program{s.StatelessALU, s.StatefulALU} {
-			for slot := 0; prog != nil && slot < s.Width; slot++ {
-				ops := make([]int, prog.NumOperands())
-				for op := range ops {
-					v, err := get(machinecode.OperandMuxName(si, prog.Kind == aludsl.Stateful, slot, op))
-					if err != nil {
-						return nil, err
-					}
-					ops[op] = v
-				}
-				m.Operand[si] = append(m.Operand[si], ops)
-			}
-		}
-		m.Output[si] = make([]int, s.PHVLen)
-		for c := range m.Output[si] {
-			v, err := get(machinecode.OutputMuxName(si, c))
-			if err != nil {
-				return nil, err
-			}
-			m.Output[si][c] = v
-		}
-	}
-	return m, nil
 }
 
 // Live is the backward liveness pass over baked muxes: live[stage][latch]

@@ -1,10 +1,38 @@
 package core
 
-import "druzhba/internal/flat"
+import (
+	"druzhba/internal/aludsl"
+	"druzhba/internal/flat"
+	"druzhba/internal/machinecode"
+)
 
-// Hooks for the structural-mutant test (mutants_test.go, an external test
-// package because it needs package spec's Table-1 programs, which import
-// this package).
+// Hooks for the structural-mutant and build tests (mutants_test.go,
+// build_test.go: an external test package because they need package spec's
+// Table-1 programs, which import this package).
+
+// ALUPrograms returns the program each ALU runs, indexed [stage][latch].
+func (p *Pipeline) ALUPrograms() [][]*aludsl.Program {
+	out := make([][]*aludsl.Program, len(p.stages))
+	for si, st := range p.stages {
+		for _, a := range st.alus {
+			out[si] = append(out[si], a.prog)
+		}
+	}
+	return out
+}
+
+// OptimizeALUAlone specialises the ALU at (stage si, latch) by itself, its
+// holes looked up by name in code: what Build's memo must agree with.
+func OptimizeALUAlone(s Spec, code *machinecode.Program, si, latch int, level OptLevel) (*aludsl.Program, error) {
+	prog, stateful, slot := s.StatelessALU, false, latch
+	if latch >= s.Width {
+		prog, stateful, slot = s.StatefulALU, true, latch-s.Width
+	}
+	lookup := func(local string) (int64, bool) {
+		return code.Get(machinecode.ALUHoleName(si, stateful, slot, local))
+	}
+	return optimizeALU(prog, lookup, s.Bits, level)
+}
 
 // Mutated returns f around its program as rewritten by edit, or the error
 // flat's checker has for the result.

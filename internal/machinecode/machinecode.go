@@ -116,28 +116,40 @@ func (p *Program) Merge(other *Program) {
 	}
 }
 
-// String renders the program in the text file format.
+// String renders the program in the text file format, one "name = value"
+// line per pair, into one buffer sized up front. Campaign fingerprints hash
+// these bytes, so they must not change.
 func (p *Program) String() string {
+	size := 0
+	for _, pr := range p.pairs {
+		size += len(pr.Name) + len(" = \n") + 20 // 20: the longest int64
+	}
 	var b strings.Builder
-	p.Write(&b) //nolint:errcheck // strings.Builder cannot fail
+	b.Grow(size)
+	var num [20]byte
+	for _, pr := range p.pairs {
+		b.WriteString(pr.Name)
+		b.WriteString(" = ")
+		b.Write(strconv.AppendInt(num[:0], pr.Value, 10))
+		b.WriteByte('\n')
+	}
 	return b.String()
 }
 
-// Write serializes the program, one "name = value" line per pair.
+// Write serializes the program in the text file format (String).
 func (p *Program) Write(w io.Writer) error {
-	for _, pr := range p.pairs {
-		if _, err := fmt.Fprintf(w, "%s = %d\n", pr.Name, pr.Value); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := io.WriteString(w, p.String())
+	return err
 }
 
 // Parse reads the text format: one "name = value" pair per line, '#' or
 // "//" comments, blank lines ignored. A bare "name,value" form is accepted
-// too.
+// too. A name may appear once: machine code is the output of the compiler
+// under test, and two values for one primitive are its bug to report, not
+// the parser's to resolve.
 func Parse(r io.Reader) (*Program, error) {
 	p := New()
+	lines := map[string]int{} // name -> the line it was set on
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -171,10 +183,14 @@ func Parse(r io.Reader) (*Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("machinecode: line %d: bad value %q: %v", lineNo, val, err)
 		}
+		if first, ok := lines[name]; ok {
+			return nil, fmt.Errorf("machinecode: line %d: duplicate pair %q (first on line %d)", lineNo, name, first)
+		}
+		lines[name] = lineNo
 		p.Set(name, n)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("machinecode: %v", err)
+		return nil, fmt.Errorf("machinecode: line %d: %v", lineNo+1, err)
 	}
 	return p, nil
 }
@@ -202,18 +218,18 @@ func KindName(stateful bool) string {
 // ALUHoleName names an ALU-internal hole (a builtin call site or a declared
 // hole variable) for the ALU at (stage, slot).
 func ALUHoleName(stage int, stateful bool, slot int, hole string) string {
-	return fmt.Sprintf("pipeline_stage_%d_%s_alu_%d_%s", stage, KindName(stateful), slot, hole)
+	return "pipeline_stage_" + strconv.Itoa(stage) + "_" + KindName(stateful) + "_alu_" + strconv.Itoa(slot) + "_" + hole
 }
 
 // OperandMuxName names the input mux feeding operand index op of the ALU at
 // (stage, slot). Its value selects a PHV container.
 func OperandMuxName(stage int, stateful bool, slot int, op int) string {
-	return fmt.Sprintf("pipeline_stage_%d_%s_alu_%d_operand_mux_%d", stage, KindName(stateful), slot, op)
+	return "pipeline_stage_" + strconv.Itoa(stage) + "_" + KindName(stateful) + "_alu_" + strconv.Itoa(slot) + "_operand_mux_" + strconv.Itoa(op)
 }
 
 // OutputMuxName names the output mux that writes PHV container c at the end
 // of a stage. Value 0 keeps the container's old value; values 1..width pick
 // a stateless ALU output; values width+1..2*width pick a stateful ALU output.
 func OutputMuxName(stage, container int) string {
-	return fmt.Sprintf("pipeline_stage_%d_output_mux_phv_%d", stage, container)
+	return "pipeline_stage_" + strconv.Itoa(stage) + "_output_mux_phv_" + strconv.Itoa(container)
 }

@@ -1,6 +1,13 @@
 package machinecode
 
 import (
+	"bytes"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -158,6 +165,124 @@ func TestNamingConvention(t *testing.T) {
 		}
 	}
 }
+
+// TestNamesMatchTheirFormats pins the three name functions to the formats
+// they are defined by, over multi-digit stages, slots, operands and
+// containers and both kinds.
+func TestNamesMatchTheirFormats(t *testing.T) {
+	for stage := 0; stage <= 12; stage++ {
+		for slot := 0; slot <= 12; slot++ {
+			if got, want := OutputMuxName(stage, slot), fmt.Sprintf("pipeline_stage_%d_output_mux_phv_%d", stage, slot); got != want {
+				t.Fatalf("OutputMuxName = %q, want %q", got, want)
+			}
+			for _, stateful := range []bool{false, true} {
+				kind := KindName(stateful)
+				for _, hole := range []string{"mux3_0", "const_12", ""} {
+					if got, want := ALUHoleName(stage, stateful, slot, hole), fmt.Sprintf("pipeline_stage_%d_%s_alu_%d_%s", stage, kind, slot, hole); got != want {
+						t.Fatalf("ALUHoleName = %q, want %q", got, want)
+					}
+				}
+				for op := 0; op <= 12; op++ {
+					if got, want := OperandMuxName(stage, stateful, slot, op), fmt.Sprintf("pipeline_stage_%d_%s_alu_%d_operand_mux_%d", stage, kind, slot, op); got != want {
+						t.Fatalf("OperandMuxName = %q, want %q", got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// fixtures returns the Table-1 machine code fixtures' file contents by path.
+func fixtures(t testing.TB) map[string][]byte {
+	paths, err := filepath.Glob(filepath.Join("..", "spec", "testdata", "*.mc"))
+	if err != nil || len(paths) != 12 {
+		t.Fatalf("%d fixtures (%v), want 12", len(paths), err)
+	}
+	out := map[string][]byte{}
+	for _, path := range paths {
+		if out[path], err = os.ReadFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestStringIsWrite: String and Write emit the same bytes, which are the
+// "name = value" lines fmt would print, on the Table-1 fixtures and on
+// negative and extreme values.
+func TestStringIsWrite(t *testing.T) {
+	odd := New()
+	for i, v := range []int64{-1, 0, -9, math.MinInt64, math.MaxInt64, 10, -1000} {
+		odd.Set(OutputMuxName(i, i), v)
+	}
+	progs := []*Program{odd}
+	for path, src := range fixtures(t) {
+		p, err := ParseString(string(src))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		progs = append(progs, p)
+	}
+	for _, p := range progs {
+		var w, want bytes.Buffer
+		if err := p.Write(&w); err != nil {
+			t.Fatal(err)
+		}
+		for _, pr := range p.pairs {
+			fmt.Fprintf(&want, "%s = %d\n", pr.Name, pr.Value)
+		}
+		if p.String() != want.String() || w.String() != want.String() {
+			t.Errorf("String\n%s\nWrite\n%s\nwant\n%s", p.String(), w.String(), want.String())
+		}
+	}
+}
+
+// TestParseRejectsADuplicateName: two pairs for one primitive are the
+// compiler's bug to report, whether the values differ or not; the error
+// names both lines.
+func TestParseRejectsADuplicateName(t *testing.T) {
+	for _, src := range []string{
+		"a = 1\nb = 0\n# again\na = 2\n",
+		"a = 1\nb = 0\n\na, 1\n",
+	} {
+		_, err := ParseString(src)
+		if err == nil || err.Error() != `machinecode: line 4: duplicate pair "a" (first on line 1)` {
+			t.Errorf("ParseString(%q) = %v, want the duplicate named with both lines", src, err)
+		}
+	}
+}
+
+// FuzzParse: the parser never panics; what it accepts round-trips through
+// String with the same pairs in the same order, and what it refuses is
+// refused with the line the refusal is about.
+func FuzzParse(f *testing.F) {
+	for _, src := range fixtures(f) {
+		f.Add(string(src))
+	}
+	f.Add("a = 1\na = 2\n")
+	f.Add("a,1\nb , -2\n")
+	f.Add("# comment\n// comment\na = 3 # trailing\n\n   \nb = 4 // trailing\n")
+	f.Add("x = notanumber\n")
+	f.Add("= 5\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := ParseString(src)
+		if err != nil {
+			if !lineError.MatchString(err.Error()) {
+				t.Fatalf("error %q names no line", err)
+			}
+			return
+		}
+		q, err := ParseString(p.String())
+		if err != nil {
+			t.Fatalf("reparse of %q: %v", p.String(), err)
+		}
+		if !slices.Equal(p.pairs, q.pairs) {
+			t.Fatalf("round trip moved the pairs: %v, then %v", p.pairs, q.pairs)
+		}
+	})
+}
+
+var lineError = regexp.MustCompile(`^machinecode: line [1-9][0-9]*: `)
 
 // Property: parse(render(p)) == p for arbitrary identifier-valued programs.
 func TestRoundTripProperty(t *testing.T) {

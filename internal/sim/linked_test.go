@@ -34,10 +34,11 @@ func liveMutants(t *testing.T, r *spec.Resolved) []*machinecode.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	muxes, err := hw.Muxes(r.Code)
+	read, err := hw.Read(r.Code)
 	if err != nil {
 		t.Fatal(err)
 	}
+	muxes := read.Muxes
 	out := make([]bool, hw.PHVLen)
 	for _, c := range r.Containers {
 		out[c] = true

@@ -197,9 +197,9 @@ func EquivalenceContext(ctx context.Context, spec core.Spec, code *machinecode.P
 // Problem is an equivalence question with everything that does not depend
 // on the proof cell — the (bits, steps) point — worked out once: the
 // normalized spec and validated machine code, the compared containers, the
-// mux selections and ALU hole values looked up by name, and the ALUs in the
-// cone of what is compared. It is read-only after NewProblem, so the cells
-// of a campaign job share one.
+// mux selections and ALU hole values (core.Spec.Read's one pass), and the
+// ALUs in the cone of what is compared. It is read-only after NewProblem, so
+// the cells of a campaign job share one.
 type Problem struct {
 	spec   core.Spec // normalized; Prove sets Bits per cell
 	code   *machinecode.Program
@@ -212,8 +212,8 @@ type Problem struct {
 	containers   []int    // compared containers
 
 	muxes *core.MuxTable
-	live  [][]bool             // live[stage][latch]: the ALU is in the compared cone
-	holes [][]map[string]int64 // holes[stage][latch]: ALU-local hole name → machine code value
+	live  [][]bool         // live[stage][latch]: the ALU is in the compared cone
+	alus  [][]core.ALUCode // alus[stage][latch]: the ALU's program and hole values
 }
 
 // NewProblem checks the question and prepares it. opts.Bits and opts.Steps
@@ -223,8 +223,12 @@ func NewProblem(spec core.Spec, code *machinecode.Program, prog *domino.Program,
 	if err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
 	}
-	if errs := spec.Validate(code); len(errs) > 0 {
-		return nil, fmt.Errorf("verify: machine code incompatible with pipeline: %w", errors.Join(errs...))
+	read, err := spec.Read(code)
+	if err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	if len(read.Errs) > 0 {
+		return nil, fmt.Errorf("verify: machine code incompatible with pipeline: %w", errors.Join(read.Errs...))
 	}
 	for _, name := range prog.Fields() {
 		if _, ok := fields[name]; !ok {
@@ -279,22 +283,8 @@ func NewProblem(spec core.Spec, code *machinecode.Program, prog *domino.Program,
 		return nil, errors.New("verify: nothing to compare: the Domino program writes no packet field and no state is bound (Options.StateBindings, dverify -state), so any machine code would be proved")
 	}
 
-	if p.muxes, err = spec.Muxes(code); err != nil {
-		return nil, fmt.Errorf("verify: %w", err)
-	}
+	p.muxes, p.alus = read.Muxes, read.ALUs
 	p.live = p.muxes.Live(out, pinned)
-	p.holes = make([][]map[string]int64, spec.Depth)
-	for si := range p.holes {
-		for _, alu := range []*aludsl.Program{spec.StatelessALU, spec.StatefulALU} {
-			for slot := 0; alu != nil && slot < spec.Width; slot++ {
-				vals := make(map[string]int64, len(alu.Holes))
-				for _, h := range alu.Holes {
-					vals[h.Name], _ = code.Get(machinecode.ALUHoleName(si, alu.Kind == aludsl.Stateful, slot, h.Name)) // present: Validate passed
-				}
-				p.holes[si] = append(p.holes[si], vals)
-			}
-		}
-	}
 	return p, nil
 }
 
@@ -557,10 +547,8 @@ func (sp *symPipeline) execStage(si int, in []bv.Vec) ([]bv.Vec, error) {
 }
 
 func (sp *symPipeline) execALU(si, latch int, in []bv.Vec) (bv.Vec, error) {
-	prog := sp.p.spec.StatelessALU
-	if latch >= sp.p.spec.Width {
-		prog = sp.p.spec.StatefulALU
-	}
+	alu := &sp.p.alus[si][latch]
+	prog := alu.Prog
 	operands := make([]bv.Vec, prog.NumOperands())
 	for op, c := range sp.p.muxes.Operand[si][latch] {
 		operands[op] = in[c]
@@ -569,7 +557,7 @@ func (sp *symPipeline) execALU(si, latch int, in []bv.Vec) (bv.Vec, error) {
 		b:        sp.b,
 		bits:     sp.bits,
 		w:        sp.w,
-		lookup:   aludsl.MapLookup(sp.p.holes[si][latch]),
+		lookup:   alu.Hole,
 		operands: operands,
 		state:    cloneVecs(sp.state[si][latch]),
 		kind:     prog.Kind,
