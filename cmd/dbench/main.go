@@ -75,10 +75,9 @@ type Row struct {
 	// unoptimized level.
 	LiveALUs  int `json:"live_alus"`
 	TotalALUs int `json:"total_alus"`
-	// Instrs is the length of the fused program the fuzzer runs per PHV: the
-	// lowered ALU bodies at the compiled level, operand copies and one
-	// interpreter call per live ALU at scc and scc+inline; absent at the
-	// unoptimized level, which has no program.
+	// Instrs is the length of the fused program the fuzzer runs per PHV, the
+	// live ALU bodies lowered inline at every prechecked level; absent at
+	// the unoptimized level, which has no program.
 	Instrs int `json:"instrs,omitempty"`
 }
 

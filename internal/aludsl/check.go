@@ -171,9 +171,9 @@ func indexOf(names []string) map[string]int {
 // specialise (one hidden in a hand-built helper body), an unresolved
 // identifier, an operand or state index outside the program's declarations, a
 // helper parameter outside its call's arguments, an operator outside the
-// language, a helper that calls itself. A nil result means Run, RunUnsafe and
-// flat code lowered from p return a value on every input. Parsed programs
-// always pass once SCC has run; the check exists for ASTs built by hand.
+// language, a helper that calls itself. A nil result means Run and flat code
+// lowered from p return a value on every input. Parsed programs always pass
+// once SCC has run; the check exists for ASTs built by hand.
 func CheckTotal(p *Program) error {
 	var active []*FuncDef // helpers whose body is being walked
 	var expr func(e Expr, arity int) error

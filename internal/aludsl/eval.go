@@ -40,11 +40,10 @@ type Env struct {
 	Holes    HoleLookup  // nil once optimization removed all hole references
 	aluName  string      // for error messages
 
-	// Arena holds helper-call frames, so a call costs argument evaluation
+	// arena holds helper-call frames, so a call costs argument evaluation
 	// plus bookkeeping, not an allocation; its capacity is retained across
-	// executions. A caller whose Env lives for one execution may preset it
-	// to an empty slice over memory it owns.
-	Arena     []phv.Value
+	// executions.
+	arena     []phv.Value
 	frameBase int
 }
 
@@ -77,24 +76,16 @@ func Run(p *Program, env *Env) (out phv.Value, err error) {
 			panic(r)
 		}
 	}()
-	return RunUnsafe(p, env), nil
-}
-
-// RunUnsafe is Run without the recover boundary, for the fused pipeline's
-// interpreter calls. It is safe only on a program that passed CheckTotal evaluated with
-// env.Holes == nil — what core.Build guarantees of every prechecked pipeline
-// — where no evaluation can fail; on anything else a failure is a panic.
-func RunUnsafe(p *Program, env *Env) phv.Value {
 	env.aluName = p.Name
 	v, returned := execStmts(p.Body, env)
 	if returned {
-		return v
+		return v, nil
 	}
 	// Implicit output: post-update state_0 for stateful ALUs, 0 otherwise.
 	if p.Kind == Stateful && len(env.State) > 0 {
-		return env.State[0]
+		return env.State[0], nil
 	}
-	return 0
+	return 0, nil
 }
 
 // execStmts executes statements; the bool result reports whether a Return
@@ -137,7 +128,7 @@ func evalExpr(e Expr, env *Env) phv.Value {
 		case VarHole:
 			return env.Width.Trunc(env.holeValue(e.Name))
 		case VarParam:
-			return env.Arena[env.frameBase+e.Index]
+			return env.arena[env.frameBase+e.Index]
 		default:
 			return env.failf("unresolved identifier %q", e.Name)
 		}
@@ -170,15 +161,15 @@ func evalExpr(e Expr, env *Env) phv.Value {
 	case *HoleCall:
 		return evalHoleCall(e, env)
 	case *Call:
-		base := len(env.Arena)
+		base := len(env.arena)
 		for _, a := range e.Args {
-			env.Arena = append(env.Arena, evalExpr(a, env))
+			env.arena = append(env.arena, evalExpr(a, env))
 		}
 		savedBase := env.frameBase
 		env.frameBase = base
 		v := evalExpr(e.Func.Body, env)
 		env.frameBase = savedBase
-		env.Arena = env.Arena[:base]
+		env.arena = env.arena[:base]
 		return v
 	default:
 		return env.failf("unknown expression node %T", e)
@@ -223,12 +214,12 @@ func applyBinOp(w phv.Width, op BinOp, x, y phv.Value) phv.Value {
 // choice for the value is applied.
 func evalHoleCall(e *HoleCall, env *Env) phv.Value {
 	mc := env.holeValue(e.Hole)
-	base := len(env.Arena)
+	base := len(env.arena)
 	for _, a := range e.Args {
-		env.Arena = append(env.Arena, evalExpr(a, env))
+		env.arena = append(env.arena, evalExpr(a, env))
 	}
-	args := env.Arena[base:]
-	env.Arena = env.Arena[:base]
+	args := env.arena[base:]
+	env.arena = env.arena[:base]
 	ch, err := e.Choose(mc)
 	switch {
 	case err != nil:

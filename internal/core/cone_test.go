@@ -127,9 +127,6 @@ func TestOutputConeLiveness(t *testing.T) {
 				if p.Clone().Cone() != p.Cone() {
 					t.Errorf("%v: a clone does not share the fused cone", level)
 				}
-				if listing := p.Cone().String(); (level != Compiled) != strings.Contains(listing, "call t") {
-					t.Errorf("%v: the cone's listing does not show its ALU bodies as the level has them:\n%s", level, listing)
-				}
 				grid := p.FuseGrid()
 				if live, total := grid.ALUCounts(); live != total || total != len(liveList(p, grid)) {
 					t.Errorf("%v: the fused grid runs %d of %d ALUs", level, live, total)
@@ -556,11 +553,74 @@ func TestFusedCoversTheALULanguage(t *testing.T) {
 		}
 		n, _ := p.Cone().ALUCounts()
 		live += n
-		if listing := p.Cone().String(); n > 0 && (listing == "" || strings.Contains(listing, "call")) {
-			t.Fatalf("the compiled cone of %d live ALUs disassembles to %q", n, listing)
+		if listing := p.Cone().String(); n > 0 && listing == "" {
+			t.Fatalf("the compiled cone of %d live ALUs disassembles to nothing", n)
 		}
 	}
 	if live == 0 {
 		t.Fatal("no trial kept one of the hand-written ALUs live")
+	}
+}
+
+// TestHelperCallsLowerAsTheyRun: at SCCPropagation the ALU bodies still call
+// their helpers, and a call must lower as the interpreter runs it — every
+// argument evaluated in the caller's frame, then the body in a frame of those
+// values. The builtins only make helpers over their own parameters, so these
+// helpers are hand-built: one calls another on an expression of its
+// parameters, one ignores two of its arguments (one of them a call), a
+// logical operator is an argument, and a call is assigned to the state it
+// reads. Inlining drops what a helper ignores; the scc program still
+// evaluates it, which its listing shows.
+func TestHelperCallsLowerAsTheyRun(t *testing.T) {
+	field := func(i int) aludsl.Expr {
+		return &aludsl.Ident{Name: fmt.Sprintf("pkt_%d", i), Class: aludsl.VarField, Index: i}
+	}
+	param := func(i int) aludsl.Expr {
+		return &aludsl.Ident{Name: fmt.Sprintf("op%d", i), Class: aludsl.VarParam, Index: i}
+	}
+	bin := func(op aludsl.BinOp, x, y aludsl.Expr) aludsl.Expr { return &aludsl.Binary{Op: op, X: x, Y: y} }
+	call := func(f *aludsl.FuncDef, args ...aludsl.Expr) aludsl.Expr { return &aludsl.Call{Func: f, Args: args} }
+	twice := &aludsl.FuncDef{Name: "twice", Params: []string{"op0"}, Body: bin(aludsl.OpAdd, param(0), param(0))}
+	second := &aludsl.FuncDef{Name: "second", Params: []string{"op0", "op1", "op2"}, Body: param(1)}
+	outer := &aludsl.FuncDef{Name: "outer", Params: []string{"op0", "op1"},
+		Body: bin(aludsl.OpMul, call(twice, bin(aludsl.OpSub, param(0), param(1))), param(1))}
+
+	parse := func(src string) *aludsl.Program {
+		p, err := aludsl.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	stateless := parse("type: stateless\nstate variables: {}\nhole variables: {}\npacket fields: {pkt_0, pkt_1}\nreturn pkt_0;\n")
+	stateless.Name = "helpers_stateless"
+	stateless.Body = []aludsl.Stmt{&aludsl.Return{Value: call(outer,
+		call(second, bin(aludsl.OpDiv, field(0), field(1)), field(1), call(twice, field(0))),
+		bin(aludsl.OpAnd, field(1), field(0)))}}
+	stateful := parse("type: stateful\nstate variables: {state_0}\nhole variables: {}\npacket fields: {pkt_0}\nreturn pkt_0;\n")
+	stateful.Name = "helpers_stateful"
+	state := &aludsl.Ident{Name: "state_0", Class: aludsl.VarState}
+	stateful.Body = []aludsl.Stmt{&aludsl.Assign{LHS: state, RHS: call(outer, state, bin(aludsl.OpAdd, field(0), call(twice, state)))}}
+
+	s := Spec{Depth: 2, Width: 2, StatelessALU: stateless, StatefulALU: stateful, Bits: phv.MustWidth(8)}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		code := randomValidCode(t, &s, rng)
+		for _, level := range coneLevels {
+			checkCone(t, s, code, level, rng, 64)
+		}
+		if trial > 0 {
+			continue
+		}
+		for _, level := range []OptLevel{SCCPropagation, SCCInlining} {
+			p, err := Build(s, code, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if grid := p.FuseGrid().String(); strings.Contains(grid, "div") != (level == SCCPropagation) {
+				t.Errorf("%v: the ignored argument pkt_0 / pkt_1 is evaluated %v times, want only at scc:\n%s",
+					level, strings.Count(grid, "div"), grid)
+			}
+		}
 	}
 }

@@ -12,9 +12,12 @@
 //   - SCCPropagation: sparse conditional constant propagation specializes
 //     every helper to its machine code value (version 2);
 //   - SCCInlining: helper calls are additionally inlined (version 3);
-//   - Compiled: the inlined ALU bodies are lowered to straight-line
-//     three-address code, the role the Rust compiler plays for the paper's
-//     generated pipeline descriptions, without leaving the process.
+//   - Compiled: the inlined ALU bodies as straight-line three-address code,
+//     the role the Rust compiler plays for the paper's generated pipeline
+//     descriptions, without leaving the process. Every prechecked level's
+//     bodies are lowered to that code (fuse.go), so Compiled builds the same
+//     pipeline as SCCInlining; it stays a level because campaign matrices
+//     and reports name it.
 //
 // Build does each piece of work once. The machine code is read in one pass
 // over RequiredPairs order (Spec.Read: each name formatted, looked up and
@@ -41,7 +44,8 @@
 // The levels above Unoptimized are Prechecked: every mux selection is a
 // build-time constant and every ALU program is proved total, so dead-code
 // elimination is the classic follow-on and Build fuses the pipeline into one
-// flat register program (fuse.go, package flat). Chipmunk-style machine code
+// flat register program (fuse.go, package flat), every ALU body lowered
+// inline from the level's own program. Chipmunk-style machine code
 // routes only a handful of a depth x width grid's ALUs to a container (33 of
 // 198 across the Table-1 fixtures; blue-decrease 2/16, blue-increase 1/16,
 // sampling 2/4, marple-new-flow 2/8, marple-tcp-nmo 2/12, snap-heavy-hitter
@@ -76,10 +80,11 @@ const (
 	SCCPropagation
 	// SCCInlining applies SCC propagation then function inlining (v3).
 	SCCInlining
-	// Compiled is an extension beyond the paper's three levels: after SCC
-	// propagation and inlining, the fused program (Cone, FuseGrid) carries
-	// every ALU body as straight-line code instead of a call of the AST
-	// interpreter; BenchmarkEngines quantifies the dispatch cost.
+	// Compiled is an extension beyond the paper's three levels: SCC
+	// propagation and inlining, with the fused program (Cone, FuseGrid)
+	// carrying every ALU body as straight-line code. The fused programs of
+	// SCCPropagation and SCCInlining are straight-line code too, so Compiled
+	// builds what SCCInlining builds.
 	Compiled
 )
 
@@ -502,9 +507,8 @@ func newALU(n Spec, si, latch int, prog *aludsl.Program) *compiledALU {
 // optimizeALU specialises prog to its machine code at a prechecked level and
 // proves the result total. This is the trust boundary of those levels: a
 // Spec's ALU programs are caller-supplied ASTs, and nothing downstream of it
-// — the inliner, the lowering to flat code, the fused program's interpreter
-// calls — guards evaluation. Inlining preserves totality, so the SCC output
-// is checked once.
+// — the inliner, the lowering to flat code — guards evaluation. Inlining
+// preserves totality, so the SCC output is checked once.
 func optimizeALU(prog *aludsl.Program, holes aludsl.HoleLookup, w phv.Width, level OptLevel) (*aludsl.Program, error) {
 	optimized, err := opt.SCC(prog, holes, w)
 	if err != nil {

@@ -1,8 +1,10 @@
 // fuse.go turns a prechecked pipeline into one flat register program (see
 // the package comment): muxes become register renaming, and only the ALUs
-// MuxTable.Live finds able to matter are emitted — lowered inline at Compiled,
-// one call of the AST interpreter on the level's program below it, so the
-// levels keep measuring what they name.
+// MuxTable.Live finds able to matter are emitted, each lowered inline from the
+// level's own program. At SCCPropagation that program still calls its
+// specialised helpers, and a call lowers as the interpreter runs it: every
+// argument evaluated, then the helper's body over those registers. The levels
+// above it have no calls left.
 package core
 
 import (
@@ -12,7 +14,6 @@ import (
 
 	"druzhba/internal/aludsl"
 	"druzhba/internal/flat"
-	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
 )
 
@@ -87,10 +88,6 @@ func (p *Pipeline) fuse(pinned [][]bool) (*Fused, error) {
 	b := flat.NewBuilder(n.Bits)
 	f := &Fused{width: n.Width, phvLen: n.PHVLen, in: b.Regs("in", n.PHVLen), state: make([][]int, n.Depth),
 		live: p.muxes.Live(slices.Repeat([]bool{true}, n.PHVLen), pinned)}
-	arena := 0
-	if p.level != Compiled {
-		arena = b.Regs("arena", arenaRegs)
-	}
 	cur := make([]int, n.PHVLen) // container -> register, -1 for a column nothing downstream reads
 	for c := range cur {
 		cur[c] = f.in + c
@@ -106,7 +103,7 @@ func (p *Pipeline) fuse(pinned [][]bool) (*Fused, error) {
 			if !f.live[si][a.latch] {
 				continue
 			}
-			l := aluLowering{b: b, w: n.Bits, a: a, ops: make([]int, a.numOps), state: -1, arena: arena}
+			l := aluLowering{b: b, w: n.Bits, a: a, ops: make([]int, a.numOps), state: -1}
 			for op, c := range a.operandMux {
 				l.ops[op] = cur[c]
 			}
@@ -114,11 +111,7 @@ func (p *Pipeline) fuse(pinned [][]bool) (*Fused, error) {
 				l.state = b.Regs(fmt.Sprintf("s%d.%d.", si, a.slot), len(a.state))
 				f.state[si][a.slot] = l.state
 			}
-			if p.level == Compiled {
-				latch[a.latch] = l.inline()
-			} else {
-				latch[a.latch] = l.call()
-			}
+			latch[a.latch] = l.inline()
 		}
 		next := make([]int, n.PHVLen)
 		for c, sel := range st.outputMux {
@@ -198,52 +191,15 @@ func (f *Fused) Executes(stage int, stateful bool, slot int) bool {
 }
 
 // aluLowering lowers one live ALU: ops are the registers its operand muxes
-// renamed, state its first state register.
+// renamed, state its first state register, params the registers holding the
+// arguments of the helper call whose body is being lowered.
 type aluLowering struct {
-	b     *flat.Builder
-	w     phv.Width
-	a     *compiledALU
-	ops   []int
-	state int
-	arena int // the interpreter's helper-frame registers, shared by every call
-}
-
-// aluCall is the interpreted body of one ALU at the levels that measure the
-// interpreter: aludsl.RunUnsafe over operands and state that are contiguous
-// blocks of the frame.
-type aluCall struct {
-	prog              *aludsl.Program
-	w                 phv.Width
-	ops, state, arena int // first operand, state and helper-frame register
-	label             string
-}
-
-// arenaRegs is the frame's room for the interpreter's helper-call frames;
-// nesting deeper than any atom's spills to the heap.
-const arenaRegs = 16
-
-func (c *aluCall) Call(r []int64) int64 {
-	env := aludsl.Env{
-		Width:    c.w,
-		Operands: r[c.ops : c.ops+c.prog.NumOperands()],
-		State:    r[c.state : c.state+c.prog.NumState()],
-		Arena:    r[c.arena : c.arena : c.arena+arenaRegs],
-	}
-	return aludsl.RunUnsafe(c.prog, &env)
-}
-
-func (c *aluCall) String() string { return c.label }
-
-// call emits the operand copies the interpreter's contiguous Operands needs
-// and one Call.
-func (l *aluLowering) call() int {
-	block := l.b.Regs(fmt.Sprintf("op%d.%d.", l.a.stage, l.a.latch), len(l.ops))
-	for i, r := range l.ops {
-		l.b.Move(block+i, r)
-	}
-	label := fmt.Sprintf("%s %d/%s/%d", l.a.prog.Name, l.a.stage, machinecode.KindName(l.a.stateful), l.a.slot)
-	callee := l.b.Callee(&aluCall{prog: l.a.prog, w: l.w, ops: block, state: max(l.state, 0), arena: l.arena, label: label})
-	return l.b.Op(flat.Call, -1, callee, 0)
+	b      *flat.Builder
+	w      phv.Width
+	a      *compiledALU
+	ops    []int
+	state  int
+	params []int
 }
 
 // inline lowers the body and returns the register holding the ALU's result:
@@ -335,6 +291,8 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 			return l.b.Move(dst, l.state+e.Index)
 		case aludsl.VarField:
 			return l.b.Move(dst, l.ops[e.Index])
+		case aludsl.VarParam:
+			return l.b.Move(dst, l.params[e.Index])
 		}
 	case *aludsl.Unary:
 		op := flat.Not
@@ -348,8 +306,21 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 			return l.b.Logic(e.Op == aludsl.OpOr, dst, x, func() int { return l.expr(e.Y, -1) })
 		}
 		return l.b.Op(flat.Op(e.Op), dst, x, l.expr(e.Y, -1))
+	case *aludsl.Call:
+		// As the interpreter runs a helper call: every argument in the
+		// caller's frame, then the body in a frame of those values.
+		// Expressions have no effects, so the body reads the argument
+		// registers unchanged.
+		args := make([]int, len(e.Args))
+		for i, a := range e.Args {
+			args[i] = l.expr(a, -1)
+		}
+		caller := l.params
+		l.params = args
+		v := l.expr(e.Func.Body, dst)
+		l.params = caller
+		return v
 	}
-	// optimizeALU ran CheckTotal on this program and inlined its helpers:
-	// nothing else is left in it.
+	// optimizeALU ran CheckTotal on this program: nothing else is left in it.
 	panic(fmt.Sprintf("core: fuse: %s: cannot lower %T %v", l.a.prog.Name, e, e))
 }

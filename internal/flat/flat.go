@@ -10,8 +10,9 @@
 // on one frame.
 //
 // A Builder hands out registers and appends instructions; Build and Link
-// check every register index, jump target, bank, outcome and callee index
-// once, so Run has no error path, cannot loop and allocates nothing. Jumps
+// check every register index, jump target, bank and outcome once, so Run has
+// no error path, cannot loop and allocates nothing. Every instruction is one
+// of the opcodes below: a program calls nothing outside itself. Jumps
 // only go forward. A Trap instruction is how a lowered program that can fail
 // (a Domino local read before assignment, a dRMT instruction on a field the
 // packet lacks) stops early: it stores a code in a register the caller
@@ -50,7 +51,6 @@ const (
 	Jz   // if r[B] == 0 continue at instruction A
 	Jnz  // if r[B] != 0 continue at instruction A
 	Jmp  // continue at instruction A
-	Call // r[A] = callee B run on the frame
 	Trap // if r[B] == 0 { r[A] = C; stop }
 	And  // r[A] = r[B] & r[C], the width masks of narrower fields and registers
 
@@ -71,13 +71,13 @@ const (
 
 // ops names every opcode and says what its fields are, in the order the
 // disassembly prints them: a field letter then w (register written), r
-// (register read), j (jump target), c (callee index), b (bank index), o
-// (outcome index) or i (immediate).
+// (register read), j (jump target), b (bank index), o (outcome index) or i
+// (immediate).
 var ops = [...]struct{ name, fields string }{
 	Add: {"add", "AwBrCr"}, Sub: {"sub", "AwBrCr"}, Mul: {"mul", "AwBrCr"}, Div: {"div", "AwBrCr"}, Mod: {"mod", "AwBrCr"},
 	Eq: {"eq", "AwBrCr"}, Ne: {"ne", "AwBrCr"}, Lt: {"lt", "AwBrCr"}, Gt: {"gt", "AwBrCr"}, Le: {"le", "AwBrCr"}, Ge: {"ge", "AwBrCr"},
 	Neg: {"neg", "AwBr"}, Not: {"not", "AwBr"}, Bool: {"bool", "AwBr"}, Mov: {"mov", "AwBr"},
-	Jz: {"jz", "BrAj"}, Jnz: {"jnz", "BrAj"}, Jmp: {"jmp", "Aj"}, Call: {"call", "AwBc"}, Trap: {"trap", "AwBrCi"},
+	Jz: {"jz", "BrAj"}, Jnz: {"jnz", "BrAj"}, Jmp: {"jmp", "Aj"}, Trap: {"trap", "AwBrCi"},
 	And: {"and", "AwBrCr"}, Load: {"load", "AwBbCr"}, LoadMask: {"load", "AwBbCr"}, Store: {"store", "AbBrCr"}, StoreMask: {"store", "AbBrCr"},
 	Match: {"match", "AoBi"},
 }
@@ -94,18 +94,11 @@ func (in Instr) setField(letter byte, v uint32) Instr {
 }
 
 // Instr is one instruction; which of A, B, C are registers, an instruction
-// index, a callee index or an immediate is the opcode's business (see Op).
+// index, a bank or outcome index or an immediate is the opcode's business
+// (see Op).
 type Instr struct {
 	Op      Op
 	A, B, C uint32
-}
-
-// Callee is an interpreted routine a Call instruction runs on the frame,
-// the ALU bodies of the levels that measure an interpreter. It may write
-// registers and must keep nothing between calls: a program is shared by
-// every frame it runs on.
-type Callee interface {
-	Call(regs []int64) int64
 }
 
 // Outcome is one way a Match can go: to Target when r[Reg]&Mask == Key.
@@ -130,7 +123,6 @@ type Program struct {
 	init     []int64 // initial frame: constants, state initial values, zeros
 	names    []named // the registers the builder named, in register order
 	fixed    []bool  // constant registers, which no instruction may write
-	callees  []Callee
 	banks    []bank
 	outcomes []Outcome
 	runs     []run       // registers named after their place in a run
@@ -242,8 +234,6 @@ func (p *Program) Run(r []int64) {
 			}
 		case Jmp:
 			pc = int(in.A) - 1
-		case Call:
-			r[in.A] = p.callees[in.B].Call(r)
 		case Trap:
 			if r[in.B] == 0 {
 				r[in.A] = int64(in.C)
@@ -304,7 +294,6 @@ func (p *Program) Counting() (counting *Program, first int) {
 		init:     slices.Concat(p.init, make([]int64, len(p.code)), []int64{1}),
 		fixed:    slices.Concat(p.fixed, make([]bool, len(p.code)), []bool{true}),
 		runs:     p.runs,
-		callees:  p.callees,
 		banks:    p.banks,
 		outcomes: slices.Clone(p.outcomes),
 	}
@@ -332,13 +321,11 @@ func (p *Program) Counting() (counting *Program, first int) {
 }
 
 // Link returns one program that runs a and then b on one frame. a keeps its
-// registers, instructions, banks, outcomes and callees; b's registers follow
-// a's, so b never writes one of a's. bind maps registers of b to registers of
-// a holding their values: one b only reads is renamed to a's register, and
-// one b writes gets its own, set from a's by a mov at b's start unless b
-// cannot see the value (setsFirst). When b has callees, which may read and
-// write any register of b, every bound one gets the mov. A bank cell cannot
-// be bound. regs[r] is where b's register r lives in the linked frame. A Trap
+// registers, instructions, banks and outcomes; b's registers follow a's, so b
+// never writes one of a's. bind maps registers of b to registers of a holding
+// their values: one b only reads is renamed to a's register, and one b writes
+// gets its own, set from a's by a mov at b's start unless b cannot see the
+// value (setsFirst). A bank cell cannot be bound. regs[r] is where b's register r lives in the linked frame. A Trap
 // in a stops the program before b. a and b must be programs Build, Mutate or
 // Link returned without error.
 func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err error) {
@@ -355,7 +342,6 @@ func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err err
 		code:     append(make([]Instr, 0, len(a.code)+len(bind)+len(b.code)), a.code...),
 		init:     slices.Concat(a.init, b.init),
 		fixed:    slices.Concat(a.fixed, b.fixed),
-		callees:  append(make([]Callee, 0, len(a.callees)+len(b.callees)), a.callees...),
 		banks:    append(make([]bank, 0, len(a.banks)+len(b.banks)), a.banks...),
 		outcomes: append(make([]Outcome, 0, len(a.outcomes)+len(b.outcomes)), a.outcomes...),
 		parts:    [2]*Program{a, b},
@@ -372,7 +358,7 @@ func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err err
 		switch {
 		case b.fixed[r] || b.cell(r) || src < 0 || src >= base:
 			return nil, nil, fmt.Errorf("flat: link: cannot bind %s to register %d", b.RegName(r), src)
-		case len(b.callees) > 0 || writes[r] && !b.setsFirst(r):
+		case writes[r] && !b.setsFirst(r):
 			p.code = append(p.code, Instr{Op: Mov, A: uint32(base + r), B: uint32(src)})
 		case !writes[r]:
 			regs[r] = src
@@ -380,9 +366,6 @@ func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err err
 	}
 	if bound != len(bind) {
 		return nil, nil, fmt.Errorf("flat: link: %d bound registers are not registers of the second program", len(bind)-bound)
-	}
-	for _, c := range b.callees {
-		p.callees = append(p.callees, shifted{c, base})
 	}
 	for _, bk := range b.banks {
 		bk.first += base
@@ -400,8 +383,6 @@ func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err err
 				in = in.setField(f[0], uint32(regs[v]))
 			case 'j':
 				in = in.setField(f[0], v+start)
-			case 'c':
-				in = in.setField(f[0], v+uint32(len(a.callees)))
 			case 'b':
 				in = in.setField(f[0], v+uint32(len(a.banks)))
 			case 'o':
@@ -451,8 +432,8 @@ func (p *Program) cell(r int) bool {
 
 // setsFirst reports whether every path through p writes register r before
 // reading it and before it can leave p, at its end or at a Trap, so the value
-// r held before p ran is never seen. p must have no callees, and r is no bank
-// cell (a store may write another). Jumps only go forward, so one pass in
+// r held before p ran is never seen. r is no bank cell (a store may write
+// another). Jumps only go forward, so one pass in
 // program order meets every path into an instruction before the instruction.
 func (p *Program) setsFirst(r int) bool {
 	set := make([]bool, len(p.code)+1) // set[pc]: r is written on every path into pc, true where none arrives
@@ -488,16 +469,6 @@ func (p *Program) setsFirst(r int) bool {
 	return set[len(p.code)]
 }
 
-// shifted is a callee of a linked program's second part, run on that part's
-// registers.
-type shifted struct {
-	Callee
-	base int
-}
-
-func (c shifted) Call(r []int64) int64 { return c.Callee.Call(r[c.base:]) }
-func (c shifted) String() string       { return fmt.Sprint(c.Callee) }
-
 // check is the one validation behind Run's missing error path.
 func (p *Program) check() error {
 	for _, bk := range p.banks {
@@ -524,10 +495,6 @@ func (p *Program) check() error {
 			case 'j':
 				if v <= pc || v > len(p.code) {
 					what = "jump target"
-				}
-			case 'c':
-				if v >= len(p.callees) {
-					what = "callee"
 				}
 			case 'b':
 				if v >= len(p.banks) {
@@ -593,8 +560,6 @@ func (p *Program) String() string {
 				fmt.Fprintf(&b, "%s%s", sep, p.RegName(int(v)))
 			case 'j':
 				fmt.Fprintf(&b, " -> %d", v)
-			case 'c':
-				fmt.Fprintf(&b, "%s%v", sep, p.callees[v])
 			default:
 				fmt.Fprintf(&b, "%s%d", sep, v)
 			}
@@ -698,12 +663,6 @@ func (b *Builder) reg(name string, init int64, fixed bool) int {
 	}
 	b.p.fixed = append(b.p.fixed, fixed)
 	return len(b.p.init) - 1
-}
-
-// Callee registers a routine for Call instructions and returns its index.
-func (b *Builder) Callee(c Callee) int {
-	b.p.callees = append(b.p.callees, c)
-	return len(b.p.callees) - 1
 }
 
 // Op appends "dst = op x, y" and returns dst; a negative dst means a fresh

@@ -54,12 +54,7 @@ func TestOpsMatchWidthArithmetic(t *testing.T) {
 	}
 }
 
-type constCallee int64
-
-func (c constCallee) Call(regs []int64) int64 { return int64(c) + regs[0] }
-func (c constCallee) String() string          { return "plus" }
-
-// TestControlFlow covers jumps, Call, Trap, Reset, renaming by Move and the
+// TestControlFlow covers jumps, Trap, Reset, renaming by Move and the
 // disassembly of each form.
 func TestControlFlow(t *testing.T) {
 	b := NewBuilder(phv.Default32)
@@ -69,8 +64,8 @@ func TestControlFlow(t *testing.T) {
 	if b.Move(-1, in) != in || b.Move(in, in) != in {
 		t.Fatal("Move to nowhere, or onto itself, is a rename and emits nothing")
 	}
-	skip := b.Jump(Jz, in) // in0 == 0: skip the call
-	b.Op(Call, acc, b.Callee(constCallee(100)), 0)
+	skip := b.Jump(Jz, in) // in0 == 0: skip the sum
+	b.Op(Add, acc, in, b.Const(100))
 	b.Land(skip)
 	b.Op(Trap, errReg, in+1, 3) // in1 == 0: stop with code 3
 	over := b.Jump(Jnz, in)
@@ -87,9 +82,9 @@ func TestControlFlow(t *testing.T) {
 		t.Fatalf("constants are not interned, or %d instructions, or a lost name", p.Len())
 	}
 	for _, tc := range []struct{ in0, in1, acc, err int64 }{
-		{0, 1, 8, 0},   // call skipped, add executed
-		{5, 1, 105, 0}, // call (100+in0), add skipped
-		{5, 0, 105, 3}, // trapped after the call
+		{0, 1, 8, 0},   // sum skipped, add executed
+		{5, 1, 105, 0}, // sum (100+in0), add skipped
+		{5, 0, 105, 3}, // trapped after the sum
 		{0, 0, 7, 3},   // trapped at once
 	} {
 		frame := p.NewFrame()
@@ -105,7 +100,7 @@ func TestControlFlow(t *testing.T) {
 	}
 	const listing = `; acc = 7
   0  jz   in0 -> 2
-  1  call acc, plus
+  1  add  acc, in0, #100
   2  trap err, in1, 3
   3  jnz  in0 -> 5
   4  add  acc, acc, #1
@@ -126,7 +121,7 @@ func TestBuildRefusesWhatRunWouldTrip(t *testing.T) {
 	j := b.Jump(Jz, x)
 	b.Op(Add, x, x, one)
 	b.Land(j)
-	b.Op(Call, x, b.Callee(constCallee(0)), 0)
+	b.Op(Neg, x, x, 0)
 	good, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +130,6 @@ func TestBuildRefusesWhatRunWouldTrip(t *testing.T) {
 		"register 9 out of range":             func(c []Instr) []Instr { c[1].C = 9; return c },
 		"jump target 0 out of range":          func(c []Instr) []Instr { c[0].A = 0; return c },
 		"jump target 4 out of range":          func(c []Instr) []Instr { c[0].A = 4; return c },
-		"callee 1 out of range":               func(c []Instr) []Instr { c[2].B = 1; return c },
 		"write to constant register 1 out of": func(c []Instr) []Instr { c[1].A = uint32(one); return c },
 		"unknown opcode 99":                   func(c []Instr) []Instr { c[1].Op = 99; return c },
 	} {

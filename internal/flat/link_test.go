@@ -1,7 +1,6 @@
 package flat
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
@@ -12,19 +11,8 @@ import (
 // trap register, register 0, which only a Trap writes.
 const linkRegs = 4
 
-// regCallee reads two registers and writes a third of the frame it is handed,
-// so a misplaced frame shows in more than its result.
-type regCallee struct{ x, y, dst int }
-
-func (c regCallee) Call(r []int64) int64 {
-	r[c.dst] = r[c.x] ^ 0x55
-	return r[c.x]*3 + r[c.y]
-}
-
-func (c regCallee) String() string { return fmt.Sprintf("f%d%d%d", c.x, c.y, c.dst) }
-
 // decodeProgram builds a program from data, three bytes per instruction: an
-// opcode (value ops, jumps, Call, Trap, bank loads and stores, Match) and two
+// opcode (value ops, jumps, Trap, bank loads and stores, Match) and two
 // operand bytes. Register 0 is the trap register; values are written to
 // registers 1..linkRegs and read from any of those or a constant; a bank of
 // three cells wraps by modulo, one of four by mask; a jump, and each of a
@@ -57,8 +45,6 @@ func decodeProgram(t *testing.T, data []byte) *Program {
 			j := b.Jump(Op(op), reg(x))
 			target := pc + 1 + int(y)%4
 			landAt[target] = append(landAt[target], j)
-		case Call:
-			b.Op(Call, dst(x), b.Callee(regCallee{reg(x), reg(y), dst(y)}), 0)
 		case Trap:
 			b.Op(Trap, first, reg(x), 1+int(y)%5)
 		case Load, LoadMask:
@@ -96,25 +82,25 @@ func decodeProgram(t *testing.T, data []byte) *Program {
 // included; when a trapped, b's registers must still hold their initial
 // values.
 func FuzzLink(f *testing.F) {
-	// a: arithmetic, a forward jump and a call; b: reads two bound registers,
+	// a: arithmetic, a forward jz and a jmp; b: reads two bound registers,
 	// writes a third bound one, and traps when g1 is zero.
-	f.Add([]byte{0, 1, 2, 15, 3, 1, 17, 2, 3, 2, 4, 0}, []byte{1, 1, 2, 14, 3, 3, 19, 2, 1, 6, 4, 1}, uint16(0x1e), int64(0x0102030405))
-	// b calls out, so every bound register is copied in.
-	f.Add([]byte{2, 3, 4}, []byte{18, 1, 2, 0, 3, 3, 19, 4, 0}, uint16(0x06), int64(0x0a00000b0c))
+	f.Add([]byte{0, 1, 2, 15, 3, 1, 17, 2, 3, 2, 4, 0}, []byte{1, 1, 2, 14, 3, 3, 18, 2, 1, 6, 4, 1}, uint16(0x1e), int64(0x0102030405))
+	// b adds registers it reads bound, then traps.
+	f.Add([]byte{2, 3, 4}, []byte{0, 1, 2, 0, 3, 3, 18, 4, 0}, uint16(0x06), int64(0x0a00000b0c))
 	// a traps at once on its zero trap-input register: b never runs.
-	f.Add([]byte{19, 0, 2, 0, 1, 2}, []byte{0, 1, 1, 19, 2, 0}, uint16(0xff), int64(7))
+	f.Add([]byte{18, 0, 2, 0, 1, 2}, []byte{0, 1, 1, 18, 2, 0}, uint16(0xff), int64(7))
 	// b writes bound g2 only after a Trap that fires, or only on the branch
 	// not taken: either way the value copied in is the one b leaves.
-	f.Add([]byte{}, []byte{19, 1, 0, 14, 2, 0}, uint16(0x08), int64(0x0007000009000003))
+	f.Add([]byte{}, []byte{18, 1, 0, 14, 2, 0}, uint16(0x08), int64(0x0007000009000003))
 	f.Add([]byte{}, []byte{15, 1, 1, 14, 2, 0}, uint16(0x08), int64(0x0007000009000003))
 	// Jumps in b to its end, and a constant read; nothing bound.
 	f.Add([]byte{4, 9, 25}, []byte{15, 1, 3, 16, 2, 2, 17, 0, 1, 5, 2, 40}, uint16(0), int64(0x7f7f7f7f7f))
 	// Banks and Matches on both sides: a stores into its four-cell bank and
 	// loads back, b matches a bound register, stores into its three-cell bank
 	// and loads by mask; Link rebases b's banks, outcomes and their targets.
-	f.Add([]byte{23, 0x81, 2, 21, 1, 0x81, 25, 2, 0x29, 20, 1, 2}, []byte{25, 1, 0x2a, 23, 2, 3, 22, 3, 0x83, 25, 0x14, 0x6b, 0, 3, 4}, uint16(0x0e), int64(0x0302010405))
+	f.Add([]byte{22, 0x81, 2, 20, 1, 0x81, 24, 2, 0x29, 19, 1, 2}, []byte{24, 1, 0x2a, 22, 2, 3, 21, 3, 0x83, 24, 0x14, 0x6b, 0, 3, 4}, uint16(0x0e), int64(0x0302010405))
 	// b's Match reads a register it writes after, bound: the mov comes first.
-	f.Add([]byte{2, 3, 4}, []byte{25, 3, 0x10, 14, 3, 1, 21, 2, 0x84}, uint16(0x08), int64(0x0105000309))
+	f.Add([]byte{2, 3, 4}, []byte{24, 3, 0x10, 14, 3, 1, 20, 2, 0x84}, uint16(0x08), int64(0x0105000309))
 	f.Fuzz(func(t *testing.T, codeA, codeB []byte, bindBits uint16, vals int64) {
 		a, b := decodeProgram(t, codeA), decodeProgram(t, codeB)
 		na := len(a.init)
@@ -219,13 +205,13 @@ func TestLinkRefuses(t *testing.T) {
 
 // TestLinkListing: the linked program disassembles with both parts' register
 // names, temporaries and constants named by their linked index and value, the
-// mov that copies a bound register b writes, b's jump targets and callees
-// moved past a's, and a renamed read in place.
+// mov that copies a bound register b writes, b's jump targets moved past a's,
+// and a renamed read in place.
 func TestLinkListing(t *testing.T) {
 	ab := NewBuilder(phv.Default32)
 	in := ab.Regs("in", 2)
 	s := ab.Op(Add, -1, in, in+1)
-	ab.Op(Call, in, ab.Callee(constCallee(1)), 0)
+	ab.Op(Neg, in, in, 0)
 	a, err := ab.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +234,7 @@ func TestLinkListing(t *testing.T) {
 		t.Errorf("regs %v: want f in its own register after a's three, g renamed to in1", regs)
 	}
 	const listing = `  0  add  t2, in0, in1
-  1  call in0, plus
+  1  neg  in0, in0
   2  mov  pkt.f, t2
   3  jz   in1 -> 5
   4  add  pkt.f, pkt.f, #5
@@ -256,25 +242,5 @@ func TestLinkListing(t *testing.T) {
 `
 	if got := p.String(); got != listing {
 		t.Errorf("disassembly:\n%s\nwant:\n%s", got, listing)
-	}
-
-	// A callee of b runs on b's registers: it reads b's x and writes b's dst,
-	// and every bound register is copied in for it.
-	cb := NewBuilder(phv.Default32)
-	cx, cy := cb.Reg("x", 0), cb.Reg("y", 0)
-	cb.Op(Call, cy, cb.Callee(regCallee{cx, cx, cy}), 0)
-	c, err := cb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, regs, err := Link(a, c, map[int]int{cx: in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := q.NewFrame()
-	frame[in] = 7
-	q.Run(frame)
-	if frame[regs[cx]] != 8 || frame[regs[cy]] != 8*3+8 || frame[in] != 8 || !strings.Contains(q.String(), "call y, f001") {
-		t.Errorf("callee of b: x=%d y=%d in0=%d, want 8, 32, 8\n%s", frame[regs[cx]], frame[regs[cy]], frame[in], q)
 	}
 }

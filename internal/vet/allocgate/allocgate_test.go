@@ -110,9 +110,9 @@ var runners = map[string]func(t *testing.T) float64{
 		return worst
 	},
 	"internal/flat.Program.Run": func(t *testing.T) float64 {
-		// The evaluator under both sides of the comparison, on the programs
-		// that call out of it: the first Table-1 pipeline fused at the level
-		// whose ALU bodies are interpreter calls with helper frames.
+		// The evaluator under both sides of the comparison: the first
+		// Table-1 pipeline's whole grid fused at the level whose ALU bodies
+		// keep their helper calls.
 		pipe, err := spec.All()[0].Pipeline(core.SCCPropagation)
 		if err != nil {
 			t.Fatal(err)
