@@ -96,6 +96,9 @@ type DRMTRow struct {
 	// dispatched per packet of the timed stream, as its counting clone
 	// counts them: exact, the same on every host.
 	OpsPerPHV float64 `json:"ops_per_phv"`
+	// LinkedOpsPerPHV is the same for the linked program the timed loop
+	// runs: both sides and the link.
+	LinkedOpsPerPHV float64 `json:"linked_ops_per_phv"`
 }
 
 // VerifyRow is one proof cell of the verify section: a Table-1 program's
@@ -279,14 +282,14 @@ func main() {
 			cli.Fatalf("dbench: no dRMT benchmark matches %q", *drmtBench)
 		}
 		fmt.Printf("\ndRMT differential fuzzing (ISA machine vs table-level spec, %d packets per run)\n\n", *drmtPHVs)
-		fmt.Printf("%-16s %14s %16s %16s %12s\n", "Program", "Slot engine", "PHVs/sec", "allocs/PHV", "ISA ops/PHV")
+		fmt.Printf("%-16s %14s %16s %16s %12s %12s\n", "Program", "Slot engine", "PHVs/sec", "allocs/PHV", "ISA ops/PHV", "linked/PHV")
 		for _, bm := range benches {
 			row, err := measureDRMT(bm, *seed, *drmtPHVs, *repeats)
 			if err != nil {
 				cli.Fatalf("dbench: drmt %s: %v", bm.Name, err)
 			}
 			drmtRows = append(drmtRows, row)
-			fmt.Printf("%-16s %11d ms %16.0f %16.4f %12.2f\n", bm.Name, row.MS, row.PHVsPerSec, row.AllocsPerPHV, row.OpsPerPHV)
+			fmt.Printf("%-16s %11d ms %16.0f %16.4f %12.2f %12.2f\n", bm.Name, row.MS, row.PHVsPerSec, row.AllocsPerPHV, row.OpsPerPHV, row.LinkedOpsPerPHV)
 		}
 	}
 
@@ -334,7 +337,7 @@ func main() {
 		}
 		if len(drmtRows) > 0 {
 			rep.DRMTPHVs = *drmtPHVs
-			rep.DRMTEngine = "differential fuzz, the ISA program lowered on its table entries and the table-level machine, linked into one flat program (drmt.DiffFuzzer.FuzzSeeded); ops_per_phv: instructions of the ISA side dispatched per packet, exact"
+			rep.DRMTEngine = "differential fuzz, the ISA program lowered on its table entries and the table-level machine, linked into one flat program (drmt.DiffFuzzer.FuzzSeeded); ops_per_phv: instructions of the ISA side dispatched per packet, linked_ops_per_phv: of the linked program, exact"
 			rep.DRMT = drmtRows
 		}
 		rep.Geomeans = geomeans(rows, drmtRows)
@@ -512,14 +515,19 @@ func measureDRMT(bm *drmt.Benchmark, seed int64, n, repeats int) (DRMTRow, error
 		return DRMTRow{}, err
 	}
 	ops := isa.Dispatched()
+	linked, err := f.Dispatched(seed, n, bm.MaxInput)
+	if err != nil {
+		return DRMTRow{}, err
+	}
 	return DRMTRow{
-		Benchmark:    bm.Name,
-		Engine:       "flat",
-		MS:           best.Milliseconds(),
-		NsPerPHV:     round2(float64(best.Nanoseconds()) / float64(n)),
-		AllocsPerPHV: round4(allocs / float64(n)),
-		PHVsPerSec:   round2(float64(n) / best.Seconds()),
-		OpsPerPHV:    round2(float64(ops) / float64(n)),
+		Benchmark:       bm.Name,
+		Engine:          "flat",
+		MS:              best.Milliseconds(),
+		NsPerPHV:        round2(float64(best.Nanoseconds()) / float64(n)),
+		AllocsPerPHV:    round4(allocs / float64(n)),
+		PHVsPerSec:      round2(float64(n) / best.Seconds()),
+		OpsPerPHV:       round2(float64(ops) / float64(n)),
+		LinkedOpsPerPHV: round2(float64(linked) / float64(n)),
 	}, nil
 }
 

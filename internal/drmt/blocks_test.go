@@ -16,9 +16,10 @@ import (
 // time: every block of the flat program the lowering built is run from its
 // start on random packets, register files and banks next to the source
 // instructions it replaces, and the structural mistakes the pass could make
-// are planted in the flat code to show the comparison sees them. It stands
-// in for the proof of ROADMAP item 2 — equivalence of a block and its
-// source path for all inputs, not sampled ones — and goes when that exists.
+// are planted in the flat code to show the comparison sees them, and those
+// it cannot tell apart are decided by proof (proof_test.go). It samples
+// what proof_test.go does not prove: a block against its source path, on
+// fixtures whose ISA programs no table machine agrees with.
 
 // blockFixture is one ISA program over its table entries.
 type blockFixture struct {
@@ -307,6 +308,9 @@ type blockTrial struct {
 	banks  [][]int64
 	regs   []int64 // the lowered side's register file: what the MATCH writes holds garbage
 	want   string
+
+	executed int64 // the source instructions the reference retired
+	at       int   // the source pc of the MATCH it stopped at, len(Instrs) at the end or a failure
 }
 
 // blockCase is one block with its trials, and the facts the comparison
@@ -417,7 +421,8 @@ func blockCases(t *testing.T, fx blockFixture, m *ISAMachine, trials int) []bloc
 		for _, cells := range ref.regBanks {
 			banks = append(banks, slices.Clone(cells))
 		}
-		tr.want = blockState(v, live[at], executed, where, banks, func(i int) int64 {
+		tr.executed, tr.at = int64(executed), at
+		tr.want = blockState(v, live[at], where, banks, func(i int) int64 {
 			switch {
 			case i < v.regs:
 				return regs[i]
@@ -473,11 +478,11 @@ func phvBool(b bool) int64 {
 	return 0
 }
 
-// blockState renders what a block leaves behind: its retired count, where
-// control continues, the banks, and every variable live there.
-func blockState(v vars, live []bool, executed int, where string, banks [][]int64, value func(int) int64) string {
+// blockState renders what a block leaves behind: where control continues,
+// the banks, and every variable live there.
+func blockState(v vars, live []bool, where string, banks [][]int64, value func(int) int64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "executed %d, %s, banks %v,", executed, where, banks)
+	fmt.Fprintf(&b, "%s, banks %v,", where, banks)
 	for i, l := range live {
 		if !l {
 			continue
@@ -558,8 +563,9 @@ func blockRunner(m *ISAMachine, edit func(code []flat.Instr)) (*flat.Program, fu
 }
 
 // runBlock runs the block on the trial's state and returns the first
-// difference from what the source left, "" when there is none.
-func runBlock(m *ISAMachine, p *flat.Program, bc *blockCase, tr *blockTrial) string {
+// difference from what the source left, "" when there is none, and what the
+// block added to the count.
+func runBlock(m *ISAMachine, p *flat.Program, bc *blockCase, tr *blockTrial) (diff string, added int64) {
 	f, v, live, written := bc.frameRegs, bc.v, bc.live, bc.written
 	// A field no path has stored to is at its input register, and the output
 	// register holds garbage; so does the drop flag's before a drop.
@@ -593,7 +599,7 @@ func runBlock(m *ISAMachine, p *flat.Program, bc *blockCase, tr *blockTrial) str
 	for i := range tr.banks {
 		banks = append(banks, slices.Clone(frame[m.banks[i][0]:m.banks[i][0]+m.banks[i][1]]))
 	}
-	got := blockState(v, live[at], int(frame[m.count]), where, banks, func(i int) int64 {
+	got := blockState(v, live[at], where, banks, func(i int) int64 {
 		// Where the variable is: at home if some path to here has written
 		// it, where it starts otherwise — and every output at home where the
 		// program ends.
@@ -613,7 +619,75 @@ func runBlock(m *ISAMachine, p *flat.Program, bc *blockCase, tr *blockTrial) str
 		return 0
 	})
 	if got != tr.want {
-		return fmt.Sprintf("%s: from fields %v banks %v registers %v\n  block:  %s\n  source: %s", bc.name, tr.fields, tr.banks, tr.regs, got, tr.want)
+		return fmt.Sprintf("%s: from fields %v banks %v registers %v\n  block:  %s\n  source: %s", bc.name, tr.fields, tr.banks, tr.regs, got, tr.want), frame[m.count]
+	}
+	return "", frame[m.count]
+}
+
+// blockCounts is how far the lowered program's count is ahead of the
+// source's where each block starts (by its index among the machine's
+// blocks), and where the blocks of each MATCH start (by its source pc).
+type blockCounts struct {
+	block []int64
+	site  map[int]int64
+}
+
+// countsOf derives a blockCounts from what the runs of the blocks added to
+// the count (added[i][j]: case i, trial j) and checks that the counts add up
+// along every path from the entry: every run of a block starts ahead by one
+// amount, the entry by none; every run ends at its next MATCH ahead by the
+// amount that every block of the MATCH starts at, and at the end or a
+// failure exactly. Control only goes forward, so the blocks are taken from
+// the last.
+func countsOf(m *ISAMachine, cases []blockCase, added [][]int64) (*blockCounts, error) {
+	c := &blockCounts{block: make([]int64, len(cases)), site: map[int]int64{}}
+	for i := len(cases) - 1; i >= 0; i-- {
+		bc := &cases[i]
+		for j := range bc.trials {
+			after, err := c.after(m, &bc.trials[j])
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", bc.name, err)
+			}
+			ahead := after - added[i][j] + bc.trials[j].executed
+			if j > 0 && ahead != c.block[i] {
+				return nil, fmt.Errorf("%s: a run starts %d ahead of the source's count, another %d", bc.name, c.block[i], ahead)
+			}
+			c.block[i] = ahead
+		}
+		switch bl := bc.block; {
+		case bl.pc == 0 && bl.match < 0 && c.block[i] != 0:
+			return nil, fmt.Errorf("%s: the entry starts %d ahead of the source's count", bc.name, c.block[i])
+		case bl.match >= 0:
+			if ahead, ok := c.site[bl.match]; ok && ahead != c.block[i] {
+				return nil, fmt.Errorf("%s: starts %d ahead of the source's count, another block of its MATCH %d", bc.name, c.block[i], ahead)
+			}
+			c.site[bl.match] = c.block[i]
+		}
+	}
+	return c, nil
+}
+
+// after is how far the count must be ahead where the trial's run ends.
+func (c *blockCounts) after(m *ISAMachine, tr *blockTrial) (int64, error) {
+	if tr.at == len(m.isa.Instrs) {
+		return 0, nil
+	}
+	ahead, ok := c.site[tr.at]
+	if !ok {
+		return 0, fmt.Errorf("a run ends at the MATCH at %d, which has no block", tr.at)
+	}
+	return ahead, nil
+}
+
+// check reports whether the run of case i that added added to the count on
+// trial tr leaves the count where the path from the entry needs it.
+func (c *blockCounts) check(m *ISAMachine, i int, tr *blockTrial, added int64) string {
+	after, err := c.after(m, tr)
+	if err != nil {
+		return err.Error()
+	}
+	if got := c.block[i] + added - tr.executed; got != after {
+		return fmt.Sprintf("the count ends %d ahead of the source's, want %d", got, after)
 	}
 	return ""
 }
@@ -622,11 +696,14 @@ func runBlock(m *ISAMachine, p *flat.Program, bc *blockCase, tr *blockTrial) str
 // each MATCH × outcome and each branch target — leaves what the source
 // leaves when the reference steps it from the block's source pc (after a
 // MATCH with that outcome's select and arguments) to the next MATCH, HALT
-// or failure: banks, the retired count, where control continues, and every
-// variable live there — registers, fields and the drop flag. Registers the
-// source cannot have written by then are zero on both sides, the others
-// random; the registers the MATCH writes hold garbage on the block's side,
-// which knows them as constants.
+// or failure: banks, where control continues, and every variable live there
+// — registers, fields and the drop flag. Registers the source cannot have
+// written by then are zero on both sides, the others random; the registers
+// the MATCH writes hold garbage on the block's side, which knows them as
+// constants. A block's count additions are not its own source path's — the
+// lowering hoists them into the blocks before — so the counts are compared
+// per path from the entry (countsOf): at the end and at every failure the
+// count is the source's.
 func TestBlocksEqualTheirSourcePath(t *testing.T) {
 	blocks := 0
 	for _, fx := range blockFixtures(t) {
@@ -640,13 +717,19 @@ func TestBlocksEqualTheirSourcePath(t *testing.T) {
 		}
 		cases := blockCases(t, fx, m, 48)
 		blocks += len(cases)
+		added := make([][]int64, len(cases))
 		for i := range cases {
 			p := from(cases[i].block.start)
 			for j := range cases[i].trials {
-				if diff := runBlock(m, p, &cases[i], &cases[i].trials[j]); diff != "" {
+				diff, n := runBlock(m, p, &cases[i], &cases[i].trials[j])
+				if diff != "" {
 					t.Fatalf("%s: %s\n%s", fx.name, diff, m.Lowered())
 				}
+				added[i] = append(added[i], n)
 			}
+		}
+		if _, err := countsOf(m, cases, added); err != nil {
+			t.Fatalf("%s: %v\n%s", fx.name, err, m.Lowered())
 		}
 	}
 	if blocks < 500 {
@@ -809,18 +892,41 @@ func lowMutantsOf(m *ISAMachine) []lowMutant {
 
 // TestBlockMutantsAreCaught plants every structural mutant of the lowering in
 // every fixture's blocks and runs the comparison of
-// TestBlocksEqualTheirSourcePath on the block it is in. Every kind must be
-// caught somewhere, and the survivors must be the ones listed: mutants that
-// are not mistakes.
+// TestBlocksEqualTheirSourcePath on the block it is in, counts included.
+// Every kind must be caught somewhere, and the survivors must be the ones
+// listed, each with the verdict of a proof: planted in the program of the
+// first fixture it survives in, linked after that fixture's own program,
+// the mutant is proved equivalent — for every packet, bank state and
+// register garbage — or refuted with a frame that replays as a difference.
 func TestBlockMutantsAreCaught(t *testing.T) {
 	planted, caught := map[string]int{}, map[string]int{}
-	survived := map[string]bool{}
+	type survivor struct {
+		m      *ISAMachine
+		mutant lowMutant
+	}
+	survived := map[string]survivor{}
 	for _, fx := range blockFixtures(t) {
 		m, err := NewISAMachine(fx.prog, fx.isa, fx.entries, HWConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		cases := blockCases(t, fx, m, 48)
+		_, from, err := blockRunner(m, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		added := make([][]int64, len(cases))
+		for i := range cases {
+			p := from(cases[i].block.start)
+			for j := range cases[i].trials {
+				_, n := runBlock(m, p, &cases[i], &cases[i].trials[j])
+				added[i] = append(added[i], n)
+			}
+		}
+		counts, err := countsOf(m, cases, added)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
 		listing := strings.Split(m.code.String(), "\n")
 		for _, mu := range lowMutantsOf(m) {
 			planted[mu.kind]++
@@ -832,7 +938,9 @@ func TestBlockMutantsAreCaught(t *testing.T) {
 				}
 				p := from(mu.block)
 				for j := range cases[i].trials {
-					killed = killed || runBlock(m, p, &cases[i], &cases[i].trials[j]) != ""
+					tr := &cases[i].trials[j]
+					diff, n := runBlock(m, p, &cases[i], tr)
+					killed = killed || diff != "" || counts.check(m, i, tr, n) != ""
 				}
 			}
 			if killed {
@@ -844,64 +952,116 @@ func TestBlockMutantsAreCaught(t *testing.T) {
 			// share most of its blocks.
 			family, _, _ := strings.Cut(fx.name, "/isa-mutant")
 			kind, _, _ := strings.Cut(mu.id, "@")
-			survived[fmt.Sprintf("%s %s: %s", family, kind, strings.Join(strings.Fields(listing[mu.at])[1:], " "))] = true
+			id := fmt.Sprintf("%s %s: %s", family, kind, strings.Join(strings.Fields(listing[mu.at])[1:], " "))
+			if _, ok := survived[id]; !ok {
+				survived[id] = survivor{m, mu}
+			}
 		}
-	}
-	var survivors []string
-	for id := range survived {
-		survivors = append(survivors, id)
 	}
 	for _, kind := range []string{"forward", "coalesce", "unwritten", "mask", "retire", "stale", "store"} {
 		if caught[kind] == 0 {
 			t.Errorf("no %s mutant was caught (%d planted)", kind, planted[kind])
 		}
 	}
-	sort.Strings(survivors)
-	var want []string
+	var survivors, want []string
+	for id := range survived {
+		survivors = append(survivors, id)
+	}
 	for id := range blockMutantSurvivors {
 		want = append(want, id)
 	}
+	sort.Strings(survivors)
 	sort.Strings(want)
 	if !slices.Equal(survivors, want) {
 		t.Errorf("surviving mutants:\n%s\nwant:\n%s", strings.Join(survivors, "\n"), strings.Join(want, "\n"))
 	}
+	for _, id := range survivors {
+		sv := survived[id]
+		a, err := mutantAgreement(sv.m, sv.mutant)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		got := equivalent
+		if pr := a.prove(t); pr.cex != nil {
+			got = refuted
+			if diff := a.replay(pr.cex, -1); diff == "" {
+				t.Errorf("%s: the refuting frame replays as no difference", id)
+			} else {
+				t.Logf("%s: refuted: %s", id, diff)
+			}
+		}
+		if w, ok := blockMutantSurvivors[id]; ok && got != w {
+			t.Errorf("%s: %s, listed as %s", id, got, w)
+		}
+	}
 	t.Logf("planted %v, caught %v", planted, caught)
 }
 
-// Why a surviving mutant is not a mistake, or why the trials miss it.
+// mutantAgreement is the theorem that the mutant changes nothing a packet
+// leaves: the machine's program with the mutant planted, linked after the
+// program itself on the packet's fields, ends with every field, the drop
+// flag and the count where the program does, and both keep their banks
+// equal. The count of the two sides, like their banks, starts equal.
+func mutantAgreement(m *ISAMachine, mu lowMutant) (*agreement, error) {
+	mutant, err := m.code.Mutate(func(c []flat.Instr) []flat.Instr { mu.edit(c); return c })
+	if err != nil {
+		return nil, err
+	}
+	bind := map[int]int{}
+	for slot := range m.out {
+		bind[m.in+slot] = m.in + slot
+	}
+	code, regs, err := flat.Link(m.code, mutant, bind)
+	if err != nil {
+		return nil, err
+	}
+	a := &agreement{code: code, inputs: map[int]int{}}
+	for slot, w := range m.layout.fieldW {
+		a.inputs[m.in+slot] = w.Bits()
+		a.pairs = append(a.pairs, [2]int{m.out[slot], regs[m.out[slot]]})
+	}
+	a.pairs = append(a.pairs, [2]int{m.dropped, regs[m.dropped]})
+	a.shared = append(a.shared, [3]int{m.count, regs[m.count], flat.SymBits})
+	for i, bank := range m.banks {
+		bits := m.layout.regW[m.layout.regIdx[m.isa.RegArrays[i]]].Bits()
+		for c := 0; c < bank[1]; c++ {
+			a.shared = append(a.shared, [3]int{bank[0] + c, regs[bank[0]+c], bits})
+		}
+	}
+	return a, nil
+}
+
+// The verdicts on the surviving mutants.
 const (
-	congruent   = "the other constant is congruent to it modulo the field's width"
-	sameCell    = "the other constant wraps to the same cell of the four-cell bank"
-	oneBitField = "both constants are odd, and all that shows is a 1-bit field"
-	otherSelect = "settles the parameter register for the branch target, where only the path of another select reads it"
-	zeroOnPath  = "the block reaches it only where a branch found the operand's low bits 0, and there the result fits the mask"
-	rareValue   = "differs only on a path a data-dependent select takes for a value whose low bits are a select and whose high bits are not 0, which the trials seldom draw"
+	equivalent = "proved equivalent"
+	refuted    = "refuted"
 )
 
 // blockMutantSurvivors are the mutants no trial tells from the block they
 // were planted in, by benchmark (a benchmark's ISA mutants included), kind
-// and instruction.
+// and instruction, with the verdict of the proof.
 var blockMutantSurvivors = map[string]string{
-	"counter coalesce: add r13, #9, r11":                        zeroOnPath,
-	"counter forward: mov r3, #0":                               otherSelect,
-	"counter stale.b: mov r3, #0":                               otherSelect,
-	"counter stale.b: store tally[#5&3], r8":                    sameCell,
-	"counter stale.c: and s0, h.count, #4611686018427387903":    rareValue,
-	"counter stale.c: and s0, r2, #4611686018427387903":         rareValue,
-	"counter stale.c: load r10, tally[#5&3]":                    sameCell,
-	"counter stale.c: load r7, tally[#5&3]":                     sameCell,
-	"l2l3 stale.b: add r28, #9, r26":                            oneBitField,
-	"l2l3 stale.b: mov r27, #5":                                 oneBitField,
-	"l2l3 stale.c: add r17, ipv4.ttl, #-1":                      congruent,
-	"l2l3 stale.c: and meta.l2Hit', r28, #1":                    zeroOnPath,
-	"l2l3-targeted stale.b: add r28, #9, r26":                   oneBitField,
-	"l2l3-targeted stale.b: mov r27, #5":                        oneBitField,
-	"l2l3-targeted stale.c: add r17, ipv4.ttl, #-1":             congruent,
-	"l2l3-targeted stale.c: and meta.l2Hit', r28, #1":           zeroOnPath,
-	"wide-fanin coalesce: add r7, lane.a', #1":                  rareValue,
-	"wide-fanin coalesce: add r7, lane.a', #7":                  rareValue,
-	"wide-fanin stale.c: and lane.a', r7, #65535":               zeroOnPath,
-	"wide-fanin stale.c: and lane.h', r69, #255":                zeroOnPath,
-	"wide-fanin stale.c: and s0, lane.a', #4611686018427387903": rareValue,
-	"wide-fanin stale.c: and s0, r2, #4611686018427387903":      rareValue,
+	"counter coalesce: add r13, #9, r11":                        equivalent,
+	"counter forward: mov r3, #0":                               equivalent,
+	"counter stale.b: mov r3, #0":                               equivalent,
+	"counter stale.b: store tally[#5&3], r8":                    equivalent,
+	"counter stale.c: and h.count', r10, #65535":                equivalent,
+	"counter stale.c: and s0, h.count, #4611686018427387903":    equivalent,
+	"counter stale.c: and s0, r2, #4611686018427387903":         equivalent,
+	"counter stale.c: load r10, tally[#5&3]":                    equivalent,
+	"counter stale.c: load r7, tally[#5&3]":                     equivalent,
+	"l2l3 stale.b: add r28, #9, r26":                            equivalent,
+	"l2l3 stale.b: mov r27, #5":                                 equivalent,
+	"l2l3 stale.c: add r17, ipv4.ttl, #-1":                      equivalent,
+	"l2l3 stale.c: and meta.l2Hit', r28, #1":                    equivalent,
+	"l2l3-targeted stale.b: add r28, #9, r26":                   equivalent,
+	"l2l3-targeted stale.b: mov r27, #5":                        equivalent,
+	"l2l3-targeted stale.c: add r17, ipv4.ttl, #-1":             equivalent,
+	"l2l3-targeted stale.c: and meta.l2Hit', r28, #1":           equivalent,
+	"wide-fanin coalesce: add r7, lane.a', #1":                  equivalent,
+	"wide-fanin coalesce: add r7, lane.a', #7":                  equivalent,
+	"wide-fanin stale.c: and lane.a', r7, #65535":               equivalent,
+	"wide-fanin stale.c: and lane.h', r69, #255":                equivalent,
+	"wide-fanin stale.c: and s0, lane.a', #4611686018427387903": equivalent,
+	"wide-fanin stale.c: and s0, r2, #4611686018427387903":      equivalent,
 }

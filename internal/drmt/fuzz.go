@@ -191,6 +191,34 @@ func (f *DiffFuzzer) diff(i, id int) Diff {
 	}
 }
 
+// Dispatched runs the stream FuzzSeeded(seed, n, max) runs through the
+// counting clone of the linked program, from reset banks, and returns how
+// many of its instructions the packets dispatched, both sides and the link
+// included: exact, the same on every host. Like Fuzz it stops at the first
+// packet that traps.
+func (f *DiffFuzzer) Dispatched(seed int64, n int, max int64) (int64, error) {
+	gen, err := NewTrafficGen(seed, f.prog, max)
+	if err != nil {
+		return 0, err
+	}
+	c, first := f.code.Counting()
+	r := c.NewFrame()
+	in := r[f.isa.in : f.isa.in+f.layout.NumFields()]
+	for i := 0; i < n && r[f.isa.err] == 0; i++ {
+		gen.Fill(in)
+		c.Run(r)
+	}
+	return sum64(r[first : first+f.code.Len()]), nil
+}
+
+// sum64 adds up the counts.
+func sum64(counts []int64) (n int64) {
+	for _, c := range counts {
+		n += c
+	}
+	return n
+}
+
 // SetBatch is a declaration only: it selects nothing — Fuzz is the only
 // loop and the linked program the only engine. It stays because the frozen
 // benchmark/probes.go compiles against the name, and goes when that probe

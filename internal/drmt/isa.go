@@ -821,11 +821,7 @@ func (m *ISAMachine) Dispatched() int64 {
 	if m.counting == nil {
 		return 0
 	}
-	n := int64(0)
-	for _, c := range m.frame[m.counters : m.counters+m.code.Len()] {
-		n += c
-	}
-	return n
+	return sum64(m.frame[m.counters : m.counters+m.code.Len()])
 }
 
 // ExecSlots runs the program on one layout-ordered slot-vector packet in

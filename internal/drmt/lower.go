@@ -42,13 +42,21 @@
 // program's exact liveness shows nothing can read, and lets a bank load
 // whose only reader masks it into a variable write that variable itself.
 //
-// Every block adds the number of source instructions it retires to one
-// count register before it leaves — before each kept branch, its MATCH, its
-// trap or its end — so instruction counts, per-packet latency and the count
-// reported with an execution error are those of the source program: the
-// semantics spelled out by the reference interpreter in reference_test.go,
-// which FuzzSlotsVsReference and TestBlocksEqualTheirSourcePath hold this
-// file to.
+// One count register holds the source instructions retired. An addition to
+// it can stand only right before an instruction at which control leaves a
+// block — a kept branch, its MATCH, its trap or its end — and where the
+// packet ends, at the end or a trap, the count is exactly the source's, so
+// instruction counts, per-packet latency and the count reported with an
+// execution error are those of the source program. On the way into a block
+// the count may be ahead: when every block one MATCH (or one branch) leads
+// to adds the same amount on its way to the next such point, the blocks
+// before it add that amount for them before they leave, and the blocks add
+// nothing (counts). On a chain of tables whose outcomes retire alike, every
+// addition is hoisted into the entry block. This is the semantics spelled
+// out by the reference interpreter in reference_test.go, which
+// FuzzSlotsVsReference and TestBlocksEqualTheirSourcePath (counts per path
+// from the entry) hold this file to; TestLinkedPairProved proves the
+// lowered program against the table-level machine for every packet.
 package drmt
 
 import (
@@ -114,11 +122,34 @@ type lowerer struct {
 	inHome []uint64 // ... and the constants whose home holds them too
 	buf    []step
 
-	todo  []blockReq    // the blocks to lower
-	conts map[int][]int // source pc -> kept branches to its block
-	sites map[int]site
-	same  map[string]int // an outcome -> the block of its MATCH it shares
-	ends  []int          // jumps to the program's end
+	todo    []blockReq     // the blocks to lower
+	lowered []loweredBlock // ... and those lowered, in program order,
+	code    []flat.Instr   // ... their instructions,
+	regions []countRegion  // ... and the regions of their instructions (counts)
+	conts   map[int][]int  // source pc -> kept branches to its block
+	sites   map[int]site
+	same    map[string]int // an outcome -> the block of its MATCH it shares
+	ends    []int          // jumps to the program's end
+}
+
+// loweredBlock is a lowered block before it is emitted: the outcomes that go
+// to it, where its instructions are in lowerer.code — a kept branch's A is
+// the source pc it continues at, a Match's the source pc of its MATCH — and
+// its first region in lowerer.regions.
+type loweredBlock struct {
+	outcomes []int
+	from, to int
+	first    int32
+}
+
+// countRegion is a block's instructions up to one at which control can
+// leave it (counts).
+type countRegion struct {
+	retire int32 // source instructions it retires; counts leaves the addition before it leaves here
+	next   int32 // a region of the class it leads to, -1 for the end
+	class  int32 // union-find parent
+	ahead  int32 // for the class's root: how far the count is ahead into the class
+	state  uint8 // ... once every region of it has one amount (1) and not several, or one that leads back into it (2)
 }
 
 // lowBlock is one lowered block: the source pc it starts at, the MATCH and
@@ -176,6 +207,7 @@ func (lw *lowerer) lower() error {
 	}
 	b.Reserve(2*m.layout.NumFields()+isa.NumRegs+48+sum(lw.cells), lw.n, outcomes)
 	lw.buf = make([]step, 0, 32)
+	lw.code = make([]flat.Instr, 0, lw.n/2+16)
 	m.blocks = make([]lowBlock, 0, 2*len(m.matchTables)+2)
 	lw.initial = make([]int, 0, isa.NumRegs+m.layout.NumFields()+3)
 	e.out = make([]int, m.layout.NumFields())
@@ -241,6 +273,8 @@ func (lw *lowerer) lower() error {
 	lw.dataflow()
 	lw.loc, lw.mask = make([]int, len(lw.initial)), make([]int64, len(lw.initial))
 	lw.todo = []blockReq{{match: -1}}
+	lw.lowered = make([]loweredBlock, 0, cap(m.blocks))
+	lw.regions = make([]countRegion, 0, cap(m.blocks)+4)
 	lw.conts, lw.sites, lw.same = map[int][]int{}, map[int]site{}, map[string]int{}
 	// Blocks are lowered in the order of the source pc they start at: every
 	// jump goes to a block that starts later, so every jump goes forward.
@@ -254,6 +288,10 @@ func (lw *lowerer) lower() error {
 		req := lw.todo[next]
 		lw.todo = slices.Delete(lw.todo, next, next+1)
 		lw.block(req)
+	}
+	lw.counts()
+	for i := range lw.lowered {
+		lw.emit(i)
 	}
 	b.Land(lw.ends...)
 	code, err := b.Build()
@@ -381,21 +419,34 @@ func (lw *lowerer) dataflow() {
 	}
 }
 
-// block lowers and emits one block.
+// block lowers one block; emit appends it to the program once every block
+// is lowered and counts has placed the count additions.
 func (lw *lowerer) block(req blockReq) {
-	start := lw.b.Len()
 	after := lw.n
 	if req.match < 0 {
-		lw.b.Land(lw.conts[req.pc]...)
 		lw.begin(req.pc)
 		after = lw.walk(req.pc)
 	} else {
-		lw.b.LandOutcome(req.outcomes...)
 		after = lw.outcome(req)
 	}
 	lw.finish(after)
-	lw.emit()
-	lw.m.blocks = append(lw.m.blocks, lowBlock{pc: req.pc, match: req.match, oi: req.oi, outcomes: len(req.outcomes), after: after, start: start, end: lw.b.Len()})
+	bl := loweredBlock{outcomes: req.outcomes, from: len(lw.code), first: int32(len(lw.regions))}
+	retire := int32(0)
+	for _, s := range lw.buf {
+		if retire += int32(s.retire); leaves(s.in.Op) {
+			lw.regions = append(lw.regions, countRegion{retire: retire, next: -1, class: int32(len(lw.regions))})
+			retire = 0
+		}
+		if !s.dead {
+			if s.in.Op == flat.Jz || s.in.Op == flat.Jnz {
+				s.in.A = uint32(s.to)
+			}
+			lw.code = append(lw.code, s.in)
+		}
+	}
+	bl.to = len(lw.code)
+	lw.lowered = append(lw.lowered, bl)
+	lw.m.blocks = append(lw.m.blocks, lowBlock{pc: req.pc, match: req.match, oi: req.oi, outcomes: len(req.outcomes), after: after})
 }
 
 // outcome walks the block that follows the MATCH at req.match when it
@@ -794,29 +845,108 @@ func (lw *lowerer) step(s *step, live []uint64) (dead bool) {
 	return false
 }
 
-// emit appends the block to the program. Before each instruction that can
-// leave it, the count register gains the source instructions retired since
-// the last such add.
-func (lw *lowerer) emit() {
-	b, e := lw.b, &lw.m.engine
-	pending := uint32(0)
-	for i := range lw.buf {
-		s := &lw.buf[i]
-		pending += s.retire
-		if s.dead {
-			continue
+// leaves reports whether control can leave a block at an instruction of op.
+func leaves(op flat.Op) bool {
+	switch op {
+	case flat.Jz, flat.Jnz, flat.Match, flat.Trap, flat.Jmp:
+		return true
+	}
+	return false
+}
+
+// counts places the count additions: where control can leave a block, the
+// count has to hold the source instructions retired on the path so far —
+// exactly where the packet ends, at the jump to the end or a trap, and
+// ahead by one amount on every path into a block. A block whose
+// predecessors all add, before they leave, what every one of its
+// neighbours — the blocks a Match or a branch leads to along with it — would
+// add on its way to the next such point has its additions hoisted into
+// theirs, and adds nothing itself; the entry block, which nothing precedes,
+// is never ahead. It leaves in each region's retire the addition before the
+// instruction at which control leaves it.
+func (lw *lowerer) counts() {
+	regions, blocks := lw.regions, lw.m.blocks
+	find := func(r int32) int32 {
+		for regions[r].class != r {
+			r, regions[r].class = regions[r].class, regions[regions[r].class].class
 		}
-		in := s.in
+		return r
+	}
+	// first returns the first region of the block that starts at source pc,
+	// the branch target (match -1) or one of the MATCH's outcome blocks:
+	// blocks are in the order of their pc.
+	first := func(pc, match int) int32 {
+		i, _ := slices.BinarySearchFunc(blocks, pc, func(b lowBlock, pc int) int { return b.pc - pc })
+		for blocks[i].match != match {
+			i++
+		}
+		return lw.lowered[i].first
+	}
+	// The regions one Match or branch leads to are a class.
+	for i, bl := range lw.lowered {
+		if m := blocks[i].match; m >= 0 {
+			regions[bl.first].class = find(first(m+1, m))
+		}
+	}
+	r := int32(0)
+	for _, in := range lw.code {
 		switch in.Op {
-		case flat.Jz, flat.Jnz, flat.Match, flat.Trap, flat.Jmp:
-			if pending > 0 {
-				b.Op(flat.Add, lw.m.count, lw.m.count, lw.konst(int64(pending)))
-				pending = 0
+		case flat.Jz, flat.Jnz:
+			regions[r].next = r + 1
+			regions[find(first(int(in.A), -1))].class = find(r + 1)
+		case flat.Match:
+			regions[r].next = first(int(in.A)+1, int(in.A))
+		}
+		if leaves(in.Op) {
+			r++
+		}
+	}
+	// A region leads only to regions after it, so taken from the last, every
+	// region of the class it leads to has been taken.
+	ahead := func(c int32) int32 {
+		if c < 0 || regions[find(c)].state != 1 || find(c) == find(0) {
+			return 0
+		}
+		return regions[find(c)].ahead
+	}
+	for r := int32(len(regions)) - 1; r >= 0; r-- {
+		c, next := &regions[find(r)], regions[r].next
+		a := regions[r].retire + ahead(next)
+		switch {
+		case next >= 0 && find(next) == find(r):
+			c.state = 2
+		case c.state == 0:
+			c.ahead, c.state = a, 1
+		case c.ahead != a:
+			c.state = 2
+		}
+	}
+	for r := range regions {
+		regions[r].retire += ahead(regions[r].next) - ahead(int32(r))
+	}
+}
+
+// emit appends block i to the program, the count additions counts placed
+// before the instructions at which control can leave it.
+func (lw *lowerer) emit(i int) {
+	b, e, bl, lb := lw.b, &lw.m.engine, &lw.m.blocks[i], &lw.lowered[i]
+	bl.start = b.Len()
+	if bl.match < 0 {
+		b.Land(lw.conts[bl.pc]...)
+	} else {
+		b.LandOutcome(lb.outcomes...)
+	}
+	r := lb.first
+	for _, in := range lw.code[lb.from:lb.to] {
+		if leaves(in.Op) {
+			if add := lw.regions[r].retire; add != 0 {
+				b.Op(flat.Add, lw.m.count, lw.m.count, lw.konst(int64(add)))
 			}
+			r++
 		}
 		switch in.Op {
 		case flat.Jz, flat.Jnz:
-			lw.conts[int(s.to)] = append(lw.conts[int(s.to)], b.Jump(in.Op, int(in.B)))
+			lw.conts[int(in.A)] = append(lw.conts[int(in.A)], b.Jump(in.Op, int(in.B)))
 		case flat.Jmp:
 			lw.ends = append(lw.ends, b.Jump(flat.Jmp, 0))
 		case flat.Match:
@@ -830,6 +960,7 @@ func (lw *lowerer) emit() {
 			b.Op(in.Op, int(in.A), int(in.B), int(in.C))
 		}
 	}
+	bl.end = b.Len()
 }
 
 // Lowered renders what ExecSlots runs: a line per block — the source pc it

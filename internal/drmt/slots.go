@@ -12,7 +12,10 @@
 // over the table's entries and then its default or miss, and one block per
 // distinct bound action: entry and default action arguments are literals, so
 // every parameter operand is a constant register and nothing is bound at run
-// time. (The name-resolving interpreters these programs replaced are the
+// time. Like the ISA program, it reads the packet from input registers it
+// never writes and keeps a field some table writes in an output register of
+// its own, so the fuzzer's link reads the ISA side's input registers in
+// place. (The name-resolving interpreters these programs replaced are the
 // test oracle in reference_test.go.)
 package drmt
 
@@ -144,10 +147,11 @@ func (l *SlotLayout) SlotsToPacket(vals []int64, dropped bool, p *Packet) {
 // engine is one machine lowered to a flat program, and the frame it runs
 // on (none when the machine is one side of a DiffFuzzer, which runs the
 // linked program on a frame of its own): the packet's fields in layout
-// order from register in, where each field's value is at the end (out; the
-// ISA program keeps a field it stores to in an output register of its own),
-// the drop flag, the register banks, and the Match instructions with the
-// table each consults.
+// order from register in, which the program never writes, where each
+// field's value is at the end (out: the input register of a field the
+// program never writes, an output register of its own for the others), the
+// drop flag, the register banks, and the Match instructions with the table
+// each consults.
 type engine struct {
 	code    *flat.Program
 	frame   []int64
@@ -225,33 +229,46 @@ func (e *engine) matchCounts(tables int) []int {
 }
 
 // lowerTables lowers the table-level machine — the program's control
-// sequence applied to its table entries — to a flat program over the
-// packet's field registers, in layout order, which it reads and writes in
-// place: per table a Match over its outcomes (tableOutcomes), then one block
-// per distinct action call, its arguments constant registers. The first
-// matching entry wins, and a drop finishes its action, then skips every
-// later table. The parser and entry validation have already checked every
-// cross-reference, so a failure here means a hand-built Program that
-// bypassed them.
+// sequence applied to its table entries — to a flat program: per table a
+// Match over its outcomes (tableOutcomes), then one block per distinct
+// action call, its arguments constant registers. The first matching entry
+// wins, and a drop finishes its action, then skips every later table.
+//
+// The frame starts with the packet's fields in layout order (in), which the
+// program only reads, and holds an output register for every field some
+// table can write. A field is read from its input register until a table
+// writes it to its output register; where paths join — at the next table,
+// or at the end — a field some path to there has written is in its output
+// register on every path, so a path that has not written it moves it there
+// first. A program linked after another therefore reads the packet in place
+// (flat.Link binds every field without a copy). The parser and entry
+// validation have already checked every cross-reference, so a failure here
+// means a hand-built Program that bypassed them.
 func lowerTables(prog *p4.Program, entries *EntrySet, layout *SlotLayout) (engine, error) {
 	b := flat.NewBuilder(width)
 	n := layout.NumFields()
-	b.Reserve(n+8+sum(layout.regCount), 8*len(prog.Control), len(prog.Control)+entries.Len())
+	b.Reserve(2*n+8+sum(layout.regCount), 8*len(prog.Control), len(prog.Control)+entries.Len())
 	e := engine{out: make([]int, n)}
 	for slot, name := range layout.fields {
-		e.out[slot] = b.Reg(name, 0)
+		e.out[slot] = b.Reg(name, 0) // the input registers, from e.in = 0
 	}
-	tl := &tableLowerer{prog: prog, entries: entries, layout: layout, b: b, e: &e, t: b.Reg("t", 0), dropped: b.Reg("dropped", 0)}
+	tl := &tableLowerer{prog: prog, entries: entries, layout: layout, b: b, e: &e, written: tablesWrite(prog, entries, layout), loc: make([]int, n)}
+	for slot, name := range layout.fields {
+		if tl.written[len(prog.Control)][slot] {
+			e.out[slot] = b.Reg(name+"'", 0)
+		}
+	}
+	tl.t, tl.dropped = b.Reg("t", 0), b.Reg("dropped", 0)
 	for i, name := range layout.regs {
 		_, first := b.Bank(name, max(layout.regCount[i], 1), layout.regW[i].Mask())
 		e.banks = append(e.banks, [2]int{first, layout.regCount[i]})
 	}
-	for _, name := range prog.Control {
+	for k, name := range prog.Control {
 		t := prog.Table(name)
 		if t == nil {
 			return e, fmt.Errorf("drmt: control applies unknown table %q", name)
 		}
-		if err := tl.table(t); err != nil {
+		if err := tl.table(t, k); err != nil {
 			return e, err
 		}
 	}
@@ -269,6 +286,47 @@ func lowerTables(prog *p4.Program, entries *EntrySet, layout *SlotLayout) (engin
 	return e, nil
 }
 
+// tablesWrite returns, for every application of the control sequence and
+// for its end, the fields some table applied before it can write: what an
+// action an outcome of the table's Match (tableOutcomes) selects writes.
+func tablesWrite(prog *p4.Program, entries *EntrySet, layout *SlotLayout) [][]bool {
+	n := layout.NumFields()
+	written := make([][]bool, len(prog.Control)+1)
+	all := make([]bool, len(written)*n)
+	for k := range written {
+		written[k] = all[k*n : (k+1)*n]
+	}
+	writes := func(k int, call *p4.ActionCall) {
+		if act := prog.Action(call.Name); act != nil {
+			for _, pr := range act.Prims {
+				switch pr.Op {
+				case p4.PrimModifyField, p4.PrimAddToField, p4.PrimRegRead:
+					if slot, ok := layout.fieldIdx[pr.Field]; ok {
+						written[k+1][slot] = true
+					}
+				}
+			}
+		}
+	}
+	for k, name := range prog.Control {
+		copy(written[k+1], written[k])
+		t := prog.Table(name)
+		if t == nil {
+			continue
+		}
+		es := entries.ForTable(name)
+		for i := range es {
+			if _, ok := layout.fieldIdx[es[i].Field]; ok {
+				writes(k, &es[i].Action)
+			}
+		}
+		if t.Default != nil {
+			writes(k, t.Default)
+		}
+	}
+	return written
+}
+
 // tableLowerer is the state of the table-level machine's lowering.
 type tableLowerer struct {
 	prog       *p4.Program
@@ -276,81 +334,115 @@ type tableLowerer struct {
 	layout     *SlotLayout
 	b          *flat.Builder
 	e          *engine
-	t, dropped int   // the scratch register and the drop flag
-	ends       []int // jumps to the end: the drops
+	t, dropped int      // the scratch register and the drop flag
+	ends       []int    // jumps to the end: the drops
+	written    [][]bool // tablesWrite
+	loc        []int    // layout slot -> the register its value is at
 }
 
-// table emits one table application: its Match, then a block per distinct
-// action call its outcomes select. A call without effect needs no block;
-// nor does the miss.
-func (tl *tableLowerer) table(t *p4.Table) error {
+// enter starts a path at the k-th application: a field some table before
+// it can write is in its output register, every other one in its input.
+func (tl *tableLowerer) enter(k int) {
+	for slot := range tl.loc {
+		tl.loc[slot] = tl.e.in + slot
+		if tl.written[k][slot] {
+			tl.loc[slot] = tl.e.out[slot]
+		}
+	}
+}
+
+// settle moves every field that some path to the k-th application (or to
+// the end) can have written, and this path has not, to its output register.
+func (tl *tableLowerer) settle(k int) {
+	for slot, r := range tl.loc {
+		if tl.written[k][slot] && r != tl.e.out[slot] {
+			tl.b.Move(tl.e.out[slot], r)
+			tl.loc[slot] = tl.e.out[slot]
+		}
+	}
+}
+
+// table emits the k-th table application: its Match, then a block per
+// distinct action call its outcomes select, and the moves into output
+// registers of the outcomes that go on to the next table without one. A
+// call without effect needs no block; nor does the miss.
+func (tl *tableLowerer) table(t *p4.Table, k int) error {
 	b := tl.b
+	tl.enter(k)
 	outcomes, calls := tableOutcomes(t, tl.entries, tl.layout)
-	for k := range outcomes[:len(outcomes)-1] {
-		outcomes[k].Reg = uint32(tl.e.out[outcomes[k].Reg])
+	for i := range outcomes[:len(outcomes)-1] {
+		outcomes[i].Reg = uint32(tl.loc[outcomes[i].Reg])
 	}
 	first := b.Outcomes(outcomes...)
 	tl.e.matches = append(tl.e.matches, match{b.Match(first, len(outcomes)), tl.layout.tableIdx[t.Name]})
-	fail := func(k int, err error) error {
-		if k == len(calls)-1 && t.Default != nil {
+	fail := func(i int, err error) error {
+		if i == len(calls)-1 && t.Default != nil {
 			return fmt.Errorf("drmt: table %q default: %w", t.Name, err)
 		}
 		return fmt.Errorf("drmt: table %q: %w", t.Name, err)
 	}
 	var blocks [][]int               // the outcomes of each distinct call with an effect
-	var next []int                   // the outcomes, and jumps, that go on to the next table
+	var next []int                   // the outcomes that go on to the next table without a block
 	block := make([]int, len(calls)) // outcome -> its block, -1 for none
-	for k, call := range calls {
-		block[k] = -1
-		if i := slices.IndexFunc(calls[:k], func(c *p4.ActionCall) bool {
+	for i, call := range calls {
+		block[i] = -1
+		if j := slices.IndexFunc(calls[:i], func(c *p4.ActionCall) bool {
 			return c != nil && call != nil && c.Name == call.Name && slices.Equal(c.Args, call.Args)
-		}); i >= 0 {
-			if block[k] = block[i]; block[k] >= 0 {
-				blocks[block[k]] = append(blocks[block[k]], k)
+		}); j >= 0 {
+			if block[i] = block[j]; block[i] >= 0 {
+				blocks[block[i]] = append(blocks[block[i]], i)
 			} else {
-				next = append(next, first+k)
+				next = append(next, first+i)
 			}
 			continue
 		}
 		if call == nil {
-			next = append(next, first+k)
+			next = append(next, first+i)
 			continue
 		}
 		act := tl.prog.Action(call.Name)
 		switch {
 		case act == nil:
-			return fail(k, fmt.Errorf("unknown action %q", call.Name))
+			return fail(i, fmt.Errorf("unknown action %q", call.Name))
 		case len(call.Args) != len(act.Params):
-			return fail(k, fmt.Errorf("action %q takes %d args, got %d", call.Name, len(act.Params), len(call.Args)))
+			return fail(i, fmt.Errorf("action %q takes %d args, got %d", call.Name, len(act.Params), len(call.Args)))
 		case slices.ContainsFunc(act.Prims, func(pr p4.Primitive) bool { return pr.Op != p4.PrimNoOp }):
-			block[k] = len(blocks)
-			blocks = append(blocks, []int{k})
+			block[i] = len(blocks)
+			blocks = append(blocks, []int{i})
 		default:
-			next = append(next, first+k)
+			next = append(next, first+i)
 		}
 	}
+	// The outcomes without a block need one of moves when the table writes
+	// a field no table before it can.
+	moves := len(next) > 0 && !slices.Equal(tl.written[k], tl.written[k+1])
+	var done []int // jumps to the next table
 	for i, ks := range blocks {
-		for _, k := range ks {
-			b.LandOutcome(first + k)
+		for _, o := range ks {
+			b.LandOutcome(first + o)
 		}
+		tl.enter(k)
 		drops, err := tl.action(calls[ks[0]])
 		switch {
 		case err != nil:
 			return fail(ks[0], err)
 		case drops:
 			tl.e.canDrop = true
+			tl.settle(len(tl.written) - 1)
 			tl.ends = append(tl.ends, b.Jump(flat.Jmp, 0))
-		case i < len(blocks)-1: // the last block falls through
-			next = append(next, -1-b.Jump(flat.Jmp, 0))
+		default:
+			tl.settle(k + 1)
+			if i < len(blocks)-1 || moves { // the last block falls through
+				done = append(done, b.Jump(flat.Jmp, 0))
+			}
 		}
 	}
-	for _, k := range next {
-		if k < 0 {
-			b.Land(-1 - k)
-		} else {
-			b.LandOutcome(k)
-		}
+	b.LandOutcome(next...)
+	if moves {
+		tl.enter(k)
+		tl.settle(k + 1)
 	}
+	b.Land(done...)
 	return nil
 }
 
@@ -359,7 +451,7 @@ func (tl *tableLowerer) table(t *p4.Table) error {
 // where the run ends: the additions wrap at the datapath width, which the
 // field's width divides.
 func (tl *tableLowerer) action(call *p4.ActionCall) (drops bool, err error) {
-	b, l, out := tl.b, tl.layout, tl.e.out
+	b, l, out, loc := tl.b, tl.layout, tl.e.out, tl.loc
 	act := tl.prog.Action(call.Name)
 	unmasked := -1 // the field whose run of additions awaits its mask
 	mask := func() {
@@ -380,7 +472,7 @@ func (tl *tableLowerer) action(call *p4.ActionCall) (drops bool, err error) {
 			if slot == unmasked {
 				mask()
 			}
-			return out[slot], nil
+			return loc[slot], nil
 		case p4.OpParam:
 			if i := slices.Index(act.Params, o.Name); i >= 0 {
 				return b.Const(call.Args[i]), nil
@@ -445,7 +537,7 @@ func (tl *tableLowerer) action(call *p4.ActionCall) (drops bool, err error) {
 			if f != unmasked {
 				mask()
 			}
-			b.Op(flat.Add, out[f], out[f], x)
+			b.Op(flat.Add, out[f], loc[f], x)
 			unmasked = f
 		case p4.PrimRegWrite:
 			b.Store(r, x, y)
@@ -463,6 +555,9 @@ func (tl *tableLowerer) action(call *p4.ActionCall) (drops bool, err error) {
 		case p4.PrimDrop:
 			b.Op(flat.Mov, tl.dropped, b.Const(1), 0)
 			drops = true
+		}
+		if pr.Op == p4.PrimModifyField || pr.Op == p4.PrimAddToField || pr.Op == p4.PrimRegRead {
+			loc[f] = out[f]
 		}
 	}
 	mask()

@@ -17,6 +17,14 @@
 // (a Domino local read before assignment, a dRMT instruction on a field the
 // packet lacks) stops early: it stores a code in a register the caller
 // inspects after Run.
+//
+// Sym (sym.go) runs a program once over a frame of bit-vectors (package bv)
+// instead of values, in one pass in program order: every branch, Match test
+// and Trap splits the path on a decision, joins merge frames by ITEs on the
+// decision that split them, a bank access is an ITE over the cells, and the
+// arithmetic is Run's. On constants it folds to what Run computes; over free
+// variables a question about every frame the program can start from — two
+// linked programs agreeing, say — is a formula for the SAT solver.
 package flat
 
 import (

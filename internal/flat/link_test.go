@@ -16,10 +16,11 @@ const linkRegs = 4
 // operand bytes. Register 0 is the trap register; values are written to
 // registers 1..linkRegs and read from any of those or a constant; a bank of
 // three cells wraps by modulo, one of four by mask; a jump, and each of a
-// Match's two outcomes, lands a byte-chosen distance ahead.
-func decodeProgram(t *testing.T, data []byte) *Program {
+// Match's two outcomes, lands a byte-chosen distance ahead. The datapath is
+// w bits wide.
+func decodeProgram(t *testing.T, w phv.Width, data []byte) *Program {
 	t.Helper()
-	b := NewBuilder(phv.MustWidth(8))
+	b := NewBuilder(w)
 	first := b.Reg("trap", 0)
 	b.Regs("g", linkRegs)
 	odd, _ := b.Bank("odd", 3, 0x3f)
@@ -102,7 +103,7 @@ func FuzzLink(f *testing.F) {
 	// b's Match reads a register it writes after, bound: the mov comes first.
 	f.Add([]byte{2, 3, 4}, []byte{24, 3, 0x10, 14, 3, 1, 20, 2, 0x84}, uint16(0x08), int64(0x0105000309))
 	f.Fuzz(func(t *testing.T, codeA, codeB []byte, bindBits uint16, vals int64) {
-		a, b := decodeProgram(t, codeA), decodeProgram(t, codeB)
+		a, b := decodeProgram(t, phv.MustWidth(8), codeA), decodeProgram(t, phv.MustWidth(8), codeB)
 		na := len(a.init)
 		bind := map[int]int{}
 		for r := range b.init {
