@@ -17,11 +17,13 @@ package campaign
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
 	"runtime/debug"
+	"strconv"
 	"sync"
 )
 
@@ -99,8 +101,8 @@ type CacheStats struct {
 // The salt is a hash of the running executable itself, which changes with
 // any code change regardless of how the binary was produced (go build,
 // go run's temp binaries, dirty trees); VCS build metadata is only the
-// fallback when the executable cannot be read. Computed once, lazily, on
-// the first keyed shard.
+// fallback when the executable cannot be read. Computed once, lazily, when
+// the first keyed job is planned.
 var buildSalt = sync.OnceValue(func() string {
 	if exe, err := os.Executable(); err == nil {
 		if f, err := os.Open(exe); err == nil {
@@ -128,10 +130,44 @@ var buildSalt = sync.OnceValue(func() string {
 // target fingerprint, the shard's derived traffic seed and the shard size,
 // salted with the engine build identity. The fingerprint folds in the spec
 // and machine-code/program hashes, the architecture and the engine level,
-// so the key covers every input a shard result depends on.
+// so the key covers every input a shard result depends on. It is the
+// one-shot form of the keyer the engine plans per job.
 func ShardKey(fingerprint string, seed int64, n int) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%d\x00%s\x00%d\x00%d", buildSalt(), len(fingerprint), fingerprint, seed, n)))
-	return hex.EncodeToString(h[:])
+	return newShardKeyer(buildSalt(), fingerprint).key(seed, n)
+}
+
+// shardKeyer derives the keys of one target's shards. A key is the
+// SHA-256 of "salt\x00len(fp)\x00fp\x00seed\x00n"; everything before the
+// seed is the same for every shard of a job, so the keyer hashes it once
+// and keeps the digest's marshalled state, and each key restores that
+// state and hashes only the seed and size — one block instead of three.
+// It is immutable, so the workers of a campaign share one per job.
+type shardKeyer struct{ state []byte }
+
+func newShardKeyer(salt, fingerprint string) shardKeyer {
+	h := sha256.New()
+	b := make([]byte, 0, len(salt)+len(fingerprint)+24)
+	b = append(append(b, salt...), 0)
+	b = append(strconv.AppendInt(b, int64(len(fingerprint)), 10), 0)
+	b = append(append(b, fingerprint...), 0)
+	h.Write(b)
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic("campaign: sha256 state: " + err.Error()) // the crypto hashes always marshal
+	}
+	return shardKeyer{state}
+}
+
+func (k shardKeyer) key(seed int64, n int) string {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.state); err != nil {
+		panic("campaign: sha256 state: " + err.Error()) // the state newShardKeyer marshalled
+	}
+	var buf [2 * sha256.Size]byte // "seed\x00n" fits; then the sum
+	b := strconv.AppendInt(buf[:0], seed, 10)
+	b = strconv.AppendInt(append(b, 0), int64(n), 10)
+	h.Write(b)
+	return hex.EncodeToString(h.Sum(buf[:0]))
 }
 
 // fingerprintParts hashes length-framed parts into a stable hex string;

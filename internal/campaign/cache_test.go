@@ -2,8 +2,11 @@ package campaign
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -473,5 +476,61 @@ func TestMatrixTrafficAndProcsAxes(t *testing.T) {
 	}
 	if !rep.Passed {
 		t.Fatalf("boundary/procs matrix failed:\n%s", rep.Text(false))
+	}
+}
+
+// TestShardKeyerMatchesShardKey pins the per-job keyer to the one-shot key
+// formula it replaced, kept here verbatim as the reference: fingerprints on
+// both sides of SHA-256's 64-byte blocks, the extreme seeds and shard sizes,
+// under the build salt and under salts of other lengths (the empty one is
+// what a binary without build information gets). Eight goroutines then derive
+// keys from one shared keyer, as a campaign's workers do.
+func TestShardKeyerMatchesShardKey(t *testing.T) {
+	reference := func(salt, fp string, seed int64, n int) string {
+		h := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%d\x00%s\x00%d\x00%d", salt, len(fp), fp, seed, n)))
+		return hex.EncodeToString(h[:])
+	}
+	var fps []string
+	for _, size := range []int{0, 63, 64, 200, 300} {
+		fps = append(fps, strings.Repeat("f", size))
+	}
+	seeds := []int64{0, -1, math.MinInt64, math.MaxInt64}
+	sizes := []int{0, 1, 4096}
+	for _, salt := range []string{buildSalt(), "", strings.Repeat("s", 59)} {
+		for _, fp := range fps {
+			k := newShardKeyer(salt, fp)
+			for _, seed := range seeds {
+				for _, n := range sizes {
+					if got, want := k.key(seed, n), reference(salt, fp, seed, n); got != want {
+						t.Fatalf("salt %d bytes, fp %d bytes, seed %d, n %d: keyer %s, formula %s", len(salt), len(fp), seed, n, got, want)
+					}
+				}
+			}
+		}
+	}
+	if got, want := ShardKey(fps[3], -1, 4096), reference(buildSalt(), fps[3], -1, 4096); got != want {
+		t.Fatalf("ShardKey %s, formula %s", got, want)
+	}
+
+	shared := newShardKeyer(buildSalt(), fps[4])
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				seed := int64(g*1000 + i)
+				if got, want := shared.key(seed, i), reference(buildSalt(), fps[4], seed, i); got != want {
+					errs <- fmt.Sprintf("goroutine %d, seed %d: keyer %s, formula %s", g, seed, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

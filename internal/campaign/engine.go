@@ -19,9 +19,10 @@ type task struct{ job, shard int }
 // goroutine.
 type jobState struct {
 	job  *Job
-	fp   string   // target fingerprint; "" = its shards are neither cached nor keyed
-	size int      // packets per shard (the target may override Options.ShardSize)
-	exec *JobExec // builds on the first miss; dropped at merge with its instance and runners
+	fp   string      // target fingerprint; "" = its shards are neither cached nor keyed
+	keys *shardKeyer // the fingerprint's key state, shared by the job's shards; nil with fp ""
+	size int         // packets per shard (the target may override Options.ShardSize)
+	exec *JobExec    // builds on the first miss; dropped at merge with its instance and runners
 
 	start        time.Time      // first shard that had to execute; zero while every shard replayed
 	results      []*ShardResult // results[s] is written by exactly one worker; nil = skipped
@@ -35,7 +36,8 @@ type jobState struct {
 }
 
 // plan resolves once what a job's shards share: its labels from the
-// optional Target interfaces, its shard size and its fingerprint.
+// optional Target interfaces, its shard size, its fingerprint and the
+// hash state its shard keys start from.
 func plan(job *Job, o *Options) jobState {
 	js := jobState{job: job, size: o.ShardSize, exec: NewJobExec(job.Target, o.Metrics)}
 	if ss, ok := job.Target.(ShardSizer); ok {
@@ -45,7 +47,10 @@ func plan(job *Job, o *Options) jobState {
 	// executors forward the fingerprint-derived key so remote workers share
 	// the engine's cache key space. Hashed only when something reads them.
 	if f, ok := job.Target.(Fingerprinter); ok && (o.Cache != nil || o.Executor != nil) {
-		js.fp = f.Fingerprint()
+		if js.fp = f.Fingerprint(); js.fp != "" {
+			keys := newShardKeyer(buildSalt(), js.fp)
+			js.keys = &keys
+		}
 	}
 	js.pending = (job.Packets + js.size - 1) / js.size
 	js.results = make([]*ShardResult, js.pending)
@@ -160,7 +165,7 @@ func (e *emitter) runShard(ctx context.Context, t task) {
 	seed := deriveSeed(js.job.Seed, t.shard)
 	key := ""
 	if js.fp != "" {
-		key = ShardKey(js.fp, seed, n)
+		key = js.keys.key(seed, n)
 	}
 	res, cached := CacheGet(o.Cache, o.Metrics, key)
 	var shardStart time.Time

@@ -2,12 +2,15 @@ package farmd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
+	"syscall"
 	"time"
 
 	"druzhba/internal/campaign"
@@ -72,9 +75,9 @@ type diskEntry struct {
 
 // DirCache is an on-disk campaign.ShardCache: one JSON file per shard
 // result, fanned into 256 prefix buckets under a root directory, written
-// atomically (temp file + rename). A corrupt, truncated or mislabeled
-// entry reads as a miss and is deleted, so damage costs re-execution,
-// never a wrong row.
+// atomically (temp file + rename) and read back with one bounded read. A
+// corrupt, truncated, mislabeled or oversized entry reads as a miss and is
+// deleted, so damage costs re-execution, never a wrong row.
 //
 // With a byte cap (NewDirCacheLimit) the directory is a size-bounded LRU:
 // opening the cache scans existing entries (oldest-modified = least
@@ -222,21 +225,22 @@ func (c *DirCache) Path(key string) string {
 	return filepath.Join(c.dir, bucket, key+".json")
 }
 
-// Get implements campaign.ShardCache. Every failure mode — unreadable
-// file, invalid JSON, a key mismatch from a renamed or partially written
-// entry — is a miss; the damaged file is removed best-effort so the next
-// Put heals it.
+// Get implements campaign.ShardCache. A hit is one bounded read of the
+// entry file (readEntry) and one json.Unmarshal. Every failure mode —
+// unreadable file, an entry at or over MaxShardResultBytes, invalid JSON,
+// a key mismatch from a renamed or partially written entry — is a miss;
+// the damaged file is removed best-effort so the next Put heals it.
 func (c *DirCache) Get(key string) (*campaign.ShardResult, bool) {
 	if !pathSafe(key) {
 		return nil, false
 	}
 	path := c.Path(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
+	data, err := readEntry(path)
+	if err != nil && !errors.Is(err, errEntryTooLarge) {
 		return nil, false
 	}
 	var ent diskEntry
-	if err := json.Unmarshal(data, &ent); err != nil || ent.Key != key || ent.Error != "" {
+	if err != nil || json.Unmarshal(data, &ent) != nil || ent.Key != key || ent.Error != "" {
 		os.Remove(path)
 		if c.lru != nil {
 			c.lru.remove(key)
@@ -247,6 +251,67 @@ func (c *DirCache) Get(key string) (*campaign.ShardResult, bool) {
 		c.lru.put(key, struct{}{}, int64(len(data)))
 	}
 	return ent.Result(), true
+}
+
+// entryReadSize is readEntry's first buffer: a clean shard's entry is
+// about 100 bytes, so nearly every read fits it and never sizes the file.
+const entryReadSize = 512
+
+// errEntryTooLarge marks an entry file of MaxShardResultBytes or more:
+// no Put writes one, so it is damage.
+var errEntryTooLarge = errors.New("farmd: cache entry over MaxShardResultBytes")
+
+// readEntry reads a whole entry file through package syscall — open,
+// reads until one returns 0, close — without the os.File set-up, stat and
+// second read os.ReadFile pays for a ~100-byte file. Only a file that
+// fills the first buffer is sized (by seeking to its end: package syscall
+// has no fstat on every platform), and the buffer never grows past
+// MaxShardResultBytes, so a planted or damaged file of any size costs at
+// most the cap in memory. Interrupted calls are retried as package os does.
+func readEntry(path string) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer syscall.Close(fd)
+	buf := make([]byte, 0, entryReadSize)
+	sized := false
+	for {
+		if len(buf) == cap(buf) {
+			if len(buf) >= MaxShardResultBytes {
+				return nil, errEntryTooLarge
+			}
+			grow := 2 * len(buf) // the file grew since it was sized
+			if !sized {
+				sized = true
+				size, err := syscall.Seek(fd, 0, io.SeekEnd)
+				if err == nil {
+					_, err = syscall.Seek(fd, int64(len(buf)), io.SeekStart)
+				}
+				if err != nil {
+					return nil, err
+				}
+				if size >= MaxShardResultBytes {
+					return nil, errEntryTooLarge
+				}
+				grow = max(int(size)+1, len(buf)+1) // +1: the read that returns 0 needs room
+			}
+			buf = append(make([]byte, 0, min(grow, MaxShardResultBytes)), buf...)
+		}
+		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
+		switch {
+		case err == syscall.EINTR:
+		case err != nil:
+			return nil, err
+		case n == 0:
+			return buf, nil
+		default:
+			buf = buf[:len(buf)+n]
+		}
+	}
 }
 
 // Put implements campaign.ShardCache with an atomic write: concurrent

@@ -2,10 +2,13 @@ package farmd
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -303,5 +306,80 @@ func TestDirCacheEntryBytesGolden(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("entry with an error field not removed")
+	}
+}
+
+// TestDirCacheOversizedEntryIsAMiss: an entry file of MaxShardResultBytes
+// or more was not written by Put, so it is damage — a miss whose file is
+// removed — and reading it costs nothing near its size: Get allocates well
+// under the cap for a sparse file one byte over it.
+func TestDirCacheOversizedEntryIsAMiss(t *testing.T) {
+	c, err := NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "aa01"
+	c.Put(key, res(7))
+	path := c.Path(key)
+	if err := os.Truncate(path, MaxShardResultBytes+1); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, ok := c.Get(key)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatalf("oversized entry served as a hit: %+v", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("oversized entry not removed")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Fatalf("Get of an oversized entry allocated %d bytes", alloc)
+	}
+}
+
+// TestDirCacheGrowthRoundTrip: entries that fill readEntry's first buffer
+// exactly, overrun it by a byte, or need many reads (over 64 KiB) read back
+// to the results Put wrote.
+func TestDirCacheGrowthRoundTrip(t *testing.T) {
+	c, err := NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sized returns a result whose entry under key is exactly size bytes,
+	// padding one finding's input.
+	sized := func(key string, findings, size int) *campaign.ShardResult {
+		r := &campaign.ShardResult{Checked: 4096, Ticks: 4100}
+		for i := 0; i < findings; i++ {
+			r.Findings = append(r.Findings, campaign.Finding{Index: i, Input: "[1 2]", Got: "[1 3]", Want: "[1 2]"})
+		}
+		data, err := json.Marshal(diskEntry{Key: key, WireShardResult: WireResult(r)})
+		if err != nil || len(data) > size {
+			t.Fatalf("%d findings already need %d bytes (%v)", findings, len(data), err)
+		}
+		r.Findings[0].Input += strings.Repeat("x", size-len(data))
+		return r
+	}
+	for i, e := range []struct{ findings, size int }{
+		{1, entryReadSize},
+		{1, entryReadSize + 1},
+		{1, 64<<10 + 1},
+		{2000, 256 << 10},
+	} {
+		key := fmt.Sprintf("aa%02d", i)
+		want := sized(key, e.findings, e.size)
+		c.Put(key, want)
+		info, err := os.Stat(c.Path(key))
+		if err != nil || info.Size() != int64(e.size) {
+			t.Fatalf("entry %s: %v, want %d bytes (%v)", key, info, e.size, err)
+		}
+		got, ok := c.Get(key)
+		if !ok {
+			t.Fatalf("%d-byte entry reads as a miss", info.Size())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d-byte entry reads back differently", info.Size())
+		}
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"testing"
 
@@ -137,5 +140,57 @@ func FuzzLeaseBody(f *testing.F) {
 			return
 		}
 		t.Fatalf("200 for job %q, which the lease's matrix does not have", lease.Job)
+	})
+}
+
+// FuzzDirCacheEntry writes raw bytes as the entry file of one valid key —
+// a torn write, a file renamed from another key, planted garbage — and
+// reads it with DirCache.Get: it never panics, and it either misses and
+// removes the file, or returns exactly what json.Unmarshal into diskEntry
+// yields, under the same key and with no error. A miss is owed exactly
+// when that decoding fails, names another key or carries an error.
+func FuzzDirCacheEntry(f *testing.F) {
+	// TestDirCacheEntryBytesGolden's files, whole and truncated.
+	for _, file := range []string{
+		`{"key":"aa01","checked":128,"ticks":640}`,
+		`{"key":"bb02","checked":64,"ticks":320,"findings":[{"index":3,"input":"[1 2]","got":"[1 3]","want":"[1 2]"}]}`,
+		`{"key":"cc03","checked":1,"ticks":0,"cells":[{"bits":4,"steps":2,"verdict":"equivalent","vars":10,"clauses":20,"conflicts":3},{"bits":6,"steps":1,"verdict":"counterexample","vars":7,"clauses":9,"conflicts":0,"trace":[[1,2]],"fail_step":1}]}`,
+		`{"key":"dd04","checked":9,"ticks":9,"error":"boom"}`,
+	} {
+		for _, g := range []string{file, `{"key":"aa01"` + file[len(`{"key":"bb02"`):]} {
+			for n := 0; n <= len(g); n += 7 {
+				f.Add([]byte(g[:n]))
+			}
+			f.Add([]byte(g))
+		}
+	}
+	const key = "aa01"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := NewDirCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := c.Path(key)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var ent diskEntry
+		valid := json.Unmarshal(data, &ent) == nil && ent.Key == key && ent.Error == ""
+		got, ok := c.Get(key)
+		if ok != valid {
+			t.Fatalf("Get hit=%v, want %v", ok, valid)
+		}
+		if !ok {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatal("damaged entry not removed")
+			}
+			return
+		}
+		if want := ent.Result(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Get = %+v, decoding gives %+v", got, want)
+		}
 	})
 }
