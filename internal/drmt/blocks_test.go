@@ -224,8 +224,8 @@ func defsUses(m *ISAMachine, v vars, in Instr) (defs, uses []int, fails bool) {
 		for i := 0; i < m.isa.NumParams; i++ {
 			reg(RegParam0 + i)
 		}
-		for _, o := range mt.outcomes[:max(len(mt.outcomes), 1)-1] {
-			uses = append(uses, v.field(int(o.Reg)))
+		for _, k := range mt.keys {
+			uses = append(uses, v.field(k.slot))
 		}
 	case OpBZ, OpBNZ:
 		uses = []int{in.A}
@@ -313,14 +313,51 @@ type blockTrial struct {
 	at       int   // the source pc of the MATCH it stopped at, len(Instrs) at the end or a failure
 }
 
+// selects renders what a MATCH selects: the select and every parameter
+// register, or the error the selection fails with and the arguments of the
+// call that fails, whose outcome has a block of its own.
+func selects(m *ISAMachine, sel int64, args []int64, err error) string {
+	params := make([]int64, m.isa.NumParams)
+	copy(params, args)
+	if err != nil {
+		return fmt.Sprint(err, " with arguments ", params)
+	}
+	return fmt.Sprint("select ", sel, " parameters ", params)
+}
+
+// refSelects renders what the reference's MATCH on table sym selects on
+// pkt, as selects does.
+func refSelects(m *ISAMachine, ref *refISAMachine, sym int, pkt *Packet) string {
+	sel, args, err := ref.match(sym, pkt)
+	if err != nil && m.matchTables[sym].err == nil {
+		call := m.prog.Table(m.isa.Tables[sym]).Default
+		for _, e := range m.entries.ForTable(m.isa.Tables[sym]) {
+			if v, ok := pkt.Fields[e.Field]; ok && e.Matches(v) {
+				call = &e.Action
+				break
+			}
+		}
+		args = call.Args
+	}
+	return selects(m, int64(sel), args, err)
+}
+
 // blockCase is one block with its trials, and the facts the comparison
 // needs.
 type blockCase struct {
-	name   string
-	block  lowBlock
-	wrote  []bool // the variables some path to the block has written
-	trials []blockTrial
+	name    string
+	block   lowBlock
+	wrote   []bool // the variables some path to the block has written
+	trials  []blockTrial
+	lookups []lookupTrial // of the lookup the block ends in
 	*blockFacts
+}
+
+// lookupTrial is one packet a lookup is run on from its first test, and
+// what the MATCH it stands for selects on it.
+type lookupTrial struct {
+	fields []int64
+	want   string
 }
 
 // garbage is what the lowered side holds where the source has nothing yet.
@@ -336,7 +373,8 @@ type blockFacts struct {
 // blockCases enumerates the lowered program's blocks — the entry, every
 // MATCH × distinct outcome and every branch target — and runs the reference
 // over trials random states of each: from the block's source pc up to the
-// next MATCH, HALT or failure, whatever branches it takes.
+// next MATCH, HALT or failure, whatever branches it takes, and through the
+// lookup of that MATCH.
 func blockCases(t *testing.T, fx blockFixture, m *ISAMachine, trials int) []blockCase {
 	t.Helper()
 	ref, err := newRefISAMachine(fx.prog, m.isa, fx.entries)
@@ -367,6 +405,20 @@ func blockCases(t *testing.T, fx blockFixture, m *ISAMachine, trials int) []bloc
 		}
 		return rng.Int63n(3)
 	}
+	// What a lookup's tests tell apart: each key an entry tests a field for,
+	// one off it, with every bit outside the entry's mask set, and with each
+	// bit of the field and the bit above its width flipped. Random trials
+	// draw them now and then; a lookup is run on each in turn.
+	keyed := make([][]int64, v.fields)
+	for _, mt := range m.matchTables {
+		for _, k := range mt.keys {
+			w := m.layout.fieldW[k.slot]
+			keyed[k.slot] = append(keyed[k.slot], k.key, k.key+1, k.key-1, k.key|^k.mask&w.Mask())
+			for b := 0; b <= w.Bits(); b++ {
+				keyed[k.slot] = append(keyed[k.slot], k.key^1<<b)
+			}
+		}
+	}
 
 	// trial draws a state for the block that steps the source from pc, with
 	// the registers some path to it wrote random — and those in bound set as
@@ -375,6 +427,9 @@ func blockCases(t *testing.T, fx blockFixture, m *ISAMachine, trials int) []bloc
 		tr := blockTrial{fields: make([]int64, v.fields), regs: make([]int64, v.regs)}
 		for i := range tr.fields {
 			tr.fields[i] = value()
+			if len(keyed[i]) > 0 && rng.Intn(3) == 0 {
+				tr.fields[i] = keyed[i][rng.Intn(len(keyed[i]))]
+			}
 		}
 		for i, cells := range ref.regBanks {
 			tr.banks = append(tr.banks, make([]int64, len(cells)))
@@ -410,7 +465,7 @@ func blockCases(t *testing.T, fx blockFixture, m *ISAMachine, trials int) []bloc
 			case err != nil:
 				where = err.Error()
 			case match >= 0:
-				at, where = match, fmt.Sprintf("match at %d", match)
+				at, where = match, fmt.Sprintf("match at %d: %s", match, refSelects(m, ref, isa.Instrs[match].Sym, pkt))
 			}
 		}
 		fields := make([]int64, v.fields)
@@ -465,6 +520,22 @@ func blockCases(t *testing.T, fx blockFixture, m *ISAMachine, trials int) []bloc
 		c.wrote = wrote
 		for i := 0; i < trials; i++ {
 			c.trials = append(c.trials, trial(bl.pc, wrote, bound, fails))
+		}
+		if bl.lookup >= 0 {
+			sym := isa.Instrs[bl.lookup].Sym
+			for _, k := range m.matchTables[sym].keys {
+				for _, x := range append(keyed[k.slot], value()) {
+					lt := lookupTrial{fields: make([]int64, v.fields)}
+					for i := range lt.fields {
+						lt.fields[i] = value()
+					}
+					lt.fields[k.slot] = x
+					pkt := &Packet{Fields: map[string]int64{}}
+					m.layout.SlotsToPacket(lt.fields, false, pkt)
+					lt.want = fmt.Sprintf("match at %d: %s", bl.lookup, refSelects(m, ref, sym, pkt))
+					c.lookups = append(c.lookups, lt)
+				}
+			}
 		}
 		cases = append(cases, c)
 	}
@@ -523,43 +594,46 @@ func regsOf(m *ISAMachine) frameRegs {
 	return f
 }
 
-// blockRunner returns m's program, with edit (if any) applied, for running
-// one block at a time: every Match stops the packet with the trap code
-// base+pc, pc the source MATCH it stands for, and the end of the program with
-// base+len(Instrs); base is one past the codes of the program's own traps.
-// The returned function starts it at a block's first instruction: the
-// program's first becomes a jump there.
-func blockRunner(m *ISAMachine, edit func(code []flat.Instr)) (*flat.Program, func(start int) *flat.Program, error) {
+// blockRunner returns a function that makes m's program, with edit (if any)
+// applied, run block i from its instruction at: the program's first
+// instruction becomes a jump there, and the packet stops with the trap code
+// base+j where a lookup enters outcome block j — the block's first
+// instruction is the trap — and with base+len(blocks) at the end of the
+// program; base is one past the codes of the program's own traps. Where
+// blocks start at one instruction, an empty block falls into the next: the
+// trap is the first's, except for a run from there.
+func blockRunner(m *ISAMachine, edit func(code []flat.Instr)) (func(i, at int) *flat.Program, error) {
 	f := regsOf(m)
 	base := len(m.errs) + 1
+	trap := func(code int) flat.Instr {
+		return flat.Instr{Op: flat.Trap, A: uint32(m.err), B: uint32(f.zero), C: uint32(base + code)}
+	}
 	prog, err := m.code.Mutate(func(c []flat.Instr) []flat.Instr {
 		if edit != nil {
 			edit(c)
 		}
-		for _, bl := range m.blocks {
-			if last := &c[bl.end-1]; last.Op == flat.Match {
-				*last = flat.Instr{Op: flat.Trap, A: uint32(m.err), B: uint32(f.zero), C: uint32(base + bl.after)}
-			}
-		}
-		return append(c, flat.Instr{Op: flat.Trap, A: uint32(m.err), B: uint32(f.zero), C: uint32(base + len(m.isa.Instrs))})
+		return append(c, trap(len(m.blocks)))
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	from := func(start int) *flat.Program {
-		if start == 0 {
-			return prog
-		}
+	return func(i, at int) *flat.Program {
 		p, err := prog.Mutate(func(c []flat.Instr) []flat.Instr {
-			c[0] = flat.Instr{Op: flat.Jmp, A: uint32(start)}
+			for j := len(m.blocks) - 1; j >= 0; j-- {
+				if bl := m.blocks[j]; bl.match >= 0 && j != i && (j > i || bl.start != at) {
+					c[bl.start] = trap(j)
+				}
+			}
+			if at != 0 {
+				c[0] = flat.Instr{Op: flat.Jmp, A: uint32(at)}
+			}
 			return c
 		})
 		if err != nil {
 			panic(err)
 		}
 		return p
-	}
-	return prog, from, nil
+	}, nil
 }
 
 // runBlock runs the block on the trial's state and returns the first
@@ -588,13 +662,8 @@ func runBlock(m *ISAMachine, p *flat.Program, bc *blockCase, tr *blockTrial) (di
 	}
 	p.Run(frame)
 
-	at, where, n := len(m.isa.Instrs), "halt", len(m.isa.Instrs)
-	switch code := int(frame[m.err]) - len(m.errs) - 1; {
-	case code < 0:
-		where = m.errs[frame[m.err]-1].Error()
-	case code < n:
-		at, where = code, fmt.Sprintf("match at %d", code)
-	}
+	at, where := stopped(m, frame)
+	n := len(m.isa.Instrs)
 	var banks [][]int64
 	for i := range tr.banks {
 		banks = append(banks, slices.Clone(frame[m.banks[i][0]:m.banks[i][0]+m.banks[i][1]]))
@@ -622,6 +691,43 @@ func runBlock(m *ISAMachine, p *flat.Program, bc *blockCase, tr *blockTrial) (di
 		return fmt.Sprintf("%s: from fields %v banks %v registers %v\n  block:  %s\n  source: %s", bc.name, tr.fields, tr.banks, tr.regs, got, tr.want), frame[m.count]
 	}
 	return "", frame[m.count]
+}
+
+// stopped decodes where a run of blockRunner's program stopped: the source
+// pc it stands for, and a failure, the end or the MATCH whose outcome block
+// it entered with what that selects.
+func stopped(m *ISAMachine, frame []int64) (at int, where string) {
+	at, where = len(m.isa.Instrs), "halt"
+	switch code := int(frame[m.err]) - len(m.errs) - 1; {
+	case code < 0:
+		where = m.errs[frame[m.err]-1].Error()
+	case code < len(m.blocks):
+		bl := m.blocks[code]
+		mt := &m.matchTables[m.isa.Instrs[bl.match].Sym]
+		matched, sel, args, action := mt.outcome(bl.oi)
+		var err error
+		if matched && sel == 0 {
+			err = fmt.Errorf("table %q selected action %q outside its dispatch list", mt.name, action)
+		}
+		at, where = bl.match, fmt.Sprintf("match at %d: %s", bl.match, selects(m, sel, args, err))
+	}
+	return at, where
+}
+
+// runLookup runs the lookup block case bc ends in, from its first test, on
+// a packet whose every field holds the trial's value at its input and its
+// output register alike, and returns how what it selects differs from what
+// the MATCH does, "" when it does not.
+func runLookup(m *ISAMachine, p *flat.Program, bc *blockCase, lt *lookupTrial) string {
+	frame := p.NewFrame()
+	for slot, x := range lt.fields {
+		frame[m.in+slot], frame[m.out[slot]] = x, x
+	}
+	p.Run(frame)
+	if _, got := stopped(m, frame); got != lt.want {
+		return fmt.Sprintf("%s: the lookup on fields %v: %s, the MATCH: %s", bc.name, lt.fields, got, lt.want)
+	}
+	return ""
 }
 
 // blockCounts is how far the lowered program's count is ahead of the
@@ -711,21 +817,27 @@ func TestBlocksEqualTheirSourcePath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
-		_, from, err := blockRunner(m, nil)
+		from, err := blockRunner(m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases := blockCases(t, fx, m, 48)
+		cases := blockCases(t, fx, m, 64)
 		blocks += len(cases)
 		added := make([][]int64, len(cases))
 		for i := range cases {
-			p := from(cases[i].block.start)
+			p := from(i, cases[i].block.start)
 			for j := range cases[i].trials {
 				diff, n := runBlock(m, p, &cases[i], &cases[i].trials[j])
 				if diff != "" {
 					t.Fatalf("%s: %s\n%s", fx.name, diff, m.Lowered())
 				}
 				added[i] = append(added[i], n)
+			}
+			p = from(i, cases[i].block.tests)
+			for j := range cases[i].lookups {
+				if diff := runLookup(m, p, &cases[i], &cases[i].lookups[j]); diff != "" {
+					t.Fatalf("%s: %s\n%s", fx.name, diff, m.Lowered())
+				}
 			}
 		}
 		if _, err := countsOf(m, cases, added); err != nil {
@@ -752,7 +864,7 @@ func TestBlocksEqualTheirSourcePath(t *testing.T) {
 // the flat code of one block.
 type lowMutant struct {
 	kind, id string
-	block    int // the first instruction of the block it is in
+	block    int // the block it is in, by index
 	at       int // the instruction it is planted in
 	edit     func(code []flat.Instr)
 }
@@ -767,7 +879,7 @@ func operands(in *flat.Instr, f func(name string, r *uint32)) {
 		f(".b", &in.B)
 	case flat.Load, flat.LoadMask:
 		f(".c", &in.C)
-	case flat.Match, flat.Trap, flat.Jmp:
+	case flat.Trap, flat.Jmp:
 	default:
 		f(".b", &in.B)
 		f(".c", &in.C)
@@ -777,7 +889,7 @@ func operands(in *flat.Instr, f func(name string, r *uint32)) {
 // written returns the register a value instruction or a load writes.
 func written(in flat.Instr) (uint32, bool) {
 	switch in.Op {
-	case flat.Jz, flat.Jnz, flat.Jmp, flat.Match, flat.Trap, flat.Store, flat.StoreMask:
+	case flat.Jz, flat.Jnz, flat.Jmp, flat.Jeq, flat.Jne, flat.Trap, flat.Store, flat.StoreMask:
 		return 0, false
 	}
 	return in.A, true
@@ -798,10 +910,18 @@ func written(in flat.Instr) (uint32, bool) {
 //   - retire: a count addition is missing;
 //   - stale: an operand reads another constant register than its own;
 //   - store: a store to a field's output register or to the drop flag is
-//     missing — the dead-store pass deleting a live one.
+//     missing — the dead-store pass deleting a live one;
+//   - invert: a lookup's jeq is a jne, or its jne a jeq;
+//   - retarget: a lookup's branch goes to another block of its lookup;
+//   - key: a lookup's branch compares with key+1 or key-1, where the program
+//     has a constant register that holds it.
 func lowMutantsOf(m *ISAMachine) []lowMutant {
 	f := regsOf(m)
 	all := code(m.code)
+	init := m.code.NewFrame()
+	outcomeBlock := func(start uint32) int {
+		return slices.IndexFunc(m.blocks, func(bl lowBlock) bool { return bl.match >= 0 && bl.start == int(start) })
+	}
 	isReg := func(r uint32) bool { return int(r) >= f.regBase && int(r) < f.regBase+m.isa.NumRegs }
 	isOut := func(r uint32) bool {
 		for slot, out := range m.out {
@@ -812,12 +932,12 @@ func lowMutantsOf(m *ISAMachine) []lowMutant {
 		return m.canDrop && int(r) == m.dropped
 	}
 	var out []lowMutant
-	for _, bl := range m.blocks {
+	for b, bl := range m.blocks {
 		wrote := map[uint32]bool{} // the registers the block has written so far
 		for i := bl.start; i < bl.end; i++ {
 			i, in := i, all[i]
 			add := func(kind, operand string, edit func(c []flat.Instr)) {
-				out = append(out, lowMutant{kind, fmt.Sprintf("%s%s@%d", kind, operand, i), bl.start, i, edit})
+				out = append(out, lowMutant{kind, fmt.Sprintf("%s%s@%d", kind, operand, i), b, i, edit})
 			}
 			if in.Op == flat.Mov && isReg(in.A) {
 				add("forward", "", func(c []flat.Instr) {
@@ -882,6 +1002,22 @@ func lowMutantsOf(m *ISAMachine) []lowMutant {
 			if (in.Op == flat.And || in.Op == flat.Mov) && isOut(in.A) {
 				add("store", "", func(c []flat.Instr) { skip(c, i) })
 			}
+			if in.Op == flat.Jeq || in.Op == flat.Jne {
+				add("invert", "", func(c []flat.Instr) { c[i].Op = flat.Jeq + flat.Jne - in.Op })
+				if t := outcomeBlock(in.A); t >= 0 {
+					for u := (t + 1) % len(m.blocks); u != t; u = (u + 1) % len(m.blocks) {
+						if other := m.blocks[u]; other.match == m.blocks[t].match && other.start != int(in.A) {
+							add("retarget", "", func(c []flat.Instr) { c[i].A = uint32(other.start) })
+							break
+						}
+					}
+				}
+				for _, d := range []int64{1, -1} {
+					if k := slices.IndexFunc(f.consts, func(r int) bool { return init[r] == init[in.C]+d }); k >= 0 {
+						add("key", fmt.Sprintf("%+d", d), func(c []flat.Instr) { c[i].C = uint32(f.consts[k]) })
+					}
+				}
+			}
 			if w, ok := written(in); ok {
 				wrote[w] = true
 			}
@@ -910,14 +1046,14 @@ func TestBlockMutantsAreCaught(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases := blockCases(t, fx, m, 48)
-		_, from, err := blockRunner(m, nil)
+		cases := blockCases(t, fx, m, 64)
+		from, err := blockRunner(m, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		added := make([][]int64, len(cases))
 		for i := range cases {
-			p := from(cases[i].block.start)
+			p := from(i, cases[i].block.start)
 			for j := range cases[i].trials {
 				_, n := runBlock(m, p, &cases[i], &cases[i].trials[j])
 				added[i] = append(added[i], n)
@@ -930,17 +1066,21 @@ func TestBlockMutantsAreCaught(t *testing.T) {
 		listing := strings.Split(m.code.String(), "\n")
 		for _, mu := range lowMutantsOf(m) {
 			planted[mu.kind]++
-			_, from, err := blockRunner(m, mu.edit)
+			from, err := blockRunner(m, mu.edit)
 			killed := err != nil // refused by flat's checker
 			for i := range cases {
-				if killed || cases[i].block.start != mu.block {
+				if killed || i != mu.block {
 					continue
 				}
-				p := from(mu.block)
+				p := from(i, cases[i].block.start)
 				for j := range cases[i].trials {
 					tr := &cases[i].trials[j]
 					diff, n := runBlock(m, p, &cases[i], tr)
 					killed = killed || diff != "" || counts.check(m, i, tr, n) != ""
+				}
+				p = from(i, cases[i].block.tests)
+				for j := range cases[i].lookups {
+					killed = killed || runLookup(m, p, &cases[i], &cases[i].lookups[j]) != ""
 				}
 			}
 			if killed {
@@ -958,7 +1098,7 @@ func TestBlockMutantsAreCaught(t *testing.T) {
 			}
 		}
 	}
-	for _, kind := range []string{"forward", "coalesce", "unwritten", "mask", "retire", "stale", "store"} {
+	for _, kind := range []string{"forward", "coalesce", "unwritten", "mask", "retire", "stale", "store", "invert", "retarget", "key"} {
 		if caught[kind] == 0 {
 			t.Errorf("no %s mutant was caught (%d planted)", kind, planted[kind])
 		}
@@ -1041,27 +1181,32 @@ const (
 // were planted in, by benchmark (a benchmark's ISA mutants included), kind
 // and instruction, with the verdict of the proof.
 var blockMutantSurvivors = map[string]string{
-	"counter coalesce: add r13, #9, r11":                        equivalent,
-	"counter forward: mov r3, #0":                               equivalent,
-	"counter stale.b: mov r3, #0":                               equivalent,
-	"counter stale.b: store tally[#5&3], r8":                    equivalent,
-	"counter stale.c: and h.count', r10, #65535":                equivalent,
-	"counter stale.c: and s0, h.count, #4611686018427387903":    equivalent,
-	"counter stale.c: and s0, r2, #4611686018427387903":         equivalent,
-	"counter stale.c: load r10, tally[#5&3]":                    equivalent,
-	"counter stale.c: load r7, tally[#5&3]":                     equivalent,
-	"l2l3 stale.b: add r28, #9, r26":                            equivalent,
-	"l2l3 stale.b: mov r27, #5":                                 equivalent,
-	"l2l3 stale.c: add r17, ipv4.ttl, #-1":                      equivalent,
-	"l2l3 stale.c: and meta.l2Hit', r28, #1":                    equivalent,
-	"l2l3-targeted stale.b: add r28, #9, r26":                   equivalent,
-	"l2l3-targeted stale.b: mov r27, #5":                        equivalent,
-	"l2l3-targeted stale.c: add r17, ipv4.ttl, #-1":             equivalent,
-	"l2l3-targeted stale.c: and meta.l2Hit', r28, #1":           equivalent,
-	"wide-fanin coalesce: add r7, lane.a', #1":                  equivalent,
-	"wide-fanin coalesce: add r7, lane.a', #7":                  equivalent,
-	"wide-fanin stale.c: and lane.a', r7, #65535":               equivalent,
-	"wide-fanin stale.c: and lane.h', r69, #255":                equivalent,
-	"wide-fanin stale.c: and s0, lane.a', #4611686018427387903": equivalent,
-	"wide-fanin stale.c: and s0, r2, #4611686018427387903":      equivalent,
+	"counter coalesce: add r13, #9, r11":                       equivalent,
+	"counter forward: mov r3, #0":                              equivalent,
+	"counter stale.b: mov r3, #0":                              equivalent,
+	"counter stale.b: store tally[#5&3], r8":                   equivalent,
+	"counter stale.c: and h.key', r13, #255":                   equivalent,
+	"counter stale.c: and s0, h.count, #4611686018427387903":   equivalent,
+	"counter stale.c: and s0, r2, #4611686018427387903":        equivalent,
+	"counter stale.c: load r10, tally[#5&3]":                   equivalent,
+	"counter stale.c: load r7, tally[#5&3]":                    equivalent,
+	"l2l3 stale.b: add r28, #9, r26":                           equivalent,
+	"l2l3 stale.b: mov r27, #5":                                equivalent,
+	"l2l3 stale.c: add r17, ipv4.ttl, #-1":                     equivalent,
+	"l2l3 stale.c: and meta.l2Hit', r28, #1":                   equivalent,
+	"l2l3-targeted stale.b: add r28, #9, r26":                  equivalent,
+	"l2l3-targeted stale.b: mov r27, #5":                       equivalent,
+	"l2l3-targeted stale.c: add r17, ipv4.ttl, #-1":            equivalent,
+	"l2l3-targeted stale.c: and meta.l2Hit', r28, #1":          equivalent,
+	"wide-fanin coalesce: add r7, lane.a', #1":                 equivalent,
+	"wide-fanin coalesce: add r7, lane.a', #7":                 equivalent,
+	"wide-fanin retire: add count, count, #3":                  equivalent,
+	"wide-fanin stale.b: mov dropped, #1":                      equivalent,
+	"wide-fanin stale.c: add count, count, #3":                 equivalent,
+	"wide-fanin stale.c: and lane.a', r7, #65535":              equivalent,
+	"wide-fanin stale.c: and lane.h', r69, #255":               equivalent,
+	"wide-fanin stale.c: and s0, r2, #4611686018427387903":     equivalent,
+	"wide-fanin store: mov dropped, #1":                        equivalent,
+	"wide-fanin unwritten.b: and s0, r2, #4611686018427387903": equivalent,
+	"wide-fanin unwritten: jz r37 -> 107":                      equivalent,
 }

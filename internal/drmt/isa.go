@@ -589,15 +589,16 @@ type ISAStats struct {
 	MatchOps int64
 }
 
-// isaTable is one OpMatch target: its Match's outcomes (tableOutcomes), the
-// action call each selects (nil: the miss) and that call's 1-based index in
-// the table's dispatch list (0: outside it).
+// isaTable is one OpMatch target: its entries' keys (tableOutcomes), the
+// outcomes — the action call each entry selects, then the default's (nil:
+// the miss) — and each call's 1-based index in the table's dispatch list (0:
+// outside it).
 type isaTable struct {
-	name     string
-	outcomes []flat.Outcome
-	calls    []*p4.ActionCall
-	sels     []int64
-	err      error // the table is unknown to the program (injected ISA)
+	name  string
+	keys  []entryKey
+	calls []*p4.ActionCall
+	sels  []int64
+	err   error // the table is unknown to the program (injected ISA)
 }
 
 // outcome returns what a MATCH on the table selects as outcome oi; a miss
@@ -745,7 +746,7 @@ func (m *ISAMachine) compileMatchTables() ([]isaTable, error) {
 				return nil, fmt.Errorf("drmt isa: table %q binds %d-argument action %q, the ISA program has %d parameter registers", name, len(c.Args), c.Name, m.isa.NumParams)
 			}
 		}
-		mt.outcomes, mt.calls = tableOutcomes(t, m.entries, m.layout)
+		mt.keys, mt.calls = tableOutcomes(t, m.entries, m.layout)
 		for _, c := range mt.calls {
 			sel := 0
 			if c != nil {

@@ -17,9 +17,12 @@
 // miss; outcomes that select one action with the same arguments share a
 // block), the source walked from the MATCH with the action-select register
 // and the parameter registers known, and one block per target of a
-// data-dependent branch, the source walked from there. A MATCH is a flat
-// Match over its outcomes. The walk keeps, per variable, the register its
-// value is at and the bits of that register that are the value:
+// data-dependent branch, the source walked from there. A MATCH is its
+// table's lookup (slots.go) at the end of every block that reaches it: a
+// compare-and-branch per entry, in entry order, to the entry's outcome
+// block, the miss falling through or jumping to the default's. The walk
+// keeps, per variable, the register its value is at and the bits of that
+// register that are the value:
 //
 //   - a loadi, and what the MATCH bound, is a constant register; a variable
 //     no path from the program's entry has written still holds its initial
@@ -44,7 +47,7 @@
 //
 // One count register holds the source instructions retired. An addition to
 // it can stand only right before an instruction at which control leaves a
-// block — a kept branch, its MATCH, its trap or its end — and where the
+// block — a kept branch, its lookup, its trap or its end — and where the
 // packet ends, at the end or a trap, the count is exactly the source's, so
 // instruction counts, per-packet latency and the count reported with an
 // execution error are those of the source program. On the way into a block
@@ -72,8 +75,8 @@ import (
 var width = aluWidths[62]
 
 // step is an instruction of the block under construction: to is where a
-// kept branch continues (a source pc), and a Match's A is its MATCH's source
-// pc until the block is emitted.
+// kept branch continues (a source pc), and a lookupOp's A is its MATCH's
+// source pc.
 type step struct {
 	in     flat.Instr
 	retire uint32 // source instructions it stands for
@@ -81,16 +84,25 @@ type step struct {
 	dead   bool
 }
 
+// lookupOp stands, in a block before it is emitted, for the lookup of the
+// MATCH at source pc A, which emit expands into its tests.
+const lookupOp = flat.Jeq
+
 // blockReq is a block to lower: the source pc it starts at, and for the
-// block of a MATCH's outcome the MATCH, the first outcome it is the block of
-// and the flat outcomes that go to it.
+// block of a MATCH's outcome the MATCH and the outcomes that go to it, the
+// first of which it is named after.
 type blockReq struct {
-	pc, match, oi int
-	outcomes      []int
+	pc, match int
+	outcomes  []int
 }
 
-// site is a MATCH's outcomes, which every block that reaches it shares.
-type site struct{ first, n int }
+// site is the lookup of a MATCH, which every block that reaches it emits:
+// where each field is there, the lowered block each outcome goes to, and how
+// many blocks reach it.
+type site struct {
+	loc, to []int
+	blocks  int
+}
 
 // lowerer is the state of one lowering.
 type lowerer struct {
@@ -127,17 +139,19 @@ type lowerer struct {
 	code    []flat.Instr   // ... their instructions,
 	regions []countRegion  // ... and the regions of their instructions (counts)
 	conts   map[int][]int  // source pc -> kept branches to its block
-	sites   map[int]site
+	lands   [][]int        // lowered outcome block -> the lookups' branches to it
+	sites   map[int]*site
 	same    map[string]int // an outcome -> the block of its MATCH it shares
+	lookups lookups        // emits the MATCHes' lookups
 	ends    []int          // jumps to the program's end
+	tail    int            // the lowered blocks from here on only halt
 }
 
-// loweredBlock is a lowered block before it is emitted: the outcomes that go
-// to it, where its instructions are in lowerer.code — a kept branch's A is
-// the source pc it continues at, a Match's the source pc of its MATCH — and
-// its first region in lowerer.regions.
+// loweredBlock is a lowered block before it is emitted: where its
+// instructions are in lowerer.code — a kept branch's A is the source pc it
+// continues at, a lookupOp's the source pc of its MATCH — and its first
+// region in lowerer.regions.
 type loweredBlock struct {
-	outcomes []int
 	from, to int
 	first    int32
 }
@@ -153,12 +167,13 @@ type countRegion struct {
 }
 
 // lowBlock is one lowered block: the source pc it starts at, the MATCH and
-// first outcome it is the block of (match -1: the entry or a branch target)
-// and its instructions.
+// first outcome it is the block of (match -1: the entry or a branch target),
+// the MATCH whose lookup it ends in (-1 for none) and its instructions, the
+// lookup's tests from instruction tests on.
 type lowBlock struct {
 	pc, match, oi int
 	outcomes      int // of the MATCH, that go to it
-	after         int // the source pc whose live-in set holds where it ends: its MATCH, its HALT, its failing instruction or the end
+	lookup, tests int
 	start, end    int
 }
 
@@ -199,13 +214,14 @@ func (lw *lowerer) konst(v int64) int { return lw.b.Const(v) }
 func (lw *lowerer) lower() error {
 	m, b := lw.m, lw.b
 	isa := m.isa
+	lw.lookups.b = b
 	lw.n = len(isa.Instrs)
 	e := &m.engine
-	outcomes := 0
+	keys := 0
 	for _, mt := range m.matchTables {
-		outcomes += len(mt.outcomes)
+		keys += len(mt.keys)
 	}
-	b.Reserve(2*m.layout.NumFields()+isa.NumRegs+48+sum(lw.cells), lw.n, outcomes)
+	b.Reserve(2*m.layout.NumFields()+isa.NumRegs+48+sum(lw.cells), lw.n+2*keys)
 	lw.buf = make([]step, 0, 32)
 	lw.code = make([]flat.Instr, 0, lw.n/2+16)
 	m.blocks = make([]lowBlock, 0, 2*len(m.matchTables)+2)
@@ -275,7 +291,7 @@ func (lw *lowerer) lower() error {
 	lw.todo = []blockReq{{match: -1}}
 	lw.lowered = make([]loweredBlock, 0, cap(m.blocks))
 	lw.regions = make([]countRegion, 0, cap(m.blocks)+4)
-	lw.conts, lw.sites, lw.same = map[int][]int{}, map[int]site{}, map[string]int{}
+	lw.conts, lw.sites, lw.same = map[int][]int{}, map[int]*site{}, map[string]int{}
 	// Blocks are lowered in the order of the source pc they start at: every
 	// jump goes to a block that starts later, so every jump goes forward.
 	for len(lw.todo) > 0 {
@@ -290,6 +306,16 @@ func (lw *lowerer) lower() error {
 		lw.block(req)
 	}
 	lw.counts()
+	// The branch targets at the end that only halt are left empty: a jump to
+	// one of them, or to the end from the block before them, is a jump to
+	// the next instruction.
+	for lw.tail = len(lw.lowered); lw.tail > 0; lw.tail-- {
+		lb := &lw.lowered[lw.tail-1]
+		if lw.m.blocks[lw.tail-1].match >= 0 || lb.to-lb.from != 1 || lw.code[lb.from].Op != flat.Jmp || lw.regions[lb.first].retire != 0 {
+			break
+		}
+	}
+	lw.lands = make([][]int, len(lw.lowered))
 	for i := range lw.lowered {
 		lw.emit(i)
 	}
@@ -345,9 +371,8 @@ func (lw *lowerer) effects(in *Instr, each func(v int, def bool)) {
 		for i := 0; i < lw.m.isa.NumParams; i++ {
 			reg(RegParam0 + i)
 		}
-		outcomes := lw.m.matchTables[in.Sym].outcomes
-		for _, o := range outcomes[:len(outcomes)-1] {
-			use(lw.slotVar[o.Reg])
+		for _, k := range lw.m.matchTables[in.Sym].keys {
+			use(lw.slotVar[k.slot])
 		}
 	case OpBZ, OpBNZ:
 		use(in.A)
@@ -422,15 +447,19 @@ func (lw *lowerer) dataflow() {
 // block lowers one block; emit appends it to the program once every block
 // is lowered and counts has placed the count additions.
 func (lw *lowerer) block(req blockReq) {
-	after := lw.n
+	after, oi := lw.n, 0
 	if req.match < 0 {
 		lw.begin(req.pc)
 		after = lw.walk(req.pc)
 	} else {
-		after = lw.outcome(req)
+		oi = req.outcomes[0]
+		after = lw.outcome(req.match, oi)
+		for _, o := range req.outcomes {
+			lw.sites[req.match].to[o] = len(lw.lowered)
+		}
 	}
 	lw.finish(after)
-	bl := loweredBlock{outcomes: req.outcomes, from: len(lw.code), first: int32(len(lw.regions))}
+	bl := loweredBlock{from: len(lw.code), first: int32(len(lw.regions))}
 	retire := int32(0)
 	for _, s := range lw.buf {
 		if retire += int32(s.retire); leaves(s.in.Op) {
@@ -446,23 +475,23 @@ func (lw *lowerer) block(req blockReq) {
 	}
 	bl.to = len(lw.code)
 	lw.lowered = append(lw.lowered, bl)
-	lw.m.blocks = append(lw.m.blocks, lowBlock{pc: req.pc, match: req.match, oi: req.oi, outcomes: len(req.outcomes), after: after})
+	lw.m.blocks = append(lw.m.blocks, lowBlock{pc: req.pc, match: req.match, oi: oi, outcomes: len(req.outcomes), lookup: -1})
 }
 
-// outcome walks the block that follows the MATCH at req.match when it
-// selects outcome req.oi, and returns the source pc whose live-in set holds
-// at its end.
-func (lw *lowerer) outcome(req blockReq) (after int) {
-	mt := &lw.m.matchTables[lw.m.isa.Instrs[req.match].Sym]
-	matched, sel, args, action := mt.outcome(req.oi)
-	lw.begin(req.match)
+// outcome walks the block that follows the MATCH at source pc match when it
+// selects outcome oi, and returns the source pc whose live-in set holds at
+// its end.
+func (lw *lowerer) outcome(match, oi int) (after int) {
+	mt := &lw.m.matchTables[lw.m.isa.Instrs[match].Sym]
+	matched, sel, args, action := mt.outcome(oi)
+	lw.begin(match)
 	if matched && sel == 0 {
 		lw.settleOutputs()
 		lw.push(lw.trap(fmt.Errorf("table %q selected action %q outside its dispatch list", mt.name, action)), 0)
 		return lw.n
 	}
 	// What the MATCH wrote, in its order, as constants the walk starts from.
-	lw.rename(lw.m.isa.Instrs[req.match].Dst, lw.konst(sel), -1)
+	lw.rename(lw.m.isa.Instrs[match].Dst, lw.konst(sel), -1)
 	for i := 0; i < lw.m.isa.NumParams; i++ {
 		v := int64(0)
 		if i < len(args) {
@@ -470,7 +499,7 @@ func (lw *lowerer) outcome(req blockReq) (after int) {
 		}
 		lw.rename(RegParam0+i, lw.konst(v), -1)
 	}
-	return lw.walk(req.pc)
+	return lw.walk(match + 1)
 }
 
 // begin starts a block at source pc: a variable written on some path to pc
@@ -717,7 +746,7 @@ func (lw *lowerer) walk(pc int) (after int) {
 		case OpMatch:
 			lw.settleAt(pc)
 			lw.site(pc)
-			lw.push(flat.Instr{Op: flat.Match, A: uint32(pc)}, 0)
+			lw.push(flat.Instr{Op: lookupOp, A: uint32(pc)}, 0)
 		case OpHalt:
 			lw.settleOutputs()
 			lw.push(flat.Instr{Op: flat.Jmp}, 0)
@@ -737,37 +766,55 @@ func (lw *lowerer) walk(pc int) (after int) {
 	return lw.n
 }
 
-// site makes the outcomes of the MATCH at source pc m, on first use, and
-// queues a block for each distinct one.
+// site counts a block that reaches the MATCH at source pc m and, on first
+// use, makes its lookup — a field some path to m has written is at its
+// home, every other one where it starts — and queues a block for each
+// distinct outcome.
 func (lw *lowerer) site(m int) {
-	if _, ok := lw.sites[m]; ok {
+	if st, ok := lw.sites[m]; ok {
+		st.blocks++
 		return
 	}
 	mt := &lw.m.matchTables[lw.m.isa.Instrs[m].Sym]
-	n := len(mt.outcomes)
-	for _, o := range mt.outcomes[:n-1] {
-		slot := int(o.Reg)
-		o.Reg = uint32(lw.m.engine.out[slot])
-		if v := lw.slotVar[slot]; v >= 0 && !has(lw.writtenIn(m), v) {
-			o.Reg = uint32(lw.initial[v])
+	st := &site{loc: slices.Clone(lw.m.engine.out), to: make([]int, len(mt.calls)), blocks: 1}
+	for slot, v := range lw.slotVar {
+		if v >= 0 && !has(lw.writtenIn(m), v) {
+			st.loc[slot] = lw.initial[v]
 		}
-		lw.b.Outcomes(o)
 	}
-	first := lw.b.Outcomes(flat.Outcome{Reg: uint32(lw.zero)}) - (n - 1)
-	lw.sites[m] = site{first, n}
+	lw.sites[m] = st
 	// A block is a function of what its MATCH wrote, so the entries that
 	// select one action with the same arguments — most of a large table —
-	// share one block.
+	// share one block. The block of the last entry the lookup tests is laid
+	// out first, so that test falls into it from the site laid out last
+	// before the blocks, and the miss's block last, before the next MATCH's.
+	keys := make([]string, len(mt.calls))
+	for oi := range keys {
+		keys[oi] = outcomeKey(mt, oi)
+	}
 	clear(lw.same)
-	for oi := 0; oi < n; oi++ {
-		key := outcomeKey(mt, oi)
-		i, ok := lw.same[key]
-		if !ok {
-			i = len(lw.todo)
-			lw.same[key] = i
-			lw.todo = append(lw.todo, blockReq{pc: m + 1, match: m, oi: oi})
+	queue := func(key string) {
+		if _, ok := lw.same[key]; !ok {
+			lw.same[key] = len(lw.todo)
+			lw.todo = append(lw.todo, blockReq{pc: m + 1, match: m})
 		}
-		lw.todo[i].outcomes = append(lw.todo[i].outcomes, first+oi)
+	}
+	miss := keys[len(keys)-1]
+	for oi := len(keys) - 2; oi >= 0; oi-- {
+		if keys[oi] != miss {
+			queue(keys[oi])
+			break
+		}
+	}
+	for _, key := range keys {
+		if key != miss {
+			queue(key)
+		}
+	}
+	queue(miss)
+	for oi, key := range keys {
+		i := lw.same[key]
+		lw.todo[i].outcomes = append(lw.todo[i].outcomes, oi)
 	}
 }
 
@@ -824,7 +871,7 @@ func (lw *lowerer) step(s *step, live []uint64) (dead bool) {
 	case flat.Store:
 		use(in.B)
 		use(in.C)
-	case flat.Match, flat.Trap, flat.Jmp:
+	case lookupOp, flat.Trap, flat.Jmp:
 	default:
 		if v := lw.varOf(in.A); v >= 0 {
 			if !has(live, v) {
@@ -848,7 +895,7 @@ func (lw *lowerer) step(s *step, live []uint64) (dead bool) {
 // leaves reports whether control can leave a block at an instruction of op.
 func leaves(op flat.Op) bool {
 	switch op {
-	case flat.Jz, flat.Jnz, flat.Match, flat.Trap, flat.Jmp:
+	case flat.Jz, flat.Jnz, lookupOp, flat.Trap, flat.Jmp:
 		return true
 	}
 	return false
@@ -859,7 +906,7 @@ func leaves(op flat.Op) bool {
 // exactly where the packet ends, at the jump to the end or a trap, and
 // ahead by one amount on every path into a block. A block whose
 // predecessors all add, before they leave, what every one of its
-// neighbours — the blocks a Match or a branch leads to along with it — would
+// neighbours — the blocks a lookup or a branch leads to along with it — would
 // add on its way to the next such point has its additions hoisted into
 // theirs, and adds nothing itself; the entry block, which nothing precedes,
 // is never ahead. It leaves in each region's retire the addition before the
@@ -882,7 +929,7 @@ func (lw *lowerer) counts() {
 		}
 		return lw.lowered[i].first
 	}
-	// The regions one Match or branch leads to are a class.
+	// The regions one lookup or branch leads to are a class.
 	for i, bl := range lw.lowered {
 		if m := blocks[i].match; m >= 0 {
 			regions[bl.first].class = find(first(m+1, m))
@@ -894,7 +941,7 @@ func (lw *lowerer) counts() {
 		case flat.Jz, flat.Jnz:
 			regions[r].next = r + 1
 			regions[find(first(int(in.A), -1))].class = find(r + 1)
-		case flat.Match:
+		case lookupOp:
 			regions[r].next = first(int(in.A)+1, int(in.A))
 		}
 		if leaves(in.Op) {
@@ -927,14 +974,17 @@ func (lw *lowerer) counts() {
 }
 
 // emit appends block i to the program, the count additions counts placed
-// before the instructions at which control can leave it.
+// before the instructions at which control can leave it. A lookup falls
+// into block i+1 where it can, but one that tests nothing and is not its
+// MATCH's only site jumps there: the first instruction every packet of a
+// lookup runs is its own, for the lookup counts (matchCounts).
 func (lw *lowerer) emit(i int) {
 	b, e, bl, lb := lw.b, &lw.m.engine, &lw.m.blocks[i], &lw.lowered[i]
 	bl.start = b.Len()
 	if bl.match < 0 {
 		b.Land(lw.conts[bl.pc]...)
 	} else {
-		b.LandOutcome(lb.outcomes...)
+		b.Land(lw.lands[i]...)
 	}
 	r := lb.first
 	for _, in := range lw.code[lb.from:lb.to] {
@@ -948,10 +998,20 @@ func (lw *lowerer) emit(i int) {
 		case flat.Jz, flat.Jnz:
 			lw.conts[int(in.A)] = append(lw.conts[int(in.A)], b.Jump(in.Op, int(in.B)))
 		case flat.Jmp:
-			lw.ends = append(lw.ends, b.Jump(flat.Jmp, 0))
-		case flat.Match:
-			st := lw.sites[int(in.A)]
-			e.matches = append(e.matches, match{instr: b.Match(st.first, st.n), table: lw.m.isa.Instrs[in.A].Sym})
+			if i < lw.tail-1 {
+				lw.ends = append(lw.ends, b.Jump(flat.Jmp, 0))
+			}
+		case lookupOp:
+			st, table := lw.sites[int(in.A)], lw.m.isa.Instrs[in.A].Sym
+			next, miss := i+1, st.to[len(st.to)-1]
+			if st.blocks > 1 && !slices.ContainsFunc(st.to, func(t int) bool { return t != miss }) {
+				next = -1
+			}
+			bl.lookup, bl.tests = int(in.A), b.Len()
+			e.matches = append(e.matches, match{instr: b.Len(), table: table})
+			for _, j := range lw.lookups.emit(lw.m.matchTables[table].keys, st.loc, st.to, next) {
+				lw.lands[j.target] = append(lw.lands[j.target], j.instr)
+			}
 		case flat.Load:
 			b.Load(int(in.A), int(in.B), int(in.C))
 		case flat.Store:

@@ -8,15 +8,16 @@
 // lower.go, the table-level machine here. flat.Program.Run is the one
 // interpreter, and the differential fuzzer links the two programs into one.
 //
-// The table-level machine lowers to one Match per table in control order,
-// over the table's entries and then its default or miss, and one block per
-// distinct bound action: entry and default action arguments are literals, so
-// every parameter operand is a constant register and nothing is bound at run
-// time. Like the ISA program, it reads the packet from input registers it
-// never writes and keeps a field some table writes in an output register of
-// its own, so the fuzzer's link reads the ISA side's input registers in
-// place. (The name-resolving interpreters these programs replaced are the
-// test oracle in reference_test.go.)
+// The table-level machine lowers to one lookup per table in control order —
+// a test per entry, in entry order, the first hit going to its action's
+// block and a packet no entry hits to the default's (lookups.emit) — and
+// one block per distinct bound action: entry and default action arguments
+// are literals, so every parameter operand is a constant register and
+// nothing is bound at run time. Like the ISA program, it reads the packet
+// from input registers it never writes and keeps a field some table writes
+// in an output register of its own, so the fuzzer's link reads the ISA
+// side's input registers in place. (The name-resolving interpreters these
+// programs replaced are the test oracle in reference_test.go.)
 package drmt
 
 import (
@@ -150,8 +151,8 @@ func (l *SlotLayout) SlotsToPacket(vals []int64, dropped bool, p *Packet) {
 // order from register in, which the program never writes, where each
 // field's value is at the end (out: the input register of a field the
 // program never writes, an output register of its own for the others), the
-// drop flag, the register banks, and the Match instructions with the table
-// each consults.
+// drop flag, the register banks, and the lookups with the table each
+// consults.
 type engine struct {
 	code    *flat.Program
 	frame   []int64
@@ -168,8 +169,9 @@ type engine struct {
 	counters int
 }
 
-// match is a Match instruction of a lowered program and the table it
-// consults (a layout table slot, or an ISA table symbol).
+// match is a lookup of a lowered program — the instruction every packet that
+// takes it runs first and no other packet runs — and the table it consults
+// (a layout table slot, or an ISA table symbol).
 type match struct{ instr, table int }
 
 // exec runs p — the code or its counting clone — on one slot-vector packet
@@ -230,7 +232,7 @@ func (e *engine) matchCounts(tables int) []int {
 
 // lowerTables lowers the table-level machine — the program's control
 // sequence applied to its table entries — to a flat program: per table a
-// Match over its outcomes (tableOutcomes), then one block per distinct
+// lookup over its entries (tableOutcomes), then one block per distinct
 // action call, its arguments constant registers. The first matching entry
 // wins, and a drop finishes its action, then skips every later table.
 //
@@ -247,12 +249,12 @@ func (e *engine) matchCounts(tables int) []int {
 func lowerTables(prog *p4.Program, entries *EntrySet, layout *SlotLayout) (engine, error) {
 	b := flat.NewBuilder(width)
 	n := layout.NumFields()
-	b.Reserve(2*n+8+sum(layout.regCount), 8*len(prog.Control), len(prog.Control)+entries.Len())
+	b.Reserve(2*n+8+sum(layout.regCount), 8*len(prog.Control)+entries.Len())
 	e := engine{out: make([]int, n)}
 	for slot, name := range layout.fields {
 		e.out[slot] = b.Reg(name, 0) // the input registers, from e.in = 0
 	}
-	tl := &tableLowerer{prog: prog, entries: entries, layout: layout, b: b, e: &e, written: tablesWrite(prog, entries, layout), loc: make([]int, n)}
+	tl := &tableLowerer{prog: prog, entries: entries, layout: layout, b: b, e: &e, written: tablesWrite(prog, entries, layout), loc: make([]int, n), lookups: lookups{b: b}}
 	for slot, name := range layout.fields {
 		if tl.written[len(prog.Control)][slot] {
 			e.out[slot] = b.Reg(name+"'", 0)
@@ -277,6 +279,9 @@ func lowerTables(prog *p4.Program, entries *EntrySet, layout *SlotLayout) (engin
 		e.dropped = tl.dropped
 		b.Op(flat.Mov, tl.dropped, b.Const(0), 0) // a packet that gets here is not dropped
 	}
+	if n := len(e.matches); n > 0 && e.matches[n-1].instr == b.Len() {
+		b.Land(b.Jump(flat.Jmp, 0)) // the last lookup tests nothing: its count needs an instruction
+	}
 	b.Land(tl.ends...)
 	code, err := b.Build()
 	if err != nil {
@@ -288,7 +293,7 @@ func lowerTables(prog *p4.Program, entries *EntrySet, layout *SlotLayout) (engin
 
 // tablesWrite returns, for every application of the control sequence and
 // for its end, the fields some table applied before it can write: what an
-// action an outcome of the table's Match (tableOutcomes) selects writes.
+// action an entry or the default of the table selects writes.
 func tablesWrite(prog *p4.Program, entries *EntrySet, layout *SlotLayout) [][]bool {
 	n := layout.NumFields()
 	written := make([][]bool, len(prog.Control)+1)
@@ -338,6 +343,7 @@ type tableLowerer struct {
 	ends       []int    // jumps to the end: the drops
 	written    [][]bool // tablesWrite
 	loc        []int    // layout slot -> the register its value is at
+	lookups    lookups  // emits the tables' lookups
 }
 
 // enter starts a path at the k-th application: a field some table before
@@ -362,82 +368,101 @@ func (tl *tableLowerer) settle(k int) {
 	}
 }
 
-// table emits the k-th table application: its Match, then a block per
-// distinct action call its outcomes select, and the moves into output
-// registers of the outcomes that go on to the next table without one. A
-// call without effect needs no block; nor does the miss.
+// table emits the k-th table application: its lookup, then a block per
+// distinct action call its entries and default select, and the moves into
+// output registers of the packets that go on to the next table without one.
+// A call without effect needs no block; nor does the miss.
 func (tl *tableLowerer) table(t *p4.Table, k int) error {
 	b := tl.b
 	tl.enter(k)
-	outcomes, calls := tableOutcomes(t, tl.entries, tl.layout)
-	for i := range outcomes[:len(outcomes)-1] {
-		outcomes[i].Reg = uint32(tl.loc[outcomes[i].Reg])
-	}
-	first := b.Outcomes(outcomes...)
-	tl.e.matches = append(tl.e.matches, match{b.Match(first, len(outcomes)), tl.layout.tableIdx[t.Name]})
+	keys, calls := tableOutcomes(t, tl.entries, tl.layout)
 	fail := func(i int, err error) error {
 		if i == len(calls)-1 && t.Default != nil {
 			return fmt.Errorf("drmt: table %q default: %w", t.Name, err)
 		}
 		return fmt.Errorf("drmt: table %q: %w", t.Name, err)
 	}
-	var blocks [][]int               // the outcomes of each distinct call with an effect
-	var next []int                   // the outcomes that go on to the next table without a block
-	block := make([]int, len(calls)) // outcome -> its block, -1 for none
+	var blocks []*p4.ActionCall   // each distinct call with an effect
+	to := make([]int, len(calls)) // entry or default -> its block, len(blocks) for none
+	through := false              // whether some entry or the default goes on without a block
 	for i, call := range calls {
-		block[i] = -1
+		to[i] = -1
 		if j := slices.IndexFunc(calls[:i], func(c *p4.ActionCall) bool {
 			return c != nil && call != nil && c.Name == call.Name && slices.Equal(c.Args, call.Args)
 		}); j >= 0 {
-			if block[i] = block[j]; block[i] >= 0 {
-				blocks[block[i]] = append(blocks[block[i]], i)
-			} else {
-				next = append(next, first+i)
+			to[i] = to[j]
+		} else if call != nil {
+			act := tl.prog.Action(call.Name)
+			switch {
+			case act == nil:
+				return fail(i, fmt.Errorf("unknown action %q", call.Name))
+			case len(call.Args) != len(act.Params):
+				return fail(i, fmt.Errorf("action %q takes %d args, got %d", call.Name, len(act.Params), len(call.Args)))
+			case slices.ContainsFunc(act.Prims, func(pr p4.Primitive) bool { return pr.Op != p4.PrimNoOp }):
+				to[i] = len(blocks)
+				blocks = append(blocks, call)
 			}
-			continue
 		}
-		if call == nil {
-			next = append(next, first+i)
-			continue
-		}
-		act := tl.prog.Action(call.Name)
-		switch {
-		case act == nil:
-			return fail(i, fmt.Errorf("unknown action %q", call.Name))
-		case len(call.Args) != len(act.Params):
-			return fail(i, fmt.Errorf("action %q takes %d args, got %d", call.Name, len(act.Params), len(call.Args)))
-		case slices.ContainsFunc(act.Prims, func(pr p4.Primitive) bool { return pr.Op != p4.PrimNoOp }):
-			block[i] = len(blocks)
-			blocks = append(blocks, []int{i})
-		default:
-			next = append(next, first+i)
+		through = through || to[i] < 0
+	}
+	for i := range to {
+		if to[i] < 0 {
+			to[i] = len(blocks)
 		}
 	}
-	// The outcomes without a block need one of moves when the table writes
-	// a field no table before it can.
-	moves := len(next) > 0 && !slices.Equal(tl.written[k], tl.written[k+1])
-	var done []int // jumps to the next table
-	for i, ks := range blocks {
-		for _, o := range ks {
-			b.LandOutcome(first + o)
+	// The blocks in layout order: the last tested entry's first, so that
+	// test falls into it, and the miss's last, so it falls into the next
+	// table, which follows the tests when there is no block.
+	var order []int
+	miss := to[len(keys)]
+	for i := len(keys) - 1; i >= 0; i-- {
+		if to[i] != miss {
+			order = append(order, to[i])
+			break
 		}
+	}
+	for i := range blocks {
+		if !slices.Contains(order, i) && i != miss {
+			order = append(order, i)
+		}
+	}
+	order = slices.DeleteFunc(append(order, miss), func(i int) bool { return i == len(blocks) })
+	first := len(blocks)
+	if len(order) > 0 {
+		first = order[0]
+	}
+	tl.e.matches = append(tl.e.matches, match{b.Len(), tl.layout.tableIdx[t.Name]})
+	jumps := tl.lookups.emit(keys, tl.loc, to, first)
+	land := func(target int) {
+		for _, j := range jumps {
+			if j.target == target {
+				b.Land(j.instr)
+			}
+		}
+	}
+	// The packets without a block need moves when the table writes a field
+	// no table before it can.
+	moves := through && !slices.Equal(tl.written[k], tl.written[k+1])
+	var done []int // jumps to the next table
+	for n, i := range order {
+		land(i)
 		tl.enter(k)
-		drops, err := tl.action(calls[ks[0]])
+		drops, err := tl.action(blocks[i])
 		switch {
 		case err != nil:
-			return fail(ks[0], err)
+			return fail(slices.Index(to, i), err)
 		case drops:
 			tl.e.canDrop = true
 			tl.settle(len(tl.written) - 1)
 			tl.ends = append(tl.ends, b.Jump(flat.Jmp, 0))
 		default:
 			tl.settle(k + 1)
-			if i < len(blocks)-1 || moves { // the last block falls through
+			if n < len(order)-1 || moves { // the last block falls through
 				done = append(done, b.Jump(flat.Jmp, 0))
 			}
 		}
 	}
-	b.LandOutcome(next...)
+	land(len(blocks))
 	if moves {
 		tl.enter(k)
 		tl.settle(k + 1)
@@ -564,24 +589,85 @@ func (tl *tableLowerer) action(call *p4.ActionCall) (drops bool, err error) {
 	return drops, nil
 }
 
-// tableOutcomes resolves a table's entries on program fields, then its
-// default or the miss, into the outcomes of its Match — an entry's key
-// pre-masked, Reg its field's layout slot until a lowering puts a register
-// there, the last outcome matching every packet — and the action call each
-// selects (nil: the miss).
-func tableOutcomes(t *p4.Table, entries *EntrySet, layout *SlotLayout) ([]flat.Outcome, []*p4.ActionCall) {
-	var outcomes []flat.Outcome
+// entryKey is a table entry's test: a packet hits it when its field in
+// layout slot slot, under mask, equals key (pre-masked; mask -1: exact).
+type entryKey struct {
+	slot      int
+	mask, key int64
+}
+
+// tableOutcomes resolves a table's entries on program fields into their
+// keys, and returns the action call each entry selects followed by the
+// table's default (nil: the miss), which a packet no entry hits selects.
+func tableOutcomes(t *p4.Table, entries *EntrySet, layout *SlotLayout) ([]entryKey, []*p4.ActionCall) {
+	var keys []entryKey
 	var calls []*p4.ActionCall
 	for _, e := range entries.ForTable(t.Name) {
 		slot, ok := layout.fieldIdx[e.Field]
 		if !ok {
 			continue // a non-program field never matches a slot packet
 		}
-		o := flat.Outcome{Reg: uint32(slot), Mask: -1, Key: e.Key}
+		k := entryKey{slot: slot, mask: -1, key: e.Key}
 		if e.Kind == p4.MatchTernary {
-			o.Mask, o.Key = e.Mask, e.Key&e.Mask
+			k.mask, k.key = e.Mask, e.Key&e.Mask
 		}
-		outcomes, calls = append(outcomes, o), append(calls, &e.Action)
+		keys, calls = append(keys, k), append(calls, &e.Action)
 	}
-	return append(outcomes, flat.Outcome{}), append(calls, t.Default)
+	return keys, append(calls, t.Default)
+}
+
+// lookups appends table lookups to a program, keeping the registers masked
+// keys are tested in (made as needed) and the scratch of the last lookup.
+type lookups struct {
+	b      *flat.Builder
+	temps  []int
+	masked []entryKey // the masks in the temps in the last lookup, key unused
+	jumps  []jump
+}
+
+// jump is a branch of a lookup, to be landed where its target starts.
+type jump struct{ target, instr int }
+
+// emit appends the tests of a table lookup over keys, with the field of slot
+// s at register loc[s], and returns its jumps: a packet goes to target to[i]
+// for the first entry i whose key it hits, and to to[len(keys)] when it hits
+// none. An entry's test is a branch against its key's constant register, on
+// the field itself for an exact key and after one And per distinct mask for
+// a masked one; the entries after which every packet goes where a miss goes
+// are not tested. Target next (-1: none) starts right after the tests, so
+// the last test branches away from it when it is that test's target and the
+// miss falls into it when it is the miss's. The jumps are valid until the
+// next lookup.
+func (lk *lookups) emit(keys []entryKey, loc []int, to []int, next int) []jump {
+	b := lk.b
+	lk.masked, lk.jumps = lk.masked[:0], lk.jumps[:0]
+	miss := to[len(keys)]
+	n := len(keys)
+	for n > 0 && to[n-1] == miss {
+		n--
+	}
+	for i, k := range keys[:n] {
+		x := loc[k.slot]
+		if k.mask != -1 {
+			t := slices.Index(lk.masked, entryKey{slot: k.slot, mask: k.mask})
+			if t < 0 {
+				t = len(lk.masked)
+				lk.masked = append(lk.masked, entryKey{slot: k.slot, mask: k.mask})
+				if t == len(lk.temps) {
+					lk.temps = append(lk.temps, b.Reg(fmt.Sprintf("key%d", t), 0))
+				}
+				b.Op(flat.And, lk.temps[t], x, b.Const(k.mask))
+			}
+			x = lk.temps[t]
+		}
+		op, target := flat.Jeq, to[i]
+		if i == n-1 && target == next {
+			op, target = flat.Jne, miss
+		}
+		lk.jumps = append(lk.jumps, jump{target, b.Branch(op, x, b.Const(k.key))})
+	}
+	if miss != next && (n == 0 || to[n-1] != next) {
+		lk.jumps = append(lk.jumps, jump{miss, b.Jump(flat.Jmp, 0)})
+	}
+	return lk.jumps
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -583,6 +584,31 @@ func TestCoordinatorRestartRecovery(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("recovered campaign never marked done in the journal")
 		}
+	}
+}
+
+// TestLoadRowsReportsReadErrors: the journaled rows come back as written,
+// a last row without its newline included, and a rows file that cannot be
+// read — here a directory, whose read fails with EISDIR — is an error: it
+// used to load as zero rows, and the coordinator replayed a done campaign
+// as an empty stream.
+func TestLoadRowsReportsReadErrors(t *testing.T) {
+	j, err := NewJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(j.rowsPath("ok"), []byte("{\"a\":1}\n\n  {\"b\":2}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := j.LoadRows("ok")
+	if got := fmt.Sprintf("%q", rows); err != nil || got != `["{\"a\":1}" "{\"b\":2}"]` {
+		t.Fatalf("LoadRows = %s, %v", got, err)
+	}
+	if err := os.Mkdir(j.rowsPath("dir"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := j.LoadRows("dir"); err == nil {
+		t.Fatalf("LoadRows of an unreadable rows file = %d rows, nil error", len(rows))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,7 +121,8 @@ func (j *Journal) LoadRequest(id string) (*farmd.MatrixRequest, bool, error) {
 	return &req, true, nil
 }
 
-// LoadRows reads a campaign's journaled rows.
+// LoadRows reads a campaign's journaled rows. A read that fails before the
+// end of the file is an error, not a shorter stream.
 func (j *Journal) LoadRows(id string) ([][]byte, error) {
 	f, err := os.Open(j.rowsPath(id))
 	if err != nil {
@@ -134,8 +136,11 @@ func (j *Journal) LoadRows(id string) ([][]byte, error) {
 		if trimmed := bytes.TrimSpace(line); len(trimmed) > 0 {
 			rows = append(rows, append([]byte{}, trimmed...))
 		}
-		if err != nil {
+		if err == io.EOF {
 			return rows, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("fabric: journal %s: %w", id, err)
 		}
 	}
 }

@@ -10,7 +10,7 @@
 // on one frame.
 //
 // A Builder hands out registers and appends instructions; Build and Link
-// check every register index, jump target, bank and outcome once, so Run has
+// check every register index, jump target and bank once, so Run has
 // no error path, cannot loop and allocates nothing. Every instruction is one
 // of the opcodes below: a program calls nothing outside itself. Jumps
 // only go forward. A Trap instruction is how a lowered program that can fail
@@ -19,8 +19,8 @@
 // inspects after Run.
 //
 // Sym (sym.go) runs a program once over a frame of bit-vectors (package bv)
-// instead of values, in one pass in program order: every branch, Match test
-// and Trap splits the path on a decision, joins merge frames by ITEs on the
+// instead of values, in one pass in program order: every branch and Trap
+// splits the path on a decision, joins merge frames by ITEs on the
 // decision that split them, a bank access is an ITE over the cells, and the
 // arithmetic is Run's. On constants it folds to what Run computes; over free
 // variables a question about every frame the program can start from — two
@@ -72,22 +72,20 @@ const (
 	Store     // cell r[B] of bank A = r[C]
 	StoreMask //
 
-	// Match scans outcomes A to A+B-1 and continues at the Target of the
-	// first whose r[Reg]&Mask == Key; the last of them matches every frame.
-	Match
+	Jeq // if r[B] == r[C] continue at instruction A
+	Jne // if r[B] != r[C] continue at instruction A
 )
 
 // ops names every opcode and says what its fields are, in the order the
 // disassembly prints them: a field letter then w (register written), r
-// (register read), j (jump target), b (bank index), o (outcome index) or i
-// (immediate).
+// (register read), j (jump target), b (bank index) or i (immediate).
 var ops = [...]struct{ name, fields string }{
 	Add: {"add", "AwBrCr"}, Sub: {"sub", "AwBrCr"}, Mul: {"mul", "AwBrCr"}, Div: {"div", "AwBrCr"}, Mod: {"mod", "AwBrCr"},
 	Eq: {"eq", "AwBrCr"}, Ne: {"ne", "AwBrCr"}, Lt: {"lt", "AwBrCr"}, Gt: {"gt", "AwBrCr"}, Le: {"le", "AwBrCr"}, Ge: {"ge", "AwBrCr"},
 	Neg: {"neg", "AwBr"}, Not: {"not", "AwBr"}, Bool: {"bool", "AwBr"}, Mov: {"mov", "AwBr"},
 	Jz: {"jz", "BrAj"}, Jnz: {"jnz", "BrAj"}, Jmp: {"jmp", "Aj"}, Trap: {"trap", "AwBrCi"},
 	And: {"and", "AwBrCr"}, Load: {"load", "AwBbCr"}, LoadMask: {"load", "AwBbCr"}, Store: {"store", "AbBrCr"}, StoreMask: {"store", "AbBrCr"},
-	Match: {"match", "AoBi"},
+	Jeq: {"jeq", "BrCrAj"}, Jne: {"jne", "BrCrAj"},
 }
 
 // field returns the field of in that letter names.
@@ -102,17 +100,10 @@ func (in Instr) setField(letter byte, v uint32) Instr {
 }
 
 // Instr is one instruction; which of A, B, C are registers, an instruction
-// index, a bank or outcome index or an immediate is the opcode's business
-// (see Op).
+// index, a bank index or an immediate is the opcode's business (see Op).
 type Instr struct {
 	Op      Op
 	A, B, C uint32
-}
-
-// Outcome is one way a Match can go: to Target when r[Reg]&Mask == Key.
-type Outcome struct {
-	Mask, Key   int64
-	Reg, Target uint32
 }
 
 // bank is a run of consecutive registers that Load and Store index.
@@ -126,15 +117,14 @@ type bank struct {
 // frame. It is immutable and safe for concurrent use; every runner owns a
 // frame (NewFrame).
 type Program struct {
-	w        phv.Width
-	code     []Instr
-	init     []int64 // initial frame: constants, state initial values, zeros
-	names    []named // the registers the builder named, in register order
-	fixed    []bool  // constant registers, which no instruction may write
-	banks    []bank
-	outcomes []Outcome
-	runs     []run       // registers named after their place in a run
-	parts    [2]*Program // a linked program's a and b, whose names its registers keep (names is nil)
+	w     phv.Width
+	code  []Instr
+	init  []int64 // initial frame: constants, state initial values, zeros
+	names []named // the registers the builder named, in register order
+	fixed []bool  // constant registers, which no instruction may write
+	banks []bank
+	runs  []run       // registers named after their place in a run
+	parts [2]*Program // a linked program's a and b, whose names its registers keep (names is nil)
 }
 
 // named is a register and the name the builder gave it.
@@ -261,12 +251,13 @@ func (p *Program) Run(r []int64) {
 		case StoreMask:
 			b := &p.banks[in.A]
 			r[b.first+int(r[in.B]&int64(b.cells-1))] = r[in.C] & b.mask
-		case Match:
-			for k := in.A; ; k++ {
-				if o := &p.outcomes[k]; r[o.Reg]&o.Mask == o.Key {
-					pc = int(o.Target) - 1
-					break
-				}
+		case Jeq:
+			if r[in.B] == r[in.C] {
+				pc = int(in.A) - 1
+			}
+		case Jne:
+			if r[in.B] != r[in.C] {
+				pc = int(in.A) - 1
 			}
 		}
 	}
@@ -297,13 +288,12 @@ func (p *Program) Mutate(edit func(code []Instr) []Instr) (*Program, error) {
 func (p *Program) Counting() (counting *Program, first int) {
 	first = len(p.init)
 	q := &Program{
-		w:        p.w,
-		code:     make([]Instr, 0, 2*len(p.code)),
-		init:     slices.Concat(p.init, make([]int64, len(p.code)), []int64{1}),
-		fixed:    slices.Concat(p.fixed, make([]bool, len(p.code)), []bool{true}),
-		runs:     p.runs,
-		banks:    p.banks,
-		outcomes: slices.Clone(p.outcomes),
+		w:     p.w,
+		code:  make([]Instr, 0, 2*len(p.code)),
+		init:  slices.Concat(p.init, make([]int64, len(p.code)), []int64{1}),
+		fixed: slices.Concat(p.fixed, make([]bool, len(p.code)), []bool{true}),
+		runs:  p.runs,
+		banks: p.banks,
 	}
 	if q.names = p.names; p.parts[0] != nil {
 		for r := range p.init {
@@ -322,20 +312,17 @@ func (p *Program) Counting() (counting *Program, first int) {
 		}
 		q.code = append(q.code, in)
 	}
-	for k := range q.outcomes {
-		q.outcomes[k].Target *= 2
-	}
 	return q, first
 }
 
 // Link returns one program that runs a and then b on one frame. a keeps its
-// registers, instructions, banks and outcomes; b's registers follow a's, so b
+// registers, instructions and banks; b's registers follow a's, so b
 // never writes one of a's. bind maps registers of b to registers of a holding
 // their values: one b only reads is renamed to a's register, and one b writes
 // gets its own, set from a's by a mov at b's start unless b cannot see the
-// value (setsFirst). A bank cell cannot be bound. regs[r] is where b's register r lives in the linked frame. A Trap
-// in a stops the program before b. a and b must be programs Build, Mutate or
-// Link returned without error.
+// value (setsFirst). A bank cell cannot be bound. regs[r] is where b's
+// register r lives in the linked frame. A Trap in a stops the program before
+// b. a and b must be programs Build, Mutate or Link returned without error.
 func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err error) {
 	if a.w != b.w {
 		return nil, nil, fmt.Errorf("flat: link of a %d-bit program after a %d-bit one", b.w.Bits(), a.w.Bits())
@@ -346,13 +333,12 @@ func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err err
 		b.access(in, func(r int, write bool) { writes[r] = writes[r] || write })
 	}
 	p := &Program{
-		w:        a.w,
-		code:     append(make([]Instr, 0, len(a.code)+len(bind)+len(b.code)), a.code...),
-		init:     slices.Concat(a.init, b.init),
-		fixed:    slices.Concat(a.fixed, b.fixed),
-		banks:    append(make([]bank, 0, len(a.banks)+len(b.banks)), a.banks...),
-		outcomes: append(make([]Outcome, 0, len(a.outcomes)+len(b.outcomes)), a.outcomes...),
-		parts:    [2]*Program{a, b},
+		w:     a.w,
+		code:  append(make([]Instr, 0, len(a.code)+len(bind)+len(b.code)), a.code...),
+		init:  slices.Concat(a.init, b.init),
+		fixed: slices.Concat(a.fixed, b.fixed),
+		banks: append(make([]bank, 0, len(a.banks)+len(b.banks)), a.banks...),
+		parts: [2]*Program{a, b},
 	}
 	regs = make([]int, len(b.init))
 	bound := 0
@@ -380,10 +366,6 @@ func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err err
 		p.banks = append(p.banks, bk)
 	}
 	start := uint32(len(p.code))
-	for _, o := range b.outcomes {
-		o.Reg, o.Target = uint32(regs[o.Reg]), o.Target+start
-		p.outcomes = append(p.outcomes, o)
-	}
 	for _, in := range b.code {
 		for f := ops[in.Op].fields; f != ""; f = f[2:] {
 			switch v := in.field(f[0]); f[1] {
@@ -393,8 +375,6 @@ func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err err
 				in = in.setField(f[0], v+start)
 			case 'b':
 				in = in.setField(f[0], v+uint32(len(a.banks)))
-			case 'o':
-				in = in.setField(f[0], v+uint32(len(a.outcomes)))
 			}
 		}
 		p.code = append(p.code, in)
@@ -403,8 +383,8 @@ func Link(a, b *Program, bind map[int]int) (linked *Program, regs []int, err err
 }
 
 // access calls each with every register a checked instruction reads or
-// writes: its register operands, the cells of the bank it loads or stores
-// (a store writes one of them) and the registers its outcomes test.
+// writes: its register operands and the cells of the bank it loads or stores
+// (a store writes one of them).
 func (p *Program) access(in Instr, each func(r int, write bool)) {
 	for f := ops[in.Op].fields; f != ""; f = f[2:] {
 		if f[1] == 'w' || f[1] == 'r' {
@@ -420,10 +400,6 @@ func (p *Program) access(in Instr, each func(r int, write bool)) {
 		bk := p.banks[bank]
 		for c := bk.first; c < bk.first+bk.cells; c++ {
 			each(c, in.Op >= Store)
-		}
-	case Match:
-		for _, o := range p.outcomes[in.A : in.A+in.B] {
-			each(int(o.Reg), false)
 		}
 	}
 }
@@ -461,15 +437,11 @@ func (p *Program) setsFirst(r int) bool {
 		}
 		written = written || writes && in.Op != Trap // a Trap writes only as it leaves
 		switch in.Op {
-		case Jz, Jnz:
+		case Jz, Jnz, Jeq, Jne:
 			set[in.A] = set[in.A] && written
 			set[pc+1] = set[pc+1] && written
 		case Jmp:
 			set[in.A] = set[in.A] && written
-		case Match:
-			for _, o := range p.outcomes[in.A : in.A+in.B] {
-				set[o.Target] = set[o.Target] && written
-			}
 		default:
 			set[pc+1] = set[pc+1] && written
 		}
@@ -508,38 +480,11 @@ func (p *Program) check() error {
 				if v >= len(p.banks) {
 					what = "bank"
 				}
-			case 'o':
-				if in.B == 0 || v+int(in.B) > len(p.outcomes) {
-					what = "outcome"
-				}
 			}
 			if what != "" {
 				return fmt.Errorf("flat: instruction %d (%s): %s %d out of range", pc, ops[in.Op].name, what, v)
 			}
 		}
-		if in.Op == Match {
-			if err := p.checkOutcomes(pc, p.outcomes[in.A:in.A+in.B]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// checkOutcomes checks the outcomes of the Match at pc: registers in the
-// frame, targets ahead of it, and a last one that every frame matches, which
-// ends the scan.
-func (p *Program) checkOutcomes(pc int, outcomes []Outcome) error {
-	for k, o := range outcomes {
-		switch {
-		case int(o.Reg) >= len(p.init):
-			return fmt.Errorf("flat: instruction %d (match): outcome %d tests register %d out of range", pc, k, o.Reg)
-		case int(o.Target) <= pc || int(o.Target) > len(p.code):
-			return fmt.Errorf("flat: instruction %d (match): outcome %d: jump target %d out of range", pc, k, o.Target)
-		}
-	}
-	if last := outcomes[len(outcomes)-1]; last.Mask != 0 || last.Key != 0 {
-		return fmt.Errorf("flat: instruction %d (match): the last outcome does not match every frame", pc)
 	}
 	return nil
 }
@@ -556,7 +501,7 @@ func (p *Program) String() string {
 	}
 	for pc, in := range p.code {
 		fmt.Fprintf(&b, "%3d  %-4s", pc, ops[in.Op].name)
-		if in.Op >= Load {
+		if in.Op >= Load && in.Op <= StoreMask {
 			b.WriteString(p.access1(in))
 			b.WriteByte('\n')
 			continue
@@ -577,9 +522,8 @@ func (p *Program) String() string {
 	return b.String()
 }
 
-// access1 renders the operands of a bank access or a Match: the cell as
-// bank[index], wrapped by %cells or &mask, and every outcome as its test and
-// its target.
+// access1 renders the operands of a bank access, the cell as bank[index],
+// wrapped by %cells or &mask.
 func (p *Program) access1(in Instr) string {
 	cell := func(bank, idx uint32) string {
 		bk := p.banks[bank]
@@ -588,24 +532,10 @@ func (p *Program) access1(in Instr) string {
 		}
 		return fmt.Sprintf("%s[%s%%%d]", bk.name, p.RegName(int(idx)), bk.cells)
 	}
-	switch in.Op {
-	case Load, LoadMask:
+	if in.Op <= LoadMask {
 		return fmt.Sprintf(" %s, %s", p.RegName(int(in.A)), cell(in.B, in.C))
-	case Store, StoreMask:
-		return fmt.Sprintf(" %s, %s", cell(in.A, in.B), p.RegName(int(in.C)))
 	}
-	var b strings.Builder
-	for k, o := range p.outcomes[in.A : in.A+in.B] {
-		switch {
-		case k == int(in.B)-1:
-			fmt.Fprintf(&b, " else -> %d", o.Target)
-		case o.Mask == -1:
-			fmt.Fprintf(&b, " %s==%d -> %d,", p.RegName(int(o.Reg)), o.Key, o.Target)
-		default:
-			fmt.Fprintf(&b, " %s&%#x==%#x -> %d,", p.RegName(int(o.Reg)), o.Mask, o.Key, o.Target)
-		}
-	}
-	return b.String()
+	return fmt.Sprintf(" %s, %s", cell(in.A, in.B), p.RegName(int(in.C)))
 }
 
 // Builder assembles a program. Registers are numbered in allocation order,
@@ -620,14 +550,13 @@ func NewBuilder(w phv.Width) *Builder {
 	return &Builder{p: Program{w: w}, consts: map[int64]int{}}
 }
 
-// Reserve makes room for regs more registers, instrs more instructions and
-// outcomes more outcomes, so a caller that knows roughly how large its
-// program comes out does not pay for the program growing to it.
-func (b *Builder) Reserve(regs, instrs, outcomes int) {
+// Reserve makes room for regs more registers and instrs more instructions,
+// so a caller that knows roughly how large its program comes out does not
+// pay for the program growing to it.
+func (b *Builder) Reserve(regs, instrs int) {
 	b.p.init = slices.Grow(b.p.init, regs)
 	b.p.fixed = slices.Grow(b.p.fixed, regs)
 	b.p.code = slices.Grow(b.p.code, instrs)
-	b.p.outcomes = slices.Grow(b.p.outcomes, outcomes)
 }
 
 // Regs allocates n consecutive registers that start at zero, named name0,
@@ -739,33 +668,14 @@ func (b *Builder) wrapped(op Op, bank int) Op {
 	return op
 }
 
-// Outcomes appends outcomes for Match instructions to scan, which a later
-// LandOutcome points wherever their Target is 0, and returns the first's
-// index.
-func (b *Builder) Outcomes(o ...Outcome) int {
-	b.p.outcomes = append(b.p.outcomes, o...)
-	return len(b.p.outcomes) - len(o)
-}
-
-// Match appends a Match over the n outcomes from first and returns its
-// index. Several may share outcomes.
-func (b *Builder) Match(first, n int) int {
-	b.p.code = append(b.p.code, Instr{Op: Match, A: uint32(first), B: uint32(n)})
-	return len(b.p.code) - 1
-}
-
-// LandOutcome points the given outcomes at the next instruction to be
-// appended.
-func (b *Builder) LandOutcome(outcomes ...int) {
-	for _, k := range outcomes {
-		b.p.outcomes[k].Target = uint32(len(b.p.code))
-	}
-}
-
 // Jump appends a jump (Jz and Jnz test cond) whose target a later Land sets,
 // and returns its index.
-func (b *Builder) Jump(op Op, cond int) int {
-	b.p.code = append(b.p.code, Instr{Op: op, B: uint32(cond)})
+func (b *Builder) Jump(op Op, cond int) int { return b.Branch(op, cond, 0) }
+
+// Branch appends a jump whose target a later Land sets — Jeq and Jne compare
+// x with y, Jz and Jnz test x — and returns its index.
+func (b *Builder) Branch(op Op, x, y int) int {
+	b.p.code = append(b.p.code, Instr{Op: op, B: uint32(x), C: uint32(y)})
 	return len(b.p.code) - 1
 }
 

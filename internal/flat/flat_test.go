@@ -54,7 +54,8 @@ func TestOpsMatchWidthArithmetic(t *testing.T) {
 	}
 }
 
-// TestControlFlow covers jumps, Trap, Reset, renaming by Move and the
+// TestControlFlow covers jumps, compare-and-branches (a register against
+// another, and against itself), Trap, Reset, renaming by Move and the
 // disassembly of each form.
 func TestControlFlow(t *testing.T) {
 	b := NewBuilder(phv.Default32)
@@ -71,6 +72,15 @@ func TestControlFlow(t *testing.T) {
 	over := b.Jump(Jnz, in)
 	b.Op(Add, acc, acc, b.Const(1))
 	b.Land(over)
+	same := b.Branch(Jeq, in, in+1) // in0 == in1: skip the doubling
+	b.Op(Add, acc, acc, acc)
+	b.Land(same)
+	differ := b.Branch(Jne, in, in+1) // in0 != in1: skip the 1000
+	b.Op(Add, acc, acc, b.Const(1000))
+	b.Land(differ)
+	always := b.Branch(Jeq, in+1, in+1)
+	never := b.Branch(Jne, in, in)
+	b.Land(always, never)
 	done := b.Jump(Jmp, 0)
 	b.Op(Mov, acc, b.Const(-1), 0) // never reached
 	b.Land(done)
@@ -78,14 +88,16 @@ func TestControlFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Const(1) != b.Const(1) || p.Len() != 7 || p.RegName(acc) != "acc" {
+	if b.Const(1) != b.Const(1) || p.Len() != 13 || p.RegName(acc) != "acc" {
 		t.Fatalf("constants are not interned, or %d instructions, or a lost name", p.Len())
 	}
 	for _, tc := range []struct{ in0, in1, acc, err int64 }{
-		{0, 1, 8, 0},   // sum skipped, add executed
-		{5, 1, 105, 0}, // sum (100+in0), add skipped
-		{5, 0, 105, 3}, // trapped after the sum
-		{0, 0, 7, 3},   // trapped at once
+		{0, 1, 16, 0},     // sum skipped, add executed, doubled
+		{5, 1, 210, 0},    // sum (100+in0), add skipped, doubled
+		{5, 0, 105, 3},    // trapped after the sum
+		{0, 0, 7, 3},      // trapped at once
+		{5, 5, 1105, 0},   // sum, not doubled, the 1000 added
+		{-3, -3, 1097, 0}, // likewise, on negative values
 	} {
 		frame := p.NewFrame()
 		frame[in], frame[in+1] = tc.in0, tc.in1
@@ -104,8 +116,14 @@ func TestControlFlow(t *testing.T) {
   2  trap err, in1, 3
   3  jnz  in0 -> 5
   4  add  acc, acc, #1
-  5  jmp  -> 7
-  6  mov  acc, #-1
+  5  jeq  in0, in1 -> 7
+  6  add  acc, acc, acc
+  7  jne  in0, in1 -> 9
+  8  add  acc, acc, #1000
+  9  jeq  in1, in1 -> 11
+ 10  jne  in0, in0 -> 11
+ 11  jmp  -> 13
+ 12  mov  acc, #-1
 `
 	if got := p.String(); got != listing {
 		t.Errorf("disassembly:\n%s\nwant:\n%s", got, listing)
@@ -121,7 +139,9 @@ func TestBuildRefusesWhatRunWouldTrip(t *testing.T) {
 	j := b.Jump(Jz, x)
 	b.Op(Add, x, x, one)
 	b.Land(j)
+	k := b.Branch(Jeq, x, one)
 	b.Op(Neg, x, x, 0)
+	b.Land(k)
 	good, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +149,11 @@ func TestBuildRefusesWhatRunWouldTrip(t *testing.T) {
 	for want, edit := range map[string]func(c []Instr) []Instr{
 		"register 9 out of range":             func(c []Instr) []Instr { c[1].C = 9; return c },
 		"jump target 0 out of range":          func(c []Instr) []Instr { c[0].A = 0; return c },
-		"jump target 4 out of range":          func(c []Instr) []Instr { c[0].A = 4; return c },
+		"jump target 5 out of range":          func(c []Instr) []Instr { c[0].A = 5; return c },
+		"(jeq): jump target 1 out of range":   func(c []Instr) []Instr { c[2].A = 1; return c }, // backward
+		"(jeq): jump target 2 out of range":   func(c []Instr) []Instr { c[2].A = 2; return c }, // onto itself
+		"(jne): jump target 6 out of range":   func(c []Instr) []Instr { c[2].Op, c[2].A = Jne, 6; return c },
+		"(jne): register 7 out of range":      func(c []Instr) []Instr { c[2].Op, c[2].C = Jne, 7; return c },
 		"write to constant register 1 out of": func(c []Instr) []Instr { c[1].A = uint32(one); return c },
 		"unknown opcode 99":                   func(c []Instr) []Instr { c[1].Op = 99; return c },
 	} {
@@ -175,12 +199,12 @@ func TestLogicShortCircuits(t *testing.T) {
 }
 
 // TestBanksAndMatch: Load and Store wrap their index into the bank — by
-// modulo, negative indexes included, or by mask for 2^k cells — a store keeps
-// the bank's width, and a Match continues at the first outcome whose masked
-// register equals its key, the last one catching every frame.
+// modulo, negative indexes included, or by mask for 2^k cells — and a store
+// keeps the bank's width; a table lookup is a chain of compare-and-branches
+// whose first hit wins, a masked key tested after an And.
 func TestBanksAndMatch(t *testing.T) {
 	b := NewBuilder(phv.Default32)
-	b.Reserve(16, 8, 3)
+	b.Reserve(16, 8)
 	idx, v := b.Reg("idx", 0), b.Reg("v", 0)
 	if c, ok := b.Constant(b.Const(-4)); !ok || c != -4 {
 		t.Fatalf("Constant = %d, %v", c, ok)
@@ -191,19 +215,18 @@ func TestBanksAndMatch(t *testing.T) {
 	odd, oddFirst := b.Bank("odd", 3, 0xff)
 	four, fourFirst := b.Bank("four", 4, 0xffff)
 	got := b.Reg("got", 0)
-	k := b.Outcomes(Outcome{Reg: uint32(idx), Mask: 0xf, Key: 2}, Outcome{Reg: uint32(idx), Mask: -1, Key: 7}, Outcome{})
-	b.Match(k, 3)
-	b.LandOutcome(k)
-	b.Store(odd, idx, v) // idx&0xf == 2
-	b.Load(got, odd, idx)
-	done := b.Jump(Jmp, 0)
-	b.LandOutcome(k + 1)
+	low := b.Op(And, -1, idx, b.Const(0xf))
+	hitOdd := b.Branch(Jeq, low, b.Const(2))
+	miss := b.Branch(Jne, idx, b.Const(7))
 	b.Store(four, idx, v) // idx == 7
 	b.Load(got, four, idx)
-	b.LandOutcome(k + 2) // anything else
-	b.Land(done)
-	if b.Len() != 6 {
-		t.Fatalf("%d instructions, want 6", b.Len())
+	done := b.Jump(Jmp, 0)
+	b.Land(hitOdd)
+	b.Store(odd, idx, v) // idx&0xf == 2
+	b.Load(got, odd, idx)
+	b.Land(done, miss) // anything else
+	if b.Len() != 8 {
+		t.Fatalf("%d instructions, want 8", b.Len())
 	}
 	p, err := b.Build()
 	if err != nil {
@@ -233,50 +256,35 @@ func TestBanksAndMatch(t *testing.T) {
 			t.Errorf("idx %d: got %d, want %d", tc.idx, frame[got], tc.got)
 		}
 	}
-	const listing = `  0  match idx&0xf==0x2 -> 1, idx==7 -> 4, else -> 6
-  1  store odd[idx%3], v
-  2  load got, odd[idx%3]
-  3  jmp  -> 6
-  4  store four[idx&3], v
-  5  load got, four[idx&3]
+	const listing = `  0  and  t12, idx, #15
+  1  jeq  t12, #2 -> 6
+  2  jne  idx, #7 -> 8
+  3  store four[idx&3], v
+  4  load got, four[idx&3]
+  5  jmp  -> 8
+  6  store odd[idx%3], v
+  7  load got, odd[idx%3]
 `
 	if p.String() != listing {
 		t.Errorf("disassembly:\n%s\nwant:\n%s", p, listing)
 	}
 }
 
-// TestBuildRefusesMalformedBanksAndMatches: a bank or an outcome that Run
-// would trip over is an error, each planted once.
+// TestBuildRefusesMalformedBanksAndMatches: a bank that Run would trip over
+// is an error, each mistake planted once.
 func TestBuildRefusesMalformedBanksAndMatches(t *testing.T) {
-	build := func(outcomes ...Outcome) (*Program, error) {
-		b := NewBuilder(phv.Default32)
-		x := b.Reg("x", 0)
-		bank, _ := b.Bank("bk", 2, -1)
-		b.Load(x, bank, x)
-		b.Match(b.Outcomes(outcomes...), len(outcomes))
-		b.Store(bank, x, x)
-		return b.Build()
-	}
-	good, err := build(Outcome{Reg: 0, Mask: 1, Key: 1, Target: 2}, Outcome{Target: 3})
+	b := NewBuilder(phv.Default32)
+	x := b.Reg("x", 0)
+	bk, _ := b.Bank("bk", 2, -1)
+	b.Load(x, bk, x)
+	b.Store(bk, x, x)
+	good, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for want, outcomes := range map[string][]Outcome{
-		"outcome 0: jump target 1 out of range":    {{Target: 1}},
-		"outcome 0: jump target 0 out of range":    {{Target: 0}},
-		"outcome 1: jump target 9 out of range":    {{Mask: 1, Target: 3}, {Target: 9}},
-		"outcome 0 tests register 7 out of range":  {{Reg: 7, Target: 2}, {Target: 3}},
-		"the last outcome does not match every fr": {{Mask: 1, Key: 1, Target: 3}},
-	} {
-		if _, err := build(outcomes...); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("planted %q: err %v", want, err)
-		}
-	}
 	for want, edit := range map[string]func(c []Instr) []Instr{
-		"bank 5 out of range":    func(c []Instr) []Instr { c[0].B = 5; return c },
-		"bank 2 out of range":    func(c []Instr) []Instr { c[2].A = 2; return c },
-		"outcome 1 out of range": func(c []Instr) []Instr { c[1].A = 1; return c },
-		"outcome 0 out of range": func(c []Instr) []Instr { c[1].B = 0; return c },
+		"bank 5 out of range": func(c []Instr) []Instr { c[0].B = 5; return c },
+		"bank 2 out of range": func(c []Instr) []Instr { c[1].A = 2; return c },
 	} {
 		if _, err := good.Mutate(edit); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("planted %q: err %v", want, err)
@@ -297,18 +305,17 @@ func TestBuildRefusesMalformedBanksAndMatches(t *testing.T) {
 
 // TestCountingClone: the counting clone computes what the program does, on a
 // frame whose first registers are the program's, and counts per instruction
-// how often it ran — jumps and outcomes land where they did.
+// how often it ran — jumps and compare-and-branches land where they did.
 func TestCountingClone(t *testing.T) {
 	b := NewBuilder(phv.Default32)
 	x, y := b.Reg("x", 0), b.Reg("y", 0)
-	k := b.Outcomes(Outcome{Reg: uint32(x), Mask: -1, Key: 1}, Outcome{})
-	b.Match(k, 2)
-	b.LandOutcome(k)
+	miss := b.Branch(Jne, x, b.Const(1))
 	b.Op(Add, y, y, b.Const(10))
 	skip := b.Jump(Jnz, x)
-	b.LandOutcome(k + 1)
+	b.Land(miss)
+	hit := b.Branch(Jeq, x, b.Const(5))
 	b.Op(Add, y, y, b.Const(1))
-	b.Land(skip)
+	b.Land(skip, hit)
 	p, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -322,10 +329,10 @@ func TestCountingClone(t *testing.T) {
 		frame[x] = vx
 		c.Run(frame)
 	}
-	if frame[y] != 10+1+10+1 {
-		t.Errorf("y = %d, want 22", frame[y])
+	if frame[y] != 10+1+10 {
+		t.Errorf("y = %d, want 21", frame[y])
 	}
-	if got, want := frame[first:first+p.Len()], []int64{4, 2, 2, 2}; !slices.Equal(got, want) {
+	if got, want := frame[first:first+p.Len()], []int64{4, 2, 2, 2, 1}; !slices.Equal(got, want) {
 		t.Errorf("counts %v, want %v\n%s", got, want, c)
 	}
 }

@@ -12,12 +12,11 @@ import (
 const linkRegs = 4
 
 // decodeProgram builds a program from data, three bytes per instruction: an
-// opcode (value ops, jumps, Trap, bank loads and stores, Match) and two
-// operand bytes. Register 0 is the trap register; values are written to
-// registers 1..linkRegs and read from any of those or a constant; a bank of
-// three cells wraps by modulo, one of four by mask; a jump, and each of a
-// Match's two outcomes, lands a byte-chosen distance ahead. The datapath is
-// w bits wide.
+// opcode (value ops, jumps, compare-and-branches, Trap, bank loads and
+// stores) and two operand bytes. Register 0 is the trap register; values are
+// written to registers 1..linkRegs and read from any of those or a constant;
+// a bank of three cells wraps by modulo, one of four by mask; a jump lands a
+// byte-chosen distance ahead. The datapath is w bits wide.
 func decodeProgram(t *testing.T, w phv.Width, data []byte) *Program {
 	t.Helper()
 	b := NewBuilder(w)
@@ -34,17 +33,18 @@ func decodeProgram(t *testing.T, w phv.Width, data []byte) *Program {
 	dst := func(v byte) int { return first + 1 + int(v)%linkRegs }
 	bank := func(v byte) int { return []int{odd, four}[v>>7] }
 	landAt := map[int][]int{} // instruction index -> jumps that land there
-	outAt := map[int][]int{}  // ... and outcomes
 	for pc := 0; len(data) >= 3 && pc < 40; data, pc = data[3:], pc+1 {
 		b.Land(landAt[pc]...)
-		b.LandOutcome(outAt[pc]...)
 		delete(landAt, pc)
-		delete(outAt, pc)
-		op, x, y := data[0]%(byte(Match)+1), data[1], data[2]
+		op, x, y := data[0]%(byte(Jne)+1), data[1], data[2]
 		switch Op(op) {
 		case Jz, Jnz, Jmp:
 			j := b.Jump(Op(op), reg(x))
 			target := pc + 1 + int(y)%4
+			landAt[target] = append(landAt[target], j)
+		case Jeq, Jne:
+			j := b.Branch(Op(op), reg(x), reg(y))
+			target := pc + 1 + int(x>>6)
 			landAt[target] = append(landAt[target], j)
 		case Trap:
 			b.Op(Trap, first, reg(x), 1+int(y)%5)
@@ -52,21 +52,12 @@ func decodeProgram(t *testing.T, w phv.Width, data []byte) *Program {
 			b.Load(dst(x), bank(y), reg(y))
 		case Store, StoreMask:
 			b.Store(bank(x), reg(x), reg(y))
-		case Match:
-			k := b.Outcomes(Outcome{Reg: uint32(reg(x)), Mask: int64(y & 7), Key: int64(y >> 3 & 3)}, Outcome{})
-			b.Match(k, 2)
-			hit, miss := pc+1+int(y>>5)%4, pc+1+int(x>>4)%3
-			outAt[hit] = append(outAt[hit], k)
-			outAt[miss] = append(outAt[miss], k+1)
 		default:
 			b.Op(Op(op), dst(x^y), reg(x), reg(y))
 		}
 	}
 	for _, js := range landAt {
 		b.Land(js...)
-	}
-	for _, ks := range outAt {
-		b.LandOutcome(ks...)
 	}
 	p, err := b.Build()
 	if err != nil {
@@ -96,11 +87,12 @@ func FuzzLink(f *testing.F) {
 	f.Add([]byte{}, []byte{15, 1, 1, 14, 2, 0}, uint16(0x08), int64(0x0007000009000003))
 	// Jumps in b to its end, and a constant read; nothing bound.
 	f.Add([]byte{4, 9, 25}, []byte{15, 1, 3, 16, 2, 2, 17, 0, 1, 5, 2, 40}, uint16(0), int64(0x7f7f7f7f7f))
-	// Banks and Matches on both sides: a stores into its four-cell bank and
-	// loads back, b matches a bound register, stores into its three-cell bank
-	// and loads by mask; Link rebases b's banks, outcomes and their targets.
+	// Banks and compare-and-branches on both sides: a stores into its
+	// four-cell bank and loads back, b compares a bound register with a
+	// constant, stores into its three-cell bank and loads by mask; Link
+	// rebases b's banks and its branch targets.
 	f.Add([]byte{22, 0x81, 2, 20, 1, 0x81, 24, 2, 0x29, 19, 1, 2}, []byte{24, 1, 0x2a, 22, 2, 3, 21, 3, 0x83, 24, 0x14, 0x6b, 0, 3, 4}, uint16(0x0e), int64(0x0302010405))
-	// b's Match reads a register it writes after, bound: the mov comes first.
+	// b's jeq reads a register it writes after, bound: the mov comes first.
 	f.Add([]byte{2, 3, 4}, []byte{24, 3, 0x10, 14, 3, 1, 20, 2, 0x84}, uint16(0x08), int64(0x0105000309))
 	f.Fuzz(func(t *testing.T, codeA, codeB []byte, bindBits uint16, vals int64) {
 		a, b := decodeProgram(t, phv.MustWidth(8), codeA), decodeProgram(t, phv.MustWidth(8), codeB)
@@ -206,8 +198,8 @@ func TestLinkRefuses(t *testing.T) {
 
 // TestLinkListing: the linked program disassembles with both parts' register
 // names, temporaries and constants named by their linked index and value, the
-// mov that copies a bound register b writes, b's jump targets moved past a's,
-// and a renamed read in place.
+// mov that copies a bound register b writes, b's jump and branch targets
+// moved past a's, and a renamed read in place.
 func TestLinkListing(t *testing.T) {
 	ab := NewBuilder(phv.Default32)
 	in := ab.Regs("in", 2)
@@ -222,7 +214,9 @@ func TestLinkListing(t *testing.T) {
 	skip := bb.Jump(Jz, g)
 	bb.Op(Add, f, f, bb.Const(5))
 	bb.Land(skip)
+	other := bb.Branch(Jne, f, bb.Const(5))
 	bb.Op(Mul, -1, f, g)
+	bb.Land(other)
 	b, err := bb.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +233,8 @@ func TestLinkListing(t *testing.T) {
   2  mov  pkt.f, t2
   3  jz   in1 -> 5
   4  add  pkt.f, pkt.f, #5
-  5  mul  t6, pkt.f, in1
+  5  jne  pkt.f, #5 -> 7
+  6  mul  t6, pkt.f, in1
 `
 	if got := p.String(); got != listing {
 		t.Errorf("disassembly:\n%s\nwant:\n%s", got, listing)

@@ -26,7 +26,7 @@ func (p *Program) SymFrame(b *bv.Builder, value func(r int) bv.Vec) []bv.Vec {
 }
 
 // symPath is one way into an instruction: the decisions taken on the way —
-// a branch condition, a Match outcome's test or a Trap's, or its negation —
+// a branch condition or a Trap's, or its negation —
 // the condition they make together, and the frame the path arrives with.
 // Frames and decision lists are copied, never written, once a path is
 // queued.
@@ -40,10 +40,9 @@ type symPath struct {
 // SymFrame, and returns the frame the run leaves and the condition under
 // which a Trap stopped it. Jumps only go forward, so one pass in program
 // order meets every path into an instruction before the instruction. A
-// branch, each test of a Match (an outcome is taken when its own test holds
-// and no earlier one's does) and a Trap split the path on a decision, unless
-// it folds to a constant, and on the path where a branch found its register
-// 0 the register is the constant 0; where paths join, their frames merge by
+// branch — on a register being 0, or on two being equal — and a Trap split
+// the path on a decision, unless it folds to a constant, and on the path
+// where a Jz or Jnz found its register 0 the register is the constant 0; where paths join, their frames merge by
 // ITEs on the decision at which they split, so two programs that decide the
 // same things and compute the same values end in the same vectors however
 // their paths join. A bank access is an ITE over the cells, indexed as Run
@@ -117,6 +116,10 @@ func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.
 			if path != nil {
 				s.in[in.A] = append(s.in[in.A], *path)
 			}
+		case Jeq:
+			s.branch(int(in.A), b.Eq(r[in.B], r[in.C]))
+		case Jne:
+			s.branch(int(in.A), b.Ne(r[in.B], r[in.C]))
 		case Jmp:
 			s.branch(int(in.A), b.True())
 		case Trap:
@@ -139,13 +142,6 @@ func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.
 			idx, v := s.index(in.Op == StoreMask, r[in.B], bk.cells), s.and(r[in.C], b.Const(SymBits, bk.mask))
 			for c := 0; c < bk.cells; c++ {
 				r[bk.first+c] = s.ite(b.Eq(idx, b.Const(SymBits, int64(c))), v, r[bk.first+c])
-			}
-		case Match:
-			for _, o := range p.outcomes[in.A : in.A+in.B] {
-				if s.cur == nil {
-					break
-				}
-				s.branch(int(o.Target), b.Eq(s.and(s.cur.regs[o.Reg], b.Const(SymBits, o.Mask)), b.Const(SymBits, o.Key)))
 			}
 		}
 	}

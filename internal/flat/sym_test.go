@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzSymVsRun pins Sym to Run: a decoded program (every opcode, banks that
-// wrap by modulo and by mask, Matches and Traps) runs on a frame of concrete
+// wrap by modulo and by mask, compare-and-branches and Traps) runs on a frame of concrete
 // values — full-range, negative, small and all-ones ones — and Sym over the
 // same values as constants must fold to exactly the frame Run leaves, with
 // the trap condition the constant that says whether a Trap stopped it. Over
@@ -29,8 +29,9 @@ func FuzzSymVsRun(f *testing.F) {
 	f.Add([]byte{22, 1, 2, 20, 1, 3, 23, 0x81, 4, 21, 2, 0x82, 20, 3, 0x01}, uint8(62), int64(5))
 	f.Add([]byte{22, 2, 0x29, 24, 1, 0x2a, 22, 3, 4, 21, 3, 0x83, 24, 0x14, 0x6b, 0, 3, 4}, uint8(8), int64(6))
 	f.Add([]byte("000"), uint8(0x1c), int64(-24)) // a store at a negative index into the modulo bank
-	// Matches whose outcomes land on one another and on the end.
-	f.Add([]byte{24, 1, 0xe0, 24, 2, 0x10, 0, 1, 2, 24, 3, 0x38, 1, 2, 3, 14, 4, 1}, uint8(32), int64(7))
+	// Compare-and-branches that land on one another and on the end, one of
+	// them comparing a register with itself.
+	f.Add([]byte{24, 1, 0xe0, 25, 2, 2, 0, 1, 2, 24, 0x43, 0x38, 1, 2, 3, 14, 4, 1}, uint8(32), int64(7))
 	f.Fuzz(func(t *testing.T, code []byte, bits uint8, seed int64) {
 		p := decodeProgram(t, phv.MustWidth(1+int(bits)%62), code)
 		rng := rand.New(rand.NewSource(seed))

@@ -292,7 +292,7 @@ control ingress { apply(route); }
 		if err != nil {
 			t.Fatalf("%v\n%s", err, out)
 		}
-		for _, want := range []string{"assembled", "match  r2, route", "lowered on the table entries", "route/0 deny(): ", "route/default dec():", "match h.dst==5 -> ",
+		for _, want := range []string{"assembled", "match  r2, route", "lowered on the table entries", "route/0 deny(): ", "route/default dec():", "jne  h.dst, #5 -> ",
 			"differential check: ISA and table-level execution agree"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("drmtasm output missing %q:\n%s", want, out)
