@@ -253,10 +253,10 @@ func (l *aluLowering) stmts(list []aludsl.Stmt, res int, exits *[]int) (terminat
 			l.expr(s.RHS, l.state+s.LHS.Index)
 		case *aludsl.Return:
 			l.expr(s.Value, res)
-			*exits = append(*exits, l.b.Jump(flat.Jmp, 0))
+			*exits = append(*exits, l.b.Jump())
 			return true
 		case *aludsl.If:
-			toElse := l.b.Jump(flat.Jz, l.expr(s.Cond, -1))
+			toElse := l.b.Branch(flat.Jeq, l.expr(s.Cond, -1), l.b.Const(0))
 			thenDone := l.stmts(s.Then, res, exits)
 			if len(s.Else) == 0 {
 				l.b.Land(toElse)
@@ -264,7 +264,7 @@ func (l *aluLowering) stmts(list []aludsl.Stmt, res int, exits *[]int) (terminat
 			}
 			var toEnd []int
 			if !thenDone {
-				toEnd = append(toEnd, l.b.Jump(flat.Jmp, 0))
+				toEnd = append(toEnd, l.b.Jump())
 			}
 			l.b.Land(toElse)
 			elseDone := l.stmts(s.Else, res, exits)
@@ -295,11 +295,11 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 			return l.b.Move(dst, l.params[e.Index])
 		}
 	case *aludsl.Unary:
-		op := flat.Not
+		zero := l.b.Const(0)
 		if e.Op == aludsl.OpNeg {
-			op = flat.Neg
+			return l.b.Op(flat.Sub, dst, zero, l.expr(e.X, -1))
 		}
-		return l.b.Op(op, dst, l.expr(e.X, -1), 0)
+		return l.b.Op(flat.Eq, dst, l.expr(e.X, -1), zero)
 	case *aludsl.Binary:
 		x := l.expr(e.X, -1)
 		if e.Op == aludsl.OpAnd || e.Op == aludsl.OpOr {

@@ -24,11 +24,15 @@ type mutant struct {
 // instruction index (or len(code), the exit) to its new one.
 func relocate(code []flat.Instr, at func(old int) int) {
 	for i, in := range code {
-		if in.Op == flat.Jz || in.Op == flat.Jnz || in.Op == flat.Jmp {
+		if jumps(in.Op) {
 			code[i].A = uint32(at(int(in.A)))
 		}
 	}
 }
+
+// jumps reports whether an instruction of op jumps: a Jmp, or a Jeq or Jne
+// that compares two registers.
+func jumps(op flat.Op) bool { return op == flat.Jmp || op == flat.Jeq || op == flat.Jne }
 
 // mutantsOf enumerates the structural mutants of a program whose first and
 // last input containers are registers in0 and in1, in the style of drmt's
@@ -60,7 +64,6 @@ func mutantsOf(code []flat.Instr, in0, in1 uint32, state map[uint32]bool) []muta
 	firstWrite := map[uint32]int{}
 	for i, in := range code {
 		i, in := i, in
-		jump := in.Op == flat.Jz || in.Op == flat.Jnz || in.Op == flat.Jmp
 		if in.Op != flat.Jmp && next(in.B) != in.B {
 			add("rename", i, func(c []flat.Instr) []flat.Instr { c[i].B = next(c[i].B); return c })
 		}
@@ -77,10 +80,10 @@ func mutantsOf(code []flat.Instr, in0, in1 uint32, state map[uint32]bool) []muta
 			})
 			return c
 		})
-		if in.Op == flat.Jz || in.Op == flat.Jnz {
-			add("jump", i, func(c []flat.Instr) []flat.Instr { c[i].Op = flat.Jz + flat.Jnz - c[i].Op; return c })
+		if in.Op == flat.Jeq || in.Op == flat.Jne {
+			add("jump", i, func(c []flat.Instr) []flat.Instr { c[i].Op = flat.Jeq + flat.Jne - c[i].Op; return c })
 		}
-		if jump {
+		if jumps(in.Op) {
 			add("jump", i, func(c []flat.Instr) []flat.Instr {
 				if c[i].A++; int(c[i].A) > len(c) {
 					c[i].A -= 2
@@ -230,9 +233,9 @@ func TestLoweringMutantsAreCaught(t *testing.T) {
 	// At scc the same survivors recur, the same instructions computed the
 	// unfolded way (snap-heavy-hitter's "s = 0 + 0" for "s = 0"). Besides,
 	// marple-new-flow and rcp keep an unfolded predicate "0 >= 0" (instruction
-	// 0 and 4): its jz never jumps, so dropping the jz or moving its target
+	// 0 and 4): its jeq never jumps, so dropping the jeq or moving its target
 	// changes nothing, and "in0 >= 0" is as true, inputs being non-negative.
-	// marple-new-flow's "jz in1" (rename@1) is a real mistake: it skips the
+	// marple-new-flow's "jeq in1, #0" (rename@1) is a real mistake: it skips the
 	// count only on a zero in1, which 32-bit uniform traffic does not draw in
 	// 4000 packets.
 	sort.Strings(survivors)

@@ -168,11 +168,11 @@ func (l *lowering) stmts(list []Stmt, assigned map[string]bool) {
 				l.expr(s.Expr, -1, assigned)
 			}
 		case *If:
-			toElse := l.b.Jump(flat.Jz, l.expr(s.Cond, -1, assigned))
+			toElse := l.b.Branch(flat.Jeq, l.expr(s.Cond, -1, assigned), l.b.Const(0))
 			then, alt := maps.Clone(assigned), maps.Clone(assigned)
 			l.stmts(s.Then, then)
 			if len(s.Else) > 0 {
-				toEnd := l.b.Jump(flat.Jmp, 0)
+				toEnd := l.b.Jump()
 				l.b.Land(toElse)
 				l.stmts(s.Else, alt)
 				toElse = toEnd
@@ -218,11 +218,11 @@ func (l *lowering) expr(e Expr, dst int, assigned map[string]bool) int {
 		}
 		return l.b.Move(dst, r)
 	case *Un:
-		op := flat.Not
+		zero := l.b.Const(0)
 		if e.Neg {
-			op = flat.Neg
+			return l.b.Op(flat.Sub, dst, zero, l.expr(e.X, -1, assigned))
 		}
-		return l.b.Op(op, dst, l.expr(e.X, -1, assigned), 0)
+		return l.b.Op(flat.Eq, dst, l.expr(e.X, -1, assigned), zero)
 	case *Bin:
 		if e.Op < BAdd || e.Op > BOr {
 			l.fail(-1, fmt.Errorf("domino: unknown operator %d", e.Op))

@@ -855,7 +855,7 @@ func TestBlocksEqualTheirSourcePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := m.Lowered(); !strings.Contains(out, "lt   r1, s0, #44") || strings.Count(out, "jnz  r1 -> ") != 2 {
+	if out := m.Lowered(); !strings.Contains(out, "lt   r1, s0, #44") || strings.Count(out, "jne  r1, #0 -> ") != 2 {
 		t.Fatalf("the drop test after table first went, or is not on r1:\n%s", out)
 	}
 }
@@ -875,7 +875,7 @@ func skip(c []flat.Instr, i int) { c[i] = flat.Instr{Op: flat.Jmp, A: uint32(i +
 // operands calls f with every register operand the instruction reads.
 func operands(in *flat.Instr, f func(name string, r *uint32)) {
 	switch in.Op {
-	case flat.Jz, flat.Jnz, flat.Mov, flat.Bool, flat.Not:
+	case flat.Mov:
 		f(".b", &in.B)
 	case flat.Load, flat.LoadMask:
 		f(".c", &in.C)
@@ -889,7 +889,7 @@ func operands(in *flat.Instr, f func(name string, r *uint32)) {
 // written returns the register a value instruction or a load writes.
 func written(in flat.Instr) (uint32, bool) {
 	switch in.Op {
-	case flat.Jz, flat.Jnz, flat.Jmp, flat.Jeq, flat.Jne, flat.Trap, flat.Store, flat.StoreMask:
+	case flat.Jmp, flat.Jeq, flat.Jne, flat.Trap, flat.Store, flat.StoreMask:
 		return 0, false
 	}
 	return in.A, true
@@ -960,17 +960,18 @@ func lowMutantsOf(m *ISAMachine) []lowMutant {
 					skip(c, i+1)
 				})
 			}
-			if (in.Op == flat.Jz || in.Op == flat.Jnz) && isReg(in.B) {
+			branch, lookup := in.Op == flat.Jeq || in.Op == flat.Jne, bl.lookup >= 0 && i >= bl.tests
+			if branch && !lookup && isReg(in.B) {
 				add("unwritten", "", func(c []flat.Instr) {
 					skip(c, i)
-					if in.Op == flat.Jz {
+					if in.Op == flat.Jeq {
 						c[i].A = in.A
 					}
 				})
 			}
 			operands(&in, func(name string, r *uint32) {
 				at := *r
-				if in.Op != flat.Jz && in.Op != flat.Jnz && isReg(at) && int(at) != f.regBase && !wrote[at] {
+				if !branch && isReg(at) && int(at) != f.regBase && !wrote[at] {
 					add("unwritten", name, func(c []flat.Instr) {
 						operands(&c[i], func(n string, r *uint32) {
 							if n == name {
@@ -1002,7 +1003,7 @@ func lowMutantsOf(m *ISAMachine) []lowMutant {
 			if (in.Op == flat.And || in.Op == flat.Mov) && isOut(in.A) {
 				add("store", "", func(c []flat.Instr) { skip(c, i) })
 			}
-			if in.Op == flat.Jeq || in.Op == flat.Jne {
+			if branch && lookup {
 				add("invert", "", func(c []flat.Instr) { c[i].Op = flat.Jeq + flat.Jne - in.Op })
 				if t := outcomeBlock(in.A); t >= 0 {
 					for u := (t + 1) % len(m.blocks); u != t; u = (u + 1) % len(m.blocks) {
@@ -1208,5 +1209,5 @@ var blockMutantSurvivors = map[string]string{
 	"wide-fanin stale.c: and s0, r2, #4611686018427387903":     equivalent,
 	"wide-fanin store: mov dropped, #1":                        equivalent,
 	"wide-fanin unwritten.b: and s0, r2, #4611686018427387903": equivalent,
-	"wide-fanin unwritten: jz r37 -> 107":                      equivalent,
+	"wide-fanin unwritten: jeq r37, #0 -> 107":                 equivalent,
 }

@@ -74,19 +74,17 @@ import (
 // and ALU operation there is. Narrower ones are masked with flat.And.
 var width = aluWidths[62]
 
-// step is an instruction of the block under construction: to is where a
-// kept branch continues (a source pc), and a lookupOp's A is its MATCH's
-// source pc.
+// step is an instruction of a block before it is emitted: to is where a
+// kept branch (a Jeq or Jne against the constant 0) continues, a source pc;
+// a lookup is a Jmp that stands for the lookup of the MATCH at source pc A,
+// which emit expands into its tests.
 type step struct {
 	in     flat.Instr
 	retire uint32 // source instructions it stands for
 	to     int32
+	lookup bool
 	dead   bool
 }
-
-// lookupOp stands, in a block before it is emitted, for the lookup of the
-// MATCH at source pc A, which emit expands into its tests.
-const lookupOp = flat.Jeq
 
 // blockReq is a block to lower: the source pc it starts at, and for the
 // block of a MATCH's outcome the MATCH and the outcomes that go to it, the
@@ -136,7 +134,7 @@ type lowerer struct {
 
 	todo    []blockReq     // the blocks to lower
 	lowered []loweredBlock // ... and those lowered, in program order,
-	code    []flat.Instr   // ... their instructions,
+	code    []step         // ... their instructions,
 	regions []countRegion  // ... and the regions of their instructions (counts)
 	conts   map[int][]int  // source pc -> kept branches to its block
 	lands   [][]int        // lowered outcome block -> the lookups' branches to it
@@ -148,9 +146,7 @@ type lowerer struct {
 }
 
 // loweredBlock is a lowered block before it is emitted: where its
-// instructions are in lowerer.code — a kept branch's A is the source pc it
-// continues at, a lookupOp's the source pc of its MATCH — and its first
-// region in lowerer.regions.
+// instructions are in lowerer.code and its first region in lowerer.regions.
 type loweredBlock struct {
 	from, to int
 	first    int32
@@ -223,7 +219,7 @@ func (lw *lowerer) lower() error {
 	}
 	b.Reserve(2*m.layout.NumFields()+isa.NumRegs+48+sum(lw.cells), lw.n+2*keys)
 	lw.buf = make([]step, 0, 32)
-	lw.code = make([]flat.Instr, 0, lw.n/2+16)
+	lw.code = make([]step, 0, lw.n/2+16)
 	m.blocks = make([]lowBlock, 0, 2*len(m.matchTables)+2)
 	lw.initial = make([]int, 0, isa.NumRegs+m.layout.NumFields()+3)
 	e.out = make([]int, m.layout.NumFields())
@@ -311,7 +307,7 @@ func (lw *lowerer) lower() error {
 	// the next instruction.
 	for lw.tail = len(lw.lowered); lw.tail > 0; lw.tail-- {
 		lb := &lw.lowered[lw.tail-1]
-		if lw.m.blocks[lw.tail-1].match >= 0 || lb.to-lb.from != 1 || lw.code[lb.from].Op != flat.Jmp || lw.regions[lb.first].retire != 0 {
+		if lw.m.blocks[lw.tail-1].match >= 0 || lb.to-lb.from != 1 || lw.code[lb.from].in.Op != flat.Jmp || lw.code[lb.from].lookup || lw.regions[lb.first].retire != 0 {
 			break
 		}
 	}
@@ -467,10 +463,7 @@ func (lw *lowerer) block(req blockReq) {
 			retire = 0
 		}
 		if !s.dead {
-			if s.in.Op == flat.Jz || s.in.Op == flat.Jnz {
-				s.in.A = uint32(s.to)
-			}
-			lw.code = append(lw.code, s.in)
+			lw.code = append(lw.code, s)
 		}
 	}
 	bl.to = len(lw.code)
@@ -642,14 +635,14 @@ func (lw *lowerer) alu(in *Instr) {
 		lw.rename(in.Dst, d, mask)
 		return
 	case ALUAnd, ALUOr:
-		lw.op(flat.Bool, s0, lw.masked(x, mask, s0), 0)
-		lw.op(flat.Bool, s1, lw.masked(y, mask, s1), 0)
+		lw.op(flat.Ne, s0, lw.masked(x, mask, s0), lw.zero)
+		lw.op(flat.Ne, s1, lw.masked(y, mask, s1), lw.zero)
 		lw.clobber(in.Dst)
 		if in.AOp == ALUAnd {
 			lw.op(flat.And, d, s0, s1)
 		} else {
 			lw.op(flat.Add, d, s0, s1)
-			lw.op(flat.Bool, d, d, 0)
+			lw.op(flat.Ne, d, d, lw.zero)
 		}
 	default:
 		op := [...]flat.Op{ALUDiv: flat.Div, ALUMod: flat.Mod, ALUEq: flat.Eq, ALUNeq: flat.Ne, ALULt: flat.Lt, ALULe: flat.Le}[in.AOp]
@@ -696,12 +689,12 @@ func (lw *lowerer) walk(pc int) (after int) {
 				break
 			}
 			lw.settleAt(in.Target)
-			op := flat.Jz
+			op := flat.Jeq
 			if in.Op == OpBNZ {
-				op = flat.Jnz
+				op = flat.Jne
 			}
 			cond := lw.read(in.A, -1)
-			lw.buf = append(lw.buf, step{in: flat.Instr{Op: op, B: uint32(cond)}, to: int32(in.Target)})
+			lw.buf = append(lw.buf, step{in: flat.Instr{Op: op, B: uint32(cond), C: uint32(lw.zero)}, to: int32(in.Target)})
 			if _, ok := lw.conts[in.Target]; !ok {
 				lw.conts[in.Target] = nil
 				lw.todo = append(lw.todo, blockReq{pc: in.Target, match: -1})
@@ -746,7 +739,7 @@ func (lw *lowerer) walk(pc int) (after int) {
 		case OpMatch:
 			lw.settleAt(pc)
 			lw.site(pc)
-			lw.push(flat.Instr{Op: lookupOp, A: uint32(pc)}, 0)
+			lw.buf = append(lw.buf, step{in: flat.Instr{Op: flat.Jmp, A: uint32(pc)}, lookup: true})
 		case OpHalt:
 			lw.settleOutputs()
 			lw.push(flat.Instr{Op: flat.Jmp}, 0)
@@ -865,13 +858,13 @@ func (lw *lowerer) step(s *step, live []uint64) (dead bool) {
 		}
 	}
 	switch in := s.in; in.Op {
-	case flat.Jz, flat.Jnz:
+	case flat.Jeq, flat.Jne:
 		union(live, lw.liveIn(int(s.to)))
 		use(in.B)
 	case flat.Store:
 		use(in.B)
 		use(in.C)
-	case lookupOp, flat.Trap, flat.Jmp:
+	case flat.Trap, flat.Jmp: // a Jmp ends the program or is a lookup
 	default:
 		if v := lw.varOf(in.A); v >= 0 {
 			if !has(live, v) {
@@ -882,7 +875,7 @@ func (lw *lowerer) step(s *step, live []uint64) (dead bool) {
 		switch in.Op {
 		case flat.Load:
 			use(in.C)
-		case flat.Mov, flat.Bool:
+		case flat.Mov:
 			use(in.B)
 		default:
 			use(in.B)
@@ -895,7 +888,7 @@ func (lw *lowerer) step(s *step, live []uint64) (dead bool) {
 // leaves reports whether control can leave a block at an instruction of op.
 func leaves(op flat.Op) bool {
 	switch op {
-	case flat.Jz, flat.Jnz, lookupOp, flat.Trap, flat.Jmp:
+	case flat.Jeq, flat.Jne, flat.Trap, flat.Jmp:
 		return true
 	}
 	return false
@@ -936,15 +929,15 @@ func (lw *lowerer) counts() {
 		}
 	}
 	r := int32(0)
-	for _, in := range lw.code {
-		switch in.Op {
-		case flat.Jz, flat.Jnz:
+	for _, s := range lw.code {
+		switch {
+		case s.lookup:
+			regions[r].next = first(int(s.in.A)+1, int(s.in.A))
+		case s.in.Op == flat.Jeq || s.in.Op == flat.Jne:
 			regions[r].next = r + 1
-			regions[find(first(int(in.A), -1))].class = find(r + 1)
-		case lookupOp:
-			regions[r].next = first(int(in.A)+1, int(in.A))
+			regions[find(first(int(s.to), -1))].class = find(r + 1)
 		}
-		if leaves(in.Op) {
+		if leaves(s.in.Op) {
 			r++
 		}
 	}
@@ -987,21 +980,15 @@ func (lw *lowerer) emit(i int) {
 		b.Land(lw.lands[i]...)
 	}
 	r := lb.first
-	for _, in := range lw.code[lb.from:lb.to] {
+	for _, s := range lw.code[lb.from:lb.to] {
+		in := s.in
 		if leaves(in.Op) {
 			if add := lw.regions[r].retire; add != 0 {
 				b.Op(flat.Add, lw.m.count, lw.m.count, lw.konst(int64(add)))
 			}
 			r++
 		}
-		switch in.Op {
-		case flat.Jz, flat.Jnz:
-			lw.conts[int(in.A)] = append(lw.conts[int(in.A)], b.Jump(in.Op, int(in.B)))
-		case flat.Jmp:
-			if i < lw.tail-1 {
-				lw.ends = append(lw.ends, b.Jump(flat.Jmp, 0))
-			}
-		case lookupOp:
+		if s.lookup {
 			st, table := lw.sites[int(in.A)], lw.m.isa.Instrs[in.A].Sym
 			next, miss := i+1, st.to[len(st.to)-1]
 			if st.blocks > 1 && !slices.ContainsFunc(st.to, func(t int) bool { return t != miss }) {
@@ -1011,6 +998,15 @@ func (lw *lowerer) emit(i int) {
 			e.matches = append(e.matches, match{instr: b.Len(), table: table})
 			for _, j := range lw.lookups.emit(lw.m.matchTables[table].keys, st.loc, st.to, next) {
 				lw.lands[j.target] = append(lw.lands[j.target], j.instr)
+			}
+			continue
+		}
+		switch in.Op {
+		case flat.Jeq, flat.Jne:
+			lw.conts[int(s.to)] = append(lw.conts[int(s.to)], b.Branch(in.Op, int(in.B), int(in.C)))
+		case flat.Jmp:
+			if i < lw.tail-1 {
+				lw.ends = append(lw.ends, b.Jump())
 			}
 		case flat.Load:
 			b.Load(int(in.A), int(in.B), int(in.C))

@@ -143,9 +143,13 @@ func TestLoweringFoldsTheDispatchLadder(t *testing.T) {
 		outcomeBlock := func(pc uint32) bool {
 			return slices.ContainsFunc(m.blocks, func(bl lowBlock) bool { return bl.match >= 0 && bl.start == int(pc) })
 		}
-		for _, in := range code(m.code) {
-			if in.Op == flat.Eq || in.Op == flat.Jz || in.Op == flat.Jmp && int(in.A) != m.code.Len() && !outcomeBlock(in.A) {
-				t.Errorf("%s: the program keeps ladder instruction %v\n%s", bm.Name, in, m.Lowered())
+		all := code(m.code)
+		for _, bl := range m.blocks {
+			for i, in := range all[bl.start:bl.end] {
+				bz := in.Op == flat.Jeq && (bl.lookup < 0 || bl.start+i < bl.tests)
+				if in.Op == flat.Eq || bz || in.Op == flat.Jmp && int(in.A) != m.code.Len() && !outcomeBlock(in.A) {
+					t.Errorf("%s: the program keeps ladder instruction %v\n%s", bm.Name, in, m.Lowered())
+				}
 			}
 		}
 	}
@@ -237,12 +241,12 @@ func TestLoweredListing(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = benchISAMachine(t, l2l3).Lowered()
-	for _, want := range []string{"70: branch target:", "jnz  r1 -> ", "ipv4_route/1 act_drop():", "add  r17, ipv4.ttl, #-1", "and  ipv4.ttl', r17, #255"} {
+	for _, want := range []string{"70: branch target:", "jne  r1, #0 -> ", "ipv4_route/1 act_drop():", "add  r17, ipv4.ttl, #-1", "and  ipv4.ttl', r17, #255"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("l2l3 listing lacks %q:\n%s", want, out)
 		}
 	}
-	if strings.Count(out, "jnz") != 1 {
+	if strings.Count(out, "jne  r1, #0") != 1 {
 		t.Errorf("l2l3 tests the drop flag where nothing can have set it:\n%s", out)
 	}
 }

@@ -280,7 +280,7 @@ func lowerTables(prog *p4.Program, entries *EntrySet, layout *SlotLayout) (engin
 		b.Op(flat.Mov, tl.dropped, b.Const(0), 0) // a packet that gets here is not dropped
 	}
 	if n := len(e.matches); n > 0 && e.matches[n-1].instr == b.Len() {
-		b.Land(b.Jump(flat.Jmp, 0)) // the last lookup tests nothing: its count needs an instruction
+		b.Land(b.Jump()) // the last lookup tests nothing: its count needs an instruction
 	}
 	b.Land(tl.ends...)
 	code, err := b.Build()
@@ -454,11 +454,11 @@ func (tl *tableLowerer) table(t *p4.Table, k int) error {
 		case drops:
 			tl.e.canDrop = true
 			tl.settle(len(tl.written) - 1)
-			tl.ends = append(tl.ends, b.Jump(flat.Jmp, 0))
+			tl.ends = append(tl.ends, b.Jump())
 		default:
 			tl.settle(k + 1)
 			if n < len(order)-1 || moves { // the last block falls through
-				done = append(done, b.Jump(flat.Jmp, 0))
+				done = append(done, b.Jump())
 			}
 		}
 	}
@@ -667,7 +667,7 @@ func (lk *lookups) emit(keys []entryKey, loc []int, to []int, next int) []jump {
 		lk.jumps = append(lk.jumps, jump{target, b.Branch(op, x, b.Const(k.key))})
 	}
 	if miss != next && (n == 0 || to[n-1] != next) {
-		lk.jumps = append(lk.jumps, jump{miss, b.Jump(flat.Jmp, 0)})
+		lk.jumps = append(lk.jumps, jump{miss, b.Jump()})
 	}
 	return lk.jumps
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -609,6 +610,76 @@ func TestLoadRowsReportsReadErrors(t *testing.T) {
 	}
 	if rows, err := j.LoadRows("dir"); err == nil {
 		t.Fatalf("LoadRows of an unreadable rows file = %d rows, nil error", len(rows))
+	}
+}
+
+// FuzzJournalLoadRows: whatever bytes a rows file holds — torn, corrupt or
+// not JSON at all — LoadRows never panics and returns exactly its non-blank
+// lines, space-trimmed, in order: the rows bytes.Split finds.
+func FuzzJournalLoadRows(f *testing.F) {
+	f.Add([]byte("{\"a\":1}\n\n  {\"b\":2}"))
+	f.Add([]byte(""))
+	f.Add([]byte("\r\n\t\n \n"))
+	f.Add([]byte("{\"row\":1}\n{\"row\":2,\"tru"))
+	f.Add([]byte("\u0085{}\u00a0\n\xff\xfe\x00\n"))
+	f.Add(append(bytes.Repeat([]byte("x"), 70<<10), "\n y \n"...)) // a line longer than the read buffer
+	f.Fuzz(func(t *testing.T, data []byte) {
+		j, err := NewJournal(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(j.rowsPath("c"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := j.LoadRows("c")
+		if err != nil {
+			t.Fatalf("LoadRows: %v", err)
+		}
+		var want [][]byte
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if line = bytes.TrimSpace(line); len(line) > 0 {
+				want = append(want, line)
+			}
+		}
+		if len(rows) != len(want) {
+			t.Fatalf("%d rows, want %d", len(rows), len(want))
+		}
+		for i := range rows {
+			if !bytes.Equal(rows[i], want[i]) {
+				t.Fatalf("row %d = %q, want %q", i, rows[i], want[i])
+			}
+		}
+	})
+}
+
+// TestLoadRequestOversizedIsAnError: a journaled request is read under the
+// cap it was admitted under, farmd.MaxMatrixBytes. A request file over it
+// was not written by SaveRequest, so it is an error, which the coordinator
+// skips like a torn file, and reading it costs nothing near its size:
+// LoadRequest allocates well under 16 MiB for a sparse 256 MiB file.
+func TestLoadRequestOversizedIsAnError(t *testing.T) {
+	j, err := NewJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.SaveRequest("big", &farmd.MatrixRequest{Arch: "rmt", Run: "sampling", Packets: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if req, ok, err := j.LoadRequest("big"); err != nil || !ok || req.Run != "sampling" {
+		t.Fatalf("LoadRequest = %+v, %v, %v", req, ok, err)
+	}
+	if err := os.Truncate(j.reqPath("big"), 256<<20); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	req, ok, err := j.LoadRequest("big")
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("oversized request loaded: %+v, %v", req, ok)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Fatalf("LoadRequest of an oversized request allocated %d bytes", alloc)
 	}
 }
 

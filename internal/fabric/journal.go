@@ -105,14 +105,23 @@ func (j *Journal) MarkDone(id string) error {
 }
 
 // LoadRequest reads a journaled campaign request; ok is false if the
-// campaign is unknown.
+// campaign is unknown. It reads at most farmd.MaxMatrixBytes, the cap the
+// request was admitted under: a larger file is an error.
 func (j *Journal) LoadRequest(id string) (*farmd.MatrixRequest, bool, error) {
-	data, err := os.ReadFile(j.reqPath(id))
+	f, err := os.Open(j.reqPath(id))
 	if os.IsNotExist(err) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, err
+	}
+	defer f.Close()
+	data, err := io.ReadAll(io.LimitReader(f, farmd.MaxMatrixBytes+1))
+	if err != nil {
+		return nil, false, err
+	}
+	if len(data) > farmd.MaxMatrixBytes {
+		return nil, false, fmt.Errorf("fabric: journal %s: request over %d bytes", id, farmd.MaxMatrixBytes)
 	}
 	var req farmd.MatrixRequest
 	if err := json.Unmarshal(data, &req); err != nil {

@@ -37,7 +37,10 @@ import (
 
 // Op is an instruction opcode. Add through Ge are numbered like
 // aludsl.BinOp and domino.BinKind, so a lowering converts those operators by
-// value.
+// value. A unary operation, and a test of one register, is a binary one
+// against the constant-0 register (Builder.Const(0)): -x is sub #0, x; !x is
+// eq x, #0; x as a 0/1 truth value is ne x, #0; a jump on x being 0 is
+// jeq x, #0.
 type Op uint8
 
 const (
@@ -52,12 +55,7 @@ const (
 	Gt
 	Le
 	Ge
-	Neg  // r[A] = -r[B], wrapped
-	Not  // r[A] = r[B] == 0
-	Bool // r[A] = r[B] != 0
 	Mov  // r[A] = r[B]
-	Jz   // if r[B] == 0 continue at instruction A
-	Jnz  // if r[B] != 0 continue at instruction A
 	Jmp  // continue at instruction A
 	Trap // if r[B] == 0 { r[A] = C; stop }
 	And  // r[A] = r[B] & r[C], the width masks of narrower fields and registers
@@ -82,8 +80,7 @@ const (
 var ops = [...]struct{ name, fields string }{
 	Add: {"add", "AwBrCr"}, Sub: {"sub", "AwBrCr"}, Mul: {"mul", "AwBrCr"}, Div: {"div", "AwBrCr"}, Mod: {"mod", "AwBrCr"},
 	Eq: {"eq", "AwBrCr"}, Ne: {"ne", "AwBrCr"}, Lt: {"lt", "AwBrCr"}, Gt: {"gt", "AwBrCr"}, Le: {"le", "AwBrCr"}, Ge: {"ge", "AwBrCr"},
-	Neg: {"neg", "AwBr"}, Not: {"not", "AwBr"}, Bool: {"bool", "AwBr"}, Mov: {"mov", "AwBr"},
-	Jz: {"jz", "BrAj"}, Jnz: {"jnz", "BrAj"}, Jmp: {"jmp", "Aj"}, Trap: {"trap", "AwBrCi"},
+	Mov: {"mov", "AwBr"}, Jmp: {"jmp", "Aj"}, Trap: {"trap", "AwBrCi"},
 	And: {"and", "AwBrCr"}, Load: {"load", "AwBbCr"}, LoadMask: {"load", "AwBbCr"}, Store: {"store", "AbBrCr"}, StoreMask: {"store", "AbBrCr"},
 	Jeq: {"jeq", "BrCrAj"}, Jne: {"jne", "BrCrAj"},
 }
@@ -214,22 +211,8 @@ func (p *Program) Run(r []int64) {
 			r[in.A] = phv.Bool(r[in.B] <= r[in.C])
 		case Ge:
 			r[in.A] = phv.Bool(r[in.B] >= r[in.C])
-		case Neg:
-			r[in.A] = w.Trunc(-r[in.B])
-		case Not:
-			r[in.A] = phv.Bool(r[in.B] == 0)
-		case Bool:
-			r[in.A] = phv.Bool(r[in.B] != 0)
 		case Mov:
 			r[in.A] = r[in.B]
-		case Jz:
-			if r[in.B] == 0 {
-				pc = int(in.A) - 1
-			}
-		case Jnz:
-			if r[in.B] != 0 {
-				pc = int(in.A) - 1
-			}
 		case Jmp:
 			pc = int(in.A) - 1
 		case Trap:
@@ -437,7 +420,7 @@ func (p *Program) setsFirst(r int) bool {
 		}
 		written = written || writes && in.Op != Trap // a Trap writes only as it leaves
 		switch in.Op {
-		case Jz, Jnz, Jeq, Jne:
+		case Jeq, Jne:
 			set[in.A] = set[in.A] && written
 			set[pc+1] = set[pc+1] && written
 		case Jmp:
@@ -603,7 +586,7 @@ func (b *Builder) reg(name string, init int64, fixed bool) int {
 }
 
 // Op appends "dst = op x, y" and returns dst; a negative dst means a fresh
-// temporary. Unary opcodes ignore y.
+// temporary. Mov ignores y.
 func (b *Builder) Op(op Op, dst, x, y int) int {
 	if dst < 0 {
 		dst = b.reg("", 0, false)
@@ -622,16 +605,17 @@ func (b *Builder) Move(dst, src int) int {
 }
 
 // Logic emits the short-circuit x && y (or, with or set, x || y) as a 0/1
-// value: t = bool(x), then — skipped when x decides — whatever y appends and
-// t = bool(the register y returns). The result lands in dst as by Move.
+// value: t = x != 0, then — skipped when x decides — whatever y appends and
+// t = (the register y returns) != 0. The result lands in dst as by Move.
 func (b *Builder) Logic(or bool, dst, x int, y func() int) int {
-	skip := Jz
+	skip := Jeq
 	if or {
-		skip = Jnz
+		skip = Jne
 	}
-	t := b.Op(Bool, -1, x, 0)
-	decided := b.Jump(skip, t)
-	b.Op(Bool, t, y(), 0)
+	zero := b.Const(0)
+	t := b.Op(Ne, -1, x, zero)
+	decided := b.Branch(skip, t, zero)
+	b.Op(Ne, t, y(), zero)
 	b.Land(decided)
 	return b.Move(dst, t)
 }
@@ -668,12 +652,11 @@ func (b *Builder) wrapped(op Op, bank int) Op {
 	return op
 }
 
-// Jump appends a jump (Jz and Jnz test cond) whose target a later Land sets,
-// and returns its index.
-func (b *Builder) Jump(op Op, cond int) int { return b.Branch(op, cond, 0) }
+// Jump appends a Jmp whose target a later Land sets, and returns its index.
+func (b *Builder) Jump() int { return b.Branch(Jmp, 0, 0) }
 
-// Branch appends a jump whose target a later Land sets — Jeq and Jne compare
-// x with y, Jz and Jnz test x — and returns its index.
+// Branch appends a Jeq or Jne comparing x with y, whose target a later Land
+// sets, and returns its index.
 func (b *Builder) Branch(op Op, x, y int) int {
 	b.p.code = append(b.p.code, Instr{Op: op, B: uint32(x), C: uint32(y)})
 	return len(b.p.code) - 1

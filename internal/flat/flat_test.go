@@ -18,17 +18,14 @@ func TestOpsMatchWidthArithmetic(t *testing.T) {
 		w := phv.MustWidth(bits)
 		want := map[Op]func(x, y int64) int64{
 			Add: w.Add, Sub: w.Sub, Mul: w.Mul, Div: w.Div, Mod: w.Mod,
-			Eq:   func(x, y int64) int64 { return phv.Bool(x == y) },
-			Ne:   func(x, y int64) int64 { return phv.Bool(x != y) },
-			Lt:   func(x, y int64) int64 { return phv.Bool(x < y) },
-			Gt:   func(x, y int64) int64 { return phv.Bool(x > y) },
-			Le:   func(x, y int64) int64 { return phv.Bool(x <= y) },
-			Ge:   func(x, y int64) int64 { return phv.Bool(x >= y) },
-			Neg:  func(x, _ int64) int64 { return w.Trunc(-x) },
-			Not:  func(x, _ int64) int64 { return phv.Bool(x == 0) },
-			Bool: func(x, _ int64) int64 { return phv.Bool(x != 0) },
-			Mov:  func(x, _ int64) int64 { return x },
-			And:  func(x, y int64) int64 { return x & y },
+			Eq:  func(x, y int64) int64 { return phv.Bool(x == y) },
+			Ne:  func(x, y int64) int64 { return phv.Bool(x != y) },
+			Lt:  func(x, y int64) int64 { return phv.Bool(x < y) },
+			Gt:  func(x, y int64) int64 { return phv.Bool(x > y) },
+			Le:  func(x, y int64) int64 { return phv.Bool(x <= y) },
+			Ge:  func(x, y int64) int64 { return phv.Bool(x >= y) },
+			Mov: func(x, _ int64) int64 { return x },
+			And: func(x, y int64) int64 { return x & y },
 		}
 		for op, f := range want {
 			b := NewBuilder(w)
@@ -65,11 +62,12 @@ func TestControlFlow(t *testing.T) {
 	if b.Move(-1, in) != in || b.Move(in, in) != in {
 		t.Fatal("Move to nowhere, or onto itself, is a rename and emits nothing")
 	}
-	skip := b.Jump(Jz, in) // in0 == 0: skip the sum
+	zero := b.Const(0)
+	skip := b.Branch(Jeq, in, zero) // in0 == 0: skip the sum
 	b.Op(Add, acc, in, b.Const(100))
 	b.Land(skip)
 	b.Op(Trap, errReg, in+1, 3) // in1 == 0: stop with code 3
-	over := b.Jump(Jnz, in)
+	over := b.Branch(Jne, in, zero)
 	b.Op(Add, acc, acc, b.Const(1))
 	b.Land(over)
 	same := b.Branch(Jeq, in, in+1) // in0 == in1: skip the doubling
@@ -81,7 +79,7 @@ func TestControlFlow(t *testing.T) {
 	always := b.Branch(Jeq, in+1, in+1)
 	never := b.Branch(Jne, in, in)
 	b.Land(always, never)
-	done := b.Jump(Jmp, 0)
+	done := b.Jump()
 	b.Op(Mov, acc, b.Const(-1), 0) // never reached
 	b.Land(done)
 	p, err := b.Build()
@@ -111,10 +109,10 @@ func TestControlFlow(t *testing.T) {
 		}
 	}
 	const listing = `; acc = 7
-  0  jz   in0 -> 2
+  0  jeq  in0, #0 -> 2
   1  add  acc, in0, #100
   2  trap err, in1, 3
-  3  jnz  in0 -> 5
+  3  jne  in0, #0 -> 5
   4  add  acc, acc, #1
   5  jeq  in0, in1 -> 7
   6  add  acc, acc, acc
@@ -135,12 +133,12 @@ func TestControlFlow(t *testing.T) {
 func TestBuildRefusesWhatRunWouldTrip(t *testing.T) {
 	b := NewBuilder(phv.Default32)
 	x := b.Reg("x", 0)
-	one := b.Const(1)
-	j := b.Jump(Jz, x)
+	one, zero := b.Const(1), b.Const(0)
+	j := b.Branch(Jeq, x, zero)
 	b.Op(Add, x, x, one)
 	b.Land(j)
 	k := b.Branch(Jeq, x, one)
-	b.Op(Neg, x, x, 0)
+	b.Op(Sub, x, zero, x)
 	b.Land(k)
 	good, err := b.Build()
 	if err != nil {
@@ -220,7 +218,7 @@ func TestBanksAndMatch(t *testing.T) {
 	miss := b.Branch(Jne, idx, b.Const(7))
 	b.Store(four, idx, v) // idx == 7
 	b.Load(got, four, idx)
-	done := b.Jump(Jmp, 0)
+	done := b.Jump()
 	b.Land(hitOdd)
 	b.Store(odd, idx, v) // idx&0xf == 2
 	b.Load(got, odd, idx)
@@ -311,7 +309,7 @@ func TestCountingClone(t *testing.T) {
 	x, y := b.Reg("x", 0), b.Reg("y", 0)
 	miss := b.Branch(Jne, x, b.Const(1))
 	b.Op(Add, y, y, b.Const(10))
-	skip := b.Jump(Jnz, x)
+	skip := b.Branch(Jne, x, b.Const(0))
 	b.Land(miss)
 	hit := b.Branch(Jeq, x, b.Const(5))
 	b.Op(Add, y, y, b.Const(1))

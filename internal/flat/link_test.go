@@ -12,11 +12,13 @@ import (
 const linkRegs = 4
 
 // decodeProgram builds a program from data, three bytes per instruction: an
-// opcode (value ops, jumps, compare-and-branches, Trap, bank loads and
-// stores) and two operand bytes. Register 0 is the trap register; values are
-// written to registers 1..linkRegs and read from any of those or a constant;
-// a bank of three cells wraps by modulo, one of four by mask; a jump lands a
-// byte-chosen distance ahead. The datapath is w bits wide.
+// opcode (value ops, Jmp, compare-and-branches, Trap, bank loads and stores)
+// and two operand bytes. Register 0 is the trap register; values are written
+// to registers 1..linkRegs and read from any of those or a constant (an
+// operand byte 8..15 is the constant 0); a bank of three cells wraps by
+// modulo, one of four by mask; a jump lands a byte-chosen distance ahead: a
+// Jmp's by its second operand, a compare-and-branch's by the top two bits of
+// its first. The datapath is w bits wide.
 func decodeProgram(t *testing.T, w phv.Width, data []byte) *Program {
 	t.Helper()
 	b := NewBuilder(w)
@@ -38,8 +40,8 @@ func decodeProgram(t *testing.T, w phv.Width, data []byte) *Program {
 		delete(landAt, pc)
 		op, x, y := data[0]%(byte(Jne)+1), data[1], data[2]
 		switch Op(op) {
-		case Jz, Jnz, Jmp:
-			j := b.Jump(Op(op), reg(x))
+		case Jmp:
+			j := b.Jump()
 			target := pc + 1 + int(y)%4
 			landAt[target] = append(landAt[target], j)
 		case Jeq, Jne:
@@ -74,26 +76,26 @@ func decodeProgram(t *testing.T, w phv.Width, data []byte) *Program {
 // included; when a trapped, b's registers must still hold their initial
 // values.
 func FuzzLink(f *testing.F) {
-	// a: arithmetic, a forward jz and a jmp; b: reads two bound registers,
-	// writes a third bound one, and traps when g1 is zero.
-	f.Add([]byte{0, 1, 2, 15, 3, 1, 17, 2, 3, 2, 4, 0}, []byte{1, 1, 2, 14, 3, 3, 18, 2, 1, 6, 4, 1}, uint16(0x1e), int64(0x0102030405))
+	// a: arithmetic, a forward jeq against #0 and a jmp; b: reads two bound
+	// registers, writes a third bound one, and traps when g1 is zero.
+	f.Add([]byte{0, 1, 2, 19, 68, 8, 12, 2, 3, 2, 4, 0}, []byte{1, 1, 2, 11, 3, 3, 13, 2, 1, 6, 4, 1}, uint16(0x1e), int64(0x0102030405))
 	// b adds registers it reads bound, then traps.
-	f.Add([]byte{2, 3, 4}, []byte{0, 1, 2, 0, 3, 3, 18, 4, 0}, uint16(0x06), int64(0x0a00000b0c))
+	f.Add([]byte{2, 3, 4}, []byte{0, 1, 2, 0, 3, 3, 13, 4, 0}, uint16(0x06), int64(0x0a00000b0c))
 	// a traps at once on its zero trap-input register: b never runs.
-	f.Add([]byte{18, 0, 2, 0, 1, 2}, []byte{0, 1, 1, 18, 2, 0}, uint16(0xff), int64(7))
+	f.Add([]byte{13, 0, 2, 0, 1, 2}, []byte{0, 1, 1, 13, 2, 0}, uint16(0xff), int64(7))
 	// b writes bound g2 only after a Trap that fires, or only on the branch
 	// not taken: either way the value copied in is the one b leaves.
-	f.Add([]byte{}, []byte{18, 1, 0, 14, 2, 0}, uint16(0x08), int64(0x0007000009000003))
-	f.Add([]byte{}, []byte{15, 1, 1, 14, 2, 0}, uint16(0x08), int64(0x0007000009000003))
+	f.Add([]byte{}, []byte{13, 1, 0, 11, 2, 0}, uint16(0x08), int64(0x0007000009000003))
+	f.Add([]byte{}, []byte{19, 66, 8, 11, 2, 0}, uint16(0x08), int64(0x0007000009000003))
 	// Jumps in b to its end, and a constant read; nothing bound.
-	f.Add([]byte{4, 9, 25}, []byte{15, 1, 3, 16, 2, 2, 17, 0, 1, 5, 2, 40}, uint16(0), int64(0x7f7f7f7f7f))
+	f.Add([]byte{4, 9, 25}, []byte{19, 196, 8, 20, 132, 8, 12, 0, 1, 5, 2, 40}, uint16(0), int64(0x7f7f7f7f7f))
 	// Banks and compare-and-branches on both sides: a stores into its
 	// four-cell bank and loads back, b compares a bound register with a
 	// constant, stores into its three-cell bank and loads by mask; Link
 	// rebases b's banks and its branch targets.
-	f.Add([]byte{22, 0x81, 2, 20, 1, 0x81, 24, 2, 0x29, 19, 1, 2}, []byte{24, 1, 0x2a, 22, 2, 3, 21, 3, 0x83, 24, 0x14, 0x6b, 0, 3, 4}, uint16(0x0e), int64(0x0302010405))
+	f.Add([]byte{17, 0x81, 2, 15, 1, 0x81, 19, 2, 0x29, 14, 1, 2}, []byte{19, 1, 0x2a, 17, 2, 3, 16, 3, 0x83, 19, 0x14, 0x6b, 0, 3, 4}, uint16(0x0e), int64(0x0302010405))
 	// b's jeq reads a register it writes after, bound: the mov comes first.
-	f.Add([]byte{2, 3, 4}, []byte{24, 3, 0x10, 14, 3, 1, 20, 2, 0x84}, uint16(0x08), int64(0x0105000309))
+	f.Add([]byte{2, 3, 4}, []byte{19, 3, 0x10, 11, 3, 1, 15, 2, 0x84}, uint16(0x08), int64(0x0105000309))
 	f.Fuzz(func(t *testing.T, codeA, codeB []byte, bindBits uint16, vals int64) {
 		a, b := decodeProgram(t, phv.MustWidth(8), codeA), decodeProgram(t, phv.MustWidth(8), codeB)
 		na := len(a.init)
@@ -204,14 +206,14 @@ func TestLinkListing(t *testing.T) {
 	ab := NewBuilder(phv.Default32)
 	in := ab.Regs("in", 2)
 	s := ab.Op(Add, -1, in, in+1)
-	ab.Op(Neg, in, in, 0)
+	ab.Op(Sub, in, ab.Const(0), in)
 	a, err := ab.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	bb := NewBuilder(phv.Default32)
 	f, g := bb.Reg("pkt.f", 0), bb.Reg("pkt.g", 0)
-	skip := bb.Jump(Jz, g)
+	skip := bb.Branch(Jeq, g, bb.Const(0))
 	bb.Op(Add, f, f, bb.Const(5))
 	bb.Land(skip)
 	other := bb.Branch(Jne, f, bb.Const(5))
@@ -225,16 +227,16 @@ func TestLinkListing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if regs[f] != 3 || regs[g] != in+1 {
-		t.Errorf("regs %v: want f in its own register after a's three, g renamed to in1", regs)
+	if regs[f] != 4 || regs[g] != in+1 {
+		t.Errorf("regs %v: want f in its own register after a's four, g renamed to in1", regs)
 	}
 	const listing = `  0  add  t2, in0, in1
-  1  neg  in0, in0
+  1  sub  in0, #0, in0
   2  mov  pkt.f, t2
-  3  jz   in1 -> 5
+  3  jeq  in1, #0 -> 5
   4  add  pkt.f, pkt.f, #5
   5  jne  pkt.f, #5 -> 7
-  6  mul  t6, pkt.f, in1
+  6  mul  t8, pkt.f, in1
 `
 	if got := p.String(); got != listing {
 		t.Errorf("disassembly:\n%s\nwant:\n%s", got, listing)

@@ -40,14 +40,15 @@ type symPath struct {
 // SymFrame, and returns the frame the run leaves and the condition under
 // which a Trap stopped it. Jumps only go forward, so one pass in program
 // order meets every path into an instruction before the instruction. A
-// branch — on a register being 0, or on two being equal — and a Trap split
-// the path on a decision, unless it folds to a constant, and on the path
-// where a Jz or Jnz found its register 0 the register is the constant 0; where paths join, their frames merge by
-// ITEs on the decision at which they split, so two programs that decide the
-// same things and compute the same values end in the same vectors however
-// their paths join. A bank access is an ITE over the cells, indexed as Run
-// wraps the index. Every operation is Run's int64 arithmetic, so on a frame
-// of constants the result folds to exactly the frame Run leaves.
+// compare-and-branch and a Trap split the path on a decision, unless it
+// folds to a constant. On the path where a Jeq or Jne found a register equal
+// to the constant-0 register, that register is the constant 0. Where paths
+// join, their frames merge by ITEs on the decision at which they split, so
+// two programs that decide the same things and compute the same values end
+// in the same vectors however their paths join. A bank access is an ITE
+// over the cells, indexed as Run wraps the index. Every operation is Run's
+// int64 arithmetic, so on a frame of constants the result folds to exactly
+// the frame Run leaves.
 func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.Lit) {
 	s := &symRun{b: b, in: make([][]symPath, len(p.code)+1)}
 	mask := b.Const(SymBits, p.w.Mask())
@@ -91,37 +92,27 @@ func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.
 			r[in.A] = b.FromBool(s.lt(r[in.C], r[in.B]).Not(), SymBits)
 		case Ge:
 			r[in.A] = b.FromBool(s.lt(r[in.B], r[in.C]).Not(), SymBits)
-		case Neg:
-			r[in.A] = s.and(b.Neg(r[in.B]), mask)
-		case Not:
-			r[in.A] = b.FromBool(b.IsZero(r[in.B]), SymBits)
-		case Bool:
-			r[in.A] = b.FromBool(b.Truthy(r[in.B]), SymBits)
 		case Mov:
 			r[in.A] = r[in.B]
-		case Jz, Jnz:
-			taken := b.IsZero(r[in.B])
-			if in.Op == Jnz {
+		case Jeq, Jne:
+			taken := b.Eq(r[in.B], r[in.C])
+			if in.Op == Jne {
 				taken = taken.Not()
 			}
 			path := s.split(taken)
-			// Where the register tested is 0, it is the constant 0.
-			zero := path
-			if in.Op == Jnz {
-				zero = s.cur
+			equal := path
+			if in.Op == Jne {
+				equal = s.cur
 			}
-			if zero != nil {
-				zero.regs[in.B] = b.Const(SymBits, 0)
+			if equal != nil && p.fixed[in.C] && p.init[in.C] == 0 {
+				equal.regs[in.B] = b.Const(SymBits, 0)
 			}
 			if path != nil {
 				s.in[in.A] = append(s.in[in.A], *path)
 			}
-		case Jeq:
-			s.branch(int(in.A), b.Eq(r[in.B], r[in.C]))
-		case Jne:
-			s.branch(int(in.A), b.Ne(r[in.B], r[in.C]))
 		case Jmp:
-			s.branch(int(in.A), b.True())
+			s.in[in.A] = append(s.in[in.A], *s.cur)
+			s.cur = nil
 		case Trap:
 			if exit := s.split(b.IsZero(r[in.B])); exit != nil {
 				exit.regs[in.A] = b.Const(SymBits, int64(in.C))
@@ -175,14 +166,6 @@ func (s *symRun) split(d sat.Lit) (taken *symPath) {
 	taken = &symPath{dec: append(slices.Clip(cur.dec), d), cond: b.And(cur.cond, d), regs: slices.Clone(cur.regs)}
 	cur.dec, cur.cond = append(slices.Clip(cur.dec), d.Not()), b.And(cur.cond, d.Not())
 	return taken
-}
-
-// branch queues the path under way into instruction pc where d holds and
-// goes on where it does not.
-func (s *symRun) branch(pc int, d sat.Lit) {
-	if taken := s.split(d); taken != nil {
-		s.in[pc] = append(s.in[pc], *taken)
-	}
 }
 
 // merge joins paths that exclude each other and agree on their first k

@@ -20,18 +20,18 @@ import (
 // evaluate to Run's.
 func FuzzSymVsRun(f *testing.F) {
 	// Arithmetic on everything: div and mod of negatives, signed compares.
-	f.Add([]byte{3, 1, 2, 4, 2, 1, 7, 3, 4, 8, 2, 3, 9, 4, 1, 10, 1, 3, 11, 2, 4, 12, 3, 1, 13, 4, 2}, uint8(62), int64(1))
-	f.Add([]byte{0, 1, 2, 1, 3, 4, 2, 2, 3, 5, 4, 1, 6, 1, 1, 14, 2, 3, 19, 3, 0x48}, uint8(8), int64(2))
-	// Branches that join, a Jmp over a Trap, a Trap that fires.
-	f.Add([]byte{15, 1, 2, 0, 1, 2, 16, 2, 1, 1, 3, 3, 17, 0, 1, 18, 1, 0, 2, 4, 4}, uint8(16), int64(3))
-	f.Add([]byte{18, 0x08, 2, 0, 1, 1}, uint8(62), int64(4))
+	f.Add([]byte{3, 1, 2, 4, 2, 1, 7, 3, 4, 8, 2, 3, 9, 4, 1, 10, 1, 3, 1, 8, 2, 5, 3, 9, 6, 4, 10}, uint8(62), int64(1))
+	f.Add([]byte{0, 1, 2, 1, 3, 4, 2, 2, 3, 5, 4, 1, 6, 1, 1, 11, 2, 3, 14, 3, 0x48}, uint8(8), int64(2))
+	// Branches against #0 that join, a Jmp over a Trap, a Trap that fires.
+	f.Add([]byte{19, 0x83, 8, 0, 1, 2, 20, 0x43, 8, 1, 3, 3, 12, 0, 1, 13, 1, 0, 2, 4, 4}, uint8(16), int64(3))
+	f.Add([]byte{13, 0x08, 2, 0, 1, 1}, uint8(62), int64(4))
 	// Banks: a modulo store and load at negative indices, a mask store.
-	f.Add([]byte{22, 1, 2, 20, 1, 3, 23, 0x81, 4, 21, 2, 0x82, 20, 3, 0x01}, uint8(62), int64(5))
-	f.Add([]byte{22, 2, 0x29, 24, 1, 0x2a, 22, 3, 4, 21, 3, 0x83, 24, 0x14, 0x6b, 0, 3, 4}, uint8(8), int64(6))
-	f.Add([]byte("000"), uint8(0x1c), int64(-24)) // a store at a negative index into the modulo bank
+	f.Add([]byte{17, 1, 2, 15, 1, 3, 18, 0x81, 4, 16, 2, 0x82, 15, 3, 0x01}, uint8(62), int64(5))
+	f.Add([]byte{17, 2, 0x29, 19, 1, 0x2a, 17, 3, 4, 16, 3, 0x83, 19, 0x14, 0x6b, 0, 3, 4}, uint8(8), int64(6))
+	f.Add([]byte("&00"), uint8(0x1c), int64(-24)) // a store at a negative index into the modulo bank
 	// Compare-and-branches that land on one another and on the end, one of
 	// them comparing a register with itself.
-	f.Add([]byte{24, 1, 0xe0, 25, 2, 2, 0, 1, 2, 24, 0x43, 0x38, 1, 2, 3, 14, 4, 1}, uint8(32), int64(7))
+	f.Add([]byte{19, 1, 0xe0, 20, 2, 2, 0, 1, 2, 19, 0x43, 0x38, 1, 2, 3, 11, 4, 1}, uint8(32), int64(7))
 	f.Fuzz(func(t *testing.T, code []byte, bits uint8, seed int64) {
 		p := decodeProgram(t, phv.MustWidth(1+int(bits)%62), code)
 		rng := rand.New(rand.NewSource(seed))
@@ -83,4 +83,59 @@ func FuzzSymVsRun(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSymZeroFact: on the path where a Jeq or Jne found a register equal to
+// the constant-0 register, Sym holds it as the constant 0, so a second test
+// of it there folds — no decision, no split, and at the join of that test's
+// target no ITE for it — and the program evaluates, literal for literal, as
+// the program without that test and the instruction it skips. A compare
+// with any other constant leaves the register as it was.
+func TestSymZeroFact(t *testing.T) {
+	build := func(edit func(b *Builder, x, y int)) *Program {
+		b := NewBuilder(phv.Default32)
+		x, y := b.Reg("x", 0), b.Reg("y", 0)
+		edit(b, x, y)
+		p, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// once's registers are the first of twice's: x, y, #0, #2.
+	twice := build(func(b *Builder, x, y int) {
+		zero, two := b.Const(0), b.Const(2)
+		nonzero := b.Branch(Jne, x, zero)
+		again := b.Branch(Jeq, x, zero) // x is 0 here: always taken
+		b.Op(Add, y, y, b.Const(1))
+		b.Land(again)
+		b.Op(Add, y, y, two)
+		b.Land(nonzero)
+	})
+	once := build(func(b *Builder, x, y int) {
+		nonzero := b.Branch(Jne, x, b.Const(0))
+		b.Op(Add, y, y, b.Const(2))
+		b.Land(nonzero)
+	})
+	bb := bv.NewBuilder(sat.New())
+	free := twice.SymFrame(bb, func(int) bv.Vec { return bb.Var(SymBits) })
+	got, trapped := twice.Sym(bb, free)
+	want, _ := once.Sym(bb, free[:len(once.init)])
+	if trapped != bb.False() {
+		t.Fatalf("a program without a Trap traps on %v", trapped)
+	}
+	for r := range want {
+		if !same(got[r], want[r]) {
+			t.Errorf("%s: the second test of x did not fold\n%s", twice.RegName(r), twice)
+		}
+	}
+	if same(got[0], free[0]) {
+		t.Error("x is not the constant 0 on the path where it equals #0")
+	}
+
+	five := build(func(b *Builder, x, _ int) { b.Land(b.Branch(Jeq, x, b.Const(5))) })
+	free = five.SymFrame(bb, func(int) bv.Vec { return bb.Var(SymBits) })
+	if out, _ := five.Sym(bb, free); !same(out[0], free[0]) {
+		t.Errorf("jeq x, #5 changed x: %v, was %v", out[0], free[0])
+	}
 }
