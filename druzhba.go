@@ -396,7 +396,8 @@ type VerifyResult = verify.Result
 // can be formally proven"). Where FuzzPipeline samples random inputs,
 // Prove covers every input of the verification bit width exhaustively via
 // an internal SAT solver, and returns a counterexample input trace when
-// the machine code is wrong.
+// the machine code is wrong. A specification that fails on some input the
+// options admit is never proved: Prove returns its error.
 func Prove(cfg Config, code *MachineCode, dominoSrc string, fields map[string]int, opts VerifyOptions) (*VerifyResult, error) {
 	return ProveContext(context.Background(), cfg, code, dominoSrc, fields, opts)
 }

@@ -239,6 +239,26 @@ func TestVerifyEmptyComparisonIsJobError(t *testing.T) {
 	}
 }
 
+// TestVerifySpecThatCanFailIsJobError: a cell whose specification can fail
+// is not proven; the failure is the job's error row, as a fuzz job's spec
+// failure is.
+func TestVerifySpecThatCanFailIsJobError(t *testing.T) {
+	hw, code, prog, fields, containers, maxInput := verifytest.CanFail()
+	target := &VerifyTarget{
+		Benchmark: prog.Name, Spec: hw, Code: code, Prog: prog, Fields: fields,
+		Containers: containers, MaxInput: maxInput, Bits: []int{2}, Steps: []int{1}, Seed: 1,
+	}
+	rep, err := Run(context.Background(), []Job{{Name: "verify/can-fail/seed=1", Target: target, Seed: 1, Packets: 1}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr := rep.Jobs[0]
+	const want = `domino: local "x" read before assignment`
+	if rep.Passed || jr.Status != StatusError || !strings.Contains(jr.Error, want) {
+		t.Fatalf("status %s, error %q; want an error row carrying %q", jr.Status, jr.Error, want)
+	}
+}
+
 // TestVerifyCounterexampleReproducesAsFuzzMismatch is the differential
 // test of the verify→fuzz feedback loop: a seeded miscompile's SAT
 // counterexample trace, decoded to concrete PHVs, must reproduce as a

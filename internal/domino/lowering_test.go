@@ -102,3 +102,70 @@ func TestLinkListingAndRefusals(t *testing.T) {
 		t.Errorf("a 32-bit transaction after an 8-bit program: %v", err)
 	}
 }
+
+// TestBinaryOperatorsAreFlatOpcodes pins what the lowering's flat.Op(e.Op)
+// conversion relies on: Domino's arithmetic and comparison operators are
+// numbered as flat's opcodes for them, and && and || — lowered as branches,
+// not converted — are the two after them.
+func TestBinaryOperatorsAreFlatOpcodes(t *testing.T) {
+	pairs := []struct {
+		dom BinKind
+		op  flat.Op
+	}{
+		{BAdd, flat.Add}, {BSub, flat.Sub}, {BMul, flat.Mul}, {BDiv, flat.Div}, {BMod, flat.Mod},
+		{BEq, flat.Eq}, {BNeq, flat.Ne}, {BLt, flat.Lt}, {BGt, flat.Gt}, {BLe, flat.Le}, {BGe, flat.Ge},
+	}
+	for _, p := range pairs {
+		if int(p.dom) != int(p.op) {
+			t.Errorf("Domino operator %d lowers to flat opcode %d, the lowering converts it to %d", int(p.dom), int(p.op), int(p.dom))
+		}
+	}
+	if BAnd != BGe+1 || BOr != BAnd+1 {
+		t.Errorf("&& and || are operators %d and %d, want %d and %d", BAnd, BOr, BGe+1, BGe+2)
+	}
+}
+
+// TestLayoutRunsAsAPHVSpec: the lowered program run on a frame of its own,
+// set up as Layout says — packet into the bound fields' registers, flags and
+// error register cleared — leaves the bound fields and the state as a
+// PHVSpec fed the same packets does, through a packet on which the
+// specification fails.
+func TestLayoutRunsAsAPHVSpec(t *testing.T) {
+	p, err := Parse(`state c = 3;
+transaction { c = c + pkt.a; if (pkt.a == 1) { int x = c; } pkt.b = x; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Bind(p, FieldMap{"a": 0, "b": 2}, phv.MustWidth(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := b.Layout()
+	if len(layout.Fields) != 3 || layout.Fields[1] != -1 || len(layout.Clear) != 2 {
+		t.Fatalf("layout %+v: want fields at containers 0 and 2, one flag and the error register to clear", layout)
+	}
+	prog, spec := b.Lowered(), b.NewSpec()
+	frame := prog.NewFrame()
+	for i, a := range []int64{1, 0, 1, 1} {
+		vals := []int64{a, 7, 9}
+		for c, r := range layout.Fields {
+			if r >= 0 {
+				frame[r] = vals[c]
+			}
+		}
+		for _, r := range layout.Clear {
+			frame[r] = 0
+		}
+		prog.Run(frame)
+		want, err := spec.Process(phv.FromValues(vals))
+		if (err != nil) != (a == 0) {
+			t.Fatalf("packet %d: spec error %v", i, err)
+		}
+		if err == nil && frame[layout.Fields[2]] != want.Get(2) {
+			t.Errorf("packet %d: pkt.b %d, PHVSpec %d", i, frame[layout.Fields[2]], want.Get(2))
+		}
+		if c, _ := spec.State("c"); frame[layout.State["c"]] != c {
+			t.Errorf("packet %d: c %d, PHVSpec %d", i, frame[layout.State["c"]], c)
+		}
+	}
+}

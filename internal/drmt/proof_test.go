@@ -74,7 +74,7 @@ func (a *agreement) prove(t *testing.T) proof {
 		start[s[0]] = free(s[2])
 		start[s[1]] = start[s[0]]
 	}
-	frame := a.code.SymFrame(b, func(r int) bv.Vec {
+	frame := a.code.SymFrame(b, flat.SymBits, func(r int) bv.Vec {
 		if v, ok := start[r]; ok {
 			return v
 		}

@@ -22,9 +22,11 @@
 // instead of values, in one pass in program order: every branch and Trap
 // splits the path on a decision, joins merge frames by ITEs on the
 // decision that split them, a bank access is an ITE over the cells, and the
-// arithmetic is Run's. On constants it folds to what Run computes; over free
-// variables a question about every frame the program can start from — two
-// linked programs agreeing, say — is a formula for the SAT solver.
+// arithmetic is Run's: on 64-bit vectors, or on vectors of the program's own
+// width, where nothing needs masking. On constants it folds to what Run
+// computes; over free variables a question about every frame the program can
+// start from — two linked programs agreeing, a lowered Domino specification
+// against a pipeline — is a formula for the SAT solver.
 package flat
 
 import (

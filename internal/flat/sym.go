@@ -1,23 +1,30 @@
 package flat
 
 import (
+	"fmt"
 	"slices"
 
 	"druzhba/internal/bv"
 	"druzhba/internal/sat"
 )
 
-// SymBits is the width of a register in a symbolic frame: a register is an
-// int64, and Sym keeps all of its bits.
+// SymBits is the width of a register in a symbolic frame that keeps all of
+// an int64's bits.
 const SymBits = 64
 
-// SymFrame returns a frame for Sym: every constant register holds its value
-// and every other register the 64-bit vector value returns for it.
-func (p *Program) SymFrame(b *bv.Builder, value func(r int) bv.Vec) []bv.Vec {
+// SymFrame returns a frame of bits-wide vectors for Sym: every constant
+// register holds its value and every other register the vector value returns
+// for it. bits is SymBits, for Run's int64 arithmetic on any program, or the
+// program's own width, for a program whose constants lie in [0, 2^width) —
+// every program packages core and domino build.
+func (p *Program) SymFrame(b *bv.Builder, bits int, value func(r int) bv.Vec) []bv.Vec {
+	if bits != SymBits && bits != p.w.Bits() {
+		panic(fmt.Sprintf("flat: a %d-bit symbolic frame for a %d-bit program", bits, p.w.Bits()))
+	}
 	frame := make([]bv.Vec, len(p.init))
 	for r := range frame {
 		if p.fixed[r] {
-			frame[r] = b.Const(SymBits, p.init[r])
+			frame[r] = b.Const(bits, p.init[r])
 		} else {
 			frame[r] = value(r)
 		}
@@ -46,12 +53,20 @@ type symPath struct {
 // join, their frames merge by ITEs on the decision at which they split, so
 // two programs that decide the same things and compute the same values end
 // in the same vectors however their paths join. A bank access is an ITE
-// over the cells, indexed as Run wraps the index. Every operation is Run's
-// int64 arithmetic, so on a frame of constants the result folds to exactly
-// the frame Run leaves.
+// over the cells, indexed as Run wraps the index.
+//
+// On a SymBits frame every operation is Run's int64 arithmetic. On a frame
+// of the program's width w every register of Run's stays in [0, 2^w), so the
+// arithmetic is unsigned and wraps at w bits with nothing to mask — the
+// same gates package verify builds for an ALU DSL operator — and only a Trap
+// code that does not fit is cut to its low bits. Either way, on a frame of constants
+// the result folds to exactly the frame Run leaves.
 func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.Lit) {
-	s := &symRun{b: b, in: make([][]symPath, len(p.code)+1)}
-	mask := b.Const(SymBits, p.w.Mask())
+	s := &symRun{b: b, in: make([][]symPath, len(p.code)+1), bits: SymBits}
+	if len(frame) > 0 {
+		s.bits = len(frame[0])
+	}
+	mask := b.Const(s.bits, p.w.Mask())
 	s.cur = &symPath{cond: b.True(), regs: append([]bv.Vec(nil), frame...)}
 	var exits []symPath // the paths a Trap ends
 	trapped = b.False()
@@ -81,17 +96,17 @@ func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.
 			_, m := s.divMod(r[in.B], r[in.C])
 			r[in.A] = s.and(m, mask)
 		case Eq:
-			r[in.A] = b.FromBool(b.Eq(r[in.B], r[in.C]), SymBits)
+			r[in.A] = b.FromBool(b.Eq(r[in.B], r[in.C]), s.bits)
 		case Ne:
-			r[in.A] = b.FromBool(b.Ne(r[in.B], r[in.C]), SymBits)
+			r[in.A] = b.FromBool(b.Ne(r[in.B], r[in.C]), s.bits)
 		case Lt:
-			r[in.A] = b.FromBool(s.lt(r[in.B], r[in.C]), SymBits)
+			r[in.A] = b.FromBool(s.lt(r[in.B], r[in.C]), s.bits)
 		case Gt:
-			r[in.A] = b.FromBool(s.lt(r[in.C], r[in.B]), SymBits)
+			r[in.A] = b.FromBool(s.lt(r[in.C], r[in.B]), s.bits)
 		case Le:
-			r[in.A] = b.FromBool(s.lt(r[in.C], r[in.B]).Not(), SymBits)
+			r[in.A] = b.FromBool(s.lt(r[in.C], r[in.B]).Not(), s.bits)
 		case Ge:
-			r[in.A] = b.FromBool(s.lt(r[in.B], r[in.C]).Not(), SymBits)
+			r[in.A] = b.FromBool(s.lt(r[in.B], r[in.C]).Not(), s.bits)
 		case Mov:
 			r[in.A] = r[in.B]
 		case Jeq, Jne:
@@ -105,7 +120,7 @@ func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.
 				equal = s.cur
 			}
 			if equal != nil && p.fixed[in.C] && p.init[in.C] == 0 {
-				equal.regs[in.B] = b.Const(SymBits, 0)
+				equal.regs[in.B] = b.Const(s.bits, 0)
 			}
 			if path != nil {
 				s.in[in.A] = append(s.in[in.A], *path)
@@ -115,7 +130,7 @@ func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.
 			s.cur = nil
 		case Trap:
 			if exit := s.split(b.IsZero(r[in.B])); exit != nil {
-				exit.regs[in.A] = b.Const(SymBits, int64(in.C))
+				exit.regs[in.A] = b.Const(s.bits, int64(in.C))
 				exits = append(exits, *exit)
 				trapped = b.Or(trapped, exit.cond)
 			}
@@ -130,7 +145,7 @@ func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.
 			r[in.A] = v
 		case Store, StoreMask:
 			bk := p.banks[in.A]
-			idx, v := s.index(in.Op == StoreMask, r[in.B], bk.cells), s.and(r[in.C], b.Const(SymBits, bk.mask))
+			idx, v := s.index(in.Op == StoreMask, r[in.B], bk.cells), s.and(r[in.C], b.Const(s.bits, bk.mask))
 			for c := 0; c < bk.cells; c++ {
 				r[bk.first+c] = s.ite(b.Eq(idx, b.Const(SymBits, int64(c))), v, r[bk.first+c])
 			}
@@ -146,9 +161,10 @@ func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.
 // symRun is the state of one Sym pass: the path under way (nil where none
 // reaches) and the paths queued into each instruction.
 type symRun struct {
-	b   *bv.Builder
-	cur *symPath
-	in  [][]symPath
+	b    *bv.Builder
+	cur  *symPath
+	in   [][]symPath
+	bits int // the frame's width: SymBits, or the program's
 }
 
 // split takes decision d off the path under way: it returns the path on
@@ -282,8 +298,12 @@ func (s *symRun) and(x, y bv.Vec) bv.Vec {
 	return out
 }
 
-// lt is x < y on int64s: unsigned < with the sign bits flipped.
+// lt is x < y on int64s: unsigned < with the sign bits flipped. On a frame of
+// the program's width no register is negative, so it is unsigned <.
 func (s *symRun) lt(x, y bv.Vec) sat.Lit {
+	if s.bits != SymBits {
+		return s.b.Ult(x, y)
+	}
 	flip := func(v bv.Vec) bv.Vec {
 		f := append(bv.Vec(nil), v...)
 		f[len(f)-1] = f[len(f)-1].Not()
@@ -295,9 +315,13 @@ func (s *symRun) lt(x, y bv.Vec) sat.Lit {
 // divMod is Go's int64 x / y and x % y, both 0 when y is 0: the unsigned
 // division of the magnitudes, the quotient negated when the signs differ
 // and the remainder when x is negative. (The smallest int64 is its own
-// magnitude and its own negation, so it divides as Go divides it.)
+// magnitude and its own negation, so it divides as Go divides it.) On a
+// frame of the program's width it is the unsigned division.
 func (s *symRun) divMod(x, y bv.Vec) (q, m bv.Vec) {
 	b := s.b
+	if s.bits != SymBits {
+		return b.DivMod(x, y)
+	}
 	xs, ys := x[len(x)-1], y[len(y)-1]
 	q, m = b.DivMod(b.Ite(xs, b.Neg(x), x), b.Ite(ys, b.Neg(y), y))
 	return b.Ite(b.Xor(xs, ys), b.Neg(q), q), b.Ite(xs, b.Neg(m), m)
@@ -305,9 +329,11 @@ func (s *symRun) divMod(x, y bv.Vec) (q, m bv.Vec) {
 
 // index wraps the index of an access to a bank of n cells as Run does:
 // idx & (n-1) for a mask-wrapped access, and otherwise idx % n made
-// non-negative.
+// non-negative. It is a SymBits vector, an index from a narrower frame
+// zero-extended, so that it can name every cell.
 func (s *symRun) index(masked bool, idx bv.Vec, n int) bv.Vec {
 	b := s.b
+	idx = append(slices.Clip(idx), b.Const(SymBits-len(idx), 0)...)
 	if masked {
 		return s.and(idx, b.Const(SymBits, int64(n-1)))
 	}

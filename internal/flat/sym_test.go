@@ -11,78 +11,111 @@ import (
 )
 
 // FuzzSymVsRun pins Sym to Run: a decoded program (every opcode, banks that
-// wrap by modulo and by mask, compare-and-branches and Traps) runs on a frame of concrete
-// values — full-range, negative, small and all-ones ones — and Sym over the
-// same values as constants must fold to exactly the frame Run leaves, with
-// the trap condition the constant that says whether a Trap stopped it. Over
-// free variables instead, every branch splits and every join merges; pinned
-// to the same values, the frame and the trap condition Sym returns must
-// evaluate to Run's.
+// wrap by modulo and by mask, compare-and-branches and Traps) runs on a frame
+// of concrete values — full-range, negative, small and all-ones ones — and
+// Sym over the same values as constants must fold to exactly the frame Run
+// leaves, with the trap condition the constant that says whether a Trap
+// stopped it. Over free variables instead, every branch splits and every join
+// merges; pinned to the same values, the frame and the trap condition Sym
+// returns must evaluate to Run's. Where the program's constants fit its
+// width, both checks run again on a frame of that width, from the values
+// masked to it.
 func FuzzSymVsRun(f *testing.F) {
 	// Arithmetic on everything: div and mod of negatives, signed compares.
 	f.Add([]byte{3, 1, 2, 4, 2, 1, 7, 3, 4, 8, 2, 3, 9, 4, 1, 10, 1, 3, 1, 8, 2, 5, 3, 9, 6, 4, 10}, uint8(62), int64(1))
 	f.Add([]byte{0, 1, 2, 1, 3, 4, 2, 2, 3, 5, 4, 1, 6, 1, 1, 11, 2, 3, 14, 3, 0x48}, uint8(8), int64(2))
 	// Branches against #0 that join, a Jmp over a Trap, a Trap that fires.
 	f.Add([]byte{19, 0x83, 8, 0, 1, 2, 20, 0x43, 8, 1, 3, 3, 12, 0, 1, 13, 1, 0, 2, 4, 4}, uint8(16), int64(3))
-	f.Add([]byte{13, 0x08, 2, 0, 1, 1}, uint8(62), int64(4))
-	// Banks: a modulo store and load at negative indices, a mask store.
+	f.Add([]byte{13, 0x08, 2, 0, 1, 1}, uint8(62), int64(4)) // at width 1 the Trap's code 3 is cut to 1
+	// Banks: a modulo store and load at negative indices, a mask store; at
+	// width 1 only cells 0 and 1 can be indexed.
 	f.Add([]byte{17, 1, 2, 15, 1, 3, 18, 0x81, 4, 16, 2, 0x82, 15, 3, 0x01}, uint8(62), int64(5))
 	f.Add([]byte{17, 2, 0x29, 19, 1, 0x2a, 17, 3, 4, 16, 3, 0x83, 19, 0x14, 0x6b, 0, 3, 4}, uint8(8), int64(6))
 	f.Add([]byte("&00"), uint8(0x1c), int64(-24)) // a store at a negative index into the modulo bank
 	// Compare-and-branches that land on one another and on the end, one of
 	// them comparing a register with itself.
 	f.Add([]byte{19, 1, 0xe0, 20, 2, 2, 0, 1, 2, 19, 0x43, 0x38, 1, 2, 3, 11, 4, 1}, uint8(32), int64(7))
+	// The widths verify proves at (8 and 10 bits) and Table 1 fuzzes at (32):
+	// unsigned arithmetic, division and compares (seed 105 draws operands
+	// with the top bit set, which a signed division misreads); branches and
+	// a Trap; banks.
+	f.Add([]byte{3, 1, 2, 4, 2, 1, 7, 3, 4, 8, 2, 3, 9, 4, 1, 10, 1, 3, 1, 8, 2, 5, 3, 9, 6, 4, 10}, uint8(7), int64(105))
+	f.Add([]byte{19, 0x83, 8, 0, 1, 2, 20, 0x43, 8, 1, 3, 3, 12, 0, 1, 13, 1, 0, 2, 4, 4}, uint8(9), int64(9))
+	f.Add([]byte{17, 1, 2, 15, 1, 3, 18, 0x81, 4, 16, 2, 0x82, 15, 3, 0x01}, uint8(31), int64(10))
 	f.Fuzz(func(t *testing.T, code []byte, bits uint8, seed int64) {
 		p := decodeProgram(t, phv.MustWidth(1+int(bits)%62), code)
 		rng := rand.New(rand.NewSource(seed))
-		frame := p.NewFrame()
-		for r := 1; r < len(frame); r++ {
+		start := p.NewFrame()
+		for r := 1; r < len(start); r++ {
 			if p.fixed[r] {
 				continue
 			}
 			switch rng.Intn(6) {
 			case 0:
-				frame[r] = int64(rng.Uint64())
+				start[r] = int64(rng.Uint64())
 			case 1:
-				frame[r] = -rng.Int63n(8)
+				start[r] = -rng.Int63n(8)
 			case 2:
-				frame[r] = 1<<(1+rng.Intn(62)) - 1
+				start[r] = 1<<(1+rng.Intn(62)) - 1
 			default:
-				frame[r] = rng.Int63n(8)
+				start[r] = rng.Int63n(8)
 			}
 		}
-		start := slices.Clone(frame)
-		b := bv.NewBuilder(sat.New())
-		out, trapped := p.Sym(b, p.SymFrame(b, func(r int) bv.Vec { return b.Const(SymBits, frame[r]) }))
-		p.Run(frame) // register 0, the trap register, starts 0: a Trap sets it to 1..5
-		if want := b.Lit(frame[0] != 0); trapped != want {
-			t.Fatalf("trap: Sym %v, Run stopped at a trap: %v\n%s", trapped, frame[0] != 0, p)
-		}
-		for r, v := range out {
-			got, ok := b.ConstValue(v)
-			if !ok || got != frame[r] {
-				t.Fatalf("register %s: Sym %d (constant %v), Run %d\n%s", p.RegName(r), got, ok, frame[r], p)
+		symVsRun(t, p, SymBits, start)
+		mask := p.w.Mask()
+		for r, v := range p.init {
+			if p.fixed[r] && v&mask != v {
+				return
 			}
 		}
-
-		b = bv.NewBuilder(sat.New())
-		free := p.SymFrame(b, func(r int) bv.Vec { return b.Var(SymBits) })
-		out, trapped = p.Sym(b, free)
-		for r, v := range free {
-			b.AssertEq(v, b.Const(SymBits, start[r]))
+		for r := range start {
+			start[r] &= mask
 		}
-		if st := b.Solve(); st != sat.Sat {
-			t.Fatalf("pinning the free frame: %v", st)
-		}
-		if got := b.Value(bv.Vec{trapped}) != 0; got != (frame[0] != 0) {
-			t.Fatalf("trap over free registers: Sym %v, Run %v\n%s", got, frame[0] != 0, p)
-		}
-		for r, v := range out {
-			if got := b.Value(v); got != frame[r] {
-				t.Fatalf("register %s over free registers: Sym %d, Run %d\n%s", p.RegName(r), got, frame[r], p)
-			}
-		}
+		symVsRun(t, p, p.w.Bits(), start)
 	})
+}
+
+// symVsRun runs p from start, and Sym on a frame of the given width: over
+// constants it must fold to the frame Run leaves, over free vectors pinned to
+// start it must evaluate to it. A register is compared at the frame's width,
+// which cuts only a Trap code.
+func symVsRun(t *testing.T, p *Program, bits int, start []int64) {
+	t.Helper()
+	frame := slices.Clone(start)
+	p.Run(frame) // register 0, the trap register, starts 0: a Trap sets it to 1..5
+	want := func(r int) int64 { return frame[r] & (1<<bits - 1) }
+	if bits == SymBits {
+		want = func(r int) int64 { return frame[r] }
+	}
+	b := bv.NewBuilder(sat.New())
+	out, trapped := p.Sym(b, p.SymFrame(b, bits, func(r int) bv.Vec { return b.Const(bits, start[r]) }))
+	if trapped != b.Lit(frame[0] != 0) {
+		t.Fatalf("%d-bit frame: trap: Sym %v, Run stopped at a trap: %v\n%s", bits, trapped, frame[0] != 0, p)
+	}
+	for r, v := range out {
+		got, ok := b.ConstValue(v)
+		if !ok || got != want(r) {
+			t.Fatalf("%d-bit frame: register %s: Sym %d (constant %v), Run %d\n%s", bits, p.RegName(r), got, ok, want(r), p)
+		}
+	}
+
+	b = bv.NewBuilder(sat.New())
+	free := p.SymFrame(b, bits, func(r int) bv.Vec { return b.Var(bits) })
+	out, trapped = p.Sym(b, free)
+	for r, v := range free {
+		b.AssertEq(v, b.Const(bits, start[r]))
+	}
+	if st := b.Solve(); st != sat.Sat {
+		t.Fatalf("%d-bit frame: pinning the free frame: %v", bits, st)
+	}
+	if got := b.Value(bv.Vec{trapped}) != 0; got != (frame[0] != 0) {
+		t.Fatalf("%d-bit frame: trap over free registers: Sym %v, Run %v\n%s", bits, got, frame[0] != 0, p)
+	}
+	for r, v := range out {
+		if got := b.Value(v); got != want(r) {
+			t.Fatalf("%d-bit frame: register %s over free registers: Sym %d, Run %d\n%s", bits, p.RegName(r), got, want(r), p)
+		}
+	}
 }
 
 // TestSymZeroFact: on the path where a Jeq or Jne found a register equal to
@@ -118,7 +151,7 @@ func TestSymZeroFact(t *testing.T) {
 		b.Land(nonzero)
 	})
 	bb := bv.NewBuilder(sat.New())
-	free := twice.SymFrame(bb, func(int) bv.Vec { return bb.Var(SymBits) })
+	free := twice.SymFrame(bb, SymBits, func(int) bv.Vec { return bb.Var(SymBits) })
 	got, trapped := twice.Sym(bb, free)
 	want, _ := once.Sym(bb, free[:len(once.init)])
 	if trapped != bb.False() {
@@ -134,7 +167,7 @@ func TestSymZeroFact(t *testing.T) {
 	}
 
 	five := build(func(b *Builder, x, _ int) { b.Land(b.Branch(Jeq, x, b.Const(5))) })
-	free = five.SymFrame(bb, func(int) bv.Vec { return bb.Var(SymBits) })
+	free = five.SymFrame(bb, SymBits, func(int) bv.Vec { return bb.Var(SymBits) })
 	if out, _ := five.Sym(bb, free); !same(out[0], free[0]) {
 		t.Errorf("jeq x, #5 changed x: %v, was %v", out[0], free[0])
 	}

@@ -8,7 +8,6 @@ import (
 	"druzhba/internal/aludsl"
 	"druzhba/internal/atoms"
 	"druzhba/internal/bv"
-	"druzhba/internal/domino"
 	"druzhba/internal/phv"
 	"druzhba/internal/sat"
 )
@@ -199,36 +198,38 @@ func TestSymbolicALUWithSymbolicInputs(t *testing.T) {
 	}
 }
 
-// TestBinaryOperatorEnumerations pins what lets symBinOp serve both front
-// ends through one conversion: the ALU DSL's BinOp and Domino's BinKind name
-// the same thirteen operators under the same numbers, and neither language
-// has a fourteenth the table would miss.
+// TestBinaryOperatorEnumerations pins symALU.binOp to the interpreter: for
+// each of the ALU DSL's thirteen binary operators it folds, on constants, to
+// what aludsl.ApplyBinOp computes, and the operator past them is neither the
+// DSL's nor the table's.
 func TestBinaryOperatorEnumerations(t *testing.T) {
-	pairs := []struct {
-		alu aludsl.BinOp
-		dom domino.BinKind
-	}{
-		{aludsl.OpAdd, domino.BAdd}, {aludsl.OpSub, domino.BSub}, {aludsl.OpMul, domino.BMul},
-		{aludsl.OpDiv, domino.BDiv}, {aludsl.OpMod, domino.BMod},
-		{aludsl.OpEq, domino.BEq}, {aludsl.OpNeq, domino.BNeq},
-		{aludsl.OpLt, domino.BLt}, {aludsl.OpGt, domino.BGt}, {aludsl.OpLe, domino.BLe}, {aludsl.OpGe, domino.BGe},
-		{aludsl.OpAnd, domino.BAnd}, {aludsl.OpOr, domino.BOr},
-	}
+	w := phv.MustWidth(4)
 	b := bv.NewBuilder(sat.New())
-	l, r := b.Const(4, 9), b.Const(4, 3)
-	for i, p := range pairs {
-		if int(p.alu) != i || int(p.dom) != i {
-			t.Errorf("pair %d: aludsl %v = %d, domino operator = %d; want both %d", i, p.alu, int(p.alu), int(p.dom), i)
+	e := &symALU{b: b, bits: w.Bits(), w: w}
+	binOp := func(op aludsl.BinOp, x, y int64) (v int64, ok bool) {
+		defer func() {
+			if r := recover(); r != nil {
+				ok = false
+			}
+		}()
+		return b.ConstValue(e.binOp(op, b.Const(w.Bits(), x), b.Const(w.Bits(), y)))
+	}
+	const ops = 13
+	for op := aludsl.BinOp(0); op < ops; op++ {
+		if !op.Valid() {
+			t.Fatalf("aludsl has no binary operator %d", int(op))
 		}
-		if _, ok := symBinOp(b, 4, aludsl.BinOp(p.dom), l, r); !ok {
-			t.Errorf("symBinOp has no entry for operator %d (%v)", i, p.alu)
+		for _, xy := range [][2]int64{{9, 3}, {3, 9}, {5, 5}, {7, 0}, {0, 0}, {15, 2}} {
+			got, ok := binOp(op, xy[0], xy[1])
+			if want := aludsl.ApplyBinOp(w, op, xy[0], xy[1]); !ok || got != want {
+				t.Errorf("%d %v %d: symALU %d (folded %v), interpreter %d", xy[0], op, xy[1], got, ok, want)
+			}
 		}
 	}
-	next := aludsl.BinOp(len(pairs))
-	if next.Valid() {
+	if next := aludsl.BinOp(ops); next.Valid() {
 		t.Errorf("aludsl has a binary operator %d beyond the table", int(next))
 	}
-	if _, ok := symBinOp(b, 4, next, l, r); ok {
-		t.Errorf("symBinOp accepts operator %d, which neither language has", int(next))
+	if _, ok := binOp(ops, 9, 3); ok {
+		t.Errorf("symALU accepts operator %d, which the ALU DSL does not have", ops)
 	}
 }

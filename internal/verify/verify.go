@@ -4,20 +4,26 @@
 // proven." It complements the fuzz testing of Fig. 5 — fuzzing samples the
 // input space, the verifier covers it exhaustively at a chosen bit width.
 //
-// The pipeline description (machine code bound to a hardware spec) and the
-// high-level Domino specification are both executed symbolically: PHV
-// containers and state become bit-vectors (package bv), control flow
-// becomes if-then-else merging, and the claim "some compared container
-// differs in some transaction" becomes a SAT instance (package sat). UNSAT
-// proves the compiler's machine code equivalent to the specification over
-// every input of the verification width for the unrolled number of
-// transactions; SAT yields a concrete counterexample input trace.
+// Both sides are executed symbolically: PHV containers and state become
+// bit-vectors (package bv), control flow becomes if-then-else merging, and
+// the claim "some compared container differs in some transaction, or the
+// specification fails" becomes a SAT instance (package sat). The pipeline
+// description (machine code bound to a hardware spec) is walked here, ALU
+// by ALU. The Domino specification is the program a fuzz shard runs:
+// domino.Bind lowers it to package flat at the cell's width, and flat.Sym
+// evaluates that program at the same width — one Domino semantics for the
+// fuzzer and the prover, whose state (§3.3: behaviour "on both PHVs and
+// state values") is registers of that program. UNSAT proves the compiler's
+// machine code equivalent to the specification over every input of the
+// verification width for the unrolled number of transactions; SAT yields a
+// concrete input trace, replayed through the pipeline and the specification
+// as a fuzz shard runs them: a counterexample, or the specification's error.
 //
-// §7 also asks for "PHV and state value constraints": Options.MaxInput and
-// Options.InputBounds restrict the verified input space the same way the
-// paper's case study restricted the synthesizer's (which is exactly how the
-// "works below 100, fails at 10-bit inputs" failure class of §5.2 arises —
-// see the package tests, which reproduce it formally).
+// §7 also asks for "PHV and state value constraints": Options.MaxInput
+// restricts the verified input space the same way the paper's case study
+// restricted the synthesizer's (which is exactly how the "works below 100,
+// fails at 10-bit inputs" failure class of §5.2 arises — see the package
+// tests, which reproduce it formally).
 package verify
 
 import (
@@ -65,9 +71,6 @@ type Options struct {
 	// the full range of the verification width. This is the verifier
 	// counterpart of the traffic generator's value bound.
 	MaxInput int64
-
-	// InputBounds constrains individual containers, overriding MaxInput.
-	InputBounds map[int]int64
 
 	// Containers lists the container indices whose equality is asserted
 	// (nil = the containers bound to fields the Domino program writes,
@@ -205,9 +208,8 @@ type Problem struct {
 	code   *machinecode.Program
 	prog   *domino.Program
 	fields domino.FieldMap
-	opts   Options // MaxInput, InputBounds, MaxConflicts, StateBindings
+	opts   Options // MaxInput, MaxConflicts, StateBindings
 
-	fieldNames   []string // fields' keys, sorted
 	bindingNames []string // opts.StateBindings' keys, sorted
 	containers   []int    // compared containers
 
@@ -243,10 +245,8 @@ func NewProblem(spec core.Spec, code *machinecode.Program, prog *domino.Program,
 		}
 	}
 	// Sorted field order: the first out-of-range binding reported must not
-	// depend on map order, and two fields bound to one container must write
-	// back deterministically.
-	p.fieldNames = sortedKeys(fields)
-	for _, name := range p.fieldNames {
+	// depend on map order.
+	for _, name := range sortedKeys(fields) {
 		if c := fields[name]; c < 0 || c >= spec.PHVLen {
 			return nil, fmt.Errorf("verify: field %q bound to container %d, PHV has %d", name, c, spec.PHVLen)
 		}
@@ -309,6 +309,11 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 	w := phv.MustWidth(bits)
 	spec := p.spec
 	spec.Bits = w
+	bind, err := domino.Bind(p.prog, p.fields, w)
+	if err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	lowered, layout := bind.Lowered(), bind.Layout()
 
 	solver := sat.New()
 	solver.MaxConflicts = p.opts.MaxConflicts
@@ -316,24 +321,19 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 	b := bv.NewBuilder(solver)
 
 	pipe := newSymPipeline(b, p, w)
-	dom := newSymDomino(b, w, p)
-
-	bound := func(c int) int64 {
-		if v, ok := p.opts.InputBounds[c]; ok {
-			return v
-		}
-		return p.opts.MaxInput
-	}
+	init, zero := lowered.NewFrame(), b.Const(bits, 0)
+	frame := lowered.SymFrame(b, bits, func(r int) bv.Vec { return b.Const(bits, init[r]) })
 
 	var (
 		inputs   [][]bv.Vec
 		mismatch = b.False()
+		trapped  = b.False()
 	)
 	for step := 0; step < steps; step++ {
 		in := make([]bv.Vec, spec.PHVLen)
 		for c := range in {
 			in[c] = b.Var(bits)
-			if m := bound(c); m > 0 && m <= w.Mask() {
+			if m := p.opts.MaxInput; m > 0 && m <= w.Mask() {
 				b.Assert(b.Ult(in[c], b.Const(bits, m)))
 			}
 		}
@@ -343,12 +343,26 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		specOut, err := dom.step(in)
-		if err != nil {
-			return nil, err
+		// One run of the specification, as a PHVSpec makes it: the bound
+		// fields read the packet, the flags and the error register start at
+		// zero, everything else — the state — is what the last run left.
+		for c, r := range layout.Fields {
+			if r >= 0 {
+				frame[r] = in[c]
+			}
 		}
+		for _, r := range layout.Clear {
+			frame[r] = zero
+		}
+		var failed sat.Lit
+		frame, failed = lowered.Sym(b, frame)
+		trapped = b.Or(trapped, failed)
 		for _, c := range p.containers {
-			mismatch = b.Or(mismatch, b.Ne(pipeOut[c], specOut[c]))
+			want := in[c]
+			if c < len(layout.Fields) && layout.Fields[c] >= 0 {
+				want = frame[layout.Fields[c]]
+			}
+			mismatch = b.Or(mismatch, b.Ne(pipeOut[c], want))
 		}
 	}
 	// §3.3/§7: optionally assert the bound state values match after the
@@ -356,8 +370,11 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 	for _, name := range p.bindingNames {
 		loc := p.opts.StateBindings[name]
 		pipeVec := pipe.state[loc.Stage][spec.Width+loc.Slot][loc.Index]
-		mismatch = b.Or(mismatch, b.Ne(pipeVec, dom.state[name]))
+		mismatch = b.Or(mismatch, b.Ne(pipeVec, frame[layout.State[name]]))
 	}
+	// A specification that can fail is never proved: a trace on which it
+	// does is a model too, and replay reports the failure.
+	mismatch = b.Or(mismatch, trapped)
 	b.Assert(mismatch)
 	b.Emit()
 
@@ -387,7 +404,7 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 		// the reported outputs come from the production execution paths,
 		// and a model that does not reproduce concretely is an internal
 		// error (symbolic/concrete semantic drift), not a finding.
-		if err := res.replay(spec, p.code, p.prog, p.fields, trace, p.containers, p.opts.StateBindings); err != nil {
+		if err := res.replay(spec, p.code, bind.NewSpec(), trace, p.containers, p.opts.StateBindings); err != nil {
 			return nil, err
 		}
 	}
@@ -397,20 +414,16 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 
 // replay runs the counterexample trace through the concrete pipeline and
 // Domino machine, locates the first transaction whose compared containers
-// really differ, and records its outputs. A SAT model that does not
-// reproduce concretely indicates symbolic/concrete semantic drift and is
-// reported as an internal error.
-func (r *Result) replay(spec core.Spec, code *machinecode.Program, prog *domino.Program, fields domino.FieldMap, trace *phv.Trace, containers []int, bindings map[string]StateLoc) error {
+// really differ, and records its outputs. Where the specification fails
+// first, its error is the result, as it is a fuzz shard's. A SAT model that
+// does not reproduce concretely indicates symbolic/concrete semantic drift
+// and is reported as an internal error.
+func (r *Result) replay(spec core.Spec, code *machinecode.Program, dspec *domino.PHVSpec, trace *phv.Trace, containers []int, bindings map[string]StateLoc) error {
 	p, err := core.Build(spec, code, core.SCCInlining)
 	if err != nil {
 		return fmt.Errorf("verify: replay build: %w", err)
 	}
-	dspec, err := domino.NewPHVSpec(prog, fields, spec.Bits)
-	if err != nil {
-		return fmt.Errorf("verify: replay spec: %w", err)
-	}
 	p.ResetState()
-	dspec.Reset()
 	for i := 0; i < trace.Len(); i++ {
 		in := trace.At(i)
 		got, err := p.Process(in.Clone())
@@ -419,7 +432,7 @@ func (r *Result) replay(spec core.Spec, code *machinecode.Program, prog *domino.
 		}
 		want, err := dspec.Process(in.Clone())
 		if err != nil {
-			return fmt.Errorf("verify: replay domino: %w", err)
+			return fmt.Errorf("verify: spec %q, transaction %d: %w", dspec.Name(), i, err)
 		}
 		for _, c := range containers {
 			if got.Get(c) != want.Get(c) {
@@ -717,49 +730,39 @@ func (e *symALU) eval(x aludsl.Expr) bv.Vec {
 	}
 }
 
+// binOp is the gates of l op r, a comparison or logical operator as a 0/1
+// vector.
 func (e *symALU) binOp(op aludsl.BinOp, l, r bv.Vec) bv.Vec {
-	if v, ok := symBinOp(e.b, e.bits, op, l, r); ok {
-		return v
-	}
-	return e.failf("unknown binary op %v", op)
-}
-
-// symBinOp is the one symbolic operator table: the gates of l op r at the
-// given width, comparisons and logical operators as a 0/1 vector. The ALU
-// DSL and Domino share it — domino.BinKind enumerates the same thirteen
-// operators in aludsl.BinOp's order, which TestBinaryOperatorEnumerations
-// pins. ok is false for a value outside the enumeration.
-func symBinOp(b *bv.Builder, bits int, op aludsl.BinOp, l, r bv.Vec) (v bv.Vec, ok bool) {
-	boolVec := func(lit sat.Lit) (bv.Vec, bool) { return b.FromBool(lit, bits), true }
+	b := e.b
 	switch op {
 	case aludsl.OpAdd:
-		return b.Add(l, r), true
+		return b.Add(l, r)
 	case aludsl.OpSub:
-		return b.Sub(l, r), true
+		return b.Sub(l, r)
 	case aludsl.OpMul:
-		return b.Mul(l, r), true
+		return b.Mul(l, r)
 	case aludsl.OpDiv:
-		return b.Div(l, r), true
+		return b.Div(l, r)
 	case aludsl.OpMod:
-		return b.Mod(l, r), true
+		return b.Mod(l, r)
 	case aludsl.OpEq:
-		return boolVec(b.Eq(l, r))
+		return b.FromBool(b.Eq(l, r), e.bits)
 	case aludsl.OpNeq:
-		return boolVec(b.Ne(l, r))
+		return b.FromBool(b.Ne(l, r), e.bits)
 	case aludsl.OpLt:
-		return boolVec(b.Ult(l, r))
+		return b.FromBool(b.Ult(l, r), e.bits)
 	case aludsl.OpGt:
-		return boolVec(b.Ult(r, l))
+		return b.FromBool(b.Ult(r, l), e.bits)
 	case aludsl.OpLe:
-		return boolVec(b.Ule(l, r))
+		return b.FromBool(b.Ule(l, r), e.bits)
 	case aludsl.OpGe:
-		return boolVec(b.Ule(r, l))
+		return b.FromBool(b.Ule(r, l), e.bits)
 	case aludsl.OpAnd:
-		return boolVec(b.And(b.Truthy(l), b.Truthy(r)))
+		return b.FromBool(b.And(b.Truthy(l), b.Truthy(r)), e.bits)
 	case aludsl.OpOr:
-		return boolVec(b.Or(b.Truthy(l), b.Truthy(r)))
+		return b.FromBool(b.Or(b.Truthy(l), b.Truthy(r)), e.bits)
 	}
-	return nil, false
+	return e.failf("unknown binary op %v", op)
 }
 
 // evalHoleCall applies the builtin table's choice for the call's machine code
@@ -784,209 +787,4 @@ func (e *symALU) evalHoleCall(x *aludsl.HoleCall) bv.Vec {
 		return e.binOp(ch.Op, ops[0], ops[1])
 	}
 	return ops[ch.Arg]
-}
-
-// --- Symbolic Domino ------------------------------------------------------------
-
-// symDomino executes a Domino program symbolically, threading state between
-// transactions exactly as domino.Machine does between packets.
-type symDomino struct {
-	b     *bv.Builder
-	bits  int
-	w     phv.Width
-	p     *Problem
-	state map[string]bv.Vec
-}
-
-func newSymDomino(b *bv.Builder, w phv.Width, p *Problem) *symDomino {
-	d := &symDomino{b: b, bits: w.Bits(), w: w, p: p, state: map[string]bv.Vec{}}
-	for _, s := range p.prog.States {
-		d.state[s.Name] = b.Const(d.bits, w.Trunc(s.Init))
-	}
-	return d
-}
-
-// step runs the transaction on one symbolic PHV: bound containers become
-// fields, the body executes, and field values are written back to their
-// containers; unbound containers pass through (mirroring
-// domino.PHVSpec.Process).
-func (d *symDomino) step(in []bv.Vec) ([]bv.Vec, error) {
-	env := &domEnv{
-		b:      d.b,
-		bits:   d.bits,
-		w:      d.w,
-		state:  d.state,
-		fields: map[string]bv.Vec{},
-		locals: map[string]bv.Vec{},
-	}
-	for _, name := range d.p.fieldNames {
-		env.fields[name] = in[d.p.fields[name]]
-	}
-	if err := env.exec(d.p.prog.Body); err != nil {
-		return nil, err
-	}
-	out := cloneVecs(in)
-	for _, name := range d.p.fieldNames {
-		out[d.p.fields[name]] = env.fields[name]
-	}
-	d.state = env.state
-	return out, nil
-}
-
-// domEnv is the mutable symbolic environment of one transaction.
-type domEnv struct {
-	b      *bv.Builder
-	bits   int
-	w      phv.Width
-	state  map[string]bv.Vec
-	fields map[string]bv.Vec
-	locals map[string]bv.Vec
-}
-
-func (env *domEnv) clone() *domEnv {
-	return &domEnv{
-		b:      env.b,
-		bits:   env.bits,
-		w:      env.w,
-		state:  cloneMap(env.state),
-		fields: cloneMap(env.fields),
-		locals: cloneMap(env.locals),
-	}
-}
-
-func cloneMap(m map[string]bv.Vec) map[string]bv.Vec {
-	out := make(map[string]bv.Vec, len(m))
-	//dvet:nondeterministic-ok map-to-map copy, order-free
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func (env *domEnv) exec(stmts []domino.Stmt) error {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *domino.Assign:
-			v, err := env.eval(s.Expr)
-			if err != nil {
-				return err
-			}
-			switch s.Target.Kind {
-			case domino.TargetState:
-				env.state[s.Target.Name] = v
-			case domino.TargetField:
-				env.fields[s.Target.Name] = v
-			case domino.TargetLocal:
-				env.locals[s.Target.Name] = v
-			}
-		case *domino.If:
-			cv, err := env.eval(s.Cond)
-			if err != nil {
-				return err
-			}
-			c := env.b.Truthy(cv)
-			thenEnv := env.clone()
-			if err := thenEnv.exec(s.Then); err != nil {
-				return err
-			}
-			elseEnv := env.clone()
-			if s.Else != nil {
-				if err := elseEnv.exec(s.Else); err != nil {
-					return err
-				}
-			}
-			env.state = mergeMaps(env.b, env.bits, c, thenEnv.state, elseEnv.state)
-			env.fields = mergeMaps(env.b, env.bits, c, thenEnv.fields, elseEnv.fields)
-			env.locals = mergeMaps(env.b, env.bits, c, thenEnv.locals, elseEnv.locals)
-		default:
-			return fmt.Errorf("verify: unknown Domino statement %T", s)
-		}
-	}
-	return nil
-}
-
-// mergeMaps ITE-merges two branch environments. A name defined in only one
-// branch takes the defined value when that branch is selected and 0
-// otherwise (such a name is necessarily a branch-local temporary: Domino
-// programs that read it on the undefined path are rejected by the concrete
-// interpreter, which the fuzz harness runs first).
-func mergeMaps(b *bv.Builder, bits int, c sat.Lit, then, els map[string]bv.Vec) map[string]bv.Vec {
-	// Keys are visited in sorted order: Ite builds gate nodes, node order is
-	// solver-variable order, and map order here would make the formula — and
-	// with it the solver's search trajectory and conflict counts — differ
-	// from run to run.
-	keys := make([]string, 0, len(then)+len(els))
-	for k := range then {
-		keys = append(keys, k)
-	}
-	//dvet:nondeterministic-ok guarded key collection, fully sorted below
-	for k := range els {
-		if _, ok := then[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make(map[string]bv.Vec, len(keys))
-	zero := b.Const(bits, 0)
-	for _, k := range keys {
-		tv, tok := then[k]
-		ev, eok := els[k]
-		if !tok {
-			tv = zero
-		}
-		if !eok {
-			ev = zero
-		}
-		out[k] = b.Ite(c, tv, ev)
-	}
-	return out
-}
-
-func (env *domEnv) eval(e domino.Expr) (bv.Vec, error) {
-	b := env.b
-	switch e := e.(type) {
-	case *domino.Lit:
-		return b.Const(env.bits, env.w.Trunc(e.Value)), nil
-	case *domino.Ref:
-		var m map[string]bv.Vec
-		switch e.Kind {
-		case domino.RefState:
-			m = env.state
-		case domino.RefField:
-			m = env.fields
-		case domino.RefLocal:
-			m = env.locals
-		default:
-			return nil, fmt.Errorf("verify: bad Domino reference kind %d", e.Kind)
-		}
-		v, ok := m[e.Name]
-		if !ok {
-			return nil, fmt.Errorf("verify: Domino name %q read before assignment", e.Name)
-		}
-		return v, nil
-	case *domino.Un:
-		x, err := env.eval(e.X)
-		if err != nil {
-			return nil, err
-		}
-		if e.Neg {
-			return b.Neg(x), nil
-		}
-		return b.FromBool(b.IsZero(x), env.bits), nil
-	case *domino.Bin:
-		x, err := env.eval(e.X)
-		if err != nil {
-			return nil, err
-		}
-		y, err := env.eval(e.Y)
-		if err != nil {
-			return nil, err
-		}
-		if v, ok := symBinOp(b, env.bits, aludsl.BinOp(e.Op), x, y); ok {
-			return v, nil
-		}
-		return nil, fmt.Errorf("verify: unknown Domino operator %d", e.Op)
-	default:
-		return nil, fmt.Errorf("verify: unknown Domino expression %T", e)
-	}
 }

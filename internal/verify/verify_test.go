@@ -116,17 +116,6 @@ func TestInputConstraintsRestoreEquivalence(t *testing.T) {
 	if !res.Equivalent {
 		t.Fatalf("constrained proof should succeed: %v", res)
 	}
-
-	// Per-container bounds work the same way.
-	res, err = Equivalence(s, code, prog, fm, Options{
-		Bits: 10, Steps: 2, InputBounds: map[int]int64{0: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Equivalent {
-		t.Fatalf("per-container constrained proof should succeed: %v", res)
-	}
 }
 
 // counterALU is a custom stateful ALU whose update and output immediates
@@ -618,5 +607,51 @@ func TestEmptyComparisonIsAnError(t *testing.T) {
 	}
 	if res.Equivalent || !res.StateDiverged {
 		t.Fatalf("state_0 += 0 does not implement count += pkt.a: %v", res)
+	}
+}
+
+// TestSpecThatCanFailIsNeverProved: a specification that fails on some
+// input the question admits is not proved, whatever the pipeline does. Read
+// as 0, the unassigned local would make this one equal to the pass-through
+// pipeline; the lowered program a fuzz shard runs fails on every input, and
+// the proof returns that failure.
+func TestSpecThatCanFailIsNeverProved(t *testing.T) {
+	s, code, prog, fm, containers, maxInput := verifytest.CanFail()
+	res, err := Equivalence(s, code, prog, fm, Options{Bits: 2, Steps: 1, Containers: containers, MaxInput: maxInput})
+	const want = `verify: spec "can-fail", transaction 0: domino: local "x" read before assignment`
+	if err == nil || err.Error() != want {
+		t.Fatalf("got %v, error %v; want the error %q", res, err, want)
+	}
+}
+
+// TestResultString pins the four renderings dverify prints: an exhausted
+// budget, a proof, a state divergence and a counterexample transaction.
+func TestResultString(t *testing.T) {
+	prove := func(s core.Spec, code *machinecode.Program, prog *domino.Program, fm domino.FieldMap, opts Options) string {
+		t.Helper()
+		res, err := Equivalence(s, code, prog, fm, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.String()
+	}
+	hw, code, prog, fm := verifytest.CommutedMul()
+	unknown := prove(hw, code, prog, fm, Options{Bits: 5, Steps: 1, MaxConflicts: 100})
+	s, code, prog, fm := rangeLimitedSetup(t)
+	proved := prove(s, code, prog, fm, Options{Bits: 1, Steps: 1})
+	refuted := prove(s, code, prog, fm, Options{Bits: 10, Steps: 1})
+	s, code, prog, fm = verifytest.StateOnly()
+	wrong := code.Clone()
+	setALUHole(t, wrong, 0, true, 0, "mux2_0", 1) // state_0 += C(), the immediate 0
+	diverged := prove(s, wrong, prog, fm, Options{Bits: 4, Steps: 2, StateBindings: map[string]StateLoc{"count": {}}})
+	for _, c := range []struct{ got, want string }{
+		{unknown, "UNKNOWN: solver budget exhausted (5-bit, 1 steps)"},
+		{proved, "PROVED: pipeline ≡ spec for all 1-bit inputs over 1 transactions (1 vars, 0 conflicts)"},
+		{diverged, "COUNTEREXAMPLE: after transaction 1: state diverged: pipeline map[count:0], spec map[count:13]"},
+		{refuted, "COUNTEREXAMPLE: transaction 0: input [2]: pipeline [1], spec [2]"},
+	} {
+		if c.got != c.want {
+			t.Errorf("got  %s\nwant %s", c.got, c.want)
+		}
 	}
 }

@@ -3,7 +3,8 @@
 // not structurally equal, so deciding it takes SAT search; the Table-1
 // fixtures no longer do — their miters fold to a constant while they are
 // built — which leaves budget exhaustion, the search counters and the solver
-// path itself to this one. StateOnly is the question that compares nothing.
+// path itself to this one. StateOnly is the question that compares nothing,
+// CanFail the one whose specification fails.
 package verifytest
 
 import (
@@ -42,6 +43,17 @@ func StateOnly() (core.Spec, *machinecode.Program, *domino.Program, domino.Field
 	s := core.Spec{Depth: 1, Width: 1, StatelessALU: atoms.MustLoad("stateless_full"), StatefulALU: atoms.MustLoad("raw")}
 	prog := mustParse("state-only", "state count = 0;\ntransaction { count = count + pkt.a; }")
 	return s, zeroCode(s), prog, domino.FieldMap{"a": 0}
+}
+
+// CanFail returns a specification that fails on every input the question
+// admits: it reads a local assigned only when pkt.a is 1, and MaxInput (the
+// fourth result) holds pkt.a at 0. The pipeline is a 1×1 stateless_full grid
+// with all-zero machine code, which passes pkt.b through; the compared
+// container is pkt.b's, which the specification would set to x.
+func CanFail() (core.Spec, *machinecode.Program, *domino.Program, domino.FieldMap, []int, int64) {
+	s := core.Spec{Depth: 1, Width: 1, PHVLen: 2, StatelessALU: atoms.MustLoad("stateless_full")}
+	prog := mustParse("can-fail", `transaction { if (pkt.a == 1) { int x = 0; } pkt.b = x; }`)
+	return s, zeroCode(s), prog, domino.FieldMap{"a": 0, "b": 1}, []int{1}, 1
 }
 
 // zeroCode returns machine code with every pair the spec requires set to 0.
