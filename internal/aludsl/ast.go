@@ -17,7 +17,8 @@
 //
 // The builtin table (builtins, read through HoleCall.Choose) is the one
 // definition of what each machine code value selects; the interpreter, SCC
-// propagation, the SAT verifier and dgen's v1 emitter only apply its choice.
+// propagation, core's lowering from machine code (what the SAT verifier
+// proves) and dgen's v1 emitter only apply its choice.
 //
 // Every builtin call site is a distinct hardware primitive and receives a
 // unique hole name (e.g. "mux3_1"); the pipeline generator prefixes hole
@@ -202,7 +203,12 @@ var binOpNames = [...]string{
 	OpAnd: "&&", OpOr: "||",
 }
 
-func (op BinOp) String() string { return binOpNames[op] }
+func (op BinOp) String() string {
+	if !op.Valid() {
+		return fmt.Sprintf("BinOp(%d)", int(op))
+	}
+	return binOpNames[op]
+}
 
 // Valid reports whether op is one of the language's binary operators; only a
 // hand-built AST can carry one that is not.
@@ -217,10 +223,13 @@ const (
 )
 
 func (op UnOp) String() string {
-	if op == OpNeg {
+	switch op {
+	case OpNeg:
 		return "-"
+	case OpNot:
+		return "!"
 	}
-	return "!"
+	return fmt.Sprintf("UnOp(%d)", int(op))
 }
 
 // Expr is the interface satisfied by all expression nodes.

@@ -165,17 +165,27 @@ func indexOf(names []string) map[string]int {
 	return m
 }
 
-// CheckTotal reports the first node of p on which evaluation without machine
-// code (Env.Holes == nil, the optimized levels) could fail, index out of range
-// or not terminate: a HoleCall or hole variable that SCC propagation did not
-// specialise (one hidden in a hand-built helper body), an unresolved
-// identifier, an operand or state index outside the program's declarations, a
-// helper parameter outside its call's arguments, an operator outside the
-// language, a helper that calls itself. A nil result means Run and flat code
-// lowered from p return a value on every input. Parsed programs always pass
-// once SCC has run; the check exists for ASTs built by hand.
-func CheckTotal(p *Program) error {
+// CheckTotal reports the first node of p on which evaluation could fail,
+// index out of range or not terminate: an unresolved identifier, an operand
+// or state index outside the program's declarations, a helper parameter
+// outside its call's arguments, an operator outside the language, a helper
+// that calls itself. holes says how machine code is read. Where it is nil
+// (Env.Holes == nil, the optimized levels) a HoleCall or hole variable SCC
+// propagation did not specialise, such as one hidden in a hand-built helper
+// body, is an error too; otherwise every hole must resolve through it and
+// every builtin call's choice must be in the table. A nil result means Run
+// and flat code lowered from p return a value on every input. Parsed programs
+// always pass once SCC has run, or with the machine code they were read
+// with; the check exists for ASTs built by hand.
+func CheckTotal(p *Program, holes HoleLookup) error {
 	var active []*FuncDef // helpers whose body is being walked
+	hole := func(name string) (int64, error) {
+		v, ok := holes(name)
+		if !ok {
+			return 0, checkErrorf("missing machine code pair for %q", name)
+		}
+		return v, nil
+	}
 	var expr func(e Expr, arity int) error
 	expr = func(e Expr, arity int) error {
 		switch e := e.(type) {
@@ -191,7 +201,11 @@ func CheckTotal(p *Program) error {
 			case VarParam:
 				limit = arity
 			case VarHole:
-				return checkErrorf("hole variable %q survives optimization", e.Name)
+				if holes == nil {
+					return checkErrorf("hole variable %q survives optimization", e.Name)
+				}
+				_, err := hole(e.Name)
+				return err
 			default:
 				return checkErrorf("unresolved identifier %q", e.Name)
 			}
@@ -213,7 +227,22 @@ func CheckTotal(p *Program) error {
 			}
 			return expr(e.Y, arity)
 		case *HoleCall:
-			return checkErrorf("hole call %q survives optimization", e.Hole)
+			if holes == nil {
+				return checkErrorf("hole call %q survives optimization", e.Hole)
+			}
+			mc, err := hole(e.Hole)
+			if err != nil {
+				return err
+			}
+			if _, err := e.Choose(mc); err != nil {
+				return checkErrorf("hole %q: %v", e.Hole, err)
+			}
+			for _, a := range e.Args {
+				if err := expr(a, arity); err != nil {
+					return err
+				}
+			}
+			return nil
 		case *Call:
 			for _, a := range e.Args {
 				if err := expr(a, arity); err != nil {

@@ -1,6 +1,8 @@
 package aludsl
 
 import (
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -287,7 +289,7 @@ return s;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckTotal(ok); err != nil {
+	if err := CheckTotal(ok, nil); err != nil {
 		t.Errorf("a parsed hole-free program: %v", err)
 	}
 
@@ -310,8 +312,63 @@ return s;
 	}
 	for _, tc := range cases {
 		p := &Program{Kind: Stateful, StateVars: []string{"s"}, PacketFields: []string{"a"}, Body: []Stmt{tc.stmt}}
-		if err := CheckTotal(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := CheckTotal(p, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckTotal = %v, want an error with %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCheckTotalWithMachineCode: given the machine code, a program with holes
+// is total exactly when every hole resolves and every builtin call's value is
+// in the table — what a lowering that takes each choice as it goes relies on.
+// Without it, the same program is refused for its holes.
+func TestCheckTotalWithMachineCode(t *testing.T) {
+	src := "type: stateless\nhole variables: {k}\npacket fields: {a, b}\nreturn Mux2(rel_op(a, k), C()) + Opt(b);"
+	holes := map[string]int64{"k": 7, "mux2_0": 1, "rel_op_0": RelLe, "const_0": 3, "opt_0": 1}
+	p := MustParse(src)
+	if err := CheckTotal(p, MapLookup(holes)); err != nil {
+		t.Fatalf("a parsed program with its machine code: %v", err)
+	}
+	if err := CheckTotal(p, nil); err == nil || !strings.Contains(err.Error(), `hole call "mux2_0" survives optimization`) {
+		t.Errorf("without machine code: %v, want the surviving hole call", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(map[string]int64, *Program)
+		want string
+	}{
+		{"missing hole variable", func(h map[string]int64, _ *Program) { delete(h, "k") }, `missing machine code pair for "k"`},
+		{"missing builtin hole", func(h map[string]int64, _ *Program) { delete(h, "opt_0") }, `missing machine code pair for "opt_0"`},
+		{"value outside the table", func(h map[string]int64, _ *Program) { h["rel_op_0"] = 4 }, `hole "rel_op_0": rel_op value 4 out of range [0,4)`},
+		{"wrong argument count", func(_ map[string]int64, p *Program) {
+			call := p.Body[0].(*Return).Value.(*Binary).Y.(*HoleCall)
+			call.Args = append(call.Args, call.Args[0])
+		}, `hole "opt_0": Opt takes 1 argument(s), got 2`},
+		{"bad argument", func(_ map[string]int64, p *Program) {
+			call := p.Body[0].(*Return).Value.(*Binary).X.(*HoleCall)
+			call.Args[1] = &Ident{Name: "c", Class: VarField, Index: 2}
+		}, `identifier "c": index 2 out of range [0,2)`},
+	} {
+		h, p := maps.Clone(holes), MustParse(src)
+		tc.edit(h, p)
+		if err := CheckTotal(p, MapLookup(h)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckTotal = %v, want an error with %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestOperatorStrings: an operator outside the language prints as its number,
+// so an error about a hand-built AST can name it.
+func TestOperatorStrings(t *testing.T) {
+	for _, tc := range []struct {
+		op   fmt.Stringer
+		want string
+	}{
+		{OpAdd, "+"}, {OpOr, "||"}, {BinOp(99), "BinOp(99)"}, {BinOp(-1), "BinOp(-1)"},
+		{OpNeg, "-"}, {OpNot, "!"}, {UnOp(7), "UnOp(7)"},
+	} {
+		if got := tc.op.String(); got != tc.want {
+			t.Errorf("%T %s, want %s", tc.op, got, tc.want)
 		}
 	}
 }

@@ -280,7 +280,7 @@ func (g *generator) emitALU(prog *aludsl.Program, s int, stateful bool, k int, a
 		lookup := func(local string) (int64, bool) { return g.code.Get(scoped(local)) }
 		optimized, err := opt.SCC(prog, lookup, g.spec.Bits)
 		if err == nil {
-			err = aludsl.CheckTotal(optimized)
+			err = aludsl.CheckTotal(optimized, nil)
 		}
 		if err != nil {
 			return fmt.Errorf("codegen: %s: %w", aluName, err)

@@ -57,6 +57,12 @@
 // of stateful ALUs that no container can observe is not simulated there — so
 // only the fuzzer (sim.NewFuzzer), which compares output PHVs and never
 // reads state, runs on it. FuseGrid is the same lowering with every ALU kept.
+//
+// Spec.Lower is that lowering straight from the machine code, with no
+// Pipeline built: each ALU's program as written, every builtin taking its
+// choice as the ALU is lowered, over whichever ALUs a MuxTable.Live
+// selection keeps. It is not a third executor but the program package verify
+// proves: flat.Sym of the compared cone, lowered once per question.
 package core
 
 import (
@@ -514,7 +520,7 @@ func optimizeALU(prog *aludsl.Program, holes aludsl.HoleLookup, w phv.Width, lev
 	if err != nil {
 		return nil, err
 	}
-	if err := aludsl.CheckTotal(optimized); err != nil {
+	if err := aludsl.CheckTotal(optimized, nil); err != nil {
 		return nil, err
 	}
 	if level == SCCPropagation {

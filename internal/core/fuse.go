@@ -4,16 +4,20 @@
 // level's own program. At SCCPropagation that program still calls its
 // specialised helpers, and a call lowers as the interpreter runs it: every
 // argument evaluated, then the helper's body over those registers. The levels
-// above it have no calls left.
+// above it have no calls left. Spec.Lower runs the same loop on the ALU
+// programs as written, each builtin call lowered to the choice its machine
+// code makes.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
 	"druzhba/internal/aludsl"
 	"druzhba/internal/flat"
+	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
 )
 
@@ -84,37 +88,76 @@ func (p *Pipeline) FuseGrid() *Fused {
 
 // fuse lowers the ALUs Live selects from every output container plus pinned.
 func (p *Pipeline) fuse(pinned [][]bool) (*Fused, error) {
-	n := p.spec
+	live := p.muxes.Live(slices.Repeat([]bool{true}, p.spec.PHVLen), pinned)
+	return lower(p.spec, p.muxes, live, func(si, latch int) (*aludsl.Program, aludsl.HoleLookup) {
+		return p.stages[si].alus[latch].prog, nil
+	})
+}
+
+// Lower lowers the ALUs live keeps (MuxTable.Live over c.Muxes) into one flat
+// program at the spec's width, straight from c, the machine code as the spec
+// read it (Spec.Read). It is the lowering Build fuses with, minus the
+// specialisation: each ALU's program is lowered as written, every builtin
+// taking the choice its hole's value makes as it is lowered — a selector
+// lowers only the argument it picks, an operator both operands — and no
+// Pipeline is built. Machine code with errors, or a kept ALU whose program
+// cannot be evaluated with it (aludsl.CheckTotal), is refused.
+func (s *Spec) Lower(c *Code, live [][]bool) (*Fused, error) {
+	n, err := s.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	if len(c.Errs) > 0 {
+		return nil, errors.Join(c.Errs...)
+	}
+	for si, stage := range live {
+		for latch, l := range stage {
+			if !l {
+				continue
+			}
+			a := &c.ALUs[si][latch]
+			if err := aludsl.CheckTotal(a.Prog, a.Hole); err != nil {
+				return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(latch >= n.Width), latch%n.Width, err)
+			}
+		}
+	}
+	return lower(n, c.Muxes, live, func(si, latch int) (*aludsl.Program, aludsl.HoleLookup) {
+		a := &c.ALUs[si][latch]
+		return a.Prog, a.Hole
+	})
+}
+
+// lower is the one fusing loop: stage by stage it lowers the ALUs live keeps
+// inline, the ALU at (si, latch) running the program alu returns with its
+// holes read through the lookup (nil for a program SCC specialised), and
+// reduces the muxes to register renaming.
+func lower(n Spec, muxes *MuxTable, live [][]bool, alu func(si, latch int) (*aludsl.Program, aludsl.HoleLookup)) (*Fused, error) {
 	b := flat.NewBuilder(n.Bits)
-	f := &Fused{width: n.Width, phvLen: n.PHVLen, in: b.Regs("in", n.PHVLen), state: make([][]int, n.Depth),
-		live: p.muxes.Live(slices.Repeat([]bool{true}, n.PHVLen), pinned)}
+	f := &Fused{width: n.Width, phvLen: n.PHVLen, in: b.Regs("in", n.PHVLen), state: make([][]int, n.Depth), live: live}
 	cur := make([]int, n.PHVLen) // container -> register, -1 for a column nothing downstream reads
 	for c := range cur {
 		cur[c] = f.in + c
 	}
-	for si, st := range p.stages {
-		latch := make([]int, len(st.alus))
-		f.state[si] = make([]int, len(st.stateful))
-		for _, a := range st.alus {
-			latch[a.latch] = -1
-			if a.stateful {
-				f.state[si][a.slot] = -1
-			}
-			if !f.live[si][a.latch] {
+	for si, operands := range muxes.Operand {
+		latch := make([]int, len(operands))
+		f.state[si] = slices.Repeat([]int{-1}, len(operands)-n.Width)
+		for a, sel := range operands {
+			if latch[a] = -1; !live[si][a] {
 				continue
 			}
-			l := aluLowering{b: b, w: n.Bits, a: a, ops: make([]int, a.numOps), state: -1}
-			for op, c := range a.operandMux {
+			l := aluLowering{b: b, w: n.Bits, stage: si, latch: a, ops: make([]int, len(sel)), state: -1}
+			l.prog, l.holes = alu(si, a)
+			for op, c := range sel {
 				l.ops[op] = cur[c]
 			}
-			if a.stateful {
-				l.state = b.Regs(fmt.Sprintf("s%d.%d.", si, a.slot), len(a.state))
-				f.state[si][a.slot] = l.state
+			if slot := a - n.Width; slot >= 0 {
+				l.state = b.Regs(fmt.Sprintf("s%d.%d.", si, slot), n.StatefulALU.NumState())
+				f.state[si][slot] = l.state
 			}
-			latch[a.latch] = l.inline()
+			latch[a] = l.inline()
 		}
 		next := make([]int, n.PHVLen)
-		for c, sel := range st.outputMux {
+		for c, sel := range muxes.Output[si] {
 			if next[c] = cur[c]; sel != 0 {
 				next[c] = latch[sel-1]
 			}
@@ -140,6 +183,11 @@ func (f *Fused) InputReg(c int) int { return f.in + c }
 // an input register where the container passed through every stage. The
 // slice is shared; do not modify it.
 func (f *Fused) Out() []int { return f.out }
+
+// StateReg returns the first state register of the stateful ALU at (stage,
+// slot), -1 when the program does not contain it; its state variables follow
+// in order.
+func (f *Fused) StateReg(stage, slot int) int { return f.state[stage][slot] }
 
 // LoadState copies p's stateful ALU state into the frame, for the ALUs the
 // program contains; StoreState copies it back. p must be the pipeline f was
@@ -190,16 +238,19 @@ func (f *Fused) Executes(stage int, stateful bool, slot int) bool {
 	return slot < len(f.live[stage]) && f.live[stage][slot]
 }
 
-// aluLowering lowers one live ALU: ops are the registers its operand muxes
-// renamed, state its first state register, params the registers holding the
-// arguments of the helper call whose body is being lowered.
+// aluLowering lowers one live ALU, the program at (stage, latch): holes reads
+// its machine code where it has holes left, ops are the registers its operand
+// muxes renamed, state its first state register, params the registers holding
+// the arguments of the helper call whose body is being lowered.
 type aluLowering struct {
-	b      *flat.Builder
-	w      phv.Width
-	a      *compiledALU
-	ops    []int
-	state  int
-	params []int
+	b            *flat.Builder
+	w            phv.Width
+	prog         *aludsl.Program
+	holes        aludsl.HoleLookup
+	stage, latch int
+	ops          []int
+	state        int
+	params       []int
 }
 
 // inline lowers the body and returns the register holding the ALU's result:
@@ -208,14 +259,14 @@ type aluLowering struct {
 // post-update state_0, or 0 for a stateless ALU — where the body falls off
 // its end.
 func (l *aluLowering) inline() int {
-	body := l.a.prog.Body
+	body := l.prog.Body
 	if n := len(body) - 1; n >= 0 {
 		if last, ok := body[n].(*aludsl.Return); ok && !returns(body[:n]) {
 			l.stmts(body[:n], -1, nil)
 			return l.expr(last.Value, -1)
 		}
 	}
-	res := l.b.Reg(fmt.Sprintf("r%d.%d", l.a.stage, l.a.latch), 0)
+	res := l.b.Reg(fmt.Sprintf("r%d.%d", l.stage, l.latch), 0)
 	var exits []int
 	if !l.stmts(body, res, &exits) {
 		if l.state >= 0 {
@@ -293,6 +344,9 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 			return l.b.Move(dst, l.ops[e.Index])
 		case aludsl.VarParam:
 			return l.b.Move(dst, l.params[e.Index])
+		case aludsl.VarHole:
+			v, _ := l.holes(e.Name)
+			return l.b.Move(dst, l.b.Const(l.w.Trunc(v)))
 		}
 	case *aludsl.Unary:
 		zero := l.b.Const(0)
@@ -306,6 +360,28 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 			return l.b.Logic(e.Op == aludsl.OpOr, dst, x, func() int { return l.expr(e.Y, -1) })
 		}
 		return l.b.Op(flat.Op(e.Op), dst, x, l.expr(e.Y, -1))
+	case *aludsl.HoleCall:
+		// The choice is taken here, as SCC propagation takes it: a selector
+		// lowers only the argument it picks, an operator both operands, even
+		// to pass one through.
+		mc, _ := l.holes(e.Hole)
+		ch, _ := e.Choose(mc)
+		switch {
+		case ch.Kind == aludsl.ChooseZero:
+			return l.b.Move(dst, l.b.Const(0))
+		case ch.Kind == aludsl.ChooseValue:
+			return l.b.Move(dst, l.b.Const(l.w.Trunc(mc)))
+		case !ch.Strict:
+			return l.expr(e.Args[ch.Arg], dst)
+		}
+		x, y := l.expr(e.Args[0], -1), l.expr(e.Args[1], -1)
+		switch {
+		case ch.Kind == aludsl.ChooseArg:
+			return l.b.Move(dst, [2]int{x, y}[ch.Arg])
+		case ch.Op == aludsl.OpAnd || ch.Op == aludsl.OpOr:
+			return l.b.Logic(ch.Op == aludsl.OpOr, dst, x, func() int { return y })
+		}
+		return l.b.Op(flat.Op(ch.Op), dst, x, y)
 	case *aludsl.Call:
 		// As the interpreter runs a helper call: every argument in the
 		// caller's frame, then the body in a frame of those values.
@@ -321,6 +397,7 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 		l.params = caller
 		return v
 	}
-	// optimizeALU ran CheckTotal on this program: nothing else is left in it.
-	panic(fmt.Sprintf("core: fuse: %s: cannot lower %T %v", l.a.prog.Name, e, e))
+	// optimizeALU or Lower ran CheckTotal on this program: nothing else is
+	// left in it.
+	panic(fmt.Sprintf("core: fuse: %s: cannot lower %T %v", l.prog.Name, e, e))
 }

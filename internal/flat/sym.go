@@ -13,12 +13,15 @@ import (
 const SymBits = 64
 
 // SymFrame returns a frame of bits-wide vectors for Sym: every constant
-// register holds its value and every other register the vector value returns
-// for it. bits is SymBits, for Run's int64 arithmetic on any program, or the
-// program's own width, for a program whose constants lie in [0, 2^width) —
-// every program packages core and domino build.
+// register holds its value, cut to bits, and every other register the vector
+// value returns for it. bits is SymBits, for Run's int64 arithmetic on any
+// program, or a width w up to the program's own. The program's width enters
+// Sym only as the mask Run wraps arithmetic with, which is every bit at w, so
+// a frame of w bits computes what the program's lowering at w runs wherever
+// the lowering's width enters only through literals truncated to it — every
+// program packages core and domino build, their constants in [0, 2^width).
 func (p *Program) SymFrame(b *bv.Builder, bits int, value func(r int) bv.Vec) []bv.Vec {
-	if bits != SymBits && bits != p.w.Bits() {
+	if bits != SymBits && (bits < 1 || bits > p.w.Bits()) {
 		panic(fmt.Sprintf("flat: a %d-bit symbolic frame for a %d-bit program", bits, p.w.Bits()))
 	}
 	frame := make([]bv.Vec, len(p.init))
@@ -56,11 +59,11 @@ type symPath struct {
 // over the cells, indexed as Run wraps the index.
 //
 // On a SymBits frame every operation is Run's int64 arithmetic. On a frame
-// of the program's width w every register of Run's stays in [0, 2^w), so the
-// arithmetic is unsigned and wraps at w bits with nothing to mask — the
-// same gates package verify builds for an ALU DSL operator — and only a Trap
-// code that does not fit is cut to its low bits. Either way, on a frame of constants
-// the result folds to exactly the frame Run leaves.
+// of w bits, at most the program's width, every register of Run's stays in
+// [0, 2^w), so the arithmetic is unsigned and wraps at w bits with nothing to
+// mask, and only a Trap code that does not fit is cut to its low bits. Either
+// way, on a frame of constants the result folds to exactly the frame Run
+// leaves, at w bits the frame of the program lowered at w (see SymFrame).
 func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.Lit) {
 	s := &symRun{b: b, in: make([][]symPath, len(p.code)+1), bits: SymBits}
 	if len(frame) > 0 {

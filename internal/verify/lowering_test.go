@@ -1,0 +1,285 @@
+package verify
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"druzhba/internal/aludsl"
+	"druzhba/internal/bv"
+	"druzhba/internal/core"
+	"druzhba/internal/domino"
+	"druzhba/internal/flat"
+	"druzhba/internal/machinecode"
+	"druzhba/internal/phv"
+	"druzhba/internal/sat"
+	"druzhba/internal/spec"
+)
+
+// loweringWidths are the widths the lowering tests evaluate every Table-1
+// program at: the verify grid's, the campaign defaults and the datapath's.
+var loweringWidths = []int{4, 5, 8, 10, 32}
+
+// compared resolves a Table-1 benchmark and reads its machine code: the
+// resolution, the normalized spec, what it read and the ALUs in the cone of
+// the compared containers.
+func compared(t *testing.T, bm *spec.Benchmark) (*spec.Resolved, core.Spec, *core.Code, [][]bool) {
+	t.Helper()
+	r, err := bm.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw, err := r.Spec.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read, err := hw.Read(r.Code)
+	if err != nil || len(read.Errs) > 0 {
+		t.Fatalf("%s: read %v %v", bm.Name, err, read.Errs)
+	}
+	out := make([]bool, hw.PHVLen)
+	for _, c := range r.Containers {
+		out[c] = true
+	}
+	return r, hw, read, read.Muxes.Live(out, nil)
+}
+
+// symRun evaluates a program over a symbolic frame, the frame kept between
+// runs: state carries from one run into the next as it does in Prove.
+type symRun struct {
+	prog  *flat.Program
+	frame []bv.Vec
+}
+
+func newSymRun(b *bv.Builder, prog *flat.Program, bits int) *symRun {
+	init := prog.NewFrame()
+	return &symRun{prog, prog.SymFrame(b, bits, func(r int) bv.Vec { return b.Const(bits, init[r]) })}
+}
+
+func (s *symRun) run(b *bv.Builder) (trapped sat.Lit) {
+	s.frame, trapped = s.prog.Sym(b, s.frame)
+	return trapped
+}
+
+// runCone runs a fused cone on one packet and returns its output containers.
+func (s *symRun) runCone(b *bv.Builder, f *core.Fused, in []bv.Vec) []bv.Vec {
+	for c, v := range in {
+		s.frame[f.InputReg(c)] = v
+	}
+	s.run(b)
+	out := make([]bv.Vec, len(in))
+	for c, r := range f.Out() {
+		if r >= 0 {
+			out[c] = s.frame[r]
+		}
+	}
+	return out
+}
+
+// TestConeMatchesReference is the translation validation of the pipeline
+// side: for every Table-1 program at every width, over two transactions from
+// zero state, the reference AST walk (symPipeline), flat.Sym of the compared
+// cone Prove evaluates (lowered once at MaxBits, on a frame of the cell's
+// width) and flat.Sym of the cone core.Build fuses at scc+inline for that
+// width build literally the same vectors for every compared container.
+func TestConeMatchesReference(t *testing.T) {
+	vectors := 0
+	for _, bm := range spec.All() {
+		r, hw, read, live := compared(t, bm)
+		p, err := NewProblem(r.Spec, r.Code, r.Program, bm.Fields, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bits := range loweringWidths {
+			w := phv.MustWidth(bits)
+			at := hw
+			at.Bits = w
+			built, err := core.Build(at, r.Code, core.SCCInlining)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := bv.NewBuilder(sat.New())
+			ref := newSymPipeline(b, hw, read, live, w)
+			cone, buildCone := newSymRun(b, p.cone.Program, bits), newSymRun(b, built.Cone().Program, bits)
+			for step := 0; step < 2; step++ {
+				in := make([]bv.Vec, hw.PHVLen)
+				for c := range in {
+					in[c] = b.Var(bits)
+				}
+				want, err := ref.step(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotBuilt := cone.runCone(b, p.cone, in), buildCone.runCone(b, built.Cone(), in)
+				for _, c := range r.Containers {
+					if !slices.Equal(got[c], want[c]) || !slices.Equal(gotBuilt[c], want[c]) {
+						t.Errorf("%s/%d bits, step %d, container %d: the cones' vectors are not the reference's", bm.Name, bits, step, c)
+					}
+					vectors++
+				}
+			}
+		}
+	}
+	t.Logf("%d vectors compared", vectors)
+}
+
+// TestLoweringWidthIsItsLiterals pins what lets a verify job lower once, at
+// MaxBits, and prove every cell from it: in both lowerings Prove evaluates —
+// the compared cone (core.Spec.Lower) and the specification (domino.Bind) —
+// the width enters only through literals truncated to it, so the MaxBits
+// program on a w-bit frame (flat.SymFrame cuts its constants) builds
+// literally the vectors the program lowered at w builds: the cone's output
+// containers and state, the specification's fields, trap condition and
+// state, over three transactions.
+func TestLoweringWidthIsItsLiterals(t *testing.T) {
+	var coneVectors, specVectors int
+	for _, bm := range spec.All() {
+		r, hw, read, live := compared(t, bm)
+		lower := func(w phv.Width) (*core.Fused, *domino.Binding) {
+			at := hw
+			at.Bits = w
+			cone, err := at.Lower(read, live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bind, err := domino.Bind(r.Program, bm.Fields, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cone, bind
+		}
+		maxCone, maxBind := lower(phv.MustWidth(MaxBits))
+		for _, bits := range loweringWidths {
+			cone, bind := lower(phv.MustWidth(bits))
+			b := bv.NewBuilder(sat.New())
+			cones := [2]*symRun{newSymRun(b, maxCone.Program, bits), newSymRun(b, cone.Program, bits)}
+			specs := [2]*symRun{newSymRun(b, maxBind.Lowered(), bits), newSymRun(b, bind.Lowered(), bits)}
+			layouts := [2]domino.Layout{maxBind.Layout(), bind.Layout()}
+			for step := 0; step < 3; step++ {
+				where := fmt.Sprintf("%s/%d bits, step %d", bm.Name, bits, step)
+				in := make([]bv.Vec, hw.PHVLen)
+				for c := range in {
+					in[c] = b.Var(bits)
+				}
+				atMax, atW := cones[0].runCone(b, maxCone, in), cones[1].runCone(b, cone, in)
+				for _, c := range r.Containers {
+					if !slices.Equal(atMax[c], atW[c]) {
+						t.Errorf("%s: cone container %d differs", where, c)
+					}
+					coneVectors++
+				}
+				for si, stage := range live {
+					for latch, l := range stage {
+						if slot := latch - hw.Width; l && slot >= 0 {
+							for i := 0; i < hw.StatefulALU.NumState(); i++ {
+								if !slices.Equal(cones[0].frame[maxCone.StateReg(si, slot)+i], cones[1].frame[cone.StateReg(si, slot)+i]) {
+									t.Errorf("%s: cone state %d/%d[%d] differs", where, si, slot, i)
+								}
+								coneVectors++
+							}
+						}
+					}
+				}
+
+				var trapped [2]sat.Lit
+				for i, s := range specs {
+					for c, r := range layouts[i].Fields {
+						if r >= 0 {
+							s.frame[r] = in[c]
+						}
+					}
+					for _, r := range layouts[i].Clear {
+						s.frame[r] = b.Const(bits, 0)
+					}
+					trapped[i] = s.run(b)
+				}
+				if trapped[0] != trapped[1] {
+					t.Errorf("%s: the specifications trap under different conditions", where)
+				}
+				for c, r := range layouts[0].Fields {
+					if r < 0 {
+						continue
+					}
+					if !slices.Equal(specs[0].frame[r], specs[1].frame[layouts[1].Fields[c]]) {
+						t.Errorf("%s: specification field at container %d differs", where, c)
+					}
+					specVectors++
+				}
+				for name, r := range layouts[0].State {
+					if !slices.Equal(specs[0].frame[r], specs[1].frame[layouts[1].State[name]]) {
+						t.Errorf("%s: specification state %q differs", where, name)
+					}
+					specVectors++
+				}
+			}
+		}
+	}
+	t.Logf("%d cone and %d specification vectors compared", coneVectors, specVectors)
+}
+
+// TestNonTotalALUIsAnError: a hand-built ALU program the lowering cannot
+// evaluate with its machine code — the hand-built programs core.Build refuses
+// at its prechecked levels (sim's TestBuildRejectsNonTotalALU) — is an error
+// naming the ALU, never a panic, wherever the compared cone routes through it.
+func TestNonTotalALUIsAnError(t *testing.T) {
+	a := func() aludsl.Expr { return &aludsl.Ident{Name: "a", Class: aludsl.VarField, Index: 0} }
+	b := func() aludsl.Expr { return &aludsl.Ident{Name: "b", Class: aludsl.VarField, Index: 1} }
+	helper := func(body aludsl.Expr, args ...aludsl.Expr) aludsl.Expr {
+		return &aludsl.Call{Func: &aludsl.FuncDef{Name: "helper", Params: []string{"op0"}, Body: body}, Args: args}
+	}
+	hand := func(kind aludsl.ALUKind, ret aludsl.Expr) *aludsl.Program {
+		p := &aludsl.Program{Name: "hand", Kind: kind, PacketFields: []string{"a", "b"}}
+		if kind == aludsl.Stateful {
+			p.StateVars = []string{"s"}
+			p.Body = []aludsl.Stmt{&aludsl.Assign{LHS: &aludsl.Ident{Name: "s", Class: aludsl.VarState}, RHS: ret}}
+		} else {
+			p.Body = []aludsl.Stmt{&aludsl.Return{Value: ret}}
+		}
+		return p
+	}
+	cases := []struct {
+		name string
+		kind aludsl.ALUKind
+		ret  aludsl.Expr
+		want string
+	}{
+		{"hole call hidden in a helper", aludsl.Stateless,
+			helper(&aludsl.HoleCall{Builtin: aludsl.BuiltinC, Hole: "hidden"}), `missing machine code pair for "hidden"`},
+		{"hole variable hidden in a helper", aludsl.Stateless,
+			helper(&aludsl.Ident{Name: "hv", Class: aludsl.VarHole}), `missing machine code pair for "hv"`},
+		{"unresolved identifier", aludsl.Stateless,
+			&aludsl.Ident{Name: "ghost"}, `unresolved identifier "ghost"`},
+		{"operand index past the packet fields", aludsl.Stateless,
+			&aludsl.Ident{Name: "c", Class: aludsl.VarField, Index: 2}, `identifier "c": index 2 out of range [0,2)`},
+		{"state index past the state variables", aludsl.Stateful,
+			&aludsl.Ident{Name: "t", Class: aludsl.VarState, Index: 1}, `identifier "t": index 1 out of range [0,1)`},
+		{"helper parameter past the call's arguments", aludsl.Stateless,
+			helper(&aludsl.Ident{Name: "op1", Class: aludsl.VarParam, Index: 1}, a()), `identifier "op1": index 1 out of range [0,1)`},
+		{"unknown unary operator", aludsl.Stateless,
+			&aludsl.Unary{Op: 7, X: a()}, "unknown unary operator 7"},
+		{"unknown binary operator", aludsl.Stateless,
+			&aludsl.Binary{Op: 99, X: a(), Y: b()}, "unknown binary operator 99"},
+		{"unknown binary operator on constants", aludsl.Stateless,
+			&aludsl.Binary{Op: 99, X: &aludsl.Num{Value: 1}, Y: &aludsl.Num{Value: 2}}, "unknown binary operator 99"},
+	}
+	prog := mustDomino(t, `transaction { pkt.a = pkt.a + 1; }`)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := core.Spec{Depth: 1, Width: 1, StatelessALU: hand(aludsl.Stateless, a())}
+			sel := int64(1) // container 0 <- the stateless ALU
+			if tc.kind == aludsl.Stateful {
+				s.StatefulALU, sel = hand(tc.kind, tc.ret), 2
+			} else {
+				s.StatelessALU = hand(tc.kind, tc.ret)
+			}
+			code := zeroCode(t, s)
+			code.Set(machinecode.OutputMuxName(0, 0), sel)
+			res, err := Equivalence(s, code, prog, domino.FieldMap{"a": 0}, Options{Bits: 4, Steps: 1})
+			where := fmt.Sprintf("stage 0 %s ALU 0: ", tc.kind)
+			if err == nil || !strings.Contains(err.Error(), where) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Equivalence = %v, %v; want an error naming %q with %q", res, err, where, tc.want)
+			}
+		})
+	}
+}

@@ -52,10 +52,11 @@ func runSymbolicConst(t *testing.T, prog *aludsl.Program, holes map[string]int64
 	return ov, newState
 }
 
-// TestSymbolicALUMatchesInterpreter is the verifier's semantic foundation:
-// for every atom in the library, with random in-domain machine code and
-// random operands/state, the symbolic executor and the concrete ALU DSL
-// interpreter must produce identical outputs and state updates.
+// TestSymbolicALUMatchesInterpreter grounds the reference the verifier's cone
+// is validated against (TestConeMatchesReference): for every atom in the
+// library, with random in-domain machine code and random operands/state, the
+// symbolic executor and the concrete ALU DSL interpreter must produce
+// identical outputs and state updates.
 func TestSymbolicALUMatchesInterpreter(t *testing.T) {
 	w := phv.MustWidth(6)
 	rng := rand.New(rand.NewSource(20))
@@ -108,8 +109,8 @@ func TestSymbolicALUMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestSymbolicALUMissingHole: a hole absent from the machine code is a
-// verification-time error, mirroring the interpreter's EvalError.
+// TestSymbolicALUMissingHole: a hole absent from the machine code is an
+// error of the reference, mirroring the interpreter's EvalError.
 func TestSymbolicALUMissingHole(t *testing.T) {
 	prog := atoms.MustLoad("if_else_raw")
 	w := phv.MustWidth(4)
@@ -130,10 +131,10 @@ func TestSymbolicALUMissingHole(t *testing.T) {
 	}
 }
 
-// TestSymbolicALURefusesWhatTheTableRefuses: the verifier applies the
+// TestSymbolicALURefusesWhatTheTableRefuses: the reference applies the
 // builtin table's choice, so an out-of-domain Opt value and a call with the
-// wrong number of arguments are verification-time errors naming the hole,
-// like the interpreter's, not a 0 and not an index past the arguments.
+// wrong number of arguments are errors naming the hole, like the
+// interpreter's, not a 0 and not an index past the arguments.
 func TestSymbolicALURefusesWhatTheTableRefuses(t *testing.T) {
 	run := func(prog *aludsl.Program, holes map[string]int64) error {
 		b := bv.NewBuilder(sat.New())

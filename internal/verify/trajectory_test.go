@@ -146,8 +146,9 @@ func TestCommutedMulNeedsSearch(t *testing.T) {
 // TestSlowestProofAllocations: the largest grid cell (learn-filter at 5
 // bits) allocated 1 330 513 times when propagate rebuilt a watch list per
 // propagation and about 20 000 while every gate was written to the solver
-// as it was built. What is left is symbolic execution of the nine live
-// ALUs and the Domino program: vectors, the node slice and the hash.
+// as it was built. What is left is lowering the cone of nine live ALUs and
+// the Domino program, and evaluating both symbolically: vectors, the node
+// slice and the hash.
 func TestSlowestProofAllocations(t *testing.T) {
 	bm, err := spec.Lookup("learn-filter")
 	if err != nil {

@@ -4,16 +4,21 @@
 // proven." It complements the fuzz testing of Fig. 5 — fuzzing samples the
 // input space, the verifier covers it exhaustively at a chosen bit width.
 //
-// Both sides are executed symbolically: PHV containers and state become
-// bit-vectors (package bv), control flow becomes if-then-else merging, and
-// the claim "some compared container differs in some transaction, or the
-// specification fails" becomes a SAT instance (package sat). The pipeline
-// description (machine code bound to a hardware spec) is walked here, ALU
-// by ALU. The Domino specification is the program a fuzz shard runs:
-// domino.Bind lowers it to package flat at the cell's width, and flat.Sym
-// evaluates that program at the same width — one Domino semantics for the
-// fuzzer and the prover, whose state (§3.3: behaviour "on both PHVs and
-// state values") is registers of that program. UNSAT proves the compiler's
+// Both sides are lowered to package flat by the lowerings the fuzzer runs
+// and executed symbolically by flat.Sym, the one symbolic evaluator: PHV
+// containers and state become bit-vectors (package bv), control flow becomes
+// if-then-else merging, and the claim "some compared container differs in
+// some transaction, or the specification fails" becomes a SAT instance
+// (package sat). The pipeline description (machine code bound to a hardware
+// spec) is core's fused program of the compared cone, lowered straight from
+// the machine code (core.Spec.Lower: each builtin's choice taken as it is
+// lowered, no specialisation pass); the Domino specification is the
+// transaction a fuzz shard runs (domino.Bind). Both are lowered once per
+// question at MaxBits and evaluated on frames of each cell's width, and
+// their state (§3.3: behaviour "on both PHVs and state values") is registers
+// of those programs, threaded from one transaction into the next. The tests
+// hold the cone, gate for gate, to a reference that walks the ALU DSL
+// (translation validation). UNSAT proves the compiler's
 // machine code equivalent to the specification over every input of the
 // verification width for the unrolled number of transactions; SAT yields a
 // concrete input trace, replayed through the pipeline and the specification
@@ -34,10 +39,10 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"druzhba/internal/aludsl"
 	"druzhba/internal/bv"
 	"druzhba/internal/core"
 	"druzhba/internal/domino"
+	"druzhba/internal/flat"
 	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
 	"druzhba/internal/sat"
@@ -200,11 +205,14 @@ func EquivalenceContext(ctx context.Context, spec core.Spec, code *machinecode.P
 // Problem is an equivalence question with everything that does not depend
 // on the proof cell — the (bits, steps) point — worked out once: the
 // normalized spec and validated machine code, the compared containers, the
-// mux selections and ALU hole values (core.Spec.Read's one pass), and the
-// ALUs in the cone of what is compared. It is read-only after NewProblem, so
-// the cells of a campaign job share one.
+// compared cone — the ALUs whose results or bound state are compared, lowered
+// from the machine code by core's own lowering (core.Spec.Lower) — and the
+// specification's lowered transaction (domino.Bind), both at MaxBits: a
+// cell's width enters them only through their truncated literals, which
+// flat.SymFrame cuts to it. It is read-only after NewProblem, so the cells
+// of a campaign job share one.
 type Problem struct {
-	spec   core.Spec // normalized; Prove sets Bits per cell
+	spec   core.Spec // normalized; replay sets Bits per cell
 	code   *machinecode.Program
 	prog   *domino.Program
 	fields domino.FieldMap
@@ -213,9 +221,9 @@ type Problem struct {
 	bindingNames []string // opts.StateBindings' keys, sorted
 	containers   []int    // compared containers
 
-	muxes *core.MuxTable
-	live  [][]bool         // live[stage][latch]: the ALU is in the compared cone
-	alus  [][]core.ALUCode // alus[stage][latch]: the ALU's program and hole values
+	cone   *core.Fused
+	bind   *domino.Binding
+	layout domino.Layout
 }
 
 // NewProblem checks the question and prepares it. opts.Bits and opts.Steps
@@ -283,8 +291,15 @@ func NewProblem(spec core.Spec, code *machinecode.Program, prog *domino.Program,
 		return nil, errors.New("verify: nothing to compare: the Domino program writes no packet field and no state is bound (Options.StateBindings, dverify -state), so any machine code would be proved")
 	}
 
-	p.muxes, p.alus = read.Muxes, read.ALUs
-	p.live = p.muxes.Live(out, pinned)
+	at := spec
+	at.Bits = phv.MustWidth(MaxBits)
+	if p.cone, err = at.Lower(read, read.Muxes.Live(out, pinned)); err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	if p.bind, err = domino.Bind(prog, fields, at.Bits); err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
+	p.layout = p.bind.Layout()
 	return p, nil
 }
 
@@ -306,23 +321,21 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("verify: unrolling depth %d < 1", steps)
 	}
-	w := phv.MustWidth(bits)
-	spec := p.spec
-	spec.Bits = w
-	bind, err := domino.Bind(p.prog, p.fields, w)
-	if err != nil {
-		return nil, fmt.Errorf("verify: %w", err)
-	}
-	lowered, layout := bind.Lowered(), bind.Layout()
-
 	solver := sat.New()
 	solver.MaxConflicts = p.opts.MaxConflicts
 	solver.Interrupt = func() bool { return ctx.Err() != nil }
 	b := bv.NewBuilder(solver)
 
-	pipe := newSymPipeline(b, p, w)
-	init, zero := lowered.NewFrame(), b.Const(bits, 0)
-	frame := lowered.SymFrame(b, bits, func(r int) bv.Vec { return b.Const(bits, init[r]) })
+	// Both programs start from their initial frames — zero pipeline state,
+	// the specification's declared state — and carry state from one run
+	// into the next in their own registers.
+	cone, lowered, layout := p.cone, p.bind.Lowered(), p.layout
+	initial := func(prog *flat.Program) []bv.Vec {
+		init := prog.NewFrame()
+		return prog.SymFrame(b, bits, func(r int) bv.Vec { return b.Const(bits, init[r]) })
+	}
+	pipe, frame, zero := initial(cone.Program), initial(lowered), b.Const(bits, 0)
+	mask := phv.MustWidth(bits).Mask()
 
 	var (
 		inputs   [][]bv.Vec
@@ -330,19 +343,17 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 		trapped  = b.False()
 	)
 	for step := 0; step < steps; step++ {
-		in := make([]bv.Vec, spec.PHVLen)
+		in := make([]bv.Vec, p.spec.PHVLen)
 		for c := range in {
 			in[c] = b.Var(bits)
-			if m := p.opts.MaxInput; m > 0 && m <= w.Mask() {
+			if m := p.opts.MaxInput; m > 0 && m <= mask {
 				b.Assert(b.Ult(in[c], b.Const(bits, m)))
 			}
+			pipe[cone.InputReg(c)] = in[c]
 		}
 		inputs = append(inputs, in)
+		pipe, _ = cone.Sym(b, pipe) // the cone has no Trap: it cannot fail
 
-		pipeOut, err := pipe.step(in)
-		if err != nil {
-			return nil, err
-		}
 		// One run of the specification, as a PHVSpec makes it: the bound
 		// fields read the packet, the flags and the error register start at
 		// zero, everything else — the state — is what the last run left.
@@ -362,14 +373,14 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 			if c < len(layout.Fields) && layout.Fields[c] >= 0 {
 				want = frame[layout.Fields[c]]
 			}
-			mismatch = b.Or(mismatch, b.Ne(pipeOut[c], want))
+			mismatch = b.Or(mismatch, b.Ne(pipe[cone.Out()[c]], want))
 		}
 	}
 	// §3.3/§7: optionally assert the bound state values match after the
 	// final transaction.
 	for _, name := range p.bindingNames {
 		loc := p.opts.StateBindings[name]
-		pipeVec := pipe.state[loc.Stage][spec.Width+loc.Slot][loc.Index]
+		pipeVec := pipe[cone.StateReg(loc.Stage, loc.Slot)+loc.Index]
 		mismatch = b.Or(mismatch, b.Ne(pipeVec, frame[layout.State[name]]))
 	}
 	// A specification that can fail is never proved: a trace on which it
@@ -404,7 +415,7 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 		// the reported outputs come from the production execution paths,
 		// and a model that does not reproduce concretely is an internal
 		// error (symbolic/concrete semantic drift), not a finding.
-		if err := res.replay(spec, p.code, bind.NewSpec(), trace, p.containers, p.opts.StateBindings); err != nil {
+		if err := p.replay(res, trace); err != nil {
 			return nil, err
 		}
 	}
@@ -413,20 +424,28 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 }
 
 // replay runs the counterexample trace through the concrete pipeline and
-// Domino machine, locates the first transaction whose compared containers
-// really differ, and records its outputs. Where the specification fails
-// first, its error is the result, as it is a fuzz shard's. A SAT model that
-// does not reproduce concretely indicates symbolic/concrete semantic drift
-// and is reported as an internal error.
-func (r *Result) replay(spec core.Spec, code *machinecode.Program, dspec *domino.PHVSpec, trace *phv.Trace, containers []int, bindings map[string]StateLoc) error {
-	p, err := core.Build(spec, code, core.SCCInlining)
+// Domino machine, built and bound at the cell's width, locates the first
+// transaction whose compared containers really differ, and records its
+// outputs in r. Where the specification fails first, its error is the
+// result, as it is a fuzz shard's. A SAT model that does not reproduce
+// concretely indicates symbolic/concrete semantic drift and is reported as an
+// internal error.
+func (p *Problem) replay(r *Result, trace *phv.Trace) error {
+	w := phv.MustWidth(r.Bits)
+	spec := p.spec
+	spec.Bits = w
+	pipe, err := core.Build(spec, p.code, core.SCCInlining)
 	if err != nil {
 		return fmt.Errorf("verify: replay build: %w", err)
 	}
-	p.ResetState()
+	bind, err := domino.Bind(p.prog, p.fields, w)
+	if err != nil {
+		return fmt.Errorf("verify: replay: %w", err)
+	}
+	dspec := bind.NewSpec()
 	for i := 0; i < trace.Len(); i++ {
 		in := trace.At(i)
-		got, err := p.Process(in.Clone())
+		got, err := pipe.Process(in.Clone())
 		if err != nil {
 			return fmt.Errorf("verify: replay pipeline: %w", err)
 		}
@@ -434,7 +453,7 @@ func (r *Result) replay(spec core.Spec, code *machinecode.Program, dspec *domino
 		if err != nil {
 			return fmt.Errorf("verify: spec %q, transaction %d: %w", dspec.Name(), i, err)
 		}
-		for _, c := range containers {
+		for _, c := range p.containers {
 			if got.Get(c) != want.Get(c) {
 				r.FailStep = i
 				r.PipelineOut = got
@@ -444,20 +463,13 @@ func (r *Result) replay(spec core.Spec, code *machinecode.Program, dspec *domino
 		}
 	}
 	// Outputs matched everywhere; the divergence must be in bound state.
-	if len(bindings) > 0 {
-		snap := p.StateSnapshot()
+	if len(p.bindingNames) > 0 {
+		snap := pipe.StateSnapshot()
 		diverged := false
 		pipeState := map[string]phv.Value{}
 		specState := map[string]phv.Value{}
-		// Sorted order so which broken binding gets reported first is
-		// run-independent.
-		names := make([]string, 0, len(bindings))
-		for name := range bindings {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			loc := bindings[name]
+		for _, name := range p.bindingNames {
+			loc := p.opts.StateBindings[name]
 			dv, ok := dspec.State(name)
 			if !ok {
 				return fmt.Errorf("verify: replay: Domino has no state %q", name)
@@ -481,310 +493,4 @@ func (r *Result) replay(spec core.Spec, code *machinecode.Program, dspec *domino
 		}
 	}
 	return errors.New("verify: internal: SAT counterexample does not reproduce concretely")
-}
-
-// --- Symbolic pipeline --------------------------------------------------------
-
-// symPipeline executes a pipeline description symbolically, one transaction
-// (PHV) at a time, threading stateful-ALU state between transactions.
-// Processing a PHV through the dataflow stage by stage is equivalent to the
-// tick-accurate simulation (PHVs traverse stages in order and never
-// overtake), which is the same argument core.Pipeline.Process relies on.
-// Only the ALUs in the problem's cone execute: a dead ALU has no gates, its
-// latch and the containers that select it are nil vectors nothing reads.
-type symPipeline struct {
-	b    *bv.Builder
-	p    *Problem
-	w    phv.Width
-	bits int
-
-	// state[stage][latch] is the state vector of the stateful ALU there
-	// (nil for stateless latches).
-	state [][][]bv.Vec
-}
-
-func newSymPipeline(b *bv.Builder, p *Problem, w phv.Width) *symPipeline {
-	sp := &symPipeline{b: b, p: p, w: w, bits: w.Bits()}
-	sp.state = make([][][]bv.Vec, p.spec.Depth)
-	for si := range sp.state {
-		sp.state[si] = make([][]bv.Vec, len(p.live[si]))
-		if p.spec.StatefulALU == nil {
-			continue
-		}
-		for latch := p.spec.Width; latch < 2*p.spec.Width; latch++ {
-			vars := make([]bv.Vec, p.spec.StatefulALU.NumState())
-			for i := range vars {
-				vars[i] = b.Const(sp.bits, 0) // ResetState semantics
-			}
-			sp.state[si][latch] = vars
-		}
-	}
-	return sp
-}
-
-// step processes one PHV through every stage, returning the output
-// containers and updating internal state.
-func (sp *symPipeline) step(in []bv.Vec) ([]bv.Vec, error) {
-	cur := in
-	for si := 0; si < sp.p.spec.Depth; si++ {
-		next, err := sp.execStage(si, cur)
-		if err != nil {
-			return nil, err
-		}
-		cur = next
-	}
-	return cur, nil
-}
-
-func (sp *symPipeline) execStage(si int, in []bv.Vec) ([]bv.Vec, error) {
-	latch := make([]bv.Vec, len(sp.p.live[si]))
-	for l, live := range sp.p.live[si] {
-		if !live {
-			continue
-		}
-		out, err := sp.execALU(si, l, in)
-		if err != nil {
-			return nil, err
-		}
-		latch[l] = out
-	}
-	out := make([]bv.Vec, len(in))
-	for c, sel := range sp.p.muxes.Output[si] {
-		if sel == 0 {
-			out[c] = in[c]
-		} else {
-			out[c] = latch[sel-1]
-		}
-	}
-	return out, nil
-}
-
-func (sp *symPipeline) execALU(si, latch int, in []bv.Vec) (bv.Vec, error) {
-	alu := &sp.p.alus[si][latch]
-	prog := alu.Prog
-	operands := make([]bv.Vec, prog.NumOperands())
-	for op, c := range sp.p.muxes.Operand[si][latch] {
-		operands[op] = in[c]
-	}
-	e := &symALU{
-		b:        sp.b,
-		bits:     sp.bits,
-		w:        sp.w,
-		lookup:   alu.Hole,
-		operands: operands,
-		state:    cloneVecs(sp.state[si][latch]),
-		kind:     prog.Kind,
-	}
-	out, err := e.run(prog)
-	if err != nil {
-		return nil, err
-	}
-	// Branch merging rebinds the executor's state slice; commit the final
-	// (merged) state back to the pipeline.
-	sp.state[si][latch] = e.state
-	return out, nil
-}
-
-// --- Symbolic ALU execution ---------------------------------------------------
-
-// symALU executes one ALU DSL program symbolically: state writes become
-// guarded updates, if/else becomes ITE merging, and builtins resolve their
-// machine code values concretely (so mux selections and opcodes specialize
-// exactly as SCC propagation would).
-type symALU struct {
-	b        *bv.Builder
-	bits     int
-	w        phv.Width
-	lookup   aludsl.HoleLookup
-	operands []bv.Vec
-	state    []bv.Vec // working copy; holds the final state after run
-	params   []bv.Vec // current helper-call frame
-	kind     aludsl.ALUKind
-}
-
-// retState tracks the symbolic "a return has executed" flag and value.
-type retState struct {
-	val  bv.Vec
-	done sat.Lit
-}
-
-func (e *symALU) run(prog *aludsl.Program) (out bv.Vec, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if ve, ok := r.(symError); ok {
-				err = fmt.Errorf("verify: %s: %s", prog.Name, string(ve))
-				return
-			}
-			panic(r)
-		}
-	}()
-	rs := &retState{val: e.b.Const(e.bits, 0), done: e.b.False()}
-	e.execStmts(prog.Body, rs)
-	// Implicit output: post-update state_0 for stateful ALUs, else 0.
-	fallback := e.b.Const(e.bits, 0)
-	if e.kind == aludsl.Stateful && len(e.state) > 0 {
-		fallback = e.state[0]
-	}
-	return e.b.Ite(rs.done, rs.val, fallback), nil
-}
-
-type symError string
-
-func (e *symALU) failf(format string, args ...any) bv.Vec {
-	panic(symError(fmt.Sprintf(format, args...)))
-}
-
-func (e *symALU) execStmts(stmts []aludsl.Stmt, rs *retState) {
-	for _, s := range stmts {
-		switch s := s.(type) {
-		case *aludsl.Assign:
-			v := e.eval(s.RHS)
-			old := e.state[s.LHS.Index]
-			e.state[s.LHS.Index] = e.b.Ite(rs.done, old, v)
-		case *aludsl.Return:
-			v := e.eval(s.Value)
-			rs.val = e.b.Ite(rs.done, rs.val, v)
-			rs.done = e.b.True()
-		case *aludsl.If:
-			c := e.b.Truthy(e.eval(s.Cond))
-			baseState := cloneVecs(e.state)
-			baseRS := *rs
-			e.execStmts(s.Then, rs)
-			thenState := e.state
-			thenRS := *rs
-			e.state = baseState
-			*rs = baseRS
-			if s.Else != nil {
-				e.execStmts(s.Else, rs)
-			}
-			for i := range e.state {
-				e.state[i] = e.b.Ite(c, thenState[i], e.state[i])
-			}
-			rs.val = e.b.Ite(c, thenRS.val, rs.val)
-			rs.done = e.b.IteLit(c, thenRS.done, rs.done)
-		default:
-			e.failf("unknown statement %T", s)
-		}
-	}
-}
-
-func cloneVecs(v []bv.Vec) []bv.Vec { return append([]bv.Vec(nil), v...) }
-
-func (e *symALU) hole(name string) int64 {
-	v, ok := e.lookup(name)
-	if !ok {
-		e.failf("missing machine code pair for %q", name)
-	}
-	return v
-}
-
-func (e *symALU) eval(x aludsl.Expr) bv.Vec {
-	switch x := x.(type) {
-	case *aludsl.Num:
-		return e.b.Const(e.bits, e.w.Trunc(x.Value))
-	case *aludsl.Ident:
-		switch x.Class {
-		case aludsl.VarState:
-			return e.state[x.Index]
-		case aludsl.VarField:
-			if x.Index >= len(e.operands) {
-				return e.failf("operand %d out of range (%d operands)", x.Index, len(e.operands))
-			}
-			return e.operands[x.Index]
-		case aludsl.VarHole:
-			return e.b.Const(e.bits, e.w.Trunc(e.hole(x.Name)))
-		case aludsl.VarParam:
-			return e.params[x.Index]
-		default:
-			return e.failf("unresolved identifier %q", x.Name)
-		}
-	case *aludsl.Unary:
-		v := e.eval(x.X)
-		switch x.Op {
-		case aludsl.OpNeg:
-			return e.b.Neg(v)
-		case aludsl.OpNot:
-			return e.b.FromBool(e.b.IsZero(v), e.bits)
-		}
-		return e.failf("unknown unary op %v", x.Op)
-	case *aludsl.Binary:
-		// Expressions are side-effect free, so short-circuit and strict
-		// evaluation agree; evaluate strictly.
-		l := e.eval(x.X)
-		r := e.eval(x.Y)
-		return e.binOp(x.Op, l, r)
-	case *aludsl.HoleCall:
-		return e.evalHoleCall(x)
-	case *aludsl.Call:
-		args := make([]bv.Vec, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = e.eval(a)
-		}
-		saved := e.params
-		e.params = args
-		v := e.eval(x.Func.Body)
-		e.params = saved
-		return v
-	default:
-		return e.failf("unknown expression node %T", x)
-	}
-}
-
-// binOp is the gates of l op r, a comparison or logical operator as a 0/1
-// vector.
-func (e *symALU) binOp(op aludsl.BinOp, l, r bv.Vec) bv.Vec {
-	b := e.b
-	switch op {
-	case aludsl.OpAdd:
-		return b.Add(l, r)
-	case aludsl.OpSub:
-		return b.Sub(l, r)
-	case aludsl.OpMul:
-		return b.Mul(l, r)
-	case aludsl.OpDiv:
-		return b.Div(l, r)
-	case aludsl.OpMod:
-		return b.Mod(l, r)
-	case aludsl.OpEq:
-		return b.FromBool(b.Eq(l, r), e.bits)
-	case aludsl.OpNeq:
-		return b.FromBool(b.Ne(l, r), e.bits)
-	case aludsl.OpLt:
-		return b.FromBool(b.Ult(l, r), e.bits)
-	case aludsl.OpGt:
-		return b.FromBool(b.Ult(r, l), e.bits)
-	case aludsl.OpLe:
-		return b.FromBool(b.Ule(l, r), e.bits)
-	case aludsl.OpGe:
-		return b.FromBool(b.Ule(r, l), e.bits)
-	case aludsl.OpAnd:
-		return b.FromBool(b.And(b.Truthy(l), b.Truthy(r)), e.bits)
-	case aludsl.OpOr:
-		return b.FromBool(b.Or(b.Truthy(l), b.Truthy(r)), e.bits)
-	}
-	return e.failf("unknown binary op %v", op)
-}
-
-// evalHoleCall applies the builtin table's choice for the call's machine code
-// value. A selector (Opt, MuxN) builds only the argument it picks; an
-// operator (a Strict choice) builds both operands left to right, even to
-// pass one through.
-func (e *symALU) evalHoleCall(x *aludsl.HoleCall) bv.Vec {
-	mc := e.hole(x.Hole)
-	ch, err := x.Choose(mc)
-	switch {
-	case err != nil:
-		return e.failf("hole %q: %v", x.Hole, err)
-	case ch.Kind == aludsl.ChooseZero:
-		return e.b.Const(e.bits, 0)
-	case ch.Kind == aludsl.ChooseValue:
-		return e.b.Const(e.bits, e.w.Trunc(mc))
-	case !ch.Strict:
-		return e.eval(x.Args[ch.Arg])
-	}
-	ops := [2]bv.Vec{e.eval(x.Args[0]), e.eval(x.Args[1])}
-	if ch.Kind == aludsl.ChooseOp {
-		return e.binOp(ch.Op, ops[0], ops[1])
-	}
-	return ops[ch.Arg]
 }
