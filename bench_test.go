@@ -164,3 +164,31 @@ func BenchmarkDominoSpec(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBuild times what a campaign job's target build does before any
+// packet runs: core.Build of all 12 Table-1 programs at one level, from the
+// shared resolved spec and machine code. One iteration builds the 12
+// pipelines, so B/op and allocs/op are summed over the fixtures.
+func BenchmarkBuild(b *testing.B) {
+	for _, level := range core.AllLevels() {
+		b.Run(level.String(), func(b *testing.B) {
+			var fixtures []*spec.Resolved
+			for _, bm := range spec.All() {
+				r, err := bm.Resolve()
+				if err != nil {
+					b.Fatal(err)
+				}
+				fixtures = append(fixtures, r)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, r := range fixtures {
+					if _, err := core.Build(r.Spec, r.Code, level); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}

@@ -480,40 +480,3 @@ func CloneExpr(e Expr) Expr {
 		panic(fmt.Sprintf("aludsl: CloneExpr: unknown node %T", e))
 	}
 }
-
-// CloneStmts deep-copies a statement list.
-func CloneStmts(stmts []Stmt) []Stmt {
-	out := make([]Stmt, len(stmts))
-	for i, s := range stmts {
-		switch s := s.(type) {
-		case *Assign:
-			lhs := *s.LHS
-			out[i] = &Assign{LHS: &lhs, RHS: CloneExpr(s.RHS)}
-		case *Return:
-			out[i] = &Return{Value: CloneExpr(s.Value)}
-		case *If:
-			var elseStmts []Stmt
-			if s.Else != nil {
-				elseStmts = CloneStmts(s.Else)
-			}
-			out[i] = &If{Cond: CloneExpr(s.Cond), Then: CloneStmts(s.Then), Else: elseStmts}
-		default:
-			panic(fmt.Sprintf("aludsl: CloneStmts: unknown node %T", s))
-		}
-	}
-	return out
-}
-
-// Clone deep-copies the program.
-func (p *Program) Clone() *Program {
-	q := &Program{
-		Name:         p.Name,
-		Kind:         p.Kind,
-		StateVars:    append([]string(nil), p.StateVars...),
-		HoleVars:     append([]string(nil), p.HoleVars...),
-		PacketFields: append([]string(nil), p.PacketFields...),
-		Body:         CloneStmts(p.Body),
-		Holes:        append([]Hole(nil), p.Holes...),
-	}
-	return q
-}

@@ -75,6 +75,49 @@ func (j *Job) validate() error {
 	return nil
 }
 
+// MaxJobShards bounds the shards one job plans. The engine holds a result
+// slot per shard from the start of a run, so the bound keeps a job's slots
+// within 8 MiB. At DefaultShardSize it still admits 2^32 packets, about
+// 86 000 times the paper's 50 000-packet job, and a verify job, one shard
+// per proof cell, stays far below it.
+const MaxJobShards = 1 << 20
+
+// Shards returns the number of shards the job plans when Options.ShardSize
+// is shardSize (0 = DefaultShardSize; a ShardSizer target picks its own), or
+// an error naming the job when that is more than MaxJobShards. It counts
+// without overflow, whatever Packets is.
+func (j *Job) Shards(shardSize int) (int, error) {
+	size := j.shardSize(shardSize)
+	if size < 1 {
+		return 0, fmt.Errorf("campaign: job %q has shard size %d", j.Name, size)
+	}
+	n := shardCount(j.Packets, size)
+	if n > MaxJobShards {
+		return 0, fmt.Errorf("campaign: job %q asks for %d shards (%d packets, %d a shard), more than %d", j.Name, n, j.Packets, size, MaxJobShards)
+	}
+	return n, nil
+}
+
+// shardSize is the job's packets per shard when Options.ShardSize is dflt.
+func (j *Job) shardSize(dflt int) int {
+	if dflt <= 0 {
+		dflt = DefaultShardSize
+	}
+	if ss, ok := j.Target.(ShardSizer); ok {
+		return ss.ShardSize(dflt)
+	}
+	return dflt
+}
+
+// shardCount is packets/size rounded up, without the overflow of
+// (packets+size-1)/size.
+func shardCount(packets, size int) int {
+	if packets < 1 {
+		return 0
+	}
+	return packets/size + min(packets%size, 1)
+}
+
 // Options configures a campaign run.
 type Options struct {
 	// Workers is the worker pool size; 0 means GOMAXPROCS. The report is

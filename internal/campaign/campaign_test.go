@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"druzhba/internal/core"
+	"druzhba/internal/drmt"
 	"druzhba/internal/phv"
 	"druzhba/internal/sim"
 	"druzhba/internal/spec"
@@ -408,6 +411,45 @@ func TestRunValidatesJobs(t *testing.T) {
 	}
 }
 
+// TestRunRefusesTooManyShards: a job's shard count is counted without
+// overflow and bounded by MaxJobShards, so a huge packet budget is an error
+// naming the job before anything is planned. (Counted as
+// (Packets+size-1)/size, math.MaxInt packets wrapped negative and Run
+// panicked making the results slice.)
+func TestRunRefusesTooManyShards(t *testing.T) {
+	bm, err := spec.Lookup("sampling")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		packets, shardSize int
+		want               string
+	}{
+		{math.MaxInt, 0, fmt.Sprintf("(%d packets, 4096 a shard), more than 1048576", math.MaxInt)},
+		{1 << 40, 1, "asks for 1099511627776 shards (1099511627776 packets, 1 a shard), more than 1048576"},
+	} {
+		jobs, err := Matrix([]*spec.Benchmark{bm}, []core.OptLevel{core.Compiled}, nil, nil, tc.packets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Run(context.Background(), jobs, Options{ShardSize: tc.shardSize, Workers: 1})
+		if rep != nil || err == nil || !strings.Contains(err.Error(), jobs[0].Name) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%d packets, shard size %d: Run = %v, %v; want an error naming %s with %q", tc.packets, tc.shardSize, rep, err, jobs[0].Name, tc.want)
+		}
+	}
+	// The bound itself is admitted: one shard a packet, MaxJobShards packets.
+	jobs, err := Matrix([]*spec.Benchmark{bm}, []core.OptLevel{core.Compiled}, nil, nil, MaxJobShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := jobs[0].Shards(1); n != MaxJobShards || err != nil {
+		t.Errorf("Shards(1) of a %d-packet job = %d, %v", MaxJobShards, n, err)
+	}
+	if n, err := jobs[0].Shards(0); n != MaxJobShards/DefaultShardSize || err != nil {
+		t.Errorf("Shards(0) of a %d-packet job = %d, %v", MaxJobShards, n, err)
+	}
+}
+
 func TestTable1MatrixShape(t *testing.T) {
 	jobs, err := Table1Matrix(100)
 	if err != nil {
@@ -423,6 +465,44 @@ func TestTable1MatrixShape(t *testing.T) {
 			t.Fatalf("duplicate job name %s", j.Name)
 		}
 		names[j.Name] = true
+	}
+}
+
+// TestMatrixSizesCountTheBuilders: MatrixSize, DRMTMatrixSize and
+// VerifyMatrixSize count what Matrix, DRMTMatrix and VerifyMatrix build,
+// with every axis empty (its default) or set, refuse the axes the builders
+// refuse, and saturate rather than overflow.
+func TestMatrixSizesCountTheBuilders(t *testing.T) {
+	bms, dbms := spec.All()[:2], drmt.Benchmarks()[:2]
+	traffics := [][]sim.TrafficMode{nil, {sim.TrafficUniform, sim.TrafficBoundary}}
+	for _, seeds := range [][]int64{nil, {1, 2, 3}} {
+		for _, traffic := range traffics {
+			for _, levels := range [][]core.OptLevel{nil, {core.Compiled, core.SCCPropagation}} {
+				jobs, err := Matrix(bms, levels, traffic, seeds, 10)
+				if n, nerr := MatrixSize(len(bms), levels, traffic, seeds); err != nil || nerr != nil || n != len(jobs) {
+					t.Errorf("Matrix(%v, %v, %v) built %d jobs (%v), MatrixSize %d (%v)", levels, traffic, seeds, len(jobs), err, n, nerr)
+				}
+			}
+			for _, procs := range [][]int{nil, {0, 2, 4}} {
+				jobs, err := DRMTMatrix(dbms, procs, traffic, seeds, 10)
+				if n, nerr := DRMTMatrixSize(len(dbms), procs, traffic, seeds); err != nil || nerr != nil || n != len(jobs) {
+					t.Errorf("DRMTMatrix(%v, %v, %v) built %d jobs (%v), DRMTMatrixSize %d (%v)", procs, traffic, seeds, len(jobs), err, n, nerr)
+				}
+			}
+		}
+		jobs, err := VerifyMatrix(bms, nil, nil, seeds, 0)
+		if n := VerifyMatrixSize(len(bms), seeds); err != nil || n != len(jobs) {
+			t.Errorf("VerifyMatrix(%v) built %d jobs (%v), VerifyMatrixSize %d", seeds, len(jobs), err, n)
+		}
+	}
+	if _, err := MatrixSize(1, nil, []sim.TrafficMode{"bursty"}, nil); err == nil {
+		t.Error("MatrixSize counted an unknown traffic mode")
+	}
+	if _, err := DRMTMatrixSize(1, []int{-1}, nil, nil); err == nil {
+		t.Error("DRMTMatrixSize counted a negative processor count")
+	}
+	if n := product(12, math.MaxInt/4, 8); n != math.MaxInt {
+		t.Errorf("product overflowed to %d", n)
 	}
 }
 

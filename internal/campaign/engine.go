@@ -25,6 +25,7 @@ type jobState struct {
 	exec *JobExec    // builds on the first miss; dropped at merge with its instance and runners
 
 	start        time.Time      // first shard that had to execute; zero while every shard replayed
+	shards       int            // the job's shard count
 	results      []*ShardResult // results[s] is written by exactly one worker; nil = skipped
 	pending      int            // shards not yet landed
 	hits, misses int64          // keyed shards the cache replayed / did not hold
@@ -37,12 +38,10 @@ type jobState struct {
 
 // plan resolves once what a job's shards share: its labels from the
 // optional Target interfaces, its shard size, its fingerprint and the
-// hash state its shard keys start from.
-func plan(job *Job, o *Options) jobState {
-	js := jobState{job: job, size: o.ShardSize, exec: NewJobExec(job.Target, o.Metrics)}
-	if ss, ok := job.Target.(ShardSizer); ok {
-		js.size = ss.ShardSize(o.ShardSize)
-	}
+// hash state its shard keys start from. shards is the job's Shards count.
+func plan(job *Job, o *Options, shards int) jobState {
+	js := jobState{job: job, size: job.shardSize(o.ShardSize), shards: shards, pending: shards,
+		results: make([]*ShardResult, shards), exec: NewJobExec(job.Target, o.Metrics)}
 	// Fingerprints gate the shard cache and address remote execution:
 	// executors forward the fingerprint-derived key so remote workers share
 	// the engine's cache key space. Hashed only when something reads them.
@@ -52,10 +51,8 @@ func plan(job *Job, o *Options) jobState {
 			js.keys = &keys
 		}
 	}
-	js.pending = (job.Packets + js.size - 1) / js.size
-	js.results = make([]*ShardResult, js.pending)
 	js.row = JobReport{Name: job.Name, Mode: ModeFuzz, Arch: job.Target.Arch(), Engine: job.Target.Engine(),
-		Seed: job.Seed, Packets: job.Packets, Shards: js.pending}
+		Seed: job.Seed, Packets: job.Packets, Shards: shards}
 	if m, ok := job.Target.(Moder); ok {
 		js.row.Mode = m.Mode()
 	}
@@ -82,8 +79,13 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Report, error) {
 	}
 	o := opts.withDefaults()
 	seen := make(map[string]bool, len(jobs))
+	shards := make([]int, len(jobs))
 	for i := range jobs {
 		if err := jobs[i].validate(); err != nil {
+			return nil, err
+		}
+		var err error
+		if shards[i], err = jobs[i].Shards(o.ShardSize); err != nil {
 			return nil, err
 		}
 		if seen[jobs[i].Name] {
@@ -104,7 +106,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Report, error) {
 		em.report.Cache = &CacheStats{}
 	}
 	for j := range jobs {
-		em.states[j] = plan(&jobs[j], &o)
+		em.states[j] = plan(&jobs[j], &o, shards[j])
 		em.remaining += int64(em.states[j].pending)
 	}
 	o.Metrics.queueDepth(em.remaining)
@@ -128,7 +130,7 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Report, error) {
 	}
 feed:
 	for j := range jobs {
-		for s := 0; s*em.states[j].size < jobs[j].Packets; s++ {
+		for s := range em.states[j].shards {
 			select {
 			case taskCh <- task{j, s}:
 			case <-runCtx.Done():

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 
 	"druzhba/internal/core"
 	"druzhba/internal/drmt"
@@ -31,15 +32,10 @@ func MatrixWithCorpus(benchmarks []*spec.Benchmark, levels []core.OptLevel, traf
 	if len(benchmarks) == 0 {
 		return nil, fmt.Errorf("campaign: empty benchmark set")
 	}
-	if len(levels) == 0 {
-		levels = core.AllLevels()
-	}
+	levels, seeds = levelAxis(levels), seedAxis(seeds)
 	traffic, err := trafficAxis(traffic)
 	if err != nil {
 		return nil, err
-	}
-	if len(seeds) == 0 {
-		seeds = []int64{1}
 	}
 	var jobs []Job
 	for _, bm := range benchmarks {
@@ -77,6 +73,77 @@ func MatrixWithCorpus(benchmarks []*spec.Benchmark, levels []core.OptLevel, traf
 	return jobs, nil
 }
 
+// MatrixSize is the number of jobs Matrix builds from that many benchmarks
+// and the same axes, counted without building any; a count past
+// math.MaxInt reads math.MaxInt. An axis Matrix refuses is the error.
+func MatrixSize(benchmarks int, levels []core.OptLevel, traffic []sim.TrafficMode, seeds []int64) (int, error) {
+	traffic, err := trafficAxis(traffic)
+	if err != nil {
+		return 0, err
+	}
+	return product(benchmarks, len(levelAxis(levels)), len(traffic), len(seedAxis(seeds))), nil
+}
+
+// DRMTMatrixSize is MatrixSize for DRMTMatrix.
+func DRMTMatrixSize(benchmarks int, procs []int, traffic []drmt.TrafficMode, seeds []int64) (int, error) {
+	procs, err := procAxis(procs)
+	if err != nil {
+		return 0, err
+	}
+	if traffic, err = trafficAxis(traffic); err != nil {
+		return 0, err
+	}
+	return product(benchmarks, len(procs), len(traffic), len(seedAxis(seeds))), nil
+}
+
+// VerifyMatrixSize is MatrixSize for VerifyMatrix, whose only job axis
+// besides the benchmarks is the seeds.
+func VerifyMatrixSize(benchmarks int, seeds []int64) int {
+	return product(benchmarks, len(seedAxis(seeds)))
+}
+
+// product multiplies a matrix's axis lengths, saturating at math.MaxInt.
+func product(axes ...int) int {
+	p := 1
+	for _, a := range axes {
+		if a > 0 && p > math.MaxInt/a {
+			return math.MaxInt
+		}
+		p *= a
+	}
+	return p
+}
+
+// levelAxis is Matrix's level axis: the levels asked for, or every level.
+func levelAxis(levels []core.OptLevel) []core.OptLevel {
+	if len(levels) == 0 {
+		return core.AllLevels()
+	}
+	return levels
+}
+
+// seedAxis is every matrix's seed axis: the seeds asked for, or seed 1.
+func seedAxis(seeds []int64) []int64 {
+	if len(seeds) == 0 {
+		return []int64{1}
+	}
+	return seeds
+}
+
+// procAxis is DRMTMatrix's processor-count axis: the counts asked for, none
+// negative, or 0 alone (each benchmark's default HWConfig).
+func procAxis(procs []int) ([]int, error) {
+	if len(procs) == 0 {
+		return []int{0}, nil
+	}
+	for _, p := range procs {
+		if p < 0 {
+			return nil, fmt.Errorf("campaign: negative processor count %d", p)
+		}
+	}
+	return procs, nil
+}
+
 // trafficAxis is the traffic axis of either matrix: the modes asked for,
 // each a known one, or uniform alone when none is.
 func trafficAxis(traffic []phv.TrafficMode) ([]phv.TrafficMode, error) {
@@ -111,21 +178,14 @@ func DRMTMatrix(benchmarks []*drmt.Benchmark, procs []int, traffic []drmt.Traffi
 	if len(benchmarks) == 0 {
 		return nil, fmt.Errorf("campaign: empty dRMT benchmark set")
 	}
-	if len(procs) == 0 {
-		procs = []int{0}
-	}
-	for _, p := range procs {
-		if p < 0 {
-			return nil, fmt.Errorf("campaign: negative processor count %d", p)
-		}
-	}
-	traffic, err := trafficAxis(traffic)
+	procs, err := procAxis(procs)
 	if err != nil {
 		return nil, err
 	}
-	if len(seeds) == 0 {
-		seeds = []int64{1}
+	if traffic, err = trafficAxis(traffic); err != nil {
+		return nil, err
 	}
+	seeds = seedAxis(seeds)
 	var jobs []Job
 	for _, bm := range benchmarks {
 		prog, err := bm.Program()

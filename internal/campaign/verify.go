@@ -342,9 +342,7 @@ func VerifyMatrix(benchmarks []*spec.Benchmark, bits, steps []int, seeds []int64
 	if err := checkGrid(bits, steps); err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
+	seeds = seedAxis(seeds)
 	var jobs []Job
 	for _, bm := range benchmarks {
 		r, err := bm.Resolve()

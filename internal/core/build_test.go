@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"druzhba/internal/aludsl"
@@ -358,5 +360,122 @@ func TestReadReportsWhatValidateReported(t *testing.T) {
 	}
 	if golden.String() != string(want) {
 		t.Errorf("BuildUnchecked run-time errors moved:\n%s\nwant\n%s", golden.String(), want)
+	}
+}
+
+// TestReadAllocations: Spec.Read makes a bounded number of allocations
+// however many pairs and stages it reads (32 pairs in 1 stage to 340 in 4
+// across the Table-1 fixtures). A name is made only for an error, so a pair
+// costs no allocation; Read once made every name, about one allocation a
+// pair.
+func TestReadAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the read's")
+	}
+	const bound = 16
+	for _, bm := range spec.All() {
+		s, code := fixture(t, bm)
+		n := testing.AllocsPerRun(20, func() {
+			if c, err := s.Read(code); err != nil || len(c.Errs) > 0 {
+				t.Fatal(err, c.Errs)
+			}
+		})
+		if n > bound {
+			t.Errorf("%s: Spec.Read allocates %v times, bound %d", bm.Name, n, bound)
+		}
+	}
+}
+
+// TestBuildAllocations holds core.Build's allocations, summed over the 12
+// Table-1 fixtures, to a budget per level. Before Spec.Read formatted names
+// into one buffer and SCC and inlining stopped deep-copying their input, the
+// sums were 3 235 (unoptimized), 7 557 (scc) and 10 085 (scc+inline and
+// compiled); since, they are about 3 195, 4 268 and 5 415. The budgets sit
+// below the old figures with room for a toolchain's escape analysis to move
+// a few values to the heap. The Unoptimized engine makes every pair's name,
+// since it resolves names at run time, so its budget is the old figure.
+func TestBuildAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the build's")
+	}
+	budget := map[core.OptLevel]float64{
+		core.Unoptimized:    3235,
+		core.SCCPropagation: 5000,
+		core.SCCInlining:    6500,
+		core.Compiled:       6500,
+	}
+	for _, level := range core.AllLevels() {
+		var sum float64
+		for _, bm := range spec.All() {
+			s, code := fixture(t, bm)
+			sum += testing.AllocsPerRun(10, func() {
+				if _, err := core.Build(s, code, level); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if sum > budget[level] {
+			t.Errorf("%v: core.Build allocates %v times over the 12 fixtures, budget %v", level, sum, budget[level])
+		}
+		t.Logf("%v: %v allocations", level, sum)
+	}
+}
+
+// TestConcurrentBuildsLeaveTheSpecAlone builds every Table-1 fixture at all
+// four levels from 8 goroutines sharing the one resolved Spec, as a
+// campaign's jobs do. SCC and inlining share the nodes they leave unchanged
+// with the spec's ALU programs, so under -race this catches a pass that
+// writes to its input; every ALU program, the spec's and each build's, must
+// Format as it did in a build run alone.
+func TestConcurrentBuildsLeaveTheSpecAlone(t *testing.T) {
+	formats := func(progs [][]*aludsl.Program) []string {
+		var out []string
+		for _, stage := range progs {
+			for _, p := range stage {
+				out = append(out, p.Format())
+			}
+		}
+		return out
+	}
+	for _, bm := range spec.All() {
+		r, err := bm.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.Spec
+		specALUs := [][]*aludsl.Program{{s.StatelessALU}}
+		if s.StatefulALU != nil {
+			specALUs[0] = append(specALUs[0], s.StatefulALU)
+		}
+		before := formats(specALUs)
+		want := map[core.OptLevel][]string{}
+		for _, level := range core.AllLevels() {
+			p, err := core.Build(s, r.Code, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[level] = formats(p.ALUPrograms())
+		}
+		var wg sync.WaitGroup
+		for range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, level := range core.AllLevels() {
+					p, err := core.Build(s, r.Code, level)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if got := formats(p.ALUPrograms()); !slices.Equal(got, want[level]) {
+						t.Errorf("%s %v: a concurrent build's ALU programs differ from a build alone", bm.Name, level)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if after := formats(specALUs); !slices.Equal(after, before) {
+			t.Errorf("%s: building changed the spec's ALU programs:\n%v\nwas\n%v", bm.Name, after, before)
+		}
 	}
 }

@@ -19,14 +19,16 @@
 //     pipeline as SCCInlining; it stays a level because campaign matrices
 //     and reports name it.
 //
-// Build does each piece of work once. The machine code is read in one pass
-// over RequiredPairs order (Spec.Read: each name formatted, looked up and
-// range-checked once), and validation, the mux table and every ALU's holes
-// come from that pass. At the optimized levels every ALU is still specialised
-// and proved total, but the work is done once per distinct (ALU program, hole
-// values) configuration within a build: ALUs configured alike share the one
-// immutable program (the 198 ALUs of the Table-1 fixtures are 52
-// configurations).
+// Build does each piece of work once and copies nothing it does not keep.
+// The machine code is read in one pass over RequiredPairs order (Spec.Read:
+// each name formatted into one reused buffer, looked up and range-checked
+// once, its value kept by position), and validation, the mux table and
+// every ALU's holes come from that pass. At the optimized levels every ALU
+// is still specialised and proved total, but the work is done once per
+// distinct (ALU program, hole values) configuration within a build: ALUs
+// configured alike share the one immutable program (the 198 ALUs of the
+// Table-1 fixtures are 52 configurations), which shares the nodes SCC
+// propagation left unchanged with the spec's own ALU program.
 //
 // The package executes one PHV through the dataflow of the pipeline; the
 // tick-accurate simulation loop (read/write PHV halves, one stage per tick)
@@ -199,34 +201,58 @@ func (s *Spec) RequiredPairs() ([]HoleSpec, error) {
 	return n.requiredPairs(), nil
 }
 
-// requiredPairs is RequiredPairs on a normalized spec: the one place the
-// pairs' names are made.
+// requiredPairs is RequiredPairs on a normalized spec: pairs' names made
+// as strings, for the callers that keep them.
 func (s *Spec) requiredPairs() []HoleSpec {
+	out := make([]HoleSpec, 0, s.numPairs())
+	s.pairs(func(name []byte, domain int) {
+		out = append(out, HoleSpec{Name: string(name), Domain: domain})
+	})
+	return out
+}
+
+// pairs visits a normalized spec's pairs in RequiredPairs order, each with
+// its name and domain: the one place the pairs' names are made. The name is
+// formatted into one reused buffer and is valid only during the call.
+func (s *Spec) pairs(visit func(name []byte, domain int)) {
+	var buf [64]byte
+	name := buf[:0]
+	s.walk(func(si, slot int, p *aludsl.Program) {
+		stateful := p.Kind == aludsl.Stateful
+		for op := 0; op < p.NumOperands(); op++ {
+			name = machinecode.AppendOperandMuxName(name[:0], si, stateful, slot, op)
+			visit(name, s.PHVLen)
+		}
+		for _, h := range p.Holes {
+			name = machinecode.AppendALUHoleName(name[:0], si, stateful, slot, h.Name)
+			visit(name, h.Domain)
+		}
+	}, func(si int) {
+		for c := 0; c < s.PHVLen; c++ {
+			name = machinecode.AppendOutputMuxName(name[:0], si, c)
+			visit(name, s.latches()+1) // 0 = pass-through, 1..latches = the stage's ALUs
+		}
+	})
+}
+
+// numPairs is the number of pairs RequiredPairs names.
+func (s *Spec) numPairs() int {
 	perALU := func(p *aludsl.Program) int {
 		if p == nil {
 			return 0
 		}
 		return p.NumOperands() + len(p.Holes)
 	}
-	out := make([]HoleSpec, 0, s.Depth*(s.Width*(perALU(s.StatelessALU)+perALU(s.StatefulALU))+s.PHVLen))
-	outputDomain := s.Width + 1 // 0 = pass-through, 1..Width = stateless outputs
+	return s.Depth * (s.Width*(perALU(s.StatelessALU)+perALU(s.StatefulALU)) + s.PHVLen)
+}
+
+// latches is the number of ALUs in a stage: Width stateless ones, then Width
+// stateful ones if the spec has a stateful ALU.
+func (s *Spec) latches() int {
 	if s.StatefulALU != nil {
-		outputDomain += s.Width // Width+1..2*Width = stateful outputs
+		return 2 * s.Width
 	}
-	s.walk(func(si, slot int, p *aludsl.Program) {
-		stateful := p.Kind == aludsl.Stateful
-		for op := 0; op < p.NumOperands(); op++ {
-			out = append(out, HoleSpec{Name: machinecode.OperandMuxName(si, stateful, slot, op), Domain: s.PHVLen})
-		}
-		for _, h := range p.Holes {
-			out = append(out, HoleSpec{Name: machinecode.ALUHoleName(si, stateful, slot, h.Name), Domain: h.Domain})
-		}
-	}, func(si int) {
-		for c := 0; c < s.PHVLen; c++ {
-			out = append(out, HoleSpec{Name: machinecode.OutputMuxName(si, c), Domain: outputDomain})
-		}
-	})
-	return out
+	return s.Width
 }
 
 // walk visits a normalized spec's primitives in RequiredPairs order: per
@@ -244,23 +270,21 @@ func (s *Spec) walk(alu func(si, slot int, p *aludsl.Program), outputs func(si i
 }
 
 // Code is machine code read against a spec by Spec.Read: every pair
-// RequiredPairs names, formatted, looked up and range-checked once, with its
-// value kept by position. A missing pair reads 0.
+// RequiredPairs names, looked up and range-checked once, with its value kept
+// by position. It keeps no names. A missing pair reads 0.
 type Code struct {
-	Muxes       *MuxTable   // every mux selection
-	ALUs        [][]ALUCode // ALUs[stage][latch]
-	OutputNames [][]string  // OutputNames[stage][container]: the output mux pairs' names
+	Muxes *MuxTable   // every mux selection
+	ALUs  [][]ALUCode // ALUs[stage][latch]
 	// Errs is what Validate reports: one error per missing pair or
 	// out-of-range value, in RequiredPairs order.
 	Errs []error
 }
 
-// ALUCode is one ALU's share of the machine code.
+// ALUCode is one ALU's share of the machine code. Its operand mux
+// selections are in Code.Muxes.
 type ALUCode struct {
-	Prog         *aludsl.Program
-	OperandNames []string // the operand mux pairs' names; their selections are in Code.Muxes
-	HoleNames    []string // the pairs of Prog's holes, in Holes order
-	Holes        []int64  // their values
+	Prog  *aludsl.Program
+	Holes []int64 // the values of Prog's holes, in Holes order
 }
 
 // Hole returns the value of the ALU-local hole name, an aludsl.HoleLookup.
@@ -273,9 +297,11 @@ func (a *ALUCode) Hole(local string) (int64, bool) {
 	return 0, false
 }
 
-// Read reads machine code against the spec in one pass: each pair is named,
-// looked up and range-checked once. A spec error is returned as the error;
-// the code's errors are in Code.Errs.
+// Read reads machine code against the spec in one pass in RequiredPairs
+// order: each pair's name is formatted into one reused buffer, looked up and
+// range-checked once, and its value kept by position. A name becomes a
+// string only for an error. A spec error is returned as the error; the
+// code's errors are in Code.Errs.
 func (s *Spec) Read(code *machinecode.Program) (*Code, error) {
 	n, err := s.Normalize()
 	if err != nil {
@@ -284,34 +310,30 @@ func (s *Spec) Read(code *machinecode.Program) (*Code, error) {
 	return n.read(code), nil
 }
 
-// read is Read on a normalized spec.
+// read is Read on a normalized spec. Its allocations do not depend on the
+// number of pairs: values and selections share one backing array each, as
+// do the stages' ALUs and operand muxes.
 func (s *Spec) read(code *machinecode.Program) *Code {
-	req := s.requiredPairs()
-	names := make([]string, len(req))
-	vals := make([]int64, len(req))
-	sels := make([]int, len(req))
+	np, latches := s.numPairs(), s.latches()
+	vals, sels := make([]int64, 0, np), make([]int, 0, np)
 	c := &Code{
-		Muxes:       &MuxTable{Output: make([][]int, s.Depth), Operand: make([][][]int, s.Depth)},
-		ALUs:        make([][]ALUCode, s.Depth),
-		OutputNames: make([][]string, s.Depth),
+		Muxes: &MuxTable{Output: make([][]int, s.Depth), Operand: make([][][]int, s.Depth)},
+		ALUs:  make([][]ALUCode, s.Depth),
 	}
-	for i, h := range req {
-		v, ok := code.Get(h.Name)
+	s.pairs(func(name []byte, domain int) {
+		v, ok := code.GetBytes(name)
 		switch {
 		case !ok:
-			c.Errs = append(c.Errs, fmt.Errorf("core: missing machine code pair %q", h.Name))
-		case h.Domain > 0 && (v < 0 || v >= int64(h.Domain)):
-			c.Errs = append(c.Errs, fmt.Errorf("core: machine code pair %q = %d out of range [0,%d)", h.Name, v, h.Domain))
+			c.Errs = append(c.Errs, fmt.Errorf("core: missing machine code pair %q", name))
+		case domain > 0 && (v < 0 || v >= int64(domain)):
+			c.Errs = append(c.Errs, fmt.Errorf("core: machine code pair %q = %d out of range [0,%d)", name, v, domain))
 		}
-		names[i], vals[i], sels[i] = h.Name, v, int(v)
-	}
-	latches := s.Width
-	if s.StatefulALU != nil {
-		latches *= 2
-	}
+		vals, sels = append(vals, v), append(sels, int(v))
+	})
+	alus, operands := make([]ALUCode, s.Depth*latches), make([][]int, s.Depth*latches)
 	for si := range c.ALUs {
-		c.ALUs[si] = make([]ALUCode, 0, latches)
-		c.Muxes.Operand[si] = make([][]int, 0, latches)
+		lo, hi := si*latches, (si+1)*latches
+		c.ALUs[si], c.Muxes.Operand[si] = alus[lo:lo:hi], operands[lo:lo:hi]
 	}
 	at := 0
 	next := func(k int) (lo, hi int) {
@@ -322,23 +344,17 @@ func (s *Spec) read(code *machinecode.Program) *Code {
 		ops, opsEnd := next(p.NumOperands())
 		holes, holesEnd := next(len(p.Holes))
 		c.Muxes.Operand[si] = append(c.Muxes.Operand[si], sels[ops:opsEnd:opsEnd])
-		c.ALUs[si] = append(c.ALUs[si], ALUCode{
-			Prog:         p,
-			OperandNames: names[ops:opsEnd:opsEnd],
-			HoleNames:    names[holes:holesEnd:holesEnd],
-			Holes:        vals[holes:holesEnd:holesEnd],
-		})
+		c.ALUs[si] = append(c.ALUs[si], ALUCode{Prog: p, Holes: vals[holes:holesEnd:holesEnd]})
 	}, func(si int) {
 		lo, hi := next(s.PHVLen)
 		c.Muxes.Output[si] = sels[lo:hi:hi]
-		c.OutputNames[si] = names[lo:hi:hi]
 	})
 	return c
 }
 
 // Validate checks a machine code program against the spec, returning one
-// error per missing pair or out-of-range value (Code.Errs). A nil slice
-// means the code is compatible with the pipeline.
+// error per missing pair or out-of-range value in RequiredPairs order: Read's
+// Code.Errs. A nil slice means the code is compatible with the pipeline.
 func (s *Spec) Validate(code *machinecode.Program) []error {
 	c, err := s.Read(code)
 	if err != nil {
@@ -436,6 +452,19 @@ func build(n Spec, code *machinecode.Program, c *Code, level OptLevel) (*Pipelin
 	// the ALU kind (one program per kind) and the hole values in Holes order.
 	specialised := map[string]*aludsl.Program{}
 	var key []byte
+	// names holds the pairs' names, in RequiredPairs order, for the
+	// Unoptimized engine, which resolves them at run time; next takes the
+	// following k.
+	var names []string
+	if level == Unoptimized {
+		names = make([]string, 0, n.numPairs())
+		n.pairs(func(name []byte, _ int) { names = append(names, string(name)) })
+	}
+	next := func(k int) []string {
+		out := names[:k:k]
+		names = names[k:]
+		return out
+	}
 	for si, alus := range c.ALUs {
 		st := &stage{alus: make([]*compiledALU, len(alus))}
 		for latch := range alus {
@@ -443,10 +472,11 @@ func build(n Spec, code *machinecode.Program, c *Code, level OptLevel) (*Pipelin
 			a := newALU(n, si, latch, ac.Prog)
 			if level == Unoptimized {
 				a.prog = ac.Prog
-				a.operandMuxNames = ac.OperandNames
-				a.localToGlobal = make(map[string]string, len(ac.HoleNames))
+				a.operandMuxNames = next(a.numOps)
+				holes := next(len(ac.Prog.Holes))
+				a.localToGlobal = make(map[string]string, len(holes))
 				for i, h := range ac.Prog.Holes {
-					a.localToGlobal[h.Name] = ac.HoleNames[i]
+					a.localToGlobal[h.Name] = holes[i]
 				}
 				// Version-1 semantics: every hole reference performs hash
 				// lookups at execution time.
@@ -478,7 +508,7 @@ func build(n Spec, code *machinecode.Program, c *Code, level OptLevel) (*Pipelin
 		st.stateful = st.alus[n.Width:]
 		st.latch = make([]phv.Value, len(st.alus))
 		if level == Unoptimized {
-			st.outputMuxNames = c.OutputNames[si]
+			st.outputMuxNames = next(n.PHVLen)
 		} else {
 			st.outputMux = c.Muxes.Output[si]
 		}

@@ -153,12 +153,33 @@ type Expansion struct {
 	Fuzz []campaign.Job
 }
 
+// Bounds on what one request expands to, so that admission allocates in
+// proportion to them and not to what the axes multiply to. An expanded job
+// costs about 600 bytes, so MaxMatrixJobs keeps a matrix near 10 MB; it
+// admits the full Table-1 and dRMT sweep at both traffic modes for over a
+// hundred seeds. The engine holds a result slot per shard from the start
+// of a run, so MaxMatrixShards keeps a matrix's slots within 32 MiB; each
+// job is also held to campaign.MaxJobShards.
+const (
+	MaxMatrixJobs   = 1 << 14
+	MaxMatrixShards = 1 << 22
+)
+
 // Expand expands every phase of the request without running anything, so
-// servers can reject a bad matrix before committing a stream to it.
+// servers can reject a bad matrix before committing a stream to it. The
+// jobs are counted from the axes before any is built, and a matrix past
+// MaxMatrixJobs, MaxMatrixShards or campaign.MaxJobShards is an error.
 func (r *MatrixRequest) Expand() (*Expansion, error) {
 	runVerify, runFuzz, err := r.phases()
 	if err != nil {
 		return nil, err
+	}
+	n, err := r.countJobs(runVerify, runFuzz)
+	if err != nil {
+		return nil, err
+	}
+	if n > MaxMatrixJobs {
+		return nil, fmt.Errorf("farmd: the matrix expands to more than %d jobs", MaxMatrixJobs)
 	}
 	exp := &Expansion{}
 	if runVerify {
@@ -171,7 +192,51 @@ func (r *MatrixRequest) Expand() (*Expansion, error) {
 			return nil, err
 		}
 	}
+	shards := 0
+	for _, jobs := range [][]campaign.Job{exp.Verify, exp.Fuzz} {
+		for i := range jobs {
+			k, err := jobs[i].Shards(r.ShardSize)
+			if err != nil {
+				return nil, fmt.Errorf("farmd: %w", err)
+			}
+			if shards += k; shards > MaxMatrixShards {
+				return nil, fmt.Errorf("farmd: the matrix plans more than %d shards", MaxMatrixShards)
+			}
+		}
+	}
 	return exp, nil
+}
+
+// countJobs counts the jobs the request's phases expand to, building none:
+// the campaign matrices' sizes, each capped at MaxMatrixJobs+1 so that the
+// sum cannot overflow.
+func (r *MatrixRequest) countJobs(runVerify, runFuzz bool) (int, error) {
+	rmt, n := len(spec.Match(r.Run)), 0
+	add := func(k int) { n += min(k, MaxMatrixJobs+1) }
+	if runVerify {
+		add(campaign.VerifyMatrixSize(rmt, r.Seeds))
+	}
+	if runFuzz {
+		arch, levels, modes, err := r.fuzzAxes()
+		if err != nil {
+			return 0, err
+		}
+		if arch == "rmt" || arch == "all" {
+			k, err := campaign.MatrixSize(rmt, levels, modes, r.Seeds)
+			if err != nil {
+				return 0, err
+			}
+			add(k)
+		}
+		if arch == "drmt" || arch == "all" {
+			k, err := campaign.DRMTMatrixSize(len(drmt.MatchBenchmarks(r.Run)), r.Procs, modes, r.Seeds)
+			if err != nil {
+				return 0, err
+			}
+			add(k)
+		}
+	}
+	return n, nil
 }
 
 // VerifyJobs expands the request into the verification job matrix: one job
@@ -205,45 +270,14 @@ func (r *MatrixRequest) Jobs() ([]campaign.Job, error) {
 // pure function of (request, corpus), so every process holding the same
 // benchmark registries derives the same matrix.
 func (r *MatrixRequest) FuzzJobs(corpus map[string][][]phv.Value) ([]campaign.Job, error) {
-	arch := r.Arch
-	if arch == "" {
-		arch = "rmt"
-	}
-	if arch != "rmt" && arch != "drmt" && arch != "all" {
-		return nil, fmt.Errorf("farmd: arch %q (want rmt, drmt or all)", arch)
+	arch, levels, modes, err := r.fuzzAxes()
+	if err != nil {
+		return nil, err
 	}
 	packets := r.Packets
 	if packets == 0 {
 		packets = 50000
 	}
-	var levels []core.OptLevel
-	if len(r.Levels) > 0 {
-		if arch == "drmt" {
-			return nil, fmt.Errorf("farmd: levels apply to the rmt architecture only")
-		}
-		for _, name := range r.Levels {
-			lvl, err := core.ParseLevel(strings.TrimSpace(name))
-			if err != nil {
-				return nil, fmt.Errorf("farmd: %w", err)
-			}
-			levels = append(levels, lvl)
-		}
-	}
-	if len(r.Procs) > 0 && arch == "rmt" {
-		return nil, fmt.Errorf("farmd: procs apply to the drmt architecture only")
-	}
-	var modes []phv.TrafficMode
-	for _, m := range r.Traffic {
-		mode := phv.TrafficMode(strings.TrimSpace(m))
-		if mode == "" {
-			return nil, fmt.Errorf("farmd: empty traffic mode")
-		}
-		if err := mode.Check(); err != nil {
-			return nil, fmt.Errorf("farmd: %w", err)
-		}
-		modes = append(modes, mode)
-	}
-
 	var jobs []campaign.Job
 	if arch == "rmt" || arch == "all" {
 		benchmarks := spec.Match(r.Run)
@@ -275,6 +309,44 @@ func (r *MatrixRequest) FuzzJobs(corpus map[string][][]phv.Value) ([]campaign.Jo
 		return nil, fmt.Errorf("farmd: run %q matches no benchmark in any architecture", r.Run)
 	}
 	return jobs, nil
+}
+
+// fuzzAxes checks the request's fuzz axes and parses them into the forms
+// the campaign matrices take, with the architecture defaulted to rmt.
+func (r *MatrixRequest) fuzzAxes() (arch string, levels []core.OptLevel, modes []phv.TrafficMode, err error) {
+	arch = r.Arch
+	if arch == "" {
+		arch = "rmt"
+	}
+	if arch != "rmt" && arch != "drmt" && arch != "all" {
+		return "", nil, nil, fmt.Errorf("farmd: arch %q (want rmt, drmt or all)", arch)
+	}
+	if len(r.Levels) > 0 {
+		if arch == "drmt" {
+			return "", nil, nil, fmt.Errorf("farmd: levels apply to the rmt architecture only")
+		}
+		for _, name := range r.Levels {
+			lvl, err := core.ParseLevel(strings.TrimSpace(name))
+			if err != nil {
+				return "", nil, nil, fmt.Errorf("farmd: %w", err)
+			}
+			levels = append(levels, lvl)
+		}
+	}
+	if len(r.Procs) > 0 && arch == "rmt" {
+		return "", nil, nil, fmt.Errorf("farmd: procs apply to the drmt architecture only")
+	}
+	for _, m := range r.Traffic {
+		mode := phv.TrafficMode(strings.TrimSpace(m))
+		if mode == "" {
+			return "", nil, nil, fmt.Errorf("farmd: empty traffic mode")
+		}
+		if err := mode.Check(); err != nil {
+			return "", nil, nil, fmt.Errorf("farmd: %w", err)
+		}
+		modes = append(modes, mode)
+	}
+	return arch, levels, modes, nil
 }
 
 // ParseSeeds parses a comma-separated seed list (dfarm's -seeds syntax)

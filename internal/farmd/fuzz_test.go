@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -191,6 +192,65 @@ func FuzzDirCacheEntry(f *testing.F) {
 		}
 		if want := ent.Result(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Get = %+v, decoding gives %+v", got, want)
+		}
+	})
+}
+
+// FuzzMatrixRequest drives raw bytes through admission, the body decoder
+// and Expand, as POST /v1/campaigns does: it never panics, and a request it
+// admits expands to at most MaxMatrixJobs jobs, each of at most
+// campaign.MaxJobShards shards, at most MaxMatrixShards in all, and exactly
+// the jobs countJobs counted from the axes.
+func FuzzMatrixRequest(f *testing.F) {
+	for _, req := range []*MatrixRequest{
+		smallMatrix(),
+		{Run: "sampling", Levels: []string{"compiled"}, Packets: math.MaxInt},
+		{Run: "sampling", Levels: []string{"compiled"}, Packets: 1 << 40, ShardSize: 1},
+		{Arch: "all", Traffic: []string{"uniform", "boundary"}, Seeds: []int64{1, 2, 3}},
+		{Arch: "drmt", Procs: []int{2, 4}, Packets: 600},
+		{Run: "sampling", Mode: campaign.ModeVerify, VerifyBits: []int{3, 4}, VerifySteps: []int{1, 2}},
+		{Run: "sampling", Mode: ModeBoth, VerifyBits: []int{3}, Packets: 300},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"seeds":[1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41,42,43,44,45,46,47,48,49,50,51,52,53,54,55,56,57,58,59,60,61,62,63,64,65,66,67,68,69,70,71,72,73,74,75,76,77,78,79,80,81,82,83,84,85,86,87,88,89,90,91,92,93,94,95,96,97,98,99,100]}`))
+	f.Add([]byte(`{"mode":"verify","verify_bits":[3,3,3,3],"verify_steps":[1,1,1,1,1,1,1,1]}`))
+	f.Add([]byte(`{"packets":`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		req, ok := DecodeMatrix(rec, httptest.NewRequest(http.MethodPost, "/v1/campaigns", bytes.NewReader(body)))
+		if !ok {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("a body that does not decode is answered %d", rec.Code)
+			}
+			return
+		}
+		exp, ok := ExpandMatrix(rec, req)
+		if !ok {
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("a matrix that does not expand is answered %d", rec.Code)
+			}
+			return
+		}
+		runVerify, runFuzz, _ := req.phases()
+		jobs := append(append([]campaign.Job(nil), exp.Verify...), exp.Fuzz...)
+		if n, err := req.countJobs(runVerify, runFuzz); len(jobs) > MaxMatrixJobs || n != len(jobs) || err != nil {
+			t.Fatalf("admitted %d jobs, counted %d from the axes (%v), bound %d", len(jobs), n, err, MaxMatrixJobs)
+		}
+		total := 0
+		for i := range jobs {
+			n, err := jobs[i].Shards(req.ShardSize)
+			if err != nil || n > campaign.MaxJobShards {
+				t.Fatalf("admitted job %s plans %d shards: %v", jobs[i].Name, n, err)
+			}
+			total += n
+		}
+		if total > MaxMatrixShards {
+			t.Fatalf("admitted %d shards, bound %d", total, MaxMatrixShards)
 		}
 	})
 }

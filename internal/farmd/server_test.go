@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -278,6 +281,71 @@ func TestServerRejectsBadMatrix(t *testing.T) {
 		if _, err := Submit(context.Background(), srv.URL, req); err == nil {
 			t.Fatalf("%s: submission accepted", name)
 		}
+	}
+}
+
+// TestExpandBoundsTheMatrix: admission counts a request's jobs from its
+// axes before building any and refuses a matrix past MaxMatrixJobs,
+// MaxMatrixShards or campaign.MaxJobShards with a 400, before the stream
+// starts. A 109 KB request of 20 000 seeds is 960 000 jobs: expanding it
+// allocated 564 MB, refusing it must take under 16 MB.
+func TestExpandBoundsTheMatrix(t *testing.T) {
+	seeds := func(n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = int64(i + 1)
+		}
+		return out
+	}
+	compiled := []string{"compiled"}
+	for _, tc := range []struct {
+		name string
+		req  *MatrixRequest
+		want string // "" = admitted
+	}{
+		{"20 000 seeds", &MatrixRequest{Seeds: seeds(20000)}, "farmd: the matrix expands to more than 16384 jobs"},
+		{"MaxMatrixJobs jobs", &MatrixRequest{Run: "sampling", Levels: compiled, Seeds: seeds(MaxMatrixJobs)}, ""},
+		{"one job more", &MatrixRequest{Run: "sampling", Levels: compiled, Seeds: seeds(MaxMatrixJobs + 1)}, "farmd: the matrix expands to more than 16384 jobs"},
+		{"every axis at once", &MatrixRequest{Arch: "all", Mode: ModeBoth, Traffic: []string{"uniform", "boundary"}, Procs: []int{1, 2, 3, 4}, Seeds: seeds(200)}, "farmd: the matrix expands to more than 16384 jobs"},
+		{"math.MaxInt packets", &MatrixRequest{Run: "sampling", Levels: compiled, Packets: math.MaxInt}, `campaign: job "rmt/sampling/compiled/seed=1" asks for 2251799813685248 shards`},
+		{"2^40 one-packet shards", &MatrixRequest{Run: "sampling", Levels: compiled, Packets: 1 << 40, ShardSize: 1}, `campaign: job "rmt/sampling/compiled/seed=1" asks for 1099511627776 shards`},
+		{"MaxMatrixShards shards", &MatrixRequest{Run: "sampling", Levels: compiled, Packets: campaign.MaxJobShards, ShardSize: 1, Seeds: seeds(4)}, ""},
+		{"one job of shards more", &MatrixRequest{Run: "sampling", Levels: compiled, Packets: campaign.MaxJobShards, ShardSize: 1, Seeds: seeds(5)}, "farmd: the matrix plans more than 4194304 shards"},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		req, ok := DecodeMatrix(rec, httptest.NewRequest(http.MethodPost, "/v1/campaigns", bytes.NewReader(body)))
+		if ok {
+			_, ok = ExpandMatrix(rec, req)
+		}
+		runtime.ReadMemStats(&after)
+		if tc.want == "" {
+			if !ok {
+				t.Errorf("%s: refused: %s", tc.name, rec.Body)
+			}
+			continue
+		}
+		if ok || rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), strings.ReplaceAll(tc.want, `"`, `\"`)) {
+			t.Errorf("%s: admission answered %d %s, want 400 with %q", tc.name, rec.Code, rec.Body, tc.want)
+		}
+		if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 16<<20 {
+			t.Errorf("%s: refusing a %d-byte request allocated %d MB", tc.name, len(body), bytes>>20)
+		}
+	}
+
+	// dfarmd answers the same 400 before the stream starts.
+	srv := httptest.NewServer(NewServer(Config{}))
+	defer srv.Close()
+	_, err := Submit(context.Background(), srv.URL, &MatrixRequest{Seeds: seeds(20000)})
+	var se *StatusError
+	if !errors.As(err, &se) || !strings.HasPrefix(se.Status, "400") || !strings.Contains(se.Msg, "more than 16384 jobs") {
+		t.Errorf("Submit of 20 000 seeds = %v, want a 400 naming the bound", err)
 	}
 }
 

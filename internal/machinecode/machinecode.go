@@ -51,6 +51,15 @@ func (p *Program) Get(name string) (int64, bool) {
 	return p.pairs[i].Value, true
 }
 
+// GetBytes is Get for a name held in bytes; the lookup does not allocate.
+func (p *Program) GetBytes(name []byte) (int64, bool) {
+	i, ok := p.index[string(name)]
+	if !ok {
+		return 0, false
+	}
+	return p.pairs[i].Value, true
+}
+
 // Delete removes the pair for name if present. It reports whether a pair
 // was removed. (Used by the case-study harness to reproduce the
 // missing-output-mux failure class of §5.2.)
@@ -218,18 +227,44 @@ func KindName(stateful bool) string {
 // ALUHoleName names an ALU-internal hole (a builtin call site or a declared
 // hole variable) for the ALU at (stage, slot).
 func ALUHoleName(stage int, stateful bool, slot int, hole string) string {
-	return "pipeline_stage_" + strconv.Itoa(stage) + "_" + KindName(stateful) + "_alu_" + strconv.Itoa(slot) + "_" + hole
+	return string(AppendALUHoleName(make([]byte, 0, 64), stage, stateful, slot, hole))
+}
+
+// AppendALUHoleName appends ALUHoleName's name to dst.
+func AppendALUHoleName(dst []byte, stage int, stateful bool, slot int, hole string) []byte {
+	return append(appendALUName(dst, stage, stateful, slot), hole...)
 }
 
 // OperandMuxName names the input mux feeding operand index op of the ALU at
 // (stage, slot). Its value selects a PHV container.
 func OperandMuxName(stage int, stateful bool, slot int, op int) string {
-	return "pipeline_stage_" + strconv.Itoa(stage) + "_" + KindName(stateful) + "_alu_" + strconv.Itoa(slot) + "_operand_mux_" + strconv.Itoa(op)
+	return string(AppendOperandMuxName(make([]byte, 0, 64), stage, stateful, slot, op))
+}
+
+// AppendOperandMuxName appends OperandMuxName's name to dst.
+func AppendOperandMuxName(dst []byte, stage int, stateful bool, slot int, op int) []byte {
+	dst = append(appendALUName(dst, stage, stateful, slot), "operand_mux_"...)
+	return strconv.AppendInt(dst, int64(op), 10)
 }
 
 // OutputMuxName names the output mux that writes PHV container c at the end
 // of a stage. Value 0 keeps the container's old value; values 1..width pick
 // a stateless ALU output; values width+1..2*width pick a stateful ALU output.
 func OutputMuxName(stage, container int) string {
-	return "pipeline_stage_" + strconv.Itoa(stage) + "_output_mux_phv_" + strconv.Itoa(container)
+	return string(AppendOutputMuxName(make([]byte, 0, 64), stage, container))
+}
+
+// AppendOutputMuxName appends OutputMuxName's name to dst.
+func AppendOutputMuxName(dst []byte, stage, container int) []byte {
+	dst = strconv.AppendInt(append(dst, "pipeline_stage_"...), int64(stage), 10)
+	dst = append(dst, "_output_mux_phv_"...)
+	return strconv.AppendInt(dst, int64(container), 10)
+}
+
+// appendALUName appends the prefix every name of the ALU at (stage, slot)
+// starts with, up to and including the '_' before the primitive's own part.
+func appendALUName(dst []byte, stage int, stateful bool, slot int) []byte {
+	dst = strconv.AppendInt(append(dst, "pipeline_stage_"...), int64(stage), 10)
+	dst = append(append(append(dst, '_'), KindName(stateful)...), "_alu_"...)
+	return append(strconv.AppendInt(dst, int64(slot), 10), '_')
 }

@@ -166,29 +166,42 @@ func TestNamingConvention(t *testing.T) {
 	}
 }
 
-// TestNamesMatchTheirFormats pins the three name functions to the formats
-// they are defined by, over multi-digit stages, slots, operands and
-// containers and both kinds.
+// TestNamesMatchTheirFormats pins the three name functions and their
+// Append forms to the formats they are defined by, over multi-digit stages,
+// slots, operands and containers, both kinds and a hole name longer than the
+// string forms' stack buffer. An Append form keeps what dst held, and
+// GetBytes finds each name as Get does.
 func TestNamesMatchTheirFormats(t *testing.T) {
+	p := New()
+	check := func(fn, got, want string, appended []byte) {
+		t.Helper()
+		if got != want || string(appended) != ">"+want {
+			t.Fatalf("%s = %q, appended %q, want %q", fn, got, appended, want)
+		}
+		p.Set(want, int64(len(want)))
+		if v, ok := p.GetBytes(appended[1:]); !ok || v != int64(len(want)) {
+			t.Fatalf("GetBytes(%q) = %d, %v", appended[1:], v, ok)
+		}
+	}
 	for stage := 0; stage <= 12; stage++ {
 		for slot := 0; slot <= 12; slot++ {
-			if got, want := OutputMuxName(stage, slot), fmt.Sprintf("pipeline_stage_%d_output_mux_phv_%d", stage, slot); got != want {
-				t.Fatalf("OutputMuxName = %q, want %q", got, want)
-			}
+			check("OutputMuxName", OutputMuxName(stage, slot), fmt.Sprintf("pipeline_stage_%d_output_mux_phv_%d", stage, slot),
+				AppendOutputMuxName([]byte(">"), stage, slot))
 			for _, stateful := range []bool{false, true} {
 				kind := KindName(stateful)
-				for _, hole := range []string{"mux3_0", "const_12", ""} {
-					if got, want := ALUHoleName(stage, stateful, slot, hole), fmt.Sprintf("pipeline_stage_%d_%s_alu_%d_%s", stage, kind, slot, hole); got != want {
-						t.Fatalf("ALUHoleName = %q, want %q", got, want)
-					}
+				for _, hole := range []string{"mux3_0", "const_12", "", strings.Repeat("h", 70)} {
+					check("ALUHoleName", ALUHoleName(stage, stateful, slot, hole), fmt.Sprintf("pipeline_stage_%d_%s_alu_%d_%s", stage, kind, slot, hole),
+						AppendALUHoleName([]byte(">"), stage, stateful, slot, hole))
 				}
 				for op := 0; op <= 12; op++ {
-					if got, want := OperandMuxName(stage, stateful, slot, op), fmt.Sprintf("pipeline_stage_%d_%s_alu_%d_operand_mux_%d", stage, kind, slot, op); got != want {
-						t.Fatalf("OperandMuxName = %q, want %q", got, want)
-					}
+					check("OperandMuxName", OperandMuxName(stage, stateful, slot, op), fmt.Sprintf("pipeline_stage_%d_%s_alu_%d_operand_mux_%d", stage, kind, slot, op),
+						AppendOperandMuxName([]byte(">"), stage, stateful, slot, op))
 				}
 			}
 		}
+	}
+	if _, ok := p.GetBytes([]byte("pipeline_stage_13_output_mux_phv_0")); ok {
+		t.Fatal("GetBytes found a name that was never set")
 	}
 }
 

@@ -12,7 +12,10 @@
 //     simplified bodies of those functions, with parameters substituted by
 //     the argument expressions (version 3 in Fig. 6).
 //
-// Both passes are pure AST-to-AST transforms over aludsl programs.
+// Both passes are pure AST-to-AST transforms over aludsl programs. Neither
+// copies its input or changes it: each rebuilds the nodes it changes and
+// shares the rest with the input, so an output must be treated as read-only,
+// as the input is.
 package opt
 
 import (
@@ -34,31 +37,33 @@ func (e *ConfigError) Error() string {
 	return fmt.Sprintf("opt: ALU %s, hole %q: %s", e.ALU, e.Hole, e.Msg)
 }
 
-// SCC applies sparse conditional constant propagation to a copy of p, given
-// the machine code values for p's holes (looked up by local hole name). The
+// SCC applies sparse conditional constant propagation to p, given the
+// machine code values for p's holes (looked up by local hole name). The
 // result contains no HoleCall nodes and no hole-variable references: every
 // builtin call site becomes a Call to a specialized helper FuncDef whose body
-// is a single simplified expression.
+// is a single simplified expression. p is left alone: the result is a shallow
+// copy of it whose Body is a rebuilt tree, and the leaves SCC leaves
+// unchanged are p's own nodes, shared.
 func SCC(p *aludsl.Program, holes aludsl.HoleLookup, w phv.Width) (*aludsl.Program, error) {
-	q := p.Clone()
 	t := &transformer{prog: p.Name, holes: holes, w: w}
-	body, err := t.stmts(q.Body)
+	body, err := t.stmts(p.Body)
 	if err != nil {
 		return nil, err
 	}
-	q.Body = body
-	q.Holes = nil
-	q.HoleVars = nil
-	return q, nil
+	q := *p
+	q.Body, q.Holes, q.HoleVars = body, nil, nil
+	return &q, nil
 }
 
-// Inline replaces every helper Call in a copy of p with the helper's body,
+// Inline replaces every helper Call in p with the helper's body,
 // substituting parameters with the call's argument expressions, then refolds
-// constants. Inline is normally applied after SCC.
+// constants. Inline is normally applied after SCC. p is left alone: the
+// result is a shallow copy of it whose Body is a rebuilt tree sharing p's
+// unchanged leaves.
 func Inline(p *aludsl.Program, w phv.Width) *aludsl.Program {
-	q := p.Clone()
-	q.Body = inlineStmts(q.Body, w)
-	return q
+	q := *p
+	q.Body = inlineStmts(p.Body, w)
+	return &q
 }
 
 type transformer struct {
