@@ -17,8 +17,8 @@
 //	internal/aludsl       the ALU DSL (Fig. 3/4)
 //	internal/atoms        the Banzai atom library (6 stateful + 5 stateless)
 //	internal/machinecode  machine code pairs and the naming convention
-//	internal/core         the RMT machine model and its three engines
-//	internal/opt          SCC propagation and function inlining (Fig. 6)
+//	internal/core         the RMT machine model: the reference executor and the fused kernel
+//	internal/opt          SCC propagation and function inlining (Fig. 6), dgen's passes
 //	internal/codegen      dgen's Go source emission
 //	internal/sim          dsim: tick simulation, traffic gen, fuzzing
 //	internal/campaign     dfarm: parallel fuzzing campaigns over job matrices
@@ -63,7 +63,10 @@ type OptLevel = core.OptLevel
 // Optimization levels: the paper's three (Fig. 6) plus Compiled, whose ALU
 // bodies are lowered to straight-line register code — the role the Rust
 // compiler plays for the paper's generated pipeline descriptions, without
-// leaving the process.
+// leaving the process. SCCPropagation and SCCInlining name the source shapes
+// dgen emits; in process every level above Unoptimized builds the Compiled
+// pipeline, whose lowering takes the machine code's choices and folds
+// constants as those passes do.
 const (
 	Unoptimized    = core.Unoptimized
 	SCCPropagation = core.SCCPropagation

@@ -17,8 +17,9 @@
 //
 // The builtin table (builtins, read through HoleCall.Choose) is the one
 // definition of what each machine code value selects; the interpreter, SCC
-// propagation, core's lowering from machine code (what the SAT verifier
-// proves) and dgen's v1 emitter only apply its choice.
+// propagation (dgen's), core's lowering from machine code (what every
+// prechecked pipeline runs and the SAT verifier proves) and dgen's v1
+// emitter only apply its choice.
 //
 // Every builtin call site is a distinct hardware primitive and receives a
 // unique hole name (e.g. "mux3_1"); the pipeline generator prefixes hole
@@ -256,7 +257,7 @@ const (
 	VarUnresolved VarClass = iota
 	VarState               // state variable; Index is the slot
 	VarField               // packet field operand; Index is the operand position
-	VarHole                // declared hole variable; read from machine code
+	VarHole                // declared hole variable; Index is its place in Program.Holes
 	VarParam               // helper-function parameter (created by optimization)
 )
 
@@ -286,6 +287,7 @@ type HoleCall struct {
 	Builtin BuiltinKind
 	Hole    string
 	Args    []Expr
+	Slot    int // the hole's place in Program.Holes, set by Resolve
 }
 
 // FuncDef is a helper function produced by dgen for a builtin call site
@@ -469,7 +471,7 @@ func CloneExpr(e Expr) Expr {
 		for i, a := range e.Args {
 			args[i] = CloneExpr(a)
 		}
-		return &HoleCall{Builtin: e.Builtin, Hole: e.Hole, Args: args}
+		return &HoleCall{Builtin: e.Builtin, Hole: e.Hole, Args: args, Slot: e.Slot}
 	case *Call:
 		args := make([]Expr, len(e.Args))
 		for i, a := range e.Args {

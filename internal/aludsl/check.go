@@ -16,7 +16,8 @@ func checkErrorf(format string, args ...any) error {
 }
 
 // Resolve binds every identifier in the program to its declaration, collects
-// the program's holes in source order, and validates:
+// the program's holes in source order (each hole variable's Index and each
+// HoleCall's Slot is its place among them), and validates:
 //
 //   - identifiers must be declared state variables, packet fields or hole
 //     variables;
@@ -49,7 +50,7 @@ func Resolve(p *Program) error {
 	}
 
 	p.Holes = nil
-	seenHoles := map[string]bool{}
+	slots := map[string]int{} // hole name -> its place in p.Holes
 	var resolveExpr func(e Expr) error
 	resolveExpr = func(e Expr) error {
 		switch e := e.(type) {
@@ -65,11 +66,13 @@ func Resolve(p *Program) error {
 				return nil
 			}
 			if _, ok := holes[e.Name]; ok {
-				e.Class = VarHole
-				if !seenHoles[e.Name] {
-					seenHoles[e.Name] = true
+				slot, seen := slots[e.Name]
+				if !seen {
+					slot = len(p.Holes)
+					slots[e.Name] = slot
 					p.Holes = append(p.Holes, Hole{Name: e.Name, Builtin: BuiltinC, Domain: 0, IsVar: true})
 				}
+				e.Class, e.Index = VarHole, slot
 				return nil
 			}
 			if e.Class == VarParam {
@@ -89,10 +92,11 @@ func Resolve(p *Program) error {
 			if _, err := e.Choose(0); err != nil {
 				return checkErrorf("hole %q: %v", e.Hole, err)
 			}
-			if seenHoles[e.Hole] {
+			if _, seen := slots[e.Hole]; seen {
 				return checkErrorf("duplicate hole name %q", e.Hole)
 			}
-			seenHoles[e.Hole] = true
+			e.Slot = len(p.Holes)
+			slots[e.Hole] = e.Slot
 			p.Holes = append(p.Holes, Hole{
 				Name:    e.Hole,
 				Builtin: e.Builtin,
@@ -169,20 +173,22 @@ func indexOf(names []string) map[string]int {
 // index out of range or not terminate: an unresolved identifier, an operand
 // or state index outside the program's declarations, a helper parameter
 // outside its call's arguments, an operator outside the language, a helper
-// that calls itself. holes says how machine code is read. Where it is nil
-// (Env.Holes == nil, the optimized levels) a HoleCall or hole variable SCC
-// propagation did not specialise, such as one hidden in a hand-built helper
-// body, is an error too; otherwise every hole must resolve through it and
-// every builtin call's choice must be in the table. A nil result means Run
-// and flat code lowered from p return a value on every input. Parsed programs
-// always pass once SCC has run, or with the machine code they were read
-// with; the check exists for ASTs built by hand.
+// that calls itself. holes says how machine code is read: every hole must
+// resolve through it and sit at its own place in p.Holes (an Env with
+// HoleValues reads it there), and every builtin call's choice must be in the
+// table.
+// A nil result means Run and flat code lowered from p return a value on
+// every input. Parsed programs always pass with the machine code they were
+// read with; the check exists for ASTs built by hand.
 func CheckTotal(p *Program, holes HoleLookup) error {
 	var active []*FuncDef // helpers whose body is being walked
-	hole := func(name string) (int64, error) {
+	hole := func(name string, slot int) (int64, error) {
 		v, ok := holes(name)
-		if !ok {
+		switch {
+		case !ok:
 			return 0, checkErrorf("missing machine code pair for %q", name)
+		case slot < 0 || slot >= len(p.Holes) || p.Holes[slot].Name != name:
+			return 0, checkErrorf("hole %q is not at its place %d in the program's holes (Resolve sets it)", name, slot)
 		}
 		return v, nil
 	}
@@ -201,10 +207,7 @@ func CheckTotal(p *Program, holes HoleLookup) error {
 			case VarParam:
 				limit = arity
 			case VarHole:
-				if holes == nil {
-					return checkErrorf("hole variable %q survives optimization", e.Name)
-				}
-				_, err := hole(e.Name)
+				_, err := hole(e.Name, e.Index)
 				return err
 			default:
 				return checkErrorf("unresolved identifier %q", e.Name)
@@ -227,10 +230,7 @@ func CheckTotal(p *Program, holes HoleLookup) error {
 			}
 			return expr(e.Y, arity)
 		case *HoleCall:
-			if holes == nil {
-				return checkErrorf("hole call %q survives optimization", e.Hole)
-			}
-			mc, err := hole(e.Hole)
+			mc, err := hole(e.Hole, e.Slot)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package aludsl
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,14 @@ func run(t *testing.T, src string, holes map[string]int64, operands, state []phv
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
+	// Read by position (Env.HoleValues in Program.Holes order), the program
+	// must compute the same, wherever every hole has a value.
+	values, complete := make([]int64, len(p.Holes)), true
+	for i, h := range p.Holes {
+		v, ok := holes[h.Name]
+		values[i], complete = v, complete && ok
+	}
+	pos := &Env{Width: phv.Default32, Operands: operands, State: slices.Clone(state), HoleValues: values}
 	env := &Env{
 		Width:    phv.Default32,
 		Operands: operands,
@@ -25,6 +34,11 @@ func run(t *testing.T, src string, holes map[string]int64, operands, state []phv
 	v, err := Run(p, env)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if complete {
+		if got, err := Run(p, pos); err != nil || got != v || !slices.Equal(pos.State, env.State) {
+			t.Errorf("by position: %d, state %v, %v; by name: %d, state %v", got, pos.State, err, v, env.State)
+		}
 	}
 	return v
 }
@@ -276,7 +290,7 @@ func TestEvalDeterministic(t *testing.T) {
 // TestCheckTotal covers the shapes CheckTotal rejects that no interpreter
 // can be asked to run (the evaluable ones are pinned against the reference in
 // sim's TestBuildRejectsNonTotalALU), and that a parsed, hole-free program
-// passes.
+// passes with no machine code at all.
 func TestCheckTotal(t *testing.T) {
 	ok, err := Parse(`
 type: stateful
@@ -289,7 +303,8 @@ return s;
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckTotal(ok, nil); err != nil {
+	none := MapLookup(nil)
+	if err := CheckTotal(ok, none); err != nil {
 		t.Errorf("a parsed hole-free program: %v", err)
 	}
 
@@ -312,7 +327,7 @@ return s;
 	}
 	for _, tc := range cases {
 		p := &Program{Kind: Stateful, StateVars: []string{"s"}, PacketFields: []string{"a"}, Body: []Stmt{tc.stmt}}
-		if err := CheckTotal(p, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := CheckTotal(p, none); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: CheckTotal = %v, want an error with %q", tc.name, err, tc.want)
 		}
 	}
@@ -321,7 +336,7 @@ return s;
 // TestCheckTotalWithMachineCode: given the machine code, a program with holes
 // is total exactly when every hole resolves and every builtin call's value is
 // in the table — what a lowering that takes each choice as it goes relies on.
-// Without it, the same program is refused for its holes.
+// With no machine code, the same program is refused for its first hole.
 func TestCheckTotalWithMachineCode(t *testing.T) {
 	src := "type: stateless\nhole variables: {k}\npacket fields: {a, b}\nreturn Mux2(rel_op(a, k), C()) + Opt(b);"
 	holes := map[string]int64{"k": 7, "mux2_0": 1, "rel_op_0": RelLe, "const_0": 3, "opt_0": 1}
@@ -329,8 +344,8 @@ func TestCheckTotalWithMachineCode(t *testing.T) {
 	if err := CheckTotal(p, MapLookup(holes)); err != nil {
 		t.Fatalf("a parsed program with its machine code: %v", err)
 	}
-	if err := CheckTotal(p, nil); err == nil || !strings.Contains(err.Error(), `hole call "mux2_0" survives optimization`) {
-		t.Errorf("without machine code: %v, want the surviving hole call", err)
+	if err := CheckTotal(p, MapLookup(nil)); err == nil || !strings.Contains(err.Error(), `missing machine code pair for "mux2_0"`) {
+		t.Errorf("without machine code: %v, want the first hole missing", err)
 	}
 	for _, tc := range []struct {
 		name string
@@ -344,6 +359,12 @@ func TestCheckTotalWithMachineCode(t *testing.T) {
 			call := p.Body[0].(*Return).Value.(*Binary).Y.(*HoleCall)
 			call.Args = append(call.Args, call.Args[0])
 		}, `hole "opt_0": Opt takes 1 argument(s), got 2`},
+		{"hole call at another's place", func(_ map[string]int64, p *Program) {
+			p.Body[0].(*Return).Value.(*Binary).Y.(*HoleCall).Slot = 0
+		}, `hole "opt_0" is not at its place 0 in the program's holes`},
+		{"hole variable past the holes", func(_ map[string]int64, p *Program) {
+			p.Body[0].(*Return).Value.(*Binary).X.(*HoleCall).Args[0].(*HoleCall).Args[1].(*Ident).Index = 5
+		}, `hole "k" is not at its place 5 in the program's holes`},
 		{"bad argument", func(_ map[string]int64, p *Program) {
 			call := p.Body[0].(*Return).Value.(*Binary).X.(*HoleCall)
 			call.Args[1] = &Ident{Name: "c", Class: VarField, Index: 2}

@@ -14,9 +14,9 @@
 // Execute (run one PHV through all stages) and Reset (zero all state).
 //
 // In-process simulation does not use this source (Go cannot compile at
-// runtime); package core interprets the same three program shapes instead.
-// The emitted source exists for inspection, for the Fig. 6 reproduction and
-// for building standalone simulators offline.
+// runtime); package core lowers each ALU's program as written instead. The
+// emitted source exists for inspection, for the Fig. 6 reproduction and for
+// building standalone simulators offline.
 package codegen
 
 import (
@@ -39,13 +39,13 @@ type Options struct {
 }
 
 // Generate renders the pipeline description for spec and machine code as Go
-// source. At the optimized levels it refuses exactly what core.Build
-// refuses, with the same error: the machine code must be complete and
-// in-range, and every specialized ALU program total — dgen never emits what
-// dsim would not run. The unoptimized level defers lookups to runtime and
-// only requires the code at execution time. The Compiled level has no
-// source shape of its own (it lowers the scc+inline AST to flat register
-// code in process), so it emits that level's source.
+// source. At the optimized levels it refuses what core.Build refuses: the
+// machine code must be complete and in-range (the same error), and every ALU
+// program total with its machine code (aludsl.CheckTotal's error, wrapped) —
+// dgen never emits what dsim would not run. The unoptimized level defers
+// lookups to runtime and only requires the code at execution time. The
+// Compiled level has no source shape of its own (in process it builds what
+// scc+inline builds), so it emits that level's source.
 func Generate(spec core.Spec, code *machinecode.Program, opts Options) (string, error) {
 	if opts.Package == "" {
 		opts.Package = "pipeline"
@@ -61,18 +61,22 @@ func Generate(spec core.Spec, code *machinecode.Program, opts Options) (string, 
 	if err != nil {
 		return "", err
 	}
+	g := &generator{spec: spec, code: code, opts: opts}
 	if opts.Level != core.Unoptimized {
-		if errs := (&spec).Validate(code); len(errs) > 0 {
-			return "", errors.Join(errs...)
+		if g.read, err = spec.Read(code); err != nil {
+			return "", err
+		}
+		if len(g.read.Errs) > 0 {
+			return "", errors.Join(g.read.Errs...)
 		}
 	}
-	g := &generator{spec: spec, code: code, opts: opts}
 	return g.generate()
 }
 
 type generator struct {
 	spec core.Spec
 	code *machinecode.Program
+	read *core.Code // the machine code as core.Build reads it; nil when unoptimized
 	opts Options
 
 	helpers strings.Builder // emitted helper functions
@@ -277,15 +281,17 @@ func (g *generator) emitALU(prog *aludsl.Program, s int, stateful bool, k int, a
 			fmt.Fprintf(&body, "\tv_%s := values[%q]\n", h.Name, scoped(h.Name))
 		}
 	} else {
-		lookup := func(local string) (int64, bool) { return g.code.Get(scoped(local)) }
-		optimized, err := opt.SCC(prog, lookup, g.spec.Bits)
+		holes := g.read.ALUs[s][k].Hole
+		if stateful {
+			holes = g.read.ALUs[s][g.spec.Width+k].Hole
+		}
+		err := aludsl.CheckTotal(prog, holes)
 		if err == nil {
-			err = aludsl.CheckTotal(optimized, nil)
+			prog, err = opt.SCC(prog, holes, g.spec.Bits)
 		}
 		if err != nil {
 			return fmt.Errorf("codegen: %s: %w", aluName, err)
 		}
-		prog = optimized
 		if g.opts.Level == core.SCCInlining {
 			prog = opt.Inline(prog, g.spec.Bits)
 		}

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -202,6 +203,41 @@ func TestGenerateRefusesWhatBuildRefuses(t *testing.T) {
 		}
 		if _, err := Generate(spec, code, Options{Level: core.Unoptimized}); err != nil {
 			t.Errorf("%s: the unoptimized level reads machine code at run time, yet Generate failed: %v", name, err)
+		}
+	}
+
+	// A hand-built ALU that is total only on the branch its machine code
+	// takes: if (h) { return ghost; } else { return a; } with h = 0. SCC
+	// propagation would prune the branch; Build refuses the program, and so
+	// must dgen, wrapping the same aludsl error.
+	alu := &aludsl.Program{
+		Name: "hand", Kind: aludsl.Stateless, PacketFields: []string{"a"}, HoleVars: []string{"h"},
+		Holes: []aludsl.Hole{{Name: "h", Builtin: aludsl.BuiltinC, IsVar: true}},
+		Body: []aludsl.Stmt{&aludsl.If{
+			Cond: &aludsl.Ident{Name: "h", Class: aludsl.VarHole},
+			Then: []aludsl.Stmt{&aludsl.Return{Value: &aludsl.Ident{Name: "ghost"}}},
+			Else: []aludsl.Stmt{&aludsl.Return{Value: &aludsl.Ident{Name: "a", Class: aludsl.VarField}}},
+		}},
+	}
+	spec := core.Spec{Depth: 1, Width: 1, StatelessALU: alu}
+	req, err := spec.RequiredPairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := machinecode.New()
+	for _, h := range req {
+		code.Set(h.Name, 0)
+	}
+	for _, lvl := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
+		_, buildErr := core.Build(spec, code, lvl)
+		var want *aludsl.CheckError
+		if !errors.As(buildErr, &want) {
+			t.Fatalf("dead-branch ALU at %s: core.Build error %v, want an aludsl.CheckError", lvl, buildErr)
+		}
+		src, err := Generate(spec, code, Options{Level: lvl})
+		var got *aludsl.CheckError
+		if !errors.As(err, &got) || got.Error() != want.Error() || src != "" {
+			t.Errorf("dead-branch ALU at %s: Generate = %q, %v; want core.Build's %q", lvl, src, err, want)
 		}
 	}
 }

@@ -9,13 +9,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"druzhba/internal/aludsl"
-	"druzhba/internal/atoms"
 	"druzhba/internal/core"
 	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
@@ -44,198 +42,47 @@ func fixture(t *testing.T, bm *spec.Benchmark) (core.Spec, *machinecode.Program)
 	return s, code
 }
 
-// configuration is the memo's key computed the long way: the ALU's kind and
-// its hole values looked up by name.
-func configuration(s core.Spec, code *machinecode.Program, si, latch int) string {
-	prog, stateful, slot := s.StatelessALU, false, latch
-	if latch >= s.Width {
-		prog, stateful, slot = s.StatefulALU, true, latch-s.Width
-	}
-	key := machinecode.KindName(stateful)
-	for _, h := range prog.Holes {
-		v, _ := code.Get(machinecode.ALUHoleName(si, stateful, slot, h.Name))
-		key += " " + strconv.FormatInt(v, 10)
-	}
-	return key
-}
-
-// TestOneSpecialisationPerConfiguration pins Build's memo on every Table-1
-// fixture at every prechecked level: each ALU runs what specialising it alone
-// gives, two ALUs share a program exactly when their kind and hole values are
-// equal, and the number of programs built is the number of configurations.
-func TestOneSpecialisationPerConfiguration(t *testing.T) {
-	want := map[string]int{
-		"blue-decrease": 4, "blue-increase": 3, "sampling": 4, "marple-new-flow": 4,
-		"marple-tcp-nmo": 4, "snap-heavy-hitter": 2, "stateful-firewall": 6, "flowlets": 6,
-		"learn-filter": 8, "rcp": 6, "conga": 3, "spam-detection": 2,
-	}
-	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
-		total, alus := 0, 0
-		for _, bm := range spec.All() {
-			s, code := fixture(t, bm)
-			p, err := core.Build(s, code, level)
-			if err != nil {
-				t.Fatal(err)
-			}
-			type placed struct {
-				prog *aludsl.Program
-				key  string
-			}
-			var all []placed
-			distinct := map[*aludsl.Program]bool{}
-			for si, stage := range p.ALUPrograms() {
-				for latch, prog := range stage {
-					alone, err := core.OptimizeALUAlone(s, code, si, latch, level)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if prog.Format() != alone.Format() || !reflect.DeepEqual(prog, alone) {
-						t.Errorf("%s %v stage %d latch %d: built\n%s\nalone\n%s", bm.Name, level, si, latch, prog.Format(), alone.Format())
-					}
-					all = append(all, placed{prog, configuration(s, code, si, latch)})
-					distinct[prog] = true
-				}
-			}
-			for i := range all {
-				for j := range i {
-					if shared, equal := all[i].prog == all[j].prog, all[i].key == all[j].key; shared != equal {
-						t.Errorf("%s %v: ALUs %d and %d share a program %v, configurations equal %v (%q, %q)",
-							bm.Name, level, j, i, shared, equal, all[j].key, all[i].key)
-					}
-				}
-			}
-			if len(distinct) != want[bm.Name] {
-				t.Errorf("%s %v: %d programs for %d ALUs, want %d", bm.Name, level, len(distinct), len(all), want[bm.Name])
-			}
-			total += len(distinct)
-			alus += len(all)
-		}
-		if total != 52 || alus != 198 {
-			t.Errorf("%v: %d programs for %d ALUs, want 52 for 198", level, total, alus)
-		}
-	}
-}
-
-// TestALUsDifferingInOneHoleGetTwoPrograms: a 1-stage grid of two stateless
-// ALUs equal in everything but alu_op (add, sub), then one of a stateless and
-// a stateful ALU with equal hole values. A memo key that dropped a hole, or
-// the kind, would run one program for both.
-func TestALUsDifferingInOneHoleGetTwoPrograms(t *testing.T) {
-	s := core.Spec{Depth: 1, Width: 2, StatelessALU: atoms.MustLoad("stateless_full")}
-	req, err := s.RequiredPairs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	code := machinecode.New()
-	for _, h := range req {
-		code.Set(h.Name, 0)
-	}
-	for slot := range 2 {
-		code.Set(machinecode.OperandMuxName(0, false, slot, 1), 1)     // operand 1 <- container 1
-		code.Set(machinecode.ALUHoleName(0, false, slot, "mux3_1"), 1) // b = pkt_1
-		code.Set(machinecode.OutputMuxName(0, slot), int64(1+slot))    // container slot <- ALU slot
-	}
-	code.Set(machinecode.ALUHoleName(0, false, 1, "alu_op_0"), aludsl.ALUOpSub)
-	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
-		p, err := core.Build(s, code, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if progs := p.ALUPrograms()[0]; progs[0] == progs[1] {
-			t.Errorf("%v: the add and the sub ALU share one program", level)
-		}
-		out, err := p.Process(phv.FromValues([]phv.Value{30, 12}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out.Values(); got[0] != 42 || got[1] != 18 {
-			t.Errorf("%v: outputs %v, want [42 18]", level, got)
-		}
-	}
-
-	// A stateless ALU with the raw atom's holes, configured like the raw
-	// ALU beside it: equal hole values, different kinds.
-	stateless, err := aludsl.Parse(`
-type: stateless
-state variables: {}
-hole variables: {}
-packet fields: {pkt_0}
-return pkt_0 + Mux2(pkt_0, C());
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s = core.Spec{Depth: 1, Width: 1, PHVLen: 2, StatelessALU: stateless, StatefulALU: atoms.MustLoad("raw")}
-	if req, err = s.RequiredPairs(); err != nil {
-		t.Fatal(err)
-	}
-	code = machinecode.New()
-	for _, h := range req {
-		code.Set(h.Name, 0)
-	}
-	for _, stateful := range []bool{false, true} {
-		code.Set(machinecode.ALUHoleName(0, stateful, 0, "mux2_0"), 1) // the immediate
-		code.Set(machinecode.ALUHoleName(0, stateful, 0, "const_0"), 5)
-	}
-	code.Set(machinecode.OutputMuxName(0, 0), 1) // container 0 <- stateless ALU
-	code.Set(machinecode.OutputMuxName(0, 1), 2) // container 1 <- stateful ALU
-	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
-		p, err := core.Build(s, code, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if progs := p.ALUPrograms()[0]; progs[0] == progs[1] {
-			t.Errorf("%v: the stateless and the stateful ALU share one program", level)
-		}
-		out, err := p.Process(phv.FromValues([]phv.Value{30, 0}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out.Values(); got[0] != 35 || got[1] != 5 {
-			t.Errorf("%v: outputs %v, want [35 5]", level, got)
-		}
-	}
-}
-
-// TestBuildNamesTheFirstALUOfAFailingConfiguration: a configuration that
-// specialisation refuses is reported at the first ALU that carries it, in
-// stage-major order, however many ALUs share it after.
+// TestBuildNamesTheFirstALUOfAFailingConfiguration: at the prechecked levels
+// Build reports the first ALU in latch order, stage-major, whose program is
+// not total with its holes, however many ALUs after it fail too. The
+// hand-built Mux2 declares a domain of 3, so Spec.Read accepts the value 2,
+// which the builtin has no choice for.
 func TestBuildNamesTheFirstALUOfAFailingConfiguration(t *testing.T) {
 	a := &aludsl.Ident{Name: "a", Class: aludsl.VarField, Index: 0}
-	// if (h) { return ghost; } else { return a; }: total exactly when h = 0.
+	mux := &aludsl.HoleCall{Builtin: aludsl.BuiltinMux2, Hole: "m", Args: []aludsl.Expr{a, a}}
 	alu := &aludsl.Program{
-		Name: "hand", Kind: aludsl.Stateless, PacketFields: []string{"a"}, HoleVars: []string{"h"},
-		Holes: []aludsl.Hole{{Name: "h", Builtin: aludsl.BuiltinC, IsVar: true}},
-		Body: []aludsl.Stmt{&aludsl.If{
-			Cond: &aludsl.Ident{Name: "h", Class: aludsl.VarHole},
-			Then: []aludsl.Stmt{&aludsl.Return{Value: &aludsl.Ident{Name: "ghost"}}},
-			Else: []aludsl.Stmt{&aludsl.Return{Value: a}},
-		}},
+		Name: "hand", Kind: aludsl.Stateless, PacketFields: []string{"a"},
+		Holes: []aludsl.Hole{{Name: "m", Builtin: aludsl.BuiltinMux2, Domain: 3}},
+		Body:  []aludsl.Stmt{&aludsl.Return{Value: mux}},
 	}
 	s := core.Spec{Depth: 2, Width: 3, StatelessALU: alu}
 	req, err := s.RequiredPairs()
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, refused := mux.Choose(2)
+	if refused == nil {
+		t.Fatal("Mux2 has a choice for 2")
+	}
 	for _, tc := range []struct {
-		h    [2][3]int64 // h per stage and slot
+		m    [2][3]int64 // m per stage and slot
 		want string
 	}{
-		{[2][3]int64{{0, 1, 1}, {1, 0, 0}}, "core: stage 0 stateless ALU 1: aludsl: unresolved identifier \"ghost\""},
-		{[2][3]int64{{0, 0, 0}, {0, 0, 1}}, "core: stage 1 stateless ALU 2: aludsl: unresolved identifier \"ghost\""},
+		{[2][3]int64{{0, 2, 2}, {2, 0, 0}}, "core: stage 0 stateless ALU 1: aludsl: hole \"m\": " + refused.Error()},
+		{[2][3]int64{{0, 1, 0}, {1, 0, 2}}, "core: stage 1 stateless ALU 2: aludsl: hole \"m\": " + refused.Error()},
 	} {
 		code := machinecode.New()
 		for _, h := range req {
 			code.Set(h.Name, 0)
 		}
-		for si, slots := range tc.h {
+		for si, slots := range tc.m {
 			for slot, v := range slots {
-				code.Set(machinecode.ALUHoleName(si, false, slot, "h"), v)
+				code.Set(machinecode.ALUHoleName(si, false, slot, "m"), v)
 			}
 		}
 		for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
 			if _, err := core.Build(s, code, level); err == nil || err.Error() != tc.want {
-				t.Errorf("%v with h = %v: Build error %v, want %q", level, tc.h, err, tc.want)
+				t.Errorf("%v with m = %v: Build error %v, want %q", level, tc.m, err, tc.want)
 			}
 		}
 	}
@@ -390,19 +237,21 @@ func TestReadAllocations(t *testing.T) {
 // Table-1 fixtures, to a budget per level. Before Spec.Read formatted names
 // into one buffer and SCC and inlining stopped deep-copying their input, the
 // sums were 3 235 (unoptimized), 7 557 (scc) and 10 085 (scc+inline and
-// compiled); since, they are about 3 195, 4 268 and 5 415. The budgets sit
-// below the old figures with room for a toolchain's escape analysis to move
-// a few values to the heap. The Unoptimized engine makes every pair's name,
-// since it resolves names at run time, so its budget is the old figure.
+// compiled); then about 3 195, 4 268 and 5 415; since the prechecked levels
+// lower each ALU's program as written, with no SCC propagation or inlining
+// in the build, about 1 123 at each. The budgets leave room for a
+// toolchain's escape analysis to move a few values to the heap. The
+// Unoptimized engine makes every pair's name, since it resolves names at run
+// time, so its budget is the old figure.
 func TestBuildAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are not the build's")
 	}
 	budget := map[core.OptLevel]float64{
 		core.Unoptimized:    3235,
-		core.SCCPropagation: 5000,
-		core.SCCInlining:    6500,
-		core.Compiled:       6500,
+		core.SCCPropagation: 2000,
+		core.SCCInlining:    2000,
+		core.Compiled:       2000,
 	}
 	for _, level := range core.AllLevels() {
 		var sum float64
@@ -423,10 +272,9 @@ func TestBuildAllocations(t *testing.T) {
 
 // TestConcurrentBuildsLeaveTheSpecAlone builds every Table-1 fixture at all
 // four levels from 8 goroutines sharing the one resolved Spec, as a
-// campaign's jobs do. SCC and inlining share the nodes they leave unchanged
-// with the spec's ALU programs, so under -race this catches a pass that
-// writes to its input; every ALU program, the spec's and each build's, must
-// Format as it did in a build run alone.
+// campaign's jobs do. Every build runs the spec's own ALU programs, so under
+// -race this catches a build that writes to them; every ALU program, the
+// spec's and each build's, must Format as it did in a build run alone.
 func TestConcurrentBuildsLeaveTheSpecAlone(t *testing.T) {
 	formats := func(progs [][]*aludsl.Program) []string {
 		var out []string

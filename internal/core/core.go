@@ -9,26 +9,25 @@
 //
 //   - Unoptimized: machine code values are looked up in a hash table and
 //     dispatched on at every execution (version 1);
-//   - SCCPropagation: sparse conditional constant propagation specializes
-//     every helper to its machine code value (version 2);
-//   - SCCInlining: helper calls are additionally inlined (version 3);
-//   - Compiled: the inlined ALU bodies as straight-line three-address code,
-//     the role the Rust compiler plays for the paper's generated pipeline
-//     descriptions, without leaving the process. Every prechecked level's
-//     bodies are lowered to that code (fuse.go), so Compiled builds the same
-//     pipeline as SCCInlining; it stays a level because campaign matrices
-//     and reports name it.
+//   - SCCPropagation: every helper specialised to its machine code value
+//     (version 2);
+//   - SCCInlining: helper calls additionally inlined (version 3);
+//   - Compiled: the ALU bodies as straight-line three-address code, the role
+//     the Rust compiler plays for the paper's generated pipeline
+//     descriptions, without leaving the process.
+//
+// Versions 2 and 3 are source shapes dgen emits (package codegen, through
+// package opt). In process, every level above Unoptimized builds one
+// pipeline: each ALU's program as written, its machine code read once, and
+// the lowering to flat code (fuse.go) takes each builtin's choice and folds
+// constants as SCC propagation and inlining would. The three stay levels
+// because campaign matrices and reports name them.
 //
 // Build does each piece of work once and copies nothing it does not keep.
 // The machine code is read in one pass over RequiredPairs order (Spec.Read:
 // each name formatted into one reused buffer, looked up and range-checked
 // once, its value kept by position), and validation, the mux table and
-// every ALU's holes come from that pass. At the optimized levels every ALU
-// is still specialised and proved total, but the work is done once per
-// distinct (ALU program, hole values) configuration within a build: ALUs
-// configured alike share the one immutable program (the 198 ALUs of the
-// Table-1 fixtures are 52 configurations), which shares the nodes SCC
-// propagation left unchanged with the spec's own ALU program.
+// every ALU's holes come from that pass.
 //
 // The package executes one PHV through the dataflow of the pipeline; the
 // tick-accurate simulation loop (read/write PHV halves, one stage per tick)
@@ -37,17 +36,18 @@
 // # Two executors
 //
 // ExecuteStage is the reference: it runs every ALU of a stage through the AST
-// interpreter — at Compiled the inlined AST, as at SCCInlining — writes each
+// interpreter — each program as written, its holes read from the hash table
+// at Unoptimized and by position from the read machine code above it — writes each
 // result to the ALU's latch slot and lets the output muxes read the latches.
 // It accepts every pipeline, and dsim, ddbg, sim.Stream, sim.Run and verify's
 // counterexample replay all run on it, so they see every stateful ALU's
 // state advance.
 //
 // The levels above Unoptimized are Prechecked: every mux selection is a
-// build-time constant and every ALU program is proved total, so dead-code
-// elimination is the classic follow-on and Build fuses the pipeline into one
-// flat register program (fuse.go, package flat), every ALU body lowered
-// inline from the level's own program. Chipmunk-style machine code
+// build-time constant and every ALU program is proved total with its machine
+// code, so dead-code elimination is the classic follow-on and Build fuses the
+// pipeline into one flat register program (fuse.go, package flat), every ALU
+// body lowered inline. Chipmunk-style machine code
 // routes only a handful of a depth x width grid's ALUs to a container (33 of
 // 198 across the Table-1 fixtures; blue-decrease 2/16, blue-increase 1/16,
 // sampling 2/4, marple-new-flow 2/8, marple-tcp-nmo 2/12, snap-heavy-hitter
@@ -60,21 +60,19 @@
 // only the fuzzer (sim.NewFuzzer), which compares output PHVs and never
 // reads state, runs on it. FuseGrid is the same lowering with every ALU kept.
 //
-// Spec.Lower is that lowering straight from the machine code, with no
-// Pipeline built: each ALU's program as written, every builtin taking its
-// choice as the ALU is lowered, over whichever ALUs a MuxTable.Live
-// selection keeps. It is not a third executor but the program package verify
-// proves: flat.Sym of the compared cone, lowered once per question.
+// Spec.Lower is that lowering with no Pipeline built, over whichever ALUs a
+// MuxTable.Live selection keeps. It is not a third executor but the program
+// package verify proves: flat.Sym of the compared cone, lowered once per
+// question and width.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"strconv"
+	"slices"
 
 	"druzhba/internal/aludsl"
 	"druzhba/internal/machinecode"
-	"druzhba/internal/opt"
 	"druzhba/internal/phv"
 )
 
@@ -84,15 +82,13 @@ type OptLevel int
 const (
 	// Unoptimized treats machine code as runtime variables (Fig. 6 v1).
 	Unoptimized OptLevel = iota
-	// SCCPropagation applies sparse conditional constant propagation (v2).
+	// SCCPropagation names Fig. 6's version 2, SCC propagation.
 	SCCPropagation
-	// SCCInlining applies SCC propagation then function inlining (v3).
+	// SCCInlining names version 3, SCC propagation then inlining.
 	SCCInlining
-	// Compiled is an extension beyond the paper's three levels: SCC
-	// propagation and inlining, with the fused program (Cone, FuseGrid)
-	// carrying every ALU body as straight-line code. The fused programs of
-	// SCCPropagation and SCCInlining are straight-line code too, so Compiled
-	// builds what SCCInlining builds.
+	// Compiled is an extension beyond the paper's three levels: the fused
+	// program (Cone, FuseGrid) carries every ALU body as straight-line code.
+	// Every level above Unoptimized builds that pipeline.
 	Compiled
 )
 
@@ -404,17 +400,16 @@ type Pipeline struct {
 	spec   Spec
 	level  OptLevel
 	code   *machinecode.Program
-	muxes  *MuxTable // the baked selections of a prechecked pipeline; nil when unoptimized
-	cone   *Fused    // the output cone as one flat program; nil when unoptimized
+	read   *Code  // the machine code as a prechecked pipeline read it; nil when unoptimized
+	cone   *Fused // the output cone as one flat program; nil when unoptimized
 	stages []*stage
 }
 
 // Build compiles a spec and machine code into an executable pipeline at the
 // given optimization level. The machine code is read in one pass (Spec.Read)
 // and validated first; incompatible machine code (missing pairs, out-of-range
-// values) fails the build. Every ALU is then specialised to its machine code
-// and proved total at the optimized levels, once per distinct (ALU program,
-// hole values) configuration: ALUs configured alike share one program.
+// values) fails the build. At the optimized levels every ALU's program is
+// then proved total with its machine code (aludsl.CheckTotal).
 func Build(s Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error) {
 	n, err := s.Normalize()
 	if err != nil {
@@ -431,7 +426,7 @@ func Build(s Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error)
 // surface as runtime execution errors instead (the behaviour of the paper's
 // original dsim, which consumed machine code at runtime; the §5.2 case study
 // hit exactly this failure class). Only the Unoptimized level can be built
-// unchecked, since SCC propagation needs every value at generation time.
+// unchecked, since the others read every value at build time.
 func BuildUnchecked(s Spec, code *machinecode.Program) (*Pipeline, error) {
 	n, err := s.Normalize()
 	if err != nil {
@@ -445,13 +440,6 @@ func build(n Spec, code *machinecode.Program, c *Code, level OptLevel) (*Pipelin
 		return nil, fmt.Errorf("core: unknown optimization level %v", level)
 	}
 	p := &Pipeline{spec: n, level: level, code: code}
-	if level != Unoptimized {
-		p.muxes = c.Muxes
-	}
-	// specialised holds one optimizeALU result per configuration, keyed on
-	// the ALU kind (one program per kind) and the hole values in Holes order.
-	specialised := map[string]*aludsl.Program{}
-	var key []byte
 	// names holds the pairs' names, in RequiredPairs order, for the
 	// Unoptimized engine, which resolves them at run time; next takes the
 	// following k.
@@ -471,7 +459,6 @@ func build(n Spec, code *machinecode.Program, c *Code, level OptLevel) (*Pipelin
 			ac := &alus[latch]
 			a := newALU(n, si, latch, ac.Prog)
 			if level == Unoptimized {
-				a.prog = ac.Prog
 				a.operandMuxNames = next(a.numOps)
 				holes := next(len(ac.Prog.Holes))
 				a.localToGlobal = make(map[string]string, len(holes))
@@ -488,19 +475,12 @@ func build(n Spec, code *machinecode.Program, c *Code, level OptLevel) (*Pipelin
 					return code.Get(global)
 				}
 			} else {
-				key = append(key[:0], byte(ac.Prog.Kind))
-				for _, v := range ac.Holes {
-					key = append(strconv.AppendInt(key, v, 10), ',')
+				// The trust boundary: nothing downstream guards evaluation
+				// of a caller-supplied AST.
+				if err := aludsl.CheckTotal(ac.Prog, ac.Hole); err != nil {
+					return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(a.stateful), a.slot, err)
 				}
-				prog, ok := specialised[string(key)]
-				if !ok {
-					var err error
-					if prog, err = optimizeALU(ac.Prog, ac.Hole, n.Bits, level); err != nil {
-						return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(a.stateful), a.slot, err)
-					}
-					specialised[string(key)] = prog
-				}
-				a.prog = prog
+				a.env.HoleValues = ac.Holes
 				a.operandMux = c.Muxes.Operand[si][latch]
 			}
 			st.alus[latch] = a
@@ -515,8 +495,9 @@ func build(n Spec, code *machinecode.Program, c *Code, level OptLevel) (*Pipelin
 		p.stages = append(p.stages, st)
 	}
 	if level != Unoptimized {
+		p.read = c
 		var err error
-		if p.cone, err = p.fuse(nil); err != nil {
+		if p.cone, err = lower(n, c, c.Muxes.Live(slices.Repeat([]bool{true}, n.PHVLen), nil)); err != nil {
 			return nil, err
 		}
 	}
@@ -524,9 +505,9 @@ func build(n Spec, code *machinecode.Program, c *Code, level OptLevel) (*Pipelin
 }
 
 // newALU places an ALU running prog at (stage si, latch slot latch), with
-// fresh state and scratch; build sets what the level runs.
+// fresh state and scratch; build sets how the level reads its machine code.
 func newALU(n Spec, si, latch int, prog *aludsl.Program) *compiledALU {
-	a := &compiledALU{stage: si, slot: latch, latch: latch, numOps: prog.NumOperands()}
+	a := &compiledALU{prog: prog, stage: si, slot: latch, latch: latch, numOps: prog.NumOperands()}
 	if latch >= n.Width {
 		a.stateful = true
 		a.slot -= n.Width
@@ -538,25 +519,6 @@ func newALU(n Spec, si, latch int, prog *aludsl.Program) *compiledALU {
 		State:    a.state,
 	}
 	return a
-}
-
-// optimizeALU specialises prog to its machine code at a prechecked level and
-// proves the result total. This is the trust boundary of those levels: a
-// Spec's ALU programs are caller-supplied ASTs, and nothing downstream of it
-// — the inliner, the lowering to flat code — guards evaluation. Inlining
-// preserves totality, so the SCC output is checked once.
-func optimizeALU(prog *aludsl.Program, holes aludsl.HoleLookup, w phv.Width, level OptLevel) (*aludsl.Program, error) {
-	optimized, err := opt.SCC(prog, holes, w)
-	if err != nil {
-		return nil, err
-	}
-	if err := aludsl.CheckTotal(optimized, nil); err != nil {
-		return nil, err
-	}
-	if level == SCCPropagation {
-		return optimized, nil
-	}
-	return opt.Inline(optimized, w), nil
 }
 
 // Spec returns the (normalized) spec the pipeline was built from.
@@ -575,13 +537,13 @@ func (p *Pipeline) PHVLen() int { return p.spec.PHVLen }
 func (p *Pipeline) Bits() phv.Width { return p.spec.Bits }
 
 // Clone returns a deep copy of the pipeline that shares every immutable
-// build product — optimized ALU programs, baked mux selections, the fused
+// build product — the read machine code, baked mux selections, the fused
 // cone and the machine code program — but owns fresh mutable execution
 // state: stateful ALU state vectors (copied from the receiver), operand
 // scratch buffers and per-stage output latches. A clone may execute
 // concurrently with the original and with other clones.
 func (p *Pipeline) Clone() *Pipeline {
-	q := &Pipeline{spec: p.spec, level: p.level, code: p.code, muxes: p.muxes, cone: p.cone}
+	q := &Pipeline{spec: p.spec, level: p.level, code: p.code, read: p.read, cone: p.cone}
 	q.stages = make([]*stage, len(p.stages))
 	for i, st := range p.stages {
 		alus := cloneALUs(st.alus)
@@ -667,14 +629,15 @@ func cloneALUs(alus []*compiledALU) []*compiledALU {
 		if a.state != nil {
 			b.state = append([]phv.Value(nil), a.state...)
 		}
-		// The Holes lookup closes over the original ALU's localToGlobal
-		// map and the machine code program, both read-only after build, so
-		// sharing the function value across clones is safe.
+		// The Holes lookup reads the original ALU's localToGlobal map and
+		// the machine code program, HoleValues the read Code's hole values,
+		// all read-only after build, so sharing them across clones is safe.
 		b.env = aludsl.Env{
-			Width:    a.env.Width,
-			Operands: make([]phv.Value, a.numOps),
-			State:    b.state,
-			Holes:    a.env.Holes,
+			Width:      a.env.Width,
+			Operands:   make([]phv.Value, a.numOps),
+			State:      b.state,
+			Holes:      a.env.Holes,
+			HoleValues: a.env.HoleValues,
 		}
 		out[i] = b
 	}
@@ -739,8 +702,8 @@ func (p *Pipeline) StateSnapshot() phv.StateSnapshot {
 }
 
 // Prechecked reports whether Build proved execution total: every mux
-// selection validated and baked into a slice, every ALU program specialised
-// to its machine code and passed through aludsl.CheckTotal, so no execution
+// selection validated and baked into a slice, every ALU program passed
+// through aludsl.CheckTotal with its machine code, so no execution
 // of the pipeline can fail. True for every optimized level — the pipelines
 // Build fuses; false for Unoptimized, whose version-1 semantics
 // resolve machine code through the hash table at each execution and can

@@ -3,7 +3,6 @@ package core
 import (
 	"druzhba/internal/aludsl"
 	"druzhba/internal/flat"
-	"druzhba/internal/machinecode"
 )
 
 // Hooks for the structural-mutant and build tests (mutants_test.go,
@@ -19,19 +18,6 @@ func (p *Pipeline) ALUPrograms() [][]*aludsl.Program {
 		}
 	}
 	return out
-}
-
-// OptimizeALUAlone specialises the ALU at (stage si, latch) by itself, its
-// holes looked up by name in code: what Build's memo must agree with.
-func OptimizeALUAlone(s Spec, code *machinecode.Program, si, latch int, level OptLevel) (*aludsl.Program, error) {
-	prog, stateful, slot := s.StatelessALU, false, latch
-	if latch >= s.Width {
-		prog, stateful, slot = s.StatefulALU, true, latch-s.Width
-	}
-	lookup := func(local string) (int64, bool) {
-		return code.Get(machinecode.ALUHoleName(si, stateful, slot, local))
-	}
-	return optimizeALU(prog, lookup, s.Bits, level)
 }
 
 // Mutated returns f around its program as rewritten by edit, or the error

@@ -1,12 +1,8 @@
 // fuse.go turns a prechecked pipeline into one flat register program (see
 // the package comment): muxes become register renaming, and only the ALUs
-// MuxTable.Live finds able to matter are emitted, each lowered inline from the
-// level's own program. At SCCPropagation that program still calls its
-// specialised helpers, and a call lowers as the interpreter runs it: every
-// argument evaluated, then the helper's body over those registers. The levels
-// above it have no calls left. Spec.Lower runs the same loop on the ALU
-// programs as written, each builtin call lowered to the choice its machine
-// code makes.
+// MuxTable.Live finds able to matter are emitted, each lowered inline from its
+// program as written: a builtin call to the choice its machine code makes, an
+// operation on constants to its value, an if on a constant to the branch taken.
 package core
 
 import (
@@ -79,36 +75,37 @@ func (p *Pipeline) FuseGrid() *Fused {
 	for si, st := range p.stages {
 		pinned[si] = slices.Repeat([]bool{true}, len(st.alus))
 	}
-	f, err := p.fuse(pinned)
+	f, err := lower(p.spec, p.read, pinned) // what MuxTable.Live keeps with every ALU pinned
 	if err != nil {
 		panic(err) // Build fused the cone: the same lowering of the same programs
 	}
 	return f
 }
 
-// fuse lowers the ALUs Live selects from every output container plus pinned.
-func (p *Pipeline) fuse(pinned [][]bool) (*Fused, error) {
-	live := p.muxes.Live(slices.Repeat([]bool{true}, p.spec.PHVLen), pinned)
-	return lower(p.spec, p.muxes, live, func(si, latch int) (*aludsl.Program, aludsl.HoleLookup) {
-		return p.stages[si].alus[latch].prog, nil
-	})
-}
-
 // Lower lowers the ALUs live keeps (MuxTable.Live over c.Muxes) into one flat
 // program at the spec's width, straight from c, the machine code as the spec
-// read it (Spec.Read). It is the lowering Build fuses with, minus the
-// specialisation: each ALU's program is lowered as written, every builtin
-// taking the choice its hole's value makes as it is lowered — a selector
-// lowers only the argument it picks, an operator both operands — and no
-// Pipeline is built. Machine code with errors, or a kept ALU whose program
-// cannot be evaluated with it (aludsl.CheckTotal), is refused.
+// read it (Spec.Read): the lowering Build fuses with, with no Pipeline built.
+// It refuses what CheckLower refuses. Operations on constants fold at the
+// spec's width, so a program lowered at one width is not, constants cut, the
+// program lowered at a narrower one.
 func (s *Spec) Lower(c *Code, live [][]bool) (*Fused, error) {
-	n, err := s.Normalize()
-	if err != nil {
+	if err := s.CheckLower(c, live); err != nil {
 		return nil, err
 	}
+	n, _ := s.Normalize() // CheckLower normalized it
+	return lower(n, c, live)
+}
+
+// CheckLower reports why Lower would refuse c and live, at any width: a spec
+// that describes no pipeline, machine code with errors, or a kept ALU whose
+// program cannot be evaluated with it (aludsl.CheckTotal).
+func (s *Spec) CheckLower(c *Code, live [][]bool) error {
+	n, err := s.Normalize()
+	if err != nil {
+		return err
+	}
 	if len(c.Errs) > 0 {
-		return nil, errors.Join(c.Errs...)
+		return errors.Join(c.Errs...)
 	}
 	for si, stage := range live {
 		for latch, l := range stage {
@@ -117,36 +114,32 @@ func (s *Spec) Lower(c *Code, live [][]bool) (*Fused, error) {
 			}
 			a := &c.ALUs[si][latch]
 			if err := aludsl.CheckTotal(a.Prog, a.Hole); err != nil {
-				return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(latch >= n.Width), latch%n.Width, err)
+				return fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(latch >= n.Width), latch%n.Width, err)
 			}
 		}
 	}
-	return lower(n, c.Muxes, live, func(si, latch int) (*aludsl.Program, aludsl.HoleLookup) {
-		a := &c.ALUs[si][latch]
-		return a.Prog, a.Hole
-	})
+	return nil
 }
 
 // lower is the one fusing loop: stage by stage it lowers the ALUs live keeps
-// inline, the ALU at (si, latch) running the program alu returns with its
-// holes read through the lookup (nil for a program SCC specialised), and
+// inline, each ALU's program as written with its holes read from c, and
 // reduces the muxes to register renaming.
-func lower(n Spec, muxes *MuxTable, live [][]bool, alu func(si, latch int) (*aludsl.Program, aludsl.HoleLookup)) (*Fused, error) {
+func lower(n Spec, code *Code, live [][]bool) (*Fused, error) {
 	b := flat.NewBuilder(n.Bits)
 	f := &Fused{width: n.Width, phvLen: n.PHVLen, in: b.Regs("in", n.PHVLen), state: make([][]int, n.Depth), live: live}
-	cur := make([]int, n.PHVLen) // container -> register, -1 for a column nothing downstream reads
+	cur, next := make([]int, n.PHVLen), make([]int, n.PHVLen) // container -> register, -1 for a column nothing downstream reads
 	for c := range cur {
 		cur[c] = f.in + c
 	}
-	for si, operands := range muxes.Operand {
-		latch := make([]int, len(operands))
-		f.state[si] = slices.Repeat([]int{-1}, len(operands)-n.Width)
+	m := n.latches() - n.Width // stateful ALUs a stage
+	latch, states := make([]int, n.latches()), slices.Repeat([]int{-1}, n.Depth*m)
+	for si, operands := range code.Muxes.Operand {
+		f.state[si] = states[si*m : (si+1)*m]
 		for a, sel := range operands {
 			if latch[a] = -1; !live[si][a] {
 				continue
 			}
-			l := aluLowering{b: b, w: n.Bits, stage: si, latch: a, ops: make([]int, len(sel)), state: -1}
-			l.prog, l.holes = alu(si, a)
+			l := aluLowering{b: b, w: n.Bits, alu: &code.ALUs[si][a], stage: si, latch: a, ops: make([]int, len(sel)), state: -1}
 			for op, c := range sel {
 				l.ops[op] = cur[c]
 			}
@@ -156,13 +149,12 @@ func lower(n Spec, muxes *MuxTable, live [][]bool, alu func(si, latch int) (*alu
 			}
 			latch[a] = l.inline()
 		}
-		next := make([]int, n.PHVLen)
-		for c, sel := range muxes.Output[si] {
+		for c, sel := range code.Muxes.Output[si] {
 			if next[c] = cur[c]; sel != 0 {
 				next[c] = latch[sel-1]
 			}
 		}
-		cur = next
+		cur, next = next, cur
 	}
 	f.out = cur
 	var err error
@@ -238,15 +230,14 @@ func (f *Fused) Executes(stage int, stateful bool, slot int) bool {
 	return slot < len(f.live[stage]) && f.live[stage][slot]
 }
 
-// aluLowering lowers one live ALU, the program at (stage, latch): holes reads
-// its machine code where it has holes left, ops are the registers its operand
-// muxes renamed, state its first state register, params the registers holding
-// the arguments of the helper call whose body is being lowered.
+// aluLowering lowers one live ALU, the program at (stage, latch) with its
+// machine code alu: ops are the registers its operand muxes renamed, state its
+// first state register, params the registers holding the arguments of the
+// helper call whose body is being lowered.
 type aluLowering struct {
 	b            *flat.Builder
 	w            phv.Width
-	prog         *aludsl.Program
-	holes        aludsl.HoleLookup
+	alu          *ALUCode
 	stage, latch int
 	ops          []int
 	state        int
@@ -259,7 +250,7 @@ type aluLowering struct {
 // post-update state_0, or 0 for a stateless ALU — where the body falls off
 // its end.
 func (l *aluLowering) inline() int {
-	body := l.prog.Body
+	body := l.alu.Prog.Body
 	if n := len(body) - 1; n >= 0 {
 		if last, ok := body[n].(*aludsl.Return); ok && !returns(body[:n]) {
 			l.stmts(body[:n], -1, nil)
@@ -307,7 +298,14 @@ func (l *aluLowering) stmts(list []aludsl.Stmt, res int, exits *[]int) (terminat
 			*exits = append(*exits, l.b.Jump())
 			return true
 		case *aludsl.If:
-			toElse := l.b.Branch(flat.Jeq, l.expr(s.Cond, -1), l.b.Const(0))
+			cond := l.expr(s.Cond, -1)
+			if v, ok := l.b.Constant(cond); ok {
+				if l.stmts([2][]aludsl.Stmt{s.Else, s.Then}[phv.Bool(phv.Truthy(v))], res, exits) {
+					return true
+				}
+				continue
+			}
+			toElse := l.b.Branch(flat.Jeq, cond, l.b.Const(0))
 			thenDone := l.stmts(s.Then, res, exits)
 			if len(s.Else) == 0 {
 				l.b.Land(toElse)
@@ -345,26 +343,24 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 		case aludsl.VarParam:
 			return l.b.Move(dst, l.params[e.Index])
 		case aludsl.VarHole:
-			v, _ := l.holes(e.Name)
-			return l.b.Move(dst, l.b.Const(l.w.Trunc(v)))
+			return l.b.Move(dst, l.b.Const(l.w.Trunc(l.alu.Holes[e.Index])))
 		}
 	case *aludsl.Unary:
 		zero := l.b.Const(0)
 		if e.Op == aludsl.OpNeg {
-			return l.b.Op(flat.Sub, dst, zero, l.expr(e.X, -1))
+			return l.op(aludsl.OpSub, dst, zero, l.expr(e.X, -1))
 		}
-		return l.b.Op(flat.Eq, dst, l.expr(e.X, -1), zero)
+		return l.op(aludsl.OpEq, dst, l.expr(e.X, -1), zero)
 	case *aludsl.Binary:
 		x := l.expr(e.X, -1)
 		if e.Op == aludsl.OpAnd || e.Op == aludsl.OpOr {
-			return l.b.Logic(e.Op == aludsl.OpOr, dst, x, func() int { return l.expr(e.Y, -1) })
+			return l.logic(e.Op == aludsl.OpOr, dst, x, func() int { return l.expr(e.Y, -1) })
 		}
-		return l.b.Op(flat.Op(e.Op), dst, x, l.expr(e.Y, -1))
+		return l.op(e.Op, dst, x, l.expr(e.Y, -1))
 	case *aludsl.HoleCall:
-		// The choice is taken here, as SCC propagation takes it: a selector
-		// lowers only the argument it picks, an operator both operands, even
-		// to pass one through.
-		mc, _ := l.holes(e.Hole)
+		// A selector lowers only the argument it picks, an operator both
+		// operands, even to pass one through.
+		mc := l.alu.Holes[e.Slot]
 		ch, _ := e.Choose(mc)
 		switch {
 		case ch.Kind == aludsl.ChooseZero:
@@ -379,9 +375,9 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 		case ch.Kind == aludsl.ChooseArg:
 			return l.b.Move(dst, [2]int{x, y}[ch.Arg])
 		case ch.Op == aludsl.OpAnd || ch.Op == aludsl.OpOr:
-			return l.b.Logic(ch.Op == aludsl.OpOr, dst, x, func() int { return y })
+			return l.logic(ch.Op == aludsl.OpOr, dst, x, func() int { return y })
 		}
-		return l.b.Op(flat.Op(ch.Op), dst, x, y)
+		return l.op(ch.Op, dst, x, y)
 	case *aludsl.Call:
 		// As the interpreter runs a helper call: every argument in the
 		// caller's frame, then the body in a frame of those values.
@@ -397,7 +393,32 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 		l.params = caller
 		return v
 	}
-	// optimizeALU or Lower ran CheckTotal on this program: nothing else is
-	// left in it.
-	panic(fmt.Sprintf("core: fuse: %s: cannot lower %T %v", l.prog.Name, e, e))
+	// Build or Lower ran CheckTotal on this program with its machine code:
+	// nothing else is left in it.
+	panic(fmt.Sprintf("core: fuse: %s: cannot lower %T %v", l.alu.Prog.Name, e, e))
+}
+
+// op emits "dst = x op y" as Builder.Op does or, when x and y are constant
+// registers, moves in the constant the interpreter's arithmetic makes of them.
+func (l *aluLowering) op(op aludsl.BinOp, dst, x, y int) int {
+	if vx, ok := l.b.Constant(x); ok {
+		if vy, ok := l.b.Constant(y); ok {
+			return l.b.Move(dst, l.b.Const(aludsl.ApplyBinOp(l.w, op, vx, vy)))
+		}
+	}
+	return l.b.Op(flat.Op(op), dst, x, y)
+}
+
+// logic lowers the short-circuit x && y (x || y with or set). A constant x
+// that decides the result is the result, and one that does not leaves the
+// truth of y; y is lowered only when it can matter.
+func (l *aluLowering) logic(or bool, dst, x int, y func() int) int {
+	v, ok := l.b.Constant(x)
+	switch {
+	case !ok:
+		return l.b.Logic(or, dst, x, y)
+	case phv.Truthy(v) == or:
+		return l.b.Move(dst, l.b.Const(phv.Bool(or)))
+	}
+	return l.op(aludsl.OpNeq, dst, y(), l.b.Const(0))
 }

@@ -123,6 +123,86 @@ func choicesTaken(prog *aludsl.Program, holes aludsl.HoleLookup, taken map[strin
 	stmts(prog.Body)
 }
 
+// randomCode is valid machine code for the pairs req names: a bounded pair's
+// value drawn from its domain, an immediate from [0,64).
+func randomCode(req []core.HoleSpec, rng *rand.Rand) *machinecode.Program {
+	code := machinecode.New()
+	for _, h := range req {
+		v := rng.Int63n(64)
+		if h.Domain > 0 {
+			v = rng.Int63n(int64(h.Domain))
+		}
+		code.Set(h.Name, v)
+	}
+	return code
+}
+
+// atomGrid is a 2x2 grid of 6-bit ALUs over three containers: the stateless
+// program beside the named stateful atom.
+func atomGrid(stateless *aludsl.Program, stateful string) core.Spec {
+	return core.Spec{Depth: 2, Width: 2, PHVLen: 3, Bits: phv.MustWidth(6), StatelessALU: stateless, StatefulALU: atoms.MustLoad(stateful)}
+}
+
+// TestEveryPrecheckedLevelIsOneLowering: scc, scc+inline and compiled build
+// one pipeline. Its cone and its grid are, listing for listing and output
+// register for output register, what Spec.Lower makes of the machine code
+// Spec.Read returned, over the live set of every output container (plus
+// every ALU, for the grid) — on the 12 Table-1 programs with their machine
+// code, and on grids of the atom library under random machine code.
+func TestEveryPrecheckedLevelIsOneLowering(t *testing.T) {
+	check := func(name string, s core.Spec, code *machinecode.Program) {
+		t.Helper()
+		read, err := s.Read(code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := slices.Repeat([]bool{true}, len(read.Muxes.Output[0]))
+		pinned := make([][]bool, len(read.ALUs))
+		for si, alus := range read.ALUs {
+			pinned[si] = slices.Repeat([]bool{true}, len(alus))
+		}
+		cone, err := s.Lower(read, read.Muxes.Live(out, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid, err := s.Lower(read, read.Muxes.Live(out, pinned))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
+			p, err := core.Build(s, code, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []struct {
+				what      string
+				got, want *core.Fused
+			}{{"cone", p.Cone(), cone}, {"grid", p.FuseGrid(), grid}} {
+				if f.got.String() != f.want.String() || !slices.Equal(f.got.Out(), f.want.Out()) {
+					t.Errorf("%s %v: the %s, output in %v\n%s\nis not Spec.Lower's, output in %v\n%s",
+						name, level, f.what, f.got.Out(), f.got, f.want.Out(), f.want)
+				}
+			}
+		}
+	}
+	for _, bm := range spec.All() {
+		s, code := fixture(t, bm)
+		check(bm.Name, s, code)
+	}
+	rng := rand.New(rand.NewSource(45))
+	stateless := atoms.StatelessNames()
+	for i, name := range atoms.StatefulNames() {
+		s := atomGrid(atoms.MustLoad(stateless[i%len(stateless)]), name)
+		req, err := s.RequiredPairs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 10; trial++ {
+			check(name, s, randomCode(req, rng))
+		}
+	}
+}
+
 // TestLowerMatchesExecuteStage: the lowering verify proves (Spec.Lower: every
 // builtin's choice taken as the ALU is lowered, no SCC) computes what the
 // reference executor computes — on the 12 Table-1 programs with their machine
@@ -143,20 +223,13 @@ func TestLowerMatchesExecuteStage(t *testing.T) {
 	}
 	taken := map[string]bool{}
 	for i, name := range atoms.StatefulNames() {
-		s := core.Spec{Depth: 2, Width: 2, PHVLen: 3, Bits: phv.MustWidth(6), StatelessALU: stateless[i%len(stateless)], StatefulALU: atoms.MustLoad(name)}
+		s := atomGrid(stateless[i%len(stateless)], name)
 		req, err := s.RequiredPairs()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for trial := 0; trial < 30; trial++ {
-			code := machinecode.New()
-			for _, h := range req {
-				v := rng.Int63n(64)
-				if h.Domain > 0 {
-					v = rng.Int63n(int64(h.Domain))
-				}
-				code.Set(h.Name, v)
-			}
+			code := randomCode(req, rng)
 			checkLower(t, name, s, code, rng, 32)
 			read, err := s.Read(code)
 			if err != nil {
@@ -196,20 +269,29 @@ func TestLowerRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Lower(read, [][]bool{{false, false}}); err != nil {
+	// lower returns Lower's error, which CheckLower must report alike.
+	lower := func(s *core.Spec, live [][]bool) error {
+		t.Helper()
+		_, err := s.Lower(read, live)
+		if checked := s.CheckLower(read, live); (err == nil) != (checked == nil) || err != nil && err.Error() != checked.Error() {
+			t.Errorf("Lower refuses with %v, CheckLower with %v", err, checked)
+		}
+		return err
+	}
+	if err := lower(&s, [][]bool{{false, false}}); err != nil {
 		t.Errorf("nothing kept: %v", err)
 	}
-	if _, err := s.Lower(read, [][]bool{{false, true}}); err == nil || err.Error() != `core: stage 0 stateless ALU 1: aludsl: hole "opt_0": Opt takes 1 argument(s), got 0` {
+	if err := lower(&s, [][]bool{{false, true}}); err == nil || err.Error() != `core: stage 0 stateless ALU 1: aludsl: hole "opt_0": Opt takes 1 argument(s), got 0` {
 		t.Errorf("a kept ALU that cannot be evaluated: %v", err)
 	}
 	code.Set(req[0].Name, 7)
 	if read, err = s.Read(code); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Lower(read, [][]bool{{false, false}}); err == nil || err.Error() != read.Errs[0].Error() {
+	if err := lower(&s, [][]bool{{false, false}}); err == nil || err.Error() != read.Errs[0].Error() {
 		t.Errorf("machine code with errors: %v, want %v", err, read.Errs)
 	}
-	if _, err := (&core.Spec{}).Lower(read, nil); err == nil {
+	if err := lower(&core.Spec{}, nil); err == nil {
 		t.Error("a spec that describes no pipeline lowered")
 	}
 }

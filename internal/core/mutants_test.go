@@ -121,13 +121,13 @@ func mutantsOf(code []flat.Instr, in0, in1 uint32, state map[uint32]bool) []muta
 	return out
 }
 
-// TestLoweringMutantsAreCaught plants every structural mutant in the compiled
-// and the scc cone (helper calls lowered, nothing folded after them) of every
-// Table-1 program, and runs the differential the fused programs are pinned
-// by: output PHVs and live stateful state against ExecuteStage at
-// Unoptimized, on the program's own traffic. Every kind of mutant must be
-// caught on at least one program, and the few survivors must be the ones
-// listed: mutants that are not mistakes, and one that this traffic misses.
+// TestLoweringMutantsAreCaught plants every structural mutant in the
+// compiled cone of every Table-1 program (every prechecked level builds that
+// one program), and runs the differential the fused programs are pinned by:
+// output PHVs and live stateful state against ExecuteStage at Unoptimized, on
+// the program's own traffic. Every kind of mutant must be caught on at least
+// one program, and the few survivors must be the ones listed: mutants that
+// are not mistakes.
 func TestLoweringMutantsAreCaught(t *testing.T) {
 	const n, seeds = 1000, 4
 	planted, caught := map[string]int{}, map[string]int{}
@@ -158,63 +158,58 @@ func TestLoweringMutantsAreCaught(t *testing.T) {
 				wantState = append(wantState, ref.StateSnapshot())
 			}
 		}
-		for _, level := range []core.OptLevel{core.Compiled, core.SCCPropagation} {
-			p, err := bm.Pipeline(level)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cone, name := p.Cone(), bm.Name
-			if level != core.Compiled {
-				name = level.String() + " " + name
-			}
-			agrees := func(f *core.Fused) bool {
-				q, frame := p.Clone(), f.NewFrame()
-				for i, vals := range packets {
-					if i%n == 0 {
-						f.Reset(frame)
+		p, err := bm.Pipeline(core.Compiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cone, name := p.Cone(), bm.Name
+		agrees := func(f *core.Fused) bool {
+			q, frame := p.Clone(), f.NewFrame()
+			for i, vals := range packets {
+				if i%n == 0 {
+					f.Reset(frame)
+				}
+				copy(f.Inputs(frame), vals)
+				f.Run(frame)
+				for c, r := range f.Out() {
+					if frame[r] != want[i][c] {
+						return false
 					}
-					copy(f.Inputs(frame), vals)
-					f.Run(frame)
-					for c, r := range f.Out() {
-						if frame[r] != want[i][c] {
+				}
+				if i%n < n-1 {
+					continue
+				}
+				f.StoreState(frame, q)
+				for si, stage := range q.StateSnapshot() {
+					for slot, got := range stage {
+						if f.Executes(si, true, slot) && !reflect.DeepEqual(got, wantState[i/n][si][slot]) {
 							return false
 						}
 					}
-					if i%n < n-1 {
-						continue
-					}
-					f.StoreState(frame, q)
-					for si, stage := range q.StateSnapshot() {
-						for slot, got := range stage {
-							if f.Executes(si, true, slot) && !reflect.DeepEqual(got, wantState[i/n][si][slot]) {
-								return false
-							}
-						}
-					}
 				}
-				return true
 			}
-			if !agrees(cone) {
-				t.Fatalf("%s: the unmutated cone disagrees with the reference", name)
+			return true
+		}
+		if !agrees(cone) {
+			t.Fatalf("%s: the unmutated cone disagrees with the reference", name)
+		}
+		var code []flat.Instr
+		cone.Mutated(func(c []flat.Instr) []flat.Instr { code = c; return c }) //nolint:errcheck // reads the code
+		// Registers are numbered in allocation order and the inputs come first.
+		in0, in1 := uint32(0), uint32(p.PHVLen()-1)
+		if cone.RegName(0) != "in0" {
+			t.Fatalf("%s: register 0 is %q, not input container 0", name, cone.RegName(0))
+		}
+		for _, m := range mutantsOf(code, in0, in1, cone.StateRegs(p)) {
+			f, err := cone.Mutated(m.edit)
+			if err != nil {
+				continue // flat's checker refused it: caught before it could run
 			}
-			var code []flat.Instr
-			cone.Mutated(func(c []flat.Instr) []flat.Instr { code = c; return c }) //nolint:errcheck // reads the code
-			// Registers are numbered in allocation order and the inputs come first.
-			in0, in1 := uint32(0), uint32(p.PHVLen()-1)
-			if cone.RegName(0) != "in0" {
-				t.Fatalf("%s: register 0 is %q, not input container 0", name, cone.RegName(0))
-			}
-			for _, m := range mutantsOf(code, in0, in1, cone.StateRegs(p)) {
-				f, err := cone.Mutated(m.edit)
-				if err != nil {
-					continue // flat's checker refused it: caught before it could run
-				}
-				planted[m.kind]++
-				if agrees(f) {
-					survivors = append(survivors, name+" "+m.id)
-				} else {
-					caught[m.kind]++
-				}
+			planted[m.kind]++
+			if agrees(f) {
+				survivors = append(survivors, name+" "+m.id)
+			} else {
+				caught[m.kind]++
 			}
 		}
 	}
@@ -226,32 +221,16 @@ func TestLoweringMutantsAreCaught(t *testing.T) {
 	}
 	// The survivors are not mistakes. blue-increase and conga keep their state
 	// on the else path as "s = s + 0" twice (instructions 5 and 6, what the
-	// inliner leaves of a mux that selects "keep"): dropping either, jumping
+	// lowering makes of a mux that selects "keep"): dropping either, jumping
 	// past them, falling into them or hoisting one changes nothing.
 	// snap-heavy-hitter and spam-detection clear a flag on the path that can
 	// only run while it is still clear.
-	// At scc the same survivors recur, the same instructions computed the
-	// unfolded way (snap-heavy-hitter's "s = 0 + 0" for "s = 0"). Besides,
-	// marple-new-flow and rcp keep an unfolded predicate "0 >= 0" (instruction
-	// 0 and 4): its jeq never jumps, so dropping the jeq or moving its target
-	// changes nothing, and "in0 >= 0" is as true, inputs being non-negative.
-	// marple-new-flow's "jeq in1, #0" (rename@1) is a real mistake: it skips the
-	// count only on a zero in1, which 32-bit uniform traffic does not draw in
-	// 4000 packets.
 	sort.Strings(survivors)
 	want := []string{
 		"blue-increase drop@4", "blue-increase drop@5", "blue-increase drop@6",
 		"blue-increase jump@1", "blue-increase jump@4", "blue-increase stale@6",
 		"conga drop@4", "conga drop@5", "conga drop@6", "conga jump@1", "conga jump@4",
 		"conga stale@6",
-		"scc blue-increase drop@4", "scc blue-increase drop@5", "scc blue-increase drop@6",
-		"scc blue-increase jump@1", "scc blue-increase jump@4", "scc blue-increase stale@6",
-		"scc conga drop@4", "scc conga drop@5", "scc conga drop@6", "scc conga jump@1",
-		"scc conga jump@4", "scc conga stale@6",
-		"scc marple-new-flow drop@1", "scc marple-new-flow jump@1",
-		"scc marple-new-flow rename@0", "scc marple-new-flow rename@1",
-		"scc rcp drop@5", "scc rcp jump@5", "scc rcp rename@4",
-		"scc snap-heavy-hitter drop@6", "scc spam-detection drop@6",
 		"snap-heavy-hitter drop@6", "spam-detection drop@6",
 	}
 	if !reflect.DeepEqual(survivors, want) {

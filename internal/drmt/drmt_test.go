@@ -335,6 +335,40 @@ func FuzzParseEntries(f *testing.F) {
 	})
 }
 
+// FuzzAssemble holds the whole input drmtasm and drmtsim read — P4 source
+// and entries text — to: an error at some step of p4.Parse, Assemble,
+// Verify, NewDiffFuzzer and a 50-packet run, or a run in which the assembled
+// ISA program and the table-level machine never disagree. A source may ask
+// for any number of register cells; p4.Check bounds them, so no input makes
+// the machines allocate what it asks for. Seeds are the four benchmarks.
+func FuzzAssemble(f *testing.F) {
+	for _, bm := range Benchmarks() {
+		f.Add(bm.src, bm.entries)
+	}
+	f.Fuzz(func(t *testing.T, src, text string) {
+		prog, err := p4.Parse(src)
+		if err != nil {
+			return
+		}
+		isa, err := Assemble(prog)
+		if err != nil || isa.Verify() != nil {
+			return
+		}
+		entries, err := ParseEntriesString(text, prog)
+		if err != nil {
+			return
+		}
+		fz, err := NewDiffFuzzer(prog, isa, entries, HWConfig{})
+		if err != nil {
+			return
+		}
+		rep, err := fz.FuzzSeeded(1, 50, 0)
+		if err == nil && len(rep.Diffs) > 0 {
+			t.Fatalf("the assembled ISA program and the table-level machine disagree: %v\nsource:\n%s\nentries:\n%s", rep.Diffs, src, text)
+		}
+	})
+}
+
 // --- machine tests -----------------------------------------------------------
 
 func newRouterMachine(t *testing.T) *Machine {

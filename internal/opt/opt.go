@@ -16,6 +16,11 @@
 // copies its input or changes it: each rebuilds the nodes it changes and
 // shares the rest with the input, so an output must be treated as read-only,
 // as the input is.
+//
+// dgen (package codegen) is the passes' one caller outside tests: they shape
+// the source it emits for versions 2 and 3. The in-process pipeline does not
+// run them; package core takes the same choices and folds the same constants
+// as it lowers each ALU's program as written.
 package opt
 
 import (
@@ -337,7 +342,7 @@ func inlineExpr(e aludsl.Expr, w phv.Width) aludsl.Expr {
 		for i, a := range e.Args {
 			args[i] = inlineExpr(a, w)
 		}
-		return &aludsl.HoleCall{Builtin: e.Builtin, Hole: e.Hole, Args: args}
+		return &aludsl.HoleCall{Builtin: e.Builtin, Hole: e.Hole, Args: args, Slot: e.Slot}
 	default:
 		return e
 	}

@@ -2,6 +2,7 @@ package p4
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -87,6 +88,35 @@ func TestRegisterDefaults(t *testing.T) {
 	r := prog.Register("r")
 	if r == nil || r.Bits != 32 || r.Count != 4 {
 		t.Fatalf("register defaults: %+v", r)
+	}
+}
+
+// TestRegisterCellsBounded: the registers' cells may total MaxRegisterCells
+// and no more, however they are split; the error names the register that
+// crosses the bound. A huge instance_count is refused, not allocated.
+func TestRegisterCellsBounded(t *testing.T) {
+	reg := func(name string, n int) string {
+		return fmt.Sprintf("register %s { width : 8; instance_count : %d; }\n", name, n)
+	}
+	for _, tc := range []struct {
+		src, over string // over: the register named in the error, "" for none
+	}{
+		{reg("r", MaxRegisterCells), ""},
+		{reg("r", MaxRegisterCells+1), "r"},
+		{reg("a", MaxRegisterCells-1) + reg("b", 1), ""},
+		{reg("a", MaxRegisterCells-1) + reg("b", 2) + reg("c", 1), "b"},
+		{reg("a", 1) + reg("b", 2147483647), "b"},
+	} {
+		_, err := Parse(validBase + tc.src)
+		if tc.over == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.src, err)
+			}
+			continue
+		}
+		if want := fmt.Sprintf("p4: register %q (instance_count", tc.over); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s: error %v, want one beginning %q", tc.src, err, want)
+		}
 	}
 }
 

@@ -511,9 +511,14 @@ func (p *pparser) control() error {
 	return nil
 }
 
+// MaxRegisterCells bounds the register cells a program declares in all: each
+// is a frame register of both dRMT machines and their linked program (≈ 64 B
+// in a differential fuzzer). The largest registered benchmark declares 80.
+const MaxRegisterCells = 1 << 16
+
 // Check validates cross-references: header types, fields, registers, action
 // names, parameter references, control targets, declaration uniqueness and
-// register shapes.
+// register shapes and sizes.
 func Check(prog *Program) error {
 	dup := map[string]bool{}
 	unique := func(kind, name string) error {
@@ -544,6 +549,7 @@ func Check(prog *Program) error {
 			return err
 		}
 	}
+	cells := 0
 	for _, r := range prog.Registers {
 		if err := unique("register", r.Name); err != nil {
 			return err
@@ -553,6 +559,9 @@ func Check(prog *Program) error {
 		}
 		if r.Count < 1 {
 			return fmt.Errorf("p4: register %q instance_count %d < 1", r.Name, r.Count)
+		}
+		if cells += r.Count; r.Count > MaxRegisterCells || cells > MaxRegisterCells {
+			return fmt.Errorf("p4: register %q (instance_count %d) takes the program past %d register cells", r.Name, r.Count, MaxRegisterCells)
 		}
 	}
 	fields := map[string]bool{}

@@ -48,10 +48,10 @@ func TestBuildRejectsNonTotalALU(t *testing.T) {
 	}{
 		{"hole call hidden in a helper", aludsl.Stateless,
 			helper(&aludsl.HoleCall{Builtin: aludsl.BuiltinC, Hole: "hidden"}),
-			`hole call "hidden" survives`, `missing machine code pair for "hidden"`},
+			`missing machine code pair for "hidden"`, `missing machine code pair for "hidden"`},
 		{"hole variable hidden in a helper", aludsl.Stateless,
 			helper(&aludsl.Ident{Name: "hv", Class: aludsl.VarHole}),
-			`hole variable "hv" survives`, `missing machine code pair for "hv"`},
+			`missing machine code pair for "hv"`, `missing machine code pair for "hv"`},
 		{"unresolved identifier", aludsl.Stateless,
 			&aludsl.Ident{Name: "ghost"},
 			`unresolved identifier "ghost"`, `unresolved identifier "ghost"`},

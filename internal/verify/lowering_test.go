@@ -1,12 +1,16 @@
 package verify
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"druzhba/internal/aludsl"
+	"druzhba/internal/atoms"
 	"druzhba/internal/bv"
 	"druzhba/internal/core"
 	"druzhba/internal/domino"
@@ -80,9 +84,9 @@ func (s *symRun) runCone(b *bv.Builder, f *core.Fused, in []bv.Vec) []bv.Vec {
 // TestConeMatchesReference is the translation validation of the pipeline
 // side: for every Table-1 program at every width, over two transactions from
 // zero state, the reference AST walk (symPipeline), flat.Sym of the compared
-// cone Prove evaluates (lowered once at MaxBits, on a frame of the cell's
-// width) and flat.Sym of the cone core.Build fuses at scc+inline for that
-// width build literally the same vectors for every compared container.
+// cone Prove evaluates at that width and flat.Sym of the cone core.Build
+// fuses at scc+inline for that width build literally the same vectors for
+// every compared container.
 func TestConeMatchesReference(t *testing.T) {
 	vectors := 0
 	for _, bm := range spec.All() {
@@ -99,9 +103,13 @@ func TestConeMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			f, err := p.cone(bits)
+			if err != nil {
+				t.Fatal(err)
+			}
 			b := bv.NewBuilder(sat.New())
 			ref := newSymPipeline(b, hw, read, live, w)
-			cone, buildCone := newSymRun(b, p.cone.Program, bits), newSymRun(b, built.Cone().Program, bits)
+			cone, buildCone := newSymRun(b, f.Program, bits), newSymRun(b, built.Cone().Program, bits)
 			for step := 0; step < 2; step++ {
 				in := make([]bv.Vec, hw.PHVLen)
 				for c := range in {
@@ -111,7 +119,7 @@ func TestConeMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, gotBuilt := cone.runCone(b, p.cone, in), buildCone.runCone(b, built.Cone(), in)
+				got, gotBuilt := cone.runCone(b, f, in), buildCone.runCone(b, built.Cone(), in)
 				for _, c := range r.Containers {
 					if !slices.Equal(got[c], want[c]) || !slices.Equal(gotBuilt[c], want[c]) {
 						t.Errorf("%s/%d bits, step %d, container %d: the cones' vectors are not the reference's", bm.Name, bits, step, c)
@@ -124,64 +132,36 @@ func TestConeMatchesReference(t *testing.T) {
 	t.Logf("%d vectors compared", vectors)
 }
 
-// TestLoweringWidthIsItsLiterals pins what lets a verify job lower once, at
-// MaxBits, and prove every cell from it: in both lowerings Prove evaluates —
-// the compared cone (core.Spec.Lower) and the specification (domino.Bind) —
-// the width enters only through literals truncated to it, so the MaxBits
-// program on a w-bit frame (flat.SymFrame cuts its constants) builds
-// literally the vectors the program lowered at w builds: the cone's output
-// containers and state, the specification's fields, trap condition and
-// state, over three transactions.
+// TestLoweringWidthIsItsLiterals pins what lets a verify job bind the
+// specification once, at MaxBits, and prove every cell from it: in the
+// lowering of the Domino program (domino.Bind) the width enters only through
+// literals truncated to it, so the MaxBits program on a w-bit frame
+// (flat.SymFrame cuts its constants) builds literally the vectors the
+// program bound at w builds: fields, trap condition and state, over three
+// transactions. The cone is not such a program (TestConeIsLoweredAtTheCellWidth).
 func TestLoweringWidthIsItsLiterals(t *testing.T) {
-	var coneVectors, specVectors int
+	specVectors := 0
 	for _, bm := range spec.All() {
-		r, hw, read, live := compared(t, bm)
-		lower := func(w phv.Width) (*core.Fused, *domino.Binding) {
-			at := hw
-			at.Bits = w
-			cone, err := at.Lower(read, live)
-			if err != nil {
-				t.Fatal(err)
-			}
+		r, hw, _, _ := compared(t, bm)
+		bind := func(w phv.Width) *domino.Binding {
 			bind, err := domino.Bind(r.Program, bm.Fields, w)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return cone, bind
+			return bind
 		}
-		maxCone, maxBind := lower(phv.MustWidth(MaxBits))
+		maxBind := bind(phv.MustWidth(MaxBits))
 		for _, bits := range loweringWidths {
-			cone, bind := lower(phv.MustWidth(bits))
+			atW := bind(phv.MustWidth(bits))
 			b := bv.NewBuilder(sat.New())
-			cones := [2]*symRun{newSymRun(b, maxCone.Program, bits), newSymRun(b, cone.Program, bits)}
-			specs := [2]*symRun{newSymRun(b, maxBind.Lowered(), bits), newSymRun(b, bind.Lowered(), bits)}
-			layouts := [2]domino.Layout{maxBind.Layout(), bind.Layout()}
+			specs := [2]*symRun{newSymRun(b, maxBind.Lowered(), bits), newSymRun(b, atW.Lowered(), bits)}
+			layouts := [2]domino.Layout{maxBind.Layout(), atW.Layout()}
 			for step := 0; step < 3; step++ {
 				where := fmt.Sprintf("%s/%d bits, step %d", bm.Name, bits, step)
 				in := make([]bv.Vec, hw.PHVLen)
 				for c := range in {
 					in[c] = b.Var(bits)
 				}
-				atMax, atW := cones[0].runCone(b, maxCone, in), cones[1].runCone(b, cone, in)
-				for _, c := range r.Containers {
-					if !slices.Equal(atMax[c], atW[c]) {
-						t.Errorf("%s: cone container %d differs", where, c)
-					}
-					coneVectors++
-				}
-				for si, stage := range live {
-					for latch, l := range stage {
-						if slot := latch - hw.Width; l && slot >= 0 {
-							for i := 0; i < hw.StatefulALU.NumState(); i++ {
-								if !slices.Equal(cones[0].frame[maxCone.StateReg(si, slot)+i], cones[1].frame[cone.StateReg(si, slot)+i]) {
-									t.Errorf("%s: cone state %d/%d[%d] differs", where, si, slot, i)
-								}
-								coneVectors++
-							}
-						}
-					}
-				}
-
 				var trapped [2]sat.Lit
 				for i, s := range specs {
 					for c, r := range layouts[i].Fields {
@@ -215,7 +195,115 @@ func TestLoweringWidthIsItsLiterals(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d cone and %d specification vectors compared", coneVectors, specVectors)
+	t.Logf("%d specification vectors compared", specVectors)
+}
+
+// TestConeIsLoweredAtTheCellWidth: the cone a cell proves is lowered at the
+// cell's width, because the lowering folds operations on constants at its
+// width and an immediate need not fit a cell's. A stateless ALU computing
+// rel_op(Opt(a), C()) with Opt choosing 0, rel_op choosing >= and C() = 256
+// returns 0 >= 256 = 0 at 9 bits and 0 >= 0 = 1 at 8, where the immediate is
+// cut to 0 (as ExecuteStage cuts it): one Problem proves "pkt.a = 1" at 8
+// bits and refutes it at 9, as exhaustive enumeration does. On grids of the
+// atom library under random machine code whose immediates mostly exceed the
+// width, the cone at each width is equivalent, by SAT, to the reference AST
+// walk at that width over two transactions, while the MaxBits cone on a
+// frame of that width (constants cut) is not, on some of them.
+func TestConeIsLoweredAtTheCellWidth(t *testing.T) {
+	s := core.Spec{Depth: 1, Width: 1, StatelessALU: mustParseALU(t, "type: stateless\npacket fields: {a}\nreturn rel_op(Opt(a), C());")}
+	code := zeroCode(t, s)
+	setALUHole(t, code, 0, false, 0, "opt_0", 1)
+	setALUHole(t, code, 0, false, 0, "const_0", 256)
+	setALUHole(t, code, 0, false, 0, "rel_op_0", aludsl.RelGe)
+	code.Set(machinecode.OutputMuxName(0, 0), 1)
+	prog, fields := mustDomino(t, `transaction { pkt.a = 1; }`), domino.FieldMap{"a": 0}
+	p, err := NewProblem(s, code, prog, fields, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bits := range []int{8, 9, 8} {
+		res, err := p.Prove(context.Background(), bits, 1)
+		if err != nil {
+			t.Fatalf("%d bits: %v", bits, err)
+		}
+		want, err := exhaustiveEquivalent(s, code, prog, fields, bits, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Equivalent != want || want != (bits == 8) {
+			t.Errorf("%d bits: %v; exhaustive enumeration says equivalent=%v", bits, res, want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(45))
+	stateless := atoms.StatelessNames()
+	prog, fields = mustDomino(t, `transaction { pkt.a = pkt.b; pkt.b = pkt.c; pkt.c = pkt.a; }`), domino.FieldMap{"a": 0, "b": 1, "c": 2}
+	proofs, cut := 0, 0
+	for i, name := range atoms.StatefulNames() {
+		s := core.Spec{Depth: 2, Width: 2, PHVLen: 3, StatelessALU: atoms.MustLoad(stateless[i%len(stateless)]), StatefulALU: atoms.MustLoad(name)}
+		req, err := s.RequiredPairs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 4; trial++ {
+			code := machinecode.New()
+			for _, h := range req {
+				v := rng.Int63n(1024)
+				if h.Domain > 0 {
+					v = rng.Int63n(int64(h.Domain))
+				}
+				code.Set(h.Name, v)
+			}
+			p, err := NewProblem(s, code, prog, fields, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := p.spec
+			at.Bits = phv.MustWidth(MaxBits)
+			maxCone, err := at.Lower(p.read, p.live)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bits := range []int{3, 8} {
+				cone, err := p.cone(bits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// equivalent reports whether f on a frame of this width
+				// computes what the reference does.
+				equivalent := func(f *core.Fused) bool {
+					b := bv.NewBuilder(sat.New())
+					ref, run := newSymPipeline(b, p.spec, p.read, p.live, phv.MustWidth(bits)), newSymRun(b, f.Program, bits)
+					differ := b.False()
+					for step := 0; step < 2; step++ {
+						in := []bv.Vec{b.Var(bits), b.Var(bits), b.Var(bits)}
+						want, err := ref.step(in)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := run.runCone(b, f, in)
+						for _, c := range p.containers {
+							differ = b.Or(differ, b.Ne(got[c], want[c]))
+						}
+					}
+					b.Assert(differ)
+					b.Emit()
+					return b.Solve() == sat.Unsat
+				}
+				if !equivalent(cone) {
+					t.Errorf("%s/%d bits: the cone is not the reference\ncode:\n%s\ncone:\n%s", name, bits, code, cone)
+				}
+				if !equivalent(maxCone) {
+					cut++
+				}
+				proofs++
+			}
+		}
+	}
+	if cut == 0 {
+		t.Errorf("the MaxBits cone on a narrower frame matched the reference in all %d proofs: the test cannot tell the two lowerings apart", proofs)
+	}
+	t.Logf("%d cones proved equal to the reference; the MaxBits cone cut to the width differs in %d", proofs, cut)
 }
 
 // TestNonTotalALUIsAnError: a hand-built ALU program the lowering cannot
@@ -282,4 +370,60 @@ func TestNonTotalALUIsAnError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCellsShareOneProblem: the cells of a campaign job prove on one Problem
+// at once, so the cones it lowers per width are made under its lock. Eight
+// goroutines proving the widths each in its own order get the verdicts and
+// gate counts of a Problem that proved them one at a time.
+func TestCellsShareOneProblem(t *testing.T) {
+	bm, err := spec.Lookup("sampling")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := bm.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newProblem := func() *Problem {
+		p, err := NewProblem(r.Spec, r.Code, r.Program, bm.Fields, Options{Containers: r.Containers, MaxInput: bm.MaxInput})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	type verdict struct {
+		equivalent  bool
+		vars, gates int
+	}
+	prove := func(p *Problem, bits int) (verdict, error) {
+		res, err := p.Prove(context.Background(), bits, 2)
+		if err != nil {
+			return verdict{}, err
+		}
+		return verdict{res.Equivalent, res.Vars, res.GatesBuilt}, nil
+	}
+	widths := []int{4, 5, 8, 10}
+	want := map[int]verdict{}
+	alone := newProblem()
+	for _, bits := range widths {
+		if want[bits], err = prove(alone, bits); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := newProblem()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range widths {
+				bits := widths[(g+i)%len(widths)]
+				if got, err := prove(shared, bits); err != nil || got != want[bits] {
+					t.Errorf("goroutine %d, %d bits: %+v, %v; alone %+v", g, bits, got, err, want[bits])
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

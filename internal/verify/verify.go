@@ -13,9 +13,10 @@
 // spec) is core's fused program of the compared cone, lowered straight from
 // the machine code (core.Spec.Lower: each builtin's choice taken as it is
 // lowered, no specialisation pass); the Domino specification is the
-// transaction a fuzz shard runs (domino.Bind). Both are lowered once per
-// question at MaxBits and evaluated on frames of each cell's width, and
-// their state (§3.3: behaviour "on both PHVs and state values") is registers
+// transaction a fuzz shard runs (domino.Bind). The specification is bound
+// once per question at MaxBits and evaluated on frames of each cell's width;
+// the cone is lowered once per width a cell asks for, since the lowering
+// folds operations on constants at its width. Their state (§3.3: behaviour "on both PHVs and state values") is registers
 // of those programs, threaded from one transaction into the next. The tests
 // hold the cone, gate for gate, to a reference that walks the ALU DSL
 // (translation validation). UNSAT proves the compiler's
@@ -37,6 +38,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"druzhba/internal/bv"
@@ -205,12 +207,14 @@ func EquivalenceContext(ctx context.Context, spec core.Spec, code *machinecode.P
 // Problem is an equivalence question with everything that does not depend
 // on the proof cell — the (bits, steps) point — worked out once: the
 // normalized spec and validated machine code, the compared containers, the
-// compared cone — the ALUs whose results or bound state are compared, lowered
-// from the machine code by core's own lowering (core.Spec.Lower) — and the
-// specification's lowered transaction (domino.Bind), both at MaxBits: a
-// cell's width enters them only through their truncated literals, which
-// flat.SymFrame cuts to it. It is read-only after NewProblem, so the cells
-// of a campaign job share one.
+// compared cone — the ALUs whose results or bound state are compared — and
+// the specification's lowered transaction (domino.Bind) at MaxBits, whose
+// width enters only through its truncated literals, which flat.SymFrame
+// cuts to a cell's. The cone is lowered from the machine code by core's own
+// lowering (core.Spec.Lower) at a cell's width, once per width: that
+// lowering folds operations on constants, so the width is in more than its
+// literals (0 >= 256 folds to 0 at 32 bits, to 1 at 8). The cells of a
+// campaign job share one Problem, concurrently.
 type Problem struct {
 	spec   core.Spec // normalized; replay sets Bits per cell
 	code   *machinecode.Program
@@ -221,7 +225,11 @@ type Problem struct {
 	bindingNames []string // opts.StateBindings' keys, sorted
 	containers   []int    // compared containers
 
-	cone   *core.Fused
+	read  *core.Code // the machine code, read once
+	live  [][]bool   // the compared cone's ALUs
+	mu    sync.Mutex
+	cones [MaxBits + 1]*core.Fused // cones[w]: the compared cone lowered at width w, once a cell asks
+
 	bind   *domino.Binding
 	layout domino.Layout
 }
@@ -245,7 +253,7 @@ func NewProblem(spec core.Spec, code *machinecode.Program, prog *domino.Program,
 			return nil, fmt.Errorf("verify: field %q is not bound to a container", name)
 		}
 	}
-	p := &Problem{spec: spec, code: code, prog: prog, fields: fields, opts: opts, containers: opts.Containers}
+	p := &Problem{spec: spec, code: code, prog: prog, fields: fields, opts: opts, containers: opts.Containers, read: read}
 	if p.containers == nil {
 		p.containers, err = domino.WrittenContainers(prog, fields)
 		if err != nil {
@@ -291,16 +299,31 @@ func NewProblem(spec core.Spec, code *machinecode.Program, prog *domino.Program,
 		return nil, errors.New("verify: nothing to compare: the Domino program writes no packet field and no state is bound (Options.StateBindings, dverify -state), so any machine code would be proved")
 	}
 
-	at := spec
-	at.Bits = phv.MustWidth(MaxBits)
-	if p.cone, err = at.Lower(read, read.Muxes.Live(out, pinned)); err != nil {
+	p.live = read.Muxes.Live(out, pinned)
+	if err := spec.CheckLower(read, p.live); err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
 	}
-	if p.bind, err = domino.Bind(prog, fields, at.Bits); err != nil {
+	if p.bind, err = domino.Bind(prog, fields, phv.MustWidth(MaxBits)); err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
 	}
 	p.layout = p.bind.Layout()
 	return p, nil
+}
+
+// cone returns the compared cone lowered at the given width.
+func (p *Problem) cone(bits int) (*core.Fused, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.cones[bits] == nil {
+		at := p.spec
+		at.Bits = phv.MustWidth(bits)
+		f, err := at.Lower(p.read, p.live)
+		if err != nil {
+			return nil, fmt.Errorf("verify: %w", err)
+		}
+		p.cones[bits] = f
+	}
+	return p.cones[bits], nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -321,6 +344,10 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("verify: unrolling depth %d < 1", steps)
 	}
+	cone, err := p.cone(bits)
+	if err != nil {
+		return nil, err
+	}
 	solver := sat.New()
 	solver.MaxConflicts = p.opts.MaxConflicts
 	solver.Interrupt = func() bool { return ctx.Err() != nil }
@@ -329,7 +356,7 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 	// Both programs start from their initial frames — zero pipeline state,
 	// the specification's declared state — and carry state from one run
 	// into the next in their own registers.
-	cone, lowered, layout := p.cone, p.bind.Lowered(), p.layout
+	lowered, layout := p.bind.Lowered(), p.layout
 	initial := func(prog *flat.Program) []bv.Vec {
 		init := prog.NewFrame()
 		return prog.SymFrame(b, bits, func(r int) bv.Vec { return b.Const(bits, init[r]) })
