@@ -126,6 +126,16 @@ func (s *Spec) CheckLower(c *Code, live [][]bool) error {
 // reduces the muxes to register renaming.
 func lower(n Spec, code *Code, live [][]bool) (*Fused, error) {
 	b := flat.NewBuilder(n.Bits)
+	regs, instrs := n.PHVLen+4, 0 // the inputs, and room for a few constants
+	for si, stage := range live {
+		for a, l := range stage {
+			if l {
+				k := emits(code.ALUs[si][a].Prog.Body)
+				regs, instrs = regs+k+code.ALUs[si][a].Prog.NumState(), instrs+k
+			}
+		}
+	}
+	b.Reserve(regs, instrs)
 	f := &Fused{width: n.Width, phvLen: n.PHVLen, in: b.Regs("in", n.PHVLen), state: make([][]int, n.Depth), live: live}
 	cur, next := make([]int, n.PHVLen), make([]int, n.PHVLen) // container -> register, -1 for a column nothing downstream reads
 	for c := range cur {
@@ -160,6 +170,19 @@ func lower(n Spec, code *Code, live [][]bool) (*Fused, error) {
 	var err error
 	f.Program, err = b.Build()
 	return f, err
+}
+
+// emits estimates what lowering the statements emits, so that lower can
+// reserve it: an instruction per assignment and return, and three per if (a
+// compare, the branch and a jump), each writing at most one register.
+func emits(list []aludsl.Stmt) int {
+	n := len(list)
+	for _, s := range list {
+		if s, ok := s.(*aludsl.If); ok {
+			n += 2 + emits(s.Then) + emits(s.Else)
+		}
+	}
+	return n
 }
 
 // Inputs returns the frame's input registers, one per container: write a

@@ -18,6 +18,17 @@
 // packet lacks) stops early: it stores a code in a register the caller
 // inspects after Run.
 //
+// Optimize (optimize.go) rewrites a checked program into one that dispatches
+// fewer instructions on the same frame: it fuses a compare and the jeq or jne
+// that tests it into one compare-and-branch (Jlt, Jgt, Jle, Jge beside Jeq
+// and Jne), threads jumps, forwards copies and drops dead code. It keeps every
+// register number and every register a caller can see — a named one, a
+// constant, a bank cell, one the caller lists as observed, one a path reads
+// before writing — and may leave any other, a private temporary, with
+// another value. Package sim runs the fuzzer's oracle, the cone with the
+// specification linked after it, optimized; every rewrite is proved by Sym
+// on the Table-1 oracles (TestOptimizeProved) and fuzzed against Run.
+//
 // Sym (sym.go) runs a program once over a frame of bit-vectors (package bv)
 // instead of values, in one pass in program order: every branch and Trap
 // splits the path on a decision, joins merge frames by ITEs on the
@@ -42,7 +53,10 @@ import (
 // value. A unary operation, and a test of one register, is a binary one
 // against the constant-0 register (Builder.Const(0)): -x is sub #0, x; !x is
 // eq x, #0; x as a 0/1 truth value is ne x, #0; a jump on x being 0 is
-// jeq x, #0.
+// jeq x, #0. Jeq through Jge jump where the compare of the same name holds;
+// the lowerings emit Jeq and Jne, and Optimize the rest, where it fuses a
+// compare and its test into one of them. They follow Jne, so the numbers
+// before keep their meaning.
 type Op uint8
 
 const (
@@ -74,7 +88,28 @@ const (
 
 	Jeq // if r[B] == r[C] continue at instruction A
 	Jne // if r[B] != r[C] continue at instruction A
+	Jlt // if r[B] < r[C] continue at instruction A (likewise Jgt … Jge)
+	Jgt
+	Jle
+	Jge
 )
+
+// branch reports whether op is a compare-and-branch, Jeq through Jge: a jump
+// to A that is taken when the compare of the same name holds on B and C.
+func (op Op) branch() bool { return op >= Jeq && op <= Jge }
+
+// The outcomes of comparing B with C. A compare yields 1, and a
+// compare-and-branch jumps, on the outcomes in its entry of rels.
+const (
+	relLT uint8 = 1 << iota
+	relEQ
+	relGT
+)
+
+var rels = [...]uint8{
+	Eq: relEQ, Ne: relLT | relGT, Lt: relLT, Gt: relGT, Le: relLT | relEQ, Ge: relEQ | relGT,
+	Jeq: relEQ, Jne: relLT | relGT, Jlt: relLT, Jgt: relGT, Jle: relLT | relEQ, Jge: relEQ | relGT,
+}
 
 // ops names every opcode and says what its fields are, in the order the
 // disassembly prints them: a field letter then w (register written), r
@@ -84,7 +119,7 @@ var ops = [...]struct{ name, fields string }{
 	Eq: {"eq", "AwBrCr"}, Ne: {"ne", "AwBrCr"}, Lt: {"lt", "AwBrCr"}, Gt: {"gt", "AwBrCr"}, Le: {"le", "AwBrCr"}, Ge: {"ge", "AwBrCr"},
 	Mov: {"mov", "AwBr"}, Jmp: {"jmp", "Aj"}, Trap: {"trap", "AwBrCi"},
 	And: {"and", "AwBrCr"}, Load: {"load", "AwBbCr"}, LoadMask: {"load", "AwBbCr"}, Store: {"store", "AbBrCr"}, StoreMask: {"store", "AbBrCr"},
-	Jeq: {"jeq", "BrCrAj"}, Jne: {"jne", "BrCrAj"},
+	Jeq: {"jeq", "BrCrAj"}, Jne: {"jne", "BrCrAj"}, Jlt: {"jlt", "BrCrAj"}, Jgt: {"jgt", "BrCrAj"}, Jle: {"jle", "BrCrAj"}, Jge: {"jge", "BrCrAj"},
 }
 
 // field returns the field of in that letter names.
@@ -162,6 +197,21 @@ func (p *Program) name(r int) string {
 		}
 	}
 	return ""
+}
+
+// hasName reports whether the builder named register r, as name does
+// without spelling the name out.
+func (p *Program) hasName(r int) bool {
+	if a := p.parts[0]; a != nil {
+		if r < len(a.init) {
+			return a.hasName(r)
+		}
+		return p.parts[1].hasName(r - len(a.init))
+	}
+	if _, ok := slices.BinarySearchFunc(p.names, r, func(n named, r int) int { return n.reg - r }); ok {
+		return true
+	}
+	return slices.ContainsFunc(p.runs, func(g run) bool { return r >= g.first && r < g.first+g.n })
 }
 
 // RegName returns the name the builder gave register r; a constant is named
@@ -242,6 +292,22 @@ func (p *Program) Run(r []int64) {
 			}
 		case Jne:
 			if r[in.B] != r[in.C] {
+				pc = int(in.A) - 1
+			}
+		case Jlt:
+			if r[in.B] < r[in.C] {
+				pc = int(in.A) - 1
+			}
+		case Jgt:
+			if r[in.B] > r[in.C] {
+				pc = int(in.A) - 1
+			}
+		case Jle:
+			if r[in.B] <= r[in.C] {
+				pc = int(in.A) - 1
+			}
+		case Jge:
+			if r[in.B] >= r[in.C] {
 				pc = int(in.A) - 1
 			}
 		}
@@ -421,13 +487,10 @@ func (p *Program) setsFirst(r int) bool {
 			return false
 		}
 		written = written || writes && in.Op != Trap // a Trap writes only as it leaves
-		switch in.Op {
-		case Jeq, Jne:
+		if in.Op == Jmp || in.Op.branch() {
 			set[in.A] = set[in.A] && written
-			set[pc+1] = set[pc+1] && written
-		case Jmp:
-			set[in.A] = set[in.A] && written
-		default:
+		}
+		if in.Op != Jmp {
 			set[pc+1] = set[pc+1] && written
 		}
 	}
@@ -657,8 +720,8 @@ func (b *Builder) wrapped(op Op, bank int) Op {
 // Jump appends a Jmp whose target a later Land sets, and returns its index.
 func (b *Builder) Jump() int { return b.Branch(Jmp, 0, 0) }
 
-// Branch appends a Jeq or Jne comparing x with y, whose target a later Land
-// sets, and returns its index.
+// Branch appends a compare-and-branch (Jeq through Jge) of x with y, whose
+// target a later Land sets, and returns its index.
 func (b *Builder) Branch(op Op, x, y int) int {
 	b.p.code = append(b.p.code, Instr{Op: op, B: uint32(x), C: uint32(y)})
 	return len(b.p.code) - 1

@@ -14,16 +14,28 @@ const linkRegs = 4
 // decodeProgram builds a program from data, three bytes per instruction: an
 // opcode (value ops, Jmp, compare-and-branches, Trap, bank loads and stores)
 // and two operand bytes. Register 0 is the trap register; values are written
-// to registers 1..linkRegs and read from any of those or a constant (an
-// operand byte 8..15 is the constant 0); a bank of three cells wraps by
-// modulo, one of four by mask; a jump lands a byte-chosen distance ahead: a
-// Jmp's by its second operand, a compare-and-branch's by the top two bits of
-// its first. The datapath is w bits wide.
+// to registers 1..linkRegs, named g0, g1, …, and read from any of those or a
+// constant (an operand byte 8..15 is the constant 0); a bank of three cells
+// wraps by modulo, one of four by mask; a jump lands a byte-chosen distance
+// ahead: a Jmp's by its second operand, a compare-and-branch's by the top two
+// bits of its first. The datapath is w bits wide.
 func decodeProgram(t *testing.T, w phv.Width, data []byte) *Program {
+	return decode(t, w, data, "g")
+}
+
+// decode is decodeProgram with the general registers named after name, or
+// temporaries the builder names nothing when name is "".
+func decode(t *testing.T, w phv.Width, data []byte, name string) *Program {
 	t.Helper()
 	b := NewBuilder(w)
 	first := b.Reg("trap", 0)
-	b.Regs("g", linkRegs)
+	if name != "" {
+		b.Regs(name, linkRegs)
+	} else {
+		for range linkRegs {
+			b.reg("", 0, false)
+		}
+	}
 	odd, _ := b.Bank("odd", 3, 0x3f)
 	four, _ := b.Bank("four", 4, 0xff)
 	reg := func(v byte) int {
@@ -38,24 +50,24 @@ func decodeProgram(t *testing.T, w phv.Width, data []byte) *Program {
 	for pc := 0; len(data) >= 3 && pc < 40; data, pc = data[3:], pc+1 {
 		b.Land(landAt[pc]...)
 		delete(landAt, pc)
-		op, x, y := data[0]%(byte(Jne)+1), data[1], data[2]
-		switch Op(op) {
-		case Jmp:
+		op, x, y := Op(data[0]%(byte(Jge)+1)), data[1], data[2]
+		switch {
+		case op == Jmp:
 			j := b.Jump()
 			target := pc + 1 + int(y)%4
 			landAt[target] = append(landAt[target], j)
-		case Jeq, Jne:
-			j := b.Branch(Op(op), reg(x), reg(y))
+		case op.branch():
+			j := b.Branch(op, reg(x), reg(y))
 			target := pc + 1 + int(x>>6)
 			landAt[target] = append(landAt[target], j)
-		case Trap:
+		case op == Trap:
 			b.Op(Trap, first, reg(x), 1+int(y)%5)
-		case Load, LoadMask:
+		case op == Load || op == LoadMask:
 			b.Load(dst(x), bank(y), reg(y))
-		case Store, StoreMask:
+		case op == Store || op == StoreMask:
 			b.Store(bank(x), reg(x), reg(y))
 		default:
-			b.Op(Op(op), dst(x^y), reg(x), reg(y))
+			b.Op(op, dst(x^y), reg(x), reg(y))
 		}
 	}
 	for _, js := range landAt {
@@ -96,6 +108,13 @@ func FuzzLink(f *testing.F) {
 	f.Add([]byte{17, 0x81, 2, 15, 1, 0x81, 19, 2, 0x29, 14, 1, 2}, []byte{19, 1, 0x2a, 17, 2, 3, 16, 3, 0x83, 19, 0x14, 0x6b, 0, 3, 4}, uint16(0x0e), int64(0x0302010405))
 	// b's jeq reads a register it writes after, bound: the mov comes first.
 	f.Add([]byte{2, 3, 4}, []byte{19, 3, 0x10, 11, 3, 1, 15, 2, 0x84}, uint16(0x08), int64(0x0105000309))
+	// A jlt, jgt, jle and jge in b, one each, of two bound registers, a
+	// register and a constant, a register and itself, and a bound register
+	// and one b writes.
+	f.Add([]byte{0, 1, 2}, []byte{21, 0x42, 2, 0, 1, 2, 1, 2, 1}, uint16(0x06), int64(0x0203040506))
+	f.Add([]byte{2, 3, 4}, []byte{22, 0x43, 0x38, 11, 2, 0, 0, 3, 4}, uint16(0x0c), int64(0x0900000407))
+	f.Add([]byte{}, []byte{23, 0x81, 4, 0, 1, 2, 1, 3, 4, 2, 2, 3}, uint16(0x12), int64(0x0000050005))
+	f.Add([]byte{1, 1, 3}, []byte{24, 0x47, 3, 0, 2, 3, 14, 1, 7}, uint16(0x1e), int64(0x0801020304))
 	f.Fuzz(func(t *testing.T, codeA, codeB []byte, bindBits uint16, vals int64) {
 		a, b := decodeProgram(t, phv.MustWidth(8), codeA), decodeProgram(t, phv.MustWidth(8), codeB)
 		na := len(a.init)

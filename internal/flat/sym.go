@@ -85,6 +85,23 @@ func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.
 			continue
 		}
 		r := s.cur.regs
+		if in.Op.branch() {
+			path := s.split(s.holds(in.Op, r[in.B], r[in.C]))
+			var equal *symPath // the path on which B and C are equal
+			switch rels[in.Op] {
+			case relEQ:
+				equal = path
+			case relLT | relGT:
+				equal = s.cur
+			}
+			if equal != nil && p.fixed[in.C] && p.init[in.C] == 0 {
+				equal.regs[in.B] = b.Const(s.bits, 0)
+			}
+			if path != nil {
+				s.in[in.A] = append(s.in[in.A], *path)
+			}
+			continue
+		}
 		switch in.Op {
 		case Add:
 			r[in.A] = s.and(b.Add(r[in.B], r[in.C]), mask)
@@ -98,36 +115,10 @@ func (p *Program) Sym(b *bv.Builder, frame []bv.Vec) (out []bv.Vec, trapped sat.
 		case Mod:
 			_, m := s.divMod(r[in.B], r[in.C])
 			r[in.A] = s.and(m, mask)
-		case Eq:
-			r[in.A] = b.FromBool(b.Eq(r[in.B], r[in.C]), s.bits)
-		case Ne:
-			r[in.A] = b.FromBool(b.Ne(r[in.B], r[in.C]), s.bits)
-		case Lt:
-			r[in.A] = b.FromBool(s.lt(r[in.B], r[in.C]), s.bits)
-		case Gt:
-			r[in.A] = b.FromBool(s.lt(r[in.C], r[in.B]), s.bits)
-		case Le:
-			r[in.A] = b.FromBool(s.lt(r[in.C], r[in.B]).Not(), s.bits)
-		case Ge:
-			r[in.A] = b.FromBool(s.lt(r[in.B], r[in.C]).Not(), s.bits)
+		case Eq, Ne, Lt, Gt, Le, Ge:
+			r[in.A] = b.FromBool(s.holds(in.Op, r[in.B], r[in.C]), s.bits)
 		case Mov:
 			r[in.A] = r[in.B]
-		case Jeq, Jne:
-			taken := b.Eq(r[in.B], r[in.C])
-			if in.Op == Jne {
-				taken = taken.Not()
-			}
-			path := s.split(taken)
-			equal := path
-			if in.Op == Jne {
-				equal = s.cur
-			}
-			if equal != nil && p.fixed[in.C] && p.init[in.C] == 0 {
-				equal.regs[in.B] = b.Const(s.bits, 0)
-			}
-			if path != nil {
-				s.in[in.A] = append(s.in[in.A], *path)
-			}
 		case Jmp:
 			s.in[in.A] = append(s.in[in.A], *s.cur)
 			s.cur = nil
@@ -299,6 +290,23 @@ func (s *symRun) and(x, y bv.Vec) bv.Vec {
 		out[i] = s.b.And(x[i], y[i])
 	}
 	return out
+}
+
+// holds is the decision a compare or a compare-and-branch makes on x and y.
+func (s *symRun) holds(op Op, x, y bv.Vec) sat.Lit {
+	switch rels[op] {
+	case relEQ:
+		return s.b.Eq(x, y)
+	case relLT | relGT:
+		return s.b.Ne(x, y)
+	case relLT:
+		return s.lt(x, y)
+	case relGT:
+		return s.lt(y, x)
+	case relLT | relEQ:
+		return s.lt(y, x).Not()
+	}
+	return s.lt(x, y).Not()
 }
 
 // lt is x < y on int64s: unsigned < with the sign bits flipped. On a frame of

@@ -31,10 +31,16 @@ func FuzzSymVsRun(f *testing.F) {
 	// width 1 only cells 0 and 1 can be indexed.
 	f.Add([]byte{17, 1, 2, 15, 1, 3, 18, 0x81, 4, 16, 2, 0x82, 15, 3, 0x01}, uint8(62), int64(5))
 	f.Add([]byte{17, 2, 0x29, 19, 1, 0x2a, 17, 3, 4, 16, 3, 0x83, 19, 0x14, 0x6b, 0, 3, 4}, uint8(8), int64(6))
-	f.Add([]byte("&00"), uint8(0x1c), int64(-24)) // a store at a negative index into the modulo bank
+	f.Add([]byte("*00"), uint8(0x1c), int64(-24)) // a store at a negative index into the modulo bank
 	// Compare-and-branches that land on one another and on the end, one of
 	// them comparing a register with itself.
 	f.Add([]byte{19, 1, 0xe0, 20, 2, 2, 0, 1, 2, 19, 0x43, 0x38, 1, 2, 3, 11, 4, 1}, uint8(32), int64(7))
+	// A jlt, jgt, jle and jge, one each: signed at 64 bits over negative and
+	// full-range values, unsigned at the program's width.
+	f.Add([]byte{21, 0x42, 2, 0, 1, 2, 1, 2, 1}, uint8(62), int64(11))
+	f.Add([]byte{22, 0x43, 0x38, 11, 2, 0, 0, 3, 4}, uint8(7), int64(12))
+	f.Add([]byte{23, 0x81, 4, 0, 1, 2, 1, 3, 4, 2, 2, 3}, uint8(9), int64(13))
+	f.Add([]byte{24, 0x47, 3, 0, 2, 3, 14, 1, 7}, uint8(62), int64(14))
 	// The widths verify proves at (8 and 10 bits) and Table 1 fuzzes at (32):
 	// unsigned arithmetic, division and compares (seed 105 draws operands
 	// with the top bit set, which a signed division misreads); branches and

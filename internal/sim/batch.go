@@ -125,7 +125,7 @@ func newOracle(cone *core.Fused, w phv.Width, phvLen int, b *domino.Binding) *or
 	}
 	if b != nil {
 		if l, err := b.Link(cone.Program, in); err == nil {
-			return &oracle{key: b, prog: l.Program, want: l.Want, link: l}
+			return &oracle{key: b, prog: optimize(l.Program, cone, l.Want), want: l.Want, link: l}
 		}
 	}
 	block := flat.NewBuilder(w)
@@ -135,7 +135,19 @@ func newOracle(cone *core.Fused, w phv.Width, phvLen int, b *domino.Binding) *or
 	if err != nil {
 		panic(err) // one width, nothing bound: nothing for Link to refuse
 	}
-	return &oracle{key: b, prog: prog, want: want}
+	return &oracle{key: b, prog: optimize(prog, cone, want), want: want}
+}
+
+// optimize is flat.Optimize of a linked oracle, observing what the fused loop
+// reads back: the pipeline's output registers and the expected ones. The
+// other registers it reads — inputs, the specification's state, flags and
+// error register — are named, which Optimize keeps anyway.
+func optimize(prog *flat.Program, cone *core.Fused, want []int) *flat.Program {
+	opt, err := flat.Optimize(prog, cone.Out(), want)
+	if err != nil {
+		panic(err) // Optimize keeps a checked program checked
+	}
+	return opt
 }
 
 // useOracle points the fuzzer at the oracle for b, and lays out a frame for
@@ -194,83 +206,114 @@ func (f *Fuzzer) fuzzFused(spec Spec, n int, src source, opts FuzzOptions, maxMi
 		b = ps.Binding()
 	}
 	o := f.useOracle(b)
-	frame, link := f.frame, o.link
-	o.prog.Reset(frame)
+	o.prog.Reset(f.frame)
 	spec.Reset()
-	ss, _ := spec.(StreamSpec)
-	traps := link != nil && link.CanTrap()
-	in, pairs, depth := f.fused.Inputs(frame), f.comparePairs(o, opts.Containers), f.pipe.Depth()
-	var wantRegs []phv.Value // the row admit fills: the want registers, when no specification is linked
-	if link == nil {
-		wantRegs = frame[o.want[0] : o.want[0]+len(in) : o.want[0]+len(in)]
+	r := fusedRun{f: f, o: o, spec: spec, in: f.fused.Inputs(f.frame), pairs: f.comparePairs(o, opts.Containers), maxMismatches: maxMismatches, abortAt: -1}
+	if o.link != nil {
+		r.linked(n, src)
+		o.link.StoreState(f.frame, ps)
+	} else {
+		r.admitted(n, src)
 	}
-	var mms []Mismatch
-	abortAt, misuse := -1, false
-	var abortErr error
+	report = f.finishFused(report, r.mms, maxMismatches, n, r.abortAt, r.abortErr)
+	if r.misuse && report.Err != nil {
+		return nil, r.abortErr
+	}
+	return report, nil
+}
+
+// fusedRun is one run of the fused loop: what it runs and compares, and what
+// it found.
+type fusedRun struct {
+	f             *Fuzzer
+	o             *oracle
+	spec          Spec
+	in            []phv.Value // the frame's input registers
+	pairs         []regPair
+	maxMismatches int
+
+	mms      []Mismatch
+	abortAt  int   // the packet the run stopped at, -1 when it did not
+	abortErr error // the finding it stopped with
+	misuse   bool  // abortErr is the specification's: harness misuse
+}
+
+// linked runs up to n packets through the oracle with the specification
+// linked into it: per packet a fill, one Run, the specification's error only
+// when it can trap, and the compare.
+//
+//dvet:hotpath allocs=0
+func (r *fusedRun) linked(n int, src source) {
+	frame, in, prog, link, pairs := r.f.frame, r.in, r.o.prog, r.o.link, r.pairs
+	traps := link.CanTrap()
 	for i := 0; i < n; i++ {
-		var want []phv.Value // the admitted specification's output
-		var specErr error
-		if link == nil {
-			want = wantRegs
-			var genErr error
-			if genErr, specErr = f.admit(spec, ss, i, src, in, &want); genErr != nil {
-				// The tick loop admits packet i at tick i; the run would have
-				// stopped there with genErr as its finding.
-				abortAt, abortErr = i, genErr
+		if err := src.fill(in); err != nil {
+			r.abortAt, r.abortErr = i, err
+			return
+		}
+		prog.Run(frame)
+		if traps {
+			if err := link.Err(frame); err != nil {
+				r.abortAt, r.abortErr, r.misuse = i, fmt.Errorf("sim: spec %q, PHV %d: %w", r.spec.Name(), i, err), true //dvet:alloc-ok spec-failure error path
+				return
+			}
+		}
+		for _, p := range pairs {
+			if frame[p.got] != frame[p.want] {
+				n = r.mismatch(i, n, regsPHV(frame, r.o.want)) //dvet:alloc-ok mismatch path
 				break
 			}
-		} else if err := src.fill(in); err != nil {
-			abortAt, abortErr = i, err
-			break
 		}
-		if specErr == nil {
-			o.prog.Run(frame)
-			if traps {
-				if err := link.Err(frame); err != nil {
-					specErr = fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), i, err) //dvet:alloc-ok spec-failure error path
-				}
-			}
+	}
+}
+
+// admitted runs up to n packets through the oracle with the specification
+// admitted into its want registers before each Run.
+//
+//dvet:hotpath allocs=0
+func (r *fusedRun) admitted(n int, src source) {
+	frame := r.f.frame
+	wantRegs := frame[r.o.want[0] : r.o.want[0]+len(r.in) : r.o.want[0]+len(r.in)] // the row admit fills
+	ss, _ := r.spec.(StreamSpec)
+	for i := 0; i < n; i++ {
+		want := wantRegs // the specification's output
+		genErr, specErr := r.f.admit(r.spec, ss, i, src, r.in, &want)
+		if genErr != nil {
+			// The tick loop admits packet i at tick i; the run would have
+			// stopped there with genErr as its finding.
+			r.abortAt, r.abortErr = i, genErr
+			return
 		}
 		if specErr != nil {
 			// Harness misuse — unless the counterexample cap was reached
 			// strictly before packet i's admission tick, where the capped
 			// report wins exactly as it does on the tick loop.
-			abortAt, abortErr, misuse = i, specErr, true
-			break
+			r.abortAt, r.abortErr, r.misuse = i, specErr, true
+			return
 		}
-		same := link != nil || len(want) == len(in) // an output of the wrong length never compares equal
-		for _, p := range pairs {
-			if frame[p.got] != frame[p.want] {
-				same = false
-				break
-			}
+		r.o.prog.Run(frame)
+		same := len(want) == len(r.in) // an output of the wrong length never compares equal
+		for _, p := range r.pairs {
+			same = same && frame[p.got] == frame[p.want]
 		}
 		if !same {
-			//dvet:alloc-ok mismatch collection is the cold path; clean runs never reach it
-			m := Mismatch{Index: i, Input: phv.FromValues(in), Got: regsPHV(frame, f.fused.Out())}
-			if link != nil {
-				m.Want = regsPHV(frame, o.want)
-			} else {
-				m.Want = phv.FromValues(want) //dvet:alloc-ok mismatch path; admit's row, whatever its length
-			}
-			mms = append(mms, m) //dvet:alloc-ok mismatch path
-		}
-		// The tick loop notices the cap only when the capping packet surfaces,
-		// depth-1 ticks after its admission, and admits a packet on each of
-		// those ticks, where a generator or spec failure still beats the cap:
-		// stop only once those packets have been admitted here too.
-		if maxMismatches > 0 && len(mms) >= maxMismatches && i >= mms[maxMismatches-1].Index+depth-1 {
-			break
+			n = r.mismatch(i, n, phv.FromValues(want)) //dvet:alloc-ok mismatch path; admit's row, whatever its length
 		}
 	}
-	if link != nil {
-		link.StoreState(frame, ps)
+}
+
+// mismatch records packet i as diverging from want and returns how many
+// packets the run goes on to, n unless this mismatch reaches the cap. The
+// tick loop notices the cap only when the capping packet surfaces, depth-1
+// ticks after its admission, and admits a packet on each of those ticks,
+// where a generator or spec failure still beats the cap: the run stops only
+// once those packets have been admitted here too.
+func (r *fusedRun) mismatch(i, n int, want *phv.PHV) int {
+	r.mms = append(r.mms, Mismatch{Index: i, Input: phv.FromValues(r.in), Got: regsPHV(r.f.frame, r.f.fused.Out()), Want: want})
+	if len(r.mms) == r.maxMismatches {
+		return min(n, i+r.f.pipe.Depth())
 	}
-	report = f.finishFused(report, mms, maxMismatches, n, abortAt, abortErr)
-	if misuse && report.Err != nil {
-		return nil, abortErr
-	}
-	return report, nil
+	return n
 }
 
 // finishFused assembles the final report from the accumulated mismatches,
