@@ -9,16 +9,15 @@
 //	go test -bench BenchmarkTable1 -benchmem
 //
 // One benchmark iteration is one full 50,000-PHV simulation of the whole
-// grid on sim.Stream, the reference engine, at each level (what a campaign
-// executes — the fuzzer's own loop over the fused output cone — is timed by
-// cmd/dbench and recorded in BENCH_table1.json); the reported ms/run metric
-// corresponds to the milliseconds columns of Table 1. Absolute numbers
-// differ from the paper (Go interpreter vs. compiled Rust); the comparisons
-// that matter are across the levels: SCC propagation gives the large win,
-// inlining helps on every grid, and the biggest improvements appear on the
-// largest grids (stateful firewall, flowlets, learn filter). The reference
-// engine interprets the inlined AST at the compiled level too, so here that
-// column repeats scc+inline; dbench shows what lowering the bodies buys.
+// grid on sim.Stream at each level (what a campaign executes — the fuzzer's
+// own loop over the fused output cone — is timed by cmd/dbench and recorded
+// in BENCH_table1.json); the reported ms/run metric corresponds to the
+// milliseconds columns of Table 1. Absolute numbers differ from the paper
+// (Go vs. compiled Rust). The unoptimized column is the AST interpreter
+// resolving machine code through the hash table; every column above it runs
+// one flat program per stage, the same lowering at each of the three levels,
+// so those columns differ only by noise, and the win over unoptimized is
+// largest on the largest grids (stateful firewall, flowlets, learn filter).
 package druzhba_test
 
 import (
@@ -81,10 +80,11 @@ func BenchmarkTable1(b *testing.B) {
 
 // BenchmarkEngines isolates the per-PHV cost of the whole grid at all four
 // levels on one representative configuration (4x5 pred_raw, the
-// stateful-firewall grid): the three interpreted levels under
-// core.Pipeline.Process, the reference executor, and the compiled level as
-// its fused grid (core.Pipeline.FuseGrid), which quantifies how much of what
-// is left after inlining is interpreter dispatch.
+// stateful-firewall grid): unoptimized, scc and scc+inline under
+// core.Pipeline.Process — the AST interpreter at unoptimized, one flat
+// program per stage at the other two — and the compiled level as its fused
+// grid (core.Pipeline.FuseGrid), one program for every stage, which
+// quantifies what running stage by stage costs.
 func BenchmarkEngines(b *testing.B) {
 	bm, err := spec.Lookup("stateful-firewall")
 	if err != nil {

@@ -17,7 +17,7 @@
 //	internal/aludsl       the ALU DSL (Fig. 3/4)
 //	internal/atoms        the Banzai atom library (6 stateful + 5 stateless)
 //	internal/machinecode  machine code pairs and the naming convention
-//	internal/core         the RMT machine model: the reference executor and the fused kernel
+//	internal/core         the RMT machine model: the AST interpreter (unoptimized) and the flat programs
 //	internal/opt          SCC propagation and function inlining (Fig. 6), dgen's passes
 //	internal/codegen      dgen's Go source emission
 //	internal/sim          dsim: tick simulation, traffic gen, fuzzing

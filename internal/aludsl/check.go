@@ -174,8 +174,8 @@ func indexOf(names []string) map[string]int {
 // or state index outside the program's declarations, a helper parameter
 // outside its call's arguments, an operator outside the language, a helper
 // that calls itself. holes says how machine code is read: every hole must
-// resolve through it and sit at its own place in p.Holes (an Env with
-// HoleValues reads it there), and every builtin call's choice must be in the
+// resolve through it and sit at its own place in p.Holes (the lowering to
+// flat code reads it there), and every builtin call's choice must be in the
 // table.
 // A nil result means Run and flat code lowered from p return a value on
 // every input. Parsed programs always pass with the machine code they were

@@ -38,12 +38,7 @@ type Env struct {
 	Operands []phv.Value // input-mux-selected PHV container values
 	State    []phv.Value // the ALU's persistent state vector (mutated in place)
 	Holes    HoleLookup  // nil once optimization removed all hole references
-	// HoleValues, when set, are the program's hole values in Program.Holes
-	// order: a hole is read at its place (HoleCall.Slot, a hole variable's
-	// Index) and Holes is not consulted. Only a program CheckTotal passed
-	// with those values may be run so.
-	HoleValues []int64
-	aluName    string // for error messages
+	aluName  string      // for error messages
 
 	// arena holds helper-call frames, so a call costs argument evaluation
 	// plus bookkeeping, not an allocation; its capacity is retained across
@@ -58,10 +53,7 @@ func (e *Env) failf(format string, args ...any) phv.Value {
 	panic(evalPanic{&EvalError{ALU: e.aluName, Msg: fmt.Sprintf(format, args...)}})
 }
 
-func (e *Env) holeValue(name string, slot int) phv.Value {
-	if e.HoleValues != nil {
-		return e.HoleValues[slot]
-	}
+func (e *Env) holeValue(name string) phv.Value {
 	if e.Holes == nil {
 		return e.failf("hole %q referenced but no machine code supplied", name)
 	}
@@ -134,7 +126,7 @@ func evalExpr(e Expr, env *Env) phv.Value {
 			}
 			return env.Operands[e.Index]
 		case VarHole:
-			return env.Width.Trunc(env.holeValue(e.Name, e.Index))
+			return env.Width.Trunc(env.holeValue(e.Name))
 		case VarParam:
 			return env.arena[env.frameBase+e.Index]
 		default:
@@ -219,20 +211,9 @@ func applyBinOp(w phv.Width, op BinOp, x, y phv.Value) phv.Value {
 // evalHoleCall implements the unoptimized (version 1, Fig. 6) semantics: at
 // every execution the machine code value is looked up, every argument is
 // evaluated (like a generated helper's operands), and the builtin table's
-// choice for the value is applied. A program read by position passed
-// CheckTotal, so no argument can fail and a selector evaluates only the
-// argument it picks, as the lowering does.
+// choice for the value is applied.
 func evalHoleCall(e *HoleCall, env *Env) phv.Value {
-	mc := env.holeValue(e.Hole, e.Slot)
-	if env.HoleValues != nil {
-		switch ch, err := e.Choose(mc); {
-		case err != nil || ch.Strict:
-		case ch.Kind == ChooseArg:
-			return evalExpr(e.Args[ch.Arg], env)
-		case ch.Kind == ChooseZero:
-			return 0
-		}
-	}
+	mc := env.holeValue(e.Hole)
 	base := len(env.arena)
 	for _, a := range e.Args {
 		env.arena = append(env.arena, evalExpr(a, env))

@@ -237,21 +237,23 @@ func TestReadAllocations(t *testing.T) {
 // Table-1 fixtures, to a budget per level. Before Spec.Read formatted names
 // into one buffer and SCC and inlining stopped deep-copying their input, the
 // sums were 3 235 (unoptimized), 7 557 (scc) and 10 085 (scc+inline and
-// compiled); then about 3 195, 4 268 and 5 415; since the prechecked levels
-// lower each ALU's program as written, with no SCC propagation or inlining
-// in the build, about 1 123 at each. The budgets leave room for a
-// toolchain's escape analysis to move a few values to the heap. The
-// Unoptimized engine makes every pair's name, since it resolves names at run
-// time, so its budget is the old figure.
+// compiled); then about 3 195, 4 268 and 5 415; once the prechecked levels
+// lowered each ALU's program as written, with no SCC propagation or inlining
+// in the build, about 1 123 at each; since a prechecked build lays out no
+// interpreter state (ALUs, latches, operand buffers) and waits with the stage
+// programs until the pipeline first executes, about 494. The budgets leave
+// room for a toolchain's escape analysis to move a few values to the heap.
+// The Unoptimized engine makes every pair's name, since it resolves names at
+// run time, so its budget is the old figure.
 func TestBuildAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are not the build's")
 	}
 	budget := map[core.OptLevel]float64{
 		core.Unoptimized:    3235,
-		core.SCCPropagation: 2000,
-		core.SCCInlining:    2000,
-		core.Compiled:       2000,
+		core.SCCPropagation: 700,
+		core.SCCInlining:    700,
+		core.Compiled:       700,
 	}
 	for _, level := range core.AllLevels() {
 		var sum float64

@@ -162,25 +162,33 @@ func TestClonesRunConcurrently(t *testing.T) {
 	}
 }
 
-func TestResetClearsStateAndLatches(t *testing.T) {
+// TestResetStateZeroesState: at every level ResetState zeroes the state
+// processing left, and the pipeline then runs as a fresh build does.
+func TestResetStateZeroesState(t *testing.T) {
 	spec, code := statefulTestSpec(t)
-	p, err := Build(spec, code, SCCInlining)
-	if err != nil {
-		t.Fatal(err)
-	}
-	processPHVs(t, p, 42, 43)
-	if allZero(p.StateSnapshot()) {
-		t.Fatal("test premise broken: processing did not mutate state")
-	}
-	p.Reset()
-	if !allZero(p.StateSnapshot()) {
-		t.Fatalf("Reset left state: %v", p.StateSnapshot())
-	}
-	for _, st := range p.stages {
-		for i, v := range st.latch {
-			if v != 0 {
-				t.Fatalf("Reset left latch %d", i)
+	for _, level := range AllLevels() {
+		t.Run(level.String(), func(t *testing.T) {
+			p, err := Build(spec, code, level)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			processPHVs(t, p, 42, 43)
+			if allZero(p.StateSnapshot()) {
+				t.Fatal("test premise broken: processing did not mutate state")
+			}
+			p.ResetState()
+			if !allZero(p.StateSnapshot()) {
+				t.Fatalf("ResetState left state: %v", p.StateSnapshot())
+			}
+			fresh, err := Build(spec, code, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			processPHVs(t, p, 5)
+			processPHVs(t, fresh, 5)
+			if got, want := p.StateSnapshot(), fresh.StateSnapshot(); !got.Equal(want) {
+				t.Fatalf("after ResetState: state %v, a fresh build's %v", got, want)
+			}
+		})
 	}
 }

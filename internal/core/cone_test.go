@@ -100,12 +100,12 @@ var coneCases = []struct {
 }
 
 // liveList names the ALUs a fused program contains, in execution order.
-func liveList(p *Pipeline, f *Fused) []string {
+func liveList(f *Fused) []string {
 	var out []string
-	for si, st := range p.stages {
-		for _, a := range st.alus {
-			if f.live[si][a.latch] {
-				out = append(out, fmt.Sprintf("%d/%s/%d", si, machinecode.KindName(a.stateful), a.slot))
+	for si, stage := range f.live {
+		for latch, l := range stage {
+			if l {
+				out = append(out, fmt.Sprintf("%d/%s/%d", si, machinecode.KindName(latch >= f.width), latch%f.width))
 			}
 		}
 	}
@@ -121,14 +121,14 @@ func TestOutputConeLiveness(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := liveList(p, p.Cone()); !reflect.DeepEqual(got, tc.live) {
+				if got := liveList(p.Cone()); !reflect.DeepEqual(got, tc.live) {
 					t.Errorf("%v: cone runs %v, want %v", level, got, tc.live)
 				}
 				if p.Clone().Cone() != p.Cone() {
 					t.Errorf("%v: a clone does not share the fused cone", level)
 				}
 				grid := p.FuseGrid()
-				if live, total := grid.ALUCounts(); live != total || total != len(liveList(p, grid)) {
+				if live, total := grid.ALUCounts(); live != total || total != len(liveList(grid)) {
 					t.Errorf("%v: the fused grid runs %d of %d ALUs", level, live, total)
 				}
 				checkCone(t, s, code, level, rand.New(rand.NewSource(1)), 32)
@@ -243,9 +243,10 @@ func runFused(f *Fused, p *Pipeline, packets [][]phv.Value) [][]phv.Value {
 // livenesses the fused program's output PHVs equal the reference's on every
 // packet; with everything pinned (FuseGrid) every stateful ALU ends in the
 // reference's state; on the output cone every live stateful ALU does and
-// every dead one's state is untouched. ExecuteStage at the level itself must
-// agree too. State starts from random nonzero values so "untouched" is
-// distinguishable from "ran on zeros".
+// every dead one's state is untouched. ExecuteStage at the level itself — the
+// stage programs — must agree too, outputs and every stateful ALU's state.
+// State starts from random nonzero values so "untouched" is distinguishable
+// from "ran on zeros".
 func checkCone(t testing.TB, s Spec, code *machinecode.Program, level OptLevel, rng *rand.Rand, n int) {
 	t.Helper()
 	master, err := Build(s, code, level)
@@ -442,8 +443,8 @@ func decodeConeInput(data []byte) (Spec, *machinecode.Program, OptLevel, bool) {
 	return s, code, level, true
 }
 
-// FuzzOutputCone asserts the fused programs against the reference executor
-// (checkCone: both livenesses, outputs and state) over 64 packets for grids,
+// FuzzOutputCone asserts the fused programs — cone, grid and stage programs —
+// against the AST interpreter (checkCone: outputs and state) over 64 packets for grids,
 // levels and machine code derived from the fuzz input; whatever Spec.Validate
 // rejects is not a pipeline and is skipped.
 func FuzzOutputCone(f *testing.F) {

@@ -35,41 +35,45 @@
 //
 // # Two executors
 //
-// ExecuteStage is the reference: it runs every ALU of a stage through the AST
-// interpreter — each program as written, its holes read from the hash table
-// at Unoptimized and by position from the read machine code above it — writes each
-// result to the ALU's latch slot and lets the output muxes read the latches.
-// It accepts every pipeline, and dsim, ddbg, sim.Stream, sim.Run and verify's
-// counterexample replay all run on it, so they see every stateful ALU's
-// state advance.
+// The AST interpreter serves Unoptimized alone: ExecuteStage runs every ALU
+// of a stage through aludsl.Run, each program as written, its holes and muxes
+// resolved through the machine code's hash table at every execution, and
+// returns every failure as an error. It accepts every pipeline, is the
+// reference the flat programs are tested against, and runs verify's
+// counterexample replay.
 //
 // The levels above Unoptimized are Prechecked: every mux selection is a
-// build-time constant and every ALU program is proved total with its machine
-// code, so dead-code elimination is the classic follow-on and Build fuses the
-// pipeline into one flat register program (fuse.go, package flat), every ALU
-// body lowered inline. Chipmunk-style machine code
-// routes only a handful of a depth x width grid's ALUs to a container (33 of
-// 198 across the Table-1 fixtures; blue-decrease 2/16, blue-increase 1/16,
-// sampling 2/4, marple-new-flow 2/8, marple-tcp-nmo 2/12, snap-heavy-hitter
-// 1/2, stateful-firewall 4/40, flowlets 4/40, learn-filter 9/30, rcp 4/18,
-// conga 1/10, spam-detection 1/2): Cone is the program of the ALUs a
-// backward liveness pass over the baked muxes (MuxTable.Live) finds able to
-// reach an output container, with the muxes themselves reduced to register
-// renaming. It computes the same output PHVs and skips the rest — the state
-// of stateful ALUs that no container can observe is not simulated there — so
-// only the fuzzer (sim.NewFuzzer), which compares output PHVs and never
-// reads state, runs on it. FuseGrid is the same lowering with every ALU kept.
+// build-time constant and the whole grid is proved total with its machine
+// code (Spec.CheckLower), so they run flat register programs (fuse.go,
+// package flat): one lowering, over a range of stages and the ALUs a liveness
+// keeps, each ALU body inline and the muxes reduced to register renaming.
 //
-// Spec.Lower is that lowering with no Pipeline built, over whichever ALUs a
-// MuxTable.Live selection keeps. It is not a third executor but the program
-// package verify proves: flat.Sym of the compared cone, lowered once per
-// question and width.
+//   - The stage programs, one a stage with every stateful ALU and every
+//     stateless one the stage's output muxes select, are what ExecuteStage
+//     runs; the state lives in their frames. They are built the first time
+//     the pipeline executes or its state is touched (Prepare), once for it
+//     and its clones, so dsim, ddbg, sim.Stream and sim.Run see every
+//     stateful ALU's state advance.
+//   - The output cone (Cone), lowered by Build, holds the ALUs a backward
+//     liveness pass over the baked muxes (MuxTable.Live) finds able to reach
+//     an output container: 33 of 198 across the Table-1 fixtures
+//     (blue-decrease 2/16, blue-increase 1/16, sampling 2/4, marple-new-flow
+//     2/8, marple-tcp-nmo 2/12, snap-heavy-hitter 1/2, stateful-firewall
+//     4/40, flowlets 4/40, learn-filter 9/30, rcp 4/18, conga 1/10,
+//     spam-detection 1/2). It computes the same output PHVs and does not
+//     simulate the state no container can observe, so only the fuzzer
+//     (sim.NewFuzzer), which never reads state, runs it; a fuzz cell never
+//     builds the stage programs.
+//   - The grid (FuseGrid) keeps every ALU; sim.Batch runs it.
+//   - Spec.Lower is the lowering with no Pipeline built, over whichever ALUs
+//     a MuxTable.Live selection keeps: the cone verify proves with flat.Sym.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"druzhba/internal/aludsl"
 	"druzhba/internal/machinecode"
@@ -359,57 +363,53 @@ func (s *Spec) Validate(code *machinecode.Program) []error {
 	return c.Errs
 }
 
-// compiledALU is one ALU instance placed at (stage, slot).
+// compiledALU is one ALU of an Unoptimized pipeline: its program, run by the
+// AST interpreter, with every machine code name it reads at each execution.
 type compiledALU struct {
-	prog     *aludsl.Program
-	stage    int
-	slot     int
-	stateful bool
-	numOps   int
-
-	// latch is the ALU's index in its stage's alus and latch slices:
-	// stateless ALUs occupy [0, Width), stateful ones [Width, 2*Width), so
-	// an output mux selection sel > 0 reads latch[sel-1].
-	latch int
-
-	// Unoptimized engine: names resolved through the machine code map at
-	// every execution.
-	operandMuxNames []string
-	localToGlobal   map[string]string
-
-	// Optimized engines: selections baked at build time.
-	operandMux []int
-
-	state []phv.Value
-	env   aludsl.Env
+	prog         *aludsl.Program
+	operandNames []string
+	env          aludsl.Env // env.State is the ALU's state
 }
 
+// stage is one stage of an Unoptimized pipeline.
 type stage struct {
-	alus     []*compiledALU // every ALU of the stage, indexed by latch slot
-	stateful []*compiledALU // alus[Width:], the ALUs that carry state
-
-	outputMuxNames []string // unoptimized
-	outputMux      []int    // optimized
-
-	latch []phv.Value // latch[i] holds the last result of alus[i]
+	alus        []*compiledALU // indexed by latch slot: stateless ALUs, then stateful ones
+	outputNames []string
+	latch       []phv.Value // latch[i] holds the last result of alus[i]
 }
 
 // Pipeline is an executable pipeline description: the output of dgen, ready
 // for simulation by dsim.
 type Pipeline struct {
-	spec   Spec
-	level  OptLevel
-	code   *machinecode.Program
-	read   *Code  // the machine code as a prechecked pipeline read it; nil when unoptimized
-	cone   *Fused // the output cone as one flat program; nil when unoptimized
+	spec  Spec
+	level OptLevel
+	code  *machinecode.Program
+
+	// Unoptimized: the interpreter's ALUs, stage by stage.
 	stages []*stage
+
+	// Prechecked: the machine code as read, the fused output cone, the stage
+	// programs (shared with clones, built on first use) and this pipeline's
+	// frames, one per stage program, which hold its stateful ALU state; nil
+	// until the pipeline first executes or its state is touched.
+	read   *Code
+	cone   *Fused
+	progs  *stagePrograms
+	frames [][]int64
+}
+
+// stagePrograms are a prechecked pipeline's stages, one fused program each.
+type stagePrograms struct {
+	once sync.Once
+	f    []*Fused
 }
 
 // Build compiles a spec and machine code into an executable pipeline at the
 // given optimization level. The machine code is read in one pass (Spec.Read)
 // and validated first; incompatible machine code (missing pairs, out-of-range
-// values) fails the build. At the optimized levels every ALU's program is
-// then proved total with its machine code (aludsl.CheckTotal).
+// values) fails the build. At the optimized levels the whole grid is then
+// proved total with its machine code (Spec.CheckLower) and the output cone
+// lowered; the stage programs wait until the pipeline first executes.
 func Build(s Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error) {
 	n, err := s.Normalize()
 	if err != nil {
@@ -419,7 +419,22 @@ func Build(s Spec, code *machinecode.Program, level OptLevel) (*Pipeline, error)
 	if len(c.Errs) > 0 {
 		return nil, errors.Join(c.Errs...)
 	}
-	return build(n, code, c, level)
+	switch {
+	case level == Unoptimized:
+		return build(n, code), nil
+	case level < Unoptimized || level > Compiled:
+		return nil, fmt.Errorf("core: unknown optimization level %v", level)
+	}
+	// The trust boundary: nothing downstream guards evaluation of a
+	// caller-supplied AST.
+	if err := n.CheckLower(c, n.grid()); err != nil {
+		return nil, err
+	}
+	cone, err := lower(n, c, c.Muxes.Live(slices.Repeat([]bool{true}, n.PHVLen), nil), 0, n.Depth)
+	if err != nil {
+		return nil, err
+	}
+	return &Pipeline{spec: n, level: level, code: code, read: c, cone: cone, progs: &stagePrograms{}}, nil
 }
 
 // BuildUnchecked is Build without machine code validation: missing pairs
@@ -432,93 +447,58 @@ func BuildUnchecked(s Spec, code *machinecode.Program) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return build(n, code, n.read(code), Unoptimized)
+	return build(n, code), nil
 }
 
-func build(n Spec, code *machinecode.Program, c *Code, level OptLevel) (*Pipeline, error) {
-	if level < Unoptimized || level > Compiled {
-		return nil, fmt.Errorf("core: unknown optimization level %v", level)
-	}
-	p := &Pipeline{spec: n, level: level, code: code}
-	// names holds the pairs' names, in RequiredPairs order, for the
-	// Unoptimized engine, which resolves them at run time; next takes the
-	// following k.
-	var names []string
-	if level == Unoptimized {
-		names = make([]string, 0, n.numPairs())
-		n.pairs(func(name []byte, _ int) { names = append(names, string(name)) })
-	}
+// build lays out an Unoptimized pipeline: every ALU with the names of its
+// operand muxes and holes, which it resolves through the machine code at run
+// time, in RequiredPairs order.
+func build(n Spec, code *machinecode.Program) *Pipeline {
+	p := &Pipeline{spec: n, level: Unoptimized, code: code}
+	names := make([]string, 0, n.numPairs())
+	n.pairs(func(name []byte, _ int) { names = append(names, string(name)) })
 	next := func(k int) []string {
 		out := names[:k:k]
 		names = names[k:]
 		return out
 	}
-	for si, alus := range c.ALUs {
-		st := &stage{alus: make([]*compiledALU, len(alus))}
-		for latch := range alus {
-			ac := &alus[latch]
-			a := newALU(n, si, latch, ac.Prog)
-			if level == Unoptimized {
-				a.operandMuxNames = next(a.numOps)
-				holes := next(len(ac.Prog.Holes))
-				a.localToGlobal = make(map[string]string, len(holes))
-				for i, h := range ac.Prog.Holes {
-					a.localToGlobal[h.Name] = holes[i]
-				}
-				// Version-1 semantics: every hole reference performs hash
-				// lookups at execution time.
-				a.env.Holes = func(local string) (int64, bool) {
-					global, ok := a.localToGlobal[local]
-					if !ok {
-						return 0, false
-					}
-					return code.Get(global)
-				}
-			} else {
-				// The trust boundary: nothing downstream guards evaluation
-				// of a caller-supplied AST.
-				if err := aludsl.CheckTotal(ac.Prog, ac.Hole); err != nil {
-					return nil, fmt.Errorf("core: stage %d %s ALU %d: %w", si, machinecode.KindName(a.stateful), a.slot, err)
-				}
-				a.env.HoleValues = ac.Holes
-				a.operandMux = c.Muxes.Operand[si][latch]
+	p.stages = make([]*stage, n.Depth)
+	for si := range p.stages {
+		st := &stage{alus: make([]*compiledALU, n.latches()), latch: make([]phv.Value, n.latches())}
+		for latch := range st.alus {
+			prog := n.StatelessALU
+			if latch >= n.Width {
+				prog = n.StatefulALU
 			}
-			st.alus[latch] = a
+			operands, holes := next(prog.NumOperands()), next(len(prog.Holes))
+			globals := make(map[string]string, len(holes))
+			for i, h := range prog.Holes {
+				globals[h.Name] = holes[i]
+			}
+			// Version-1 semantics: every hole reference performs hash
+			// lookups at execution time.
+			lookup := func(local string) (int64, bool) {
+				global, ok := globals[local]
+				if !ok {
+					return 0, false
+				}
+				return code.Get(global)
+			}
+			st.alus[latch] = newALU(prog, operands, n.Bits, lookup)
 		}
-		st.stateful = st.alus[n.Width:]
-		st.latch = make([]phv.Value, len(st.alus))
-		if level == Unoptimized {
-			st.outputMuxNames = next(n.PHVLen)
-		} else {
-			st.outputMux = c.Muxes.Output[si]
-		}
-		p.stages = append(p.stages, st)
+		st.outputNames = next(n.PHVLen)
+		p.stages[si] = st
 	}
-	if level != Unoptimized {
-		p.read = c
-		var err error
-		if p.cone, err = lower(n, c, c.Muxes.Live(slices.Repeat([]bool{true}, n.PHVLen), nil)); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return p
 }
 
-// newALU places an ALU running prog at (stage si, latch slot latch), with
-// fresh state and scratch; build sets how the level reads its machine code.
-func newALU(n Spec, si, latch int, prog *aludsl.Program) *compiledALU {
-	a := &compiledALU{prog: prog, stage: si, slot: latch, latch: latch, numOps: prog.NumOperands()}
-	if latch >= n.Width {
-		a.stateful = true
-		a.slot -= n.Width
-		a.state = make([]phv.Value, prog.NumState())
+// grid is a liveness that keeps every ALU of the spec's grid.
+func (s *Spec) grid() [][]bool {
+	live := make([][]bool, s.Depth)
+	for si := range live {
+		live[si] = slices.Repeat([]bool{true}, s.latches())
 	}
-	a.env = aludsl.Env{
-		Width:    n.Bits,
-		Operands: make([]phv.Value, a.numOps),
-		State:    a.state,
-	}
-	return a
+	return live
 }
 
 // Spec returns the (normalized) spec the pipeline was built from.
@@ -537,25 +517,42 @@ func (p *Pipeline) PHVLen() int { return p.spec.PHVLen }
 func (p *Pipeline) Bits() phv.Width { return p.spec.Bits }
 
 // Clone returns a deep copy of the pipeline that shares every immutable
-// build product — the read machine code, baked mux selections, the fused
-// cone and the machine code program — but owns fresh mutable execution
-// state: stateful ALU state vectors (copied from the receiver), operand
+// build product — the read machine code, the fused cone, the stage programs
+// and the machine code program — but owns fresh mutable execution state:
+// stateful ALU state (copied from the receiver) and, at Unoptimized, operand
 // scratch buffers and per-stage output latches. A clone may execute
 // concurrently with the original and with other clones.
 func (p *Pipeline) Clone() *Pipeline {
-	q := &Pipeline{spec: p.spec, level: p.level, code: p.code, read: p.read, cone: p.cone}
-	q.stages = make([]*stage, len(p.stages))
-	for i, st := range p.stages {
-		alus := cloneALUs(st.alus)
-		q.stages[i] = &stage{
-			alus:           alus,
-			stateful:       alus[p.spec.Width:],
-			outputMuxNames: st.outputMuxNames,
-			outputMux:      st.outputMux,
-			latch:          make([]phv.Value, len(st.latch)),
+	q := &Pipeline{spec: p.spec, level: p.level, code: p.code, read: p.read, cone: p.cone, progs: p.progs}
+	for _, st := range p.stages {
+		alus := make([]*compiledALU, len(st.alus))
+		for i, a := range st.alus {
+			alus[i] = newALU(a.prog, a.operandNames, a.env.Width, a.env.Holes)
+		}
+		q.stages = append(q.stages, &stage{alus: alus, outputNames: st.outputNames, latch: make([]phv.Value, len(st.latch))})
+	}
+	// A prechecked pipeline that never executed holds zero state, and is not
+	// to be written to here: clones of one master are made concurrently.
+	if p.progs == nil || p.frames != nil {
+		for si := range p.spec.Depth {
+			for slot := range p.stateful() {
+				copy(q.state(si, slot), p.state(si, slot))
+			}
 		}
 	}
 	return q
+}
+
+// newALU returns an Unoptimized ALU running prog with its own operand buffer
+// and zero state. The names and the hole lookup are read-only after build, so
+// clones share them.
+func newALU(prog *aludsl.Program, operandNames []string, w phv.Width, holes aludsl.HoleLookup) *compiledALU {
+	return &compiledALU{prog: prog, operandNames: operandNames, env: aludsl.Env{
+		Width:    w,
+		Operands: make([]phv.Value, prog.NumOperands()),
+		State:    make([]phv.Value, prog.NumState()),
+		Holes:    holes,
+	}}
 }
 
 // MuxTable is a pipeline's mux selections as build-time constants, the form
@@ -612,78 +609,60 @@ func (m *MuxTable) Live(out []bool, pinned [][]bool) [][]bool {
 	return live
 }
 
-func cloneALUs(alus []*compiledALU) []*compiledALU {
-	out := make([]*compiledALU, len(alus))
-	for i, a := range alus {
-		b := &compiledALU{
-			prog:            a.prog,
-			stage:           a.stage,
-			slot:            a.slot,
-			stateful:        a.stateful,
-			numOps:          a.numOps,
-			latch:           a.latch,
-			operandMuxNames: a.operandMuxNames,
-			localToGlobal:   a.localToGlobal,
-			operandMux:      a.operandMux,
-		}
-		if a.state != nil {
-			b.state = append([]phv.Value(nil), a.state...)
-		}
-		// The Holes lookup reads the original ALU's localToGlobal map and
-		// the machine code program, HoleValues the read Code's hole values,
-		// all read-only after build, so sharing them across clones is safe.
-		b.env = aludsl.Env{
-			Width:      a.env.Width,
-			Operands:   make([]phv.Value, a.numOps),
-			State:      b.state,
-			Holes:      a.env.Holes,
-			HoleValues: a.env.HoleValues,
-		}
-		out[i] = b
+// Prepare makes the pipeline ready to execute stage by stage, so that its
+// first ExecuteStage allocates nothing: at a prechecked level it builds the
+// stage programs, once for the pipeline and its clones, and lays out this
+// pipeline's frames. ExecuteStage and the state accessors call it themselves.
+func (p *Pipeline) Prepare() {
+	if p.progs == nil || p.frames != nil {
+		return
 	}
-	return out
+	p.progs.once.Do(func() { p.progs.f = lowerStages(p.spec, p.read) })
+	p.frames = make([][]int64, len(p.progs.f))
+	for si, f := range p.progs.f {
+		p.frames[si] = f.NewFrame()
+	}
 }
 
-// Reset returns the pipeline to its post-build condition: every stateful
-// ALU state vector and every per-stage output latch is zeroed. Equivalent
-// to ResetState for observable behaviour (latches are overwritten before
-// use); it exists for callers that reuse one pipeline across independent
-// runs instead of cloning per run.
-func (p *Pipeline) Reset() {
-	p.ResetState()
-	for _, st := range p.stages {
-		for i := range st.latch {
-			st.latch[i] = 0
-		}
+// stateful is the number of stateful ALUs a stage holds.
+func (p *Pipeline) stateful() int { return p.spec.latches() - p.spec.Width }
+
+// state returns the state vector of the stateful ALU at (stage si, slot), in
+// place: the interpreter's own at Unoptimized, its registers in the stage's
+// frame at a prechecked level. Every reader and writer of pipeline state goes
+// through it.
+func (p *Pipeline) state(si, slot int) []phv.Value {
+	if p.progs == nil {
+		return p.stages[si].alus[p.spec.Width+slot].env.State
 	}
+	p.Prepare()
+	r, k := p.progs.f[si].StateReg(si, slot), p.spec.StatefulALU.NumState()
+	return p.frames[si][r : r+k : r+k]
 }
 
 // ResetState zeroes every stateful ALU's state vector.
 func (p *Pipeline) ResetState() {
-	for _, st := range p.stages {
-		for _, a := range st.stateful {
-			for i := range a.state {
-				a.state[i] = 0
-			}
+	for si := 0; si < p.spec.Depth; si++ {
+		for slot := 0; slot < p.stateful(); slot++ {
+			clear(p.state(si, slot))
 		}
 	}
 }
 
 // SetState overwrites the state vector of the stateful ALU at (stage, slot).
 func (p *Pipeline) SetState(stageIdx, slot int, vals []phv.Value) error {
-	if stageIdx < 0 || stageIdx >= len(p.stages) {
+	if stageIdx < 0 || stageIdx >= p.spec.Depth {
 		return fmt.Errorf("core: stage %d out of range", stageIdx)
 	}
-	st := p.stages[stageIdx]
-	if slot < 0 || slot >= len(st.stateful) {
+	if slot < 0 || slot >= p.stateful() {
 		return fmt.Errorf("core: stateful ALU %d out of range in stage %d", slot, stageIdx)
 	}
-	a := st.stateful[slot]
-	if len(vals) != len(a.state) {
-		return fmt.Errorf("core: state length %d != %d", len(vals), len(a.state))
+	state := p.state(stageIdx, slot)
+	if len(vals) != len(state) {
+		return fmt.Errorf("core: state length %d != %d", len(vals), len(state))
 	}
 	for i, v := range vals {
-		a.state[i] = p.spec.Bits.Trunc(v)
+		state[i] = p.spec.Bits.Trunc(v)
 	}
 	return nil
 }
@@ -691,59 +670,62 @@ func (p *Pipeline) SetState(stageIdx, slot int, vals []phv.Value) error {
 // StateSnapshot copies every stateful ALU's state, indexed
 // [stage][slot][state variable].
 func (p *Pipeline) StateSnapshot() phv.StateSnapshot {
-	snap := make(phv.StateSnapshot, len(p.stages))
-	for i, st := range p.stages {
-		snap[i] = make([][]phv.Value, len(st.stateful))
-		for j, a := range st.stateful {
-			snap[i][j] = append([]phv.Value(nil), a.state...)
+	snap := make(phv.StateSnapshot, p.spec.Depth)
+	for si := range snap {
+		snap[si] = make([][]phv.Value, p.stateful())
+		for slot := range snap[si] {
+			snap[si][slot] = append([]phv.Value(nil), p.state(si, slot)...)
 		}
 	}
 	return snap
 }
 
 // Prechecked reports whether Build proved execution total: every mux
-// selection validated and baked into a slice, every ALU program passed
-// through aludsl.CheckTotal with its machine code, so no execution
-// of the pipeline can fail. True for every optimized level — the pipelines
-// Build fuses; false for Unoptimized, whose version-1 semantics
-// resolve machine code through the hash table at each execution and can
-// therefore fail at run time (the BuildUnchecked path).
+// selection validated and baked, every ALU program passed through
+// aludsl.CheckTotal with its machine code, so no execution of the pipeline
+// can fail. True for every optimized level — the pipelines that run as flat
+// programs; false for Unoptimized, whose version-1 semantics resolve machine
+// code through the hash table at each execution and can therefore fail at
+// run time (the BuildUnchecked path).
 func (p *Pipeline) Prechecked() bool { return p.level != Unoptimized }
 
 // ExecuteStage runs stage si on the input container values, writing the
 // stage's result into out (len(in) == len(out) == PHVLen). Stateful ALU
 // state is mutated.
 //
-// ExecuteStage is the deliberately naive reference executor: it checks every
-// index, returns every failure as an error, and at the Unoptimized level
-// resolves each mux through the machine-code table on every execution — the
-// paper's version-1 semantics, written to be read, not to be fast. It is the
-// one executor that accepts every pipeline, and the one the tests compare
-// the fused programs against; do not optimize it.
+// At Unoptimized it is the deliberately naive reference: the AST interpreter,
+// each mux resolved through the machine-code table on every execution — the
+// paper's version-1 semantics, written to be read, not to be fast; do not
+// optimize it. At a prechecked level it copies in into the stage program's
+// frame, runs it and reads out back, which cannot fail.
 func (p *Pipeline) ExecuteStage(si int, in, out []phv.Value) error {
-	if si < 0 || si >= len(p.stages) {
+	if si < 0 || si >= p.spec.Depth {
 		return fmt.Errorf("core: stage %d out of range", si)
 	}
+	if p.progs != nil {
+		p.Prepare()
+		f, frame := p.progs.f[si], p.frames[si]
+		copy(f.Inputs(frame), in)
+		f.Run(frame)
+		for c, r := range f.Out() {
+			out[c] = frame[r]
+		}
+		return nil
+	}
 	st := p.stages[si]
-	for _, a := range st.alus {
+	for i, a := range st.alus {
 		v, err := p.runALU(a, in)
 		if err != nil {
 			return err
 		}
-		st.latch[a.latch] = v
+		st.latch[i] = v
 	}
-	for c := 0; c < p.spec.PHVLen; c++ {
-		var sel int
-		if p.level == Unoptimized {
-			v, ok := p.code.Get(st.outputMuxNames[c])
-			if !ok {
-				return fmt.Errorf("core: missing machine code pair %q", st.outputMuxNames[c])
-			}
-			sel = int(v)
-		} else {
-			sel = st.outputMux[c]
+	for c, name := range st.outputNames {
+		v, ok := p.code.Get(name)
+		if !ok {
+			return fmt.Errorf("core: missing machine code pair %q", name)
 		}
-		switch {
+		switch sel := int(v); {
 		case sel == 0:
 			out[c] = in[c]
 		case sel >= 1 && sel <= len(st.latch):
@@ -756,21 +738,15 @@ func (p *Pipeline) ExecuteStage(si int, in, out []phv.Value) error {
 }
 
 func (p *Pipeline) runALU(a *compiledALU, in []phv.Value) (phv.Value, error) {
-	if a.operandMux != nil {
-		for op, idx := range a.operandMux {
-			a.env.Operands[op] = in[idx]
+	for op, name := range a.operandNames {
+		v, ok := p.code.Get(name)
+		if !ok {
+			return 0, fmt.Errorf("core: missing machine code pair %q", name)
 		}
-	} else {
-		for op, name := range a.operandMuxNames {
-			v, ok := p.code.Get(name)
-			if !ok {
-				return 0, fmt.Errorf("core: missing machine code pair %q", name)
-			}
-			if v < 0 || int(v) >= len(in) {
-				return 0, fmt.Errorf("core: %q = %d out of range [0,%d)", name, v, len(in))
-			}
-			a.env.Operands[op] = in[v]
+		if v < 0 || int(v) >= len(in) {
+			return 0, fmt.Errorf("core: %q = %d out of range [0,%d)", name, v, len(in))
 		}
+		a.env.Operands[op] = in[v]
 	}
 	return aludsl.Run(a.prog, &a.env)
 }
@@ -785,7 +761,7 @@ func (p *Pipeline) Process(in *phv.PHV) (*phv.PHV, error) {
 	}
 	cur := in.Values()
 	next := make([]phv.Value, len(cur))
-	for si := range p.stages {
+	for si := range p.spec.Depth {
 		if err := p.ExecuteStage(si, cur, next); err != nil {
 			return nil, err
 		}

@@ -11,9 +11,15 @@ import (
 
 // ALUPrograms returns the program each ALU runs, indexed [stage][latch].
 func (p *Pipeline) ALUPrograms() [][]*aludsl.Program {
-	out := make([][]*aludsl.Program, len(p.stages))
-	for si, st := range p.stages {
-		for _, a := range st.alus {
+	out := make([][]*aludsl.Program, p.spec.Depth)
+	for si := range out {
+		if p.read != nil {
+			for _, a := range p.read.ALUs[si] {
+				out[si] = append(out[si], a.Prog)
+			}
+			continue
+		}
+		for _, a := range p.stages[si].alus {
 			out[si] = append(out[si], a.prog)
 		}
 	}
@@ -32,12 +38,10 @@ func (f *Fused) Mutated(edit func(code []flat.Instr) []flat.Instr) (*Fused, erro
 // StateRegs returns the registers that hold stateful ALU state.
 func (f *Fused) StateRegs(p *Pipeline) map[uint32]bool {
 	regs := map[uint32]bool{}
-	for si, st := range p.stages {
-		for slot, a := range st.stateful {
-			for i := range a.state {
-				if r := f.state[si][slot]; r >= 0 {
-					regs[uint32(r+i)] = true
-				}
+	for _, row := range f.state {
+		for _, r := range row {
+			for i := 0; r >= 0 && i < p.spec.StatefulALU.NumState(); i++ {
+				regs[uint32(r+i)] = true
 			}
 		}
 	}

@@ -1,8 +1,9 @@
-// fuse.go turns a prechecked pipeline into one flat register program (see
-// the package comment): muxes become register renaming, and only the ALUs
-// MuxTable.Live finds able to matter are emitted, each lowered inline from its
-// program as written: a builtin call to the choice its machine code makes, an
-// operation on constants to its value, an if on a constant to the branch taken.
+// fuse.go turns a prechecked pipeline, or a range of its stages, into one flat
+// register program (see the package comment): muxes become register
+// renaming, and only the ALUs a liveness keeps are emitted, each lowered
+// inline from its program as written: a builtin call to the choice its
+// machine code makes, an operation on constants to its value, an if on a
+// constant to the branch taken.
 package core
 
 import (
@@ -17,14 +18,14 @@ import (
 	"druzhba/internal/phv"
 )
 
-// Fused is a prechecked pipeline as one flat program, plus where the
-// pipeline's containers and state live in its frame. It is shared, and
-// immutable but for Linked's memo; all mutable state — stateful ALU state
-// included — is in the frame each runner owns (NewFrame; Reset zeroes the
-// state again), and Run cannot fail: Build proved every ALU program total
-// and flat checked the program.
+// Fused is a prechecked pipeline, or a range of its stages, as one flat
+// program, plus where the containers and state live in its frame. It is
+// shared, and immutable but for Linked's memo; all mutable state — stateful
+// ALU state included — is in the frame each runner owns (NewFrame; Reset
+// zeroes the state again), and Run cannot fail: Build proved every ALU
+// program total and flat checked the program.
 // Build fuses the output cone (Pipeline.Cone, what a fuzzer executes);
-// FuseGrid fuses the whole grid.
+// FuseGrid fuses the whole grid, and ExecuteStage runs one program a stage.
 type Fused struct {
 	*flat.Program
 	width, phvLen int
@@ -71,15 +72,32 @@ func (p *Pipeline) FuseGrid() *Fused {
 	if !p.Prechecked() {
 		return nil
 	}
-	pinned := make([][]bool, len(p.stages))
-	for si, st := range p.stages {
-		pinned[si] = slices.Repeat([]bool{true}, len(st.alus))
-	}
-	f, err := lower(p.spec, p.read, pinned) // what MuxTable.Live keeps with every ALU pinned
+	f, err := lower(p.spec, p.read, p.spec.grid(), 0, p.spec.Depth)
 	if err != nil {
-		panic(err) // Build fused the cone: the same lowering of the same programs
+		panic(err) // Build proved the grid and fused the cone: the same lowering of the same programs
 	}
 	return f
+}
+
+// lowerStages lowers each stage of a prechecked pipeline on its own: its
+// inputs are the stage's input PHV, its outputs the stage's output PHV. Every
+// stateful ALU is kept, since its state is observable, and every stateless
+// one an output mux of the stage selects.
+func lowerStages(n Spec, c *Code) []*Fused {
+	progs := make([]*Fused, n.Depth)
+	for si := range progs {
+		live := make([][]bool, n.Depth)
+		live[si] = make([]bool, n.latches())
+		for latch := range live[si] {
+			live[si][latch] = latch >= n.Width || slices.Contains(c.Muxes.Output[si], latch+1)
+		}
+		f, err := lower(n, c, live, si, si+1)
+		if err != nil {
+			panic(err) // Build proved the grid and fused the cone: the same lowering of the same programs
+		}
+		progs[si] = f
+	}
+	return progs
 }
 
 // Lower lowers the ALUs live keeps (MuxTable.Live over c.Muxes) into one flat
@@ -93,7 +111,7 @@ func (s *Spec) Lower(c *Code, live [][]bool) (*Fused, error) {
 		return nil, err
 	}
 	n, _ := s.Normalize() // CheckLower normalized it
-	return lower(n, c, live)
+	return lower(n, c, live, 0, n.Depth)
 }
 
 // CheckLower reports why Lower would refuse c and live, at any width: a spec
@@ -121,14 +139,15 @@ func (s *Spec) CheckLower(c *Code, live [][]bool) error {
 	return nil
 }
 
-// lower is the one fusing loop: stage by stage it lowers the ALUs live keeps
-// inline, each ALU's program as written with its holes read from c, and
-// reduces the muxes to register renaming.
-func lower(n Spec, code *Code, live [][]bool) (*Fused, error) {
+// lower is the one fusing loop: stage by stage over stages [lo, hi) it lowers
+// the ALUs live keeps inline, each ALU's program as written with its holes
+// read from c, and reduces the muxes to register renaming. The program's
+// inputs are stage lo's input PHV, its outputs stage hi-1's output PHV.
+func lower(n Spec, code *Code, live [][]bool, lo, hi int) (*Fused, error) {
 	b := flat.NewBuilder(n.Bits)
 	regs, instrs := n.PHVLen+4, 0 // the inputs, and room for a few constants
-	for si, stage := range live {
-		for a, l := range stage {
+	for si := lo; si < hi; si++ {
+		for a, l := range live[si] {
 			if l {
 				k := emits(code.ALUs[si][a].Prog.Body)
 				regs, instrs = regs+k+code.ALUs[si][a].Prog.NumState(), instrs+k
@@ -143,9 +162,11 @@ func lower(n Spec, code *Code, live [][]bool) (*Fused, error) {
 	}
 	m := n.latches() - n.Width // stateful ALUs a stage
 	latch, states := make([]int, n.latches()), slices.Repeat([]int{-1}, n.Depth*m)
-	for si, operands := range code.Muxes.Operand {
+	for si := range f.state {
 		f.state[si] = states[si*m : (si+1)*m]
-		for a, sel := range operands {
+	}
+	for si := lo; si < hi; si++ {
+		for a, sel := range code.Muxes.Operand[si] {
 			if latch[a] = -1; !live[si][a] {
 				continue
 			}
@@ -205,13 +226,13 @@ func (f *Fused) Out() []int { return f.out }
 func (f *Fused) StateReg(stage, slot int) int { return f.state[stage][slot] }
 
 // LoadState copies p's stateful ALU state into the frame, for the ALUs the
-// program contains; StoreState copies it back. p must be the pipeline f was
-// fused from, or a clone of it.
+// program contains; StoreState copies it back. p must have the spec f was
+// fused from: the pipeline itself, a clone, or a build at another level.
 func (f *Fused) LoadState(frame []int64, p *Pipeline) {
-	for si, st := range p.stages {
-		for slot, a := range st.stateful {
-			if r := f.state[si][slot]; r >= 0 {
-				copy(frame[r:], a.state)
+	for si, row := range f.state {
+		for slot, r := range row {
+			if r >= 0 {
+				copy(frame[r:], p.state(si, slot))
 			}
 		}
 	}
@@ -219,10 +240,10 @@ func (f *Fused) LoadState(frame []int64, p *Pipeline) {
 
 // StoreState is the inverse of LoadState.
 func (f *Fused) StoreState(frame []int64, p *Pipeline) {
-	for si, st := range p.stages {
-		for slot, a := range st.stateful {
-			if r := f.state[si][slot]; r >= 0 {
-				copy(a.state, frame[r:])
+	for si, row := range f.state {
+		for slot, r := range row {
+			if r >= 0 {
+				copy(p.state(si, slot), frame[r:])
 			}
 		}
 	}

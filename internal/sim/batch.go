@@ -48,6 +48,7 @@ func NewBatch(p *core.Pipeline, capacity int) (*Batch, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("sim: batch capacity %d < 1", capacity)
 	}
+	p.Prepare() // Run loads and stores the state the stage frames hold
 	return &Batch{
 		p: p, fused: fused, frame: fused.NewFrame(),
 		in: valueRows(capacity, p.PHVLen()), out: valueRows(capacity, p.PHVLen()),
@@ -247,7 +248,7 @@ func (r *fusedRun) linked(n int, src source) {
 	frame, in, prog, link, pairs := r.f.frame, r.in, r.o.prog, r.o.link, r.pairs
 	traps := link.CanTrap()
 	for i := 0; i < n; i++ {
-		if err := src.fill(in); err != nil {
+		if err := src.fill(i, in); err != nil {
 			r.abortAt, r.abortErr = i, err
 			return
 		}

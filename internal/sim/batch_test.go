@@ -154,6 +154,36 @@ func TestBatchedNextErrorMatchesStreaming(t *testing.T) {
 	}
 }
 
+// TestOutOfWidthInputIsAFinding: a value a caller's trace puts outside the
+// datapath, -1 or 2^bits, is a finding at its PHV that names the container and
+// the value, as a malformed trace entry is, and the report is the same at
+// Unoptimized (the tick loop) and at Compiled (the fused loop, whose programs
+// are optimized on the promise that every container fits).
+func TestOutOfWidthInputIsAFinding(t *testing.T) {
+	const n = 60
+	narrow := func(s *core.Spec, _ *machinecode.Program) { s.Bits = phv.MustWidth(8) }
+	for _, bad := range []phv.Value{-1, 1 << 8} {
+		for _, at := range []int{0, 2, 37} {
+			var reports []*BatchReport
+			for _, level := range []core.OptLevel{core.Unoptimized, core.Compiled} {
+				p := buildPipeline(t, 3, 2, "pred_raw", narrow, level)
+				trace := NewTrafficGen(5, p.PHVLen(), p.Bits(), 0).Trace(n)
+				trace.At(at).Set(1, bad)
+				rep, err := NewFuzzer(p).Fuzz(brokenSpec(), n, traceFeed(trace, p.PHVLen()), FuzzOptions{}, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := fmt.Sprintf("sim: input PHV %d container 1 holds %d, outside the 8-bit datapath", at, bad)
+				if rep.Err == nil || rep.Err.Error() != want {
+					t.Fatalf("%v, %d at PHV %d: Err = %v, want %q", level, bad, at, rep.Err, want)
+				}
+				reports = append(reports, rep)
+			}
+			batchReportsEqual(t, fmt.Sprintf("%d at PHV %d", bad, at), reports[1], reports[0])
+		}
+	}
+}
+
 // failingSpec is a spec that gives up on packet at, behaving as the wrapped
 // spec (diverging or not) on the packets before it.
 type failingSpec struct {

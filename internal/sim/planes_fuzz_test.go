@@ -46,20 +46,22 @@ func linkedBinding(t *testing.T, k int, p *core.Pipeline) (*domino.Binding, []st
 
 // FuzzPlanesVsTicks pins the fuzzer's two loops to each other on inputs
 // nobody chose (the name predates the fused loop: the fast side was a loop
-// over column planes): random machine code (seed) at a prechecked level with
-// one pair perturbed — an injected miscompile against the Unoptimized
-// reference of the unperturbed code, optionally under a specification that is
-// itself wrong — fuzzed traffic seed and mode, counterexample cap, compared
-// containers, and a generator and a specification failure at fuzzed packet
-// indices (past the run = never). With linked set the specification is a
-// Domino binding instead, one of linkedSpecs picked by specFailAt, which the
-// fused loop links after the cone: its failures are its own traps, and its
-// state after the run must equal the tick loop's instance's. The fused loop
-// over the output cone and the tick loop over the whole grid of the same
-// pipeline must return the same harness error text or the same BatchReport:
-// Checked, Ticks, Err text, and every mismatch by value and by rendering. The
-// chunk byte, the planes loop's sweep width, is kept so the seeds and any
-// saved corpus still decode; it now picks the packet count.
+// over column planes): random machine code (seed) with one pair perturbed —
+// an injected miscompile against the Unoptimized reference of the unperturbed
+// code, optionally under a specification that is itself wrong — fuzzed
+// traffic seed and mode, counterexample cap, compared containers, and a
+// generator and a specification failure at fuzzed packet indices (past the
+// run = never). With linked set the specification is a Domino binding
+// instead, one of linkedSpecs picked by specFailAt, which the fused loop links
+// after the cone: its failures are its own traps, and its state after the run
+// must equal the tick loop's instance's. The fused loop runs the perturbed
+// code built at a prechecked level, over its output cone; the tick loop runs
+// the same perturbed code built at Unoptimized, over the whole grid through
+// the AST interpreter, so it shares no lowering with the fused side. The two
+// must return the same harness error text or the same BatchReport: Checked,
+// Ticks, Err text, and every mismatch by value and by rendering. The chunk
+// byte, the planes loop's sweep width, is kept so the seeds and any saved
+// corpus still decode; it now picks the packet count.
 func FuzzPlanesVsTicks(f *testing.F) {
 	const never = 0xffff
 	f.Add(int64(45), uint8(2), uint8(8), uint8(0), false, false, false, uint16(14), uint16(never), uint16(never), false)
@@ -85,6 +87,7 @@ func FuzzPlanesVsTicks(f *testing.F) {
 		n := 150 - int(chunk)%8 // every packet count's tail lands differently against depth and cap
 		levels := []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled}
 		p, ref, _ := miscompiled(t, seed, int(pair), levels[int(level)%len(levels)])
+		interpreted, _, _ := miscompiled(t, seed, int(pair), core.Unoptimized)
 		ref.(*pipeSpec).wrong = wrongSpec
 		newSpec := func() Spec { return specErrAt(ref, int(specFailAt)) }
 		var states []string
@@ -120,7 +123,11 @@ func FuzzPlanesVsTicks(f *testing.F) {
 		}
 		wantSpec, gotSpec := newSpec(), newSpec()
 		fused := NewFuzzer(p)
-		want, werr := run(tickFuzzer(p), wantSpec)
+		ticks := NewFuzzer(interpreted)
+		if ticks.onFused() {
+			t.Fatal("an unoptimized pipeline was bound to the fused loop")
+		}
+		want, werr := run(ticks, wantSpec)
 		got, gerr := run(fused, gotSpec)
 		if linked && fused.oracle.link == nil {
 			t.Fatal("the fused loop did not link the binding")

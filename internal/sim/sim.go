@@ -9,22 +9,23 @@
 // write halves become read halves. A PHV therefore traverses exactly one
 // stage per tick.
 //
-// The package has two engines:
+// The level decides what executes, never the caller: the AST interpreter at
+// Unoptimized, and flat register programs (core.Fused, package flat) at
+// every prechecked level, whose execution core.Build proved total, so they
+// have no failure path. Two loops drive them:
 //
-//   - the reference: core.Pipeline.ExecuteStage under Stream, the tick loop
-//     above over a preallocated ring of depth+1 slot buffers. It accepts
-//     every pipeline and returns every failure as an error. dsim, ddbg and
-//     the recording Run/RunOpts (traces and optionally per-tick state and
-//     slot snapshots, for the time-travel debugger and the trace-diffing
-//     tools) run on it, and so does a Fuzzer over an Unoptimized pipeline,
-//     where machine code incompatible with the pipeline is a run-time
-//     finding;
-//   - the production kernel: the pipeline fused into one flat register
-//     program (core.Fused, package flat), one Run per packet on a frame
-//     (batch.go). Only prechecked pipelines fuse — core.Build proved their
-//     execution total, so the kernel has no failure path — and it is what a
-//     Fuzzer runs at every optimized level, with a Domino specification
-//     linked after the output cone: the campaign engine's hot path.
+//   - the tick loop: core.Pipeline.ExecuteStage under Stream, the loop above
+//     over a preallocated ring of depth+1 slot buffers — at Unoptimized the
+//     interpreter, which returns every failure as an error, at a prechecked
+//     level one stage program per stage. dsim, ddbg and the recording
+//     Run/RunOpts (traces and optionally per-tick state and slot snapshots,
+//     for the time-travel debugger and the trace-diffing tools) run on it at
+//     every level, and so does a Fuzzer over an Unoptimized pipeline, where
+//     machine code incompatible with the pipeline is a run-time finding;
+//   - the packet loop (batch.go): one program, one Run per packet on a
+//     frame — the whole grid under Batch, and under a Fuzzer at every
+//     prechecked level the output cone with a Domino specification linked
+//     after it: the campaign engine's hot path.
 //
 // Either way the Fuzzer generates traffic directly into its own buffers
 // (TrafficGen.Fill) and compares outputs in lock step, so a clean fuzzing
@@ -79,8 +80,9 @@ func NewTrafficGenMode(seed int64, phvLen int, bits phv.Width, max int64, mode T
 }
 
 // Stream is the allocation-free tick-level simulation engine, the driver of
-// the reference executor (core.Pipeline.ExecuteStage) at every level: a ring
-// of depth+1 slot buffers, preallocated once and reused across ticks. Slot i
+// core.Pipeline.ExecuteStage at every level (the AST interpreter at
+// Unoptimized, a stage program per stage above it): a ring of depth+1 slot
+// buffers, preallocated once and reused across ticks. Slot i
 // holds the read half of the PHV about to execute stage i; slot Depth is
 // the completion slot. Admission copies into slot 0, stages execute back to
 // front so every PHV advances exactly one stage per tick, and a completed
@@ -96,9 +98,10 @@ type Stream struct {
 	ticks    int
 }
 
-// NewStream returns a streaming engine over the pipeline. The ring is the
-// only allocation; every subsequent Tick is allocation-free.
+// NewStream returns a streaming engine over the pipeline, prepared
+// (core.Pipeline.Prepare) so that every Tick is allocation-free.
 func NewStream(p *core.Pipeline) *Stream {
+	p.Prepare()
 	depth, phvLen := p.Depth(), p.PHVLen()
 	s := &Stream{p: p, depth: depth, phvLen: phvLen}
 	backing := make([]phv.Value, (depth+1)*phvLen)
@@ -354,8 +357,9 @@ func (r *FuzzReport) String() string {
 // private clone; p is not mutated. A non-nil error is returned only for
 // harness misuse (an empty trace, a compared container outside the PHV, a
 // failing specification); simulation failures (e.g. machine code
-// incompatible with the pipeline) are reported in FuzzReport.Err, since they
-// are test findings (§5.2's first failure class).
+// incompatible with the pipeline, or a trace entry of the wrong length or
+// with a value outside the datapath) are reported in FuzzReport.Err, since
+// they are test findings (§5.2's first failure class).
 //
 // Fuzz and FuzzRandom are the two shortcuts over the Fuzzer, for callers
 // that want one first-mismatch verdict on a trace or a seed; everything else
@@ -531,8 +535,9 @@ func (f *Fuzzer) FuzzGen(spec Spec, gen *TrafficGen, n int, opts FuzzOptions, ma
 }
 
 // Fuzz runs the lock-step comparison over n input PHVs produced by next,
-// which must fill the PHVLen-sized buffer it is handed (an error from next
-// is recorded as a simulation finding, like a malformed trace entry).
+// which must fill the PHVLen-sized buffer it is handed with values of the
+// pipeline's width (an error from next, or a value outside [0, 2^bits), is
+// recorded as a simulation finding, like a malformed trace entry).
 // Collection stops after maxMismatches diverging PHVs (0 = unbounded). The
 // pipeline's state and the specification are reset first. Like Fuzz,
 // simulation failures land in BatchReport.Err; only harness misuse — n <= 0,
@@ -541,7 +546,7 @@ func (f *Fuzzer) FuzzGen(spec Spec, gen *TrafficGen, n int, opts FuzzOptions, ma
 //
 //dvet:hotpath allocs=1
 func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
-	return f.fuzz(spec, n, source{next: next}, opts, maxMismatches)
+	return f.fuzz(spec, n, source{next: next, w: f.pipe.Bits()}, opts, maxMismatches)
 }
 
 // fuzz checks the run's arguments and hands it to the fuzzer's loop.
@@ -561,19 +566,30 @@ func (f *Fuzzer) fuzz(spec Spec, n int, src source, opts FuzzOptions, maxMismatc
 }
 
 // source is where a run's packets come from: a generator, drawn from
-// directly, or the caller's callback.
+// directly, or the caller's callback for a datapath of width w.
 type source struct {
 	gen  *TrafficGen
 	next func(dst []phv.Value) error
+	w    phv.Width
 }
 
-// fill draws the next packet into dst.
-func (s source) fill(dst []phv.Value) error {
+// fill draws packet i into dst. A callback's value outside [0, 2^bits) is a
+// finding, like a malformed trace entry: the flat programs are optimized on
+// the promise that every container fits, as a generator's values do.
+func (s source) fill(i int, dst []phv.Value) error {
 	if s.gen != nil {
 		s.gen.Fill(dst)
 		return nil
 	}
-	return s.next(dst)
+	if err := s.next(dst); err != nil {
+		return err
+	}
+	for c, v := range dst {
+		if v < 0 || v > s.w.Mask() {
+			return fmt.Errorf("sim: input PHV %d container %d holds %d, outside the %d-bit datapath", i, c, v, s.w.Bits())
+		}
+	}
+	return nil
 }
 
 // admit draws packet i from src into in and leaves the specification's
@@ -585,7 +601,7 @@ func (s source) fill(dst []phv.Value) error {
 //
 //dvet:hotpath allocs=0
 func (f *Fuzzer) admit(spec Spec, ss StreamSpec, i int, src source, in []phv.Value, want *[]phv.Value) (genErr, specErr error) {
-	if err := src.fill(in); err != nil {
+	if err := src.fill(i, in); err != nil {
 		return err, nil
 	}
 	if ss != nil {

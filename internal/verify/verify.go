@@ -22,8 +22,9 @@
 // (translation validation). UNSAT proves the compiler's
 // machine code equivalent to the specification over every input of the
 // verification width for the unrolled number of transactions; SAT yields a
-// concrete input trace, replayed through the pipeline and the specification
-// as a fuzz shard runs them: a counterexample, or the specification's error.
+// concrete input trace, replayed through the pipeline at Unoptimized (the AST
+// interpreter) and the specification: a counterexample, or the
+// specification's error.
 //
 // §7 also asks for "PHV and state value constraints": Options.MaxInput
 // restricts the verified input space the same way the paper's case study
@@ -438,10 +439,10 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 			trace.Append(phv.FromValues(vals))
 		}
 		res.Counterexample = trace
-		// Replay concretely through the real pipeline and interpreter:
-		// the reported outputs come from the production execution paths,
-		// and a model that does not reproduce concretely is an internal
-		// error (symbolic/concrete semantic drift), not a finding.
+		// Replay concretely through the reference interpreter and the
+		// specification: the reported outputs come from concrete
+		// execution, and a model that does not reproduce concretely is an
+		// internal error (symbolic/concrete semantic drift), not a finding.
 		if err := p.replay(res, trace); err != nil {
 			return nil, err
 		}
@@ -456,12 +457,14 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 // outputs in r. Where the specification fails first, its error is the
 // result, as it is a fuzz shard's. A SAT model that does not reproduce
 // concretely indicates symbolic/concrete semantic drift and is reported as an
-// internal error.
+// internal error. The pipeline is built at Unoptimized, so the replay runs
+// the AST interpreter and shares neither the lowering nor flat.Sym with the
+// proof.
 func (p *Problem) replay(r *Result, trace *phv.Trace) error {
 	w := phv.MustWidth(r.Bits)
 	spec := p.spec
 	spec.Bits = w
-	pipe, err := core.Build(spec, p.code, core.SCCInlining)
+	pipe, err := core.Build(spec, p.code, core.Unoptimized)
 	if err != nil {
 		return fmt.Errorf("verify: replay build: %w", err)
 	}
