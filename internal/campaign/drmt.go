@@ -97,7 +97,8 @@ type drmtInstance struct {
 }
 
 // NewRunner clones the differential fuzzer — private register state for
-// both machines — for one worker.
+// both machines — for one worker. It allocates no random source: a shard
+// starts its generator on the fuzzer's kept traffic plan.
 func (in *drmtInstance) NewRunner() (Runner, error) {
 	return &drmtRunner{t: in.t, fuzzer: in.master.Clone()}, nil
 }
@@ -109,8 +110,9 @@ type drmtRunner struct {
 
 // RunShard resets both machines and streams the shard's seeded traffic
 // through the differential loop. Diff indices are already shard offsets
-// (the fuzzer reseeds its one generator per shard, which restarts the
-// stream and the packet IDs), which is what merge expects.
+// (the fuzzer starts a generator on its stack per shard, from the plan it
+// keeps for the job's bound and mode, so the stream and the packet IDs
+// start at 0), which is what merge expects.
 func (r *drmtRunner) RunShard(seed int64, n int) ShardResult {
 	rep, err := r.fuzzer.FuzzSeededMode(seed, n, r.t.MaxInput, r.t.Traffic)
 	if err != nil {

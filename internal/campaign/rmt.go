@@ -95,57 +95,60 @@ func (t *PipelineTarget) Fingerprint() string {
 
 // Build implements Target: the pipeline is built — and its output cone fused
 // into one flat program — once, and shared read-only; a runner adds a frame.
+// The job's traffic plan is built here too, once, and shared by every shard;
+// a plan that cannot be built is NewRunner's error, after the spec factory's,
+// so such a job reports a runner failure and not a build failure.
 func (t *PipelineTarget) Build() (Instance, error) {
 	master, err := core.Build(t.Spec, t.Code, t.Level)
 	if err != nil {
 		return nil, err
 	}
-	return &pipelineInstance{t: t, master: master}, nil
+	traffic, err := sim.NewTraffic(master.PHVLen(), master.Bits(), t.MaxInput, t.Traffic, t.Corpus)
+	return &pipelineInstance{t: t, master: master, traffic: traffic, trafficErr: err}, nil
 }
 
 type pipelineInstance struct {
-	t      *PipelineTarget
-	master *core.Pipeline
+	t          *PipelineTarget
+	master     *core.Pipeline
+	traffic    *phv.Traffic
+	trafficErr error
 }
 
 // NewRunner builds one worker's streaming machinery: a fuzzer, which runs
 // the shared master's fused cone on a frame of its own (a private clone on
 // the tick loop, at the unoptimized level), reused across every shard the
-// worker runs, one spec instance, reset by the fuzzer between shards, and one
-// traffic generator, reseeded per shard.
+// worker runs, and one spec instance, reset by the fuzzer between shards. It
+// allocates no random source: a shard starts its generator on the job's plan.
 func (in *pipelineInstance) NewRunner() (Runner, error) {
 	spec, err := in.t.NewSpec()
 	if err != nil {
 		return nil, err
 	}
-	gen, err := sim.NewTrafficGenMode(0, in.master.PHVLen(), in.master.Bits(), in.t.MaxInput, in.t.Traffic)
-	if err != nil {
-		return nil, err
+	if in.trafficErr != nil {
+		return nil, in.trafficErr
 	}
-	if len(in.t.Corpus) > 0 {
-		gen.SeedCorpus(in.t.Corpus)
-	}
-	return &pipelineRunner{t: in.t, fuzzer: sim.NewFuzzer(in.master), spec: spec, gen: gen}, nil
+	return &pipelineRunner{t: in.t, traffic: in.traffic, fuzzer: sim.NewFuzzer(in.master), spec: spec}, nil
 }
 
 type pipelineRunner struct {
-	t      *PipelineTarget
-	fuzzer *sim.Fuzzer
-	spec   sim.Spec
-	gen    *sim.TrafficGen
+	t       *PipelineTarget
+	traffic *phv.Traffic
+	fuzzer  *sim.Fuzzer
+	spec    sim.Spec
 }
 
-// RunShard streams the shard's deterministic traffic straight into the
-// fuzzer's buffers (no per-shard trace materialization) and compares
-// in lock step, so a clean shard costs O(1) allocation — its report, not a
-// random source (the runner's generator is reseeded). Mismatch collection
-// is unbounded here (naturally capped by the shard size): the per-job
-// counterexample cap is applied only after cross-shard deduplication in
-// merge, so duplicates in one shard cannot crowd out distinct failures
+// RunShard starts the shard's generator on its stack from the job's traffic
+// plan, streams its deterministic traffic straight into the fuzzer's buffers
+// (no per-shard trace materialization) and compares in lock step, so a clean
+// shard costs O(1) allocation — its report, not a random source. Mismatch
+// collection is unbounded here (naturally capped by the shard size): the
+// per-job counterexample cap is applied only after cross-shard deduplication
+// in merge, so duplicates in one shard cannot crowd out distinct failures
 // later in it.
 func (r *pipelineRunner) RunShard(seed int64, n int) ShardResult {
-	r.gen.Reseed(seed)
-	rep, err := r.fuzzer.FuzzGen(r.spec, r.gen, n, sim.FuzzOptions{Containers: r.t.Containers}, 0)
+	var gen sim.TrafficGen
+	gen.Start(r.traffic, seed)
+	rep, err := r.fuzzer.FuzzGen(r.spec, &gen, n, sim.FuzzOptions{Containers: r.t.Containers}, 0)
 	if err != nil {
 		return ShardResult{Err: err}
 	}

@@ -145,16 +145,19 @@ func (s *Spec) CheckLower(c *Code, live [][]bool) error {
 // inputs are stage lo's input PHV, its outputs stage hi-1's output PHV.
 func lower(n Spec, code *Code, live [][]bool, lo, hi int) (*Fused, error) {
 	b := flat.NewBuilder(n.Bits)
-	regs, instrs := n.PHVLen+4, 0 // the inputs, and room for a few constants
+	size := flat.Size{Regs: n.PHVLen + 4, Runs: 1} // the inputs, and room for a few constants
 	for si := lo; si < hi; si++ {
 		for a, l := range live[si] {
 			if l {
 				k := emits(code.ALUs[si][a].Prog.Body)
-				regs, instrs = regs+k+code.ALUs[si][a].Prog.NumState(), instrs+k
+				size.Regs, size.Instrs = size.Regs+k+code.ALUs[si][a].Prog.NumState(), size.Instrs+k
+				if a >= n.Width {
+					size.Runs++ // the stateful ALU's state
+				}
 			}
 		}
 	}
-	b.Reserve(regs, instrs)
+	b.Reserve(size)
 	f := &Fused{width: n.Width, phvLen: n.PHVLen, in: b.Regs("in", n.PHVLen), state: make([][]int, n.Depth), live: live}
 	cur, next := make([]int, n.PHVLen), make([]int, n.PHVLen) // container -> register, -1 for a column nothing downstream reads
 	for c := range cur {

@@ -1,7 +1,8 @@
 // Allocation-regression tests for the dRMT hot path, the mirror of package
 // sim's suite: a clean differential fuzzing run allocates its report and
-// nothing else — the fuzzer reseeds one traffic generator, and generation
-// (TrafficGen.Fill), the linked program and the comparison reuse one frame.
+// nothing else — the fuzzer starts a generator on its stack from one kept
+// traffic plan, and generation (TrafficGen.Fill), the linked program and the
+// comparison reuse one frame.
 package drmt
 
 import (
@@ -44,7 +45,7 @@ func TestDRMTFuzzZeroAllocsPerPHV(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fuzzAllocs(t, f, 1, bm.MaxInput, 64) // warm: builds the kept generator
+			fuzzAllocs(t, f, 1, bm.MaxInput, 64) // warm: builds the kept traffic plan
 			small := fuzzAllocs(t, f, 2, bm.MaxInput, 256)
 			large := fuzzAllocs(t, f, 3, bm.MaxInput, 2048)
 			if small != 1 || large != 1 {

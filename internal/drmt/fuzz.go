@@ -13,8 +13,8 @@
 // registers, one Run and a compare over the pairs of registers that hold a
 // field, or the drop flag, at the end of each side. Canonical string
 // renderings and Diff records are materialized only on mismatch and the
-// seeded entry points reseed one kept generator, so a clean shard allocates
-// its report and nothing else.
+// seeded entry points start a generator on their stack from one kept traffic
+// plan, so a clean shard allocates its report and nothing else.
 package drmt
 
 import (
@@ -23,6 +23,7 @@ import (
 
 	"druzhba/internal/flat"
 	"druzhba/internal/p4"
+	"druzhba/internal/phv"
 )
 
 // Diff is one packet on which the ISA machine and the table-level
@@ -67,11 +68,12 @@ type DiffFuzzer struct {
 	regs  []int    // where the table program's registers are in the linked frame
 	pairs [][2]int // (ISA, table) registers of a field or the drop flag at the end, which can differ
 
-	// FuzzSeededMode's generator, reseeded per run while the bound and mode
-	// it was built for stay the same.
-	gen     *TrafficGen
-	genMax  int64
-	genMode TrafficMode
+	// FuzzSeededMode's traffic plan, kept while the bound and mode it was
+	// built for stay the same, and shared with clones: a run starts a
+	// generator on it.
+	traffic     *phv.Traffic
+	trafficMax  int64
+	trafficMode TrafficMode
 }
 
 // NewDiffFuzzer builds a differential fuzzer for the program over the given
@@ -119,11 +121,11 @@ func (f *DiffFuzzer) Program() *p4.Program { return f.prog }
 func (f *DiffFuzzer) Layout() *SlotLayout { return f.layout }
 
 // Clone returns a fuzzer with a private frame, sharing no mutable state
-// with the original.
+// with the original: the programs and the traffic plan it shares are
+// immutable.
 func (f *DiffFuzzer) Clone() *DiffFuzzer {
 	c := *f
 	c.frame = slices.Clone(f.frame)
-	c.gen = nil
 	return &c
 }
 
@@ -232,19 +234,20 @@ func (f *DiffFuzzer) FuzzSeeded(seed int64, n int, max int64) (*DiffReport, erro
 }
 
 // FuzzSeededMode is FuzzSeeded with an explicit traffic mode. The fuzzer
-// keeps its generator and reseeds it, so a shard allocates no random source
-// while the bound and mode stay what the previous run used.
+// keeps the traffic plan of the bound and mode and starts a generator on it
+// on its stack, so a shard allocates no random source while the bound and
+// mode stay what the previous run used.
 func (f *DiffFuzzer) FuzzSeededMode(seed int64, n int, max int64, mode TrafficMode) (*DiffReport, error) {
-	if f.gen != nil && f.genMax == max && f.genMode == mode {
-		f.gen.Reseed(seed)
-	} else {
-		gen, err := NewTrafficGenMode(seed, f.prog, max, mode)
+	if f.traffic == nil || f.trafficMax != max || f.trafficMode != mode {
+		plan, err := newTraffic(f.prog, f.layout.fields, max, mode)
 		if err != nil {
 			return nil, err
 		}
-		f.gen, f.genMax, f.genMode = gen, max, mode
+		f.traffic, f.trafficMax, f.trafficMode = plan, max, mode
 	}
-	return f.Fuzz(f.gen, n)
+	gen := TrafficGen{fields: f.layout.fields}
+	gen.Start(f.traffic, seed)
+	return f.Fuzz(&gen, n)
 }
 
 // MiscompileALUAdd returns a copy of the program with its first ALU add

@@ -13,11 +13,12 @@ import (
 // full non-negative range instead. The p4 parser caps declared widths at
 // 62, so the generator is built directly.
 func TestTrafficGenWideFieldsNoPanic(t *testing.T) {
-	wide, err := phv.NewTrafficGen(1, []int{62, 63, 64}, 0, TrafficUniform)
+	wide, err := phv.NewTraffic([]int{62, 63, 64}, 0, TrafficUniform, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &TrafficGen{TrafficGen: wide, fields: []string{"h.w62", "h.w63", "h.w64"}}
+	g := &TrafficGen{fields: []string{"h.w62", "h.w63", "h.w64"}}
+	g.Start(wide, 1)
 	for i := 0; i < 100; i++ {
 		p := g.Next()
 		for f, v := range p.Fields {
@@ -27,11 +28,12 @@ func TestTrafficGenWideFieldsNoPanic(t *testing.T) {
 		}
 	}
 	// The clamp must not disturb the max bound.
-	bounded, err := phv.NewTrafficGen(1, []int{64}, 10, TrafficUniform)
+	bounded, err := phv.NewTraffic([]int{64}, 10, TrafficUniform, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g = &TrafficGen{TrafficGen: bounded, fields: []string{"h.w64"}}
+	g = &TrafficGen{fields: []string{"h.w64"}}
+	g.Start(bounded, 1)
 	for i := 0; i < 100; i++ {
 		if v := g.Next().Fields["h.w64"]; v < 0 || v >= 10 {
 			t.Fatalf("bounded wide field = %d, want [0,10)", v)
@@ -251,12 +253,13 @@ func TestDiffFuzzerCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestFuzzSeededKeepsOneGenerator: the generator a fuzzer keeps between
+// TestFuzzSeededReusesThePlan: the traffic plan a fuzzer keeps between
 // seeded runs is invisible — whatever seed, bound and mode the previous run
 // used, a run reports what a new fuzzer's first run reports (under an
 // injected miscompile, so packet IDs and counterexamples are compared too),
-// and a clone starts without its parent's generator.
-func TestFuzzSeededKeepsOneGenerator(t *testing.T) {
+// a clone runs on the plan it shares with its parent, and a switch of bound
+// or mode builds a new plan.
+func TestFuzzSeededReusesThePlan(t *testing.T) {
 	prog, entries := loadL2L3(t)
 	isa, err := Assemble(prog)
 	if err != nil {
@@ -270,13 +273,15 @@ func TestFuzzSeededKeepsOneGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffs := 0
+	diffs, plans := 0, map[*phv.Traffic]bool{}
 	for i, run := range []struct {
 		seed, max int64
 		mode      TrafficMode
+		clone     bool
 	}{
-		{3, 0, TrafficUniform}, {4, 0, TrafficUniform}, {3, 0, TrafficUniform},
-		{3, 0, TrafficBoundary}, {3, 1 << 20, TrafficBoundary}, {3, 1 << 20, TrafficUniform}, {3, 0, TrafficUniform},
+		{3, 0, TrafficUniform, false}, {4, 0, TrafficUniform, false}, {3, 0, TrafficUniform, false},
+		{3, 0, TrafficBoundary, false}, {3, 1 << 20, TrafficBoundary, false}, {5, 1 << 20, TrafficBoundary, true},
+		{3, 1 << 20, TrafficUniform, true}, {3, 0, TrafficUniform, false},
 	} {
 		fresh, err := NewDiffFuzzer(prog, bad, entries, HWConfig{})
 		if err != nil {
@@ -287,20 +292,30 @@ func TestFuzzSeededKeepsOneGenerator(t *testing.T) {
 			t.Fatal(err)
 		}
 		f := kept
-		if i == 5 {
-			f = kept.Clone()
+		if run.clone {
+			if f = kept.Clone(); f.traffic != kept.traffic {
+				t.Fatalf("run %d (%+v): the clone dropped its parent's plan", i, run)
+			}
 		}
+		before, reuse := f.traffic, f.traffic != nil && f.trafficMax == run.max && f.trafficMode == run.mode
 		got, err := f.FuzzSeededMode(run.seed, 2000, run.max, run.mode)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if g, w := renderReport(got), renderReport(want); g != w {
-			t.Fatalf("run %d (%+v): kept generator reports\n%s\na new fuzzer\n%s", i, run, g, w)
+			t.Fatalf("run %d (%+v): kept plan reports\n%s\na new fuzzer\n%s", i, run, g, w)
 		}
+		if (f.traffic == before) != reuse {
+			t.Fatalf("run %d (%+v): plan reused = %v, want %v", i, run, f.traffic == before, reuse)
+		}
+		plans[f.traffic] = true
 		diffs += len(want.Diffs)
 	}
 	if diffs == 0 {
 		t.Fatal("the miscompile was never hit: no packet IDs were compared")
+	}
+	if len(plans) != 5 { // one per switch of bound or mode: runs 0, 3, 4, 6 and 7
+		t.Fatalf("the runs used %d plans, want 5", len(plans))
 	}
 	if _, err := kept.FuzzSeededMode(1, 10, 0, "chaotic"); err == nil {
 		t.Fatal("unknown traffic mode accepted")

@@ -217,7 +217,14 @@ func (lw *lowerer) lower() error {
 	for _, mt := range m.matchTables {
 		keys += len(mt.keys)
 	}
-	b.Reserve(2*m.layout.NumFields()+isa.NumRegs+48+sum(lw.cells), lw.n+2*keys)
+	nf := m.layout.NumFields()
+	b.Reserve(flat.Size{
+		Regs:   2*nf + isa.NumRegs + 48 + sum(lw.cells),
+		Instrs: lw.n + 2*keys,
+		Consts: 2*keys + 8,             // keys, masks and a few immediates
+		Names:  2*nf + keys + 5,        // fields in and stored, key temporaries, count, err, s0, s1, dropped
+		Runs:   1 + len(isa.RegArrays), // the ISA registers, the banks
+	})
 	lw.buf = make([]step, 0, 32)
 	lw.code = make([]step, 0, lw.n/2+16)
 	m.blocks = make([]lowBlock, 0, 2*len(m.matchTables)+2)

@@ -50,15 +50,15 @@ const (
 
 // TrafficGen generates packets "with randomly initialized packet field
 // values based on the fields specified in the P4 file" (§4.2). It is
-// phv.TrafficGen, the one generator both machine models draw from, with one
-// column per program field in slot order (sorted field names, matching
-// SlotLayout), each at the field's declared width. Fill and Reseed are the
-// embedded generator's: Fill writes a packet's field values into the first
-// NumFields entries of a caller-owned buffer and returns the packet's ID, its
-// index in the stream, so consecutive Next/Fill/Batch calls on one generator
-// yield distinct, globally ordered IDs that Reseed restarts at 0.
+// phv.TrafficGen, the one generator both machine models draw from, on a plan
+// with one column per program field in slot order (sorted field names,
+// matching SlotLayout), each at the field's declared width. Fill and Start
+// are the embedded generator's: Fill writes a packet's field values into the
+// first NumFields entries of a caller-owned buffer and returns the packet's
+// ID, its index in the stream, so consecutive Next/Fill/Batch calls on one
+// generator yield distinct, globally ordered IDs that Start restarts at 0.
 type TrafficGen struct {
-	*phv.TrafficGen
+	phv.TrafficGen
 	fields []string
 }
 
@@ -74,6 +74,18 @@ func NewTrafficGen(seed int64, prog *p4.Program, max int64) (*TrafficGen, error)
 // deterministic for a given seed across Fill, Next and Batch.
 func NewTrafficGenMode(seed int64, prog *p4.Program, max int64, mode TrafficMode) (*TrafficGen, error) {
 	fields := prog.FieldNames()
+	plan, err := newTraffic(prog, fields, max, mode)
+	if err != nil {
+		return nil, err
+	}
+	g := &TrafficGen{fields: fields}
+	g.Start(plan, seed)
+	return g, nil
+}
+
+// newTraffic is the traffic plan of the program's fields, named in slot
+// order.
+func newTraffic(prog *p4.Program, fields []string, max int64, mode TrafficMode) (*phv.Traffic, error) {
 	bits := make([]int, len(fields))
 	for i, f := range fields {
 		b, err := prog.FieldBits(f)
@@ -82,11 +94,7 @@ func NewTrafficGenMode(seed int64, prog *p4.Program, max int64, mode TrafficMode
 		}
 		bits[i] = b
 	}
-	gen, err := phv.NewTrafficGen(seed, bits, max, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &TrafficGen{TrafficGen: gen, fields: fields}, nil
+	return phv.NewTraffic(bits, max, mode, nil)
 }
 
 // NumFields returns the number of values Fill draws per packet.

@@ -249,7 +249,13 @@ func (e *engine) matchCounts(tables int) []int {
 func lowerTables(prog *p4.Program, entries *EntrySet, layout *SlotLayout) (engine, error) {
 	b := flat.NewBuilder(width)
 	n := layout.NumFields()
-	b.Reserve(2*n+8+sum(layout.regCount), 8*len(prog.Control)+entries.Len())
+	b.Reserve(flat.Size{
+		Regs:   2*n + 8 + sum(layout.regCount),
+		Instrs: 8*len(prog.Control) + entries.Len(),
+		Consts: 2*entries.Len() + 8,         // keys, masks and a few values
+		Names:  2*n + len(prog.Control) + 2, // fields in and out, key temporaries, t, dropped
+		Runs:   len(layout.regs),            // the banks
+	})
 	e := engine{out: make([]int, n)}
 	for slot, name := range layout.fields {
 		e.out[slot] = b.Reg(name, 0) // the input registers, from e.in = 0

@@ -116,11 +116,11 @@ func TestDRMTTrafficGenBoundaryMaxInput(t *testing.T) {
 	}
 }
 
-// TestDRMTTrafficGenReseed: a reseeded generator continues exactly as one
-// freshly built with that seed — same values through Fill and Next, packet
-// IDs restarting at 0 — in both modes, bounded and unbounded, wherever the
-// previous stream was left.
-func TestDRMTTrafficGenReseed(t *testing.T) {
+// TestDRMTTrafficGenRestart: a generator restarted on its program's plan
+// continues exactly as one freshly built with that seed — same values
+// through Fill and Next, packet IDs restarting at 0 — in both modes, bounded
+// and unbounded, wherever the previous stream was left.
+func TestDRMTTrafficGenRestart(t *testing.T) {
 	prog, err := p4.Parse(boundaryProg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,12 +131,16 @@ func TestDRMTTrafficGenReseed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			plan, err := newTraffic(prog, prog.FieldNames(), max, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
 			buf, want := make([]int64, reused.NumFields()), make([]int64, reused.NumFields())
 			for _, seed := range []int64{42, -7, 42, 0} {
 				for i := int64(0); i < 1+(seed&3)*5; i++ {
 					reused.Fill(buf)
 				}
-				reused.Reseed(seed)
+				reused.Start(plan, seed)
 				fresh, _ := NewTrafficGenMode(seed, prog, max, mode)
 				for i := 0; i < 40; i++ {
 					id, wantID := reused.Fill(buf), fresh.Fill(want)

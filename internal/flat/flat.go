@@ -42,6 +42,7 @@ package flat
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -590,21 +591,38 @@ func (p *Program) access1(in Instr) string {
 // so a block from Regs is contiguous in the frame.
 type Builder struct {
 	p      Program
-	consts map[int64]int
+	consts map[int64]int // nil until Reserve sizes it or Const needs it
 }
 
 // NewBuilder starts a program over the given datapath width.
 func NewBuilder(w phv.Width) *Builder {
-	return &Builder{p: Program{w: w}, consts: map[int64]int{}}
+	return &Builder{p: Program{w: w}}
 }
 
-// Reserve makes room for regs more registers and instrs more instructions,
-// so a caller that knows roughly how large its program comes out does not
-// pay for the program growing to it.
-func (b *Builder) Reserve(regs, instrs int) {
-	b.p.init = slices.Grow(b.p.init, regs)
-	b.p.fixed = slices.Grow(b.p.fixed, regs)
-	b.p.code = slices.Grow(b.p.code, instrs)
+// Size is how large a program comes out, as far as its lowering can tell
+// before emitting it. A count may be an estimate; zero reserves nothing.
+type Size struct {
+	Regs   int // registers
+	Instrs int // instructions
+	Consts int // distinct constants (Const)
+	Names  int // registers named one at a time (Reg)
+	Runs   int // blocks of registers (Regs, Bank)
+}
+
+// Reserve makes room for s more of everything a program holds, so a caller
+// that knows roughly how large its program comes out does not pay for the
+// program growing to it.
+func (b *Builder) Reserve(s Size) {
+	b.p.init = slices.Grow(b.p.init, s.Regs)
+	b.p.fixed = slices.Grow(b.p.fixed, s.Regs)
+	b.p.code = slices.Grow(b.p.code, s.Instrs)
+	b.p.names = slices.Grow(b.p.names, s.Names)
+	b.p.runs = slices.Grow(b.p.runs, s.Runs)
+	if s.Consts > 0 {
+		consts := make(map[int64]int, len(b.consts)+s.Consts)
+		maps.Copy(consts, b.consts)
+		b.consts = consts
+	}
 }
 
 // Regs allocates n consecutive registers that start at zero, named name0,
@@ -630,6 +648,9 @@ func (b *Builder) Reg(name string, init int64) int { return b.reg(name, init, fa
 func (b *Builder) Const(v int64) int {
 	r, ok := b.consts[v]
 	if !ok {
+		if b.consts == nil {
+			b.consts = map[int64]int{}
+		}
 		r = b.reg("", v, true)
 		b.consts[v] = r
 	}

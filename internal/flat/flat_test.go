@@ -202,10 +202,14 @@ func TestLogicShortCircuits(t *testing.T) {
 // whose first hit wins, a masked key tested after an And.
 func TestBanksAndMatch(t *testing.T) {
 	b := NewBuilder(phv.Default32)
-	b.Reserve(16, 8)
+	b.Reserve(Size{Regs: 16, Instrs: 8, Names: 3, Runs: 2})
 	idx, v := b.Reg("idx", 0), b.Reg("v", 0)
-	if c, ok := b.Constant(b.Const(-4)); !ok || c != -4 {
+	minus4 := b.Const(-4)
+	if c, ok := b.Constant(minus4); !ok || c != -4 {
 		t.Fatalf("Constant = %d, %v", c, ok)
+	}
+	if b.Reserve(Size{Consts: 3}); b.Const(-4) != minus4 { // sizing keeps the constants
+		t.Fatal("Reserve lost a constant")
 	}
 	if _, ok := b.Constant(v); ok {
 		t.Fatal("a register is no constant")

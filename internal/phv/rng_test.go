@@ -1,9 +1,11 @@
 package phv
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 )
 
@@ -74,8 +76,9 @@ type countingSource struct {
 func (c *countingSource) Int63() int64 { c.n++; return c.Source.Int63() }
 
 // TestFillMatchesMathRand checks every kind of column plan against the call
-// it stands for: Int63n at power-of-two limits (mask), at 200, 500 and 1000
-// (rmt-fast's bounds: threshold and %), at MaxInt64 (63-bit columns) and at
+// it stands for: Int63n at power-of-two limits (mask), at 3, 200, 500 and
+// 1000 (rmt-fast's bounds: threshold and the division-free reduction), at
+// MaxInt64 (63-bit columns, and a max of 2⁶³−1 on narrower ones too) and at
 // 2⁶²+1, where almost half the raw values are rejected and drawn again; and
 // Intn through boundary sets of one, two and three values (Int31n's mask and
 // threshold paths).
@@ -90,8 +93,10 @@ func TestFillMatchesMathRand(t *testing.T) {
 		{"max=200", []int{32, 32, 32}, 200, TrafficUniform},
 		{"max=500", []int{32}, 500, TrafficUniform},
 		{"max=1000", []int{32, 8, 16}, 1000, TrafficUniform},
+		{"max=3", []int{2, 32, 64}, 3, TrafficUniform},
 		{"63-bit", []int{63, 64, 62}, 0, TrafficUniform},
 		{"2^62+1", []int{63, 64}, 1<<62 + 1, TrafficUniform},
+		{"2^63-1", []int{63, 64, 40}, math.MaxInt64, TrafficUniform},
 		{"boundary/1", []int{1, 4, 32}, 1, TrafficBoundary},
 		{"boundary/2", []int{1, 1}, 0, TrafficBoundary},
 		{"boundary/3", []int{32, 2, 48, 63}, 0, TrafficBoundary},
@@ -112,7 +117,7 @@ func TestFillMatchesMathRand(t *testing.T) {
 				for i, v := range got {
 					var want Value
 					if c.mode == TrafficBoundary {
-						set := g.bounds[i]
+						set := g.plan.bounds[i]
 						want = set[ref.Intn(len(set))]
 					} else {
 						want = ref.Int63n(referenceLimit(c.bits[i], c.max))
@@ -144,13 +149,23 @@ func referenceLimit(bits int, max int64) int64 {
 
 // FuzzTrafficVsMathRand drives Fill with fuzzed seed, column widths, max,
 // mode and packet count, against math/rand's Int63n and Intn called in
-// column order, and a Reseed back to the same seed must replay the stream.
+// column order, and a generator started on a plan of the same shape must
+// replay the stream.
 func FuzzTrafficVsMathRand(f *testing.F) {
 	f.Add(int64(1), []byte{31, 31, 31}, int64(0), false, uint16(300))
 	f.Add(int64(42), []byte{47, 15, 7, 0}, int64(100), false, uint16(200))
 	f.Add(int64(-7), []byte{63, 62, 61}, int64(1<<62+1), false, uint16(400))
 	f.Add(int64(1<<40), []byte{0, 1, 31, 47, 62}, int64(0), true, uint16(300))
 	f.Add(int64(0), []byte{31}, int64(3), true, uint16(100))
+	// The division-free Int63n at rmt-fast's bounds and at the extremes: the
+	// smallest modulus, the one that rejects almost half the raw values, and
+	// the largest.
+	f.Add(int64(5), []byte{31, 31, 31, 31, 31}, int64(200), false, uint16(700))
+	f.Add(int64(6), []byte{31, 31, 31}, int64(500), false, uint16(700))
+	f.Add(int64(7), []byte{31, 15, 63}, int64(1000), false, uint16(700))
+	f.Add(int64(8), []byte{1, 31, 63}, int64(3), false, uint16(700))
+	f.Add(int64(9), []byte{63, 63}, int64(1<<62+1), false, uint16(700))
+	f.Add(int64(10), []byte{62, 63, 39}, int64(1<<63-1), false, uint16(700))
 	f.Fuzz(func(t *testing.T, seed int64, widths []byte, max int64, boundary bool, n uint16) {
 		if len(widths) == 0 || len(widths) > 64 {
 			return
@@ -188,18 +203,110 @@ func FuzzTrafficVsMathRand(f *testing.F) {
 			}
 			stream = append(stream, got...)
 		}
-		g.Reseed(seed)
+		plan, err := NewTraffic(bits, max, mode, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var started TrafficGen
+		started.Start(plan, seed)
 		var replay []Value
 		for p := 0; p < packets; p++ {
-			if id := g.Fill(got); id != p {
-				t.Fatalf("packet %d after Reseed has index %d", p, id)
+			if id := started.Fill(got); id != p {
+				t.Fatalf("packet %d of the plan-started generator has index %d", p, id)
 			}
 			replay = append(replay, got...)
 		}
 		if !slices.Equal(replay, stream) {
-			t.Fatal("Reseed does not replay the stream")
+			t.Fatal("a generator started on the plan does not replay the stream")
 		}
 	})
+}
+
+// TestStartedGenIsNewTrafficGen: a generator declared on the stack and
+// started on a plan draws the stream NewTrafficGen's draws — in both modes,
+// at every column width from 1 to 64, bounded and not, and after the plan's
+// corpus when it has one — and restarting it, wherever it was left, replays
+// the stream from its first packet.
+func TestStartedGenIsNewTrafficGen(t *testing.T) {
+	corpus := [][]Value{{5, 6}, {}, {1, 2, 3, 4, 5, 6, 7, 8, 9}}
+	for _, mode := range []TrafficMode{TrafficUniform, TrafficBoundary} {
+		for _, max := range []int64{0, 1000} {
+			for width := 1; width <= 64; width++ {
+				bits := []int{width, 64 - width + 1, width}
+				for _, entries := range [][][]Value{nil, corpus} {
+					plan, err := NewTraffic(bits, max, mode, entries)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref, err := NewTrafficGen(int64(width), bits, max, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var g TrafficGen
+					g.Start(plan, 99)
+					for range 700 { // leave it past a round under another seed
+						g.Fill(make([]Value, 3))
+					}
+					g.Start(plan, int64(width))
+					if g.Columns() != len(bits) {
+						t.Fatalf("Columns() = %d, want %d", g.Columns(), len(bits))
+					}
+					got, want := make([]Value, 3), make([]Value, 3)
+					for p := 0; p < 650; p++ {
+						id := g.Fill(got)
+						if p < len(entries) {
+							clear(want)
+							copy(want, entries[p])
+						} else {
+							ref.Fill(want)
+						}
+						if id != p || !slices.Equal(got, want) {
+							t.Fatalf("%s max=%d width %d corpus=%v packet %d: id %d %v, want %v", mode, max, width, entries != nil, p, id, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOnePlanManyGoroutines: a plan is read-only, so generators on eight
+// goroutines started on one plan each draw the stream a generator of their
+// own seed draws alone (run under -race, this is also the data-race check).
+func TestOnePlanManyGoroutines(t *testing.T) {
+	bits := []int{32, 32, 32, 9}
+	plan, err := NewTraffic(bits, 1000, TrafficUniform, [][]Value{{1, 2, 3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, packets = 8, 2000
+	streams := make([][]Value, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var g TrafficGen
+			g.Start(plan, int64(w))
+			row := make([]Value, len(bits))
+			for range packets {
+				g.Fill(row)
+				streams[w] = append(streams[w], row...)
+			}
+		}()
+	}
+	wg.Wait()
+	for w, got := range streams {
+		var g TrafficGen
+		g.Start(plan, int64(w))
+		row := make([]Value, len(bits))
+		for p := range packets {
+			g.Fill(row)
+			if !slices.Equal(got[p*len(bits):(p+1)*len(bits)], row) {
+				t.Fatalf("goroutine %d packet %d: %v, alone %v", w, p, got[p*len(bits):(p+1)*len(bits)], row)
+			}
+		}
+	}
 }
 
 // TestNextAndTraceAreFill: Next and Trace materialise the stream Fill
@@ -243,6 +350,29 @@ func TestTrafficGenRefusesNarrowColumns(t *testing.T) {
 	}
 	if _, err := NewTrafficGen(1, []int{1, 62, 63, 64, 1000}, 0, TrafficUniform); err != nil {
 		t.Errorf("widths from 1 up: %v", err)
+	}
+}
+
+// BenchmarkFill times one packet: three and five columns, at power-of-two
+// bounds (a mask) and at 1000 (a threshold and the Int63n reduction).
+func BenchmarkFill(b *testing.B) {
+	for _, cols := range []int{3, 5} {
+		for _, max := range []int64{0, 1000} {
+			name := fmt.Sprintf("cols=%d/pow2", cols)
+			if max != 0 {
+				name = fmt.Sprintf("cols=%d/mod%d", cols, max)
+			}
+			b.Run(name, func(b *testing.B) {
+				g, err := NewTrafficGen(1, slices.Repeat([]int{32}, cols), max, TrafficUniform)
+				if err != nil {
+					b.Fatal(err)
+				}
+				row := make([]Value, cols)
+				for i := 0; i < b.N; i++ {
+					g.Fill(row)
+				}
+			})
+		}
 	}
 }
 

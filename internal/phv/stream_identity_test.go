@@ -23,12 +23,13 @@ const streamDraws = 64
 const deepSkip = 4096
 
 // stream is one generator under test behind the surface both machine
-// models' generators share: fill the next packet, restart under a seed.
+// models' generators share: fill the next packet, restart under a seed on a
+// plan of the same shape, serving corpus first.
 type stream struct {
 	width  int // values per packet
 	fill   func(dst []phv.Value)
-	reseed func(seed int64)
-	corpus func(entries [][]phv.Value) // nil: the view installs no corpus
+	start  func(seed int64, corpus [][]phv.Value) error
+	corpus bool // the view serves a corpus (dRMT jobs take none)
 }
 
 // streamCase names one pinned stream and builds it for a seed.
@@ -58,7 +59,14 @@ func streamCases() []streamCase {
 							if err != nil {
 								return stream{}, err
 							}
-							return stream{width: phvLen, fill: func(dst []phv.Value) { g.Fill(dst) }, reseed: g.Reseed, corpus: g.SeedCorpus}, nil
+							start := func(seed int64, corpus [][]phv.Value) error {
+								plan, err := sim.NewTraffic(phvLen, phv.Default32, max, mode, corpus)
+								if err == nil {
+									g.Start(plan, seed)
+								}
+								return err
+							}
+							return stream{width: phvLen, fill: func(dst []phv.Value) { g.Fill(dst) }, start: start, corpus: true}, nil
 						},
 					})
 				}
@@ -82,7 +90,22 @@ func streamCases() []streamCase {
 							if err != nil {
 								return stream{}, err
 							}
-							return stream{width: g.NumFields(), fill: func(dst []phv.Value) { g.Fill(dst) }, reseed: g.Reseed}, nil
+							start := func(seed int64, corpus [][]phv.Value) error {
+								var bits []int
+								for _, f := range prog.FieldNames() {
+									b, err := prog.FieldBits(f)
+									if err != nil {
+										return err
+									}
+									bits = append(bits, b)
+								}
+								plan, err := phv.NewTraffic(bits, max, mode, corpus)
+								if err == nil {
+									g.Start(plan, seed)
+								}
+								return err
+							}
+							return stream{width: g.NumFields(), fill: func(dst []phv.Value) { g.Fill(dst) }, start: start}, nil
 						},
 					})
 				}
@@ -123,8 +146,9 @@ func renderDraws(vals []phv.Value) string {
 // TestTrafficStreamIdentity pins the traffic both architectures' campaigns
 // draw: the first values of every stream in the table must equal the golden
 // file, which was captured from the two separate generators (sim's and
-// drmt's) that preceded phv.TrafficGen. A reseeded generator and one that
-// served a seed corpus first must continue on the same pinned stream. Shard
+// drmt's) that preceded phv.TrafficGen. A generator restarted on a plan of
+// the same shape, and one whose plan serves a seed corpus first, must
+// continue on the same pinned stream. Shard
 // results and report hashes are functions of these streams, so a diff here
 // is a diff in every report.
 func TestTrafficStreamIdentity(t *testing.T) {
@@ -167,22 +191,23 @@ func TestTrafficStreamIdentity(t *testing.T) {
 			continue
 		}
 
-		// Reseed: a generator left mid-stream under another seed restarts on
+		// Restart: a generator left mid-stream under another seed restarts on
 		// the pinned stream.
 		used, err := c.open(c.seed + 1000)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		used.take(5 * used.width)
-		used.reseed(c.seed)
+		if err := used.start(c.seed, nil); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		if got := renderDraws(used.window(c.skip, streamDraws)); got != want {
-			t.Errorf("%s: reseeded stream differs\n got %s\nwant %s", c.name, got, want)
+			t.Errorf("%s: restarted stream differs\n got %s\nwant %s", c.name, got, want)
 		}
 
 		// Corpus replay: entries come first, verbatim (zero-padded or
-		// truncated to the packet), consume no randomness, and are served
-		// again after a reseed.
-		if s.corpus == nil {
+		// truncated to the packet), and consume no randomness.
+		if !s.corpus {
 			continue
 		}
 		entries := [][]phv.Value{{7, 3, 1}, {5}}
@@ -196,9 +221,10 @@ func TestTrafficStreamIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		seeded.corpus(entries)
 		seeded.take(3 * seeded.width)
-		seeded.reseed(c.seed)
+		if err := seeded.start(c.seed, entries); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		replay := seeded.take(len(prefix) + c.skip + streamDraws)
 		if got, wantPrefix := renderDraws(replay[:len(prefix)]), renderDraws(prefix); got != wantPrefix {
 			t.Errorf("%s: corpus replay differs\n got %s\nwant %s", c.name, got, wantPrefix)

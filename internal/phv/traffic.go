@@ -3,6 +3,7 @@ package phv
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // TrafficMode selects the distribution a traffic generator draws values
@@ -46,42 +47,45 @@ func BoundaryValues(limit int64) []Value {
 	return set
 }
 
-// TrafficGen is the traffic generator of both machine models: a packet is a
-// row of columns — PHV containers on RMT, "random unsigned integers" (§3.3),
-// header fields on dRMT, "randomly initialized packet field values" (§4.2) —
-// and every column has its own draw range. A packet costs exactly one random
-// number per column in either mode, so a stream is a function of (seed,
-// column widths, max, mode) alone and identical through Fill, Next and
-// Trace. The stream is math/rand's: column i of a packet is the value
-// rand.New(rand.NewSource(seed)).Int63n(limit) (uniform) or .Intn(len(set))
-// (boundary) returns at that point of the stream, rejection redraws
-// included. That holds by construction — the generator is math/rand's own
-// algorithm run in this package (rng.go) with each column's Int63n/Intn
-// decided once — and by test against math/rand itself. It is deterministic
-// for a given seed and not safe for concurrent use.
-type TrafficGen struct {
-	src    source
+// Traffic is a traffic plan: everything a stream depends on besides its
+// seed, decided once — each column's draw, the Int63n moduli, the boundary
+// sets and the seed corpus. A packet is a row of columns — PHV containers on
+// RMT, "random unsigned integers" (§3.3), header fields on dRMT, "randomly
+// initialized packet field values" (§4.2) — and every column has its own draw
+// range. A plan is immutable, so one plan serves any number of generators on
+// any goroutines.
+type Traffic struct {
 	draws  []draw    // per-column rejection threshold and mask
-	mods   []int64   // per-column Int63n modulus, 0 for a power-of-two limit; nil if every limit is one
+	mods   []modulus // per-column Int63n modulus, zero for a power-of-two limit; nil if every limit is one
 	bounds [][]Value // per-column boundary sets; non-nil in boundary mode
-
 	corpus [][]Value // seed packets served before random draws
-	next   int       // index of the next packet since the last restart
 }
 
-// NewTrafficGen returns a generator of packets with one column per entry of
-// bits, column i drawing from [0, 2^bits[i]). A positive max lowers every
-// column's bound to max where that is smaller; it never raises one, so a
-// drawn value always fits its column. Columns of 63 bits and more draw from
-// the full non-negative int64 range; a column narrower than 1 bit is an
-// error.
-func NewTrafficGen(seed int64, bits []int, max int64, mode TrafficMode) (*TrafficGen, error) {
+// modulus is a limit n that is not a power of two, with m = ⌊(2⁶⁴−1)/n⌋:
+// for every x below 2⁶³ the high word of x·m is ⌊x/n⌋ or one less, so x mod
+// n is a wide multiply, a multiply and a subtraction, and at most one
+// correction — no division.
+type modulus struct{ n, m uint64 }
+
+// NewTraffic returns the plan of packets with one column per entry of bits,
+// column i drawing from [0, 2^bits[i]). A positive max lowers every column's
+// bound to max where that is smaller; it never raises one, so a drawn value
+// always fits its column. Columns of 63 bits and more draw from the full
+// non-negative int64 range; a column narrower than 1 bit is an error.
+//
+// A generator started on a plan serves the corpus entries first, in order,
+// before any random draw — the feedback path that turns verification
+// counterexample traces into deterministic fuzzer regression traffic. The
+// entries are not copied; callers must not mutate them afterwards. A
+// corpus-served packet consumes no random numbers, so generators with the
+// same seed and the same corpus produce identical streams.
+func NewTraffic(bits []int, max int64, mode TrafficMode, corpus [][]Value) (*Traffic, error) {
 	if err := mode.Check(); err != nil {
 		return nil, fmt.Errorf("phv: %w", err)
 	}
-	g := &TrafficGen{draws: make([]draw, len(bits))}
+	t := &Traffic{draws: make([]draw, len(bits)), corpus: corpus}
 	if mode == TrafficBoundary {
-		g.bounds = make([][]Value, len(bits))
+		t.bounds = make([][]Value, len(bits))
 	}
 	for i, b := range bits {
 		if b < 1 {
@@ -94,63 +98,84 @@ func NewTrafficGen(seed int64, bits []int, max int64, mode TrafficMode) (*Traffi
 		if max > 0 && max < limit {
 			limit = max
 		}
-		if g.bounds != nil {
-			g.bounds[i] = BoundaryValues(limit)
-			g.draws[i] = int31nDraw(int32(len(g.bounds[i])))
+		if t.bounds != nil {
+			t.bounds[i] = BoundaryValues(limit)
+			t.draws[i] = int31nDraw(int32(len(t.bounds[i])))
 			continue
 		}
-		var mod int64
-		if g.draws[i], mod = int63nPlan(limit); mod != 0 {
-			if g.mods == nil {
-				g.mods = make([]int64, len(bits))
+		var n int64
+		if t.draws[i], n = int63nPlan(limit); n != 0 {
+			if t.mods == nil {
+				t.mods = make([]modulus, len(bits))
 			}
-			g.mods[i] = mod
+			t.mods[i] = modulus{n: uint64(n), m: math.MaxUint64 / uint64(n)}
 		}
 	}
-	g.src.seed(seed)
+	return t, nil
+}
+
+// TrafficGen is the traffic generator of both machine models: a plan and the
+// state of one stream through it. A packet costs exactly one random number
+// per column in either mode, so a stream is a function of (seed, plan) alone
+// and identical through Fill, Next and Trace. The stream is math/rand's:
+// column i of a packet is the value rand.New(rand.NewSource(seed)).Int63n(limit)
+// (uniform) or .Intn(len(set)) (boundary) returns at that point of the
+// stream, rejection redraws included. That holds by construction — the
+// generator is math/rand's own algorithm run in this package (rng.go) with
+// each column's Int63n/Intn decided once, in the plan — and by test against
+// math/rand itself. A zero TrafficGen draws nothing until Start; a generator
+// is deterministic for a given seed and not safe for concurrent use.
+type TrafficGen struct {
+	src  source
+	plan *Traffic
+	next int // index of the next packet since the start
+}
+
+// NewTrafficGen returns a generator started under seed on a plan of its own,
+// NewTraffic(bits, max, mode, nil).
+func NewTrafficGen(seed int64, bits []int, max int64, mode TrafficMode) (*TrafficGen, error) {
+	t, err := NewTraffic(bits, max, mode, nil)
+	if err != nil {
+		return nil, err
+	}
+	g := new(TrafficGen)
+	g.Start(t, seed)
 	return g, nil
 }
 
-// Columns returns the number of values Fill writes per packet.
-func (g *TrafficGen) Columns() int { return len(g.draws) }
-
-// Reseed restarts the stream as a generator freshly built with seed (same
-// columns, bound and mode) would produce it: the random source is re-seeded
-// in place — math/rand's Seed, without its divisions — packet indices
-// restart at 0 and an installed seed corpus is served again from its first
-// entry. It lets one generator serve many shards without allocating.
-func (g *TrafficGen) Reseed(seed int64) {
+// Start (re)starts g on the plan's stream under seed, wherever g was: the
+// random source is seeded in place — math/rand's Seed, without its
+// divisions — packet indices restart at 0 and the plan's corpus is served
+// from its first entry. A generator declared where it is used and started
+// there costs no allocation, so a caller that runs many streams keeps one
+// plan and starts a generator per stream.
+//
+//dvet:hotpath allocs=0
+func (g *TrafficGen) Start(t *Traffic, seed int64) {
 	g.src.seed(seed)
-	g.next = 0
+	g.plan, g.next = t, 0
 }
 
-// SeedCorpus installs concrete seed packets that Fill serves, in order,
-// before any random draw — the feedback path that turns verification
-// counterexample traces into deterministic fuzzer regression traffic. The
-// entries are not copied; callers must not mutate them afterwards. A
-// corpus-served packet consumes no random numbers, so generators with the
-// same seed and the same corpus produce identical streams.
-func (g *TrafficGen) SeedCorpus(entries [][]Value) {
-	g.corpus = entries
-	g.next = 0
-}
+// Columns returns the number of values Fill writes per packet.
+func (g *TrafficGen) Columns() int { return len(g.plan.draws) }
 
 // Fill writes the next packet's values, one per column, into the front of
 // the caller-owned dst buffer and returns the packet's index in the stream (0
-// for the first packet after construction, Reseed or SeedCorpus). While
-// seed-corpus entries remain it copies the next entry (zero-padding or
-// truncating on length mismatch); afterwards it draws exactly one value per
-// column, so streaming and trace-materializing consumers of the same seed
-// see the same traffic. Fill performs no allocation.
+// for the first packet after Start). While corpus entries remain it copies
+// the next entry (zero-padding or truncating on length mismatch); afterwards
+// it draws exactly one value per column, so streaming and
+// trace-materializing consumers of the same seed see the same traffic. Fill
+// performs no allocation.
 //
 //dvet:hotpath allocs=0
 func (g *TrafficGen) Fill(dst []Value) int {
-	draws := g.draws
+	t := g.plan
+	draws := t.draws
 	dst = dst[:len(draws)]
 	index := g.next
 	g.next++
-	if index < len(g.corpus) {
-		n := copy(dst, g.corpus[index])
+	if index < len(t.corpus) {
+		n := copy(dst, t.corpus[index])
 		for i := n; i < len(dst); i++ {
 			dst[i] = 0
 		}
@@ -177,12 +202,17 @@ func (g *TrafficGen) Fill(dst []Value) int {
 		}
 	}
 	src.pos = pos
-	for i, m := range g.mods { // Int63n for a limit that is not a power of two
-		if m != 0 {
-			dst[i] = int64(uint64(dst[i]) % uint64(m))
+	for i, m := range t.mods { // Int63n for a limit that is not a power of two
+		if m.n != 0 {
+			x := uint64(dst[i])
+			q, _ := bits.Mul64(x, m.m)
+			if x -= q * m.n; x >= m.n {
+				x -= m.n
+			}
+			dst[i] = int64(x)
 		}
 	}
-	for i, set := range g.bounds { // Intn: Int31 (Int63>>32) reduced modulo the set's size
+	for i, set := range t.bounds { // Intn: Int31 (Int63>>32) reduced modulo the set's size
 		dst[i] = set[uint32(dst[i]>>32)%uint32(len(set))]
 	}
 	return index
@@ -190,7 +220,7 @@ func (g *TrafficGen) Fill(dst []Value) int {
 
 // Next generates one PHV.
 func (g *TrafficGen) Next() *PHV {
-	p := New(len(g.draws))
+	p := New(g.Columns())
 	g.Fill(p.containers)
 	return p
 }

@@ -12,8 +12,7 @@ import (
 // generator with the same seed produces from its start.
 func TestTrafficGenSeedCorpus(t *testing.T) {
 	corpus := [][]phv.Value{{7, 3, 1}, {7, 3, 1}, {0, 0, 5}}
-	seeded := NewTrafficGen(42, 3, phv.Default32, 0)
-	seeded.SeedCorpus(corpus)
+	seeded := corpusGen(t, 42, corpus)
 	plain := NewTrafficGen(42, 3, phv.Default32, 0)
 
 	for i, want := range corpus {
@@ -32,8 +31,7 @@ func TestTrafficGenSeedCorpus(t *testing.T) {
 // TestTrafficGenCorpusLengthMismatch pins the padding rule: short corpus
 // entries zero-fill the remaining containers, long ones truncate.
 func TestTrafficGenCorpusLengthMismatch(t *testing.T) {
-	g := NewTrafficGen(1, 3, phv.Default32, 0)
-	g.SeedCorpus([][]phv.Value{{9}, {1, 2, 3, 4}})
+	g := corpusGen(t, 1, [][]phv.Value{{9}, {1, 2, 3, 4}})
 	first := g.Next()
 	if first.Get(0) != 9 || first.Get(1) != 0 || first.Get(2) != 0 {
 		t.Fatalf("short entry: got %v, want [9 0 0]", first)
@@ -42,4 +40,17 @@ func TestTrafficGenCorpusLengthMismatch(t *testing.T) {
 	if second.Get(0) != 1 || second.Get(1) != 2 || second.Get(2) != 3 {
 		t.Fatalf("long entry: got %v, want [1 2 3]", second)
 	}
+}
+
+// corpusGen is NewTrafficGen(seed, 3, phv.Default32, 0) on a plan that
+// serves corpus first.
+func corpusGen(t *testing.T, seed int64, corpus [][]phv.Value) *TrafficGen {
+	t.Helper()
+	plan, err := NewTraffic(3, phv.Default32, 0, TrafficUniform, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := new(TrafficGen)
+	g.Start(plan, seed)
+	return g
 }

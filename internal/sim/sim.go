@@ -32,8 +32,11 @@
 // shard performs O(1) allocation total regardless of packet count.
 //
 // Traffic comes from phv.TrafficGen, the generator both machine models
-// share: NewTrafficGen builds it with one column per container, every column
-// at the pipeline's bit width, and a max beyond that width is clamped to it.
+// share, drawing from a plan (phv.Traffic) with one column per container,
+// every column at the pipeline's bit width; a max beyond that width is
+// clamped to it. NewTrafficGen builds a plan and a generator on it; a
+// campaign job builds one plan (NewTraffic) and each shard starts a
+// generator of its own on it (TrafficGen.Start), on its stack.
 package sim
 
 import (
@@ -72,11 +75,23 @@ func NewTrafficGen(seed int64, phvLen int, bits phv.Width, max int64) *TrafficGe
 // modes draw exactly one random number per container, so a given mode is
 // deterministic for a given seed across Fill, Next and Trace.
 func NewTrafficGenMode(seed int64, phvLen int, bits phv.Width, max int64, mode TrafficMode) (*TrafficGen, error) {
+	return phv.NewTrafficGen(seed, columns(phvLen, bits), max, mode)
+}
+
+// NewTraffic returns the traffic plan NewTrafficGenMode's generator draws
+// from, with corpus served first (see phv.NewTraffic): one plan per job,
+// from which each shard starts a generator of its own.
+func NewTraffic(phvLen int, bits phv.Width, max int64, mode TrafficMode, corpus [][]phv.Value) (*phv.Traffic, error) {
+	return phv.NewTraffic(columns(phvLen, bits), max, mode, corpus)
+}
+
+// columns is phvLen traffic columns of the given width.
+func columns(phvLen int, bits phv.Width) []int {
 	cols := make([]int, phvLen)
 	for i := range cols {
 		cols[i] = bits.Bits()
 	}
-	return phv.NewTrafficGen(seed, cols, max, mode)
+	return cols
 }
 
 // Stream is the allocation-free tick-level simulation engine, the driver of

@@ -84,38 +84,43 @@ func TestTrafficGenModeValidation(t *testing.T) {
 	}
 }
 
-// TestTrafficGenReseed pins Reseed as stream-identical to building a new
-// generator: after any amount of use, Reseed(seed) continues exactly as
-// NewTrafficGenMode(seed, ...) with the same corpus installed starts — for
-// uniform and boundary draws, bounded and full-width ranges, through Fill
-// and Next, with the corpus served again from its first entry.
-func TestTrafficGenReseed(t *testing.T) {
+// TestTrafficGenRestart pins Start as stream-identical to building a new
+// generator: after any amount of use, Start(plan, seed) continues exactly as
+// NewTrafficGenMode(seed, ...) starts, after the plan's corpus — for uniform
+// and boundary draws, bounded and full-width ranges, through Fill and Next,
+// with the corpus served again from its first entry.
+func TestTrafficGenRestart(t *testing.T) {
 	corpus := [][]phv.Value{{7, 3, 1}, {0, 0, 5}}
 	for _, mode := range []TrafficMode{TrafficUniform, TrafficBoundary} {
 		for _, max := range []int64{0, 100} {
 			for _, withCorpus := range []bool{false, true} {
-				reused, err := NewTrafficGenMode(1, 3, phv.Default32, max, mode)
+				var entries [][]phv.Value
+				if withCorpus {
+					entries = corpus
+				}
+				plan, err := NewTraffic(3, phv.Default32, max, mode, entries)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if withCorpus {
-					reused.SeedCorpus(corpus)
-				}
+				var reused TrafficGen
+				reused.Start(plan, 1)
 				buf := make([]phv.Value, 3)
 				for _, seed := range []int64{42, -7, 42, 0} {
 					// Leave the generator mid-corpus on one round, far past it
-					// on the next, before reseeding.
+					// on the next, before restarting.
 					for i := int64(0); i < 1+(seed&3)*5; i++ {
 						reused.Fill(buf)
 					}
-					reused.Reseed(seed)
+					reused.Start(plan, seed)
 					fresh, _ := NewTrafficGenMode(seed, 3, phv.Default32, max, mode)
-					if withCorpus {
-						fresh.SeedCorpus(corpus)
-					}
 					want := make([]phv.Value, 3)
 					for i := 0; i < 40; i++ {
-						reused.Fill(buf)
+						if id := reused.Fill(buf); i < len(entries) {
+							if id != i || !phv.FromValues(buf).Equal(phv.FromValues(entries[i])) {
+								t.Fatalf("%s max=%d seed %d: packet %d = id %d %v, corpus entry %v", mode, max, seed, i, id, buf, entries[i])
+							}
+							continue
+						}
 						fresh.Fill(want)
 						if !phv.FromValues(buf).Equal(phv.FromValues(want)) {
 							t.Fatalf("%s max=%d corpus=%v seed %d: Fill %d = %v, fresh generator %v", mode, max, withCorpus, seed, i, buf, want)

@@ -154,6 +154,23 @@ var runners = map[string]func(t *testing.T) float64{
 		row := make([]phv.Value, pipe.PHVLen())
 		return max(worst, testing.AllocsPerRun(100, func() { rmtGen.Fill(row) }))
 	},
+	"internal/phv.TrafficGen.Start": func(t *testing.T) float64 {
+		// A campaign shard's start: a generator declared where it is used
+		// and started on the job's plan, which stays on the stack.
+		pipe := benchPipeline(t)
+		plan, err := sim.NewTraffic(pipe.PHVLen(), pipe.Bits(), 1000, sim.TrafficUniform, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := make([]phv.Value, pipe.PHVLen())
+		seed := int64(0)
+		return testing.AllocsPerRun(100, func() {
+			var gen sim.TrafficGen
+			seed++
+			gen.Start(plan, seed)
+			gen.Fill(row)
+		})
+	},
 	"internal/drmt.ISAMachine.ExecSlots": func(t *testing.T) float64 {
 		isaM, _, gen, buf := benchMachines(t)
 		gen.Fill(buf)
