@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"druzhba/internal/core"
+	"druzhba/internal/domino"
 	"druzhba/internal/phv"
 	"druzhba/internal/sim"
 	"druzhba/internal/spec"
@@ -162,6 +163,33 @@ func BenchmarkDominoSpec(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/PHV")
 		})
+	}
+}
+
+// BenchmarkDominoBind times what BenchmarkDominoSpec leaves out: binding a
+// Domino program to its containers, which lowers it to the flat program the
+// specification runs — once per spec instance's binding, and in package
+// verify once per proof width. One iteration binds the 12 Table-1 programs
+// at 8 bits, so B/op and allocs/op are summed over them.
+func BenchmarkDominoBind(b *testing.B) {
+	bms := spec.All()
+	progs := make([]*domino.Program, len(bms))
+	for i, bm := range bms {
+		r, err := bm.Resolve()
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[i] = r.Program
+	}
+	w := phv.MustWidth(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, p := range progs {
+			if _, err := domino.Bind(p, bms[j].Fields, w); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -17,14 +17,15 @@ package campaign
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/hex"
-	"fmt"
+	"hash"
 	"io"
 	"os"
 	"runtime/debug"
 	"strconv"
 	"sync"
+
+	"druzhba/internal/machinecode"
 )
 
 // ShardCache is the engine's pluggable shard-result store. Implementations
@@ -138,44 +139,73 @@ func ShardKey(fingerprint string, seed int64, n int) string {
 
 // shardKeyer derives the keys of one target's shards. A key is the
 // SHA-256 of "salt\x00len(fp)\x00fp\x00seed\x00n"; everything before the
-// seed is the same for every shard of a job, so the keyer hashes it once
-// and keeps the digest's marshalled state, and each key restores that
-// state and hashes only the seed and size — one block instead of three.
-// It is immutable, so the workers of a campaign share one per job.
-type shardKeyer struct{ state []byte }
+// seed is the same for every shard of a job, so the keyer keeps those bytes,
+// and each key copies them and the shard's seed and size into a buffer on
+// its stack and hashes that with one sha256.Sum256. It is immutable, so the
+// workers of a campaign share one per job.
+type shardKeyer struct{ prefix []byte }
+
+// keyStack is the stack buffer a key is hashed from: a 64-hex salt, a 64-hex
+// fingerprint, their framing and the longest seed and size take 173 bytes.
+// A longer prefix hashes from the heap.
+const keyStack = 256
+
+// keyTail is the most "seed\x00n" takes: two signed 64-bit decimals and a NUL.
+const keyTail = 20 + 1 + 20
 
 func newShardKeyer(salt, fingerprint string) shardKeyer {
-	h := sha256.New()
 	b := make([]byte, 0, len(salt)+len(fingerprint)+24)
 	b = append(append(b, salt...), 0)
 	b = append(strconv.AppendInt(b, int64(len(fingerprint)), 10), 0)
-	b = append(append(b, fingerprint...), 0)
-	h.Write(b)
-	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		panic("campaign: sha256 state: " + err.Error()) // the crypto hashes always marshal
-	}
-	return shardKeyer{state}
+	return shardKeyer{append(append(b, fingerprint...), 0)}
 }
 
+// key returns the shard key of (seed, n); the hex string is its only
+// allocation.
+//
+//dvet:hotpath allocs=1
 func (k shardKeyer) key(seed int64, n int) string {
-	h := sha256.New()
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(k.state); err != nil {
-		panic("campaign: sha256 state: " + err.Error()) // the state newShardKeyer marshalled
+	var stack [keyStack]byte
+	b := stack[:0]
+	if len(k.prefix)+keyTail > len(stack) {
+		b = make([]byte, 0, len(k.prefix)+keyTail) //dvet:alloc-ok a salt or fingerprint longer than any this build makes
 	}
-	var buf [2 * sha256.Size]byte // "seed\x00n" fits; then the sum
-	b := strconv.AppendInt(buf[:0], seed, 10)
-	b = strconv.AppendInt(append(b, 0), int64(n), 10)
-	h.Write(b)
-	return hex.EncodeToString(h.Sum(buf[:0]))
+	b = strconv.AppendInt(append(b, k.prefix...), seed, 10) //dvet:alloc-ok b holds the prefix and keyTail
+	b = strconv.AppendInt(append(b, 0), int64(n), 10)       //dvet:alloc-ok b holds the prefix and keyTail
+	sum := sha256.Sum256(b)
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:]) //dvet:alloc-ok the key itself
 }
 
-// fingerprintParts hashes length-framed parts into a stable hex string;
-// targets build their fingerprints from it.
-func fingerprintParts(parts ...string) string {
-	h := sha256.New()
-	for _, p := range parts {
-		fmt.Fprintf(h, "%d\x00%s\x00", len(p), p)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+// fingerprint hashes length-framed parts, "len(part)\x00part\x00" each, into
+// a stable hex string; targets build their fingerprints from it.
+type fingerprint struct {
+	h   hash.Hash
+	buf []byte // a part's bytes on their way into h
 }
+
+func newFingerprint() *fingerprint { return &fingerprint{h: sha256.New()} }
+
+// add hashes each of parts as one part.
+func (f *fingerprint) add(parts ...string) *fingerprint {
+	for _, p := range parts {
+		f.buf = append(strconv.AppendInt(f.buf[:0], int64(len(p)), 10), 0)
+		f.buf = append(append(f.buf, p...), 0)
+		f.h.Write(f.buf)
+	}
+	return f
+}
+
+// code hashes p's text (machinecode.Program.String) as one part, streamed
+// into the hash a few pairs at a time: the text is never rendered whole.
+func (f *fingerprint) code(p *machinecode.Program) *fingerprint {
+	f.buf = append(strconv.AppendInt(f.buf[:0], int64(p.TextLen()), 10), 0)
+	f.h.Write(f.buf)
+	p.Write(f.h)                    // a hash never fails a write
+	f.h.Write(f.buf[len(f.buf)-1:]) // the NUL that closes the part
+	return f
+}
+
+// sum returns the hex digest of the parts added so far.
+func (f *fingerprint) sum() string { return hex.EncodeToString(f.h.Sum(nil)) }

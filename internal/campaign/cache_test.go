@@ -392,45 +392,32 @@ func TestJobTimeoutDoesNotWedgeCampaign(t *testing.T) {
 
 // TestOnJobReportStreamsInMatrixOrder: rows arrive in job order no matter
 // how shards are scheduled, every job exactly once, and each streamed row
-// equals the corresponding final report row.
+// equals the corresponding final report row — for one worker, two and more
+// workers than jobs, with more shards than workers.
 func TestOnJobReportStreamsInMatrixOrder(t *testing.T) {
-	var jobs []Job
-	for i := 0; i < 6; i++ {
-		delay := time.Duration(5-i) * 2 * time.Millisecond // later jobs finish sooner
-		jobs = append(jobs, Job{
-			Name: fmt.Sprintf("job-%d", i),
-			Target: &stubTarget{run: func(seed int64, n int) ShardResult {
-				time.Sleep(delay)
-				return ShardResult{Checked: n}
-			}},
-			Packets: 48,
-		})
-	}
-	jobs = append(jobs, Job{Name: "broken", Target: &stubTarget{buildErr: errors.New("nope")}, Packets: 8})
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var jobs []Job
+			for i := 0; i < 6; i++ {
+				delay := time.Duration(5-i) * 2 * time.Millisecond // later jobs finish sooner
+				jobs = append(jobs, Job{
+					Name: fmt.Sprintf("job-%d", i),
+					Target: &stubTarget{run: func(seed int64, n int) ShardResult {
+						time.Sleep(delay)
+						return ShardResult{Checked: n}
+					}},
+					Packets: 48,
+				})
+			}
+			jobs = append(jobs, Job{Name: "broken", Target: &stubTarget{buildErr: errors.New("nope")}, Packets: 8})
 
-	var mu sync.Mutex
-	var rows []JobReport
-	rep, err := Run(context.Background(), jobs, Options{
-		Workers: 4, ShardSize: 16,
-		OnJobReport: func(jr JobReport) {
-			mu.Lock()
-			rows = append(rows, jr)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(jobs) {
-		t.Fatalf("streamed %d rows, want %d", len(rows), len(jobs))
-	}
-	for i := range rows {
-		if rows[i].Name != jobs[i].Name {
-			t.Fatalf("row %d is %q, want %q (matrix order)", i, rows[i].Name, jobs[i].Name)
-		}
-		if fmt.Sprintf("%+v", rows[i]) != fmt.Sprintf("%+v", rep.Jobs[i]) {
-			t.Fatalf("streamed row %d differs from final report row:\n%+v\n%+v", i, rows[i], rep.Jobs[i])
-		}
+			var rows streamedRows
+			rep, err := Run(context.Background(), jobs, Options{Workers: workers, ShardSize: 16, OnJobReport: rows.add})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows.check(t, jobs, rep)
+		})
 	}
 }
 
@@ -479,12 +466,15 @@ func TestMatrixTrafficAndProcsAxes(t *testing.T) {
 	}
 }
 
-// TestShardKeyerMatchesShardKey pins the per-job keyer to the one-shot key
-// formula it replaced, kept here verbatim as the reference: fingerprints on
-// both sides of SHA-256's 64-byte blocks, the extreme seeds and shard sizes,
-// under the build salt and under salts of other lengths (the empty one is
-// what a binary without build information gets). Eight goroutines then derive
-// keys from one shared keyer, as a campaign's workers do.
+// TestShardKeyerMatchesShardKey pins the per-job keyer to the documented
+// key, one SHA-256 of "salt\x00len(fp)\x00fp\x00seed\x00n", recomputed here
+// in one sha256.Sum256 as the reference: fingerprints on both sides of
+// SHA-256's 64-byte blocks, the extreme seeds and shard sizes, under the
+// build salt and under salts of other shapes — the empty one a binary
+// without build information gets, a 64-hex executable hash, a VCS-style
+// salt, and one longer than the key's stack buffer. A key whose prefix fits
+// that buffer allocates only its string. Eight goroutines then derive keys
+// from one shared keyer, as a campaign's workers do.
 func TestShardKeyerMatchesShardKey(t *testing.T) {
 	reference := func(salt, fp string, seed int64, n int) string {
 		h := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%d\x00%s\x00%d\x00%d", salt, len(fp), fp, seed, n)))
@@ -494,9 +484,16 @@ func TestShardKeyerMatchesShardKey(t *testing.T) {
 	for _, size := range []int{0, 63, 64, 200, 300} {
 		fps = append(fps, strings.Repeat("f", size))
 	}
-	seeds := []int64{0, -1, math.MinInt64, math.MaxInt64}
-	sizes := []int{0, 1, 4096}
-	for _, salt := range []string{buildSalt(), "", strings.Repeat("s", 59)} {
+	hexSalt := sha256.Sum256([]byte("an executable"))
+	salts := []string{
+		buildSalt(), "", strings.Repeat("s", 59),
+		hex.EncodeToString(hexSalt[:]),
+		"v0.0.0-20260101000000-0123456789ab|vcs.revision=0123456789abcdef0123456789abcdef01234567|vcs.modified=true",
+		strings.Repeat("L", keyStack+1),
+	}
+	seeds := []int64{0, -1, 7, 1 << 40, math.MinInt64, math.MaxInt64}
+	sizes := []int{0, 1, 999, 4096, math.MaxInt}
+	for _, salt := range salts {
 		for _, fp := range fps {
 			k := newShardKeyer(salt, fp)
 			for _, seed := range seeds {
@@ -506,6 +503,12 @@ func TestShardKeyerMatchesShardKey(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	if !raceEnabled {
+		k := newShardKeyer(salts[3], salts[3]) // a 64-hex salt and fingerprint
+		if a := testing.AllocsPerRun(100, func() { k.key(math.MinInt64, math.MinInt) }); a != 1 {
+			t.Errorf("a key allocates %.0f times, want 1 (its string)", a)
 		}
 	}
 	if got, want := ShardKey(fps[3], -1, 4096), reference(buildSalt(), fps[3], -1, 4096); got != want {

@@ -286,39 +286,81 @@ func TestDistinctCounterexamplesSurviveDuplicates(t *testing.T) {
 	}
 }
 
+// TestCampaignCancellation: a campaign cancelled mid-run returns the
+// context's error and a partial report whose unclaimed shards merge as
+// aborted, every job emitted once in matrix order, for one worker, two and
+// more workers than jobs (each job has hundreds of shards).
 func TestCampaignCancellation(t *testing.T) {
-	// Cancel deterministically from inside the first shard that starts:
-	// wall-clock timers are load-sensitive, a hooked spec factory is not.
-	jobs := passingJobs(t, 200000, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	for i := range jobs {
-		pt := jobs[i].Target.(*PipelineTarget)
-		inner := pt.NewSpec
-		pt.NewSpec = func() (sim.Spec, error) {
-			once.Do(cancel)
-			return inner()
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			// Cancel deterministically from inside the first shard that
+			// starts: wall-clock timers are load-sensitive, a hooked spec
+			// factory is not.
+			jobs := passingJobs(t, 200000, 1)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var once sync.Once
+			for i := range jobs {
+				pt := jobs[i].Target.(*PipelineTarget)
+				inner := pt.NewSpec
+				pt.NewSpec = func() (sim.Spec, error) {
+					once.Do(cancel)
+					return inner()
+				}
+			}
+			var rows streamedRows
+			rep, err := Run(ctx, jobs, Options{Workers: workers, ShardSize: 256, OnJobReport: rows.add})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			rows.check(t, jobs, rep)
+			if !rep.StoppedEarly {
+				t.Fatal("report does not record the early stop")
+			}
+			aborted := 0
+			for i := range rep.Jobs {
+				if rep.Jobs[i].Status == StatusAborted {
+					aborted++
+				}
+			}
+			if aborted == 0 {
+				t.Fatalf("no job recorded as aborted:\n%s", rep.Text(false))
+			}
+			if rep.Passed {
+				t.Fatal("cancelled campaign reported as passed")
+			}
+		})
+	}
+}
+
+// streamedRows collects the rows a campaign hands OnJobReport.
+type streamedRows struct {
+	mu   sync.Mutex
+	rows []JobReport
+}
+
+func (s *streamedRows) add(jr JobReport) {
+	s.mu.Lock()
+	s.rows = append(s.rows, jr)
+	s.mu.Unlock()
+}
+
+// check holds the streamed rows to the contract: every job exactly once, in
+// matrix order, each equal to the final report's row.
+func (s *streamedRows) check(t *testing.T, jobs []Job, rep *Report) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.rows) != len(jobs) || len(rep.Jobs) != len(jobs) {
+		t.Fatalf("streamed %d rows and reported %d, want %d", len(s.rows), len(rep.Jobs), len(jobs))
+	}
+	for i := range s.rows {
+		if s.rows[i].Name != jobs[i].Name {
+			t.Fatalf("row %d is %q, want %q (matrix order)", i, s.rows[i].Name, jobs[i].Name)
 		}
-	}
-	rep, err := Run(ctx, jobs, Options{Workers: 2, ShardSize: 256})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if !rep.StoppedEarly {
-		t.Fatal("report does not record the early stop")
-	}
-	aborted := 0
-	for i := range rep.Jobs {
-		if rep.Jobs[i].Status == StatusAborted {
-			aborted++
+		if fmt.Sprintf("%+v", s.rows[i]) != fmt.Sprintf("%+v", rep.Jobs[i]) {
+			t.Fatalf("streamed row %d differs from final report row:\n%+v\n%+v", i, s.rows[i], rep.Jobs[i])
 		}
-	}
-	if aborted == 0 {
-		t.Fatalf("no job recorded as aborted:\n%s", rep.Text(false))
-	}
-	if rep.Passed {
-		t.Fatal("cancelled campaign reported as passed")
 	}
 }
 
@@ -337,27 +379,34 @@ func TestCampaignPreCancelled(t *testing.T) {
 }
 
 func TestFailFastStopsEarly(t *testing.T) {
-	// The broken job fails in its first shards; fail-fast must prevent the
-	// large trailing jobs from completing in full.
-	jobs := []Job{brokenJob(t, "broken", 512)}
-	jobs = append(jobs, passingJobs(t, 500000, 1)...)
-	rep, err := Run(context.Background(), jobs, Options{Workers: 2, ShardSize: 256, FailFast: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.StoppedEarly {
-		t.Fatal("fail-fast campaign did not record an early stop")
-	}
-	if rep.Jobs[0].Status != StatusFail {
-		t.Fatalf("broken job status = %s, want fail", rep.Jobs[0].Status)
-	}
-	var totalPossible, checked int64
-	for i := range rep.Jobs {
-		totalPossible += int64(rep.Jobs[i].Packets)
-		checked += int64(rep.Jobs[i].Checked)
-	}
-	if checked >= totalPossible {
-		t.Fatal("fail-fast ran the full campaign anyway")
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			// The broken job fails in its first shards; fail-fast must
+			// prevent the large trailing jobs from completing in full, and
+			// still emit every job once, in matrix order.
+			jobs := []Job{brokenJob(t, "broken", 512)}
+			jobs = append(jobs, passingJobs(t, 500000, 1)...)
+			var rows streamedRows
+			rep, err := Run(context.Background(), jobs, Options{Workers: workers, ShardSize: 256, FailFast: true, OnJobReport: rows.add})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows.check(t, jobs, rep)
+			if !rep.StoppedEarly {
+				t.Fatal("fail-fast campaign did not record an early stop")
+			}
+			if rep.Jobs[0].Status != StatusFail {
+				t.Fatalf("broken job status = %s, want fail", rep.Jobs[0].Status)
+			}
+			var totalPossible, checked int64
+			for i := range rep.Jobs {
+				totalPossible += int64(rep.Jobs[i].Packets)
+				checked += int64(rep.Jobs[i].Checked)
+			}
+			if checked >= totalPossible {
+				t.Fatal("fail-fast ran the full campaign anyway")
+			}
+		})
 	}
 }
 

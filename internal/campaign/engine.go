@@ -4,28 +4,25 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"druzhba/internal/obs"
 )
-
-// task addresses one shard of one job; its packet range and seed follow
-// from (shard, the job's shard size), the arithmetic merge uses too.
-type task struct{ job, shard int }
 
 // jobState is everything the engine knows about one job of a running
 // campaign. The plan half is fixed before the pool starts; the rest is
 // written under emitter.mu, which also publishes it to the merging
 // goroutine.
 type jobState struct {
-	job  *Job
-	fp   string      // target fingerprint; "" = its shards are neither cached nor keyed
-	keys *shardKeyer // the fingerprint's key state, shared by the job's shards; nil with fp ""
-	size int         // packets per shard (the target may override Options.ShardSize)
-	exec *JobExec    // builds on the first miss; dropped at merge with its instance and runners
+	job    *Job
+	fp     string      // target fingerprint; "" = its shards are neither cached nor keyed
+	keys   *shardKeyer // derives the job's shard keys from the fingerprint; nil with fp ""
+	size   int         // packets per shard (the target may override Options.ShardSize)
+	shards int         // the job's shard count
+	exec   *JobExec    // builds on the first miss; dropped at merge with its instance and runners
 
 	start        time.Time      // first shard that had to execute; zero while every shard replayed
-	shards       int            // the job's shard count
 	results      []*ShardResult // results[s] is written by exactly one worker; nil = skipped
 	pending      int            // shards not yet landed
 	hits, misses int64          // keyed shards the cache replayed / did not hold
@@ -38,7 +35,7 @@ type jobState struct {
 
 // plan resolves once what a job's shards share: its labels from the
 // optional Target interfaces, its shard size, its fingerprint and the
-// hash state its shard keys start from. shards is the job's Shards count.
+// bytes its shard keys start with. shards is the job's Shards count.
 func plan(job *Job, o *Options, shards int) jobState {
 	js := jobState{job: job, size: job.shardSize(o.ShardSize), shards: shards, pending: shards,
 		results: make([]*ShardResult, shards), exec: NewJobExec(job.Target, o.Metrics)}
@@ -111,34 +108,19 @@ func Run(ctx context.Context, jobs []Job, opts Options) (*Report, error) {
 	}
 	o.Metrics.queueDepth(em.remaining)
 
-	// Tasks leave one channel job-major, so the pool works on few adjacent
-	// jobs at a time and peak memory stays about one clone per worker, not
-	// one per (worker, job). Shard results are pure functions of (job,
-	// shard), so which runner a shard borrows cannot change a report.
-	taskCh := make(chan task)
+	// Workers claim shards from one cursor in job-major order — every shard
+	// of job 0, then of job 1, … — so the pool works on few adjacent jobs at
+	// a time and peak memory stays about one clone per worker, not one per
+	// (worker, job). Shard results are pure functions of (job, shard), so
+	// which worker claims a shard cannot change a report.
 	var wg sync.WaitGroup
 	for w := 0; w < o.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range taskCh {
-				if runCtx.Err() == nil { // else drain; the jobs merge as aborted
-					em.runShard(runCtx, t)
-				}
-			}
+			em.claim(runCtx)
 		}()
 	}
-feed:
-	for j := range jobs {
-		for s := range em.states[j].shards {
-			select {
-			case taskCh <- task{j, s}:
-			case <-runCtx.Done():
-				break feed
-			}
-		}
-	}
-	close(taskCh)
 	wg.Wait()
 	em.mu.Lock()
 	em.advance(true)
@@ -158,13 +140,45 @@ feed:
 	return report, ctx.Err()
 }
 
+// claim runs shards on one worker until every shard is claimed or ctx is
+// done; a shard left unclaimed then merges as aborted when the pool has
+// drained. Claim i of the shared cursor is the i-th shard in job-major
+// order. A worker's claims only grow, so it finds a claim's job by walking
+// forward from its last one; the shard counts it walks are plan data, fixed
+// before the pool starts. Claiming allocates nothing; what a shard costs is
+// runShard's (a replayed one: its key, TestReplayedShardAllocations).
+//
+//dvet:hotpath allocs=0
+func (e *emitter) claim(ctx context.Context) {
+	done := ctx.Done()
+	job, first := 0, 0 // the job of the last claim and the claim index of its shard 0
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		i := int(e.next.Add(1)) - 1
+		for job < len(e.states) && i >= first+e.states[job].shards {
+			first += e.states[job].shards
+			job++
+		}
+		if job == len(e.states) {
+			return
+		}
+		e.runShard(ctx, job, i-first)
+	}
+}
+
 // runShard takes one shard from plan to landed result: replay it from the
 // cache, or execute it — remotely when an executor has workers, else on the
 // job's own JobExec — under the job's deadline, and store a clean result.
-func (e *emitter) runShard(ctx context.Context, t task) {
-	o, js := e.o, &e.states[t.job]
-	n := min(js.size, js.job.Packets-t.shard*js.size)
-	seed := deriveSeed(js.job.Seed, t.shard)
+// Its packet range and seed follow from (shard, the job's shard size), the
+// arithmetic merge uses too.
+func (e *emitter) runShard(ctx context.Context, job, shard int) {
+	o, js := e.o, &e.states[job]
+	n := min(js.size, js.job.Packets-shard*js.size)
+	seed := deriveSeed(js.job.Seed, shard)
 	key := ""
 	if js.fp != "" {
 		key = js.keys.key(seed, n)
@@ -180,7 +194,7 @@ func (e *emitter) runShard(ctx context.Context, t task) {
 		exec := js.exec
 		res = e.underDeadline(ctx, js, func(ctx context.Context) *ShardResult {
 			if o.Executor != nil {
-				res := o.Executor.ExecuteShard(ctx, ShardTask{Job: js.job, Shard: t.shard, Seed: seed, N: n, Fingerprint: js.fp, Key: key})
+				res := o.Executor.ExecuteShard(ctx, ShardTask{Job: js.job, Shard: shard, Seed: seed, N: n, Fingerprint: js.fp, Key: key})
 				if res == nil {
 					return &ShardResult{Err: errors.New("campaign: executor returned no result")}
 				}
@@ -201,7 +215,7 @@ func (e *emitter) runShard(ctx context.Context, t task) {
 		case res.Err != nil:
 			outcome = "error"
 		}
-		kvs := []obs.KV{{K: "shard", V: t.shard}, {K: "outcome", V: outcome}, {K: "checked", V: res.Checked}}
+		kvs := []obs.KV{{K: "shard", V: shard}, {K: "outcome", V: outcome}, {K: "checked", V: res.Checked}}
 		durSec := -1.0
 		if !cached {
 			durSec = o.Now().Sub(shardStart).Seconds()
@@ -211,7 +225,7 @@ func (e *emitter) runShard(ctx context.Context, t task) {
 		o.Metrics.shardDone(outcome, durSec)
 		o.Trace.Event("shard", js.job.Name, kvs...)
 	}
-	e.shardDone(js, t.shard, res, cached, o.Cache != nil && key != "")
+	e.shardDone(js, shard, res, cached, o.Cache != nil && key != "")
 }
 
 // underDeadline runs one shard's execution — local runner or remote lease —
@@ -270,6 +284,7 @@ type emitter struct {
 	o      *Options
 	obsOn  bool
 	cancel context.CancelFunc // stops the campaign when FailFast trips
+	next   atomic.Int64       // claims handed out, job-major; see claim
 
 	mu        sync.Mutex
 	states    []jobState

@@ -470,3 +470,35 @@ func TestVerifyCancellationNotCached(t *testing.T) {
 		t.Fatalf("clean rerun should prove the cell:\n%s", rep.Text(false))
 	}
 }
+
+// TestVerifyFingerprintGolden pins VerifyTarget fingerprints, which hash the
+// machine code's text (machinecode.Program.String) next to the proof grid
+// and key every cached cell: a change to how that text reaches the hash must
+// not move them. A deliberate change of a verify job's identity is the only
+// reason to touch these.
+func TestVerifyFingerprintGolden(t *testing.T) {
+	for _, grid := range []struct {
+		bits, steps []int
+		conflicts   int64
+		want        []string // sampling, learn-filter
+	}{
+		{nil, nil, 0, []string{
+			"6bccb90a448401d26eb3996f8225ebf9d70b69e036ecfc9a3cdf65761f84368d",
+			"2924f8585faf2b875ba6b05db66e4d882ec044963d0d8119aabb9e64322f6714",
+		}},
+		{[]int{4, 6}, []int{2}, 1000, []string{
+			"83198fd278b687717fa3c3cf234ed629dff5f1753048b330d84d847d6323e169",
+			"233ff7c470ee19782a6aaceff38fdf7723e8e0e03f1e5b822f2122727986afc6",
+		}},
+	} {
+		jobs := verifyJobsFor(t, []string{"sampling", "learn-filter"}, grid.bits, grid.steps, grid.conflicts)
+		if len(jobs) != len(grid.want) {
+			t.Fatalf("bits %v steps %v: %d jobs, %d golden fingerprints", grid.bits, grid.steps, len(jobs), len(grid.want))
+		}
+		for i, j := range jobs {
+			if got := j.Target.(*VerifyTarget).Fingerprint(); got != grid.want[i] {
+				t.Errorf("%s, bits %v steps %v conflicts %d: fingerprint %s, golden %s", j.Name, grid.bits, grid.steps, grid.conflicts, got, grid.want[i])
+			}
+		}
+	}
+}

@@ -2,7 +2,7 @@ package domino
 
 import (
 	"fmt"
-	"maps"
+	"slices"
 
 	"druzhba/internal/flat"
 	"druzhba/internal/phv"
@@ -54,47 +54,109 @@ type frameField struct {
 // register and flag writes, and which slots need tracking — those some read
 // could find unassigned, and every unbound field — is known only once every
 // read has been seen: a pass records them in needs, and resolve lowers again
-// with that set when the first pass found any.
+// with that set when the first pass found any. A slot is a local or a packet
+// field, numbered in the order the pass first meets it; a pass over the same
+// program meets them in the same order, so the numbers carry from one pass to
+// the next.
 type lowering struct {
 	c              *code
 	b              *flat.Builder
 	w              phv.Width
 	bind           FieldMap
-	regs           map[string]int // locals and fields by key (a field's carries its "pkt.")
-	flag           map[string]int // flag registers of the tracked slots
-	tracked, needs map[string]bool
+	slots          []slot // by slot number
+	tracked, needs []bool // by slot number; tracked may be shorter: the rest are not
+}
+
+// slot is a local (field false) or a packet field and its registers; flag is
+// -1 when the slot is not tracked.
+type slot struct {
+	name      string
+	field     bool
+	reg, flag int
 }
 
 // resolve never fails: a node it cannot make sense of becomes a Trap that
 // reports its error if and when execution reaches it.
 func resolve(p *Program, w phv.Width, bind FieldMap) *code {
-	c, needs := lower(p, w, bind, nil)
-	if len(needs) > 0 {
-		c, _ = lower(p, w, bind, needs)
+	size := sizeOf(p)
+	c, needs := lower(p, w, bind, nil, size)
+	if slices.Contains(needs, true) {
+		c, _ = lower(p, w, bind, needs, size)
 	}
 	return c
 }
 
-func lower(p *Program, w phv.Width, bind FieldMap, tracked map[string]bool) (*code, map[string]bool) {
-	l := &lowering{
-		c: &code{state: map[string]int{}}, b: flat.NewBuilder(w), w: w, bind: bind,
-		regs: map[string]int{}, flag: map[string]int{}, tracked: tracked, needs: map[string]bool{},
-	}
+func lower(p *Program, w phv.Width, bind FieldMap, tracked []bool, size flat.Size) (*code, []bool) {
+	l := &lowering{c: &code{state: make(map[string]int, len(p.States))}, b: flat.NewBuilder(w), w: w, bind: bind, tracked: tracked}
+	l.b.Reserve(size)
 	for _, s := range p.States {
 		l.c.state[s.Name] = l.b.Reg(s.Name, w.Trunc(s.Init))
 	}
 	l.c.errReg = l.b.Reg("err", 0)
-	assigned := map[string]bool{} // a field bound to a container always is: the PHV holds it
-	for field := range bind {
-		assigned["pkt."+field] = true
-	}
-	l.stmts(p.Body, assigned)
+	l.stmts(p.Body, nil) // nothing is assigned yet; a field bound to a container always is
 	prog, err := l.b.Build()
 	if err != nil {
 		panic(err) // the lowering emitted an instruction flat refuses: a bug here
 	}
 	l.c.prog = prog
 	return l.c, l.needs
+}
+
+// sizeOf estimates what lowering p emits, for flat.Builder.Reserve, from
+// what each node costs at most: an operation an instruction and a temporary
+// (a logical one four instructions), a literal a constant, a mention of a
+// local or field a named register, an assignment the instruction that
+// writes its target, an if a branch and a jump. A read renames and a
+// constant folds where they can, so it errs high, but not by much.
+func sizeOf(p *Program) flat.Size {
+	var s flat.Size
+	temps := 0
+	var stmts func([]Stmt)
+	var expr func(Expr)
+	expr = func(e Expr) {
+		switch e := e.(type) {
+		case *Lit:
+			s.Consts++
+		case *Ref:
+			if e.Kind != RefState {
+				s.Names++
+			}
+		case *Un:
+			s.Instrs++
+			temps++
+			expr(e.X)
+		case *Bin:
+			s.Instrs++
+			if e.Op == BAnd || e.Op == BOr {
+				s.Instrs += 3
+			}
+			temps++
+			expr(e.X)
+			expr(e.Y)
+		}
+	}
+	stmts = func(list []Stmt) {
+		for _, st := range list {
+			switch st := st.(type) {
+			case *Assign:
+				s.Instrs++
+				if st.Target.Kind != TargetState {
+					s.Names++
+				}
+				expr(st.Expr)
+			case *If:
+				s.Instrs += 2
+				expr(st.Cond)
+				stmts(st.Then)
+				stmts(st.Else)
+			}
+		}
+	}
+	stmts(p.Body)
+	s.Consts += 2 // 0 and 1: branches, checks and flag writes use them
+	s.Names += len(p.States) + 1
+	s.Regs = s.Names + s.Consts + temps
+	return s
 }
 
 // stateReg returns name's register. Only a hand-built AST can name an
@@ -108,30 +170,46 @@ func (l *lowering) stateReg(name string) int {
 	return r
 }
 
-// slotReg returns the register of a local (field == "") or of the packet
-// field its key names, allocated on first use together with its flag register
+// slotOf returns the number of the local (field false) or packet field name,
+// allocating its register on first use, together with its flag register
 // when the slot is tracked.
-func (l *lowering) slotReg(key, field string) int {
-	if r, ok := l.regs[key]; ok {
-		return r
-	}
-	r := l.b.Reg(key, 0)
-	l.regs[key] = r
-	if container, ok := l.bind[field]; field != "" && ok {
-		l.c.bound = append(l.c.bound, boundField{r, container})
-		return r
-	}
-	if field != "" {
-		l.needs[key] = true
-	}
-	if l.tracked[key] {
-		l.flag[key] = l.b.Reg(key+"?", 0)
-		l.c.flags = append(l.c.flags, l.flag[key])
-		if field != "" {
-			l.c.fields = append(l.c.fields, frameField{field, r, l.flag[key]})
+func (l *lowering) slotOf(name string, field bool) int {
+	for i, sl := range l.slots {
+		if sl.name == name && sl.field == field {
+			return i
 		}
 	}
-	return r
+	i, key := len(l.slots), name
+	if field {
+		key = "pkt." + name
+	}
+	sl := slot{name: name, field: field, reg: l.b.Reg(key, 0), flag: -1}
+	l.needs = append(l.needs, false)
+	if container, ok := l.bind[name]; field && ok {
+		l.c.bound = append(l.c.bound, boundField{sl.reg, container})
+		l.slots = append(l.slots, sl)
+		return i
+	}
+	l.needs[i] = field
+	if i < len(l.tracked) && l.tracked[i] {
+		sl.flag = l.b.Reg(key+"?", 0)
+		l.c.flags = append(l.c.flags, sl.flag)
+		if field {
+			l.c.fields = append(l.c.fields, frameField{name, sl.reg, sl.flag})
+		}
+	}
+	l.slots = append(l.slots, sl)
+	return i
+}
+
+// assigned reports whether slot i is written on every path to this point:
+// a field bound to a container always is, since the PHV holds it.
+func (l *lowering) assigned(done []bool, i int) bool {
+	sl := l.slots[i]
+	if _, ok := l.bind[sl.name]; sl.field && ok {
+		return true
+	}
+	return i < len(done) && done[i]
 }
 
 // fail emits a Trap reporting err unless the flag register is nonzero; a
@@ -145,94 +223,97 @@ func (l *lowering) fail(flag int, err error) {
 	l.b.Op(flat.Trap, l.c.errReg, flag, len(l.c.errs))
 }
 
-// stmts lowers a statement list. assigned holds the locals and unbound fields
-// every path to this point has written this packet; it is updated in place.
-func (l *lowering) stmts(list []Stmt, assigned map[string]bool) {
+// stmts lowers a statement list. done[i] holds whether every path to this
+// point has written slot i this packet (past its end: not); stmts returns it
+// updated, in place where it has room.
+func (l *lowering) stmts(list []Stmt, done []bool) []bool {
 	for _, s := range list {
 		switch s := s.(type) {
 		case *Assign:
 			switch s.Target.Kind {
 			case TargetState:
-				l.expr(s.Expr, l.stateReg(s.Target.Name), assigned)
+				l.expr(s.Expr, l.stateReg(s.Target.Name), done)
 			case TargetField, TargetLocal:
-				key, field := s.Target.Name, ""
-				if s.Target.Kind == TargetField {
-					key, field = "pkt."+key, key
-				}
-				l.expr(s.Expr, l.slotReg(key, field), assigned)
-				if f, ok := l.flag[key]; ok {
+				i := l.slotOf(s.Target.Name, s.Target.Kind == TargetField)
+				l.expr(s.Expr, l.slots[i].reg, done)
+				if f := l.slots[i].flag; f >= 0 {
 					l.b.Move(f, l.b.Const(1))
 				}
-				assigned[key] = true
+				for len(done) <= i {
+					done = append(done, false)
+				}
+				done[i] = true
 			default: // a target of any other kind stores nowhere
-				l.expr(s.Expr, -1, assigned)
+				l.expr(s.Expr, -1, done)
 			}
 		case *If:
-			toElse := l.b.Branch(flat.Jeq, l.expr(s.Cond, -1, assigned), l.b.Const(0))
-			then, alt := maps.Clone(assigned), maps.Clone(assigned)
-			l.stmts(s.Then, then)
+			toElse := l.b.Branch(flat.Jeq, l.expr(s.Cond, -1, done), l.b.Const(0))
+			then := l.stmts(s.Then, slices.Clone(done))
 			if len(s.Else) > 0 {
 				toEnd := l.b.Jump()
 				l.b.Land(toElse)
-				l.stmts(s.Else, alt)
+				done = l.stmts(s.Else, done)
 				toElse = toEnd
 			}
 			l.b.Land(toElse)
-			for key := range then {
-				if alt[key] {
-					assigned[key] = true
-				}
+			// Assigned after the if: on both paths. Each path started from
+			// done, so neither unassigns a slot.
+			done = done[:min(len(done), len(then))]
+			for i := range done {
+				done[i] = done[i] && then[i]
 			}
 		default:
 			l.fail(-1, fmt.Errorf("domino: unknown statement %T", s))
 		}
 	}
+	return done
 }
 
 // expr lowers an expression and returns the register holding its value: dst
 // when dst >= 0, else wherever the value already lives or a fresh temporary.
 // Only the last instruction writes dst, after every operand has been read,
 // so dst may be a register the expression reads.
-func (l *lowering) expr(e Expr, dst int, assigned map[string]bool) int {
+func (l *lowering) expr(e Expr, dst int, done []bool) int {
 	switch e := e.(type) {
 	case *Lit:
 		return l.b.Move(dst, l.b.Const(l.w.Trunc(e.Value)))
 	case *Ref:
-		key, field, err := e.Name, "", fmt.Errorf("domino: local %q read before assignment", e.Name)
 		switch e.Kind {
 		case RefState:
 			return l.b.Move(dst, l.stateReg(e.Name))
-		case RefField:
-			key, field, err = "pkt."+e.Name, e.Name, fmt.Errorf("domino: packet has no field %q", e.Name)
-		case RefLocal:
+		case RefField, RefLocal:
 		default:
 			l.fail(-1, fmt.Errorf("domino: bad reference kind %d", e.Kind))
 			return l.b.Const(0)
 		}
-		r := l.slotReg(key, field)
-		if !assigned[key] {
-			l.needs[key] = true
-			if f, ok := l.flag[key]; ok {
-				l.fail(f, err)
+		i := l.slotOf(e.Name, e.Kind == RefField)
+		if !l.assigned(done, i) {
+			l.needs[i] = true
+			if f := l.slots[i].flag; f >= 0 {
+				if e.Kind == RefField {
+					l.fail(f, fmt.Errorf("domino: packet has no field %q", e.Name))
+				} else {
+					l.fail(f, fmt.Errorf("domino: local %q read before assignment", e.Name))
+				}
 			}
 		}
-		return l.b.Move(dst, r)
+		return l.b.Move(dst, l.slots[i].reg)
 	case *Un:
 		zero := l.b.Const(0)
 		if e.Neg {
-			return l.b.Op(flat.Sub, dst, zero, l.expr(e.X, -1, assigned))
+			return l.b.Op(flat.Sub, dst, zero, l.expr(e.X, -1, done))
 		}
-		return l.b.Op(flat.Eq, dst, l.expr(e.X, -1, assigned), zero)
+		return l.b.Op(flat.Eq, dst, l.expr(e.X, -1, done), zero)
 	case *Bin:
 		if e.Op < BAdd || e.Op > BOr {
 			l.fail(-1, fmt.Errorf("domino: unknown operator %d", e.Op))
 			return l.b.Const(0)
 		}
-		x := l.expr(e.X, -1, assigned)
+		x := l.expr(e.X, -1, done)
 		if e.Op == BAnd || e.Op == BOr {
-			return l.b.Logic(e.Op == BOr, dst, x, func() int { return l.expr(e.Y, -1, assigned) })
+			return l.b.Logic(e.Op == BOr, dst, x, func() int { return l.expr(e.Y, -1, done) })
 		}
-		return l.b.Op(flat.Op(e.Op), dst, x, l.expr(e.Y, -1, assigned))
+		return l.b.Op(flat.Op(e.Op), dst, x, l.expr(e.Y, -1, done))
 	}
 	l.fail(-1, fmt.Errorf("domino: unknown expression %T", e))
 	return l.b.Const(0)

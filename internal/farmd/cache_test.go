@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"druzhba/internal/campaign"
+	"druzhba/internal/core"
+	"druzhba/internal/spec"
 )
 
 func res(checked int) *campaign.ShardResult {
@@ -381,5 +383,36 @@ func TestDirCacheGrowthRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d-byte entry reads back differently", info.Size())
 		}
+	}
+}
+
+// TestReplayedShardAllocations pins what a shard the cache replays costs the
+// engine: campaign.Run over a matrix a MemCache fully holds, at N and at 2N
+// shards per job, allocates at most 2 more per extra shard — its key, and
+// nothing to claim, look up, land or merge it.
+func TestReplayedShardAllocations(t *testing.T) {
+	const shardSize, n = 64, 200
+	cache := NewMemCache(0)
+	allocs := func(shards int) float64 {
+		jobs, err := campaign.Matrix(spec.Match("sampling"), []core.OptLevel{core.Compiled, core.SCCPropagation}, nil, []int64{1}, shards*shardSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := campaign.Options{Workers: 2, ShardSize: shardSize, Cache: cache}
+		if _, err := campaign.Run(context.Background(), jobs, opts); err != nil { // fill the cache
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			rep, err := campaign.Run(context.Background(), jobs, opts)
+			if err != nil || !rep.Passed || rep.Cache.Misses != 0 || rep.Cache.Hits != int64(len(jobs)*shards) {
+				panic(fmt.Sprintf("warm run: err %v, report %+v", err, rep))
+			}
+		})
+	}
+	base, double := allocs(n), allocs(2*n)
+	perShard := (double - base) / float64(2*n) // two jobs, n extra shards each
+	t.Logf("%d shards: %.0f allocs; %d shards: %.0f allocs; %.2f per extra shard", 2*n, base, 4*n, double, perShard)
+	if perShard > 2 {
+		t.Errorf("a replayed shard allocates %.2f times, want at most 2", perShard)
 	}
 }

@@ -75,8 +75,9 @@ func OpenStream(ctx context.Context, server string, req *MatrixRequest, opts Str
 		body:       resp.Body,
 		// ReadBytes rather than a Scanner: an unbounded-counterexample job
 		// row has no a-priori size cap, and a row the server produced must
-		// never fail the client.
-		br:   bufio.NewReaderSize(resp.Body, 64<<10),
+		// never fail the client. ReadBytes joins a row longer than the
+		// buffer, so the default size loses nothing.
+		br:   bufio.NewReader(resp.Body),
 		Rows: opts.LastRow,
 	}, nil
 }

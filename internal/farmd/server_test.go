@@ -414,6 +414,43 @@ func TestSubmitKeepsPartialRowsOnDeadStream(t *testing.T) {
 	}
 }
 
+// TestSubmitDecodesARowLongerThanItsBuffer: a job row with unbounded
+// counterexamples has no size cap; one of several hundred KiB — past the
+// client's read buffer and past the 64 KiB one it used to have — decodes
+// whole, and the summary row after it still arrives.
+func TestSubmitDecodesARowLongerThanItsBuffer(t *testing.T) {
+	jr := campaign.JobReport{Name: "rmt/x/scc/seed=1", Status: campaign.StatusFail, Checked: 5000}
+	for i := range 5000 {
+		jr.Counterexamples = append(jr.Counterexamples, campaign.Counterexample{
+			Packet: i, Input: strings.Repeat("7", 40), Got: "[1 2 3]", Want: "[1 2 4]",
+		})
+	}
+	row, err := json.Marshal(Row{Job: &jr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(row) <= 64<<10 {
+		t.Fatalf("the row is %d bytes, not longer than 64 KiB", len(row))
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		enc.Encode(Row{Job: &jr})                                                    //nolint:errcheck // test stream
+		enc.Encode(Row{Summary: &Summary{Jobs: 1, TotalChecked: int64(jr.Checked)}}) //nolint:errcheck // test stream
+	}))
+	defer srv.Close()
+	rep, err := Submit(context.Background(), srv.URL, &MatrixRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Jobs) != 1 || !reflect.DeepEqual(rep.Jobs[0], jr) {
+		t.Fatalf("the long row did not decode whole: %d jobs", len(rep.Jobs))
+	}
+	if rep.TotalChecked != int64(jr.Checked) || rep.StoppedEarly {
+		t.Fatalf("the summary after the long row was lost: %+v", rep)
+	}
+}
+
 // TestSubmitReturnsAfterTheHandler: Submit reads the stream to its end, so
 // it returns only once the server's handler has — a caller that inspects
 // the server next (metrics, spans, counters) sees the request finished —

@@ -126,28 +126,46 @@ func (p *Program) Merge(other *Program) {
 }
 
 // String renders the program in the text file format, one "name = value"
-// line per pair, into one buffer sized up front. Campaign fingerprints hash
-// these bytes, so they must not change.
+// line per pair, into one buffer sized up front. Campaign fingerprints stream
+// these bytes into their hash (Write, TextLen) and never render them, but
+// they must not change.
 func (p *Program) String() string {
-	size := 0
-	for _, pr := range p.pairs {
-		size += len(pr.Name) + len(" = \n") + 20 // 20: the longest int64
-	}
 	var b strings.Builder
-	b.Grow(size)
-	var num [20]byte
-	for _, pr := range p.pairs {
-		b.WriteString(pr.Name)
-		b.WriteString(" = ")
-		b.Write(strconv.AppendInt(num[:0], pr.Value, 10))
-		b.WriteByte('\n')
-	}
+	b.Grow(p.TextLen())
+	p.Write(&b) //nolint:errcheck // a strings.Builder never fails a write
 	return b.String()
 }
 
-// Write serializes the program in the text file format (String).
+// TextLen returns the length of String's text without rendering it.
+func (p *Program) TextLen() int {
+	n := 0
+	var num [20]byte
+	for _, pr := range p.pairs {
+		n += len(pr.Name) + len(" = \n") + len(strconv.AppendInt(num[:0], pr.Value, 10))
+	}
+	return n
+}
+
+// Write streams String's text to w a few pairs at a time through one small
+// buffer, so the whole text is never held: no write is longer than 1 KiB
+// unless one line is.
 func (p *Program) Write(w io.Writer) error {
-	_, err := io.WriteString(w, p.String())
+	const chunk = 1 << 10
+	buf := make([]byte, 0, chunk)
+	for _, pr := range p.pairs {
+		if len(buf) > 0 && len(buf)+len(pr.Name)+len(" = \n")+20 > chunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		buf = append(append(buf, pr.Name...), " = "...)
+		buf = append(strconv.AppendInt(buf, pr.Value, 10), '\n')
+	}
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
 	return err
 }
 

@@ -2,6 +2,7 @@ package machinecode
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -221,14 +222,24 @@ func fixtures(t testing.TB) map[string][]byte {
 }
 
 // TestStringIsWrite: String and Write emit the same bytes, which are the
-// "name = value" lines fmt would print, on the Table-1 fixtures and on
-// negative and extreme values.
+// "name = value" lines fmt would print, and TextLen is their length, on the
+// Table-1 fixtures, on negative and extreme values, and on a program with a
+// name longer than Write's buffer and enough pairs to fill it many times.
+// Write streams: no call to the writer carries more than its buffer unless
+// one line does, and the writer's error ends it.
 func TestStringIsWrite(t *testing.T) {
 	odd := New()
 	for i, v := range []int64{-1, 0, -9, math.MinInt64, math.MaxInt64, 10, -1000} {
 		odd.Set(OutputMuxName(i, i), v)
 	}
-	progs := []*Program{odd}
+	long := New()
+	for i := range 500 {
+		long.Set(OperandMuxName(i, i%2 == 0, i, 1), int64(i)*7919)
+		if i == 250 {
+			long.Set(strings.Repeat("x", 3000), math.MinInt64)
+		}
+	}
+	progs := []*Program{New(), odd, long}
 	for path, src := range fixtures(t) {
 		p, err := ParseString(string(src))
 		if err != nil {
@@ -237,8 +248,9 @@ func TestStringIsWrite(t *testing.T) {
 		progs = append(progs, p)
 	}
 	for _, p := range progs {
-		var w, want bytes.Buffer
-		if err := p.Write(&w); err != nil {
+		var want bytes.Buffer
+		w := &chunks{}
+		if err := p.Write(w); err != nil {
 			t.Fatal(err)
 		}
 		for _, pr := range p.pairs {
@@ -247,7 +259,50 @@ func TestStringIsWrite(t *testing.T) {
 		if p.String() != want.String() || w.String() != want.String() {
 			t.Errorf("String\n%s\nWrite\n%s\nwant\n%s", p.String(), w.String(), want.String())
 		}
+		if p.TextLen() != want.Len() {
+			t.Errorf("TextLen %d, text %d bytes", p.TextLen(), want.Len())
+		}
+		limit := 1 << 10
+		for _, line := range strings.SplitAfter(want.String(), "\n") {
+			limit = max(limit, len(line))
+		}
+		for _, c := range w.calls {
+			if c > limit {
+				t.Errorf("one write of %d bytes, text %d bytes: Write does not stream", c, want.Len())
+			}
+		}
+		if p == long && len(w.calls) < 8 {
+			t.Errorf("the long program's %d bytes came in %d writes", want.Len(), len(w.calls))
+		}
 	}
+	fail := errors.New("full")
+	if err := long.Write(&failAfter{2, fail}); !errors.Is(err, fail) {
+		t.Errorf("Write into a failing writer: %v, want %v", err, fail)
+	}
+}
+
+// chunks is a writer that records the size of every write.
+type chunks struct {
+	bytes.Buffer
+	calls []int
+}
+
+func (c *chunks) Write(b []byte) (int, error) {
+	c.calls = append(c.calls, len(b))
+	return c.Buffer.Write(b)
+}
+
+// failAfter fails every write after its first n.
+type failAfter struct {
+	n   int
+	err error
+}
+
+func (f *failAfter) Write(b []byte) (int, error) {
+	if f.n--; f.n < 0 {
+		return 0, f.err
+	}
+	return len(b), nil
 }
 
 // TestParseRejectsADuplicateName: two pairs for one primitive are the
