@@ -8,3 +8,7 @@ import "druzhba/internal/phv"
 type RefMachine = refMachine
 
 func NewRefMachine(p *Program, w phv.Width) *RefMachine { return newRefMachine(p, w) }
+
+// Regs returns where each register of the transaction lives in the linked
+// frame.
+func (l *Linked) Regs() []int { return l.regs }

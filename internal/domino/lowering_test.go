@@ -92,8 +92,8 @@ func TestLinkListingAndRefusals(t *testing.T) {
   2  mov  pkt.b, s
   3  add  pkt.a, pkt.a, #1
 `
-	if got := l.String(); got != listing || l.RegName(l.Want[0]) != "pkt.a" || l.RegName(l.Want[1]) != "pkt.b" || l.Want[2] != 2 || l.CanTrap() {
-		t.Errorf("linked:\n%s\nwant:\n%s\nWant %v, CanTrap %v", got, listing, l.Want, l.CanTrap())
+	if got := l.String(); got != listing || l.RegName(l.Want[0]) != "pkt.a" || l.RegName(l.Want[1]) != "pkt.b" || l.Want[2] != 2 || l.Trap != -1 || l.Clear != nil {
+		t.Errorf("linked:\n%s\nwant:\n%s\nWant %v, Trap %d, Clear %v", got, listing, l.Want, l.Trap, l.Clear)
 	}
 	if _, err := b.Link(pipe(phv.Default32), []int{0, 1}); err == nil || err.Error() != b.NewSpec().ProcessStream(make([]phv.Value, 2)).Error() {
 		t.Errorf("two containers for a field bound to container 2: %v", err)

@@ -360,7 +360,7 @@ func (m *Machine) Step(fields map[string]int64) error {
 			fields[f.name] = m.frame[f.reg]
 		}
 	}
-	return m.code.finish(m.frame, m.code.flags, m.code.errReg)
+	return m.code.finish(m.frame)
 }
 
 // step executes the transaction on one packet whose bound fields are read
@@ -380,17 +380,16 @@ func (m *Machine) step(vals []phv.Value) error {
 	if len(m.code.errs) == 0 {
 		return nil // no Trap: nothing reads a flag on this path, nothing to report
 	}
-	return m.code.finish(frame, m.code.flags, m.code.errReg)
+	return m.code.finish(frame)
 }
 
-// finish clears the packet's flags and returns the error a Trap left, on a
-// frame that holds the flags and the error register at the given indices.
-func (c *code) finish(frame []int64, flags []int, errReg int) error {
-	for _, r := range flags {
+// finish clears the packet's flags and returns the error a Trap left.
+func (c *code) finish(frame []int64) error {
+	for _, r := range c.flags {
 		frame[r] = 0
 	}
-	if e := frame[errReg]; e != 0 {
-		frame[errReg] = 0
+	if e := frame[c.errReg]; e != 0 {
+		frame[c.errReg] = 0
 		return c.errs[e-1]
 	}
 	return nil

@@ -136,11 +136,15 @@ type Linked struct {
 	// Run: the field's register where the transaction writes the field, the
 	// input register where it only reads it or names no field there.
 	Want []int
+	// Trap is the register a Trap leaves its code in (Error maps the code to
+	// its error), -1 when the transaction cannot trap. Clear are the
+	// registers a packet starts with at zero where it can: the "assigned"
+	// flags and the error register.
+	Trap  int
+	Clear []int
 
-	b      *Binding
-	regs   []int // regs[r]: where the transaction's register r lives in the frame
-	flags  []int // the "assigned" flag registers, in the frame
-	errReg int
+	b    *Binding
+	regs []int // regs[r]: where the transaction's register r lives in the frame
 }
 
 // Link links the transaction after prog, given the register of prog holding
@@ -159,23 +163,21 @@ func (b *Binding) Link(prog *flat.Program, in []int) (*Linked, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Linked{Program: p, Want: slices.Clone(in), b: b, regs: regs, errReg: regs[c.errReg]}
+	l := &Linked{Program: p, Want: slices.Clone(in), Trap: -1, b: b, regs: regs}
 	for _, f := range c.bound {
 		l.Want[f.container] = regs[f.reg]
 	}
-	for _, r := range c.flags {
-		l.flags = append(l.flags, regs[r])
+	if len(c.errs) > 0 {
+		l.Trap = regs[c.errReg]
+		for _, r := range b.Layout().Clear {
+			l.Clear = append(l.Clear, regs[r])
+		}
 	}
 	return l, nil
 }
 
-// CanTrap reports whether a run can stop at a Trap: whether Err must be
-// asked after each one.
-func (l *Linked) CanTrap() bool { return len(l.b.code.errs) > 0 }
-
-// Err returns the error a Trap left in the frame after Run, nil when the
-// transaction ran to its end, and clears the packet's flags for the next.
-func (l *Linked) Err(frame []int64) error { return l.b.code.finish(frame, l.flags, l.errReg) }
+// Error returns the error of the code a Trap left in the Trap register.
+func (l *Linked) Error(code int64) error { return l.b.code.errs[code-1] }
 
 // StoreState copies the transaction's registers, its state among them, from
 // the frame into s, an instance of the Binding l was linked from: s then

@@ -1125,7 +1125,7 @@ func TestBlockMutantsAreCaught(t *testing.T) {
 		got := equivalent
 		if pr := a.prove(t); pr.cex != nil {
 			got = refuted
-			if diff := a.replay(pr.cex, -1); diff == "" {
+			if diff := a.replay(pr.cex); diff == "" {
 				t.Errorf("%s: the refuting frame replays as no difference", id)
 			} else {
 				t.Logf("%s: refuted: %s", id, diff)
@@ -1156,7 +1156,7 @@ func mutantAgreement(m *ISAMachine, mu lowMutant) (*agreement, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &agreement{code: code, inputs: map[int]int{}}
+	a := &agreement{code: code, inputs: map[int]int{}, trap: -1}
 	for slot, w := range m.layout.fieldW {
 		a.inputs[m.in+slot] = w.Bits()
 		a.pairs = append(a.pairs, [2]int{m.out[slot], regs[m.out[slot]]})

@@ -7,11 +7,12 @@
 // counterexample packet.
 //
 // Both machines are lowered to flat programs over one SlotLayout, and the
-// table machine's is linked after the ISA machine's (flat.Link): one program
-// on one frame, the table side reading the packet from the ISA side's input
-// registers, which neither writes. A packet is one Fill into those
-// registers, one Run and a compare over the pairs of registers that hold a
-// field, or the drop flag, at the end of each side. Canonical string
+// table machine's is linked after the ISA machine's (flat.Link) into a
+// flat.Oracle: one program on one frame, the table side reading the packet
+// from the ISA side's input registers, which neither writes, with the pairs
+// of registers that hold a field, or the drop flag, at the end of each side.
+// Fuzz is a client of the oracle's packet loop (flat.Oracle.Fuzz), the one
+// package sim runs too, and Dispatched of its counting run. Canonical string
 // renderings and Diff records are materialized only on mismatch and the
 // seeded entry points start a generator on their stack from one kept traffic
 // plan, so a clean shard allocates its report and nothing else.
@@ -52,21 +53,21 @@ type DiffReport struct {
 // Passed reports whether the run found no divergence and no error.
 func (r *DiffReport) Passed() bool { return r.Err == nil && len(r.Diffs) == 0 }
 
-// DiffFuzzer streams seeded traffic through the linked program of an ISA
-// machine and the table-level machine. It is reusable across runs — Fuzz
-// resets the register state first — and Clone yields a worker-private
-// fuzzer, which is how campaign workers run dRMT shards concurrently. A
-// DiffFuzzer is not safe for concurrent use.
+// DiffFuzzer streams seeded traffic through the oracle of an ISA machine and
+// the table-level machine: the table machine's program linked after the ISA
+// machine's (flat.Oracle). It is reusable across runs — Fuzz resets the
+// register state first — and Clone yields a worker-private fuzzer, which is
+// how campaign workers run dRMT shards concurrently. A DiffFuzzer is not safe
+// for concurrent use.
 type DiffFuzzer struct {
 	prog   *p4.Program
 	layout *SlotLayout
 	isa    *ISAMachine
 	tab    *Machine
 
-	code  *flat.Program // the table machine's program linked after the ISA machine's
-	frame []int64
-	regs  []int    // where the table program's registers are in the linked frame
-	pairs [][2]int // (ISA, table) registers of a field or the drop flag at the end, which can differ
+	oracle *flat.Oracle
+	frame  []int64
+	want   []int // the table side's output registers in the linked frame, its drop flag last
 
 	// FuzzSeededMode's traffic plan, kept while the bound and mode it was
 	// built for stay the same, and shared with clones: a run starts a
@@ -102,26 +103,22 @@ func NewDiffFuzzer(prog *p4.Program, isa *ISAProgram, entries *EntrySet, hw HWCo
 	if err != nil {
 		return nil, err
 	}
-	f := &DiffFuzzer{prog: prog, layout: layout, isa: isaM, tab: tabM, code: code, frame: code.NewFrame(), regs: regs}
-	for slot, r := range isaM.out {
-		if w := regs[tabM.out[slot]]; w != r {
-			f.pairs = append(f.pairs, [2]int{r, w})
-		}
+	f := &DiffFuzzer{prog: prog, layout: layout, isa: isaM, tab: tabM, want: make([]int, 0, len(tabM.out)+1)}
+	pairs := make([]flat.Pair, 0, len(tabM.out)+1)
+	for slot, r := range tabM.out {
+		f.want = append(f.want, regs[r])
+		pairs = append(pairs, flat.Pair{Got: isaM.out[slot], Want: regs[r]})
 	}
+	f.want = append(f.want, regs[tabM.dropped])
 	if isaM.canDrop || tabM.canDrop {
-		f.pairs = append(f.pairs, [2]int{isaM.dropped, regs[tabM.dropped]})
+		pairs = append(pairs, flat.Pair{Got: isaM.dropped, Want: regs[tabM.dropped]})
 	}
+	f.oracle, f.frame = flat.NewOracle(code, isaM.in, layout.NumFields(), pairs, nil, isaM.err), code.NewFrame()
 	return f, nil
 }
 
-// Program returns the program under differential test.
-func (f *DiffFuzzer) Program() *p4.Program { return f.prog }
-
-// Layout returns the slot layout shared by both machines.
-func (f *DiffFuzzer) Layout() *SlotLayout { return f.layout }
-
 // Clone returns a fuzzer with a private frame, sharing no mutable state
-// with the original: the programs and the traffic plan it shares are
+// with the original: the oracle and the traffic plan it shares are
 // immutable.
 func (f *DiffFuzzer) Clone() *DiffFuzzer {
 	c := *f
@@ -129,11 +126,8 @@ func (f *DiffFuzzer) Clone() *DiffFuzzer {
 	return &c
 }
 
-// Reset zeroes the register state of both machines.
-func (f *DiffFuzzer) Reset() { f.code.Reset(f.frame) }
-
-// Fuzz is the one dRMT packet loop: it resets both machines and streams n
-// packets from gen through the linked program, comparing the drop flag and
+// Fuzz resets both machines and streams n packets from gen through the
+// oracle's packet loop (flat.Oracle.Fuzz), which compares the drop flag and
 // every field packet by packet. Register state accumulates across the
 // stream on both sides (and is compared indirectly, through register_read
 // results). Renderings and Diff records are built only for diverging
@@ -149,53 +143,47 @@ func (f *DiffFuzzer) Fuzz(gen *TrafficGen, n int) (*DiffReport, error) {
 	if gen.NumFields() != f.layout.NumFields() {
 		return nil, fmt.Errorf("drmt: traffic generator has %d fields, program has %d", gen.NumFields(), f.layout.NumFields()) //dvet:alloc-ok harness-misuse error path
 	}
-	f.Reset()
+	f.oracle.Program().Reset(f.frame)
 	rep := &DiffReport{} //dvet:alloc-ok one report per run, not per packet
-	r := f.frame
-	in := r[f.isa.in : f.isa.in+f.layout.NumFields()]
 	for i := 0; i < n; i++ {
-		id := gen.Fill(in)
-		f.code.Run(r)
-		if code := r[f.isa.err]; code != 0 {
-			rep.Instructions = r[f.isa.count]
-			rep.Err = fmt.Errorf("drmt isa: packet %d: %w", id, f.isa.errs[code-1]) //dvet:alloc-ok finding path, at most once per run
-			return rep, nil
+		at, code, _ := f.oracle.Fuzz(f.frame, &gen.TrafficGen, nil, f.oracle.Pairs(), i, n)
+		rep.Checked, i = at, at
+		if code != 0 {
+			rep.Err = fmt.Errorf("drmt isa: packet %d: %w", gen.Drawn()-1, f.isa.errs[code-1]) //dvet:alloc-ok finding path, at most once per run
+			break
 		}
-		rep.Checked++
-		for _, p := range f.pairs {
-			if r[p[0]] != r[p[1]] {
-				rep.Diffs = append(rep.Diffs, f.diff(i, id)) //dvet:alloc-ok finding path, diverging packets only
-				break
-			}
+		if at < n {
+			rep.Checked++
+			rep.Diffs = append(rep.Diffs, f.diff(at, gen.Drawn()-1)) //dvet:alloc-ok finding path, diverging packets only
 		}
 	}
-	rep.Instructions = r[f.isa.count]
+	rep.Instructions = f.frame[f.isa.count]
 	return rep, nil
 }
 
 // diff renders the packet the two sides have just disagreed on.
 func (f *DiffFuzzer) diff(i, id int) Diff {
 	r := f.frame
-	render := func(e *engine, regs func(int) int) string {
-		vals := make([]int64, len(e.out))
-		for slot, reg := range e.out {
-			vals[slot] = r[regs(reg)]
+	render := func(out []int, dropped int) string {
+		vals := make([]int64, len(out))
+		for slot, reg := range out {
+			vals[slot] = r[reg]
 		}
-		return f.layout.FormatSlots(vals, r[regs(e.dropped)] != 0)
+		return f.layout.FormatSlots(vals, r[dropped] != 0)
 	}
-	same := func(reg int) int { return reg }
+	last := len(f.want) - 1
 	return Diff{
 		Index: i,
 		ID:    id,
 		Input: f.layout.FormatSlots(r[f.isa.in:f.isa.in+f.layout.NumFields()], false),
-		Got:   render(&f.isa.engine, same),
-		Want:  render(&f.tab.engine, func(reg int) int { return f.regs[reg] }),
+		Got:   render(f.isa.out, f.isa.dropped),
+		Want:  render(f.want[:last], f.want[last]),
 	}
 }
 
 // Dispatched runs the stream FuzzSeeded(seed, n, max) runs through the
-// counting clone of the linked program, from reset banks, and returns how
-// many of its instructions the packets dispatched, both sides and the link
+// oracle's counting run (flat.Oracle.Count), from reset banks, and returns
+// how many instructions the packets dispatched, both sides and the link
 // included: exact, the same on every host. Like Fuzz it stops at the first
 // packet that traps.
 func (f *DiffFuzzer) Dispatched(seed int64, n int, max int64) (int64, error) {
@@ -203,22 +191,8 @@ func (f *DiffFuzzer) Dispatched(seed int64, n int, max int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c, first := f.code.Counting()
-	r := c.NewFrame()
-	in := r[f.isa.in : f.isa.in+f.layout.NumFields()]
-	for i := 0; i < n && r[f.isa.err] == 0; i++ {
-		gen.Fill(in)
-		c.Run(r)
-	}
-	return sum64(r[first : first+f.code.Len()]), nil
-}
-
-// sum64 adds up the counts.
-func sum64(counts []int64) (n int64) {
-	for _, c := range counts {
-		n += c
-	}
-	return n
+	dispatched, _ := f.oracle.Count(&gen.TrafficGen, n)
+	return dispatched, nil
 }
 
 // SetBatch is a declaration only: it selects nothing — Fuzz is the only

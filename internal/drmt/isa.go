@@ -818,11 +818,13 @@ func (m *ISAMachine) Run(packets []*Packet) (*ISAStats, error) {
 // Dispatched returns how many instructions of the lowered program the last
 // Run dispatched, its count additions included: what the packets cost on
 // the frame, where ISAStats.Instructions counts the source program's.
-func (m *ISAMachine) Dispatched() int64 {
-	if m.counting == nil {
-		return 0
+func (m *ISAMachine) Dispatched() (n int64) {
+	if m.counting != nil {
+		for _, c := range m.frame[m.counters : m.counters+m.code.Len()] {
+			n += c
+		}
 	}
-	return sum64(m.frame[m.counters : m.counters+m.code.Len()])
+	return n
 }
 
 // ExecSlots runs the program on one layout-ordered slot-vector packet in

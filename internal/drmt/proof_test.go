@@ -23,25 +23,36 @@ type agreement struct {
 	inputs map[int]int // the packet's field registers, with their widths
 	pairs  [][2]int    // registers that must end equal
 	shared [][3]int    // register pairs that start and must end equal, with their width
+	trap   int         // where a trap leaves its code, -1 for none
 }
 
-// diffAgreement is the theorem of a differential fuzzer's linked program:
-// the fields and the drop flag of the ISA side and the table side agree, and
-// their banks stay equal.
+// diffAgreement is the theorem of a differential fuzzer's oracle, read from
+// its inputs, pairs and trap register: the fields and the drop flag of the
+// ISA side and the table side agree, and their banks stay equal.
 func diffAgreement(f *DiffFuzzer) *agreement {
-	a := &agreement{code: f.code, inputs: map[int]int{}, pairs: f.pairs}
+	o := f.oracle
+	a := &agreement{code: o.Program(), inputs: map[int]int{}, trap: o.Trap()}
+	first, _ := o.Inputs()
 	for slot, w := range f.layout.fieldW {
-		a.inputs[f.isa.in+slot] = w.Bits()
+		a.inputs[first+slot] = w.Bits()
+	}
+	for _, p := range o.Pairs() {
+		a.pairs = append(a.pairs, [2]int{p.Got, p.Want})
 	}
 	for i, name := range f.isa.isa.RegArrays {
 		j := f.layout.regIdx[name]
 		isaBank, tabBank := f.isa.banks[i], f.tab.banks[j]
 		for c := 0; c < isaBank[1]; c++ {
-			a.shared = append(a.shared, [3]int{isaBank[0] + c, f.regs[tabBank[0]+c], f.layout.regW[j].Bits()})
+			a.shared = append(a.shared, [3]int{isaBank[0] + c, f.tabReg(tabBank[0] + c), f.layout.regW[j].Bits()})
 		}
 	}
 	return a
 }
+
+// tabReg returns where register r of the table side, one the link does not
+// rename (a bank cell), lives in the fuzzer's linked frame: after the ISA
+// side's registers.
+func (f *DiffFuzzer) tabReg(r int) int { return len(f.isa.code.NewFrame()) + r }
 
 // proof is the outcome of proving an agreement: the refuting frame, nil when
 // the theorem holds, and what the proof cost.
@@ -109,12 +120,12 @@ func (a *agreement) prove(t *testing.T) proof {
 
 // replay runs the linked program on a refuting frame and returns how the
 // theorem fails there, "" when it does not.
-func (a *agreement) replay(cex []int64, trap int) string {
+func (a *agreement) replay(cex []int64) string {
 	r := append([]int64(nil), cex...)
 	a.code.Run(r)
 	var out []string
-	if trap >= 0 && r[trap] != cex[trap] {
-		out = append(out, fmt.Sprintf("trap %d", r[trap]))
+	if a.trap >= 0 && r[a.trap] != cex[a.trap] {
+		out = append(out, fmt.Sprintf("trap %d", r[a.trap]))
 	}
 	for _, p := range append(a.pairs, sharedPairs(a.shared)...) {
 		if r[p[0]] != r[p[1]] {
@@ -152,7 +163,7 @@ func TestLinkedPairProved(t *testing.T) {
 			a := diffAgreement(f)
 			pr := a.prove(t)
 			if pr.cex != nil {
-				t.Fatalf("refuted: %s\n%s", a.replay(pr.cex, f.isa.err), f.code)
+				t.Fatalf("refuted: %s\n%s", a.replay(pr.cex), a.code)
 			}
 			t.Logf("proved: %d gates built, %d emitted, %d vars, %d clauses", pr.gates, pr.emit, pr.vars, pr.clause)
 		})
@@ -182,7 +193,7 @@ func TestLinkedPairRefutesTheCanary(t *testing.T) {
 	if pr.cex == nil {
 		t.Fatal("the miscompiled program was proved to agree with the table-level machine")
 	}
-	got := a.replay(pr.cex, f.isa.err)
+	got := a.replay(pr.cex)
 	if !strings.Contains(got, "ipv4.ttl'") || strings.Contains(got, "trap") {
 		t.Fatalf("the counterexample replays as %q, want a mismatch on ipv4.ttl and no trap", got)
 	}

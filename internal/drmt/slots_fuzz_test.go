@@ -351,7 +351,7 @@ func FuzzSlotsVsReference(f *testing.F) {
 		// traffic generator draws: full-range int64s mixed with the fuzzed
 		// key, the argument and small values that hit exact entries.
 		rng := rand.New(rand.NewSource(seed ^ arg))
-		layout := slot.Layout()
+		layout := slot.layout
 		isaBuf, tabBuf := make([]int64, layout.NumFields()), make([]int64, layout.NumFields())
 		isaStats := &ISAStats{Stats: Stats{MemoryAccesses: map[string]int{}}}
 		tabStats := &Stats{MemoryAccesses: map[string]int{}}
@@ -401,6 +401,6 @@ func FuzzSlotsVsReference(f *testing.F) {
 func (f *DiffFuzzer) registers(name string) [2][]int64 {
 	isa := f.isa.banks[slices.Index(f.isa.isa.RegArrays, name)]
 	tab := f.tab.banks[f.layout.regIdx[name]]
-	first := f.regs[tab[0]]
+	first := f.tabReg(tab[0])
 	return [2][]int64{f.frame[isa[0] : isa[0]+isa[1]], f.frame[first : first+tab[1]]}
 }

@@ -1,8 +1,10 @@
 package drmt
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -556,5 +558,52 @@ func BenchmarkDRMTDiffFuzz(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*packets), "ns/PHV")
 			})
 		}
+	}
+}
+
+// TestLoopAndCounterStopTogether plants an ISA program that traps: l2l3 with
+// the route action left out of ipv4_route's dispatch list, so packets that
+// miss the route diverge (dropped on the ISA side only) until the first that
+// hits it traps, packet 89 of seed 5. The packet loop and the oracle's
+// counting run stop at that packet, and the report is the one the loop has
+// always written, pinned by its digest.
+func TestLoopAndCounterStopTogether(t *testing.T) {
+	const (
+		n, stop    = 200, 89
+		dispatched = 2771
+		digest     = "e57a6755e4139dde78dc1bcae32f5bfca94af02526c671778efee15696529ce1"
+		want       = `drmt isa: packet 89: table "ipv4_route" selected action "route" outside its dispatch list`
+	)
+	prog, entries := loadL2L3(t)
+	isa, err := Assemble(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *isa
+	bad.Dispatch = slices.Clone(isa.Dispatch)
+	bad.Dispatch[2] = isa.Dispatch[2][1:]
+	f, err := NewDiffFuzzer(prog, &bad, entries, HWConfig{Processors: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.FuzzSeeded(5, n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Err == nil || rep.Err.Error() != want || rep.Checked != stop || len(rep.Diffs) != stop {
+		t.Fatalf("checked %d, %d diffs, err %v; want %d, %d and %s", rep.Checked, len(rep.Diffs), rep.Err, stop, stop, want)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(renderReport(rep)))); got != digest {
+		t.Errorf("report digest %s, want %s:\n%s", got, digest, renderReport(rep))
+	}
+	gen, err := NewTrafficGen(5, prog, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, packets := f.oracle.Count(&gen.TrafficGen, n); got != dispatched || packets != stop+1 {
+		t.Errorf("the counting run dispatched %d instructions over %d packets, want %d over %d", got, packets, dispatched, stop+1)
+	}
+	if got, err := f.Dispatched(5, n, 0); err != nil || got != dispatched {
+		t.Errorf("Dispatched = %d, %v; want %d", got, err, dispatched)
 	}
 }

@@ -7,7 +7,9 @@
 // drmt lowers the dRMT ISA program and the table-level machine to two more.
 // Link appends one program to another, the second reading the first's input
 // registers in place, so both sides of the Fig. 5 comparison are one program
-// on one frame.
+// on one frame; an Oracle (oracle.go) is that program with its inputs, its
+// compare pairs and its trap register, and holds the one packet loop and the
+// one counting run both machine models use.
 //
 // A Builder hands out registers and appends instructions; Build and Link
 // check every register index, jump target and bank once, so Run has

@@ -156,6 +156,10 @@ func (g *TrafficGen) Start(t *Traffic, seed int64) {
 	g.plan, g.next = t, 0
 }
 
+// Drawn returns how many packets Fill has written since Start: the index the
+// next one gets.
+func (g *TrafficGen) Drawn() int { return g.next }
+
 // Columns returns the number of values Fill writes per packet.
 func (g *TrafficGen) Columns() int { return len(g.plan.draws) }
 

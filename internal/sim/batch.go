@@ -1,10 +1,13 @@
 // batch.go drives the production kernel: a prechecked pipeline fused into one
 // flat register program (core.Fused), run once per packet on a frame — the
-// whole grid by Batch, and by the fuzzer the output cone with the
-// specification linked after it, so the expected outputs are registers of the
-// same frame. The pipeline's program has no failure path, so neither do its
-// drivers: the errors left are a Batch.Run outside the engine's capacity and
-// the specification's own.
+// whole grid by Batch, and by the fuzzer as a flat.Oracle, the output cone
+// with the specification linked after it, so the expected outputs are
+// registers of the same frame. The fuzzer runs the oracle's one packet loop
+// (flat.Oracle.Fuzz), the loop package drmt runs too, and counts through its
+// one counting run; what stays here is report shaping: the mismatch records
+// and the tick loop's stopping rules. The pipeline's program has no failure
+// path, so neither do its drivers: the errors left are a Batch.Run outside
+// the engine's capacity and the specification's own.
 //
 // Fused execution is observationally identical to the tick loop. The
 // pipeline is feedforward and all mutable state is private to one (stage,
@@ -103,15 +106,16 @@ func newFusedFuzzer(p *core.Pipeline, cone *core.Fused) *Fuzzer {
 	return &Fuzzer{pipe: p, fused: cone}
 }
 
-// oracle is the program the fused loop runs for one specification: the
-// pipeline's cone with, after it, a Domino binding's transaction
-// (domino.Linked) or, for any other specification, a block of registers that
-// admit fills with the specification's output before each Run. Either way
-// container c's expected value is register want[c] of the one frame. An
-// oracle is immutable and built once per cone and key (core.Fused.Linked).
+// oracle is what the fused loop runs for one specification: the pipeline's
+// cone with, after it, a Domino binding's transaction (domino.Linked) or, for
+// any other specification, a block of registers that admit fills with the
+// specification's output before each Run. Either way container c's expected
+// value is register want[c] of the one frame, and the flat.Oracle compares it
+// with the cone's output register where the two differ. An oracle is
+// immutable and built once per cone and key (core.Fused.Linked).
 type oracle struct {
+	*flat.Oracle
 	key  *domino.Binding // nil for specifications that are not bindings
-	prog *flat.Program
 	want []int
 	link *domino.Linked // nil: admit fills the want registers
 }
@@ -124,31 +128,40 @@ func newOracle(cone *core.Fused, w phv.Width, phvLen int, b *domino.Binding) *or
 	for c := range in {
 		in[c] = cone.InputReg(c)
 	}
+	o := &oracle{key: b}
+	var (
+		prog  *flat.Program
+		clear []int
+		trap  = -1
+	)
 	if b != nil {
 		if l, err := b.Link(cone.Program, in); err == nil {
-			return &oracle{key: b, prog: optimize(l.Program, cone, l.Want), want: l.Want, link: l}
+			o.link, prog, o.want, clear, trap = l, l.Program, l.Want, l.Clear, l.Trap
 		}
 	}
-	block := flat.NewBuilder(w)
-	block.Regs("want", phvLen)
-	wantProg, _ := block.Build() // registers and no code: nothing to refuse
-	prog, want, err := flat.Link(cone.Program, wantProg, nil)
-	if err != nil {
-		panic(err) // one width, nothing bound: nothing for Link to refuse
+	if o.link == nil {
+		block := flat.NewBuilder(w)
+		block.Regs("want", phvLen)
+		wantProg, _ := block.Build() // registers and no code: nothing to refuse
+		var err error
+		if prog, o.want, err = flat.Link(cone.Program, wantProg, nil); err != nil {
+			panic(err) // one width, nothing bound: nothing for Link to refuse
+		}
 	}
-	return &oracle{key: b, prog: optimize(prog, cone, want), want: want}
-}
-
-// optimize is flat.Optimize of a linked oracle, observing what the fused loop
-// reads back: the pipeline's output registers and the expected ones. The
-// other registers it reads — inputs, the specification's state, flags and
-// error register — are named, which Optimize keeps anyway.
-func optimize(prog *flat.Program, cone *core.Fused, want []int) *flat.Program {
-	opt, err := flat.Optimize(prog, cone.Out(), want)
+	// flat.Optimize observes what the fused loop reads back: the pipeline's
+	// output registers and the expected ones. The other registers it reads —
+	// inputs, the specification's state, flags and error register — are
+	// named, which Optimize keeps anyway.
+	prog, err := flat.Optimize(prog, cone.Out(), o.want)
 	if err != nil {
 		panic(err) // Optimize keeps a checked program checked
 	}
-	return opt
+	pairs := make([]flat.Pair, phvLen)
+	for c, got := range cone.Out() {
+		pairs[c] = flat.Pair{Got: got, Want: o.want[c]}
+	}
+	o.Oracle = flat.NewOracle(prog, cone.InputReg(0), phvLen, pairs, clear, trap)
+	return o
 }
 
 // useOracle points the fuzzer at the oracle for b, and lays out a frame for
@@ -157,22 +170,22 @@ func (f *Fuzzer) useOracle(b *domino.Binding) *oracle {
 	if f.oracle == nil || f.oracle.key != b {
 		//dvet:alloc-ok once per fuzzer and specification binding, not per run
 		f.oracle = f.fused.Linked(b, func() any { return newOracle(f.fused, f.pipe.Bits(), f.pipe.PHVLen(), b) }).(*oracle)
-		f.frame = f.oracle.prog.NewFrame()
+		f.frame = f.oracle.Program().NewFrame()
 	}
 	return f.oracle
 }
 
-// regPair is one comparison of the fused loop: frame[got] == frame[want].
-type regPair struct{ got, want int }
-
-// comparePairs returns the register pairs of the compared containers (nil =
-// every container), without those whose two registers are one: a container
-// both the pipeline and the specification pass through.
-func (f *Fuzzer) comparePairs(o *oracle, containers []int) []regPair {
+// comparePairs returns the oracle's pairs of the compared containers (nil =
+// every container): all of them, or a subset selected into the fuzzer's
+// reused slice.
+func (f *Fuzzer) comparePairs(o *oracle, containers []int) []flat.Pair {
+	if containers == nil {
+		return o.Pairs()
+	}
 	out, pairs := f.fused.Out(), f.pairs[:0]
-	for c := range out {
-		if (containers == nil || slices.Contains(containers, c)) && out[c] != o.want[c] {
-			pairs = append(pairs, regPair{out[c], o.want[c]})
+	for _, p := range o.Pairs() {
+		if slices.ContainsFunc(containers, func(c int) bool { return out[c] == p.Got && o.want[c] == p.Want }) {
+			pairs = append(pairs, p)
 		}
 	}
 	f.pairs = pairs
@@ -187,16 +200,15 @@ func regsPHV(frame []int64, regs []int) *phv.PHV {
 	return p
 }
 
-// fuzzFused is Fuzz on the fused program: packet by packet the source fills
-// the frame's input registers, one Run executes the pipeline and, after it,
-// the specification — linked into the program, or admitted into the want
-// registers just before — and the pairs of output registers are compared.
-// Reports are byte-identical to the tick loop's: every early-exit path
-// (counterexample cap, generator error, spec error) reconstructs the exact
-// point the tick loop would have stopped — including dropping comparisons it
-// would never have reached — and a linked specification's state is handed
-// back to the instance as the tick loop leaves it. Execution itself cannot
-// stop the run.
+// fuzzFused is Fuzz on the fused program: the oracle's packet loop
+// (flat.Oracle.Fuzz) runs the pipeline and, after it, the specification —
+// linked into the program, or admitted into the want registers just before
+// each packet — and compares the pairs of output registers. Reports are
+// byte-identical to the tick loop's: every early-exit path (counterexample
+// cap, generator error, spec error) reconstructs the exact point the tick
+// loop would have stopped — including dropping comparisons it would never
+// have reached — and a linked specification's state is handed back to the
+// instance as the tick loop leaves it. Execution itself cannot stop the run.
 //
 //dvet:hotpath allocs=1
 func (f *Fuzzer) fuzzFused(spec Spec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
@@ -207,7 +219,7 @@ func (f *Fuzzer) fuzzFused(spec Spec, n int, src source, opts FuzzOptions, maxMi
 		b = ps.Binding()
 	}
 	o := f.useOracle(b)
-	o.prog.Reset(f.frame)
+	o.Program().Reset(f.frame)
 	spec.Reset()
 	r := fusedRun{f: f, o: o, spec: spec, in: f.fused.Inputs(f.frame), pairs: f.comparePairs(o, opts.Containers), maxMismatches: maxMismatches, abortAt: -1}
 	if o.link != nil {
@@ -230,7 +242,7 @@ type fusedRun struct {
 	o             *oracle
 	spec          Spec
 	in            []phv.Value // the frame's input registers
-	pairs         []regPair
+	pairs         []flat.Pair
 	maxMismatches int
 
 	mms      []Mismatch
@@ -239,32 +251,24 @@ type fusedRun struct {
 	misuse   bool  // abortErr is the specification's: harness misuse
 }
 
-// linked runs up to n packets through the oracle with the specification
-// linked into it: per packet a fill, one Run, the specification's error only
-// when it can trap, and the compare.
+// linked runs up to n packets through the oracle's packet loop with the
+// specification linked into it, resuming after each diverging packet.
 //
 //dvet:hotpath allocs=0
 func (r *fusedRun) linked(n int, src source) {
-	frame, in, prog, link, pairs := r.f.frame, r.in, r.o.prog, r.o.link, r.pairs
-	traps := link.CanTrap()
 	for i := 0; i < n; i++ {
-		if err := src.fill(i, in); err != nil {
-			r.abortAt, r.abortErr = i, err
+		at, trap, err := r.o.Fuzz(r.f.frame, src.gen, src.fill, r.pairs, i, n)
+		switch {
+		case err != nil:
+			r.abortAt, r.abortErr = at, err
 			return
+		case trap != 0:
+			r.abortAt, r.abortErr, r.misuse = at, fmt.Errorf("sim: spec %q, PHV %d: %w", r.spec.Name(), at, r.o.link.Error(trap)), true //dvet:alloc-ok spec-failure error path
+			return
+		case at < n:
+			n = r.mismatch(at, n, regsPHV(r.f.frame, r.o.want)) //dvet:alloc-ok mismatch path
 		}
-		prog.Run(frame)
-		if traps {
-			if err := link.Err(frame); err != nil {
-				r.abortAt, r.abortErr, r.misuse = i, fmt.Errorf("sim: spec %q, PHV %d: %w", r.spec.Name(), i, err), true //dvet:alloc-ok spec-failure error path
-				return
-			}
-		}
-		for _, p := range pairs {
-			if frame[p.got] != frame[p.want] {
-				n = r.mismatch(i, n, regsPHV(frame, r.o.want)) //dvet:alloc-ok mismatch path
-				break
-			}
-		}
+		i = at
 	}
 }
 
@@ -292,12 +296,9 @@ func (r *fusedRun) admitted(n int, src source) {
 			r.abortAt, r.abortErr, r.misuse = i, specErr, true
 			return
 		}
-		r.o.prog.Run(frame)
-		same := len(want) == len(r.in) // an output of the wrong length never compares equal
-		for _, p := range r.pairs {
-			same = same && frame[p.got] == frame[p.want]
-		}
-		if !same {
+		r.o.Program().Run(frame)
+		// An output of the wrong length never compares equal.
+		if len(want) != len(r.in) || flat.Diverge(frame, r.pairs) {
 			n = r.mismatch(i, n, phv.FromValues(want)) //dvet:alloc-ok mismatch path; admit's row, whatever its length
 		}
 	}

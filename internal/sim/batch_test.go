@@ -9,6 +9,7 @@ import (
 
 	"druzhba/internal/atoms"
 	"druzhba/internal/core"
+	"druzhba/internal/domino"
 	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
 )
@@ -418,5 +419,41 @@ func TestBatchAliasingAudit(t *testing.T) {
 	}
 	if _, err := NewBatch(p, 0); err == nil {
 		t.Fatal("NewBatch accepted capacity 0")
+	}
+}
+
+// TestLoopAndCounterStopTogether plants a Domino specification that traps on
+// the fused path — a local read unless the packet's pkt.a is nonzero, which
+// seed-1 traffic below 16 first breaks at packet 4 — and checks that the
+// packet loop and the oracle's counting run stop at that packet, and that the
+// finding reads as it always has.
+func TestLoopAndCounterStopTogether(t *testing.T) {
+	const (
+		n    = 200
+		stop = 4
+		want = `sim: spec "domino", PHV 4: domino: local "t" read before assignment`
+	)
+	p := buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled)
+	prog, err := domino.Parse("transaction { if (pkt.a != 0) { int t = 1; } pkt.b = t; }")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := domino.Bind(prog, domino.FieldMap{"a": 0, "b": 1}, p.Bits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := func() *TrafficGen { return NewTrafficGen(1, p.PHVLen(), p.Bits(), 16) }
+	f := NewFuzzer(p)
+	if rep, err := f.FuzzGen(b.NewSpec(), gen(), n, FuzzOptions{}, 0); err == nil || err.Error() != want {
+		t.Fatalf("fuzz: report %v, error %v; want the error %s", rep, err, want)
+	}
+	if !f.Linked() || f.oracle.Trap() < 0 {
+		t.Fatal("the trapping specification was not linked as one that traps")
+	}
+	if _, packets := f.oracle.Count(gen(), n); packets != stop+1 {
+		t.Errorf("the counting run ran %d packets, the loop stopped at packet %d", packets, stop)
+	}
+	if all, upTo := f.Dispatched(b.NewSpec(), gen(), n), f.Dispatched(b.NewSpec(), gen(), stop+1); all != upTo {
+		t.Errorf("%d instructions dispatched over %d packets, %d up to the trap", all, n, upTo)
 	}
 }

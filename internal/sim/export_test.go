@@ -22,27 +22,13 @@ func (f *Fuzzer) onFused() bool { return f.fused != nil }
 func (f *Fuzzer) Linked() bool { return f.oracle != nil && f.oracle.link != nil }
 
 // Dispatched runs n packets from gen through the oracle the fused loop links
-// for spec, on its counting clone (flat.Program.Counting), and returns the
+// for spec, on its counting run (flat.Oracle.Count), and returns the
 // instructions it dispatched.
 func (f *Fuzzer) Dispatched(spec Spec, gen *TrafficGen, n int) int64 {
 	var b *domino.Binding
 	if ps, ok := spec.(*domino.PHVSpec); ok {
 		b = ps.Binding()
 	}
-	o := f.useOracle(b)
-	counting, first := o.prog.Counting()
-	frame := counting.NewFrame()
-	in := f.fused.Inputs(frame)
-	for range n {
-		gen.Fill(in)
-		counting.Run(frame)
-		if o.link != nil && o.link.CanTrap() {
-			o.link.Err(frame)
-		}
-	}
-	total := int64(0)
-	for _, c := range frame[first : first+o.prog.Len()] {
-		total += c
-	}
-	return total
+	dispatched, _ := f.useOracle(b).Count(gen, n)
+	return dispatched
 }

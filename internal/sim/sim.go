@@ -44,6 +44,7 @@ import (
 	"fmt"
 
 	"druzhba/internal/core"
+	"druzhba/internal/flat"
 	"druzhba/internal/phv"
 )
 
@@ -491,11 +492,12 @@ type Fuzzer struct {
 
 	// Fused loop: the cone, the oracle the last run linked after it, this
 	// fuzzer's frame for that oracle (the source fills its input registers in
-	// place) and the register pairs the run compares.
+	// place) and the subset of its pairs a run that compares some containers
+	// selects.
 	fused  *core.Fused
 	oracle *oracle
 	frame  []int64
-	pairs  []regPair
+	pairs  []flat.Pair
 }
 
 // NewFuzzer returns a fuzzer over the pipeline. The fuzzer observes output

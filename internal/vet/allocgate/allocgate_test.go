@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"druzhba/internal/core"
+	"druzhba/internal/domino"
 	"druzhba/internal/drmt"
+	"druzhba/internal/flat"
 	"druzhba/internal/obs"
 	"druzhba/internal/phv"
 	"druzhba/internal/sim"
@@ -121,6 +123,27 @@ var runners = map[string]func(t *testing.T) float64{
 		frame := cone.NewFrame()
 		cone.Run(frame)
 		return testing.AllocsPerRun(100, func() { cone.Run(frame) })
+	},
+	"internal/flat.Oracle.Fuzz": func(t *testing.T) float64 {
+		// The one packet loop both machine models run, on every Table-1
+		// oracle (the cone with the Domino specification linked after it),
+		// drawing from a generator and from a caller's fill.
+		worst := 0.0
+		for _, bm := range spec.All() {
+			o, gen := benchOracle(t, bm)
+			frame := o.Program().NewFrame()
+			fill := func(_ int, in []int64) error { gen.Fill(in); return nil }
+			for _, g := range []*phv.TrafficGen{gen, nil} {
+				fuzzRun := func() {
+					if at, _, _ := o.Fuzz(frame, g, fill, o.Pairs(), 0, 256); at != 256 {
+						panic("oracle mismatch")
+					}
+				}
+				fuzzRun()
+				worst = max(worst, testing.AllocsPerRun(10, fuzzRun))
+			}
+		}
+		return worst
 	},
 	"internal/sim.Batch.Run": func(t *testing.T) float64 {
 		pipe := benchPipeline(t)
@@ -285,6 +308,43 @@ func benchFuzzer(t *testing.T, level core.OptLevel) (*sim.Fuzzer, sim.Spec, *sim
 	}
 	gen := sim.NewTrafficGen(1, pipe.PHVLen(), pipe.Bits(), bm.MaxInput)
 	return sim.NewFuzzer(pipe), sp, gen, sim.FuzzOptions{Containers: containers}
+}
+
+// benchOracle links a Table-1 benchmark's Domino specification after its
+// output cone at compiled, as the fuzzer does, into the oracle of the
+// containers it compares, with a generator of the benchmark's traffic.
+func benchOracle(t *testing.T, bm *spec.Benchmark) (*flat.Oracle, *phv.TrafficGen) {
+	t.Helper()
+	r, err := bm.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, err := core.Build(r.Spec, r.Code, core.Compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := domino.Bind(r.Program, bm.Fields, pipe.Bits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	containers, err := bm.CompareContainers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cone := pipe.Cone()
+	in := make([]int, pipe.PHVLen())
+	for c := range in {
+		in[c] = cone.InputReg(c)
+	}
+	l, err := b.Link(cone.Program, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs []flat.Pair
+	for _, c := range containers {
+		pairs = append(pairs, flat.Pair{Got: cone.Out()[c], Want: l.Want[c]})
+	}
+	return flat.NewOracle(l.Program, in[0], len(in), pairs, l.Clear, l.Trap), sim.NewTrafficGen(1, pipe.PHVLen(), pipe.Bits(), bm.MaxInput)
 }
 
 // benchMachines builds both dRMT machines and a generator over the
