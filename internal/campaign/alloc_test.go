@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"druzhba/internal/core"
@@ -68,5 +71,55 @@ func TestRunnerAllocations(t *testing.T) {
 		}
 		t.Logf("%s: NewRunner %d B, %d allocs; shard %d B, %d allocs", job.Name,
 			runners.AllocedBytesPerOp(), runners.AllocsPerOp(), shards.AllocedBytesPerOp(), shards.AllocsPerOp())
+	}
+}
+
+// TestFingerprintReadsNoMachineCode: once a program's digest is kept, a
+// job's fingerprint costs the same whatever the length of its machine code,
+// so a warm resubmission hashes no machine code: on a target whose program's
+// text is ten times longer, PipelineTarget.Fingerprint allocates no more
+// bytes than on the original. Measured as testing.AllocsPerRun counts, from
+// runtime.MemStats over 100 calls on one P after a first call on each; the
+// least of five rounds, since fmt's printer pool refills after a GC.
+func TestFingerprintReadsNoMachineCode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the fingerprint's")
+	}
+	bm, err := spec.Lookup("sampling")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := Matrix([]*spec.Benchmark{bm}, []core.OptLevel{core.Compiled}, nil, []int64{1}, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := jobs[0].Target.(*PipelineTarget)
+	long := *short
+	long.Code = short.Code.Clone()
+	text := len(short.Code.String())
+	for i := 0; i < 10*text/len("pipeline_stage_0_padding = 0\n"); i++ {
+		long.Code.Set(fmt.Sprintf("pipeline_stage_%d_padding", i), int64(i))
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	bytes := func(target *PipelineTarget) uint64 {
+		if target.Fingerprint() == "" {
+			t.Fatal("a matrix-built RMT target has no fingerprint")
+		}
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 100 {
+				target.Fingerprint()
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/100)
+		}
+		return least
+	}
+	s, l := bytes(short), bytes(&long)
+	t.Logf("Fingerprint allocates %d B on %d bytes of machine code, %d B on %d", l, len(long.Code.String()), s, text)
+	if l > s {
+		t.Errorf("Fingerprint allocates %d B on %d bytes of machine code, %d B on %d", l, len(long.Code.String()), s, text)
 	}
 }

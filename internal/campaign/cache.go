@@ -17,15 +17,13 @@ package campaign
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"io"
 	"os"
 	"runtime/debug"
 	"strconv"
 	"sync"
-
-	"druzhba/internal/machinecode"
 )
 
 // ShardCache is the engine's pluggable shard-result store. Implementations
@@ -130,82 +128,56 @@ var buildSalt = sync.OnceValue(func() string {
 // ShardKey derives the content-addressed cache key of one shard from the
 // target fingerprint, the shard's derived traffic seed and the shard size,
 // salted with the engine build identity. The fingerprint folds in the spec
-// and machine-code/program hashes, the architecture and the engine level,
+// and machine-code/program digests, the architecture and the engine level,
 // so the key covers every input a shard result depends on. It is the
 // one-shot form of the keyer the engine plans per job.
 func ShardKey(fingerprint string, seed int64, n int) string {
 	return newShardKeyer(buildSalt(), fingerprint).key(seed, n)
 }
 
-// shardKeyer derives the keys of one target's shards. A key is the
-// SHA-256 of "salt\x00len(fp)\x00fp\x00seed\x00n"; everything before the
-// seed is the same for every shard of a job, so the keyer keeps those bytes,
-// and each key copies them and the shard's seed and size into a buffer on
-// its stack and hashes that with one sha256.Sum256. It is immutable, so the
-// workers of a campaign share one per job.
-type shardKeyer struct{ prefix []byte }
-
-// keyStack is the stack buffer a key is hashed from: a 64-hex salt, a 64-hex
-// fingerprint, their framing and the longest seed and size take 173 bytes.
-// A longer prefix hashes from the heap.
-const keyStack = 256
-
-// keyTail is the most "seed\x00n" takes: two signed 64-bit decimals and a NUL.
-const keyTail = 20 + 1 + 20
+// shardKeyer derives the keys of one target's shards. The job's part of a
+// key, the SHA-256 of "salt\x00len(fp)\x00fp\x00", is hashed once, when the
+// job is planned; a key is then 64 lowercase hex characters with no hash
+// behind them: the big-endian hex of uint64(seed), of uint64(n), and the
+// first 32 hex characters (128 bits) of the job's digest. The seed leads,
+// so the derived seed spreads keys over a directory cache's buckets. It is
+// immutable, so the workers of a campaign share one per job.
+type shardKeyer struct{ job [32]byte }
 
 func newShardKeyer(salt, fingerprint string) shardKeyer {
 	b := make([]byte, 0, len(salt)+len(fingerprint)+24)
 	b = append(append(b, salt...), 0)
 	b = append(strconv.AppendInt(b, int64(len(fingerprint)), 10), 0)
-	return shardKeyer{append(append(b, fingerprint...), 0)}
+	sum := sha256.Sum256(append(append(b, fingerprint...), 0))
+	var k shardKeyer
+	hex.Encode(k.job[:], sum[:len(k.job)/2])
+	return k
 }
 
-// key returns the shard key of (seed, n); the hex string is its only
+// key returns the shard key of (seed, n); the string is its only
 // allocation.
 //
 //dvet:hotpath allocs=1
 func (k shardKeyer) key(seed int64, n int) string {
-	var stack [keyStack]byte
-	b := stack[:0]
-	if len(k.prefix)+keyTail > len(stack) {
-		b = make([]byte, 0, len(k.prefix)+keyTail) //dvet:alloc-ok a salt or fingerprint longer than any this build makes
-	}
-	b = strconv.AppendInt(append(b, k.prefix...), seed, 10) //dvet:alloc-ok b holds the prefix and keyTail
-	b = strconv.AppendInt(append(b, 0), int64(n), 10)       //dvet:alloc-ok b holds the prefix and keyTail
-	sum := sha256.Sum256(b)
-	var digits [2 * sha256.Size]byte
-	hex.Encode(digits[:], sum[:])
-	return string(digits[:]) //dvet:alloc-ok the key itself
+	var b [64]byte
+	var u [8]byte
+	binary.BigEndian.PutUint64(u[:], uint64(seed))
+	hex.Encode(b[:16], u[:])
+	binary.BigEndian.PutUint64(u[:], uint64(n))
+	hex.Encode(b[16:32], u[:])
+	copy(b[32:], k.job[:])
+	return string(b[:]) //dvet:alloc-ok the key itself
 }
 
-// fingerprint hashes length-framed parts, "len(part)\x00part\x00" each, into
-// a stable hex string; targets build their fingerprints from it.
-type fingerprint struct {
-	h   hash.Hash
-	buf []byte // a part's bytes on their way into h
-}
-
-func newFingerprint() *fingerprint { return &fingerprint{h: sha256.New()} }
-
-// add hashes each of parts as one part.
-func (f *fingerprint) add(parts ...string) *fingerprint {
+// fingerprintOf hashes length-framed parts, "len(part)\x00part\x00" each,
+// into a stable hex string; targets build their fingerprints from it.
+func fingerprintOf(parts ...string) string {
+	h := sha256.New()
+	var buf []byte // a part's bytes on their way into h
 	for _, p := range parts {
-		f.buf = append(strconv.AppendInt(f.buf[:0], int64(len(p)), 10), 0)
-		f.buf = append(append(f.buf, p...), 0)
-		f.h.Write(f.buf)
+		buf = append(strconv.AppendInt(buf[:0], int64(len(p)), 10), 0)
+		buf = append(append(buf, p...), 0)
+		h.Write(buf)
 	}
-	return f
+	return hex.EncodeToString(h.Sum(nil))
 }
-
-// code hashes p's text (machinecode.Program.String) as one part, streamed
-// into the hash a few pairs at a time: the text is never rendered whole.
-func (f *fingerprint) code(p *machinecode.Program) *fingerprint {
-	f.buf = append(strconv.AppendInt(f.buf[:0], int64(p.TextLen()), 10), 0)
-	f.h.Write(f.buf)
-	p.Write(f.h)                    // a hash never fails a write
-	f.h.Write(f.buf[len(f.buf)-1:]) // the NUL that closes the part
-	return f
-}
-
-// sum returns the hex digest of the parts added so far.
-func (f *fingerprint) sum() string { return hex.EncodeToString(f.h.Sum(nil)) }

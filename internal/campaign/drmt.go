@@ -70,14 +70,14 @@ func (t *DRMTTarget) Fingerprint() string {
 	if traffic == "" {
 		traffic = drmt.TrafficUniform // "" means uniform; hash them identically
 	}
-	return newFingerprint().add(
+	return fingerprintOf(
 		"drmt",
 		t.SpecFingerprint,
 		fmt.Sprintf("%+v", t.HW.Defaults()),
 		fmt.Sprint(t.MaxInput),
 		string(traffic),
 		"false", // the retired engine-choice slot; kept so fingerprints keep their bytes
-	).sum()
+	)
 }
 
 // Build implements Target: assembling the ISA program and scheduling the

@@ -35,7 +35,7 @@ type jobState struct {
 
 // plan resolves once what a job's shards share: its labels from the
 // optional Target interfaces, its shard size, its fingerprint and the
-// bytes its shard keys start with. shards is the job's Shards count.
+// digest its shard keys end with. shards is the job's Shards count.
 func plan(job *Job, o *Options, shards int) jobState {
 	js := jobState{job: job, size: job.shardSize(o.ShardSize), shards: shards, pending: shards,
 		results: make([]*ShardResult, shards), exec: NewJobExec(job.Target, o.Metrics)}

@@ -80,17 +80,17 @@ func (t *PipelineTarget) Fingerprint() string {
 	if traffic == "" {
 		traffic = sim.TrafficUniform // "" means uniform; hash them identically
 	}
-	return newFingerprint().add(
+	return fingerprintOf(
 		"rmt",
 		t.SpecFingerprint,
 		fmt.Sprintf("%d/%d/%d/%v", t.Spec.Depth, t.Spec.Width, t.Spec.PHVLen, t.Spec.Bits),
-	).code(t.Code).add(
+		t.Code.Digest(),
 		t.Level.String(),
 		fmt.Sprint(t.Containers),
 		fmt.Sprint(t.MaxInput),
 		string(traffic),
 		fmt.Sprint(t.Corpus),
-	).sum()
+	)
 }
 
 // Build implements Target: the pipeline is built — and its output cone fused

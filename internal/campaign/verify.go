@@ -189,18 +189,18 @@ func (t *VerifyTarget) Fingerprint() string {
 	if t.SpecFingerprint == "" {
 		return ""
 	}
-	return newFingerprint().add(
+	return fingerprintOf(
 		"verify",
 		t.SpecFingerprint,
 		fmt.Sprintf("%d/%d/%d", t.Spec.Depth, t.Spec.Width, t.Spec.PHVLen),
-	).code(t.Code).add(
+		t.Code.Digest(),
 		fmt.Sprint(t.Containers),
 		fmt.Sprint(t.MaxInput),
 		fmt.Sprint(t.Bits),
 		fmt.Sprint(t.Steps),
 		fmt.Sprint(t.MaxConflicts),
 		fmt.Sprint(t.Seed),
-	).sum()
+	)
 }
 
 // Build implements Target. The instance holds what every cell of the job

@@ -8,10 +8,13 @@ package machinecode
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Pair is one machine code entry.
@@ -23,8 +26,9 @@ type Pair struct {
 // Program is an ordered collection of machine code pairs. The order is the
 // order pairs were added (or appeared in the input file); lookup is by name.
 type Program struct {
-	pairs []Pair
-	index map[string]int
+	pairs  []Pair
+	index  map[string]int
+	digest atomic.Pointer[string] // Digest's text; nil until read, and again after an edit
 }
 
 // New returns an empty machine code program.
@@ -34,6 +38,7 @@ func New() *Program {
 
 // Set adds or replaces the pair for name.
 func (p *Program) Set(name string, value int64) {
+	p.digest.Store(nil)
 	if i, ok := p.index[name]; ok {
 		p.pairs[i].Value = value
 		return
@@ -68,6 +73,7 @@ func (p *Program) Delete(name string) bool {
 	if !ok {
 		return false
 	}
+	p.digest.Store(nil)
 	p.pairs = append(p.pairs[:i], p.pairs[i+1:]...)
 	delete(p.index, name)
 	for j := i; j < len(p.pairs); j++ {
@@ -125,25 +131,29 @@ func (p *Program) Merge(other *Program) {
 	}
 }
 
-// String renders the program in the text file format, one "name = value"
-// line per pair, into one buffer sized up front. Campaign fingerprints stream
-// these bytes into their hash (Write, TextLen) and never render them, but
-// they must not change.
-func (p *Program) String() string {
-	var b strings.Builder
-	b.Grow(p.TextLen())
-	p.Write(&b) //nolint:errcheck // a strings.Builder never fails a write
-	return b.String()
+// Digest returns the hex SHA-256 of String's text. It is computed on the
+// first call after a load or an edit (Set, Delete, and Merge and Clone
+// through Set) and kept, so a program shared by many jobs is hashed once:
+// campaign fingerprints, and so every shard-cache key, hash this digest
+// in place of the text.
+func (p *Program) Digest() string {
+	if d := p.digest.Load(); d != nil {
+		return *d
+	}
+	h := sha256.New()
+	p.Write(h) //nolint:errcheck // a hash never fails a write
+	d := hex.EncodeToString(h.Sum(nil))
+	p.digest.Store(&d)
+	return d
 }
 
-// TextLen returns the length of String's text without rendering it.
-func (p *Program) TextLen() int {
-	n := 0
-	var num [20]byte
-	for _, pr := range p.pairs {
-		n += len(pr.Name) + len(" = \n") + len(strconv.AppendInt(num[:0], pr.Value, 10))
-	}
-	return n
+// String renders the program in the text file format, one "name = value"
+// line per pair. Digest hashes these bytes, streamed through Write, so they
+// must not change.
+func (p *Program) String() string {
+	var b strings.Builder
+	p.Write(&b) //nolint:errcheck // a strings.Builder never fails a write
+	return b.String()
 }
 
 // Write streams String's text to w a few pairs at a time through one small

@@ -2,6 +2,8 @@ package machinecode
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -222,9 +224,9 @@ func fixtures(t testing.TB) map[string][]byte {
 }
 
 // TestStringIsWrite: String and Write emit the same bytes, which are the
-// "name = value" lines fmt would print, and TextLen is their length, on the
-// Table-1 fixtures, on negative and extreme values, and on a program with a
-// name longer than Write's buffer and enough pairs to fill it many times.
+// "name = value" lines fmt would print, on the Table-1 fixtures, on negative
+// and extreme values, and on a program with a name longer than Write's
+// buffer and enough pairs to fill it many times.
 // Write streams: no call to the writer carries more than its buffer unless
 // one line does, and the writer's error ends it.
 func TestStringIsWrite(t *testing.T) {
@@ -258,9 +260,6 @@ func TestStringIsWrite(t *testing.T) {
 		}
 		if p.String() != want.String() || w.String() != want.String() {
 			t.Errorf("String\n%s\nWrite\n%s\nwant\n%s", p.String(), w.String(), want.String())
-		}
-		if p.TextLen() != want.Len() {
-			t.Errorf("TextLen %d, text %d bytes", p.TextLen(), want.Len())
 		}
 		limit := 1 << 10
 		for _, line := range strings.SplitAfter(want.String(), "\n") {
@@ -368,4 +367,98 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// textDigest is Digest's formula, from String's text.
+func textDigest(p *Program) string {
+	sum := sha256.Sum256([]byte(p.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestDigestTracksEdits: Digest is the hex SHA-256 of String's text after a
+// load and after every kind of edit, each read with the last digest kept, so
+// a kept digest is never served for a changed program; a clone and its
+// original keep their own. A repeated Digest allocates nothing.
+func TestDigestTracksEdits(t *testing.T) {
+	p, err := ParseString("a = 1\nb = 2\nc = 3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orig *Program
+	for _, step := range []struct {
+		name string
+		edit func()
+	}{
+		{"Parse", func() {}},
+		{"Set of a new name", func() { p.Set("d", 4) }},
+		{"Set of an existing name's value", func() { p.Set("b", 20) }},
+		{"Set of an existing name's same value", func() { p.Set("b", 20) }},
+		{"Delete", func() { p.Delete("a") }},
+		{"Delete of a missing name", func() { p.Delete("a") }},
+		{"Merge", func() {
+			q := New()
+			q.Set("c", 30)
+			q.Set("e", 5)
+			p.Merge(q)
+		}},
+		{"Merge of an empty program", func() { p.Merge(New()) }},
+		{"Clone", func() { orig, p = p, p.Clone() }},
+		{"Set on the clone", func() { p.Set("c", -1) }},
+		{"Delete every pair", func() {
+			for _, name := range p.Names() {
+				p.Delete(name)
+			}
+		}},
+	} {
+		step.edit()
+		if got, want := p.Digest(), textDigest(p); got != want {
+			t.Fatalf("after %s: Digest %s, text's SHA-256 %s", step.name, got, want)
+		}
+	}
+	if got, want := orig.Digest(), textDigest(orig); got != want || p.String() == orig.String() {
+		t.Fatalf("the clone's edits reached the original: Digest %s, text's SHA-256 %s", got, want)
+	}
+	if a := testing.AllocsPerRun(100, func() { orig.Digest() }); a != 0 {
+		t.Errorf("a repeated Digest allocates %.0f times, want 0", a)
+	}
+}
+
+// FuzzDigestTracksEdits: a byte string decoded into a sequence of Set,
+// Delete, Merge and Clone calls (two bytes an edit: the call and its
+// argument) leaves Digest equal to the SHA-256 of String's text after every
+// step, on the edited program and on every program cloned from it on the
+// way.
+func FuzzDigestTracksEdits(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 0, 2, 1, 1, 0, 1})
+	f.Add([]byte{0, 0, 0, 9, 3, 0, 0, 17, 2, 5, 1, 0, 1, 9})
+	f.Add([]byte{0, 255, 2, 254, 3, 3, 1, 255, 0, 128})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		name := func(b byte) string { return fmt.Sprintf("n%d", b%8) }
+		p := New()
+		seen := []*Program{p}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i]%4, ops[i+1]
+			switch op {
+			case 0:
+				p.Set(name(arg), int64(int8(arg)))
+			case 1:
+				p.Delete(name(arg))
+			case 2:
+				q := New()
+				for j := byte(0); j <= arg%3; j++ {
+					q.Set(name(arg+j), int64(arg)*int64(j))
+				}
+				p.Merge(q)
+			case 3:
+				p = p.Clone()
+				seen = append(seen, p)
+			}
+			for _, q := range seen {
+				if got, want := q.Digest(), textDigest(q); got != want {
+					t.Fatalf("after edit %d (call %d, argument %d): Digest %s, text's SHA-256 %s", i/2, op, arg, got, want)
+				}
+			}
+		}
+	})
 }

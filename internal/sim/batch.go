@@ -176,15 +176,24 @@ func (f *Fuzzer) useOracle(b *domino.Binding) *oracle {
 }
 
 // comparePairs returns the oracle's pairs of the compared containers (nil =
-// every container): all of them, or a subset selected into the fuzzer's
-// reused slice.
+// every container): the oracle's own slice when they select all of its
+// pairs, else the subset, copied into the fuzzer's reused slice.
 func (f *Fuzzer) comparePairs(o *oracle, containers []int) []flat.Pair {
+	all := o.Pairs()
 	if containers == nil {
-		return o.Pairs()
+		return all
 	}
-	out, pairs := f.fused.Out(), f.pairs[:0]
-	for _, p := range o.Pairs() {
-		if slices.ContainsFunc(containers, func(c int) bool { return out[c] == p.Got && o.want[c] == p.Want }) {
+	out := f.fused.Out()
+	compared := func(p flat.Pair) bool {
+		return slices.ContainsFunc(containers, func(c int) bool { return out[c] == p.Got && o.want[c] == p.Want })
+	}
+	first := slices.IndexFunc(all, func(p flat.Pair) bool { return !compared(p) })
+	if first < 0 {
+		return all
+	}
+	pairs := append(f.pairs[:0], all[:first]...)
+	for _, p := range all[first+1:] {
+		if compared(p) {
 			pairs = append(pairs, p)
 		}
 	}

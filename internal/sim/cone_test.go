@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"druzhba/internal/core"
+	"druzhba/internal/flat"
 	"druzhba/internal/phv"
 )
 
@@ -255,5 +257,42 @@ func TestNewFuzzerLeavesUnoptimizedWhole(t *testing.T) {
 	}
 	if !allZeroState(p) {
 		t.Fatal("NewFuzzer's argument was executed")
+	}
+}
+
+// TestComparePairsSelectsInOrder: for every set of compared containers,
+// comparePairs returns the oracle's pairs of those containers in the
+// oracle's order; when they select every pair it returns the oracle's own
+// slice and copies nothing.
+func TestComparePairsSelectsInOrder(t *testing.T) {
+	p := buildPipeline(t, 2, 3, "", nil, core.Compiled) // identity, PHVLen 3
+	f := NewFuzzer(p)
+	o := f.useOracle(nil)
+	all, out := o.Pairs(), f.fused.Out()
+	if len(all) != 3 {
+		t.Fatalf("the identity oracle compares %d pairs, want 3", len(all))
+	}
+	for mask := 0; mask < 1<<len(all); mask++ {
+		var containers []int
+		var want []flat.Pair
+		for c := range all {
+			if mask&(1<<c) != 0 {
+				containers = append(containers, c)
+				want = append(want, flat.Pair{Got: out[c], Want: o.want[c]})
+			}
+		}
+		if mask == 0 {
+			containers = []int{} // compare nothing, not every container
+		}
+		got := f.comparePairs(o, containers)
+		if !slices.Equal(got, want) {
+			t.Errorf("containers %v: pairs %v, want %v", containers, got, want)
+		}
+		if shared := len(got) > 0 && &got[0] == &all[0]; shared != (len(want) == len(all)) {
+			t.Errorf("containers %v: the oracle's own slice returned %v, want %v", containers, shared, len(want) == len(all))
+		}
+	}
+	if got := f.comparePairs(o, nil); len(got) == 0 || &got[0] != &all[0] {
+		t.Errorf("nil containers: pairs %v, want the oracle's own %v", got, all)
 	}
 }
