@@ -311,13 +311,14 @@ func (s *Spec) Read(code *machinecode.Program) (*Code, error) {
 }
 
 // read is Read on a normalized spec. Its allocations do not depend on the
-// number of pairs: values and selections share one backing array each, as
-// do the stages' ALUs and operand muxes.
+// number of pairs: the ALUs' hole values and the mux selections are windows
+// of one backing array of values, and the stages' ALUs and operand muxes
+// share one each.
 func (s *Spec) read(code *machinecode.Program) *Code {
 	np, latches := s.numPairs(), s.latches()
-	vals, sels := make([]int64, 0, np), make([]int, 0, np)
+	vals := make([]int64, 0, np)
 	c := &Code{
-		Muxes: &MuxTable{Output: make([][]int, s.Depth), Operand: make([][][]int, s.Depth)},
+		Muxes: &MuxTable{Output: make([][]int64, s.Depth), Operand: make([][][]int64, s.Depth)},
 		ALUs:  make([][]ALUCode, s.Depth),
 	}
 	s.pairs(func(name []byte, domain int) {
@@ -328,9 +329,9 @@ func (s *Spec) read(code *machinecode.Program) *Code {
 		case domain > 0 && (v < 0 || v >= int64(domain)):
 			c.Errs = append(c.Errs, fmt.Errorf("core: machine code pair %q = %d out of range [0,%d)", name, v, domain))
 		}
-		vals, sels = append(vals, v), append(sels, int(v))
+		vals = append(vals, v)
 	})
-	alus, operands := make([]ALUCode, s.Depth*latches), make([][]int, s.Depth*latches)
+	alus, operands := make([]ALUCode, s.Depth*latches), make([][]int64, s.Depth*latches)
 	for si := range c.ALUs {
 		lo, hi := si*latches, (si+1)*latches
 		c.ALUs[si], c.Muxes.Operand[si] = alus[lo:lo:hi], operands[lo:lo:hi]
@@ -343,11 +344,11 @@ func (s *Spec) read(code *machinecode.Program) *Code {
 	s.walk(func(si, slot int, p *aludsl.Program) {
 		ops, opsEnd := next(p.NumOperands())
 		holes, holesEnd := next(len(p.Holes))
-		c.Muxes.Operand[si] = append(c.Muxes.Operand[si], sels[ops:opsEnd:opsEnd])
+		c.Muxes.Operand[si] = append(c.Muxes.Operand[si], vals[ops:opsEnd:opsEnd])
 		c.ALUs[si] = append(c.ALUs[si], ALUCode{Prog: p, Holes: vals[holes:holesEnd:holesEnd]})
 	}, func(si int) {
 		lo, hi := next(s.PHVLen)
-		c.Muxes.Output[si] = sels[lo:hi:hi]
+		c.Muxes.Output[si] = vals[lo:hi:hi]
 	})
 	return c
 }
@@ -562,10 +563,10 @@ func newALU(prog *aludsl.Program, operandNames []string, w phv.Width, holes alud
 type MuxTable struct {
 	// Output[stage][container] is the container's output mux selection: 0
 	// passes the stage's input container through, sel > 0 reads latch sel-1.
-	Output [][]int
+	Output [][]int64
 	// Operand[stage][latch][op] is the input container the ALU's operand
 	// mux op selects.
-	Operand [][][]int
+	Operand [][][]int64
 }
 
 // Live is the backward liveness pass over baked muxes: live[stage][latch]

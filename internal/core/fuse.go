@@ -89,7 +89,7 @@ func lowerStages(n Spec, c *Code) []*Fused {
 		live := make([][]bool, n.Depth)
 		live[si] = make([]bool, n.latches())
 		for latch := range live[si] {
-			live[si][latch] = latch >= n.Width || slices.Contains(c.Muxes.Output[si], latch+1)
+			live[si][latch] = latch >= n.Width || slices.Contains(c.Muxes.Output[si], int64(latch+1))
 		}
 		f, err := lower(n, c, live, si, si+1)
 		if err != nil {

@@ -142,9 +142,13 @@ type Linked struct {
 	// flags and the error register.
 	Trap  int
 	Clear []int
+	// State are the registers of the state variables, where StoreState
+	// reads them: what a frame carries from one packet to the next.
+	State []int
 
-	b    *Binding
-	regs []int // regs[r]: where the transaction's register r lives in the frame
+	b     *Binding
+	regs  []int // regs[r]: where the transaction's register r lives in the frame
+	state []int // state[i]: the transaction's register State[i] is read into
 }
 
 // Link links the transaction after prog, given the register of prog holding
@@ -167,6 +171,14 @@ func (b *Binding) Link(prog *flat.Program, in []int) (*Linked, error) {
 	for _, f := range c.bound {
 		l.Want[f.container] = regs[f.reg]
 	}
+	l.state, l.State = make([]int, 0, len(c.state)), make([]int, len(c.state))
+	for _, r := range c.state {
+		l.state = append(l.state, r)
+	}
+	slices.Sort(l.state)
+	for i, r := range l.state {
+		l.State[i] = regs[r]
+	}
 	if len(c.errs) > 0 {
 		l.Trap = regs[c.errReg]
 		for _, r := range b.Layout().Clear {
@@ -179,12 +191,13 @@ func (b *Binding) Link(prog *flat.Program, in []int) (*Linked, error) {
 // Error returns the error of the code a Trap left in the Trap register.
 func (l *Linked) Error(code int64) error { return l.b.code.errs[code-1] }
 
-// StoreState copies the transaction's registers, its state among them, from
-// the frame into s, an instance of the Binding l was linked from: s then
-// reads as if it had processed the frame's packets itself.
+// StoreState copies the state variables from the frame's State registers
+// into s, an instance of the Binding l was linked from: s then reads as if
+// it had processed the frame's packets itself. A caller that moved where a
+// variable ends (flat.Optimize's end map) sets State to where it is.
 func (l *Linked) StoreState(frame []int64, s *PHVSpec) {
-	for r, at := range l.regs {
-		s.machine.frame[r] = frame[at]
+	for i, at := range l.State {
+		s.machine.frame[l.state[i]] = frame[at]
 	}
 }
 

@@ -21,15 +21,19 @@
 // inspects after Run.
 //
 // Optimize (optimize.go) rewrites a checked program into one that dispatches
-// fewer instructions on the same frame: it fuses a compare and the jeq or jne
-// that tests it into one compare-and-branch (Jlt, Jgt, Jle, Jge beside Jeq
-// and Jne), threads jumps, forwards copies and drops dead code. It keeps every
-// register number and every register a caller can see — a named one, a
-// constant, a bank cell, one the caller lists as observed, one a path reads
-// before writing — and may leave any other, a private temporary, with
-// another value. Package sim runs the fuzzer's oracle, the cone with the
-// specification linked after it, optimized; every rewrite is proved by Sym
-// on the Table-1 oracles (TestOptimizeProved) and fuzzed against Run.
+// fewer instructions on the same frame: it numbers values across the whole
+// program, so a value computed twice is read where it was computed first; it
+// fuses a compare and the jeq or jne that tests it into one compare-and-branch
+// (Jlt, Jgt, Jle, Jge beside Jeq and Jne), threads jumps, and drops decided
+// branches, dead code and dead stores. It keeps every register number and
+// every register a caller can see — a constant, a bank cell, one the caller
+// lists as observed, one a path reads before writing — and may leave any
+// other, a private register whatever its name, with another value. An
+// observed register that every run ends as a copy of another ends in the
+// copy's source instead, which Optimize's end map names, and the copy goes.
+// Package sim runs the fuzzer's oracle, the cone with the specification
+// linked after it, optimized; every rewrite is proved by Sym on the Table-1
+// oracles (TestOptimizeProved) and fuzzed against Run.
 //
 // Sym (sym.go) runs a program once over a frame of bit-vectors (package bv)
 // instead of values, in one pass in program order: every branch and Trap
@@ -200,21 +204,6 @@ func (p *Program) name(r int) string {
 		}
 	}
 	return ""
-}
-
-// hasName reports whether the builder named register r, as name does
-// without spelling the name out.
-func (p *Program) hasName(r int) bool {
-	if a := p.parts[0]; a != nil {
-		if r < len(a.init) {
-			return a.hasName(r)
-		}
-		return p.parts[1].hasName(r - len(a.init))
-	}
-	if _, ok := slices.BinarySearchFunc(p.names, r, func(n named, r int) int { return n.reg - r }); ok {
-		return true
-	}
-	return slices.ContainsFunc(p.runs, func(g run) bool { return r >= g.first && r < g.first+g.n })
 }
 
 // RegName returns the name the builder gave register r; a constant is named

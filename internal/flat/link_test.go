@@ -20,20 +20,23 @@ const linkRegs = 4
 // ahead: a Jmp's by its second operand, a compare-and-branch's by the top two
 // bits of its first. The datapath is w bits wide.
 func decodeProgram(t *testing.T, w phv.Width, data []byte) *Program {
-	return decode(t, w, data, "g")
+	p, _ := decode(t, w, data, 0)
+	return p
 }
 
-// decode is decodeProgram with the general registers named after name, or
-// temporaries the builder names nothing when name is "".
-func decode(t *testing.T, w phv.Width, data []byte, name string) *Program {
+// decode is decodeProgram with outs more registers after the general ones,
+// out0, out1, …, which it returns: an opcode byte with its top bit set is a
+// copy into one of them, mov out(x), reg(y), where outs is not 0. Nothing
+// reads them.
+func decode(t *testing.T, w phv.Width, data []byte, outs int) (*Program, []int) {
 	t.Helper()
 	b := NewBuilder(w)
 	first := b.Reg("trap", 0)
-	if name != "" {
-		b.Regs(name, linkRegs)
-	} else {
-		for range linkRegs {
-			b.reg("", 0, false)
+	b.Regs("g", linkRegs)
+	var out []int
+	if outs > 0 {
+		for r := b.Regs("out", outs); len(out) < outs; r++ {
+			out = append(out, r)
 		}
 	}
 	odd, _ := b.Bank("odd", 3, 0x3f)
@@ -52,6 +55,8 @@ func decode(t *testing.T, w phv.Width, data []byte, name string) *Program {
 		delete(landAt, pc)
 		op, x, y := Op(data[0]%(byte(Jge)+1)), data[1], data[2]
 		switch {
+		case outs > 0 && data[0]&0x80 != 0:
+			b.Op(Mov, out[int(x)%outs], reg(y), 0)
 		case op == Jmp:
 			j := b.Jump()
 			target := pc + 1 + int(y)%4
@@ -77,7 +82,7 @@ func decode(t *testing.T, w phv.Width, data []byte, name string) *Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return p, out
 }
 
 // FuzzLink pins Link to running its two programs one after the other: a on

@@ -13,8 +13,9 @@ import (
 // TestOptimizeProved proves with Sym that Optimize keeps every Table-1 oracle
 // the fuzzer runs: the output cone lowered from the machine code and the
 // Domino program bound, both at 4 and at 8 bits, linked as package sim links
-// them and optimized observing what sim reads back, the pipeline's outputs
-// and the expected ones.
+// them and optimized observing what sim reads back — the pipeline's outputs,
+// the expected ones, the flags, trap register and state — each read where
+// the end map says it ends.
 func TestOptimizeProved(t *testing.T) {
 	for _, bm := range spec.All() {
 		r, err := bm.Resolve()
@@ -49,11 +50,15 @@ func TestOptimizeProved(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q, err := flat.Optimize(l.Program, cone.Out(), l.Want)
+			seen := slices.Concat(cone.Out(), l.Want, l.Clear, l.State)
+			if l.Trap >= 0 {
+				seen = append(seen, l.Trap)
+			}
+			q, end, err := flat.Optimize(l.Program, seen)
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat.ProveOptimized(t, l.Program, q, slices.Concat(cone.Out(), l.Want))
+			flat.ProveOptimized(t, l.Program, q, end, seen)
 		}
 	}
 }

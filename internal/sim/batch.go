@@ -110,14 +110,14 @@ func newFusedFuzzer(p *core.Pipeline, cone *core.Fused) *Fuzzer {
 // cone with, after it, a Domino binding's transaction (domino.Linked) or, for
 // any other specification, a block of registers that admit fills with the
 // specification's output before each Run. Either way container c's expected
-// value is register want[c] of the one frame, and the flat.Oracle compares it
-// with the cone's output register where the two differ. An oracle is
+// value is register want[c] of the one frame, its output register out[c],
+// and the flat.Oracle compares the two where they differ. An oracle is
 // immutable and built once per cone and key (core.Fused.Linked).
 type oracle struct {
 	*flat.Oracle
-	key  *domino.Binding // nil for specifications that are not bindings
-	want []int
-	link *domino.Linked // nil: admit fills the want registers
+	key       *domino.Binding // nil for specifications that are not bindings
+	out, want []int
+	link      *domino.Linked // nil: admit fills the want registers
 }
 
 // newOracle links the binding b (nil: none) after the cone. A binding that
@@ -148,20 +148,44 @@ func newOracle(cone *core.Fused, w phv.Width, phvLen int, b *domino.Binding) *or
 			panic(err) // one width, nothing bound: nothing for Link to refuse
 		}
 	}
-	// flat.Optimize observes what the fused loop reads back: the pipeline's
-	// output registers and the expected ones. The other registers it reads —
-	// inputs, the specification's state, flags and error register — are
-	// named, which Optimize keeps anyway.
-	prog, err := flat.Optimize(prog, cone.Out(), o.want)
+	// flat.Optimize observes everything read after a Run: the pipeline's
+	// output registers and the expected ones, which the loop compares and a
+	// mismatch renders, the trap register and the flags and error register
+	// the loop clears, and the state StoreState hands back. An output, an
+	// expected value or a state variable may end in another register, the
+	// source of the copy that was its last write: the oracle reads it there.
+	seen := [][]int{cone.Out(), o.want, clear}
+	if o.link != nil {
+		seen = append(seen, o.link.State)
+	}
+	if trap >= 0 {
+		seen = append(seen, []int{trap})
+	}
+	prog, end, err := flat.Optimize(prog, seen...)
 	if err != nil {
 		panic(err) // Optimize keeps a checked program checked
 	}
+	o.out, o.want = ends(cone.Out(), end), ends(o.want, end)
+	if o.link != nil {
+		l := *o.link
+		l.State = ends(l.State, end)
+		o.link = &l
+	}
 	pairs := make([]flat.Pair, phvLen)
-	for c, got := range cone.Out() {
+	for c, got := range o.out {
 		pairs[c] = flat.Pair{Got: got, Want: o.want[c]}
 	}
 	o.Oracle = flat.NewOracle(prog, cone.InputReg(0), phvLen, pairs, clear, trap)
 	return o
+}
+
+// ends returns where each of regs ends, by flat.Optimize's end map.
+func ends(regs, end []int) []int {
+	at := make([]int, len(regs))
+	for i, r := range regs {
+		at[i] = end[r]
+	}
+	return at
 }
 
 // useOracle points the fuzzer at the oracle for b, and lays out a frame for
@@ -183,9 +207,8 @@ func (f *Fuzzer) comparePairs(o *oracle, containers []int) []flat.Pair {
 	if containers == nil {
 		return all
 	}
-	out := f.fused.Out()
 	compared := func(p flat.Pair) bool {
-		return slices.ContainsFunc(containers, func(c int) bool { return out[c] == p.Got && o.want[c] == p.Want })
+		return slices.ContainsFunc(containers, func(c int) bool { return o.out[c] == p.Got && o.want[c] == p.Want })
 	}
 	first := slices.IndexFunc(all, func(p flat.Pair) bool { return !compared(p) })
 	if first < 0 {
@@ -320,7 +343,7 @@ func (r *fusedRun) admitted(n int, src source) {
 // where a generator or spec failure still beats the cap: the run stops only
 // once those packets have been admitted here too.
 func (r *fusedRun) mismatch(i, n int, want *phv.PHV) int {
-	r.mms = append(r.mms, Mismatch{Index: i, Input: phv.FromValues(r.in), Got: regsPHV(r.f.frame, r.f.fused.Out()), Want: want})
+	r.mms = append(r.mms, Mismatch{Index: i, Input: phv.FromValues(r.in), Got: regsPHV(r.f.frame, r.o.out), Want: want})
 	if len(r.mms) == r.maxMismatches {
 		return min(n, i+r.f.pipe.Depth())
 	}

@@ -157,3 +157,55 @@ func TestLinkedOracleMatchesReference(t *testing.T) {
 	}
 	t.Logf("%d runs equal to the reference; %d of %d live-pair mutants diverge from the specification", runs, diverging, mutantsTotal)
 }
+
+// TestLinkedStateEndsWhereOptimizeLeavesIt pins StoreState to flat.Optimize's
+// end map: on every Table-1 pipeline at compiled, a specification whose state
+// variable last is written first and never read ends each packet as a copy
+// of the packet's field, so the optimized oracle drops the copy and last ends
+// in the field's input register. The state handed back after the fused loop
+// must still be the tick loop's at unoptimized, last and the sum beside it.
+func TestLinkedStateEndsWhereOptimizeLeavesIt(t *testing.T) {
+	prog, err := domino.Parse(`
+state last = 0;
+state sum = 0;
+transaction {
+    last = pkt.f;
+    sum = sum + pkt.f;
+    pkt.f = sum;
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bm := range spec.All() {
+		r, err := bm.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var states [2][]int64
+		for i, level := range []core.OptLevel{core.Unoptimized, core.Compiled} {
+			p, err := core.Build(r.Spec, r.Code, level)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp, err := domino.NewPHVSpec(prog, domino.FieldMap{"f": 0}, p.Bits())
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := sim.NewFuzzer(p)
+			if _, err := f.FuzzGen(sp, sim.NewTrafficGen(1, p.PHVLen(), p.Bits(), bm.MaxInput), 200, sim.FuzzOptions{}, 0); err != nil {
+				t.Fatalf("%s/%s: %v", bm.Name, level, err)
+			}
+			if f.Linked() != (level == core.Compiled) {
+				t.Fatalf("%s/%s: linked %v", bm.Name, level, f.Linked())
+			}
+			for _, name := range []string{"last", "sum"} {
+				v, _ := sp.State(name)
+				states[i] = append(states[i], v)
+			}
+		}
+		if states[0][0] == 0 || states[0][0] != states[1][0] || states[0][1] != states[1][1] {
+			t.Errorf("%s: state last, sum = %v after the fused loop, %v after the tick loop", bm.Name, states[1], states[0])
+		}
+	}
+}

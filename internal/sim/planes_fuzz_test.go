@@ -13,7 +13,10 @@ import (
 // a local read that traps unless the packet took the branch assigning it, a
 // local shadowing a state, division by zero, short-circuits over a local whose
 // check must see this packet's flags only, and a trap after state and field
-// writes that must survive it.
+// writes that must survive it; and two for flat.Optimize: learn-filter's
+// shape — a value computed twice beside another of the same operand, a state
+// the packet overwrites and nothing reads, and a field that ends as a copy
+// of a state — and a state write that only a trap before the next one sees.
 var linkedSpecs = []string{
 	"state count = 0;\ntransaction { if (count == 9) { count = 0; pkt.sample = 1; } else { count = count + 1; pkt.sample = 0; } }",
 	"transaction { if (pkt.a == 1) { int t = 5; } pkt.b = t; }",
@@ -22,6 +25,8 @@ var linkedSpecs = []string{
 	"transaction { if (pkt.a == 0) { int t = 1; } if (pkt.a != 0 || t == 1) { pkt.b = 1; } if (pkt.a == 0 && t == 1) { pkt.b = 2; } }",
 	"transaction { if (pkt.a == 0) { int t = 1; } pkt.b = (pkt.a == 0 || t) + (pkt.a != 0 && t); }",
 	"state s = 0;\ntransaction { s = s + 1; pkt.a = s; if (s == 2) { int t = 0; } pkt.b = t + -s; }",
+	"state h1 = 0;\nstate h2 = 0;\nstate last = 0;\ntransaction { h1 = h1 + (pkt.a * 3) % 101; h2 = h2 + (pkt.a * 5) % 103; last = pkt.a; h1 = h1 + (pkt.a * 3) % 101; pkt.b = h1; }",
+	"state s = 0;\ntransaction { s = pkt.a; if (pkt.a == 1) { int t = 1; } s = t; }",
 }
 
 // linkedBinding binds linkedSpecs[k]'s fields to containers 0, 1, … at the
