@@ -6,6 +6,7 @@ package cli
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -139,19 +140,13 @@ func ParseFieldMap(s string) (domino.FieldMap, error) {
 
 // ReadFile loads a file, or stdin when path is "-".
 func ReadFile(path string) (string, error) {
+	var data []byte
+	var err error
 	if path == "-" {
-		var b strings.Builder
-		buf := make([]byte, 64<<10)
-		for {
-			n, err := os.Stdin.Read(buf)
-			b.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return b.String(), nil
+		data, err = io.ReadAll(os.Stdin)
+	} else {
+		data, err = os.ReadFile(path)
 	}
-	data, err := os.ReadFile(path)
 	if err != nil {
 		return "", err
 	}

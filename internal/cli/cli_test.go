@@ -121,6 +121,29 @@ func TestReadFile(t *testing.T) {
 	}
 }
 
+// TestReadFileStdin: "-" reads stdin to its end, and a read that fails is
+// the error, not a source cut short where the read stopped.
+func TestReadFileStdin(t *testing.T) {
+	stdin := os.Stdin
+	t.Cleanup(func() { os.Stdin = stdin })
+	path := filepath.Join(t.TempDir(), "in.txt")
+	if err := os.WriteFile(path, []byte("transaction {}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdin = f
+	if s, err := ReadFile("-"); err != nil || s != "transaction {}" {
+		t.Errorf("ReadFile(-) = %q, %v", s, err)
+	}
+	f.Close()
+	if s, err := ReadFile("-"); err == nil {
+		t.Errorf("ReadFile(-) on a closed stdin = %q, nil; want the read's error", s)
+	}
+}
+
 func TestConfigFlagsALUFiles(t *testing.T) {
 	dir := t.TempDir()
 	aluPath := filepath.Join(dir, "custom.alu")

@@ -10,7 +10,6 @@ import (
 
 	"druzhba/internal/aludsl"
 	"druzhba/internal/atoms"
-	"druzhba/internal/flat"
 	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
 )
@@ -607,70 +606,6 @@ func TestHelperCallsLowerAsTheyRun(t *testing.T) {
 		code := randomValidCode(t, &s, rng)
 		for _, level := range coneLevels {
 			checkCone(t, s, code, level, rng, 64)
-		}
-	}
-}
-
-// TestLoweringFolds: an ALU computing on constants lowers (Spec.Lower, the
-// program every prechecked level builds) to no arithmetic instruction — every operator evaluated as the interpreter evaluates it,
-// division and modulo by 0 included, a && or || on a constant left side
-// decided or reduced to the truth of its right side, - and ! on a constant,
-// an if on a constant lowered as the branch it takes — and computes what
-// ExecuteStage at Unoptimized computes, at widths 8 and 32. The untaken
-// branch adds the packet fields, which no folding could remove.
-func TestLoweringFolds(t *testing.T) {
-	num := func(v int64) aludsl.Expr { return &aludsl.Num{Value: v} }
-	bin := func(op aludsl.BinOp, x, y aludsl.Expr) aludsl.Expr { return &aludsl.Binary{Op: op, X: x, Y: y} }
-	ret := func(e aludsl.Expr) []aludsl.Stmt { return []aludsl.Stmt{&aludsl.Return{Value: e}} }
-	sum := bin(aludsl.OpAdd, &aludsl.Ident{Name: "a", Class: aludsl.VarField, Index: 0}, &aludsl.Ident{Name: "b", Class: aludsl.VarField, Index: 1})
-	var bodies [][]aludsl.Stmt
-	for op := aludsl.OpAdd; op.Valid(); op++ {
-		for _, xy := range [][2]int64{{200, 100}, {100, 200}, {7, 0}, {0, 7}, {-3, 5}} {
-			bodies = append(bodies, ret(bin(op, num(xy[0]), num(xy[1]))))
-		}
-	}
-	bodies = append(bodies, ret(bin(aludsl.OpAnd, num(0), sum)), ret(bin(aludsl.OpOr, num(3), sum)))
-	for _, x := range []int64{0, 1, 5, -1} {
-		bodies = append(bodies,
-			ret(&aludsl.Unary{Op: aludsl.OpNeg, X: num(x)}),
-			ret(&aludsl.Unary{Op: aludsl.OpNot, X: num(x)}))
-	}
-	for _, cond := range []aludsl.Expr{num(5), num(-1), bin(aludsl.OpGt, num(1), num(0)), bin(aludsl.OpAnd, num(1), num(7))} {
-		bodies = append(bodies,
-			[]aludsl.Stmt{&aludsl.If{Cond: cond, Then: ret(num(9)), Else: ret(sum)}},
-			[]aludsl.Stmt{&aludsl.If{Cond: cond, Then: ret(num(4))}, &aludsl.Return{Value: sum}})
-	}
-	for _, cond := range []aludsl.Expr{num(0), bin(aludsl.OpGt, num(0), num(1)), bin(aludsl.OpOr, num(0), num(0))} {
-		bodies = append(bodies,
-			[]aludsl.Stmt{&aludsl.If{Cond: cond, Then: ret(sum), Else: ret(num(9))}},
-			[]aludsl.Stmt{&aludsl.If{Cond: cond, Then: ret(sum)}, &aludsl.Return{Value: num(4)}})
-	}
-	for _, width := range []int{8, 32} {
-		for _, body := range bodies {
-			alu := &aludsl.Program{Name: "folds", Kind: aludsl.Stateless, PacketFields: []string{"a", "b"}, Body: body}
-			s := Spec{Depth: 1, Width: 1, PHVLen: 2, Bits: phv.MustWidth(width), StatelessALU: alu}
-			code := identityCode(t, &s)
-			code.Set(machinecode.OperandMuxName(0, false, 0, 1), 1)
-			code.Set(machinecode.OutputMuxName(0, 0), 1)
-			read, err := s.Read(code)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := s.Lower(read, read.Muxes.Live([]bool{true, true}, nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var instrs []flat.Instr
-			f.Mutated(func(c []flat.Instr) []flat.Instr { instrs = c; return c }) //nolint:errcheck // reads the code
-			for _, in := range instrs {
-				if in.Op != flat.Mov && in.Op != flat.Jmp {
-					t.Errorf("width %d, %s: lowered to\n%s", width, alu.Format(), f)
-					break
-				}
-			}
-			for _, level := range coneLevels {
-				checkCone(t, s, code, level, rand.New(rand.NewSource(int64(width))), 8)
-			}
 		}
 	}
 }

@@ -19,9 +19,12 @@
 // Versions 2 and 3 are source shapes dgen emits (package codegen, through
 // package opt). In process, every level above Unoptimized builds one
 // pipeline: each ALU's program as written, its machine code read once, and
-// the lowering to flat code (fuse.go) takes each builtin's choice and folds
-// constants as SCC propagation and inlining would. The three stay levels
-// because campaign matrices and reports name them.
+// the lowering to flat code (fuse.go) takes each builtin's choice as SCC
+// propagation would. It folds nothing, so a lowered program's width is only
+// in its truncated literals; the fuzzer's oracle folds operations on
+// constants at its width (flat.Optimize), as SCC propagation and inlining
+// would. The three stay levels because campaign matrices and reports name
+// them.
 //
 // Build does each piece of work once and copies nothing it does not keep.
 // The machine code is read in one pass over RequiredPairs order (Spec.Read:
@@ -66,7 +69,9 @@
 //     builds the stage programs.
 //   - The grid (FuseGrid) keeps every ALU; sim.Batch runs it.
 //   - Spec.Lower is the lowering with no Pipeline built, over whichever ALUs
-//     a MuxTable.Live selection keeps: the cone verify proves with flat.Sym.
+//     a MuxTable.Live selection keeps: the cone verify lowers once at its
+//     widest width and proves, the specification linked after it, with
+//     flat.Sym on a frame of each cell's width.
 package core
 
 import (

@@ -1,9 +1,10 @@
 // fuse.go turns a prechecked pipeline, or a range of its stages, into one flat
 // register program (see the package comment): muxes become register
 // renaming, and only the ALUs a liveness keeps are emitted, each lowered
-// inline from its program as written: a builtin call to the choice its
-// machine code makes, an operation on constants to its value, an if on a
-// constant to the branch taken.
+// inline from its program as written, a builtin call as the choice its
+// machine code makes. Nothing is folded: an operation on constants is emitted
+// as written, so the width enters a lowered program only through its
+// truncated literals, and flat.Optimize folds what runs.
 package core
 
 import (
@@ -103,9 +104,10 @@ func lowerStages(n Spec, c *Code) []*Fused {
 // Lower lowers the ALUs live keeps (MuxTable.Live over c.Muxes) into one flat
 // program at the spec's width, straight from c, the machine code as the spec
 // read it (Spec.Read): the lowering Build fuses with, with no Pipeline built.
-// It refuses what CheckLower refuses. Operations on constants fold at the
-// spec's width, so a program lowered at one width is not, constants cut, the
-// program lowered at a narrower one.
+// It refuses what CheckLower refuses. The width enters the program only
+// through its truncated literals, so the program lowered at one width, on a
+// narrower frame (flat.SymFrame cuts its constants), is the program lowered at
+// the narrower one.
 func (s *Spec) Lower(c *Code, live [][]bool) (*Fused, error) {
 	if err := s.CheckLower(c, live); err != nil {
 		return nil, err
@@ -345,14 +347,7 @@ func (l *aluLowering) stmts(list []aludsl.Stmt, res int, exits *[]int) (terminat
 			*exits = append(*exits, l.b.Jump())
 			return true
 		case *aludsl.If:
-			cond := l.expr(s.Cond, -1)
-			if v, ok := l.b.Constant(cond); ok {
-				if l.stmts([2][]aludsl.Stmt{s.Else, s.Then}[phv.Bool(phv.Truthy(v))], res, exits) {
-					return true
-				}
-				continue
-			}
-			toElse := l.b.Branch(flat.Jeq, cond, l.b.Const(0))
+			toElse := l.b.Branch(flat.Jeq, l.expr(s.Cond, -1), l.b.Const(0))
 			thenDone := l.stmts(s.Then, res, exits)
 			if len(s.Else) == 0 {
 				l.b.Land(toElse)
@@ -395,15 +390,15 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 	case *aludsl.Unary:
 		zero := l.b.Const(0)
 		if e.Op == aludsl.OpNeg {
-			return l.op(aludsl.OpSub, dst, zero, l.expr(e.X, -1))
+			return l.b.Op(flat.Sub, dst, zero, l.expr(e.X, -1))
 		}
-		return l.op(aludsl.OpEq, dst, l.expr(e.X, -1), zero)
+		return l.b.Op(flat.Eq, dst, l.expr(e.X, -1), zero)
 	case *aludsl.Binary:
 		x := l.expr(e.X, -1)
 		if e.Op == aludsl.OpAnd || e.Op == aludsl.OpOr {
-			return l.logic(e.Op == aludsl.OpOr, dst, x, func() int { return l.expr(e.Y, -1) })
+			return l.b.Logic(e.Op == aludsl.OpOr, dst, x, func() int { return l.expr(e.Y, -1) })
 		}
-		return l.op(e.Op, dst, x, l.expr(e.Y, -1))
+		return l.b.Op(flat.Op(e.Op), dst, x, l.expr(e.Y, -1))
 	case *aludsl.HoleCall:
 		// A selector lowers only the argument it picks, an operator both
 		// operands, even to pass one through.
@@ -422,9 +417,9 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 		case ch.Kind == aludsl.ChooseArg:
 			return l.b.Move(dst, [2]int{x, y}[ch.Arg])
 		case ch.Op == aludsl.OpAnd || ch.Op == aludsl.OpOr:
-			return l.logic(ch.Op == aludsl.OpOr, dst, x, func() int { return y })
+			return l.b.Logic(ch.Op == aludsl.OpOr, dst, x, func() int { return y })
 		}
-		return l.op(ch.Op, dst, x, y)
+		return l.b.Op(flat.Op(ch.Op), dst, x, y)
 	case *aludsl.Call:
 		// As the interpreter runs a helper call: every argument in the
 		// caller's frame, then the body in a frame of those values.
@@ -443,29 +438,4 @@ func (l *aluLowering) expr(e aludsl.Expr, dst int) int {
 	// Build or Lower ran CheckTotal on this program with its machine code:
 	// nothing else is left in it.
 	panic(fmt.Sprintf("core: fuse: %s: cannot lower %T %v", l.alu.Prog.Name, e, e))
-}
-
-// op emits "dst = x op y" as Builder.Op does or, when x and y are constant
-// registers, moves in the constant the interpreter's arithmetic makes of them.
-func (l *aluLowering) op(op aludsl.BinOp, dst, x, y int) int {
-	if vx, ok := l.b.Constant(x); ok {
-		if vy, ok := l.b.Constant(y); ok {
-			return l.b.Move(dst, l.b.Const(aludsl.ApplyBinOp(l.w, op, vx, vy)))
-		}
-	}
-	return l.b.Op(flat.Op(op), dst, x, y)
-}
-
-// logic lowers the short-circuit x && y (x || y with or set). A constant x
-// that decides the result is the result, and one that does not leaves the
-// truth of y; y is lowered only when it can matter.
-func (l *aluLowering) logic(or bool, dst, x int, y func() int) int {
-	v, ok := l.b.Constant(x)
-	switch {
-	case !ok:
-		return l.b.Logic(or, dst, x, y)
-	case phv.Truthy(v) == or:
-		return l.b.Move(dst, l.b.Const(phv.Bool(or)))
-	}
-	return l.op(aludsl.OpNeq, dst, y(), l.b.Const(0))
 }

@@ -3,12 +3,15 @@ package core_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"druzhba/internal/bv"
 	"druzhba/internal/core"
 	"druzhba/internal/flat"
 	"druzhba/internal/phv"
+	"druzhba/internal/sat"
 	"druzhba/internal/sim"
 	"druzhba/internal/spec"
 )
@@ -126,12 +129,16 @@ func mutantsOf(code []flat.Instr, in0, in1 uint32, state map[uint32]bool) []muta
 // one program), and runs the differential the fused programs are pinned by:
 // output PHVs and live stateful state against ExecuteStage at Unoptimized, on
 // the program's own traffic. Every kind of mutant must be caught on at least
-// one program, and the few survivors must be the ones listed: mutants that
-// are not mistakes.
+// one program. A mutant the traffic does not catch goes to flat.Sym, which
+// decides it: from every frame — free inputs, free state and free
+// temporaries — the mutant leaves every output register and every state
+// register as the cone does, or not. The few it proves are the survivors,
+// mutants that are not mistakes; the few it refutes are mistakes the traffic
+// misses. Both must be the ones listed.
 func TestLoweringMutantsAreCaught(t *testing.T) {
 	const n, seeds = 1000, 4
 	planted, caught := map[string]int{}, map[string]int{}
-	var survivors []string
+	var survivors, refuted []string
 	for _, bm := range spec.All() {
 		ref, err := bm.Pipeline(core.Unoptimized)
 		if err != nil {
@@ -200,15 +207,20 @@ func TestLoweringMutantsAreCaught(t *testing.T) {
 		if cone.RegName(0) != "in0" {
 			t.Fatalf("%s: register 0 is %q, not input container 0", name, cone.RegName(0))
 		}
-		for _, m := range mutantsOf(code, in0, in1, cone.StateRegs(p)) {
+		state := cone.StateRegs(p)
+		for _, m := range mutantsOf(code, in0, in1, state) {
 			f, err := cone.Mutated(m.edit)
 			if err != nil {
 				continue // flat's checker refused it: caught before it could run
 			}
 			planted[m.kind]++
-			if agrees(f) {
+			switch {
+			case !agrees(f):
+				caught[m.kind]++
+			case sameCone(cone, f, state, p.Bits().Bits()):
 				survivors = append(survivors, name+" "+m.id)
-			} else {
+			default:
+				refuted = append(refuted, name+" "+m.id)
 				caught[m.kind]++
 			}
 		}
@@ -219,21 +231,56 @@ func TestLoweringMutantsAreCaught(t *testing.T) {
 			t.Errorf("no %s mutant was caught", kind)
 		}
 	}
-	// The survivors are not mistakes. blue-increase and conga keep their state
-	// on the else path as "s = s + 0" twice (instructions 5 and 6, what the
-	// lowering makes of a mux that selects "keep"): dropping either, jumping
-	// past them, falling into them or hoisting one changes nothing.
-	// snap-heavy-hitter and spam-detection clear a flag on the path that can
-	// only run while it is still clear.
+	// The survivors are not mistakes: Sym proved each one. blue-increase and
+	// conga keep their state on the else path as "s = s + 0" twice
+	// (instructions 5 and 6, what the lowering makes of a mux that selects
+	// "keep"): dropping either, jumping past them, falling into them or
+	// hoisting one changes nothing. marple-new-flow and rcp test a compare
+	// of two constants, "ge t, #0, #0", which always holds (the lowering folds
+	// nothing): the jeq on it never jumps, so dropping it, jumping one late,
+	// or making the compare read an input changes nothing.
+	//
+	// The refuted are mistakes no stream shows. snap-heavy-hitter and
+	// spam-detection clear a flag (drop@6 drops the clear) on the path that
+	// runs while the counter is below its threshold, and a stream sets the
+	// flag only once the counter has passed it: the clear matters only after
+	// the counter wraps, from a state Sym starts in and no stream reaches.
+	// marple-new-flow rename@1 skips the count where input container 0 is 0,
+	// a value the traffic does not draw.
 	sort.Strings(survivors)
+	sort.Strings(refuted)
+	if want := []string{"marple-new-flow rename@1", "snap-heavy-hitter drop@6", "spam-detection drop@6"}; !reflect.DeepEqual(refuted, want) {
+		t.Errorf("Sym refutes the survivors %q of the differential, want %q", refuted, want)
+	}
 	want := []string{
 		"blue-increase drop@4", "blue-increase drop@5", "blue-increase drop@6",
 		"blue-increase jump@1", "blue-increase jump@4", "blue-increase stale@6",
 		"conga drop@4", "conga drop@5", "conga drop@6", "conga jump@1", "conga jump@4",
 		"conga stale@6",
-		"snap-heavy-hitter drop@6", "spam-detection drop@6",
+		"marple-new-flow drop@1", "marple-new-flow jump@1", "marple-new-flow rename@0",
+		"rcp drop@5", "rcp jump@5", "rcp rename@4",
 	}
 	if !reflect.DeepEqual(survivors, want) {
 		t.Errorf("survivors %q, want %q", survivors, want)
 	}
+}
+
+// sameCone reports whether Sym proves that the mutant f leaves every output
+// register and every state register as the cone does, from every frame of
+// the given width: the inputs, the state and the temporaries free, the
+// constants as they are.
+func sameCone(cone, f *core.Fused, state map[uint32]bool, bits int) bool {
+	b := bv.NewBuilder(sat.New())
+	start := cone.SymFrame(b, bits, func(int) bv.Vec { return b.Var(bits) })
+	want, _ := cone.Sym(b, slices.Clone(start))
+	got, _ := f.Sym(b, slices.Clone(start))
+	differ := b.False()
+	for _, r := range cone.Out() {
+		differ = b.Or(differ, b.Ne(got[r], want[r]))
+	}
+	for r := range state {
+		differ = b.Or(differ, b.Ne(got[r], want[r]))
+	}
+	b.Assert(differ)
+	return b.Solve() == sat.Unsat
 }

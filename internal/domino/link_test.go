@@ -12,12 +12,13 @@ import (
 )
 
 // TestLinkIsComposition proves, for every Table-1 program at 4 and 8 bits,
-// that the oracle the fuzzer runs — the output cone with the bound Domino
-// transaction linked after it (Binding.Link), before flat.Optimize — computes
-// what verify proves about: the cone run on its frame, then the transaction
-// run on a frame set up as verify sets it, the bound fields reading the
-// packet and the flags and the error register at zero. Every register of
-// both, and whether the transaction traps, must agree from every frame.
+// that the program the fuzzer's oracle is built from and verify proves — the
+// output cone with the bound Domino transaction linked after it
+// (Binding.Link), before flat.Optimize — is the composition of its halves:
+// the cone run on its frame, then the transaction run on a frame of its own
+// as its instances run it, the bound fields reading the packet and the flags
+// and the error register at zero. Every register of both, and whether the
+// transaction traps, must agree from every frame.
 func TestLinkIsComposition(t *testing.T) {
 	for _, bm := range spec.All() {
 		r, err := bm.Resolve()
@@ -52,13 +53,13 @@ func TestLinkIsComposition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lowered, layout := binding.Lowered(), binding.Layout()
+			lowered, fields, clear := binding.Lowered()
 
 			b := bv.NewBuilder(sat.New())
 			// The linked frame: free registers, but for the flags and the
 			// error register, which start at zero.
 			zero := map[int]bool{}
-			for _, reg := range layout.Clear {
+			for _, reg := range clear {
 				zero[l.Regs()[reg]] = true
 			}
 			start := l.SymFrame(b, bits, func(reg int) bv.Vec {
@@ -74,12 +75,6 @@ func TestLinkIsComposition(t *testing.T) {
 			// error register at zero, and every other register as it starts
 			// in the linked frame.
 			pipe, _ := cone.Sym(b, slices.Clone(start[:len(cone.NewFrame())]))
-			fields := map[int]int{}
-			for c, reg := range layout.Fields {
-				if reg >= 0 {
-					fields[reg] = c
-				}
-			}
 			specStart := lowered.SymFrame(b, bits, func(reg int) bv.Vec {
 				if c, ok := fields[reg]; ok {
 					return start[in[c]]

@@ -47,17 +47,6 @@ func TestOnlyUnprovenReadsKeepACheck(t *testing.T) {
 				tc.name, got, len(c.errs), len(c.flags), c.prog.Len(), tc.traps, tc.flags, tc.instructions, listing)
 		}
 	}
-	p, err := Parse(samplingSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Bind(p, FieldMap{"sample": 0}, phv.Default32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Lowered() != b.code.prog || b.Lowered().Len() != 7 {
-		t.Errorf("Binding.Lowered is not the %d-instruction program its instances run", b.code.prog.Len())
-	}
 }
 
 // TestLinkListingAndRefusals: a linked transaction reads the containers it
@@ -125,47 +114,62 @@ func TestBinaryOperatorsAreFlatOpcodes(t *testing.T) {
 	}
 }
 
-// TestLayoutRunsAsAPHVSpec: the lowered program run on a frame of its own,
-// set up as Layout says — packet into the bound fields' registers, flags and
-// error register cleared — leaves the bound fields and the state as a
-// PHVSpec fed the same packets does, through a packet on which the
-// specification fails.
+// TestLayoutRunsAsAPHVSpec: the transaction linked after a block of input
+// registers, run on a frame set up as its Linked says — the packet in the
+// input registers, Clear at zero — leaves in Want and in each state
+// variable's register (StateReg) what a PHVSpec fed the same packets leaves,
+// through a packet on which the specification fails with the error Error
+// names; StoreState hands the state to another instance of the binding.
 func TestLayoutRunsAsAPHVSpec(t *testing.T) {
 	p, err := Parse(`state c = 3;
 transaction { c = c + pkt.a; if (pkt.a == 1) { int x = c; } pkt.b = x; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Bind(p, FieldMap{"a": 0, "b": 2}, phv.MustWidth(8))
+	w := phv.MustWidth(8)
+	b, err := Bind(p, FieldMap{"a": 0, "b": 2}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := b.Layout()
-	if len(layout.Fields) != 3 || layout.Fields[1] != -1 || len(layout.Clear) != 2 {
-		t.Fatalf("layout %+v: want fields at containers 0 and 2, one flag and the error register to clear", layout)
+	fb := flat.NewBuilder(w)
+	in := fb.Regs("in", 3)
+	block, err := fb.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	prog, spec := b.Lowered(), b.NewSpec()
-	frame := prog.NewFrame()
+	l, err := b.Link(block, []int{in, in + 1, in + 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Want[1] != in+1 || len(l.Clear) != 2 || l.Clear[1] != l.Trap || l.StateReg("c") < 0 || l.StateReg("x") != -1 {
+		t.Fatalf("Want %v, Clear %v, Trap %d: want container 1 read in place, one flag and the error register to clear, and a register for c alone",
+			l.Want, l.Clear, l.Trap)
+	}
+	spec, frame := b.NewSpec(), l.NewFrame()
 	for i, a := range []int64{1, 0, 1, 1} {
 		vals := []int64{a, 7, 9}
-		for c, r := range layout.Fields {
-			if r >= 0 {
-				frame[r] = vals[c]
-			}
-		}
-		for _, r := range layout.Clear {
+		copy(frame[in:], vals)
+		for _, r := range l.Clear {
 			frame[r] = 0
 		}
-		prog.Run(frame)
+		l.Run(frame)
 		want, err := spec.Process(phv.FromValues(vals))
-		if (err != nil) != (a == 0) {
-			t.Fatalf("packet %d: spec error %v", i, err)
+		if (err != nil) != (a == 0) || (frame[l.Trap] != 0) != (a == 0) {
+			t.Fatalf("packet %d: spec error %v, trap code %d", i, err, frame[l.Trap])
 		}
-		if err == nil && frame[layout.Fields[2]] != want.Get(2) {
-			t.Errorf("packet %d: pkt.b %d, PHVSpec %d", i, frame[layout.Fields[2]], want.Get(2))
+		if err != nil && l.Error(frame[l.Trap]).Error() != err.Error() {
+			t.Errorf("packet %d: trap %q, PHVSpec %q", i, l.Error(frame[l.Trap]), err)
 		}
-		if c, _ := spec.State("c"); frame[layout.State["c"]] != c {
-			t.Errorf("packet %d: c %d, PHVSpec %d", i, frame[layout.State["c"]], c)
+		handed := spec.Binding().NewSpec()
+		l.StoreState(frame, handed)
+		if got, _ := handed.State("c"); got != frame[l.StateReg("c")] {
+			t.Errorf("packet %d: StoreState hands over c = %d, the frame holds %d", i, got, frame[l.StateReg("c")])
+		}
+		if err == nil && frame[l.Want[2]] != want.Get(2) {
+			t.Errorf("packet %d: pkt.b %d, PHVSpec %d", i, frame[l.Want[2]], want.Get(2))
+		}
+		if c, _ := spec.State("c"); frame[l.StateReg("c")] != c {
+			t.Errorf("packet %d: c %d, PHVSpec %d", i, frame[l.StateReg("c")], c)
 		}
 	}
 }

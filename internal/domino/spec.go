@@ -87,39 +87,6 @@ func Bind(p *Program, fields FieldMap, w phv.Width) (*Binding, error) {
 	return b, nil
 }
 
-// Lowered returns the transaction as the flat program every instance runs,
-// for its length, its disassembly and package verify, which evaluates it
-// symbolically (flat.Sym) on a frame set up as Layout says.
-func (b *Binding) Lowered() *flat.Program { return b.code.prog }
-
-// Layout is where the lowered transaction (Binding.Lowered) keeps what a
-// caller that runs it on a frame of its own sets and reads.
-type Layout struct {
-	// Fields[c] is the register of the field bound to container c, -1 where
-	// no field is; containers past its end have none either.
-	Fields []int
-	// Clear are the registers a packet starts with at zero: the "assigned"
-	// flags and the error register, which a PHVSpec clears after every run.
-	Clear []int
-	// State is each state variable's register. It is the Binding's own map:
-	// read it, do not write it.
-	State map[string]int
-}
-
-// Layout returns where the lowered transaction keeps its fields, flags and
-// state.
-func (b *Binding) Layout() Layout {
-	c := b.code
-	l := Layout{Fields: make([]int, b.lastCont+1), Clear: append(slices.Clip(c.flags), c.errReg), State: c.state}
-	for i := range l.Fields {
-		l.Fields[i] = -1
-	}
-	for _, f := range c.bound {
-		l.Fields[f.container] = f.reg
-	}
-	return l
-}
-
 // NewSpec returns a specification instance with freshly initialized state.
 func (b *Binding) NewSpec() *PHVSpec { return &PHVSpec{b: b, machine: newMachine(b.code)} }
 
@@ -181,11 +148,21 @@ func (b *Binding) Link(prog *flat.Program, in []int) (*Linked, error) {
 	}
 	if len(c.errs) > 0 {
 		l.Trap = regs[c.errReg]
-		for _, r := range b.Layout().Clear {
+		for _, r := range c.flags {
 			l.Clear = append(l.Clear, regs[r])
 		}
+		l.Clear = append(l.Clear, l.Trap)
 	}
 	return l, nil
+}
+
+// StateReg returns the register of the state variable name in the program
+// Link returned, -1 when the transaction declares no such variable.
+func (l *Linked) StateReg(name string) int {
+	if r, ok := l.b.code.state[name]; ok {
+		return l.regs[r]
+	}
+	return -1
 }
 
 // Error returns the error of the code a Trap left in the Trap register.

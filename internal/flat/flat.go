@@ -21,14 +21,20 @@
 // inspects after Run.
 //
 // Optimize (optimize.go) rewrites a checked program into one that dispatches
-// fewer instructions on the same frame: it numbers values across the whole
-// program, so a value computed twice is read where it was computed first; it
-// fuses a compare and the jeq or jne that tests it into one compare-and-branch
-// (Jlt, Jgt, Jle, Jge beside Jeq and Jne), threads jumps, and drops decided
-// branches, dead code and dead stores. It keeps every register number and
-// every register a caller can see — a constant, a bank cell, one the caller
-// lists as observed, one a path reads before writing — and may leave any
-// other, a private register whatever its name, with another value. An
+// fewer instructions on the same frame: it folds an operation on two
+// constants to the constant Run computes at the program's width, and a
+// compare-and-branch on two constants to a jmp or nothing; it numbers values
+// across the whole program, so a value computed twice is read where it was
+// computed first; it fuses a compare and the jeq or jne that tests it into
+// one compare-and-branch (Jlt, Jgt, Jle, Jge beside Jeq and Jne), threads
+// jumps, and drops decided branches, dead code and dead stores. Packages
+// core and domino fold nothing as they lower, so the width of a program they
+// build is only in its truncated literals, and Optimize folds at the width
+// the program runs at. It keeps every register number — a fold may append a
+// constant register after them — and every register a caller can see — a
+// constant, a bank cell, one the caller lists as observed, one a path reads
+// before writing — and may leave any other, a private register whatever its
+// name, with another value. An
 // observed register that every run ends as a copy of another ends in the
 // copy's source instead, which Optimize's end map names, and the copy goes.
 // Package sim runs the fuzzer's oracle, the cone with the specification

@@ -7,18 +7,20 @@ import (
 
 // Optimize returns p with its code rewritten so that a run dispatches fewer
 // instructions, keeping every register where it is: the frame, the names,
-// the banks and the constants are p's. A register is private when it is no
-// constant and no bank cell, it is not in observed, and every path through p
-// writes it before reading it (setsFirst); its name does not matter. A
-// private register's value before a run is never seen, and after it may
-// differ. Every other register r ends each Run of the result with the value
-// it ends p's with in register end[r], and the result stops at a Trap where
-// p does, on every frame whose registers hold values of p's width, in
+// the banks and the constants are p's, but for a constant register a fold
+// appends where no register holds the value it needs. A register is private
+// when it is no constant and no bank cell, it is not in observed, and every
+// path through p writes it before reading it (setsFirst); its name does not
+// matter. A private register's value before a run is never seen, and after
+// it may differ. Every other register r ends each Run of the result with the
+// value it ends p's with in register end[r], and the result stops at a Trap
+// where p does, on every frame whose registers hold values of p's width, in
 // [0, 2^w): what a phv.Value holds, and what Run writes. end[r] is r but for
 // an observed register whose copy goes (the last rewrite below): a caller
 // reads the register's end value at end[r]. The result is checked like any
 // program Build returns, so it can be Linked, Counted and run by Sym on a
-// frame of its width.
+// frame of its width; run it on a frame of its own (NewFrame), which a fold
+// may have made longer than p's.
 //
 // The rewrites are passes over the code, repeated until none applies;
 // programs are loop-free and jump forward only, so one pass in program order
@@ -32,9 +34,11 @@ import (
 //   - a compare into a private register whose only read is a jeq or jne
 //     against #0 later in its block becomes one compare-and-branch on the
 //     compare's operands, when nothing between writes them;
+//   - an operation on two constant registers becomes a mov from the
+//     constant Run computes, at p's width; a compare-and-branch of two
+//     constants, or of a register with itself, becomes a jmp or goes;
 //   - add x, y, #0, add x, #0, y and sub x, y, #0 become mov x, y, and
-//     mov x, x goes; a compare-and-branch of a register with itself, or of
-//     two constants of one value, becomes a jmp or goes;
+//     mov x, x goes;
 //   - ne t, b, #0 becomes mov t, b when every write of b is a compare and
 //     every path writes b before reading it;
 //   - a jump that lands on a jmp, or on a compare-and-branch of the same
@@ -70,9 +74,8 @@ func Optimize(p *Program, observed ...[]int) (q *Program, end []int, err error) 
 		}
 		o.compact()
 	}
-	r := *p
-	r.code = o.code
-	return &r, o.end, r.check()
+	o.p.code = o.code
+	return o.p, o.end, o.p.check()
 }
 
 // nop marks an instruction a rewrite deleted until compact drops it.
@@ -101,19 +104,29 @@ type optimizer struct {
 
 // start clones the code and lays out the scratch — a byte of flags and one of
 // reads per register, at, and bits, sized for the largest of its uses — and
-// classifies the registers.
+// classifies the registers. o.p is a copy of p whose frame a fold may extend
+// (constant): its init and fixed are clipped, so the first register appended
+// copies them.
 func (o *optimizer) start(p *Program, observed [][]int) {
-	n := len(p.code)
+	n, q := len(p.code), *p
+	q.init, q.fixed = slices.Clip(p.init), slices.Clip(p.fixed)
 	o.words = max(1, (len(p.init)+63)/64)
 	regs := make([]uint8, 2*len(p.init))
-	scratch := make([]uint64, n+1+max((n+2)*o.words, (n+1)*max(1, (n+63)/64)))
-	o.p, o.code, o.flags, o.reads = p, slices.Clone(p.code), regs[:len(p.init)], regs[len(p.init):]
+	scratch := make([]uint64, n+1+o.bitsLen(n))
+	o.p, o.code, o.flags, o.reads = &q, slices.Clone(p.code), regs[:len(p.init):len(p.init)], regs[len(p.init):]
 	o.at, o.bits = scratch[:n+1], scratch[n+1:]
 	o.end = make([]int, len(p.init))
 	for r := range o.end {
 		o.end[r] = r
 	}
 	o.classify(observed)
+}
+
+// bitsLen is how many words bits holds for n instructions: a register bitset
+// for every instruction and two more (classify), or an instruction bitset for
+// every instruction and one more (number).
+func (o *optimizer) bitsLen(n int) int {
+	return max((n+2)*o.words, (n+1)*max(1, (n+63)/64))
 }
 
 // classify sets the private, setsFirst and seen flags, for every register in
@@ -356,20 +369,22 @@ func (o *optimizer) simplify() (changed bool) {
 			in = Instr{Op: Mov, A: in.A, B: in.C}
 		case in.Op == Mov && in.A == in.B:
 			in.Op = nop
-		case in.Op.branch() && o.same(in.B, in.C): // x ? x: they are equal
+		case in.Op.branch() && (in.B == in.C || o.p.fixed[in.B] && o.p.fixed[in.C]):
 			in = Instr{Op: Jmp, A: in.A}
-			if rels[o.code[pc].Op]&relEQ == 0 {
+			if !o.jumps(o.code[pc]) {
 				in.Op = nop
 			}
 			o.code[pc], changed = in, true
 			continue
+		case pure(in.Op) && in.Op != Mov && o.p.fixed[in.B] && o.p.fixed[in.C]:
+			in = Instr{Op: Mov, A: in.A, B: o.constant(o.run(in))}
 		case in.Op == Ne && o.zero(in.C) && o.is(in.B, setsFirst|cmpOnly):
 			in = Instr{Op: Mov, A: in.A, B: in.B}
 		case in.Op == Ne && o.zero(in.B) && o.is(in.C, setsFirst|cmpOnly):
 			in = Instr{Op: Mov, A: in.A, B: in.C}
 		case in.Op == Mod && o.p.fixed[in.C]:
 			v := o.p.init[in.C]
-			mask := o.constant(v - 1)
+			mask := o.held(v - 1)
 			if v <= 0 || v&(v-1) != 0 || mask < 0 {
 				continue
 			}
@@ -383,14 +398,47 @@ func (o *optimizer) simplify() (changed bool) {
 	return changed
 }
 
-// constant returns a register holding the constant v, -1 for none.
-func (o *optimizer) constant(v int64) int {
+// held returns a register holding the constant v, -1 for none.
+func (o *optimizer) held(v int64) int {
 	for r, c := range o.p.init {
 		if c == v && o.p.fixed[r] {
 			return r
 		}
 	}
 	return -1
+}
+
+// constant returns a register holding the constant v, appending one to the
+// frame, with the flags, reads and end of a constant, where none does.
+func (o *optimizer) constant(v int64) uint32 {
+	if r := o.held(v); r >= 0 {
+		return uint32(r)
+	}
+	p, r := o.p, len(o.p.init)
+	p.init, p.fixed = append(p.init, v), append(p.fixed, true)
+	o.flags, o.reads, o.end = append(o.flags, 0), append(o.reads, 0), append(o.end, r)
+	if words := (r + 64) / 64; words > o.words {
+		o.words = words
+		o.bits = make([]uint64, o.bitsLen(len(o.code)))
+	}
+	return uint32(r)
+}
+
+// run returns what in, a pure operation on two constant registers, leaves
+// in its destination: it runs in, on a frame of its operands' values.
+func (o *optimizer) run(in Instr) int64 {
+	r := []int64{0, o.p.init[in.B], o.p.init[in.C]}
+	(&Program{w: o.p.w, code: []Instr{{Op: in.Op, B: 1, C: 2}}, init: r}).Run(r)
+	return r[0]
+}
+
+// jumps reports whether br, a compare-and-branch of a register with itself or
+// of two constant registers, jumps: where the compare of the same name holds.
+func (o *optimizer) jumps(br Instr) bool {
+	if br.B == br.C {
+		return rels[br.Op]&relEQ != 0
+	}
+	return o.run(Instr{Op: Eq + br.Op - Jeq, B: br.B, C: br.C}) != 0
 }
 
 // fuse turns a compare into a private register and the jeq or jne against #0

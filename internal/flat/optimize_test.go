@@ -435,6 +435,20 @@ func FuzzOptimize(f *testing.F) {
 	f.Add([]byte{19, 0xc4, 2, 0x80, 1, 3, 11, 1, 3, 12, 0, 1, 0x80, 1, 3}, uint8(0), int64(8))
 	// A copy of g0 into out0 before a Trap, and one of g1 after it.
 	f.Add([]byte{0x80, 0, 1, 13, 2, 1, 0x80, 0, 2}, uint8(0), int64(9))
+	// Every pure operation on two constants folds: #7 op #3 into g0, copied
+	// into out0; division and modulo by #0; and a sum that wraps at 8 bits,
+	// 15*15 into g0 and #15 added three times, g3 = 270 - 256 = 14.
+	for _, op := range []Op{Add, Sub, Mul, Div, Mod, Eq, Ne, Lt, Gt, Le, Ge, And} {
+		f.Add([]byte{byte(op), 0x78, 0x38, 0x80, 0, 1}, uint8(0), int64(10+op))
+	}
+	f.Add([]byte{byte(Div), 0x78, 0x08, 0x80, 0, 1}, uint8(0), int64(30))
+	f.Add([]byte{byte(Mod), 0x78, 0x08, 0x80, 0, 1}, uint8(0), int64(31))
+	f.Add([]byte{byte(Mul), 0xf8, 0xf8, byte(Add), 1, 0xf8, byte(Add), 2, 0xf8, byte(Add), 3, 0xf8, 0x80, 0, 4}, uint8(0), int64(32))
+	// Each compare-and-branch on #7 and #3 jumps over a copy of #5 into out0,
+	// or does not: it becomes a jmp or goes.
+	for _, op := range []Op{Jeq, Jne, Jlt, Jgt, Jle, Jge} {
+		f.Add([]byte{byte(op), 0x78, 0x38, 0x80, 0, 0x58, 0x80, 1, 1}, uint8(0), int64(20+op))
+	}
 	f.Fuzz(func(t *testing.T, code []byte, observedBits uint8, seed int64) {
 		p, outs := decode(t, phv.MustWidth(8), code, 2)
 		observed := outs
@@ -456,8 +470,9 @@ func FuzzOptimize(f *testing.F) {
 					start[r] = rng.Int63n(1 << 8)
 				}
 			}
-			want, got := slices.Clone(start), slices.Clone(start)
-			for r := range got {
+			want, got := slices.Clone(start), q.NewFrame() // a fold may append constants to q's frame
+			copy(got, start)
+			for r := range start {
 				if private[r] {
 					got[r] = rng.Int63n(1 << 8)
 				}

@@ -38,8 +38,9 @@ func (p *Program) SymFrame(b *bv.Builder, bits int, value func(r int) bv.Vec) []
 // symPath is one way into an instruction: the decisions taken on the way —
 // a branch condition or a Trap's, or its negation —
 // the condition they make together, and the frame the path arrives with.
-// Frames and decision lists are copied, never written, once a path is
-// queued.
+// A path owns its frame, so a merge writes the joined frame over the frame of
+// one of the paths it joins, which it drops. Decision lists are shared: they
+// are copied, never written, once a path is queued.
 type symPath struct {
 	dec  []sat.Lit
 	cond sat.Lit
@@ -214,9 +215,9 @@ func (s *symRun) merge(paths []symPath, k int) symPath {
 	}
 	if len(on) > 0 && len(off) > 0 {
 		x, y := s.merge(on, k+1), s.merge(off, k+1)
-		regs := make([]bv.Vec, len(x.regs))
+		regs := x.regs
 		for r := range regs {
-			regs[r] = s.ite(x.dec[k], x.regs[r], y.regs[r])
+			regs[r] = s.ite(x.dec[k], regs[r], y.regs[r])
 		}
 		if slices.Equal(x.dec[k+1:], y.dec[k+1:]) {
 			dec := append(slices.Clip(x.dec[:k]), x.dec[k+1:]...)
@@ -239,7 +240,7 @@ func (s *symRun) join(prefix []sat.Lit, paths []symPath, regs []bv.Vec) symPath 
 		either = b.Or(either, rest[i])
 	}
 	if regs == nil {
-		regs = slices.Clone(paths[len(paths)-1].regs)
+		regs = paths[len(paths)-1].regs
 		for i := len(paths) - 2; i >= 0; i-- {
 			for r, v := range paths[i].regs {
 				regs[r] = s.ite(rest[i], v, regs[r])

@@ -4,20 +4,21 @@
 // proven." It complements the fuzz testing of Fig. 5 — fuzzing samples the
 // input space, the verifier covers it exhaustively at a chosen bit width.
 //
-// Both sides are lowered to package flat by the lowerings the fuzzer runs
-// and executed symbolically by flat.Sym, the one symbolic evaluator: PHV
+// Both sides are lowered to package flat by the lowerings the fuzzer runs,
+// linked into the one program a fuzz shard's oracle is built from, and
+// executed symbolically by flat.Sym, the one symbolic evaluator: PHV
 // containers and state become bit-vectors (package bv), control flow becomes
 // if-then-else merging, and the claim "some compared container differs in
 // some transaction, or the specification fails" becomes a SAT instance
 // (package sat). The pipeline description (machine code bound to a hardware
 // spec) is core's fused program of the compared cone, lowered straight from
 // the machine code (core.Spec.Lower: each builtin's choice taken as it is
-// lowered, no specialisation pass); the Domino specification is the
-// transaction a fuzz shard runs (domino.Bind). The specification is bound
-// once per question at MaxBits and evaluated on frames of each cell's width;
-// the cone is lowered once per width a cell asks for, since the lowering
-// folds operations on constants at its width. Their state (§3.3: behaviour "on both PHVs and state values") is registers
-// of those programs, threaded from one transaction into the next. The tests
+// lowered, nothing folded); the Domino specification is the transaction a
+// fuzz shard runs, linked after the cone (domino.Binding.Link). Both are
+// lowered once per question at MaxBits: their width enters only through
+// their truncated literals, which flat.SymFrame cuts to each cell's. Their
+// state (§3.3: behaviour "on both PHVs and state values") is registers of the
+// linked program, threaded from one transaction into the next. The tests
 // hold the cone, gate for gate, to a reference that walks the ALU DSL
 // (translation validation). UNSAT proves the compiler's
 // machine code equivalent to the specification over every input of the
@@ -39,13 +40,11 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"druzhba/internal/bv"
 	"druzhba/internal/core"
 	"druzhba/internal/domino"
-	"druzhba/internal/flat"
 	"druzhba/internal/machinecode"
 	"druzhba/internal/phv"
 	"druzhba/internal/sat"
@@ -207,15 +206,14 @@ func EquivalenceContext(ctx context.Context, spec core.Spec, code *machinecode.P
 
 // Problem is an equivalence question with everything that does not depend
 // on the proof cell — the (bits, steps) point — worked out once: the
-// normalized spec and validated machine code, the compared containers, the
-// compared cone — the ALUs whose results or bound state are compared — and
-// the specification's lowered transaction (domino.Bind) at MaxBits, whose
-// width enters only through its truncated literals, which flat.SymFrame
-// cuts to a cell's. The cone is lowered from the machine code by core's own
-// lowering (core.Spec.Lower) at a cell's width, once per width: that
-// lowering folds operations on constants, so the width is in more than its
-// literals (0 >= 256 folds to 0 at 32 bits, to 1 at 8). The cells of a
-// campaign job share one Problem, concurrently.
+// normalized spec and validated machine code, the compared containers, and
+// the one program every cell proves. That is the compared cone — the ALUs
+// whose results or bound state are compared — lowered from the machine code
+// by core's own lowering (core.Spec.Lower), with the specification's
+// transaction linked after it (domino.Binding.Link), as sim's oracle is
+// before it is optimized. It is lowered at MaxBits, and its width enters only
+// through its truncated literals, which flat.SymFrame cuts to a cell's. A
+// Problem is immutable: the cells of a campaign job share one, concurrently.
 type Problem struct {
 	spec   core.Spec // normalized; replay sets Bits per cell
 	code   *machinecode.Program
@@ -226,13 +224,8 @@ type Problem struct {
 	bindingNames []string // opts.StateBindings' keys, sorted
 	containers   []int    // compared containers
 
-	read  *core.Code // the machine code, read once
-	live  [][]bool   // the compared cone's ALUs
-	mu    sync.Mutex
-	cones [MaxBits + 1]*core.Fused // cones[w]: the compared cone lowered at width w, once a cell asks
-
-	bind   *domino.Binding
-	layout domino.Layout
+	cone *core.Fused    // the compared cone at MaxBits
+	link *domino.Linked // the specification linked after the cone
 }
 
 // NewProblem checks the question and prepares it. opts.Bits and opts.Steps
@@ -254,7 +247,7 @@ func NewProblem(spec core.Spec, code *machinecode.Program, prog *domino.Program,
 			return nil, fmt.Errorf("verify: field %q is not bound to a container", name)
 		}
 	}
-	p := &Problem{spec: spec, code: code, prog: prog, fields: fields, opts: opts, containers: opts.Containers, read: read}
+	p := &Problem{spec: spec, code: code, prog: prog, fields: fields, opts: opts, containers: opts.Containers}
 	if p.containers == nil {
 		p.containers, err = domino.WrittenContainers(prog, fields)
 		if err != nil {
@@ -300,31 +293,23 @@ func NewProblem(spec core.Spec, code *machinecode.Program, prog *domino.Program,
 		return nil, errors.New("verify: nothing to compare: the Domino program writes no packet field and no state is bound (Options.StateBindings, dverify -state), so any machine code would be proved")
 	}
 
-	p.live = read.Muxes.Live(out, pinned)
-	if err := spec.CheckLower(read, p.live); err != nil {
+	at := spec
+	at.Bits = phv.MustWidth(MaxBits)
+	if p.cone, err = at.Lower(read, read.Muxes.Live(out, pinned)); err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
 	}
-	if p.bind, err = domino.Bind(prog, fields, phv.MustWidth(MaxBits)); err != nil {
+	bind, err := domino.Bind(prog, fields, at.Bits)
+	if err != nil {
 		return nil, fmt.Errorf("verify: %w", err)
 	}
-	p.layout = p.bind.Layout()
+	in := make([]int, spec.PHVLen)
+	for c := range in {
+		in[c] = p.cone.InputReg(c)
+	}
+	if p.link, err = bind.Link(p.cone.Program, in); err != nil {
+		return nil, fmt.Errorf("verify: %w", err)
+	}
 	return p, nil
-}
-
-// cone returns the compared cone lowered at the given width.
-func (p *Problem) cone(bits int) (*core.Fused, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cones[bits] == nil {
-		at := p.spec
-		at.Bits = phv.MustWidth(bits)
-		f, err := at.Lower(p.read, p.live)
-		if err != nil {
-			return nil, fmt.Errorf("verify: %w", err)
-		}
-		p.cones[bits] = f
-	}
-	return p.cones[bits], nil
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -345,25 +330,20 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 	if steps < 1 {
 		return nil, fmt.Errorf("verify: unrolling depth %d < 1", steps)
 	}
-	cone, err := p.cone(bits)
-	if err != nil {
-		return nil, err
-	}
 	solver := sat.New()
 	solver.MaxConflicts = p.opts.MaxConflicts
 	solver.Interrupt = func() bool { return ctx.Err() != nil }
 	b := bv.NewBuilder(solver)
 
-	// Both programs start from their initial frames — zero pipeline state,
-	// the specification's declared state — and carry state from one run
-	// into the next in their own registers.
-	lowered, layout := p.bind.Lowered(), p.layout
-	initial := func(prog *flat.Program) []bv.Vec {
-		init := prog.NewFrame()
-		return prog.SymFrame(b, bits, func(r int) bv.Vec { return b.Const(bits, init[r]) })
-	}
-	pipe, frame, zero := initial(cone.Program), initial(lowered), b.Const(bits, 0)
-	mask := phv.MustWidth(bits).Mask()
+	// The program starts from its initial frame — zero pipeline state, the
+	// specification's declared state — and carries state from one run into
+	// the next in its registers. A run is one packet as sim's oracle runs
+	// it: the packet in the cone's input registers, the specification's
+	// flags and error register at zero, then the cone and the transaction.
+	prog, cone := p.link.Program, p.cone
+	init := prog.NewFrame()
+	frame := prog.SymFrame(b, bits, func(r int) bv.Vec { return b.Const(bits, init[r]) })
+	zero, mask := b.Const(bits, 0), phv.MustWidth(bits).Mask()
 
 	var (
 		inputs   [][]bv.Vec
@@ -377,39 +357,24 @@ func (p *Problem) Prove(ctx context.Context, bits, steps int) (*Result, error) {
 			if m := p.opts.MaxInput; m > 0 && m <= mask {
 				b.Assert(b.Ult(in[c], b.Const(bits, m)))
 			}
-			pipe[cone.InputReg(c)] = in[c]
+			frame[cone.InputReg(c)] = in[c]
 		}
 		inputs = append(inputs, in)
-		pipe, _ = cone.Sym(b, pipe) // the cone has no Trap: it cannot fail
-
-		// One run of the specification, as a PHVSpec makes it: the bound
-		// fields read the packet, the flags and the error register start at
-		// zero, everything else — the state — is what the last run left.
-		for c, r := range layout.Fields {
-			if r >= 0 {
-				frame[r] = in[c]
-			}
-		}
-		for _, r := range layout.Clear {
+		for _, r := range p.link.Clear {
 			frame[r] = zero
 		}
 		var failed sat.Lit
-		frame, failed = lowered.Sym(b, frame)
+		frame, failed = prog.Sym(b, frame)
 		trapped = b.Or(trapped, failed)
 		for _, c := range p.containers {
-			want := in[c]
-			if c < len(layout.Fields) && layout.Fields[c] >= 0 {
-				want = frame[layout.Fields[c]]
-			}
-			mismatch = b.Or(mismatch, b.Ne(pipe[cone.Out()[c]], want))
+			mismatch = b.Or(mismatch, b.Ne(frame[cone.Out()[c]], frame[p.link.Want[c]]))
 		}
 	}
 	// §3.3/§7: optionally assert the bound state values match after the
 	// final transaction.
 	for _, name := range p.bindingNames {
 		loc := p.opts.StateBindings[name]
-		pipeVec := pipe[cone.StateReg(loc.Stage, loc.Slot)+loc.Index]
-		mismatch = b.Or(mismatch, b.Ne(pipeVec, frame[layout.State[name]]))
+		mismatch = b.Or(mismatch, b.Ne(frame[cone.StateReg(loc.Stage, loc.Slot)+loc.Index], frame[p.link.StateReg(name)]))
 	}
 	// A specification that can fail is never proved: a trace on which it
 	// does is a model too, and replay reports the failure.

@@ -624,6 +624,27 @@ func TestSpecThatCanFailIsNeverProved(t *testing.T) {
 	}
 }
 
+// TestSpecThatFailsLaterIsNeverProved: a specification that can fail only
+// in its second transaction — a local assigned in the first, while the state
+// is 0, and read in every one — is proved over one transaction and never over
+// two, because each run starts with the locals' "assigned" flags at zero
+// (Linked.Clear), as a PHVSpec starts each packet.
+func TestSpecThatFailsLaterIsNeverProved(t *testing.T) {
+	s := core.Spec{Depth: 1, Width: 1, PHVLen: 2, StatelessALU: atoms.MustLoad("stateless_full")}
+	code := zeroCode(t, s) // every container passes through
+	prog := mustDomino(t, `state s = 0;
+transaction { if (s == 0) { int x = 1; s = 1; } pkt.b = pkt.b + 0 * x; }`)
+	fm := domino.FieldMap{"b": 1}
+	if res, err := Equivalence(s, code, prog, fm, Options{Bits: 2, Steps: 1}); err != nil || !res.Equivalent {
+		t.Fatalf("one transaction: %v, %v; want a proof", res, err)
+	}
+	res, err := Equivalence(s, code, prog, fm, Options{Bits: 2, Steps: 2})
+	const want = `verify: spec "domino", transaction 1: domino: local "x" read before assignment`
+	if err == nil || err.Error() != want {
+		t.Fatalf("two transactions: %v, error %v; want the error %q", res, err, want)
+	}
+}
+
 // TestResultString pins the four renderings dverify prints: an exhausted
 // budget, a proof, a state divergence and a counterexample transaction.
 func TestResultString(t *testing.T) {
