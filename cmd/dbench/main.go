@@ -75,9 +75,11 @@ type Row struct {
 	// unoptimized level.
 	LiveALUs  int `json:"live_alus"`
 	TotalALUs int `json:"total_alus"`
-	// Instrs is the length of the fused program the fuzzer runs per PHV, the
-	// live ALU bodies lowered inline at every prechecked level; absent at
-	// the unoptimized level, which has no program.
+	// Instrs is the length of the pipeline's output cone (Cone().Len()),
+	// the live ALU bodies lowered inline at every prechecked level, before
+	// flat.Optimize rewrites it into what the fuzzer runs per PHV (sim's
+	// TestOracleDispatches pins what that dispatches); absent at the
+	// unoptimized level, which has no program.
 	Instrs int `json:"instrs,omitempty"`
 }
 

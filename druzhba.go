@@ -301,7 +301,7 @@ func NewShardCache(memEntries int, dir string) (ShardCache, error) {
 }
 
 // NewShardCacheLimit is NewShardCache with a byte cap on the on-disk tier:
-// past maxDiskBytes the least recently used entry files are evicted, so a
+// past maxDiskBytes the least recently used job segments are evicted, so a
 // long-running service's disk footprint stays bounded (0 = unbounded).
 func NewShardCacheLimit(memEntries int, dir string, maxDiskBytes int64) (ShardCache, error) {
 	mem := farmd.NewMemCache(memEntries)

@@ -124,6 +124,14 @@ func mutantsOf(code []flat.Instr, in0, in1 uint32, state map[uint32]bool) []muta
 	return out
 }
 
+// traffic is the streams a mutant is run on, and what the reference makes
+// of them: the output PHVs of every packet, and the state after each
+// stream.
+type traffic struct {
+	packets, want [][]phv.Value
+	state         []phv.StateSnapshot
+}
+
 // TestLoweringMutantsAreCaught plants every structural mutant in the
 // compiled cone of every Table-1 program (every prechecked level builds that
 // one program), and runs the differential the fused programs are pinned by:
@@ -133,53 +141,61 @@ func mutantsOf(code []flat.Instr, in0, in1 uint32, state map[uint32]bool) []muta
 // decides it: from every frame — free inputs, free state and free
 // temporaries — the mutant leaves every output register and every state
 // register as the cone does, or not. The few it proves are the survivors,
-// mutants that are not mistakes; the few it refutes are mistakes the traffic
-// misses. Both must be the ones listed.
+// mutants that are not mistakes; the few it refutes are mistakes uniform
+// traffic misses. Both must be the ones listed. Every one of them also runs
+// on boundary traffic (0 and the extremes of the draw range): it must tell
+// apart none that Sym proves, and the refuted ones it catches are listed too.
 func TestLoweringMutantsAreCaught(t *testing.T) {
 	const n, seeds = 1000, 4
 	planted, caught := map[string]int{}, map[string]int{}
-	var survivors, refuted []string
+	var survivors, refuted, atBoundary []string
 	for _, bm := range spec.All() {
 		ref, err := bm.Pipeline(core.Unoptimized)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var gen *sim.TrafficGen
 		// Several streams, each from reset state: a latch that the first
 		// packet of one stream happens to set hides what it guards.
-		packets, want := make([][]phv.Value, seeds*n), make([][]phv.Value, seeds*n)
-		var wantState []phv.StateSnapshot
-		for i := range packets {
-			if i%n == 0 {
-				ref.ResetState()
-				gen = sim.NewTrafficGen(int64(1+i/n), ref.PHVLen(), ref.Bits(), bm.MaxInput)
+		streams := func(mode sim.TrafficMode) (tr traffic) {
+			var gen *sim.TrafficGen
+			tr.packets, tr.want = make([][]phv.Value, seeds*n), make([][]phv.Value, seeds*n)
+			for i := range tr.packets {
+				if i%n == 0 {
+					ref.ResetState()
+					gen, err = sim.NewTrafficGenMode(int64(1+i/n), ref.PHVLen(), ref.Bits(), bm.MaxInput, mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				tr.packets[i] = make([]phv.Value, ref.PHVLen())
+				gen.Fill(tr.packets[i])
+				out, err := ref.Process(phv.FromValues(tr.packets[i]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr.want[i] = out.Values()
+				if i%n == n-1 {
+					tr.state = append(tr.state, ref.StateSnapshot())
+				}
 			}
-			packets[i] = make([]phv.Value, ref.PHVLen())
-			gen.Fill(packets[i])
-			out, err := ref.Process(phv.FromValues(packets[i]))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = out.Values()
-			if i%n == n-1 {
-				wantState = append(wantState, ref.StateSnapshot())
-			}
+			return tr
 		}
+		uniform, boundary := streams(sim.TrafficUniform), streams(sim.TrafficBoundary)
 		p, err := bm.Pipeline(core.Compiled)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cone, name := p.Cone(), bm.Name
-		agrees := func(f *core.Fused) bool {
+		agrees := func(f *core.Fused, tr traffic) bool {
 			q, frame := p.Clone(), f.NewFrame()
-			for i, vals := range packets {
+			for i, vals := range tr.packets {
 				if i%n == 0 {
 					f.Reset(frame)
 				}
 				copy(f.Inputs(frame), vals)
 				f.Run(frame)
 				for c, r := range f.Out() {
-					if frame[r] != want[i][c] {
+					if frame[r] != tr.want[i][c] {
 						return false
 					}
 				}
@@ -189,7 +205,7 @@ func TestLoweringMutantsAreCaught(t *testing.T) {
 				f.StoreState(frame, q)
 				for si, stage := range q.StateSnapshot() {
 					for slot, got := range stage {
-						if f.Executes(si, true, slot) && !reflect.DeepEqual(got, wantState[i/n][si][slot]) {
+						if f.Executes(si, true, slot) && !reflect.DeepEqual(got, tr.state[i/n][si][slot]) {
 							return false
 						}
 					}
@@ -197,7 +213,7 @@ func TestLoweringMutantsAreCaught(t *testing.T) {
 			}
 			return true
 		}
-		if !agrees(cone) {
+		if !agrees(cone, uniform) || !agrees(cone, boundary) {
 			t.Fatalf("%s: the unmutated cone disagrees with the reference", name)
 		}
 		var code []flat.Instr
@@ -215,13 +231,19 @@ func TestLoweringMutantsAreCaught(t *testing.T) {
 			}
 			planted[m.kind]++
 			switch {
-			case !agrees(f):
+			case !agrees(f, uniform):
 				caught[m.kind]++
 			case sameCone(cone, f, state, p.Bits().Bits()):
 				survivors = append(survivors, name+" "+m.id)
+				if !agrees(f, boundary) {
+					t.Errorf("%s %s: Sym proves it the cone, yet boundary traffic tells them apart", name, m.id)
+				}
 			default:
 				refuted = append(refuted, name+" "+m.id)
 				caught[m.kind]++
+				if !agrees(f, boundary) {
+					atBoundary = append(atBoundary, name+" "+m.id)
+				}
 			}
 		}
 	}
@@ -246,11 +268,14 @@ func TestLoweringMutantsAreCaught(t *testing.T) {
 	// flag only once the counter has passed it: the clear matters only after
 	// the counter wraps, from a state Sym starts in and no stream reaches.
 	// marple-new-flow rename@1 skips the count where input container 0 is 0,
-	// a value the traffic does not draw.
+	// a value uniform traffic does not draw and boundary traffic does.
 	sort.Strings(survivors)
 	sort.Strings(refuted)
 	if want := []string{"marple-new-flow rename@1", "snap-heavy-hitter drop@6", "spam-detection drop@6"}; !reflect.DeepEqual(refuted, want) {
 		t.Errorf("Sym refutes the survivors %q of the differential, want %q", refuted, want)
+	}
+	if want := []string{"marple-new-flow rename@1"}; !reflect.DeepEqual(atBoundary, want) {
+		t.Errorf("boundary traffic catches %q of the refuted, want %q", atBoundary, want)
 	}
 	want := []string{
 		"blue-increase drop@4", "blue-increase drop@5", "blue-increase drop@6",

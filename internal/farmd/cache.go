@@ -1,16 +1,18 @@
 package farmd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
-	"syscall"
+	"sync"
 	"time"
 
 	"druzhba/internal/campaign"
@@ -61,39 +63,85 @@ func (c *MemCache) Len() int {
 	return n
 }
 
-// diskEntry is DirCache's on-disk form of one shard result: the wire form
-// under the key it was stored at. The embedded key lets Get detect renamed
-// or cross-copied files; results with harness errors are never persisted,
-// so a written entry carries no error field and one that does is damage.
-// Verify cells serialize all their deterministic fields; solve wall time is
-// excluded at the type level (VerifyCell.SolveMS is json:"-"), so cached
-// replays never leak one run's timing into another's report.
+// diskEntry is DirCache's form of one shard result: the wire form under the
+// key it was stored at, one line of a segment. The embedded key lets Get
+// skip a line copied from another key or another segment; results with
+// harness errors are never persisted, so a written line carries no error
+// field and one that does is damage. Verify cells serialize all their
+// deterministic fields; solve wall time is excluded at the type level
+// (VerifyCell.SolveMS is json:"-"), so cached replays never leak one run's
+// timing into another's report.
 type diskEntry struct {
 	Key string `json:"key"`
 	WireShardResult
 }
 
-// DirCache is an on-disk campaign.ShardCache: one JSON file per shard
-// result, fanned into 256 prefix buckets under a root directory, written
-// atomically (temp file + rename) and read back with one bounded read. A
-// corrupt, truncated, mislabeled or oversized entry reads as a miss and is
-// deleted, so damage costs re-execution, never a wrong row.
+// Bounds of the disk tier.
+const (
+	// maxSegmentBytes caps a segment file: a Put that would take its segment
+	// to the cap is not persisted, and a segment at or over it is damage —
+	// a miss that removes the file without reading it. About 300 000 clean
+	// shard results fit under it.
+	maxSegmentBytes = 32 << 20
+
+	// readAhead is how many segments, the ones read last, DirCache keeps
+	// decoded in memory.
+	readAhead = 8
+)
+
+// DirCache is an on-disk campaign.ShardCache that keeps each job's shard
+// results in one append-only segment file, <job>.seg in a root directory:
+// the job part of an engine-issued key is its last 32 hex digits
+// (campaign.ShardKey), and any other key is a segment of its own. The root
+// holds one file per job, not one per shard, so it needs no bucket
+// directories, whose creation would cost a fresh cache a mkdir per job.
 //
-// With a byte cap (NewDirCacheLimit) the directory is a size-bounded LRU:
-// opening the cache scans existing entries (oldest-modified = least
-// recent), Get refreshes recency, and Put evicts the least recently used
-// entries once the cap is exceeded — so a long-running daemon's disk
-// footprint stays bounded. Without a cap the directory only grows; it is
-// the persistent tier a daemon restart warms from.
+// A Put appends one line — a newline, then the shard's diskEntry — in one
+// O_APPEND write, under the segment's lock, so a torn tail never swallows
+// the next record. A Get reads its segment once, with one bounded read, and
+// keeps the records of the readAhead segments read last, so the job's
+// other shards cost no system call; Puts go through the same read-ahead.
+// A line that does not decode, names another key or carries an error is
+// skipped, and of a key's valid lines the last wins: damage costs
+// re-execution, never a wrong row. So does a record the read-ahead misses (another process
+// appended it after the read), because keys are content addresses.
+//
+// With a byte cap (NewDirCacheLimit) the directory is a size-bounded LRU of
+// segments: opening the cache scans existing segments (oldest-modified =
+// least recent), Get and Put refresh a segment's recency, and a Put evicts
+// whole least recently used segments once the cap is exceeded — so a
+// long-running daemon's disk footprint stays bounded. Without a cap the
+// directory only grows; it is the persistent tier a daemon restart warms
+// from.
 type DirCache struct {
 	dir string
 
-	// LRU accounting by entry-file bytes, nil without a cap. Eviction
-	// removes the file under the list's lock, so it never races a
-	// concurrent Put's accounting.
+	ahead *lru[*segment] // the readAhead segments used last, by name
+
+	mu    sync.Mutex
+	dirty map[string]bool // the paths of segments appended since the last Flush; guarded by mu
+
+	// LRU accounting by segment-file bytes, nil without a cap.
 	lru *lru[struct{}]
 
 	evictions, evictedBytes *obs.Counter // nil = uncounted; guarded by lru.mu
+}
+
+// segment is what the read-ahead holds of one segment file. Its lock
+// serializes the file's read and appends, and guards recs, so Gets and Puts
+// of different jobs never wait for one another.
+type segment struct {
+	mu   sync.Mutex
+	read bool  // the file has been read into recs
+	size int64 // bytes of the file as read, plus this process's appends
+	recs map[string]record
+}
+
+// record is one key's last valid line: decoded, or as Put wrote it until a
+// Get decodes it.
+type record struct {
+	res  *campaign.ShardResult
+	line []byte
 }
 
 // NewDirCache opens (creating if needed) an unbounded on-disk cache rooted
@@ -103,17 +151,21 @@ func NewDirCache(dir string) (*DirCache, error) {
 }
 
 // NewDirCacheLimit opens (creating if needed) an on-disk cache rooted at
-// dir, holding at most maxBytes of entry files (0 = unbounded). Existing
-// entries are scanned in modification-time order to seed the recency list,
-// and evicted oldest-first if they already exceed the cap.
+// dir, holding at most maxBytes of segment files (0 = unbounded). Existing
+// segments are scanned in modification-time order to seed the recency
+// list, and evicted oldest-first if they already exceed the cap.
 func NewDirCacheLimit(dir string, maxBytes int64) (*DirCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("farmd: cache dir: %w", err)
 	}
-	c := &DirCache{dir: dir}
+	c := &DirCache{dir: dir, ahead: newLRU[*segment](readAhead, nil), dirty: map[string]bool{}}
 	if maxBytes > 0 {
-		c.lru = newLRU[struct{}](maxBytes, func(key string, size int64) {
-			os.Remove(c.Path(key))
+		// Eviction runs under the list's lock from a Get or Put holding
+		// another segment's lock. A goroutine still holding the evicted
+		// segment appends to a new file: a later miss, never a wrong row.
+		c.lru = newLRU[struct{}](maxBytes, func(name string, size int64) {
+			os.Remove(c.segmentPath(name))
+			c.ahead.remove(name)
 			c.evictions.Inc()
 			c.evictedBytes.Add(float64(size))
 		})
@@ -124,43 +176,34 @@ func NewDirCacheLimit(dir string, maxBytes int64) (*DirCache, error) {
 	return c, nil
 }
 
-// scan seeds the LRU accounting from the files already on disk: entries
-// sorted by modification time, oldest first, so the least recently written
+// scan seeds the LRU accounting from the segments already on disk, sorted
+// by modification time, oldest first, so the least recently written
 // survivors of the previous process are the first eviction candidates.
 func (c *DirCache) scan() error {
 	type stat struct {
-		key   string
+		name  string
 		size  int64
 		mtime time.Time
 	}
 	var stats []stat
-	buckets, err := os.ReadDir(c.dir)
+	files, err := os.ReadDir(c.dir)
 	if err != nil {
 		return fmt.Errorf("farmd: cache dir: %w", err)
 	}
-	for _, b := range buckets {
-		if !b.IsDir() {
+	for _, f := range files {
+		name, ok := strings.CutSuffix(f.Name(), ".seg")
+		if f.IsDir() || !ok || !pathSafe(name) {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(c.dir, b.Name()))
+		info, err := f.Info()
 		if err != nil {
 			continue
 		}
-		for _, f := range files {
-			name := f.Name()
-			if f.IsDir() || !strings.HasSuffix(name, ".json") {
-				continue
-			}
-			info, err := f.Info()
-			if err != nil {
-				continue
-			}
-			stats = append(stats, stat{key: strings.TrimSuffix(name, ".json"), size: info.Size(), mtime: info.ModTime()})
-		}
+		stats = append(stats, stat{name: name, size: info.Size(), mtime: info.ModTime()})
 	}
 	sort.Slice(stats, func(i, j int) bool { return stats[i].mtime.Before(stats[j].mtime) })
 	for _, s := range stats {
-		c.lru.put(s.key, struct{}{}, s.size)
+		c.lru.put(s.name, struct{}{}, s.size)
 	}
 	return nil
 }
@@ -177,7 +220,7 @@ func (c *DirCache) SetEvictionCounters(evictions, evictedBytes *obs.Counter) {
 	c.lru.mu.Unlock()
 }
 
-// Len returns the number of tracked entries (bounded caches only).
+// Len returns the number of tracked segments (bounded caches only).
 func (c *DirCache) Len() int {
 	if c.lru == nil {
 		return 0
@@ -186,7 +229,7 @@ func (c *DirCache) Len() int {
 	return n
 }
 
-// Size returns the tracked entry bytes (bounded caches only).
+// Size returns the tracked segment bytes (bounded caches only).
 func (c *DirCache) Size() int64 {
 	if c.lru == nil {
 		return 0
@@ -205,118 +248,150 @@ var shardKeyRe = regexp.MustCompile(`^[0-9a-f]{16,128}$`)
 // "uncacheable" and the caller checks for it first.
 func ValidShardKey(key string) bool { return shardKeyRe.MatchString(key) }
 
-// pathSafe reports whether key can name an entry file under the cache
-// root: no path separator and no leading dot, so Path(key) stays inside
-// its bucket whatever a caller passes.
+// pathSafe reports whether key can name a segment file in the cache root:
+// not empty, no path separator and no leading dot, so Path(key) stays in
+// the root whatever a caller passes.
 func pathSafe(key string) bool {
-	return !strings.ContainsAny(key, `/\`) && !strings.HasPrefix(key, ".")
+	return key != "" && !strings.ContainsAny(key, `/\`) && !strings.HasPrefix(key, ".")
+}
+
+// segmentOf returns the name of the segment key's record lives in: the job
+// part of a 64-hex-digit key, its last 32 digits, and any other key itself.
+// A segment name is as path-safe as its key.
+func segmentOf(key string) string {
+	if len(key) != 64 {
+		return key
+	}
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return key
+		}
+	}
+	return key[32:]
 }
 
 // Dir returns the cache's root directory.
 func (c *DirCache) Dir() string { return c.dir }
 
-// Path returns the entry file a key maps to (the key's first two hex
-// digits name the bucket).
-func (c *DirCache) Path(key string) string {
-	bucket := "00"
-	if len(key) >= 2 {
-		bucket = key[:2]
-	}
-	return filepath.Join(c.dir, bucket, key+".json")
+// Path returns the segment file that holds key's record.
+func (c *DirCache) Path(key string) string { return c.segmentPath(segmentOf(key)) }
+
+func (c *DirCache) segmentPath(name string) string {
+	return filepath.Join(c.dir, name+".seg")
 }
 
-// Get implements campaign.ShardCache. A hit is one bounded read of the
-// entry file (readEntry) and one json.Unmarshal. Every failure mode —
-// unreadable file, an entry at or over MaxShardResultBytes, invalid JSON,
-// a key mismatch from a renamed or partially written entry — is a miss;
-// the damaged file is removed best-effort so the next Put heals it.
+// Get implements campaign.ShardCache. The first Get or Put of a segment
+// reads it (segment); later ones are answered from the read-ahead. A record
+// a Put appended is decoded on its first Get, so a replay reads back
+// exactly what a restarted daemon would.
 func (c *DirCache) Get(key string) (*campaign.ShardResult, bool) {
 	if !pathSafe(key) {
 		return nil, false
 	}
-	path := c.Path(key)
-	data, err := readEntry(path)
-	if err != nil && !errors.Is(err, errEntryTooLarge) {
+	name := segmentOf(key)
+	seg := c.segment(name)
+	defer seg.mu.Unlock()
+	rec, ok := seg.recs[key]
+	if !ok {
 		return nil, false
 	}
-	var ent diskEntry
-	if err != nil || json.Unmarshal(data, &ent) != nil || ent.Key != key || ent.Error != "" {
-		os.Remove(path)
-		if c.lru != nil {
-			c.lru.remove(key)
+	if rec.res == nil {
+		var ent diskEntry
+		if json.Unmarshal(rec.line, &ent) != nil { // Put marshaled it: cannot happen
+			delete(seg.recs, key)
+			return nil, false
 		}
-		return nil, false
+		rec = record{res: ent.Result()}
+		seg.recs[key] = rec
 	}
 	if c.lru != nil {
-		c.lru.put(key, struct{}{}, int64(len(data)))
+		c.lru.get(name)
 	}
-	return ent.Result(), true
+	return rec.res, true
 }
 
-// entryReadSize is readEntry's first buffer: a clean shard's entry is
-// about 100 bytes, so nearly every read fits it and never sizes the file.
-const entryReadSize = 512
-
-// errEntryTooLarge marks an entry file of MaxShardResultBytes or more:
-// no Put writes one, so it is damage.
-var errEntryTooLarge = errors.New("farmd: cache entry over MaxShardResultBytes")
-
-// readEntry reads a whole entry file through package syscall — open,
-// reads until one returns 0, close — without the os.File set-up, stat and
-// second read os.ReadFile pays for a ~100-byte file. Only a file that
-// fills the first buffer is sized (by seeking to its end: package syscall
-// has no fstat on every platform), and the buffer never grows past
-// MaxShardResultBytes, so a planted or damaged file of any size costs at
-// most the cap in memory. Interrupted calls are retried as package os does.
-func readEntry(path string) ([]byte, error) {
-	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
-	for err == syscall.EINTR {
-		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+// segment returns the named segment locked, from the read-ahead, reading
+// its file when it is not there yet. A segment that does not exist or
+// cannot be read is empty; one at or over maxSegmentBytes is damage, and
+// its file is removed.
+func (c *DirCache) segment(name string) *segment {
+	seg, ok := c.ahead.get(name)
+	if !ok {
+		seg = c.ahead.getOrPut(name, &segment{recs: map[string]record{}}, 1)
 	}
+	seg.mu.Lock()
+	if seg.read {
+		return seg
+	}
+	seg.read = true
+	path := c.segmentPath(name)
+	data, err := readSegment(path)
+	switch {
+	case errors.Is(err, errSegmentTooLarge):
+		os.Remove(path)
+		if c.lru != nil {
+			c.lru.remove(name)
+		}
+	case err == nil:
+		seg.size = int64(len(data))
+		seg.decode(name, data)
+		if c.lru != nil {
+			c.lru.put(name, struct{}{}, seg.size)
+		}
+	}
+	return seg
+}
+
+// decode keeps, of every key of the named segment, the last line of data
+// that decodes under that key with no error.
+func (seg *segment) decode(name string, data []byte) {
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		if len(line) == 0 {
+			continue
+		}
+		var ent diskEntry
+		if json.Unmarshal(line, &ent) != nil || ent.Error != "" || !pathSafe(ent.Key) || segmentOf(ent.Key) != name {
+			continue
+		}
+		seg.recs[ent.Key] = record{res: ent.Result()}
+	}
+}
+
+// errSegmentTooLarge marks a segment file of maxSegmentBytes or more: no
+// Put writes one, so it is damage.
+var errSegmentTooLarge = errors.New("farmd: cache segment over maxSegmentBytes")
+
+// readSegment reads a segment file with one read of the size it has when
+// opened; the bytes an append adds after that are not seen. A file of
+// maxSegmentBytes or more is not read, so a planted or damaged file of any
+// size costs nothing near its size in memory.
+func readSegment(path string) ([]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer syscall.Close(fd)
-	buf := make([]byte, 0, entryReadSize)
-	sized := false
-	for {
-		if len(buf) == cap(buf) {
-			if len(buf) >= MaxShardResultBytes {
-				return nil, errEntryTooLarge
-			}
-			grow := 2 * len(buf) // the file grew since it was sized
-			if !sized {
-				sized = true
-				size, err := syscall.Seek(fd, 0, io.SeekEnd)
-				if err == nil {
-					_, err = syscall.Seek(fd, int64(len(buf)), io.SeekStart)
-				}
-				if err != nil {
-					return nil, err
-				}
-				if size >= MaxShardResultBytes {
-					return nil, errEntryTooLarge
-				}
-				grow = max(int(size)+1, len(buf)+1) // +1: the read that returns 0 needs room
-			}
-			buf = append(make([]byte, 0, min(grow, MaxShardResultBytes)), buf...)
-		}
-		n, err := syscall.Read(fd, buf[len(buf):cap(buf)])
-		switch {
-		case err == syscall.EINTR:
-		case err != nil:
-			return nil, err
-		case n == 0:
-			return buf, nil
-		default:
-			buf = buf[:len(buf)+n]
-		}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
 	}
+	if info.Size() >= maxSegmentBytes {
+		return nil, errSegmentTooLarge
+	}
+	data := make([]byte, info.Size())
+	n, err := io.ReadFull(f, data)
+	if err == io.ErrUnexpectedEOF { // the file shrank since it was sized
+		err = nil
+	}
+	return data[:n], err
 }
 
-// Put implements campaign.ShardCache with an atomic write: concurrent
-// writers race benignly (last rename wins, every version is a valid
-// entry), and readers never observe a partial file.
+// Put implements campaign.ShardCache: it appends key's line to its segment
+// and records it in the read-ahead. A write that fails, or would take the
+// segment to maxSegmentBytes, is dropped: the shard is re-executed next
+// time.
 func (c *DirCache) Put(key string, res *campaign.ShardResult) {
 	if res == nil || res.Err != nil || !pathSafe(key) {
 		return
@@ -325,63 +400,74 @@ func (c *DirCache) Put(key string, res *campaign.ShardResult) {
 	if err != nil {
 		return
 	}
-	path := c.Path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	line := append(append(make([]byte, 0, len(data)+1), '\n'), data...)
+	name := segmentOf(key)
+	seg := c.segment(name)
+	defer seg.mu.Unlock()
+	if seg.size+int64(len(line)) >= maxSegmentBytes {
 		return
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), key+".tmp*")
-	if err != nil {
+	path := c.segmentPath(name)
+	if appendFile(path, line) != nil {
 		return
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
+	seg.size += int64(len(line))
+	seg.recs[key] = record{line: line[1:]}
+	c.mu.Lock()
+	c.dirty[path] = true
+	c.mu.Unlock()
 	if c.lru != nil {
-		c.lru.put(key, struct{}{}, int64(len(data)))
+		c.lru.put(name, struct{}{}, seg.size)
 	}
 }
 
+// appendFile writes data to the end of the file at path in one write,
+// creating the file when it does not exist.
+func appendFile(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // Flusher is the optional cache interface graceful shutdown drives:
-// caches that buffer state (the disk tier's directory metadata) persist it
-// durably before the process exits.
+// caches that buffer state (the disk tier's appends and directory
+// metadata) persist it durably before the process exits.
 type Flusher interface {
 	Flush() error
 }
 
-// Flush implements Flusher: it fsyncs the root and bucket directories so
-// every rename Put ever performed is durable, not just visible. Entry
-// files themselves are written atomically by Put; what a crash can lose
-// without the directory syncs is the rename itself.
+// Flush implements Flusher: it fsyncs the segments appended since the last
+// Flush, then the root directory, so every record Put appended and every
+// segment it created is durable, not just visible.
 func (c *DirCache) Flush() error {
-	dirs := []string{c.dir}
-	if buckets, err := os.ReadDir(c.dir); err == nil {
-		for _, b := range buckets {
-			if b.IsDir() {
-				dirs = append(dirs, filepath.Join(c.dir, b.Name()))
-			}
-		}
+	c.mu.Lock()
+	paths := make([]string, 0, len(c.dirty))
+	for path := range c.dirty {
+		paths = append(paths, path)
 	}
+	clear(c.dirty)
+	c.mu.Unlock()
 	var firstErr error
-	for _, dir := range dirs {
-		d, err := os.Open(dir)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+	fsync := func(path string, flag int) {
+		f, err := os.OpenFile(path, flag, 0)
+		if err == nil {
+			err = f.Sync()
+			f.Close()
 		}
-		if err := d.Sync(); err != nil && firstErr == nil {
+		if err != nil && firstErr == nil && !(flag == os.O_WRONLY && errors.Is(err, fs.ErrNotExist)) { // an evicted segment is gone
 			firstErr = err
 		}
-		d.Close()
 	}
+	for _, path := range paths {
+		fsync(path, os.O_WRONLY)
+	}
+	fsync(c.dir, os.O_RDONLY)
 	return firstErr
 }
 

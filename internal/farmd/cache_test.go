@@ -1,6 +1,7 @@
 package farmd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"druzhba/internal/campaign"
@@ -74,54 +76,102 @@ func TestDirCacheRoundtrip(t *testing.T) {
 	}
 }
 
-// TestDirCacheDamagedEntriesAreMisses: garbage, truncated and mislabeled
-// entry files all read as misses and are removed, so a damaged cache can
-// never replay a wrong row.
-func TestDirCacheDamagedEntriesAreMisses(t *testing.T) {
-	c, err := NewDirCache(t.TempDir())
+// jobKey returns the engine-shaped key of shard seed of the job whose digest
+// part is job (32 hex digits): its records share one segment.
+func jobKey(job string, seed int) string { return fmt.Sprintf("%016x%016x%s", seed, 128, job) }
+
+// segmentLines returns a segment file's lines, the empty one before the
+// first record dropped.
+func segmentLines(t *testing.T, path string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	damage := map[string]func(path string){
-		"garbage":   func(p string) { os.WriteFile(p, []byte("not json at all"), 0o644) },
-		"truncated": func(p string) { data, _ := os.ReadFile(p); os.WriteFile(p, data[:len(data)/2], 0o644) },
-		"mislabeled": func(p string) {
-			other := c.Path("other-key")
-			os.MkdirAll(filepath.Dir(other), 0o755)
-			data, _ := os.ReadFile(p)
-			os.WriteFile(other, data, 0o644) // valid entry copied under the wrong key
-			os.Remove(p)
+	return bytes.Split(bytes.TrimPrefix(data, []byte{'\n'}), []byte{'\n'})
+}
+
+// writeSegment writes lines as a segment file, each after a newline.
+func writeSegment(t *testing.T, path string, lines ...[]byte) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	for _, l := range lines {
+		data = append(append(data, '\n'), l...)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reopen returns a new DirCache over c's directory: a restarted daemon,
+// whose read-ahead holds nothing.
+func reopen(t *testing.T, c *DirCache) *DirCache {
+	t.Helper()
+	c2, err := NewDirCache(c.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c2
+}
+
+// TestDirCacheDamagedEntriesAreMisses: a garbage, truncated or mislabeled
+// line of a segment reads as a miss to a restarted cache, the segment's
+// other records still read back, and a Put after the damage is served
+// again, so a damaged cache can never replay a wrong row.
+func TestDirCacheDamagedEntriesAreMisses(t *testing.T) {
+	job, other := strings.Repeat("ab", 16), strings.Repeat("cd", 16)
+	damage := map[string]func(t *testing.T, c *DirCache){ // each damages jobKey(job, 1)
+		"garbage": func(t *testing.T, c *DirCache) {
+			lines := segmentLines(t, c.Path(jobKey(job, 1)))
+			lines[1] = []byte("not json at all")
+			writeSegment(t, c.Path(jobKey(job, 1)), lines...)
+		},
+		"truncated": func(t *testing.T, c *DirCache) {
+			lines := segmentLines(t, c.Path(jobKey(job, 1)))
+			lines[1] = lines[1][:len(lines[1])/2]
+			writeSegment(t, c.Path(jobKey(job, 1)), lines...)
+		},
+		"mislabeled": func(t *testing.T, c *DirCache) {
+			// The record moves to another job's segment, under its own key.
+			lines := segmentLines(t, c.Path(jobKey(job, 1)))
+			writeSegment(t, c.Path(jobKey(other, 1)), lines[1])
+			writeSegment(t, c.Path(jobKey(job, 1)), lines[0], lines[2])
 		},
 	}
 	for name, corrupt := range damage {
 		t.Run(name, func(t *testing.T) {
-			key := "key-" + name
-			c.Put(key, res(7))
-			if _, ok := c.Get(key); !ok {
-				t.Fatal("entry missing before damage")
+			c, err := NewDirCache(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
 			}
-			corrupt(c.Path(key))
-			if name == "mislabeled" {
-				if _, ok := c.Get("other-key"); ok {
-					t.Fatal("mislabeled entry served under the wrong key")
+			for i := range 3 {
+				c.Put(jobKey(job, i), res(7+i))
+			}
+			corrupt(t, c)
+			c = reopen(t, c)
+			for _, key := range []string{jobKey(job, 1), jobKey(other, 1)} {
+				if got, ok := c.Get(key); ok {
+					t.Fatalf("%s line served as a hit under %s: %+v", name, key, got)
 				}
-				if _, err := os.Stat(c.Path("other-key")); !os.IsNotExist(err) {
-					t.Fatal("mislabeled entry not removed")
+			}
+			for _, i := range []int{0, 2} {
+				if got, ok := c.Get(jobKey(job, i)); !ok || got.Checked != 7+i {
+					t.Fatalf("record %d beside the %s line reads %+v, %v", i, name, got, ok)
 				}
-				return
 			}
-			if _, ok := c.Get(key); ok {
-				t.Fatalf("%s entry served as a hit", name)
-			}
-			if _, err := os.Stat(c.Path(key)); !os.IsNotExist(err) {
-				t.Fatalf("%s entry not removed", name)
+			c.Put(jobKey(job, 1), res(8))
+			if got, ok := reopen(t, c).Get(jobKey(job, 1)); !ok || got.Checked != 8 {
+				t.Fatalf("record put after the damage reads %+v, %v", got, ok)
 			}
 		})
 	}
 }
 
 // TestDirCacheNeverLeavesItsRoot: a key with a path separator or a leading
-// dot maps to no entry file — Get misses without reading (or deleting) what
+// dot maps to no segment file — Get misses without reading (or deleting) what
 // the traversed path names, Put drops the write — for the bounded and the
 // unbounded cache alike.
 func TestDirCacheNeverLeavesItsRoot(t *testing.T) {
@@ -189,9 +239,9 @@ func TestTieredPromotesDiskHits(t *testing.T) {
 }
 
 // TestDirCacheCorruptionFallsBackToExecution drives the recovery path
-// through the real engine: corrupt one on-disk shard entry between a cold
-// and a warm run, and the warm run must re-execute exactly that shard while
-// producing a byte-identical report.
+// through the real engine: damage one record of one job's segment between
+// a cold run and a restarted cache's warm run, and the warm run must
+// re-execute exactly that shard while producing a byte-identical report.
 func TestDirCacheCorruptionFallsBackToExecution(t *testing.T) {
 	cache, err := NewDirCache(t.TempDir())
 	if err != nil {
@@ -208,47 +258,52 @@ func TestDirCacheCorruptionFallsBackToExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var entries []string
+	var segments []string
+	records := 0
 	filepath.Walk(cache.Dir(), func(path string, info os.FileInfo, err error) error { //nolint:errcheck // test walk
 		if err == nil && !info.IsDir() {
-			entries = append(entries, path)
+			segments = append(segments, path)
+			records += len(segmentLines(t, path))
 		}
 		return nil
 	})
-	if int64(len(entries)) != cold.Cache.Misses {
-		t.Fatalf("disk holds %d entries after %d executed shards", len(entries), cold.Cache.Misses)
+	if int64(records) != cold.Cache.Misses || len(segments) != len(jobs) {
+		t.Fatalf("disk holds %d records in %d segments after %d executed shards of %d jobs", records, len(segments), cold.Cache.Misses, len(jobs))
 	}
-	victim := entries[0]
-	victimKey := strings.TrimSuffix(filepath.Base(victim), ".json")
-	if err := os.WriteFile(victim, []byte(`{"key":"tampered"`), 0o644); err != nil {
+	lines := segmentLines(t, segments[0])
+	var victim diskEntry
+	if err := json.Unmarshal(lines[0], &victim); err != nil {
 		t.Fatal(err)
 	}
+	lines[0] = []byte(`{"key":"tampered"`)
+	writeSegment(t, segments[0], lines...)
 
+	opts.Cache = reopen(t, cache)
 	warm, err := campaign.Run(context.Background(), jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Cache.Misses != 1 || warm.Cache.Hits != cold.Cache.Misses-1 {
-		t.Fatalf("warm stats %+v after corrupting one of %d entries", warm.Cache, cold.Cache.Misses)
+		t.Fatalf("warm stats %+v after corrupting one of %d records", warm.Cache, cold.Cache.Misses)
 	}
 	if warm.Text(false) != cold.Text(false) {
 		t.Fatal("warm report differs after corruption fallback")
 	}
-	// The re-execution healed the damaged entry.
-	if _, ok := cache.Get(victimKey); !ok {
-		t.Fatal("corrupted entry not rewritten by the warm run")
+	// The re-execution healed the damaged record.
+	if _, ok := reopen(t, cache).Get(victim.Key); !ok {
+		t.Fatal("corrupted record not rewritten by the warm run")
 	}
 }
 
-// TestDirCacheEntryBytesGolden pins the disk tier's file format across the
-// move of diskEntry onto WireShardResult: Put writes byte for byte what the
-// commit before the move wrote (the strings below were captured there), and
-// those files — what a long-lived -cache-dir already holds — read back to
-// the results they were written from. An entry carrying an error field was
-// not written by Put (errored results are never persisted) and is damage.
+// TestDirCacheEntryBytesGolden pins the disk tier's record format: each line
+// Put appends to a segment is byte for byte the entry file the per-shard
+// layout wrote (the strings below were captured from it), after the newline
+// that starts every record, and reads back to the result it was written
+// from. A line carrying an error field was not written by Put (errored
+// results are never persisted) and is damage.
 func TestDirCacheEntryBytesGolden(t *testing.T) {
 	golden := []struct {
-		key, file string
+		key, line string
 		res       *campaign.ShardResult
 	}{
 		{"aa01", `{"key":"aa01","checked":128,"ticks":640}`,
@@ -261,34 +316,22 @@ func TestDirCacheEntryBytesGolden(t *testing.T) {
 				{Bits: 6, Steps: 1, Verdict: "counterexample", Vars: 7, Clauses: 9, Trace: [][]int64{{1, 2}}, FailStep: 1},
 			}}},
 	}
-	written, err := NewDirCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	inherited, err := NewDirCache(t.TempDir())
+	c, err := NewDirCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range golden {
-		written.Put(g.key, g.res)
-		data, err := os.ReadFile(written.Path(g.key))
+		c.Put(g.key, g.res)
+		data, err := os.ReadFile(c.Path(g.key))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(data) != g.file {
-			t.Errorf("Put(%s) wrote\n %s\nwant the parent's bytes\n %s", g.key, data, g.file)
+		if string(data) != "\n"+g.line {
+			t.Errorf("Put(%s) wrote\n %q\nwant a newline, then the per-shard layout's bytes\n %s", g.key, data, g.line)
 		}
-
-		path := inherited.Path(g.key)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(g.file), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, ok := inherited.Get(g.key)
+		got, ok := reopen(t, c).Get(g.key)
 		if !ok {
-			t.Fatalf("parent-written entry %s reads as a miss", g.key)
+			t.Fatalf("record %s reads as a miss", g.key)
 		}
 		want := *g.res
 		want.Cells = append([]campaign.VerifyCell(nil), want.Cells...)
@@ -296,25 +339,21 @@ func TestDirCacheEntryBytesGolden(t *testing.T) {
 			want.Cells[i].SolveMS = 0 // never serialized
 		}
 		if !reflect.DeepEqual(got, &want) {
-			t.Errorf("parent-written entry %s reads back %+v, want %+v", g.key, got, &want)
+			t.Errorf("record %s reads back %+v, want %+v", g.key, got, &want)
 		}
 	}
 
-	path := inherited.Path("dd04")
-	os.MkdirAll(filepath.Dir(path), 0o755)
-	os.WriteFile(path, []byte(`{"key":"dd04","checked":9,"ticks":9,"error":"boom"}`), 0o644)
-	if res, ok := inherited.Get("dd04"); ok {
-		t.Fatalf("entry with an error field served as a hit: %+v", res)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("entry with an error field not removed")
+	writeSegment(t, c.Path("dd04"), []byte(`{"key":"dd04","checked":9,"ticks":9,"error":"boom"}`))
+	if res, ok := c.Get("dd04"); ok {
+		t.Fatalf("record with an error field served as a hit: %+v", res)
 	}
 }
 
-// TestDirCacheOversizedEntryIsAMiss: an entry file of MaxShardResultBytes
-// or more was not written by Put, so it is damage — a miss whose file is
-// removed — and reading it costs nothing near its size: Get allocates well
-// under the cap for a sparse file one byte over it.
+// TestDirCacheOversizedEntryIsAMiss: a segment of maxSegmentBytes or more
+// was not written by Put, so it is damage — a miss whose file is removed —
+// and reading it costs nothing near its size: Get allocates well under the
+// cap for a sparse file of the cap's size. A Put that would take a segment
+// to the cap is dropped.
 func TestDirCacheOversizedEntryIsAMiss(t *testing.T) {
 	c, err := NewDirCache(t.TempDir())
 	if err != nil {
@@ -323,33 +362,46 @@ func TestDirCacheOversizedEntryIsAMiss(t *testing.T) {
 	const key = "aa01"
 	c.Put(key, res(7))
 	path := c.Path(key)
-	if err := os.Truncate(path, MaxShardResultBytes+1); err != nil {
+	if err := os.Truncate(path, maxSegmentBytes); err != nil {
 		t.Fatal(err)
 	}
+	c = reopen(t, c)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	got, ok := c.Get(key)
 	runtime.ReadMemStats(&after)
 	if ok {
-		t.Fatalf("oversized entry served as a hit: %+v", got)
+		t.Fatalf("oversized segment served as a hit: %+v", got)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("oversized entry not removed")
+		t.Fatal("oversized segment not removed")
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
-		t.Fatalf("Get of an oversized entry allocated %d bytes", alloc)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("Get of an oversized segment allocated %d bytes", alloc)
+	}
+
+	writeSegment(t, path, bytes.Repeat([]byte{'x'}, maxSegmentBytes-32))
+	c = reopen(t, c)
+	c.Put(key, res(7))
+	if info, err := os.Stat(path); err != nil || info.Size() != maxSegmentBytes-31 {
+		t.Fatalf("a Put past the cap grew the segment: %v, %v", info, err)
+	}
+	if got, ok := c.Get(key); ok {
+		t.Fatalf("a Put past the cap is served: %+v", got)
 	}
 }
 
-// TestDirCacheGrowthRoundTrip: entries that fill readEntry's first buffer
-// exactly, overrun it by a byte, or need many reads (over 64 KiB) read back
-// to the results Put wrote.
+// TestDirCacheGrowthRoundTrip: records of every size up to a quarter MiB —
+// one, many short ones, ones over 64 KiB — share one segment and read back
+// to the results Put wrote, to the cache that wrote them and to a
+// restarted one.
 func TestDirCacheGrowthRoundTrip(t *testing.T) {
 	c, err := NewDirCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// sized returns a result whose entry under key is exactly size bytes,
+	job := strings.Repeat("0f", 16)
+	// sized returns a result whose line under key is exactly size bytes,
 	// padding one finding's input.
 	sized := func(key string, findings, size int) *campaign.ShardResult {
 		r := &campaign.ShardResult{Checked: 4096, Ticks: 4100}
@@ -363,26 +415,153 @@ func TestDirCacheGrowthRoundTrip(t *testing.T) {
 		r.Findings[0].Input += strings.Repeat("x", size-len(data))
 		return r
 	}
+	want := map[string]*campaign.ShardResult{}
+	total := 0
 	for i, e := range []struct{ findings, size int }{
-		{1, entryReadSize},
-		{1, entryReadSize + 1},
+		{1, 512},
+		{1, 513},
 		{1, 64<<10 + 1},
 		{2000, 256 << 10},
 	} {
-		key := fmt.Sprintf("aa%02d", i)
-		want := sized(key, e.findings, e.size)
-		c.Put(key, want)
-		info, err := os.Stat(c.Path(key))
-		if err != nil || info.Size() != int64(e.size) {
-			t.Fatalf("entry %s: %v, want %d bytes (%v)", key, info, e.size, err)
+		key := jobKey(job, i)
+		want[key] = sized(key, e.findings, e.size)
+		c.Put(key, want[key])
+		total += 1 + e.size
+	}
+	if info, err := os.Stat(c.Path(jobKey(job, 0))); err != nil || info.Size() != int64(total) {
+		t.Fatalf("segment: %v, want %d bytes (%v)", info, total, err)
+	}
+	for _, cache := range []*DirCache{c, reopen(t, c)} {
+		for key, w := range want {
+			got, ok := cache.Get(key)
+			if !ok {
+				t.Fatalf("%s reads as a miss", key)
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Fatalf("%s reads back differently", key)
+			}
 		}
-		got, ok := c.Get(key)
-		if !ok {
-			t.Fatalf("%d-byte entry reads as a miss", info.Size())
+	}
+}
+
+// TestDirCacheReadsAJobOnce: a restarted cache reads a job's segment on the
+// first Get of the job, and answers every later Get of it from the
+// read-ahead — with the file gone, they still hit.
+func TestDirCacheReadsAJobOnce(t *testing.T) {
+	c, err := NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := strings.Repeat("5a", 16)
+	for i := range 49 {
+		c.Put(jobKey(job, i), res(i))
+	}
+	c = reopen(t, c)
+	if _, ok := c.Get(jobKey(job, 0)); !ok {
+		t.Fatal("first shard of the job missing")
+	}
+	if err := os.Remove(c.Path(jobKey(job, 0))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 49; i++ {
+		if got, ok := c.Get(jobKey(job, i)); !ok || got.Checked != i {
+			t.Fatalf("shard %d of a job already read: %+v, %v", i, got, ok)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%d-byte entry reads back differently", info.Size())
+	}
+}
+
+// TestDirCacheConcurrentSegment runs 8 goroutines that Put and Get records
+// of one job at once (run it with -race): each reads back what it put, and
+// a restarted cache reads every record. A torn tail then costs only the
+// torn record: a Put after it is served to the next restart.
+func TestDirCacheConcurrentSegment(t *testing.T) {
+	c, err := NewDirCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := strings.Repeat("e7", 16)
+	const goroutines, each = 8, 16
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				key := jobKey(job, g*each+i)
+				c.Put(key, res(g*each+i))
+				if got, ok := c.Get(key); !ok || got.Checked != g*each+i {
+					t.Errorf("%s reads back %+v, %v", key, got, ok)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c = reopen(t, c)
+	for i := range goroutines * each {
+		if got, ok := c.Get(jobKey(job, i)); !ok || got.Checked != i {
+			t.Fatalf("record %d reads %+v, %v after a restart", i, got, ok)
 		}
+	}
+
+	path := c.Path(jobKey(job, 0))
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, info.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	c = reopen(t, c)
+	fresh := jobKey(job, goroutines*each)
+	c.Put(fresh, res(1000))
+	c = reopen(t, c)
+	if got, ok := c.Get(fresh); !ok || got.Checked != 1000 {
+		t.Fatalf("record put after a torn tail reads %+v, %v", got, ok)
+	}
+	torn := 0
+	for i := range goroutines * each {
+		if _, ok := c.Get(jobKey(job, i)); !ok {
+			torn++
+		}
+	}
+	if torn != 1 {
+		t.Fatalf("a torn tail cost %d records, want 1", torn)
+	}
+}
+
+// TestDirCacheConcurrentEviction: goroutines putting and getting records
+// of four jobs into a cache capped near two segments evict segments others
+// are using (run it with -race): a Get may miss, but a hit is the record
+// put under its key, and the tracked size ends within the cap.
+func TestDirCacheConcurrentEviction(t *testing.T) {
+	const perJob = 8
+	line, err := json.Marshal(diskEntry{Key: jobKey(strings.Repeat("0", 32), 0), WireShardResult: WireResult(res(perJob - 1))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segment := int64(perJob * (len(line) + 1)) // at most: no record's line is longer
+	c, err := NewDirCacheLimit(t.TempDir(), 2*segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			job := fmt.Sprintf("%032x", g%4)
+			for i := range perJob {
+				key := jobKey(job, i)
+				c.Put(key, res(i))
+				if got, ok := c.Get(key); ok && got.Checked != i {
+					t.Errorf("%s reads back %+v", key, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Size() > 2*segment {
+		t.Fatalf("size %d past a cap of %d", c.Size(), 2*segment)
 	}
 }
 

@@ -17,8 +17,9 @@
 // twice executes zero shards the second time — the summary row's cache
 // counters make that observable — while streaming byte-identical job rows.
 // The package provides three stores: MemCache (bounded in-memory LRU),
-// DirCache (one JSON file per shard under a directory, self-validating
-// against corruption), and Tiered (LRU over disk).
+// DirCache (one append-only segment file per job under a directory, one
+// self-validating JSON line per shard, read once per job), and Tiered (LRU
+// over disk).
 package farmd
 
 import (

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 
 	"druzhba/internal/campaign"
@@ -144,14 +146,16 @@ func FuzzLeaseBody(f *testing.F) {
 	})
 }
 
-// FuzzDirCacheEntry writes raw bytes as the entry file of one valid key —
-// a torn write, a file renamed from another key, planted garbage — and
-// reads it with DirCache.Get: it never panics, and it either misses and
-// removes the file, or returns exactly what json.Unmarshal into diskEntry
-// yields, under the same key and with no error. A miss is owed exactly
-// when that decoding fails, names another key or carries an error.
+// FuzzDirCacheEntry writes raw bytes as a segment file — torn lines,
+// garbage, a record copied under another key, duplicated keys, error
+// fields — at the segment of a key of its own ("aa01") and at that of a job
+// with two keys, and reads them with DirCache.Get: it never panics, and for
+// each key it returns exactly the decoding of the key's last line that
+// decodes into diskEntry under that key with no error, or a miss when no
+// line does. A record Put after the bytes reads back to a restarted cache,
+// whatever the bytes before it, and leaves the other key's answer as it was.
 func FuzzDirCacheEntry(f *testing.F) {
-	// TestDirCacheEntryBytesGolden's files, whole and truncated.
+	// TestDirCacheEntryBytesGolden's lines, whole and truncated.
 	for _, file := range []string{
 		`{"key":"aa01","checked":128,"ticks":640}`,
 		`{"key":"bb02","checked":64,"ticks":320,"findings":[{"index":3,"input":"[1 2]","got":"[1 3]","want":"[1 2]"}]}`,
@@ -165,34 +169,62 @@ func FuzzDirCacheEntry(f *testing.F) {
 			f.Add([]byte(g))
 		}
 	}
-	const key = "aa01"
+	job := strings.Repeat("9c", 16)
+	k1, k2 := jobKey(job, 1), jobKey(job, 2)
+	line := func(key string, checked int, extra string) string {
+		return fmt.Sprintf(`{"key":%q,"checked":%d,"ticks":%d%s}`, key, checked, 5*checked, extra)
+	}
+	for _, seg := range [][]string{
+		{"", line(k1, 1, ""), line(k2, 2, ""), line(k1, 3, "")},                                   // k1 twice: the last wins
+		{"", line(k1, 1, ""), line(k1, 3, `,"error":"boom"`)},                                     // an error line after a valid one
+		{"", line(k1, 1, ""), line(k2, 2, "")[:20] + line(k1, 4, ""), line(k2, 5, "")},            // a torn line, then more
+		{"", line(k1, 1, ""), line(jobKey(strings.Repeat("3d", 16), 1), 6, ""), "\x00\xff{", "}"}, // another job's key, garbage
+		{line("aa01", 7, ""), line(k1, 8, `,"findings":[{"index":1,"input":"[1]","got":"[2]","want":"[1]"}]`)},
+		{"", line(k2, 2, ""), line(k2, 2, `,"checked":9`), "null", "[]", `{"key":null}`},
+		{"", line(k1, 1, ""), " " + line(k1, 2, ""), `{"checked":3,"key":"` + k1 + `"}`, line(k1, 4, `,"key":"`+k2+`"`)}, // k1 in other shapes than Put writes
+	} {
+		f.Add([]byte(strings.Join(seg, "\n")))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := NewDirCache(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := c.Path(key)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var ent diskEntry
-		valid := json.Unmarshal(data, &ent) == nil && ent.Key == key && ent.Error == ""
-		got, ok := c.Get(key)
-		if ok != valid {
-			t.Fatalf("Get hit=%v, want %v", ok, valid)
-		}
-		if !ok {
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Fatal("damaged entry not removed")
+		for _, path := range []string{c.Path("aa01"), c.Path(k1)} {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
 			}
-			return
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if want := ent.Result(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Get = %+v, decoding gives %+v", got, want)
+		check := func(c *DirCache, key string) {
+			t.Helper()
+			var want *campaign.ShardResult
+			for _, line := range bytes.Split(data, []byte{'\n'}) {
+				var ent diskEntry
+				if json.Unmarshal(line, &ent) == nil && ent.Key == key && ent.Error == "" {
+					want = ent.Result()
+				}
+			}
+			got, ok := c.Get(key)
+			if ok != (want != nil) {
+				t.Fatalf("Get(%s) hit=%v, want %v", key, ok, want != nil)
+			}
+			if ok && !reflect.DeepEqual(got, want) {
+				t.Fatalf("Get(%s) = %+v, its last valid line decodes to %+v", key, got, want)
+			}
 		}
+		for _, key := range []string{"aa01", k1, k2} {
+			check(c, key)
+		}
+		put := &campaign.ShardResult{Checked: 11, Ticks: 55, Findings: []campaign.Finding{{Index: 2, Input: "[3]", Got: "[4]", Want: "[3]"}}}
+		c.Put(k2, put)
+		c = reopen(t, c)
+		if got, ok := c.Get(k2); !ok || !reflect.DeepEqual(got, put) {
+			t.Fatalf("record put after the bytes reads %+v, %v", got, ok)
+		}
+		check(c, k1)
 	})
 }
 

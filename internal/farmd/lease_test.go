@@ -230,7 +230,7 @@ func TestLeaseRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const traversal = "../victim"
+	const traversal = "../../victim"
 	victim := disk.Path(traversal)
 	if filepath.Dir(victim) != root {
 		t.Fatalf("victim path %s is not directly under %s", victim, root)

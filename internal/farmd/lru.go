@@ -9,8 +9,9 @@ import (
 // least recently used evicted while the total weight exceeds max. The most
 // recent entry always survives, even when it alone exceeds max — eviction
 // bounds the tail, it never empties the cache. MemCache (weight 1), the
-// bounded DirCache (weight = file bytes) and the lease handler's
-// instanceCache are views of it. It is safe for concurrent use.
+// bounded DirCache (weight = segment-file bytes), DirCache's read-ahead
+// (weight 1 per segment) and the lease handler's instanceCache are views
+// of it. It is safe for concurrent use.
 type lru[V any] struct {
 	mu    sync.Mutex
 	max   int64

@@ -129,18 +129,20 @@ func TestMatrixRequestModeValidation(t *testing.T) {
 }
 
 // TestDirCacheEviction fills a byte-capped DirCache past its cap and checks
-// the LRU contract: oldest entries lose their files, recently used ones
-// survive, the tracked size stays under the cap, and every survivor still
-// round-trips — eviction bounds the cache, it never corrupts it.
+// the LRU contract over segments: the oldest segments lose their files,
+// recently used ones survive, the tracked size stays under the cap, and
+// every survivor still round-trips — eviction bounds the cache, it never
+// corrupts it. A job's segment goes whole, every record with it.
 func TestDirCacheEviction(t *testing.T) {
-	// All entries serialize identically sized, so the cap arithmetic is
-	// exact: room for three entries plus slack, never four.
+	// Keys that are not engine keys are segments of their own, and all
+	// lines serialize identically sized, so the cap arithmetic is exact:
+	// room for three one-record segments plus slack, never four.
 	entry := func(i int) *campaign.ShardResult { return &campaign.ShardResult{Checked: i, Ticks: int64(i)} }
 	probe, err := json.Marshal(diskEntry{Key: "k0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit := int64(len(probe))
+	unit := int64(len(probe)) + 1 // a record is a newline and its entry
 	c, err := NewDirCacheLimit(t.TempDir(), 3*unit+unit/2)
 	if err != nil {
 		t.Fatal(err)
@@ -149,29 +151,29 @@ func TestDirCacheEviction(t *testing.T) {
 	for i, k := range keys {
 		c.Put(k, entry(i))
 	}
-	if c.Len() != 3 || c.Size() > 3*unit+unit/2 {
-		t.Fatalf("len %d size %d after overfill, want 3 entries under the cap", c.Len(), c.Size())
+	if c.Len() != 3 || c.Size() != 3*unit {
+		t.Fatalf("len %d size %d after overfill, want 3 segments of %d bytes", c.Len(), c.Size(), unit)
 	}
 	for _, k := range keys[:2] {
 		if _, ok := c.Get(k); ok {
-			t.Fatalf("oldest entry %s survived eviction", k)
+			t.Fatalf("oldest segment %s survived eviction", k)
 		}
 		if _, err := os.Stat(c.Path(k)); !os.IsNotExist(err) {
-			t.Fatalf("evicted entry %s left its file behind", k)
+			t.Fatalf("evicted segment %s left its file behind", k)
 		}
 	}
 	for i, k := range keys[2:] {
 		res, ok := c.Get(k)
 		if !ok {
-			t.Fatalf("recent entry %s evicted", k)
+			t.Fatalf("recent segment %s evicted", k)
 		}
 		if res.Checked != i+2 {
-			t.Fatalf("entry %s corrupted by eviction: %+v", k, res)
+			t.Fatalf("record %s corrupted by eviction: %+v", k, res)
 		}
 	}
 
 	// Get refreshes recency: touch the now-oldest survivor, overflow again,
-	// and the untouched middle entry goes instead.
+	// and the untouched middle segment goes instead.
 	if _, ok := c.Get("k2"); !ok {
 		t.Fatal("k2 missing before refresh")
 	}
@@ -182,11 +184,28 @@ func TestDirCacheEviction(t *testing.T) {
 	if _, ok := c.Get("k2"); !ok {
 		t.Fatal("recently touched k2 was evicted")
 	}
+
+	// Two records of one job weigh as one segment of their sum, and go
+	// together: three more one-record segments push it out whole.
+	job := strings.Repeat("4b", 16)
+	c.Put(jobKey(job, 1), entry(1))
+	c.Put(jobKey(job, 2), entry(2))
+	for _, k := range []string{"k6", "k7", "k8"} {
+		c.Put(k, entry(6))
+	}
+	for _, i := range []int{1, 2} {
+		if _, ok := c.Get(jobKey(job, i)); ok {
+			t.Fatalf("record %d of an evicted job's segment survived", i)
+		}
+	}
+	if _, err := os.Stat(c.Path(jobKey(job, 1))); !os.IsNotExist(err) {
+		t.Fatal("the evicted job's segment left its file behind")
+	}
 }
 
-// TestDirCacheSingleEntrySurvivesCap: the most recent entry is never
+// TestDirCacheSingleEntrySurvivesCap: the most recent segment is never
 // evicted, even when it alone exceeds the cap — a too-small cap degrades to
-// a one-entry cache instead of an always-empty one.
+// a one-segment cache instead of an always-empty one.
 func TestDirCacheSingleEntrySurvivesCap(t *testing.T) {
 	c, err := NewDirCacheLimit(t.TempDir(), 1)
 	if err != nil {
@@ -202,9 +221,9 @@ func TestDirCacheSingleEntrySurvivesCap(t *testing.T) {
 }
 
 // TestDirCacheScanSeedsRecencyFromMtimes: reopening a bounded cache over an
-// existing directory rebuilds the accounting from the files, ordered by
-// modification time, so eviction after a restart still removes the oldest
-// entries first.
+// existing directory rebuilds the accounting from the segment files,
+// ordered by modification time, so eviction after a restart still removes
+// the oldest segments first.
 func TestDirCacheScanSeedsRecencyFromMtimes(t *testing.T) {
 	dir := t.TempDir()
 	warm, err := NewDirCache(dir) // unbounded writer: no eviction while seeding
@@ -237,11 +256,11 @@ func TestDirCacheScanSeedsRecencyFromMtimes(t *testing.T) {
 		t.Fatalf("len %d after reopen past cap, want 3", c.Len())
 	}
 	if _, ok := c.Get("a0"); ok {
-		t.Fatal("oldest-mtime entry survived the reopen eviction")
+		t.Fatal("oldest-mtime segment survived the reopen eviction")
 	}
 	for _, k := range keys[1:] {
 		if _, ok := c.Get(k); !ok {
-			t.Fatalf("newer entry %s evicted on reopen", k)
+			t.Fatalf("newer segment %s evicted on reopen", k)
 		}
 	}
 }

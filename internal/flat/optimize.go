@@ -75,6 +75,7 @@ func Optimize(p *Program, observed ...[]int) (q *Program, end []int, err error) 
 		o.compact()
 	}
 	o.p.code = o.code
+	o.trim(len(p.init))
 	return o.p, o.end, o.p.check()
 }
 
@@ -422,6 +423,43 @@ func (o *optimizer) constant(v int64) uint32 {
 		o.bits = make([]uint64, o.bitsLen(len(o.code)))
 	}
 	return uint32(r)
+}
+
+// trim drops the constants folds appended after p's n registers that no
+// instruction reads and no register ends in, and renumbers the ones kept,
+// in the code and in end, so the frame holds no dead constant.
+func (o *optimizer) trim(n int) {
+	p := o.p
+	if len(p.init) == n {
+		return
+	}
+	o.survey()
+	for _, e := range o.end[:n] {
+		o.reads[e] |= 1 // nonzero: some register ends in e
+	}
+	to, kept := make([]uint32, len(p.init)-n), n
+	for r := n; r < len(p.init); r++ {
+		if o.reads[r] != 0 {
+			to[r-n], p.init[kept] = uint32(kept), p.init[r]
+			kept++
+		}
+	}
+	for pc, in := range o.code {
+		for f := ops[in.Op].fields; f != ""; f = f[2:] {
+			if v := in.field(f[0]); f[1] == 'r' && int(v) >= n {
+				o.code[pc] = o.code[pc].setField(f[0], to[int(v)-n])
+			}
+		}
+	}
+	for r, e := range o.end[:n] {
+		if e >= n {
+			o.end[r] = int(to[e-n])
+		}
+	}
+	p.init, p.fixed, o.end = p.init[:kept], p.fixed[:kept], o.end[:kept]
+	for r := n; r < kept; r++ {
+		o.end[r] = r
+	}
 }
 
 // run returns what in, a pure operation on two constant registers, leaves

@@ -406,6 +406,29 @@ func TestOptimizeFusesEveryCompare(t *testing.T) {
 	}
 }
 
+// TestOptimizeDropsDeadFoldedConstants: folding a chain appends a constant
+// for each link, and only the ones the optimized code reads stay in its
+// frame. FuzzOptimize's wrap seed folds 15*15 and three adds of #15 at 8
+// bits: 225, 240, 255, then 14, where out0 ends.
+func TestOptimizeDropsDeadFoldedConstants(t *testing.T) {
+	p, outs := decode(t, phv.MustWidth(8), []byte{byte(Mul), 0xf8, 0xf8, byte(Add), 1, 0xf8, byte(Add), 2, 0xf8, byte(Add), 3, 0xf8, 0x80, 0, 4}, 2)
+	q, end, err := Optimize(p, outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var appended []int64
+	for r := len(p.init); r < len(q.init); r++ {
+		appended = append(appended, q.init[r])
+	}
+	if !slices.Equal(appended, []int64{14}) || len(end) != len(q.init) {
+		t.Fatalf("the optimized frame appends %v (end map of %d for %d registers), want [14]\n%s", appended, len(end), len(q.init), q)
+	}
+	if got := q.RegName(end[outs[0]]); got != "#14" {
+		t.Fatalf("out0 ends in %s, want #14\noptimized:\n%s", got, q)
+	}
+	ProveOptimized(t, p, q, end, outs)
+}
+
 // FuzzOptimize pins Optimize to Run: a decoded program (FuzzLink's decoder,
 // with two more registers, out0 and out1, that copies write and nothing
 // reads) and a fuzzed set of observed registers, out0 and out1 always among
