@@ -571,7 +571,8 @@ func measureVerify(bm *spec.Benchmark, bits, repeats int) (VerifyRow, error) {
 
 // measure times one Fig. 5 fuzz run of n PHVs from a fresh generator:
 // sim.NewFuzzer over the pipeline against the benchmark's Domino
-// specification, on whichever loop NewFuzzer binds at the pipeline's level.
+// specification, on the loop the fuzzer picks for it at the pipeline's level
+// (the fused loop at every prechecked level, the tick loop at unoptimized).
 func measure(pipeline *core.Pipeline, bm *spec.Benchmark, seed int64, n, repeats int) (time.Duration, float64, error) {
 	r, err := bm.Resolve()
 	if err != nil {

@@ -216,9 +216,12 @@ func ParseDominoSpec(src string, fields map[string]int, bits int) (Spec, error) 
 
 // FuzzPipeline runs the Fig. 5 compiler-testing workflow: n random PHVs
 // through the pipeline and the specification, comparing outputs on the
-// given containers (nil = all; an index outside the PHV is an error). The
-// fuzzer executes only the ALUs that can reach an output container, fused
-// into one flat program (core.Pipeline.Cone); p is not mutated.
+// given containers (nil = all; an index outside the PHV is an error). For a
+// Domino specification (ParseDominoSpec) at a prechecked level the fuzzer
+// executes only the ALUs that can reach an output container, fused into one
+// flat program (core.Pipeline.Cone) with the specification linked after
+// it; any other specification, and any pipeline at the unoptimized level,
+// runs on the tick loop over a clone. p is not mutated.
 func FuzzPipeline(p *Pipeline, spec Spec, seed int64, n int, maxValue int64, containers []int) (*FuzzReport, error) {
 	return sim.FuzzRandom(p, spec, seed, n, maxValue, sim.FuzzOptions{Containers: containers})
 }

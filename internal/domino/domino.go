@@ -17,8 +17,8 @@
 //
 // Programs double as the high-level specifications of Fig. 5: bound to a PHV
 // field layout they implement sim.Spec, producing the expected output trace
-// for an input trace. Names are resolved once, when a Machine or Binding is
-// built (machine.go); per packet the evaluator only indexes slices. The
+// for an input trace. Names are resolved once, when a Binding is built
+// (machine.go); per packet the evaluator only indexes slices. The
 // fuzzer does not call a specification per packet at all: Binding.Link
 // appends the lowered transaction to the pipeline's fused program, reading
 // the input containers in place, so pipeline and specification run as one

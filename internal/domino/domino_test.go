@@ -21,6 +21,42 @@ transaction {
 }
 `
 
+// boundMachine is a PHVSpec whose program has every field bound, field i of
+// the parser's first-use order to container i, stepped through a map from
+// field names to values.
+type boundMachine struct {
+	*PHVSpec
+	fields FieldMap
+}
+
+// bindAll binds every field p names to a container at width w.
+func bindAll(t testing.TB, p *Program, w phv.Width) *boundMachine {
+	t.Helper()
+	fields := FieldMap{}
+	for i, name := range p.Fields() {
+		fields[name] = i
+	}
+	s, err := NewPHVSpec(p, fields, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &boundMachine{s, fields}
+}
+
+// Step runs the transaction on one packet whose fields hold vals' values (0
+// for a field vals does not name) and writes every field back into vals.
+func (m *boundMachine) Step(vals map[string]int64) error {
+	pkt := make([]phv.Value, len(m.fields))
+	for name, c := range m.fields {
+		pkt[c] = vals[name]
+	}
+	err := m.ProcessStream(pkt)
+	for name, c := range m.fields {
+		vals[name] = pkt[c]
+	}
+	return err
+}
+
 func TestParseSampling(t *testing.T) {
 	p, err := Parse(samplingSrc)
 	if err != nil {
@@ -38,7 +74,7 @@ func TestParseSampling(t *testing.T) {
 }
 
 func TestSamplingSemantics(t *testing.T) {
-	m := NewMachine(MustParse(samplingSrc), phv.Default32)
+	m := bindAll(t, MustParse(samplingSrc), phv.Default32)
 	for i := 0; i < 30; i++ {
 		fields := map[string]int64{"sample": 0}
 		if err := m.Step(fields); err != nil {
@@ -64,7 +100,7 @@ transaction {
     pkt.a = acc;
 }
 `
-	m := NewMachine(MustParse(src), phv.Default32)
+	m := bindAll(t, MustParse(src), phv.Default32)
 	fields := map[string]int64{"a": 10}
 	if err := m.Step(fields); err != nil {
 		t.Fatal(err)
@@ -87,7 +123,7 @@ transaction {
     pkt.a = s;
 }
 `
-	m := NewMachine(MustParse(src), phv.Default32)
+	m := bindAll(t, MustParse(src), phv.Default32)
 	f1 := map[string]int64{"a": 5}
 	if err := m.Step(f1); err != nil {
 		t.Fatal(err)
@@ -113,7 +149,7 @@ transaction {
     }
 }
 `
-	m := NewMachine(MustParse(src), phv.Default32)
+	m := bindAll(t, MustParse(src), phv.Default32)
 	for _, tc := range []struct{ x, want int64 }{{5, 0}, {50, 1}, {500, 2}} {
 		fields := map[string]int64{"x": tc.x, "class": 99}
 		if err := m.Step(fields); err != nil {
@@ -135,7 +171,7 @@ transaction {
     }
 }
 `
-	m := NewMachine(MustParse(src), phv.Default32)
+	m := bindAll(t, MustParse(src), phv.Default32)
 	fields := map[string]int64{"d": 0, "a": 100, "out": 9}
 	if err := m.Step(fields); err != nil {
 		t.Fatal(err)
@@ -161,7 +197,7 @@ transaction {
     pkt.v = x;
 }
 `
-	m := NewMachine(MustParse(src), phv.Default32)
+	m := bindAll(t, MustParse(src), phv.Default32)
 	fields := map[string]int64{"v": 0}
 	_ = m.Step(fields)
 	if v, _ := m.State("x"); v != 43 {
@@ -198,7 +234,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestNegativeInitWraps(t *testing.T) {
 	src := "state x = -1;\ntransaction { pkt.v = x; }"
-	m := NewMachine(MustParse(src), phv.MustWidth(8))
+	m := bindAll(t, MustParse(src), phv.MustWidth(8))
 	fields := map[string]int64{"v": 0}
 	if err := m.Step(fields); err != nil {
 		t.Fatal(err)

@@ -10,41 +10,62 @@ import (
 
 // TestOnlyUnprovenReadsKeepACheck pins what the definite-assignment analysis
 // buys: a bound program whose locals are assigned on every path lowers to
-// code with no Trap and no flag register, a local assigned on one path only
-// keeps exactly one checked read (and the flag writes that feed it), and
-// through Step's map view every field read is checked, because the map may
-// not hold the field.
+// code with no Trap and no flag register, and a local assigned on one path
+// only keeps exactly one checked read (and the flag writes that feed it). A
+// field read is never checked: the PHV always holds the field.
 func TestOnlyUnprovenReadsKeepACheck(t *testing.T) {
 	for _, tc := range []struct {
 		name, src    string
-		bound        bool
 		traps, flags int
 		instructions int
 	}{
-		{"sampling", samplingSrc, true, 0, 0, 7},
+		{"sampling", samplingSrc, 0, 0, 7},
 		{"local assigned on both paths",
-			"transaction { if (pkt.a == 1) { int t = 5; } else { int t = pkt.a; } pkt.b = t; }", true, 0, 0, 6},
+			"transaction { if (pkt.a == 1) { int t = 5; } else { int t = pkt.a; } pkt.b = t; }", 0, 0, 6},
 		{"local assigned on one path",
-			"transaction { if (pkt.a == 1) { int t = 5; } pkt.b = t; }", true, 1, 1, 6},
-		{"map view",
-			"transaction { if (pkt.a == 1) { int t = 5; } else { int t = pkt.a; } pkt.b = t; }", false, 2, 2, 9},
+			"transaction { if (pkt.a == 1) { int t = 5; } pkt.b = t; }", 1, 1, 6},
 	} {
 		p, err := Parse(tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var bind FieldMap
-		if tc.bound {
-			bind = FieldMap{}
-			for i, f := range p.Fields() {
-				bind[f] = i
-			}
-		}
-		c := resolve(p, phv.Default32, bind)
+		c := bindAll(t, p, phv.Default32).b.code
 		listing := c.prog.String()
 		if got := strings.Count(listing, "trap"); got != tc.traps || len(c.errs) != tc.traps || len(c.flags) != tc.flags || c.prog.Len() != tc.instructions {
 			t.Errorf("%s: %d traps (%d errors), %d flags, %d instructions; want %d, %d, %d:\n%s",
 				tc.name, got, len(c.errs), len(c.flags), c.prog.Len(), tc.traps, tc.flags, tc.instructions, listing)
+		}
+	}
+}
+
+// TestUnboundFieldIsATrap: Bind checks the fields the parser saw, so only a
+// hand-built AST can name a field no container is bound to. Reading or
+// writing one lowers to an unconditional Trap, as any node the lowering
+// cannot make sense of does: the packet fails with the error Bind gives for
+// the field, after the statements before it, and no flag is kept for it.
+func TestUnboundFieldIsATrap(t *testing.T) {
+	field := func(name string) Target { return Target{Kind: TargetField, Name: name} }
+	for _, tc := range []struct {
+		name string
+		body []Stmt
+	}{
+		{"read", []Stmt{&Assign{field("a"), &Bin{Op: BAdd, X: &Ref{Kind: RefField, Name: "ghost"}, Y: &Lit{1}}}}},
+		{"write", []Stmt{&Assign{field("a"), &Lit{7}}, &Assign{field("ghost"), &Lit{1}}}},
+	} {
+		b, err := Bind(&Program{Body: tc.body}, FieldMap{"a": 0}, phv.Default32)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if c := b.code; len(c.errs) != 1 || len(c.flags) != 0 || len(c.bound) != 1 {
+			t.Errorf("%s: %d errors, %d flags, %d bound fields; want one unconditional trap and field a:\n%s", tc.name, len(c.errs), len(c.flags), len(c.bound), c.prog)
+		}
+		vals := []phv.Value{3}
+		const want = `domino: field "ghost" is not bound to a container`
+		if err := b.NewSpec().ProcessStream(vals); err == nil || err.Error() != want {
+			t.Errorf("%s: ProcessStream error %v, want %s", tc.name, err, want)
+		}
+		if tc.name == "write" && vals[0] != 7 {
+			t.Errorf("write: pkt.a = %d after the trap, want the 7 written before it", vals[0])
 		}
 	}
 }

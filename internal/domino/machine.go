@@ -8,20 +8,22 @@ import (
 	"druzhba/internal/phv"
 )
 
-// Evaluation lowers the transaction once, at construction, to a flat register
-// program (package flat, the evaluator the fused pipeline runs on too): a
-// state variable, a local and a packet field are registers of one frame, a
-// literal is a constant register, an if is a forward jump. The lowered form
-// is immutable, so any number of machines share it; a machine owns a frame.
+// Evaluation lowers the transaction once, when it is bound (Bind), to a flat
+// register program (package flat, the evaluator the fused pipeline runs on
+// too): a state variable, a local and a packet field are registers of one
+// frame, a literal is a constant register, an if is a forward jump. The
+// lowered form is immutable, so every instance of a Binding shares it; an
+// instance (PHVSpec) owns a frame.
 //
-// The language's only run-time failures are reads of something that was
-// never written this packet: a local assigned on some other path, a field
-// the map handed to Machine.Step does not hold. Lowering runs a
-// definite-assignment analysis and only a read it cannot prove assigned
-// keeps a check: a Trap on the slot's "assigned" flag, which stops the
-// program with an index into code.errs in the error register, leaving the
-// writes of the statements before it in place — what the tree walk this
-// replaced did. An AST node the language does not have becomes an
+// The language's only run-time failure is a read of a local that was never
+// written this packet. Lowering runs a definite-assignment analysis and only
+// a read it cannot prove assigned keeps a check: a Trap on the local's
+// "assigned" flag, which stops the program with an index into code.errs in
+// the error register, leaving the writes of the statements before it in
+// place — what the tree walk this replaced did. A packet field always holds
+// its container's value: Bind checks that a container is bound to every field
+// the parser saw. An AST node the language does not have, and a field no
+// container is bound to, which only a hand-built AST can name, become an
 // unconditional Trap, reported if and when execution reaches it.
 
 // code is a Program lowered for one width and one binding of packet fields to
@@ -30,13 +32,10 @@ type code struct {
 	prog  *flat.Program
 	state map[string]int // state variable -> register
 
-	// bound are the fields a container is bound to, each with its register:
-	// a PHVSpec copies them in before a run and back after it, and
+	// bound are the fields the program names, each with its register: a
+	// PHVSpec copies them in before a run and back after it, and
 	// Binding.Link binds them to the registers of the containers instead.
 	bound []boundField
-	// fields are the packet fields no container is bound to, each with its
-	// value and flag registers. Machine.Step loads and stores these.
-	fields []frameField
 
 	errReg int     // holds 1+index into errs after a failed run, else 0
 	flags  []int   // "assigned" flag registers, zero between packets
@@ -45,33 +44,27 @@ type code struct {
 
 type boundField struct{ reg, container int }
 
-type frameField struct {
-	name      string
-	reg, flag int
-}
-
-// lowering is one pass over the program. Only the slots in tracked get a flag
-// register and flag writes, and which slots need tracking — those some read
-// could find unassigned, and every unbound field — is known only once every
-// read has been seen: a pass records them in needs, and resolve lowers again
-// with that set when the first pass found any. A slot is a local or a packet
-// field, numbered in the order the pass first meets it; a pass over the same
-// program meets them in the same order, so the numbers carry from one pass to
-// the next.
+// lowering is one pass over the program. Only the locals in tracked get a
+// flag register and flag writes, and which locals need tracking — those some
+// read could find unassigned — is known only once every read has been seen:
+// a pass records them in needs, and resolve lowers again with that set when
+// the first pass found any. A local is numbered in the order the pass first
+// meets it; a pass over the same program meets them in the same order, so
+// the numbers carry from one pass to the next.
 type lowering struct {
 	c              *code
 	b              *flat.Builder
 	w              phv.Width
 	bind           FieldMap
-	slots          []slot // by slot number
-	tracked, needs []bool // by slot number; tracked may be shorter: the rest are not
+	fields         []string // fields[i]: the field of c.bound[i]
+	locals         []local  // by number
+	tracked, needs []bool   // by local number; tracked may be shorter: the rest are not
 }
 
-// slot is a local (field false) or a packet field and its registers; flag is
-// -1 when the slot is not tracked.
-type slot struct {
+// local is a local variable and its registers; flag is -1 when the local is
+// not tracked.
+type local struct {
 	name      string
-	field     bool
 	reg, flag int
 }
 
@@ -93,7 +86,7 @@ func lower(p *Program, w phv.Width, bind FieldMap, tracked []bool, size flat.Siz
 		l.c.state[s.Name] = l.b.Reg(s.Name, w.Trunc(s.Init))
 	}
 	l.c.errReg = l.b.Reg("err", 0)
-	l.stmts(p.Body, nil) // nothing is assigned yet; a field bound to a container always is
+	l.stmts(p.Body, nil) // no local is assigned yet
 	prog, err := l.b.Build()
 	if err != nil {
 		panic(err) // the lowering emitted an instruction flat refuses: a bug here
@@ -170,46 +163,39 @@ func (l *lowering) stateReg(name string) int {
 	return r
 }
 
-// slotOf returns the number of the local (field false) or packet field name,
-// allocating its register on first use, together with its flag register
-// when the slot is tracked.
-func (l *lowering) slotOf(name string, field bool) int {
-	for i, sl := range l.slots {
-		if sl.name == name && sl.field == field {
+// fieldReg returns the register of the packet field name, allocating it on
+// first use; ok is false when no container is bound to the field.
+func (l *lowering) fieldReg(name string) (reg int, ok bool) {
+	container, ok := l.bind[name]
+	if !ok {
+		return -1, false
+	}
+	if i := slices.Index(l.fields, name); i >= 0 {
+		return l.c.bound[i].reg, true
+	}
+	reg = l.b.Reg("pkt."+name, 0)
+	l.fields = append(l.fields, name)
+	l.c.bound = append(l.c.bound, boundField{reg, container})
+	return reg, true
+}
+
+// localOf returns the number of the local name, allocating its register on
+// first use, together with its flag register when the local is tracked.
+func (l *lowering) localOf(name string) int {
+	for i, v := range l.locals {
+		if v.name == name {
 			return i
 		}
 	}
-	i, key := len(l.slots), name
-	if field {
-		key = "pkt." + name
-	}
-	sl := slot{name: name, field: field, reg: l.b.Reg(key, 0), flag: -1}
-	l.needs = append(l.needs, false)
-	if container, ok := l.bind[name]; field && ok {
-		l.c.bound = append(l.c.bound, boundField{sl.reg, container})
-		l.slots = append(l.slots, sl)
-		return i
-	}
-	l.needs[i] = field
+	i := len(l.locals)
+	v := local{name: name, reg: l.b.Reg(name, 0), flag: -1}
 	if i < len(l.tracked) && l.tracked[i] {
-		sl.flag = l.b.Reg(key+"?", 0)
-		l.c.flags = append(l.c.flags, sl.flag)
-		if field {
-			l.c.fields = append(l.c.fields, frameField{name, sl.reg, sl.flag})
-		}
+		v.flag = l.b.Reg(name+"?", 0)
+		l.c.flags = append(l.c.flags, v.flag)
 	}
-	l.slots = append(l.slots, sl)
+	l.locals = append(l.locals, v)
+	l.needs = append(l.needs, false)
 	return i
-}
-
-// assigned reports whether slot i is written on every path to this point:
-// a field bound to a container always is, since the PHV holds it.
-func (l *lowering) assigned(done []bool, i int) bool {
-	sl := l.slots[i]
-	if _, ok := l.bind[sl.name]; sl.field && ok {
-		return true
-	}
-	return i < len(done) && done[i]
 }
 
 // fail emits a Trap reporting err unless the flag register is nonzero; a
@@ -224,8 +210,8 @@ func (l *lowering) fail(flag int, err error) {
 }
 
 // stmts lowers a statement list. done[i] holds whether every path to this
-// point has written slot i this packet (past its end: not); stmts returns it
-// updated, in place where it has room.
+// point has written local i this packet (past its end: not); stmts returns
+// it updated, in place where it has room.
 func (l *lowering) stmts(list []Stmt, done []bool) []bool {
 	for _, s := range list {
 		switch s := s.(type) {
@@ -233,10 +219,16 @@ func (l *lowering) stmts(list []Stmt, done []bool) []bool {
 			switch s.Target.Kind {
 			case TargetState:
 				l.expr(s.Expr, l.stateReg(s.Target.Name), done)
-			case TargetField, TargetLocal:
-				i := l.slotOf(s.Target.Name, s.Target.Kind == TargetField)
-				l.expr(s.Expr, l.slots[i].reg, done)
-				if f := l.slots[i].flag; f >= 0 {
+			case TargetField:
+				if r, ok := l.fieldReg(s.Target.Name); ok {
+					l.expr(s.Expr, r, done)
+				} else {
+					l.fail(-1, unboundField(s.Target.Name))
+				}
+			case TargetLocal:
+				i := l.localOf(s.Target.Name)
+				l.expr(s.Expr, l.locals[i].reg, done)
+				if f := l.locals[i].flag; f >= 0 {
 					l.b.Move(f, l.b.Const(1))
 				}
 				for len(done) <= i {
@@ -257,7 +249,7 @@ func (l *lowering) stmts(list []Stmt, done []bool) []bool {
 			}
 			l.b.Land(toElse)
 			// Assigned after the if: on both paths. Each path started from
-			// done, so neither unassigns a slot.
+			// done, so neither unassigns a local.
 			done = done[:min(len(done), len(then))]
 			for i := range done {
 				done[i] = done[i] && then[i]
@@ -281,23 +273,24 @@ func (l *lowering) expr(e Expr, dst int, done []bool) int {
 		switch e.Kind {
 		case RefState:
 			return l.b.Move(dst, l.stateReg(e.Name))
-		case RefField, RefLocal:
-		default:
-			l.fail(-1, fmt.Errorf("domino: bad reference kind %d", e.Kind))
+		case RefField:
+			if r, ok := l.fieldReg(e.Name); ok {
+				return l.b.Move(dst, r)
+			}
+			l.fail(-1, unboundField(e.Name))
 			return l.b.Const(0)
-		}
-		i := l.slotOf(e.Name, e.Kind == RefField)
-		if !l.assigned(done, i) {
-			l.needs[i] = true
-			if f := l.slots[i].flag; f >= 0 {
-				if e.Kind == RefField {
-					l.fail(f, fmt.Errorf("domino: packet has no field %q", e.Name))
-				} else {
+		case RefLocal:
+			i := l.localOf(e.Name)
+			if i >= len(done) || !done[i] {
+				l.needs[i] = true
+				if f := l.locals[i].flag; f >= 0 {
 					l.fail(f, fmt.Errorf("domino: local %q read before assignment", e.Name))
 				}
 			}
+			return l.b.Move(dst, l.locals[i].reg)
 		}
-		return l.b.Move(dst, l.slots[i].reg)
+		l.fail(-1, fmt.Errorf("domino: bad reference kind %d", e.Kind))
+		return l.b.Const(0)
 	case *Un:
 		zero := l.b.Const(0)
 		if e.Neg {
@@ -317,70 +310,6 @@ func (l *lowering) expr(e Expr, dst int, done []bool) int {
 	}
 	l.fail(-1, fmt.Errorf("domino: unknown expression %T", e))
 	return l.b.Const(0)
-}
-
-// Machine executes a program packet by packet, maintaining state across
-// packets ("program spec" of Fig. 5). It is the only Domino evaluator; the
-// map-based AST walk it is tested against lives in reference_test.go.
-type Machine struct {
-	code  *code
-	frame []int64
-}
-
-// NewMachine returns a machine with freshly initialized state, for use
-// through Step's map view of the packet.
-func NewMachine(p *Program, w phv.Width) *Machine { return newMachine(resolve(p, w, nil)) }
-
-func newMachine(c *code) *Machine { return &Machine{code: c, frame: c.prog.NewFrame()} }
-
-// Reset restores every state variable to its declared initial value.
-func (m *Machine) Reset() { m.code.prog.Reset(m.frame) }
-
-// State returns the current value of a state variable.
-func (m *Machine) State(name string) (int64, bool) {
-	r, ok := m.code.state[name]
-	if !ok {
-		return 0, false
-	}
-	return m.frame[r], true
-}
-
-// Step executes the transaction on one packet. fields maps packet field
-// names to values; the map is mutated in place with the transaction's
-// writes. It is an adapter for debuggers and tests: the map is copied into
-// the frame and back around the same run a PHVSpec makes on a PHV.
-func (m *Machine) Step(fields map[string]int64) error {
-	for _, f := range m.code.fields {
-		v, ok := fields[f.name]
-		m.frame[f.reg], m.frame[f.flag] = v, phv.Bool(ok)
-	}
-	m.code.prog.Run(m.frame)
-	for _, f := range m.code.fields {
-		if m.frame[f.flag] != 0 {
-			fields[f.name] = m.frame[f.reg]
-		}
-	}
-	return m.code.finish(m.frame)
-}
-
-// step executes the transaction on one packet whose bound fields are read
-// and written in place in vals; the caller has checked that every bound
-// container is inside vals.
-//
-//dvet:hotpath allocs=0
-func (m *Machine) step(vals []phv.Value) error {
-	frame, bound := m.frame, m.code.bound
-	for _, f := range bound {
-		frame[f.reg] = vals[f.container]
-	}
-	m.code.prog.Run(frame)
-	for _, f := range bound {
-		vals[f.container] = frame[f.reg]
-	}
-	if len(m.code.errs) == 0 {
-		return nil // no Trap: nothing reads a flag on this path, nothing to report
-	}
-	return m.code.finish(frame)
 }
 
 // finish clears the packet's flags and returns the error a Trap left.

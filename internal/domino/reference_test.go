@@ -9,7 +9,7 @@ import (
 // refMachine is the deliberately naive reference interpreter for Domino: it
 // walks the parsed AST and keeps state, packet fields and locals in
 // string-keyed maps, exactly as the language is described. It is the
-// differential oracle the slot evaluator (Machine) is pinned to, it is the
+// differential oracle the lowered transaction (PHVSpec) is pinned to, it is the
 // only other Domino evaluator in the tree, and it lives in a _test.go file so
 // nothing outside the tests can run it. Keep it obvious; never optimize it.
 type refMachine struct {

@@ -60,7 +60,7 @@ type Binding struct {
 func Bind(p *Program, fields FieldMap, w phv.Width) (*Binding, error) {
 	for _, name := range p.Fields() {
 		if _, ok := fields[name]; !ok {
-			return nil, fmt.Errorf("domino: field %q is not bound to a container", name)
+			return nil, unboundField(name)
 		}
 	}
 	names := make([]string, 0, len(fields))
@@ -87,8 +87,14 @@ func Bind(p *Program, fields FieldMap, w phv.Width) (*Binding, error) {
 	return b, nil
 }
 
+// unboundField is the error for a field no container is bound to: Bind's for
+// a field the parser saw, a Trap's for one only a hand-built AST names.
+func unboundField(name string) error {
+	return fmt.Errorf("domino: field %q is not bound to a container", name)
+}
+
 // NewSpec returns a specification instance with freshly initialized state.
-func (b *Binding) NewSpec() *PHVSpec { return &PHVSpec{b: b, machine: newMachine(b.code)} }
+func (b *Binding) NewSpec() *PHVSpec { return &PHVSpec{b: b, frame: b.code.prog.NewFrame()} }
 
 // Linked is the transaction linked after another program (flat.Link), the
 // two run as one on one frame: the Fig. 5 oracle package sim runs, the
@@ -174,15 +180,19 @@ func (l *Linked) Error(code int64) error { return l.b.code.errs[code-1] }
 // variable ends (flat.Optimize's end map) sets State to where it is.
 func (l *Linked) StoreState(frame []int64, s *PHVSpec) {
 	for i, at := range l.State {
-		s.machine.frame[l.state[i]] = frame[at]
+		s.frame[l.state[i]] = frame[at]
 	}
 }
 
 // PHVSpec adapts a Domino program to sim.Spec: inputs are PHVs whose
-// containers are mapped to packet fields through a FieldMap.
+// containers are mapped to packet fields through a FieldMap. It is the
+// transaction's only runner: the Binding's lowered program run packet by
+// packet on the instance's frame, which carries the state variables from one
+// packet to the next ("program spec" of Fig. 5). The map-based AST walk it is
+// tested against lives in reference_test.go.
 type PHVSpec struct {
-	b       *Binding
-	machine *Machine
+	b     *Binding
+	frame []int64
 }
 
 // NewPHVSpec is Bind followed by NewSpec, for callers with one instance.
@@ -205,11 +215,18 @@ func (s *PHVSpec) Name() string {
 // Binding returns the binding the instance was made from.
 func (s *PHVSpec) Binding() *Binding { return s.b }
 
-// Reset implements sim.Spec.
-func (s *PHVSpec) Reset() { s.machine.Reset() }
+// Reset implements sim.Spec: every state variable is back at its declared
+// initial value.
+func (s *PHVSpec) Reset() { s.b.code.prog.Reset(s.frame) }
 
 // State returns the current value of a state variable.
-func (s *PHVSpec) State(name string) (int64, bool) { return s.machine.State(name) }
+func (s *PHVSpec) State(name string) (int64, bool) {
+	r, ok := s.b.code.state[name]
+	if !ok {
+		return 0, false
+	}
+	return s.frame[r], true
+}
 
 // Process implements sim.Spec: the transaction runs on a copy of the input
 // PHV, reading and writing the containers its fields are bound to (other
@@ -223,16 +240,27 @@ func (s *PHVSpec) Process(in *phv.PHV) (*phv.PHV, error) {
 }
 
 // ProcessStream implements sim.StreamSpec: the transaction runs directly on
-// vals, the containers its fields are bound to; when it fails, vals and the
-// state keep what the statements before the failing one wrote, as with
-// Machine.Step. Steady state allocates nothing.
+// vals, reading and writing in place the containers its fields are bound to;
+// when it fails, vals and the state keep what the statements before the
+// failing one wrote. Steady state allocates nothing.
 //
 //dvet:hotpath allocs=0
 func (s *PHVSpec) ProcessStream(vals []phv.Value) error {
 	if s.b.lastCont >= len(vals) {
 		return s.b.rangeError(len(vals))
 	}
-	return s.machine.step(vals)
+	c, frame := s.b.code, s.frame
+	for _, f := range c.bound {
+		frame[f.reg] = vals[f.container]
+	}
+	c.prog.Run(frame)
+	for _, f := range c.bound {
+		vals[f.container] = frame[f.reg]
+	}
+	if len(c.errs) == 0 {
+		return nil // no Trap: nothing reads a flag on this path, nothing to report
+	}
+	return c.finish(frame)
 }
 
 func (b *Binding) rangeError(n int) error {

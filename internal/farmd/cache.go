@@ -178,7 +178,8 @@ func NewDirCacheLimit(dir string, maxBytes int64) (*DirCache, error) {
 
 // scan seeds the LRU accounting from the segments already on disk, sorted
 // by modification time, oldest first, so the least recently written
-// survivors of the previous process are the first eviction candidates.
+// survivors of the previous process are the first eviction candidates. It
+// also removes the bucket directories earlier binaries left (legacyBucket).
 func (c *DirCache) scan() error {
 	type stat struct {
 		name  string
@@ -191,6 +192,10 @@ func (c *DirCache) scan() error {
 		return fmt.Errorf("farmd: cache dir: %w", err)
 	}
 	for _, f := range files {
+		if f.IsDir() && legacyBucket.MatchString(f.Name()) {
+			c.removeLegacyBucket(f.Name())
+			continue
+		}
 		name, ok := strings.CutSuffix(f.Name(), ".seg")
 		if f.IsDir() || !ok || !pathSafe(name) {
 			continue
@@ -206,6 +211,28 @@ func (c *DirCache) scan() error {
 		c.lru.put(s.name, struct{}{}, s.size)
 	}
 	return nil
+}
+
+// legacyBucket names the directories earlier binaries fanned per-shard
+// <key>.json files into: the first two hex digits of the key. The build salt
+// in every key makes those files unreachable.
+var legacyBucket = regexp.MustCompile(`^[0-9a-f]{2}$`)
+
+// removeLegacyBucket removes the bucket's <key>.json files whose key is a
+// shard key, then the directory if that left it empty; anything else in it
+// stays, and so does the directory.
+func (c *DirCache) removeLegacyBucket(bucket string) {
+	dir := filepath.Join(c.dir, bucket)
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, f := range files {
+		if key, ok := strings.CutSuffix(f.Name(), ".json"); ok && !f.IsDir() && ValidShardKey(key) {
+			os.Remove(filepath.Join(dir, f.Name()))
+		}
+	}
+	os.Remove(dir) // refused unless empty
 }
 
 // SetEvictionCounters wires the tier's eviction count and byte counters

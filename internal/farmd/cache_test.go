@@ -595,3 +595,97 @@ func TestReplayedShardAllocations(t *testing.T) {
 		t.Errorf("a replayed shard allocates %.2f times, want at most 2", perShard)
 	}
 }
+
+// TestDirCacheScanRemovesLegacyBuckets: earlier binaries kept one
+// <key>.json file per shard in a directory named by the key's first two hex
+// digits ("00" for a key of another shape). A bounded cache's open removes
+// those files and then each bucket they emptied; a bucket that holds anything
+// else keeps it, and an unrelated file, an unrelated directory and every
+// segment stay. A second open finds nothing more to remove.
+func TestDirCacheScanRemovesLegacyBuckets(t *testing.T) {
+	dir := t.TempDir()
+	warm, err := NewDirCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segKeys := []string{strings.Repeat("1", 32) + strings.Repeat("a", 32), "0123456789abcdef"}
+	for i, k := range segKeys {
+		warm.Put(k, res(i+1))
+	}
+	jobKey := strings.Repeat("ab", 32)
+	write := func(rel, body string) {
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone := []string{"ab/" + jobKey + ".json", "ab/abcdef0123456789.json", "00/0123456789abcdef.json", "cd/" + strings.Repeat("cd", 32) + ".json"}
+	for _, rel := range gone {
+		write(rel, `{"checked":1}`)
+	}
+	stays := []string{
+		"cd/notes.txt",            // not a shard file: its bucket stays too
+		"cd/NOT-A-KEY.json",       // not a shard key
+		"xyz/" + jobKey + ".json", // not a bucket
+		"ABC.json",                // an unrelated file in the root
+	}
+	for _, rel := range stays {
+		write(rel, "precious")
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "ef", "sub"), 0o755); err != nil { // a bucket holding a directory
+		t.Fatal(err)
+	}
+	stays = append(stays, "ef/sub")
+	for _, k := range segKeys {
+		stays = append(stays, strings.TrimPrefix(warm.Path(k), dir+string(filepath.Separator)))
+	}
+	tree := func() []string {
+		var paths []string
+		filepath.Walk(dir, func(path string, info os.FileInfo, err error) error { //nolint:errcheck // test walk
+			if err == nil && path != dir {
+				rel, _ := filepath.Rel(dir, path)
+				paths = append(paths, filepath.ToSlash(rel))
+			}
+			return nil
+		})
+		return paths
+	}
+
+	c, err := NewDirCacheLimit(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := tree()
+	for _, rel := range gone {
+		if _, err := os.Stat(filepath.Join(dir, rel)); !os.IsNotExist(err) {
+			t.Errorf("legacy file %s survived the open: %v", rel, err)
+		}
+	}
+	for _, bucket := range []string{"ab", "00"} {
+		if _, err := os.Stat(filepath.Join(dir, bucket)); !os.IsNotExist(err) {
+			t.Errorf("emptied bucket %s survived the open: %v", bucket, err)
+		}
+	}
+	for _, rel := range stays {
+		if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(rel))); err != nil {
+			t.Errorf("%s did not survive the open: %v", rel, err)
+		}
+	}
+	if c.Len() != len(segKeys) {
+		t.Errorf("%d segments tracked, want %d", c.Len(), len(segKeys))
+	}
+	for i, k := range segKeys {
+		if got, ok := c.Get(k); !ok || got.Checked != i+1 {
+			t.Errorf("segment record %s: %+v, %v", k, got, ok)
+		}
+	}
+	if _, err := NewDirCacheLimit(dir, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if again := tree(); !reflect.DeepEqual(again, after) {
+		t.Errorf("a second open changed the directory:\n%v\nafter the first:\n%v", again, after)
+	}
+}

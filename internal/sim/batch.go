@@ -1,13 +1,13 @@
 // batch.go drives the production kernel: a prechecked pipeline fused into one
 // flat register program (core.Fused), run once per packet on a frame — the
-// whole grid by Batch, and by the fuzzer as a flat.Oracle, the output cone
-// with the specification linked after it, so the expected outputs are
-// registers of the same frame. The fuzzer runs the oracle's one packet loop
-// (flat.Oracle.Fuzz), the loop package drmt runs too, and counts through its
-// one counting run; what stays here is report shaping: the mismatch records
-// and the tick loop's stopping rules. The pipeline's program has no failure
-// path, so neither do its drivers: the errors left are a Batch.Run outside
-// the engine's capacity and the specification's own.
+// whole grid by Batch, and by the fuzzer as a flat.Oracle: the output cone
+// with a Domino binding's transaction linked after it, so the expected
+// outputs are registers of the same frame. The fuzzer runs the oracle's one
+// packet loop (flat.Oracle.Fuzz), the loop package drmt runs too, and counts
+// through its one counting run; what stays here is report shaping: the
+// mismatch records and the tick loop's stopping rules. The pipeline's program
+// has no failure path, so neither do its drivers: the errors left are a
+// Batch.Run outside the engine's capacity and the transaction's own traps.
 //
 // Fused execution is observationally identical to the tick loop. The
 // pipeline is feedforward and all mutable state is private to one (stage,
@@ -100,82 +100,52 @@ func gatherRegs(frame []int64, regs []int, dst []phv.Value) []phv.Value {
 	return dst
 }
 
-// newFusedFuzzer binds p's fused cone to the fused loop and allocates nothing
-// of the tick loop; the first run lays out the frame for its specification.
-func newFusedFuzzer(p *core.Pipeline, cone *core.Fused) *Fuzzer {
-	return &Fuzzer{pipe: p, fused: cone}
-}
-
-// oracle is what the fused loop runs for one specification: the pipeline's
-// cone with, after it, a Domino binding's transaction (domino.Linked) or, for
-// any other specification, a block of registers that admit fills with the
-// specification's output before each Run. Either way container c's expected
-// value is register want[c] of the one frame, its output register out[c],
-// and the flat.Oracle compares the two where they differ. An oracle is
-// immutable and built once per cone and key (core.Fused.Linked).
+// oracle is what the fused loop runs for one Domino binding: the pipeline's
+// cone with the binding's transaction linked after it (domino.Linked).
+// Container c's expected value is register want[c] of the one frame, its
+// output register out[c], and the flat.Oracle compares the two where they
+// differ. An oracle is immutable and built once per cone and binding
+// (core.Fused.Linked).
 type oracle struct {
 	*flat.Oracle
-	key       *domino.Binding // nil for specifications that are not bindings
 	out, want []int
-	link      *domino.Linked // nil: admit fills the want registers
+	link      *domino.Linked
 }
 
-// newOracle links the binding b (nil: none) after the cone. A binding that
-// does not fit the pipeline — a field past its containers, another width —
-// runs like any other specification, so its error, if it has one, is admit's.
-func newOracle(cone *core.Fused, w phv.Width, phvLen int, b *domino.Binding) *oracle {
+// newOracle links the binding b after the cone, and returns nil when it does
+// not link there — a field past the pipeline's containers, another width —
+// so that b runs on the tick loop like any other specification.
+func newOracle(cone *core.Fused, phvLen int, b *domino.Binding) *oracle {
 	in := make([]int, phvLen)
 	for c := range in {
 		in[c] = cone.InputReg(c)
 	}
-	o := &oracle{key: b}
-	var (
-		prog  *flat.Program
-		clear []int
-		trap  = -1
-	)
-	if b != nil {
-		if l, err := b.Link(cone.Program, in); err == nil {
-			o.link, prog, o.want, clear, trap = l, l.Program, l.Want, l.Clear, l.Trap
-		}
-	}
-	if o.link == nil {
-		block := flat.NewBuilder(w)
-		block.Regs("want", phvLen)
-		wantProg, _ := block.Build() // registers and no code: nothing to refuse
-		var err error
-		if prog, o.want, err = flat.Link(cone.Program, wantProg, nil); err != nil {
-			panic(err) // one width, nothing bound: nothing for Link to refuse
-		}
+	l, err := b.Link(cone.Program, in)
+	if err != nil {
+		return nil
 	}
 	// flat.Optimize observes everything read after a Run: the pipeline's
 	// output registers and the expected ones, which the loop compares and a
-	// mismatch renders, the trap register and the flags and error register
-	// the loop clears, and the state StoreState hands back. An output, an
+	// mismatch renders, the flags and error register the loop clears, the
+	// state StoreState hands back and the trap register. An output, an
 	// expected value or a state variable may end in another register, the
 	// source of the copy that was its last write: the oracle reads it there.
-	seen := [][]int{cone.Out(), o.want, clear}
-	if o.link != nil {
-		seen = append(seen, o.link.State)
+	seen := [][]int{cone.Out(), l.Want, l.Clear, l.State}
+	if l.Trap >= 0 {
+		seen = append(seen, []int{l.Trap})
 	}
-	if trap >= 0 {
-		seen = append(seen, []int{trap})
-	}
-	prog, end, err := flat.Optimize(prog, seen...)
+	prog, end, err := flat.Optimize(l.Program, seen...)
 	if err != nil {
 		panic(err) // Optimize keeps a checked program checked
 	}
-	o.out, o.want = ends(cone.Out(), end), ends(o.want, end)
-	if o.link != nil {
-		l := *o.link
-		l.State = ends(l.State, end)
-		o.link = &l
-	}
+	link := *l
+	link.State = ends(l.State, end)
+	o := &oracle{out: ends(cone.Out(), end), want: ends(l.Want, end), link: &link}
 	pairs := make([]flat.Pair, phvLen)
 	for c, got := range o.out {
 		pairs[c] = flat.Pair{Got: got, Want: o.want[c]}
 	}
-	o.Oracle = flat.NewOracle(prog, cone.InputReg(0), phvLen, pairs, clear, trap)
+	o.Oracle = flat.NewOracle(prog, cone.InputReg(0), phvLen, pairs, l.Clear, l.Trap)
 	return o
 }
 
@@ -188,13 +158,20 @@ func ends(regs, end []int) []int {
 	return at
 }
 
-// useOracle points the fuzzer at the oracle for b, and lays out a frame for
-// it when it is not the one the last run used.
+// useOracle returns the oracle that links b after the fuzzer's cone, nil
+// when the fuzzer has no cone or b does not link there, and lays out a frame
+// for it when it is not the one the last fused run used.
 func (f *Fuzzer) useOracle(b *domino.Binding) *oracle {
-	if f.oracle == nil || f.oracle.key != b {
+	if f.fused == nil {
+		return nil
+	}
+	if b != f.key {
 		//dvet:alloc-ok once per fuzzer and specification binding, not per run
-		f.oracle = f.fused.Linked(b, func() any { return newOracle(f.fused, f.pipe.Bits(), f.pipe.PHVLen(), b) }).(*oracle)
-		f.frame = f.oracle.Program().NewFrame()
+		o := f.fused.Linked(b, func() any { return newOracle(f.fused, f.pipe.PHVLen(), b) }).(*oracle)
+		if o != nil {
+			f.frame = o.Program().NewFrame()
+		}
+		f.key, f.oracle = b, o
 	}
 	return f.oracle
 }
@@ -233,33 +210,23 @@ func regsPHV(frame []int64, regs []int) *phv.PHV {
 }
 
 // fuzzFused is Fuzz on the fused program: the oracle's packet loop
-// (flat.Oracle.Fuzz) runs the pipeline and, after it, the specification —
-// linked into the program, or admitted into the want registers just before
-// each packet — and compares the pairs of output registers. Reports are
-// byte-identical to the tick loop's: every early-exit path (counterexample
-// cap, generator error, spec error) reconstructs the exact point the tick
-// loop would have stopped — including dropping comparisons it would never
-// have reached — and a linked specification's state is handed back to the
+// (flat.Oracle.Fuzz) runs the pipeline and, linked after it, the
+// specification's transaction, and compares the pairs of output registers.
+// Reports are byte-identical to the tick loop's: every early-exit path
+// (counterexample cap, generator error, a trap) reconstructs the exact point
+// the tick loop would have stopped — including dropping comparisons it would
+// never have reached — and the specification's state is handed back to the
 // instance as the tick loop leaves it. Execution itself cannot stop the run.
 //
 //dvet:hotpath allocs=1
-func (f *Fuzzer) fuzzFused(spec Spec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
+func (f *Fuzzer) fuzzFused(spec *domino.PHVSpec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	report := &BatchReport{SpecName: spec.Name()} //dvet:alloc-ok one report per run, not per PHV
-	ps, _ := spec.(*domino.PHVSpec)
-	var b *domino.Binding
-	if ps != nil {
-		b = ps.Binding()
-	}
-	o := f.useOracle(b)
+	o := f.oracle
 	o.Program().Reset(f.frame)
 	spec.Reset()
 	r := fusedRun{f: f, o: o, spec: spec, in: f.fused.Inputs(f.frame), pairs: f.comparePairs(o, opts.Containers), maxMismatches: maxMismatches, abortAt: -1}
-	if o.link != nil {
-		r.linked(n, src)
-		o.link.StoreState(f.frame, ps)
-	} else {
-		r.admitted(n, src)
-	}
+	r.run(n, src)
+	o.link.StoreState(f.frame, spec)
 	report = f.finishFused(report, r.mms, maxMismatches, n, r.abortAt, r.abortErr)
 	if r.misuse && report.Err != nil {
 		return nil, r.abortErr
@@ -280,14 +247,14 @@ type fusedRun struct {
 	mms      []Mismatch
 	abortAt  int   // the packet the run stopped at, -1 when it did not
 	abortErr error // the finding it stopped with
-	misuse   bool  // abortErr is the specification's: harness misuse
+	misuse   bool  // abortErr is a trap of the specification: harness misuse
 }
 
-// linked runs up to n packets through the oracle's packet loop with the
-// specification linked into it, resuming after each diverging packet.
+// run runs up to n packets through the oracle's packet loop, resuming after
+// each diverging packet.
 //
 //dvet:hotpath allocs=0
-func (r *fusedRun) linked(n int, src source) {
+func (r *fusedRun) run(n int, src source) {
 	for i := 0; i < n; i++ {
 		at, trap, err := r.o.Fuzz(r.f.frame, src.gen, src.fill, r.pairs, i, n)
 		switch {
@@ -301,38 +268,6 @@ func (r *fusedRun) linked(n int, src source) {
 			n = r.mismatch(at, n, regsPHV(r.f.frame, r.o.want)) //dvet:alloc-ok mismatch path
 		}
 		i = at
-	}
-}
-
-// admitted runs up to n packets through the oracle with the specification
-// admitted into its want registers before each Run.
-//
-//dvet:hotpath allocs=0
-func (r *fusedRun) admitted(n int, src source) {
-	frame := r.f.frame
-	wantRegs := frame[r.o.want[0] : r.o.want[0]+len(r.in) : r.o.want[0]+len(r.in)] // the row admit fills
-	ss, _ := r.spec.(StreamSpec)
-	for i := 0; i < n; i++ {
-		want := wantRegs // the specification's output
-		genErr, specErr := r.f.admit(r.spec, ss, i, src, r.in, &want)
-		if genErr != nil {
-			// The tick loop admits packet i at tick i; the run would have
-			// stopped there with genErr as its finding.
-			r.abortAt, r.abortErr = i, genErr
-			return
-		}
-		if specErr != nil {
-			// Harness misuse — unless the counterexample cap was reached
-			// strictly before packet i's admission tick, where the capped
-			// report wins exactly as it does on the tick loop.
-			r.abortAt, r.abortErr, r.misuse = i, specErr, true
-			return
-		}
-		r.o.Program().Run(frame)
-		// An output of the wrong length never compares equal.
-		if len(want) != len(r.in) || flat.Diverge(frame, r.pairs) {
-			n = r.mismatch(i, n, phv.FromValues(want)) //dvet:alloc-ok mismatch path; admit's row, whatever its length
-		}
 	}
 }
 

@@ -68,13 +68,41 @@ func miscompiled(t *testing.T, seed int64, pair int, level core.OptLevel) (p *co
 	return p, &pipeSpec{p: ref}, ok
 }
 
-// TestBatchedFuzzMatchesStreamingSweep is the core byte-identity sweep: the
-// fused loop against the tick loop on the same prechecked pipeline, over a
-// clean spec, a diverging spec and an injected miscompile, with and without
-// a counterexample cap, at every prechecked level. The fused fuzzer is reused
-// across the cells, as a campaign worker reuses its own. Every cell's
-// BatchReport must equal the tick loop's field for field, mismatch for
-// mismatch.
+// Domino counterparts of passThroughSpec and brokenSpec: specifications the
+// fused loop links after the cone.
+const (
+	passThroughDomino = "transaction { pkt.a = pkt.a; }"
+	brokenDomino      = "transaction { if (pkt.a % 2 == 0) { pkt.a = pkt.a + 1; } }"
+)
+
+// dominoSpec binds src's fields, in first-use order, to containers 0, 1, … at
+// p's width and returns a maker of fresh instances.
+func dominoSpec(t *testing.T, p *core.Pipeline, src string) func() Spec {
+	t.Helper()
+	prog, err := domino.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := domino.FieldMap{}
+	for i, name := range prog.Fields() {
+		fields[name] = i
+	}
+	b, err := domino.Bind(prog, fields, p.Bits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func() Spec { return b.NewSpec() }
+}
+
+// TestBatchedFuzzMatchesStreamingSweep is the core byte-identity sweep: a
+// fuzzer from NewFuzzer against the tick loop on the same prechecked
+// pipeline, over a clean spec, a diverging spec and an injected miscompile —
+// each specification a SpecFunc, which NewFuzzer's fuzzer runs on the tick
+// loop of a clone, and the first two also as a Domino binding, which it runs
+// on the fused loop — with and without a counterexample cap, at every
+// prechecked level. The fuzzer is reused across the cells, as a campaign
+// worker reuses its own. Every cell's BatchReport must equal the tick loop's
+// field for field, mismatch for mismatch.
 func TestBatchedFuzzMatchesStreamingSweep(t *testing.T) {
 	const n = 300
 	for _, level := range []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled} {
@@ -95,6 +123,8 @@ func TestBatchedFuzzMatchesStreamingSweep(t *testing.T) {
 			{"clean", identity, passThroughSpec, false},
 			{"diverging", identity, brokenSpec, true},
 			{"miscompiled", wrong, func() Spec { return wrongSpec }, true},
+			{"clean domino", identity, dominoSpec(t, identity, passThroughDomino), false},
+			{"diverging domino", identity, dominoSpec(t, identity, brokenDomino), true},
 		} {
 			ticks, fused := tickFuzzer(tc.pipe), NewFuzzer(tc.pipe)
 			for _, maxMM := range []int{0, 3} {
@@ -119,7 +149,8 @@ func TestBatchedFuzzMatchesStreamingSweep(t *testing.T) {
 // aborts the tick loop at tick i with only the packets completed strictly
 // before it counted — mismatches past the abort dropped. The fused loop
 // must reconstruct that exact report, whether the failure lands at the
-// start, inside the first window, or deep into the run.
+// start, inside the first window, or deep into the run; the tick loop of
+// NewFuzzer's fuzzer, which runs the SpecFunc, must too.
 func TestBatchedNextErrorMatchesStreaming(t *testing.T) {
 	const n = 300
 	boom := errors.New("traffic source failed")
@@ -136,21 +167,25 @@ func TestBatchedNextErrorMatchesStreaming(t *testing.T) {
 		}
 	}
 	p := buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled)
-	for _, errAt := range []int{0, 5, 150} {
-		want, err := tickFuzzer(p).Fuzz(brokenSpec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !errors.Is(want.Err, boom) {
-			t.Fatalf("errAt=%d: tick loop Err = %v, want the generator failure", errAt, want.Err)
-		}
-		got, err := NewFuzzer(p).Fuzz(brokenSpec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchReportsEqual(t, fmt.Sprintf("errAt=%d", errAt), got, want)
-		if !errors.Is(got.Err, boom) {
-			t.Fatalf("errAt=%d: fused Err = %v, want the generator failure unwrapped", errAt, got.Err)
+	for _, spec := range []func() Spec{brokenSpec, dominoSpec(t, p, brokenDomino)} {
+		for _, errAt := range []int{0, 5, 150} {
+			want, err := tickFuzzer(p).Fuzz(spec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(want.Err, boom) {
+				t.Fatalf("errAt=%d: tick loop Err = %v, want the generator failure", errAt, want.Err)
+			}
+			f := NewFuzzer(p)
+			got, err := f.Fuzz(spec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%s errAt=%d linked=%v", want.SpecName, errAt, f.Linked())
+			batchReportsEqual(t, label, got, want)
+			if !errors.Is(got.Err, boom) {
+				t.Fatalf("%s: Err = %v, want the generator failure unwrapped", label, got.Err)
+			}
 		}
 	}
 }
@@ -211,71 +246,125 @@ func (s *failingSpec) Process(in *phv.PHV) (*phv.PHV, error) {
 // misuse — a non-nil error and no report — on both loops, with identical
 // messages; except when the counterexample cap was reached strictly before
 // the failing packet's admission, in which case the capped report wins on
-// both loops.
+// both loops. The failing SpecFunc runs on the tick loop of NewFuzzer's
+// fuzzer; a Domino binding whose transaction traps on that packet runs on
+// the fused loop.
 func TestBatchedSpecErrorMatchesStreaming(t *testing.T) {
 	const n = 300
 	p := buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled)
 	run := func(f *Fuzzer, spec Spec, maxMM int) (*BatchReport, error) {
 		return f.FuzzGen(spec, NewTrafficGen(9, 2, phv.Default32, 1000), n, FuzzOptions{}, maxMM)
 	}
+	// trapAt fails at packet i: the local t is assigned on packets 0..i-1.
+	trapAt := func(i int, body string) func() Spec {
+		return dominoSpec(t, p, fmt.Sprintf("state c = 0;\ntransaction { c = c + 1; if (c < %d) { int t = %s; } pkt.a = t; }", i+1, body))
+	}
+	for _, tc := range []struct {
+		name          string
+		clean, capped func() Spec
+	}{
+		{"specfunc", func() Spec { return specErrAt(passThroughSpec(), 100) }, func() Spec { return specErrAt(brokenSpec(), 200) }},
+		{"domino", trapAt(100, "pkt.a"), trapAt(200, "pkt.a + 1")},
+	} {
+		// Clean prefix, spec failure at packet 100: harness error on both loops.
+		want, werr := run(tickFuzzer(p), tc.clean(), 0)
+		if werr == nil || want != nil {
+			t.Fatalf("%s: tick loop spec failure: report=%v err=%v, want nil report and an error", tc.name, want, werr)
+		}
+		got, gerr := run(NewFuzzer(p), tc.clean(), 0)
+		if gerr == nil || got != nil {
+			t.Fatalf("%s: spec failure: report=%v err=%v, want nil report and an error", tc.name, got, gerr)
+		}
+		if gerr.Error() != werr.Error() {
+			t.Fatalf("%s: err %q, tick loop err %q", tc.name, gerr, werr)
+		}
 
-	// Clean prefix, spec failure at packet 100: harness error on both loops.
-	want, werr := run(tickFuzzer(p), specErrAt(passThroughSpec(), 100), 0)
-	if werr == nil || want != nil {
-		t.Fatalf("tick loop spec failure: report=%v err=%v, want nil report and an error", want, werr)
+		// Diverging spec capped at 1 mismatch long before the failure at
+		// packet 200: the cap wins and both loops return the identical
+		// capped report.
+		wantCap, werr := run(tickFuzzer(p), tc.capped(), 1)
+		if werr != nil {
+			t.Fatalf("%s: capped tick loop run errored: %v", tc.name, werr)
+		}
+		if len(wantCap.Mismatches) != 1 || wantCap.Err != nil {
+			t.Fatalf("%s: capped tick loop run: %+v, want exactly the capped mismatch", tc.name, wantCap)
+		}
+		f := NewFuzzer(p)
+		gotCap, gerr := run(f, tc.capped(), 1)
+		if gerr != nil {
+			t.Fatal(gerr)
+		}
+		batchReportsEqual(t, tc.name+" cap-wins", gotCap, wantCap)
+		if f.Linked() != (tc.name == "domino") {
+			t.Errorf("%s: linked %v", tc.name, f.Linked())
+		}
 	}
-	got, gerr := run(NewFuzzer(p), specErrAt(passThroughSpec(), 100), 0)
-	if gerr == nil || got != nil {
-		t.Fatalf("fused spec failure: report=%v err=%v, want nil report and an error", got, gerr)
-	}
-	if gerr.Error() != werr.Error() {
-		t.Fatalf("fused err %q, tick loop err %q", gerr, werr)
-	}
-
-	// Diverging spec capped at 1 mismatch long before the failure at packet
-	// 200: the cap wins and both loops return the identical capped report.
-	wantCap, werr := run(tickFuzzer(p), specErrAt(brokenSpec(), 200), 1)
-	if werr != nil {
-		t.Fatalf("capped tick loop run errored: %v", werr)
-	}
-	if len(wantCap.Mismatches) != 1 || wantCap.Err != nil {
-		t.Fatalf("capped tick loop run: %+v, want exactly the capped mismatch", wantCap)
-	}
-	gotCap, gerr := run(NewFuzzer(p), specErrAt(brokenSpec(), 200), 1)
-	if gerr != nil {
-		t.Fatal(gerr)
-	}
-	batchReportsEqual(t, "cap-wins", gotCap, wantCap)
 }
 
-// TestKernelSelection pins the choice NewFuzzer makes, which no caller can
-// override: the Unoptimized level runs the tick loop — where machine code
-// is resolved at run time and a missing pair (BuildUnchecked) is a finding
-// with the tick loop's text and tick — and every other level runs the fused
-// loop on the cone core.Build made, allocating nothing of the other kernel.
+// TestKernelSelection pins the choice a fuzzer makes per run, which no
+// caller can override. At every prechecked level a Domino binding that fits
+// the pipeline runs on the fused loop, over the cone core.Build made, and
+// allocates nothing of the tick loop; a SpecFunc, a binding of another width
+// and a binding with a field past the PHV each run on the tick loop, over a
+// clone made on first use, and leave the pipeline unexecuted. The
+// Unoptimized level runs the tick loop whatever the specification — there
+// machine code is resolved at run time, and a missing pair (BuildUnchecked)
+// is a finding with the tick loop's text and tick.
 func TestKernelSelection(t *testing.T) {
+	const pastPHV = `sim: spec "domino", PHV 0: domino: field "b" bound to container 2, PHV has 2`
 	for _, level := range core.AllLevels() {
 		p := buildPipeline(t, 2, 2, "pred_raw", nil, level)
-		f := NewFuzzer(p)
-		if got, want := f.onFused(), level != core.Unoptimized; got != want {
-			t.Errorf("%s: fused loop = %v, want %v", level, got, want)
-		}
-		if f.onFused() {
-			if f.fused != p.Cone() || f.Pipeline() != p {
-				t.Errorf("%s: the fused fuzzer does not run the pipeline's own cone", level)
-			}
-			if f.stream != nil || f.inputs != nil || f.want != nil {
-				t.Errorf("%s: a fused fuzzer allocated the tick loop's stream and rings", level)
-			}
-		} else if f.frame != nil || f.oracle != nil || f.Pipeline() == p {
-			t.Errorf("%s: a tick-loop fuzzer allocated the fused loop's frame, or executes its argument", level)
-		}
-		rep, err := f.FuzzGen(brokenSpec(), NewTrafficGen(3, 2, phv.Default32, 1000), 200, FuzzOptions{}, 0)
+		fitting := dominoSpec(t, p, brokenDomino)
+		prog := domino.MustParse(brokenDomino)
+		narrow, err := domino.NewPHVSpec(prog, domino.FieldMap{"a": 0}, phv.MustWidth(8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Checked != 200 || rep.Ticks != 201 || len(rep.Mismatches) == 0 {
-			t.Errorf("%s: checked=%d ticks=%d mismatches=%d, want 200 PHVs over 201 ticks and a diverging run", level, rep.Checked, rep.Ticks, len(rep.Mismatches))
+		past, err := domino.NewPHVSpec(domino.MustParse("transaction { pkt.b = pkt.a + 1; }"), domino.FieldMap{"a": 0, "b": 2}, p.Bits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name  string
+			spec  Spec
+			fused bool
+			err   string
+		}{
+			{"fitting binding", fitting(), level != core.Unoptimized, ""},
+			{"specfunc", brokenSpec(), false, ""},
+			{"narrow binding", narrow, false, ""},
+			{"binding past the PHV", past, false, pastPHV},
+		} {
+			label := fmt.Sprintf("%s/%s", level, tc.name)
+			f := NewFuzzer(p)
+			if f.onFused() != (level != core.Unoptimized) || f.Pipeline() != p || (f.onFused() && f.fused != p.Cone()) {
+				t.Errorf("%s: the fuzzer does not hold the pipeline's own cone", label)
+			}
+			rep, err := f.FuzzGen(tc.spec, NewTrafficGen(3, 2, phv.Default32, 1000), 200, FuzzOptions{}, 0)
+			if tc.err != "" {
+				if err == nil || err.Error() != tc.err {
+					t.Errorf("%s: report %v, error %v; want the error %s", label, rep, err, tc.err)
+				}
+			} else if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			} else if rep.Checked != 200 || rep.Ticks != 201 || len(rep.Mismatches) == 0 {
+				t.Errorf("%s: checked=%d ticks=%d mismatches=%d, want 200 PHVs over 201 ticks and a diverging run", label, rep.Checked, rep.Ticks, len(rep.Mismatches))
+			}
+			if f.Linked() != tc.fused || f.onTicks() == tc.fused {
+				t.Errorf("%s: linked %v, tick loop laid out %v; want the fused loop %v", label, f.Linked(), f.onTicks(), tc.fused)
+			}
+			if tc.fused && (f.inputs != nil || f.want != nil) {
+				t.Errorf("%s: a fused run allocated the tick loop's rings", label)
+			}
+			if f.onTicks() && f.stream.p == p {
+				t.Errorf("%s: the tick loop executes the fuzzer's argument", label)
+			}
+			if !tc.fused && f.frame != nil {
+				t.Errorf("%s: a tick-loop run laid out a frame of the fused loop", label)
+			}
+			if !allZeroState(p) {
+				t.Fatalf("%s: NewFuzzer's argument was executed", label)
+			}
 		}
 	}
 
@@ -295,7 +384,7 @@ func TestKernelSelection(t *testing.T) {
 	}
 	f := NewFuzzer(p)
 	if f.onFused() {
-		t.Fatal("a BuildUnchecked pipeline was bound to the fused loop")
+		t.Fatal("a BuildUnchecked pipeline has a cone to link after")
 	}
 	if _, err := NewBatch(p, 8); err == nil {
 		t.Fatal("NewBatch accepted an unoptimized pipeline")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"druzhba/internal/core"
+	"druzhba/internal/domino"
 	"druzhba/internal/flat"
 	"druzhba/internal/phv"
 )
@@ -16,6 +17,7 @@ import (
 // on the fused loop — it used to index out of range inside the compare.
 func TestFuzzRejectsCompareContainerOutOfRange(t *testing.T) {
 	p := buildPipeline(t, 2, 2, "", nil, core.Compiled) // identity, PHVLen 2
+	pass := dominoSpec(t, p, passThroughDomino)
 	for _, tc := range []struct {
 		containers []int
 		want       string
@@ -25,7 +27,7 @@ func TestFuzzRejectsCompareContainerOutOfRange(t *testing.T) {
 		{[]int{0, -1}, "sim: compare container -1 out of range [0,2)"},
 	} {
 		for name, f := range map[string]*Fuzzer{"ticks": tickFuzzer(p), "fused": NewFuzzer(p)} {
-			rep, err := f.FuzzGen(passThroughSpec(), NewTrafficGen(1, 2, phv.Default32, 0), 20, FuzzOptions{Containers: tc.containers}, 0)
+			rep, err := f.FuzzGen(pass(), NewTrafficGen(1, 2, phv.Default32, 0), 20, FuzzOptions{Containers: tc.containers}, 0)
 			if err == nil || err.Error() != tc.want {
 				t.Errorf("containers %v on %s: report %v, err %v; want error %q", tc.containers, name, rep, err, tc.want)
 			}
@@ -45,6 +47,7 @@ func TestFuzzRejectsCompareContainerOutOfRange(t *testing.T) {
 // past the input buffer; both are harness misuse on both loops.
 func TestFuzzGenRejectsGeneratorOfAnotherShape(t *testing.T) {
 	p := buildPipeline(t, 2, 2, "", nil, core.Compiled) // identity, PHVLen 2
+	pass := dominoSpec(t, p, passThroughDomino)
 	for _, cols := range []int{1, 3} {
 		want := fmt.Sprintf("sim: traffic generator draws %d columns, pipeline has 2 containers", cols)
 		for name, f := range map[string]*Fuzzer{"ticks": tickFuzzer(p), "fused": NewFuzzer(p)} {
@@ -56,7 +59,7 @@ func TestFuzzGenRejectsGeneratorOfAnotherShape(t *testing.T) {
 						err = fmt.Errorf("panic: %v", r)
 					}
 				}()
-				rep, err = f.FuzzGen(passThroughSpec(), NewTrafficGen(1, cols, phv.Default32, 0), 5, FuzzOptions{}, 0)
+				rep, err = f.FuzzGen(pass(), NewTrafficGen(1, cols, phv.Default32, 0), 5, FuzzOptions{}, 0)
 			}()
 			if err == nil || err.Error() != want {
 				t.Errorf("%d-column generator on %s: report %+v, err %v; want error %q", cols, name, rep, err, want)
@@ -93,11 +96,12 @@ func randomizedPair(t *testing.T, seed int64, level core.OptLevel) (p, ref *core
 }
 
 // TestConeFuzzReportsMatchFullGrid is the report-identity pin: against a
-// deliberately wrong specification, with the comparison restricted to one
-// container, the fuzzer (which executes the fused output cone) produces the
-// BatchReport — indices, Input, whole-PHV Got, Want, Checked, Ticks — that
-// the tick loop produces over the full ALU grid, with and without a mismatch
-// cap.
+// Domino specification that expects container 0 to be zero, wrong wherever
+// the random code leaves it nonzero, with the comparison restricted to that
+// container, the fuzzer (which executes the fused output cone with the
+// specification linked after it) produces the BatchReport — indices, Input,
+// whole-PHV Got, Want, Checked, Ticks — that the tick loop produces over the
+// full ALU grid, with and without a mismatch cap.
 func TestConeFuzzReportsMatchFullGrid(t *testing.T) {
 	const n = 200
 	pruned, mismatched, matched := 0, 0, 0
@@ -107,7 +111,7 @@ func TestConeFuzzReportsMatchFullGrid(t *testing.T) {
 			cone, full := NewFuzzer(p), tickFuzzer(p)
 			live, total := p.Cone().ALUCounts()
 			pruned += total - live
-			spec := &pipeSpec{p: ref, wrong: true}
+			spec := dominoSpec(t, ref, "transaction { pkt.a = 0; }")()
 			for _, maxMM := range []int{0, 3} {
 				opts := FuzzOptions{Containers: []int{0}}
 				got, err := cone.FuzzGen(spec, NewTrafficGen(trial, 2, phv.Default32, 1<<16), n, opts, maxMM)
@@ -119,6 +123,9 @@ func TestConeFuzzReportsMatchFullGrid(t *testing.T) {
 					t.Fatal(err)
 				}
 				batchReportsEqual(t, level.String(), got, want)
+				if !cone.Linked() {
+					t.Fatalf("%s trial %d: the specification was not linked after the cone", level, trial)
+				}
 				mismatched += len(want.Mismatches)
 				matched += want.Checked - len(want.Mismatches)
 			}
@@ -248,12 +255,12 @@ func TestNewFuzzerLeavesUnoptimizedWhole(t *testing.T) {
 	if p.Cone() != nil || f.onFused() {
 		t.Fatal("an unoptimized pipeline was fused")
 	}
-	if f.Pipeline() == p {
-		t.Fatal("NewFuzzer must execute on a private clone")
-	}
 	rep, err := f.FuzzGen(&pipeSpec{p: p.Clone()}, NewTrafficGen(1, 2, phv.Default32, 0), 50, FuzzOptions{}, 0)
 	if err != nil || !rep.Passed() {
 		t.Fatalf("report %+v, err %v", rep, err)
+	}
+	if f.stream.p == p {
+		t.Fatal("NewFuzzer must execute on a private clone")
 	}
 	if !allZeroState(p) {
 		t.Fatal("NewFuzzer's argument was executed")
@@ -267,8 +274,9 @@ func TestNewFuzzerLeavesUnoptimizedWhole(t *testing.T) {
 func TestComparePairsSelectsInOrder(t *testing.T) {
 	p := buildPipeline(t, 2, 3, "", nil, core.Compiled) // identity, PHVLen 3
 	f := NewFuzzer(p)
-	o := f.useOracle(nil)
-	all, out := o.Pairs(), f.fused.Out()
+	spec := dominoSpec(t, p, "transaction { pkt.a = pkt.a + 1; pkt.b = pkt.b + 2; pkt.c = pkt.c + 3; }")()
+	o := f.useOracle(spec.(*domino.PHVSpec).Binding())
+	all, out := o.Pairs(), o.out
 	if len(all) != 3 {
 		t.Fatalf("the identity oracle compares %d pairs, want 3", len(all))
 	}

@@ -5,30 +5,32 @@ import (
 	"druzhba/internal/domino"
 )
 
-// The fuzzer has two loops and no switch: NewFuzzer binds the fused loop to a
-// prechecked pipeline and the tick loop to any other. The hooks below exist
-// for the tests that pin fused ≡ ticks: they put the tick loop, the reference
-// engine, on a prechecked pipeline too.
+// The fuzzer has two loops and no switch: a run links a Domino binding after
+// the cone of a prechecked pipeline and runs everything else on the tick
+// loop. The hooks below exist for the tests that pin fused ≡ ticks: they put
+// a binding on the tick loop of a prechecked pipeline too, and report which
+// loop a run took.
 
-// tickFuzzer is NewFuzzer forced onto the tick loop, which runs the whole
-// grid of any pipeline through core.ExecuteStage.
-func tickFuzzer(p *core.Pipeline) *Fuzzer { return newTickFuzzer(p.Clone()) }
+// tickFuzzer is NewFuzzer with no cone to link after, so every run takes the
+// tick loop, which runs the whole grid of any pipeline through
+// core.ExecuteStage.
+func tickFuzzer(p *core.Pipeline) *Fuzzer { return &Fuzzer{pipe: p} }
 
-// onFused reports which loop the fuzzer was bound to.
+// onFused reports whether the fuzzer has the fused loop: a cone to link a
+// binding after.
 func (f *Fuzzer) onFused() bool { return f.fused != nil }
 
-// Linked reports whether the fuzzer's last run linked its specification after
-// the cone, rather than admitting it into want registers.
-func (f *Fuzzer) Linked() bool { return f.oracle != nil && f.oracle.link != nil }
+// onTicks reports whether a run has laid out the tick loop.
+func (f *Fuzzer) onTicks() bool { return f.stream != nil }
+
+// Linked reports whether the last Domino binding the fuzzer ran was linked
+// after its cone, so that the run took the fused loop.
+func (f *Fuzzer) Linked() bool { return f.oracle != nil }
 
 // Dispatched runs n packets from gen through the oracle the fused loop links
-// for spec, on its counting run (flat.Oracle.Count), and returns the
-// instructions it dispatched.
+// for spec, a Domino binding that links after the cone, on its counting run
+// (flat.Oracle.Count), and returns the instructions it dispatched.
 func (f *Fuzzer) Dispatched(spec Spec, gen *TrafficGen, n int) int64 {
-	var b *domino.Binding
-	if ps, ok := spec.(*domino.PHVSpec); ok {
-		b = ps.Binding()
-	}
-	dispatched, _ := f.useOracle(b).Count(gen, n)
+	dispatched, _ := f.useOracle(spec.(*domino.PHVSpec).Binding()).Count(gen, n)
 	return dispatched
 }

@@ -49,24 +49,26 @@ func linkedBinding(t *testing.T, k int, p *core.Pipeline) (*domino.Binding, []st
 	return b, prog.StateNames()
 }
 
-// FuzzPlanesVsTicks pins the fuzzer's two loops to each other on inputs
-// nobody chose (the name predates the fused loop: the fast side was a loop
-// over column planes): random machine code (seed) with one pair perturbed —
-// an injected miscompile against the Unoptimized reference of the unperturbed
-// code, optionally under a specification that is itself wrong — fuzzed
-// traffic seed and mode, counterexample cap, compared containers, and a
-// generator and a specification failure at fuzzed packet indices (past the
-// run = never). With linked set the specification is a Domino binding
-// instead, one of linkedSpecs picked by specFailAt, which the fused loop links
-// after the cone: its failures are its own traps, and its state after the run
-// must equal the tick loop's instance's. The fused loop runs the perturbed
-// code built at a prechecked level, over its output cone; the tick loop runs
-// the same perturbed code built at Unoptimized, over the whole grid through
-// the AST interpreter, so it shares no lowering with the fused side. The two
-// must return the same harness error text or the same BatchReport: Checked,
-// Ticks, Err text, and every mismatch by value and by rendering. The chunk
-// byte, the planes loop's sweep width, is kept so the seeds and any saved
-// corpus still decode; it now picks the packet count.
+// FuzzPlanesVsTicks pins a fuzzer over a prechecked build to the tick loop
+// over the interpreter on inputs nobody chose (the name predates the fused
+// loop: the fast side was a loop over column planes): random machine code
+// (seed) with one pair perturbed — an injected miscompile against the
+// Unoptimized reference of the unperturbed code, optionally under a
+// specification that is itself wrong — fuzzed traffic seed and mode,
+// counterexample cap, compared containers, and a generator and a
+// specification failure at fuzzed packet indices (past the run = never). The
+// fast side runs the perturbed code built at a prechecked level; the
+// reference runs the same perturbed code built at Unoptimized, over the whole
+// grid through the AST interpreter, so it shares no lowering with the fast
+// side. Without linked the specification is that reference pipeline, which
+// the fast side runs on the tick loop over its stage programs. With linked it
+// is a Domino binding instead, one of linkedSpecs picked by specFailAt, which
+// the fast side links after its output cone and runs on the fused loop: its
+// failures are its own traps, and its state after the run must equal the
+// reference's instance's. The two must return the same harness error text or
+// the same BatchReport: Checked, Ticks, Err text, and every mismatch by value
+// and by rendering. The chunk byte, the planes loop's sweep width, is kept so
+// the seeds and any saved corpus still decode; it now picks the packet count.
 func FuzzPlanesVsTicks(f *testing.F) {
 	const never = 0xffff
 	f.Add(int64(45), uint8(2), uint8(8), uint8(0), false, false, false, uint16(14), uint16(never), uint16(never), false)
@@ -134,8 +136,8 @@ func FuzzPlanesVsTicks(f *testing.F) {
 		}
 		want, werr := run(ticks, wantSpec)
 		got, gerr := run(fused, gotSpec)
-		if linked && fused.oracle.link == nil {
-			t.Fatal("the fused loop did not link the binding")
+		if fused.Linked() != linked {
+			t.Fatalf("linked %v: the fuzzer ran the fused loop %v", linked, fused.Linked())
 		}
 		for _, name := range states {
 			g, _ := gotSpec.(*domino.PHVSpec).State(name)

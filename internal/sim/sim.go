@@ -21,11 +21,12 @@
 //     Run/RunOpts (traces and optionally per-tick state and slot snapshots,
 //     for the time-travel debugger and the trace-diffing tools) run on it at
 //     every level, and so does a Fuzzer over an Unoptimized pipeline, where
-//     machine code incompatible with the pipeline is a run-time finding;
+//     machine code incompatible with the pipeline is a run-time finding, and
+//     a Fuzzer at any level handed a specification its cone does not link;
 //   - the packet loop (batch.go): one program, one Run per packet on a
 //     frame — the whole grid under Batch, and under a Fuzzer at every
-//     prechecked level the output cone with a Domino specification linked
-//     after it: the campaign engine's hot path.
+//     prechecked level the output cone with a Domino binding's transaction
+//     linked after it: the campaign engine's hot path.
 //
 // Either way the Fuzzer generates traffic directly into its own buffers
 // (TrafficGen.Fill) and compares outputs in lock step, so a clean fuzzing
@@ -44,6 +45,7 @@ import (
 	"fmt"
 
 	"druzhba/internal/core"
+	"druzhba/internal/domino"
 	"druzhba/internal/flat"
 	"druzhba/internal/phv"
 )
@@ -461,19 +463,20 @@ func (r *BatchReport) Passed() bool { return r.Err == nil && len(r.Mismatches) =
 // so a clean run performs O(1) allocation total — for StreamSpec
 // specifications, zero steady-state allocations per PHV.
 //
-// The loop runs on one of two kernels, chosen by NewFuzzer from the pipeline
-// and never by the caller: a prechecked pipeline runs as its fused output
-// cone, one flat-program Run per packet (fuzzFused), any other — the
-// Unoptimized level, the naive reference whose machine code can still fail
-// at run time — one tick at a time on a Stream (fuzzTicks). On the fused
-// kernel a Domino specification (domino.PHVSpec) is not called at all: its
-// transaction is linked after the cone (domino.Binding.Link), once per
-// pipeline build and specification, so a packet is one Run of one program on
-// one frame and a compare of output registers with the transaction's field
-// registers; its state lives in the frame during a run and is handed back to
-// the instance at the end. Any other specification fills the program's want
-// registers before each Run. Reports are byte-identical between the two
-// kernels; only the chosen kernel's buffers exist.
+// Each run picks one of two kernels from the pipeline and the specification,
+// never from the caller. A Domino specification (domino.PHVSpec) on a
+// prechecked pipeline runs as the fused output cone with its transaction
+// linked after it (domino.Binding.Link, once per pipeline build and binding),
+// one flat-program Run per packet (fuzzFused): the specification is not
+// called at all, a packet is one Run of one program on one frame and a
+// compare of output registers with the transaction's field registers, and
+// its state lives in the frame during a run and is handed back to the
+// instance at the end. Everything else runs one tick at a time on a Stream
+// (fuzzTicks): the Unoptimized level, the naive reference whose machine code
+// can still fail at run time, and any specification the cone cannot link — a
+// SpecFunc, any other Spec, a binding of another width or with a field past
+// the PHV. Reports are byte-identical between the two kernels; a kernel's
+// buffers exist only once a run has used it.
 //
 // A Fuzzer is bound to one pipeline and reusable across runs (the campaign
 // engine keeps one per worker per job). It never mutates the pipeline it was
@@ -484,17 +487,19 @@ type Fuzzer struct {
 	pipe   *core.Pipeline
 	specIn *phv.PHV // reusable wrapper for non-streaming specs, made on first use
 
-	// Tick loop: packet i's input and expected output live at ring slot
-	// i%win, win = depth+1 in-flight packets, until its output surfaces and
-	// is compared.
+	// Tick loop, made on first use: a Stream over a clone of pipe; packet
+	// i's input and expected output live at ring slot i%win, win = depth+1
+	// in-flight packets, until its output surfaces and is compared.
 	stream       *Stream
 	inputs, want [][]phv.Value
 
-	// Fused loop: the cone, the oracle the last run linked after it, this
-	// fuzzer's frame for that oracle (the source fills its input registers in
-	// place) and the subset of its pairs a run that compares some containers
-	// selects.
+	// Fused loop: the cone (nil at Unoptimized), the last binding a run was
+	// handed and the oracle linking it after the cone (nil when it does not
+	// link), this fuzzer's frame for the last oracle (the source fills its
+	// input registers in place) and the subset of its pairs a run that
+	// compares some containers selects.
 	fused  *core.Fused
+	key    *domino.Binding
 	oracle *oracle
 	frame  []int64
 	pairs  []flat.Pair
@@ -502,25 +507,21 @@ type Fuzzer struct {
 
 // NewFuzzer returns a fuzzer over the pipeline. The fuzzer observes output
 // PHVs only, never ALU state, so on a prechecked pipeline it executes the
-// output cone core.Build fused (core.Pipeline.Cone): only the ALUs whose
-// results can reach an output container run, on a frame the first run lays
-// out for its specification. An Unoptimized pipeline is cloned and runs whole
-// on the tick loop. Either way p itself is never executed or mutated, and the
-// buffers are reused by every subsequent Fuzz run.
-func NewFuzzer(p *core.Pipeline) *Fuzzer {
-	if cone := p.Cone(); cone != nil {
-		return newFusedFuzzer(p, cone)
-	}
-	return newTickFuzzer(p.Clone())
-}
+// output cone core.Build fused (core.Pipeline.Cone) for a Domino binding:
+// only the ALUs whose results can reach an output container run, on a frame
+// the first run lays out for its specification. Every other run executes a
+// clone of the pipeline whole on the tick loop. Either way p itself is never
+// executed or mutated, and the buffers are reused by every subsequent Fuzz
+// run.
+func NewFuzzer(p *core.Pipeline) *Fuzzer { return &Fuzzer{pipe: p, fused: p.Cone()} }
 
-// newTickFuzzer binds p, which it executes and mutates, to the tick loop: a
-// Stream and the two rings.
-func newTickFuzzer(p *core.Pipeline) *Fuzzer {
+// startTicks lays out the tick loop over a clone of the pipeline, which it
+// executes and mutates: a Stream and the two rings.
+func (f *Fuzzer) startTicks() {
+	p := f.pipe.Clone()
 	phvLen, win := p.PHVLen(), p.Depth()+1
-	f := &Fuzzer{pipe: p, stream: NewStream(p)}
+	f.stream = NewStream(p)
 	f.inputs, f.want = valueRows(win, phvLen), valueRows(win, phvLen)
-	return f
 }
 
 // valueRows returns n cap-pinned PHVLen rows over one backing array. Want
@@ -535,8 +536,8 @@ func valueRows(n, phvLen int) [][]phv.Value {
 	return rows
 }
 
-// Pipeline returns the pipeline the fuzzer was built over (a private clone of
-// it on the tick loop), for its dimensions and level.
+// Pipeline returns the pipeline the fuzzer was built over, for its dimensions
+// and level.
 func (f *Fuzzer) Pipeline() *core.Pipeline { return f.pipe }
 
 // FuzzGen runs the lock-step comparison over n PHVs drawn from gen, which
@@ -566,7 +567,8 @@ func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts F
 	return f.fuzz(spec, n, source{next: next, w: f.pipe.Bits()}, opts, maxMismatches)
 }
 
-// fuzz checks the run's arguments and hands it to the fuzzer's loop.
+// fuzz checks the run's arguments and hands the run to its loop: the fused
+// loop for a Domino binding the cone links, the tick loop for the rest.
 //
 //dvet:hotpath allocs=1
 func (f *Fuzzer) fuzz(spec Spec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
@@ -576,8 +578,8 @@ func (f *Fuzzer) fuzz(spec Spec, n int, src source, opts FuzzOptions, maxMismatc
 	if err := checkContainers(opts.Containers, f.pipe.PHVLen()); err != nil {
 		return nil, err
 	}
-	if f.fused != nil {
-		return f.fuzzFused(spec, n, src, opts, maxMismatches)
+	if ps, ok := spec.(*domino.PHVSpec); ok && f.useOracle(ps.Binding()) != nil {
+		return f.fuzzFused(ps, n, src, opts, maxMismatches)
 	}
 	return f.fuzzTicks(spec, n, src, opts, maxMismatches)
 }
@@ -610,11 +612,11 @@ func (s source) fill(i int, dst []phv.Value) error {
 }
 
 // admit draws packet i from src into in and leaves the specification's
-// expected output for it in *want, so generator and spec state advance in
-// packet order whatever the kernel's schedule: the tick loop's step, and the
-// fused loop's for a specification it does not link. A generator failure is a
-// finding and comes back bare as genErr; a specification failure is harness
-// misuse and comes back as specErr, carrying the spec's name and i.
+// expected output for it in *want: the tick loop's step, taken at packet i's
+// admission, so generator and spec state advance in packet order. A
+// generator failure is a finding and comes back bare as genErr; a
+// specification failure is harness misuse and comes back as specErr,
+// carrying the spec's name and i.
 //
 //dvet:hotpath allocs=0
 func (f *Fuzzer) admit(spec Spec, ss StreamSpec, i int, src source, in []phv.Value, want *[]phv.Value) (genErr, specErr error) {
@@ -652,7 +654,10 @@ func mismatchOf(index int, input, got, want []phv.Value) Mismatch {
 //dvet:hotpath allocs=1
 func (f *Fuzzer) fuzzTicks(spec Spec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	report := &BatchReport{SpecName: spec.Name()} //dvet:alloc-ok one report per run, not per PHV
-	f.pipe.ResetState()
+	if f.stream == nil {
+		f.startTicks()
+	}
+	f.stream.p.ResetState()
 	f.stream.Reset()
 	spec.Reset()
 	ss, _ := spec.(StreamSpec)

@@ -48,8 +48,8 @@ var runners = map[string]func(t *testing.T) float64{
 	},
 	"internal/sim.Fuzzer.Fuzz": func(t *testing.T) float64 {
 		// Both of the fuzzer's loops hold the one budget: the fused loop
-		// NewFuzzer binds to a compiled pipeline, and the tick loop it binds
-		// to an unoptimized one.
+		// the Domino specification runs on at compiled, and the tick loop
+		// it runs on at unoptimized.
 		worst := 0.0
 		for _, level := range []core.OptLevel{core.Compiled, core.Unoptimized} {
 			f, sp, gen, opts := benchFuzzer(t, level)
