@@ -503,17 +503,13 @@ func measureDRMT(bm *drmt.Benchmark, seed int64, n, repeats int) (DRMTRow, error
 		return DRMTRow{}, err
 	}
 
-	// The same stream once more through the ISA machine's Run, which counts
-	// what its lowered program dispatches on a counting clone.
+	// The same stream once more through the ISA machine's RunStream, which
+	// counts what its lowered program dispatches on a counting clone.
 	isa, err := drmt.NewISAMachine(prog, nil, entries, bm.HW)
 	if err != nil {
 		return DRMTRow{}, err
 	}
-	gen, err := drmt.NewTrafficGen(seed, prog, bm.MaxInput)
-	if err != nil {
-		return DRMTRow{}, err
-	}
-	if _, err := isa.Run(gen.Batch(n)); err != nil {
+	if _, err := isa.RunStream(seed, n, bm.MaxInput); err != nil {
 		return DRMTRow{}, err
 	}
 	ops := isa.Dispatched()

@@ -82,11 +82,7 @@ func main() {
 		return
 	}
 
-	gen, err := drmt.NewTrafficGen(*seed, prog, *maxVal)
-	if err != nil {
-		cli.Fatalf("drmtasm: %v", err)
-	}
-	stats, err := isaM.Run(gen.Batch(*packets))
+	stats, err := isaM.RunStream(*seed, *packets, *maxVal)
 	if err != nil {
 		cli.Fatalf("drmtasm: %v", err)
 	}

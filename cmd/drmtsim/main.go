@@ -92,11 +92,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("drmtsim: %v", err)
 	}
-	gen, err := drmt.NewTrafficGen(*seed, prog, *maxVal)
-	if err != nil {
-		cli.Fatalf("drmtsim: %v", err)
-	}
-	stats, err := m.RunStream(gen, *packets)
+	stats, err := m.RunStream(*seed, *packets, *maxVal)
 	if err != nil {
 		cli.Fatalf("drmtsim: %v", err)
 	}

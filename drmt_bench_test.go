@@ -73,19 +73,10 @@ func BenchmarkDRMTSimulate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			gen, err := drmt.NewTrafficGen(1, prog, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			packets := gen.Batch(1000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				m.ResetState()
-				fresh := make([]*drmt.Packet, len(packets))
-				for j, p := range packets {
-					fresh[j] = p.Clone()
-				}
-				if _, err := m.Run(fresh); err != nil {
+				if _, err := m.RunStream(1, 1000, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -113,11 +113,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gen, err := drmt.NewTrafficGen(1, prog, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	stats, err := m.Run(gen.Batch(1000))
+	stats, err := m.RunStream(1, 1000, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

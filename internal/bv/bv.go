@@ -33,9 +33,6 @@ import (
 // Vec is a bit-vector: a little-endian slice of literals.
 type Vec []sat.Lit
 
-// Width returns the vector's bit width.
-func (v Vec) Width() int { return len(v) }
-
 type kind uint8
 
 const (

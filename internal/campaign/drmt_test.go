@@ -109,7 +109,7 @@ func TestDRMTCampaignPasses(t *testing.T) {
 }
 
 // TestDRMTCampaignMatchesDirectRun pins the campaign's dRMT path against a
-// direct drmt.ISAMachine.Run over the same seeded traffic: per shard, a
+// direct drmt.ISAMachine.RunStream over the same seeded traffic: per shard, a
 // fresh generator seeded with deriveSeed(job seed, shard) must yield the
 // same packet count and the same executed-instruction total the campaign
 // reports as Ticks.
@@ -155,12 +155,8 @@ func TestDRMTCampaignMatchesDirectRun(t *testing.T) {
 		if rem := packets - s*shardSize; rem < n {
 			n = rem
 		}
-		gen, err := drmt.NewTrafficGen(deriveSeed(seed, s), prog, bm.MaxInput)
-		if err != nil {
-			t.Fatal(err)
-		}
 		isaM.ResetState() // campaign shards reset state too
-		stats, err := isaM.Run(gen.Batch(n))
+		stats, err := isaM.RunStream(deriveSeed(seed, s), n, bm.MaxInput)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,11 +105,10 @@ func TestSlotEnginesZeroAllocsPerPacket(t *testing.T) {
 	}
 }
 
-// TestRunAdaptersAllocateO1: the map-packet Run adapters copy each packet
-// through one reused slot vector and write results back into the packet's
-// existing map, so a run's allocation count (Stats, its maps, the vector)
-// must not grow with the packet count on either machine.
-func TestRunAdaptersAllocateO1(t *testing.T) {
+// TestRunStreamAllocatesO1: both machines' RunStream draw every packet into
+// one reused slot vector, so a run's allocation count (Stats, its maps, the
+// generator, the vector) must not grow with the packet count.
+func TestRunStreamAllocatesO1(t *testing.T) {
 	bm, err := LookupBenchmark("counter") // binds an action parameter on every packet
 	if err != nil {
 		t.Fatal(err)
@@ -130,24 +129,19 @@ func TestRunAdaptersAllocateO1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := NewTrafficGen(1, prog, bm.MaxInput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts := gen.Batch(2048)
-	runs := map[string]func(p []*Packet) error{
-		"Machine.Run":    func(p []*Packet) error { _, err := tab.Run(p); return err },
-		"ISAMachine.Run": func(p []*Packet) error { _, err := isa.Run(p); return err },
+	runs := map[string]func(n int) error{
+		"Machine.RunStream":    func(n int) error { _, err := tab.RunStream(1, n, bm.MaxInput); return err },
+		"ISAMachine.RunStream": func(n int) error { _, err := isa.RunStream(1, n, bm.MaxInput); return err },
 	}
 	for name, run := range runs {
 		allocs := func(n int) float64 {
 			return testing.AllocsPerRun(3, func() {
-				if err := run(pkts[:n]); err != nil {
+				if err := run(n); err != nil {
 					panic(err)
 				}
 			})
 		}
-		if small, large := allocs(256), allocs(2048); large > small+1 {
+		if small, large := allocs(256), allocs(2048); large > small {
 			t.Errorf("%s: allocations grow with packet count: %v for 256 packets, %v for 2048", name, small, large)
 		}
 	}

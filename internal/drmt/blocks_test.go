@@ -327,7 +327,7 @@ func selects(m *ISAMachine, sel int64, args []int64, err error) string {
 
 // refSelects renders what the reference's MATCH on table sym selects on
 // pkt, as selects does.
-func refSelects(m *ISAMachine, ref *refISAMachine, sym int, pkt *Packet) string {
+func refSelects(m *ISAMachine, ref *refISAMachine, sym int, pkt *refPacket) string {
 	sel, args, err := ref.match(sym, pkt)
 	if err != nil && m.matchTables[sym].err == nil {
 		call := m.prog.Table(m.isa.Tables[sym]).Default
@@ -453,8 +453,7 @@ func blockCases(t *testing.T, fx blockFixture, m *ISAMachine, trials int) []bloc
 				regs[r], tr.regs[r] = b, value()
 			}
 		}
-		pkt := &Packet{Fields: map[string]int64{}}
-		m.layout.SlotsToPacket(tr.fields, false, pkt)
+		pkt := newRefPacket(m.layout.fields, 0, tr.fields)
 		executed, at, where := 0, len(isa.Instrs), "halt"
 		if fails != nil {
 			where = fails.Error()
@@ -468,10 +467,7 @@ func blockCases(t *testing.T, fx blockFixture, m *ISAMachine, trials int) []bloc
 				at, where = match, fmt.Sprintf("match at %d: %s", match, refSelects(m, ref, isa.Instrs[match].Sym, pkt))
 			}
 		}
-		fields := make([]int64, v.fields)
-		if err := m.layout.PacketToSlots(pkt, fields); err != nil {
-			t.Fatal(err)
-		}
+		fields := pkt.slots(m.layout)
 		var banks [][]int64
 		for _, cells := range ref.regBanks {
 			banks = append(banks, slices.Clone(cells))
@@ -530,8 +526,7 @@ func blockCases(t *testing.T, fx blockFixture, m *ISAMachine, trials int) []bloc
 						lt.fields[i] = value()
 					}
 					lt.fields[k.slot] = x
-					pkt := &Packet{Fields: map[string]int64{}}
-					m.layout.SlotsToPacket(lt.fields, false, pkt)
+					pkt := newRefPacket(m.layout.fields, 0, lt.fields)
 					lt.want = fmt.Sprintf("match at %d: %s", bl.lookup, refSelects(m, ref, sym, pkt))
 					c.lookups = append(c.lookups, lt)
 				}

@@ -1,6 +1,7 @@
 package drmt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -385,27 +386,33 @@ func newRouterMachine(t *testing.T) *Machine {
 	return m
 }
 
-func mkPacket(id int, src, dst, ttl, tos int64) *Packet {
-	return &Packet{ID: id, Fields: map[string]int64{
+// field reads a named field of a slot-vector packet.
+func field(l *SlotLayout, pkt []int64, name string) int64 {
+	i, ok := l.fieldIdx[name]
+	if !ok {
+		panic("no field " + name)
+	}
+	return pkt[i]
+}
+
+// routerPacket is a slot-vector packet of the router program.
+func routerPacket(m *Machine, src, dst, ttl, tos int64) []int64 {
+	return (&refPacket{Fields: map[string]int64{
 		"ipv4.srcAddr": src, "ipv4.dstAddr": dst, "ipv4.ttl": ttl, "ipv4.tos": tos,
-	}}
+	}}).slots(m.Layout())
 }
 
 func TestMachineBasicForwarding(t *testing.T) {
 	m := newRouterMachine(t)
-	pkt := mkPacket(0, 0x0A000001, 7, 64, 0)
-	stats, err := m.Run([]*Packet{pkt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pkt.Dropped {
+	pkt := routerPacket(m, 0x0A000001, 7, 64, 0)
+	if m.ProcessSlots(pkt) {
 		t.Fatal("packet dropped unexpectedly")
 	}
-	if pkt.Fields["ipv4.tos"] != 7 {
-		t.Errorf("tos = %d, want 7 (classify hit)", pkt.Fields["ipv4.tos"])
+	if tos := field(m.Layout(), pkt, "ipv4.tos"); tos != 7 {
+		t.Errorf("tos = %d, want 7 (classify hit)", tos)
 	}
-	if pkt.Fields["ipv4.ttl"] != 63 {
-		t.Errorf("ttl = %d, want 63", pkt.Fields["ipv4.ttl"])
+	if ttl := field(m.Layout(), pkt, "ipv4.ttl"); ttl != 63 {
+		t.Errorf("ttl = %d, want 63", ttl)
 	}
 	// audit counted dst 7 in register cell 7 % 4 = 3.
 	cells, ok := m.Register("r_count")
@@ -415,23 +422,12 @@ func TestMachineBasicForwarding(t *testing.T) {
 	if cells[3] != 1 {
 		t.Errorf("r_count = %v, want cell 3 == 1", cells)
 	}
-	if stats.Dropped != 0 || stats.Packets != 1 {
-		t.Errorf("stats = %+v", stats)
-	}
 }
 
 func TestMachineDrop(t *testing.T) {
 	m := newRouterMachine(t)
-	pkt := mkPacket(0, 0, 42, 64, 0)
-	stats, err := m.Run([]*Packet{pkt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pkt.Dropped {
+	if !m.ProcessSlots(routerPacket(m, 0, 42, 64, 0)) {
 		t.Fatal("packet to dst 42 not dropped")
-	}
-	if stats.Dropped != 1 {
-		t.Errorf("stats.Dropped = %d", stats.Dropped)
 	}
 	// Dropped packets stop processing: audit must not have counted.
 	cells, _ := m.Register("r_count")
@@ -446,38 +442,29 @@ func TestMachineDefaultActions(t *testing.T) {
 	m := newRouterMachine(t)
 	// srcAddr misses classify -> default set_tos(0); dst misses route ->
 	// default decrement_ttl.
-	pkt := mkPacket(0, 0x0B000001, 100, 10, 9)
-	if _, err := m.Run([]*Packet{pkt}); err != nil {
-		t.Fatal(err)
+	pkt := routerPacket(m, 0x0B000001, 100, 10, 9)
+	m.ProcessSlots(pkt)
+	if tos := field(m.Layout(), pkt, "ipv4.tos"); tos != 0 {
+		t.Errorf("tos = %d, want 0 (classify default)", tos)
 	}
-	if pkt.Fields["ipv4.tos"] != 0 {
-		t.Errorf("tos = %d, want 0 (classify default)", pkt.Fields["ipv4.tos"])
-	}
-	if pkt.Fields["ipv4.ttl"] != 9 {
-		t.Errorf("ttl = %d, want 9", pkt.Fields["ipv4.ttl"])
+	if ttl := field(m.Layout(), pkt, "ipv4.ttl"); ttl != 9 {
+		t.Errorf("ttl = %d, want 9", ttl)
 	}
 }
 
 func TestMachineFieldWidthWrap(t *testing.T) {
 	m := newRouterMachine(t)
 	// ttl is 8 bits: decrement from 0 wraps to 255.
-	pkt := mkPacket(0, 0, 100, 0, 0)
-	if _, err := m.Run([]*Packet{pkt}); err != nil {
-		t.Fatal(err)
-	}
-	if pkt.Fields["ipv4.ttl"] != 255 {
-		t.Errorf("ttl = %d, want 255 (8-bit wrap)", pkt.Fields["ipv4.ttl"])
+	pkt := routerPacket(m, 0, 100, 0, 0)
+	m.ProcessSlots(pkt)
+	if ttl := field(m.Layout(), pkt, "ipv4.ttl"); ttl != 255 {
+		t.Errorf("ttl = %d, want 255 (8-bit wrap)", ttl)
 	}
 }
 
 func TestMachineRoundRobinAndTiming(t *testing.T) {
 	m := newRouterMachine(t)
-	gen, err := NewTrafficGen(1, routerProg(t), 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packets := gen.Batch(40)
-	stats, err := m.Run(packets)
+	stats, err := m.RunStream(1, 40, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,13 +473,8 @@ func TestMachineRoundRobinAndTiming(t *testing.T) {
 			t.Errorf("processor %d handled %d packets, want 10", i, n)
 		}
 	}
-	for i, pkt := range packets {
-		if pkt.Processor != i%4 {
-			t.Errorf("packet %d on processor %d, want %d", i, pkt.Processor, i%4)
-		}
-		if pkt.CompleteAt != pkt.ArriveAt+stats.Makespan {
-			t.Errorf("packet %d completes at %d, want %d", i, pkt.CompleteAt, pkt.ArriveAt+stats.Makespan)
-		}
+	if stats.Makespan != m.Schedule().Makespan {
+		t.Errorf("per-packet latency %d, want the schedule's %d", stats.Makespan, m.Schedule().Makespan)
 	}
 	if stats.TotalCycles != 39+stats.Makespan {
 		t.Errorf("total cycles = %d, want %d", stats.TotalCycles, 39+stats.Makespan)
@@ -508,10 +490,7 @@ func TestMachineRoundRobinAndTiming(t *testing.T) {
 
 func TestMachineResetState(t *testing.T) {
 	m := newRouterMachine(t)
-	pkt := mkPacket(0, 0, 7, 64, 0)
-	if _, err := m.Run([]*Packet{pkt}); err != nil {
-		t.Fatal(err)
-	}
+	m.ProcessSlots(routerPacket(m, 0, 7, 64, 0))
 	m.ResetState()
 	cells, _ := m.Register("r_count")
 	for _, v := range cells {
@@ -528,15 +507,12 @@ func TestTrafficGenDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2, _ := NewTrafficGen(5, prog, 0)
-	p1, p2 := g1.Next(), g2.Next()
-	for f, v := range p1.Fields {
-		if p2.Fields[f] != v {
-			t.Fatalf("same seed diverges on %s", f)
-		}
+	p1, p2 := refPackets(g1, 1)[0], refPackets(g2, 1)[0]
+	if !reflect.DeepEqual(p1, p2) {
+		t.Fatalf("same seed diverges: %v, %v", p1, p2)
 	}
 	// ttl is 8 bits: generated values must respect field width.
-	for i := 0; i < 100; i++ {
-		p := g1.Next()
+	for _, p := range refPackets(g1, 100) {
 		if v := p.Fields["ipv4.ttl"]; v < 0 || v > 255 {
 			t.Fatalf("ttl = %d outside 8-bit range", v)
 		}
@@ -545,8 +521,7 @@ func TestTrafficGenDeterministic(t *testing.T) {
 
 func TestFormatStats(t *testing.T) {
 	m := newRouterMachine(t)
-	gen, _ := NewTrafficGen(2, routerProg(t), 100)
-	stats, err := m.Run(gen.Batch(8))
+	stats, err := m.RunStream(2, 8, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

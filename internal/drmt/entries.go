@@ -27,7 +27,6 @@ type Entry struct {
 // EntrySet holds the entries of every table, in priority (insertion) order.
 type EntrySet struct {
 	byTable map[string][]Entry
-	order   []string
 }
 
 // NewEntrySet returns an empty entry set.
@@ -37,9 +36,6 @@ func NewEntrySet() *EntrySet {
 
 // Add appends an entry to its table (lowest index = highest priority).
 func (s *EntrySet) Add(e Entry) {
-	if _, ok := s.byTable[e.Table]; !ok {
-		s.order = append(s.order, e.Table)
-	}
 	s.byTable[e.Table] = append(s.byTable[e.Table], e)
 }
 
@@ -57,9 +53,6 @@ func (s *EntrySet) Len() int {
 	}
 	return n
 }
-
-// Tables lists tables that have entries, in first-insertion order.
-func (s *EntrySet) Tables() []string { return append([]string(nil), s.order...) }
 
 // Matches reports whether the entry matches a packet field value.
 func (e *Entry) Matches(value int64) bool {

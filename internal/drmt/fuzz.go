@@ -126,9 +126,10 @@ func (f *DiffFuzzer) Clone() *DiffFuzzer {
 	return &c
 }
 
-// Fuzz resets both machines and streams n packets from gen through the
-// oracle's packet loop (flat.Oracle.Fuzz), which compares the drop flag and
-// every field packet by packet. Register state accumulates across the
+// Fuzz resets both machines and streams n packets from gen — a generator
+// of the program's fields, checked by name — through the oracle's packet
+// loop (flat.Oracle.Fuzz), which compares the drop flag and every field
+// packet by packet. Register state accumulates across the
 // stream on both sides (and is compared indirectly, through register_read
 // results). Renderings and Diff records are built only for diverging
 // packets, so a clean run's total allocation count is O(1) in n. Execution
@@ -140,8 +141,8 @@ func (f *DiffFuzzer) Fuzz(gen *TrafficGen, n int) (*DiffReport, error) {
 	if gen == nil || n <= 0 {
 		return nil, fmt.Errorf("drmt: empty fuzz stream") //dvet:alloc-ok harness-misuse error path
 	}
-	if gen.NumFields() != f.layout.NumFields() {
-		return nil, fmt.Errorf("drmt: traffic generator has %d fields, program has %d", gen.NumFields(), f.layout.NumFields()) //dvet:alloc-ok harness-misuse error path
+	if !slices.Equal(gen.fields, f.layout.fields) {
+		return nil, fmt.Errorf("drmt: traffic generator draws fields %v, program has %v", gen.fields, f.layout.fields) //dvet:alloc-ok harness-misuse error path
 	}
 	f.oracle.Program().Reset(f.frame)
 	rep := &DiffReport{} //dvet:alloc-ok one report per run, not per packet

@@ -4,11 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"druzhba/internal/p4"
 	"druzhba/internal/phv"
 )
 
-// TestTrafficGenWideFieldsNoPanic is the regression test for the shift
-// overflow in Next: int64(1)<<63 is negative and int64(1)<<64 is 0, either
+// TestTrafficGenWideFieldsNoPanic is the regression test for a shift
+// overflow in the draw: int64(1)<<63 is negative and int64(1)<<64 is 0, either
 // of which panics rand.Int63n. Fields 63 bits and wider must draw from the
 // full non-negative range instead. The p4 parser caps declared widths at
 // 62, so the generator is built directly.
@@ -19,8 +20,7 @@ func TestTrafficGenWideFieldsNoPanic(t *testing.T) {
 	}
 	g := &TrafficGen{fields: []string{"h.w62", "h.w63", "h.w64"}}
 	g.Start(wide, 1)
-	for i := 0; i < 100; i++ {
-		p := g.Next()
+	for i, p := range refPackets(g, 100) {
 		for f, v := range p.Fields {
 			if v < 0 {
 				t.Fatalf("packet %d field %s = %d, want non-negative", i, f, v)
@@ -34,30 +34,30 @@ func TestTrafficGenWideFieldsNoPanic(t *testing.T) {
 	}
 	g = &TrafficGen{fields: []string{"h.w64"}}
 	g.Start(bounded, 1)
-	for i := 0; i < 100; i++ {
-		if v := g.Next().Fields["h.w64"]; v < 0 || v >= 10 {
+	for _, p := range refPackets(g, 100) {
+		if v := p.Fields["h.w64"]; v < 0 || v >= 10 {
 			t.Fatalf("bounded wide field = %d, want [0,10)", v)
 		}
 	}
 }
 
-// TestTrafficGenGlobalPacketIDs is the regression test for Batch restarting
-// IDs at 0 on every call: campaign shards rely on one generator handing out
-// globally ordered IDs across consecutive batches.
+// TestTrafficGenGlobalPacketIDs is the regression test for a batch
+// restarting IDs at 0 on every call: campaign shards rely on one generator
+// handing out globally ordered IDs across consecutive draws.
 func TestTrafficGenGlobalPacketIDs(t *testing.T) {
 	gen, err := NewTrafficGen(1, routerProg(t), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := gen.Batch(3)
-	second := gen.Batch(3)
+	first := refPackets(gen, 3)
+	second := refPackets(gen, 3)
 	for i, p := range append(first, second...) {
 		if p.ID != i {
 			t.Fatalf("packet %d has ID %d, want %d", i, p.ID, i)
 		}
 	}
-	if next := gen.Next(); next.ID != 6 {
-		t.Fatalf("Next after two batches has ID %d, want 6", next.ID)
+	if id := gen.Fill(make([]int64, gen.NumFields())); id != 6 {
+		t.Fatalf("Fill after two batches has ID %d, want 6", id)
 	}
 }
 
@@ -68,11 +68,7 @@ func TestMachineCloneIndependentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.Clone()
-	gen, err := NewTrafficGen(3, prog, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(gen.Batch(50)); err != nil {
+	if _, err := c.RunStream(3, 50, 8); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range prog.Registers {
@@ -92,11 +88,7 @@ func TestISAMachineCloneIndependentState(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := m.Clone()
-	gen, err := NewTrafficGen(3, prog, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(gen.Batch(50)); err != nil {
+	if _, err := c.RunStream(3, 50, 8); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range prog.Registers {
@@ -253,6 +245,49 @@ func TestDiffFuzzerCloneIsolation(t *testing.T) {
 	}
 }
 
+// TestFuzzRejectsGeneratorOfAnotherProgram: Fuzz is the one entry that
+// takes a caller's generator, and one built for another program with as many
+// fields would draw that program's widths silently; the field names tell the
+// two apart.
+func TestFuzzRejectsGeneratorOfAnotherProgram(t *testing.T) {
+	program := func(fields string) *p4.Program {
+		t.Helper()
+		prog, err := p4.Parse(`
+header_type h_t { fields { ` + fields + ` } }
+header h_t h;
+action nop() { }
+table t { reads { h.k : exact; } actions { nop; } default_action : nop(); }
+control ingress { apply(t); }
+`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog
+	}
+	mine, other := program("k : 8; x : 16;"), program("k : 8; y : 2;")
+	f, err := NewDiffFuzzer(mine, nil, NewEntrySet(), HWConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := NewTrafficGen(1, other, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen.NumFields() != f.layout.NumFields() {
+		t.Fatalf("the fixture's programs have %d and %d fields, want as many", gen.NumFields(), f.layout.NumFields())
+	}
+	const want = "drmt: traffic generator draws fields [h.k h.y], program has [h.k h.x]"
+	if _, err := f.Fuzz(gen, 10); err == nil || err.Error() != want {
+		t.Fatalf("Fuzz with another program's generator = %v, want %q", err, want)
+	}
+	if gen, err = NewTrafficGen(1, mine, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := f.Fuzz(gen, 10); err != nil || !rep.Passed() {
+		t.Fatalf("Fuzz with the program's own generator = %+v, %v", rep, err)
+	}
+}
+
 // TestFuzzSeededReusesThePlan: the traffic plan a fuzzer keeps between
 // seeded runs is invisible — whatever seed, bound and mode the previous run
 // used, a run reports what a new fuzzer's first run reports (under an
@@ -323,9 +358,9 @@ func TestFuzzSeededReusesThePlan(t *testing.T) {
 }
 
 func TestFormatPacketCanonical(t *testing.T) {
-	p := &Packet{Fields: map[string]int64{"b.y": 2, "a.x": 1}, Dropped: true}
-	if got := FormatPacket(p); got != "{a.x=1 b.y=2 dropped}" {
-		t.Fatalf("FormatPacket = %q", got)
+	p := &refPacket{Fields: map[string]int64{"b.y": 2, "a.x": 1}, Dropped: true}
+	if got := formatPacket(p); got != "{a.x=1 b.y=2 dropped}" {
+		t.Fatalf("formatPacket = %q", got)
 	}
 }
 

@@ -579,7 +579,7 @@ func (a *asm) prim(act *p4.Action, pr p4.Primitive) error {
 
 // --- Executor -----------------------------------------------------------------
 
-// ISAStats extends the run statistics with instruction-level counts.
+// ISAStats extends a RunStream's statistics with instruction-level counts.
 type ISAStats struct {
 	Stats
 	// Instructions is the total number of instructions executed.
@@ -630,8 +630,8 @@ func (mt *isaTable) outcomeName(oi int) string {
 // ISAMachine executes an assembled ISA program over the same centralized
 // state (match table entries, register arrays) as the table-level Machine.
 // The program is lowered once, at construction, onto its table entries to
-// a flat program (lower.go); ExecSlots runs it on a slot-vector packet, and
-// Run converts map packets at its boundary.
+// a flat program (lower.go); ExecSlots runs it on one slot-vector packet,
+// and RunStream on a seeded stream of them.
 type ISAMachine struct {
 	prog    *p4.Program
 	isa     *ISAProgram
@@ -758,9 +758,6 @@ func (m *ISAMachine) compileMatchTables() ([]isaTable, error) {
 	return out, nil
 }
 
-// Program returns the ISA program under execution.
-func (m *ISAMachine) Program() *ISAProgram { return m.isa }
-
 // Layout returns the machine's slot layout.
 func (m *ISAMachine) Layout() *SlotLayout { return m.layout }
 
@@ -786,37 +783,25 @@ func (m *ISAMachine) Register(name string) ([]int64, bool) {
 // ResetState zeroes all register arrays.
 func (m *ISAMachine) ResetState() { m.resetState() }
 
-// Run executes the ISA program for every packet, dispatching packets to
-// processors round-robin like the table-level machine. Per-packet latency
-// is the executed instruction count (one instruction per cycle). Each
-// packet is copied into a slot vector, executed, and copied back with its
-// timing annotations; a packet that lacks a program field is rejected. The
-// matches are counted by the lowered program's counting clone, which
-// Dispatched reads too.
-func (m *ISAMachine) Run(packets []*Packet) (*ISAStats, error) {
-	stats := &ISAStats{Stats: newStats(len(packets), m.hw.Processors)}
-	p := m.counted()
-	buf := make([]int64, m.layout.NumFields())
-	for i, pkt := range packets {
-		if err := m.layout.PacketToSlots(pkt, buf); err != nil {
-			return nil, fmt.Errorf("drmt isa: packet %d: %w", pkt.ID, err)
-		}
-		executed, dropped, err := m.run(p, buf)
-		if err != nil {
-			return nil, fmt.Errorf("drmt isa: packet %d: %w", pkt.ID, err)
-		}
-		dropped = dropped || pkt.Dropped
-		m.layout.SlotsToPacket(buf, dropped, pkt)
-		stats.Instructions += int64(executed)
-		pkt.ArriveAt = i
-		pkt.Processor, pkt.CompleteAt = stats.record(i, executed, dropped)
+// RunStream drives n packets of seeded traffic through the ISA program —
+// the stream NewTrafficGen(seed, program, max) draws, each field bounded by
+// max (0 = its declared width) — dispatching packets to processors
+// round-robin like the table-level machine. Per-packet latency is the
+// executed instruction count (one instruction per cycle), and register-array
+// state accumulates across the stream. The matches are counted by the
+// lowered program's counting clone, which Dispatched reads too. A packet that
+// traps stops the run with an error naming it.
+func (m *ISAMachine) RunStream(seed int64, n int, max int64) (*ISAStats, error) {
+	stats := &ISAStats{Stats: newStats(n, m.hw.Processors)}
+	var err error
+	if stats.MatchOps, stats.Instructions, err = m.stream(m.prog, seed, n, max, &stats.Stats, m.isa.Tables, m.run); err != nil {
+		return nil, fmt.Errorf("drmt isa: %w", err)
 	}
-	stats.MatchOps = stats.finish(m.isa.Tables, m.matchCounts(len(m.isa.Tables)))
 	return stats, nil
 }
 
 // Dispatched returns how many instructions of the lowered program the last
-// Run dispatched, its count additions included: what the packets cost on
+// RunStream dispatched, its count additions included: what the packets cost on
 // the frame, where ISAStats.Instructions counts the source program's.
 func (m *ISAMachine) Dispatched() (n int64) {
 	if m.counting != nil {

@@ -103,32 +103,7 @@ func TestISADifferentialL2L3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := NewTrafficGen(1234, prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchA := gen.Batch(3000)
-	batchB := make([]*Packet, len(batchA))
-	for i, p := range batchA {
-		batchB[i] = p.Clone()
-	}
-	if _, err := tableM.Run(batchA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := isaM.Run(batchB); err != nil {
-		t.Fatal(err)
-	}
-	for i := range batchA {
-		a, b := batchA[i], batchB[i]
-		if a.Dropped != b.Dropped {
-			t.Fatalf("packet %d: dropped %v vs %v", i, a.Dropped, b.Dropped)
-		}
-		for f, v := range a.Fields {
-			if b.Fields[f] != v {
-				t.Fatalf("packet %d field %s: table-level %d, ISA %d", i, f, v, b.Fields[f])
-			}
-		}
-	}
+	sameOnTraffic(t, tableM, isaM, 1234, 3000, 0)
 	for _, r := range prog.Registers {
 		av, _ := tableM.Register(r.Name)
 		bv, _ := isaM.Register(r.Name)
@@ -153,36 +128,31 @@ func TestISADifferentialTargetedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, err := NewTrafficGen(77, prog, 8) // values < 8: heavy entry overlap
+	sameOnTraffic(t, tableM, isaM, 77, 2000, 8) // values < 8: heavy entry overlap
+}
+
+// sameOnTraffic runs n packets of seeded traffic through both machines, one
+// slot vector at a time, and fails on the first packet whose fields or drop
+// flag they disagree on.
+func sameOnTraffic(t *testing.T, tableM *Machine, isaM *ISAMachine, seed int64, n int, max int64) {
+	t.Helper()
+	gen, err := NewTrafficGen(seed, tableM.prog, max)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batchA := gen.Batch(2000)
-	batchB := make([]*Packet, len(batchA))
-	for i, p := range batchA {
-		batchB[i] = p.Clone()
-	}
-	if _, err := tableM.Run(batchA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := isaM.Run(batchB); err != nil {
-		t.Fatal(err)
-	}
-	mismatches := 0
-	for i := range batchA {
-		if batchA[i].Dropped != batchB[i].Dropped {
-			mismatches++
-			continue
+	l := tableM.Layout()
+	a, b := make([]int64, l.NumFields()), make([]int64, l.NumFields())
+	for i := 0; i < n; i++ {
+		gen.Fill(a)
+		copy(b, a)
+		tabDropped := tableM.ProcessSlots(a)
+		_, isaDropped, err := isaM.ExecSlots(b)
+		if err != nil {
+			t.Fatalf("packet %d: %v", i, err)
 		}
-		for f, v := range batchA[i].Fields {
-			if batchB[i].Fields[f] != v {
-				mismatches++
-				break
-			}
+		if got, want := l.FormatSlots(b, isaDropped), l.FormatSlots(a, tabDropped); got != want {
+			t.Fatalf("packet %d: ISA %s, table-level %s", i, got, want)
 		}
-	}
-	if mismatches != 0 {
-		t.Fatalf("%d/%d packets diverge between table-level and ISA execution", mismatches, len(batchA))
 	}
 }
 
@@ -210,25 +180,25 @@ func TestISAParamsRegistersAndDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(id int, key int64) *Packet {
-		return &Packet{ID: id, Fields: map[string]int64{"h.key": key, "h.count": 0}}
+	counts := make([]int64, 4)
+	for i, key := range []int64{
+		5, // entry: bump(10) -> tally[1] = 10 (5 wraps to cell 1 of 4)
+		5, // bump(10) again -> 20
+		3, // toss() -> dropped
+		0, // default bump(1) -> tally[0] = 1
+	} {
+		pkt := (&refPacket{Fields: map[string]int64{"h.key": key}}).slots(m.Layout())
+		executed, dropped, err := m.ExecSlots(pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dropped != (i == 2) || executed == 0 {
+			t.Fatalf("packet %d: dropped %v after %d instructions", i, dropped, executed)
+		}
+		counts[i] = field(m.Layout(), pkt, "h.count")
 	}
-	pkts := []*Packet{
-		mk(0, 5), // entry: bump(10) -> tally[1] = 10 (5 wraps to cell 1 of 4)
-		mk(1, 5), // bump(10) again -> 20
-		mk(2, 3), // toss() -> dropped
-		mk(3, 0), // default bump(1) -> tally[0] = 1
-	}
-	stats, err := m.Run(pkts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Dropped != 1 || !pkts[2].Dropped {
-		t.Fatalf("drop accounting wrong: %+v", stats)
-	}
-	if pkts[0].Fields["h.count"] != 10 || pkts[1].Fields["h.count"] != 20 {
-		t.Fatalf("register_read results: %d, %d; want 10, 20",
-			pkts[0].Fields["h.count"], pkts[1].Fields["h.count"])
+	if counts[0] != 10 || counts[1] != 20 {
+		t.Fatalf("register_read results: %d, %d; want 10, 20", counts[0], counts[1])
 	}
 	cells, ok := m.Register("tally")
 	if !ok {
@@ -236,9 +206,6 @@ func TestISAParamsRegistersAndDrop(t *testing.T) {
 	}
 	if cells[1] != 20 || cells[0] != 1 {
 		t.Fatalf("tally = %v; want cell1=20, cell0=1", cells)
-	}
-	if stats.Instructions == 0 || stats.MatchOps != int64(len(pkts)) {
-		t.Fatalf("instruction accounting: %+v", stats)
 	}
 }
 
@@ -284,16 +251,16 @@ control ingress {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := &Packet{Fields: map[string]int64{"h.v": 1}}
-	if _, err := m.Run([]*Packet{pkt}); err != nil {
+	pkt := []int64{1} // h.v
+	if _, _, err := m.ExecSlots(pkt); err != nil {
 		t.Fatal(err)
 	}
 	cells, _ := m.Register("wide")
 	if cells[0] != 65535 {
 		t.Fatalf("16-bit register holds %d, want 65535", cells[0])
 	}
-	if pkt.Fields["h.v"] != 255 {
-		t.Fatalf("8-bit field holds %d, want 255 (truncated)", pkt.Fields["h.v"])
+	if pkt[0] != 255 {
+		t.Fatalf("8-bit field holds %d, want 255 (truncated)", pkt[0])
 	}
 }
 
@@ -344,18 +311,18 @@ control ingress {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := &Packet{Fields: map[string]int64{"h.v": 7}}
-	stats, err := m.Run([]*Packet{pkt})
+	pkt := []int64{7} // h.v
+	if _, dropped, err := m.ExecSlots(pkt); err != nil || !dropped {
+		t.Fatalf("packet should be dropped: dropped %v, err %v", dropped, err)
+	}
+	if pkt[0] != 7 {
+		t.Fatalf("second table ran after drop: h.v = %d", pkt[0])
+	}
+	stats, err := m.RunStream(1, 20, 0) // first's default drops every packet
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pkt.Dropped {
-		t.Fatal("packet should be dropped")
-	}
-	if pkt.Fields["h.v"] != 7 {
-		t.Fatalf("second table ran after drop: h.v = %d", pkt.Fields["h.v"])
-	}
-	if stats.MemoryAccesses["second"] != 0 {
+	if stats.Dropped != 20 || stats.MemoryAccesses["first"] != 20 || stats.MemoryAccesses["second"] != 0 {
 		t.Fatalf("second table performed %d crossbar accesses after drop", stats.MemoryAccesses["second"])
 	}
 }
@@ -407,19 +374,10 @@ func BenchmarkISAExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen, err := NewTrafficGen(9, prog, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pkts := gen.Batch(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ResetState()
-		batch := make([]*Packet, len(pkts))
-		for j, p := range pkts {
-			batch[j] = p.Clone()
-		}
-		if _, err := m.Run(batch); err != nil {
+		if _, err := m.RunStream(9, 1000, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,41 +67,35 @@ func TestL2L3EndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkPkt := func(id int, dstMac, srcIP, dstIP int64) *Packet {
-		return &Packet{ID: id, Fields: map[string]int64{
+	l := m.Layout()
+	mkPkt := func(dstMac, srcIP, dstIP int64) []int64 {
+		return (&refPacket{Fields: map[string]int64{
 			"eth.dstMac": dstMac, "eth.srcMac": 0x42, "eth.etherType": 0x800,
 			"ipv4.srcAddr": srcIP, "ipv4.dstAddr": dstIP, "ipv4.ttl": 64, "ipv4.proto": 6,
 			"meta.egressPort": 0, "meta.l2Hit": 0,
-		}}
+		}}).slots(l)
 	}
 	// Packet 0: known MAC -> L2 forward to port 3, then routing to 10/8
 	// overrides to port 1 (apply order), ACL permits.
-	p0 := mkPkt(0, 0xaabbcc, 0x01020304, 0x0A010101)
+	p0 := mkPkt(0xaabbcc, 0x01020304, 0x0A010101)
 	// Packet 1: unknown MAC, dst 127.0.0.1 -> dropped by routing.
-	p1 := mkPkt(1, 0x999999, 0x01020304, 0x7F000001)
+	p1 := mkPkt(0x999999, 0x01020304, 0x7F000001)
 	// Packet 2: source in 10.66/16 -> dropped by ACL.
-	p2 := mkPkt(2, 0x112233, 0x0A420001, 0xC0A80101)
-	stats, err := m.Run([]*Packet{p0, p1, p2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p0.Dropped {
+	p2 := mkPkt(0x112233, 0x0A420001, 0xC0A80101)
+	if m.ProcessSlots(p0) {
 		t.Error("packet 0 dropped")
 	}
-	if p0.Fields["meta.l2Hit"] != 1 {
+	if field(l, p0, "meta.l2Hit") != 1 {
 		t.Error("packet 0 missed dmac")
 	}
-	if p0.Fields["meta.egressPort"] != 1 {
-		t.Errorf("packet 0 egress port = %d, want 1 (routing overrides L2)", p0.Fields["meta.egressPort"])
+	if port := field(l, p0, "meta.egressPort"); port != 1 {
+		t.Errorf("packet 0 egress port = %d, want 1 (routing overrides L2)", port)
 	}
-	if p0.Fields["ipv4.ttl"] != 63 {
-		t.Errorf("packet 0 ttl = %d, want 63", p0.Fields["ipv4.ttl"])
+	if ttl := field(l, p0, "ipv4.ttl"); ttl != 63 {
+		t.Errorf("packet 0 ttl = %d, want 63", ttl)
 	}
-	if !p1.Dropped || !p2.Dropped {
-		t.Errorf("drops: p1=%v p2=%v, want both dropped", p1.Dropped, p2.Dropped)
-	}
-	if stats.Dropped != 2 {
-		t.Errorf("stats.Dropped = %d", stats.Dropped)
+	if d1, d2 := m.ProcessSlots(p1), m.ProcessSlots(p2); !d1 || !d2 {
+		t.Errorf("drops: p1=%v p2=%v, want both dropped", d1, d2)
 	}
 	// The learning register counted all three source MACs (0x42 % 64 = 2).
 	cells, _ := m.Register("r_learned")

@@ -84,8 +84,7 @@ func TestLoweredBlocksRetireTheSourcePath(t *testing.T) {
 					continue // a branch target: TestBlocksEqualTheirSourcePath
 				}
 				// The reference from the block's pc on, over zero fields and banks.
-				pkt := &Packet{Fields: map[string]int64{}}
-				m.layout.SlotsToPacket(make([]int64, m.layout.NumFields()), false, pkt)
+				pkt := newRefPacket(m.layout.fields, 0, make([]int64, m.layout.NumFields()))
 				ref.ResetState()
 				want, at, err := ref.stepFrom(bl.pc, regs, pkt)
 				if err != nil {
@@ -158,11 +157,10 @@ func TestLoweringFoldsTheDispatchLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := &Packet{Fields: map[string]int64{}} // all-zero fields hit no entry
-	m.layout.SlotsToPacket(make([]int64, m.layout.NumFields()), false, pkt)
-	stats, err := m.Run([]*Packet{pkt})
-	if err != nil || stats.Instructions != 51 {
-		t.Fatalf("Run = %+v, err %v; want 51 instructions", stats, err)
+	// All-zero fields hit no entry; the counting clone is RunStream's.
+	executed, _, err := m.run(m.counted(), make([]int64, m.layout.NumFields()))
+	if err != nil || executed != 51 {
+		t.Fatalf("the all-default path retires %d instructions, err %v; want 51", executed, err)
 	}
 	if ops := m.Dispatched(); ops != 22 {
 		t.Fatalf("l2l3's all-default path dispatches %d instructions; want 22\n%s", ops, m.Lowered())
@@ -319,17 +317,14 @@ func TestLoweringSharesEqualOutcomes(t *testing.T) {
 	}
 	stats := &ISAStats{Stats: Stats{MemoryAccesses: map[string]int{}}}
 	for _, k := range []int64{0, 1, 2, 3, 4, routes, routes + 1} {
-		pkt := &Packet{Fields: map[string]int64{"h.k": k, "h.x": 77}}
-		buf := make([]int64, m.layout.NumFields())
-		if err := m.layout.PacketToSlots(pkt, buf); err != nil {
-			t.Fatal(err)
-		}
+		pkt := &refPacket{Fields: map[string]int64{"h.k": k, "h.x": 77}}
+		buf := pkt.slots(m.layout)
 		executed, dropped, err := m.ExecSlots(buf)
 		wantExecuted, wantErr := ref.exec(pkt, stats)
 		if err != nil || wantErr != nil || executed != wantExecuted {
 			t.Fatalf("k=%d: ExecSlots %d instructions, err %v; reference %d, err %v", k, executed, err, wantExecuted, wantErr)
 		}
-		if got, want := m.layout.FormatSlots(buf, dropped), FormatPacket(pkt); got != want {
+		if got, want := m.layout.FormatSlots(buf, dropped), formatPacket(pkt); got != want {
 			t.Fatalf("k=%d: ExecSlots %s, reference %s", k, got, want)
 		}
 	}
@@ -451,17 +446,14 @@ func TestLoweringBindsEveryParameter(t *testing.T) {
 	}
 	stats := &ISAStats{Stats: Stats{MemoryAccesses: map[string]int{}}}
 	for k := int64(0); k < 4; k++ {
-		pkt := &Packet{Fields: map[string]int64{"h.k": k, "h.x": 1, "h.y": 2}}
-		buf := make([]int64, m.layout.NumFields())
-		if err := m.layout.PacketToSlots(pkt, buf); err != nil {
-			t.Fatal(err)
-		}
+		pkt := &refPacket{Fields: map[string]int64{"h.k": k, "h.x": 1, "h.y": 2}}
+		buf := pkt.slots(m.layout)
 		executed, dropped, err := m.ExecSlots(buf)
 		wantExecuted, wantErr := ref.exec(pkt, stats)
 		if err != nil || wantErr != nil || executed != wantExecuted {
 			t.Fatalf("k=%d: ExecSlots %d instructions, err %v; reference %d, err %v", k, executed, err, wantExecuted, wantErr)
 		}
-		if got, want := m.layout.FormatSlots(buf, dropped), FormatPacket(pkt); got != want {
+		if got, want := m.layout.FormatSlots(buf, dropped), formatPacket(pkt); got != want {
 			t.Fatalf("k=%d: ExecSlots %s, reference %s\n%s", k, got, want, m.Lowered())
 		}
 	}
@@ -499,34 +491,36 @@ func TestDispatchCounts(t *testing.T) {
 		}
 		m := benchISAMachine(t, bm)
 		plain := m.Clone()
+		stats, err := m.RunStream(1, packets, bm.MaxInput)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ops := m.Dispatched(); ops != tc.ops || stats.Instructions != tc.instructions {
+			t.Errorf("%s: %d instructions dispatched for %d source instructions, want %d for %d", tc.bench, ops, stats.Instructions, tc.ops, tc.instructions)
+		}
+		// The same stream once more, through the counting clone and the
+		// program side by side.
+		m.ResetState()
+		counted := m.counted()
 		gen, err := NewTrafficGen(1, m.prog, bm.MaxInput)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkts := gen.Batch(packets)
-		buf := make([]int64, m.layout.NumFields())
-		want := make([]string, packets)
-		for i, pkt := range pkts {
-			if err := m.layout.PacketToSlots(pkt, buf); err != nil {
-				t.Fatal(err)
-			}
-			_, dropped, err := plain.ExecSlots(buf)
+		got, want := make([]int64, m.layout.NumFields()), make([]int64, m.layout.NumFields())
+		for i := 0; i < packets; i++ {
+			gen.Fill(got)
+			copy(want, got)
+			_, gotDropped, err := m.run(counted, got)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[i] = m.layout.FormatSlots(buf, dropped)
-		}
-		stats, err := m.Run(pkts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, pkt := range pkts {
-			if got := FormatPacket(pkt); got != want[i] {
-				t.Fatalf("%s: packet %d: the counting clone computed %s, the program %s", tc.bench, i, got, want[i])
+			_, wantDropped, err := plain.ExecSlots(want)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if ops := m.Dispatched(); ops != tc.ops || stats.Instructions != tc.instructions {
-			t.Errorf("%s: %d instructions dispatched for %d source instructions, want %d for %d", tc.bench, ops, stats.Instructions, tc.ops, tc.instructions)
+			if g, w := m.layout.FormatSlots(got, gotDropped), m.layout.FormatSlots(want, wantDropped); g != w {
+				t.Fatalf("%s: packet %d: the counting clone computed %s, the program %s", tc.bench, i, g, w)
+			}
 		}
 		f, err := NewDiffFuzzer(m.prog, nil, m.entries, bm.HW)
 		if err != nil {

@@ -6,35 +6,10 @@ import (
 	"sort"
 
 	"druzhba/internal/dag"
+	"druzhba/internal/flat"
 	"druzhba/internal/p4"
 	"druzhba/internal/phv"
 )
-
-// Packet is one packet flowing through the dRMT machine: a bag of header
-// field values plus bookkeeping. It is the named-field view of the public
-// Run API; the lowered programs run on layout-ordered []int64 slot vectors
-// (see slots.go) and Run converts at its boundary.
-type Packet struct {
-	ID      int
-	Fields  map[string]int64
-	Dropped bool
-
-	// Timing, filled by the simulator.
-	Processor  int
-	ArriveAt   int // cycle the packet enters its processor
-	CompleteAt int // cycle the program finishes for this packet
-}
-
-// Clone deep-copies the packet.
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.Fields = make(map[string]int64, len(p.Fields))
-	//dvet:nondeterministic-ok map-to-map copy, order-free
-	for k, v := range p.Fields {
-		q.Fields[k] = v
-	}
-	return &q
-}
 
 // TrafficMode selects the distribution a traffic generator draws field
 // values from; the type, its two modes and the boundary set are defined
@@ -54,9 +29,11 @@ const (
 // with one column per program field in slot order (sorted field names,
 // matching SlotLayout), each at the field's declared width. Fill and Start
 // are the embedded generator's: Fill writes a packet's field values into the
-// first NumFields entries of a caller-owned buffer and returns the packet's
-// ID, its index in the stream, so consecutive Next/Fill/Batch calls on one
-// generator yield distinct, globally ordered IDs that Start restarts at 0.
+// first NumFields entries of a caller-owned buffer, a layout-ordered slot
+// vector, and returns the packet's ID, its index in the stream, so
+// consecutive Fill calls on one generator yield distinct, globally ordered
+// IDs that Start restarts at 0. The generator keeps its fields' names, so a
+// consumer can tell which program it was built for.
 type TrafficGen struct {
 	phv.TrafficGen
 	fields []string
@@ -71,7 +48,7 @@ func NewTrafficGen(seed int64, prog *p4.Program, max int64) (*TrafficGen, error)
 
 // NewTrafficGenMode is NewTrafficGen with an explicit traffic mode. Both
 // modes draw exactly one random number per field, so a given mode is
-// deterministic for a given seed across Fill, Next and Batch.
+// deterministic for a given seed.
 func NewTrafficGenMode(seed int64, prog *p4.Program, max int64, mode TrafficMode) (*TrafficGen, error) {
 	fields := prog.FieldNames()
 	plan, err := newTraffic(prog, fields, max, mode)
@@ -100,26 +77,7 @@ func newTraffic(prog *p4.Program, fields []string, max int64, mode TrafficMode) 
 // NumFields returns the number of values Fill draws per packet.
 func (g *TrafficGen) NumFields() int { return len(g.fields) }
 
-// Next generates one packet, consuming the stream exactly as Fill does.
-func (g *TrafficGen) Next() *Packet {
-	vals := make([]int64, len(g.fields))
-	p := &Packet{ID: g.Fill(vals), Fields: make(map[string]int64, len(g.fields))}
-	for i, f := range g.fields {
-		p.Fields[f] = vals[i]
-	}
-	return p
-}
-
-// Batch generates the next n packets.
-func (g *TrafficGen) Batch(n int) []*Packet {
-	out := make([]*Packet, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
-}
-
-// Stats aggregates a simulation run.
+// Stats aggregates a RunStream of either machine.
 type Stats struct {
 	Packets     int
 	Dropped     int
@@ -134,27 +92,24 @@ type Stats struct {
 }
 
 // newStats starts the statistics of an n-packet run: the one Stats assembly
-// behind Machine.Run, Machine.RunStream and ISAMachine.Run.
+// behind both machines' RunStream.
 func newStats(n, processors int) Stats {
 	return Stats{Packets: n, MemoryAccesses: map[string]int{}, PerProcessor: make([]int, processors)}
 }
 
-// record accounts for packet i of the run — dispatched round-robin, one
-// packet per cycle (§4.2), complete latency cycles after it arrived — and
-// returns its processor and completion cycle.
-func (s *Stats) record(i, latency int, dropped bool) (processor, completeAt int) {
-	processor, completeAt = i%len(s.PerProcessor), i+latency
-	s.PerProcessor[processor]++
+// record accounts for packet i of the run: dispatched round-robin, one
+// packet per cycle (§4.2), complete latency cycles after it arrived.
+func (s *Stats) record(i, latency int, dropped bool) {
+	s.PerProcessor[i%len(s.PerProcessor)]++
 	if dropped {
 		s.Dropped++
 	}
 	if latency > s.Makespan {
 		s.Makespan = latency
 	}
-	if completeAt > s.TotalCycles {
-		s.TotalCycles = completeAt
+	if i+latency > s.TotalCycles {
+		s.TotalCycles = i + latency
 	}
-	return
 }
 
 // finish folds a machine's per-table match counters (cleared at the start
@@ -176,8 +131,8 @@ func (s *Stats) finish(tables []string, matchCount []int) (matches int64) {
 // Machine is an executable dRMT configuration: program, schedule, hardware
 // parameters, table entries and register state. The program is lowered onto
 // its table entries at construction (lowerTables, slots.go) to one flat
-// program: ProcessSlots runs it on a packet, and Run and RunStream are two
-// ways of feeding it.
+// program: ProcessSlots runs it on one slot-vector packet, and RunStream on a
+// seeded stream of them.
 type Machine struct {
 	prog    *p4.Program
 	graph   *dag.Graph
@@ -270,51 +225,23 @@ func (m *Machine) ProcessSlots(pkt []int64) (dropped bool) {
 	return m.exec(m.code, pkt)
 }
 
-// Run executes the program on every packet. Packets are dispatched to
-// processors round-robin, one packet per cycle (§4.2); each packet runs to
-// completion on its processor per the schedule. Logical effects follow the
-// control order packet by packet (the schedule satisfies all data
-// dependencies, so timing and logical order agree). Each packet is copied
-// into a slot vector, processed, and copied back with its timing
-// annotations; a packet that lacks a program field is rejected. A packet
-// that arrives already dropped skips every table. The crossbar accesses are
-// counted by the lowered program's counting clone.
-func (m *Machine) Run(packets []*Packet) (*Stats, error) {
-	stats := newStats(len(packets), m.hw.Processors)
-	stats.Makespan = m.sched.Makespan
-	p := m.counted()
-	buf := make([]int64, m.layout.NumFields())
-	for i, pkt := range packets {
-		if err := m.layout.PacketToSlots(pkt, buf); err != nil {
-			return nil, fmt.Errorf("drmt: packet %d: %w", pkt.ID, err)
-		}
-		dropped := pkt.Dropped || m.exec(p, buf)
-		m.layout.SlotsToPacket(buf, dropped, pkt)
-		pkt.ArriveAt = i
-		pkt.Processor, pkt.CompleteAt = stats.record(i, m.sched.Makespan, dropped)
-	}
-	stats.finish(m.layout.tables, m.matchCounts(len(m.layout.tables)))
-	return &stats, nil
-}
-
-// RunStream drives n packets from the generator through the machine,
-// filling a single reused slot vector in place of materializing *Packet
-// values. It consumes the generator's random stream exactly like
-// Run(gen.Batch(n)) and produces identical Stats; only the per-*Packet
-// timing annotations of the map API have no streaming counterpart.
-func (m *Machine) RunStream(gen *TrafficGen, n int) (*Stats, error) {
-	if len(gen.fields) != m.layout.NumFields() {
-		return nil, fmt.Errorf("drmt: traffic generator has %d fields, program has %d", len(gen.fields), m.layout.NumFields())
-	}
+// RunStream drives n packets of seeded traffic through the machine — the
+// stream NewTrafficGen(seed, program, max) draws, each field bounded by max
+// (0 = its declared width) — and returns the run's statistics. Packets are
+// dispatched to processors round-robin, one packet per cycle (§4.2); each
+// runs to completion on its processor per the schedule, so every packet's
+// latency is the schedule's makespan. Logical effects follow the control
+// order packet by packet (the schedule satisfies all data dependencies, so
+// timing and logical order agree) and register state accumulates across the
+// stream. The crossbar accesses are counted by the lowered program's
+// counting clone.
+func (m *Machine) RunStream(seed int64, n int, max int64) (*Stats, error) {
 	stats := newStats(n, m.hw.Processors)
 	stats.Makespan = m.sched.Makespan
-	p := m.counted()
-	buf := make([]int64, m.layout.NumFields())
-	for i := 0; i < n; i++ {
-		gen.Fill(buf)
-		stats.record(i, m.sched.Makespan, m.exec(p, buf))
+	step := func(p *flat.Program, pkt []int64) (int, bool, error) { return m.sched.Makespan, m.exec(p, pkt), nil }
+	if _, _, err := m.stream(m.prog, seed, n, max, &stats, m.layout.tables, step); err != nil {
+		return nil, fmt.Errorf("drmt: %w", err)
 	}
-	stats.finish(m.layout.tables, m.matchCounts(len(m.layout.tables)))
 	return &stats, nil
 }
 

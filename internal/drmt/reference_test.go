@@ -2,6 +2,7 @@ package drmt
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -20,6 +21,51 @@ import (
 // campaign-level check in campaign_test.go),
 // and they live in a _test.go file so nothing outside the tests can run
 // them. Keep them obvious; never optimize them.
+
+// refPacket is the reference interpreters' packet: header field values by
+// name, and the drop flag.
+type refPacket struct {
+	ID      int
+	Fields  map[string]int64
+	Dropped bool
+}
+
+// clone deep-copies the packet.
+func (p *refPacket) clone() *refPacket {
+	q := *p
+	q.Fields = maps.Clone(p.Fields)
+	return &q
+}
+
+// newRefPacket names a slot vector's values, in slot order.
+func newRefPacket(names []string, id int, vals []int64) *refPacket {
+	p := &refPacket{ID: id, Fields: make(map[string]int64, len(names))}
+	for i, f := range names {
+		p.Fields[f] = vals[i]
+	}
+	return p
+}
+
+// slots returns the packet's field values as a layout-ordered slot vector,
+// 0 for a field it lacks.
+func (p *refPacket) slots(l *SlotLayout) []int64 {
+	vals := make([]int64, l.NumFields())
+	for i, f := range l.fields {
+		vals[i] = p.Fields[f]
+	}
+	return vals
+}
+
+// refPackets draws the generator's next n packets, named in slot order:
+// the packets a RunStream of the same seed runs.
+func refPackets(g *TrafficGen, n int) []*refPacket {
+	out := make([]*refPacket, n)
+	vals := make([]int64, g.NumFields())
+	for i := range out {
+		out[i] = newRefPacket(g.fields, g.Fill(vals), vals)
+	}
+	return out
+}
 
 // refMachine is the reference table-level interpreter.
 type refMachine struct {
@@ -60,10 +106,10 @@ func (m *refMachine) ResetState() {
 	}
 }
 
-// run is the reference for Machine.Run: the same round-robin dispatch and
-// timing annotations over process. makespan is the schedule's per-packet
-// latency (scheduling is not part of the interpreter semantics).
-func (m *refMachine) run(packets []*Packet, processors, makespan int) (*Stats, error) {
+// run is the reference for Machine.RunStream over the packets: the same
+// round-robin dispatch and timing over process. makespan is the schedule's
+// per-packet latency (scheduling is not part of the interpreter semantics).
+func (m *refMachine) run(packets []*refPacket, processors, makespan int) (*Stats, error) {
 	stats := &Stats{
 		Packets:        len(packets),
 		Makespan:       makespan,
@@ -71,18 +117,15 @@ func (m *refMachine) run(packets []*Packet, processors, makespan int) (*Stats, e
 		PerProcessor:   make([]int, processors),
 	}
 	for i, pkt := range packets {
-		pkt.Processor = i % processors
-		pkt.ArriveAt = i
-		pkt.CompleteAt = i + makespan
-		stats.PerProcessor[pkt.Processor]++
+		stats.PerProcessor[i%processors]++
 		if err := m.process(pkt, stats); err != nil {
 			return nil, fmt.Errorf("drmt: packet %d: %w", pkt.ID, err)
 		}
 		if pkt.Dropped {
 			stats.Dropped++
 		}
-		if pkt.CompleteAt > stats.TotalCycles {
-			stats.TotalCycles = pkt.CompleteAt
+		if completeAt := i + makespan; completeAt > stats.TotalCycles {
+			stats.TotalCycles = completeAt
 		}
 	}
 	if stats.TotalCycles > 0 {
@@ -91,7 +134,7 @@ func (m *refMachine) run(packets []*Packet, processors, makespan int) (*Stats, e
 	return stats, nil
 }
 
-func (m *refMachine) process(pkt *Packet, stats *Stats) error {
+func (m *refMachine) process(pkt *refPacket, stats *Stats) error {
 	for _, name := range m.prog.Control {
 		if pkt.Dropped {
 			return nil
@@ -111,7 +154,7 @@ func (m *refMachine) process(pkt *Packet, stats *Stats) error {
 
 // lookup finds the highest-priority matching entry, falling back to the
 // table's default action.
-func (m *refMachine) lookup(t *p4.Table, pkt *Packet) *p4.ActionCall {
+func (m *refMachine) lookup(t *p4.Table, pkt *refPacket) *p4.ActionCall {
 	for _, e := range m.entries.ForTable(t.Name) {
 		v, ok := pkt.Fields[e.Field]
 		if !ok {
@@ -139,8 +182,8 @@ func (m *refMachine) fieldWidth(name string) phv.Width {
 	return phv.Width{}
 }
 
-// apply executes an action's primitives on a map packet.
-func (m *refMachine) apply(call p4.ActionCall, pkt *Packet) error {
+// apply executes an action's primitives on a reference packet.
+func (m *refMachine) apply(call p4.ActionCall, pkt *refPacket) error {
 	act := m.prog.Action(call.Name)
 	if act == nil {
 		return fmt.Errorf("unknown action %q", call.Name)
@@ -329,31 +372,28 @@ func (m *refISAMachine) ResetState() {
 	}
 }
 
-// run is the reference for ISAMachine.Run: per-packet latency is the
-// executed instruction count.
-func (m *refISAMachine) run(packets []*Packet, processors int) (*ISAStats, error) {
+// run is the reference for ISAMachine.RunStream over the packets:
+// per-packet latency is the executed instruction count.
+func (m *refISAMachine) run(packets []*refPacket, processors int) (*ISAStats, error) {
 	stats := &ISAStats{Stats: Stats{
 		Packets:        len(packets),
 		MemoryAccesses: map[string]int{},
 		PerProcessor:   make([]int, processors),
 	}}
 	for i, pkt := range packets {
-		pkt.Processor = i % processors
-		pkt.ArriveAt = i
-		stats.PerProcessor[pkt.Processor]++
+		stats.PerProcessor[i%processors]++
 		executed, err := m.exec(pkt, stats)
 		if err != nil {
 			return nil, fmt.Errorf("drmt isa: packet %d: %w", pkt.ID, err)
 		}
-		pkt.CompleteAt = pkt.ArriveAt + executed
 		if pkt.Dropped {
 			stats.Dropped++
 		}
 		if executed > stats.Makespan {
 			stats.Makespan = executed
 		}
-		if pkt.CompleteAt > stats.TotalCycles {
-			stats.TotalCycles = pkt.CompleteAt
+		if completeAt := i + executed; completeAt > stats.TotalCycles {
+			stats.TotalCycles = completeAt
 		}
 	}
 	if stats.TotalCycles > 0 {
@@ -362,9 +402,9 @@ func (m *refISAMachine) run(packets []*Packet, processors int) (*ISAStats, error
 	return stats, nil
 }
 
-// exec runs the program on one map packet and returns the executed
+// exec runs the program on one reference packet and returns the executed
 // instruction count.
-func (m *refISAMachine) exec(pkt *Packet, stats *ISAStats) (int, error) {
+func (m *refISAMachine) exec(pkt *refPacket, stats *ISAStats) (int, error) {
 	regs := make([]int64, m.isa.NumRegs)
 	executed := 0
 	pc := 0
@@ -439,7 +479,7 @@ func (m *refISAMachine) exec(pkt *Packet, stats *ISAStats) (int, error) {
 // at pc on the register file regs, up to and including the next MATCH —
 // counted, not looked up — or HALT. It returns the instructions executed
 // and the pc of that MATCH, -1 when the program ended.
-func (m *refISAMachine) stepFrom(pc int, regs []int64, pkt *Packet) (executed, match int, err error) {
+func (m *refISAMachine) stepFrom(pc int, regs []int64, pkt *refPacket) (executed, match int, err error) {
 	for pc < len(m.isa.Instrs) {
 		in := m.isa.Instrs[pc]
 		executed++
@@ -497,7 +537,7 @@ func (m *refISAMachine) stepFrom(pc int, regs []int64, pkt *Packet) (executed, m
 // match performs the table lookup: highest-priority matching entry first,
 // then the table default. It returns the 1-based dispatch index and the
 // bound action arguments (0 = miss with no default).
-func (m *refISAMachine) match(tableSym int, pkt *Packet) (int, []int64, error) {
+func (m *refISAMachine) match(tableSym int, pkt *refPacket) (int, []int64, error) {
 	name := m.isa.Tables[tableSym]
 	t := m.prog.Table(name)
 	if t == nil {
@@ -554,7 +594,7 @@ func aluEval(op ALUOp, bits int, a, b int64) int64 {
 }
 
 // RefFuzzer is the reference differential loop (the original
-// DiffFuzzer.FuzzCompat): packets are materialized by gen.Next, cloned per
+// DiffFuzzer.FuzzCompat): packets are materialized by refPackets, cloned per
 // machine, run through the two reference interpreters and compared
 // map-to-map. DiffFuzzer must produce byte-identical DiffReports over the
 // same generator state. The type and its methods are exported only so the
@@ -589,9 +629,9 @@ func (f *RefFuzzer) Fuzz(gen *TrafficGen, n int) (*DiffReport, error) {
 	isaStats := &ISAStats{Stats: Stats{MemoryAccesses: map[string]int{}}}
 	tabStats := &Stats{MemoryAccesses: map[string]int{}}
 	for i := 0; i < n; i++ {
-		in := gen.Next()
-		got := in.Clone()
-		want := in.Clone()
+		in := refPackets(gen, 1)[0]
+		got := in.clone()
+		want := in.clone()
 		executed, err := f.isa.exec(got, isaStats)
 		rep.Instructions += int64(executed)
 		if err != nil {
@@ -607,9 +647,9 @@ func (f *RefFuzzer) Fuzz(gen *TrafficGen, n int) (*DiffReport, error) {
 			rep.Diffs = append(rep.Diffs, Diff{
 				Index: i,
 				ID:    in.ID,
-				Input: FormatPacket(in),
-				Got:   FormatPacket(got),
-				Want:  FormatPacket(want),
+				Input: formatPacket(in),
+				Got:   formatPacket(got),
+				Want:  formatPacket(want),
 			})
 		}
 	}
@@ -633,7 +673,7 @@ func (f *RefFuzzer) FuzzSeededMode(seed int64, n int, max int64, mode TrafficMod
 // samePacket reports whether two packets agree on the drop flag and every
 // field. Both sides of a differential run start from clones of one packet,
 // so the field sets coincide.
-func samePacket(a, b *Packet) bool {
+func samePacket(a, b *refPacket) bool {
 	if a.Dropped != b.Dropped {
 		return false
 	}
@@ -645,10 +685,10 @@ func samePacket(a, b *Packet) bool {
 	return true
 }
 
-// FormatPacket renders a map packet canonically — fields sorted by name,
+// formatPacket renders a reference packet canonically — fields sorted by name,
 // the drop flag when set. SlotLayout.FormatSlots must produce byte-identical
 // output for the slot representation.
-func FormatPacket(p *Packet) string {
+func formatPacket(p *refPacket) string {
 	names := make([]string, 0, len(p.Fields))
 	for f := range p.Fields {
 		names = append(names, f)

@@ -6,7 +6,8 @@
 // (package flat) over a frame that holds the packet's fields, the register
 // banks and everything else the program computes with: the ISA program by
 // lower.go, the table-level machine here. flat.Program.Run is the one
-// interpreter, and the differential fuzzer links the two programs into one.
+// interpreter, engine.stream the one packet loop both machines' RunStream
+// share, and the differential fuzzer links the two programs into one.
 //
 // The table-level machine lowers to one lookup per table in control order —
 // a test per entry, in entry order, the first hit going to its action's
@@ -96,9 +97,6 @@ func NewSlotLayout(prog *p4.Program) (*SlotLayout, error) {
 // NumFields returns the packet slot-vector length.
 func (l *SlotLayout) NumFields() int { return len(l.fields) }
 
-// Fields returns the interned field names in slot order (sorted).
-func (l *SlotLayout) Fields() []string { return append([]string(nil), l.fields...) }
-
 // FormatSlots renders a slot-vector packet canonically — fields sorted by
 // name (slot order is sorted order), the drop flag when set — for Diff
 // records and campaign counterexamples.
@@ -118,31 +116,6 @@ func (l *SlotLayout) FormatSlots(vals []int64, dropped bool) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// PacketToSlots copies a map packet's fields into a layout-ordered slot
-// vector. Every program field must be present: a slot vector has no way to
-// say "absent", so a packet lacking one is an error rather than a 0.
-func (l *SlotLayout) PacketToSlots(p *Packet, dst []int64) error {
-	for i, f := range l.fields {
-		v, ok := p.Fields[f]
-		if !ok {
-			return fmt.Errorf("packet lacks field %q", f)
-		}
-		dst[i] = v
-	}
-	return nil
-}
-
-// SlotsToPacket copies a slot vector back into a map packet.
-func (l *SlotLayout) SlotsToPacket(vals []int64, dropped bool, p *Packet) {
-	if p.Fields == nil {
-		p.Fields = make(map[string]int64, len(l.fields))
-	}
-	for i, f := range l.fields {
-		p.Fields[f] = vals[i]
-	}
-	p.Dropped = dropped
 }
 
 // engine is one machine lowered to a flat program, and the frame it runs
@@ -187,6 +160,31 @@ func (e *engine) exec(p *flat.Program, pkt []int64) (dropped bool) {
 		pkt[i] = f[r]
 	}
 	return f[e.dropped] != 0
+}
+
+// stream is the packet loop of both machines' RunStream. It draws n packets
+// of seeded traffic from prog's fields into one reused slot vector, runs
+// each through the counting clone of the code with step, which returns the
+// packet's latency and drop flag, and records it in stats. It returns how
+// often the lookups matched, the run's crossbar accesses of tables, and the
+// latencies' sum. A step error stops the stream and names the packet.
+func (e *engine) stream(prog *p4.Program, seed int64, n int, max int64, stats *Stats, tables []string, step func(p *flat.Program, pkt []int64) (latency int, dropped bool, err error)) (matches, latencies int64, err error) {
+	gen, err := NewTrafficGen(seed, prog, max)
+	if err != nil {
+		return 0, 0, err
+	}
+	p := e.counted()
+	buf := make([]int64, gen.NumFields())
+	for i := 0; i < n; i++ {
+		id := gen.Fill(buf)
+		latency, dropped, err := step(p, buf)
+		if err != nil {
+			return 0, 0, fmt.Errorf("packet %d: %w", id, err)
+		}
+		stats.record(i, latency, dropped)
+		latencies += int64(latency)
+	}
+	return stats.finish(tables, e.matchCounts(len(tables))), latencies, nil
 }
 
 // clone returns the engine with a private frame.

@@ -356,7 +356,7 @@ func FuzzSlotsVsReference(f *testing.F) {
 		isaStats := &ISAStats{Stats: Stats{MemoryAccesses: map[string]int{}}}
 		tabStats := &Stats{MemoryAccesses: map[string]int{}}
 		for n := 0; n < 8; n++ {
-			pkt := &Packet{ID: n, Fields: map[string]int64{}}
+			pkt := &refPacket{ID: n, Fields: map[string]int64{}}
 			for _, name := range layout.fields {
 				switch rng.Intn(4) {
 				case 0:
@@ -369,18 +369,16 @@ func FuzzSlotsVsReference(f *testing.F) {
 					pkt.Fields[name] = rng.Int63n(16)
 				}
 			}
-			if err := layout.PacketToSlots(pkt, isaBuf); err != nil {
-				t.Fatal(err)
-			}
+			copy(isaBuf, pkt.slots(layout))
 			copy(tabBuf, isaBuf)
-			isaPkt, tabPkt := pkt.Clone(), pkt.Clone()
+			isaPkt, tabPkt := pkt.clone(), pkt.clone()
 
 			executed, dropped, gotErr := slot.isa.ExecSlots(isaBuf)
 			wantExecuted, wantErr := ref.isa.exec(isaPkt, isaStats)
 			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || executed != wantExecuted {
 				t.Fatalf("packet %d: ExecSlots %d instrs, err %v; reference %d instrs, err %v", n, executed, gotErr, wantExecuted, wantErr)
 			}
-			if g, w := layout.FormatSlots(isaBuf, dropped), FormatPacket(isaPkt); g != w {
+			if g, w := layout.FormatSlots(isaBuf, dropped), formatPacket(isaPkt); g != w {
 				t.Fatalf("packet %d: ExecSlots %s, reference %s", n, g, w)
 			}
 
@@ -388,7 +386,7 @@ func FuzzSlotsVsReference(f *testing.F) {
 			if err := ref.tab.process(tabPkt, tabStats); err != nil {
 				t.Fatalf("packet %d: reference table interpreter failed on a configuration NewMachine accepted: %v", n, err)
 			}
-			if g, w := layout.FormatSlots(tabBuf, dropped), FormatPacket(tabPkt); g != w {
+			if g, w := layout.FormatSlots(tabBuf, dropped), formatPacket(tabPkt); g != w {
 				t.Fatalf("packet %d: ProcessSlots %s, reference %s", n, g, w)
 			}
 			sameRegisters(fmt.Sprintf("after raw packet %d", n), machine(true), machine(false))

@@ -20,43 +20,6 @@ func renderReport(rep *DiffReport) string {
 	return b.String()
 }
 
-// TestFillMatchesNext: Fill and Next must consume the random stream
-// identically and hand out the same running packet IDs, so streaming and
-// materializing consumers of one seed see the same traffic.
-func TestFillMatchesNext(t *testing.T) {
-	for _, bm := range Benchmarks() {
-		prog, err := bm.Program()
-		if err != nil {
-			t.Fatal(err)
-		}
-		layout, err := NewSlotLayout(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gFill, err := NewTrafficGen(77, prog, bm.MaxInput)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gNext, err := NewTrafficGen(77, prog, bm.MaxInput)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]int64, layout.NumFields())
-		for i := 0; i < 200; i++ {
-			id := gFill.Fill(buf)
-			p := gNext.Next()
-			if id != p.ID {
-				t.Fatalf("%s packet %d: Fill ID %d, Next ID %d", bm.Name, i, id, p.ID)
-			}
-			for s, f := range layout.fields {
-				if buf[s] != p.Fields[f] {
-					t.Fatalf("%s packet %d field %s: Fill %d, Next %d", bm.Name, i, f, buf[s], p.Fields[f])
-				}
-			}
-		}
-	}
-}
-
 // TestDiffFuzzerSlotVsCompatByteIdentical is the differential test for the
 // linked flat program: over every embedded benchmark and several seeds,
 // the streaming Fuzz and the reference loop over the map interpreters
@@ -177,23 +140,11 @@ func TestDiffFuzzerSlotVsCompatOnExecError(t *testing.T) {
 	}
 }
 
-// samePackets reports the first packet on which two runs of one input
-// disagree: fields, drop flag or timing annotations.
-func samePackets(t *testing.T, what string, got, want []*Packet) {
-	t.Helper()
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("%s packet %d: got %+v, reference %+v", what, i, got[i], want[i])
-		}
-	}
-}
-
-// TestRunStreamMatchesRun: both ways of feeding the table machine's flat
-// program — RunStream and the Run adapter — must produce Stats, register
-// state and (for Run) per-packet results and timing annotations identical
-// to the reference interpreter's run over the same seeded traffic, for
-// every embedded benchmark.
-func TestRunStreamMatchesRun(t *testing.T) {
+// TestRunStreamMatchesReference: the table machine's RunStream must produce
+// Stats, and its ProcessSlots per-packet results, identical to the reference
+// interpreter's run over the same seeded traffic, and both must leave the
+// reference's register state, for every embedded benchmark.
+func TestRunStreamMatchesReference(t *testing.T) {
 	for _, bm := range Benchmarks() {
 		prog, err := bm.Program()
 		if err != nil {
@@ -207,57 +158,58 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mRun := mStream.Clone()
+		mSlots := mStream.Clone()
 		mRef, err := newRefMachine(prog, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		const n = 500
-		gens := make([]*TrafficGen, 3)
-		for i := range gens {
-			if gens[i], err = NewTrafficGen(9, prog, bm.MaxInput); err != nil {
-				t.Fatal(err)
-			}
-		}
-		streamed, err := mStream.RunStream(gens[0], n)
+		streamed, err := mStream.RunStream(9, n, bm.MaxInput)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranPkts := gens[1].Batch(n)
-		ran, err := mRun.Run(ranPkts)
+		gen, err := NewTrafficGen(9, prog, bm.MaxInput)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refPkts := gens[2].Batch(n)
-		want, err := mRef.run(refPkts, bm.HW.Defaults().Processors, mRun.Schedule().Makespan)
+		refPkts := refPackets(gen, n)
+		inputs := make([][]int64, n)
+		for i, pkt := range refPkts {
+			inputs[i] = pkt.slots(mSlots.layout)
+		}
+		want, err := mRef.run(refPkts, bm.HW.Defaults().Processors, mStream.Schedule().Makespan)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(streamed, want) {
 			t.Fatalf("%s: RunStream stats %+v, reference stats %+v", bm.Name, streamed, want)
 		}
-		if !reflect.DeepEqual(ran, want) {
-			t.Fatalf("%s: Run stats %+v, reference stats %+v", bm.Name, ran, want)
-		}
 		if FormatStats(streamed) != FormatStats(want) {
 			t.Fatalf("%s: rendered stats differ", bm.Name)
 		}
-		samePackets(t, bm.Name+": Run", ranPkts, refPkts)
+		for i, buf := range inputs {
+			dropped := mSlots.ProcessSlots(buf)
+			if got, want := mSlots.layout.FormatSlots(buf, dropped), formatPacket(refPkts[i]); got != want {
+				t.Fatalf("%s packet %d: ProcessSlots %s, reference %s", bm.Name, i, got, want)
+			}
+		}
 		for _, r := range prog.Registers {
 			a, _ := mStream.Register(r.Name)
-			b, _ := mRun.Register(r.Name)
+			b, _ := mSlots.Register(r.Name)
 			c, _ := mRef.Register(r.Name)
 			if !reflect.DeepEqual(a, c) || !reflect.DeepEqual(b, c) {
-				t.Fatalf("%s: register %s diverged: stream %v, run %v, reference %v", bm.Name, r.Name, a, b, c)
+				t.Fatalf("%s: register %s diverged: stream %v, slots %v, reference %v", bm.Name, r.Name, a, b, c)
 			}
 		}
 	}
 }
 
-// TestISARunMatchesReference: the ISAMachine.Run adapter over ExecSlots must
-// produce the reference run's ISAStats (Instructions, MatchOps and crossbar
-// accesses included), per-packet results and timing annotations, and
-// register state, for every embedded benchmark.
+// TestISARunMatchesReference: the ISA machine's RunStream must produce
+// the reference run's ISAStats (Instructions, MatchOps and crossbar accesses
+// included) and register state, for every embedded benchmark; a second run
+// must not inherit the first's match counts, and after ResetState a run must
+// equal a fresh machine's, stats and banks. Per-packet results are
+// TestExecSlotsMatchesExec's.
 func TestISARunMatchesReference(t *testing.T) {
 	for _, bm := range Benchmarks() {
 		prog, err := bm.Program()
@@ -276,97 +228,52 @@ func TestISARunMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for round := 0; round < 2; round++ { // the second Run must not inherit match counts
-			genA, err := NewTrafficGen(int64(9+round), prog, bm.MaxInput)
+		sameRegisters := func(what string, a, b interface{ Register(string) ([]int64, bool) }) {
+			t.Helper()
+			for _, r := range prog.Registers {
+				x, _ := a.Register(r.Name)
+				y, _ := b.Register(r.Name)
+				if !reflect.DeepEqual(x, y) {
+					t.Fatalf("%s: %s: register %s diverged: %v, %v", bm.Name, what, r.Name, x, y)
+				}
+			}
+		}
+		for round := int64(0); round < 2; round++ {
+			got, err := m.RunStream(9+round, 300, bm.MaxInput)
 			if err != nil {
 				t.Fatal(err)
 			}
-			genB, err := NewTrafficGen(int64(9+round), prog, bm.MaxInput)
+			gen, err := NewTrafficGen(9+round, prog, bm.MaxInput)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotPkts, refPkts := genA.Batch(300), genB.Batch(300)
-			got, err := m.Run(gotPkts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := mRef.run(refPkts, bm.HW.Defaults().Processors)
+			want, err := mRef.run(refPackets(gen, 300), bm.HW.Defaults().Processors)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s round %d: Run stats %+v, reference stats %+v", bm.Name, round, got, want)
-			}
-			samePackets(t, bm.Name+": ISA Run", gotPkts, refPkts)
-		}
-		for _, r := range prog.Registers {
-			a, _ := m.Register(r.Name)
-			b, _ := mRef.Register(r.Name)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: register %s diverged: run %v, reference %v", bm.Name, r.Name, a, b)
+				t.Fatalf("%s round %d: RunStream stats %+v, reference stats %+v", bm.Name, round, got, want)
 			}
 		}
-	}
-}
+		sameRegisters("against the reference", m, mRef)
 
-// TestRunAdapterBoundary pins the two places the Run adapters differ from a
-// bare slot vector: a packet lacking a program field is rejected (a slot
-// cannot say "absent"), and a packet that arrives dropped stays dropped —
-// the table machine skips every table for it, as the reference does.
-func TestRunAdapterBoundary(t *testing.T) {
-	prog, entries := loadL2L3(t)
-	tab, err := NewMachine(prog, entries, HWConfig{Processors: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	isa, err := NewISAMachine(prog, nil, entries, HWConfig{Processors: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := NewTrafficGen(1, prog, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lacking := gen.Next()
-	missing := tab.Layout().Fields()[0]
-	delete(lacking.Fields, missing)
-	want := fmt.Sprintf("packet %d: packet lacks field %q", lacking.ID, missing)
-	if _, err := tab.Run([]*Packet{lacking.Clone()}); err == nil || err.Error() != "drmt: "+want {
-		t.Fatalf("Machine.Run on a packet lacking %s: %v", missing, err)
-	}
-	if _, err := isa.Run([]*Packet{lacking.Clone()}); err == nil || err.Error() != "drmt isa: "+want {
-		t.Fatalf("ISAMachine.Run on a packet lacking %s: %v", missing, err)
-	}
-
-	dropped := gen.Next()
-	dropped.Dropped = true
-	before := dropped.Clone()
-	ref, err := newRefMachine(prog, entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refPkt := dropped.Clone()
-	wantStats, err := ref.run([]*Packet{refPkt}, 2, tab.Schedule().Makespan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := tab.Run([]*Packet{dropped})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stats, wantStats) || !reflect.DeepEqual(dropped, refPkt) {
-		t.Fatalf("pre-dropped packet: stats %+v packet %+v, reference %+v %+v", stats, dropped, wantStats, refPkt)
-	}
-	if !reflect.DeepEqual(dropped.Fields, before.Fields) || len(stats.MemoryAccesses) != 0 {
-		t.Fatalf("pre-dropped packet was processed: %+v, accesses %v", dropped, stats.MemoryAccesses)
-	}
-	isaPkt := before.Clone()
-	isaStats, err := isa.Run([]*Packet{isaPkt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !isaPkt.Dropped || isaStats.Dropped != 1 {
-		t.Fatalf("ISA run cleared a pre-set drop flag: %+v, %+v", isaPkt, isaStats)
+		fresh, err := NewISAMachine(prog, nil, entries, bm.HW)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.ResetState()
+		got, err := m.RunStream(10, 300, bm.MaxInput)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.RunStream(10, 300, bm.MaxInput)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: after ResetState, RunStream stats %+v, a fresh machine's %+v", bm.Name, got, want)
+		}
+		sameRegisters("after ResetState, against a fresh machine", m, fresh)
 	}
 }
 
@@ -399,10 +306,7 @@ func TestExecSlotsMatchesExec(t *testing.T) {
 		stats := &ISAStats{Stats: Stats{MemoryAccesses: map[string]int{}}}
 		buf := make([]int64, layout.NumFields())
 		for i := 0; i < 400; i++ {
-			pkt := gen.Next()
-			if err := layout.PacketToSlots(pkt, buf); err != nil {
-				t.Fatal(err)
-			}
+			pkt := newRefPacket(layout.fields, gen.Fill(buf), buf)
 			executedSlot, dropped, err := mSlot.ExecSlots(buf)
 			if err != nil {
 				t.Fatal(err)
@@ -417,7 +321,7 @@ func TestExecSlotsMatchesExec(t *testing.T) {
 			if dropped != pkt.Dropped {
 				t.Fatalf("%s packet %d: slot dropped=%v, map dropped=%v", bm.Name, i, dropped, pkt.Dropped)
 			}
-			if got, want := layout.FormatSlots(buf, dropped), FormatPacket(pkt); got != want {
+			if got, want := layout.FormatSlots(buf, dropped), formatPacket(pkt); got != want {
 				t.Fatalf("%s packet %d: slot %s, map %s", bm.Name, i, got, want)
 			}
 		}
@@ -445,13 +349,10 @@ func TestFormatSlotsMatchesFormatPacket(t *testing.T) {
 	}
 	buf := make([]int64, layout.NumFields())
 	for i := 0; i < 50; i++ {
-		pkt := gen.Next()
-		if err := layout.PacketToSlots(pkt, buf); err != nil {
-			t.Fatal(err)
-		}
+		pkt := newRefPacket(layout.fields, gen.Fill(buf), buf)
 		for _, dropped := range []bool{false, true} {
 			pkt.Dropped = dropped
-			if got, want := layout.FormatSlots(buf, dropped), FormatPacket(pkt); got != want {
+			if got, want := layout.FormatSlots(buf, dropped), formatPacket(pkt); got != want {
 				t.Fatalf("rendering diverged: slots %q, packet %q", got, want)
 			}
 		}
@@ -500,11 +401,7 @@ func TestWideFaninSchedule(t *testing.T) {
 	// The benchmark must also drop a measurable share of traffic (the
 	// ternary fold entry) and still fuzz clean — checked by the registry
 	// test; here we pin that drops actually occur.
-	gen, err := NewTrafficGen(2, prog, bm.MaxInput)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := m.RunStream(gen, 1000)
+	stats, err := m.RunStream(2, 1000, bm.MaxInput)
 	if err != nil {
 		t.Fatal(err)
 	}

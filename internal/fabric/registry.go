@@ -62,13 +62,6 @@ func (r *Registry) Register(url string) {
 	w.coolOff = time.Time{}
 }
 
-// Remove drops a worker from the fleet immediately.
-func (r *Registry) Remove(url string) {
-	r.mu.Lock()
-	delete(r.workers, url)
-	r.mu.Unlock()
-}
-
 // Pick acquires the least-loaded alive worker not in exclude, increments
 // its in-flight count, and returns its URL; "" means no eligible worker
 // (the caller degrades to local execution or backs off). Ties break

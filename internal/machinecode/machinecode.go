@@ -100,21 +100,6 @@ func (p *Program) Names() []string {
 	return out
 }
 
-// Map returns the pairs as a fresh map.
-func (p *Program) Map() map[string]int64 {
-	m := make(map[string]int64, len(p.pairs))
-	for _, pr := range p.pairs {
-		m[pr.Name] = pr.Value
-	}
-	return m
-}
-
-// Lookup returns a lookup function over the program, suitable for
-// aludsl.Env.Holes.
-func (p *Program) Lookup() func(string) (int64, bool) {
-	return p.Get
-}
-
 // Clone deep-copies the program.
 func (p *Program) Clone() *Program {
 	q := New()

@@ -211,8 +211,8 @@ func FuzzTrafficVsMathRand(f *testing.F) {
 		started.Start(plan, seed)
 		var replay []Value
 		for p := 0; p < packets; p++ {
-			if id := started.Fill(got); id != p {
-				t.Fatalf("packet %d of the plan-started generator has index %d", p, id)
+			if id := started.Fill(got); id != p || started.Drawn() != p+1 {
+				t.Fatalf("packet %d of the plan-started generator has index %d, %d drawn", p, id, started.Drawn())
 			}
 			replay = append(replay, got...)
 		}

@@ -134,9 +134,6 @@ func NewStream(p *core.Pipeline) *Stream {
 // Depth returns the pipeline depth (the completion slot index).
 func (s *Stream) Depth() int { return s.depth }
 
-// PHVLen returns the container count of every slot buffer.
-func (s *Stream) PHVLen() int { return s.phvLen }
-
 // Ticks returns the number of completed ticks since the last Reset.
 func (s *Stream) Ticks() int { return s.ticks }
 
