@@ -83,7 +83,7 @@ func main() {
 		if err != nil {
 			cli.Fatalf("chipmunk: %v", err)
 		}
-		if rep.Passed {
+		if rep.Passed() {
 			fmt.Fprintf(os.Stderr, "chipmunk: validated at %d-bit inputs\n", *validateBits)
 		} else {
 			fmt.Fprintf(os.Stderr, "chipmunk: WARNING: machine code only satisfies a limited range of values (%d-bit validation failed: %s)\n",

@@ -76,12 +76,13 @@ func main() {
 			cli.Fatalf("dfuzz: %v", err)
 		}
 	}
-	rep, err := sim.FuzzRandom(pipeline, dspec, *seed, *n, *maxVal, sim.FuzzOptions{Containers: containers})
+	gen := sim.NewTrafficGen(*seed, pipeline.PHVLen(), pipeline.Bits(), *maxVal)
+	rep, err := sim.NewFuzzer(pipeline).FuzzGen(dspec, gen, *n, sim.FuzzOptions{Containers: containers}, 1)
 	if err != nil {
 		cli.Fatalf("dfuzz: %v", err)
 	}
 	fmt.Println(rep)
-	if !rep.Passed {
+	if !rep.Passed() {
 		os.Exit(1)
 	}
 }

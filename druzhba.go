@@ -34,6 +34,9 @@
 //	spec := druzhba.Config{Depth: 2, Width: 1, StatefulAtom: "if_else_raw"}
 //	pipe, err := druzhba.BuildPipeline(spec, code, druzhba.SCCInlining)
 //	report, err := druzhba.FuzzPipeline(pipe, mySpec, 42, 50000, 0, nil)
+//	if !report.Passed() {
+//		fmt.Println(report) // FAIL: …: PHV i: input …: pipeline …, spec …
+//	}
 package druzhba
 
 import (
@@ -84,8 +87,9 @@ type Pipeline = core.Pipeline
 // MachineCode is a machine code program: ordered name -> value pairs.
 type MachineCode = machinecode.Program
 
-// FuzzReport is the outcome of a fuzzing session.
-type FuzzReport = sim.FuzzReport
+// FuzzReport is the outcome of a fuzzing session: sim.BatchReport, which
+// FuzzPipeline caps at the first mismatch.
+type FuzzReport = sim.BatchReport
 
 // Spec is a high-level specification consumed by the fuzzer.
 type Spec = sim.Spec
@@ -221,9 +225,11 @@ func ParseDominoSpec(src string, fields map[string]int, bits int) (Spec, error) 
 // executes only the ALUs that can reach an output container, fused into one
 // flat program (core.Pipeline.Cone) with the specification linked after
 // it; any other specification, and any pipeline at the unoptimized level,
-// runs on the tick loop over a clone. p is not mutated.
+// runs on the tick loop over a clone. The run stops at the first mismatch.
+// p is not mutated.
 func FuzzPipeline(p *Pipeline, spec Spec, seed int64, n int, maxValue int64, containers []int) (*FuzzReport, error) {
-	return sim.FuzzRandom(p, spec, seed, n, maxValue, sim.FuzzOptions{Containers: containers})
+	gen := sim.NewTrafficGen(seed, p.PHVLen(), p.Bits(), maxValue)
+	return sim.NewFuzzer(p).FuzzGen(spec, gen, n, sim.FuzzOptions{Containers: containers}, 1)
 }
 
 // CampaignJob is one cell of a campaign matrix: an architecture-specific

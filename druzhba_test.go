@@ -116,7 +116,7 @@ pipeline_stage_1_output_mux_phv_0 = 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed {
+	if !rep.Passed() {
 		t.Errorf("sampling fuzz failed: %s", rep)
 	}
 }

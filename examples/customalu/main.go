@@ -88,7 +88,8 @@ transaction {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := sim.FuzzRandom(pipeline, target, 9, 50000, 1<<20, sim.FuzzOptions{Containers: []int{0}})
+	gen := sim.NewTrafficGen(9, pipeline.PHVLen(), pipeline.Bits(), 1<<20)
+	report, err := sim.NewFuzzer(pipeline).FuzzGen(target, gen, 50000, sim.FuzzOptions{Containers: []int{0}}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,7 +97,7 @@ transaction {
 
 	// Show a short trace for intuition.
 	pipeline.ResetState()
-	gen := sim.NewTrafficGen(4, 1, phv.Default32, 1000)
+	gen = sim.NewTrafficGen(4, 1, phv.Default32, 1000)
 	res, err := sim.Run(pipeline, gen.Trace(8))
 	if err != nil {
 		log.Fatal(err)

@@ -54,7 +54,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report, err := sim.FuzzRandom(pipeline, target, 7, 50000, 0, sim.FuzzOptions{Containers: containers})
+	gen := sim.NewTrafficGen(7, pipeline.PHVLen(), pipeline.Bits(), 0)
+	report, err := sim.NewFuzzer(pipeline).FuzzGen(target, gen, 50000, sim.FuzzOptions{Containers: containers}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,12 +68,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err = sim.FuzzRandom(buggyPipe, target, 7, 50000, 0, sim.FuzzOptions{Containers: containers})
+	gen = sim.NewTrafficGen(7, buggyPipe.PHVLen(), buggyPipe.Bits(), 0)
+	report, err = sim.NewFuzzer(buggyPipe).FuzzGen(target, gen, 50000, sim.FuzzOptions{Containers: containers}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("buggy machine code:  ", report)
-	if report.Passed {
+	if report.Passed() {
 		log.Fatal("the fuzzer failed to catch the injected bug")
 	}
 	fmt.Println("\nthe injected miscompilation was caught by trace comparison")

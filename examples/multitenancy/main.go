@@ -96,7 +96,8 @@ func main() {
 			log.Fatal(err)
 		}
 		pipe.ResetState()
-		rep, err := sim.FuzzRandom(pipe, dspec, 42, 20000, 0, sim.FuzzOptions{Containers: containers})
+		gen := sim.NewTrafficGen(42, pipe.PHVLen(), pipe.Bits(), 0)
+		rep, err := sim.NewFuzzer(pipe).FuzzGen(dspec, gen, 20000, sim.FuzzOptions{Containers: containers}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -83,7 +83,7 @@ transaction {
 		log.Fatal(err)
 	}
 	fmt.Println("10-bit validation:", rep)
-	if rep.Passed {
+	if rep.Passed() {
 		log.Fatal("expected the low-bit-width failure mode")
 	}
 	fmt.Println("\nthe synthesized machine code only satisfies a limited range of values (§5.2)")

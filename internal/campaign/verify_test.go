@@ -263,7 +263,7 @@ func TestVerifySpecThatCanFailIsJobError(t *testing.T) {
 // test of the verify→fuzz feedback loop: a seeded miscompile's SAT
 // counterexample trace, decoded to concrete PHVs, must reproduce as a
 // fuzzer mismatch at exactly the transaction the prover reported — both
-// replayed directly through sim.Fuzz and seeded as corpus traffic
+// replayed directly as a traffic plan's corpus and seeded as corpus traffic
 // into a fuzz campaign.
 func TestVerifyCounterexampleReproducesAsFuzzMismatch(t *testing.T) {
 	job := corruptedVerifyJob(t)
@@ -299,22 +299,27 @@ func TestVerifyCounterexampleReproducesAsFuzzMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	input := phv.NewTrace()
-	for _, row := range cell.Trace {
-		vals := make([]phv.Value, len(row))
+	trace := make([][]phv.Value, len(cell.Trace))
+	for i, row := range cell.Trace {
+		trace[i] = make([]phv.Value, len(row))
 		for c, v := range row {
-			vals[c] = phv.Value(v)
+			trace[i][c] = phv.Value(v)
 		}
-		input.Append(phv.FromValues(vals))
 	}
-	replay, err := sim.Fuzz(pipe, simSpec, input, sim.FuzzOptions{Containers: target.Containers})
+	plan, err := sim.NewTraffic(pipe.PHVLen(), pipe.Bits(), 0, sim.TrafficUniform, trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if replay.Passed || replay.Err != nil {
+	var gen sim.TrafficGen
+	gen.Start(plan, 0)
+	replay, err := sim.NewFuzzer(pipe).FuzzGen(simSpec, &gen, len(trace), sim.FuzzOptions{Containers: target.Containers}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay.Passed() || replay.Err != nil {
 		t.Fatalf("verify counterexample did not reproduce as a fuzz mismatch: %v", replay)
 	}
-	if got := replay.FailIndex; got != cell.FailStep {
+	if got := replay.Mismatches[0].Index; got != cell.FailStep {
 		t.Fatalf("fuzz mismatch at step %d, verifier reported step %d", got, cell.FailStep)
 	}
 

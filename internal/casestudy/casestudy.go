@@ -408,7 +408,7 @@ func runCase(c *Case, o Options, seed int64) (Outcome, error) {
 	if err != nil {
 		return out, err
 	}
-	if rep.Passed {
+	if rep.Passed() {
 		out.Class = Correct
 	} else {
 		out.Class = LimitedRange

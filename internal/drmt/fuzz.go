@@ -147,15 +147,15 @@ func (f *DiffFuzzer) Fuzz(gen *TrafficGen, n int) (*DiffReport, error) {
 	f.oracle.Program().Reset(f.frame)
 	rep := &DiffReport{} //dvet:alloc-ok one report per run, not per packet
 	for i := 0; i < n; i++ {
-		at, code, _ := f.oracle.Fuzz(f.frame, &gen.TrafficGen, nil, f.oracle.Pairs(), i, n)
+		at, code := f.oracle.Fuzz(f.frame, &gen.gen, f.oracle.Pairs(), i, n)
 		rep.Checked, i = at, at
 		if code != 0 {
-			rep.Err = fmt.Errorf("drmt isa: packet %d: %w", gen.Drawn()-1, f.isa.errs[code-1]) //dvet:alloc-ok finding path, at most once per run
+			rep.Err = fmt.Errorf("drmt isa: packet %d: %w", gen.gen.Drawn()-1, f.isa.errs[code-1]) //dvet:alloc-ok finding path, at most once per run
 			break
 		}
 		if at < n {
 			rep.Checked++
-			rep.Diffs = append(rep.Diffs, f.diff(at, gen.Drawn()-1)) //dvet:alloc-ok finding path, diverging packets only
+			rep.Diffs = append(rep.Diffs, f.diff(at, gen.gen.Drawn()-1)) //dvet:alloc-ok finding path, diverging packets only
 		}
 	}
 	rep.Instructions = f.frame[f.isa.count]
@@ -192,7 +192,7 @@ func (f *DiffFuzzer) Dispatched(seed int64, n int, max int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	dispatched, _ := f.oracle.Count(&gen.TrafficGen, n)
+	dispatched, _ := f.oracle.Count(&gen.gen, n)
 	return dispatched, nil
 }
 
@@ -221,7 +221,7 @@ func (f *DiffFuzzer) FuzzSeededMode(seed int64, n int, max int64, mode TrafficMo
 		f.traffic, f.trafficMax, f.trafficMode = plan, max, mode
 	}
 	gen := TrafficGen{fields: f.layout.fields}
-	gen.Start(f.traffic, seed)
+	gen.gen.Start(f.traffic, seed)
 	return f.Fuzz(&gen, n)
 }
 

@@ -19,7 +19,7 @@ func TestTrafficGenWideFieldsNoPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := &TrafficGen{fields: []string{"h.w62", "h.w63", "h.w64"}}
-	g.Start(wide, 1)
+	g.gen.Start(wide, 1)
 	for i, p := range refPackets(g, 100) {
 		for f, v := range p.Fields {
 			if v < 0 {
@@ -33,7 +33,7 @@ func TestTrafficGenWideFieldsNoPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = &TrafficGen{fields: []string{"h.w64"}}
-	g.Start(bounded, 1)
+	g.gen.Start(bounded, 1)
 	for _, p := range refPackets(g, 100) {
 		if v := p.Fields["h.w64"]; v < 0 || v >= 10 {
 			t.Fatalf("bounded wide field = %d, want [0,10)", v)

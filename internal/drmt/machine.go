@@ -27,15 +27,15 @@ const (
 // values based on the fields specified in the P4 file" (§4.2). It is
 // phv.TrafficGen, the one generator both machine models draw from, on a plan
 // with one column per program field in slot order (sorted field names,
-// matching SlotLayout), each at the field's declared width. Fill and Start
-// are the embedded generator's: Fill writes a packet's field values into the
-// first NumFields entries of a caller-owned buffer, a layout-ordered slot
-// vector, and returns the packet's ID, its index in the stream, so
-// consecutive Fill calls on one generator yield distinct, globally ordered
-// IDs that Start restarts at 0. The generator keeps its fields' names, so a
-// consumer can tell which program it was built for.
+// matching SlotLayout), each at the field's declared width. Fill is the one
+// way to draw: it writes a packet's field values into the first NumFields
+// entries of a caller-owned buffer, a layout-ordered slot vector, and
+// returns the packet's ID, its index in the stream, so consecutive Fill
+// calls on one generator yield distinct, globally ordered IDs. The
+// generator keeps its fields' names, so a consumer can tell which program
+// it was built for.
 type TrafficGen struct {
-	phv.TrafficGen
+	gen    phv.TrafficGen
 	fields []string
 }
 
@@ -56,7 +56,7 @@ func NewTrafficGenMode(seed int64, prog *p4.Program, max int64, mode TrafficMode
 		return nil, err
 	}
 	g := &TrafficGen{fields: fields}
-	g.Start(plan, seed)
+	g.gen.Start(plan, seed)
 	return g, nil
 }
 
@@ -73,6 +73,10 @@ func newTraffic(prog *p4.Program, fields []string, max int64, mode TrafficMode) 
 	}
 	return phv.NewTraffic(bits, max, mode, nil)
 }
+
+// Fill writes the next packet's field values into the front of dst and
+// returns its ID (phv.TrafficGen.Fill).
+func (g *TrafficGen) Fill(dst []phv.Value) int { return g.gen.Fill(dst) }
 
 // NumFields returns the number of values Fill draws per packet.
 func (g *TrafficGen) NumFields() int { return len(g.fields) }

@@ -497,7 +497,7 @@ func TestLoopAndCounterStopTogether(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, packets := f.oracle.Count(&gen.TrafficGen, n); got != dispatched || packets != stop+1 {
+	if got, packets := f.oracle.Count(&gen.gen, n); got != dispatched || packets != stop+1 {
 		t.Errorf("the counting run dispatched %d instructions over %d packets, want %d over %d", got, packets, dispatched, stop+1)
 	}
 	if got, err := f.Dispatched(5, n, 0); err != nil || got != dispatched {

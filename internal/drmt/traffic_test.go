@@ -120,7 +120,7 @@ func TestDRMTTrafficGenRestart(t *testing.T) {
 				for i := int64(0); i < 1+(seed&3)*5; i++ {
 					reused.Fill(buf)
 				}
-				reused.Start(plan, seed)
+				reused.gen.Start(plan, seed)
 				fresh, _ := NewTrafficGenMode(seed, prog, max, mode)
 				for i := 0; i < 40; i++ {
 					id, wantID := reused.Fill(buf), fresh.Fill(want)

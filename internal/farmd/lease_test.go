@@ -445,3 +445,40 @@ func TestInstanceCacheEvictsLeastRecentlyLeased(t *testing.T) {
 		t.Fatalf("re-resolved job: packets %d exec %v, want packets %d and an executor", b2.packets, b2.exec, b.packets)
 	}
 }
+
+// TestLeaseRefusesOutOfWidthCorpus: the counterexample traces of a fuzz-phase
+// lease's verify rows are wire input, harvested into the job's corpus. A
+// value outside a 32-bit job's datapath must not reach the fuzzer's
+// optimized programs: the lease answers an errored result naming the entry,
+// the container and the value, and caches nothing.
+func TestLeaseRefusesOutOfWidthCorpus(t *testing.T) {
+	cache := NewMemCache(0)
+	srv := httptest.NewServer(NewServer(Config{Cache: cache, Workers: 1}))
+	defer srv.Close()
+	req := &MatrixRequest{Run: "sampling", Mode: ModeBoth, Levels: []string{"compiled"}, VerifyBits: []int{3}, Packets: 300}
+	jobs, err := req.FuzzJobs(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []campaign.JobReport{{
+		Name: "verify/sampling", Mode: campaign.ModeVerify, Benchmark: "sampling",
+		Cells: []campaign.VerifyCell{{Bits: 3, Steps: 2, Verdict: campaign.VerdictCounterexample, Trace: [][]int64{{1, 2}, {1 << 32, 4}}}},
+	}}
+	key := strings.Repeat("cd", 32)
+	lease := &ShardLease{Proto: LeaseProto, Phase: PhaseFuzz, Job: jobs[0].Name, Seed: 7, N: 100, Key: key, Request: req, VerifyRows: rows}
+	resp := postLease(t, srv.URL, lease, "")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("lease: %s", resp.Status)
+	}
+	var wire WireShardResult
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if want := "sim: corpus entry 1 container 0 holds 4294967296, outside the 32-bit datapath"; !strings.Contains(wire.Error, want) {
+		t.Fatalf("lease result error %q, want it to contain %q", wire.Error, want)
+	}
+	if _, ok := cache.Get(key); ok {
+		t.Fatal("an errored result was cached")
+	}
+}

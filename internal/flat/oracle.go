@@ -60,32 +60,26 @@ func (o *Oracle) Pairs() []Pair { return o.pairs }
 func (o *Oracle) Trap() int { return o.trap }
 
 // Fuzz is the packet loop: for packets from, from+1, … n-1 it fills the input
-// registers of frame — from gen, or where gen is nil by next, which is given
-// the packet's index — runs the program once, reads the trap register and
-// zeroes the registers a packet starts with at zero, and compares pairs, the
-// oracle's or a subset of them. It returns at the first packet whose inputs
-// next fails to fill, that traps or that diverges, with its index, the trap's
-// code or next's error; at = n when every packet agreed. The caller records
-// the packet and resumes at at+1.
+// registers of frame from gen, runs the program once, reads the trap register
+// and zeroes the registers a packet starts with at zero, and compares pairs,
+// the oracle's or a subset of them. It returns at the first packet that traps
+// or diverges, with its index and the trap's code; at = n when every packet
+// agreed. The caller records the packet and resumes at at+1.
 //
 //dvet:hotpath allocs=0
-func (o *Oracle) Fuzz(frame []int64, gen *phv.TrafficGen, next func(i int, in []int64) error, pairs []Pair, from, n int) (at int, trap int64, err error) {
+func (o *Oracle) Fuzz(frame []int64, gen *phv.TrafficGen, pairs []Pair, from, n int) (at int, trap int64) {
 	in, prog, reg, clear := o.inputs(frame), o.prog, o.trap, o.clear
 	for i := from; i < n; i++ {
-		if gen != nil {
-			gen.Fill(in)
-		} else if err := next(i, in); err != nil {
-			return i, 0, err
-		}
+		gen.Fill(in)
 		prog.Run(frame)
 		if code := trapped(frame, reg, clear); code != 0 {
-			return i, code, nil
+			return i, code
 		}
 		if Diverge(frame, pairs) {
-			return i, 0, nil
+			return i, 0
 		}
 	}
-	return n, 0, nil
+	return n, 0
 }
 
 // trapped returns the code a Trap left in register trap of the frame after

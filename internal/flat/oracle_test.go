@@ -1,7 +1,6 @@
 package flat
 
 import (
-	"errors"
 	"slices"
 	"testing"
 
@@ -45,8 +44,8 @@ func sutAndSpec(t *testing.T) (linked *Program, out, want, flag, errReg, in int)
 }
 
 // TestOracle drives the packet loop through every way it stops — a
-// divergence, a trap, a failed fill, the end — resuming after each, and
-// holds the counting run to the same trapping packet.
+// divergence, a trap, the end — resuming after each, and holds the counting
+// run to the same trapping packet.
 func TestOracle(t *testing.T) {
 	prog, out, want, flag, errReg, in := sutAndSpec(t)
 	o := NewOracle(prog, in, 2, []Pair{{out, want}, {in + 1, in + 1}}, []int{flag, errReg}, errReg)
@@ -57,33 +56,38 @@ func TestOracle(t *testing.T) {
 		t.Errorf("inputs %d+%d, trap %d", first, width, o.Trap())
 	}
 
-	frame := prog.NewFrame()
-	boom := errors.New("no more packets")
-	fill := func(i int, in []int64) error {
-		if i == 7 {
-			return boom
+	// replay is a generator serving the packets (v, 9) for each v, in order.
+	replay := func(vs ...int64) *phv.TrafficGen {
+		corpus := make([][]phv.Value, len(vs))
+		for i, v := range vs {
+			corpus[i] = []phv.Value{v, 9}
 		}
-		in[0], in[1] = int64(i), 9
-		return nil
+		plan, err := phv.NewTraffic([]int{8, 8}, 0, phv.TrafficUniform, corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gen phv.TrafficGen
+		gen.Start(plan, 0)
+		return &gen
 	}
+	frame, stream := prog.NewFrame(), replay(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 	type stop struct {
 		at   int
 		trap int64
-		err  error
 	}
 	var stops []stop
 	for i := 0; i < 10; i++ {
-		at, trap, err := o.Fuzz(frame, nil, fill, o.Pairs(), i, 10)
-		stops = append(stops, stop{at, trap, err})
+		at, trap := o.Fuzz(frame, stream, o.Pairs(), i, 10)
+		stops = append(stops, stop{at, trap})
 		if frame[flag] != 0 || frame[errReg] != 0 {
 			t.Fatalf("packet %d left flag %d, error register %d", at, frame[flag], frame[errReg])
 		}
 		i = at
 	}
-	if want := []stop{{3, 0, nil}, {5, 1, nil}, {7, 0, boom}, {10, 0, nil}}; !slices.Equal(stops, want) {
+	if want := []stop{{3, 0}, {5, 1}, {10, 0}}; !slices.Equal(stops, want) {
 		t.Errorf("the loop stopped at %v, want %v", stops, want)
 	}
-	o.Fuzz(frame, nil, fill, nil, 3, 4) // packet 3 again, compared on no pairs
+	o.Fuzz(frame, replay(3), nil, 3, 4) // packet 3 again, compared on no pairs
 	if Diverge(frame, nil) || !Diverge(frame, o.Pairs()) {
 		t.Error("packet 3 diverges on the oracle's pairs and on no pairs")
 	}
@@ -99,7 +103,7 @@ func TestOracle(t *testing.T) {
 	}
 	frame, gen, trapAt := prog.NewFrame(), newGen(), -1
 	for i := 0; i < 1000 && trapAt < 0; i++ {
-		at, trap, _ := o.Fuzz(frame, gen, nil, o.Pairs(), i, 1000)
+		at, trap := o.Fuzz(frame, gen, o.Pairs(), i, 1000)
 		if trap != 0 {
 			trapAt = at
 		}
@@ -119,7 +123,7 @@ func TestOracle(t *testing.T) {
 	// Without a trap register nothing is cleared.
 	clean := NewOracle(prog, in, 2, nil, []int{flag}, -1)
 	frame = prog.NewFrame()
-	if at, trap, _ := clean.Fuzz(frame, nil, fill, nil, 5, 6); at != 6 || trap != 0 || frame[errReg] != 1 || frame[flag] != 1 {
+	if at, trap := clean.Fuzz(frame, replay(5), nil, 5, 6); at != 6 || trap != 0 || frame[errReg] != 1 || frame[flag] != 1 {
 		t.Errorf("packet 5 without a trap register: stopped at %d with %d, error register %d, flag %d", at, trap, frame[errReg], frame[flag])
 	}
 }

@@ -90,19 +90,10 @@ func streamCases() []streamCase {
 							if err != nil {
 								return stream{}, err
 							}
-							start := func(seed int64, corpus [][]phv.Value) error {
-								var bits []int
-								for _, f := range prog.FieldNames() {
-									b, err := prog.FieldBits(f)
-									if err != nil {
-										return err
-									}
-									bits = append(bits, b)
-								}
-								plan, err := phv.NewTraffic(bits, max, mode, corpus)
-								if err == nil {
-									g.Start(plan, seed)
-								}
+							// A dRMT generator restarts as a fresh one on its
+							// program's plan; dRMT jobs take no corpus.
+							start := func(seed int64, _ [][]phv.Value) error {
+								g, err = drmt.NewTrafficGenMode(seed, prog, max, mode)
 								return err
 							}
 							return stream{width: g.NumFields(), fill: func(dst []phv.Value) { g.Fill(dst) }, start: start}, nil

@@ -209,29 +209,28 @@ func regsPHV(frame []int64, regs []int) *phv.PHV {
 	return p
 }
 
-// fuzzFused is Fuzz on the fused program: the oracle's packet loop
+// fuzzFused is FuzzGen on the fused program: the oracle's packet loop
 // (flat.Oracle.Fuzz) runs the pipeline and, linked after it, the
 // specification's transaction, and compares the pairs of output registers.
-// Reports are byte-identical to the tick loop's: every early-exit path
-// (counterexample cap, generator error, a trap) reconstructs the exact point
-// the tick loop would have stopped — including dropping comparisons it would
-// never have reached — and the specification's state is handed back to the
-// instance as the tick loop leaves it. Execution itself cannot stop the run.
+// Reports are byte-identical to the tick loop's: a capped run reconstructs
+// the exact point the tick loop would have stopped, and the specification's
+// state is handed back to the instance as the tick loop leaves it.
+// Execution itself cannot stop the run; a trap of the specification is
+// harness misuse, returned as the error, as the tick loop returns it.
 //
 //dvet:hotpath allocs=1
-func (f *Fuzzer) fuzzFused(spec *domino.PHVSpec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
+func (f *Fuzzer) fuzzFused(spec *domino.PHVSpec, n int, gen *TrafficGen, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	report := &BatchReport{SpecName: spec.Name()} //dvet:alloc-ok one report per run, not per PHV
 	o := f.oracle
 	o.Program().Reset(f.frame)
 	spec.Reset()
-	r := fusedRun{f: f, o: o, spec: spec, in: f.fused.Inputs(f.frame), pairs: f.comparePairs(o, opts.Containers), maxMismatches: maxMismatches, abortAt: -1}
-	r.run(n, src)
+	r := fusedRun{f: f, o: o, spec: spec, in: f.fused.Inputs(f.frame), pairs: f.comparePairs(o, opts.Containers), maxMismatches: maxMismatches}
+	r.run(n, gen)
 	o.link.StoreState(f.frame, spec)
-	report = f.finishFused(report, r.mms, maxMismatches, n, r.abortAt, r.abortErr)
-	if r.misuse && report.Err != nil {
-		return nil, r.abortErr
+	if r.trap != nil {
+		return nil, r.trap
 	}
-	return report, nil
+	return f.finishFused(report, r.mms, maxMismatches, n), nil
 }
 
 // fusedRun is one run of the fused loop: what it runs and compares, and what
@@ -244,27 +243,22 @@ type fusedRun struct {
 	pairs         []flat.Pair
 	maxMismatches int
 
-	mms      []Mismatch
-	abortAt  int   // the packet the run stopped at, -1 when it did not
-	abortErr error // the finding it stopped with
-	misuse   bool  // abortErr is a trap of the specification: harness misuse
+	mms  []Mismatch
+	trap error // the specification's trap that stopped the run
 }
 
 // run runs up to n packets through the oracle's packet loop, resuming after
 // each diverging packet.
 //
 //dvet:hotpath allocs=0
-func (r *fusedRun) run(n int, src source) {
+func (r *fusedRun) run(n int, gen *TrafficGen) {
 	for i := 0; i < n; i++ {
-		at, trap, err := r.o.Fuzz(r.f.frame, src.gen, src.fill, r.pairs, i, n)
-		switch {
-		case err != nil:
-			r.abortAt, r.abortErr = at, err
+		at, trap := r.o.Fuzz(r.f.frame, gen, r.pairs, i, n)
+		if trap != 0 {
+			r.trap = fmt.Errorf("sim: spec %q, PHV %d: %w", r.spec.Name(), at, r.o.link.Error(trap)) //dvet:alloc-ok spec-failure error path
 			return
-		case trap != 0:
-			r.abortAt, r.abortErr, r.misuse = at, fmt.Errorf("sim: spec %q, PHV %d: %w", r.spec.Name(), at, r.o.link.Error(trap)), true //dvet:alloc-ok spec-failure error path
-			return
-		case at < n:
+		}
+		if at < n {
 			n = r.mismatch(at, n, regsPHV(r.f.frame, r.o.want)) //dvet:alloc-ok mismatch path
 		}
 		i = at
@@ -275,8 +269,8 @@ func (r *fusedRun) run(n int, src source) {
 // packets the run goes on to, n unless this mismatch reaches the cap. The
 // tick loop notices the cap only when the capping packet surfaces, depth-1
 // ticks after its admission, and admits a packet on each of those ticks,
-// where a generator or spec failure still beats the cap: the run stops only
-// once those packets have been admitted here too.
+// where a specification trap still beats the cap: the run stops only once
+// those packets have been admitted here too.
 func (r *fusedRun) mismatch(i, n int, want *phv.PHV) int {
 	r.mms = append(r.mms, Mismatch{Index: i, Input: phv.FromValues(r.in), Got: regsPHV(r.f.frame, r.o.out), Want: want})
 	if len(r.mms) == r.maxMismatches {
@@ -285,44 +279,22 @@ func (r *fusedRun) mismatch(i, n int, want *phv.PHV) int {
 	return n
 }
 
-// finishFused assembles the final report from the accumulated mismatches,
-// replicating the streaming engine's stopping rules. abortTick < 0 means
-// the stream ran to completion (n packets over n+depth-1 ticks, modulo the
-// counterexample cap); otherwise the run aborted at abortTick with abortErr
-// as its finding, and only packets completed strictly before that tick
-// count as checked — comparisons past it, which the streaming run would
-// never have reached, are dropped.
-func (f *Fuzzer) finishFused(report *BatchReport, mms []Mismatch, maxMismatches, n, abortTick int, abortErr error) *BatchReport {
+// finishFused assembles the report of a run no trap stopped from its
+// mismatches, by the tick loop's stopping rule: the stream runs to
+// completion (n packets over n+depth-1 ticks) unless the cap fires, the
+// tick the maxMismatches-th diverging packet surfaces; mismatches among the
+// packets admitted after it are dropped.
+func (f *Fuzzer) finishFused(report *BatchReport, mms []Mismatch, maxMismatches, n int) *BatchReport {
 	depth := f.pipe.Depth()
 	if maxMismatches > 0 && len(mms) >= maxMismatches {
-		// The cap triggers the moment the maxMismatches-th diverging packet
-		// surfaces; it wins over an abort at a strictly later tick.
-		if capM := mms[maxMismatches-1]; abortTick < 0 || capM.Index+depth-1 < abortTick {
-			report.Mismatches = mms[:maxMismatches]
-			report.Checked = capM.Index + 1
-			report.Ticks = capM.Index + depth
-			return report
-		}
-	}
-	if abortTick < 0 {
-		report.Mismatches = mms
-		report.Checked = n
-		report.Ticks = n + depth - 1
+		capM := mms[maxMismatches-1]
+		report.Mismatches = mms[:maxMismatches]
+		report.Checked = capM.Index + 1
+		report.Ticks = capM.Index + depth
 		return report
 	}
-	checked := abortTick - depth + 1
-	if checked < 0 {
-		checked = 0
-	}
-	for len(mms) > 0 && mms[len(mms)-1].Index >= checked {
-		mms = mms[:len(mms)-1]
-	}
-	if len(mms) == 0 {
-		mms = nil
-	}
 	report.Mismatches = mms
-	report.Checked = checked
-	report.Ticks = abortTick
-	report.Err = abortErr
+	report.Checked = n
+	report.Ticks = n + depth - 1
 	return report
 }

@@ -145,78 +145,53 @@ func TestBatchedFuzzMatchesStreamingSweep(t *testing.T) {
 	}
 }
 
-// TestBatchedNextErrorMatchesStreaming: a generator failure at packet i
-// aborts the tick loop at tick i with only the packets completed strictly
-// before it counted — mismatches past the abort dropped. The fused loop
-// must reconstruct that exact report, whether the failure lands at the
-// start, inside the first window, or deep into the run; the tick loop of
-// NewFuzzer's fuzzer, which runs the SpecFunc, must too.
-func TestBatchedNextErrorMatchesStreaming(t *testing.T) {
-	const n = 300
-	boom := errors.New("traffic source failed")
-	nextErrAt := func(i int) func(dst []phv.Value) error {
-		gen := NewTrafficGen(9, 2, phv.Default32, 1000)
-		calls := 0
-		return func(dst []phv.Value) error {
-			if calls == i {
-				return boom
-			}
-			calls++
-			gen.Fill(dst)
-			return nil
-		}
-	}
-	p := buildPipeline(t, 3, 2, "pred_raw", nil, core.Compiled)
-	for _, spec := range []func() Spec{brokenSpec, dominoSpec(t, p, brokenDomino)} {
-		for _, errAt := range []int{0, 5, 150} {
-			want, err := tickFuzzer(p).Fuzz(spec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !errors.Is(want.Err, boom) {
-				t.Fatalf("errAt=%d: tick loop Err = %v, want the generator failure", errAt, want.Err)
-			}
-			f := NewFuzzer(p)
-			got, err := f.Fuzz(spec(), n, nextErrAt(errAt), FuzzOptions{}, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("%s errAt=%d linked=%v", want.SpecName, errAt, f.Linked())
-			batchReportsEqual(t, label, got, want)
-			if !errors.Is(got.Err, boom) {
-				t.Fatalf("%s: Err = %v, want the generator failure unwrapped", label, got.Err)
-			}
-		}
-	}
-}
-
-// TestOutOfWidthInputIsAFinding: a value a caller's trace puts outside the
-// datapath, -1 or 2^bits, is a finding at its PHV that names the container and
-// the value, as a malformed trace entry is, and the report is the same at
-// Unoptimized (the tick loop) and at Compiled (the fused loop, whose programs
-// are optimized on the promise that every container fits).
-func TestOutOfWidthInputIsAFinding(t *testing.T) {
+// TestOutOfWidthCorpusIsRefused: a value a corpus entry gives a container
+// outside the datapath, -1 or 2^bits, is refused by the plan with an error
+// that names the entry, the container and the value, since the fuzzer's
+// programs are optimized on the promise that every container fits. At the
+// edge, 2^bits-1, the plan replays the trace, and the report is the same at
+// Unoptimized (the tick loop) and at Compiled (the fused loop). A long entry
+// is truncated to the PHV before the check, as before the replay.
+func TestOutOfWidthCorpusIsRefused(t *testing.T) {
 	const n = 60
 	narrow := func(s *core.Spec, _ *machinecode.Program) { s.Bits = phv.MustWidth(8) }
-	for _, bad := range []phv.Value{-1, 1 << 8} {
-		for _, at := range []int{0, 2, 37} {
-			var reports []*BatchReport
-			for _, level := range []core.OptLevel{core.Unoptimized, core.Compiled} {
-				p := buildPipeline(t, 3, 2, "pred_raw", narrow, level)
-				trace := NewTrafficGen(5, p.PHVLen(), p.Bits(), 0).Trace(n)
-				trace.At(at).Set(1, bad)
-				rep, err := NewFuzzer(p).Fuzz(brokenSpec(), n, traceFeed(trace, p.PHVLen()), FuzzOptions{}, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := fmt.Sprintf("sim: input PHV %d container 1 holds %d, outside the 8-bit datapath", at, bad)
-				if rep.Err == nil || rep.Err.Error() != want {
-					t.Fatalf("%v, %d at PHV %d: Err = %v, want %q", level, bad, at, rep.Err, want)
-				}
-				reports = append(reports, rep)
+	for _, at := range []int{0, 2, 37} {
+		trace := func(v phv.Value) [][]phv.Value {
+			rows := make([][]phv.Value, n)
+			gen := NewTrafficGen(5, 2, phv.MustWidth(8), 0)
+			for i := range rows {
+				rows[i] = make([]phv.Value, 2)
+				gen.Fill(rows[i])
 			}
-			batchReportsEqual(t, fmt.Sprintf("%d at PHV %d", bad, at), reports[1], reports[0])
+			rows[at][1] = v
+			return rows
 		}
+		for _, bad := range []phv.Value{-1, 1 << 8} {
+			_, err := NewTraffic(2, phv.MustWidth(8), 0, TrafficUniform, trace(bad))
+			want := fmt.Sprintf("sim: corpus entry %d container 1 holds %d, outside the 8-bit datapath", at, bad)
+			if err == nil || err.Error() != want {
+				t.Fatalf("%d in entry %d: err = %v, want %q", bad, at, err, want)
+			}
+		}
+		var reports []*BatchReport
+		for _, level := range []core.OptLevel{core.Unoptimized, core.Compiled} {
+			p := buildPipeline(t, 3, 2, "pred_raw", narrow, level)
+			plan, err := NewTraffic(p.PHVLen(), p.Bits(), 0, TrafficUniform, trace(255))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gen TrafficGen
+			gen.Start(plan, 0)
+			rep, err := NewFuzzer(p).FuzzGen(brokenSpec(), &gen, n, FuzzOptions{}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports = append(reports, rep)
+		}
+		batchReportsEqual(t, fmt.Sprintf("255 in entry %d", at), reports[1], reports[0])
+	}
+	if _, err := NewTraffic(2, phv.MustWidth(8), 0, TrafficUniform, [][]phv.Value{{1, 2, 1 << 8}}); err != nil {
+		t.Errorf("a long entry was checked past the PHV: %v", err)
 	}
 }
 

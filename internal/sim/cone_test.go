@@ -32,11 +32,11 @@ func TestFuzzRejectsCompareContainerOutOfRange(t *testing.T) {
 				t.Errorf("containers %v on %s: report %v, err %v; want error %q", tc.containers, name, rep, err, tc.want)
 			}
 		}
-		if _, err := FuzzRandom(p, passThroughSpec(), 1, 20, 0, FuzzOptions{Containers: tc.containers}); err == nil || err.Error() != tc.want {
-			t.Errorf("FuzzRandom containers %v: err %v, want %q", tc.containers, err, tc.want)
+		if _, err := fuzzFirst(p, passThroughSpec(), 1, 20, 0, FuzzOptions{Containers: tc.containers}); err == nil || err.Error() != tc.want {
+			t.Errorf("SpecFunc containers %v: err %v, want %q", tc.containers, err, tc.want)
 		}
 	}
-	if rep, err := FuzzRandom(p, passThroughSpec(), 1, 20, 0, FuzzOptions{Containers: []int{0, 1}}); err != nil || !rep.Passed {
+	if rep, err := fuzzFirst(p, passThroughSpec(), 1, 20, 0, FuzzOptions{Containers: []int{0, 1}}); err != nil || !rep.Passed() {
 		t.Errorf("in-range containers: report %v, err %v", rep, err)
 	}
 }

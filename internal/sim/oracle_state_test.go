@@ -105,12 +105,17 @@ func TestFullGridOraclesSimulateDeadState(t *testing.T) {
 
 		f := sim.NewFuzzer(p)
 		identity := &sim.SpecFunc{SpecName: "identity", Fn: func(in *phv.PHV) (*phv.PHV, error) { return in.Clone(), nil }}
-		k := 0
-		rep, err := f.Fuzz(identity, input.Len(), func(dst []phv.Value) error {
-			copy(dst, input.At(k).Raw())
-			k++
-			return nil
-		}, sim.FuzzOptions{}, 0)
+		corpus := make([][]phv.Value, input.Len())
+		for i := range corpus {
+			corpus[i] = input.At(i).Raw()
+		}
+		plan, err := sim.NewTraffic(p.PHVLen(), p.Bits(), 0, sim.TrafficUniform, corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gen sim.TrafficGen
+		gen.Start(plan, 0)
+		rep, err := f.FuzzGen(identity, &gen, input.Len(), sim.FuzzOptions{}, 0)
 		if err != nil || !rep.Passed() || rep.Checked != 3 || rep.Ticks != 4 {
 			t.Fatalf("%v: fuzz report %+v, err %v", level, rep, err)
 		}

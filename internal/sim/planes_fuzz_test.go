@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"errors"
 	"testing"
 
 	"druzhba/internal/core"
 	"druzhba/internal/domino"
-	"druzhba/internal/phv"
 )
 
 // linkedSpecs are FuzzStep's seed programs (internal/domino): a state machine,
@@ -55,8 +53,8 @@ func linkedBinding(t *testing.T, k int, p *core.Pipeline) (*domino.Binding, []st
 // (seed) with one pair perturbed — an injected miscompile against the
 // Unoptimized reference of the unperturbed code, optionally under a
 // specification that is itself wrong — fuzzed traffic seed and mode,
-// counterexample cap, compared containers, and a generator and a
-// specification failure at fuzzed packet indices (past the run = never). The
+// counterexample cap, compared containers, and a specification failure at a
+// fuzzed packet index (past the run = never). The
 // fast side runs the perturbed code built at a prechecked level; the
 // reference runs the same perturbed code built at Unoptimized, over the whole
 // grid through the AST interpreter, so it shares no lowering with the fast
@@ -71,26 +69,27 @@ func linkedBinding(t *testing.T, k int, p *core.Pipeline) (*domino.Binding, []st
 // the seeds and any saved corpus still decode; it now picks the packet count.
 func FuzzPlanesVsTicks(f *testing.F) {
 	const never = 0xffff
-	f.Add(int64(45), uint8(2), uint8(8), uint8(0), false, false, false, uint16(14), uint16(never), uint16(never), false)
-	f.Add(int64(45), uint8(0), uint8(7), uint8(3), true, false, true, uint16(16), uint16(never), uint16(never), false)
-	f.Add(int64(43), uint8(1), uint8(1), uint8(1), false, true, false, uint16(13), uint16(never), uint16(90), false)
-	f.Add(int64(43), uint8(2), uint8(64), uint8(0), true, true, false, uint16(13), uint16(77), uint16(never), false)
-	f.Add(int64(7), uint8(2), uint8(200), uint8(2), false, true, true, uint16(0), uint16(0), uint16(never), false)
-	f.Add(int64(900), uint8(1), uint8(5), uint8(0), false, false, false, uint16(21), uint16(149), uint16(149), false)
-	f.Add(int64(901), uint8(0), uint8(16), uint8(1), true, true, false, uint16(3), uint16(60), uint16(12), false)
+	f.Add(int64(45), uint8(2), uint8(8), uint8(0), false, false, false, uint16(14), uint16(never), false)
+	f.Add(int64(45), uint8(0), uint8(7), uint8(3), true, false, true, uint16(16), uint16(never), false)
+	f.Add(int64(43), uint8(1), uint8(1), uint8(1), false, true, false, uint16(13), uint16(90), false)
+	f.Add(int64(43), uint8(2), uint8(64), uint8(0), true, true, false, uint16(13), uint16(never), false)
+	f.Add(int64(7), uint8(2), uint8(200), uint8(2), false, true, true, uint16(0), uint16(never), false)
+	f.Add(int64(900), uint8(1), uint8(5), uint8(0), false, false, false, uint16(21), uint16(149), false)
+	f.Add(int64(901), uint8(0), uint8(16), uint8(1), true, true, false, uint16(3), uint16(12), false)
 	// Found by this target: the cap is reached on packet 8 of a depth-3 grid,
 	// which surfaces on tick 10 — after packet 10's admission, where the spec
-	// fails; the failure wins on the tick loop and must win at chunk 1 too.
-	f.Add(int64(89), uint8(12), uint8(0), uint8(9), true, true, false, uint16(35), uint16(never), uint16(10), false)
-	f.Add(int64(89), uint8(12), uint8(0), uint8(9), true, true, false, uint16(35), uint16(10), uint16(never), false)
-	// Every linked program, clean to the end, under a cap, a generator
-	// failure, and (boundary traffic) traps at later packets.
+	// fails; the failure wins on the tick loop and must win on the fused loop
+	// too. One packet later the cap wins on both.
+	f.Add(int64(89), uint8(12), uint8(0), uint8(9), true, true, false, uint16(35), uint16(10), false)
+	f.Add(int64(89), uint8(12), uint8(0), uint8(9), true, true, false, uint16(35), uint16(11), false)
+	// Every linked program, clean to the end, under a cap, and (boundary
+	// traffic) traps at later packets.
 	for k := range linkedSpecs {
-		f.Add(int64(45+k), uint8(k), uint8(k), uint8(0), false, false, false, uint16(14), uint16(never), uint16(k), true)
-		f.Add(int64(45+k), uint8(k), uint8(k), uint8(2), true, false, k%2 == 0, uint16(14), uint16(40), uint16(k), true)
-		f.Add(int64(89+k), uint8(k), uint8(k), uint8(0), true, false, false, uint16(35), uint16(never), uint16(k), true)
+		f.Add(int64(45+k), uint8(k), uint8(k), uint8(0), false, false, false, uint16(14), uint16(k), true)
+		f.Add(int64(45+k), uint8(k), uint8(k), uint8(2), true, false, k%2 == 0, uint16(14), uint16(k), true)
+		f.Add(int64(89+k), uint8(k), uint8(k), uint8(0), true, false, false, uint16(35), uint16(k), true)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, level, chunk, maxMM uint8, boundary, wrongSpec, oneContainer bool, pair, genErrAt, specFailAt uint16, linked bool) {
+	f.Fuzz(func(t *testing.T, seed int64, level, chunk, maxMM uint8, boundary, wrongSpec, oneContainer bool, pair, specFailAt uint16, linked bool) {
 		n := 150 - int(chunk)%8 // every packet count's tail lands differently against depth and cap
 		levels := []core.OptLevel{core.SCCPropagation, core.SCCInlining, core.Compiled}
 		p, ref, _ := miscompiled(t, seed, int(pair), levels[int(level)%len(levels)])
@@ -111,22 +110,12 @@ func FuzzPlanesVsTicks(f *testing.F) {
 		if oneContainer {
 			opts.Containers = []int{0}
 		}
-		boom := errors.New("traffic source failed")
 		run := func(fz *Fuzzer, spec Spec) (*BatchReport, error) {
 			gen, err := NewTrafficGenMode(seed, p.PHVLen(), p.Bits(), 1<<16, mode)
 			if err != nil {
 				t.Fatal(err)
 			}
-			calls := 0
-			next := func(dst []phv.Value) error {
-				if calls == int(genErrAt) {
-					return boom
-				}
-				calls++
-				gen.Fill(dst)
-				return nil
-			}
-			return fz.Fuzz(spec, n, next, opts, int(maxMM))
+			return fz.FuzzGen(spec, gen, n, opts, int(maxMM))
 		}
 		wantSpec, gotSpec := newSpec(), newSpec()
 		fused := NewFuzzer(p)

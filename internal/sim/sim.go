@@ -28,16 +28,20 @@
 //     prechecked level the output cone with a Domino binding's transaction
 //     linked after it: the campaign engine's hot path.
 //
-// Either way the Fuzzer generates traffic directly into its own buffers
-// (TrafficGen.Fill) and compares outputs in lock step, so a clean fuzzing
-// shard performs O(1) allocation total regardless of packet count.
+// Either way the Fuzzer's one entry, FuzzGen, draws traffic directly into
+// its own buffers (TrafficGen.Fill) and compares outputs in lock step, so a
+// clean fuzzing shard performs O(1) allocation total regardless of packet
+// count; its BatchReport holds every mismatch up to the run's cap, and a
+// cap of one is the first-mismatch verdict.
 //
 // Traffic comes from phv.TrafficGen, the generator both machine models
 // share, drawing from a plan (phv.Traffic) with one column per container,
 // every column at the pipeline's bit width; a max beyond that width is
 // clamped to it. NewTrafficGen builds a plan and a generator on it; a
 // campaign job builds one plan (NewTraffic) and each shard starts a
-// generator of its own on it (TrafficGen.Start), on its stack.
+// generator of its own on it (TrafficGen.Start), on its stack. A trace to
+// replay is a plan's corpus, served before any random draw; NewTraffic
+// refuses an entry with a value outside the datapath.
 package sim
 
 import (
@@ -83,8 +87,19 @@ func NewTrafficGenMode(seed int64, phvLen int, bits phv.Width, max int64, mode T
 
 // NewTraffic returns the traffic plan NewTrafficGenMode's generator draws
 // from, with corpus served first (see phv.NewTraffic): one plan per job,
-// from which each shard starts a generator of its own.
+// from which each shard starts a generator of its own, and the way to
+// replay a trace. A corpus entry is zero-padded or truncated to phvLen
+// containers; a value it gives a container outside [0, 2^bits) is an error,
+// since the fuzzer's programs are optimized on the promise that every
+// container fits, as every drawn value does.
 func NewTraffic(phvLen int, bits phv.Width, max int64, mode TrafficMode, corpus [][]phv.Value) (*phv.Traffic, error) {
+	for i, entry := range corpus {
+		for c, v := range entry[:min(len(entry), phvLen)] {
+			if v < 0 || v > bits.Mask() {
+				return nil, fmt.Errorf("sim: corpus entry %d container %d holds %d, outside the %d-bit datapath", i, c, v, bits.Bits())
+			}
+		}
+	}
 	return phv.NewTraffic(columns(phvLen, bits), max, mode, corpus)
 }
 
@@ -340,90 +355,6 @@ type FuzzOptions struct {
 	Containers []int
 }
 
-// FuzzReport is the outcome of one fuzzing session.
-type FuzzReport struct {
-	SpecName string
-	Checked  int  // PHVs compared (including a mismatching one)
-	Passed   bool // true when every PHV matched
-
-	// On failure:
-	FailIndex int      // index of the first mismatching PHV (-1 if none)
-	Input     *phv.PHV // the mismatching input
-	Got       *phv.PHV // pipeline output
-	Want      *phv.PHV // spec output
-	Err       error    // non-nil when simulation itself failed
-}
-
-// String renders the report for humans.
-func (r *FuzzReport) String() string {
-	if r.Passed {
-		return fmt.Sprintf("PASS: %s: %d PHVs match", r.SpecName, r.Checked)
-	}
-	if r.Err != nil {
-		return fmt.Sprintf("FAIL: %s: simulation error after %d PHVs: %v", r.SpecName, r.Checked, r.Err)
-	}
-	return fmt.Sprintf("FAIL: %s: PHV %d: input %s: pipeline %s, spec %s",
-		r.SpecName, r.FailIndex, r.Input, r.Got, r.Want)
-}
-
-// Fuzz implements the compiler-testing workflow of Fig. 5: the input trace
-// is fed both to the pipeline and to the specification, and the two output
-// traces are compared. The run starts from reset state on a fresh Fuzzer's
-// private clone; p is not mutated. A non-nil error is returned only for
-// harness misuse (an empty trace, a compared container outside the PHV, a
-// failing specification); simulation failures (e.g. machine code
-// incompatible with the pipeline, or a trace entry of the wrong length or
-// with a value outside the datapath) are reported in FuzzReport.Err, since
-// they are test findings (§5.2's first failure class).
-//
-// Fuzz and FuzzRandom are the two shortcuts over the Fuzzer, for callers
-// that want one first-mismatch verdict on a trace or a seed; everything else
-// (every mismatch, tick counts, many runs over one pipeline) holds a Fuzzer
-// and calls its Fuzz or FuzzGen.
-func Fuzz(p *core.Pipeline, spec Spec, input *phv.Trace, opts FuzzOptions) (*FuzzReport, error) {
-	batch, err := NewFuzzer(p).Fuzz(spec, input.Len(), traceFeed(input, p.PHVLen()), opts, 1)
-	if err != nil {
-		return nil, err
-	}
-	return fuzzReportOf(batch), nil
-}
-
-// traceFeed adapts a materialized trace to the Fuzzer's input callback; a
-// PHV of the wrong length is a simulation finding at its index.
-func traceFeed(input *phv.Trace, phvLen int) func(dst []phv.Value) error {
-	i := 0
-	return func(dst []phv.Value) error {
-		in := input.At(i)
-		if in.Len() != phvLen {
-			return fmt.Errorf("sim: input PHV %d has %d containers, pipeline expects %d", i, in.Len(), phvLen)
-		}
-		copy(dst, in.Raw())
-		i++
-		return nil
-	}
-}
-
-// fuzzReportOf condenses a BatchReport into the single-mismatch FuzzReport.
-// Checked counts every PHV compared, including a mismatching one (so a
-// first-packet mismatch reports Checked=1, FailIndex=0).
-func fuzzReportOf(batch *BatchReport) *FuzzReport {
-	report := &FuzzReport{SpecName: batch.SpecName, Checked: batch.Checked, FailIndex: -1, Err: batch.Err}
-	if report.Err != nil {
-		return report
-	}
-	if len(batch.Mismatches) > 0 {
-		m := batch.Mismatches[0]
-		report.Checked = m.Index + 1
-		report.FailIndex = m.Index
-		report.Input = m.Input
-		report.Got = m.Got
-		report.Want = m.Want
-		return report
-	}
-	report.Passed = true
-	return report
-}
-
 // Mismatch is one diverging PHV found by the fuzzer: the pipeline and the
 // specification disagreed on the trace entry at Index.
 type Mismatch struct {
@@ -438,13 +369,12 @@ func (m *Mismatch) String() string {
 	return fmt.Sprintf("PHV %d: input %s: pipeline %s, spec %s", m.Index, m.Input, m.Got, m.Want)
 }
 
-// BatchReport is the outcome of a whole-stream fuzzing comparison: the
-// multi-mismatch variant of FuzzReport consumed by the campaign engine,
-// which keeps scanning past the first divergence so counterexamples can be
-// aggregated and deduplicated across shards.
+// BatchReport is the outcome of one fuzzing run: every diverging PHV up to
+// the run's cap, so a campaign can aggregate and deduplicate counterexamples
+// across shards, and a cap of one gives the first-mismatch verdict.
 type BatchReport struct {
 	SpecName   string
-	Checked    int // PHVs compared (the full stream unless simulation failed)
+	Checked    int // PHVs compared, a capping mismatch included (the full stream unless the cap fired or simulation failed)
 	Ticks      int // pipeline ticks consumed by the run
 	Mismatches []Mismatch
 	Err        error // non-nil when simulation itself failed
@@ -453,12 +383,29 @@ type BatchReport struct {
 // Passed reports whether the batch found no divergence and no error.
 func (r *BatchReport) Passed() bool { return r.Err == nil && len(r.Mismatches) == 0 }
 
-// Fuzzer runs the Fig. 5 comparison in lock step over reusable buffers:
-// packet i is generated, the specification consumes it on the spot, and the
-// expected output waits until the pipeline's output for packet i is
-// available and the two are compared. PHVs are cloned only for mismatches,
-// so a clean run performs O(1) allocation total — for StreamSpec
-// specifications, zero steady-state allocations per PHV.
+// String renders the verdict for humans: the simulation failure, else the
+// first mismatch (and how many followed it), else the PHVs that matched.
+func (r *BatchReport) String() string {
+	switch {
+	case r.Err != nil:
+		return fmt.Sprintf("FAIL: %s: simulation error after %d PHVs: %v", r.SpecName, r.Checked, r.Err)
+	case len(r.Mismatches) == 1:
+		return fmt.Sprintf("FAIL: %s: %s", r.SpecName, &r.Mismatches[0])
+	case len(r.Mismatches) > 1:
+		return fmt.Sprintf("FAIL: %s: %s (and %d more mismatching PHVs)", r.SpecName, &r.Mismatches[0], len(r.Mismatches)-1)
+	}
+	return fmt.Sprintf("PASS: %s: %d PHVs match", r.SpecName, r.Checked)
+}
+
+// Fuzzer runs the Fig. 5 comparison in lock step over reusable buffers, and
+// FuzzGen is the one way to run it: packet i is drawn from a generator
+// started on a traffic plan, the specification consumes it on the spot, and
+// the expected output waits until the pipeline's output for packet i is
+// available and the two are compared. A trace to replay is a plan's corpus
+// (NewTraffic), whose entries the generator serves before any random draw.
+// PHVs are cloned only for mismatches, so a clean run performs O(1)
+// allocation total — for StreamSpec specifications, zero steady-state
+// allocations per PHV.
 //
 // Each run picks one of two kernels from the pipeline and the specification,
 // never from the caller. A Domino specification (domino.PHVSpec) on a
@@ -492,7 +439,7 @@ type Fuzzer struct {
 
 	// Fused loop: the cone (nil at Unoptimized), the last binding a run was
 	// handed and the oracle linking it after the cone (nil when it does not
-	// link), this fuzzer's frame for the last oracle (the source fills its
+	// link), this fuzzer's frame for the last oracle (the generator fills its
 	// input registers in place) and the subset of its pairs a run that
 	// compares some containers selects.
 	fused  *core.Fused
@@ -508,8 +455,8 @@ type Fuzzer struct {
 // only the ALUs whose results can reach an output container run, on a frame
 // the first run lays out for its specification. Every other run executes a
 // clone of the pipeline whole on the tick loop. Either way p itself is never
-// executed or mutated, and the buffers are reused by every subsequent Fuzz
-// run.
+// executed or mutated, and the buffers are reused by every subsequent
+// FuzzGen run.
 func NewFuzzer(p *core.Pipeline) *Fuzzer { return &Fuzzer{pipe: p, fused: p.Cone()} }
 
 // startTicks lays out the tick loop over a clone of the pipeline, which it
@@ -538,37 +485,24 @@ func valueRows(n, phvLen int) [][]phv.Value {
 func (f *Fuzzer) Pipeline() *core.Pipeline { return f.pipe }
 
 // FuzzGen runs the lock-step comparison over n PHVs drawn from gen, which
-// must draw one column per container: a generator of another shape is
-// harness misuse, like a compared container outside the PHV.
+// must draw one column per container, each within the pipeline's width: a
+// generator started on a plan NewTraffic made for the pipeline. Collection
+// stops after maxMismatches diverging PHVs (0 = unbounded). The pipeline's
+// state and the specification are reset first. Simulation failures (machine
+// code incompatible with the pipeline, at Unoptimized) land in
+// BatchReport.Err, since they are test findings (§5.2's first failure class);
+// only harness misuse — n <= 0, a generator of another shape, a compared
+// container outside [0, PHVLen), a failing specification — returns a non-nil
+// error.
+//
+// The run goes to its loop: the fused loop for a Domino binding the cone
+// links, the tick loop for the rest.
 //
 //dvet:hotpath allocs=1
 func (f *Fuzzer) FuzzGen(spec Spec, gen *TrafficGen, n int, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	if cols, phvLen := gen.Columns(), f.pipe.PHVLen(); cols != phvLen {
 		return nil, fmt.Errorf("sim: traffic generator draws %d columns, pipeline has %d containers", cols, phvLen) //dvet:alloc-ok harness-misuse error path
 	}
-	return f.fuzz(spec, n, source{gen: gen}, opts, maxMismatches)
-}
-
-// Fuzz runs the lock-step comparison over n input PHVs produced by next,
-// which must fill the PHVLen-sized buffer it is handed with values of the
-// pipeline's width (an error from next, or a value outside [0, 2^bits), is
-// recorded as a simulation finding, like a malformed trace entry).
-// Collection stops after maxMismatches diverging PHVs (0 = unbounded). The
-// pipeline's state and the specification are reset first. Like Fuzz,
-// simulation failures land in BatchReport.Err; only harness misuse — n <= 0,
-// a compared container outside [0, PHVLen), a failing specification —
-// returns a non-nil error.
-//
-//dvet:hotpath allocs=1
-func (f *Fuzzer) Fuzz(spec Spec, n int, next func(dst []phv.Value) error, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
-	return f.fuzz(spec, n, source{next: next, w: f.pipe.Bits()}, opts, maxMismatches)
-}
-
-// fuzz checks the run's arguments and hands the run to its loop: the fused
-// loop for a Domino binding the cone links, the tick loop for the rest.
-//
-//dvet:hotpath allocs=1
-func (f *Fuzzer) fuzz(spec Spec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	if n <= 0 {
 		return nil, errors.New("sim: empty input trace")
 	}
@@ -576,56 +510,26 @@ func (f *Fuzzer) fuzz(spec Spec, n int, src source, opts FuzzOptions, maxMismatc
 		return nil, err
 	}
 	if ps, ok := spec.(*domino.PHVSpec); ok && f.useOracle(ps.Binding()) != nil {
-		return f.fuzzFused(ps, n, src, opts, maxMismatches)
+		return f.fuzzFused(ps, n, gen, opts, maxMismatches)
 	}
-	return f.fuzzTicks(spec, n, src, opts, maxMismatches)
+	return f.fuzzTicks(spec, n, gen, opts, maxMismatches)
 }
 
-// source is where a run's packets come from: a generator, drawn from
-// directly, or the caller's callback for a datapath of width w.
-type source struct {
-	gen  *TrafficGen
-	next func(dst []phv.Value) error
-	w    phv.Width
-}
-
-// fill draws packet i into dst. A callback's value outside [0, 2^bits) is a
-// finding, like a malformed trace entry: the flat programs are optimized on
-// the promise that every container fits, as a generator's values do.
-func (s source) fill(i int, dst []phv.Value) error {
-	if s.gen != nil {
-		s.gen.Fill(dst)
-		return nil
-	}
-	if err := s.next(dst); err != nil {
-		return err
-	}
-	for c, v := range dst {
-		if v < 0 || v > s.w.Mask() {
-			return fmt.Errorf("sim: input PHV %d container %d holds %d, outside the %d-bit datapath", i, c, v, s.w.Bits())
-		}
-	}
-	return nil
-}
-
-// admit draws packet i from src into in and leaves the specification's
+// admit draws packet i from gen into in and leaves the specification's
 // expected output for it in *want: the tick loop's step, taken at packet i's
 // admission, so generator and spec state advance in packet order. A
-// generator failure is a finding and comes back bare as genErr; a
-// specification failure is harness misuse and comes back as specErr,
-// carrying the spec's name and i.
+// specification failure is harness misuse and comes back carrying the
+// spec's name and i.
 //
 //dvet:hotpath allocs=0
-func (f *Fuzzer) admit(spec Spec, ss StreamSpec, i int, src source, in []phv.Value, want *[]phv.Value) (genErr, specErr error) {
-	if err := src.fill(i, in); err != nil {
-		return err, nil
-	}
+func (f *Fuzzer) admit(spec Spec, ss StreamSpec, i int, gen *TrafficGen, in []phv.Value, want *[]phv.Value) error {
+	gen.Fill(in)
 	if ss != nil {
 		*want = append((*want)[:0], in...) //dvet:alloc-ok append into the row's cap-pinned backing, never grows
 		if err := ss.ProcessStream(*want); err != nil {
-			return nil, fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), i, err) //dvet:alloc-ok spec-failure error path
+			return fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), i, err) //dvet:alloc-ok spec-failure error path
 		}
-		return nil, nil
+		return nil
 	}
 	if f.specIn == nil {
 		f.specIn = phv.New(len(in)) //dvet:alloc-ok once per fuzzer
@@ -633,10 +537,10 @@ func (f *Fuzzer) admit(spec Spec, ss StreamSpec, i int, src source, in []phv.Val
 	copy(f.specIn.Raw(), in)
 	out, err := spec.Process(f.specIn)
 	if err != nil {
-		return nil, fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), i, err) //dvet:alloc-ok spec-failure error path
+		return fmt.Errorf("sim: spec %q, PHV %d: %w", spec.Name(), i, err) //dvet:alloc-ok spec-failure error path
 	}
 	*want = append((*want)[:0], out.Raw()...) //dvet:alloc-ok append into the row's cap-pinned backing, never grows
-	return nil, nil
+	return nil
 }
 
 // mismatchOf records one diverging packet; the three vectors are copied.
@@ -644,12 +548,12 @@ func mismatchOf(index int, input, got, want []phv.Value) Mismatch {
 	return Mismatch{Index: index, Input: phv.FromValues(input), Got: phv.FromValues(got), Want: phv.FromValues(want)}
 }
 
-// fuzzTicks is Fuzz on the tick loop: packet i is admitted into the Stream
+// fuzzTicks is FuzzGen on the tick loop: packet i is admitted into the Stream
 // on tick i and its output, surfacing depth-1 ticks later, is compared with
 // the expectation that waited in the ring.
 //
 //dvet:hotpath allocs=1
-func (f *Fuzzer) fuzzTicks(spec Spec, n int, src source, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
+func (f *Fuzzer) fuzzTicks(spec Spec, n int, gen *TrafficGen, opts FuzzOptions, maxMismatches int) (*BatchReport, error) {
 	report := &BatchReport{SpecName: spec.Name()} //dvet:alloc-ok one report per run, not per PHV
 	if f.stream == nil {
 		f.startTicks()
@@ -671,13 +575,8 @@ func (f *Fuzzer) fuzzTicks(spec Spec, n int, src source, opts FuzzOptions, maxMi
 		if fed < n {
 			slot := fed % win
 			in = f.inputs[slot]
-			genErr, specErr := f.admit(spec, ss, fed, src, in, &f.want[slot])
-			if genErr != nil {
-				report.Err = genErr
-				return finish(), nil
-			}
-			if specErr != nil {
-				return nil, specErr
+			if err := f.admit(spec, ss, fed, gen, in, &f.want[slot]); err != nil {
+				return nil, err
 			}
 			fed++
 		}
@@ -701,17 +600,6 @@ func (f *Fuzzer) fuzzTicks(spec Spec, n int, src source, opts FuzzOptions, maxMi
 		compared++
 	}
 	return finish(), nil
-}
-
-// FuzzRandom drives a fresh fuzzer with n PHVs from a fresh traffic
-// generator and condenses the outcome to a first-mismatch FuzzReport.
-func FuzzRandom(p *core.Pipeline, spec Spec, seed int64, n int, maxValue int64, opts FuzzOptions) (*FuzzReport, error) {
-	gen := NewTrafficGen(seed, p.PHVLen(), p.Bits(), maxValue)
-	batch, err := NewFuzzer(p).FuzzGen(spec, gen, n, opts, 1)
-	if err != nil {
-		return nil, err
-	}
-	return fuzzReportOf(batch), nil
 }
 
 // checkContainers rejects a comparison set that names a container outside

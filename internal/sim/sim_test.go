@@ -175,6 +175,12 @@ func TestRunWrongPHVLen(t *testing.T) {
 	}
 }
 
+// fuzzFirst runs a fresh fuzzer over p against spec on n PHVs of a fresh
+// generator, up to the first mismatch.
+func fuzzFirst(p *core.Pipeline, spec Spec, seed int64, n int, max int64, opts FuzzOptions) (*BatchReport, error) {
+	return NewFuzzer(p).FuzzGen(spec, NewTrafficGen(seed, p.PHVLen(), p.Bits(), max), n, opts, 1)
+}
+
 // passThroughSpec expects the pipeline to be an identity function.
 func passThroughSpec() Spec {
 	return &SpecFunc{SpecName: "identity", Fn: func(in *phv.PHV) (*phv.PHV, error) {
@@ -184,11 +190,11 @@ func passThroughSpec() Spec {
 
 func TestFuzzPass(t *testing.T) {
 	p := buildPipeline(t, 2, 2, "pred_raw", nil, core.SCCPropagation)
-	rep, err := FuzzRandom(p, passThroughSpec(), 1, 500, 0, FuzzOptions{})
+	rep, err := fuzzFirst(p, passThroughSpec(), 1, 500, 0, FuzzOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed {
+	if !rep.Passed() {
 		t.Fatalf("fuzz failed: %s", rep)
 	}
 	if rep.Checked != 500 {
@@ -207,17 +213,17 @@ func TestFuzzDetectsMismatch(t *testing.T) {
 		out.Set(0, out.Get(0)+1)
 		return out, nil
 	}}
-	rep, err := FuzzRandom(p, spec, 2, 100, 0, FuzzOptions{})
+	rep, err := fuzzFirst(p, spec, 2, 100, 0, FuzzOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Passed {
+	if rep.Passed() {
 		t.Fatal("fuzz passed, want mismatch")
 	}
-	if rep.FailIndex != 0 {
-		t.Errorf("FailIndex = %d, want 0", rep.FailIndex)
+	if m := rep.Mismatches[0]; m.Index != 0 || rep.Checked != 1 {
+		t.Errorf("mismatch at PHV %d after %d checked, want PHV 0 after 1", m.Index, rep.Checked)
 	}
-	if rep.Got == nil || rep.Want == nil || rep.Input == nil {
+	if m := rep.Mismatches[0]; m.Got == nil || m.Want == nil || m.Input == nil {
 		t.Error("failure report lacks PHV details")
 	}
 	if !strings.HasPrefix(rep.String(), "FAIL") {
@@ -236,26 +242,26 @@ func TestFuzzContainerMask(t *testing.T) {
 	}
 	spec := passThroughSpec()
 	p := buildPipeline(t, 1, 2, "", mutate, core.SCCInlining)
-	rep, err := FuzzRandom(p, spec, 3, 200, 1<<20, FuzzOptions{Containers: []int{0}})
+	rep, err := fuzzFirst(p, spec, 3, 200, 1<<20, FuzzOptions{Containers: []int{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed {
+	if !rep.Passed() {
 		t.Fatalf("masked fuzz failed: %s", rep)
 	}
 	p2 := buildPipeline(t, 1, 2, "", mutate, core.SCCInlining)
-	rep2, err := FuzzRandom(p2, spec, 3, 200, 1<<20, FuzzOptions{})
+	rep2, err := fuzzFirst(p2, spec, 3, 200, 1<<20, FuzzOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Passed {
+	if rep2.Passed() {
 		t.Fatal("unmasked fuzz passed, want failure on container 1")
 	}
 }
 
 func TestFuzzReportsRuntimeFailure(t *testing.T) {
 	// BuildUnchecked + a deleted ALU pair: the failure must land in
-	// FuzzReport.Err, not as a harness error (§5.2 failure class 1).
+	// BatchReport.Err, not as a harness error (§5.2 failure class 1).
 	s := core.Spec{Depth: 1, Width: 1, StatelessALU: atoms.MustLoad("stateless_full"), StatefulALU: atoms.MustLoad("raw")}
 	req, err := s.RequiredPairs()
 	if err != nil {
@@ -270,11 +276,11 @@ func TestFuzzReportsRuntimeFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := FuzzRandom(p, passThroughSpec(), 4, 10, 0, FuzzOptions{})
+	rep, err := fuzzFirst(p, passThroughSpec(), 4, 10, 0, FuzzOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Passed {
+	if rep.Passed() {
 		t.Fatal("fuzz passed with missing machine code pair")
 	}
 	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "missing machine code pair") {
@@ -284,8 +290,8 @@ func TestFuzzReportsRuntimeFailure(t *testing.T) {
 
 func TestFuzzEmptyTrace(t *testing.T) {
 	p := buildPipeline(t, 1, 1, "", nil, core.SCCInlining)
-	if _, err := Fuzz(p, passThroughSpec(), phv.NewTrace(), FuzzOptions{}); err == nil {
-		t.Error("Fuzz accepted empty trace")
+	if _, err := fuzzFirst(p, passThroughSpec(), 1, 0, 0, FuzzOptions{}); err == nil {
+		t.Error("FuzzGen accepted an empty run")
 	}
 }
 
@@ -307,11 +313,57 @@ func TestFuzzStatefulSpec(t *testing.T) {
 		code.Set(machinecode.ALUHoleName(0, true, 0, "mux2_0"), 0)
 		code.Set(machinecode.OutputMuxName(0, 0), 2)
 	}, core.SCCInlining)
-	rep, err := FuzzRandom(p, &statefulCounterSpec{}, 5, 1000, 0, FuzzOptions{})
+	rep, err := fuzzFirst(p, &statefulCounterSpec{}, 5, 1000, 0, FuzzOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed {
+	if !rep.Passed() {
 		t.Fatalf("stateful fuzz failed: %s", rep)
+	}
+}
+
+// TestReportTextIsPinned pins BatchReport.String for a run capped at one
+// mismatch — a pass, a mismatch and an Unoptimized execution error — to the
+// text the first-mismatch report printed before BatchReport took it over.
+func TestReportTextIsPinned(t *testing.T) {
+	p := buildPipeline(t, 1, 1, "", nil, core.SCCInlining)
+	plusOne := &SpecFunc{SpecName: "plus-one", Fn: func(in *phv.PHV) (*phv.PHV, error) {
+		out := in.Clone()
+		out.Set(0, out.Get(0)+1)
+		return out, nil
+	}}
+	s := core.Spec{Depth: 1, Width: 1, StatelessALU: atoms.MustLoad("stateless_full"), StatefulALU: atoms.MustLoad("raw")}
+	req, err := s.RequiredPairs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := machinecode.New()
+	for _, h := range req {
+		code.Set(h.Name, 0)
+	}
+	code.Delete(machinecode.ALUHoleName(0, false, 0, "const_0"))
+	broken, err := core.BuildUnchecked(s, code)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		p    *core.Pipeline
+		spec Spec
+		seed int64
+		n    int
+		max  int64
+		want string
+	}{
+		{p, passThroughSpec(), 1, 50, 0, "PASS: identity: 50 PHVs match"},
+		{p, plusOne, 2, 100, 1000, "FAIL: plus-one: PHV 0: input [511]: pipeline [511], spec [512]"},
+		{broken, passThroughSpec(), 4, 10, 0, `FAIL: identity: simulation error after 0 PHVs: sim: tick 0: aludsl: stateless_full: missing machine code pair for "const_0"`},
+	} {
+		rep, err := fuzzFirst(tc.p, tc.spec, tc.seed, tc.n, tc.max, FuzzOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.String(); got != tc.want {
+			t.Errorf("report %q, want %q", got, tc.want)
+		}
 	}
 }

@@ -111,10 +111,27 @@ func brokenSpec() Spec {
 	}}
 }
 
-// TestFuzzGenMatchesFuzzBatch differentially tests the generator-driven
-// streaming path against the same fuzzer fed a materialized trace (the
-// feed behind sim.Fuzz): identical Checked,
-// Ticks and mismatch sets, on clean and on diverging runs.
+// replayGen returns a generator that serves the trace, the corpus of a plan
+// for the pipeline p.
+func replayGen(t *testing.T, p *core.Pipeline, trace *phv.Trace) *TrafficGen {
+	t.Helper()
+	corpus := make([][]phv.Value, trace.Len())
+	for i := range corpus {
+		corpus[i] = trace.At(i).Raw()
+	}
+	plan, err := NewTraffic(p.PHVLen(), p.Bits(), 0, TrafficUniform, corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gen TrafficGen
+	gen.Start(plan, 0)
+	return &gen
+}
+
+// TestFuzzGenMatchesFuzzBatch differentially tests a generator drawing the
+// stream against a corpus plan holding the same stream as a materialized
+// trace, the way a trace is replayed: identical Checked, Ticks and mismatch
+// sets, on clean and on diverging runs.
 func TestFuzzGenMatchesFuzzBatch(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -126,7 +143,7 @@ func TestFuzzGenMatchesFuzzBatch(t *testing.T) {
 		p1 := buildPipeline(t, 3, 2, "pred_raw", nil, core.SCCInlining)
 		p2 := buildPipeline(t, 3, 2, "pred_raw", nil, core.SCCInlining)
 		const n = 300
-		batch, err := NewFuzzer(p1).Fuzz(tc.spec(), n, traceFeed(NewTrafficGen(9, 2, phv.Default32, 1000).Trace(n), 2), FuzzOptions{}, 0)
+		batch, err := NewFuzzer(p1).FuzzGen(tc.spec(), replayGen(t, p1, NewTrafficGen(9, 2, phv.Default32, 1000).Trace(n)), n, FuzzOptions{}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,10 +173,10 @@ func TestFuzzGenMatchesFuzzBatch(t *testing.T) {
 	}
 }
 
-// TestFuzzCheckedCountsMismatch pins the count semantics: Checked counts
-// every PHV compared including a mismatching one, and FailIndex addresses
-// the mismatch, so a first-packet divergence reports Checked=1/FailIndex=0
-// (sim.Fuzz used to report Checked=FailIndex, one short of the BatchReport).
+// TestFuzzCheckedCountsMismatch pins the count semantics of a run capped at
+// one mismatch: Checked counts every PHV compared including the mismatching
+// one, so a first-packet divergence reports Checked=1 and the mismatch at
+// index 0.
 func TestFuzzCheckedCountsMismatch(t *testing.T) {
 	// Identity pipeline vs +1 spec: every packet diverges, starting at 0.
 	p := buildPipeline(t, 1, 1, "", nil, core.SCCInlining)
@@ -168,27 +185,24 @@ func TestFuzzCheckedCountsMismatch(t *testing.T) {
 		out.Set(0, out.Get(0)+1)
 		return out, nil
 	}}
-	rep, err := FuzzRandom(p, spec, 2, 100, 0, FuzzOptions{})
+	rep, err := fuzzFirst(p, spec, 2, 100, 0, FuzzOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Passed {
+	if rep.Passed() {
 		t.Fatal("fuzz passed, want mismatch")
 	}
-	if rep.FailIndex != 0 || rep.Checked != 1 {
-		t.Errorf("FailIndex=%d Checked=%d, want FailIndex=0 Checked=1", rep.FailIndex, rep.Checked)
+	if len(rep.Mismatches) != 1 || rep.Mismatches[0].Index != 0 || rep.Checked != 1 {
+		t.Errorf("%d mismatches, the first at %d, Checked=%d; want one at 0, Checked=1", len(rep.Mismatches), rep.Mismatches[0].Index, rep.Checked)
 	}
 
-	// The same input as a trace through the Fuzzer with a mismatch cap:
-	// Checked must agree with the single-mismatch report (FailIndex+1).
+	// The same input replayed as a trace: the same report.
 	p2 := buildPipeline(t, 1, 1, "", nil, core.SCCInlining)
-	batch, err := NewFuzzer(p2).Fuzz(spec, 100, traceFeed(NewTrafficGen(2, 1, phv.Default32, 0).Trace(100), 1), FuzzOptions{}, 1)
+	batch, err := NewFuzzer(p2).FuzzGen(spec, replayGen(t, p2, NewTrafficGen(2, 1, phv.Default32, 0).Trace(100)), 100, FuzzOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(batch.Mismatches) != 1 || batch.Checked != batch.Mismatches[0].Index+1 {
-		t.Errorf("batch Checked=%d, want %d", batch.Checked, batch.Mismatches[0].Index+1)
-	}
+	batchReportsEqual(t, "trace replay", batch, rep)
 }
 
 // TestStreamRuntimeFailureIsAFinding: the unchecked (BuildUnchecked) path

@@ -152,8 +152,8 @@ type Resolved struct {
 }
 
 // NewSpec returns a fresh instance of the high-level specification bound to
-// the benchmark's field layout, ready for sim.Fuzz; it allocates only the
-// instance's state and locals.
+// the benchmark's field layout, ready for sim.Fuzzer.FuzzGen; it allocates
+// only the instance's state and locals.
 func (r *Resolved) NewSpec() sim.Spec { return r.binding.NewSpec() }
 
 // Resolve returns the benchmark's derived values, computing them on first
@@ -196,7 +196,7 @@ func (bm *Benchmark) DominoProgram() (*domino.Program, error) {
 }
 
 // SimSpec returns a fresh instance of the benchmark's high-level
-// specification bound to its field layout, ready for sim.Fuzz.
+// specification bound to its field layout, ready for sim.Fuzzer.FuzzGen.
 func (bm *Benchmark) SimSpec() (sim.Spec, error) {
 	r, err := bm.Resolve()
 	if err != nil {
@@ -217,8 +217,8 @@ func (bm *Benchmark) CompareContainers() ([]int, error) {
 
 // Verify runs the Fig. 5 fuzzing workflow for the benchmark at one
 // optimization level: n random PHVs through pipeline and spec, outputs
-// compared on the spec-defined containers.
-func (bm *Benchmark) Verify(level core.OptLevel, seed int64, n int) (*sim.FuzzReport, error) {
+// compared on the spec-defined containers, up to the first mismatch.
+func (bm *Benchmark) Verify(level core.OptLevel, seed int64, n int) (*sim.BatchReport, error) {
 	p, err := bm.Pipeline(level)
 	if err != nil {
 		return nil, err
@@ -227,7 +227,8 @@ func (bm *Benchmark) Verify(level core.OptLevel, seed int64, n int) (*sim.FuzzRe
 	if err != nil {
 		return nil, err
 	}
-	return sim.FuzzRandom(p, r.NewSpec(), seed, n, bm.MaxInput, sim.FuzzOptions{Containers: r.Containers})
+	gen := sim.NewTrafficGen(seed, p.PHVLen(), p.Bits(), bm.MaxInput)
+	return sim.NewFuzzer(p).FuzzGen(r.NewSpec(), gen, n, sim.FuzzOptions{Containers: r.Containers}, 1)
 }
 
 // All returns every benchmark in Table 1 order.

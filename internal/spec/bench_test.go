@@ -91,7 +91,7 @@ func TestAllBenchmarksFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", b.Name, level, err)
 			}
-			if !rep.Passed {
+			if !rep.Passed() {
 				t.Errorf("%s/%v: %s", b.Name, level, rep)
 			}
 		}
@@ -112,7 +112,7 @@ func TestBenchmarksFuzzMultipleSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", name, seed, err)
 			}
-			if !rep.Passed {
+			if !rep.Passed() {
 				t.Errorf("%s seed %d: %s", name, seed, rep)
 			}
 		}

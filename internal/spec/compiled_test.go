@@ -53,7 +53,7 @@ func TestCompiledPassesFig5(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rep.Passed {
+			if !rep.Passed() {
 				t.Errorf("fuzz failed: %s", rep)
 			}
 		})

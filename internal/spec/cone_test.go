@@ -113,7 +113,8 @@ func TestPerturbedMachineCodeAgainstCone(t *testing.T) {
 				t.Fatal(err)
 			}
 			cone := good.Cone()
-			input := sim.NewTrafficGen(1, good.PHVLen(), good.Bits(), bm.MaxInput).Trace(n)
+			newGen := func() *sim.TrafficGen { return sim.NewTrafficGen(1, good.PHVLen(), good.Bits(), bm.MaxInput) }
+			input := newGen().Trace(n)
 			clean, err := sim.Run(good, input)
 			if err != nil {
 				t.Fatal(err)
@@ -170,20 +171,20 @@ func TestPerturbedMachineCodeAgainstCone(t *testing.T) {
 									}
 								}
 							}
-							rep, err := sim.Fuzz(wrong, dspec, input, sim.FuzzOptions{Containers: containers})
+							rep, err := sim.NewFuzzer(wrong).FuzzGen(dspec, newGen(), n, sim.FuzzOptions{Containers: containers}, 1)
 							if err != nil {
 								t.Fatalf("%s: %v", h.Name, err)
 							}
 							if first < 0 {
-								if !rep.Passed {
+								if !rep.Passed() {
 									t.Errorf("%s: fuzzer reports %v, the full-grid run sees no difference", h.Name, rep)
 								}
 								continue
 							}
-							if rep.Passed {
+							if rep.Passed() {
 								t.Fatalf("%s perturbed: full-grid run diverges at PHV %d, the fuzzer saw nothing in %d PHVs", h.Name, first, rep.Checked)
 							}
-							if rep.Err != nil || rep.FailIndex != first || !rep.Got.Equal(res.Output.At(first)) || !rep.Want.Equal(want.At(first)) {
+							if m := rep.Mismatches; rep.Err != nil || m[0].Index != first || !m[0].Got.Equal(res.Output.At(first)) || !m[0].Want.Equal(want.At(first)) {
 								t.Fatalf("%s perturbed: fuzzer reports %v, full-grid run diverges at PHV %d: pipeline %s, spec %s",
 									h.Name, rep, first, res.Output.At(first), want.At(first))
 							}
@@ -233,12 +234,16 @@ func TestEmptyCompareSetIsNotAPass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sim.FuzzRandom(canary, dspec, 1, 4096, bm.MaxInput, sim.FuzzOptions{Containers: []int{}})
+		fuzz := func(opts sim.FuzzOptions) (*sim.BatchReport, error) {
+			gen := sim.NewTrafficGen(1, canary.PHVLen(), canary.Bits(), bm.MaxInput)
+			return sim.NewFuzzer(canary).FuzzGen(dspec, gen, 4096, opts, 1)
+		}
+		rep, err := fuzz(sim.FuzzOptions{Containers: []int{}})
 		if err == nil {
 			t.Errorf("%v: an empty compare set was fuzzed: %v", level, rep)
 		}
-		rep, err = sim.FuzzRandom(canary, dspec, 1, 4096, bm.MaxInput, sim.FuzzOptions{})
-		if err != nil || rep.Passed {
+		rep, err = fuzz(sim.FuzzOptions{})
+		if err != nil || rep.Passed() {
 			t.Errorf("%v: the canary under a nil compare set: report %v, err %v; want a mismatch", level, rep, err)
 		}
 	}

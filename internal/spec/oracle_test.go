@@ -51,7 +51,7 @@ func TestPerturbedSpecIsCaught(t *testing.T) {
 			t.Errorf("%s: %v", bm.Name, err)
 			continue
 		}
-		if rep.Err != nil || rep.Passed {
+		if rep.Err != nil || rep.Passed() {
 			t.Errorf("%s: %q -> %q went unnoticed over %d PHVs (err %v)", bm.Name, change[0], change[1], rep.Checked, rep.Err)
 		}
 	}

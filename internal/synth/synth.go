@@ -296,6 +296,7 @@ func Synthesize(spec core.Spec, target sim.Spec, opts Options) (*Result, error) 
 		if err != nil {
 			return nil, fmt.Errorf("synth: candidate unbuildable after zero cost: %w", err)
 		}
+		fz := sim.NewFuzzer(p)
 		var counterexample *phv.Trace
 		for v := 0; v < o.VerifyTraces; v++ {
 			var in *phv.Trace
@@ -306,11 +307,11 @@ func Synthesize(spec core.Spec, target sim.Spec, opts Options) (*Result, error) 
 			} else {
 				in = verifyGen.Trace(o.TracePackets)
 			}
-			rep, err := sim.Fuzz(p, target, in, sim.FuzzOptions{Containers: o.Containers})
+			passed, err := replay(fz, target, in, o.Containers)
 			if err != nil {
 				return nil, err
 			}
-			if !rep.Passed {
+			if !passed {
 				counterexample = in
 				break
 			}
@@ -327,6 +328,28 @@ func Synthesize(spec core.Spec, target sim.Spec, opts Options) (*Result, error) 
 	}
 	res.Examples = len(examples)
 	return res, nil
+}
+
+// replay fuzzes the fuzzer's pipeline against the target on the trace, served
+// as the corpus of a traffic plan, and reports whether every PHV matched. A
+// trace value outside the datapath is an error.
+func replay(fz *sim.Fuzzer, target sim.Spec, in *phv.Trace, containers []int) (bool, error) {
+	p := fz.Pipeline()
+	corpus := make([][]phv.Value, in.Len())
+	for i := range corpus {
+		corpus[i] = in.At(i).Raw()
+	}
+	plan, err := sim.NewTraffic(p.PHVLen(), p.Bits(), 0, sim.TrafficUniform, corpus)
+	if err != nil {
+		return false, err
+	}
+	var gen sim.TrafficGen
+	gen.Start(plan, 0)
+	rep, err := fz.FuzzGen(target, &gen, len(corpus), sim.FuzzOptions{Containers: containers}, 1)
+	if err != nil {
+		return false, err
+	}
+	return rep.Passed(), nil
 }
 
 // boundaryTrace builds a deterministic trace cycling through small values
@@ -358,7 +381,7 @@ func boundaryTrace(phvLen, packets int, maxVal, offset int64) *phv.Trace {
 // Validate checks synthesized machine code against the target on inputs of
 // the given bit width — the post-synthesis test the case study ran with
 // 10-bit inputs.
-func Validate(spec core.Spec, code *machinecode.Program, target sim.Spec, bits int, seed int64, packets int, containers []int) (*sim.FuzzReport, error) {
+func Validate(spec core.Spec, code *machinecode.Program, target sim.Spec, bits int, seed int64, packets int, containers []int) (*sim.BatchReport, error) {
 	if bits < 1 || bits > 31 {
 		return nil, errors.New("synth: validation bits out of range [1,31]")
 	}
@@ -366,5 +389,6 @@ func Validate(spec core.Spec, code *machinecode.Program, target sim.Spec, bits i
 	if err != nil {
 		return nil, err
 	}
-	return sim.FuzzRandom(p, target, seed, packets, int64(1)<<uint(bits), sim.FuzzOptions{Containers: containers})
+	gen := sim.NewTrafficGen(seed, p.PHVLen(), p.Bits(), int64(1)<<uint(bits))
+	return sim.NewFuzzer(p).FuzzGen(target, gen, packets, sim.FuzzOptions{Containers: containers}, 1)
 }

@@ -39,7 +39,7 @@ func TestSynthesizeIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed {
+	if !rep.Passed() {
 		t.Errorf("identity fails at 20-bit inputs: %s", rep)
 	}
 }
@@ -62,7 +62,7 @@ func TestSynthesizePlusOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed {
+	if !rep.Passed() {
 		t.Errorf("plus-one fails at 16-bit inputs: %s", rep)
 	}
 }
@@ -94,7 +94,7 @@ transaction {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed {
+	if !rep.Passed() {
 		t.Errorf("running sum fails at 12-bit inputs: %s", rep)
 	}
 }
@@ -125,7 +125,7 @@ func TestLowBitWidthFailureMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep2.Passed {
+	if !rep2.Passed() {
 		t.Fatalf("candidate wrong even at 2-bit inputs: %s", rep2)
 	}
 	// ...but fails once PHV container values exceed the synthesis range
@@ -134,7 +134,7 @@ func TestLowBitWidthFailureMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep10.Passed {
+	if rep10.Passed() {
 		t.Error("10-bit validation passed; expected the low-bit-width failure mode")
 	}
 }
@@ -162,7 +162,7 @@ func TestCEGISAddsCounterexamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed {
+	if !rep.Passed() {
 		t.Errorf("eq-3 candidate wrong on verification domain: %s", rep)
 	}
 }

@@ -195,11 +195,12 @@ func TestMergedTenantsBothCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 		pipe.ResetState()
-		rep, err := sim.FuzzRandom(pipe, dspec, 7, 2000, 0, sim.FuzzOptions{Containers: containers})
+		gen := sim.NewTrafficGen(7, pipe.PHVLen(), pipe.Bits(), 0)
+		rep, err := sim.NewFuzzer(pipe).FuzzGen(dspec, gen, 2000, sim.FuzzOptions{Containers: containers}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !rep.Passed {
+		if !rep.Passed() {
 			t.Fatalf("%s: %v", tenant, rep)
 		}
 	}
@@ -448,11 +449,12 @@ func TestStageOffsetTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sim.FuzzRandom(pipe, dspec, 3, 1000, 0, sim.FuzzOptions{Containers: []int{0}})
+	gen := sim.NewTrafficGen(3, pipe.PHVLen(), pipe.Bits(), 0)
+	rep, err := sim.NewFuzzer(pipe).FuzzGen(dspec, gen, 1000, sim.FuzzOptions{Containers: []int{0}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Passed {
+	if !rep.Passed() {
 		t.Fatalf("offset tenant: %v", rep)
 	}
 }

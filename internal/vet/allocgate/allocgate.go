@@ -25,10 +25,10 @@ import (
 // Hotpath is one //dvet:hotpath-annotated function discovered in source.
 type Hotpath struct {
 	// Key identifies the function as "<dir>.<Recv.>Name" with dir
-	// relative to the scan root, e.g. "internal/sim.Fuzzer.Fuzz".
+	// relative to the scan root, e.g. "internal/sim.Fuzzer.FuzzGen".
 	Key string
 	// Budget is the declared allocs=N ceiling, in allocations per call
-	// (or per run, for whole-run drivers like Fuzzer.Fuzz).
+	// (or per run, for whole-run drivers like Fuzzer.FuzzGen).
 	Budget int
 	// Exported reports whether the function (and, for a method, its
 	// receiver type) is exported — only exported hotpaths are gated

@@ -46,19 +46,15 @@ var runners = map[string]func(t *testing.T) float64{
 			}
 		})
 	},
-	"internal/sim.Fuzzer.Fuzz": func(t *testing.T) float64 {
+	"internal/sim.Fuzzer.FuzzGen": func(t *testing.T) float64 {
 		// Both of the fuzzer's loops hold the one budget: the fused loop
 		// the Domino specification runs on at compiled, and the tick loop
 		// it runs on at unoptimized.
 		worst := 0.0
 		for _, level := range []core.OptLevel{core.Compiled, core.Unoptimized} {
 			f, sp, gen, opts := benchFuzzer(t, level)
-			next := func(dst []phv.Value) error {
-				gen.Fill(dst)
-				return nil
-			}
 			fuzzRun := func() {
-				rep, err := f.Fuzz(sp, 256, next, opts, 0)
+				rep, err := f.FuzzGen(sp, gen, 256, opts, 0)
 				if err != nil {
 					panic(err)
 				}
@@ -70,20 +66,6 @@ var runners = map[string]func(t *testing.T) float64{
 			worst = max(worst, testing.AllocsPerRun(10, fuzzRun))
 		}
 		return worst
-	},
-	"internal/sim.Fuzzer.FuzzGen": func(t *testing.T) float64 {
-		f, sp, gen, opts := benchFuzzer(t, core.Compiled)
-		fuzzRun := func() {
-			rep, err := f.FuzzGen(sp, gen, 256, opts, 0)
-			if err != nil {
-				panic(err)
-			}
-			if !rep.Passed() {
-				panic("fuzz mismatch")
-			}
-		}
-		fuzzRun()
-		return testing.AllocsPerRun(10, fuzzRun)
 	},
 	"internal/domino.PHVSpec.ProcessStream": func(t *testing.T) float64 {
 		// Every Table-1 program on its own traffic: the worst one is the
@@ -127,21 +109,18 @@ var runners = map[string]func(t *testing.T) float64{
 	"internal/flat.Oracle.Fuzz": func(t *testing.T) float64 {
 		// The one packet loop both machine models run, on every Table-1
 		// oracle (the cone with the Domino specification linked after it),
-		// drawing from a generator and from a caller's fill.
+		// drawing from a generator.
 		worst := 0.0
 		for _, bm := range spec.All() {
 			o, gen := benchOracle(t, bm)
 			frame := o.Program().NewFrame()
-			fill := func(_ int, in []int64) error { gen.Fill(in); return nil }
-			for _, g := range []*phv.TrafficGen{gen, nil} {
-				fuzzRun := func() {
-					if at, _, _ := o.Fuzz(frame, g, fill, o.Pairs(), 0, 256); at != 256 {
-						panic("oracle mismatch")
-					}
+			fuzzRun := func() {
+				if at, _ := o.Fuzz(frame, gen, o.Pairs(), 0, 256); at != 256 {
+					panic("oracle mismatch")
 				}
-				fuzzRun()
-				worst = max(worst, testing.AllocsPerRun(10, fuzzRun))
 			}
+			fuzzRun()
+			worst = max(worst, testing.AllocsPerRun(10, fuzzRun))
 		}
 		return worst
 	},
